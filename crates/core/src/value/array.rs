@@ -547,6 +547,51 @@ mod tests {
     }
 
     #[test]
+    fn lazy_value_at_matches_get_for_any_rank() {
+        // Rank 1, rank 3, rank 10 (no fixed-size index buffer to
+        // outgrow), all with clipped edge chunks.
+        let cases: [(Vec<u64>, Vec<u64>); 3] = [
+            (vec![7], vec![3]),
+            (vec![5, 4, 3], vec![2, 3, 2]),
+            (vec![2, 3, 1, 2, 2, 1, 3, 2, 1, 2], vec![1, 2, 1, 2, 1, 1, 2, 2, 1, 1]),
+        ];
+        for (dims, chunk) in cases {
+            let a = lazy_iota(dims.clone(), chunk);
+            for off in 0..a.len() {
+                let idx = a.unoffset(off as u64);
+                let by_offset = a.try_value_at(off).unwrap();
+                assert_eq!(by_offset, Some(Value::Real(off as f64)), "{dims:?} @ {off}");
+                // The store's own index path, which never sees the offset.
+                let ArrayData::Lazy(l) = a.array_data() else { unreachable!("bound lazily") };
+                let by_index = l.borrow_mut().get(&idx).unwrap();
+                assert_eq!(by_index, Some(Scalar::F64(off as f64)), "{dims:?} @ {idx:?}");
+            }
+        }
+        // The last element of the array is the last element of the
+        // chunk clipped on every axis.
+        let a = lazy_iota(vec![5, 4, 3], vec![2, 3, 2]);
+        assert_eq!(a.try_value_at(59).unwrap(), Some(Value::Real(59.0)));
+        assert_eq!(a.try_get(&[4, 3, 2]).unwrap(), Some(Value::Real(59.0)));
+    }
+
+    #[test]
+    fn lazy_value_at_past_the_end_never_reaches_the_cache() {
+        let a = lazy_iota(vec![5, 4, 3], vec![2, 3, 2]);
+        for off in [60, 61, usize::MAX] {
+            assert_eq!(a.try_value_at(off).unwrap(), None);
+        }
+        // Zero-extent dimensions: every offset is past the end.
+        let empty = lazy_iota(vec![4, 0, 3], vec![2, 2, 2]);
+        assert!(empty.is_empty());
+        assert_eq!(empty.try_value_at(0).unwrap(), None);
+        assert_eq!(empty.try_get(&[0, 0, 0]).unwrap(), None);
+        for arr in [&a, &empty] {
+            let s = arr.cache_stats().unwrap();
+            assert_eq!((s.hits, s.misses), (0, 0), "no lookup was recorded");
+        }
+    }
+
+    #[test]
     fn lazy_load_failure_is_bottom_or_error() {
         struct FailSource;
         impl ChunkSource for FailSource {

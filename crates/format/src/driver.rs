@@ -25,6 +25,7 @@ use aql_core::value::{ArrayVal, Value};
 use aql_lang::errors::LangError;
 use aql_lang::reader::{Reader, Writer};
 use aql_lang::session::Session;
+use aql_store::layout::for_each_run;
 use aql_store::{
     ChunkLayout, ChunkSource, LazyArray, PrefetchConfig, Prefetcher, ResiliencePolicy,
     ResilientSource, Scalar, ScalarBuf, ScalarKind,
@@ -121,6 +122,33 @@ fn flatten(idx: &[u64], dims: &[u64]) -> u64 {
     off
 }
 
+/// Write every chunk of `layout` from the resident row-major buffer
+/// `src`, run by run: `append` converts one contiguous run of source
+/// cells onto the chunk under construction, which `wrap` then types.
+fn write_gathered<T, U>(
+    w: &mut AqfWriter,
+    layout: &ChunkLayout,
+    src: &[T],
+    wrap: fn(Vec<U>) -> ScalarBuf,
+    mut append: impl FnMut(&[T], &mut Vec<U>) -> Result<(), LangError>,
+) -> Result<(), LangError> {
+    let origin = vec![0; layout.dims().len()];
+    for id in 0..layout.num_chunks() {
+        let (start, count) = layout.chunk_bounds(id).expect("id < num_chunks");
+        let mut out = Vec::with_capacity(layout.chunk_len(id).expect("id < num_chunks") as usize);
+        // The chunk is the whole destination box, so runs arrive in
+        // the order they are appended.
+        for_each_run(&count, &start, layout.dims(), &origin, &count, |from, _to, run| {
+            let cells = src
+                .get(from..from + run)
+                .ok_or_else(|| store_err("index outside the array it came from"))?;
+            append(cells, &mut out)
+        })?;
+        w.write_chunk(&wrap(out)).map_err(store_err)?;
+    }
+    Ok(())
+}
+
 /// Write `arr` to `path` as AQF, streaming chunk by chunk. The
 /// workhorse behind both the `AQF` writer and [`SessionAqfExt`].
 pub fn write_array(
@@ -146,7 +174,25 @@ pub fn write_array(
                 w.write_chunk(&buf).map_err(store_err)?;
             }
         }
-        _ => {
+        // Typed flat buffers: each output chunk is gathered run by run
+        // straight from the buffer.
+        ArrayData::F64(v) => write_gathered(&mut w, &layout, v, ScalarBuf::F64, |cells, out| {
+            out.extend_from_slice(cells);
+            Ok(())
+        })?,
+        ArrayData::Bool(v) => write_gathered(&mut w, &layout, v, ScalarBuf::Bool, |cells, out| {
+            out.extend_from_slice(cells);
+            Ok(())
+        })?,
+        ArrayData::Nat(v) => write_gathered(&mut w, &layout, v, ScalarBuf::I64, |cells, out| {
+            for &n in cells {
+                out.push(i64::try_from(n).map_err(|_| {
+                    store_err(format!("natural {n} exceeds the format's integer range"))
+                })?);
+            }
+            Ok(())
+        })?,
+        ArrayData::Materialized(_) => {
             for id in 0..layout.num_chunks() {
                 let (start, count) = layout.chunk_bounds(id).expect("id < num_chunks");
                 let n = layout.chunk_len(id).expect("id < num_chunks") as usize;

@@ -83,6 +83,16 @@ impl ScalarBuf {
         }
     }
 
+    /// A buffer of `len` zero (`false`) elements of the given kind —
+    /// the destination of positioned [`copy_run`](ScalarBuf::copy_run)s.
+    pub fn zeroed(kind: ScalarKind, len: usize) -> ScalarBuf {
+        match kind {
+            ScalarKind::F64 => ScalarBuf::F64(vec![0.0; len]),
+            ScalarKind::I64 => ScalarBuf::I64(vec![0; len]),
+            ScalarKind::Bool => ScalarBuf::Bool(vec![false; len]),
+        }
+    }
+
     /// The element kind of this buffer.
     pub fn kind(&self) -> ScalarKind {
         match self {
@@ -137,6 +147,30 @@ impl ScalarBuf {
         }
         true
     }
+
+    /// Overwrite `len` elements starting at `at` with the `len`
+    /// elements of `src` starting at `from` — one `copy_from_slice`.
+    /// Returns `false` (and leaves the buffer unchanged) when the kinds
+    /// differ or either range runs past its buffer's end.
+    pub fn copy_run(&mut self, at: usize, src: &ScalarBuf, from: usize, len: usize) -> bool {
+        fn run<T: Copy>(dst: &mut [T], at: usize, src: &[T], from: usize, len: usize) -> bool {
+            let dst = at.checked_add(len).and_then(|end| dst.get_mut(at..end));
+            let src = from.checked_add(len).and_then(|end| src.get(from..end));
+            match (dst, src) {
+                (Some(dst), Some(src)) => {
+                    dst.copy_from_slice(src);
+                    true
+                }
+                _ => false,
+            }
+        }
+        match (self, src) {
+            (ScalarBuf::F64(d), ScalarBuf::F64(s)) => run(d, at, s, from, len),
+            (ScalarBuf::I64(d), ScalarBuf::I64(s)) => run(d, at, s, from, len),
+            (ScalarBuf::Bool(d), ScalarBuf::Bool(s)) => run(d, at, s, from, len),
+            _ => false,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -159,5 +193,19 @@ mod tests {
         assert_eq!(b.get(1), None);
         assert_eq!(b.len(), 1);
         assert_eq!(b.kind(), ScalarKind::F64);
+    }
+
+    #[test]
+    fn copy_run_checks_kind_and_both_ranges() {
+        let src = ScalarBuf::I64(vec![1, 2, 3, 4]);
+        let mut dst = ScalarBuf::zeroed(ScalarKind::I64, 5);
+        assert!(dst.copy_run(2, &src, 1, 3));
+        assert_eq!(dst, ScalarBuf::I64(vec![0, 0, 2, 3, 4]));
+        assert!(dst.copy_run(5, &src, 4, 0), "empty run at either end is in range");
+        assert!(!dst.copy_run(3, &src, 0, 3), "destination too short");
+        assert!(!dst.copy_run(0, &src, 2, 3), "source too short");
+        assert!(!dst.copy_run(usize::MAX, &src, 0, 2), "offset overflow");
+        assert!(!dst.copy_run(0, &ScalarBuf::Bool(vec![true]), 0, 1), "kind mismatch");
+        assert_eq!(dst, ScalarBuf::I64(vec![0, 0, 2, 3, 4]), "failed copies change nothing");
     }
 }

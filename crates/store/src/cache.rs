@@ -1,6 +1,6 @@
 //! A budgeted LRU buffer cache for chunks.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::buffer::ScalarBuf;
@@ -9,9 +9,17 @@ use crate::governor;
 use crate::interrupt;
 use crate::stats::{self, CacheStats};
 
-struct Entry {
+/// "No slot": the end of the recency list in either direction.
+const NIL: usize = usize::MAX;
+
+/// One resident chunk, threaded into the recency list by slot index.
+struct Slot {
+    id: u64,
     buf: Rc<ScalarBuf>,
-    tick: u64,
+    /// Neighbour towards the most recently used end.
+    newer: usize,
+    /// Neighbour towards the least recently used end.
+    older: usize,
 }
 
 /// How a miss was satisfied — who actually paid the source read.
@@ -34,7 +42,10 @@ pub enum Loaded {
 /// budget.
 ///
 /// Lookups go through [`get_or_load`](ChunkCache::get_or_load): a hit
-/// returns the cached buffer and refreshes its recency; a miss runs
+/// returns the cached buffer and refreshes its recency — one hash
+/// lookup, a relink of the recency list unless the chunk is already
+/// the most recent, an `Rc` clone, and one count in each ledger; no
+/// allocation and nothing ordered to update. A miss runs
 /// the supplied loader, accounts the loaded bytes, inserts the buffer,
 /// and then evicts least-recently-used chunks until the payload bytes
 /// held fit the budget again (the just-loaded chunk is never evicted,
@@ -50,13 +61,20 @@ pub enum Loaded {
 /// only misses) poll [`interrupt::check`] so
 /// a statement blocked on I/O honors its deadline and cancellation.
 ///
+/// Recency is exact LRU: the resident chunks form a doubly linked list
+/// from `newest` to `oldest`, linked by index into a dense slot vector
+/// (an evicted slot is back-filled by the last one), so eviction pops
+/// the tail in constant time.
+///
 /// All counter increments are mirrored into the thread-local aggregate
 /// readable via [`stats::global`].
 pub struct ChunkCache {
     budget: u64,
-    map: HashMap<u64, Entry>,
-    order: BTreeMap<u64, u64>, // tick -> chunk id
-    tick: u64,
+    /// Chunk id → index into `slots`.
+    map: HashMap<u64, usize>,
+    slots: Vec<Slot>,
+    newest: usize,
+    oldest: usize,
     bytes: u64,
     stats: CacheStats,
     label: Option<Box<str>>,
@@ -71,8 +89,9 @@ impl ChunkCache {
         ChunkCache {
             budget: budget_bytes,
             map: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
+            slots: Vec::new(),
+            newest: NIL,
+            oldest: NIL,
             bytes: 0,
             stats: CacheStats::default(),
             label: None,
@@ -123,6 +142,19 @@ impl ChunkCache {
         self.stats
     }
 
+    /// Resident chunk ids, least recently used first — the order
+    /// eviction and governor shedding take them in. Test hook.
+    #[doc(hidden)]
+    pub fn lru_order(&self) -> Vec<u64> {
+        let mut ids = Vec::with_capacity(self.slots.len());
+        let mut slot = self.oldest;
+        while slot != NIL {
+            ids.push(self.slots[slot].id);
+            slot = self.slots[slot].newer;
+        }
+        ids
+    }
+
     /// Return chunk `id`, consulting `load` on a miss. Loader bytes
     /// are charged as consumer-paid `bytes_read`; use
     /// [`get_or_load_with`](ChunkCache::get_or_load_with) when the
@@ -144,15 +176,13 @@ impl ChunkCache {
         id: u64,
         load: impl FnOnce() -> Result<Loaded, StoreError>,
     ) -> Result<Rc<ScalarBuf>, StoreError> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(entry) = self.map.get_mut(&id) {
-            self.order.remove(&entry.tick);
-            entry.tick = tick;
-            self.order.insert(tick, id);
-            let buf = Rc::clone(&entry.buf);
-            self.bump(CacheStats { hits: 1, ..Default::default() });
-            return Ok(buf);
+        if let Some(&slot) = self.map.get(&id) {
+            if slot != self.newest {
+                self.unlink(slot);
+                self.link_newest(slot);
+            }
+            self.record_hit();
+            return Ok(Rc::clone(&self.slots[slot].buf));
         }
         // Miss path only: a statement blocked on I/O must notice its
         // deadline/cancellation, but a hit costs nothing extra.
@@ -178,10 +208,61 @@ impl ChunkCache {
             return Err(governor::deny(loaded));
         }
         self.bytes += loaded;
-        self.map.insert(id, Entry { buf: Rc::clone(&buf), tick });
-        self.order.insert(tick, id);
+        let slot = self.slots.len();
+        self.slots.push(Slot { id, buf: Rc::clone(&buf), newer: NIL, older: NIL });
+        self.map.insert(id, slot);
+        self.link_newest(slot);
         self.evict_over_budget(id);
         Ok(buf)
+    }
+
+    /// Take `slot` out of the recency list (its own links go stale).
+    fn unlink(&mut self, slot: usize) {
+        let Slot { newer, older, .. } = self.slots[slot];
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o].newer = newer,
+        }
+    }
+
+    /// Put an unlinked `slot` at the most recently used end.
+    fn link_newest(&mut self, slot: usize) {
+        self.slots[slot].newer = NIL;
+        self.slots[slot].older = self.newest;
+        match self.newest {
+            NIL => self.oldest = slot,
+            n => self.slots[n].newer = slot,
+        }
+        self.newest = slot;
+    }
+
+    /// Drop the chunk in `slot`, returning its governed bytes to the
+    /// process ledger and counting the eviction. The last slot moves
+    /// into the hole so `slots` stays dense.
+    fn evict(&mut self, slot: usize) {
+        self.unlink(slot);
+        let gone = self.slots.swap_remove(slot);
+        self.map.remove(&gone.id);
+        if let Some(moved) = self.slots.get(slot) {
+            let (id, newer, older) = (moved.id, moved.newer, moved.older);
+            self.map.insert(id, slot);
+            match newer {
+                NIL => self.newest = slot,
+                n => self.slots[n].older = slot,
+            }
+            match older {
+                NIL => self.oldest = slot,
+                o => self.slots[o].newer = slot,
+            }
+        }
+        let freed = gone.buf.byte_len();
+        self.bytes -= freed;
+        governor::release(freed);
+        self.bump(CacheStats { evictions: 1, ..Default::default() });
     }
 
     /// Charge `needed` bytes against the process governor, evicting
@@ -194,34 +275,38 @@ impl ChunkCache {
             if governor::try_charge(needed) {
                 return true;
             }
-            let victim = self.order.iter().map(|(&t, &c)| (t, c)).next();
-            let Some((t, c)) = victim else { return false };
-            self.order.remove(&t);
-            let entry = self.map.remove(&c).expect("order and map agree");
-            let freed = entry.buf.byte_len();
-            self.bytes -= freed;
-            governor::release(freed);
+            if self.oldest == NIL {
+                return false;
+            }
             governor::note_shed();
-            self.bump(CacheStats { evictions: 1, ..Default::default() });
+            self.evict(self.oldest);
         }
     }
 
     /// Evict LRU-first until within budget, sparing `keep`.
     fn evict_over_budget(&mut self, keep: u64) {
         while self.bytes > self.budget {
-            let victim = self
-                .order
-                .iter()
-                .map(|(&t, &c)| (t, c))
-                .find(|&(_, c)| c != keep);
-            let Some((t, c)) = victim else { break };
-            self.order.remove(&t);
-            let entry = self.map.remove(&c).expect("order and map agree");
-            let freed = entry.buf.byte_len();
-            self.bytes -= freed;
-            governor::release(freed);
-            self.bump(CacheStats { evictions: 1, ..Default::default() });
+            let mut victim = self.oldest;
+            if victim != NIL && self.slots[victim].id == keep {
+                victim = self.slots[victim].newer;
+            }
+            if victim == NIL {
+                break;
+            }
+            self.evict(victim);
         }
+    }
+
+    /// [`bump`](ChunkCache::bump) of exactly one hit: the same five
+    /// ledgers — this cache's stats, the thread aggregate (with its
+    /// trace and metric mirrors), the journal's coalesced `cache_hit`,
+    /// and the open statement's attribution row — at one word each.
+    #[inline]
+    fn record_hit(&mut self) {
+        self.stats.hits += 1;
+        stats::global_hit();
+        aql_journal::cache_hit(self.jlabel);
+        aql_journal::attr::note(self.jlabel, |c| c.hits += 1);
     }
 
     fn bump(&mut self, delta: CacheStats) {

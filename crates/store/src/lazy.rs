@@ -5,7 +5,7 @@ use std::rc::Rc;
 use crate::buffer::{Scalar, ScalarBuf, ScalarKind};
 use crate::cache::{ChunkCache, Loaded};
 use crate::error::StoreError;
-use crate::layout::{checked_product, ChunkLayout};
+use crate::layout::{checked_product, for_each_run, ChunkAddr, ChunkLayout};
 use crate::prefetch::{PrefetchStats, Prefetcher};
 use crate::source::ChunkSource;
 use crate::stats::CacheStats;
@@ -116,126 +116,63 @@ impl LazyArray {
     /// The element at multidimensional index `idx`; `Ok(None)` when
     /// the index is out of bounds.
     pub fn get(&mut self, idx: &[u64]) -> Result<Option<Scalar>, StoreError> {
-        let Some(addr) = self.layout.locate(idx) else {
-            return Ok(None);
-        };
-        if let Some(pf) = &mut self.prefetch {
-            pf.observe(addr.chunk);
+        match self.layout.locate(idx) {
+            Some(addr) => self.element(addr).map(Some),
+            None => Ok(None),
         }
-        let buf = load_chunk(
-            &mut self.cache,
-            &self.layout,
-            self.kind,
-            &mut self.source,
-            self.prefetch.as_mut(),
-            addr.chunk,
-        )?;
-        let s = buf.get(addr.offset as usize).ok_or_else(|| {
-            StoreError::Corrupt(format!(
-                "chunk {} has no offset {} despite validated length",
-                addr.chunk, addr.offset
-            ))
-        })?;
-        Ok(Some(s))
     }
 
     /// The element at row-major linear offset `off`; `Ok(None)` past
     /// the end.
     pub fn get_linear(&mut self, off: u64) -> Result<Option<Scalar>, StoreError> {
-        if off >= self.layout.total_elems() {
-            return Ok(None);
-        }
-        let idx = unflatten(off, self.layout.dims());
-        self.get(&idx)
-    }
-
-    /// Materialize the hyperslab `(start, count)` into a flat buffer
-    /// in row-major order, loading only the chunks it overlaps.
-    pub fn read_slab(&mut self, start: &[u64], count: &[u64]) -> Result<ScalarBuf, StoreError> {
-        let dims = self.layout.dims().to_vec();
-        if start.len() != dims.len() || count.len() != dims.len() {
-            return Err(StoreError::Shape(format!(
-                "slab rank {} does not match array rank {}",
-                start.len().max(count.len()),
-                dims.len()
-            )));
-        }
-        for j in 0..dims.len() {
-            let end = start[j]
-                .checked_add(count[j])
-                .ok_or_else(|| StoreError::Shape("slab extent overflows u64".into()))?;
-            if end > dims[j] {
-                return Err(StoreError::Shape(format!(
-                    "slab [{}, {}) exceeds extent {} on dimension {j}",
-                    start[j], end, dims[j]
-                )));
-            }
-        }
-        let n = checked_product(count)
-            .ok_or_else(|| StoreError::Shape("slab element count overflows u64".into()))?;
-        let mut out = ScalarBuf::with_capacity(self.kind, n as usize);
-        if n == 0 {
-            return Ok(out);
-        }
-        // Odometer over the slab in row-major order.
-        let mut idx = start.to_vec();
-        loop {
-            let s = self.get(&idx)?.ok_or_else(|| {
-                StoreError::Shape("validated slab index out of bounds".into())
-            })?;
-            out.push(s);
-            let mut j = dims.len();
-            loop {
-                if j == 0 {
-                    return Ok(out);
-                }
-                j -= 1;
-                idx[j] += 1;
-                if idx[j] < start[j] + count[j] {
-                    break;
-                }
-                idx[j] = start[j];
-            }
+        match self.layout.locate_linear(off) {
+            Some(addr) => self.element(addr).map(Some),
+            None => Ok(None),
         }
     }
-}
 
-/// Load chunk `id` through the cache, validating length and kind. On
-/// a miss the prefetcher's warm pool is consulted before the source.
-fn load_chunk(
-    cache: &mut ChunkCache,
-    layout: &ChunkLayout,
-    kind: ScalarKind,
-    source: &mut Box<dyn ChunkSource>,
-    prefetch: Option<&mut Prefetcher>,
-    id: u64,
-) -> Result<Rc<ScalarBuf>, StoreError> {
-    let (start, count) = layout
-        .chunk_bounds(id)
-        .ok_or_else(|| StoreError::Shape(format!("chunk id {id} out of range")))?;
-    let want = layout.chunk_len(id).expect("bounds exist");
-    let validate = |buf: ScalarBuf| -> Result<ScalarBuf, StoreError> {
-        if buf.len() as u64 != want {
-            return Err(StoreError::Corrupt(format!(
-                "chunk {id}: source returned {} elements, layout expects {want}",
-                buf.len()
-            )));
+    /// The element at `addr`, through the cache.
+    fn element(&mut self, addr: ChunkAddr) -> Result<Scalar, StoreError> {
+        let buf = self.chunk(addr.chunk)?;
+        buf.get(addr.offset as usize).ok_or_else(|| short_chunk(addr.chunk, addr.offset))
+    }
+
+    /// Chunk `id` through the cache: one lookup, one prefetcher
+    /// observation. On a miss the prefetcher's warm pool is consulted
+    /// before the source, and whichever buffer arrives is validated
+    /// against the layout's length and the array's kind — geometry
+    /// only a miss needs, so only a miss computes it.
+    fn chunk(&mut self, id: u64) -> Result<Rc<ScalarBuf>, StoreError> {
+        if let Some(pf) = &mut self.prefetch {
+            pf.observe(id);
         }
-        if buf.kind() != kind {
-            return Err(StoreError::Corrupt(format!(
-                "chunk {id}: source returned {} elements, array is {kind}",
-                buf.kind()
-            )));
-        }
-        Ok(buf)
-    };
-    cache.get_or_load_with(id, || {
-        // Miss path only: hits never reach this closure, so the span
-        // (and the sampling profiler reading it) sees exactly the
-        // time spent materializing chunks from warm pools or sources.
-        let _span = aql_trace::span("cache.load");
-        if let Some(pf) = prefetch {
-            if let Some(buf) = pf.take(id) {
+        let LazyArray { layout, kind, cache, source, prefetch } = self;
+        let kind = *kind;
+        cache.get_or_load_with(id, || {
+            // Miss path only: hits never reach this closure, so the span
+            // (and the sampling profiler reading it) sees exactly the
+            // time spent materializing chunks from warm pools or sources.
+            let _span = aql_trace::span("cache.load");
+            let (start, count) = layout
+                .chunk_bounds(id)
+                .ok_or_else(|| StoreError::Shape(format!("chunk id {id} out of range")))?;
+            let want = checked_product(&count).expect("a chunk is no larger than its array");
+            let validate = |buf: ScalarBuf| -> Result<ScalarBuf, StoreError> {
+                if buf.len() as u64 != want {
+                    return Err(StoreError::Corrupt(format!(
+                        "chunk {id}: source returned {} elements, layout expects {want}",
+                        buf.len()
+                    )));
+                }
+                if buf.kind() != kind {
+                    return Err(StoreError::Corrupt(format!(
+                        "chunk {id}: source returned {} elements, array is {kind}",
+                        buf.kind()
+                    )));
+                }
+                Ok(buf)
+            };
+            if let Some(buf) = prefetch.as_mut().and_then(|pf| pf.take(id)) {
                 // Warm buffers get the same validation: the worker's
                 // source handle could misbehave independently. They
                 // are accounted as `Warm` — the background worker
@@ -243,20 +180,97 @@ fn load_chunk(
                 // statement's `bytes_read` must not count them.
                 return Ok(Loaded::Warm(validate(buf)?));
             }
+            Ok(Loaded::Source(validate(source.read_chunk(&start, &count)?)?))
+        })
+    }
+
+    /// Materialize the hyperslab `(start, count)` into a flat buffer
+    /// in row-major order, loading only the chunks it overlaps.
+    ///
+    /// Each overlapped chunk is looked up once, in row-major order of
+    /// the chunk grid — one hit or miss and one prefetcher observation
+    /// per chunk, which is also the recency order the cache is left in
+    /// — and its share of the slab is copied run by run.
+    pub fn read_slab(&mut self, start: &[u64], count: &[u64]) -> Result<ScalarBuf, StoreError> {
+        let rank = self.layout.dims().len();
+        if start.len() != rank || count.len() != rank {
+            return Err(StoreError::Shape(format!(
+                "slab rank {} does not match array rank {rank}",
+                start.len().max(count.len()),
+            )));
         }
-        Ok(Loaded::Source(validate(source.read_chunk(&start, &count)?)?))
-    })
+        for (j, &extent) in self.layout.dims().iter().enumerate() {
+            let end = start[j]
+                .checked_add(count[j])
+                .ok_or_else(|| StoreError::Shape("slab extent overflows u64".into()))?;
+            if end > extent {
+                return Err(StoreError::Shape(format!(
+                    "slab [{}, {end}) exceeds extent {extent} on dimension {j}",
+                    start[j]
+                )));
+            }
+        }
+        let n = checked_product(count)
+            .ok_or_else(|| StoreError::Shape("slab element count overflows u64".into()))?;
+        let mut out = ScalarBuf::zeroed(self.kind, n as usize);
+        if n == 0 {
+            return Ok(out);
+        }
+        // The grid box [first, last] of overlapped chunks, an odometer
+        // over it, and per-chunk scratch — the only allocations besides
+        // `out`, however many chunks and elements the slab covers.
+        let chunk = self.layout.chunk_dims();
+        let first: Vec<u64> = (0..rank).map(|j| start[j] / chunk[j]).collect();
+        let last: Vec<u64> = (0..rank).map(|j| (start[j] + count[j] - 1) / chunk[j]).collect();
+        let mut at = first.clone();
+        let (mut len, mut in_chunk, mut in_slab, mut extent) =
+            (vec![0; rank], vec![0; rank], vec![0; rank], vec![0; rank]);
+        loop {
+            let layout = &self.layout;
+            let mut id = 0u64;
+            for j in 0..rank {
+                let chunk = layout.chunk_dims()[j];
+                let origin = at[j] * chunk;
+                extent[j] = chunk.min(layout.dims()[j] - origin);
+                // This chunk's overlap with the slab along axis j.
+                let lo = start[j].max(origin);
+                let hi = (start[j] + count[j]).min(origin + extent[j]);
+                len[j] = hi - lo;
+                in_chunk[j] = lo - origin;
+                in_slab[j] = lo - start[j];
+                id = id * layout.grid_dims()[j] + at[j];
+            }
+            let buf = self.chunk(id)?;
+            for_each_run(&len, &in_chunk, &extent, &in_slab, count, |from, to, run| {
+                if out.copy_run(to, &buf, from, run) {
+                    Ok(())
+                } else {
+                    Err(short_chunk(id, (from + run - 1) as u64))
+                }
+            })?;
+            // Next chunk of the box, row-major.
+            let mut j = rank;
+            loop {
+                if j == 0 {
+                    return Ok(out);
+                }
+                j -= 1;
+                if at[j] < last[j] {
+                    at[j] += 1;
+                    break;
+                }
+                at[j] = first[j];
+            }
+        }
+    }
 }
 
-/// Row-major multidimensional index for linear offset `off`.
-fn unflatten(off: u64, dims: &[u64]) -> Vec<u64> {
-    let mut rem = off;
-    let mut idx = vec![0u64; dims.len()];
-    for j in (0..dims.len()).rev() {
-        idx[j] = rem % dims[j];
-        rem /= dims[j];
-    }
-    idx
+/// A cached chunk turned out shorter than (or of another kind than)
+/// the length and kind it was validated against when it was loaded.
+fn short_chunk(chunk: u64, offset: u64) -> StoreError {
+    StoreError::Corrupt(format!(
+        "chunk {chunk} has no offset {offset} despite validated length"
+    ))
 }
 
 impl std::fmt::Debug for LazyArray {
@@ -342,6 +356,20 @@ mod tests {
         let got = a.read_slab(&[1, 2], &[2, 3]).unwrap();
         // Rows 1..3, cols 2..5 of the 4×5 iota array.
         assert_eq!(got, ScalarBuf::F64(vec![7.0, 8.0, 9.0, 12.0, 13.0, 14.0]));
+    }
+
+    #[test]
+    fn slab_costs_one_lookup_per_chunk_and_leaves_grid_order_recency() {
+        // 4×5 in 2×2 chunks: a 2×3 grid, chunk ids 0..6 row-major.
+        let mut a = lazy_over(vec![4, 5], vec![2, 2], 1 << 16);
+        a.read_slab(&[0, 0], &[4, 5]).unwrap();
+        assert_eq!(a.cache.lru_order(), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!((a.stats().hits, a.stats().misses), (0, 6));
+        // Rows 1..3 × cols 3..5 overlap chunks 1, 2, 4, 5 — visited in
+        // that order whatever order their elements interleave in.
+        a.read_slab(&[1, 3], &[2, 2]).unwrap();
+        assert_eq!(a.cache.lru_order(), vec![0, 3, 1, 2, 4, 5]);
+        assert_eq!((a.stats().hits, a.stats().misses), (4, 6));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! the simplest source a [`Prefetcher`](crate::Prefetcher) worker
 //! thread can own.
 
-use crate::buffer::{Scalar, ScalarBuf};
+use crate::buffer::ScalarBuf;
 use crate::error::StoreError;
 use crate::fault::checksum;
-use crate::layout::checked_product;
+use crate::layout::{checked_product, for_each_run};
 use crate::source::ChunkSource;
 
 /// The canonical label in-memory sources report in per-source metrics.
@@ -70,34 +70,19 @@ impl MemChunkSource {
         }
         let n = checked_product(count)
             .ok_or_else(|| StoreError::Shape("slab element count overflows u64".into()))?;
-        let mut out = ScalarBuf::with_capacity(self.data.kind(), n as usize);
-        if n == 0 {
-            return Ok(out);
-        }
-        // Odometer over the slab in row-major order.
-        let mut idx = start.to_vec();
-        loop {
-            let mut off = 0u64;
-            for (&d, &i) in self.dims.iter().zip(idx.iter()) {
-                off = off * d + i;
+        let mut out = ScalarBuf::zeroed(self.data.kind(), n as usize);
+        let origin = vec![0; count.len()];
+        for_each_run(count, start, &self.dims, &origin, count, |from, to, run| {
+            if out.copy_run(to, &self.data, from, run) {
+                Ok(())
+            } else {
+                Err(StoreError::Corrupt(format!(
+                    "offsets {from}..{} missing despite validated shape",
+                    from + run
+                )))
             }
-            let s: Scalar = self.data.get(off as usize).ok_or_else(|| {
-                StoreError::Corrupt(format!("offset {off} missing despite validated shape"))
-            })?;
-            out.push(s);
-            let mut j = self.dims.len();
-            loop {
-                if j == 0 {
-                    return Ok(out);
-                }
-                j -= 1;
-                idx[j] += 1;
-                if idx[j] < start[j] + count[j] {
-                    break;
-                }
-                idx[j] = start[j];
-            }
-        }
+        })?;
+        Ok(out)
     }
 }
 
@@ -116,7 +101,7 @@ impl ChunkSource for MemChunkSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::ScalarKind;
+    use crate::buffer::{Scalar, ScalarKind};
     use crate::layout::ChunkLayout;
     use crate::lazy::LazyArray;
 

@@ -55,21 +55,39 @@ impl CacheStats {
     }
 }
 
+/// The thread-local aggregate, one cell per counter so the hit path
+/// touches a single word.
+struct GlobalCells {
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    evictions: Cell<u64>,
+    bytes_read: Cell<u64>,
+    prefetched_bytes: Cell<u64>,
+    load_errors: Cell<u64>,
+}
+
 thread_local! {
-    static GLOBAL: Cell<CacheStats> = const { Cell::new(CacheStats {
-        hits: 0,
-        misses: 0,
-        evictions: 0,
-        bytes_read: 0,
-        prefetched_bytes: 0,
-        load_errors: 0,
-    }) };
+    static GLOBAL: GlobalCells = const { GlobalCells {
+        hits: Cell::new(0),
+        misses: Cell::new(0),
+        evictions: Cell::new(0),
+        bytes_read: Cell::new(0),
+        prefetched_bytes: Cell::new(0),
+        load_errors: Cell::new(0),
+    } };
 }
 
 /// Snapshot of the thread-local aggregate across all caches on this
 /// thread.
 pub fn global() -> CacheStats {
-    GLOBAL.with(|g| g.get())
+    GLOBAL.with(|g| CacheStats {
+        hits: g.hits.get(),
+        misses: g.misses.get(),
+        evictions: g.evictions.get(),
+        bytes_read: g.bytes_read.get(),
+        prefetched_bytes: g.prefetched_bytes.get(),
+        load_errors: g.load_errors.get(),
+    })
 }
 
 /// Process-lifetime cache counters, mirrored from every increment:
@@ -109,15 +127,13 @@ static M_PREFETCHED: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
 /// and bump the process-lifetime `aql_store_cache_*` metrics.
 pub(crate) fn global_add(delta: CacheStats) {
     GLOBAL.with(|g| {
-        let cur = g.get();
-        g.set(CacheStats {
-            hits: cur.hits + delta.hits,
-            misses: cur.misses + delta.misses,
-            evictions: cur.evictions + delta.evictions,
-            bytes_read: cur.bytes_read + delta.bytes_read,
-            prefetched_bytes: cur.prefetched_bytes + delta.prefetched_bytes,
-            load_errors: cur.load_errors + delta.load_errors,
-        });
+        let add = |cell: &Cell<u64>, n: u64| cell.set(cell.get() + n);
+        add(&g.hits, delta.hits);
+        add(&g.misses, delta.misses);
+        add(&g.evictions, delta.evictions);
+        add(&g.bytes_read, delta.bytes_read);
+        add(&g.prefetched_bytes, delta.prefetched_bytes);
+        add(&g.load_errors, delta.load_errors);
     });
     if aql_trace::enabled() {
         aql_trace::count("cache.hits", delta.hits);
@@ -133,6 +149,15 @@ pub(crate) fn global_add(delta: CacheStats) {
     M_BYTES.add(delta.bytes_read);
     M_PREFETCHED.add(delta.prefetched_bytes);
     M_LOAD_ERRORS.add(delta.load_errors);
+}
+
+/// [`global_add`] of exactly one hit: the same three destinations
+/// (aggregate, trace subscriber, process metric), one word each.
+#[inline]
+pub(crate) fn global_hit() {
+    GLOBAL.with(|g| g.hits.set(g.hits.get() + 1));
+    aql_trace::count("cache.hits", 1);
+    M_HITS.inc();
 }
 
 /// Attribute miss-path I/O to a *source* label (`netcdf:<var>`,
@@ -209,5 +234,17 @@ mod tests {
         let d = global().delta_since(&base);
         assert_eq!(d.hits, 2);
         assert_eq!(d.bytes_read, 16);
+    }
+
+    #[test]
+    fn one_hit_path_matches_a_one_hit_delta() {
+        let hits = aql_metrics::counter("aql_store_cache_hits_total", "");
+        let (base, h0) = (global(), hits.get());
+        global_hit();
+        assert_eq!(
+            global().delta_since(&base),
+            CacheStats { hits: 1, ..Default::default() }
+        );
+        assert!(hits.get() > h0);
     }
 }

@@ -1,14 +1,16 @@
 //! Abstract values: what the analyzer knows about a term's result.
 //!
 //! Three cooperating domains meet here: natural numbers carry both an
-//! *interval* ([`Iv`], shared with the evaluator's de-Bruijn pass) and
+//! *interval* ([`Iv`], the workspace's one interval type) and
 //! *symbolic bounds* ([`SymExt`]); arrays carry symbolic extents per
 //! axis; sets and bags carry a cardinality interval (the input to the
 //! provably-empty-comprehension lint and the cost model).
 
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use aql_core::eval::bounds::Iv;
+use aql_core::expr::{Expr, Name};
 use aql_core::value::Value;
 
 use crate::sym::{prove_le, SymExt};
@@ -53,6 +55,16 @@ impl NatAbs {
             return NatAbs { iv, sym: None, lt: None, ge: None };
         }
         NatAbs { iv, sym: Some(s.clone()), lt: None, ge: Some(s) }
+    }
+
+    /// The value as an array extent: its exact symbolic value, else the
+    /// constant a singleton interval pins it to, else unknown.
+    pub fn extent(&self) -> SymExt {
+        match (&self.sym, self.iv.hi) {
+            (Some(s), _) => s.clone(),
+            (None, Some(h)) if h == self.iv.lo => SymExt::Const(h),
+            _ => SymExt::Top,
+        }
     }
 
     /// Join (interval hull; symbolic bounds survive only when equal).
@@ -179,6 +191,40 @@ impl AbsVal {
         }
     }
 
+    /// Drop every symbolic fact that mentions a binder numbered `first`
+    /// or later (intervals and constants stay). The analyzer applies
+    /// this to a value leaving those binders' scope: outside it the
+    /// symbol would denote nothing — or, across the iterations of a
+    /// loop, several different arrays at once.
+    pub fn forget_binders_from(&self, first: u32) -> AbsVal {
+        let keep = |s: &Option<SymExt>| s.clone().filter(|s| !s.mentions_binder_from(first));
+        match self {
+            AbsVal::Nat(n) => AbsVal::Nat(NatAbs {
+                iv: n.iv,
+                sym: keep(&n.sym),
+                lt: keep(&n.lt),
+                ge: keep(&n.ge),
+            }),
+            AbsVal::Arr { exts, elem } => AbsVal::Arr {
+                exts: exts
+                    .iter()
+                    .map(|x| if x.mentions_binder_from(first) { SymExt::Top } else { x.clone() })
+                    .collect(),
+                elem: Rc::new(elem.forget_binders_from(first)),
+            },
+            AbsVal::Tup(items) => {
+                AbsVal::Tup(items.iter().map(|it| it.forget_binders_from(first)).collect())
+            }
+            AbsVal::Set { elem, card } => {
+                AbsVal::Set { elem: Rc::new(elem.forget_binders_from(first)), card: *card }
+            }
+            AbsVal::Bag { elem, card } => {
+                AbsVal::Bag { elem: Rc::new(elem.forget_binders_from(first)), card: *card }
+            }
+            _ => self.clone(),
+        }
+    }
+
     /// The nat abstraction, if this is (certainly) a natural.
     pub fn as_nat(&self) -> Option<&NatAbs> {
         match self {
@@ -282,6 +328,23 @@ pub fn absval_of_value(v: &Value) -> AbsVal {
     }
 }
 
+/// Abstract the bindings of `vals` that `e` mentions: the globals map
+/// for analyzing `e` against a session's `val` registry, without
+/// abstracting bindings the term cannot see.
+pub fn globals_mentioned(e: &Expr, vals: &HashMap<Name, Value>) -> BTreeMap<Name, AbsVal> {
+    let mut out = BTreeMap::new();
+    e.walk(&mut |node| {
+        // A free `Var` falls through to the registry, as in `compile`
+        // (a bound one is shadowed by the analyzer's environment).
+        if let Expr::Global(n) | Expr::Var(n) = node {
+            if let Some(v) = vals.get(n) {
+                out.entry(n.clone()).or_insert_with(|| absval_of_value(v));
+            }
+        }
+    });
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,7 +367,7 @@ mod tests {
         assert!(a.provably_lt(&SymExt::Const(5)));
         assert!(!a.provably_lt(&SymExt::Const(4)));
         // Symbolic: value < dim(A,0) vs extent dim(A,0).
-        let d = SymExt::Dim { source: name("A"), axis: 0 };
+        let d = SymExt::Dim { source: name("A"), binder: 0, axis: 0 };
         let b = NatAbs { iv: Iv::TOP, sym: None, lt: Some(d.clone()), ge: None };
         assert!(b.provably_lt(&d));
         assert!(!a.provably_lt(&d));
@@ -312,7 +375,7 @@ mod tests {
 
     #[test]
     fn provably_ge_flags_certain_oob() {
-        let d = SymExt::Dim { source: name("A"), axis: 0 };
+        let d = SymExt::Dim { source: name("A"), binder: 0, axis: 0 };
         // value ≥ dim(A,0) vs extent dim(A,0): always out.
         let a = NatAbs { iv: Iv::TOP, sym: None, lt: None, ge: Some(d.clone()) };
         assert!(a.provably_ge(&d));

@@ -14,9 +14,14 @@
 //! value, it is a natural in `[0, 4]`".
 //!
 //! Results are keyed by *node address* (`&Expr` identity), so a
-//! consumer walking the **same** tree — the lint pass, the `\analyze`
-//! report, the cost model — can look up per-site facts without any
-//! index bookkeeping.
+//! consumer walking the **same** tree — `compile_marked` taking its
+//! elision marks, the lint pass, the `\analyze` report, the cost model
+//! — can look up per-site facts without any index bookkeeping.
+//!
+//! **Binders.** A symbolic fact names an array by its binding (see
+//! [`SymExt::Dim`]), and a value leaving a binder's scope forgets every
+//! symbol of that binder, so verdicts are invariant under α-renaming
+//! and a symbol never stands for two activations of one binder at once.
 
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -31,8 +36,12 @@ use crate::sym::SymExt;
 /// Per-subscript-site verdict of the bounds domains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubVerdict {
-    /// Every index is provably below the corresponding extent whenever
-    /// the site is reached with non-`⊥` indices.
+    /// Every index is provably a natural below the corresponding extent
+    /// whenever the site is reached with non-`⊥` indices — *if* the
+    /// subscript's arity is the array's rank, which only the evaluator
+    /// can check for an array of unknown shape. Issued in per-axis form
+    /// only, never for a single tuple-valued index: this is the verdict
+    /// the evaluator's elision marks are made of.
     InBounds,
     /// Neither provably in nor provably out.
     Unknown,
@@ -41,12 +50,13 @@ pub enum SubVerdict {
     ProvablyOut,
 }
 
-/// A rectangular region of a named source array touched by a subscript
-/// site: one index interval per axis. The cost model intersects these
-/// with the source's chunk grid to estimate bytes moved.
+/// A rectangular region of a source array touched by a subscript site:
+/// one index interval per axis. The cost model intersects these with
+/// the source's chunk grid to estimate bytes moved.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessRegion {
-    /// The subscripted array's name (a `val` binding or free variable).
+    /// The subscripted array's name: a `val` binding or free variable
+    /// (sites that subscript a lexically bound array record no region).
     pub source: Name,
     /// Per-axis index interval.
     pub axes: Vec<Iv>,
@@ -105,8 +115,11 @@ pub struct Analysis {
     pub result: AbsVal,
     /// Joined effect of the whole term.
     pub effect: Effect,
-    /// Per-`Sub`-node verdicts, keyed by node address.
-    subs: HashMap<usize, SubVerdict>,
+    /// Per-`Sub`-node facts, keyed by node address.
+    subs: HashMap<usize, SubSite>,
+    /// Interval of each tabulation bound and array-literal dimension,
+    /// keyed by the bound expression's address.
+    bounds: HashMap<usize, Iv>,
     /// Comprehension/sum nodes with provably-empty sources, keyed by
     /// node address; the value names the construct for diagnostics.
     empties: HashMap<usize, &'static str>,
@@ -125,6 +138,7 @@ impl Default for Analysis {
             result: AbsVal::Top,
             effect: Effect::PureElementwise,
             subs: HashMap::new(),
+            bounds: HashMap::new(),
             empties: HashMap::new(),
             loops: HashMap::new(),
             regions: Vec::new(),
@@ -133,10 +147,36 @@ impl Default for Analysis {
     }
 }
 
+/// An axis of a subscript site where both sides are concrete: the
+/// index interval and the constant extent it is checked against.
+pub type AxisFact = Option<(Iv, u64)>;
+
+/// What the pass recorded at one `Sub` node.
+#[derive(Debug, Clone)]
+struct SubSite {
+    verdict: SubVerdict,
+    /// One entry per axis; empty when the array's rank is unknown or
+    /// disagrees with the subscript.
+    axes: Vec<AxisFact>,
+}
+
 impl Analysis {
     /// Verdict recorded for a `Sub` node of the analyzed tree.
     pub fn verdict_of(&self, e: &Expr) -> Option<SubVerdict> {
-        self.subs.get(&ptr(e)).copied()
+        self.subs.get(&ptr(e)).map(|s| s.verdict)
+    }
+
+    /// Per-axis (index interval, constant extent) pairs recorded for a
+    /// `Sub` node (a single tuple-valued index counts one axis per
+    /// component).
+    pub fn sub_axes(&self, e: &Expr) -> &[AxisFact] {
+        self.subs.get(&ptr(e)).map_or(&[], |s| &s.axes)
+    }
+
+    /// Interval of a tabulation bound or array-literal dimension
+    /// expression of the analyzed tree.
+    pub fn bound_interval(&self, bound: &Expr) -> Option<Iv> {
+        self.bounds.get(&ptr(bound)).copied()
     }
 
     /// If `e` is a comprehension/sum whose source is provably empty,
@@ -153,8 +193,8 @@ impl Analysis {
     /// Tally the subscript verdicts.
     pub fn sub_counts(&self) -> SubCounts {
         let mut c = SubCounts { total: self.subs.len(), ..SubCounts::default() };
-        for v in self.subs.values() {
-            match v {
+        for s in self.subs.values() {
+            match s.verdict {
                 SubVerdict::InBounds => c.in_bounds += 1,
                 SubVerdict::Unknown => c.unknown += 1,
                 SubVerdict::ProvablyOut => c.provably_out += 1,
@@ -173,7 +213,13 @@ fn ptr(e: &Expr) -> usize {
 /// for context-free analysis — source extents then stay symbolic
 /// (`dim(A,0)`), which is enough for the cross-variable proofs.
 pub fn analyze(e: &Expr, globals: &BTreeMap<Name, AbsVal>) -> Analysis {
-    let mut a = Analyzer { globals, env: Vec::new(), out: Analysis::default() };
+    let mut a = Analyzer {
+        globals,
+        env: Vec::new(),
+        binders: 0,
+        bound_syms: 0,
+        out: Analysis::default(),
+    };
     let (result, effect) = a.go(e);
     a.out.result = result;
     a.out.effect = effect;
@@ -182,8 +228,13 @@ pub fn analyze(e: &Expr, globals: &BTreeMap<Name, AbsVal>) -> Analysis {
 
 struct Analyzer<'a> {
     globals: &'a BTreeMap<Name, AbsVal>,
-    /// Lexical environment; lookup scans from the back (shadowing).
-    env: Vec<(Name, AbsVal)>,
+    /// Lexical environment: name, binder serial number, abstraction.
+    /// Lookup scans from the back (shadowing).
+    env: Vec<(Name, u32, AbsVal)>,
+    /// Binder occurrences numbered so far (serial numbers start at 1).
+    binders: u32,
+    /// [`SymExt::Dim`] symbols minted for lexically bound arrays so far.
+    bound_syms: usize,
     out: Analysis,
 }
 
@@ -191,14 +242,6 @@ struct Analyzer<'a> {
 fn widen_opt(s: SymExt) -> Option<SymExt> {
     let s = s.widen();
     if s.is_top() { None } else { Some(s) }
-}
-
-/// The subscripted/measured array when it is named syntactically.
-fn source_name(e: &Expr) -> Option<Name> {
-    match e {
-        Expr::Var(n) | Expr::Global(n) => Some(n.clone()),
-        _ => None,
-    }
 }
 
 /// A nat abstraction for a known symbolic extent.
@@ -273,15 +316,40 @@ fn arith_nat(op: ArithOp, a: &NatAbs, b: &NatAbs) -> NatAbs {
 
 impl Analyzer<'_> {
     fn scoped(&mut self, binds: Vec<(Name, AbsVal)>, e: &Expr) -> (AbsVal, Effect) {
-        let n = binds.len();
-        self.env.extend(binds);
-        let r = self.go(e);
-        self.env.truncate(self.env.len() - n);
-        r
+        let (depth, first, syms) = (self.env.len(), self.binders + 1, self.bound_syms);
+        for (x, v) in binds {
+            self.binders += 1;
+            self.env.push((x, self.binders, v));
+        }
+        let (v, eff) = self.go(e);
+        self.env.truncate(depth);
+        // Only a scope that minted a symbol for a bound array can leak
+        // one; everything else skips the walk.
+        let v = if self.bound_syms == syms { v } else { v.forget_binders_from(first) };
+        (v, eff)
     }
 
-    fn lookup(&self, n: &Name) -> Option<AbsVal> {
-        self.env.iter().rev().find(|(x, _)| x == n).map(|(_, v)| v.clone())
+    fn lookup(&self, n: &Name) -> Option<&(Name, u32, AbsVal)> {
+        self.env.iter().rev().find(|(x, ..)| x == n)
+    }
+
+    /// The subscripted/measured array when it is named syntactically:
+    /// its name and which binding of that name is in scope (0: none —
+    /// a free variable or a `val`).
+    fn source_of(&self, e: &Expr) -> Option<(Name, u32)> {
+        match e {
+            Expr::Global(n) => Some((n.clone(), 0)),
+            Expr::Var(n) => Some((n.clone(), self.lookup(n).map_or(0, |(_, b, _)| *b))),
+            _ => None,
+        }
+    }
+
+    /// Symbolic extents `dim(source, 0..rank)` for an array of unknown
+    /// shape — what lets `[[A[i] | i < dim(A)]]` prove in-bounds for
+    /// every `A`. The rank is the site's guess, not a fact.
+    fn symbolic_dims(&mut self, (source, binder): (Name, u32), rank: usize) -> Vec<SymExt> {
+        self.bound_syms += usize::from(binder != 0);
+        (0..rank).map(|axis| SymExt::Dim { source: source.clone(), binder, axis }).collect()
     }
 
     /// Set/bag element abstraction of an iteration source.
@@ -344,7 +412,12 @@ impl Analyzer<'_> {
     fn go(&mut self, e: &Expr) -> (AbsVal, Effect) {
         use Effect::{External, Materializing, PureElementwise, Reduction};
         match e {
-            Expr::Var(x) => (self.lookup(x).unwrap_or(AbsVal::Top), PureElementwise),
+            // A free variable falls through to the `val` registry, as
+            // in `compile`.
+            Expr::Var(x) => {
+                let v = self.lookup(x).map(|(.., v)| v).or_else(|| self.globals.get(x));
+                (v.cloned().unwrap_or(AbsVal::Top), PureElementwise)
+            }
             Expr::Global(x) => {
                 (self.globals.get(x).cloned().unwrap_or(AbsVal::Top), PureElementwise)
             }
@@ -481,7 +554,15 @@ impl Analyzer<'_> {
                 let (_, ce) = self.go(c);
                 let (tv, te) = self.go(t);
                 let (fv, fe) = self.go(f);
-                (tv.join(&fv), ce.join(te).join(fe))
+                // A literal condition selects the live branch (the
+                // lints report the dead one); `⊥` kills both.
+                let out = match **c {
+                    Expr::Bool(true) => tv,
+                    Expr::Bool(false) => fv,
+                    Expr::Bottom => AbsVal::Bot,
+                    _ => tv.join(&fv),
+                };
+                (out, ce.join(te).join(fe))
             }
             Expr::Cmp(_, a, b) => {
                 let (_, ae) = self.go(a);
@@ -559,7 +640,8 @@ impl Analyzer<'_> {
                     let (bv, be) = self.go(b);
                     eff = eff.join(be);
                     let nb = bv.as_nat().cloned().unwrap_or_else(NatAbs::top);
-                    exts.push(nb.sym.clone().unwrap_or(SymExt::Top));
+                    self.out.bounds.insert(ptr(b), nb.iv);
+                    exts.push(nb.extent());
                     count = arith_iv(ArithOp::Mul, count, nb.iv);
                     // The index runs over 0, …, b-1; when b can be 0
                     // the body is unreachable and the facts hold
@@ -592,45 +674,48 @@ impl Analyzer<'_> {
                     eff = eff.join(ie);
                     iavs.push(v);
                 }
+                // A single tuple-valued index addresses each axis, but
+                // through `as_index`, not per-axis `as_nat`: such a
+                // site can be proven *out*, never marked in.
+                let (axes, vector) = match iavs.as_slice() {
+                    [AbsVal::Tup(items)] => (items.as_slice(), true),
+                    all => (all, false),
+                };
                 // Extents to check against: the array's inferred shape
-                // when known; otherwise, for a *named* array, symbolic
-                // `dim(name, j)` — that is what lets
-                // `[[A[i] | i < dim(A)]]` prove in-bounds for every A.
-                let exts: Option<Vec<SymExt>> = match &av {
-                    AbsVal::Arr { exts, .. } => {
-                        (exts.len() == idx.len()).then(|| exts.clone())
+                // when known; otherwise, for a *named* array, symbolic.
+                let source = self.source_of(arr);
+                let symbolic;
+                let exts: Option<&[SymExt]> = match (&av, &source) {
+                    (AbsVal::Arr { exts, .. }, _) => {
+                        (exts.len() == axes.len()).then_some(exts.as_slice())
                     }
-                    _ => source_name(arr).map(|n| {
-                        (0..idx.len())
-                            .map(|j| SymExt::Dim { source: n.clone(), axis: j })
-                            .collect()
-                    }),
-                };
-                // Per-axis naturals only: a vector index (one
-                // tuple-typed expression) abstracts to `Tup`, not
-                // `Nat`, and stays Unknown.
-                let nats: Option<Vec<&NatAbs>> =
-                    iavs.iter().map(|v| v.as_nat()).collect();
-                let verdict = match (&exts, &nats) {
-                    (Some(es), Some(ns)) => {
-                        if ns.iter().zip(es).all(|(n, x)| n.provably_lt(x)) {
-                            SubVerdict::InBounds
-                        } else if ns.iter().zip(es).any(|(n, x)| n.provably_ge(x)) {
-                            SubVerdict::ProvablyOut
-                        } else {
-                            SubVerdict::Unknown
-                        }
+                    (_, Some(src)) => {
+                        symbolic = self.symbolic_dims(src.clone(), axes.len());
+                        Some(symbolic.as_slice())
                     }
-                    _ => SubVerdict::Unknown,
+                    _ => None,
                 };
-                self.out.subs.insert(ptr(e), verdict);
-                if let (Some(n), Some(ns)) = (source_name(arr), &nats) {
-                    self.out.regions.push(AccessRegion {
-                        source: n,
-                        axes: ns.iter().map(|x| x.iv).collect(),
-                    });
+                let nats = || axes.iter().map(AbsVal::as_nat);
+                let mut site = SubSite { verdict: SubVerdict::Unknown, axes: Vec::new() };
+                if let Some(es) = exts {
+                    let on_axes = || nats().zip(es);
+                    if !vector && on_axes().all(|(n, x)| n.is_some_and(|n| n.provably_lt(x))) {
+                        site.verdict = SubVerdict::InBounds;
+                    } else if on_axes().any(|(n, x)| n.is_some_and(|n| n.provably_ge(x))) {
+                        site.verdict = SubVerdict::ProvablyOut;
+                    }
+                    site.axes = on_axes().map(|(n, x)| Some((n?.iv, x.as_const()?))).collect();
+                }
+                let verdict = site.verdict;
+                self.out.subs.insert(ptr(e), site);
+                if let (Some((source, 0)), false) = (source, vector) {
+                    if let Some(axes) = nats().map(|n| Some(n?.iv)).collect() {
+                        self.out.regions.push(AccessRegion { source, axes });
+                    }
                 }
                 let elem = match &av {
+                    // Every reachable evaluation yields `⊥`.
+                    _ if verdict == SubVerdict::ProvablyOut => AbsVal::Bot,
                     AbsVal::Arr { elem, .. } => (**elem).clone(),
                     _ => AbsVal::Top,
                 };
@@ -642,11 +727,7 @@ impl Analyzer<'_> {
                     AbsVal::Arr { exts, .. } => {
                         (exts.len() == *k).then(|| exts.clone())
                     }
-                    _ => source_name(inner).map(|n| {
-                        (0..*k)
-                            .map(|j| SymExt::Dim { source: n.clone(), axis: j })
-                            .collect()
-                    }),
+                    _ => self.source_of(inner).map(|src| self.symbolic_dims(src, *k)),
                 };
                 let out = match (exts, *k) {
                     (Some(es), 1) => nat_of_ext(&es[0]),
@@ -662,9 +743,9 @@ impl Analyzer<'_> {
                 for d in dims {
                     let (dv, de) = self.go(d);
                     eff = eff.join(de);
-                    exts.push(
-                        dv.as_nat().and_then(|n| n.sym.clone()).unwrap_or(SymExt::Top),
-                    );
+                    let nb = dv.as_nat().cloned().unwrap_or_else(NatAbs::top);
+                    self.out.bounds.insert(ptr(d), nb.iv);
+                    exts.push(nb.extent());
                 }
                 let mut elem = AbsVal::Bot;
                 for it in items {
@@ -721,11 +802,29 @@ impl Analyzer<'_> {
 
 /// Truncated one-line rendering of a node for reports.
 fn describe(e: &Expr) -> String {
-    let s = e.to_string();
-    if s.chars().count() <= 60 {
-        s
+    use std::fmt::Write;
+    /// Keeps the first 61 characters and then fails the write, so a
+    /// large term (this runs on the statement path) is not rendered in
+    /// full only to be cut.
+    struct Head(String, usize);
+    impl Write for Head {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for c in s.chars() {
+                if self.1 > 60 {
+                    return Err(std::fmt::Error);
+                }
+                self.0.push(c);
+                self.1 += 1;
+            }
+            Ok(())
+        }
+    }
+    let mut head = Head(String::new(), 0);
+    let _ = write!(head, "{e}");
+    if head.1 <= 60 {
+        head.0
     } else {
-        let mut t: String = s.chars().take(57).collect();
+        let mut t: String = head.0.chars().take(57).collect();
         t.push('…');
         t
     }
@@ -767,7 +866,7 @@ mod tests {
         // Shape: one axis, extent dim(A,0).
         match &a.result {
             AbsVal::Arr { exts, .. } => {
-                assert_eq!(exts, &vec![SymExt::Dim { source: name("A"), axis: 0 }]);
+                assert_eq!(exts, &vec![SymExt::Dim { source: name("A"), binder: 0, axis: 0 }]);
             }
             other => panic!("expected array abstraction, got {other:?}"),
         }
@@ -903,5 +1002,22 @@ mod tests {
         assert_eq!(a.regions.len(), 1);
         assert_eq!(a.regions[0].source, name("T"));
         assert_eq!(a.regions[0].axes, vec![Iv { lo: 100, hi: Some(149) }]);
+    }
+
+    #[test]
+    fn kernel_descriptions_are_cut_at_sixty_characters() {
+        // Terms rendering to every length around the cut: whole up to
+        // 60 characters, otherwise the first 57 and an ellipsis.
+        let mut e = var("x");
+        for _ in 0..40 {
+            let (whole, got) = (e.to_string(), describe(&e));
+            if whole.chars().count() <= 60 {
+                assert_eq!(got, whole);
+            } else {
+                let head: String = whole.chars().take(57).collect();
+                assert_eq!(got, format!("{head}…"));
+            }
+            e = add(e, nat(1));
+        }
     }
 }

@@ -1,0 +1,33 @@
+//! Bounds-check elision: the analyzer's in-bounds verdicts, handed to
+//! the evaluator as compile-time marks.
+//!
+//! `aql-core` cannot call the analyzer (this crate depends on it), so
+//! the two meet here: every statement-path caller — the session, the
+//! bench environment, the differential tests — evaluates through
+//! [`eval_elided`].
+
+use aql_core::error::EvalError;
+use aql_core::eval::{bounds, eval, eval_marked, EvalCtx};
+use aql_core::expr::Expr;
+use aql_core::value::Value;
+
+use crate::absval::globals_mentioned;
+use crate::analyze::{analyze, SubVerdict};
+
+/// Evaluate `e` with the bounds check elided at every subscript site
+/// the analyzer proves [`SubVerdict::InBounds`] against the context's
+/// `val` bindings. With [`bounds::set_enabled`]`(false)` — or no
+/// subscript in `e` to mark — no analysis runs and this is [`eval`].
+///
+/// The evaluator keeps a `debug_assert!` on the marked path, so every
+/// debug-build evaluation through here re-checks the analyzer's
+/// verdicts at the exact site they were used.
+pub fn eval_elided(e: &Expr, ctx: &EvalCtx) -> Result<Value, EvalError> {
+    let mut sites = false;
+    e.walk(&mut |node| sites |= matches!(node, Expr::Sub(..)));
+    if !bounds::enabled() || !sites {
+        return eval(e, ctx);
+    }
+    let analysis = analyze(e, &globals_mentioned(e, ctx.globals));
+    eval_marked(e, ctx, &|site| analysis.verdict_of(site) == Some(SubVerdict::InBounds))
+}

@@ -7,18 +7,17 @@
 //!    (`dim(A,0)`, `n ∸ 1`), with widening to keep terms small.
 //! 2. **Index intervals** — every nat-valued expression carries a
 //!    `[lo, hi]` range plus symbolic upper/lower bounds, powering
-//!    per-subscript in-bounds/out-of-bounds verdicts. (The evaluator's
-//!    own bounds-check *elision* runs over the compiled de-Bruijn form
-//!    — see [`debruijn`] — because only post-compile is the session's
-//!    `val` registry in hand; this crate is the named-form half, which
-//!    can reason symbolically without any concrete bindings.)
+//!    per-subscript in-bounds/out-of-bounds verdicts. This is the
+//!    workspace's one bounds analysis: with the session's `val`
+//!    bindings as globals the extents are concrete, without them they
+//!    stay symbolic, and the same verdicts serve every consumer.
 //! 3. **Effects/fusibility** ([`effect`]) — a four-point purity chain
 //!    classifying which loop nests could compile to bulk kernels.
 //!
-//! Consumers: `aql-verify` (cross-variable out-of-bounds and
-//! provably-empty-comprehension lints), `aql-opt` (analysis-backed
-//! cost/cardinality estimates), and the REPL's `\analyze` command
-//! ([`report`]).
+//! Consumers: the evaluator (bounds-check elision marks, via
+//! [`eval_elided`]), `aql-verify` (the L001–L005 shape/bounds lints),
+//! `aql-opt` (analysis-backed cost/cardinality estimates), and the
+//! REPL's `\analyze` command ([`report`]).
 
 #![warn(missing_docs)]
 
@@ -26,15 +25,14 @@ pub mod absval;
 pub mod analyze;
 pub mod cost;
 pub mod effect;
+pub mod elide;
 pub mod report;
 pub mod sym;
 
-/// The compiled-form (de-Bruijn) interval pass and elision toggle,
-/// re-exported from `aql-core` so consumers see both halves of the
-/// framework in one place.
-pub use aql_core::eval::bounds as debruijn;
-
-pub use absval::{absval_of_value, AbsVal, NatAbs};
-pub use analyze::{analyze, AccessRegion, Analysis, Kernel, KernelKind, SubCounts, SubVerdict};
+pub use absval::{absval_of_value, globals_mentioned, AbsVal, NatAbs};
+pub use analyze::{
+    analyze, AccessRegion, Analysis, AxisFact, Kernel, KernelKind, SubCounts, SubVerdict,
+};
 pub use effect::Effect;
+pub use elide::eval_elided;
 pub use sym::SymExt;

@@ -1,11 +1,17 @@
 //! Symbolic extents: natural-number expressions over bound variables
 //! and source-array dimensions.
 //!
-//! Constant-extent reasoning (PR 4's lint lattice, the evaluator's
-//! interval pass) stops at the first non-literal bound. This domain
-//! keeps extents *symbolic* — `dim(T, 0)`, `n`, `n ∸ 1`, `2·n` — so
-//! facts like "`[[ A[i] | i < dim(A) ]]` never goes out of bounds"
-//! hold for every `A`, not just ones whose length is a literal.
+//! Interval reasoning alone stops at the first non-literal bound. This
+//! domain keeps extents *symbolic* — `dim(T, 0)`, `dim(T, 0) ∸ 1`,
+//! `2·dim(T, 0)` — so facts like "`[[ A[i] | i < dim(A) ]]` never goes
+//! out of bounds" hold for every `A`, not just ones whose length is a
+//! literal.
+//!
+//! A symbol names an array by its *binding*, not its spelling: a
+//! [`SymExt::Dim`] carries the analyzer's serial number for the binder
+//! occurrence that introduced the array (0 for a free name or a `val`),
+//! so two bindings that share a name never unify and every fact is
+//! invariant under α-renaming.
 //!
 //! The domain is a term algebra, so joins of unequal terms would grow
 //! without bound; [`SymExt::widen`] is the widening operator — any
@@ -26,16 +32,17 @@ pub const WIDEN_BUDGET: usize = 16;
 pub enum SymExt {
     /// A known constant.
     Const(u64),
-    /// Extent `axis` of the named source array (a `val` binding or a
-    /// free array variable).
+    /// Extent `axis` of a source array whose shape is not known.
     Dim {
-        /// The array's name.
+        /// The array's name (for reports).
         source: Name,
+        /// Which binding of that name: 0 for a free variable or a `val`
+        /// binding, otherwise the analyzer's serial number for the
+        /// binder occurrence.
+        binder: u32,
         /// Zero-based axis.
         axis: usize,
     },
-    /// A bound natural-number variable.
-    Var(Name),
     /// Sum.
     Add(Rc<SymExt>, Rc<SymExt>),
     /// Monus (truncated subtraction, as in the object language).
@@ -50,7 +57,7 @@ impl SymExt {
     /// Node count (drives widening).
     pub fn size(&self) -> usize {
         match self {
-            SymExt::Const(_) | SymExt::Dim { .. } | SymExt::Var(_) | SymExt::Top => 1,
+            SymExt::Const(_) | SymExt::Dim { .. } | SymExt::Top => 1,
             SymExt::Add(a, b) | SymExt::Monus(a, b) | SymExt::Mul(a, b) => {
                 1 + a.size() + b.size()
             }
@@ -60,6 +67,18 @@ impl SymExt {
     /// Is this the unknown extent?
     pub fn is_top(&self) -> bool {
         matches!(self, SymExt::Top)
+    }
+
+    /// Does the expression mention a binder numbered `first` or later
+    /// (i.e. one whose scope the analyzer is about to leave)?
+    pub fn mentions_binder_from(&self, first: u32) -> bool {
+        match self {
+            SymExt::Const(_) | SymExt::Top => false,
+            SymExt::Dim { binder, .. } => *binder >= first,
+            SymExt::Add(a, b) | SymExt::Monus(a, b) | SymExt::Mul(a, b) => {
+                a.mentions_binder_from(first) || b.mentions_binder_from(first)
+            }
+        }
     }
 
     /// Constant value, if the expression is a literal.
@@ -74,7 +93,7 @@ impl SymExt {
     /// operand makes the whole expression `Top`.
     pub fn simplify(&self) -> SymExt {
         match self {
-            SymExt::Const(_) | SymExt::Dim { .. } | SymExt::Var(_) | SymExt::Top => self.clone(),
+            SymExt::Const(_) | SymExt::Dim { .. } | SymExt::Top => self.clone(),
             SymExt::Add(a, b) => {
                 let (a, b) = (a.simplify(), b.simplify());
                 match (&a, &b) {
@@ -174,8 +193,7 @@ impl fmt::Display for SymExt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SymExt::Const(n) => write!(f, "{n}"),
-            SymExt::Dim { source, axis } => write!(f, "dim({source},{axis})"),
-            SymExt::Var(x) => write!(f, "{x}"),
+            SymExt::Dim { source, axis, .. } => write!(f, "dim({source},{axis})"),
             SymExt::Add(a, b) => write!(f, "({a}+{b})"),
             SymExt::Monus(a, b) => write!(f, "({a}-{b})"),
             SymExt::Mul(a, b) => write!(f, "({a}*{b})"),
@@ -190,7 +208,7 @@ mod tests {
     use aql_core::expr::name;
 
     fn dim0(s: &str) -> SymExt {
-        SymExt::Dim { source: name(s), axis: 0 }
+        SymExt::Dim { source: name(s), binder: 0, axis: 0 }
     }
 
     #[test]

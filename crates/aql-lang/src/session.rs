@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use aql_core::check::typecheck;
 use aql_core::error::EvalError;
-use aql_core::eval::{eval, EvalCtx, EvalStats, Limits};
+use aql_core::eval::{EvalCtx, EvalStats, Limits};
 use aql_core::expr::{name, Expr, Name};
 use aql_core::prim::{Extensions, NativeFn};
 use aql_core::types::Type;
@@ -1360,7 +1360,7 @@ impl Session {
         let v = {
             let _span = aql_trace::span("eval");
             let _pg = self.phase_guard("eval");
-            eval(&optimized, &ctx)
+            aql_analysis::eval_elided(&optimized, &ctx)
         };
         self.cur_stats.set(self.cur_stats.get().merged(&ctx.stats()));
         let v = v.map_err(LangError::Eval)?;
@@ -1490,7 +1490,7 @@ impl Session {
     /// (used by benches that need direct evaluator access).
     pub fn eval_expr_raw(&self, e: &Expr) -> Result<Value, EvalError> {
         let ctx = EvalCtx::new(&self.vals, &self.externals).with_limits(self.limits.clone());
-        eval(e, &ctx)
+        aql_analysis::eval_elided(e, &ctx)
     }
 
     /// Explain a query: run the pipeline up to (but not including)
@@ -1509,16 +1509,20 @@ impl Session {
         } else {
             self.optimizer.try_optimize_traced(&resolved).map_err(rule_panic)?
         };
-        let globals = self.analysis_globals();
         let layouts = self.source_layouts();
-        let cost_before = aql_opt::cost::estimate(&resolved, &globals, &layouts);
-        let cost_after = aql_opt::cost::estimate(&optimized, &globals, &layouts);
+        let cost = |e: &Expr| {
+            let globals = aql_analysis::globals_mentioned(e, &self.vals);
+            aql_opt::cost::estimate(e, &aql_analysis::analyze(e, &globals), &layouts)
+        };
+        let (cost_before, cost_after) = (cost(&resolved), cost(&optimized));
         Ok(Explain { ty, core: resolved, optimized, trace, cost_before, cost_after })
     }
 
-    /// The session's `val` bindings as abstract values, the globals
-    /// map the `aql-analysis` interpreter consumes: bound arrays
+    /// Every `val` binding of the session as an abstract value, a
+    /// globals map for the `aql-analysis` interpreter: bound arrays
     /// contribute their concrete extents, scalars their exact values.
+    /// (The session's own statement path abstracts only the bindings a
+    /// term mentions — [`aql_analysis::globals_mentioned`].)
     pub fn analysis_globals(&self) -> BTreeMap<Name, aql_analysis::AbsVal> {
         self.vals
             .iter()
@@ -1562,10 +1566,9 @@ impl Session {
         let core = desugar(&surface)?;
         let resolved = self.resolve(&core);
         let ty = typecheck(&resolved, &self.val_types, &self.externals)?;
-        let globals = self.analysis_globals();
+        let globals = aql_analysis::globals_mentioned(&resolved, &self.vals);
         let analysis = aql_analysis::analyze(&resolved, &globals);
-        let layouts = self.source_layouts();
-        let cost = aql_opt::cost::estimate(&resolved, &globals, &layouts);
+        let cost = aql_opt::cost::estimate(&resolved, &analysis, &self.source_layouts());
         Ok(AnalyzeReport { ty, body: aql_analysis::report::render(&analysis), cost })
     }
 
@@ -2381,6 +2384,44 @@ mod tests {
                 Value::tuple(vec![Value::Nat(0), Value::Nat(7)]),
                 Value::tuple(vec![Value::Nat(1), Value::Nat(9)]),
             ])
+        );
+    }
+
+    #[test]
+    fn analyze_does_not_let_a_shadowing_binder_capture_an_extent() {
+        let s = Session::new();
+        let bounds_line = |q: &str| {
+            let r = s.analyze(q).unwrap().render();
+            r.lines().find(|l| l.starts_with("bounds")).unwrap().to_string()
+        };
+        // `A[i]` under `i < len!A` is in bounds for every A …
+        let l = bounds_line("fn \\A => fn \\B => [[ A[i] | \\i < len!A ]]");
+        assert!(l.contains("1 provably in-bounds"), "{l}");
+        // … unless an inner binder named A makes it read B.
+        for q in [
+            "fn \\A => fn \\B => [[ (let val \\A = B in A[i] end) | \\i < len!A ]]",
+            "fn \\A => fn \\B => [[ (fn \\A => A[i])!B | \\i < len!A ]]",
+        ] {
+            let l = bounds_line(q);
+            assert!(l.contains("0 provably in-bounds, 1 unknown"), "{q}: {l}");
+        }
+    }
+
+    #[test]
+    fn marked_subscripts_keep_the_arity_error() {
+        // `P[i]` with `i` below P's first extent is proven in bounds
+        // and marked — for a rank-1 P. Handed a rank-2 array (only
+        // `eval_expr_raw` gets a term past the typechecker), it must
+        // still be the ill-typed subscript of the checked path.
+        use aql_core::expr::builder::*;
+        let mut s = Session::new();
+        s.run("val \\M = [[ i * 2 + j | \\i < 2, \\j < 2 ]];").unwrap();
+        let f = lam("P", tab1("i", dim_ik(1, 2, var("P")), sub(var("P"), vec![var("i")])));
+        let e = let_("f", f, app(var("f"), global("M")));
+        let got = s.eval_expr_raw(&e);
+        assert!(
+            matches!(&got, Err(EvalError::IllTyped(m)) if m.contains("arity 1 into rank-2")),
+            "{got:?}"
         );
     }
 }

@@ -1,76 +1,19 @@
-//! Static cost models.
+//! The static cost model.
 //!
-//! Two tiers:
-//!
-//! * [`cost`] — the original coarse node-count heuristic, used by the
-//!   experiment harness to *report* how much work the optimizer
-//!   removed (e.g. that `β^p` eliminated a tabulation), not to guide
-//!   rule application — the §5 normalization rules are unconditionally
-//!   beneficial and need no costing. Loops are charged
-//!   `DEFAULT_CARDINALITY` iterations when their extent is not a
-//!   literal.
-//! * [`estimate`] — the analysis-backed model: runs the `aql-analysis`
-//!   abstract interpreter to get real iteration-count intervals and
-//!   subscript access regions, then intersects those regions with each
-//!   source's [`ChunkLayout`] to predict **bytes moved** through the
-//!   chunk store alongside cardinality and step counts. Surfaced by
-//!   the REPL's `\explain`.
+//! [`estimate`] reads one `aql-analysis` run over the term — real
+//! iteration-count intervals and subscript access regions — and
+//! intersects those regions with each source's [`ChunkLayout`] to
+//! predict **bytes moved** through the chunk store alongside
+//! cardinality and step counts. It reports how much work the optimizer
+//! removed (the §5 normalization rules are unconditionally beneficial
+//! and need no costing to guide them); the REPL's `\explain` and
+//! `\analyze` surface it.
 
 use std::collections::BTreeMap;
 
-use aql_analysis::{analyze, AbsVal, AccessRegion};
+use aql_analysis::{AccessRegion, Analysis};
 use aql_core::expr::{Expr, Name};
 use aql_store::layout::ChunkLayout;
-
-/// Assumed iteration count for loops with non-literal extents.
-pub const DEFAULT_CARDINALITY: u64 = 16;
-
-/// Estimate the cost of evaluating `e` once, in abstract units.
-pub fn cost(e: &Expr) -> u64 {
-    match e {
-        Expr::Var(_)
-        | Expr::Global(_)
-        | Expr::Ext(_)
-        | Expr::Nat(_)
-        | Expr::Real(_)
-        | Expr::Str(_)
-        | Expr::Bool(_)
-        | Expr::Empty
-        | Expr::BagEmpty
-        | Expr::Bottom => 1,
-        Expr::Lam(_, b) => 1 + cost(b) / 4, // body charged at call sites, roughly
-        Expr::App(f, a) => 2 + cost(f) + cost(a),
-        Expr::Let(_, a, b) => 1 + cost(a) + cost(b),
-        Expr::Tuple(es) | Expr::Prim(_, es) => 1 + es.iter().map(cost).sum::<u64>(),
-        Expr::Proj(_, _, a)
-        | Expr::Single(a)
-        | Expr::BagSingle(a)
-        | Expr::Get(a)
-        | Expr::Dim(_, a) => 1 + cost(a),
-        Expr::Union(a, b) | Expr::BagUnion(a, b) | Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) => {
-            1 + cost(a) + cost(b)
-        }
-        Expr::If(c, t, f) => 1 + cost(c) + cost(t).max(cost(f)),
-        Expr::Gen(a) => cardinality(a) + cost(a),
-        Expr::BigUnion { head, src, .. }
-        | Expr::BigUnionRank { head, src, .. }
-        | Expr::BigBagUnion { head, src, .. }
-        | Expr::BigBagUnionRank { head, src, .. }
-        | Expr::Sum { head, src, .. } => cost(src) + cardinality(src).saturating_mul(cost(head)),
-        Expr::Tab { head, idx } => {
-            let iters: u64 = idx
-                .iter()
-                .map(|(_, b)| cardinality(b))
-                .fold(1u64, |a, b| a.saturating_mul(b));
-            idx.iter().map(|(_, b)| cost(b)).sum::<u64>() + iters.saturating_mul(cost(head))
-        }
-        Expr::Sub(a, ix) => 1 + cost(a) + ix.iter().map(cost).sum::<u64>(),
-        Expr::ArrayLit { dims, items } => {
-            1 + dims.iter().map(cost).sum::<u64>() + items.iter().map(cost).sum::<u64>()
-        }
-        Expr::Index(_, a) => cost(a) + cardinality(a),
-    }
-}
 
 /// Physical description of one named source array, for the bytes-moved
 /// half of [`estimate`]: logical extents, chunk-grid extents, and the
@@ -100,17 +43,12 @@ pub struct CostEstimate {
     pub bytes_moved: u64,
 }
 
-/// Estimate `e`'s cost with the abstract interpreter: `globals` maps
-/// session bindings to their abstractions (extents make loop counts
-/// concrete), `layouts` describes the chunked sources reachable from
-/// the term. Sources without a layout contribute no bytes (they are
-/// memory-resident).
-pub fn estimate(
-    e: &Expr,
-    globals: &BTreeMap<Name, AbsVal>,
-    layouts: &BTreeMap<Name, SourceLayout>,
-) -> CostEstimate {
-    let a = analyze(e, globals);
+/// Estimate `e`'s cost from `a`, the analysis of this same tree (run
+/// it with the session bindings as globals: their extents make loop
+/// counts concrete). `layouts` describes the chunked sources reachable
+/// from the term; sources without a layout contribute no bytes (they
+/// are memory-resident).
+pub fn estimate(e: &Expr, a: &Analysis, layouts: &BTreeMap<Name, SourceLayout>) -> CostEstimate {
     let mut bytes = 0u64;
     for r in &a.regions {
         if let Some(l) = layouts.get(&r.source) {
@@ -119,7 +57,7 @@ pub fn estimate(
     }
     CostEstimate {
         cardinality: aql_analysis::cost::cardinality(&a.result),
-        steps: aql_analysis::cost::steps(e, &a),
+        steps: aql_analysis::cost::steps(e, a),
         bytes_moved: bytes,
     }
 }
@@ -162,60 +100,11 @@ fn region_bytes(r: &AccessRegion, l: &SourceLayout) -> u64 {
         .min(whole)
 }
 
-/// Estimated number of elements produced by a source / extent
-/// expression.
-fn cardinality(e: &Expr) -> u64 {
-    match e {
-        Expr::Nat(n) => *n,
-        Expr::Gen(a) => cardinality(a),
-        Expr::Single(_) | Expr::BagSingle(_) => 1,
-        Expr::Empty | Expr::BagEmpty => 0,
-        Expr::Union(a, b) | Expr::BagUnion(a, b) => {
-            cardinality(a).saturating_add(cardinality(b))
-        }
-        _ => DEFAULT_CARDINALITY,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aql_analysis::{analyze, AbsVal};
     use aql_core::expr::builder::*;
-
-    #[test]
-    fn literals_are_cheap() {
-        assert_eq!(cost(&nat(5)), 1);
-        assert!(cost(&add(nat(1), nat(2))) <= 4);
-    }
-
-    #[test]
-    fn loops_multiply() {
-        let small = tab1("i", nat(4), var("i"));
-        let big = tab1("i", nat(4000), var("i"));
-        assert!(cost(&big) > cost(&small) * 100);
-    }
-
-    #[test]
-    fn beta_p_reduces_cost() {
-        // The whole point: subscripting a tabulation costs ~the array,
-        // the β^p contractum costs O(1).
-        let tabbed = sub(tab1("i", nat(10_000), mul(var("i"), var("i"))), vec![nat(3)]);
-        let reduced = iff(
-            lt(nat(3), nat(10_000)),
-            mul(nat(3), nat(3)),
-            bottom(),
-        );
-        assert!(cost(&tabbed) > 100 * cost(&reduced));
-    }
-
-    #[test]
-    fn nested_loops_compound() {
-        let once = sum("x", gen(nat(100)), var("x"));
-        let nested = sum("y", gen(nat(100)), sum("x", gen(nat(100)), var("x")));
-        assert!(cost(&nested) > 50 * cost(&once));
-    }
-
-    // ----- the analysis-backed estimator ---------------------------
 
     use aql_analysis::absval::NatAbs;
     use aql_analysis::sym::SymExt;
@@ -242,11 +131,19 @@ mod tests {
         (globals, layouts)
     }
 
+    fn estimate_in(
+        e: &Expr,
+        globals: &BTreeMap<Name, AbsVal>,
+        layouts: &BTreeMap<Name, SourceLayout>,
+    ) -> CostEstimate {
+        estimate(e, &analyze(e, globals), layouts)
+    }
+
     #[test]
     fn point_probe_touches_one_chunk() {
         let (globals, layouts) = climate();
         let e = sub(global("T"), vec![nat(5000), nat(2), nat(2)]);
-        let est = estimate(&e, &globals, &layouts);
+        let est = estimate_in(&e, &globals, &layouts);
         assert_eq!(est.cardinality, 1);
         // One 100×5×5 chunk of f64.
         assert_eq!(est.bytes_moved, 100 * 5 * 5 * 8);
@@ -264,12 +161,10 @@ mod tests {
                 vec![add(nat(4000), var("t")), var("i"), var("j")],
             ),
         );
-        let est = estimate(&e, &globals, &layouts);
+        let est = estimate_in(&e, &globals, &layouts);
         assert_eq!(est.cardinality, 200 * 5 * 5);
         assert_eq!(est.bytes_moved, 2 * 100 * 5 * 5 * 8);
-        // The node-count heuristic cannot see this: it charges the
-        // whole loop DEFAULT_CARDINALITY-based steps; the analysis
-        // charges the real 5000 iterations.
+        // Steps are charged at the real 5000 iterations.
         assert!(est.steps >= 5000);
     }
 
@@ -280,22 +175,22 @@ mod tests {
         // unknown cardinality): the region covers the whole axis.
         let idx = sum("x", global("S"), nat(1));
         let e = sub(global("T"), vec![idx, nat(0), nat(0)]);
-        let est = estimate(&e, &globals, &layouts);
+        let est = estimate_in(&e, &globals, &layouts);
         assert_eq!(est.bytes_moved, 8760 * 5 * 5 * 8);
         // And a source with no layout moves nothing.
-        let est = estimate(&e, &globals, &BTreeMap::new());
+        let est = estimate_in(&e, &globals, &BTreeMap::new());
         assert_eq!(est.bytes_moved, 0);
     }
 
     #[test]
-    fn estimate_tracks_loop_bounds_where_cost_cannot() {
-        // Two scans over the same unknown-extent style loop: `cost`
-        // sees identical shapes, `estimate` separates them by bound.
+    fn estimate_tracks_loop_bounds() {
+        // Two scans of identical shape: `estimate` separates them by
+        // their loop bound.
         let small = tab1("i", nat(10), sub(global("T"), vec![var("i"), nat(0), nat(0)]));
         let large = tab1("i", nat(8000), sub(global("T"), vec![var("i"), nat(0), nat(0)]));
         let (globals, _) = climate();
-        let s = estimate(&small, &globals, &BTreeMap::new());
-        let l = estimate(&large, &globals, &BTreeMap::new());
+        let s = estimate_in(&small, &globals, &BTreeMap::new());
+        let l = estimate_in(&large, &globals, &BTreeMap::new());
         assert!(l.steps > 100 * s.steps, "{} vs {}", l.steps, s.steps);
         assert_eq!(s.cardinality, 10);
         assert_eq!(l.cardinality, 8000);

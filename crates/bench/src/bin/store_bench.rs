@@ -38,12 +38,12 @@
 //! The recorder is lock-free per-thread rings, so an enabled journal
 //! must be indistinguishable from a disabled one at query scale.
 //!
-//! `--analysis-overhead` prices the interval bounds-analysis pass that
+//! `--analysis-overhead` prices the `aql-analysis` bounds analysis that
 //! runs once per statement before evaluation: the point-probe and
 //! subslab-scan workloads with the pass (and the elision fast path it
 //! enables) globally disabled vs. enabled (the default), with a 2%
-//! budget per pattern. The pass is one cheap walk over the compiled
-//! term, and every subscript it proves in range skips its runtime
+//! budget per pattern. The pass is one walk over the optimized term,
+//! and every subscript it proves in range skips its runtime
 //! bounds comparisons — so at statement scale, analysis-on must never
 //! be measurably slower than analysis-off.
 //!
@@ -298,7 +298,7 @@ fn trace_overhead_check(path: &str) {
 /// the opt-in endpoint or slow log), `--journal-overhead` (1%:
 /// statement stamps, phase records, per-access cache records and the
 /// thread-local hit coalescing) and `--analysis-overhead` (2%: the
-/// per-statement interval pass *and* the elision fast path it feeds,
+/// per-statement bounds analysis *and* the elision fast path it feeds,
 /// against a plain bounds-checked evaluator): each of `patterns` with
 /// the switch off vs. on (the default).
 fn switch_overhead_check(
@@ -673,7 +673,7 @@ fn main() {
     rows.push(measure_prefetch_scan(&aqf_path));
 
     // Bounds-check elision rows: the warm-cache subslab scan with the
-    // interval pass off vs. on, so the artifact records what the
+    // analysis off vs. on, so the artifact records what the
     // elided fast path is worth on a CPU-bound evaluator loop.
     rows.extend(measure_elision_pair(&path));
 

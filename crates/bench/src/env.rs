@@ -4,7 +4,8 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use aql_core::eval::{eval, EvalCtx, Limits};
+use aql::analysis::eval_elided;
+use aql_core::eval::{EvalCtx, Limits};
 use aql_core::expr::{name, Expr, Name};
 use aql_core::prim::Extensions;
 use aql_core::value::Value;
@@ -36,12 +37,13 @@ impl BenchEnv {
         self.globals.insert(name(n), v);
     }
 
-    /// Evaluate an expression as-is.
+    /// Evaluate an expression as-is (bounds-check elision included, as
+    /// on the session's statement path).
     pub fn eval(&self, e: &Expr) -> Value {
         let ctx = EvalCtx::new(&self.globals, &self.externals).with_limits(self.limits.clone());
         // Benchmarks abort on a broken workload — the numbers would be
         // meaningless anyway. lint-wall: allow
-        eval(e, &ctx).unwrap_or_else(|err| panic!("bench eval failed: {err} in {e}"))
+        eval_elided(e, &ctx).unwrap_or_else(|err| panic!("bench eval failed: {err} in {e}"))
     }
 
     /// Evaluate the expression after running the standard optimizer.

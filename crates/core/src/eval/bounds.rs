@@ -1,47 +1,34 @@
-//! Bounds-check elision: an interval pass over the compiled form.
+//! The natural-number interval domain and the bounds-check elision
+//! toggle.
 //!
-//! This is the de-Bruijn half of the abstract-interpretation story
-//! (the named half lives in `aql-analysis`, which builds symbolic
-//! shapes on top of the same idea). After `compile`, the evaluator has
-//! positional binders and — crucially — the session's `val` registry
-//! in hand, so the concrete dimensions of every bound array are
-//! visible. One cheap bottom-up walk infers a natural-number interval
-//! for every index expression and flips the elision slot of each
-//! [`CExpr::Sub`] whose indices are provably in range, letting the hot
-//! subscript path skip the per-axis compares and the index-vector
-//! allocation (see the `Sub` arm of `eval_compiled`).
+//! [`Iv`] and [`arith_iv`] are the workspace's one interval type and
+//! one interval arithmetic. The abstract interpreter in `aql-analysis`
+//! builds its symbolic domains on top of them and decides which
+//! subscripts are provably in range; its verdicts reach the evaluator
+//! as marks fixed by [`compile_marked`](super::compile_marked) (see the
+//! `Sub` arm of `eval_compiled` for the marked fast path and its
+//! `debug_assert!` tripwire). `aql-analysis` depends on this crate, not
+//! the other way round, which is why the domain lives here.
 //!
-//! **Soundness contract.** A mark means: in every execution that
-//! reaches the subscript with non-`⊥` natural indices, each index is
-//! strictly below the corresponding extent of the subscripted array.
-//! The claim is *conditioned on reachability* — a tabulation index
-//! `i < b` takes no value at all when `b = 0`, so the vacuous case is
-//! sound by emptiness. The evaluator keeps a `debug_assert!` on the
-//! elided path; since elision is on by default, the entire debug test
-//! corpus (including the chaos suite) doubles as the soundness oracle.
-//! The pass is toggled off wholesale by [`set_enabled`] for the
+//! [`set_enabled`] turns elision off wholesale — no analysis runs on
+//! the statement path and nothing is marked — for the
 //! `--analysis-overhead` CI gate and the elision-off benchmark rows.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::expr::{ArithOp, Name};
-use crate::value::Value;
-
-use super::CExpr;
+use crate::expr::ArithOp;
 
 /// Elision is on unless a bench/test turns it off; `true` is the
 /// production configuration.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Globally enable or disable the annotation pass (and with it every
-/// elided fast path — an unmarked subscript always takes the checked
-/// route).
+/// Globally enable or disable bounds-check elision (an unmarked
+/// subscript always takes the checked route).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Is the annotation pass enabled?
+/// Is bounds-check elision enabled?
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
@@ -128,383 +115,9 @@ pub fn arith_iv(op: ArithOp, a: Iv, b: Iv) -> Iv {
     }
 }
 
-/// What the pass knows about one binding / subterm.
-#[derive(Debug, Clone)]
-enum Fact {
-    /// A nat-valued expression confined to an interval.
-    Nat(Iv),
-    /// An array with fully known dimensions.
-    Arr(Vec<u64>),
-    /// Anything else (sets, tuples, reals, closures, unknown nats of
-    /// uncertain type).
-    Other,
-}
-
-/// Summary of one annotation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Marks {
-    /// Subscript sites seen.
-    pub subscripts: usize,
-    /// Sites proven in range and marked for elision.
-    pub elided: usize,
-}
-
-/// Annotate `c` in place: flip the elision slot of every subscript
-/// whose indices are provably within the extents of the subscripted
-/// array. `globals` supplies the concrete dimensions of `val`-bound
-/// arrays and the values of nat bindings.
-pub fn annotate(c: &CExpr, globals: &HashMap<Name, Value>) -> Marks {
-    let mut a = Annot { globals, env: Vec::new(), marks: Marks::default() };
-    a.fact(c);
-    a.marks
-}
-
-struct Annot<'a> {
-    globals: &'a HashMap<Name, Value>,
-    /// de-Bruijn environment: last entry is index 0.
-    env: Vec<Fact>,
-    marks: Marks,
-}
-
-impl Annot<'_> {
-    fn scoped(&mut self, push: Vec<Fact>, c: &CExpr) -> Fact {
-        let n = push.len();
-        self.env.extend(push);
-        let f = self.fact(c);
-        self.env.truncate(self.env.len() - n);
-        f
-    }
-
-    /// The fact for the element binder of an iteration over `src`.
-    fn element_of(&mut self, src: &CExpr) -> Fact {
-        // `gen(b)` yields {0, …, b-1}; anything else is opaque.
-        if let CExpr::Gen(b) = src {
-            if let Fact::Nat(iv) = self.peek(b) {
-                return Fact::Nat(Iv { lo: 0, hi: iv.hi.map(|h| h.saturating_sub(1)) });
-            }
-        }
-        Fact::Other
-    }
-
-    /// Fact of an already-walked subterm, recomputed without
-    /// re-marking (used for `gen` bounds, which were visited as part
-    /// of the normal traversal).
-    fn peek(&mut self, c: &CExpr) -> Fact {
-        match c {
-            CExpr::Nat(n) => Fact::Nat(Iv::exact(*n)),
-            CExpr::Var(i) => self.var(*i),
-            CExpr::Global(n) => self.global(n),
-            _ => Fact::Other,
-        }
-    }
-
-    fn var(&self, i: usize) -> Fact {
-        if i < self.env.len() {
-            self.env[self.env.len() - 1 - i].clone()
-        } else {
-            Fact::Other
-        }
-    }
-
-    fn global(&self, n: &Name) -> Fact {
-        match self.globals.get(n) {
-            Some(Value::Nat(v)) => Fact::Nat(Iv::exact(*v)),
-            Some(Value::Array(a)) => Fact::Arr(a.dims().to_vec()),
-            _ => Fact::Other,
-        }
-    }
-
-    fn fact(&mut self, c: &CExpr) -> Fact {
-        match c {
-            CExpr::Var(i) => self.var(*i),
-            CExpr::Global(n) => self.global(n),
-            CExpr::Nat(n) => Fact::Nat(Iv::exact(*n)),
-            CExpr::Ext(_)
-            | CExpr::Empty
-            | CExpr::BagEmpty
-            | CExpr::Bool(_)
-            | CExpr::Real(_)
-            | CExpr::Str(_)
-            | CExpr::Bottom => Fact::Other,
-            CExpr::Lam(b) => {
-                self.scoped(vec![Fact::Other], b);
-                Fact::Other
-            }
-            CExpr::App(f, a) => {
-                self.fact(f);
-                self.fact(a);
-                Fact::Other
-            }
-            CExpr::Let(bound, body) => {
-                let fb = self.fact(bound);
-                self.scoped(vec![fb], body)
-            }
-            CExpr::Tuple(items) | CExpr::Prim(_, items) => {
-                for it in items {
-                    self.fact(it);
-                }
-                Fact::Other
-            }
-            CExpr::Proj(_, _, e)
-            | CExpr::Single(e)
-            | CExpr::BagSingle(e)
-            | CExpr::Index(_, e)
-            | CExpr::Get(e)
-            | CExpr::Gen(e) => {
-                self.fact(e);
-                Fact::Other
-            }
-            CExpr::Union(a, b) | CExpr::BagUnion(a, b) | CExpr::Cmp(_, a, b) => {
-                self.fact(a);
-                self.fact(b);
-                Fact::Other
-            }
-            CExpr::BigUnion { head, src } | CExpr::BigBagUnion { head, src } => {
-                self.fact(src);
-                let el = self.element_of(src);
-                self.scoped(vec![el], head);
-                Fact::Other
-            }
-            CExpr::BigUnionRank { head, src } | CExpr::BigBagUnionRank { head, src } => {
-                self.fact(src);
-                let el = self.element_of(src);
-                // Ranks count from 1 (element binder is index 1).
-                self.scoped(vec![el, Fact::Nat(Iv { lo: 1, hi: None })], head);
-                Fact::Other
-            }
-            CExpr::Sum { head, src } => {
-                self.fact(src);
-                let el = self.element_of(src);
-                self.scoped(vec![el], head);
-                // A sum may be a real; stay conservative on its type.
-                Fact::Other
-            }
-            CExpr::If(c2, t, f) => {
-                self.fact(c2);
-                let ft = self.fact(t);
-                let ff = self.fact(f);
-                match (ft, ff) {
-                    (Fact::Nat(a), Fact::Nat(b)) => Fact::Nat(a.join(b)),
-                    (Fact::Arr(a), Fact::Arr(b)) if a == b => Fact::Arr(a),
-                    _ => Fact::Other,
-                }
-            }
-            CExpr::Arith(op, a, b) => {
-                let fa = self.fact(a);
-                let fb = self.fact(b);
-                match (fa, fb) {
-                    (Fact::Nat(x), Fact::Nat(y)) => Fact::Nat(arith_iv(*op, x, y)),
-                    _ => Fact::Other,
-                }
-            }
-            CExpr::Dim(k, e) => {
-                let fe = self.fact(e);
-                if let (1, Fact::Arr(dims)) = (*k, &fe) {
-                    if dims.len() == 1 {
-                        return Fact::Nat(Iv::exact(dims[0]));
-                    }
-                }
-                Fact::Other
-            }
-            CExpr::Tab { head, bounds } => {
-                let mut dims: Option<Vec<u64>> = Some(Vec::with_capacity(bounds.len()));
-                let mut idx_facts = Vec::with_capacity(bounds.len());
-                for b in bounds {
-                    let fb = self.fact(b);
-                    match fb {
-                        Fact::Nat(iv) => {
-                            // `i < b` conditions every iteration, so
-                            // `i ≤ hi(b) - 1`; when `b` can be 0 the
-                            // loop body is unreachable and the claim
-                            // holds vacuously.
-                            idx_facts.push(Fact::Nat(Iv {
-                                lo: 0,
-                                hi: iv.hi.map(|h| h.saturating_sub(1)),
-                            }));
-                            match (iv.lo == iv.hi.unwrap_or(u64::MAX), &mut dims) {
-                                (true, Some(ds)) => ds.push(iv.lo),
-                                _ => dims = None,
-                            }
-                        }
-                        _ => {
-                            idx_facts.push(Fact::Nat(Iv::TOP));
-                            dims = None;
-                        }
-                    }
-                }
-                self.scoped(idx_facts, head);
-                match dims {
-                    Some(ds) => Fact::Arr(ds),
-                    None => Fact::Other,
-                }
-            }
-            CExpr::ArrayLit { dims, items } => {
-                let mut ds: Option<Vec<u64>> = Some(Vec::with_capacity(dims.len()));
-                for d in dims {
-                    match self.fact(d) {
-                        Fact::Nat(iv) if iv.hi == Some(iv.lo) => {
-                            if let Some(v) = &mut ds {
-                                v.push(iv.lo);
-                            }
-                        }
-                        _ => ds = None,
-                    }
-                }
-                for it in items {
-                    self.fact(it);
-                }
-                match ds {
-                    Some(v) => Fact::Arr(v),
-                    None => Fact::Other,
-                }
-            }
-            CExpr::Sub(arr, idx, elide) => {
-                self.marks.subscripts += 1;
-                let fa = self.fact(arr);
-                let idx_facts: Vec<Fact> = idx.iter().map(|i| self.fact(i)).collect();
-                if let Fact::Arr(dims) = fa {
-                    // Per-axis form only: a single index expression of
-                    // tuple type `N^k` never yields a `Nat` fact, so
-                    // requiring one `Nat` per axis also rules the
-                    // vector-index path out of elision.
-                    let provable = idx.len() == dims.len()
-                        && idx_facts.iter().zip(&dims).all(|(f, d)| match f {
-                            Fact::Nat(iv) => iv.hi.is_some_and(|h| h < *d),
-                            _ => false,
-                        });
-                    if provable {
-                        elide.set(true);
-                        self.marks.elided += 1;
-                    }
-                }
-                Fact::Other
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{compile, eval, EvalCtx};
-    use crate::expr::builder::*;
-    use crate::prim::Extensions;
-    use crate::value::ArrayVal;
-    use std::rc::Rc;
-
-    fn globals_with_array(name_: &str, dims: Vec<u64>) -> HashMap<Name, Value> {
-        let len: u64 = dims.iter().product();
-        let data: Vec<Value> = (0..len).map(Value::Nat).collect();
-        let arr = ArrayVal::new(dims, data).unwrap(); // lint-wall: allow (test)
-        let mut g = HashMap::new();
-        g.insert(crate::expr::name(name_), Value::Array(Rc::new(arr)));
-        g
-    }
-
-    fn marks_of(e: &crate::expr::Expr, globals: &HashMap<Name, Value>) -> Marks {
-        let c = compile(e).unwrap(); // lint-wall: allow (test)
-        annotate(&c, globals)
-    }
-
-    #[test]
-    fn tab_over_own_extent_elides() {
-        // [[ A[i, j] | i < 3, j < 4 ]] over a 3×4 global: provable.
-        let g = globals_with_array("A", vec![3, 4]);
-        let e = tab(
-            vec![("i", nat(3)), ("j", nat(4))],
-            sub(var("A"), vec![var("i"), var("j")]),
-        );
-        let m = marks_of(&e, &g);
-        assert_eq!(m, Marks { subscripts: 1, elided: 1 });
-    }
-
-    #[test]
-    fn oversized_bound_does_not_elide() {
-        // j ranges to 4 but the second extent is 4 → 4 ≤ hi is not < 4.
-        let g = globals_with_array("A", vec![3, 4]);
-        let e = tab(
-            vec![("i", nat(3)), ("j", nat(5))],
-            sub(var("A"), vec![var("i"), var("j")]),
-        );
-        let m = marks_of(&e, &g);
-        assert_eq!(m, Marks { subscripts: 1, elided: 0 });
-    }
-
-    #[test]
-    fn offset_arithmetic_is_tracked() {
-        // A[100 + t] with t < 50 over a length-150 array: provable;
-        // over length 149 it is not.
-        let e = |n: &str| {
-            tab(
-                vec![("t", nat(50))],
-                sub(var(n), vec![add(nat(100), var("t"))]),
-            )
-        };
-        let g = globals_with_array("A", vec![150]);
-        assert_eq!(marks_of(&e("A"), &g).elided, 1);
-        let g = globals_with_array("B", vec![149]);
-        assert_eq!(marks_of(&e("B"), &g).elided, 0);
-    }
-
-    #[test]
-    fn comprehension_over_gen_elides() {
-        // ⋃{ {A[x]} | x ∈ gen(10) } over a length-10 array.
-        let g = globals_with_array("A", vec![10]);
-        let e = big_union("x", gen(nat(10)), single(sub(var("A"), vec![var("x")])));
-        assert_eq!(marks_of(&e, &g), Marks { subscripts: 1, elided: 1 });
-        // gen(11) can reach index 10 → not provable.
-        let e = big_union("x", gen(nat(11)), single(sub(var("A"), vec![var("x")])));
-        assert_eq!(marks_of(&e, &g).elided, 0);
-    }
-
-    #[test]
-    fn mod_and_dim_bounds_prove_in_range() {
-        // A[x % dim(A)] is always in range (dim ≥ 1 here).
-        let g = globals_with_array("A", vec![7]);
-        let e = tab(
-            vec![("x", nat(100))],
-            sub(var("A"), vec![modulo(var("x"), dim(1, var("A")))]),
-        );
-        assert_eq!(marks_of(&e, &g).elided, 1);
-    }
-
-    #[test]
-    fn unknown_arrays_and_vector_indices_stay_checked() {
-        let g = HashMap::new();
-        // Unknown global array: no dims, no elision.
-        let e = tab(vec![("i", nat(3))], sub(var("A"), vec![var("i")]));
-        assert_eq!(marks_of(&e, &g).elided, 0);
-        // Vector index (tuple-typed single index) into a rank-2 array.
-        let g = globals_with_array("A", vec![2, 2]);
-        let e = sub(var("A"), vec![tuple(vec![nat(0), nat(1)])]);
-        assert_eq!(marks_of(&e, &g).elided, 0);
-    }
-
-    #[test]
-    fn elided_evaluation_matches_checked() {
-        let g = globals_with_array("A", vec![4, 5]);
-        let ext = Extensions::new();
-        let e = tab(
-            vec![("i", nat(4)), ("j", nat(5))],
-            sub(var("A"), vec![var("i"), var("j")]),
-        );
-        let on = {
-            set_enabled(true);
-            let ctx = EvalCtx::new(&g, &ext);
-            let v = eval(&e, &ctx).unwrap(); // lint-wall: allow (test)
-            assert!(ctx.stats().elided > 0, "fast path must actually run");
-            v
-        };
-        let off = {
-            set_enabled(false);
-            let ctx = EvalCtx::new(&g, &ext);
-            let v = eval(&e, &ctx).unwrap(); // lint-wall: allow (test)
-            assert_eq!(ctx.stats().elided, 0);
-            v
-        };
-        set_enabled(true);
-        assert_eq!(on, off);
-    }
 
     #[test]
     fn arith_transfer_is_sound_pointwise() {

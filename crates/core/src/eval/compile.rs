@@ -74,12 +74,11 @@ pub enum CExpr {
     /// Tabulation: `head` has `bounds.len()` extra binders; the *last*
     /// index variable is de-Bruijn 0.
     Tab { head: Rc<CExpr>, bounds: Vec<CExpr> },
-    /// Subscript. The [`Cell`](std::cell::Cell) is the bounds-check
-    /// elision slot: `false` out of `compile`, flipped to `true` by
-    /// [`crate::eval::bounds::annotate`] when the interval pass proves
+    /// Subscript. The flag is the bounds-check elision mark, fixed by
+    /// [`compile_marked`]: `true` when the caller's analysis proved
     /// every index in range (the evaluator then skips the per-axis
-    /// compares and keeps only a debug assertion).
-    Sub(Rc<CExpr>, Vec<CExpr>, std::cell::Cell<bool>),
+    /// compares and keeps only the arity check and a debug assertion).
+    Sub(Rc<CExpr>, Vec<CExpr>, bool),
     /// `dim_k`
     Dim(usize, Rc<CExpr>),
     /// Row-major array literal.
@@ -101,8 +100,23 @@ pub enum CExpr {
 /// is reported with its constructor name instead of aborting the
 /// process deep inside evaluation.
 pub fn compile(e: &Expr) -> Result<CExpr, EvalError> {
+    compile_marked(e, &|_| false)
+}
+
+/// [`compile`] with bounds-check elision marks. `in_bounds` is asked
+/// once per [`Expr::Sub`] node of `e` — the node itself is passed, so
+/// an analysis that keys its verdicts by node address can answer as
+/// long as it ran over this very tree. Answering `true` promises that
+/// whenever the site is reached with non-`⊥` indices, each is a natural
+/// strictly below the array's extent on its axis, *provided* the
+/// subscript's arity is the array's rank (which the evaluator still
+/// checks). A single tuple-typed index must never be marked.
+pub fn compile_marked(
+    e: &Expr,
+    in_bounds: &dyn Fn(&Expr) -> bool,
+) -> Result<CExpr, EvalError> {
     let mut scope: Vec<Name> = Vec::new();
-    go(e, &mut scope)
+    go(e, &mut scope, in_bounds)
 }
 
 fn rc(e: CExpr) -> Rc<CExpr> {
@@ -114,7 +128,11 @@ fn malformed(constructor: &str, detail: String) -> EvalError {
     EvalError::Internal(format!("malformed `{constructor}` reached compile: {detail}"))
 }
 
-fn go(e: &Expr, scope: &mut Vec<Name>) -> Result<CExpr, EvalError> {
+fn go(
+    e: &Expr,
+    scope: &mut Vec<Name>,
+    in_bounds: &dyn Fn(&Expr) -> bool,
+) -> Result<CExpr, EvalError> {
     // Shape invariants the typechecker (and `aql-verify`) enforce on
     // the way in; re-checked here because compile is also reachable
     // with terms built programmatically or rewritten by extension
@@ -159,72 +177,84 @@ fn go(e: &Expr, scope: &mut Vec<Name>) -> Result<CExpr, EvalError> {
         Expr::Ext(x) => CExpr::Ext(x.clone()),
         Expr::Lam(x, body) => {
             scope.push(x.clone());
-            let b = go(body, scope)?;
+            let b = go(body, scope, in_bounds)?;
             scope.pop();
             CExpr::Lam(rc(b))
         }
-        Expr::App(f, a) => CExpr::App(rc(go(f, scope)?), rc(go(a, scope)?)),
+        Expr::App(f, a) => CExpr::App(rc(go(f, scope, in_bounds)?), rc(go(a, scope, in_bounds)?)),
         Expr::Let(x, bound, body) => {
-            let b = go(bound, scope)?;
+            let b = go(bound, scope, in_bounds)?;
             scope.push(x.clone());
-            let body = go(body, scope)?;
+            let body = go(body, scope, in_bounds)?;
             scope.pop();
             CExpr::Let(rc(b), rc(body))
         }
         Expr::Tuple(items) => CExpr::Tuple(
-            items.iter().map(|i| go(i, scope)).collect::<Result<_, _>>()?,
+            items.iter().map(|i| go(i, scope, in_bounds)).collect::<Result<_, _>>()?,
         ),
-        Expr::Proj(i, k, e) => CExpr::Proj(*i, *k, rc(go(e, scope)?)),
+        Expr::Proj(i, k, e) => CExpr::Proj(*i, *k, rc(go(e, scope, in_bounds)?)),
         Expr::Empty => CExpr::Empty,
-        Expr::Single(e) => CExpr::Single(rc(go(e, scope)?)),
-        Expr::Union(a, b) => CExpr::Union(rc(go(a, scope)?), rc(go(b, scope)?)),
+        Expr::Single(e) => CExpr::Single(rc(go(e, scope, in_bounds)?)),
+        Expr::Union(a, b) => {
+            CExpr::Union(rc(go(a, scope, in_bounds)?), rc(go(b, scope, in_bounds)?))
+        }
         Expr::BigUnion { head, var, src } => {
-            let s = go(src, scope)?;
+            let s = go(src, scope, in_bounds)?;
             scope.push(var.clone());
-            let h = go(head, scope)?;
+            let h = go(head, scope, in_bounds)?;
             scope.pop();
             CExpr::BigUnion { head: rc(h), src: rc(s) }
         }
         Expr::BigUnionRank { head, var, rank, src } => {
-            let s = go(src, scope)?;
+            let s = go(src, scope, in_bounds)?;
             scope.push(var.clone());
             scope.push(rank.clone());
-            let h = go(head, scope)?;
+            let h = go(head, scope, in_bounds)?;
             scope.pop();
             scope.pop();
             CExpr::BigUnionRank { head: rc(h), src: rc(s) }
         }
         Expr::BagEmpty => CExpr::BagEmpty,
-        Expr::BagSingle(e) => CExpr::BagSingle(rc(go(e, scope)?)),
-        Expr::BagUnion(a, b) => CExpr::BagUnion(rc(go(a, scope)?), rc(go(b, scope)?)),
+        Expr::BagSingle(e) => CExpr::BagSingle(rc(go(e, scope, in_bounds)?)),
+        Expr::BagUnion(a, b) => {
+            CExpr::BagUnion(rc(go(a, scope, in_bounds)?), rc(go(b, scope, in_bounds)?))
+        }
         Expr::BigBagUnion { head, var, src } => {
-            let s = go(src, scope)?;
+            let s = go(src, scope, in_bounds)?;
             scope.push(var.clone());
-            let h = go(head, scope)?;
+            let h = go(head, scope, in_bounds)?;
             scope.pop();
             CExpr::BigBagUnion { head: rc(h), src: rc(s) }
         }
         Expr::BigBagUnionRank { head, var, rank, src } => {
-            let s = go(src, scope)?;
+            let s = go(src, scope, in_bounds)?;
             scope.push(var.clone());
             scope.push(rank.clone());
-            let h = go(head, scope)?;
+            let h = go(head, scope, in_bounds)?;
             scope.pop();
             scope.pop();
             CExpr::BigBagUnionRank { head: rc(h), src: rc(s) }
         }
         Expr::Bool(b) => CExpr::Bool(*b),
-        Expr::If(c, t, f) => CExpr::If(rc(go(c, scope)?), rc(go(t, scope)?), rc(go(f, scope)?)),
-        Expr::Cmp(op, a, b) => CExpr::Cmp(*op, rc(go(a, scope)?), rc(go(b, scope)?)),
+        Expr::If(c, t, f) => CExpr::If(
+            rc(go(c, scope, in_bounds)?),
+            rc(go(t, scope, in_bounds)?),
+            rc(go(f, scope, in_bounds)?),
+        ),
+        Expr::Cmp(op, a, b) => {
+            CExpr::Cmp(*op, rc(go(a, scope, in_bounds)?), rc(go(b, scope, in_bounds)?))
+        }
         Expr::Nat(n) => CExpr::Nat(*n),
         Expr::Real(r) => CExpr::Real(*r),
         Expr::Str(s) => CExpr::Str(s.clone()),
-        Expr::Arith(op, a, b) => CExpr::Arith(*op, rc(go(a, scope)?), rc(go(b, scope)?)),
-        Expr::Gen(e) => CExpr::Gen(rc(go(e, scope)?)),
+        Expr::Arith(op, a, b) => {
+            CExpr::Arith(*op, rc(go(a, scope, in_bounds)?), rc(go(b, scope, in_bounds)?))
+        }
+        Expr::Gen(e) => CExpr::Gen(rc(go(e, scope, in_bounds)?)),
         Expr::Sum { head, var, src } => {
-            let s = go(src, scope)?;
+            let s = go(src, scope, in_bounds)?;
             scope.push(var.clone());
-            let h = go(head, scope)?;
+            let h = go(head, scope, in_bounds)?;
             scope.pop();
             CExpr::Sum { head: rc(h), src: rc(s) }
         }
@@ -232,33 +262,33 @@ fn go(e: &Expr, scope: &mut Vec<Name>) -> Result<CExpr, EvalError> {
             // Bounds are evaluated outside the index binders.
             let bounds: Vec<CExpr> = idx
                 .iter()
-                .map(|(_, b)| go(b, scope))
+                .map(|(_, b)| go(b, scope, in_bounds))
                 .collect::<Result<_, _>>()?;
             for (n, _) in idx {
                 scope.push(n.clone());
             }
-            let h = go(head, scope)?;
+            let h = go(head, scope, in_bounds)?;
             for _ in idx {
                 scope.pop();
             }
             CExpr::Tab { head: rc(h), bounds }
         }
         Expr::Sub(arr, idx) => CExpr::Sub(
-            rc(go(arr, scope)?),
-            idx.iter().map(|i| go(i, scope)).collect::<Result<_, _>>()?,
-            std::cell::Cell::new(false),
+            rc(go(arr, scope, in_bounds)?),
+            idx.iter().map(|i| go(i, scope, in_bounds)).collect::<Result<_, _>>()?,
+            in_bounds(e),
         ),
-        Expr::Dim(k, e) => CExpr::Dim(*k, rc(go(e, scope)?)),
+        Expr::Dim(k, e) => CExpr::Dim(*k, rc(go(e, scope, in_bounds)?)),
         Expr::ArrayLit { dims, items } => CExpr::ArrayLit {
-            dims: dims.iter().map(|d| go(d, scope)).collect::<Result<_, _>>()?,
-            items: items.iter().map(|i| go(i, scope)).collect::<Result<_, _>>()?,
+            dims: dims.iter().map(|d| go(d, scope, in_bounds)).collect::<Result<_, _>>()?,
+            items: items.iter().map(|i| go(i, scope, in_bounds)).collect::<Result<_, _>>()?,
         },
-        Expr::Index(k, e) => CExpr::Index(*k, rc(go(e, scope)?)),
-        Expr::Get(e) => CExpr::Get(rc(go(e, scope)?)),
+        Expr::Index(k, e) => CExpr::Index(*k, rc(go(e, scope, in_bounds)?)),
+        Expr::Get(e) => CExpr::Get(rc(go(e, scope, in_bounds)?)),
         Expr::Bottom => CExpr::Bottom,
         Expr::Prim(p, args) => CExpr::Prim(
             *p,
-            args.iter().map(|a| go(a, scope)).collect::<Result<_, _>>()?,
+            args.iter().map(|a| go(a, scope, in_bounds)).collect::<Result<_, _>>()?,
         ),
     })
 }

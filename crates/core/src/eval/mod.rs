@@ -20,7 +20,7 @@
 pub mod bounds;
 mod compile;
 
-pub use compile::{compile, CExpr};
+pub use compile::{compile, compile_marked, CExpr};
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -151,7 +151,7 @@ pub struct EvalStats {
     /// Array subscript operations performed.
     pub subscripts: u64,
     /// Subscript operations that took the bounds-check-elided fast
-    /// path (the [`bounds`] interval pass proved them in range).
+    /// path (marked in range through [`eval_marked`]).
     pub elided: u64,
     /// Elements admitted for materialization by `gen`, tabulation,
     /// array literals, and `index` (the sites governed by
@@ -289,23 +289,34 @@ impl<'a> EvalCtx<'a> {
     }
 }
 
-/// Compile and evaluate a closed named expression.
+/// Compile and evaluate a closed named expression with every
+/// subscript bounds-checked.
 ///
 /// When `aql-trace` is collecting, the evaluation's step, subscript,
 /// and materialization counters are flushed onto the innermost open
 /// span before returning (cache counters stream in live from
 /// `aql-store`).
 pub fn eval(e: &Expr, ctx: &EvalCtx) -> Result<Value, EvalError> {
-    let c = compile(e)?;
-    // Interval pass over the compiled form: flips the elision slot of
-    // every subscript it can prove in range (dims of bound globals are
-    // visible here). One cheap walk per statement, togglable for the
-    // `--analysis-overhead` and elision-off benchmarks.
-    if bounds::enabled() {
-        let marks = bounds::annotate(&c, ctx.globals);
-        if aql_trace::enabled() {
-            aql_trace::count("eval.bounds_elided_sites", marks.elided as u64);
-        }
+    eval_marked(e, ctx, &|_| false)
+}
+
+/// [`eval`] with the bounds checks of the subscript sites `in_bounds`
+/// accepts elided; [`compile_marked`] states what accepting a site
+/// promises. `aql_analysis::eval_elided` is the caller that derives the
+/// marks from the abstract interpreter.
+pub fn eval_marked(
+    e: &Expr,
+    ctx: &EvalCtx,
+    in_bounds: &dyn Fn(&Expr) -> bool,
+) -> Result<Value, EvalError> {
+    let marked = Cell::new(0u64);
+    let c = compile_marked(e, &|site| {
+        let mark = in_bounds(site);
+        marked.set(marked.get() + u64::from(mark));
+        mark
+    })?;
+    if bounds::enabled() && aql_trace::enabled() {
+        aql_trace::count("eval.bounds_elided_sites", marked.get());
     }
     // Make the statement's deadline/cancellation visible to the
     // storage layer for the duration of the evaluation: chunk-load
@@ -322,6 +333,10 @@ pub fn eval(e: &Expr, ctx: &EvalCtx) -> Result<Value, EvalError> {
         aql_trace::count("eval.materialized", s.materialized);
     }
     out
+}
+
+fn subscript_arity_error(arity: usize, rank: usize) -> EvalError {
+    EvalError::IllTyped(format!("subscript arity {arity} into rank-{rank} array"))
 }
 
 /// Evaluate with empty registries and default limits. Convenience for
@@ -596,14 +611,14 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
             ctx.subscripts.set(ctx.subscripts.get() + 1);
             let va = strict!(eval_compiled(arr, env, ctx)?);
             let a = va.as_array()?;
-            if elide.get() {
-                // Bounds-check-elided fast path: the interval pass
-                // proved rank agreement and every index in range, so
-                // the row-major offset is folded directly — no
-                // per-axis compares and no index vector allocation.
-                // The debug assertion is the soundness tripwire: it
-                // fires (across the whole debug test corpus) if an
-                // elided check would have failed at run time.
+            if *elide {
+                // Bounds-check-elided fast path: the analysis proved
+                // every index in range, so the row-major offset is
+                // folded directly — no per-axis compares and no index
+                // vector allocation. The debug assertion is the
+                // soundness tripwire: it fires (across the whole debug
+                // test corpus) if an elided check would have failed at
+                // run time.
                 ctx.elided.set(ctx.elided.get() + 1);
                 let mut off: u64 = 0;
                 #[cfg(debug_assertions)]
@@ -617,6 +632,13 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
                     // never abort a release build; the assertion below
                     // is the debug-mode witness that it was sound.
                     off = off * a.dims().get(j).copied().unwrap_or(1) + n;
+                }
+                // The mark is conditional on the arity being the rank
+                // (an unknown array's rank is not the analysis's to
+                // prove), so that check is never elided; it comes after
+                // the indices, as on the checked path.
+                if idx.len() != a.rank() {
+                    return Err(subscript_arity_error(idx.len(), a.rank()));
                 }
                 #[cfg(debug_assertions)]
                 debug_assert!(
@@ -638,11 +660,7 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
                 out
             };
             if indices.len() != a.rank() {
-                return Err(EvalError::IllTyped(format!(
-                    "subscript arity {} into rank-{} array",
-                    indices.len(),
-                    a.rank()
-                )));
+                return Err(subscript_arity_error(indices.len(), a.rank()));
             }
             // Out of bounds is the *error value*, not a host error (§2);
             // a *storage* failure on a lazy array is a host error.

@@ -336,7 +336,15 @@ impl Prefetcher {
 
 impl Drop for Prefetcher {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        // Raise the flag under the state lock: the worker tests it and
+        // goes to sleep under that lock, so it either sees the flag or
+        // is already waiting when the notification goes out. Stored
+        // unlocked it can land between the two and be slept through,
+        // and the join below never returns.
+        {
+            let _state = self.shared.state.lock().expect("prefetch lock");
+            self.shared.stop.store(true, Ordering::Relaxed);
+        }
         self.shared.work.notify_all();
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();

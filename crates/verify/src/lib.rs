@@ -17,13 +17,13 @@
 //!   a rule application, rejects rewrites that introduce unbound
 //!   variables, produce internally inconsistent terms, or change the
 //!   redex's (locally derivable) type;
-//! * a **shape/bounds lint pass** ([`lint_expr`]) — constant-extent
-//!   propagation through tabulations and literal dimensions that flags
-//!   statically-provable out-of-bounds subscripts (guaranteed ⊥),
-//!   zero-extent dimensions, and dead conditional branches. The pass
-//!   also consults the `aql-analysis` abstract interpreter for
-//!   *symbolic* proofs: cross-variable out-of-bounds subscripts (L004)
-//!   and provably-empty comprehension sources (L005).
+//! * a **shape/bounds lint pass** ([`lint_expr`]) — flags
+//!   statically-provable out-of-bounds subscripts (guaranteed ⊥, by
+//!   constant extent L001 or symbolically L004), zero-extent
+//!   dimensions (L002), dead conditional branches (L003) and
+//!   provably-empty comprehension sources (L005). Every bounds fact
+//!   comes from one run of the `aql-analysis` abstract interpreter;
+//!   this crate only walks the term to attach paths.
 //!
 //! Diagnostic codes are stable (golden tests rely on them); the table
 //! lives in [`diag`] and DESIGN.md §10. Every entry point returns its

@@ -1,103 +1,47 @@
-//! Shape/bounds lints: constant-extent propagation over well-typed
-//! terms.
+//! Shape/bounds lints over well-typed terms.
 //!
-//! An abstract interpretation on a small fact domain — nat-value
-//! ranges, known array extents, tuples of facts, and "definitely ⊥" —
+//! Every bounds fact comes from one run of the `aql-analysis` abstract
+//! interpreter over the linted tree — nat-value intervals, array
+//! extents (constant or symbolic in `dim(A, k)`), and "definitely ⊥",
 //! propagated through tabulations (an index variable `i` of
 //! `[[… | i < 10]]` is known to lie in `[0, 9]`), literal dimensions,
-//! `let`/β-redex bindings, and arithmetic on constants. Three
-//! warnings come out of it:
+//! `let`/β-redex bindings, and arithmetic. This pass only walks the
+//! tree to give each finding its path:
 //!
 //! * **L001** — a subscript that is *provably* out of bounds on some
-//!   axis (index lower bound ≥ known extent): the subscript always
-//!   evaluates to ⊥;
+//!   axis (index lower bound ≥ known constant extent): the subscript
+//!   always evaluates to ⊥;
 //! * **L002** — a tabulation bound or literal dimension that is
 //!   constantly zero: the array can hold no elements;
 //! * **L003** — a conditional whose condition is the literal `⊥` or a
-//!   constant boolean: a branch (or the whole expression) is dead.
-//!
-//! Two further warnings come from the `aql-analysis` abstract
-//! interpreter, which runs alongside the fact pass and can reason
-//! *symbolically* (in terms of `dim(A, k)` and cross-variable
-//! arithmetic) where the constant domain above cannot:
-//!
-//! * **L004** — a subscript the symbolic domain proves out of bounds
-//!   (e.g. `A[i + dim(A)]` under `i < dim(A)`), where no constant
-//!   extent was available for L001;
+//!   constant boolean: a branch (or the whole expression) is dead
+//!   (purely syntactic);
+//! * **L004** — a subscript proven out of bounds *symbolically* (e.g.
+//!   `A[i + dim(A)]` under `i < dim(A)`), where no constant extent was
+//!   available for L001;
 //! * **L005** — a comprehension or sum over a provably empty source:
 //!   its head is dead code.
 //!
 //! Everything is conservative: a fact is only as strong as the
-//! constants that reach it, and `Top` kills propagation. The lints
-//! never fire on merely-possible failures — only on certainties, per
-//! the paper's convention that out-of-bounds access *is* a value (⊥),
-//! not an error. Output goes through [`crate::diag::normalize`], so it
-//! is duplicate-free and byte-stable across runs.
+//! constants and symbols that reach it. The lints never fire on
+//! merely-possible failures — only on certainties, per the paper's
+//! convention that out-of-bounds access *is* a value (⊥), not an
+//! error. Output goes through [`crate::diag::normalize`], so it is
+//! duplicate-free and byte-stable across runs.
 
 use aql_analysis::{Analysis, SubVerdict};
-use aql_core::expr::{Expr, Name};
+use aql_core::eval::bounds::Iv;
+use aql_core::expr::Expr;
 
 use crate::diag::{normalize, Diagnostic, Severity};
 
-/// What is statically known about a subterm's value.
-#[derive(Debug, Clone, PartialEq)]
-enum Fact {
-    /// A natural in `[lo, hi]` (`hi = None`: unbounded above).
-    Nat { lo: u64, hi: Option<u64> },
-    /// An array with per-axis extents (known or unknown).
-    Arr { dims: Vec<Option<u64>> },
-    /// A tuple of facts.
-    Tup(Vec<Fact>),
-    /// Definitely ⊥.
-    Bot,
-    /// No information.
-    Top,
-}
-
-impl Fact {
-    fn exact(n: u64) -> Fact {
-        Fact::Nat { lo: n, hi: Some(n) }
-    }
-
-    /// The exactly-known value, if any.
-    fn constant(&self) -> Option<u64> {
-        match self {
-            Fact::Nat { lo, hi: Some(h) } if lo == h => Some(*lo),
-            _ => None,
-        }
-    }
-}
-
-/// Least upper bound (for joining `if` branches).
-fn join(a: &Fact, b: &Fact) -> Fact {
-    match (a, b) {
-        (Fact::Bot, x) | (x, Fact::Bot) => x.clone(),
-        (Fact::Nat { lo: l1, hi: h1 }, Fact::Nat { lo: l2, hi: h2 }) => Fact::Nat {
-            lo: (*l1).min(*l2),
-            hi: h1.zip(*h2).map(|(x, y)| x.max(y)),
-        },
-        (Fact::Arr { dims: d1 }, Fact::Arr { dims: d2 }) if d1.len() == d2.len() => Fact::Arr {
-            dims: d1
-                .iter()
-                .zip(d2)
-                .map(|(x, y)| if x == y { *x } else { None })
-                .collect(),
-        },
-        (Fact::Tup(xs), Fact::Tup(ys)) if xs.len() == ys.len() => {
-            Fact::Tup(xs.iter().zip(ys).map(|(x, y)| join(x, y)).collect())
-        }
-        _ => Fact::Top,
-    }
-}
-
 /// Run the lint pass over a (resolved, well-typed) term.
 pub fn lint_expr(e: &Expr) -> Vec<Diagnostic> {
-    // The symbolic pass keys its verdicts by node address, so it must
-    // run over the very tree the Linter walks.
+    // The analysis keys its facts by node address, so it must run over
+    // the very tree the Linter walks.
     let analysis = aql_analysis::analyze(e, &std::collections::BTreeMap::new());
     let mut l = Linter { diags: Vec::new(), path: Vec::new(), analysis: &analysis };
-    let mut env = Vec::new();
-    l.infer(&mut env, e);
+    l.walk(e);
     normalize(l.diags)
 }
 
@@ -106,8 +50,6 @@ struct Linter<'a> {
     path: Vec<&'static str>,
     analysis: &'a Analysis,
 }
-
-type Env = Vec<(Name, Fact)>;
 
 impl Linter<'_> {
     fn warn(&mut self, code: &'static str, message: impl Into<String>) {
@@ -125,310 +67,162 @@ impl Linter<'_> {
         }
     }
 
-    fn child(&mut self, seg: &'static str, env: &mut Env, e: &Expr) -> Fact {
-        self.path.push(seg);
-        let f = self.infer(env, e);
-        self.path.pop();
-        f
+    /// L002 for a tabulation bound / literal dimension `b`.
+    fn zero_extent_lint(&mut self, b: &Expr, message: String) {
+        if self.analysis.bound_interval(b) == Some(Iv::exact(0)) {
+            self.warn("L002", message);
+        }
     }
 
-    fn infer(&mut self, env: &mut Env, e: &Expr) -> Fact {
+    fn child(&mut self, seg: &'static str, e: &Expr) {
+        self.path.push(seg);
+        self.walk(e);
+        self.path.pop();
+    }
+
+    /// Visit every subterm left to right (findings keep source order),
+    /// tracking the path; diagnostics are emitted on the way.
+    fn walk(&mut self, e: &Expr) {
         match e {
-            Expr::Nat(n) => Fact::exact(*n),
-            Expr::Bottom => Fact::Bot,
-            Expr::Var(x) => env
-                .iter()
-                .rev()
-                .find(|(n, _)| n == x)
-                .map(|(_, f)| f.clone())
-                .unwrap_or(Fact::Top),
-            Expr::Let(x, bound, body) => {
-                let fb = self.child("let.bound", env, bound);
-                env.push((x.clone(), fb));
-                let f = self.child("let.body", env, body);
-                env.pop();
-                f
+            Expr::Var(_)
+            | Expr::Global(_)
+            | Expr::Ext(_)
+            | Expr::Empty
+            | Expr::BagEmpty
+            | Expr::Bool(_)
+            | Expr::Nat(_)
+            | Expr::Real(_)
+            | Expr::Str(_)
+            | Expr::Bottom => {}
+            Expr::Let(_, bound, body) => {
+                self.child("let.bound", bound);
+                self.child("let.body", body);
             }
-            // A β-redex binds like `let` — macros expand to these, so
-            // facts flow through e.g. `subseq!(a, i, j)`.
-            Expr::App(f, a) if matches!(**f, Expr::Lam(..)) => {
-                let fa = self.child("app.arg", env, a);
-                let Expr::Lam(x, body) = &**f else { unreachable!() };
-                env.push((x.clone(), fa));
-                let r = self.child("app.fun", env, body);
-                env.pop();
-                r
-            }
+            // A β-redex binds like `let` — macros expand to these.
+            Expr::App(f, a) => match &**f {
+                Expr::Lam(_, body) => {
+                    self.child("app.arg", a);
+                    self.child("app.fun", body);
+                }
+                _ => {
+                    self.child("app.fun", f);
+                    self.child("app.arg", a);
+                }
+            },
             Expr::Tuple(items) => {
-                let fs = items.iter().map(|it| self.child("tuple.item", env, it)).collect();
-                Fact::Tup(fs)
-            }
-            Expr::Proj(i, k, inner) => {
-                let f = self.child("proj", env, inner);
-                match f {
-                    Fact::Tup(fs) if fs.len() == *k && *i >= 1 && i <= k => fs[*i - 1].clone(),
-                    _ => Fact::Top,
+                for it in items {
+                    self.child("tuple.item", it);
                 }
             }
-            Expr::Arith(op, a, b) => {
-                let fa = self.child("arith.lhs", env, a);
-                let fb = self.child("arith.rhs", env, b);
-                arith_fact(*op, &fa, &fb)
+            Expr::Proj(_, _, inner) => self.child("proj", inner),
+            Expr::Arith(_, a, b) => {
+                self.child("arith.lhs", a);
+                self.child("arith.rhs", b);
             }
             Expr::Tab { head, idx } => {
-                let mut bound_facts = Vec::with_capacity(idx.len());
                 for (j, (_, b)) in idx.iter().enumerate() {
-                    let f = self.child("tab.bound", env, b);
-                    if f.constant() == Some(0) {
-                        self.warn(
-                            "L002",
-                            format!(
-                                "tabulation bound {} is constantly zero: the array has no \
-                                 elements",
-                                j + 1
-                            ),
-                        );
-                    }
-                    bound_facts.push(f);
+                    self.child("tab.bound", b);
+                    self.zero_extent_lint(
+                        b,
+                        format!(
+                            "tabulation bound {} is constantly zero: the array has no elements",
+                            j + 1
+                        ),
+                    );
                 }
-                for ((n, _), f) in idx.iter().zip(&bound_facts) {
-                    // i < bound, so i ∈ [0, hi(bound) - 1].
-                    let hi = match f {
-                        Fact::Nat { hi: Some(h), .. } if *h > 0 => Some(h - 1),
-                        _ => None,
-                    };
-                    env.push((n.clone(), Fact::Nat { lo: 0, hi }));
-                }
-                self.child("tab.head", env, head);
-                for _ in idx {
-                    env.pop();
-                }
-                Fact::Arr { dims: bound_facts.iter().map(Fact::constant).collect() }
+                self.child("tab.head", head);
             }
             Expr::ArrayLit { dims, items } => {
-                let mut ds = Vec::with_capacity(dims.len());
                 for (j, d) in dims.iter().enumerate() {
-                    let f = self.child("arraylit.dim", env, d);
-                    if f.constant() == Some(0) {
-                        self.warn(
-                            "L002",
-                            format!("array literal dimension {} is zero", j + 1),
-                        );
-                    }
-                    ds.push(f.constant());
+                    self.child("arraylit.dim", d);
+                    self.zero_extent_lint(d, format!("array literal dimension {} is zero", j + 1));
                 }
                 for it in items {
-                    self.child("arraylit.item", env, it);
+                    self.child("arraylit.item", it);
                 }
-                Fact::Arr { dims: ds }
             }
             Expr::Sub(arr, idx) => {
-                let fa = self.child("sub.array", env, arr);
-                // A single tuple-literal index addresses each axis.
-                let axis_facts: Vec<Fact> = if idx.len() == 1 {
-                    match self.child("sub.index", env, &idx[0]) {
-                        Fact::Tup(fs) => fs,
-                        f => vec![f],
-                    }
-                } else {
-                    idx.iter().map(|i| self.child("sub.index", env, i)).collect()
-                };
+                self.child("sub.array", arr);
+                for i in idx {
+                    self.child("sub.index", i);
+                }
                 let mut oob = false;
-                if let Fact::Arr { dims } = &fa {
-                    if dims.len() == axis_facts.len() {
-                        for (j, (d, f)) in dims.iter().zip(&axis_facts).enumerate() {
-                            if let (Some(extent), Fact::Nat { lo, .. }) = (d, f) {
-                                if lo >= extent {
-                                    oob = true;
-                                    self.warn(
-                                        "L001",
-                                        format!(
-                                            "subscript along dimension {} is provably out of \
-                                             bounds (index >= {lo}, extent {extent}): the \
-                                             subscript always evaluates to bottom",
-                                            j + 1
-                                        ),
-                                    );
-                                }
-                            }
+                for (j, axis) in self.analysis.sub_axes(e).iter().enumerate() {
+                    if let Some((Iv { lo, .. }, extent)) = *axis {
+                        if lo >= extent {
+                            oob = true;
+                            self.warn(
+                                "L001",
+                                format!(
+                                    "subscript along dimension {} is provably out of bounds \
+                                     (index >= {lo}, extent {extent}): the subscript always \
+                                     evaluates to bottom",
+                                    j + 1
+                                ),
+                            );
                         }
                     }
                 }
-                // The symbolic domain catches proofs the constant
-                // domain cannot (cross-variable, `dim(·)`-relative);
-                // suppressed when L001 already fired at this site.
+                // What is left of a provably-out verdict is a symbolic
+                // proof (cross-variable, `dim(·)`-relative).
                 if !oob && self.analysis.verdict_of(e) == Some(SubVerdict::ProvablyOut) {
-                    oob = true;
                     self.warn(
                         "L004",
                         "subscript is provably out of bounds by symbolic extent analysis: \
                          the subscript always evaluates to bottom",
                     );
                 }
-                if oob {
-                    Fact::Bot
-                } else {
-                    Fact::Top
-                }
             }
-            Expr::Dim(k, inner) => {
-                let f = self.child("dim", env, inner);
-                match f {
-                    Fact::Arr { dims } if dims.len() == *k => {
-                        let facts: Vec<Fact> = dims
-                            .iter()
-                            .map(|d| match d {
-                                Some(n) => Fact::exact(*n),
-                                None => Fact::Nat { lo: 0, hi: None },
-                            })
-                            .collect();
-                        if *k == 1 {
-                            facts.into_iter().next().unwrap_or(Fact::Top)
-                        } else {
-                            Fact::Tup(facts)
-                        }
-                    }
-                    _ => Fact::Top,
-                }
-            }
+            Expr::Dim(_, inner) => self.child("dim", inner),
             Expr::If(c, t, f) => {
-                self.child("if.cond", env, c);
+                self.child("if.cond", c);
                 match &**c {
-                    Expr::Bottom => {
-                        self.warn(
-                            "L003",
-                            "`if` condition is the literal bottom: both branches are dead and \
-                             the expression always evaluates to bottom",
-                        );
-                        self.child("if.then", env, t);
-                        self.child("if.else", env, f);
-                        Fact::Bot
-                    }
-                    Expr::Bool(b) => {
-                        self.warn(
-                            "L003",
-                            format!(
-                                "`if` condition is constantly {b}: the {} branch is dead",
-                                if *b { "else" } else { "then" }
-                            ),
-                        );
-                        let ft = self.child("if.then", env, t);
-                        let ff = self.child("if.else", env, f);
-                        if *b {
-                            ft
-                        } else {
-                            ff
-                        }
-                    }
-                    _ => {
-                        let ft = self.child("if.then", env, t);
-                        let ff = self.child("if.else", env, f);
-                        join(&ft, &ff)
-                    }
+                    Expr::Bottom => self.warn(
+                        "L003",
+                        "`if` condition is the literal bottom: both branches are dead and \
+                         the expression always evaluates to bottom",
+                    ),
+                    Expr::Bool(b) => self.warn(
+                        "L003",
+                        format!(
+                            "`if` condition is constantly {b}: the {} branch is dead",
+                            if *b { "else" } else { "then" }
+                        ),
+                    ),
+                    _ => {}
                 }
+                self.child("if.then", t);
+                self.child("if.else", f);
             }
-            // Remaining binder forms: the bound variable carries no
-            // usable fact; recurse for nested lints.
-            Expr::Lam(x, body) => {
-                env.push((x.clone(), Fact::Top));
-                self.child("lam.body", env, body);
-                env.pop();
-                Fact::Top
-            }
-            Expr::BigUnion { head, var, src }
-            | Expr::BigBagUnion { head, var, src }
-            | Expr::Sum { head, var, src } => {
+            Expr::Lam(_, body) => self.child("lam.body", body),
+            Expr::BigUnion { head, src, .. }
+            | Expr::BigBagUnion { head, src, .. }
+            | Expr::Sum { head, src, .. }
+            | Expr::BigUnionRank { head, src, .. }
+            | Expr::BigBagUnionRank { head, src, .. } => {
                 self.empty_source_lint(e);
-                self.child("src", env, src);
-                env.push((var.clone(), Fact::Top));
-                self.child("head", env, head);
-                env.pop();
-                if matches!(e, Expr::Sum { .. }) {
-                    Fact::Nat { lo: 0, hi: None }
-                } else {
-                    Fact::Top
-                }
-            }
-            Expr::BigUnionRank { head, var, rank, src }
-            | Expr::BigBagUnionRank { head, var, rank, src } => {
-                self.empty_source_lint(e);
-                self.child("src", env, src);
-                env.push((var.clone(), Fact::Top));
-                env.push((rank.clone(), Fact::Nat { lo: 0, hi: None }));
-                self.child("head", env, head);
-                env.pop();
-                env.pop();
-                Fact::Top
-            }
-            // Everything else: no facts, but visit all children so
-            // nested terms still lint.
-            Expr::Global(_)
-            | Expr::Ext(_)
-            | Expr::Empty
-            | Expr::BagEmpty
-            | Expr::Bool(_)
-            | Expr::Real(_)
-            | Expr::Str(_) => Fact::Top,
-            Expr::App(f, a) => {
-                self.child("app.fun", env, f);
-                self.child("app.arg", env, a);
-                Fact::Top
+                self.child("src", src);
+                self.child("head", head);
             }
             Expr::Single(inner)
             | Expr::BagSingle(inner)
             | Expr::Gen(inner)
             | Expr::Index(_, inner)
-            | Expr::Get(inner) => {
-                self.child("arg", env, inner);
-                Fact::Top
-            }
+            | Expr::Get(inner) => self.child("arg", inner),
             Expr::Union(a, b) | Expr::BagUnion(a, b) => {
-                self.child("lhs", env, a);
-                self.child("rhs", env, b);
-                Fact::Top
+                self.child("lhs", a);
+                self.child("rhs", b);
             }
             Expr::Cmp(_, a, b) => {
-                self.child("cmp.lhs", env, a);
-                self.child("cmp.rhs", env, b);
-                Fact::Top
+                self.child("cmp.lhs", a);
+                self.child("cmp.rhs", b);
             }
             Expr::Prim(_, args) => {
                 for a in args {
-                    self.child("prim.arg", env, a);
+                    self.child("prim.arg", a);
                 }
-                Fact::Top
             }
         }
-    }
-}
-
-/// Range arithmetic on nat facts (saturating/checked, conservative).
-fn arith_fact(op: aql_core::expr::ArithOp, a: &Fact, b: &Fact) -> Fact {
-    use aql_core::expr::ArithOp::*;
-    let (Fact::Nat { lo: l1, hi: h1 }, Fact::Nat { lo: l2, hi: h2 }) = (a, b) else {
-        return Fact::Top;
-    };
-    match op {
-        Add => Fact::Nat {
-            lo: l1.saturating_add(*l2),
-            hi: h1.zip(*h2).and_then(|(x, y)| x.checked_add(y)),
-        },
-        Mul => Fact::Nat {
-            lo: l1.saturating_mul(*l2),
-            hi: h1.zip(*h2).and_then(|(x, y)| x.checked_mul(y)),
-        },
-        // Monus saturates at zero.
-        Monus => Fact::Nat {
-            lo: h2.map_or(0, |h| l1.saturating_sub(h)),
-            hi: h1.map(|h| h.saturating_sub(*l2)),
-        },
-        // x / y ≤ x for y ≥ 1; y = 0 may be ⊥, so stay conservative.
-        Div => Fact::Nat { lo: 0, hi: if *l2 >= 1 { *h1 } else { None } },
-        // x % y < y for y ≥ 1.
-        Mod => Fact::Nat {
-            lo: 0,
-            hi: h2.and_then(|h| if *l2 >= 1 { Some(h - 1) } else { None }),
-        },
     }
 }
 
@@ -530,6 +324,29 @@ mod tests {
         let ds = warns(&e);
         assert_eq!(ds.len(), 1, "{ds:?}");
         assert_eq!(ds[0].code, "L001");
+    }
+
+    #[test]
+    fn live_branches_bottoms_and_tuple_indices_feed_l001() {
+        let a = || array1_lit(vec![nat(1), nat(2), nat(3)]);
+        // A literal condition selects the live branch: index 5 of 3.
+        let e = sub(a(), vec![iff(Expr::Bool(true), nat(5), nat(0))]);
+        let ds = warns(&e);
+        assert!(ds.iter().any(|d| d.code == "L001" && d.path.is_empty()), "{ds:?}");
+        // …and an unknown one joins both: [0, 5] proves nothing.
+        assert!(warns(&lam("c", sub(a(), vec![iff(var("c"), nat(5), nat(0))]))).is_empty());
+        // A provably-out subscript is ⊥, which a join ignores: the
+        // outer index is 7 whenever it is anything.
+        let e = lam("c", sub(a(), vec![iff(var("c"), sub(a(), vec![nat(9)]), nat(7))]));
+        let ds = warns(&e);
+        assert_eq!(ds.len(), 2, "{ds:?}");
+        assert!(ds.iter().all(|d| d.code == "L001"), "{ds:?}");
+        // A single tuple index addresses each axis.
+        let m = || array_lit(vec![nat(2), nat(2)], vec![nat(1), nat(2), nat(3), nat(4)]);
+        let ds = warns(&sub(m(), vec![tuple(vec![nat(0), nat(7)])]));
+        assert_eq!(ds.len(), 1, "{ds:?}");
+        assert!(ds[0].render().contains("dimension 2"), "{}", ds[0]);
+        assert!(warns(&sub(m(), vec![tuple(vec![nat(0), nat(1)])])).is_empty());
     }
 
     #[test]

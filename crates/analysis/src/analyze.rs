@@ -67,7 +67,9 @@ pub struct AccessRegion {
 pub enum KernelKind {
     /// A tabulation (`[[ … | i < b ]]`): candidate map kernel.
     Map,
-    /// A summation (`Σ{ … | x ∈ S }`): candidate reduction kernel.
+    /// A summation (`Σ{ … | x ∈ S }`), or `min!`/`max!` of a
+    /// comprehension whose innermost head is a singleton: candidate
+    /// reduction kernel.
     Reduce,
 }
 
@@ -91,8 +93,22 @@ pub struct Kernel {
     /// Can this nest compile to a bulk kernel (head is
     /// pure-elementwise)?
     pub fusible: bool,
-    /// Truncated rendering of the nest, for reports.
-    pub desc: String,
+    /// Address of the nest's node in the analyzed tree.
+    node: usize,
+}
+
+impl Kernel {
+    /// Truncated rendering of the nest, for reports. `root` is the
+    /// tree that was analyzed; only a report ever pays for this.
+    pub fn desc(&self, root: &Expr) -> String {
+        let mut desc = String::new();
+        root.walk(&mut |e| {
+            if ptr(e) == self.node && desc.is_empty() {
+                desc = describe(e);
+            }
+        });
+        desc
+    }
 }
 
 /// Tally of subscript-site verdicts.
@@ -218,6 +234,7 @@ pub fn analyze(e: &Expr, globals: &BTreeMap<Name, AbsVal>) -> Analysis {
         env: Vec::new(),
         binders: 0,
         bound_syms: 0,
+        last_single: (0, Effect::PureElementwise),
         out: Analysis::default(),
     };
     let (result, effect) = a.go(e);
@@ -235,6 +252,9 @@ struct Analyzer<'a> {
     binders: u32,
     /// [`SymExt::Dim`] symbols minted for lexically bound arrays so far.
     bound_syms: usize,
+    /// The singleton (`{e}`) visited last, with the effect of its `e`:
+    /// for a `min!`/`max!` nest, the innermost head.
+    last_single: (usize, Effect),
     out: Analysis,
 }
 
@@ -350,6 +370,40 @@ impl Analyzer<'_> {
     fn symbolic_dims(&mut self, (source, binder): (Name, u32), rank: usize) -> Vec<SymExt> {
         self.bound_syms += usize::from(binder != 0);
         (0..rank).map(|axis| SymExt::Dim { source: source.clone(), binder, axis }).collect()
+    }
+
+    /// `(b + k₁ + … ) ∸ b` is `k₁ + …` whatever `b` is — the one
+    /// relational fact an interval cannot carry, and the shape of a
+    /// `subseq` extent once its bounds are inlined (`(d·24 + 23 + 1) ∸
+    /// d·24`: 24 rows for every `d`, not up to 720). The `kᵢ` must be
+    /// literals or variables, whose abstraction is a lookup.
+    fn cancelled(&self, op: ArithOp, a: &Expr, b: &Expr) -> Option<NatAbs> {
+        fn summands<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+            match e {
+                Expr::Arith(ArithOp::Add, x, y) => {
+                    summands(x, out);
+                    summands(y, out);
+                }
+                _ => out.push(e),
+            }
+        }
+        if op != ArithOp::Monus {
+            return None;
+        }
+        let mut terms = Vec::new();
+        summands(a, &mut terms);
+        let at = terms.iter().position(|t| *t == b)?;
+        terms.swap_remove(at);
+        let mut rest = NatAbs::exact(0);
+        for t in terms {
+            let k = match t {
+                Expr::Nat(n) => NatAbs::exact(*n),
+                Expr::Var(x) => self.lookup(x)?.2.as_nat()?.clone(),
+                _ => return None,
+            };
+            rest = arith_nat(ArithOp::Add, &rest, &k);
+        }
+        Some(rest)
     }
 
     /// Set/bag element abstraction of an iteration source.
@@ -481,6 +535,7 @@ impl Analyzer<'_> {
             }
             Expr::Single(inner) => {
                 let (v, eff) = self.go(inner);
+                self.last_single = (ptr(e), eff);
                 (
                     AbsVal::Set { elem: Rc::new(v), card: Iv::exact(1) },
                     eff.join(Materializing),
@@ -573,7 +628,9 @@ impl Analyzer<'_> {
                 let (av, ae) = self.go(a);
                 let (bv, be) = self.go(b);
                 let out = match (av.as_nat(), bv.as_nat()) {
-                    (Some(x), Some(y)) => AbsVal::Nat(arith_nat(*op, x, y)),
+                    (Some(x), Some(y)) => AbsVal::Nat(
+                        self.cancelled(*op, a, b).unwrap_or_else(|| arith_nat(*op, x, y)),
+                    ),
                     _ => match (&av, &bv) {
                         (AbsVal::Real, AbsVal::Real) => AbsVal::Real,
                         _ => AbsVal::Top,
@@ -611,7 +668,7 @@ impl Analyzer<'_> {
                     kind: KernelKind::Reduce,
                     head_effect: he,
                     fusible: he <= PureElementwise,
-                    desc: describe(e),
+                    node: ptr(e),
                 });
                 let out = match &hv {
                     AbsVal::Nat(nb) => AbsVal::Nat(NatAbs {
@@ -662,7 +719,7 @@ impl Analyzer<'_> {
                     kind: KernelKind::Map,
                     head_effect: he,
                     fusible: he <= PureElementwise,
-                    desc: describe(e),
+                    node: ptr(e),
                 });
                 (AbsVal::Arr { exts, elem: Rc::new(hv) }, eff.join(he))
             }
@@ -786,6 +843,22 @@ impl Analyzer<'_> {
                         v
                     })
                     .collect();
+                // `min!`/`max!` of `⋃{ … ⋃{ {h} | … } … | … }` folds `h`
+                // over the loops: a reduction nest with head `h`. The
+                // singleton is in tail position, so it was visited last.
+                if let (Prim::MinSet | Prim::MaxSet, [arg]) = (p, args.as_slice()) {
+                    if let Some(single) = singleton_head(arg) {
+                        if self.last_single.0 == ptr(single) {
+                            let he = self.last_single.1;
+                            self.out.kernels.push(Kernel {
+                                kind: KernelKind::Reduce,
+                                head_effect: he,
+                                fusible: he <= PureElementwise,
+                                node: ptr(e),
+                            });
+                        }
+                    }
+                }
                 let out = match p {
                     Prim::Member => AbsVal::Bool,
                     // min/max of a set is one of its elements.
@@ -797,6 +870,19 @@ impl Analyzer<'_> {
                 (out, eff)
             }
         }
+    }
+}
+
+/// The singleton a nest of set comprehensions (with `let`s between the
+/// levels, as hoisting leaves them) ends in, if it is one.
+fn singleton_head(e: &Expr) -> Option<&Expr> {
+    match e {
+        Expr::BigUnion { head, .. } => match &**head {
+            Expr::Single(_) => Some(head),
+            inner => singleton_head(inner),
+        },
+        Expr::Let(_, _, body) => singleton_head(body),
+        _ => None,
     }
 }
 
@@ -969,6 +1055,31 @@ mod tests {
     }
 
     #[test]
+    fn min_max_of_a_singleton_comprehension_is_a_reduction_nest() {
+        // max!{ A[x] + y | x ∈ gen(dim A), y ∈ gen 2 }, as it desugars.
+        let head = single(add(sub(var("A"), vec![var("x")]), var("y")));
+        let e = set_max(big_union(
+            "x",
+            gen(dim(1, var("A"))),
+            big_union("y", gen(nat(2)), head),
+        ));
+        let a = run(&e);
+        assert_eq!(a.kernels.len(), 1, "{:?}", a.kernels);
+        assert_eq!(a.kernels[0].kind, KernelKind::Reduce);
+        assert!(a.kernels[0].fusible);
+        // Described on demand, from the tree.
+        assert_eq!(a.kernels[0].desc(&e), describe(&e));
+        // The head's effect decides: a materializing head blocks it.
+        let e = set_min(big_union("x", gen(nat(3)), single(gen(var("x")))));
+        let a = run(&e);
+        assert_eq!(a.kernels.len(), 1);
+        assert!(!a.kernels[0].fusible);
+        // A comprehension that does not end in a singleton is no nest.
+        let e = set_max(big_union("x", gen(nat(3)), gen(var("x"))));
+        assert!(run(&e).kernels.is_empty());
+    }
+
+    #[test]
     fn beta_aware_application_keeps_argument_facts() {
         // (λx. A[x]) 3 over a length-8 global.
         let mut g = BTreeMap::new();
@@ -979,6 +1090,24 @@ mod tests {
         let e = app(lam("x", sub(global("A"), vec![var("x")])), nat(3));
         let a = analyze(&e, &g);
         assert_eq!(a.verdict_of(first_sub(&e)), Some(SubVerdict::InBounds));
+    }
+
+    #[test]
+    fn an_offset_minus_its_base_is_the_offset() {
+        // [[ … | k < ((d·24 + 23) + 1) ∸ d·24 ]] under d < 30: 24 cells
+        // for every d, where intervals alone say "up to 720".
+        let base = || mul(var("d"), nat(24));
+        let inner = tab1("k", monus(add(add(base(), nat(23)), nat(1)), base()), var("k"));
+        let e = tab1("d", nat(30), inner);
+        let a = run(&e);
+        let Expr::Tab { head, .. } = &e else { unreachable!("built above") };
+        assert_eq!(a.loop_count(head), Some(Iv::exact(24)));
+        // Nothing cancels when the base differs.
+        let other = tab1("k", monus(add(base(), nat(24)), mul(var("d"), nat(12))), var("k"));
+        let e = tab1("d", nat(30), other);
+        let a = run(&e);
+        let Expr::Tab { head, .. } = &e else { unreachable!("built above") };
+        assert_eq!(a.loop_count(head), Some(Iv { lo: 0, hi: Some(720) }));
     }
 
     #[test]

@@ -3,13 +3,16 @@
 
 use std::fmt::Write as _;
 
+use aql_core::expr::Expr;
+
 use crate::analyze::Analysis;
 use crate::cost;
 
 /// Render the analysis summary: inferred shape, effect class, the
 /// subscript-verdict tally, and the fusibility report marking which
-/// loop nests could compile to bulk kernels.
-pub fn render(a: &Analysis) -> String {
+/// loop nests could compile to bulk kernels. `root` is the term `a` is
+/// the analysis of (the nests are described from it).
+pub fn render(a: &Analysis, root: &Expr) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "shape  : {}", a.result);
     let _ = writeln!(out, "effect : {}", a.effect.name());
@@ -36,14 +39,14 @@ pub fn render(a: &Analysis) -> String {
         );
         for k in &a.kernels {
             if k.fusible {
-                let _ = writeln!(out, "  - {} kernel (fusible): {}", k.kind.name(), k.desc);
+                let _ = writeln!(out, "  - {} kernel (fusible): {}", k.kind.name(), k.desc(root));
             } else {
                 let _ = writeln!(
                     out,
                     "  - {} nest (blocked: {} head): {}",
                     k.kind.name(),
                     k.head_effect.name(),
-                    k.desc
+                    k.desc(root)
                 );
             }
         }
@@ -62,7 +65,7 @@ mod tests {
     fn report_lists_verdicts_and_kernels() {
         let e = tab1("i", dim(1, var("A")), sub(var("A"), vec![var("i")]));
         let a = analyze(&e, &BTreeMap::new());
-        let r = render(&a);
+        let r = render(&a, &e);
         assert!(r.contains("shape  : array[dim(A,0)] of ?"), "{r}");
         assert!(r.contains("effect : materializing"), "{r}");
         assert!(r.contains("1 provably in-bounds"), "{r}");
@@ -73,7 +76,7 @@ mod tests {
     fn report_is_sensible_for_scalars() {
         let e = add(nat(1), nat(2));
         let a = analyze(&e, &BTreeMap::new());
-        let r = render(&a);
+        let r = render(&a, &e);
         assert!(r.contains("no subscript sites"), "{r}");
         assert!(r.contains("no loop nests"), "{r}");
         assert!(r.contains("effect : pure-elementwise"), "{r}");

@@ -9,9 +9,13 @@
 //!
 //! * containment — every runtime-observed shape, value, cardinality and
 //!   materialization event lies in the analysis prediction;
-//! * differential — the value with marks equals the value with
-//!   elision switched off, and a stage whose sites are all proven
-//!   in-bounds never yields `⊥` from a non-`⊥` input;
+//! * differential — the value with marks (and therefore with bulk
+//!   kernels: a fully marked loop nest runs as one) equals the value
+//!   with elision switched off, which is the plain interpreter; so do
+//!   the step, subscript and materialization counts, and a pipeline
+//!   with a provably in-range fusible nest does run a kernel; a stage
+//!   whose sites are all proven in-bounds never yields `⊥` from a
+//!   non-`⊥` input;
 //! * α-invariance — renaming binders (with deliberate shadowing)
 //!   changes neither the verdict tally nor the marked evaluation;
 //! * the expectations of the compiled-form interval pass this analysis
@@ -391,6 +395,8 @@ struct Run {
     outcome: Result<Value, EvalError>,
     /// Subscripts that took the marked fast path.
     elided: u64,
+    /// Loop nests the marked evaluation ran as bulk kernels.
+    kernel_nests: u64,
 }
 
 impl Run {
@@ -399,8 +405,9 @@ impl Run {
     }
 }
 
-/// Evaluate `e` through [`eval_elided`] twice — marks on, then
-/// `bounds::set_enabled(false)` — and require the same outcome.
+/// Evaluate `e` through [`eval_elided`] twice — marks (and kernels)
+/// on, then `bounds::set_enabled(false)`, the plain interpreter — and
+/// require the same outcome at the same cost.
 fn run(e: &Expr, globals: &HashMap<Name, Value>) -> Run {
     let analysis = analyze(e, &globals_mentioned(e, globals));
     let ext = Extensions::new();
@@ -408,19 +415,27 @@ fn run(e: &Expr, globals: &HashMap<Name, Value>) -> Run {
         bounds::set_enabled(on);
         let ctx = EvalCtx::new(globals, &ext);
         let out = eval_elided(e, &ctx);
-        (out, ctx.stats().elided)
+        (out, ctx.stats(), ctx.kernel_nests())
     };
     let guard = TOGGLE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let (outcome, elided) = eval(true);
-    let (unmarked, none) = eval(false);
+    let (outcome, on, kernel_nests) = eval(true);
+    let (unmarked, off, no_kernels) = eval(false);
     bounds::set_enabled(true);
     drop(guard);
-    assert_eq!(none, 0, "elision off must mark nothing");
+    assert_eq!((off.elided, no_kernels), (0, 0), "elision off must mark nothing, run no kernel");
     assert_eq!(outcome, unmarked, "marks changed the outcome of {e}");
-    if elided > 0 {
+    // A kernel charges what the interpreter would have (`elided` is
+    // the one count that differs by construction: off, it is zero).
+    assert_eq!(
+        (on.steps, on.subscripts, on.materialized),
+        (off.steps, off.subscripts, off.materialized),
+        "marks changed the cost of {e}"
+    );
+    assert!(on.elided <= on.subscripts);
+    if on.elided > 0 {
         assert!(analysis.sub_counts().in_bounds > 0, "a mark without an InBounds verdict in {e}");
     }
-    Run { analysis, outcome, elided }
+    Run { analysis, outcome, elided: on.elided, kernel_nests }
 }
 
 fn nat_array(dims: Vec<u64>, cell: impl Fn(u64) -> u64) -> Value {
@@ -462,6 +477,16 @@ proptest! {
             // Every subscript site got a verdict.
             let c = r.analysis.sub_counts();
             prop_assert_eq!(c.total, c.in_bounds + c.unknown + c.provably_out);
+
+            // A pipeline all of whose sites are proven, with a nest
+            // the report calls fusible, ran that nest as a kernel: this
+            // file's differential runs do exercise kernels. (Not over
+            // an empty source: with no cell to type it by it is stored
+            // boxed, and a boxed operand is the interpreter's.)
+            let proven = c.total > 0 && c.in_bounds == c.total;
+            if len > 0 && proven && r.analysis.kernels.iter().any(|k| k.fusible) {
+                prop_assert!(r.kernel_nests > 0, "no kernel ran for {e}");
+            }
 
             // A reached in-bounds site yields an element, never `⊥`:
             // a stage whose new sites are all proven cannot turn a

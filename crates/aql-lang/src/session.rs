@@ -1569,7 +1569,8 @@ impl Session {
         let globals = aql_analysis::globals_mentioned(&resolved, &self.vals);
         let analysis = aql_analysis::analyze(&resolved, &globals);
         let cost = aql_opt::cost::estimate(&resolved, &analysis, &self.source_layouts());
-        Ok(AnalyzeReport { ty, body: aql_analysis::report::render(&analysis), cost })
+        let body = aql_analysis::report::render(&analysis, &resolved);
+        Ok(AnalyzeReport { ty, body, cost })
     }
 
     /// Statically analyse a query without evaluating it: run the

@@ -40,12 +40,14 @@
 //!
 //! `--analysis-overhead` prices the `aql-analysis` bounds analysis that
 //! runs once per statement before evaluation: the point-probe and
-//! subslab-scan workloads with the pass (and the elision fast path it
-//! enables) globally disabled vs. enabled (the default), with a 2%
-//! budget per pattern. The pass is one walk over the optimized term,
-//! and every subscript it proves in range skips its runtime
-//! bounds comparisons — so at statement scale, analysis-on must never
-//! be measurably slower than analysis-off.
+//! subslab-scan workloads with the pass — and what it enables, the
+//! elision fast path and the bulk kernels over fully marked loop nests
+//! — globally disabled vs. enabled (the default), with a 2% budget per
+//! pattern. "Off" is the plain interpreter. The pass is one walk over
+//! the optimized term, every subscript it proves in range skips its
+//! runtime bounds comparisons, and a nest it proves throughout runs
+//! unboxed — so at statement scale, analysis-on must never be
+//! measurably slower than analysis-off.
 //!
 //! `--profile-overhead` prices the span-sampling continuous profiler:
 //! the point-probe and subslab-scan workloads with the 99 Hz sampler

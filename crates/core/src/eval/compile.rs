@@ -8,6 +8,8 @@
 
 use std::rc::Rc;
 
+use super::bounds::Iv;
+use super::kernel::{self, KernelPlan};
 use crate::error::EvalError;
 use crate::expr::{ArithOp, CmpOp, Expr, Name, Prim};
 
@@ -74,11 +76,12 @@ pub enum CExpr {
     /// Tabulation: `head` has `bounds.len()` extra binders; the *last*
     /// index variable is de-Bruijn 0.
     Tab { head: Rc<CExpr>, bounds: Vec<CExpr> },
-    /// Subscript. The flag is the bounds-check elision mark, fixed by
-    /// [`compile_marked`]: `true` when the caller's analysis proved
-    /// every index in range (the evaluator then skips the per-axis
-    /// compares and keeps only the arity check and a debug assertion).
-    Sub(Rc<CExpr>, Vec<CExpr>, bool),
+    /// Subscript. The last component is the bounds-check elision mark,
+    /// fixed by [`compile_marked`]: `Some` when the caller's analysis
+    /// proved every index in range (the evaluator then skips the
+    /// per-axis compares and keeps only the arity check and a debug
+    /// assertion), carrying the index interval it proved per axis.
+    Sub(Rc<CExpr>, Vec<CExpr>, Option<Vec<Iv>>),
     /// `dim_k`
     Dim(usize, Rc<CExpr>),
     /// Row-major array literal.
@@ -91,6 +94,11 @@ pub enum CExpr {
     Bottom,
     /// Built-in primitive application.
     Prim(Prim, Vec<CExpr>),
+    /// A loop nest — `fallback`, a [`CExpr::Tab`], [`CExpr::Sum`] or
+    /// `min!`/`max!` [`CExpr::Prim`] — that [`compile_marked`] also
+    /// planned as a bulk kernel. Evaluates to what `fallback` does,
+    /// charging what `fallback` would.
+    Kernel { plan: Rc<KernelPlan>, fallback: Rc<CExpr> },
 }
 
 /// Compile a named expression. Never fails for well-typed input; the
@@ -100,23 +108,37 @@ pub enum CExpr {
 /// is reported with its constructor name instead of aborting the
 /// process deep inside evaluation.
 pub fn compile(e: &Expr) -> Result<CExpr, EvalError> {
-    compile_marked(e, &|_| false)
+    compile_marked(e, &|_| None)
 }
 
 /// [`compile`] with bounds-check elision marks. `in_bounds` is asked
 /// once per [`Expr::Sub`] node of `e` — the node itself is passed, so
 /// an analysis that keys its verdicts by node address can answer as
-/// long as it ran over this very tree. Answering `true` promises that
+/// long as it ran over this very tree. Answering `Some` promises that
 /// whenever the site is reached with non-`⊥` indices, each is a natural
 /// strictly below the array's extent on its axis, *provided* the
 /// subscript's arity is the array's rank (which the evaluator still
-/// checks). A single tuple-typed index must never be marked.
+/// checks). A single tuple-typed index must never be marked. The
+/// answer carries, per axis, an interval containing every index the
+/// site is reached with ([`Iv::TOP`] where the proof gave none).
+///
+/// A tabulation, `Σ` or `min!`/`max!` nest that subscripts something
+/// and whose every subscript is marked is compiled to a
+/// [`CExpr::Kernel`] when the bulk-kernel planner recognises it —
+/// so marking nothing also means running no kernel.
 pub fn compile_marked(
     e: &Expr,
-    in_bounds: &dyn Fn(&Expr) -> bool,
+    in_bounds: &dyn Fn(&Expr) -> Option<Vec<Iv>>,
 ) -> Result<CExpr, EvalError> {
-    let mut scope: Vec<Name> = Vec::new();
-    go(e, &mut scope, in_bounds)
+    Compiler { scope: Vec::new(), in_bounds, marked: 0 }.go(e)
+}
+
+struct Compiler<'a> {
+    scope: Vec<Name>,
+    in_bounds: &'a dyn Fn(&Expr) -> Option<Vec<Iv>>,
+    /// Sites marked so far: a nest is worth planning as a kernel only
+    /// if this moved while its children were compiled.
+    marked: usize,
 }
 
 fn rc(e: CExpr) -> Rc<CExpr> {
@@ -128,169 +150,188 @@ fn malformed(constructor: &str, detail: String) -> EvalError {
     EvalError::Internal(format!("malformed `{constructor}` reached compile: {detail}"))
 }
 
-fn go(
-    e: &Expr,
-    scope: &mut Vec<Name>,
-    in_bounds: &dyn Fn(&Expr) -> bool,
-) -> Result<CExpr, EvalError> {
-    // Shape invariants the typechecker (and `aql-verify`) enforce on
-    // the way in; re-checked here because compile is also reachable
-    // with terms built programmatically or rewritten by extension
-    // rules.
-    match e {
-        Expr::Tuple(items) if items.len() < 2 => {
-            return Err(malformed("Tuple", format!("arity {} < 2", items.len())));
+impl Compiler<'_> {
+    fn go(&mut self, e: &Expr) -> Result<CExpr, EvalError> {
+        // Shape invariants the typechecker (and `aql-verify`) enforce on
+        // the way in; re-checked here because compile is also reachable
+        // with terms built programmatically or rewritten by extension
+        // rules.
+        match e {
+            Expr::Tuple(items) if items.len() < 2 => {
+                return Err(malformed("Tuple", format!("arity {} < 2", items.len())));
+            }
+            Expr::Proj(i, k, _) if *k < 2 || *i < 1 || i > k => {
+                return Err(malformed("Proj", format!("pi_{i}_{k}")));
+            }
+            Expr::Tab { idx, .. } if idx.is_empty() => {
+                return Err(malformed("Tab", "no index binders (rank 0)".into()));
+            }
+            Expr::Sub(_, idx) if idx.is_empty() => {
+                return Err(malformed("Sub", "no subscript indices".into()));
+            }
+            Expr::Dim(0, _) => {
+                return Err(malformed("Dim", "rank 0 (arrays have rank >= 1)".into()));
+            }
+            Expr::ArrayLit { dims, .. } if dims.is_empty() => {
+                return Err(malformed("ArrayLit", "no dimensions (rank 0)".into()));
+            }
+            Expr::Index(0, _) => {
+                return Err(malformed("Index", "rank 0 (arrays have rank >= 1)".into()));
+            }
+            Expr::Prim(p, args) if args.len() != p.arity() => {
+                return Err(malformed(
+                    "Prim",
+                    format!("`{}` expects {} argument(s), got {}", p.name(), p.arity(), args.len()),
+                ));
+            }
+            _ => {}
         }
-        Expr::Proj(i, k, _) if *k < 2 || *i < 1 || i > k => {
-            return Err(malformed("Proj", format!("pi_{i}_{k}")));
-        }
-        Expr::Tab { idx, .. } if idx.is_empty() => {
-            return Err(malformed("Tab", "no index binders (rank 0)".into()));
-        }
-        Expr::Sub(_, idx) if idx.is_empty() => {
-            return Err(malformed("Sub", "no subscript indices".into()));
-        }
-        Expr::Dim(0, _) => {
-            return Err(malformed("Dim", "rank 0 (arrays have rank >= 1)".into()));
-        }
-        Expr::ArrayLit { dims, .. } if dims.is_empty() => {
-            return Err(malformed("ArrayLit", "no dimensions (rank 0)".into()));
-        }
-        Expr::Index(0, _) => {
-            return Err(malformed("Index", "rank 0 (arrays have rank >= 1)".into()));
-        }
-        Expr::Prim(p, args) if args.len() != p.arity() => {
-            return Err(malformed(
-                "Prim",
-                format!("`{}` expects {} argument(s), got {}", p.name(), p.arity(), args.len()),
-            ));
-        }
-        _ => {}
+        Ok(match e {
+            Expr::Var(x) => match self.scope.iter().rposition(|n| n == x) {
+                Some(pos) => CExpr::Var(self.scope.len() - 1 - pos),
+                // Free names fall through to the session's `val` registry.
+                None => CExpr::Global(x.clone()),
+            },
+            Expr::Global(x) => CExpr::Global(x.clone()),
+            Expr::Ext(x) => CExpr::Ext(x.clone()),
+            Expr::Lam(x, body) => {
+                self.scope.push(x.clone());
+                let b = self.go(body)?;
+                self.scope.pop();
+                CExpr::Lam(rc(b))
+            }
+            Expr::App(f, a) => CExpr::App(rc(self.go(f)?), rc(self.go(a)?)),
+            Expr::Let(x, bound, body) => {
+                let b = self.go(bound)?;
+                self.scope.push(x.clone());
+                let body = self.go(body)?;
+                self.scope.pop();
+                CExpr::Let(rc(b), rc(body))
+            }
+            Expr::Tuple(items) => CExpr::Tuple(
+                items.iter().map(|i| self.go(i)).collect::<Result<_, _>>()?,
+            ),
+            Expr::Proj(i, k, e) => CExpr::Proj(*i, *k, rc(self.go(e)?)),
+            Expr::Empty => CExpr::Empty,
+            Expr::Single(e) => CExpr::Single(rc(self.go(e)?)),
+            Expr::Union(a, b) => {
+                CExpr::Union(rc(self.go(a)?), rc(self.go(b)?))
+            }
+            Expr::BigUnion { head, var, src } => {
+                let s = self.go(src)?;
+                self.scope.push(var.clone());
+                let h = self.go(head)?;
+                self.scope.pop();
+                CExpr::BigUnion { head: rc(h), src: rc(s) }
+            }
+            Expr::BigUnionRank { head, var, rank, src } => {
+                let s = self.go(src)?;
+                self.scope.push(var.clone());
+                self.scope.push(rank.clone());
+                let h = self.go(head)?;
+                self.scope.pop();
+                self.scope.pop();
+                CExpr::BigUnionRank { head: rc(h), src: rc(s) }
+            }
+            Expr::BagEmpty => CExpr::BagEmpty,
+            Expr::BagSingle(e) => CExpr::BagSingle(rc(self.go(e)?)),
+            Expr::BagUnion(a, b) => {
+                CExpr::BagUnion(rc(self.go(a)?), rc(self.go(b)?))
+            }
+            Expr::BigBagUnion { head, var, src } => {
+                let s = self.go(src)?;
+                self.scope.push(var.clone());
+                let h = self.go(head)?;
+                self.scope.pop();
+                CExpr::BigBagUnion { head: rc(h), src: rc(s) }
+            }
+            Expr::BigBagUnionRank { head, var, rank, src } => {
+                let s = self.go(src)?;
+                self.scope.push(var.clone());
+                self.scope.push(rank.clone());
+                let h = self.go(head)?;
+                self.scope.pop();
+                self.scope.pop();
+                CExpr::BigBagUnionRank { head: rc(h), src: rc(s) }
+            }
+            Expr::Bool(b) => CExpr::Bool(*b),
+            Expr::If(c, t, f) => CExpr::If(
+                rc(self.go(c)?),
+                rc(self.go(t)?),
+                rc(self.go(f)?),
+            ),
+            Expr::Cmp(op, a, b) => {
+                CExpr::Cmp(*op, rc(self.go(a)?), rc(self.go(b)?))
+            }
+            Expr::Nat(n) => CExpr::Nat(*n),
+            Expr::Real(r) => CExpr::Real(*r),
+            Expr::Str(s) => CExpr::Str(s.clone()),
+            Expr::Arith(op, a, b) => {
+                CExpr::Arith(*op, rc(self.go(a)?), rc(self.go(b)?))
+            }
+            Expr::Gen(e) => CExpr::Gen(rc(self.go(e)?)),
+            Expr::Sum { head, var, src } => {
+                let before = self.marked;
+                let s = self.go(src)?;
+                self.scope.push(var.clone());
+                let h = self.go(head)?;
+                self.scope.pop();
+                self.nest(before, CExpr::Sum { head: rc(h), src: rc(s) })
+            }
+            Expr::Tab { head, idx } => {
+                let before = self.marked;
+                // Bounds are evaluated outside the index binders.
+                let bounds: Vec<CExpr> = idx
+                    .iter()
+                    .map(|(_, b)| self.go(b))
+                    .collect::<Result<_, _>>()?;
+                for (n, _) in idx {
+                    self.scope.push(n.clone());
+                }
+                let h = self.go(head)?;
+                for _ in idx {
+                    self.scope.pop();
+                }
+                self.nest(before, CExpr::Tab { head: rc(h), bounds })
+            }
+            Expr::Sub(arr, idx) => {
+                let mark = (self.in_bounds)(e);
+                self.marked += usize::from(mark.is_some());
+                CExpr::Sub(
+                    rc(self.go(arr)?),
+                    idx.iter().map(|i| self.go(i)).collect::<Result<_, _>>()?,
+                    mark,
+                )
+            }
+            Expr::Dim(k, e) => CExpr::Dim(*k, rc(self.go(e)?)),
+            Expr::ArrayLit { dims, items } => CExpr::ArrayLit {
+                dims: dims.iter().map(|d| self.go(d)).collect::<Result<_, _>>()?,
+                items: items.iter().map(|i| self.go(i)).collect::<Result<_, _>>()?,
+            },
+            Expr::Index(k, e) => CExpr::Index(*k, rc(self.go(e)?)),
+            Expr::Get(e) => CExpr::Get(rc(self.go(e)?)),
+            Expr::Bottom => CExpr::Bottom,
+            Expr::Prim(p, args) => {
+                let before = self.marked;
+                let args = args.iter().map(|a| self.go(a)).collect::<Result<_, _>>()?;
+                self.nest(before, CExpr::Prim(*p, args))
+            }
+        })
     }
-    Ok(match e {
-        Expr::Var(x) => match scope.iter().rposition(|n| n == x) {
-            Some(pos) => CExpr::Var(scope.len() - 1 - pos),
-            // Free names fall through to the session's `val` registry.
-            None => CExpr::Global(x.clone()),
-        },
-        Expr::Global(x) => CExpr::Global(x.clone()),
-        Expr::Ext(x) => CExpr::Ext(x.clone()),
-        Expr::Lam(x, body) => {
-            scope.push(x.clone());
-            let b = go(body, scope, in_bounds)?;
-            scope.pop();
-            CExpr::Lam(rc(b))
+
+    /// `nest` — a tabulation, `Σ` or primitive just compiled — as a
+    /// bulk kernel where the planner takes it. `before` is `marked` as
+    /// it stood when the nest was entered: no site marked inside, no
+    /// plan to look for.
+    fn nest(&self, before: usize, nest: CExpr) -> CExpr {
+        if self.marked == before {
+            return nest;
         }
-        Expr::App(f, a) => CExpr::App(rc(go(f, scope, in_bounds)?), rc(go(a, scope, in_bounds)?)),
-        Expr::Let(x, bound, body) => {
-            let b = go(bound, scope, in_bounds)?;
-            scope.push(x.clone());
-            let body = go(body, scope, in_bounds)?;
-            scope.pop();
-            CExpr::Let(rc(b), rc(body))
+        match kernel::plan(&nest) {
+            Some(plan) => CExpr::Kernel { plan: Rc::new(plan), fallback: rc(nest) },
+            None => nest,
         }
-        Expr::Tuple(items) => CExpr::Tuple(
-            items.iter().map(|i| go(i, scope, in_bounds)).collect::<Result<_, _>>()?,
-        ),
-        Expr::Proj(i, k, e) => CExpr::Proj(*i, *k, rc(go(e, scope, in_bounds)?)),
-        Expr::Empty => CExpr::Empty,
-        Expr::Single(e) => CExpr::Single(rc(go(e, scope, in_bounds)?)),
-        Expr::Union(a, b) => {
-            CExpr::Union(rc(go(a, scope, in_bounds)?), rc(go(b, scope, in_bounds)?))
-        }
-        Expr::BigUnion { head, var, src } => {
-            let s = go(src, scope, in_bounds)?;
-            scope.push(var.clone());
-            let h = go(head, scope, in_bounds)?;
-            scope.pop();
-            CExpr::BigUnion { head: rc(h), src: rc(s) }
-        }
-        Expr::BigUnionRank { head, var, rank, src } => {
-            let s = go(src, scope, in_bounds)?;
-            scope.push(var.clone());
-            scope.push(rank.clone());
-            let h = go(head, scope, in_bounds)?;
-            scope.pop();
-            scope.pop();
-            CExpr::BigUnionRank { head: rc(h), src: rc(s) }
-        }
-        Expr::BagEmpty => CExpr::BagEmpty,
-        Expr::BagSingle(e) => CExpr::BagSingle(rc(go(e, scope, in_bounds)?)),
-        Expr::BagUnion(a, b) => {
-            CExpr::BagUnion(rc(go(a, scope, in_bounds)?), rc(go(b, scope, in_bounds)?))
-        }
-        Expr::BigBagUnion { head, var, src } => {
-            let s = go(src, scope, in_bounds)?;
-            scope.push(var.clone());
-            let h = go(head, scope, in_bounds)?;
-            scope.pop();
-            CExpr::BigBagUnion { head: rc(h), src: rc(s) }
-        }
-        Expr::BigBagUnionRank { head, var, rank, src } => {
-            let s = go(src, scope, in_bounds)?;
-            scope.push(var.clone());
-            scope.push(rank.clone());
-            let h = go(head, scope, in_bounds)?;
-            scope.pop();
-            scope.pop();
-            CExpr::BigBagUnionRank { head: rc(h), src: rc(s) }
-        }
-        Expr::Bool(b) => CExpr::Bool(*b),
-        Expr::If(c, t, f) => CExpr::If(
-            rc(go(c, scope, in_bounds)?),
-            rc(go(t, scope, in_bounds)?),
-            rc(go(f, scope, in_bounds)?),
-        ),
-        Expr::Cmp(op, a, b) => {
-            CExpr::Cmp(*op, rc(go(a, scope, in_bounds)?), rc(go(b, scope, in_bounds)?))
-        }
-        Expr::Nat(n) => CExpr::Nat(*n),
-        Expr::Real(r) => CExpr::Real(*r),
-        Expr::Str(s) => CExpr::Str(s.clone()),
-        Expr::Arith(op, a, b) => {
-            CExpr::Arith(*op, rc(go(a, scope, in_bounds)?), rc(go(b, scope, in_bounds)?))
-        }
-        Expr::Gen(e) => CExpr::Gen(rc(go(e, scope, in_bounds)?)),
-        Expr::Sum { head, var, src } => {
-            let s = go(src, scope, in_bounds)?;
-            scope.push(var.clone());
-            let h = go(head, scope, in_bounds)?;
-            scope.pop();
-            CExpr::Sum { head: rc(h), src: rc(s) }
-        }
-        Expr::Tab { head, idx } => {
-            // Bounds are evaluated outside the index binders.
-            let bounds: Vec<CExpr> = idx
-                .iter()
-                .map(|(_, b)| go(b, scope, in_bounds))
-                .collect::<Result<_, _>>()?;
-            for (n, _) in idx {
-                scope.push(n.clone());
-            }
-            let h = go(head, scope, in_bounds)?;
-            for _ in idx {
-                scope.pop();
-            }
-            CExpr::Tab { head: rc(h), bounds }
-        }
-        Expr::Sub(arr, idx) => CExpr::Sub(
-            rc(go(arr, scope, in_bounds)?),
-            idx.iter().map(|i| go(i, scope, in_bounds)).collect::<Result<_, _>>()?,
-            in_bounds(e),
-        ),
-        Expr::Dim(k, e) => CExpr::Dim(*k, rc(go(e, scope, in_bounds)?)),
-        Expr::ArrayLit { dims, items } => CExpr::ArrayLit {
-            dims: dims.iter().map(|d| go(d, scope, in_bounds)).collect::<Result<_, _>>()?,
-            items: items.iter().map(|i| go(i, scope, in_bounds)).collect::<Result<_, _>>()?,
-        },
-        Expr::Index(k, e) => CExpr::Index(*k, rc(go(e, scope, in_bounds)?)),
-        Expr::Get(e) => CExpr::Get(rc(go(e, scope, in_bounds)?)),
-        Expr::Bottom => CExpr::Bottom,
-        Expr::Prim(p, args) => CExpr::Prim(
-            *p,
-            args.iter().map(|a| go(a, scope, in_bounds)).collect::<Result<_, _>>()?,
-        ),
-    })
+    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,12 @@
 //! Query evaluation: the "object module" of Fig. 3.
 //!
-//! Evaluation is two-stage, mirroring the paper's pipeline: the named
-//! AST (after optimization) is *compiled* to a nameless de-Bruijn form
-//! ([`CExpr`]) and then evaluated against a persistent environment.
-//! Semantics follow §2:
+//! Evaluation mirrors the paper's pipeline: the named AST (after
+//! optimization) is *compiled* to a nameless de-Bruijn form ([`CExpr`])
+//! and then either *interpreted* against a persistent environment
+//! ([`eval_compiled`]) or — for a pure scalar loop nest whose
+//! subscripts the analyzer all proved in range — run as a bulk *kernel*
+//! over unboxed operand windows ([`KernelPlan`]), with the interpreter as
+//! the fallback and the reference. Semantics follow §2:
 //!
 //! * strict propagation of the error value `⊥` (except through the
 //!   branches of `if`),
@@ -19,8 +22,10 @@
 
 pub mod bounds;
 mod compile;
+mod kernel;
 
 pub use compile::{compile, compile_marked, CExpr};
+pub use kernel::KernelPlan;
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -197,6 +202,10 @@ pub struct EvalCtx<'a> {
     subscripts: Cell<u64>,
     elided: Cell<u64>,
     materialized: Cell<u64>,
+    /// Loop nests run as bulk kernels, and the loop iterations they
+    /// covered — trace counters, not part of [`EvalStats`].
+    kernel_nests: Cell<u64>,
+    kernel_cells: Cell<u64>,
     /// Snapshot of the global chunk-cache counters at construction;
     /// [`EvalCtx::stats`] reports the delta since.
     cache_base: aql_store::CacheStats,
@@ -214,6 +223,8 @@ impl<'a> EvalCtx<'a> {
             subscripts: Cell::new(0),
             elided: Cell::new(0),
             materialized: Cell::new(0),
+            kernel_nests: Cell::new(0),
+            kernel_cells: Cell::new(0),
             cache_base: aql_store::stats::global(),
         }
     }
@@ -229,6 +240,25 @@ impl<'a> EvalCtx<'a> {
     /// Steps consumed so far.
     pub fn steps_used(&self) -> u64 {
         self.steps.get()
+    }
+
+    /// Loop nests this context's evaluations ran as bulk kernels
+    /// rather than through the interpreter.
+    pub fn kernel_nests(&self) -> u64 {
+        self.kernel_nests.get()
+    }
+
+    /// The four evaluation counters, for a kernel to put back when it
+    /// escapes to the interpreter.
+    fn counters(&self) -> [u64; 4] {
+        [self.steps.get(), self.subscripts.get(), self.elided.get(), self.materialized.get()]
+    }
+
+    fn set_counters(&self, [steps, subscripts, elided, materialized]: [u64; 4]) {
+        self.steps.set(steps);
+        self.subscripts.set(subscripts);
+        self.elided.set(elided);
+        self.materialized.set(materialized);
     }
 
     /// Statistics for the evaluation driven through this context:
@@ -297,22 +327,23 @@ impl<'a> EvalCtx<'a> {
 /// span before returning (cache counters stream in live from
 /// `aql-store`).
 pub fn eval(e: &Expr, ctx: &EvalCtx) -> Result<Value, EvalError> {
-    eval_marked(e, ctx, &|_| false)
+    eval_marked(e, ctx, &|_| None)
 }
 
 /// [`eval`] with the bounds checks of the subscript sites `in_bounds`
-/// accepts elided; [`compile_marked`] states what accepting a site
+/// accepts elided, and the loop nests all of whose sites it accepts run
+/// as bulk kernels; [`compile_marked`] states what accepting a site
 /// promises. `aql_analysis::eval_elided` is the caller that derives the
 /// marks from the abstract interpreter.
 pub fn eval_marked(
     e: &Expr,
     ctx: &EvalCtx,
-    in_bounds: &dyn Fn(&Expr) -> bool,
+    in_bounds: &dyn Fn(&Expr) -> Option<Vec<bounds::Iv>>,
 ) -> Result<Value, EvalError> {
     let marked = Cell::new(0u64);
     let c = compile_marked(e, &|site| {
         let mark = in_bounds(site);
-        marked.set(marked.get() + u64::from(mark));
+        marked.set(marked.get() + u64::from(mark.is_some()));
         mark
     })?;
     if bounds::enabled() && aql_trace::enabled() {
@@ -331,6 +362,10 @@ pub fn eval_marked(
         aql_trace::count("eval.subscripts", s.subscripts);
         aql_trace::count("eval.elided", s.elided);
         aql_trace::count("eval.materialized", s.materialized);
+        if ctx.kernel_nests.get() > 0 {
+            aql_trace::count("eval.kernel_nests", ctx.kernel_nests.get());
+            aql_trace::count("eval.kernel_cells", ctx.kernel_cells.get());
+        }
     }
     out
 }
@@ -361,6 +396,14 @@ macro_rules! strict {
 
 /// Evaluate a compiled expression.
 pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalError> {
+    // Not a node of the term: a kernel charges what its nest would
+    // have, or nothing at all when it hands the nest back.
+    if let CExpr::Kernel { plan, fallback } = c {
+        return match kernel::run(plan, fallback, env, ctx) {
+            Some(v) => Ok(v),
+            None => eval_compiled(fallback, env, ctx),
+        };
+    }
     ctx.tick()?;
     match c {
         CExpr::Var(i) => Ok(env.get(*i)?.clone()),
@@ -385,11 +428,17 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
             eval_compiled(body, &env.push(v), ctx)
         }
         CExpr::Tuple(items) => {
-            let mut out = Vec::with_capacity(items.len());
-            for it in items {
-                out.push(strict!(eval_compiled(it, env, ctx)?));
+            // `Err(None)`: a `⊥` component, which is the tuple's value.
+            let t = try_tuple(items, |it| match eval_compiled(it, env, ctx) {
+                Ok(v) if v.is_bottom() => Err(None),
+                Ok(v) => Ok(v),
+                Err(e) => Err(Some(e)),
+            });
+            match t {
+                Ok(t) => Ok(Value::Tuple(t)),
+                Err(None) => Ok(Value::Bottom),
+                Err(Some(e)) => Err(e),
             }
-            Ok(Value::Tuple(out.into()))
         }
         CExpr::Proj(i, k, e) => {
             let v = strict!(eval_compiled(e, env, ctx)?);
@@ -497,15 +546,7 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
         CExpr::Cmp(op, a, b) => {
             let va = strict!(eval_compiled(a, env, ctx)?);
             let vb = strict!(eval_compiled(b, env, ctx)?);
-            let ord = canonical_cmp(&va, &vb);
-            Ok(Value::Bool(match op {
-                CmpOp::Eq => ord.is_eq(),
-                CmpOp::Ne => ord.is_ne(),
-                CmpOp::Lt => ord.is_lt(),
-                CmpOp::Le => ord.is_le(),
-                CmpOp::Gt => ord.is_gt(),
-                CmpOp::Ge => ord.is_ge(),
-            }))
+            Ok(Value::Bool(holds(*op, canonical_cmp(&va, &vb))))
         }
         CExpr::Nat(n) => Ok(Value::Nat(*n)),
         CExpr::Real(r) => Ok(Value::Real(*r)),
@@ -611,7 +652,7 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
             ctx.subscripts.set(ctx.subscripts.get() + 1);
             let va = strict!(eval_compiled(arr, env, ctx)?);
             let a = va.as_array()?;
-            if *elide {
+            if elide.is_some() {
                 // Bounds-check-elided fast path: the analysis proved
                 // every index in range, so the row-major offset is
                 // folded directly — no per-axis compares and no index
@@ -678,9 +719,7 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
             if *k == 1 {
                 Ok(Value::Nat(a.dims()[0]))
             } else {
-                Ok(Value::Tuple(
-                    a.dims().iter().map(|&d| Value::Nat(d)).collect::<Vec<_>>().into(),
-                ))
+                Ok(Value::Tuple(a.dims().iter().map(|&d| Value::Nat(d)).collect()))
             }
         }
         CExpr::ArrayLit { dims, items } => {
@@ -725,6 +764,8 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
             }
         }
         CExpr::Bottom => Ok(Value::Bottom),
+        // Dispatched before the tick, above.
+        CExpr::Kernel { fallback, .. } => eval_compiled(fallback, env, ctx),
         CExpr::Prim(p, args) => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
@@ -736,6 +777,43 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
                 Prim::MaxSet => Ok(vals[0].as_set()?.max().cloned().unwrap_or(Value::Bottom)),
             }
         }
+    }
+}
+
+/// A tuple's components, `f` of each of `items`, built straight into
+/// the `Rc` — one allocation, where a `Vec` turned into an `Rc` is two
+/// and a copy (the mapped slice iterator has an exact size, which is
+/// what `collect` needs for that). The first `Err` is the result, and
+/// `f` is not called again after it.
+fn try_tuple<T, E>(
+    items: &[T],
+    mut f: impl FnMut(&T) -> Result<Value, E>,
+) -> Result<Rc<[Value]>, E> {
+    let mut stop = None;
+    let t = items
+        .iter()
+        .map(|it| {
+            if stop.is_none() {
+                match f(it) {
+                    Ok(v) => return v,
+                    Err(e) => stop = Some(e),
+                }
+            }
+            Value::Bottom
+        })
+        .collect();
+    stop.map_or(Ok(t), Err)
+}
+
+/// Does a comparison hold, given how its operands are ordered?
+fn holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
+    match op {
+        CmpOp::Eq => ord.is_eq(),
+        CmpOp::Ne => ord.is_ne(),
+        CmpOp::Lt => ord.is_lt(),
+        CmpOp::Le => ord.is_le(),
+        CmpOp::Gt => ord.is_gt(),
+        CmpOp::Ge => ord.is_ge(),
     }
 }
 
@@ -821,9 +899,6 @@ fn index_value(k: usize, pairs: &CoSet, ctx: &EvalCtx) -> Result<Value, EvalErro
         }
         decoded.push((key, t[1].clone()));
     }
-    if decoded.is_empty() {
-        return Ok(Value::Array(Rc::new(ArrayVal::empty(k))));
-    }
     let total = checked_product(&dims)?;
     ctx.check_elems(total)?;
     let mut buckets: Vec<Vec<Value>> = vec![Vec::new(); total as usize];
@@ -839,9 +914,10 @@ fn index_value(k: usize, pairs: &CoSet, ctx: &EvalCtx) -> Result<Value, EvalErro
         .into_iter()
         .map(|b| Value::Set(Rc::new(CoSet::from_vec(b))))
         .collect();
-    // `buckets` has exactly ∏dims entries by construction; only a
-    // hand-built `index_0` (rejected by `compile`) can yield empty
-    // `dims` here — make that an internal error, not an abort.
+    // `buckets` has exactly ∏dims entries by construction (none, all
+    // extents zero, for an empty pair set); only a hand-built `index_0`
+    // (rejected by `compile`) can yield empty `dims` here — make that
+    // an internal error, not an abort.
     let arr = ArrayVal::new(dims, data).map_err(|e| {
         EvalError::Internal(format!("index produced an inconsistent shape: {e}"))
     })?;
@@ -907,6 +983,20 @@ mod tests {
             nat(3),
         );
         assert_eq!(run(&e), Value::Nat(7));
+    }
+
+    #[test]
+    fn hand_built_index_0_is_an_internal_error_not_an_abort() {
+        // `compile` rejects `index_0`, but `CExpr` is constructible
+        // directly and `eval_compiled` is public.
+        let globals = HashMap::new();
+        let externals = Extensions::new();
+        let ctx = EvalCtx::new(&globals, &externals);
+        let c = CExpr::Index(0, Rc::new(CExpr::Empty));
+        assert!(matches!(
+            eval_compiled(&c, &Env::empty(), &ctx),
+            Err(EvalError::Internal(_))
+        ));
     }
 
     #[test]

@@ -135,43 +135,46 @@ fn specialize(data: Vec<Value>) -> ArrayData {
     }
 }
 
+/// The check every eager constructor makes: `dims` is non-empty
+/// (`k ≥ 1`) and its product is `len`, which is handed back.
+fn check_shape(dims: &[u64], len: usize) -> Result<usize, EvalError> {
+    if dims.is_empty() {
+        return Err(EvalError::IllTyped("array with zero dimensions".into()));
+    }
+    let expect = checked_product(dims)?;
+    if expect != len as u64 {
+        return Err(EvalError::IllTyped(format!(
+            "array shape mismatch: dims {dims:?} require {expect} values, got {len}"
+        )));
+    }
+    Ok(len)
+}
+
 impl ArrayVal {
     /// Create an array, checking that `data.len()` equals the product
     /// of `dims`. `dims` must be non-empty (`k ≥ 1`). Homogeneous
     /// scalar data is stored as an unboxed flat buffer.
     pub fn new(dims: Vec<u64>, data: Vec<Value>) -> Result<ArrayVal, EvalError> {
-        if dims.is_empty() {
-            return Err(EvalError::IllTyped("array with zero dimensions".into()));
-        }
-        let expect = checked_product(&dims)?;
-        if expect != data.len() as u64 {
-            return Err(EvalError::IllTyped(format!(
-                "array shape mismatch: dims {:?} require {} values, got {}",
-                dims,
-                expect,
-                data.len()
-            )));
-        }
-        let len = data.len();
+        let len = check_shape(&dims, data.len())?;
         Ok(ArrayVal { dims, len, data: specialize(data) })
     }
 
     /// Create an array directly over an unboxed real buffer.
     pub fn from_f64(dims: Vec<u64>, data: Vec<f64>) -> Result<ArrayVal, EvalError> {
-        if dims.is_empty() {
-            return Err(EvalError::IllTyped("array with zero dimensions".into()));
-        }
-        let expect = checked_product(&dims)?;
-        if expect != data.len() as u64 {
-            return Err(EvalError::IllTyped(format!(
-                "array shape mismatch: dims {:?} require {} values, got {}",
-                dims,
-                expect,
-                data.len()
-            )));
-        }
-        let len = data.len();
+        let len = check_shape(&dims, data.len())?;
         Ok(ArrayVal { dims, len, data: ArrayData::F64(data) })
+    }
+
+    /// Create an array directly over an unboxed natural buffer.
+    pub fn from_nat(dims: Vec<u64>, data: Vec<u64>) -> Result<ArrayVal, EvalError> {
+        let len = check_shape(&dims, data.len())?;
+        Ok(ArrayVal { dims, len, data: ArrayData::Nat(data) })
+    }
+
+    /// Create an array directly over an unboxed boolean buffer.
+    pub fn from_bool(dims: Vec<u64>, data: Vec<bool>) -> Result<ArrayVal, EvalError> {
+        let len = check_shape(&dims, data.len())?;
+        Ok(ArrayVal { dims, len, data: ArrayData::Bool(data) })
     }
 
     /// Create a lazy array over an `aql-store` [`LazyArray`]. The
@@ -184,12 +187,6 @@ impl ArrayVal {
         }
         let len = checked_product(&dims)? as usize;
         Ok(ArrayVal { dims, len, data: ArrayData::Lazy(Rc::new(RefCell::new(lazy))) })
-    }
-
-    /// An empty k-dimensional array (all dimensions zero).
-    pub fn empty(k: usize) -> ArrayVal {
-        assert!(k >= 1);
-        ArrayVal { dims: vec![0; k], len: 0, data: ArrayData::Materialized(Vec::new()) }
     }
 
     /// Number of dimensions `k`.
@@ -463,7 +460,7 @@ mod tests {
 
     #[test]
     fn empty_arrays() {
-        let a = ArrayVal::empty(3);
+        let a = ArrayVal::new(vec![0; 3], vec![]).unwrap();
         assert_eq!(a.rank(), 3);
         assert_eq!(a.dims(), &[0, 0, 0]);
         assert!(a.is_empty());
@@ -481,7 +478,7 @@ mod tests {
 
     #[test]
     fn unoffset_handles_zero_dims() {
-        let a = ArrayVal::empty(2);
+        let a = ArrayVal::new(vec![0; 2], vec![]).unwrap();
         assert_eq!(a.unoffset(0), vec![0, 0]);
     }
 

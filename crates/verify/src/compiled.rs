@@ -158,6 +158,9 @@ impl Walker {
                 self.child("index", e, depth);
             }
             CExpr::Get(e) => self.child("get", e, depth),
+            // The plan was derived from `fallback`; the term is what
+            // there is to verify.
+            CExpr::Kernel { fallback, .. } => self.walk(fallback, depth),
             CExpr::Prim(p, args) => {
                 if args.len() != p.arity() {
                     self.report(

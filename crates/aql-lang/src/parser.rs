@@ -16,25 +16,15 @@ use crate::token::{Spanned, Tok};
 
 /// Parse a whole program: a sequence of `;`-terminated statements.
 pub fn parse_program(src: &str) -> Result<Vec<Stmt>, LangError> {
-    let _span = aql_trace::span("parse");
-    let measure = aql_metrics::enabled();
-    let t_parse = measure.then(std::time::Instant::now);
+    let _parse = crate::session::phase("parse");
     let toks = {
-        let _lex_span = aql_trace::span("lex");
-        let t_lex = measure.then(std::time::Instant::now);
-        let toks = lex(src);
-        if let Some(t0) = t_lex {
-            crate::session::observe_phase_ns("lex", t0.elapsed().as_nanos() as u64);
-        }
-        toks?
+        let _lex = crate::session::phase("lex");
+        lex(src)?
     };
     let mut p = Parser { toks, pos: 0 };
     let mut out = Vec::new();
     while !p.at(&Tok::Eof) {
         out.push(p.stmt()?);
-    }
-    if let Some(t0) = t_parse {
-        crate::session::observe_phase_ns("parse", t0.elapsed().as_nanos() as u64);
     }
     Ok(out)
 }

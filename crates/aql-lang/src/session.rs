@@ -22,6 +22,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
+use aql_journal::{emit, Event};
+
 use aql_core::check::typecheck;
 use aql_core::error::EvalError;
 use aql_core::eval::{EvalCtx, EvalStats, Limits};
@@ -95,49 +97,6 @@ macro \nearest = fn (\c, \x) =>
   pi_2_2!(min!{((if v > x then v - x else x - v), i) | [\i : \v] <- c});
 "#;
 
-// ---- process-lifetime metrics ---------------------------------------
-//
-// The aggregate counterpart of the per-query trace spans: every
-// statement bumps these regardless of profiling, so a long-running
-// session exposes fleet-level counters and latency distributions on
-// `/metrics` (see `aql_metrics::http::serve` and DESIGN.md §11).
-
-/// Help text for the per-phase latency histogram family.
-const PHASE_NS_HELP: &str =
-    "Pipeline phase latency in nanoseconds, by phase (log2 buckets).";
-
-static M_STATEMENT_NS: aql_metrics::LazyHistogram = aql_metrics::LazyHistogram::new(
-    "aql_session_statement_ns",
-    "End-to-end statement latency in nanoseconds (log2 buckets).",
-);
-static M_ERRORS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_session_errors_total",
-    "Statements that failed with any session error.",
-);
-static M_UNSOUND: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_session_unsound_total",
-    "Statements rejected by the rewrite-soundness gate.",
-);
-static M_SLOW: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_session_slow_queries_total",
-    "Statements whose wall time exceeded the slow-query threshold.",
-);
-static M_LINT_FINDINGS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_session_lint_findings_total",
-    "Shape/bounds lint findings reported by Session::lint.",
-);
-
-/// Record one sample on the `aql_session_phase_ns{phase=…}` histogram.
-/// Phase names come from the fixed pipeline set (`lex`, `parse`,
-/// `desugar`, `resolve`, `typecheck`, `optimize`, `eval`, `readval`,
-/// `writeval`) — a closed label set, per the cardinality rules.
-pub(crate) fn observe_phase_ns(phase: &str, ns: u64) {
-    if aql_metrics::enabled() {
-        aql_metrics::histogram_with("aql_session_phase_ns", &[("phase", phase)], PHASE_NS_HELP)
-            .observe(ns);
-    }
-}
-
 /// Configuration of the structured slow-query log.
 #[derive(Debug, Clone)]
 pub struct SlowLogConfig {
@@ -162,45 +121,51 @@ struct SlowLog {
     config: SlowLogConfig,
 }
 
-/// Times one pipeline phase: on drop, the elapsed wall time goes to
-/// the `aql_session_phase_ns{phase=…}` histogram and into the current
-/// statement's per-phase accumulator (consumed by the slow-query log).
-/// Built by `Session::phase_guard`; `None` state means "not measuring".
-/// Where a [`PhaseGuard`] accumulates its measurement.
-type PhaseAcc = RefCell<Vec<(&'static str, u64)>>;
-
-struct PhaseGuard<'a> {
-    state: Option<(&'static str, Instant, &'a PhaseAcc)>,
+/// One run of a pipeline phase: opens the phase's trace span and, on
+/// drop, emits [`Event::Phase`] — the one number the span tree, the
+/// `aql_session_phase_ns{phase=…}` histogram, the journal and the
+/// statement's attribution ledger (and from it the slow-query log) all
+/// carry. When a subscriber records the span the duration is the one
+/// its close computed; otherwise it is this guard's own clock pair.
+/// Phase names are the fixed pipeline set (`lex`, `parse`, `desugar`,
+/// `resolve`, `typecheck`, `optimize`, `eval`, `readval`, `writeval`).
+pub(crate) struct PhaseGuard {
+    phase: &'static str,
+    span: aql_trace::SpanGuard,
+    t0: Option<Instant>,
 }
 
-impl Drop for PhaseGuard<'_> {
+pub(crate) fn phase(phase: &'static str) -> PhaseGuard {
+    let span = aql_trace::span(phase);
+    PhaseGuard { phase, span, t0: (!aql_trace::enabled()).then(aql_trace::now) }
+}
+
+impl Drop for PhaseGuard {
     fn drop(&mut self) {
-        if let Some((phase, t0, acc)) = self.state.take() {
-            let ns = t0.elapsed().as_nanos() as u64;
-            observe_phase_ns(phase, ns);
-            let mut acc = acc.borrow_mut();
-            match acc.iter_mut().find(|(p, _)| *p == phase) {
-                Some((_, total)) => *total += ns,
-                None => acc.push((phase, ns)),
-            }
-        }
+        let timed = || self.t0.map(|t0| (aql_trace::now() - t0).as_nanos() as u64);
+        let ns = self.span.finish().or_else(timed).unwrap_or(0);
+        emit(Event::Phase { phase: self.phase, ns });
     }
 }
 
 /// FNV-1a 64 over the statement's debug form: a stable fingerprint
 /// for grouping slow-log records of the same statement shape without
-/// logging query text verbatim.
-fn stmt_hash_u64(stmt: &Stmt) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{stmt:?}").bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// logging query text verbatim. The rendering is hashed as it is
+/// produced, never built; reports print it `{:016x}`.
+fn stmt_hash(stmt: &Stmt) -> u64 {
+    struct Fnv(u64);
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+            Ok(())
+        }
     }
-    h
-}
-
-fn stmt_hash(stmt: &Stmt) -> String {
-    format!("{:016x}", stmt_hash_u64(stmt))
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    // The sink never fails, and `Debug` for the AST has no other error.
+    let _ = std::fmt::Write::write_fmt(&mut h, format_args!("{stmt:?}"));
+    h.0
 }
 
 /// Configuration of the incident dump pipeline: when a statement ends
@@ -494,17 +459,22 @@ fn stats_to_json(s: &EvalStats) -> aql_trace::json::Json {
         ("subscripts".to_string(), n(s.subscripts)),
         ("elided".to_string(), n(s.elided)),
         ("materialized".to_string(), n(s.materialized)),
-        (
-            "cache".to_string(),
-            Json::Obj(vec![
-                ("hits".to_string(), n(s.cache.hits)),
-                ("misses".to_string(), n(s.cache.misses)),
-                ("evictions".to_string(), n(s.cache.evictions)),
-                ("bytes_read".to_string(), n(s.cache.bytes_read)),
-                ("prefetched_bytes".to_string(), n(s.cache.prefetched_bytes)),
-                ("load_errors".to_string(), n(s.cache.load_errors)),
-            ]),
-        ),
+        ("cache".to_string(), cache_to_json(&s.cache)),
+    ])
+}
+
+/// The `cache` member of a statement's stats, in reports and in the
+/// slow-query log alike.
+fn cache_to_json(c: &aql_store::CacheStats) -> aql_trace::json::Json {
+    use aql_trace::json::Json;
+    let n = |v: u64| Json::Num(v as f64);
+    Json::Obj(vec![
+        ("hits".to_string(), n(c.hits)),
+        ("misses".to_string(), n(c.misses)),
+        ("evictions".to_string(), n(c.evictions)),
+        ("bytes_read".to_string(), n(c.bytes_read)),
+        ("prefetched_bytes".to_string(), n(c.prefetched_bytes)),
+        ("load_errors".to_string(), n(c.load_errors)),
     ])
 }
 
@@ -567,11 +537,6 @@ pub struct Session {
     cur_stats: Cell<EvalStats>,
     /// Per-statement statistics of the most recent [`Session::run`].
     stmt_stats: RefCell<Vec<EvalStats>>,
-    /// Per-phase wall time of the statement currently executing,
-    /// accumulated by [`PhaseGuard`] (only while metrics or the slow
-    /// log are on). Accumulated, not overwritten: `writeval` runs the
-    /// pipeline once per operand, so a phase can appear twice.
-    cur_phases: PhaseAcc,
     /// The slow-query log, if enabled.
     slow_log: Option<SlowLog>,
     /// The incident dump pipeline, if enabled.
@@ -584,6 +549,16 @@ pub struct Session {
     stmt_attr: RefCell<Vec<aql_journal::attr::Ledger>>,
     /// Monotone statement sequence number (drives `sample_every`).
     stmt_seq: Cell<u64>,
+}
+
+/// What [`Session::exec`] knows about the statement it just ran, for
+/// the incident dump and the slow-query log.
+struct StmtRun<'a> {
+    kind: &'static str,
+    seq: u64,
+    hash: u64,
+    dur: Duration,
+    ledger: &'a aql_journal::attr::Ledger,
 }
 
 impl Session {
@@ -616,7 +591,6 @@ impl Session {
             display_limit: aql_core::value::print::SESSION_TRUNCATE,
             cur_stats: Cell::new(EvalStats::default()),
             stmt_stats: RefCell::new(Vec::new()),
-            cur_phases: RefCell::new(Vec::new()),
             slow_log: None,
             incidents: None,
             last_incident: RefCell::new(None),
@@ -946,97 +920,44 @@ impl Session {
         aql_trace::note("kind", || kind.to_string());
         let seq = self.stmt_seq.get();
         self.stmt_seq.set(seq + 1);
-        let journal_on = aql_journal::enabled();
-        // Wall time is measured only when someone consumes it: the
-        // metrics registry, the slow-query log, the flight recorder,
-        // or the incident pipeline.
-        let t0 = (aql_metrics::enabled()
-            || self.slow_log.is_some()
-            || journal_on
-            || self.incidents.is_some())
-        .then(Instant::now);
-        if journal_on {
-            aql_journal::record(
-                aql_journal::Tag::StmtBegin,
-                aql_journal::intern(kind),
-                seq,
-                stmt_hash_u64(stmt),
-            );
-        }
+        let hash = stmt_hash(stmt);
+        let t0 = aql_trace::now();
+        emit(Event::StmtBegin { kind, seq, hash });
         let fires_base = self
             .slow_log
             .as_ref()
             .map(|_| aql_metrics::family_total("aql_opt_rule_fires_total"));
-        // Breaker trips *during* the statement are detected as a
-        // counter delta; the snapshot seeds the incident delta table.
-        let trips_base = self
-            .incidents
-            .as_ref()
-            .map(|_| aql_metrics::family_total("aql_store_breaker_trips_total"));
+        // The snapshot seeds the incident's metrics-delta table.
         let metrics_base = self.incidents.as_ref().map(|_| aql_metrics::snapshot());
         let cache_base = aql_store::stats::global();
         self.cur_stats.set(EvalStats::default());
-        self.cur_phases.borrow_mut().clear();
         aql_store::governor::reset_peak();
         aql_journal::attr::begin();
         let out = self.exec_inner(stmt);
+        // Breaker trips *during* the statement are the ones its own
+        // ledger saw: another thread's session trips into its own.
+        let tripped = aql_journal::attr::breaker_trips() > 0;
         let mut ledger = aql_journal::attr::finish();
-        ledger.phases = self
-            .cur_phases
-            .borrow()
-            .iter()
-            .map(|(p, ns)| (p.to_string(), *ns))
-            .collect();
         ledger.governor_peak_bytes = aql_store::governor::peak_bytes();
         let mut st = self.cur_stats.take();
         st.cache = aql_store::stats::global().delta_since(&cache_base);
         self.stmt_stats.borrow_mut().push(st);
-        if aql_metrics::enabled() {
-            aql_metrics::counter_with(
-                "aql_session_statements_total",
-                &[("kind", kind)],
-                "Statements executed, by statement kind.",
-            )
-            .inc();
-            if matches!(out, Err(LangError::Unsound { .. })) {
-                M_UNSOUND.inc();
-            }
-            if out.is_err() {
-                M_ERRORS.inc();
+        let dur = aql_trace::now() - t0;
+        let outcome = match &out {
+            Ok(_) => "ok",
+            Err(e) => error_class(e),
+        };
+        emit(Event::StmtEnd { outcome, seq, ns: dur.as_nanos() as u64 });
+        if let Err(e) = &out {
+            emit(Event::StmtFailed);
+            if matches!(e, LangError::Unsound { .. }) {
+                emit(Event::StmtUnsound);
             }
         }
-        let dur = t0.map(|t| t.elapsed());
-        if journal_on {
-            for (p, ns) in &ledger.phases {
-                aql_journal::record(aql_journal::Tag::Phase, aql_journal::intern(p), *ns, 0);
-            }
-            let outcome_label = match &out {
-                Ok(_) => "ok",
-                Err(e) => error_class(e),
-            };
-            aql_journal::record(
-                aql_journal::Tag::StmtEnd,
-                aql_journal::intern(outcome_label),
-                seq,
-                dur.map_or(0, |d| d.as_nanos() as u64),
-            );
-        }
-        let incident =
-            self.maybe_dump_incident(stmt, kind, seq, dur, &ledger, trips_base, metrics_base, &out);
+        let run = StmtRun { kind, seq, hash, dur, ledger: &ledger };
+        let incident = self.maybe_dump_incident(&run, tripped, metrics_base, &out);
+        self.maybe_log_slow(&run, &st, fires_base, out.is_err(), incident.as_deref());
         self.stmt_attr.borrow_mut().push(ledger);
-        if let Some(dur) = dur {
-            M_STATEMENT_NS.observe(dur.as_nanos() as u64);
-            self.maybe_log_slow(
-                stmt,
-                kind,
-                seq,
-                dur,
-                &st,
-                fires_base,
-                out.is_err(),
-                incident.as_deref(),
-            );
-        }
         out
     }
 
@@ -1045,31 +966,23 @@ impl Session {
     /// resource exhaustion told apart), breaker trips observed during
     /// the statement, and slow-threshold crossings. Returns the file's
     /// path; dump failures are swallowed.
-    #[allow(clippy::too_many_arguments)]
     fn maybe_dump_incident(
         &self,
-        stmt: &Stmt,
-        kind: &'static str,
-        seq: u64,
-        dur: Option<Duration>,
-        ledger: &aql_journal::attr::Ledger,
-        trips_base: Option<u64>,
+        run: &StmtRun<'_>,
+        tripped: bool,
         metrics_base: Option<Vec<(String, u64)>>,
         out: &Result<Outcome, LangError>,
     ) -> Option<std::path::PathBuf> {
         let cfg = self.incidents.as_ref()?;
-        let trips = trips_base.map_or(0, |b| {
-            aql_metrics::family_total("aql_store_breaker_trips_total").saturating_sub(b)
-        });
         let slow_threshold = cfg
             .slow_threshold
             .or_else(|| self.slow_log.as_ref().map(|l| l.config.threshold));
-        let slow = matches!((dur, slow_threshold), (Some(d), Some(t)) if d >= t);
+        let slow = slow_threshold.is_some_and(|t| run.dur >= t);
         use aql_journal::incident::{Incident, IncidentKind};
         let ikind = match out {
             Err(e) if is_resource_exhausted(e) => IncidentKind::ResourceExhausted,
             Err(_) => IncidentKind::Error,
-            Ok(_) if trips > 0 => IncidentKind::BreakerTrip,
+            Ok(_) if tripped => IncidentKind::BreakerTrip,
             Ok(_) if slow => IncidentKind::Slow,
             Ok(_) => return None,
         };
@@ -1083,24 +996,17 @@ impl Session {
             .collect();
         let incident = Incident {
             kind: ikind,
-            seq,
-            stmt_hash: stmt_hash(stmt),
-            stmt_kind: kind.to_string(),
-            dur_ns: dur.map_or(0, |d| d.as_nanos() as u64),
+            seq: run.seq,
+            stmt_hash: format!("{:016x}", run.hash),
+            stmt_kind: run.kind.to_string(),
+            dur_ns: run.dur.as_nanos() as u64,
             error: out.as_ref().err().map(|e| e.to_string()),
             events: aql_journal::snapshot().tail(cfg.last_events),
-            attribution: Some(ledger.clone()),
+            attribution: Some(run.ledger.clone()),
             metrics_delta,
         };
         let path = incident.write_to(&cfg.dir).ok()?;
-        if aql_journal::enabled() {
-            aql_journal::record(
-                aql_journal::Tag::Incident,
-                aql_journal::intern(ikind.name()),
-                seq,
-                0,
-            );
-        }
+        emit(Event::Incident { kind: ikind.name(), seq: run.seq });
         *self.last_incident.borrow_mut() = Some(path.clone());
         Some(path)
     }
@@ -1109,30 +1015,19 @@ impl Session {
     /// if the policy selects it: always when `dur` reaches the
     /// threshold, plus every `sample_every`-th statement as a baseline
     /// sample. One JSON object per line; sink errors are swallowed.
-    #[allow(clippy::too_many_arguments)]
     fn maybe_log_slow(
         &self,
-        stmt: &Stmt,
-        kind: &'static str,
-        seq: u64,
-        dur: std::time::Duration,
+        run: &StmtRun<'_>,
         stats: &EvalStats,
         fires_base: Option<u64>,
         errored: bool,
         incident: Option<&std::path::Path>,
     ) {
         let Some(log) = &self.slow_log else { return };
+        let &StmtRun { kind, seq, dur, .. } = run;
         let slow = dur >= log.config.threshold;
         if slow {
-            M_SLOW.inc();
-            if aql_journal::enabled() {
-                aql_journal::record(
-                    aql_journal::Tag::SlowQuery,
-                    aql_journal::intern(kind),
-                    seq,
-                    dur.as_nanos() as u64,
-                );
-            }
+            emit(Event::SlowQuery { kind, seq, ns: dur.as_nanos() as u64 });
         }
         let sampled =
             !slow && log.config.sample_every > 0 && seq.is_multiple_of(log.config.sample_every);
@@ -1141,12 +1036,7 @@ impl Session {
         }
         use aql_trace::json::Json;
         let n = |v: u64| Json::Num(v as f64);
-        let phases = self
-            .cur_phases
-            .borrow()
-            .iter()
-            .map(|(p, ns)| (p.to_string(), n(*ns)))
-            .collect();
+        let phases = run.ledger.phases.iter().map(|(p, ns)| (p.clone(), n(*ns))).collect();
         let fires = fires_base.map_or(0, |base| {
             aql_metrics::family_total("aql_opt_rule_fires_total").saturating_sub(base)
         });
@@ -1157,7 +1047,7 @@ impl Session {
         let rec = Json::Obj(vec![
             ("schema_version".to_string(), n(2)),
             ("seq".to_string(), n(seq)),
-            ("stmt_hash".to_string(), Json::Str(stmt_hash(stmt))),
+            ("stmt_hash".to_string(), Json::Str(format!("{:016x}", run.hash))),
             ("kind".to_string(), Json::Str(kind.to_string())),
             ("slow".to_string(), Json::Bool(slow)),
             ("sampled".to_string(), Json::Bool(sampled)),
@@ -1171,17 +1061,7 @@ impl Session {
                     ("materialized".to_string(), n(stats.materialized)),
                 ]),
             ),
-            (
-                "cache".to_string(),
-                Json::Obj(vec![
-                    ("hits".to_string(), n(stats.cache.hits)),
-                    ("misses".to_string(), n(stats.cache.misses)),
-                    ("evictions".to_string(), n(stats.cache.evictions)),
-                    ("bytes_read".to_string(), n(stats.cache.bytes_read)),
-                    ("prefetched_bytes".to_string(), n(stats.cache.prefetched_bytes)),
-                    ("load_errors".to_string(), n(stats.cache.load_errors)),
-                ]),
-            ),
+            ("cache".to_string(), cache_to_json(&stats.cache)),
             ("rule_fires".to_string(), n(fires)),
             ("error".to_string(), Json::Bool(errored)),
             (
@@ -1195,16 +1075,6 @@ impl Session {
         use std::io::Write as _;
         let mut sink = log.sink.borrow_mut();
         let _ = writeln!(sink, "{}", rec.write());
-    }
-
-    /// A guard timing one pipeline phase. Inert — a single atomic
-    /// load — unless metrics are on or the slow-query log is active.
-    fn phase_guard(&self, phase: &'static str) -> PhaseGuard<'_> {
-        if aql_metrics::enabled() || self.slow_log.is_some() {
-            PhaseGuard { state: Some((phase, Instant::now(), &self.cur_phases)) }
-        } else {
-            PhaseGuard { state: None }
-        }
     }
 
     fn exec_inner(&mut self, stmt: &Stmt) -> Result<Outcome, LangError> {
@@ -1264,8 +1134,7 @@ impl Session {
                         LangError::session(format!("no reader registered as `{reader}`"))
                     })?;
                 let (v, declared) = {
-                    let _span = aql_trace::span("readval");
-                    let _pg = self.phase_guard("readval");
+                    let _phase = phase("readval");
                     aql_trace::note("reader", || reader.clone());
                     catch_extension("reader", reader, || r.read(&argv))??
                 };
@@ -1300,8 +1169,7 @@ impl Session {
                         LangError::session(format!("no writer registered as `{writer}`"))
                     })?;
                 {
-                    let _span = aql_trace::span("writeval");
-                    let _pg = self.phase_guard("writeval");
+                    let _phase = phase("writeval");
                     aql_trace::note("writer", || writer.clone());
                     catch_extension("writer", writer, || w.write(&argv, &v))??;
                 }
@@ -1319,8 +1187,7 @@ impl Session {
     /// optimize → evaluate.
     fn eval_surface(&self, e: &crate::ast::SExpr) -> Result<(Type, Value), LangError> {
         let core = {
-            let _span = aql_trace::span("desugar");
-            let _pg = self.phase_guard("desugar");
+            let _phase = phase("desugar");
             desugar(e)?
         };
         self.eval_core(&core)
@@ -1331,18 +1198,15 @@ impl Session {
     /// current statement's accumulator.
     pub fn eval_core(&self, core: &Expr) -> Result<(Type, Value), LangError> {
         let resolved = {
-            let _span = aql_trace::span("resolve");
-            let _pg = self.phase_guard("resolve");
+            let _phase = phase("resolve");
             self.resolve(core)
         };
         let ty = {
-            let _span = aql_trace::span("typecheck");
-            let _pg = self.phase_guard("typecheck");
+            let _phase = phase("typecheck");
             typecheck(&resolved, &self.val_types, &self.externals)?
         };
         let optimized = if self.optimize {
-            let _span = aql_trace::span("optimize");
-            let _pg = self.phase_guard("optimize");
+            let _phase = phase("optimize");
             if self.verify {
                 let check = self.phase_check(&ty);
                 self.optimizer
@@ -1358,8 +1222,7 @@ impl Session {
         };
         let ctx = EvalCtx::new(&self.vals, &self.externals).with_limits(self.limits.clone());
         let v = {
-            let _span = aql_trace::span("eval");
-            let _pg = self.phase_guard("eval");
+            let _phase = phase("eval");
             aql_analysis::eval_elided(&optimized, &ctx)
         };
         self.cur_stats.set(self.cur_stats.get().merged(&ctx.stats()));
@@ -1584,7 +1447,7 @@ impl Session {
         let resolved = self.resolve(&core);
         let ty = typecheck(&resolved, &self.val_types, &self.externals)?;
         let diagnostics = aql_verify::lint_expr(&resolved);
-        M_LINT_FINDINGS.add(diagnostics.len() as u64);
+        emit(Event::LintFindings { n: diagnostics.len() as u64 });
         Ok(LintReport { ty, diagnostics })
     }
 }
@@ -2190,13 +2053,50 @@ mod tests {
     }
 
     #[test]
+    fn stmt_hash_is_fnv1a_of_the_debug_rendering_without_building_it() {
+        // Every statement of the paper's §4.2 sunset session, the §1
+        // heat-index query, and a `writeval` so each kind is covered.
+        let paper = r#"
+            val \months = [[0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30]];
+            macro \days_since_1_1 = fn (\m, \d, \y) =>
+                d + summap(fn \i => months[i])!(gen!m) +
+                (if m > 2 and y % 4 = 0 then 1 else 0);
+            days_since_1_1!(6, 1, 95);
+            val \NYlat = 40.7; val \NYlon = -74.0;
+            macro \lat_index = fn \x => 2; macro \lon_index = fn \x => 2;
+            readval \T using NETCDF3 at
+               ("temp.nc", "temp",
+                (days_since_1_1!(6, 1, 95) * 24, lat_index!(NYlat), lon_index!(NYlon)),
+                (days_since_1_1!(6, 30, 95) * 24, lat_index!(NYlat), lon_index!(NYlon)));
+            {d | [(\h, _, _) : \t] <- T, \d == h/24 + 1,
+                 h > june_sunset!(NYlat, NYlon, d), t > 85.0};
+            {d | \d <- gen!30,
+                 \WS' == evenpos!(proj_col!(WS, 0)),
+                 \TRW == zip_3!(T, RH, WS'),
+                 \A == subseq!(TRW, d*24, d*24+23),
+                 heatindex!(A) > threshold};
+            writeval T using COFILE at "t.co";
+        "#;
+        let stmts = parse_program(paper).expect("the paper's statements parse");
+        assert_eq!(stmts.len(), 11);
+        for stmt in &stmts {
+            let mut reference: u64 = 0xcbf2_9ce4_8422_2325;
+            for b in format!("{stmt:?}").bytes() {
+                reference = (reference ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+            assert_eq!(stmt_hash(stmt), reference, "{stmt:?}");
+        }
+    }
+
+    #[test]
     fn session_metrics_reach_the_registry() {
-        let errors_before = M_ERRORS.get();
+        let errors = aql_metrics::counter("aql_session_errors_total", "");
+        let errors_before = errors.get();
         let mut s = Session::new();
         // A typecheck failure (unbound name) — unlike a parse error,
         // it reaches `exec` and must bump the error counter.
         assert!(s.run("no_such_name + 1;").is_err());
-        assert!(M_ERRORS.get() > errors_before, "a failed statement bumps errors");
+        assert!(errors.get() > errors_before, "a failed statement bumps errors");
         let report = s.last_report();
         assert!(
             report

@@ -1,0 +1,105 @@
+//! What the always-on telemetry costs a statement, as exact counts —
+//! ring records, clock reads and registry lookups — instead of a
+//! wall-clock ratio against a switch that no longer exists. Every
+//! counter involved is thread-local, so the tests here do not disturb
+//! each other.
+
+use aql_journal::{Record, Tag};
+use aql_lang::session::Session;
+
+/// The fixed statement: one run each of desugar, resolve, typecheck,
+/// optimize and eval, and — so that the optimizer's own per-fire
+/// metric lookups stay out of the count — no rule to fire.
+const STATEMENT: &str = "a[3];";
+/// Its phases in pipeline order, and the two the parser runs before
+/// the statement exists.
+const PHASES: [&str; 5] = ["desugar", "resolve", "typecheck", "optimize", "eval"];
+const PARSER_PHASES: u64 = 2;
+
+fn session() -> Session {
+    let mut s = Session::new();
+    s.run("val \\a = [[ i * i | \\i < 10 ]];").expect("bind");
+    s
+}
+
+/// This thread's ring records of its most recent statement,
+/// `StmtBegin` to `StmtEnd` inclusive.
+fn last_statement_window() -> Vec<Record> {
+    // A marker only this thread writes finds its ring among the
+    // others'.
+    let marker = aql_journal::intern(&format!("t_counts:{:?}", std::thread::current().id()));
+    aql_journal::record(Tag::Incident, marker, 0, 0);
+    let journal = aql_journal::snapshot();
+    let me = journal.events.iter().find(|r| r.label == marker).expect("own marker").thread;
+    let mut mine: Vec<Record> = journal.events.into_iter().filter(|r| r.thread == me).collect();
+    mine.sort_by_key(|r| r.epoch);
+    let end = mine.iter().rposition(|r| r.tag == Tag::StmtEnd).expect("a statement ran");
+    let begin = mine[..end].iter().rposition(|r| r.tag == Tag::StmtBegin).expect("and began");
+    mine[begin..=end].to_vec()
+}
+
+#[test]
+fn a_statement_writes_one_record_per_phase_run_between_begin_and_end() {
+    let mut s = session();
+    s.run(STATEMENT).expect("query");
+    let window = last_statement_window();
+    let shape: Vec<(Tag, String)> = window.iter().map(|r| (r.tag, r.label_str())).collect();
+    let mut want = vec![(Tag::StmtBegin, "query".to_string())];
+    want.extend(PHASES.iter().map(|p| (Tag::Phase, p.to_string())));
+    want.push((Tag::StmtEnd, "ok".to_string()));
+    assert_eq!(shape, want, "StmtBegin + one Phase per phase run + StmtEnd, exactly");
+    // The records are the statement's account: the ledger's phases are
+    // these numbers, not a second measurement.
+    let ledger = &s.statement_attribution()[0];
+    let journaled: Vec<(String, u64)> = window
+        .iter()
+        .filter(|r| r.tag == Tag::Phase)
+        .map(|r| (r.label_str(), r.a))
+        .collect();
+    assert_eq!(ledger.phases, journaled);
+}
+
+#[test]
+fn a_phase_reads_the_clock_as_one_pair() {
+    let mut s = session();
+    s.run(STATEMENT).expect("warm-up");
+    let phase_runs = PARSER_PHASES + PHASES.len() as u64;
+    // Every ring record is stamped with one read; lex and parse are
+    // journaled too (ahead of the statement).
+    let records = phase_runs + 2;
+
+    // Untraced: the statement's own pair, one pair per phase run, the
+    // stamps — and nothing else.
+    let before = aql_trace::clock_reads();
+    s.run(STATEMENT).expect("untraced");
+    assert_eq!(aql_trace::clock_reads() - before, 2 * (1 + phase_runs) + records);
+
+    // Traced: every span reads the clock twice and the phase guards
+    // take their durations from the spans, adding no read of their own
+    // (`enable` reads the trace epoch once).
+    let before = aql_trace::clock_reads();
+    let (_, report) = s.profile(STATEMENT).expect("traced");
+    let spans = report.trace.spans.len() as u64;
+    assert!(spans > phase_runs, "the phases are spans: {spans}");
+    assert_eq!(aql_trace::clock_reads() - before, 1 + 2 * spans + 2 + records);
+}
+
+#[test]
+fn the_statement_path_looks_no_metric_up_after_the_first_statement() {
+    let mut s = session();
+    // The first run resolves the handles: per-kind statement counter,
+    // per-phase histograms, statement latency, the governor gauges.
+    s.run(STATEMENT).expect("first");
+    let (registry, all) = (aql_metrics::registry_locks(), aql_journal::lock_count());
+    for _ in 0..3 {
+        s.run(STATEMENT).expect("again");
+    }
+    assert_eq!(aql_metrics::registry_locks(), registry, "no string-keyed registry lookup");
+    assert_eq!(aql_journal::lock_count(), all, "and no label-table lock either");
+    // A failing statement resolves the error counter once, then is as
+    // quiet.
+    assert!(s.run("a[true];").is_err());
+    let registry = aql_metrics::registry_locks();
+    assert!(s.run("a[true];").is_err());
+    assert_eq!(aql_metrics::registry_locks(), registry);
+}

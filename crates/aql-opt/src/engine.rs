@@ -18,19 +18,16 @@ static M_PASSES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
     "Optimizer fixpoint passes executed.",
 );
 
-/// Bump the `(phase, rule)`-labelled unsound-rewrite counter. Fires
-/// are frequent enough to gate on [`aql_metrics::enabled`]; unsound
+/// Bump the `(phase, rule)`-labelled unsound-rewrite counter. Unsound
 /// rewrites are exceptional, so the lookup cost is irrelevant — but
 /// an operator watching `/metrics` must see them.
 fn bump_unsound_metric(phase: &str, rule: &str) {
-    if aql_metrics::enabled() {
-        aql_metrics::counter_with(
-            "aql_opt_unsound_total",
-            &[("phase", phase), ("rule", rule)],
-            "Rewrites rejected by the soundness gate, by (phase, rule).",
-        )
-        .inc();
-    }
+    aql_metrics::counter_with(
+        "aql_opt_unsound_total",
+        &[("phase", phase), ("rule", rule)],
+        "Rewrites rejected by the soundness gate, by (phase, rule).",
+    )
+    .inc();
 }
 
 /// A rewrite rule. `apply` inspects only the *root* of the given
@@ -398,14 +395,12 @@ impl Phase {
                         || format!("fire:{}/{}", self.name, r.name()),
                         1,
                     );
-                    if aql_metrics::enabled() {
-                        aql_metrics::counter_with(
-                            "aql_opt_rule_fires_total",
-                            &[("phase", &self.name), ("rule", r.name())],
-                            "Optimizer rule applications, by (phase, rule).",
-                        )
-                        .inc();
-                    }
+                    aql_metrics::counter_with(
+                        "aql_opt_rule_fires_total",
+                        &[("phase", &self.name), ("rule", r.name())],
+                        "Optimizer rule applications, by (phase, rule).",
+                    )
+                    .inc();
                     *fired += 1;
                     *last_fired = Some(r.name());
                     cur = next;

@@ -12,7 +12,7 @@
 //! `cargo run -p aql-bench --release --bin store_bench`
 //!
 //! The `--*-overhead` flags instead run one budget gate each. All
-//! seven share one paired measurement (`alternating_best`): short
+//! five share one paired measurement (`alternating_best`): short
 //! timed blocks strictly alternating off/on, fastest block of each
 //! side, so machine drift cannot bias the comparison — and one verdict
 //! (`check_budget`): the relative budget plus a 500 µs allowance.
@@ -22,21 +22,18 @@
 //! fails loudly if tracing-enabled wall time exceeds the untraced time
 //! by more than 5%.
 //!
-//! `--metrics-overhead` prices the always-on metrics hooks the same
-//! way: the workload with metric recording globally disabled vs.
-//! enabled, with a 3% budget.
+//! The always-on metrics and flight-recorder hooks have no switch to
+//! price them against; their cost is held by exact counts under
+//! `cargo test` instead (ring records and clock reads per statement,
+//! allocations and locks per emitted cache hit, registry lookups per
+//! statement: `crates/aql-lang/tests/telemetry_counts.rs`,
+//! `crates/journal/tests/emit_cost.rs`).
 //!
 //! `--resilience-overhead` prices the fault-tolerance stack on its
 //! happy path: the workload with the retry/breaker wrapper stripped
 //! from the chunk source vs. the default resilient driver (governor
 //! unlimited, no faults firing), with a 1% budget. Cache hits bypass
 //! the whole stack, so this bounds what PR 6 costs a healthy system.
-//!
-//! `--journal-overhead` prices the always-on flight recorder: the
-//! point-probe and subslab-scan workloads with the journal globally
-//! disabled vs. enabled (the default), with a 1% budget per pattern.
-//! The recorder is lock-free per-thread rings, so an enabled journal
-//! must be indistinguishable from a disabled one at query scale.
 //!
 //! `--analysis-overhead` prices the `aql-analysis` bounds analysis that
 //! runs once per statement before evaluation: the point-probe and
@@ -295,22 +292,13 @@ fn trace_overhead_check(path: &str) {
     check_budget("trace", pattern, ("untraced", "traced"), best, 5.0);
 }
 
-/// The gates on a process-wide switch — `--metrics-overhead` (3%: the
-/// always-on phase/statement timers and store/NetCDF counter bumps, not
-/// the opt-in endpoint or slow log), `--journal-overhead` (1%:
-/// statement stamps, phase records, per-access cache records and the
-/// thread-local hit coalescing) and `--analysis-overhead` (2%: the
-/// per-statement bounds analysis *and* the elision fast path it feeds,
-/// against a plain bounds-checked evaluator): each of `patterns` with
-/// the switch off vs. on (the default).
-fn switch_overhead_check(
-    path: &str,
-    gate: &str,
-    patterns: &[(&str, &str)],
-    percent: f64,
-    set_enabled: fn(bool),
-) {
-    for &(pattern, query) in patterns {
+/// `--analysis-overhead` (2%): the per-statement bounds analysis *and*
+/// the elision fast path and kernels it feeds, against a plain
+/// bounds-checked evaluator — the point probe and the subslab scan
+/// with `bounds::set_enabled` off vs. on (the default).
+fn analysis_overhead_check(path: &str) {
+    let set_enabled = aql_core::eval::bounds::set_enabled;
+    for (pattern, query) in [POINT_PROBE, SUBSLAB_SCAN] {
         let mut s_off = bound_session(path, reader_lazy_4m());
         let mut s_on = bound_session(path, reader_lazy_4m());
         let best = alternating_best(
@@ -324,7 +312,7 @@ fn switch_overhead_check(
             },
         );
         set_enabled(true);
-        check_budget(gate, pattern, ("off", "on"), best, percent);
+        check_budget("analysis", pattern, ("off", "on"), best, 2.0);
     }
 }
 
@@ -623,21 +611,11 @@ fn main() {
     let path = path.to_str().expect("utf-8 path").to_string();
 
     if let Some(gate) = std::env::args().find(|a| a.ends_with("-overhead")) {
-        let both = [POINT_PROBE, SUBSLAB_SCAN];
         match gate.as_str() {
             "--trace-overhead" => trace_overhead_check(&path),
-            "--metrics-overhead" => {
-                switch_overhead_check(&path, "metrics", &[SUBSLAB_SCAN], 3.0, aql_metrics::set_enabled)
-            }
             "--resilience-overhead" => resilience_overhead_check(&path),
-            "--journal-overhead" => {
-                switch_overhead_check(&path, "journal", &both, 1.0, aql_journal::set_enabled)
-            }
             "--profile-overhead" => profile_overhead_check(&path),
-            "--analysis-overhead" => {
-                let set_enabled = aql_core::eval::bounds::set_enabled;
-                switch_overhead_check(&path, "analysis", &both, 2.0, set_enabled)
-            }
+            "--analysis-overhead" => analysis_overhead_check(&path),
             "--prefetch-overhead" => prefetch_overhead_check(&dir),
             other => {
                 eprintln!("store_bench: unknown gate `{other}`");

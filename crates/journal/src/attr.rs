@@ -1,11 +1,13 @@
 //! Per-query resource attribution.
 //!
 //! While a statement runs, the session opens a thread-local ledger
-//! ([`begin`]); every store-layer call site that already funnels
-//! counters through `CacheStats` also calls [`note`] with its interned
-//! source label, charging hits/misses/bytes/evictions/retries to the
+//! ([`begin`]); [`emit`](crate::emit) folds every event into it — each
+//! quantity of the event table names the ledger field it lands in
+//! (`Fold`) — charging hits/misses/bytes/evictions/retries to the
 //! query *and* the source that actually moved them. [`finish`] closes
-//! the ledger and resolves labels to strings.
+//! the ledger and resolves labels to strings. [`Ledger::fold`] runs the
+//! same fold over a window of ring records, which is how `\doctor`
+//! reconstructs cache behavior from an incident file.
 //!
 //! The hot path is one `Cell<bool>` read when no ledger is open —
 //! attribution costs nothing outside a session statement — and a
@@ -19,7 +21,7 @@ use std::cell::{Cell, RefCell};
 
 use aql_trace::json::Json;
 
-use crate::label_name;
+use crate::{event, label_name, Record};
 
 /// Per-source tallies for one statement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -200,18 +202,99 @@ impl Ledger {
     }
 }
 
-/// The open ledger's per-source rows, keyed by interned label id.
+/// Where a quantity of the event table lands in a ledger.
+#[derive(Clone, Copy)]
+pub(crate) enum Fold {
+    /// Nowhere: the quantity is counted, not attributed.
+    None,
+    /// A field of the source's row (and of the thread totals).
+    Source(fn(&mut SourceCounts) -> &mut u64),
+    /// The wall time of the phase the event's label names.
+    Phase,
+    /// The ledger's governor shed count.
+    Sheds,
+    /// The ledger's governor denial count.
+    Denials,
+    /// The ledger's breaker-trip count.
+    Trips,
+}
+
+/// A ledger while it is being folded, rows keyed by interned label id.
 #[derive(Default)]
 struct OpenLedger {
     sources: Vec<(u16, SourceCounts)>,
+    phases: Vec<(u16, u64)>,
     sheds: u64,
     denials: u64,
+    trips: u64,
+}
+
+/// The row keyed `label`, appended (first-touch order) if absent.
+#[inline]
+fn slot<T: Default>(rows: &mut Vec<(u16, T)>, label: u16) -> &mut T {
+    let i = rows.iter().position(|(l, _)| *l == label).unwrap_or(rows.len());
+    if i == rows.len() {
+        rows.push((label, T::default()));
+    }
+    &mut rows[i].1
+}
+
+impl OpenLedger {
+    fn add(&mut self, fold: Fold, label: u16, n: u64) {
+        match fold {
+            Fold::None => {}
+            Fold::Source(field) => *field(slot(&mut self.sources, label)) += n,
+            Fold::Phase => *slot(&mut self.phases, label) += n,
+            Fold::Sheds => self.sheds += n,
+            Fold::Denials => self.denials += n,
+            Fold::Trips => self.trips += n,
+        }
+    }
+
+    fn close(self) -> Ledger {
+        Ledger {
+            sources: self.sources.into_iter().map(|(id, c)| (label_name(id), c)).collect(),
+            phases: self.phases.into_iter().map(|(id, ns)| (label_name(id), ns)).collect(),
+            governor_peak_bytes: 0,
+            governor_sheds: self.sheds,
+            governor_denials: self.denials,
+        }
+    }
+}
+
+impl Ledger {
+    /// The ledger a window of ring records adds up to: the fold
+    /// [`emit`](crate::emit) applies to the open ledger as events
+    /// happen, run after the fact. Over the records between a
+    /// statement's `StmtBegin` and `StmtEnd` it reproduces that
+    /// statement's own ledger (minus the governor high-water mark,
+    /// which no event carries).
+    pub fn fold(records: &[Record]) -> Ledger {
+        let mut open = OpenLedger::default();
+        for r in records {
+            for &(q, amount) in event::row(r.tag).bumps {
+                open.add(q.fold, r.label, amount.of(r.a, r.b));
+            }
+        }
+        open.close()
+    }
 }
 
 thread_local! {
     /// Fast flag: is a ledger open on this thread?
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static OPEN: RefCell<OpenLedger> = RefCell::new(OpenLedger::default());
+    /// Everything this thread's sources ever moved, all sources in one
+    /// row — `aql_store::stats::global` reads it.
+    static TOTALS: Cell<SourceCounts> = const { Cell::new(SourceCounts {
+        hits: 0,
+        chunks_loaded: 0,
+        bytes_read: 0,
+        prefetched_bytes: 0,
+        evictions: 0,
+        load_errors: 0,
+        retries: 0,
+    }) };
 }
 
 /// Is a ledger open on this thread? One `Cell` read.
@@ -226,76 +309,70 @@ pub fn begin() {
     ACTIVE.with(|a| a.set(true));
 }
 
-/// Charge the open ledger's row for `label` (no-op when closed).
+/// Fold `n` of one quantity into this thread's totals and, when one is
+/// open, its ledger.
 #[inline]
-pub fn note(label: u16, f: impl FnOnce(&mut SourceCounts)) {
-    if !active() {
-        return;
+pub(crate) fn add(fold: Fold, label: u16, n: u64) {
+    if let Fold::Source(field) = fold {
+        TOTALS.with(|t| {
+            let mut totals = t.get();
+            *field(&mut totals) += n;
+            t.set(totals);
+        });
     }
-    OPEN.with(|o| {
-        let mut o = o.borrow_mut();
-        if let Some((_, c)) = o.sources.iter_mut().find(|(l, _)| *l == label) {
-            f(c);
-            return;
-        }
-        let mut c = SourceCounts::default();
-        f(&mut c);
-        o.sources.push((label, c));
-    });
+    if active() {
+        OPEN.with(|o| o.borrow_mut().add(fold, label, n));
+    }
 }
 
-/// Count a governor shed against the open ledger (no-op when closed).
+/// [`add`] of one cache hit, without the indirection: the hit path's
+/// share of the fold (see `event::hit`).
 #[inline]
-pub fn note_shed() {
-    if !active() {
-        return;
+pub(crate) fn hit(label: u16) {
+    TOTALS.with(|t| t.set(SourceCounts { hits: t.get().hits + 1, ..t.get() }));
+    if active() {
+        OPEN.with(|o| slot(&mut o.borrow_mut().sources, label).hits += 1);
     }
-    OPEN.with(|o| o.borrow_mut().sheds += 1);
 }
 
-/// Count a governor denial against the open ledger (no-op when closed).
-#[inline]
-pub fn note_denial() {
-    if !active() {
-        return;
-    }
-    OPEN.with(|o| o.borrow_mut().denials += 1);
+/// This thread's totals over every source since it started: the
+/// monotonic aggregate a caller differences around a piece of work.
+pub fn totals() -> SourceCounts {
+    TOTALS.with(Cell::get)
+}
+
+/// Breaker trips the open ledger has seen so far (the session reads it
+/// before [`finish`] to decide on a `breaker_trip` incident). Only
+/// this thread's events count — a trip on another thread's session is
+/// that session's.
+pub fn breaker_trips() -> u64 {
+    OPEN.with(|o| o.borrow().trips)
 }
 
 /// Close this thread's ledger and return it with labels resolved. The
-/// caller (the session) fills in phases and the governor high-water
-/// mark, which it alone can see.
+/// caller (the session) fills in the governor high-water mark, which it
+/// alone can see.
 pub fn finish() -> Ledger {
     ACTIVE.with(|a| a.set(false));
-    OPEN.with(|o| {
-        let open = std::mem::take(&mut *o.borrow_mut());
-        Ledger {
-            sources: open
-                .sources
-                .into_iter()
-                .map(|(id, c)| (label_name(id), c))
-                .collect(),
-            phases: Vec::new(),
-            governor_peak_bytes: 0,
-            governor_sheds: open.sheds,
-            governor_denials: open.denials,
-        }
-    })
+    OPEN.with(|o| std::mem::take(&mut *o.borrow_mut())).close()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern;
+    use crate::{emit, intern, Event};
 
     #[test]
-    fn notes_are_dropped_when_no_ledger_is_open() {
+    fn events_are_dropped_when_no_ledger_is_open() {
         let l = intern("t_attr:closed");
         assert!(!active());
-        note(l, |c| c.bytes_read += 100);
+        let before = totals();
+        emit(Event::CacheMiss { src: l, bytes: 100 });
         begin();
         let ledger = finish();
-        assert!(ledger.sources.is_empty(), "closed-ledger notes vanish");
+        assert!(ledger.sources.is_empty(), "closed-ledger events vanish");
+        // … from the ledger; the thread totals always count.
+        assert_eq!(totals().bytes_read, before.bytes_read + 100);
     }
 
     #[test]
@@ -303,14 +380,16 @@ mod tests {
         let a = intern("t_attr:a");
         let b = intern("t_attr:b");
         begin();
-        note(a, |c| {
-            c.chunks_loaded += 1;
-            c.bytes_read += 4096;
-        });
-        note(b, |c| c.hits += 3);
-        note(a, |c| c.retries += 2);
-        note_shed();
-        note_denial();
+        emit(Event::CacheMiss { src: a, bytes: 4096 });
+        for _ in 0..3 {
+            emit(Event::CacheHit { src: b });
+        }
+        emit(Event::Retry { src: a, attempt: 2 });
+        emit(Event::Retry { src: a, attempt: 3 });
+        emit(Event::GovernorShed);
+        emit(Event::GovernorDeny { requested: 64 });
+        emit(Event::BreakerTrip { src: a });
+        assert_eq!(breaker_trips(), 1);
         let ledger = finish();
         assert_eq!(ledger.sources.len(), 2);
         assert_eq!(ledger.sources[0].0, "t_attr:a");

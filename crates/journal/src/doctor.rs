@@ -7,8 +7,6 @@
 //! out — so the REPL command, the `doctor` CLI, and the end-to-end
 //! chaos test all share one implementation.
 
-use std::collections::BTreeMap;
-
 use aql_trace::json::Json;
 
 use crate::attr::Ledger;
@@ -60,7 +58,14 @@ impl FaultClass {
 /// Classify a failure from the error text and the event window.
 pub fn classify(kind: Option<IncidentKind>, error: Option<&str>, events: &Journal) -> FaultClass {
     let msg = error.unwrap_or("").to_ascii_lowercase();
-    if msg.contains("checksum") || msg.contains("corrupt") {
+    let has = |tags: &[Tag]| events.events.iter().any(|e| tags.contains(&e.tag));
+    // A failure with a mismatch in its window is corruption whatever
+    // the final message says; one the retry repaired is only a slower
+    // statement, and the timeline still shows it.
+    if msg.contains("checksum")
+        || msg.contains("corrupt")
+        || (error.is_some() && has(&[Tag::ChecksumMismatch]))
+    {
         return FaultClass::Corruption;
     }
     if msg.contains("deadline") {
@@ -78,25 +83,20 @@ pub fn classify(kind: Option<IncidentKind>, error: Option<&str>, events: &Journa
     if msg.contains("transient") || msg.contains("i/o") || msg.contains("io error") {
         return FaultClass::TransientIo;
     }
-    let tripped = events
-        .events
-        .iter()
-        .any(|e| matches!(e.tag, Tag::BreakerTrip | Tag::BreakerFastFail));
+    let tripped = has(&[Tag::BreakerTrip, Tag::BreakerFastFail]);
     if msg.contains("unavailable") || (tripped && error.is_some()) {
         return FaultClass::Unavailable;
     }
     if kind == Some(IncidentKind::BreakerTrip) || tripped {
         return FaultClass::Unavailable;
     }
-    if events.events.iter().any(|e| e.tag == Tag::Retry) {
+    if has(&[Tag::Retry]) {
         if error.is_none() && kind == Some(IncidentKind::Slow) {
             return FaultClass::SlowQuery;
         }
         return FaultClass::TransientIo;
     }
-    if kind == Some(IncidentKind::ResourceExhausted)
-        || events.events.iter().any(|e| e.tag == Tag::GovernorDeny)
-    {
+    if kind == Some(IncidentKind::ResourceExhausted) || has(&[Tag::GovernorDeny]) {
         return FaultClass::ResourceExhausted;
     }
     if kind == Some(IncidentKind::Slow) {
@@ -105,26 +105,25 @@ pub fn classify(kind: Option<IncidentKind>, error: Option<&str>, events: &Journa
     // A live-journal diagnosis (no incident, no error) whose window
     // carries no fault signature at all is a healthy session, not an
     // unrecognized fault.
-    if kind.is_none()
-        && error.is_none()
-        && !events.events.iter().any(|e| {
-            matches!(
-                e.tag,
-                Tag::Retry
-                    | Tag::BreakerTrip
-                    | Tag::BreakerProbe
-                    | Tag::BreakerFastFail
-                    | Tag::GovernorShed
-                    | Tag::GovernorDeny
-                    | Tag::CacheLoadError
-                    | Tag::SlowQuery
-            )
-        })
-    {
+    if kind.is_none() && error.is_none() && !has(FAULT_SIGNATURES) {
         return FaultClass::Healthy;
     }
     FaultClass::Unknown
 }
+
+/// The kinds that mark a window as other than healthy; the timeline
+/// lists exactly these.
+const FAULT_SIGNATURES: &[Tag] = &[
+    Tag::Retry,
+    Tag::ChecksumMismatch,
+    Tag::BreakerTrip,
+    Tag::BreakerProbe,
+    Tag::BreakerFastFail,
+    Tag::GovernorShed,
+    Tag::GovernorDeny,
+    Tag::CacheLoadError,
+    Tag::SlowQuery,
+];
 
 /// The source label most implicated in the failure: the label on the
 /// most recent load-error / retry / breaker event, falling back to the
@@ -137,7 +136,11 @@ pub fn failing_source(events: &Journal, attribution: Option<&Ledger>) -> Option<
         .find(|e| {
             matches!(
                 e.tag,
-                Tag::CacheLoadError | Tag::Retry | Tag::BreakerTrip | Tag::BreakerFastFail
+                Tag::CacheLoadError
+                    | Tag::Retry
+                    | Tag::ChecksumMismatch
+                    | Tag::BreakerTrip
+                    | Tag::BreakerFastFail
             ) && e.label != 0
         })
         .map(|e| e.label_str());
@@ -153,65 +156,9 @@ pub fn failing_source(events: &Journal, attribution: Option<&Ledger>) -> Option<
     })
 }
 
-/// Per-source cache behavior aggregated from the event window (used
-/// when no attribution ledger is available, and to cross-check one).
-#[derive(Debug, Default, Clone, Copy)]
-struct CacheRow {
-    hits: u64,
-    misses: u64,
-    warm: u64,
-    bytes: u64,
-    evictions: u64,
-    load_errors: u64,
-    retries: u64,
-}
-
-fn cache_rows(events: &Journal) -> BTreeMap<String, CacheRow> {
-    let mut rows: BTreeMap<String, CacheRow> = BTreeMap::new();
-    for e in &events.events {
-        let row = || -> String {
-            let l = e.label_str();
-            if l.is_empty() { "(unlabeled)".to_string() } else { l }
-        };
-        match e.tag {
-            Tag::CacheHit => rows.entry(row()).or_default().hits += e.a,
-            Tag::CacheMiss => {
-                let r = rows.entry(row()).or_default();
-                r.misses += 1;
-                r.bytes += e.a;
-            }
-            Tag::CacheWarm => {
-                let r = rows.entry(row()).or_default();
-                r.warm += 1;
-                r.bytes += e.a;
-            }
-            Tag::CacheEvict => rows.entry(row()).or_default().evictions += e.a,
-            Tag::CacheLoadError => rows.entry(row()).or_default().load_errors += 1,
-            Tag::Retry => rows.entry(row()).or_default().retries += 1,
-            _ => {}
-        }
-    }
-    rows
-}
-
 fn push_timeline(out: &mut String, events: &Journal) {
-    let interesting: Vec<_> = events
-        .events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.tag,
-                Tag::Retry
-                    | Tag::BreakerTrip
-                    | Tag::BreakerProbe
-                    | Tag::BreakerFastFail
-                    | Tag::GovernorShed
-                    | Tag::GovernorDeny
-                    | Tag::CacheLoadError
-                    | Tag::SlowQuery
-            )
-        })
-        .collect();
+    let interesting: Vec<_> =
+        events.events.iter().filter(|e| FAULT_SIGNATURES.contains(&e.tag)).collect();
     if interesting.is_empty() {
         out.push_str("timeline: no retries, breaker events, or governor pressure recorded\n");
         return;
@@ -223,6 +170,7 @@ fn push_timeline(out: &mut String, events: &Journal) {
         let label = e.label_str();
         let what = match e.tag {
             Tag::Retry => format!("retry attempt {} on `{label}`", e.a),
+            Tag::ChecksumMismatch => format!("checksum MISMATCH on a chunk of `{label}`"),
             Tag::BreakerTrip => format!("breaker TRIPPED open for `{label}`"),
             Tag::BreakerProbe => format!("breaker half-open probe on `{label}`"),
             Tag::BreakerFastFail => format!("fast-fail: breaker open for `{label}`"),
@@ -335,7 +283,7 @@ fn json_analysis(
 ) -> Vec<(String, Json)> {
     let class = classify(kind, error, events);
     let source = failing_source(events, attribution);
-    let dominant = dominant_source(events, attribution);
+    let dominant = dominant_source(attribution, &Ledger::fold(&events.events));
     let subject = subject_for(source.as_deref());
     let mut out = vec![
         ("fault_class".to_string(), Json::Str(class.name().to_string())),
@@ -362,30 +310,35 @@ fn json_analysis(
             },
         ),
     ];
-    out.push(("diagnosis".to_string(), Json::Str(advice_for(class, &subject))));
+    out.push(("diagnosis".to_string(), Json::Str(advice_for(class, &subject, events))));
     out
 }
 
-/// Dominant cost source: prefer the precise attribution ledger, fall
-/// back to byte counts reconstructed from the event window.
-fn dominant_source(
-    events: &Journal,
-    attribution: Option<&Ledger>,
-) -> Option<(String, u64)> {
-    attribution
-        .and_then(|l| l.dominant_source().map(|(s, c)| (s.to_string(), c.total_bytes())))
-        .or_else(|| {
-            let rows = cache_rows(events);
-            rows.iter()
-                .filter(|(_, r)| r.bytes > 0)
-                .max_by_key(|(_, r)| r.bytes)
-                .map(|(l, r)| (l.clone(), r.bytes))
-        })
+/// Dominant cost source: prefer the statement's own attribution
+/// ledger, fall back to the one the event window folds to.
+fn dominant_source(attribution: Option<&Ledger>, folded: &Ledger) -> Option<(String, u64)> {
+    let of = |l: &Ledger| l.dominant_source().map(|(s, c)| (s.to_string(), c.total_bytes()));
+    attribution.and_then(of).or_else(|| of(folded))
 }
 
 /// The `diagnosis: …` sentence for a classified fault. `subject` is
-/// either ``source `<label>` `` or "the statement".
-fn advice_for(class: FaultClass, subject: &str) -> String {
+/// either ``source `<label>` `` or "the statement". A checksum mismatch
+/// in the window that did not end in corruption — a retry read clean
+/// bytes — is named too: it is a flaky read path worth knowing about.
+fn advice_for(class: FaultClass, subject: &str, events: &Journal) -> String {
+    let mut advice = advice_for_class(class, subject);
+    if class != FaultClass::Corruption
+        && events.events.iter().any(|e| e.tag == Tag::ChecksumMismatch)
+    {
+        advice.push_str(
+            " A chunk payload failed checksum verification on the way and a retry read clean \
+             bytes; if that recurs, verify the file on disk.",
+        );
+    }
+    advice
+}
+
+fn advice_for_class(class: FaultClass, subject: &str) -> String {
     match class {
         FaultClass::TransientIo => format!(
             "diagnosis: {subject} hit transient I/O faults; retries were spent before the \
@@ -444,9 +397,10 @@ fn body(
 ) -> String {
     let mut out = String::new();
 
-    let rows = cache_rows(events);
-    let dominant = dominant_source(events, attribution);
-    match &dominant {
+    // The statement's own ledger, or failing that the same fold run
+    // over the event window.
+    let folded = Ledger::fold(&events.events);
+    match dominant_source(attribution, &folded) {
         Some((label, bytes)) => out.push_str(&format!(
             "dominant cost source: `{label}` ({bytes} B moved)\n"
         )),
@@ -454,42 +408,35 @@ fn body(
     }
 
     // Cache behavior per source.
-    if let Some(ledger) = attribution {
-        if !ledger.sources.is_empty() {
-            out.push_str("cache behavior (attributed):\n");
-            for (label, c) in &ledger.sources {
-                let shown = if label.is_empty() { "(unlabeled)" } else { label };
-                let total = c.hits + c.chunks_loaded;
-                let rate = if total > 0 { c.hits as f64 / total as f64 * 100.0 } else { 0.0 };
-                out.push_str(&format!(
-                    "  {shown}: {:.0}% hit rate ({} hits / {} loads), {} B read, {} B prefetched, \
-                     {} evictions, {} load errors, {} retries\n",
-                    rate,
-                    c.hits,
-                    c.chunks_loaded,
-                    c.bytes_read,
-                    c.prefetched_bytes,
-                    c.evictions,
-                    c.load_errors,
-                    c.retries
-                ));
-            }
+    let (ledger, how) = match attribution {
+        Some(l) => (l, "attributed"),
+        None => (&folded, "from events"),
+    };
+    if !ledger.sources.is_empty() {
+        out.push_str(&format!("cache behavior ({how}):\n"));
+        for (label, c) in &ledger.sources {
+            let shown = if label.is_empty() { "(unlabeled)" } else { label };
+            let total = c.hits + c.chunks_loaded;
+            let rate = if total > 0 { c.hits as f64 / total as f64 * 100.0 } else { 0.0 };
+            out.push_str(&format!(
+                "  {shown}: {:.0}% hit rate ({} hits / {} loads), {} B read, {} B prefetched, \
+                 {} evictions, {} load errors, {} retries\n",
+                rate,
+                c.hits,
+                c.chunks_loaded,
+                c.bytes_read,
+                c.prefetched_bytes,
+                c.evictions,
+                c.load_errors,
+                c.retries
+            ));
         }
+    }
+    if attribution.is_some() {
         out.push_str(&format!(
             "governor: peak {} B in use, {} sheds, {} denials\n",
             ledger.governor_peak_bytes, ledger.governor_sheds, ledger.governor_denials
         ));
-    } else if !rows.is_empty() {
-        out.push_str("cache behavior (from events):\n");
-        for (label, r) in &rows {
-            let total = r.hits + r.misses + r.warm;
-            let rate = if total > 0 { r.hits as f64 / total as f64 * 100.0 } else { 0.0 };
-            out.push_str(&format!(
-                "  {label}: {:.0}% hit rate ({} hits / {} misses / {} warm), {} B, \
-                 {} evictions, {} load errors, {} retries\n",
-                rate, r.hits, r.misses, r.warm, r.bytes, r.evictions, r.load_errors, r.retries
-            ));
-        }
     }
 
     push_timeline(&mut out, events);
@@ -499,7 +446,7 @@ fn body(
     let source = failing_source(events, attribution);
     out.push_str(&format!("fault class: {}\n", class.name()));
     let subject = subject_for(source.as_deref());
-    out.push_str(&advice_for(class, &subject));
+    out.push_str(&advice_for(class, &subject, events));
     out.push('\n');
     out
 }
@@ -508,16 +455,16 @@ fn body(
 mod tests {
     use super::*;
     use crate::attr::SourceCounts;
-    use crate::{intern, Event};
+    use crate::{intern, Record};
 
-    fn ev(tag: Tag, label: u16, a: u64, b: u64, t_us: u64) -> Event {
-        Event { thread: 1, epoch: t_us, t_us, tag, label, a, b }
+    fn ev(tag: Tag, label: u16, a: u64, b: u64, t_us: u64) -> Record {
+        Record { thread: 1, epoch: t_us, t_us, tag, label, a, b }
     }
 
     fn incident_with(
         kind: IncidentKind,
         error: Option<&str>,
-        events: Vec<Event>,
+        events: Vec<Record>,
         ledger: Option<Ledger>,
     ) -> Incident {
         Incident {
@@ -686,8 +633,30 @@ mod tests {
         let report = diagnose_live(&journal, None);
         assert!(report.contains("live journal: 3 events"), "{report}");
         assert!(report.contains("t_doc:live"), "{report}");
-        assert!(report.contains("12288 B"), "{report}");
-        assert!(report.contains("dominant cost source: `t_doc:live`"), "{report}");
+        assert!(report.contains("9 hits / 2 loads"), "{report}");
+        assert!(report.contains("4096 B read, 8192 B prefetched"), "{report}");
+        assert!(report.contains("dominant cost source: `t_doc:live` (12288 B moved)"), "{report}");
+    }
+
+    #[test]
+    fn repaired_checksum_mismatch_is_visible_but_not_a_failure() {
+        let l = intern("t_doc:flaky");
+        let window = vec![ev(Tag::ChecksumMismatch, l, 0, 0, 10), ev(Tag::Retry, l, 2, 0, 20)];
+        // The retry read clean bytes: the statement succeeded, and the
+        // live report says what happened on the way.
+        let report = diagnose_live(&Journal { events: window.clone() }, None);
+        assert!(report.contains("checksum MISMATCH on a chunk of `t_doc:flaky`"), "{report}");
+        assert!(report.contains("fault class: transient-io"), "{report}");
+        assert!(report.contains("failed checksum verification"), "{report}");
+        // The same window under an error whose text says nothing of
+        // checksums is corruption all the same.
+        let inc = incident_with(
+            IncidentKind::Error,
+            Some("storage: circuit open for `t_doc:flaky`"),
+            window,
+            None,
+        );
+        assert!(diagnose(&inc).contains("fault class: corruption"));
     }
 
     #[test]

@@ -239,7 +239,7 @@ pub fn list_incidents(dir: &Path) -> Vec<PathBuf> {
 mod tests {
     use super::*;
     use crate::attr::{Ledger, SourceCounts};
-    use crate::{Event, Tag};
+    use crate::{Record, Tag};
 
     fn sample() -> Incident {
         let mut ledger = Ledger::default();
@@ -255,7 +255,7 @@ mod tests {
             dur_ns: 1_000_000,
             error: Some("storage: injected transient fault".to_string()),
             events: Journal {
-                events: vec![Event {
+                events: vec![Record {
                     thread: 1,
                     epoch: 1,
                     t_us: 5,

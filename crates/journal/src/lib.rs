@@ -34,24 +34,37 @@
 //!   16-bit id. The same cardinality rules as `aql-metrics` apply:
 //!   never intern query text or user-controlled strings.
 //!
+//! ## The telemetry spine
+//!
+//! The store, the NetCDF driver and the session do not write the ring
+//! themselves: they describe what happened as an [`Event`] and hand it
+//! to [`emit`], the one function that knows which views an event
+//! lands in — trace counter, process metric, ring record, attribution
+//! ledger — and under what name (see [`event`] and DESIGN.md
+//! "Telemetry spine").
+//!
 //! ## Overhead contract
 //!
-//! Recording is one relaxed flag read, a varint encode into a stack
-//! buffer, and a handful of relaxed stores into this thread's own
-//! ring — no locks, no allocation. Cache *hits* (the hottest call
-//! site) are coalesced per thread and flushed as one `CacheHit`
-//! record with a count, so the hit path pays only a `Cell` bump. The
-//! `store_bench --journal-overhead` gate asserts the end-to-end cost
-//! of recorder-on vs recorder-off stays under 1%.
+//! Recording is a varint encode into a stack buffer and a handful of
+//! relaxed stores into this thread's own ring — no locks, no
+//! allocation. Cache *hits* (the hottest call site) are coalesced per
+//! thread and flushed as one `CacheHit` record with a count, so the
+//! hit path pays only a `Cell` bump; `tests/emit_cost.rs` holds
+//! `emit(CacheHit)` to zero allocations and zero lock acquisitions.
 
 #![warn(missing_docs)]
 
 pub mod attr;
 pub mod doctor;
+pub mod event;
 pub mod incident;
 
+pub use event::{emit, Event};
+
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::rc::Rc;
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -72,22 +85,6 @@ static M_DROPPED: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
     "aql_journal_dropped_total",
     "Journal records overwritten (oldest-first) before being read.",
 );
-
-// ---- enable switch ---------------------------------------------------
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Is the recorder on? (One relaxed load; the default is on.)
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Globally enable or disable recording. A disabled record is a single
-/// flag read; used by the `--journal-overhead` gate.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 // ---- event vocabulary ------------------------------------------------
 
@@ -138,70 +135,66 @@ pub enum Tag {
     /// Statement crossed the slow-query threshold: `a` = statement
     /// sequence number, `b` = duration in ns.
     SlowQuery = 17,
-    /// An incident file was written: `a` = statement sequence number.
+    /// An incident file was written: `label` = incident kind,
+    /// `a` = statement sequence number.
     Incident = 18,
+    /// A chunk payload failed checksum verification (the read is
+    /// retried; see [`Tag::Retry`]): `label` = source.
+    ChecksumMismatch = 19,
 }
 
 impl Tag {
     /// The tag's stable wire/JSON name.
     pub fn name(self) -> &'static str {
-        match self {
-            Tag::StmtBegin => "stmt_begin",
-            Tag::StmtEnd => "stmt_end",
-            Tag::Phase => "phase",
-            Tag::CacheHit => "cache_hit",
-            Tag::CacheMiss => "cache_miss",
-            Tag::CacheWarm => "cache_warm",
-            Tag::CacheEvict => "cache_evict",
-            Tag::CacheLoadError => "cache_load_error",
-            Tag::GovernorShed => "governor_shed",
-            Tag::GovernorDeny => "governor_deny",
-            Tag::Retry => "retry",
-            Tag::BreakerTrip => "breaker_trip",
-            Tag::BreakerProbe => "breaker_probe",
-            Tag::BreakerFastFail => "breaker_fast_fail",
-            Tag::PrefetchIssued => "prefetch_issued",
-            Tag::PrefetchWasted => "prefetch_wasted",
-            Tag::SlowQuery => "slow_query",
-            Tag::Incident => "incident",
-        }
+        event::row(self).name
     }
 
     /// Decode a wire byte back into a tag.
     pub fn from_u8(v: u8) -> Option<Tag> {
-        Some(match v {
-            1 => Tag::StmtBegin,
-            2 => Tag::StmtEnd,
-            3 => Tag::Phase,
-            4 => Tag::CacheHit,
-            5 => Tag::CacheMiss,
-            6 => Tag::CacheWarm,
-            7 => Tag::CacheEvict,
-            8 => Tag::CacheLoadError,
-            9 => Tag::GovernorShed,
-            10 => Tag::GovernorDeny,
-            11 => Tag::Retry,
-            12 => Tag::BreakerTrip,
-            13 => Tag::BreakerProbe,
-            14 => Tag::BreakerFastFail,
-            15 => Tag::PrefetchIssued,
-            16 => Tag::PrefetchWasted,
-            17 => Tag::SlowQuery,
-            18 => Tag::Incident,
-            _ => return None,
-        })
+        event::TABLE.get((v as usize).wrapping_sub(1)).map(|r| r.tag)
     }
 
     /// Parse a JSON name back into a tag.
     pub fn from_name(name: &str) -> Option<Tag> {
-        (1..=18u8).filter_map(Tag::from_u8).find(|t| t.name() == name)
+        event::TABLE.iter().find(|r| r.name == name).map(|r| r.tag)
     }
 }
 
 // ---- label interning -------------------------------------------------
 
+/// The labels this thread has interned or resolved, both ways round.
+#[derive(Default)]
+struct Known {
+    ids: HashMap<Rc<str>, u16>,
+    names: HashMap<u16, Rc<str>>,
+}
+
+thread_local! {
+    /// This thread's view of the label table, so a label it has seen
+    /// before is interned and resolved without the table's lock.
+    static KNOWN: RefCell<Known> = RefCell::new(Known::default());
+    static LOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn remember(label: &str, id: u16) {
+    let label: Rc<str> = label.into();
+    KNOWN.with(|k| {
+        let mut k = k.borrow_mut();
+        k.ids.insert(Rc::clone(&label), id);
+        k.names.insert(id, label);
+    });
+}
+
+/// Locks this thread has taken inside the telemetry stack: the label
+/// table, the ring registry and the metrics registry. Test hook.
+#[doc(hidden)]
+pub fn lock_count() -> u64 {
+    LOCKS.with(Cell::get) + aql_metrics::registry_locks()
+}
+
 fn labels() -> MutexGuard<'static, Vec<String>> {
     static LABELS: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
+    LOCKS.with(|c| c.set(c.get() + 1));
     LABELS
         .get_or_init(|| Mutex::new(vec![String::new()]))
         .lock()
@@ -216,21 +209,35 @@ pub fn intern(label: &str) -> u16 {
     if label.is_empty() {
         return 0;
     }
-    let mut table = labels();
-    if let Some(i) = table.iter().position(|l| l == label) {
-        return i as u16;
+    if let Some(id) = KNOWN.with(|k| k.borrow().ids.get(label).copied()) {
+        return id;
     }
-    if table.len() >= MAX_LABELS {
-        return 0;
-    }
-    table.push(label.to_string());
-    (table.len() - 1) as u16
+    let id = {
+        let mut table = labels();
+        match table.iter().position(|l| l == label) {
+            Some(i) => i as u16,
+            None if table.len() >= MAX_LABELS => return 0,
+            None => {
+                table.push(label.to_string());
+                (table.len() - 1) as u16
+            }
+        }
+    };
+    remember(label, id);
+    id
 }
 
 /// Resolve an interned label id back to its string (empty for 0 or an
 /// unknown id).
 pub fn label_name(id: u16) -> String {
-    labels().get(id as usize).cloned().unwrap_or_default()
+    if let Some(name) = KNOWN.with(|k| k.borrow().names.get(&id).map(|n| n.to_string())) {
+        return name;
+    }
+    let name = labels().get(id as usize).cloned().unwrap_or_default();
+    if !name.is_empty() {
+        remember(&name, id);
+    }
+    name
 }
 
 // ---- the per-thread ring ---------------------------------------------
@@ -259,6 +266,7 @@ pub fn set_capacity(records: usize) {
 
 fn registry() -> MutexGuard<'static, Vec<Arc<Ring>>> {
     static REG: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
+    LOCKS.with(|c| c.set(c.get() + 1));
     REG.get_or_init(|| Mutex::new(Vec::new()))
         .lock()
         .unwrap_or_else(|poison| poison.into_inner())
@@ -271,7 +279,7 @@ fn anchor() -> Instant {
 
 /// Microseconds since the journal's process anchor (first use).
 pub fn now_us() -> u64 {
-    anchor().elapsed().as_micros() as u64
+    (aql_trace::now() - anchor()).as_micros() as u64
 }
 
 struct Writer {
@@ -336,42 +344,38 @@ thread_local! {
     static PENDING_HITS: Cell<(u16, u64)> = const { Cell::new((0, 0)) };
 }
 
-fn emit(tag: Tag, label: u16, a: u64, b: u64) {
+fn push(tag: Tag, label: u16, a: u64, b: u64) {
     WRITER.with(|w| {
         let mut w = w.borrow_mut();
         w.get_or_insert_with(Writer::new).push(tag, label, a, b);
     });
 }
 
-/// Record one event. Coalesced cache hits pending on this thread are
-/// flushed first, so event order within a thread stays faithful.
+/// Write one record into this thread's ring, and nothing else: the
+/// raw ring write under [`emit`], which is what instrumented code
+/// calls. Coalesced cache hits pending on this thread are flushed
+/// first, so record order within a thread stays faithful.
 #[inline]
 pub fn record(tag: Tag, label: u16, a: u64, b: u64) {
-    if !enabled() {
-        return;
-    }
     let (hl, hn) = PENDING_HITS.get();
     if hn > 0 {
         PENDING_HITS.set((0, 0));
-        emit(Tag::CacheHit, hl, hn, 0);
+        push(Tag::CacheHit, hl, hn, 0);
     }
-    emit(tag, label, a, b);
+    push(tag, label, a, b);
 }
 
-/// Record a cache hit for `label`, coalescing consecutive hits on the
-/// same source into one record — the hit path pays a `Cell` bump, not
-/// a ring write. Flushed by the next [`record`] on this thread (every
-/// statement ends with one) or by a hit on a different source.
+/// Count a cache hit for `label` towards this thread's pending
+/// `CacheHit` record: consecutive hits on one source coalesce, so the
+/// hit path pays a `Cell` bump, not a ring write. Flushed by the next
+/// [`record`] on this thread (every statement ends with one) or by a
+/// hit on a different source.
 #[inline]
-pub fn cache_hit(label: u16) {
-    if !enabled() {
-        return;
-    }
+fn coalesce_hit(label: u16) {
     let (hl, hn) = PENDING_HITS.get();
     if hn > 0 && hl != label {
-        PENDING_HITS.set((0, 0));
-        emit(Tag::CacheHit, hl, hn, 0);
         PENDING_HITS.set((label, 1));
+        push(Tag::CacheHit, hl, hn, 0);
         return;
     }
     PENDING_HITS.set((label, hn + 1));
@@ -384,9 +388,9 @@ pub fn dropped_total() -> u64 {
 
 // ---- snapshot and the merged journal ---------------------------------
 
-/// One decoded flight-recorder event.
+/// One decoded flight-recorder record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
+pub struct Record {
     /// The recording thread's registration id (1-based).
     pub thread: u64,
     /// Per-thread monotonic epoch (1-based); total order within a
@@ -404,8 +408,8 @@ pub struct Event {
     pub b: u64,
 }
 
-impl Event {
-    /// The event's label, resolved to its string.
+impl Record {
+    /// The record's label, resolved to its string.
     pub fn label_str(&self) -> String {
         label_name(self.label)
     }
@@ -415,7 +419,7 @@ impl Event {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Journal {
     /// Events sorted by `(t_us, thread, epoch)`.
-    pub events: Vec<Event>,
+    pub events: Vec<Record>,
 }
 
 impl Journal {
@@ -471,7 +475,7 @@ impl Journal {
                 .ok_or("journal event: bad tag")?;
             let label = intern(it.get("label").and_then(Json::as_str).unwrap_or(""));
             let num = |k: &str| it.get(k).and_then(Json::as_u64).unwrap_or(0);
-            events.push(Event {
+            events.push(Record {
                 thread: num("thread"),
                 epoch: num("epoch"),
                 t_us: num("t_us"),
@@ -525,7 +529,7 @@ pub fn snapshot() -> Journal {
     journal
 }
 
-fn decode(buf: &[u8; MAX_PAYLOAD], len: usize, thread: u64, epoch: u64) -> Option<Event> {
+fn decode(buf: &[u8; MAX_PAYLOAD], len: usize, thread: u64, epoch: u64) -> Option<Record> {
     if len == 0 || len > MAX_PAYLOAD {
         return None;
     }
@@ -535,7 +539,7 @@ fn decode(buf: &[u8; MAX_PAYLOAD], len: usize, thread: u64, epoch: u64) -> Optio
     let label = get_varint(buf, len, &mut i)?;
     let a = get_varint(buf, len, &mut i)?;
     let b = get_varint(buf, len, &mut i)?;
-    Some(Event { thread, epoch, t_us, tag, label: label.min(u16::MAX as u64) as u16, a, b })
+    Some(Record { thread, epoch, t_us, tag, label: label.min(u16::MAX as u64) as u16, a, b })
 }
 
 // ---- varint coding ---------------------------------------------------
@@ -590,14 +594,18 @@ mod tests {
 
     #[test]
     fn tags_round_trip_through_names_and_bytes() {
-        for v in 1..=18u8 {
+        for v in 1..=19u8 {
             let t = Tag::from_u8(v).expect("dense tag space");
             assert_eq!(t as u8, v);
             assert_eq!(Tag::from_name(t.name()), Some(t));
         }
         assert_eq!(Tag::from_u8(0), None);
-        assert_eq!(Tag::from_u8(99), None);
+        assert_eq!(Tag::from_u8(20), None);
         assert_eq!(Tag::from_name("nope"), None);
+        // Wire names and numbers are append-only: 1–18 predate the spine.
+        assert_eq!((Tag::StmtBegin as u8, Tag::StmtBegin.name()), (1, "stmt_begin"));
+        assert_eq!((Tag::Incident as u8, Tag::Incident.name()), (18, "incident"));
+        assert_eq!(Tag::ChecksumMismatch as u8, 19);
     }
 
     #[test]
@@ -618,7 +626,7 @@ mod tests {
         record(Tag::CacheMiss, label, 4096, 0);
         record(Tag::StmtEnd, intern("ok"), 7, 1234);
         let j = snapshot();
-        let mine: Vec<&Event> =
+        let mine: Vec<&Record> =
             j.events.iter().filter(|e| e.tag == Tag::CacheMiss && e.label == label).collect();
         assert!(!mine.is_empty(), "own event visible");
         assert_eq!(mine[0].a, 4096);
@@ -629,14 +637,14 @@ mod tests {
         let l1 = intern("t_lib:hits1");
         let l2 = intern("t_lib:hits2");
         for _ in 0..5 {
-            cache_hit(l1);
+            emit(Event::CacheHit { src: l1 });
         }
-        cache_hit(l2); // different source flushes the l1 run
-        record(Tag::GovernorShed, 0, 0, 0); // flushes the l2 run
+        emit(Event::CacheHit { src: l2 }); // different source flushes the l1 run
+        emit(Event::GovernorShed); // flushes the l2 run
         let j = snapshot();
-        let h1: Vec<&Event> =
+        let h1: Vec<&Record> =
             j.events.iter().filter(|e| e.tag == Tag::CacheHit && e.label == l1).collect();
-        let h2: Vec<&Event> =
+        let h2: Vec<&Record> =
             j.events.iter().filter(|e| e.tag == Tag::CacheHit && e.label == l2).collect();
         assert_eq!(h1.len(), 1, "five hits, one record");
         assert_eq!(h1[0].a, 5);
@@ -645,22 +653,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_records_nothing() {
-        let label = intern("t_lib:disabled");
-        set_enabled(false);
-        record(Tag::CacheMiss, label, 1, 0);
-        cache_hit(label);
-        set_enabled(true);
-        let j = snapshot();
-        assert!(
-            !j.events.iter().any(|e| e.label == label),
-            "no events while disabled"
-        );
-    }
-
-    #[test]
     fn merge_keeps_time_order() {
-        let mk = |t_us, thread, epoch| Event {
+        let mk = |t_us, thread, epoch| Record {
             thread,
             epoch,
             t_us,
@@ -681,7 +675,7 @@ mod tests {
     fn json_round_trips() {
         let label = intern("t_lib:json");
         let j = Journal {
-            events: vec![Event {
+            events: vec![Record {
                 thread: 3,
                 epoch: 9,
                 t_us: 777,
@@ -700,7 +694,7 @@ mod tests {
 
     #[test]
     fn tail_keeps_the_newest() {
-        let mk = |t_us| Event {
+        let mk = |t_us| Record {
             thread: 1,
             epoch: t_us,
             t_us,

@@ -20,14 +20,13 @@
 //!
 //! ## Overhead contract
 //!
-//! Recording against a cached handle ([`LazyCounter`],
-//! [`LazyHistogram`]) is one relaxed atomic flag read, one `OnceLock`
-//! deref, and one relaxed `fetch_add` — no locking, no allocation, no
-//! formatting. [`set_enabled]`(false)` turns every record into the
-//! flag read alone; the `store_bench --metrics-overhead` gate asserts
-//! the end-to-end cost of metrics-on vs metrics-off stays under 3%.
-//! Registration (first use of a name) takes a mutex and leaks the
-//! metric: handles are `&'static` and live for the process.
+//! Recording against a resolved handle (a `&'static` [`Counter`],
+//! [`Gauge`] or [`Histogram`], or a [`LazyCounter`]) is one relaxed
+//! `fetch_add` — no locking, no allocation, no formatting. Looking a
+//! name up (`counter`, `counter_with`, …) takes the registry mutex, and
+//! the first use of a name leaks the metric: handles are `&'static`
+//! and live for the process. Hot call sites resolve a handle once and
+//! keep it; [`registry_locks`] lets a test hold them to that.
 //!
 //! ## Cardinality rules
 //!
@@ -56,7 +55,7 @@ pub(crate) mod dashboard;
 pub mod http;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Number of write shards per counter / histogram sum. Eight padded
@@ -66,23 +65,6 @@ pub const SHARDS: usize = 8;
 /// Number of histogram buckets: one for zero plus one per power of
 /// two up to `2^64`.
 pub const BUCKETS: usize = 65;
-
-// ---- enable switch ---------------------------------------------------
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Is metric recording on? (One relaxed load; the default is on.)
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Globally enable or disable recording. Handles keep working either
-/// way; a disabled record is a single flag read. Used by the
-/// `--metrics-overhead` gate to measure the cost of the hooks.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 // ---- shard selection -------------------------------------------------
 
@@ -110,10 +92,10 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Add `delta`. No-op when recording is disabled or `delta == 0`.
+    /// Add `delta`.
     #[inline]
     pub fn add(&self, delta: u64) {
-        if delta == 0 || !enabled() {
+        if delta == 0 {
             return;
         }
         self.shards[shard_index()].0.fetch_add(delta, Ordering::Relaxed);
@@ -138,18 +120,14 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Set the gauge. No-op when recording is disabled.
+    /// Set the gauge.
     pub fn set(&self, v: i64) {
-        if enabled() {
-            self.v.store(v, Ordering::Relaxed);
-        }
+        self.v.store(v, Ordering::Relaxed);
     }
 
     /// Adjust the gauge by `delta` (may be negative).
     pub fn add(&self, delta: i64) {
-        if enabled() {
-            self.v.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.v.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -205,12 +183,9 @@ pub struct HistogramSnapshot {
 }
 
 impl Histogram {
-    /// Record one sample. No-op when recording is disabled.
+    /// Record one sample.
     #[inline]
     pub fn observe(&self, v: u64) {
-        if !enabled() {
-            return;
-        }
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.sum[shard_index()].0.fetch_add(v, Ordering::Relaxed);
     }
@@ -303,8 +278,21 @@ fn series_key(family: &str, labels: &[(&str, &str)]) -> String {
     format!("{family}{{{}}}", body.join(","))
 }
 
+thread_local! {
+    static REGISTRY_LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Times this thread has taken the registry mutex — one per name
+/// lookup, snapshot or exposition. Test hook: a path that claims to
+/// work from resolved handles must leave it unchanged.
+#[doc(hidden)]
+pub fn registry_locks() -> u64 {
+    REGISTRY_LOCKS.with(std::cell::Cell::get)
+}
+
 fn registry() -> MutexGuard<'static, HashMap<String, Entry>> {
     static REG: OnceLock<Mutex<HashMap<String, Entry>>> = OnceLock::new();
+    REGISTRY_LOCKS.with(|c| c.set(c.get() + 1));
     REG.get_or_init(|| Mutex::new(HashMap::new()))
         .lock()
         .unwrap_or_else(|poison| poison.into_inner())
@@ -408,8 +396,8 @@ pub fn family_total(family: &str) -> u64 {
 // ---- cached handles for hot call sites -------------------------------
 
 /// A `static`-friendly counter handle: the registry lookup happens
-/// once, on first use, after which [`LazyCounter::add`] is a flag read
-/// plus one sharded `fetch_add`.
+/// once, on first use, after which it dereferences to the registered
+/// [`Counter`] — an `add` is one sharded `fetch_add`.
 pub struct LazyCounter {
     name: &'static str,
     help: &'static str,
@@ -421,58 +409,14 @@ impl LazyCounter {
     pub const fn new(name: &'static str, help: &'static str) -> Self {
         LazyCounter { name, help, cell: OnceLock::new() }
     }
+}
+
+impl std::ops::Deref for LazyCounter {
+    type Target = Counter;
 
     /// Resolve the underlying counter (registering it if needed).
-    pub fn counter(&self) -> &'static Counter {
+    fn deref(&self) -> &Counter {
         self.cell.get_or_init(|| counter(self.name, self.help))
-    }
-
-    /// Add `delta`; no-op when disabled or zero.
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        if delta == 0 || !enabled() {
-            return;
-        }
-        self.counter().add(delta);
-    }
-
-    /// Add 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current total.
-    pub fn get(&self) -> u64 {
-        self.counter().get()
-    }
-}
-
-/// A `static`-friendly histogram handle; see [`LazyCounter`].
-pub struct LazyHistogram {
-    name: &'static str,
-    help: &'static str,
-    cell: OnceLock<&'static Histogram>,
-}
-
-impl LazyHistogram {
-    /// Declare a histogram bound lazily to `name`.
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        LazyHistogram { name, help, cell: OnceLock::new() }
-    }
-
-    /// Resolve the underlying histogram (registering it if needed).
-    pub fn histogram(&self) -> &'static Histogram {
-        self.cell.get_or_init(|| histogram(self.name, self.help))
-    }
-
-    /// Record one sample; no-op when disabled.
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        if !enabled() {
-            return;
-        }
-        self.histogram().observe(v);
     }
 }
 
@@ -727,16 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_records_nothing() {
-        let c = counter("t_lib_disabled_total", "c");
-        set_enabled(false);
-        c.add(10);
-        set_enabled(true);
-        c.add(1);
-        assert_eq!(c.get(), 1);
-    }
-
-    #[test]
     fn prometheus_rendering_shapes() {
         counter("t_expo_a_total", "A test counter.").add(2);
         let h = histogram_with("t_expo_lat_ns", &[("phase", "eval")], "Latency.");
@@ -779,9 +713,12 @@ mod tests {
         C.add(2);
         C.inc();
         assert_eq!(C.get(), 3);
-        static H: LazyHistogram = LazyHistogram::new("t_lazy_ns", "lazy");
-        H.observe(5);
-        assert_eq!(H.histogram().snapshot().count(), 1);
+        // Only a name lookup takes the registry lock.
+        let locks = registry_locks();
+        C.add(1);
+        assert_eq!(registry_locks(), locks, "a resolved handle never looks its name up again");
+        counter("t_lazy_total", "lazy");
+        assert_eq!(registry_locks(), locks + 1);
     }
 
     #[test]

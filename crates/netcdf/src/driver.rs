@@ -22,6 +22,7 @@ use std::rc::Rc;
 
 use aql_core::types::Type;
 use aql_core::value::{ArrayVal, Value};
+use aql_journal::{emit, Event};
 use aql_lang::errors::LangError;
 use aql_lang::reader::Reader;
 use aql_lang::session::Session;
@@ -51,23 +52,18 @@ where
     S: IoSource,
     F: FnMut() -> Result<S, NcError>,
 {
-    static M_HYPERSLABS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-        "aql_netcdf_hyperslab_requests_total",
-        "Hyperslab read requests issued to NetCDF sources.",
-    );
     let _span = aql_trace::span("netcdf.hyperslab");
-    aql_trace::count("netcdf.hyperslab_requests", 1);
-    M_HYPERSLABS.inc();
+    emit(Event::NetcdfHyperslab);
     aql_trace::note("var", || var.to_string());
     // Lazily bound sources get retry events from the resilience stack;
-    // the eager path retries here, so it stamps the flight recorder
-    // itself — `\doctor`'s retry timeline covers both modes.
+    // this loop retries below it (and is all the eager path has), so it
+    // emits its own — `\doctor`'s retry timeline covers both modes.
     let mut attempt: u64 = 0;
     retry(|| {
         attempt += 1;
-        if attempt > 1 && aql_journal::enabled() {
-            let label = aql_journal::intern(&format!("netcdf:{var}"));
-            aql_journal::record(aql_journal::Tag::Retry, label, attempt, 0);
+        if attempt > 1 {
+            let src = aql_journal::intern(&format!("netcdf:{var}"));
+            emit(Event::Retry { src, attempt });
         }
         let mut reader = SlabReader::from_source(open()?)?;
         reader.read_slab(var, start, count)

@@ -21,6 +21,8 @@ use std::fs::File;
 use std::io::{self, BufReader, Cursor, Read, Seek, SeekFrom};
 use std::time::Duration;
 
+use aql_journal::{emit, Event};
+
 use crate::model::NcError;
 
 /// A seekable byte source with a known total length.
@@ -266,33 +268,20 @@ pub fn retry_with<T>(
     config: RetryConfig,
     mut op: impl FnMut() -> Result<T, NcError>,
 ) -> Result<T, NcError> {
-    /// Process-lifetime fault/retry counters (the per-query view lives
-    /// on the trace span; these feed the `/metrics` endpoint).
-    static M_FAULTS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-        "aql_netcdf_faults_total",
-        "NetCDF I/O operations that returned an error (pre-retry).",
-    );
-    static M_RETRIES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-        "aql_netcdf_retries_total",
-        "NetCDF I/O attempts retried after a transient error.",
-    );
     let attempts = config.attempts.max(1);
     let mut rng: Option<rand::rngs::StdRng> = None;
     let mut attempt = 0;
     loop {
         match op() {
             Err(e) if e.is_transient() && attempt + 1 < attempts => {
-                aql_trace::count("netcdf.faults", 1);
-                aql_trace::count("netcdf.retries", 1);
-                M_FAULTS.inc();
-                M_RETRIES.inc();
+                emit(Event::NetcdfFault);
+                emit(Event::NetcdfRetry);
                 std::thread::sleep(backoff(config, attempt, &mut rng));
                 attempt += 1;
             }
             other => {
                 if other.is_err() {
-                    aql_trace::count("netcdf.faults", 1);
-                    M_FAULTS.inc();
+                    emit(Event::NetcdfFault);
                 }
                 return other;
             }

@@ -7,7 +7,8 @@ use crate::buffer::ScalarBuf;
 use crate::error::StoreError;
 use crate::governor;
 use crate::interrupt;
-use crate::stats::{self, CacheStats};
+use crate::stats::CacheStats;
+use aql_journal::{emit, Event};
 
 /// "No slot": the end of the recency list in either direction.
 const NIL: usize = usize::MAX;
@@ -44,7 +45,7 @@ pub enum Loaded {
 /// Lookups go through [`get_or_load`](ChunkCache::get_or_load): a hit
 /// returns the cached buffer and refreshes its recency — one hash
 /// lookup, a relink of the recency list unless the chunk is already
-/// the most recent, an `Rc` clone, and one count in each ledger; no
+/// the most recent, an `Rc` clone, and one emitted event; no
 /// allocation and nothing ordered to update. A miss runs
 /// the supplied loader, accounts the loaded bytes, inserts the buffer,
 /// and then evicts least-recently-used chunks until the payload bytes
@@ -66,8 +67,10 @@ pub enum Loaded {
 /// (an evicted slot is back-filled by the last one), so eviction pops
 /// the tail in constant time.
 ///
-/// All counter increments are mirrored into the thread-local aggregate
-/// readable via [`stats::global`].
+/// Every count is kept twice: in this cache's own [`CacheStats`] and,
+/// through one `aql_journal::emit` per event, in every telemetry view
+/// (the thread aggregate [`stats::global`](crate::stats::global) among
+/// them).
 pub struct ChunkCache {
     budget: u64,
     /// Chunk id → index into `slots`.
@@ -181,26 +184,33 @@ impl ChunkCache {
                 self.unlink(slot);
                 self.link_newest(slot);
             }
-            self.record_hit();
+            self.stats.hits += 1;
+            emit(Event::CacheHit { src: self.jlabel });
             return Ok(Rc::clone(&self.slots[slot].buf));
         }
         // Miss path only: a statement blocked on I/O must notice its
         // deadline/cancellation, but a hit costs nothing extra.
         interrupt::check()?;
-        let (buf, warm) = match load() {
-            Ok(Loaded::Source(buf)) => (Rc::new(buf), false),
-            Ok(Loaded::Warm(buf)) => (Rc::new(buf), true),
+        self.stats.misses += 1;
+        let src = self.jlabel;
+        let buf = match load() {
+            Ok(Loaded::Source(buf)) => {
+                self.stats.bytes_read += buf.byte_len();
+                emit(Event::CacheMiss { src, bytes: buf.byte_len() });
+                buf
+            }
+            Ok(Loaded::Warm(buf)) => {
+                self.stats.prefetched_bytes += buf.byte_len();
+                emit(Event::CacheWarm { src, bytes: buf.byte_len() });
+                buf
+            }
             Err(e) => {
-                self.bump(CacheStats { misses: 1, load_errors: 1, ..Default::default() });
+                self.stats.load_errors += 1;
+                emit(Event::CacheLoadError { src });
                 return Err(e);
             }
         };
-        let loaded = buf.byte_len();
-        if warm {
-            self.bump(CacheStats { misses: 1, prefetched_bytes: loaded, ..Default::default() });
-        } else {
-            self.bump(CacheStats { misses: 1, bytes_read: loaded, ..Default::default() });
-        }
+        let (loaded, buf) = (buf.byte_len(), Rc::new(buf));
         // Process-wide admission: shed own residency before denying
         // (DESIGN.md §12 degradation order). A denial fails this one
         // load; everything already cached stays valid.
@@ -262,7 +272,8 @@ impl ChunkCache {
         let freed = gone.buf.byte_len();
         self.bytes -= freed;
         governor::release(freed);
-        self.bump(CacheStats { evictions: 1, ..Default::default() });
+        self.stats.evictions += 1;
+        emit(Event::CacheEvict { src: self.jlabel });
     }
 
     /// Charge `needed` bytes against the process governor, evicting
@@ -278,7 +289,7 @@ impl ChunkCache {
             if self.oldest == NIL {
                 return false;
             }
-            governor::note_shed();
+            emit(Event::GovernorShed);
             self.evict(self.oldest);
         }
     }
@@ -294,70 +305,6 @@ impl ChunkCache {
                 break;
             }
             self.evict(victim);
-        }
-    }
-
-    /// [`bump`](ChunkCache::bump) of exactly one hit: the same five
-    /// ledgers — this cache's stats, the thread aggregate (with its
-    /// trace and metric mirrors), the journal's coalesced `cache_hit`,
-    /// and the open statement's attribution row — at one word each.
-    #[inline]
-    fn record_hit(&mut self) {
-        self.stats.hits += 1;
-        stats::global_hit();
-        aql_journal::cache_hit(self.jlabel);
-        aql_journal::attr::note(self.jlabel, |c| c.hits += 1);
-    }
-
-    fn bump(&mut self, delta: CacheStats) {
-        self.stats.hits += delta.hits;
-        self.stats.misses += delta.misses;
-        self.stats.evictions += delta.evictions;
-        self.stats.bytes_read += delta.bytes_read;
-        self.stats.prefetched_bytes += delta.prefetched_bytes;
-        self.stats.load_errors += delta.load_errors;
-        stats::global_add(delta);
-        if delta.bytes_read > 0 || delta.prefetched_bytes > 0 || delta.load_errors > 0 {
-            if let Some(label) = &self.label {
-                stats::note_labeled(
-                    label,
-                    delta.bytes_read,
-                    delta.prefetched_bytes,
-                    delta.load_errors,
-                );
-            }
-        }
-        // Flight recorder: hits coalesce into a thread-local pending
-        // count; everything else is one ring write.
-        if aql_journal::enabled() {
-            use aql_journal::Tag;
-            if delta.hits > 0 {
-                aql_journal::cache_hit(self.jlabel);
-            }
-            if delta.bytes_read > 0 {
-                aql_journal::record(Tag::CacheMiss, self.jlabel, delta.bytes_read, 0);
-            }
-            if delta.prefetched_bytes > 0 {
-                aql_journal::record(Tag::CacheWarm, self.jlabel, delta.prefetched_bytes, 0);
-            }
-            if delta.load_errors > 0 {
-                aql_journal::record(Tag::CacheLoadError, self.jlabel, delta.load_errors, 0);
-            }
-            if delta.evictions > 0 {
-                aql_journal::record(Tag::CacheEvict, self.jlabel, delta.evictions, 0);
-            }
-        }
-        // Per-query attribution: charge the open statement ledger, per
-        // source label. One Cell read when no statement is running.
-        if aql_journal::attr::active() {
-            aql_journal::attr::note(self.jlabel, |c| {
-                c.hits += delta.hits;
-                c.chunks_loaded += delta.misses.saturating_sub(delta.load_errors);
-                c.bytes_read += delta.bytes_read;
-                c.prefetched_bytes += delta.prefetched_bytes;
-                c.evictions += delta.evictions;
-                c.load_errors += delta.load_errors;
-            });
         }
     }
 }

@@ -34,11 +34,6 @@ use crate::error::StoreError;
 use crate::interrupt;
 use crate::source::ChunkSource;
 
-static M_INJECTED: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_chaos_injected_total",
-    "Faults injected by FaultyChunkSource (errors, corruption, latency).",
-);
-
 /// A checksum of a chunk payload: FNV-1a over the buffer's element
 /// kind, length, and byte representation. Not cryptographic — it only
 /// needs to make accidental (or injected) corruption visible.
@@ -236,10 +231,7 @@ impl<S: ChunkSource> FaultyChunkSource<S> {
 
     fn note_injected(&mut self, kind: &'static str) {
         self.injected += 1;
-        M_INJECTED.inc();
-        if aql_trace::enabled() {
-            aql_trace::count_with(|| format!("chaos.injected:{kind}"), 1);
-        }
+        aql_journal::emit(aql_journal::Event::FaultInjected { kind });
     }
 }
 

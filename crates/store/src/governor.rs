@@ -26,16 +26,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::error::StoreError;
+use aql_journal::{emit, Event};
 
-static M_DENIALS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_governor_denials_total",
-    "Byte-budget charges denied after shedding (surfaced as ResourceExhausted).",
-);
-static M_SHEDS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_governor_sheds_total",
-    "Cache entries evicted to make room under the process byte budget.",
-);
+use crate::error::StoreError;
 
 /// A byte ledger: a budget plus the bytes currently charged against
 /// it. The process governor is one static `Ledger`; the struct is
@@ -144,13 +137,7 @@ static GLOBAL: Ledger = Ledger::unlimited();
 /// Set the process-wide byte budget; `None` removes the bound.
 pub fn set_budget(budget: Option<u64>) {
     GLOBAL.set_budget(budget);
-    if aql_metrics::enabled() {
-        aql_metrics::gauge(
-            "aql_store_governor_budget_bytes",
-            "Configured process-wide chunk-memory budget (-1 = unlimited).",
-        )
-        .set(budget.map_or(-1, |b| b.min(i64::MAX as u64) as i64));
-    }
+    emit(Event::GovernorBudget { bytes: budget.unwrap_or(u64::MAX) });
 }
 
 /// The configured process-wide budget, or `None` when unlimited.
@@ -171,13 +158,7 @@ pub fn bytes_in_use() -> u64 {
 /// assert a cache-budget bound on.
 pub fn peak_bytes() -> u64 {
     let peak = GLOBAL.peak_bytes();
-    if aql_metrics::enabled() {
-        aql_metrics::gauge(
-            "aql_store_governor_peak_bytes",
-            "High-water mark of governed chunk-memory bytes.",
-        )
-        .set(peak.min(i64::MAX as u64) as i64);
-    }
+    emit(Event::GovernorPeak { bytes: peak });
     peak
 }
 
@@ -196,30 +177,10 @@ pub(crate) fn release(bytes: u64) {
     GLOBAL.release(bytes)
 }
 
-/// Record one shed eviction (a cache entry dropped to make room under
-/// the process budget, as opposed to the cache's own LRU budget).
-pub(crate) fn note_shed() {
-    M_SHEDS.inc();
-    if aql_trace::enabled() {
-        aql_trace::count("governor.sheds", 1);
-    }
-    if aql_journal::enabled() {
-        aql_journal::record(aql_journal::Tag::GovernorShed, 0, 0, 0);
-    }
-    aql_journal::attr::note_shed();
-}
-
 /// Build the denial error for a charge that failed even after
-/// shedding, recording it in the process metrics.
+/// shedding, and emit the denial.
 pub(crate) fn deny(requested: u64) -> StoreError {
-    M_DENIALS.inc();
-    if aql_trace::enabled() {
-        aql_trace::count("governor.denials", 1);
-    }
-    if aql_journal::enabled() {
-        aql_journal::record(aql_journal::Tag::GovernorDeny, 0, requested, 0);
-    }
-    aql_journal::attr::note_denial();
+    emit(Event::GovernorDeny { requested });
     StoreError::Budget { requested, budget: GLOBAL.budget.load(Ordering::Relaxed) }
 }
 

@@ -30,11 +30,12 @@
 //! trips) is preempted promptly on shutdown instead of being waited
 //! out.
 //!
-//! Effectiveness is observable: `aql_store_prefetch_issued_total`,
-//! `…_hits_total` and `…_wasted_total` process metrics, the same three
-//! counters in [`PrefetchStats`] per prefetcher, and `prefetch.*`
-//! trace counts (emitted from the consumer thread only — the trace
-//! subscriber is thread-local and lives with the statement).
+//! Effectiveness is observable: each prefetcher counts issued, hit and
+//! wasted loads in its own [`PrefetchStats`], and emits the same three
+//! as events (`aql_store_prefetch_{issued,hits,wasted}_total`,
+//! `prefetch.*` trace counts — which only a consumer-thread event can
+//! reach: the trace subscriber is thread-local and lives with the
+//! statement).
 //!
 //! [`ChunkCache`]: crate::ChunkCache
 //! [`RemoteChunkSource`]: crate::RemoteChunkSource
@@ -44,24 +45,13 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use aql_journal::{emit, Event};
+
 use crate::buffer::ScalarBuf;
 use crate::governor;
 use crate::interrupt;
 use crate::layout::ChunkLayout;
 use crate::source::ChunkSource;
-
-static M_ISSUED: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_prefetch_issued_total",
-    "Chunk loads requested speculatively by the read-ahead predictor.",
-);
-static M_HITS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_prefetch_hits_total",
-    "Chunk misses served from the prefetch warm pool instead of the source.",
-);
-static M_WASTED: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_prefetch_wasted_total",
-    "Speculatively loaded chunks discarded without ever being consumed.",
-);
 
 /// Tuning knobs for a [`Prefetcher`].
 #[derive(Debug, Clone, Copy)]
@@ -126,19 +116,19 @@ impl Shared {
     fn jlabel(&self) -> u16 {
         self.jlabel.load(Ordering::Relaxed) as u16
     }
-}
 
-impl Shared {
+    /// Count one speculative load that never paid off.
+    fn count_waste(&self) {
+        self.wasted.fetch_add(1, Ordering::Relaxed);
+        emit(Event::PrefetchWasted { src: self.jlabel() });
+    }
+
     /// Discard a never-consumed buffer: release its governed bytes and
     /// count the waste. `bytes` were part of `ready_bytes` already.
     fn waste(&self, state: &mut State, bytes: u64) {
         state.ready_bytes -= bytes;
         governor::release(bytes);
-        self.wasted.fetch_add(1, Ordering::Relaxed);
-        M_WASTED.inc();
-        if aql_journal::enabled() {
-            aql_journal::record(aql_journal::Tag::PrefetchWasted, self.jlabel(), 1, 0);
-        }
+        self.count_waste();
     }
 }
 
@@ -272,18 +262,7 @@ impl Prefetcher {
         }
         if issued > 0 {
             self.shared.issued.fetch_add(issued, Ordering::Relaxed);
-            M_ISSUED.add(issued);
-            if aql_trace::enabled() {
-                aql_trace::count("prefetch.issued", issued);
-            }
-            if aql_journal::enabled() {
-                aql_journal::record(
-                    aql_journal::Tag::PrefetchIssued,
-                    self.shared.jlabel(),
-                    issued,
-                    0,
-                );
-            }
+            emit(Event::PrefetchIssued { src: self.shared.jlabel(), n: issued });
             self.shared.work.notify_one();
         }
     }
@@ -302,10 +281,7 @@ impl Prefetcher {
         // first so a tight budget does not double-count the handoff.
         governor::release(bytes);
         self.shared.hits.fetch_add(1, Ordering::Relaxed);
-        M_HITS.inc();
-        if aql_trace::enabled() {
-            aql_trace::count("prefetch.hits", 1);
-        }
+        emit(Event::PrefetchHit);
         Some(buf)
     }
 
@@ -402,11 +378,7 @@ fn worker_loop(shared: Arc<Shared>, mut source: Box<dyn ChunkSource + Send>, lay
             // Denied by the process budget: speculation yields first
             // (DESIGN.md §12 — real work sheds caches; guesses just
             // give up).
-            shared.wasted.fetch_add(1, Ordering::Relaxed);
-            M_WASTED.inc();
-            if aql_journal::enabled() {
-                aql_journal::record(aql_journal::Tag::PrefetchWasted, shared.jlabel(), 1, 0);
-            }
+            shared.count_waste();
             continue;
         }
         let mut state = shared.state.lock().expect("prefetch lock");

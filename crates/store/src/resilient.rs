@@ -30,6 +30,7 @@
 
 use std::time::{Duration, Instant};
 
+use aql_journal::{emit, Event};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,27 +39,6 @@ use crate::error::{FaultClass, StoreError};
 use crate::fault::checksum;
 use crate::interrupt;
 use crate::source::ChunkSource;
-
-static M_RETRIES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_resilience_retries_total",
-    "Chunk reads retried after a retryable failure.",
-);
-static M_TRIPS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_breaker_trips_total",
-    "Circuit breakers tripped open after consecutive source failures.",
-);
-static M_PROBES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_breaker_probes_total",
-    "Half-open probes admitted after a breaker cool-down.",
-);
-static M_FAST_FAILS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_breaker_fast_fails_total",
-    "Chunk reads rejected without touching the source (breaker open).",
-);
-static M_CHECKSUM: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_checksum_mismatch_total",
-    "Chunk payloads rejected because their checksum disagreed with the source's.",
-);
 
 /// Retry policy: exponential backoff with multiplicative jitter.
 ///
@@ -209,23 +189,11 @@ impl CircuitBreaker {
                 if since >= self.policy.cooldown {
                     self.state = BreakerState::HalfOpen;
                     self.probes += 1;
-                    M_PROBES.inc();
-                    if aql_trace::enabled() {
-                        aql_trace::count_with(|| format!("breaker.probe:{}", self.label), 1);
-                    }
-                    if aql_journal::enabled() {
-                        aql_journal::record(aql_journal::Tag::BreakerProbe, self.jlabel, 0, 0);
-                    }
+                    emit(Event::BreakerProbe { src: self.jlabel });
                     Ok(())
                 } else {
                     self.fast_fails += 1;
-                    M_FAST_FAILS.inc();
-                    if aql_trace::enabled() {
-                        aql_trace::count_with(|| format!("breaker.fast_fail:{}", self.label), 1);
-                    }
-                    if aql_journal::enabled() {
-                        aql_journal::record(aql_journal::Tag::BreakerFastFail, self.jlabel, 0, 0);
-                    }
+                    emit(Event::BreakerFastFail { src: self.jlabel });
                     Err(StoreError::Unavailable {
                         source: self.label.clone(),
                         retry_after_ms: (self.policy.cooldown - since).as_millis() as u64,
@@ -238,8 +206,8 @@ impl CircuitBreaker {
     /// Report a successful source call: closes the breaker and resets
     /// the failure streak.
     pub fn on_success(&mut self) {
-        if self.state != BreakerState::Closed && aql_trace::enabled() {
-            aql_trace::count_with(|| format!("breaker.close:{}", self.label), 1);
+        if self.state != BreakerState::Closed {
+            emit(Event::BreakerClose { src: self.jlabel });
         }
         self.state = BreakerState::Closed;
         self.consecutive = 0;
@@ -256,13 +224,7 @@ impl CircuitBreaker {
             self.state = BreakerState::Open;
             self.opened_at = Some(Instant::now());
             self.trips += 1;
-            M_TRIPS.inc();
-            if aql_trace::enabled() {
-                aql_trace::count_with(|| format!("breaker.trip:{}", self.label), 1);
-            }
-            if aql_journal::enabled() {
-                aql_journal::record(aql_journal::Tag::BreakerTrip, self.jlabel, 0, 0);
-            }
+            emit(Event::BreakerTrip { src: self.jlabel });
         }
     }
 }
@@ -348,10 +310,7 @@ impl<S: ChunkSource> ResilientSource<S> {
             if let Some(want) = self.inner.chunk_checksum(start, count) {
                 let got = checksum(&buf);
                 if got != want {
-                    M_CHECKSUM.inc();
-                    if aql_trace::enabled() {
-                        aql_trace::count("chunks.checksum_mismatch", 1);
-                    }
+                    emit(Event::ChecksumMismatch { src: self.jlabel });
                     return Err(StoreError::Io {
                         message: format!(
                             "chunk checksum mismatch: payload {got:#018x}, source says {want:#018x}"
@@ -402,19 +361,7 @@ impl<S: ChunkSource> ChunkSource for ResilientSource<S> {
                     }
                     attempt += 1;
                     self.retries += 1;
-                    M_RETRIES.inc();
-                    if aql_trace::enabled() {
-                        aql_trace::count("chunks.retries", 1);
-                    }
-                    if aql_journal::enabled() {
-                        aql_journal::record(
-                            aql_journal::Tag::Retry,
-                            self.jlabel,
-                            attempt as u64,
-                            0,
-                        );
-                    }
-                    aql_journal::attr::note(self.jlabel, |c| c.retries += 1);
+                    emit(Event::Retry { src: self.jlabel, attempt: attempt as u64 });
                     interrupt::sleep(self.retry.backoff(attempt, &mut self.rng))?;
                 }
             }

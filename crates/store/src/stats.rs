@@ -1,14 +1,13 @@
 //! Cache instrumentation counters.
 //!
 //! Every [`ChunkCache`](crate::ChunkCache) keeps its own
-//! [`CacheStats`], and mirrors each increment into a **thread-local
-//! aggregate** readable via [`global`]. The aggregate lets an
-//! evaluator report the I/O cost of one query as a before/after delta
-//! ([`CacheStats::delta_since`]) without threading a cache handle
-//! through every array value. The runtime is single-threaded (values
-//! are `Rc`-based), so a thread-local is exact, not approximate.
-
-use std::cell::Cell;
+//! [`CacheStats`]; the same events, emitted once through
+//! `aql_journal::emit`, also feed a **thread-local aggregate** readable
+//! via [`global`]. The aggregate lets an evaluator report the I/O cost
+//! of one query as a before/after delta ([`CacheStats::delta_since`])
+//! without threading a cache handle through every array value. The
+//! runtime is single-threaded (values are `Rc`-based), so a
+//! thread-local is exact, not approximate.
 
 /// Monotonic counters describing cache behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,144 +54,18 @@ impl CacheStats {
     }
 }
 
-/// The thread-local aggregate, one cell per counter so the hit path
-/// touches a single word.
-struct GlobalCells {
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-    evictions: Cell<u64>,
-    bytes_read: Cell<u64>,
-    prefetched_bytes: Cell<u64>,
-    load_errors: Cell<u64>,
-}
-
-thread_local! {
-    static GLOBAL: GlobalCells = const { GlobalCells {
-        hits: Cell::new(0),
-        misses: Cell::new(0),
-        evictions: Cell::new(0),
-        bytes_read: Cell::new(0),
-        prefetched_bytes: Cell::new(0),
-        load_errors: Cell::new(0),
-    } };
-}
-
 /// Snapshot of the thread-local aggregate across all caches on this
-/// thread.
+/// thread: the telemetry spine's per-thread totals, read as cache
+/// counters (a miss either loaded a chunk or failed to).
 pub fn global() -> CacheStats {
-    GLOBAL.with(|g| CacheStats {
-        hits: g.hits.get(),
-        misses: g.misses.get(),
-        evictions: g.evictions.get(),
-        bytes_read: g.bytes_read.get(),
-        prefetched_bytes: g.prefetched_bytes.get(),
-        load_errors: g.load_errors.get(),
-    })
-}
-
-/// Process-lifetime cache counters, mirrored from every increment:
-/// where [`global`] answers "what did *this statement* cost" via
-/// deltas, these answer "what has this *process* done" for the
-/// `/metrics` endpoint. Cached handles keep the hot path at one flag
-/// read per zero field and one sharded `fetch_add` per nonzero one.
-static M_HITS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_cache_hits_total",
-    "Chunk-cache lookups served from memory.",
-);
-static M_MISSES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_cache_misses_total",
-    "Chunk-cache lookups that consulted the chunk source.",
-);
-static M_EVICTIONS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_cache_evictions_total",
-    "Chunks evicted to stay under the byte budget.",
-);
-static M_BYTES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_cache_bytes_read_total",
-    "Payload bytes loaded from chunk sources on misses.",
-);
-static M_LOAD_ERRORS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_cache_load_errors_total",
-    "Chunk-loader invocations that returned an error.",
-);
-static M_PREFETCHED: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_cache_prefetched_bytes_total",
-    "Payload bytes handed over from prefetch warm pools on misses.",
-);
-
-/// Fold `delta` into the thread-local aggregate, mirror it into
-/// the `aql-trace` subscriber (attached to the innermost open span)
-/// when tracing is enabled — so a profiled query's span tree carries
-/// the cache activity it caused without any cache handle plumbing —
-/// and bump the process-lifetime `aql_store_cache_*` metrics.
-pub(crate) fn global_add(delta: CacheStats) {
-    GLOBAL.with(|g| {
-        let add = |cell: &Cell<u64>, n: u64| cell.set(cell.get() + n);
-        add(&g.hits, delta.hits);
-        add(&g.misses, delta.misses);
-        add(&g.evictions, delta.evictions);
-        add(&g.bytes_read, delta.bytes_read);
-        add(&g.prefetched_bytes, delta.prefetched_bytes);
-        add(&g.load_errors, delta.load_errors);
-    });
-    if aql_trace::enabled() {
-        aql_trace::count("cache.hits", delta.hits);
-        aql_trace::count("cache.misses", delta.misses);
-        aql_trace::count("cache.evictions", delta.evictions);
-        aql_trace::count("cache.bytes_read", delta.bytes_read);
-        aql_trace::count("cache.prefetched_bytes", delta.prefetched_bytes);
-        aql_trace::count("cache.load_errors", delta.load_errors);
-    }
-    M_HITS.add(delta.hits);
-    M_MISSES.add(delta.misses);
-    M_EVICTIONS.add(delta.evictions);
-    M_BYTES.add(delta.bytes_read);
-    M_PREFETCHED.add(delta.prefetched_bytes);
-    M_LOAD_ERRORS.add(delta.load_errors);
-}
-
-/// [`global_add`] of exactly one hit: the same three destinations
-/// (aggregate, trace subscriber, process metric), one word each.
-#[inline]
-pub(crate) fn global_hit() {
-    GLOBAL.with(|g| g.hits.set(g.hits.get() + 1));
-    aql_trace::count("cache.hits", 1);
-    M_HITS.inc();
-}
-
-/// Attribute miss-path I/O to a *source* label (`netcdf:<var>`,
-/// `aqf:<file>`, `mem`, …): per-source series under the same
-/// `aql_store_cache_bytes_read_total` / `…_load_errors_total` families
-/// the unlabeled process totals live in, so multi-backend I/O is
-/// attributable in the Prometheus endpoint. Called only when a counter
-/// actually moved — the registry lookup never lands on the hit path.
-pub(crate) fn note_labeled(label: &str, bytes_read: u64, prefetched_bytes: u64, load_errors: u64) {
-    if !aql_metrics::enabled() {
-        return;
-    }
-    if bytes_read > 0 {
-        aql_metrics::counter_with(
-            "aql_store_cache_bytes_read_total",
-            &[("source", label)],
-            "Payload bytes loaded from chunk sources on misses.",
-        )
-        .add(bytes_read);
-    }
-    if prefetched_bytes > 0 {
-        aql_metrics::counter_with(
-            "aql_store_cache_prefetched_bytes_total",
-            &[("source", label)],
-            "Payload bytes handed over from prefetch warm pools on misses.",
-        )
-        .add(prefetched_bytes);
-    }
-    if load_errors > 0 {
-        aql_metrics::counter_with(
-            "aql_store_cache_load_errors_total",
-            &[("source", label)],
-            "Chunk-loader invocations that returned an error.",
-        )
-        .add(load_errors);
+    let t = aql_journal::attr::totals();
+    CacheStats {
+        hits: t.hits,
+        misses: t.chunks_loaded + t.load_errors,
+        evictions: t.evictions,
+        bytes_read: t.bytes_read,
+        prefetched_bytes: t.prefetched_bytes,
+        load_errors: t.load_errors,
     }
 }
 
@@ -217,34 +90,23 @@ mod tests {
     }
 
     #[test]
-    fn metrics_mirror_cache_counters() {
-        let hits = aql_metrics::counter("aql_store_cache_hits_total", "");
-        let bytes = aql_metrics::counter("aql_store_cache_bytes_read_total", "");
-        let (h0, b0) = (hits.get(), bytes.get());
-        global_add(CacheStats { hits: 3, bytes_read: 128, ..Default::default() });
-        // `>=`: other tests on other threads may be bumping too.
-        assert!(hits.get() >= h0 + 3);
-        assert!(bytes.get() >= b0 + 128);
-    }
-
-    #[test]
-    fn global_accumulates() {
+    fn global_is_the_spines_thread_totals() {
+        use aql_journal::{emit, Event};
         let base = global();
-        global_add(CacheStats { hits: 2, bytes_read: 16, ..Default::default() });
-        let d = global().delta_since(&base);
-        assert_eq!(d.hits, 2);
-        assert_eq!(d.bytes_read, 16);
-    }
-
-    #[test]
-    fn one_hit_path_matches_a_one_hit_delta() {
-        let hits = aql_metrics::counter("aql_store_cache_hits_total", "");
-        let (base, h0) = (global(), hits.get());
-        global_hit();
+        emit(Event::CacheHit { src: 0 });
+        emit(Event::CacheMiss { src: 0, bytes: 16 });
+        emit(Event::CacheLoadError { src: 0 });
+        emit(Event::CacheEvict { src: 0 });
         assert_eq!(
             global().delta_since(&base),
-            CacheStats { hits: 1, ..Default::default() }
+            CacheStats {
+                hits: 1,
+                misses: 2,
+                evictions: 1,
+                bytes_read: 16,
+                prefetched_bytes: 0,
+                load_errors: 1,
+            }
         );
-        assert!(hits.get() > h0);
     }
 }

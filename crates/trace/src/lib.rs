@@ -273,6 +273,22 @@ struct Collector {
 thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(false) };
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
+    static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The telemetry clock: every timing a span, a phase or a journal
+/// record carries is read here, and the read is counted per thread so
+/// a test can hold "one clock pair per phase" as an exact number.
+#[inline]
+pub fn now() -> Instant {
+    CLOCK_READS.with(|c| c.set(c.get() + 1));
+    Instant::now()
+}
+
+/// Telemetry clock reads made by this thread so far. Test hook.
+#[doc(hidden)]
+pub fn clock_reads() -> u64 {
+    CLOCK_READS.with(Cell::get)
 }
 
 /// Is a subscriber currently collecting on this thread?
@@ -287,7 +303,7 @@ pub fn enabled() -> bool {
 pub fn enable() {
     COLLECTOR.with(|c| {
         *c.borrow_mut() = Some(Collector {
-            epoch: Instant::now(),
+            epoch: now(),
             spans: Vec::new(),
             stack: Vec::new(),
             top_counters: Vec::new(),
@@ -320,27 +336,35 @@ pub struct SpanGuard {
     published: bool,
 }
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if self.published {
+impl SpanGuard {
+    /// Close the span now (dropping the guard later is then a no-op)
+    /// and return the duration the subscriber recorded for it — `None`
+    /// when none was collecting. A caller that needs the span's time
+    /// takes it from here instead of reading the clock a second time,
+    /// so both accounts hold one number.
+    pub fn finish(&mut self) -> Option<u64> {
+        if std::mem::take(&mut self.published) {
             livepath::on_span_close();
         }
-        let Some(idx) = self.idx else { return };
+        let idx = self.idx.take()?;
         COLLECTOR.with(|c| {
             let mut b = c.borrow_mut();
-            let Some(col) = b.as_mut() else { return };
+            let col = b.as_mut()?;
             // Close this span (tolerating out-of-order drops: anything
             // above it on the stack is abandoned open).
             if let Some(pos) = col.stack.iter().rposition(|&i| i == idx) {
                 col.stack.truncate(pos);
             }
-            let now = col.epoch.elapsed().as_nanos() as u64;
-            if let Some(s) = col.spans.get_mut(idx) {
-                if s.dur_ns.is_none() {
-                    s.dur_ns = Some(now.saturating_sub(s.start_ns));
-                }
-            }
-        });
+            let now = (now() - col.epoch).as_nanos() as u64;
+            let s = col.spans.get_mut(idx)?;
+            Some(*s.dur_ns.get_or_insert(now.saturating_sub(s.start_ns)))
+        })
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        self.finish();
     }
 }
 
@@ -359,7 +383,7 @@ pub fn span(name: &'static str) -> SpanGuard {
         col.spans.push(SpanRec {
             name: name.to_string(),
             parent: col.stack.last().copied(),
-            start_ns: col.epoch.elapsed().as_nanos() as u64,
+            start_ns: (now() - col.epoch).as_nanos() as u64,
             dur_ns: None,
             counters: Vec::new(),
             notes: Vec::new(),

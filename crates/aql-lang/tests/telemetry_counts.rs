@@ -103,3 +103,39 @@ fn the_statement_path_looks_no_metric_up_after_the_first_statement() {
     assert!(s.run("a[true];").is_err());
     assert_eq!(aql_metrics::registry_locks(), registry);
 }
+
+#[test]
+fn trace_and_sampler_cost_do_not_grow_with_the_data_scanned() {
+    use aql_core::types::Type;
+    use aql_core::value::{ArrayVal, Value};
+    use aql_store::{ChunkLayout, LazyArray, MemChunkSource, ScalarBuf, ScalarKind};
+
+    // `temp(time, lat, lon)` as a chunked lazy binding, and the subslab
+    // scan over a window of `hours` time steps of the full grid.
+    let dims = vec![1000u64, 5, 5];
+    let cells = ScalarBuf::F64((0..25_000).map(f64::from).collect());
+    let src = MemChunkSource::new(dims.clone(), cells).unwrap();
+    let layout = ChunkLayout::row_major(dims, 4096).unwrap();
+    let lazy = LazyArray::labeled(layout, ScalarKind::F64, Box::new(src), 4 << 20, "mem:temp");
+    let mut s = Session::new();
+    let t = Value::Array(std::rc::Rc::new(ArrayVal::lazy(lazy).unwrap()));
+    s.bind_val_typed("T", t, Type::array(Type::Real, 3));
+    let scan = |hours: u64| {
+        format!("max!{{ T[400 + t, i, j] | \\t <- gen!{hours}, \\i <- gen!5, \\j <- gen!5 }};")
+    };
+    s.run(&scan(400)).expect("warm the cache");
+
+    // (spans, clock reads) of one profiled scan.
+    let mut cost = |hours: u64| {
+        let before = aql_trace::clock_reads();
+        let (_, report) = s.profile(&scan(hours)).expect("profiled scan");
+        assert_eq!(report.total().cache.misses, 0, "warm cache");
+        assert!(aql_trace::livepath::current_path().is_empty(), "no span left open");
+        (report.trace.spans.len(), aql_trace::clock_reads() - before)
+    };
+    let small = cost(200);
+    assert_eq!(cost(400), small, "twice the cells, the same spans and clock reads");
+    let sampler = aql_profile::Sampler::start(aql_profile::DEFAULT_HZ).expect("sampler");
+    assert_eq!((cost(200), cost(400)), (small, small), "and the same with the sampler running");
+    sampler.stop();
+}

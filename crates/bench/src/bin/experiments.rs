@@ -1,51 +1,8 @@
-//! Print every experiment table (E1–E9).
+//! Print every experiment table (E1–E10).
 //!
 //! `cargo run -p aql-bench --release --bin experiments` — full sweeps
 //! (the output recorded in EXPERIMENTS.md).
 //! Pass `--quick` for the reduced sweeps used by CI/tests.
-//!
-//! After the tables, one representative NETCDF-backed workload is
-//! re-run under `Session::profile` and its full `QueryReport` (phase
-//! spans + I/O counters) is written to `BENCH_experiments.json`, so
-//! the bench artifacts carry per-phase numbers, not just wall times.
-
-use std::rc::Rc;
-
-use aql_lang::session::Session;
-use aql_netcdf::driver::NetcdfSlabReader;
-use aql_netcdf::format::VERSION_CLASSIC;
-use aql_netcdf::synth::year_temp_file;
-use aql_netcdf::write::write_file;
-
-/// Profile a windowed aggregate over a lazily bound synthetic year of
-/// temperatures and emit the report JSON artifact.
-fn write_profile_artifact() {
-    let dir = std::env::temp_dir().join(format!("aql-experiments-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    let path = dir.join("temp.nc");
-    write_file(&year_temp_file().expect("synth"), &path, VERSION_CLASSIC).expect("write");
-    let p = path.to_str().expect("utf-8 path");
-
-    let query = "max!{ T[4000 + t, i, j] | \\t <- gen!200, \\i <- gen!5, \\j <- gen!5 };";
-    let mut s = Session::new();
-    s.register_reader("NC", Rc::new(NetcdfSlabReader::lazy(3)));
-    s.run(&format!(
-        "readval \\T using NC at (\"{p}\", \"temp\", (0, 0, 0), (8759, 4, 4));"
-    ))
-    .expect("bind");
-    let (_, report) = s.profile(query).expect("profiled workload");
-
-    let json = aql_bench::report::render_artifact(
-        "experiments",
-        &[
-            ("profile_workload", "\"subslab-scan\"".to_string()),
-            ("report", report.to_json()),
-        ],
-    );
-    std::fs::write("BENCH_experiments.json", json).expect("BENCH_experiments.json");
-    println!("wrote BENCH_experiments.json (profiled subslab-scan report)");
-    std::fs::remove_dir_all(&dir).ok();
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -57,6 +14,5 @@ fn main() {
     for table in aql_bench::experiments::run_all(quick) {
         println!("{table}");
     }
-    write_profile_artifact();
     println!("All experiments completed; every built-in consistency assertion passed.");
 }

@@ -1,4 +1,4 @@
-//! The experiments E1–E9: one per quantitative claim in the paper.
+//! The experiments E1–E10: one per quantitative claim in the paper.
 //!
 //! Every experiment returns a [`Table`]; the `experiments` binary
 //! prints them and EXPERIMENTS.md records the output. `quick = true`

@@ -11,14 +11,16 @@
 //! the other way round, which is why the domain lives here.
 //!
 //! [`set_enabled`] turns elision off wholesale — no analysis runs on
-//! the statement path and nothing is marked — for the
-//! `--analysis-overhead` CI gate and the elision-off benchmark rows.
+//! the statement path and nothing is marked. It is the reference
+//! switch of the soundness differential (`aql-analysis`
+//! `tests/soundness.rs`: values, errors and `steps` equal on vs. off),
+//! not a configuration anyone ships.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::expr::ArithOp;
 
-/// Elision is on unless a bench/test turns it off; `true` is the
+/// Elision is on unless a test turns it off; `true` is the
 /// production configuration.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 

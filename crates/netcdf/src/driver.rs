@@ -55,9 +55,10 @@ where
     let _span = aql_trace::span("netcdf.hyperslab");
     emit(Event::NetcdfHyperslab);
     aql_trace::note("var", || var.to_string());
-    // Lazily bound sources get retry events from the resilience stack;
-    // this loop retries below it (and is all the eager path has), so it
-    // emits its own — `\doctor`'s retry timeline covers both modes.
+    // Bound sources get retry events from the resilience stack; this
+    // loop retries below it (and is all a raw `resilience: None`
+    // binding has), so it emits its own — `\doctor`'s retry timeline
+    // covers both.
     let mut attempt: u64 = 0;
     retry(|| {
         attempt += 1;
@@ -81,15 +82,13 @@ pub const DEFAULT_CACHE_BUDGET: u64 = 4 << 20;
 
 /// A `NETCDFk` reader: binds a k-dimensional subslab as `[[real]]_k`.
 ///
-/// In the default *lazy* mode the reader validates the request
-/// against the file header, then binds a chunked
-/// [`LazyArray`] whose cache misses re-open the
-/// file and read one chunk-sized hyperslab — so only the chunks a
-/// query touches ever leave disk. The *eager* mode materializes the
-/// whole subslab at `readval` time (the historical behavior; still
-/// useful when the file will be deleted before the values are used).
+/// The reader validates the request against the file header, then
+/// binds a chunked [`LazyArray`] whose cache misses re-open the file
+/// and read one chunk-sized hyperslab — so only the chunks a query
+/// touches ever leave disk. (Materializing the whole subslab is
+/// [`SlabReader::read_slab`] over the same box.)
 ///
-/// Lazily bound chunk sources are wrapped in the `aql-store`
+/// The chunk source is wrapped in the `aql-store`
 /// resilience stack by default ([`ResilientSource`]: retry with
 /// jittered backoff, a per-source circuit breaker labelled
 /// `netcdf:{variable}`, checksum verification when available); set
@@ -100,11 +99,9 @@ pub const DEFAULT_CACHE_BUDGET: u64 = 4 << 20;
 pub struct NetcdfSlabReader {
     /// The dimensionality this reader serves.
     pub k: usize,
-    /// Bind lazily (chunked, on-demand) rather than materializing.
-    pub lazy: bool,
-    /// Chunk-cache byte budget for lazily bound arrays.
+    /// Chunk-cache byte budget of the bound array.
     pub cache_budget: u64,
-    /// Resilience stack for lazily bound sources; `None` binds raw.
+    /// Resilience stack around the chunk source; `None` binds raw.
     pub resilience: Option<ResiliencePolicy>,
     /// Chunk-level fault injection between the resilience stack and
     /// the real source (tests only).
@@ -117,17 +114,12 @@ impl NetcdfSlabReader {
     pub fn lazy(k: usize) -> NetcdfSlabReader {
         NetcdfSlabReader {
             k,
-            lazy: true,
             cache_budget: DEFAULT_CACHE_BUDGET,
             resilience: Some(ResiliencePolicy::default()),
             chaos: None,
         }
     }
 
-    /// An eagerly materializing reader for dimensionality `k`.
-    pub fn eager(k: usize) -> NetcdfSlabReader {
-        NetcdfSlabReader { lazy: false, ..NetcdfSlabReader::lazy(k) }
-    }
     fn parse_bound(v: &Value, k: usize, which: &str) -> Result<Vec<u64>, LangError> {
         let idx = v
             .as_index()
@@ -174,7 +166,6 @@ impl Reader for NetcdfSlabReader {
         };
         let lo = Self::parse_bound(&items[2], k, "lower")?;
         let hi = Self::parse_bound(&items[3], k, "upper")?;
-        let mut count = Vec::with_capacity(k);
         for j in 0..k {
             if hi[j] < lo[j] {
                 return Err(LangError::session(format!(
@@ -182,14 +173,11 @@ impl Reader for NetcdfSlabReader {
                     hi[j], lo[j]
                 )));
             }
-            // Bounds are inclusive, as in the paper's sample session.
-            count.push(hi[j] - lo[j] + 1);
         }
 
         // Validate the binding against the header up front, so a bad
-        // file / variable / bound fails at `readval` time in both
-        // modes (a lazy array must not defer *request* errors to
-        // first touch).
+        // file / variable / bound fails at `readval` time (a lazy
+        // array must not defer *request* errors to first touch).
         let sess_err = |e: NcError| LangError::session(format!("NETCDF{k}: {e}"));
         let reader = retry(|| SlabReader::open(&file)).map_err(sess_err)?;
         let meta = reader.header.find(&varname).map_err(sess_err)?;
@@ -215,23 +203,9 @@ impl Reader for NetcdfSlabReader {
         }
         drop(reader);
 
-        if !self.lazy {
-            let vals = read_slab_retrying(
-                || {
-                    Ok(std::io::BufReader::new(
-                        std::fs::File::open(&file).map_err(NcError::from)?,
-                    ))
-                },
-                &varname,
-                &lo,
-                &count,
-            )
-            .map_err(sess_err)?;
-            let arr = values_to_array(&vals, &count)
-                .map_err(|m| LangError::session(format!("NETCDF{k}: {m}")))?;
-            return Ok((arr, Some(Type::array(Type::Real, k))));
-        }
-
+        // Bounds are inclusive, as in the paper's sample session; with
+        // `lo ≤ hi < extent` checked above the count cannot overflow.
+        let count: Vec<u64> = (0..k).map(|j| hi[j] - lo[j] + 1).collect();
         let layout = ChunkLayout::row_major(count, DEFAULT_CHUNK_ELEMS)
             .map_err(|e| LangError::session(format!("NETCDF{k}: {e}")))?;
         let label = format!("netcdf:{varname}");
@@ -256,19 +230,6 @@ impl Reader for NetcdfSlabReader {
             .map_err(|e| LangError::session(format!("NETCDF{k}: {e}")))?;
         Ok((Value::Array(Rc::new(arr)), Some(Type::array(Type::Real, k))))
     }
-}
-
-/// Convert external values to a `[[real]]_k` complex object.
-fn values_to_array(vals: &NcValues, dims: &[u64]) -> Result<Value, String> {
-    let mut data = Vec::with_capacity(vals.len());
-    for i in 0..vals.len() {
-        let x = vals
-            .get_f64(i)
-            .ok_or_else(|| "NC_CHAR variables cannot be read as real arrays".to_string())?;
-        data.push(Value::Real(x));
-    }
-    let arr = ArrayVal::new(dims.to_vec(), data).map_err(|e| e.to_string())?;
-    Ok(Value::Array(Rc::new(arr)))
 }
 
 /// A metadata reader: `readval \info using NETCDFINFO at "file.nc"`
@@ -411,21 +372,23 @@ mod tests {
         let path = dir.join("t.nc");
         write_sample(&path);
 
-        // Both binding modes must agree on the values.
-        for r in [NetcdfSlabReader::lazy(2), NetcdfSlabReader::eager(2)] {
-            let arg = Value::tuple(vec![
-                Value::str(path.to_str().unwrap()),
-                Value::str("temp"),
-                Value::tuple(vec![Value::Nat(1), Value::Nat(0)]),
-                Value::tuple(vec![Value::Nat(2), Value::Nat(1)]),
-            ]);
-            let (v, ty) = r.read(&arg).unwrap();
-            assert_eq!(ty, Some(Type::array(Type::Real, 2)));
-            let a = v.as_array().unwrap();
-            assert_eq!(a.is_lazy(), r.lazy);
-            assert_eq!(a.dims(), &[2, 2]);
-            assert_eq!(a.get(&[0, 0]).unwrap(), Value::Real(3.0));
-            assert_eq!(a.get(&[1, 1]).unwrap(), Value::Real(7.0));
+        let arg = Value::tuple(vec![
+            Value::str(path.to_str().unwrap()),
+            Value::str("temp"),
+            Value::tuple(vec![Value::Nat(1), Value::Nat(0)]),
+            Value::tuple(vec![Value::Nat(2), Value::Nat(1)]),
+        ]);
+        let (v, ty) = NetcdfSlabReader::lazy(2).read(&arg).unwrap();
+        assert_eq!(ty, Some(Type::array(Type::Real, 2)));
+        let a = v.as_array().unwrap();
+        assert!(a.is_lazy());
+        assert_eq!(a.dims(), &[2, 2]);
+        // The materialized reference: one `read_slab` of the same box.
+        let mut file = SlabReader::open(&path).unwrap();
+        let whole = file.read_slab("temp", &[1, 0], &[2, 2]).unwrap();
+        assert_eq!(whole, NcValues::Float(vec![3.0, 4.0, 6.0, 7.0]));
+        for (off, idx) in [[0, 0], [0, 1], [1, 0], [1, 1]].iter().enumerate() {
+            assert_eq!(a.get(idx).unwrap(), Value::Real(whole.get_f64(off).unwrap()));
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -452,6 +415,22 @@ mod tests {
             Value::Nat(1),
         ]);
         assert!(r.read(&arg).is_err());
+        // Upper bound u64::MAX: `hi - lo + 1` overflowed before the
+        // extent check — a typed error, and the session stays usable.
+        let p = path.to_str().unwrap();
+        let mut s = Session::new();
+        register_netcdf(&mut s);
+        let err = s
+            .run(&format!(
+                "readval \\T using NETCDF2 at (\"{p}\", \"temp\", (0, 0), (18446744073709551615, 2));"
+            ))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("NETCDF2: dimension 0: upper bound 18446744073709551615 outside extent 4"),
+            "{err}"
+        );
+        assert_eq!(s.eval_query("1 + 1").unwrap().1, Value::Nat(2));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -550,14 +529,14 @@ mod tests {
         assert_eq!(attempts, 2);
 
         // The retried attempt must land in the flight recorder with
-        // the variable's label, so `\doctor` can see eager-mode
+        // the variable's label, so `\doctor` can see this loop's
         // retries, not just the resilience stack's.
         let snap = aql_journal::snapshot();
         assert!(
             snap.events.iter().any(|e| {
                 e.tag == aql_journal::Tag::Retry && e.a == 2 && e.label_str() == "netcdf:v"
             }),
-            "eager retry missing from the journal: {:?}",
+            "hyperslab retry missing from the journal: {:?}",
             snap.events
         );
     }

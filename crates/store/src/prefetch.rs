@@ -295,9 +295,9 @@ impl Prefetcher {
     }
 
     /// Block until the worker has drained the pending queue — test
-    /// and bench hook, not needed for correctness.
-    #[doc(hidden)]
-    pub fn quiesce(&self) {
+    /// hook, not needed for correctness.
+    #[cfg(test)]
+    pub(crate) fn quiesce(&self) {
         let mut state = self.shared.state.lock().expect("prefetch lock");
         while (!state.pending.is_empty() || state.in_flight) && !state.worker_done {
             let (next, _timeout) = self

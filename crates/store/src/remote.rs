@@ -14,8 +14,8 @@
 //!
 //! The read-ahead [`Prefetcher`](crate::Prefetcher) earns its keep
 //! against exactly this source: overlapping round-trip latencies is
-//! what read-ahead is *for*, and the `--prefetch-overhead` bench gate
-//! measures its sequential-scan speedup here.
+//! what read-ahead is *for* (how many of a sequential scan's loads it
+//! hides is pinned exactly in `lazy.rs`'s prefetcher tests).
 
 use std::time::Duration;
 

@@ -10,7 +10,9 @@
 //! 5. the process metrics `aql_store_cache_*_total` (as deltas).
 //!
 //! Then the same for the rows that sequence leaves at zero — a retry,
-//! a load error, a warm-pool handover — over a second, faulty source.
+//! a load error, a warm-pool handover — over a second, faulty source;
+//! and the no-fault path of the default resilience stack, which must
+//! cost one source read per missed chunk and nothing per hit.
 //!
 //! A single test in its own binary, so no other thread moves the
 //! process-wide counters and every comparison is exact.
@@ -112,6 +114,7 @@ fn hits_misses_evictions_and_bytes_agree_across_all_five_ledgers() {
     assert_eq!(labeled.get(), own.bytes_read, "per-source series");
 
     retries_load_errors_and_warm_handovers_agree_too();
+    the_default_resilience_stack_is_one_read_per_miss_and_silent();
 }
 
 const FAULTY: &str = "mem:five-ledgers-faulty";
@@ -227,4 +230,34 @@ fn retries_load_errors_and_warm_handovers_agree_too() {
         let series = aql_metrics::counter_with(family, &[("source", FAULTY)], "");
         assert_eq!(series.get(), want, "{family}{{source}}");
     }
+}
+
+/// The happy path of `ResiliencePolicy::default()` (retry, breaker,
+/// checksum verification): a scan touching M chunks reads the inner
+/// source exactly M times and emits no resilience event, and a second
+/// pass — all hits — never reaches the stack at all.
+fn the_default_resilience_stack_is_one_read_per_miss_and_silent() {
+    const CLEAN: &str = "mem:five-ledgers-clean";
+    let (reading, inner_reads) = std::sync::mpsc::channel();
+    let data = ScalarBuf::F64((0..32).map(f64::from).collect());
+    let counted = Announcing { inner: MemChunkSource::new(vec![32], data).unwrap(), reading };
+    let src = ResilientSource::new(counted, CLEAN, ResiliencePolicy::default());
+    let layout = ChunkLayout::new(vec![32], vec![4]).unwrap();
+    let mut a = LazyArray::labeled(layout, ScalarKind::F64, Box::new(src), 1 << 10, CLEAN);
+
+    // Rows 4..24 overlap chunks 1–5.
+    assert_eq!(a.read_slab(&[4], &[20]).unwrap().len(), 20);
+    assert_eq!(inner_reads.try_iter().count(), 5, "one inner read per missed chunk");
+    assert_eq!(a.read_slab(&[4], &[20]).unwrap().len(), 20);
+    assert_eq!(inner_reads.try_iter().count(), 0, "hits bypass the stack");
+    assert_eq!((a.stats().hits, a.stats().misses), (5, 5));
+
+    let id = aql_journal::intern(CLEAN);
+    let journal = aql_journal::snapshot();
+    let noise: Vec<_> = journal
+        .events
+        .iter()
+        .filter(|e| e.label == id && !matches!(e.tag, Tag::CacheMiss | Tag::CacheHit))
+        .collect();
+    assert!(noise.is_empty(), "no fault: no retry, breaker or checksum record, got {noise:?}");
 }

@@ -5,7 +5,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use aql_store::{ChunkLayout, LazyArray, MemChunkSource, ScalarBuf, ScalarKind};
+use aql_store::{
+    ChunkLayout, LazyArray, MemChunkSource, PrefetchConfig, PrefetchStats, Prefetcher, ScalarBuf,
+    ScalarKind,
+};
 
 thread_local! {
     /// Allocations made by this thread (const-initialized and without a
@@ -50,14 +53,17 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 const DIMS: [u64; 3] = [24, 20, 18];
 
+fn source() -> MemChunkSource {
+    let n: u64 = DIMS.iter().product();
+    MemChunkSource::new(DIMS.to_vec(), ScalarBuf::F64((0..n).map(|i| i as f64).collect())).unwrap()
+}
+
 /// A rank-3 array with clipped edge chunks on every axis, fully
 /// resident.
 fn resident_array() -> LazyArray {
-    let n: u64 = DIMS.iter().product();
-    let data = ScalarBuf::F64((0..n).map(|i| i as f64).collect());
     let layout = ChunkLayout::new(DIMS.to_vec(), vec![5, 6, 7]).unwrap();
-    let src = MemChunkSource::new(DIMS.to_vec(), data).unwrap();
-    let mut a = LazyArray::labeled(layout, ScalarKind::F64, Box::new(src), 1 << 20, "mem:alloc");
+    let mut a =
+        LazyArray::labeled(layout, ScalarKind::F64, Box::new(source()), 1 << 20, "mem:alloc");
     a.read_slab(&[0, 0, 0], &DIMS).unwrap();
     assert_eq!(a.chunks_held() as u64, a.layout().num_chunks());
     // The first hit on a thread registers its metric handle and journal
@@ -66,17 +72,14 @@ fn resident_array() -> LazyArray {
     a
 }
 
-#[test]
-fn ten_thousand_hits_allocate_nothing() {
-    let mut a = resident_array();
-    let n: u64 = DIMS.iter().product();
+/// Probe `a` at `offset(k)` for 5,000 `k`, twice each (by index and by
+/// linear offset): 10,000 hits, no miss, no allocation.
+fn ten_thousand_hits(a: &mut LazyArray, mut offset: impl FnMut(u64) -> u64) {
     let before = a.stats();
     let (allocs, sum) = allocs_during(|| {
         let mut sum = 0.0;
         for k in 0..5_000u64 {
-            // A stride coprime to every extent: hops chunks, so most
-            // hits relink the recency list.
-            let off = (k * 7919) % n;
+            let off = offset(k);
             let idx = [off / (DIMS[1] * DIMS[2]), off / DIMS[2] % DIMS[1], off % DIMS[2]];
             for got in [a.get(&idx), a.get_linear(off)] {
                 match got {
@@ -91,6 +94,33 @@ fn ten_thousand_hits_allocate_nothing() {
     let d = a.stats().delta_since(&before);
     assert_eq!((d.hits, d.misses), (10_000, 0));
     assert_eq!(allocs, 0, "a hit on a resident chunk must not allocate");
+}
+
+#[test]
+fn ten_thousand_hits_allocate_nothing() {
+    let n: u64 = DIMS.iter().product();
+    // A stride coprime to every extent: hops chunks, so most hits
+    // relink the recency list.
+    ten_thousand_hits(&mut resident_array(), |k| (k * 7919) % n);
+}
+
+#[test]
+fn an_attached_prefetcher_is_idle_and_free_on_probes_without_a_stride() {
+    let mut a = resident_array();
+    let layout = a.layout().clone();
+    a.attach_prefetcher(Prefetcher::spawn(Box::new(source()), layout, PrefetchConfig::default()));
+    // Seeded random probes, alternately in the first and the last third
+    // of the rows: consecutive chunk deltas alternate in sign, so the
+    // predictor never sees one twice. (Unconstrained random probes do
+    // repeat a delta now and then — 38 times in 5,000 over these 60
+    // chunks — and that speculation is the predictor working.)
+    let third = DIMS.iter().product::<u64>() / 3;
+    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+    ten_thousand_hits(&mut a, |k| {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 16) % third + (k % 2) * 2 * third
+    });
+    assert_eq!(a.prefetch_stats(), Some(PrefetchStats::default()), "the worker never woke");
 }
 
 #[test]

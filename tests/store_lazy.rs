@@ -4,7 +4,7 @@
 //! `EvalStats`.
 
 use aql::lang::session::Session;
-use aql::netcdf::driver::register_netcdf;
+use aql::netcdf::driver::{register_netcdf, NetcdfSlabReader, DEFAULT_CACHE_BUDGET};
 use aql::netcdf::format::VERSION_CLASSIC;
 use aql::netcdf::synth::year_temp_file;
 use aql::netcdf::write::write_file;
@@ -22,6 +22,13 @@ const TEMP_BYTES: u64 = TEMP_ELEMS * 8;
 
 #[test]
 fn point_read_touches_a_fraction_of_the_variable() {
+    // The default budget, and one that holds two chunks.
+    for budget in [DEFAULT_CACHE_BUDGET, 64 << 10] {
+        reads_touch_a_fraction_of_the_variable(budget);
+    }
+}
+
+fn reads_touch_a_fraction_of_the_variable(budget: u64) {
     let dir = tmpdir("point");
     let path = dir.join("temp.nc");
     write_file(&year_temp_file().unwrap(), &path, VERSION_CLASSIC).unwrap();
@@ -30,7 +37,9 @@ fn point_read_touches_a_fraction_of_the_variable() {
     let global_before = aql_store::stats::global();
 
     let mut s = Session::new();
-    register_netcdf(&mut s);
+    let mut reader = NetcdfSlabReader::lazy(3);
+    reader.cache_budget = budget;
+    s.register_reader("NETCDF3", std::rc::Rc::new(reader));
     s.run(&format!(
         "readval \\T using NETCDF3 at (\"{p}\", \"temp\", (0, 0, 0), (8759, 4, 4));"
     ))
@@ -67,8 +76,17 @@ fn point_read_touches_a_fraction_of_the_variable() {
     assert_eq!(stats2.cache.bytes_read, 0, "second probe must hit the cache");
     assert!(stats2.cache.hits >= 1);
 
-    // Across the WHOLE session — bind, echo, two probes — strictly
-    // fewer bytes than one full materialization left disk.
+    // A scan of a 200-hour window of the full grid (5,000 cells, two
+    // chunks) loads what it overlaps, not the variable.
+    let (_, m) = s
+        .eval_query("max!{ T[4000 + t, i, j] | \\t <- gen!200, \\i <- gen!5, \\j <- gen!5 }")
+        .unwrap();
+    assert!(matches!(m, Value::Real(_)));
+    let scanned = s.last_stats().cache.bytes_read;
+    assert!(scanned > 0 && scanned < TEMP_BYTES / 10, "scan read {scanned} of {TEMP_BYTES} bytes");
+
+    // Across the WHOLE session — bind, echo, two probes, the scan —
+    // strictly fewer bytes than one full materialization left disk.
     let total = aql_store::stats::global().delta_since(&global_before).bytes_read;
     assert!(
         total < TEMP_BYTES,
@@ -80,7 +98,9 @@ fn point_read_touches_a_fraction_of_the_variable() {
 
 #[test]
 fn lazy_and_eager_agree_on_queries() {
-    use aql::netcdf::driver::NetcdfSlabReader;
+    use aql::netcdf::read::SlabReader;
+    use aql_core::types::Type;
+    use aql_core::value::ArrayVal;
     use std::rc::Rc;
 
     let dir = tmpdir("agree");
@@ -89,13 +109,19 @@ fn lazy_and_eager_agree_on_queries() {
     let p = path.to_str().unwrap();
 
     let mut s = Session::new();
-    s.register_reader("NCLAZY", Rc::new(NetcdfSlabReader::lazy(3)));
-    s.register_reader("NCEAGER", Rc::new(NetcdfSlabReader::eager(3)));
+    register_netcdf(&mut s);
     s.run(&format!(
-        "readval \\L using NCLAZY at (\"{p}\", \"temp\", (100, 0, 0), (199, 4, 4));
-         readval \\E using NCEAGER at (\"{p}\", \"temp\", (100, 0, 0), (199, 4, 4));"
+        "readval \\L using NETCDF3 at (\"{p}\", \"temp\", (100, 0, 0), (199, 4, 4));"
     ))
     .unwrap();
+    // The eager reference: one `read_slab` of the whole box, bound as a
+    // materialized `[[real]]_3`.
+    let mut file = SlabReader::open(&path).unwrap();
+    let whole = file.read_slab("temp", &[100, 0, 0], &[100, 5, 5]).unwrap();
+    let cells = (0..whole.len()).map(|i| Value::Real(whole.get_f64(i).unwrap())).collect();
+    let eager = ArrayVal::new(vec![100, 5, 5], cells).unwrap();
+    assert!(!eager.is_lazy() && s.val("L").unwrap().as_array().unwrap().is_lazy());
+    s.bind_val_typed("E", Value::Array(Rc::new(eager)), Type::array(Type::Real, 3));
 
     // δ-rule / optimizer behavior is observably unchanged: the same
     // pipeline over a lazy and an eager binding of the same subslab

@@ -214,22 +214,23 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LangError> {
                                 b'r' => '\r',
                                 b'"' => '"',
                                 b'\\' => '\\',
-                                c => {
+                                _ => {
                                     return Err(LangError::lex(
                                         j,
                                         line,
-                                        format!("bad escape `\\{}`", *c as char),
+                                        format!("bad escape `\\{}`", char_at(src, j + 1)),
                                     ))
                                 }
                             });
                             j += 2;
                         }
-                        Some(&c) => {
-                            if c == b'\n' {
+                        Some(_) => {
+                            let ch = char_at(src, j);
+                            if ch == '\n' {
                                 line += 1;
                             }
-                            s.push(c as char);
-                            j += 1;
+                            s.push(ch);
+                            j += ch.len_utf8();
                         }
                     }
                 }
@@ -315,13 +316,20 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LangError> {
                 return Err(LangError::lex(
                     i,
                     line,
-                    format!("unexpected character `{}`", c as char),
+                    format!("unexpected character `{}`", char_at(src, i)),
                 ))
             }
         }
     }
     out.push(Spanned { tok: Tok::Eof, offset: b.len(), line });
     Ok(out)
+}
+
+/// The character starting at byte `i`. The lexer only ever stops on a
+/// character boundary (every token it consumes ends in an ASCII byte or
+/// a whole UTF-8 sequence); off one, the replacement character.
+fn char_at(src: &str, i: usize) -> char {
+    src.get(i..).and_then(|rest| rest.chars().next()).unwrap_or(char::REPLACEMENT_CHARACTER)
 }
 
 /// Identifiers: `[A-Za-z_][A-Za-z0-9_']*` — primes allowed after the
@@ -436,6 +444,30 @@ mod tests {
                 Tok::Eof
             ]
         );
+    }
+
+    #[test]
+    fn string_literals_are_utf8() {
+        // Multi-byte sequences are copied through whole (not byte by
+        // byte as Latin-1), including right after an escape, and a
+        // token after a multi-byte comment or string is found where it is.
+        assert_eq!(
+            toks("\"données.nc\" \"\\\"é→😀\" (* é *) 7"),
+            vec![
+                Tok::Str("données.nc".into()),
+                Tok::Str("\"é→😀".into()),
+                Tok::Nat(7),
+                Tok::Eof
+            ]
+        );
+        assert_eq!(lex("\"é\" 7").unwrap()[1].offset, 5, "offsets stay byte offsets");
+    }
+
+    #[test]
+    fn errors_name_the_real_character() {
+        let msg = |src: &str| lex(src).unwrap_err().to_string();
+        assert!(msg("1 + é").contains("unexpected character `é`"), "{}", msg("1 + é"));
+        assert!(msg("\"\\é\"").contains("bad escape `\\é`"), "{}", msg("\"\\é\""));
     }
 
     #[test]

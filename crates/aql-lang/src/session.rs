@@ -27,13 +27,14 @@ use aql_journal::{emit, Event};
 use aql_core::check::typecheck;
 use aql_core::error::EvalError;
 use aql_core::eval::{EvalCtx, EvalStats, Limits};
+use aql_core::expr::children::map_children;
 use aql_core::expr::{name, Expr, Name};
 use aql_core::prim::{Extensions, NativeFn};
 use aql_core::types::Type;
 use aql_core::value::print::session_string;
 use aql_core::value::tyof::type_of_value;
 use aql_core::value::Value;
-use aql_opt::{Gate, OptError, Optimizer};
+use aql_opt::{Gate, OptError, Optimizer, Trace};
 use aql_verify::Diagnostic;
 
 use crate::ast::Stmt;
@@ -235,7 +236,7 @@ pub struct Explain {
     /// The term after the §5 optimizer.
     pub optimized: Expr,
     /// Every rule firing, in order.
-    pub trace: aql_opt::Trace,
+    pub trace: Trace,
     /// Analysis-backed cost estimates for the core and optimized
     /// terms: the `aql-analysis` abstract interpreter supplies
     /// cardinality and iteration counts, and the session's chunked
@@ -1207,16 +1208,7 @@ impl Session {
         };
         let optimized = if self.optimize {
             let _phase = phase("optimize");
-            if self.verify {
-                let check = self.phase_check(&ty);
-                self.optimizer
-                    .try_optimize_verified(&resolved, &Gate::full(&check))
-                    .map_err(opt_error)?
-            } else {
-                // Rules are extension code: a panicking rule is
-                // contained and named, and the session stays usable.
-                self.optimizer.try_optimize(&resolved).map_err(rule_panic)?
-            }
+            self.optimize_gated(&resolved, &ty, None)?
         } else {
             resolved
         };
@@ -1246,107 +1238,48 @@ impl Session {
         }
     }
 
+    /// Run the optimizer under the session's gate setting. Rules are
+    /// extension code: a panicking rule is contained and named, and the
+    /// session stays usable.
+    fn optimize_gated(
+        &self,
+        resolved: &Expr,
+        ty: &Type,
+        trace: Option<&mut Trace>,
+    ) -> Result<Expr, LangError> {
+        let check = self.phase_check(ty);
+        let gate = if self.verify { Gate::full(&check) } else { Gate::off() };
+        self.optimizer.run(resolved, &gate, trace).map_err(opt_error)
+    }
+
     /// Resolve free names: macros are substituted (their bodies are
     /// stored fully resolved), externals become [`Expr::Ext`], `val`s
     /// become [`Expr::Global`]. Lexically bound names are untouched.
     pub fn resolve(&self, e: &Expr) -> Expr {
-        let mut bound: Vec<Name> = Vec::new();
-        self.resolve_in(e, &mut bound)
+        self.resolve_in(e, &mut Vec::new())
     }
 
     fn resolve_in(&self, e: &Expr, bound: &mut Vec<Name>) -> Expr {
-        match e {
-            Expr::Var(x) if !bound.iter().any(|b| b == x) => {
-                if let Some((body, _)) = self.macros.get(x) {
-                    return body.clone();
-                }
-                if self.externals.get(x).is_some() {
-                    return Expr::Ext(x.clone());
-                }
-                if self.vals.contains_key(x) {
-                    return Expr::Global(x.clone());
-                }
-                e.clone()
+        if let Expr::Var(x) = e {
+            if bound.contains(x) {
+                return e.clone();
             }
-            Expr::Var(_) => e.clone(),
-            Expr::Lam(x, body) => {
-                bound.push(x.clone());
-                let b = self.resolve_in(body, bound);
-                bound.pop();
-                Expr::Lam(x.clone(), b.boxed())
+            if let Some((body, _)) = self.macros.get(x) {
+                return body.clone();
             }
-            Expr::Let(x, rhs, body) => {
-                let r = self.resolve_in(rhs, bound);
-                bound.push(x.clone());
-                let b = self.resolve_in(body, bound);
-                bound.pop();
-                Expr::Let(x.clone(), r.boxed(), b.boxed())
+            if self.externals.get(x).is_some() {
+                return Expr::Ext(x.clone());
             }
-            Expr::BigUnion { head, var, src } => {
-                let s = self.resolve_in(src, bound);
-                bound.push(var.clone());
-                let h = self.resolve_in(head, bound);
-                bound.pop();
-                Expr::BigUnion { head: h.boxed(), var: var.clone(), src: s.boxed() }
+            if self.vals.contains_key(x) {
+                return Expr::Global(x.clone());
             }
-            Expr::BigBagUnion { head, var, src } => {
-                let s = self.resolve_in(src, bound);
-                bound.push(var.clone());
-                let h = self.resolve_in(head, bound);
-                bound.pop();
-                Expr::BigBagUnion { head: h.boxed(), var: var.clone(), src: s.boxed() }
-            }
-            Expr::Sum { head, var, src } => {
-                let s = self.resolve_in(src, bound);
-                bound.push(var.clone());
-                let h = self.resolve_in(head, bound);
-                bound.pop();
-                Expr::Sum { head: h.boxed(), var: var.clone(), src: s.boxed() }
-            }
-            Expr::BigUnionRank { head, var, rank, src } => {
-                let s = self.resolve_in(src, bound);
-                bound.push(var.clone());
-                bound.push(rank.clone());
-                let h = self.resolve_in(head, bound);
-                bound.pop();
-                bound.pop();
-                Expr::BigUnionRank {
-                    head: h.boxed(),
-                    var: var.clone(),
-                    rank: rank.clone(),
-                    src: s.boxed(),
-                }
-            }
-            Expr::BigBagUnionRank { head, var, rank, src } => {
-                let s = self.resolve_in(src, bound);
-                bound.push(var.clone());
-                bound.push(rank.clone());
-                let h = self.resolve_in(head, bound);
-                bound.pop();
-                bound.pop();
-                Expr::BigBagUnionRank {
-                    head: h.boxed(),
-                    var: var.clone(),
-                    rank: rank.clone(),
-                    src: s.boxed(),
-                }
-            }
-            Expr::Tab { head, idx } => {
-                let new_idx: Vec<(Name, Expr)> = idx
-                    .iter()
-                    .map(|(n, b)| (n.clone(), self.resolve_in(b, bound)))
-                    .collect();
-                for (n, _) in idx {
-                    bound.push(n.clone());
-                }
-                let h = self.resolve_in(head, bound);
-                for _ in idx {
-                    bound.pop();
-                }
-                Expr::Tab { head: h.boxed(), idx: new_idx }
-            }
-            _ => aql_opt::map_children(e, |c| self.resolve_in(c, bound)),
         }
+        map_children(e, &mut |binders, c| {
+            bound.extend_from_slice(binders);
+            let resolved = self.resolve_in(c, bound);
+            bound.truncate(bound.len() - binders.len());
+            resolved
+        })
     }
 
     /// The evaluation context over this session's registries
@@ -1356,22 +1289,22 @@ impl Session {
         aql_analysis::eval_elided(e, &ctx)
     }
 
+    /// The front half of the pipeline, for the queries that stop short
+    /// of evaluation: parse → desugar → resolve → typecheck.
+    fn check_query(&self, query: &str) -> Result<(Expr, Type), LangError> {
+        let core = desugar(&crate::parser::parse_expr(query)?)?;
+        let resolved = self.resolve(&core);
+        let ty = typecheck(&resolved, &self.val_types, &self.externals)?;
+        Ok((resolved, ty))
+    }
+
     /// Explain a query: run the pipeline up to (but not including)
     /// evaluation and report the core term, its type, the optimized
     /// term, and the full §5 rewrite trace.
     pub fn explain(&self, query: &str) -> Result<Explain, LangError> {
-        let surface = crate::parser::parse_expr(query)?;
-        let core = desugar(&surface)?;
-        let resolved = self.resolve(&core);
-        let ty = typecheck(&resolved, &self.val_types, &self.externals)?;
-        let (optimized, trace) = if self.verify {
-            let check = self.phase_check(&ty);
-            self.optimizer
-                .try_optimize_traced_verified(&resolved, &Gate::full(&check))
-                .map_err(opt_error)?
-        } else {
-            self.optimizer.try_optimize_traced(&resolved).map_err(rule_panic)?
-        };
+        let (resolved, ty) = self.check_query(query)?;
+        let mut trace = Trace::default();
+        let optimized = self.optimize_gated(&resolved, &ty, Some(&mut trace))?;
         let layouts = self.source_layouts();
         let cost = |e: &Expr| {
             let globals = aql_analysis::globals_mentioned(e, &self.vals);
@@ -1425,10 +1358,7 @@ impl Session {
     /// marking which loop nests could compile to bulk kernels. The
     /// REPL's `\analyze` meta-command renders the result.
     pub fn analyze(&self, query: &str) -> Result<AnalyzeReport, LangError> {
-        let surface = crate::parser::parse_expr(query)?;
-        let core = desugar(&surface)?;
-        let resolved = self.resolve(&core);
-        let ty = typecheck(&resolved, &self.val_types, &self.externals)?;
+        let (resolved, ty) = self.check_query(query)?;
         let globals = aql_analysis::globals_mentioned(&resolved, &self.vals);
         let analysis = aql_analysis::analyze(&resolved, &globals);
         let cost = aql_opt::cost::estimate(&resolved, &analysis, &self.source_layouts());
@@ -1442,10 +1372,7 @@ impl Session {
     /// zero-extent dimensions, dead conditional branches). The REPL's
     /// `\lint` meta-command renders the result.
     pub fn lint(&self, query: &str) -> Result<LintReport, LangError> {
-        let surface = crate::parser::parse_expr(query)?;
-        let core = desugar(&surface)?;
-        let resolved = self.resolve(&core);
-        let ty = typecheck(&resolved, &self.val_types, &self.externals)?;
+        let (resolved, ty) = self.check_query(query)?;
         let diagnostics = aql_verify::lint_expr(&resolved);
         emit(Event::LintFindings { n: diagnostics.len() as u64 });
         Ok(LintReport { ty, diagnostics })
@@ -1524,19 +1451,15 @@ fn default_verify() -> bool {
     }
 }
 
-/// Map a contained rule panic to the session error space.
-fn rule_panic(p: aql_opt::RulePanic) -> LangError {
-    LangError::extension_panic(
-        "optimizer rule",
-        p.rule,
-        format!("{} (phase `{}`)", p.message, p.phase),
-    )
-}
-
-/// Map a verified-optimizer failure to the session error space.
+/// Map an optimizer failure — a contained rule panic or a rewrite the
+/// gate rejected — to the session error space.
 fn opt_error(e: OptError) -> LangError {
     match e {
-        OptError::Panic(p) => rule_panic(p),
+        OptError::Panic(p) => LangError::extension_panic(
+            "optimizer rule",
+            p.rule,
+            format!("{} (phase `{}`)", p.message, p.phase),
+        ),
         OptError::Unsound(v) => LangError::Unsound {
             phase: v.phase,
             rule: v.rule.to_string(),
@@ -1647,6 +1570,16 @@ mod tests {
         let (ty, v) = s.eval_query("months[1]").unwrap();
         assert_eq!(ty, Type::Nat);
         assert_eq!(v, Value::Nat(31));
+    }
+
+    #[test]
+    fn string_literals_round_trip_as_utf8() {
+        let mut s = Session::new();
+        let (ty, v) = s.eval_query("\"é\"").unwrap();
+        assert_eq!(ty, Type::Str);
+        let Value::Str(text) = &v else { panic!("expected a string, got {v:?}") };
+        assert_eq!((text.chars().count(), &**text), (1, "é"));
+        assert_eq!(s.eval_query("\"é\" = \"é\"").unwrap().1, Value::Bool(true));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use std::rc::Rc;
 
+use aql_core::expr::children::try_map_children;
 use aql_core::expr::{Expr, Name};
 
 /// Process-lifetime count of optimizer passes run to fixpoint.
@@ -249,29 +250,47 @@ impl Trace {
     }
 }
 
+/// Render a term for the trace, cut (on a character boundary) to at
+/// most 117 bytes plus an ellipsis.
 fn clip(e: &Expr) -> String {
     let s = e.to_string();
-    if s.len() > 120 {
-        format!("{}…", &s[..s.char_indices().take_while(|(i, _)| *i < 117).count()])
-    } else {
-        s
+    if s.len() <= 120 {
+        return s;
     }
+    let mut cut = 117;
+    while !s.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    format!("{}…", &s[..cut])
 }
+
+/// Upper bound on full bottom-up passes per phase (safety net; the
+/// standard rule sets reach a fixpoint well before this).
+const MAX_PASSES: usize = 64;
 
 /// An ordered group of rules applied together to a fixpoint.
 pub struct Phase {
     /// Phase name (e.g. "normalize").
     pub name: String,
     rules: Vec<Rc<dyn Rule>>,
-    /// Upper bound on full bottom-up passes (safety net; the standard
-    /// rule sets reach a fixpoint well before this).
-    pub max_passes: usize,
+}
+
+/// What a phase's bottom-up passes thread through the tree.
+struct Pass<'a, 'g> {
+    gate: &'a Gate<'g>,
+    trace: Option<&'a mut Trace>,
+    /// Binders in scope at the node being rewritten.
+    scope: Vec<Name>,
+    /// Rule firings in the current pass.
+    fired: usize,
+    /// The last rule that fired in the phase.
+    last_fired: Option<&'static str>,
 }
 
 impl Phase {
     /// An empty phase.
     pub fn new(name: &str) -> Phase {
-        Phase { name: name.to_string(), rules: Vec::new(), max_passes: 64 }
+        Phase { name: name.to_string(), rules: Vec::new() }
     }
 
     /// Append a rule (applied after already-registered rules).
@@ -280,69 +299,41 @@ impl Phase {
         self
     }
 
-    /// Run the phase to a fixpoint. A panicking rule propagates the
-    /// panic; use [`Phase::try_run`] to contain untrusted rules.
-    pub fn run(&self, e: &Expr, trace: Option<&mut Trace>) -> Expr {
-        self.try_run(e, trace).unwrap_or_else(|p| panic!("{p}")) // lint-wall: allow
-    }
-
-    /// Run the phase to a fixpoint, containing rule panics: a rule
-    /// that panics aborts the phase with a [`RulePanic`] naming it.
+    /// Run the phase to a fixpoint under a soundness [`Gate`]: every
+    /// rule firing is checked per `gate.per_fire` and recorded in
+    /// `trace` (if any), and `gate.phase_check` (if any) runs on the
+    /// result when at least one rule fired. Rules are extension code: a
+    /// rule that panics aborts the phase with a [`RulePanic`] naming it.
     ///
     /// When `aql-trace` is collecting, the phase runs under an
     /// `opt.phase` span annotated with its name; each full bottom-up
     /// pass gets a timed `opt.pass` child span, and every rule firing
     /// bumps a `fire:<phase>/<rule>` counter on the phase span.
-    pub fn try_run(&self, e: &Expr, trace: Option<&mut Trace>) -> Result<Expr, RulePanic> {
-        match self.try_run_verified(e, trace, &Gate::off()) {
-            Ok(x) => Ok(x),
-            Err(OptError::Panic(p)) => Err(p),
-            Err(OptError::Unsound(v)) => unreachable!("gate is off: {v}"),
-        }
-    }
-
-    /// Run the phase to a fixpoint under a soundness [`Gate`]: every
-    /// rule firing is checked per `gate.per_fire`, and `gate.phase_check`
-    /// (if any) runs on the result when at least one rule fired.
-    pub fn try_run_verified(
+    pub fn run(
         &self,
         e: &Expr,
-        trace: Option<&mut Trace>,
         gate: &Gate<'_>,
+        trace: Option<&mut Trace>,
     ) -> Result<Expr, OptError> {
         let _phase_span = aql_trace::span("opt.phase");
         aql_trace::note("phase", || self.name.clone());
         let mut cur = e.clone();
-        let mut trace = trace;
-        let mut last_fired: Option<&'static str> = None;
-        for _ in 0..self.max_passes {
+        let mut st = Pass { gate, trace, scope: Vec::new(), fired: 0, last_fired: None };
+        for _ in 0..MAX_PASSES {
             let pass_span = aql_trace::span("opt.pass");
-            let mut fired = 0usize;
-            let mut scope: Vec<Name> = Vec::new();
-            cur = self.pass(
-                &cur,
-                &mut fired,
-                trace.as_deref_mut(),
-                &mut scope,
-                gate,
-                &mut last_fired,
-            )?;
+            st.fired = 0;
+            cur = self.pass(&cur, &mut st)?;
             drop(pass_span);
             aql_trace::count("opt.passes", 1);
             M_PASSES.inc();
-            if fired == 0 {
+            if st.fired == 0 {
                 break;
             }
         }
-        if let (Some(check), Some(rule)) = (gate.phase_check, last_fired) {
+        if let (Some(check), Some(rule)) = (gate.phase_check, st.last_fired) {
             if let Err(message) = check(&cur) {
-                aql_trace::count_with(|| format!("unsound:{}/{rule}", self.name), 1);
-                bump_unsound_metric(&self.name, rule);
-                return Err(OptError::Unsound(SoundnessViolation {
-                    phase: self.name.clone(),
-                    rule,
-                    message: format!("phase-boundary check failed: {message}"),
-                }));
+                let message = format!("phase-boundary check failed: {message}");
+                return Err(self.unsound(rule, message));
             }
         }
         Ok(cur)
@@ -351,39 +342,24 @@ impl Phase {
     /// One bottom-up pass: rewrite children first (tracking the binders
     /// in scope so the gate can verify rewrites of open subterms), then
     /// apply rules at this node until none fires (bounded).
-    fn pass(
-        &self,
-        e: &Expr,
-        fired: &mut usize,
-        mut trace: Option<&mut Trace>,
-        scope: &mut Vec<Name>,
-        gate: &Gate<'_>,
-        last_fired: &mut Option<&'static str>,
-    ) -> Result<Expr, OptError> {
-        let rebuilt = try_map_children_scoped(e, scope, &mut |c, scope| {
-            self.pass(c, fired, trace.as_deref_mut(), scope, gate, last_fired)
+    fn pass(&self, e: &Expr, st: &mut Pass<'_, '_>) -> Result<Expr, OptError> {
+        let mut cur = try_map_children(e, &mut |binders, c| {
+            st.scope.extend_from_slice(binders);
+            let rewritten = self.pass(c, st);
+            st.scope.truncate(st.scope.len() - binders.len());
+            rewritten
         })?;
-        let mut cur = rebuilt;
         // Re-apply at the root while rules fire; a small bound keeps a
         // misbehaving user rule from looping forever.
         'outer: for _ in 0..32 {
             for r in &self.rules {
                 if let Some(next) = self.apply_checked(r, &cur)? {
-                    if gate.per_fire {
-                        if let Err(message) = aql_verify::check_rewrite(&cur, &next, scope) {
-                            aql_trace::count_with(
-                                || format!("unsound:{}/{}", self.name, r.name()),
-                                1,
-                            );
-                            bump_unsound_metric(&self.name, r.name());
-                            return Err(OptError::Unsound(SoundnessViolation {
-                                phase: self.name.clone(),
-                                rule: r.name(),
-                                message,
-                            }));
+                    if st.gate.per_fire {
+                        if let Err(message) = aql_verify::check_rewrite(&cur, &next, &st.scope) {
+                            return Err(self.unsound(r.name(), message));
                         }
                     }
-                    if let Some(t) = trace.as_deref_mut() {
+                    if let Some(t) = st.trace.as_deref_mut() {
                         t.steps.push(TraceStep {
                             phase: self.name.clone(),
                             rule: r.name(),
@@ -401,8 +377,8 @@ impl Phase {
                         "Optimizer rule applications, by (phase, rule).",
                     )
                     .inc();
-                    *fired += 1;
-                    *last_fired = Some(r.name());
+                    st.fired += 1;
+                    st.last_fired = Some(r.name());
                     cur = next;
                     continue 'outer;
                 }
@@ -412,6 +388,13 @@ impl Phase {
         Ok(cur)
     }
 
+    /// Record a rewrite of `rule` that the gate rejected (trace counter
+    /// and `/metrics`) and build the error naming it.
+    fn unsound(&self, rule: &'static str, message: String) -> OptError {
+        aql_trace::count_with(|| format!("unsound:{}/{rule}", self.name), 1);
+        bump_unsound_metric(&self.name, rule);
+        OptError::Unsound(SoundnessViolation { phase: self.name.clone(), rule, message })
+    }
 
     /// Apply one rule with a panic guard: rules are extension code, so
     /// a panic inside `apply` must not take down the host.
@@ -453,276 +436,40 @@ impl Optimizer {
         self.phases.iter_mut().find(|p| p.name == name)
     }
 
-    /// Optimize an expression. A panicking rule propagates the panic;
-    /// hosts running untrusted rules use [`Optimizer::try_optimize`].
+    /// Run every phase in order ([`Phase::run`]) under a soundness
+    /// [`Gate`], recording rule firings in `trace` if one is given. Rule
+    /// panics and gate violations both abort, attributed to
+    /// `(phase, rule)`.
+    pub fn run(
+        &self,
+        e: &Expr,
+        gate: &Gate<'_>,
+        mut trace: Option<&mut Trace>,
+    ) -> Result<Expr, OptError> {
+        let mut cur = e.clone();
+        for p in &self.phases {
+            cur = p.run(&cur, gate, trace.as_deref_mut())?;
+        }
+        Ok(cur)
+    }
+
+    /// Optimize an expression, ungated. A panicking rule propagates the
+    /// panic; hosts running untrusted rules use [`Optimizer::try_optimize`].
     pub fn optimize(&self, e: &Expr) -> Expr {
         self.try_optimize(e).unwrap_or_else(|p| panic!("{p}")) // lint-wall: allow
     }
 
-    /// Optimize, containing rule panics as [`RulePanic`] errors.
-    pub fn try_optimize(&self, e: &Expr) -> Result<Expr, RulePanic> {
-        let mut cur = e.clone();
-        for p in &self.phases {
-            cur = p.try_run(&cur, None)?;
-        }
-        Ok(cur)
+    /// Optimize ungated, containing rule panics as errors.
+    pub fn try_optimize(&self, e: &Expr) -> Result<Expr, OptError> {
+        self.run(e, &Gate::off(), None)
     }
 
-    /// Optimize under a soundness [`Gate`]: rule panics and gate
-    /// violations both abort, the latter attributed to `(phase, rule)`.
-    pub fn try_optimize_verified(&self, e: &Expr, gate: &Gate<'_>) -> Result<Expr, OptError> {
-        let mut cur = e.clone();
-        for p in &self.phases {
-            cur = p.try_run_verified(&cur, None, gate)?;
-        }
-        Ok(cur)
-    }
-
-    /// Traced optimization under a soundness [`Gate`].
-    pub fn try_optimize_traced_verified(
-        &self,
-        e: &Expr,
-        gate: &Gate<'_>,
-    ) -> Result<(Expr, Trace), OptError> {
-        let mut trace = Trace::default();
-        let mut cur = e.clone();
-        for p in &self.phases {
-            cur = p.try_run_verified(&cur, Some(&mut trace), gate)?;
-        }
-        Ok((cur, trace))
-    }
-
-    /// Optimize and record every rule firing.
+    /// Optimize ungated and record every rule firing; panics like
+    /// [`Optimizer::optimize`].
     pub fn optimize_traced(&self, e: &Expr) -> (Expr, Trace) {
-        let (cur, trace) = self
-            .try_optimize_traced(e)
-            .unwrap_or_else(|p| panic!("{p}")); // lint-wall: allow
-        (cur, trace)
-    }
-
-    /// Traced optimization with rule panics contained.
-    pub fn try_optimize_traced(&self, e: &Expr) -> Result<(Expr, Trace), RulePanic> {
         let mut trace = Trace::default();
-        let mut cur = e.clone();
-        for p in &self.phases {
-            cur = p.try_run(&cur, Some(&mut trace))?;
-        }
-        Ok((cur, trace))
-    }
-}
-
-/// Fallible [`map_children`]: stops applying `f` at the first error
-/// and returns it (remaining children are copied unchanged before the
-/// partial rebuild is discarded).
-pub fn try_map_children<E>(
-    e: &Expr,
-    mut f: impl FnMut(&Expr) -> Result<Expr, E>,
-) -> Result<Expr, E> {
-    let mut err = None;
-    let rebuilt = map_children(e, |c| {
-        if err.is_some() {
-            return c.clone();
-        }
-        match f(c) {
-            Ok(x) => x,
-            Err(e2) => {
-                err = Some(e2);
-                c.clone()
-            }
-        }
-    });
-    match err {
-        Some(e2) => Err(e2),
-        None => Ok(rebuilt),
-    }
-}
-
-/// The fallible callback of [`try_map_children_scoped`].
-pub type ScopedTryMapFn<'a, E> = &'a mut dyn FnMut(&Expr, &mut Vec<Name>) -> Result<Expr, E>;
-
-/// Scope-aware variant of [`try_map_children`]: `f` receives each
-/// immediate child together with the binder stack extended by exactly
-/// the binders that child sits under, mirroring the scoping rules of
-/// Fig. 1 (a `Tab`'s bounds do *not* see its index variables; a
-/// `Let`'s bound expression does not see its own binder). `scope` is
-/// restored before returning.
-pub fn try_map_children_scoped<E>(
-    e: &Expr,
-    scope: &mut Vec<Name>,
-    f: ScopedTryMapFn<'_, E>,
-) -> Result<Expr, E> {
-    let mut err = None;
-    let rebuilt = map_children_scoped(e, scope, &mut |c, scope| {
-        if err.is_some() {
-            return c.clone();
-        }
-        match f(c, scope) {
-            Ok(x) => x,
-            Err(e2) => {
-                err = Some(e2);
-                c.clone()
-            }
-        }
-    });
-    match err {
-        Some(e2) => Err(e2),
-        None => Ok(rebuilt),
-    }
-}
-
-/// Infallible scope-aware child map (see [`try_map_children_scoped`]
-/// for the binder conventions).
-pub fn map_children_scoped(
-    e: &Expr,
-    scope: &mut Vec<Name>,
-    f: &mut dyn FnMut(&Expr, &mut Vec<Name>) -> Expr,
-) -> Expr {
-    use Expr::*;
-    // Apply `f` under extra binders, restoring the scope afterwards.
-    fn under(
-        xs: &[&Name],
-        c: &Expr,
-        scope: &mut Vec<Name>,
-        f: &mut dyn FnMut(&Expr, &mut Vec<Name>) -> Expr,
-    ) -> Expr {
-        for x in xs {
-            scope.push((*x).clone());
-        }
-        let r = f(c, scope);
-        scope.truncate(scope.len() - xs.len());
-        r
-    }
-    match e {
-        Var(_) | Global(_) | Ext(_) | Empty | BagEmpty | Bool(_) | Nat(_) | Real(_)
-        | Str(_) | Bottom => e.clone(),
-        Lam(x, b) => Lam(x.clone(), under(&[x], b, scope, f).boxed()),
-        App(a, b) => App(f(a, scope).boxed(), f(b, scope).boxed()),
-        Let(x, a, b) => {
-            Let(x.clone(), f(a, scope).boxed(), under(&[x], b, scope, f).boxed())
-        }
-        Tuple(es) => Tuple(es.iter().map(|c| f(c, scope)).collect()),
-        Proj(i, k, a) => Proj(*i, *k, f(a, scope).boxed()),
-        Single(a) => Single(f(a, scope).boxed()),
-        Union(a, b) => Union(f(a, scope).boxed(), f(b, scope).boxed()),
-        BigUnion { head, var, src } => BigUnion {
-            src: f(src, scope).boxed(),
-            head: under(&[var], head, scope, f).boxed(),
-            var: var.clone(),
-        },
-        BigUnionRank { head, var, rank, src } => BigUnionRank {
-            src: f(src, scope).boxed(),
-            head: under(&[var, rank], head, scope, f).boxed(),
-            var: var.clone(),
-            rank: rank.clone(),
-        },
-        BagSingle(a) => BagSingle(f(a, scope).boxed()),
-        BagUnion(a, b) => BagUnion(f(a, scope).boxed(), f(b, scope).boxed()),
-        BigBagUnion { head, var, src } => BigBagUnion {
-            src: f(src, scope).boxed(),
-            head: under(&[var], head, scope, f).boxed(),
-            var: var.clone(),
-        },
-        BigBagUnionRank { head, var, rank, src } => BigBagUnionRank {
-            src: f(src, scope).boxed(),
-            head: under(&[var, rank], head, scope, f).boxed(),
-            var: var.clone(),
-            rank: rank.clone(),
-        },
-        If(c, t, e2) => If(
-            f(c, scope).boxed(),
-            f(t, scope).boxed(),
-            f(e2, scope).boxed(),
-        ),
-        Cmp(op, a, b) => Cmp(*op, f(a, scope).boxed(), f(b, scope).boxed()),
-        Arith(op, a, b) => Arith(*op, f(a, scope).boxed(), f(b, scope).boxed()),
-        Gen(a) => Gen(f(a, scope).boxed()),
-        Sum { head, var, src } => Sum {
-            src: f(src, scope).boxed(),
-            head: under(&[var], head, scope, f).boxed(),
-            var: var.clone(),
-        },
-        Tab { head, idx } => {
-            let idx2: Vec<(Name, Expr)> =
-                idx.iter().map(|(n, b)| (n.clone(), f(b, scope))).collect();
-            let names: Vec<&Name> = idx.iter().map(|(n, _)| n).collect();
-            Tab { head: under(&names, head, scope, f).boxed(), idx: idx2 }
-        }
-        Sub(a, ix) => Sub(
-            f(a, scope).boxed(),
-            ix.iter().map(|c| f(c, scope)).collect(),
-        ),
-        Dim(k, a) => Dim(*k, f(a, scope).boxed()),
-        ArrayLit { dims, items } => ArrayLit {
-            dims: dims.iter().map(|c| f(c, scope)).collect(),
-            items: items.iter().map(|c| f(c, scope)).collect(),
-        },
-        Index(k, a) => Index(*k, f(a, scope).boxed()),
-        Get(a) => Get(f(a, scope).boxed()),
-        Prim(p, es) => Prim(*p, es.iter().map(|c| f(c, scope)).collect()),
-    }
-}
-
-/// Rebuild an expression by mapping a function over its immediate
-/// children. Binder structure is preserved untouched — rules that need
-/// capture-awareness use `aql_core::expr::free`.
-pub fn map_children(e: &Expr, mut f: impl FnMut(&Expr) -> Expr) -> Expr {
-    use Expr::*;
-    match e {
-        Var(_) | Global(_) | Ext(_) | Empty | BagEmpty | Bool(_) | Nat(_) | Real(_)
-        | Str(_) | Bottom => e.clone(),
-        Lam(x, b) => Lam(x.clone(), f(b).boxed()),
-        App(a, b) => App(f(a).boxed(), f(b).boxed()),
-        Let(x, a, b) => Let(x.clone(), f(a).boxed(), f(b).boxed()),
-        Tuple(es) => Tuple(es.iter().map(&mut f).collect()),
-        Proj(i, k, a) => Proj(*i, *k, f(a).boxed()),
-        Single(a) => Single(f(a).boxed()),
-        Union(a, b) => Union(f(a).boxed(), f(b).boxed()),
-        BigUnion { head, var, src } => BigUnion {
-            head: f(head).boxed(),
-            var: var.clone(),
-            src: f(src).boxed(),
-        },
-        BigUnionRank { head, var, rank, src } => BigUnionRank {
-            head: f(head).boxed(),
-            var: var.clone(),
-            rank: rank.clone(),
-            src: f(src).boxed(),
-        },
-        BagSingle(a) => BagSingle(f(a).boxed()),
-        BagUnion(a, b) => BagUnion(f(a).boxed(), f(b).boxed()),
-        BigBagUnion { head, var, src } => BigBagUnion {
-            head: f(head).boxed(),
-            var: var.clone(),
-            src: f(src).boxed(),
-        },
-        BigBagUnionRank { head, var, rank, src } => BigBagUnionRank {
-            head: f(head).boxed(),
-            var: var.clone(),
-            rank: rank.clone(),
-            src: f(src).boxed(),
-        },
-        If(c, t, e2) => If(f(c).boxed(), f(t).boxed(), f(e2).boxed()),
-        Cmp(op, a, b) => Cmp(*op, f(a).boxed(), f(b).boxed()),
-        Arith(op, a, b) => Arith(*op, f(a).boxed(), f(b).boxed()),
-        Gen(a) => Gen(f(a).boxed()),
-        Sum { head, var, src } => Sum {
-            head: f(head).boxed(),
-            var: var.clone(),
-            src: f(src).boxed(),
-        },
-        Tab { head, idx } => Tab {
-            head: f(head).boxed(),
-            idx: idx.iter().map(|(n, b)| (n.clone(), f(b))).collect(),
-        },
-        Sub(a, ix) => Sub(f(a).boxed(), ix.iter().map(&mut f).collect()),
-        Dim(k, a) => Dim(*k, f(a).boxed()),
-        ArrayLit { dims, items } => ArrayLit {
-            dims: dims.iter().map(&mut f).collect(),
-            items: items.iter().map(&mut f).collect(),
-        },
-        Index(k, a) => Index(*k, f(a).boxed()),
-        Get(a) => Get(f(a).boxed()),
-        Prim(p, es) => Prim(*p, es.iter().map(f).collect()),
+        let run = self.run(e, &Gate::off(), Some(&mut trace));
+        (run.unwrap_or_else(|p| panic!("{p}")), trace) // lint-wall: allow
     }
 }
 
@@ -753,7 +500,7 @@ mod tests {
         p.add_rule(Rc::new(ZeroAdd));
         // 0 + (0 + (0 + x)) → x, requiring nested rewrites.
         let e = add(nat(0), add(nat(0), add(nat(0), var("x"))));
-        let got = p.run(&e, None);
+        let got = p.run(&e, &Gate::off(), None).expect("no rule panics");
         assert_eq!(got, var("x"));
     }
 
@@ -791,7 +538,7 @@ mod tests {
     #[test]
     fn map_children_rebuilds() {
         let e = add(nat(1), nat(2));
-        let got = map_children(&e, |_| nat(9));
+        let got = aql_core::expr::children::map_children(&e, &mut |_, _| nat(9));
         assert_eq!(got, add(nat(9), nat(9)));
     }
 
@@ -817,7 +564,7 @@ mod tests {
         p.add_rule(Rc::new(PingPong));
         let e = add(nat(1), add(nat(2), nat(3)));
         // Must return; the exact result is unspecified but well-formed.
-        let got = p.run(&e, None);
+        let got = p.run(&e, &Gate::off(), None).expect("no rule panics");
         assert!(got.size() == e.size());
     }
 
@@ -927,13 +674,13 @@ mod tests {
         opt.add_phase(p);
         // Off: the bad rewrite sails through.
         assert_eq!(
-            opt.try_optimize_verified(&add(nat(7), nat(0)), &Gate::off())
+            opt.run(&add(nat(7), nat(0)), &Gate::off(), None)
                 .expect("gate off"),
             add(Expr::Bool(true), nat(0))
         );
         // Local gate: caught and attributed to (phase, rule).
         let err = opt
-            .try_optimize_verified(&add(nat(7), nat(0)), &Gate::local())
+            .run(&add(nat(7), nat(0)), &Gate::local(), None)
             .expect_err("gate must reject");
         let OptError::Unsound(v) = err else {
             panic!("expected Unsound, got {err}");
@@ -954,7 +701,7 @@ mod tests {
         // must allow `x` but still reject `ghost`.
         let e = lam("x", add(var("x"), nat(1)));
         let err = opt
-            .try_optimize_verified(&e, &Gate::local())
+            .run(&e, &Gate::local(), None)
             .expect_err("ghost variable must be rejected");
         let OptError::Unsound(v) = err else {
             panic!("expected Unsound, got {err}");
@@ -973,12 +720,13 @@ mod tests {
         // of the bound variables: the gate must not false-positive.
         let e = lam("x", add(nat(0), var("x")));
         let got = opt
-            .try_optimize_verified(&e, &Gate::local())
+            .run(&e, &Gate::local(), None)
             .expect("sound rewrite passes");
         assert_eq!(got, lam("x", var("x")));
         let e = tab1("i", nat(4), add(nat(0), mul(var("i"), var("i"))));
-        let (got, trace) = opt
-            .try_optimize_traced_verified(&e, &Gate::local())
+        let mut trace = Trace::default();
+        let got = opt
+            .run(&e, &Gate::local(), Some(&mut trace))
             .expect("sound rewrite passes");
         assert_eq!(got, tab1("i", nat(4), mul(var("i"), var("i"))));
         assert_eq!(trace.count_in("normalize", "zero-add"), 1);
@@ -995,11 +743,11 @@ mod tests {
         let reject = |_: &Expr| -> Result<(), String> { Err("nope".into()) };
         let gate = Gate::full(&reject);
         // No redex → no firing → the check never runs.
-        opt.try_optimize_verified(&var("x"), &gate)
+        opt.run(&var("x"), &gate, None)
             .expect("no firing, no phase check");
         // A firing phase consults the check.
         let err = opt
-            .try_optimize_verified(&add(nat(0), var("x")), &gate)
+            .run(&add(nat(0), var("x")), &gate, None)
             .expect_err("phase check must reject");
         let OptError::Unsound(v) = err else {
             panic!("expected Unsound, got {err}");
@@ -1022,5 +770,14 @@ mod tests {
         let (_, trace) = opt.optimize_traced(&add(nat(0), inner));
         assert_eq!(trace.len(), 1);
         assert!(trace.steps[0].before.chars().count() <= 121);
+        // Multi-byte characters: the cut lands on a character boundary,
+        // wherever the two-byte `é`s happen to start.
+        for pad in ["a", "ab"] {
+            let long = Expr::Str(format!("{pad}{}", "é".repeat(200)).into());
+            let (_, trace) = opt.optimize_traced(&add(nat(0), long));
+            assert_eq!(trace.len(), 1);
+            let after = &trace.steps[0].after;
+            assert!(after.len() <= 120 && after.ends_with("é…"), "{after}");
+        }
     }
 }

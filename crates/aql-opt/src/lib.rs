@@ -35,8 +35,8 @@ pub mod engine;
 pub mod rules;
 
 pub use engine::{
-    map_children, map_children_scoped, try_map_children, try_map_children_scoped, Gate, OptError,
-    Optimizer, Phase, PhaseCheck, Rule, RulePanic, SoundnessViolation, Trace, TraceStep,
+    Gate, OptError, Optimizer, Phase, PhaseCheck, Rule, RulePanic, SoundnessViolation, Trace,
+    TraceStep,
 };
 pub use rules::{normalize_and_eliminate, normalizer, standard};
 

@@ -27,10 +27,11 @@ pub mod sets;
 use std::collections::HashSet;
 use std::rc::Rc;
 
+use aql_core::expr::children::{for_each_child, map_children};
 use aql_core::expr::free::free_vars;
 use aql_core::expr::{Expr, Name};
 
-use crate::engine::{map_children, Optimizer, Phase};
+use crate::engine::{Optimizer, Phase};
 
 /// Build the standard three-phase optimizer of §5: normalization,
 /// constraint (bound-check) elimination, and code motion.
@@ -115,20 +116,11 @@ pub fn motion_phase() -> Phase {
 // Shared helpers for capture-aware replacement.
 // ---------------------------------------------------------------------
 
-/// Which names does a node bind, and over which children?
-/// Returns the binder names in scope for the `head` position(s).
+/// Every name `e` binds, over whichever child.
 fn binders_of(e: &Expr) -> Vec<Name> {
-    match e {
-        Expr::Lam(x, _) | Expr::Let(x, _, _) => vec![x.clone()],
-        Expr::BigUnion { var, .. }
-        | Expr::BigBagUnion { var, .. }
-        | Expr::Sum { var, .. } => vec![var.clone()],
-        Expr::BigUnionRank { var, rank, .. } | Expr::BigBagUnionRank { var, rank, .. } => {
-            vec![var.clone(), rank.clone()]
-        }
-        Expr::Tab { idx, .. } => idx.iter().map(|(n, _)| n.clone()).collect(),
-        _ => Vec::new(),
-    }
+    let mut out = Vec::new();
+    for_each_child(e, &mut |binders, _| out.extend_from_slice(binders));
+    out
 }
 
 /// Replace every occurrence of `pattern` (syntactic equality) inside
@@ -163,7 +155,7 @@ pub fn replace_capture_aware(e: &Expr, pattern: &Expr, replacement: &Expr) -> (E
             // correct; the fixpoint loop recovers most opportunities.)
             return e.clone();
         }
-        map_children(e, |c| go(c, pattern, replacement, pat_free, count))
+        map_children(e, &mut |_, c| go(c, pattern, replacement, pat_free, count))
     }
 }
 

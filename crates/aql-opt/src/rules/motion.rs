@@ -16,6 +16,7 @@
 
 use std::collections::HashSet;
 
+use aql_core::expr::children::for_each_child;
 use aql_core::expr::free::{free_vars, fresh};
 use aql_core::expr::{Expr, Name};
 
@@ -62,7 +63,9 @@ impl HoistInvariant {
                 return Some(e.clone());
             }
         }
-        // Descend, extending the forbidden set with this node's binders.
+        // Descend, extending the forbidden set with this node's binders
+        // (for every child: the same conservative cut as
+        // `replace_capture_aware`, which must find what is found here).
         let inner_binders = binders_of(e);
         let mut found = None;
         let extended: HashSet<Name>;
@@ -76,7 +79,7 @@ impl HoistInvariant {
                 .collect();
             &extended
         };
-        e.walk_children(&mut |c| {
+        for_each_child(e, &mut |_, c| {
             if found.is_none() {
                 found = self.find_candidate(c, forb);
             }
@@ -242,7 +245,9 @@ mod tests {
                 set_min(gen(nat(20))),
             ),
         );
-        let opt = crate::rules::motion_phase().run(&e, None);
+        let opt = crate::rules::motion_phase()
+            .run(&e, &crate::Gate::off(), None)
+            .expect("no rule panics");
         assert_eq!(eval_closed(&e).unwrap(), eval_closed(&opt).unwrap());
     }
 }

@@ -9,6 +9,7 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use super::children::{for_each_child, map_children};
 use super::{name, Expr, Name};
 
 static FRESH_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -33,124 +34,17 @@ pub fn is_free_in(x: &str, e: &Expr) -> bool {
 }
 
 fn collect_free(e: &Expr, bound: &mut Vec<Name>, out: &mut HashSet<Name>) {
-    match e {
-        Expr::Var(x) => {
-            if !bound.iter().any(|b| b == x) {
-                out.insert(x.clone());
-            }
+    if let Expr::Var(x) = e {
+        if !bound.contains(x) {
+            out.insert(x.clone());
         }
-        Expr::Global(_) | Expr::Ext(_) => {}
-        Expr::Lam(x, body) => {
-            bound.push(x.clone());
-            collect_free(body, bound, out);
-            bound.pop();
-        }
-        Expr::Let(x, b, body) => {
-            collect_free(b, bound, out);
-            bound.push(x.clone());
-            collect_free(body, bound, out);
-            bound.pop();
-        }
-        Expr::BigUnion { head, var, src }
-        | Expr::BigBagUnion { head, var, src }
-        | Expr::Sum { head, var, src } => {
-            collect_free(src, bound, out);
-            bound.push(var.clone());
-            collect_free(head, bound, out);
-            bound.pop();
-        }
-        Expr::BigUnionRank { head, var, rank, src }
-        | Expr::BigBagUnionRank { head, var, rank, src } => {
-            collect_free(src, bound, out);
-            bound.push(var.clone());
-            bound.push(rank.clone());
-            collect_free(head, bound, out);
-            bound.pop();
-            bound.pop();
-        }
-        Expr::Tab { head, idx } => {
-            // Bounds are *outside* the index binders (Fig. 1).
-            for (_, b) in idx {
-                collect_free(b, bound, out);
-            }
-            let k = idx.len();
-            for (n, _) in idx {
-                bound.push(n.clone());
-            }
-            collect_free(head, bound, out);
-            for _ in 0..k {
-                bound.pop();
-            }
-        }
-        // All remaining constructs bind nothing; recurse structurally.
-        _ => {
-            let before = bound.len();
-            e.walk_children(&mut |child| collect_free(child, bound, out));
-            debug_assert_eq!(bound.len(), before);
-        }
+        return;
     }
-}
-
-impl Expr {
-    /// Visit each *immediate* child (no recursion). Used internally by
-    /// traversals that must handle binders themselves.
-    pub fn walk_children(&self, f: &mut impl FnMut(&Expr)) {
-        match self {
-            Expr::Var(_)
-            | Expr::Global(_)
-            | Expr::Ext(_)
-            | Expr::Empty
-            | Expr::BagEmpty
-            | Expr::Bool(_)
-            | Expr::Nat(_)
-            | Expr::Real(_)
-            | Expr::Str(_)
-            | Expr::Bottom => {}
-            Expr::Lam(_, e)
-            | Expr::Proj(_, _, e)
-            | Expr::Single(e)
-            | Expr::BagSingle(e)
-            | Expr::Gen(e)
-            | Expr::Dim(_, e)
-            | Expr::Index(_, e)
-            | Expr::Get(e) => f(e),
-            Expr::App(a, b)
-            | Expr::Let(_, a, b)
-            | Expr::Union(a, b)
-            | Expr::BagUnion(a, b)
-            | Expr::Cmp(_, a, b)
-            | Expr::Arith(_, a, b) => {
-                f(a);
-                f(b);
-            }
-            Expr::If(a, b, c) => {
-                f(a);
-                f(b);
-                f(c);
-            }
-            Expr::Tuple(es) | Expr::Prim(_, es) => es.iter().for_each(f),
-            Expr::BigUnion { head, src, .. }
-            | Expr::BigUnionRank { head, src, .. }
-            | Expr::BigBagUnion { head, src, .. }
-            | Expr::BigBagUnionRank { head, src, .. }
-            | Expr::Sum { head, src, .. } => {
-                f(head);
-                f(src);
-            }
-            Expr::Tab { head, idx } => {
-                f(head);
-                idx.iter().for_each(|(_, b)| f(b));
-            }
-            Expr::Sub(a, ix) => {
-                f(a);
-                ix.iter().for_each(f);
-            }
-            Expr::ArrayLit { dims, items } => {
-                dims.iter().for_each(&mut *f);
-                items.iter().for_each(f);
-            }
-        }
-    }
+    for_each_child(e, &mut |binders, child| {
+        bound.extend_from_slice(binders);
+        collect_free(child, bound, out);
+        bound.truncate(bound.len() - binders.len());
+    });
 }
 
 /// Capture-avoiding substitution `e{x := r}`.
@@ -164,310 +58,78 @@ pub fn subst(e: &Expr, x: &str, r: &Expr) -> Expr {
 }
 
 fn subst_in(e: &Expr, x: &str, r: &Expr, r_free: &HashSet<Name>) -> Expr {
-    // Substitute under a single binder, α-renaming it if it would
-    // capture a free variable of `r`.
-    fn under_binder(
-        var: &Name,
-        body: &Expr,
-        x: &str,
-        r: &Expr,
-        r_free: &HashSet<Name>,
-    ) -> (Name, Expr) {
-        if &**var == x {
-            // x is shadowed: leave the body alone.
-            return (var.clone(), body.clone());
-        }
-        if r_free.iter().any(|v| v == var) {
-            // The binder would capture a free variable of r: rename.
-            let nv = fresh(var);
-            let renamed = subst(body, var, &Expr::Var(nv.clone()));
-            (nv, subst_in(&renamed, x, r, r_free))
-        } else {
-            (var.clone(), subst_in(body, x, r, r_free))
-        }
+    if let Expr::Var(v) = e {
+        return if &**v == x { r.clone() } else { e.clone() };
     }
-
-    match e {
-        Expr::Var(v) if &**v == x => r.clone(),
-        Expr::Var(_) | Expr::Global(_) | Expr::Ext(_) => e.clone(),
-        Expr::Lam(v, body) => {
-            let (nv, nb) = under_binder(v, body, x, r, r_free);
-            Expr::Lam(nv, nb.boxed())
+    map_children(e, &mut |binders, child| {
+        if binders.iter().any(|b| &**b == x) {
+            // x is shadowed: leave the child alone.
+            return child.clone();
         }
-        Expr::Let(v, bound, body) => {
-            let nbound = subst_in(bound, x, r, r_free);
-            let (nv, nb) = under_binder(v, body, x, r, r_free);
-            Expr::Let(nv, nbound.boxed(), nb.boxed())
+        // α-rename every binder that would capture a free variable of r.
+        let mut renamed = None;
+        for b in binders.iter_mut().filter(|b| r_free.contains(&**b)) {
+            let nb = fresh(b);
+            renamed = Some(subst(renamed.as_ref().unwrap_or(child), b, &Expr::Var(nb.clone())));
+            *b = nb;
         }
-        Expr::BigUnion { head, var, src } => {
-            let nsrc = subst_in(src, x, r, r_free);
-            let (nv, nh) = under_binder(var, head, x, r, r_free);
-            Expr::BigUnion { head: nh.boxed(), var: nv, src: nsrc.boxed() }
-        }
-        Expr::BigBagUnion { head, var, src } => {
-            let nsrc = subst_in(src, x, r, r_free);
-            let (nv, nh) = under_binder(var, head, x, r, r_free);
-            Expr::BigBagUnion { head: nh.boxed(), var: nv, src: nsrc.boxed() }
-        }
-        Expr::Sum { head, var, src } => {
-            let nsrc = subst_in(src, x, r, r_free);
-            let (nv, nh) = under_binder(var, head, x, r, r_free);
-            Expr::Sum { head: nh.boxed(), var: nv, src: nsrc.boxed() }
-        }
-        Expr::BigUnionRank { head, var, rank, src } => {
-            let (nh, nv, nr) = under_two_binders(head, var, rank, x, r, r_free);
-            Expr::BigUnionRank {
-                head: nh.boxed(),
-                var: nv,
-                rank: nr,
-                src: subst_in(src, x, r, r_free).boxed(),
-            }
-        }
-        Expr::BigBagUnionRank { head, var, rank, src } => {
-            let (nh, nv, nr) = under_two_binders(head, var, rank, x, r, r_free);
-            Expr::BigBagUnionRank {
-                head: nh.boxed(),
-                var: nv,
-                rank: nr,
-                src: subst_in(src, x, r, r_free).boxed(),
-            }
-        }
-        Expr::Tab { head, idx } => {
-            let nbounds: Vec<Expr> = idx
-                .iter()
-                .map(|(_, b)| subst_in(b, x, r, r_free))
-                .collect();
-            // Rename any index binder that is `x` (shadowing) or would
-            // capture a free variable of r.
-            let shadowed = idx.iter().any(|(n, _)| &**n == x);
-            let mut head2 = head.as_ref().clone();
-            let mut names: Vec<Name> = idx.iter().map(|(n, _)| n.clone()).collect();
-            for n in names.iter_mut() {
-                if r_free.iter().any(|v| v == n) {
-                    let nv = fresh(n);
-                    head2 = subst(&head2, n, &Expr::Var(nv.clone()));
-                    *n = nv;
-                }
-            }
-            let nhead = if shadowed { head2 } else { subst_in(&head2, x, r, r_free) };
-            Expr::Tab {
-                head: nhead.boxed(),
-                idx: names.into_iter().zip(nbounds).collect(),
-            }
-        }
-        // Non-binding constructs: rebuild with substituted children.
-        Expr::App(a, b) => Expr::App(
-            subst_in(a, x, r, r_free).boxed(),
-            subst_in(b, x, r, r_free).boxed(),
-        ),
-        Expr::Proj(i, k, a) => Expr::Proj(*i, *k, subst_in(a, x, r, r_free).boxed()),
-        Expr::Tuple(es) => Expr::Tuple(es.iter().map(|a| subst_in(a, x, r, r_free)).collect()),
-        Expr::Empty | Expr::BagEmpty | Expr::Bool(_) | Expr::Nat(_) | Expr::Real(_)
-        | Expr::Str(_) | Expr::Bottom => e.clone(),
-        Expr::Single(a) => Expr::Single(subst_in(a, x, r, r_free).boxed()),
-        Expr::BagSingle(a) => Expr::BagSingle(subst_in(a, x, r, r_free).boxed()),
-        Expr::Union(a, b) => Expr::Union(
-            subst_in(a, x, r, r_free).boxed(),
-            subst_in(b, x, r, r_free).boxed(),
-        ),
-        Expr::BagUnion(a, b) => Expr::BagUnion(
-            subst_in(a, x, r, r_free).boxed(),
-            subst_in(b, x, r, r_free).boxed(),
-        ),
-        Expr::If(a, b, c) => Expr::If(
-            subst_in(a, x, r, r_free).boxed(),
-            subst_in(b, x, r, r_free).boxed(),
-            subst_in(c, x, r, r_free).boxed(),
-        ),
-        Expr::Cmp(op, a, b) => Expr::Cmp(
-            *op,
-            subst_in(a, x, r, r_free).boxed(),
-            subst_in(b, x, r, r_free).boxed(),
-        ),
-        Expr::Arith(op, a, b) => Expr::Arith(
-            *op,
-            subst_in(a, x, r, r_free).boxed(),
-            subst_in(b, x, r, r_free).boxed(),
-        ),
-        Expr::Gen(a) => Expr::Gen(subst_in(a, x, r, r_free).boxed()),
-        Expr::Sub(a, ix) => Expr::Sub(
-            subst_in(a, x, r, r_free).boxed(),
-            ix.iter().map(|i| subst_in(i, x, r, r_free)).collect(),
-        ),
-        Expr::Dim(k, a) => Expr::Dim(*k, subst_in(a, x, r, r_free).boxed()),
-        Expr::ArrayLit { dims, items } => Expr::ArrayLit {
-            dims: dims.iter().map(|d| subst_in(d, x, r, r_free)).collect(),
-            items: items.iter().map(|i| subst_in(i, x, r, r_free)).collect(),
-        },
-        Expr::Index(k, a) => Expr::Index(*k, subst_in(a, x, r, r_free).boxed()),
-        Expr::Get(a) => Expr::Get(subst_in(a, x, r, r_free).boxed()),
-        Expr::Prim(p, es) => {
-            Expr::Prim(*p, es.iter().map(|a| subst_in(a, x, r, r_free)).collect())
-        }
-    }
-}
-
-fn under_two_binders(
-    head: &Expr,
-    var: &Name,
-    rank: &Name,
-    x: &str,
-    r: &Expr,
-    r_free: &HashSet<Name>,
-) -> (Expr, Name, Name) {
-    let shadowed = &**var == x || &**rank == x;
-    let mut head2 = head.clone();
-    let mut nv = var.clone();
-    let mut nr = rank.clone();
-    if r_free.iter().any(|v| v == &nv) {
-        let f = fresh(&nv);
-        head2 = subst(&head2, &nv, &Expr::Var(f.clone()));
-        nv = f;
-    }
-    if r_free.iter().any(|v| v == &nr) {
-        let f = fresh(&nr);
-        head2 = subst(&head2, &nr, &Expr::Var(f.clone()));
-        nr = f;
-    }
-    let nhead = if shadowed { head2 } else { subst_in(&head2, x, r, r_free) };
-    (nhead, nv, nr)
+        subst_in(renamed.as_ref().unwrap_or(child), x, r, r_free)
+    })
 }
 
 /// α-equivalence: equality up to consistent renaming of bound
 /// variables. The optimizer's convergence assertions ("both pipelines
 /// reduce to the same query, up to variable renaming", §5) use this.
 pub fn alpha_eq(a: &Expr, b: &Expr) -> bool {
-    fn go(a: &Expr, b: &Expr, env: &mut Vec<(Name, Name)>) -> bool {
-        // Resolve a bound variable through the renaming environment.
-        fn lookup(env: &[(Name, Name)], x: &Name) -> Option<usize> {
-            env.iter().rposition(|(l, _)| l == x)
-        }
+    /// Same constructor and same payload, children and binder names
+    /// aside.
+    fn same_node(a: &Expr, b: &Expr) -> bool {
+        use Expr::*;
         match (a, b) {
-            (Expr::Var(x), Expr::Var(y)) => match (lookup(env, x), env.iter().rposition(|(_, r)| r == y)) {
-                (Some(i), Some(j)) => i == j && env[i].1 == *y,
+            (Global(x), Global(y)) | (Ext(x), Ext(y)) => x == y,
+            (Bool(x), Bool(y)) => x == y,
+            (Nat(x), Nat(y)) => x == y,
+            (Real(x), Real(y)) => x.total_cmp(y).is_eq(),
+            (Str(x), Str(y)) => x == y,
+            (Proj(i1, k1, _), Proj(i2, k2, _)) => i1 == i2 && k1 == k2,
+            (Cmp(o1, ..), Cmp(o2, ..)) => o1 == o2,
+            (Arith(o1, ..), Arith(o2, ..)) => o1 == o2,
+            (Dim(k1, _), Dim(k2, _)) | (Index(k1, _), Index(k2, _)) => k1 == k2,
+            (Prim(p1, _), Prim(p2, _)) => p1 == p2,
+            // Dimensions and items are one child list: the split must agree.
+            (ArrayLit { dims: d1, .. }, ArrayLit { dims: d2, .. }) => d1.len() == d2.len(),
+            _ => std::mem::discriminant(a) == std::mem::discriminant(b),
+        }
+    }
+    fn children(e: &Expr) -> Vec<(Vec<Name>, &Expr)> {
+        let mut out = Vec::new();
+        for_each_child(e, &mut |binders, child| out.push((binders.to_vec(), child)));
+        out
+    }
+    fn go(a: &Expr, b: &Expr, env: &mut Vec<(Name, Name)>) -> bool {
+        if let (Expr::Var(x), Expr::Var(y)) = (a, b) {
+            // Resolve both sides through the renaming environment.
+            let bound_left = env.iter().rposition(|(l, _)| l == x);
+            let bound_right = env.iter().rposition(|(_, r)| r == y);
+            return match (bound_left, bound_right) {
+                (Some(i), Some(j)) => i == j,
                 (None, None) => x == y,
                 _ => false,
-            },
-            (Expr::Global(x), Expr::Global(y)) | (Expr::Ext(x), Expr::Ext(y)) => x == y,
-            (Expr::Lam(x, e1), Expr::Lam(y, e2)) => {
-                env.push((x.clone(), y.clone()));
-                let r = go(e1, e2, env);
-                env.pop();
-                r
-            }
-            (Expr::Let(x, a1, e1), Expr::Let(y, a2, e2)) => {
-                go(a1, a2, env) && {
-                    env.push((x.clone(), y.clone()));
-                    let r = go(e1, e2, env);
-                    env.pop();
-                    r
-                }
-            }
-            (
-                Expr::BigUnion { head: h1, var: v1, src: s1 },
-                Expr::BigUnion { head: h2, var: v2, src: s2 },
-            )
-            | (
-                Expr::BigBagUnion { head: h1, var: v1, src: s1 },
-                Expr::BigBagUnion { head: h2, var: v2, src: s2 },
-            )
-            | (
-                Expr::Sum { head: h1, var: v1, src: s1 },
-                Expr::Sum { head: h2, var: v2, src: s2 },
-            ) => {
-                go(s1, s2, env) && {
-                    env.push((v1.clone(), v2.clone()));
-                    let r = go(h1, h2, env);
-                    env.pop();
-                    r
-                }
-            }
-            (
-                Expr::BigUnionRank { head: h1, var: v1, rank: r1, src: s1 },
-                Expr::BigUnionRank { head: h2, var: v2, rank: r2, src: s2 },
-            )
-            | (
-                Expr::BigBagUnionRank { head: h1, var: v1, rank: r1, src: s1 },
-                Expr::BigBagUnionRank { head: h2, var: v2, rank: r2, src: s2 },
-            ) => {
-                go(s1, s2, env) && {
-                    env.push((v1.clone(), v2.clone()));
-                    env.push((r1.clone(), r2.clone()));
-                    let r = go(h1, h2, env);
-                    env.pop();
-                    env.pop();
-                    r
-                }
-            }
-            (Expr::Tab { head: h1, idx: i1 }, Expr::Tab { head: h2, idx: i2 }) => {
-                i1.len() == i2.len()
-                    && i1
-                        .iter()
-                        .zip(i2.iter())
-                        .all(|((_, b1), (_, b2))| go(b1, b2, env))
-                    && {
-                        for ((n1, _), (n2, _)) in i1.iter().zip(i2.iter()) {
-                            env.push((n1.clone(), n2.clone()));
-                        }
-                        let r = go(h1, h2, env);
-                        for _ in 0..i1.len() {
-                            env.pop();
-                        }
-                        r
-                    }
-            }
-            (Expr::App(a1, b1), Expr::App(a2, b2))
-            | (Expr::Union(a1, b1), Expr::Union(a2, b2))
-            | (Expr::BagUnion(a1, b1), Expr::BagUnion(a2, b2)) => {
-                go(a1, a2, env) && go(b1, b2, env)
-            }
-            (Expr::Cmp(o1, a1, b1), Expr::Cmp(o2, a2, b2)) => {
-                o1 == o2 && go(a1, a2, env) && go(b1, b2, env)
-            }
-            (Expr::Arith(o1, a1, b1), Expr::Arith(o2, a2, b2)) => {
-                o1 == o2 && go(a1, a2, env) && go(b1, b2, env)
-            }
-            (Expr::If(a1, b1, c1), Expr::If(a2, b2, c2)) => {
-                go(a1, a2, env) && go(b1, b2, env) && go(c1, c2, env)
-            }
-            (Expr::Proj(i1, k1, e1), Expr::Proj(i2, k2, e2)) => {
-                i1 == i2 && k1 == k2 && go(e1, e2, env)
-            }
-            (Expr::Tuple(e1), Expr::Tuple(e2)) => {
-                e1.len() == e2.len() && e1.iter().zip(e2).all(|(x, y)| go(x, y, env))
-            }
-            (Expr::Prim(p1, e1), Expr::Prim(p2, e2)) => {
-                p1 == p2 && e1.len() == e2.len() && e1.iter().zip(e2).all(|(x, y)| go(x, y, env))
-            }
-            (Expr::Single(e1), Expr::Single(e2))
-            | (Expr::BagSingle(e1), Expr::BagSingle(e2))
-            | (Expr::Gen(e1), Expr::Gen(e2))
-            | (Expr::Get(e1), Expr::Get(e2)) => go(e1, e2, env),
-            (Expr::Dim(k1, e1), Expr::Dim(k2, e2)) => k1 == k2 && go(e1, e2, env),
-            (Expr::Index(k1, e1), Expr::Index(k2, e2)) => k1 == k2 && go(e1, e2, env),
-            (Expr::Sub(a1, i1), Expr::Sub(a2, i2)) => {
-                go(a1, a2, env)
-                    && i1.len() == i2.len()
-                    && i1.iter().zip(i2).all(|(x, y)| go(x, y, env))
-            }
-            (
-                Expr::ArrayLit { dims: d1, items: it1 },
-                Expr::ArrayLit { dims: d2, items: it2 },
-            ) => {
-                d1.len() == d2.len()
-                    && it1.len() == it2.len()
-                    && d1.iter().zip(d2).all(|(x, y)| go(x, y, env))
-                    && it1.iter().zip(it2).all(|(x, y)| go(x, y, env))
-            }
-            (Expr::Empty, Expr::Empty)
-            | (Expr::BagEmpty, Expr::BagEmpty)
-            | (Expr::Bottom, Expr::Bottom) => true,
-            (Expr::Bool(x), Expr::Bool(y)) => x == y,
-            (Expr::Nat(x), Expr::Nat(y)) => x == y,
-            (Expr::Real(x), Expr::Real(y)) => x.total_cmp(y).is_eq(),
-            (Expr::Str(x), Expr::Str(y)) => x == y,
-            _ => false,
+            };
         }
+        if !same_node(a, b) {
+            return false;
+        }
+        let (ca, cb) = (children(a), children(b));
+        ca.len() == cb.len()
+            && ca.iter().zip(&cb).all(|((xs, c1), (ys, c2))| {
+                xs.len() == ys.len() && {
+                    env.extend(xs.iter().cloned().zip(ys.iter().cloned()));
+                    let eq = go(c1, c2, env);
+                    env.truncate(env.len() - xs.len());
+                    eq
+                }
+            })
     }
     go(a, b, &mut Vec::new())
 }

@@ -8,6 +8,7 @@
 //! (parse → translate → typecheck → optimize → evaluate, Fig. 3).
 
 pub mod builder;
+pub mod children;
 pub mod display;
 pub mod free;
 
@@ -236,73 +237,7 @@ impl Expr {
     /// Visit every sub-expression (including `self`), pre-order.
     pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
-        match self {
-            Expr::Var(_)
-            | Expr::Global(_)
-            | Expr::Ext(_)
-            | Expr::Empty
-            | Expr::BagEmpty
-            | Expr::Bool(_)
-            | Expr::Nat(_)
-            | Expr::Real(_)
-            | Expr::Str(_)
-            | Expr::Bottom => {}
-            Expr::Lam(_, e)
-            | Expr::Proj(_, _, e)
-            | Expr::Single(e)
-            | Expr::BagSingle(e)
-            | Expr::Gen(e)
-            | Expr::Dim(_, e)
-            | Expr::Index(_, e)
-            | Expr::Get(e) => e.walk(f),
-            Expr::App(a, b)
-            | Expr::Let(_, a, b)
-            | Expr::Union(a, b)
-            | Expr::BagUnion(a, b)
-            | Expr::Cmp(_, a, b)
-            | Expr::Arith(_, a, b) => {
-                a.walk(f);
-                b.walk(f);
-            }
-            Expr::If(a, b, c) => {
-                a.walk(f);
-                b.walk(f);
-                c.walk(f);
-            }
-            Expr::Tuple(es) | Expr::Prim(_, es) => {
-                for e in es {
-                    e.walk(f);
-                }
-            }
-            Expr::BigUnion { head, src, .. }
-            | Expr::BigUnionRank { head, src, .. }
-            | Expr::BigBagUnion { head, src, .. }
-            | Expr::BigBagUnionRank { head, src, .. }
-            | Expr::Sum { head, src, .. } => {
-                head.walk(f);
-                src.walk(f);
-            }
-            Expr::Tab { head, idx } => {
-                head.walk(f);
-                for (_, b) in idx {
-                    b.walk(f);
-                }
-            }
-            Expr::Sub(a, ix) => {
-                a.walk(f);
-                for e in ix {
-                    e.walk(f);
-                }
-            }
-            Expr::ArrayLit { dims, items } => {
-                for e in dims {
-                    e.walk(f);
-                }
-                for e in items {
-                    e.walk(f);
-                }
-            }
-        }
+        children::for_each_child(self, &mut |_, c| c.walk(f));
     }
 }
 

@@ -40,13 +40,13 @@ fn main() {
     let off = t0.elapsed();
     for _ in 0..50 {
         std::hint::black_box(
-            opt.try_optimize_verified(&e, &Gate::local()).expect("pipeline is sound"),
+            opt.run(&e, &Gate::local(), None).expect("pipeline is sound"),
         );
     }
     let t1 = Instant::now();
     for _ in 0..N {
         std::hint::black_box(
-            opt.try_optimize_verified(&e, &Gate::local()).expect("pipeline is sound"),
+            opt.run(&e, &Gate::local(), None).expect("pipeline is sound"),
         );
     }
     let on = t1.elapsed();

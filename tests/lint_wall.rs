@@ -1,10 +1,11 @@
-//! The workspace lint wall: no `panic!(`, `.unwrap()`, `todo!(`,
-//! `unimplemented!(`, or `dbg!(` in non-test library code under
-//! `crates/*/src`.
+//! The workspace lint wall, two rules over the non-test library code
+//! under `crates/*/src`.
 //!
-//! Robustness is a stated goal (PR 1 made extension panics survivable;
-//! this PR makes internal invariants report instead of abort) — the
-//! wall keeps new aborts from creeping back in. Escapes:
+//! **No aborts**: no `panic!(`, `.unwrap()`, `todo!(`,
+//! `unimplemented!(`, or `dbg!(`. Robustness is a stated goal (PR 1
+//! made extension panics survivable; PR 4 made internal invariants
+//! report instead of abort) — the wall keeps new aborts from creeping
+//! back in. Escapes:
 //!
 //! * test code — `#[cfg(test)]` modules are stripped before scanning;
 //! * comments and doc examples — `//`-leading lines are skipped;
@@ -12,8 +13,14 @@
 //!   `// lint-wall: allow` and a justification;
 //! * the vendored `proptest-shim` is exempt (test-only by nature).
 //!
-//! CI runs the same check as a grep step; this test keeps it
-//! enforceable locally with `cargo test`.
+//! **One scoping table**: a function that matches on every `Expr`
+//! constructor has to name the rarest one, so [`SENTINEL`] may appear
+//! only in the files of [`MAY_MATCH_EVERY_CONSTRUCTOR`] — the enum, the
+//! two child primitives of `aql_core::expr::children`, and the passes
+//! that do per-constructor work. A traversal that only needs to reach
+//! children is written on the primitives instead.
+//!
+//! Nothing but `cargo test` runs these checks; CI has no grep step.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -25,6 +32,29 @@ const EXEMPT_CRATES: &[&str] = &["proptest-shim"];
 /// shipped code: `todo!`/`unimplemented!` abort at runtime, and `dbg!`
 /// writes to stderr from library internals.
 const FORBIDDEN: &[&str] = &["panic!(", ".unwrap()", "todo!(", "unimplemented!(", "dbg!("];
+
+/// The constructor every exhaustive match on `Expr` (or on its
+/// compiled mirror `CExpr`) has to spell out.
+const SENTINEL: &str = "BigBagUnionRank";
+
+/// The files under `crates/` that may name [`SENTINEL`] outside tests
+/// and comments.
+const MAY_MATCH_EVERY_CONSTRUCTOR: &[&str] = &[
+    // The enum, its constructors and the scoping table.
+    "core/src/expr/mod.rs",
+    "core/src/expr/builder.rs",
+    "core/src/expr/children.rs",
+    // Passes that do per-constructor work.
+    "core/src/expr/display.rs",
+    "core/src/check/mod.rs",
+    "core/src/eval/compile.rs",
+    "core/src/eval/mod.rs",
+    "analysis/src/analyze.rs",
+    "analysis/src/cost.rs",
+    "verify/src/verify.rs",
+    "verify/src/compiled.rs",
+    "verify/src/lint.rs",
+];
 
 /// Collect every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -69,8 +99,8 @@ fn non_test_lines(text: &str) -> Vec<(usize, String)> {
     out
 }
 
-#[test]
-fn no_panics_or_unwraps_in_library_code() {
+/// Every `.rs` file under `crates/*/src`, exempt crates left out.
+fn library_sources() -> Vec<PathBuf> {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut files = Vec::new();
     let entries = fs::read_dir(&crates).expect("crates/ exists");
@@ -86,6 +116,12 @@ fn no_panics_or_unwraps_in_library_code() {
         }
     }
     assert!(files.len() > 10, "the scan must actually find the workspace sources");
+    files
+}
+
+#[test]
+fn no_panics_or_unwraps_in_library_code() {
+    let files = library_sources();
 
     let mut violations = Vec::new();
     for path in &files {
@@ -116,6 +152,37 @@ fn no_panics_or_unwraps_in_library_code() {
          with a justification if the abort is deliberate):\n{}",
         violations.join("\n")
     );
+}
+
+#[test]
+fn only_listed_files_match_every_expr_constructor() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut violations = Vec::new();
+    let mut seen = Vec::new();
+    for path in library_sources() {
+        let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+        let rel = path.strip_prefix(&crates).expect("under crates/").to_string_lossy().into_owned();
+        for (ln, line) in non_test_lines(&text) {
+            if line.trim_start().starts_with("//") || !line.contains(SENTINEL) {
+                continue;
+            }
+            if MAY_MATCH_EVERY_CONSTRUCTOR.contains(&rel.as_str()) {
+                seen.push(rel.clone());
+            } else {
+                violations.push(format!("{}:{}: {}", path.display(), ln, line.trim()));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "`{SENTINEL}` outside the listed files: a traversal that only reaches children \
+         belongs on `aql_core::expr::children::{{for_each_child, try_map_children}}`; a new \
+         pass doing per-constructor work is added to MAY_MATCH_EVERY_CONSTRUCTOR:\n{}",
+        violations.join("\n")
+    );
+    for listed in MAY_MATCH_EVERY_CONSTRUCTOR {
+        assert!(seen.iter().any(|s| s == listed), "{listed} no longer names `{SENTINEL}`: unlist it");
+    }
 }
 
 #[test]

@@ -93,7 +93,9 @@ fn hoisting_can_evaluate_an_invariant_a_loop_never_runs() {
     use aql::core::expr::Expr;
     let inv = div(nat(1), nat(0));
     let loop_e = big_union("x", global("S"), single(add(var("x"), inv.clone())));
-    let hoisted = aql::opt::rules::motion_phase().run(&loop_e, None);
+    let hoisted = aql::opt::rules::motion_phase()
+        .run(&loop_e, &aql::opt::Gate::off(), None)
+        .expect("no rule panics");
     assert!(matches!(hoisted, Expr::Let(..)), "invariant must hoist");
     // With S = {} the raw loop is {}, the hoisted form is ⊥.
     let mut globals = std::collections::HashMap::new();

@@ -8,13 +8,19 @@ use aql_journal::{Record, Tag};
 use aql_lang::session::Session;
 
 /// The fixed statement: one run each of desugar, resolve, typecheck,
-/// optimize and eval, and — so that the optimizer's own per-fire
-/// metric lookups stay out of the count — no rule to fire.
+/// optimize and eval, and no rule to fire.
 const STATEMENT: &str = "a[3];";
+/// A statement whose optimization fires rules (E5, `β^p`: a subscript
+/// of a tabulation never builds it — five firings).
+const FIRING_STATEMENT: &str = "[[ i * i + 1 | \\i < 300 ]][17];";
 /// Its phases in pipeline order, and the two the parser runs before
 /// the statement exists.
 const PHASES: [&str; 5] = ["desugar", "resolve", "typecheck", "optimize", "eval"];
 const PARSER_PHASES: u64 = 2;
+
+/// The rule-fire counters are process-wide, unlike every other count
+/// here: the two tests whose statements fire rules take turns.
+static FIRES_RULES: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn session() -> Session {
     let mut s = Session::new();
@@ -96,6 +102,24 @@ fn the_statement_path_looks_no_metric_up_after_the_first_statement() {
     }
     assert_eq!(aql_metrics::registry_locks(), registry, "no string-keyed registry lookup");
     assert_eq!(aql_journal::lock_count(), all, "and no label-table lock either");
+    // A statement that fires rules resolves each `(phase, rule)` fire
+    // counter at the rule's first firing; after that a firing is an
+    // increment on a kept handle — no key formatted, no registry lock.
+    let _turn = FIRES_RULES.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let fires = || aql_metrics::family_total("aql_opt_rule_fires_total");
+    let before = fires();
+    s.run(FIRING_STATEMENT).expect("first firing run");
+    let per_run = fires() - before;
+    assert_eq!(per_run, 5, "E5 fires five rules");
+    let (registry, all) = (aql_metrics::registry_locks(), aql_journal::lock_count());
+    for _ in 0..3 {
+        s.run(FIRING_STATEMENT).expect("again");
+    }
+    assert_eq!(aql_metrics::registry_locks(), registry, "a firing takes no registry lock");
+    assert_eq!(aql_journal::lock_count(), all);
+    // `family_total` itself locks, so the totals are read after the
+    // lock counts: the handles count what the string-keyed lookups did.
+    assert_eq!(fires() - before, 4 * per_run);
     // A failing statement resolves the error counter once, then is as
     // quiet.
     assert!(s.run("a[true];").is_err());
@@ -110,6 +134,7 @@ fn trace_and_sampler_cost_do_not_grow_with_the_data_scanned() {
     use aql_core::value::{ArrayVal, Value};
     use aql_store::{ChunkLayout, LazyArray, MemChunkSource, ScalarBuf, ScalarKind};
 
+    let _turn = FIRES_RULES.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     // `temp(time, lat, lon)` as a chunked lazy binding, and the subslab
     // scan over a window of `hours` time steps of the full grid.
     let dims = vec![1000u64, 5, 5];

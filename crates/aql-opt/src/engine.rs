@@ -8,10 +8,14 @@
 //! phases can be registered at run time, mirroring the paper's dynamic
 //! rule injection.
 
+use std::cell::OnceCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
-use aql_core::expr::children::try_map_children;
-use aql_core::expr::{Expr, Name};
+use aql_core::expr::children::try_for_each_child_mut;
+use aql_core::expr::{Expr, Head, Name};
+
+pub use crate::trace::{Trace, TraceStep};
 
 /// Process-lifetime count of optimizer passes run to fixpoint.
 static M_PASSES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
@@ -39,6 +43,14 @@ fn bump_unsound_metric(phase: &str, rule: &str) {
 pub trait Rule {
     /// Rule name, used in traces.
     fn name(&self) -> &'static str;
+    /// The root constructors `apply` can match. The engine offers a node
+    /// only to the rules that list its head, so this is a promise:
+    /// `apply(e)` is `None` whenever `e.head()` is not listed (debug
+    /// builds check it at every node). The default — every head — is
+    /// always sound and is what a rule registered at run time gets.
+    fn heads(&self) -> &'static [Head] {
+        Head::ALL
+    }
     /// Attempt to rewrite the root of `e`.
     fn apply(&self, e: &Expr) -> Option<Expr>;
 }
@@ -163,116 +175,24 @@ impl<'a> Gate<'a> {
     }
 }
 
-/// One step of a rewrite, recorded when tracing.
-#[derive(Debug, Clone)]
-pub struct TraceStep {
-    /// The phase in which the rule fired.
-    pub phase: String,
-    /// The rule that fired.
-    pub rule: &'static str,
-    /// Rendering of the redex (truncated).
-    pub before: String,
-    /// Rendering of the contractum (truncated).
-    pub after: String,
-}
-
-/// A full rewrite trace.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    /// Steps in firing order.
-    pub steps: Vec<TraceStep>,
-}
-
-impl Trace {
-    /// Number of rule firings.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Was anything rewritten?
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// How many times a rule with this name fired, summed across
-    /// phases. Rule names are only unique *within* a phase — two
-    /// phases may register distinct rules under the same name — so
-    /// prefer [`Trace::count_in`] / [`Trace::fired`] when attributing
-    /// firings.
-    pub fn count(&self, rule: &str) -> usize {
-        self.steps.iter().filter(|s| s.rule == rule).count()
-    }
-
-    /// How many times the rule named `rule` fired *in phase* `phase`.
-    pub fn count_in(&self, phase: &str, rule: &str) -> usize {
-        self.steps.iter().filter(|s| s.phase == phase && s.rule == rule).count()
-    }
-
-    /// Fire counts keyed by `(phase, rule)`, in order of first firing.
-    /// The engine allows duplicate rule names across phases; this is
-    /// the unambiguous attribution.
-    pub fn fired(&self) -> Vec<((String, &'static str), usize)> {
-        let mut out: Vec<((String, &'static str), usize)> = Vec::new();
-        for s in &self.steps {
-            match out.iter_mut().find(|(k, _)| k.0 == s.phase && k.1 == s.rule) {
-                Some((_, n)) => *n += 1,
-                None => out.push(((s.phase.clone(), s.rule), 1)),
-            }
-        }
-        out
-    }
-
-    /// A rule-fire table (`phase`, `rule`, `fires` columns) in order
-    /// of first firing — the `\explain` rendering.
-    pub fn render_fire_table(&self) -> String {
-        use std::fmt::Write as _;
-        let fired = self.fired();
-        if fired.is_empty() {
-            return "  (no rule fired)\n".to_string();
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "  {:<14} {:<24} {:>5}", "phase", "rule", "fires");
-        for ((phase, rule), n) in fired {
-            let _ = writeln!(out, "  {phase:<14} {rule:<24} {n:>5}");
-        }
-        out
-    }
-
-    /// A human-readable rendering of the trace.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (i, s) in self.steps.iter().enumerate() {
-            let _ = writeln!(out, "{:>4}. [{}] {}", i + 1, s.phase, s.rule);
-            let _ = writeln!(out, "      {}  ~>  {}", s.before, s.after);
-        }
-        out
-    }
-}
-
-/// Render a term for the trace, cut (on a character boundary) to at
-/// most 117 bytes plus an ellipsis.
-fn clip(e: &Expr) -> String {
-    let s = e.to_string();
-    if s.len() <= 120 {
-        return s;
-    }
-    let mut cut = 117;
-    while !s.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    format!("{}…", &s[..cut])
-}
-
 /// Upper bound on full bottom-up passes per phase (safety net; the
 /// standard rule sets reach a fixpoint well before this).
 const MAX_PASSES: usize = 64;
+
+/// Upper bound on firings at one node in one visit (a misbehaving user
+/// rule must not loop forever).
+const MAX_FIRES_PER_VISIT: usize = 32;
 
 /// An ordered group of rules applied together to a fixpoint.
 pub struct Phase {
     /// Phase name (e.g. "normalize").
     pub name: String,
     rules: Vec<Rc<dyn Rule>>,
+    /// Per rule, its `aql_opt_rule_fires_total{phase,rule}` series,
+    /// looked up at the rule's first firing and kept.
+    fires: Vec<OnceCell<&'static aql_metrics::Counter>>,
+    /// Per [`Head`], the rules listing it, in registration order.
+    by_head: Vec<Vec<usize>>,
 }
 
 /// What a phase's bottom-up passes thread through the tree.
@@ -285,18 +205,35 @@ struct Pass<'a, 'g> {
     fired: usize,
     /// The last rule that fired in the phase.
     last_fired: Option<&'static str>,
+    /// Node visits and `Rule::apply` calls so far in the phase.
+    visits: u64,
+    applies: u64,
 }
 
 impl Phase {
     /// An empty phase.
     pub fn new(name: &str) -> Phase {
-        Phase { name: name.to_string(), rules: Vec::new() }
+        let by_head = vec![Vec::new(); Head::ALL.len()];
+        Phase { name: name.to_string(), rules: Vec::new(), fires: Vec::new(), by_head }
     }
 
     /// Append a rule (applied after already-registered rules).
     pub fn add_rule(&mut self, rule: Rc<dyn Rule>) -> &mut Self {
+        let index = self.rules.len();
+        for head in rule.heads() {
+            let offered = &mut self.by_head[*head as usize];
+            if offered.last() != Some(&index) {
+                offered.push(index);
+            }
+        }
         self.rules.push(rule);
+        self.fires.push(OnceCell::new());
         self
+    }
+
+    /// The rules, in registration order.
+    pub fn rules(&self) -> &[Rc<dyn Rule>] {
+        &self.rules
     }
 
     /// Run the phase to a fixpoint under a soundness [`Gate`]: every
@@ -306,86 +243,137 @@ impl Phase {
     /// rule that panics aborts the phase with a [`RulePanic`] naming it.
     ///
     /// When `aql-trace` is collecting, the phase runs under an
-    /// `opt.phase` span annotated with its name; each full bottom-up
-    /// pass gets a timed `opt.pass` child span, and every rule firing
-    /// bumps a `fire:<phase>/<rule>` counter on the phase span.
+    /// `opt.phase` span annotated with its name and carrying the run's
+    /// `opt.visits` and `opt.applies`; each full bottom-up pass gets a
+    /// timed `opt.pass` child span, every rule firing bumps a
+    /// `fire:<phase>/<rule>` counter, and a phase a bound stopped short
+    /// of its fixpoint bumps `opt.bound_hit:<phase>/<rule>`.
     pub fn run(
         &self,
         e: &Expr,
         gate: &Gate<'_>,
         trace: Option<&mut Trace>,
     ) -> Result<Expr, OptError> {
+        let mut cur = e.clone();
+        self.run_in_place(&mut cur, gate, trace).map(|()| cur)
+    }
+
+    /// [`Phase::run`] on a term the caller owns (and, on an error,
+    /// discards: it is left partly rewritten).
+    fn run_in_place(
+        &self,
+        cur: &mut Expr,
+        gate: &Gate<'_>,
+        trace: Option<&mut Trace>,
+    ) -> Result<(), OptError> {
         let _phase_span = aql_trace::span("opt.phase");
         aql_trace::note("phase", || self.name.clone());
-        let mut cur = e.clone();
-        let mut st = Pass { gate, trace, scope: Vec::new(), fired: 0, last_fired: None };
-        for _ in 0..MAX_PASSES {
+        let mut st = Pass {
+            gate,
+            trace,
+            scope: Vec::new(),
+            fired: 0,
+            last_fired: None,
+            visits: 0,
+            applies: 0,
+        };
+        for pass in 1..=MAX_PASSES {
             let pass_span = aql_trace::span("opt.pass");
             st.fired = 0;
-            cur = self.pass(&cur, &mut st)?;
+            self.pass(cur, &mut st)?;
             drop(pass_span);
             aql_trace::count("opt.passes", 1);
             M_PASSES.inc();
             if st.fired == 0 {
                 break;
             }
+            if pass == MAX_PASSES {
+                self.bound_hit(&mut st);
+            }
         }
+        aql_trace::count("opt.visits", st.visits);
+        aql_trace::count("opt.applies", st.applies);
         if let (Some(check), Some(rule)) = (gate.phase_check, st.last_fired) {
-            if let Err(message) = check(&cur) {
+            if let Err(message) = check(cur) {
                 let message = format!("phase-boundary check failed: {message}");
                 return Err(self.unsound(rule, message));
             }
         }
-        Ok(cur)
+        Ok(())
     }
 
-    /// One bottom-up pass: rewrite children first (tracking the binders
-    /// in scope so the gate can verify rewrites of open subterms), then
-    /// apply rules at this node until none fires (bounded).
-    fn pass(&self, e: &Expr, st: &mut Pass<'_, '_>) -> Result<Expr, OptError> {
-        let mut cur = try_map_children(e, &mut |binders, c| {
+    /// One bottom-up pass, in place: rewrite the children first
+    /// (tracking the binders in scope so the gate can verify rewrites of
+    /// open subterms), then offer this node to the rules that list its
+    /// head, in registration order and from the first again after every
+    /// firing, until none fires (bounded). Only a firing allocates.
+    fn pass(&self, e: &mut Expr, st: &mut Pass<'_, '_>) -> Result<(), OptError> {
+        try_for_each_child_mut(e, &mut |binders, child| {
             st.scope.extend_from_slice(binders);
-            let rewritten = self.pass(c, st);
+            let done = self.pass(child, st);
             st.scope.truncate(st.scope.len() - binders.len());
-            rewritten
+            done
         })?;
-        // Re-apply at the root while rules fire; a small bound keeps a
-        // misbehaving user rule from looping forever.
-        'outer: for _ in 0..32 {
-            for r in &self.rules {
-                if let Some(next) = self.apply_checked(r, &cur)? {
-                    if st.gate.per_fire {
-                        if let Err(message) = aql_verify::check_rewrite(&cur, &next, &st.scope) {
-                            return Err(self.unsound(r.name(), message));
-                        }
-                    }
-                    if let Some(t) = st.trace.as_deref_mut() {
-                        t.steps.push(TraceStep {
-                            phase: self.name.clone(),
-                            rule: r.name(),
-                            before: clip(&cur),
-                            after: clip(&next),
-                        });
-                    }
-                    aql_trace::count_with(
-                        || format!("fire:{}/{}", self.name, r.name()),
-                        1,
-                    );
-                    aql_metrics::counter_with(
-                        "aql_opt_rule_fires_total",
-                        &[("phase", &self.name), ("rule", r.name())],
-                        "Optimizer rule applications, by (phase, rule).",
-                    )
-                    .inc();
-                    st.fired += 1;
-                    st.last_fired = Some(r.name());
-                    cur = next;
-                    continue 'outer;
-                }
+        st.visits += 1;
+        'offers: for _ in 0..MAX_FIRES_PER_VISIT {
+            let offered = &self.by_head[e.head() as usize];
+            // The tripwire on `heads()`: what the table skips must decline.
+            #[cfg(debug_assertions)]
+            for (_, r) in self.rules.iter().enumerate().filter(|(i, _)| !offered.contains(i)) {
+                let (name, head) = (r.name(), e.head());
+                assert!(r.apply(e).is_none(), "`{name}` fired at a {head:?} its heads() omit");
             }
-            break;
+            for &index in offered {
+                st.applies += 1;
+                let Some(next) = self.apply_checked(&self.rules[index], e)? else { continue };
+                let rule = self.rules[index].name();
+                if st.gate.per_fire {
+                    if let Err(message) = aql_verify::check_rewrite(e, &next, &st.scope) {
+                        return Err(self.unsound(rule, message));
+                    }
+                }
+                if let Some(t) = st.trace.as_deref_mut() {
+                    t.steps.push(TraceStep::new(&self.name, rule, e, &next));
+                }
+                aql_trace::count_with(|| format!("fire:{}/{rule}", self.name), 1);
+                self.fires[index]
+                    .get_or_init(|| {
+                        aql_metrics::counter_with(
+                            "aql_opt_rule_fires_total",
+                            &[("phase", &self.name), ("rule", rule)],
+                            "Optimizer rule applications, by (phase, rule).",
+                        )
+                    })
+                    .inc();
+                st.fired += 1;
+                st.last_fired = Some(rule);
+                *e = next;
+                continue 'offers;
+            }
+            return Ok(());
         }
-        Ok(cur)
+        self.bound_hit(st);
+        Ok(())
+    }
+
+    /// Apply one rule with a panic guard: rules are extension code, so
+    /// a panic inside `apply` must not take down the host.
+    fn apply_checked(&self, r: &Rc<dyn Rule>, e: &Expr) -> Result<Option<Expr>, RulePanic> {
+        catch_unwind(AssertUnwindSafe(|| r.apply(e))).map_err(|payload| {
+            let message = aql_core::prim::panic_message(payload.as_ref());
+            RulePanic { phase: self.name.clone(), rule: r.name(), message }
+        })
+    }
+
+    /// A bound, not a fixpoint, stopped the rewriting: count it against
+    /// the last rule that fired and mark the trace — a possibly
+    /// non-normal form is never silent.
+    fn bound_hit(&self, st: &mut Pass<'_, '_>) {
+        let Some(rule) = st.last_fired else { return };
+        aql_trace::count_with(|| format!("opt.bound_hit:{}/{rule}", self.name), 1);
+        if let Some(t) = st.trace.as_deref_mut() {
+            t.bound_hit = Some((self.name.clone(), rule));
+        }
     }
 
     /// Record a rewrite of `rule` that the gate rejected (trace counter
@@ -394,18 +382,6 @@ impl Phase {
         aql_trace::count_with(|| format!("unsound:{}/{rule}", self.name), 1);
         bump_unsound_metric(&self.name, rule);
         OptError::Unsound(SoundnessViolation { phase: self.name.clone(), rule, message })
-    }
-
-    /// Apply one rule with a panic guard: rules are extension code, so
-    /// a panic inside `apply` must not take down the host.
-    fn apply_checked(&self, r: &Rc<dyn Rule>, e: &Expr) -> Result<Option<Expr>, RulePanic> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.apply(e))).map_err(
-            |payload| RulePanic {
-                phase: self.name.clone(),
-                rule: r.name(),
-                message: aql_core::prim::panic_message(payload.as_ref()),
-            },
-        )
     }
 }
 
@@ -448,7 +424,7 @@ impl Optimizer {
     ) -> Result<Expr, OptError> {
         let mut cur = e.clone();
         for p in &self.phases {
-            cur = p.run(&cur, gate, trace.as_deref_mut())?;
+            p.run_in_place(&mut cur, gate, trace.as_deref_mut())?;
         }
         Ok(cur)
     }
@@ -566,6 +542,85 @@ mod tests {
         // Must return; the exact result is unspecified but well-formed.
         let got = p.run(&e, &Gate::off(), None).expect("no rule panics");
         assert!(got.size() == e.size());
+    }
+
+    #[test]
+    fn a_bound_that_stops_a_phase_is_counted_and_shown() {
+        let mut p = Phase::new("hostile");
+        p.add_rule(Rc::new(PingPong));
+        let mut opt = Optimizer::empty();
+        opt.add_phase(p);
+        aql_trace::enable();
+        let (_, trace) = opt.optimize_traced(&add(nat(1), add(nat(2), nat(3))));
+        let t = aql_trace::disable();
+        // Both bounds were hit: 32 firings at each of two nodes on each
+        // of 64 passes, then the pass bound itself.
+        assert_eq!(trace.bound_hit, Some(("hostile".to_string(), "ping-pong")));
+        assert_eq!(t.total_counter("opt.bound_hit:hostile/ping-pong"), 2 * 64 + 1);
+        assert_eq!(t.total_counter("opt.passes"), 64);
+        let table = trace.render_fire_table();
+        let last = table.lines().last().expect("a table");
+        assert!(last.contains("bound hit: hostile/ping-pong"), "{table}");
+
+        // A phase that reaches its fixpoint says nothing of the kind.
+        let mut p = Phase::new("test");
+        p.add_rule(Rc::new(ZeroAdd));
+        let mut opt = Optimizer::empty();
+        opt.add_phase(p);
+        aql_trace::enable();
+        let (_, trace) = opt.optimize_traced(&add(nat(0), add(nat(0), var("x"))));
+        let t = aql_trace::disable();
+        assert_eq!(trace.bound_hit, None);
+        assert!(!trace.render_fire_table().contains("bound hit"));
+        assert!(t.spans.iter().flat_map(|s| &s.counters).all(|(n, _)| !n.starts_with("opt.bound")));
+    }
+
+    /// `ZeroAdd` again, declaring the one head its pattern opens with.
+    struct ZeroAddAtArith;
+    impl Rule for ZeroAddAtArith {
+        fn name(&self) -> &'static str {
+            "zero-add"
+        }
+        fn heads(&self) -> &'static [Head] {
+            &[Head::Arith]
+        }
+        fn apply(&self, e: &Expr) -> Option<Expr> {
+            ZeroAdd.apply(e)
+        }
+    }
+
+    #[test]
+    fn a_node_is_offered_only_to_the_rules_that_list_its_head() {
+        // (0 + x, y, z): six nodes, one of them arithmetic; four once
+        // it has folded, which the second pass visits to prove the
+        // fixpoint.
+        let e = tuple(vec![add(nat(0), var("x")), var("y"), var("z")]);
+        let applies = |rule: Rc<dyn Rule>| {
+            let mut p = Phase::new("test");
+            p.add_rule(rule);
+            aql_trace::enable();
+            let got = p.run(&e, &Gate::off(), None).expect("no rule panics");
+            let t = aql_trace::disable();
+            assert_eq!(got, tuple(vec![var("x"), var("y"), var("z")]));
+            (t.total_counter("opt.applies"), t.total_counter("opt.visits"))
+        };
+        // Any head (the default, what a rule registered at run time
+        // gets): every visit is an offer, and the firing a re-offer.
+        assert_eq!(applies(Rc::new(ZeroAdd)), (6 + 1 + 4, 6 + 4));
+        // One declared head: one offer, which fires; `x` has another head.
+        assert_eq!(applies(Rc::new(ZeroAddAtArith)), (1, 6 + 4));
+    }
+
+    #[test]
+    fn rules_are_listed_in_registration_order() {
+        let mut p = Phase::new("test");
+        p.add_rule(Rc::new(PingPong)).add_rule(Rc::new(ZeroAddAtArith)).add_rule(Rc::new(ZeroAdd));
+        let names: Vec<_> = p.rules().iter().map(|r| r.name()).collect();
+        assert_eq!(names, ["ping-pong", "zero-add", "zero-add"]);
+        // …and offered in it: at an addition `ping-pong` goes first.
+        let mut trace = Trace::default();
+        p.run(&add(nat(0), var("x")), &Gate::off(), Some(&mut trace)).expect("no rule panics");
+        assert_eq!(trace.steps[0].rule, "ping-pong");
     }
 
     /// A second rule deliberately registered under the SAME name as

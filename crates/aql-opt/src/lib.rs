@@ -33,6 +33,7 @@
 pub mod cost;
 pub mod engine;
 pub mod rules;
+pub mod trace;
 
 pub use engine::{
     Gate, OptError, Optimizer, Phase, PhaseCheck, Rule, RulePanic, SoundnessViolation, Trace,

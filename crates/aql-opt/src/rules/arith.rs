@@ -7,7 +7,7 @@
 //! precisely the subtlety that citation addresses. Only sound laws appear here.
 
 use aql_core::expr::free::{is_free_in, subst};
-use aql_core::expr::{ArithOp, CmpOp, Expr};
+use aql_core::expr::{ArithOp, CmpOp, Expr, Head};
 
 use crate::engine::Rule;
 
@@ -17,6 +17,9 @@ pub struct SumEmptySrc;
 impl Rule for SumEmptySrc {
     fn name(&self) -> &'static str {
         "sum-empty-src"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Sum]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
@@ -32,6 +35,9 @@ pub struct SumSingletonSrc;
 impl Rule for SumSingletonSrc {
     fn name(&self) -> &'static str {
         "sum-singleton-src"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Sum]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
@@ -51,6 +57,9 @@ pub struct SumFilterPromotion;
 impl Rule for SumFilterPromotion {
     fn name(&self) -> &'static str {
         "sum-filter-promotion"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Sum]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
@@ -83,6 +92,9 @@ pub struct ConstFold;
 impl Rule for ConstFold {
     fn name(&self) -> &'static str {
         "const-fold"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Arith, Head::Cmp]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {

@@ -14,7 +14,7 @@
 //! exactly these effects.
 
 use aql_core::expr::free::{fresh, is_free_in, subst};
-use aql_core::expr::{Expr, Name};
+use aql_core::expr::{Expr, Head, Name};
 
 use crate::engine::Rule;
 
@@ -42,6 +42,9 @@ pub struct BetaPartial;
 impl Rule for BetaPartial {
     fn name(&self) -> &'static str {
         "beta-p"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Sub]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         let Expr::Sub(arr, indices) = e else { return None };
@@ -86,6 +89,9 @@ impl Rule for EtaPartial {
     fn name(&self) -> &'static str {
         "eta-p"
     }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Tab]
+    }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         let Expr::Tab { head, idx } = e else { return None };
         let k = idx.len();
@@ -127,6 +133,9 @@ impl Rule for DeltaPartial {
     fn name(&self) -> &'static str {
         "delta-p"
     }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Dim]
+    }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         let Expr::Dim(k, arr) = e else { return None };
         let Expr::Tab { idx, .. } = &**arr else { return None };
@@ -148,6 +157,9 @@ pub struct SubOfLiteral;
 impl Rule for SubOfLiteral {
     fn name(&self) -> &'static str {
         "sub-of-literal"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Sub]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         let Expr::Sub(arr, indices) = e else { return None };
@@ -192,6 +204,9 @@ pub struct DimOfLiteral;
 impl Rule for DimOfLiteral {
     fn name(&self) -> &'static str {
         "dim-of-literal"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Dim]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         let Expr::Dim(k, arr) = e else { return None };

@@ -6,7 +6,7 @@
 //! that runs last re-introduces sharing where it pays.
 
 use aql_core::expr::free::subst;
-use aql_core::expr::Expr;
+use aql_core::expr::{Expr, Head};
 
 use crate::engine::Rule;
 
@@ -16,6 +16,9 @@ pub struct BetaFun;
 impl Rule for BetaFun {
     fn name(&self) -> &'static str {
         "beta"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::App]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
@@ -36,6 +39,9 @@ impl Rule for LetInline {
     fn name(&self) -> &'static str {
         "let-inline"
     }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Let]
+    }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
             Expr::Let(x, bound, body) => Some(subst(body, x, bound)),
@@ -50,6 +56,9 @@ pub struct PiTuple;
 impl Rule for PiTuple {
     fn name(&self) -> &'static str {
         "pi"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Proj]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
@@ -68,6 +77,9 @@ pub struct GetSingleton;
 impl Rule for GetSingleton {
     fn name(&self) -> &'static str {
         "get"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Get]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {

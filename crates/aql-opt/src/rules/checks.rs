@@ -15,7 +15,7 @@
 //! the paper notes.
 
 use aql_core::expr::builder::lt;
-use aql_core::expr::Expr;
+use aql_core::expr::{Expr, Head};
 
 use crate::engine::Rule;
 use super::replace_capture_aware;
@@ -28,24 +28,24 @@ impl Rule for TabBodyBound {
     fn name(&self) -> &'static str {
         "tab-body-bound"
     }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Tab]
+    }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         let Expr::Tab { head, idx } = e else { return None };
-        let mut body = (**head).clone();
-        let mut total = 0usize;
+        let mut body: Option<Expr> = None;
         for (n, bound) in idx {
             // The pattern `i_j < e_j`. replace_capture_aware refuses to
             // rewrite under binders that shadow `i_j` or the free
             // variables of `e_j`, which is exactly the paper's side
             // condition.
             let pattern = lt(Expr::Var(n.clone()), bound.clone());
-            let (nb, cnt) = replace_capture_aware(&body, &pattern, &Expr::Bool(true));
-            body = nb;
-            total += cnt;
+            let so_far = body.as_ref().unwrap_or(head);
+            if let Some(next) = replace_capture_aware(so_far, &pattern, &Expr::Bool(true)) {
+                body = Some(next);
+            }
         }
-        if total == 0 {
-            return None;
-        }
-        Some(Expr::Tab { head: body.boxed(), idx: idx.clone() })
+        Some(Expr::Tab { head: body?.boxed(), idx: idx.clone() })
     }
 }
 
@@ -56,6 +56,9 @@ pub struct GenBodyBound;
 impl Rule for GenBodyBound {
     fn name(&self) -> &'static str {
         "gen-body-bound"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::BigUnion, Head::Sum, Head::BigBagUnion]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         // Destructure any of the loop shapes over gen(e).
@@ -69,10 +72,7 @@ impl Rule for GenBodyBound {
             _ => return None,
         };
         let pattern = lt(Expr::Var(var.clone()), (**gen_arg).clone());
-        let (body, cnt) = replace_capture_aware(head, &pattern, &Expr::Bool(true));
-        if cnt == 0 {
-            return None;
-        }
+        let body = replace_capture_aware(head, &pattern, &Expr::Bool(true))?;
         Some(match e {
             Expr::BigUnion { var, src, .. } => Expr::BigUnion {
                 head: body.boxed(),

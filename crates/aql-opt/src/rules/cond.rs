@@ -9,7 +9,7 @@
 //! which, combined with the bound-check rules of [`super::checks`],
 //! remove the redundant constraint checks `β^p` introduces.
 
-use aql_core::expr::Expr;
+use aql_core::expr::{Expr, Head};
 
 use crate::engine::Rule;
 use super::replace_capture_aware;
@@ -21,6 +21,9 @@ pub struct IfConst;
 impl Rule for IfConst {
     fn name(&self) -> &'static str {
         "if-const"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::If]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
@@ -43,6 +46,9 @@ impl Rule for IfSameBranches {
     fn name(&self) -> &'static str {
         "if-same-branches"
     }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::If]
+    }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
             Expr::If(_, t, f) if t == f => Some((**t).clone()),
@@ -61,18 +67,22 @@ impl Rule for IfPropagate {
     fn name(&self) -> &'static str {
         "if-propagate"
     }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::If]
+    }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         let Expr::If(c, t, f) = e else { return None };
         // Propagating a literal is pointless; IfConst handles those.
         if matches!(&**c, Expr::Bool(_) | Expr::Bottom) {
             return None;
         }
-        let (t2, n1) = replace_capture_aware(t, c, &Expr::Bool(true));
-        let (f2, n2) = replace_capture_aware(f, c, &Expr::Bool(false));
-        if n1 + n2 == 0 {
+        let t2 = replace_capture_aware(t, c, &Expr::Bool(true));
+        let f2 = replace_capture_aware(f, c, &Expr::Bool(false));
+        if t2.is_none() && f2.is_none() {
             return None;
         }
-        Some(Expr::If(c.clone(), t2.boxed(), f2.boxed()))
+        let or_old = |new: Option<Expr>, old: &Expr| new.unwrap_or_else(|| old.clone()).boxed();
+        Some(Expr::If(c.clone(), or_old(t2, t), or_old(f2, f)))
     }
 }
 

@@ -24,11 +24,10 @@ pub mod cond;
 pub mod motion;
 pub mod sets;
 
-use std::collections::HashSet;
 use std::rc::Rc;
 
 use aql_core::expr::children::{for_each_child, map_children};
-use aql_core::expr::free::free_vars;
+use aql_core::expr::free::is_free_in;
 use aql_core::expr::{Expr, Name};
 
 use crate::engine::{Optimizer, Phase};
@@ -123,40 +122,52 @@ fn binders_of(e: &Expr) -> Vec<Name> {
     out
 }
 
+/// Does a binder of `e` (over whichever child) shadow a free variable
+/// of `pattern`? Below such a node an occurrence of the pattern would
+/// no longer denote the same value, and the replacement helpers
+/// conservatively leave the whole subtree alone. (Non-head children of
+/// binding nodes are actually safe, but the conservative cut keeps the
+/// logic obviously correct; the fixpoint loop recovers most
+/// opportunities.)
+fn shadows(e: &Expr, pattern: &Expr) -> bool {
+    let mut shadowing = false;
+    for_each_child(e, &mut |binders, _| {
+        shadowing = shadowing || binders.iter().any(|b| is_free_in(b, pattern));
+    });
+    shadowing
+}
+
+/// Does `pattern` occur in `e` where [`replace_capture_aware`] would
+/// replace it?
+fn occurs_replaceably(e: &Expr, pattern: &Expr) -> bool {
+    if e == pattern {
+        return true;
+    }
+    if shadows(e, pattern) {
+        return false;
+    }
+    let mut found = false;
+    for_each_child(e, &mut |_, c| found = found || occurs_replaceably(c, pattern));
+    found
+}
+
 /// Replace every occurrence of `pattern` (syntactic equality) inside
 /// `e` with `replacement`, without descending into subtrees whose
 /// binders shadow a free variable of the pattern (the "extra
 /// conditions guaranteeing free variables … are not captured" of §5).
-/// Returns the rewritten expression and the replacement count.
-pub fn replace_capture_aware(e: &Expr, pattern: &Expr, replacement: &Expr) -> (Expr, usize) {
-    let pat_free: HashSet<Name> = free_vars(pattern);
-    let mut count = 0usize;
-    let out = go(e, pattern, replacement, &pat_free, &mut count);
-    return (out, count);
-
-    fn go(
-        e: &Expr,
-        pattern: &Expr,
-        replacement: &Expr,
-        pat_free: &HashSet<Name>,
-        count: &mut usize,
-    ) -> Expr {
+/// `None` — and nothing rebuilt — when there is no such occurrence,
+/// which is what a rule's `apply` finds at almost every node.
+pub fn replace_capture_aware(e: &Expr, pattern: &Expr, replacement: &Expr) -> Option<Expr> {
+    fn go(e: &Expr, pattern: &Expr, replacement: &Expr) -> Expr {
         if e == pattern {
-            *count += 1;
             return replacement.clone();
         }
-        let shadowing = binders_of(e).iter().any(|b| pat_free.contains(b));
-        if shadowing {
-            // Conservatively leave the whole subtree alone: a shadowed
-            // occurrence would no longer denote the same value.
-            //
-            // (Non-head children of binding nodes are actually safe,
-            // but the conservative cut keeps the logic obviously
-            // correct; the fixpoint loop recovers most opportunities.)
+        if shadows(e, pattern) {
             return e.clone();
         }
-        map_children(e, &mut |_, c| go(c, pattern, replacement, pat_free, count))
+        map_children(e, &mut |_, c| go(c, pattern, replacement))
     }
+    occurs_replaceably(e, pattern).then(|| go(e, pattern, replacement))
 }
 
 #[cfg(test)]
@@ -167,30 +178,27 @@ mod tests {
     #[test]
     fn replace_plain_occurrences() {
         let e = add(var("c"), add(var("c"), nat(1)));
-        let (got, n) = replace_capture_aware(&e, &var("c"), &nat(9));
-        assert_eq!(n, 2);
-        assert_eq!(got, add(nat(9), add(nat(9), nat(1))));
+        let got = replace_capture_aware(&e, &var("c"), &nat(9));
+        assert_eq!(got, Some(add(nat(9), add(nat(9), nat(1)))));
+        assert_eq!(replace_capture_aware(&e, &var("d"), &nat(9)), None);
     }
 
     #[test]
     fn replacement_stops_at_shadowing_binders() {
         // Replace x inside λx.x must not happen.
         let e = tuple(vec![var("x"), lam("x", var("x"))]);
-        let (got, n) = replace_capture_aware(&e, &var("x"), &nat(5));
-        assert_eq!(n, 1);
-        assert_eq!(got, tuple(vec![nat(5), lam("x", var("x"))]));
+        let got = replace_capture_aware(&e, &var("x"), &nat(5));
+        assert_eq!(got, Some(tuple(vec![nat(5), lam("x", var("x"))])));
     }
 
     #[test]
     fn compound_patterns() {
         let pat = lt(var("i"), var("n"));
         let e = iff(lt(var("i"), var("n")), nat(1), nat(0));
-        let (got, n) = replace_capture_aware(&e, &pat, &Expr::Bool(true));
-        assert_eq!(n, 1);
-        assert_eq!(got, iff(Expr::Bool(true), nat(1), nat(0)));
+        let got = replace_capture_aware(&e, &pat, &Expr::Bool(true));
+        assert_eq!(got, Some(iff(Expr::Bool(true), nat(1), nat(0))));
         // A binder shadowing `n` blocks the replacement under it.
         let e = big_union("n", gen(nat(3)), single(iff(lt(var("i"), var("n")), nat(1), nat(0))));
-        let (_, n2) = replace_capture_aware(&e, &pat, &Expr::Bool(true));
-        assert_eq!(n2, 0);
+        assert_eq!(replace_capture_aware(&e, &pat, &Expr::Bool(true)), None);
     }
 }

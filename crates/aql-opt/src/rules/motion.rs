@@ -14,11 +14,9 @@
 //! Like `δ^p`, hoisting assumes error-free loop-invariant code (a `⊥`
 //! that was previously evaluated zero times may now be evaluated once).
 
-use std::collections::HashSet;
-
 use aql_core::expr::children::for_each_child;
-use aql_core::expr::free::{free_vars, fresh};
-use aql_core::expr::{Expr, Name};
+use aql_core::expr::free::fresh;
+use aql_core::expr::{Expr, Head, Name};
 
 use crate::engine::Rule;
 use super::{binders_of, replace_capture_aware};
@@ -53,57 +51,82 @@ fn trivial(e: &Expr) -> bool {
     )
 }
 
-impl HoistInvariant {
-    /// Find a maximal subexpression of `e` whose free variables avoid
-    /// `forbidden` (the loop variables plus any binder on the path).
-    fn find_candidate(&self, e: &Expr, forbidden: &HashSet<Name>) -> Option<Expr> {
-        if !trivial(e) && e.size() >= self.min_size {
-            let fv = free_vars(e);
-            if fv.is_disjoint(forbidden) {
-                return Some(e.clone());
-            }
+/// One bottom-up scan of a loop head for the first (pre-order) maximal
+/// subexpression worth hoisting: every subtree's size and free-variable
+/// reach are computed once, on the way back up, instead of afresh at
+/// every node on the way down.
+struct Scan<'e> {
+    min_size: usize,
+    /// The names a candidate must not mention, outermost first: the
+    /// loop variables (depth 0), then the binders of every node on the
+    /// path to the current one — for every child, the same conservative
+    /// cut as `replace_capture_aware`, which must find what is found
+    /// here — with that node's depth and whether the binder really
+    /// scopes over the child the path descends into.
+    path: Vec<(Name, usize, bool)>,
+    /// The first candidate in pre-order among the nodes scanned so far.
+    best: Option<&'e Expr>,
+}
+
+impl<'e> Scan<'e> {
+    /// Returns `e`'s size and its *reach*: the greatest depth at which
+    /// a node containing `e` can sit and still mention no forbidden
+    /// name through a variable of `e`. A variable bound on the path
+    /// (really bound, at depth `b`) is free — and forbidden — in
+    /// exactly the path nodes deeper than `b`; one only conservatively
+    /// forbidden is so below the outermost node that forbids it.
+    fn scan(&mut self, e: &'e Expr, depth: usize) -> (usize, usize) {
+        if let Expr::Var(x) = e {
+            let binder = self.path.iter().rev().find(|(n, _, real)| *real && n == x);
+            let forbidder = binder.or_else(|| self.path.iter().find(|(n, ..)| n == x));
+            return (1, forbidder.map_or(usize::MAX, |(_, depth, _)| *depth));
         }
-        // Descend, extending the forbidden set with this node's binders
-        // (for every child: the same conservative cut as
-        // `replace_capture_aware`, which must find what is found here).
-        let inner_binders = binders_of(e);
-        let mut found = None;
-        let extended: HashSet<Name>;
-        let forb: &HashSet<Name> = if inner_binders.is_empty() {
-            forbidden
-        } else {
-            extended = forbidden
-                .iter()
-                .cloned()
-                .chain(inner_binders)
-                .collect();
-            &extended
-        };
-        for_each_child(e, &mut |_, c| {
-            if found.is_none() {
-                found = self.find_candidate(c, forb);
-            }
+        // A candidate found before `e` was entered precedes it; one
+        // found inside `e` follows it, and `e` contains it.
+        let preceded = self.best.is_some();
+        let all_binders = binders_of(e);
+        let (mut size, mut reach) = (1, usize::MAX);
+        for_each_child(e, &mut |binders, child| {
+            let outer = self.path.len();
+            self.path.extend(all_binders.iter().map(|b| (b.clone(), depth, binders.contains(b))));
+            let (s, r) = self.scan(child, depth + 1);
+            self.path.truncate(outer);
+            size += s;
+            reach = reach.min(r);
         });
-        found
+        if !preceded && !trivial(e) && size >= self.min_size && depth <= reach {
+            self.best = Some(e);
+        }
+        (size, reach)
+    }
+}
+
+impl HoistInvariant {
+    /// Find a maximal subexpression of `head` whose free variables
+    /// avoid the loop variables and every binder on the path to it.
+    /// The whole head qualifies when fully invariant — hoisting it
+    /// evaluates it once.
+    fn find_candidate<'e>(&self, head: &'e Expr, loop_vars: &[Name]) -> Option<&'e Expr> {
+        let path = loop_vars.iter().map(|v| (v.clone(), 0, true)).collect();
+        let mut scan = Scan { min_size: self.min_size, path, best: None };
+        scan.scan(head, 1);
+        scan.best
     }
 
     fn hoist(&self, head: &Expr, loop_vars: &[Name], rebuild: impl FnOnce(Expr) -> Expr) -> Option<Expr> {
-        let forbidden: HashSet<Name> = loop_vars.iter().cloned().collect();
-        // Only search *inside* the head: hoisting the entire head would
-        // still be sound, but candidates must avoid the loop variables
-        // anyway, so the whole head qualifies only when fully invariant
-        // — in which case hoisting it evaluates it once. Allow it.
-        let cand = self.find_candidate(head, &forbidden)?;
+        let cand = self.find_candidate(head, loop_vars)?;
         let t = fresh("hoist");
-        let (new_head, n) = replace_capture_aware(head, &cand, &Expr::Var(t.clone()));
-        debug_assert!(n >= 1);
-        Some(Expr::Let(t, cand.boxed(), rebuild(new_head).boxed()))
+        let new_head = replace_capture_aware(head, cand, &Expr::Var(t.clone()))?;
+        Some(Expr::Let(t, cand.clone().boxed(), rebuild(new_head).boxed()))
     }
 }
 
 impl Rule for HoistInvariant {
     fn name(&self) -> &'static str {
         "hoist-invariant"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::BigUnion, Head::BigBagUnion, Head::Sum, Head::Tab]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
@@ -145,6 +168,8 @@ impl Rule for HoistInvariant {
 mod tests {
     use super::*;
     use aql_core::eval::eval_closed;
+    use aql_core::expr::free::free_vars;
+    use std::collections::HashSet;
     use aql_core::expr::builder::*;
 
     #[test]
@@ -231,6 +256,67 @@ mod tests {
             other => panic!("expected let, got {other}"),
         }
         assert_eq!(eval_closed(&e).unwrap(), eval_closed(&got).unwrap());
+    }
+
+    /// The search the scan replaced: top-down, `free_vars` and `size`
+    /// afresh at every node, the forbidden set rebuilt at every binder.
+    fn top_down(min_size: usize, e: &Expr, forbidden: &HashSet<Name>) -> Option<Expr> {
+        if !trivial(e) && e.size() >= min_size && free_vars(e).is_disjoint(forbidden) {
+            return Some(e.clone());
+        }
+        let forbidden: HashSet<Name> = forbidden.iter().cloned().chain(binders_of(e)).collect();
+        let mut found = None;
+        for_each_child(e, &mut |_, c| {
+            if found.is_none() {
+                found = top_down(min_size, c, &forbidden);
+            }
+        });
+        found
+    }
+
+    #[test]
+    fn the_scan_finds_what_the_top_down_search_found() {
+        use aql_core::derived;
+        let big = set_max(gen(nat(9)));
+        let mut terms = vec![
+            // A `let` binder does not reach its own right-hand side, yet
+            // is forbidden there; an inner rebinding of the loop variable.
+            tab1("i", nat(3), let_("x", add(var("x"), big.clone()), add(var("x"), var("i")))),
+            tab1("i", nat(3), lam("i", add(var("i"), big.clone()))),
+            // A tabulation's bound sits outside its index binder.
+            sum("x", var("S"), tab1("j", add(var("j"), big.clone()), add(var("x"), var("j")))),
+            sum("x", var("S"), tab1("x", add(var("x"), nat(1)), add(big.clone(), var("x")))),
+            big_union("x", var("S"), big_union("y", single(var("x")), single(add(var("y"), big)))),
+        ];
+        let (a, b) = (var("A"), var("B"));
+        for e in [
+            derived::subseq(derived::zip(a.clone(), b.clone()), nat(2), nat(9)),
+            derived::transpose(derived::transpose(var("M"))),
+            derived::evenpos(derived::reverse(derived::append(a, b))),
+        ] {
+            terms.push(crate::normalizer().optimize(&e));
+            terms.push(crate::normalize_and_eliminate().optimize(&e));
+            terms.push(e);
+        }
+        let mut loops = 0;
+        for term in &terms {
+            term.walk(&mut |e| {
+                let (head, vars): (&Expr, Vec<Name>) = match e {
+                    Expr::BigUnion { head, var, .. }
+                    | Expr::BigBagUnion { head, var, .. }
+                    | Expr::Sum { head, var, .. } => (head, vec![var.clone()]),
+                    Expr::Tab { head, idx } => (head, idx.iter().map(|(n, _)| n.clone()).collect()),
+                    _ => return,
+                };
+                loops += 1;
+                for min_size in [1, 3, 6] {
+                    let scanned = HoistInvariant { min_size }.find_candidate(head, &vars).cloned();
+                    let forbidden = vars.iter().cloned().collect();
+                    assert_eq!(scanned, top_down(min_size, head, &forbidden), "in {e}");
+                }
+            });
+        }
+        assert!(loops > 20, "the corpus has loops to search: {loops}");
     }
 
     #[test]

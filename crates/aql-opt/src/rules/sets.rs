@@ -8,7 +8,7 @@
 //! error-free programs, exactly like the paper's `δ^p`.
 
 use aql_core::expr::free::{fresh, is_free_in, subst};
-use aql_core::expr::Expr;
+use aql_core::expr::{Expr, Head};
 
 use crate::engine::Rule;
 
@@ -18,6 +18,9 @@ pub struct UnionEmpty;
 impl Rule for UnionEmpty {
     fn name(&self) -> &'static str {
         "union-empty"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Union]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
@@ -35,6 +38,9 @@ impl Rule for BigUnionEmptySrc {
     fn name(&self) -> &'static str {
         "bigunion-empty-src"
     }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::BigUnion]
+    }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
             Expr::BigUnion { src, .. } if **src == Expr::Empty => Some(Expr::Empty),
@@ -49,6 +55,9 @@ pub struct BigUnionSingletonSrc;
 impl Rule for BigUnionSingletonSrc {
     fn name(&self) -> &'static str {
         "bigunion-singleton-src"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::BigUnion]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
@@ -67,6 +76,9 @@ pub struct BigUnionUnionSrc;
 impl Rule for BigUnionUnionSrc {
     fn name(&self) -> &'static str {
         "bigunion-union-src"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::BigUnion]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
@@ -100,6 +112,9 @@ pub struct VerticalFusion;
 impl Rule for VerticalFusion {
     fn name(&self) -> &'static str {
         "vertical-fusion"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::BigUnion]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
@@ -138,6 +153,9 @@ impl Rule for HorizontalFusion {
     fn name(&self) -> &'static str {
         "horizontal-fusion"
     }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Union]
+    }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
             Expr::Union(a, b) => match (&**a, &**b) {
@@ -171,6 +189,9 @@ impl Rule for FilterPromotion {
     fn name(&self) -> &'static str {
         "filter-promotion"
     }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::BigUnion]
+    }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
             Expr::BigUnion { head, var, src } => match &**head {
@@ -200,6 +221,9 @@ impl Rule for SingletonEta {
     fn name(&self) -> &'static str {
         "singleton-eta"
     }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::BigUnion]
+    }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
             Expr::BigUnion { head, var, src } => match &**head {
@@ -221,6 +245,9 @@ impl Rule for UnionIdem {
     fn name(&self) -> &'static str {
         "union-idem"
     }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Union]
+    }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
             Expr::Union(a, b) if a == b => Some((**a).clone()),
@@ -237,6 +264,9 @@ pub struct MinMaxSingleton;
 impl Rule for MinMaxSingleton {
     fn name(&self) -> &'static str {
         "minmax-singleton"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::Prim]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         use aql_core::expr::Prim;
@@ -262,6 +292,9 @@ impl Rule for EmptyHead {
     fn name(&self) -> &'static str {
         "empty-head"
     }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::BigUnion]
+    }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
             Expr::BigUnion { head, .. } if **head == Expr::Empty => Some(Expr::Empty),
@@ -283,6 +316,9 @@ impl Rule for BagUnionEmpty {
     fn name(&self) -> &'static str {
         "bag-union-empty"
     }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::BagUnion]
+    }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         match e {
             Expr::BagUnion(a, b) if **a == Expr::BagEmpty => Some((**b).clone()),
@@ -299,6 +335,9 @@ pub struct BigBagUnionLaws;
 impl Rule for BigBagUnionLaws {
     fn name(&self) -> &'static str {
         "bigbagunion-laws"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::BigBagUnion]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         let Expr::BigBagUnion { head, var, src } = e else { return None };
@@ -351,6 +390,9 @@ pub struct BagFilterEta;
 impl Rule for BagFilterEta {
     fn name(&self) -> &'static str {
         "bag-filter-eta"
+    }
+    fn heads(&self) -> &'static [Head] {
+        &[Head::BigBagUnion]
     }
     fn apply(&self, e: &Expr) -> Option<Expr> {
         let Expr::BigBagUnion { head, var, src } = e else { return None };

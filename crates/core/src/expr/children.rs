@@ -8,12 +8,16 @@
 //! * a tabulation binds all its index names over the head; every bound
 //!   sits *outside* all of them.
 //!
-//! [`for_each_child`] reads that table and [`try_map_children`] rebuilds
-//! through it. They are the only two functions that match on every
+//! [`for_each_child`] reads that table, [`try_map_children`] rebuilds
+//! through it and [`try_for_each_child_mut`] rewrites through it in
+//! place. They are the only three functions that match on every
 //! constructor merely to reach children (`tests/lint_wall.rs` keeps it
 //! so): traversals that do no per-constructor work — free variables,
 //! substitution, name resolution, the optimizer's passes — are written
 //! on them, so a new constructor is threaded through exactly here.
+//! The third exists because a rebuild allocates every node it passes:
+//! an optimizer pass that fires at three nodes of a hundred should
+//! allocate at three.
 
 use std::convert::Infallible;
 use std::slice::from_ref;
@@ -169,6 +173,57 @@ pub fn try_map_children<E>(
         Get(a) => Get(one(f, a)?),
         Prim(p, es) => Prim(*p, all(f, es.iter())?),
     })
+}
+
+/// Hand `f` each immediate child of `e` to rewrite in place, with the
+/// names `e` binds over it, in [`try_map_children`]'s evaluation order
+/// (right-hand side, source and bounds before the child under the
+/// binders). Nothing is allocated for a child `f` leaves alone. The
+/// first error stops the visit; children already rewritten stay so.
+pub fn try_for_each_child_mut<E>(
+    e: &mut Expr,
+    f: &mut impl FnMut(&[Name], &mut Expr) -> Result<(), E>,
+) -> Result<(), E> {
+    use Expr::*;
+    match e {
+        Var(_) | Global(_) | Ext(_) | Empty | BagEmpty | Bool(_) | Nat(_) | Real(_)
+        | Str(_) | Bottom => Ok(()),
+        Lam(x, b) => f(from_ref(x), b),
+        Let(x, a, b) => {
+            f(&[], a)?;
+            f(from_ref(x), b)
+        }
+        Proj(_, _, a) | Single(a) | BagSingle(a) | Gen(a) | Dim(_, a) | Index(_, a)
+        | Get(a) => f(&[], a),
+        App(a, b) | Union(a, b) | BagUnion(a, b) | Cmp(_, a, b) | Arith(_, a, b) => {
+            f(&[], a)?;
+            f(&[], b)
+        }
+        If(a, b, c) => {
+            f(&[], a)?;
+            f(&[], b)?;
+            f(&[], c)
+        }
+        Tuple(es) | Prim(_, es) => es.iter_mut().try_for_each(|c| f(&[], c)),
+        BigUnion { head, var, src } | BigBagUnion { head, var, src } | Sum { head, var, src } => {
+            f(&[], src)?;
+            f(from_ref(var), head)
+        }
+        BigUnionRank { head, var, rank, src } | BigBagUnionRank { head, var, rank, src } => {
+            f(&[], src)?;
+            f(&[var.clone(), rank.clone()], head)
+        }
+        Tab { head, idx } => {
+            idx.iter_mut().try_for_each(|(_, b)| f(&[], b))?;
+            let names: Vec<Name> = idx.iter().map(|(n, _)| n.clone()).collect();
+            f(&names, head)
+        }
+        Sub(a, ix) => {
+            f(&[], a)?;
+            ix.iter_mut().try_for_each(|c| f(&[], c))
+        }
+        ArrayLit { dims, items } => dims.iter_mut().chain(items).try_for_each(|c| f(&[], c)),
+    }
 }
 
 /// [`try_map_children`] for a callback that cannot fail.

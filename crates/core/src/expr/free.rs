@@ -28,9 +28,18 @@ pub fn free_vars(e: &Expr) -> HashSet<Name> {
     out
 }
 
-/// Is `x` free in `e`?
+/// Is `x` free in `e`? A search, not a [`free_vars`] set: this is
+/// `subst`'s fast path and the side condition of the promotion rules,
+/// asked far more often than it is true.
 pub fn is_free_in(x: &str, e: &Expr) -> bool {
-    free_vars(e).iter().any(|v| &**v == x)
+    if let Expr::Var(v) = e {
+        return &**v == x;
+    }
+    let mut found = false;
+    for_each_child(e, &mut |binders, child| {
+        found = found || (!binders.iter().any(|b| &**b == x) && is_free_in(x, child));
+    });
+    found
 }
 
 fn collect_free(e: &Expr, bound: &mut Vec<Name>, out: &mut HashSet<Name>) {

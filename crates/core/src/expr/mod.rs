@@ -220,6 +220,36 @@ pub enum Expr {
     Prim(Prim, Vec<Expr>),
 }
 
+/// Declares [`Head`] and [`Expr::head`] from one list of constructor
+/// names, so the tag cannot drift from the enum it mirrors.
+macro_rules! heads {
+    ($($h:ident),* $(,)?) => {
+        /// The root constructor of an [`Expr`] with its payload dropped:
+        /// what a rewrite rule's pattern opens with, and the key the
+        /// optimizer dispatches rules on.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Head { $(#[allow(missing_docs)] $h),* }
+
+        impl Head {
+            /// Every head, in declaration order (`h as usize` indexes it).
+            pub const ALL: &'static [Head] = &[$(Head::$h),*];
+        }
+
+        impl Expr {
+            /// This node's root constructor.
+            pub fn head(&self) -> Head {
+                match self { $(Expr::$h { .. } => Head::$h),* }
+            }
+        }
+    };
+}
+
+heads! {
+    Var, Global, Ext, Lam, App, Let, Tuple, Proj, Empty, Single, Union, BigUnion,
+    BigUnionRank, BagEmpty, BagSingle, BagUnion, BigBagUnion, BigBagUnionRank, Bool, If,
+    Cmp, Nat, Real, Str, Arith, Gen, Sum, Tab, Sub, Dim, ArrayLit, Index, Get, Bottom, Prim,
+}
+
 impl Expr {
     /// Boxed self, for building nested expressions.
     pub fn boxed(self) -> Box<Expr> {
@@ -265,6 +295,16 @@ mod tests {
             }
         });
         assert_eq!(vars, vec!["a", "i", "n"]);
+    }
+
+    #[test]
+    fn heads_index_their_own_table() {
+        for (i, h) in Head::ALL.iter().enumerate() {
+            assert_eq!(*h as usize, i);
+        }
+        assert_eq!(lam("x", var("x")).head(), Head::Lam);
+        assert_eq!(tab1("i", nat(3), var("i")).head(), Head::Tab);
+        assert_eq!(Expr::Bottom.head(), Head::Bottom);
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! * `fv(e{x := r}) = (fv(e) ∖ {x}) ∪ (fv(r) if x ∈ fv(e))`;
 //! * `e{x := x}` is α-equivalent to `e`;
 //! * scoping agreement: the names `free_vars` reports are exactly the
-//!   ones `compile` turns into globals and `verify_closed` flags `V001`.
+//!   ones `compile` turns into globals and `verify_closed` flags `V001`,
+//!   and the ones `is_free_in` finds by searching;
+//! * the table's three readers agree: the in-place visitor hands out
+//!   the same `(binders, child)` pairs as the rebuilding map, in the
+//!   same (evaluation) order, and the read-only visitor the same pairs.
 //!
 //! Every variable is drawn from a three-name pool, binders included, so
 //! most terms shadow a name and most substitutions meet a binder that
@@ -22,8 +26,9 @@ use proptest::test_runner::TestRng;
 
 use aql_core::eval::{compile, eval, EvalCtx};
 use aql_core::expr::builder::*;
-use aql_core::expr::free::{alpha_eq, free_vars, subst};
-use aql_core::expr::{name, Expr};
+use aql_core::expr::children::{for_each_child, map_children, try_for_each_child_mut};
+use aql_core::expr::free::{alpha_eq, free_vars, is_free_in, subst};
+use aql_core::expr::{name, CmpOp, Expr, Head, Name, Prim};
 use aql_core::prim::Extensions;
 use aql_core::value::Value;
 
@@ -131,8 +136,130 @@ fn quoted_after(text: &str, marker: &str, quote: char) -> HashSet<String> {
         .collect()
 }
 
+type Row = (Vec<Name>, Expr);
+
+/// The scoping table of one node as the rebuilding map states it.
+fn table_by_map(e: &Expr) -> Vec<Row> {
+    let mut rows = Vec::new();
+    map_children(e, &mut |binders, child| {
+        rows.push((binders.to_vec(), child.clone()));
+        child.clone()
+    });
+    rows
+}
+
+/// …as the in-place visitor states it.
+fn table_in_place(e: &Expr) -> Vec<Row> {
+    let (mut rows, mut e) = (Vec::new(), e.clone());
+    let done = try_for_each_child_mut(&mut e, &mut |binders, child| {
+        rows.push((binders.to_vec(), child.clone()));
+        Ok::<(), ()>(())
+    });
+    assert_eq!(done, Ok(()));
+    rows
+}
+
+/// …and as the read-only visitor states it (field order, not
+/// evaluation order).
+fn table_by_read(e: &Expr) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for_each_child(e, &mut |binders, child| rows.push((binders.to_vec(), child.clone())));
+    rows
+}
+
+/// The three readers agree at every node of `e`, and writing through
+/// the in-place visitor is rebuilding through the map.
+fn assert_one_table(e: &Expr) {
+    e.walk(&mut |node| {
+        let by_map = table_by_map(node);
+        assert_eq!(table_in_place(node), by_map, "in place vs map, in order: {node}");
+        let by_read = table_by_read(node);
+        assert_eq!(by_read.len(), by_map.len(), "{node}");
+        assert!(by_read.iter().all(|row| by_map.contains(row)), "read vs map: {node}");
+        let mut written = node.clone();
+        let mut k = 0;
+        let marked = |k: u64| nat(1000 + k);
+        try_for_each_child_mut(&mut written, &mut |_, child| {
+            *child = marked(k);
+            k += 1;
+            Ok::<(), ()>(())
+        })
+        .expect("infallible");
+        let mut k = 0;
+        let rebuilt = map_children(node, &mut |_, _| {
+            k += 1;
+            marked(k - 1)
+        });
+        assert_eq!(written, rebuilt, "{node}");
+    });
+}
+
+#[test]
+fn the_in_place_visitor_reads_the_scoping_table_as_the_map_does() {
+    let (x, y, s) = (|| var("x"), || var("y"), || var("s"));
+    let one_of_each = vec![
+        x(),
+        global("g"),
+        ext("f"),
+        lam("x", x()),
+        app(x(), y()),
+        let_("x", x(), add(x(), y())),
+        tuple(vec![x(), y(), nat(1)]),
+        proj(1, 2, x()),
+        empty(),
+        single(x()),
+        union(s(), single(y())),
+        big_union("x", s(), single(x())),
+        big_union_rank("x", "r", s(), single(add(x(), var("r")))),
+        Expr::BagEmpty,
+        bag_single(x()),
+        bag_union(s(), bag_single(y())),
+        big_bag_union("x", s(), bag_single(x())),
+        big_bag_union_rank("x", "r", s(), bag_single(add(x(), var("r")))),
+        Expr::Bool(true),
+        iff(x(), y(), nat(0)),
+        cmp(CmpOp::Le, x(), y()),
+        nat(7),
+        real(1.5),
+        strlit("str"),
+        mul(x(), y()),
+        gen(x()),
+        sum("x", s(), mul(x(), y())),
+        tab(vec![("i", x()), ("j", var("i"))], add(var("i"), var("j"))),
+        sub(x(), vec![y(), nat(2)]),
+        dim(2, x()),
+        array_lit(vec![nat(1), nat(2)], vec![x(), y()]),
+        index(1, s()),
+        get(s()),
+        bottom(),
+        Expr::Prim(Prim::Member, vec![x(), s()]),
+    ];
+    let heads: HashSet<Head> = one_of_each.iter().map(Expr::head).collect();
+    assert_eq!(heads.len(), Head::ALL.len(), "one instance of every constructor");
+    for e in &one_of_each {
+        assert_one_table(e);
+    }
+    // The order is the evaluation order: right-hand side, source and
+    // bounds before the child under the binders.
+    let order = |e: &Expr| table_in_place(e).into_iter().map(|(b, c)| (b.len(), c)).collect::<Vec<_>>();
+    assert_eq!(order(&let_("x", nat(1), nat(2))), [(0, nat(1)), (1, nat(2))]);
+    assert_eq!(order(&sum("x", nat(1), nat(2))), [(0, nat(1)), (1, nat(2))]);
+    assert_eq!(order(&big_union_rank("x", "r", nat(1), nat(2))), [(0, nat(1)), (2, nat(2))]);
+    let t = tab(vec![("i", nat(1)), ("j", nat(2))], nat(3));
+    assert_eq!(order(&t), [(0, nat(1)), (0, nat(2)), (2, nat(3))]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn the_three_readers_of_the_scoping_table_agree(seed in 0u64..u64::MAX) {
+        let e = TermGen { rng: TestRng::from_seed(seed), total: false }.any(3);
+        assert_one_table(&e);
+        for x in POOL {
+            prop_assert_eq!(is_free_in(x, &e), names(&e).contains(x), "{} in {}", x, e);
+        }
+    }
 
     #[test]
     fn substitution_is_let(seed in 0u64..u64::MAX) {

@@ -292,6 +292,85 @@ fn panicking_optimizer_rule_is_contained_and_named() {
 }
 
 #[test]
+fn a_panic_under_a_binder_after_firings_in_the_same_pass_is_contained() {
+    use aql::opt::{OptError, Optimizer, Phase, Rule};
+    use aql_core::expr::builder::{cmp, gt, lam, le, nat, tuple, var};
+    use aql_core::expr::{CmpOp, Expr, Head};
+
+    /// Turns one comparison into its mirror image: `a op b ⤳ b op' a`.
+    struct Mirror(&'static str, CmpOp, CmpOp);
+    impl Rule for Mirror {
+        fn name(&self) -> &'static str {
+            self.0
+        }
+        fn heads(&self) -> &'static [Head] {
+            &[Head::Cmp]
+        }
+        fn apply(&self, e: &Expr) -> Option<Expr> {
+            match e {
+                Expr::Cmp(op, a, b) if *op == self.1 => Some(Expr::Cmp(self.2, b.clone(), a.clone())),
+                _ => None,
+            }
+        }
+    }
+    /// Panics at `<>`.
+    struct Grenade;
+    impl Rule for Grenade {
+        fn name(&self) -> &'static str {
+            "grenade"
+        }
+        fn apply(&self, e: &Expr) -> Option<Expr> {
+            match e {
+                Expr::Cmp(CmpOp::Ne, ..) => panic!("rule exploded"),
+                _ => None,
+            }
+        }
+    }
+    // The engine rewrites in place, so when the grenade goes off the
+    // term it was working on has the first phase's firing in it and,
+    // from the same pass under the same binder, the second's.
+    let phases = || {
+        let mut one = Phase::new("one");
+        one.add_rule(Rc::new(Mirror("gt-to-lt", CmpOp::Gt, CmpOp::Lt)));
+        let mut two = Phase::new("two");
+        two.add_rule(Rc::new(Mirror("le-to-ge", CmpOp::Le, CmpOp::Ge)));
+        two.add_rule(Rc::new(Grenade));
+        [one, two]
+    };
+    let x = || var("x");
+    let e = lam("x", tuple(vec![gt(x(), nat(1)), le(x(), nat(2)), cmp(CmpOp::Ne, x(), nat(3))]));
+    let untouched = e.clone();
+    let mut trace = aql::opt::Trace::default();
+    let err = Optimizer::with_phases(phases().into())
+        .run(&e, &aql::opt::Gate::off(), Some(&mut trace))
+        .expect_err("the grenade goes off");
+    let OptError::Panic(p) = err else { panic!("expected Panic, got {err}") };
+    assert_eq!((p.phase.as_str(), p.rule), ("two", "grenade"));
+    assert!(p.message.contains("rule exploded"), "{}", p.message);
+    let fired: Vec<_> = trace.steps.iter().map(|s| (s.phase.as_str(), s.rule)).collect();
+    assert_eq!(fired, [("one", "gt-to-lt"), ("two", "le-to-ge")], "both fired before it");
+    assert_eq!(e, untouched, "the caller's term is not the one rewritten in place");
+
+    // Through a session: the statement fails naming the rule, the next
+    // one runs.
+    let mut s = Session::new();
+    s.run("val \\n = 20;").unwrap();
+    for phase in phases() {
+        s.optimizer_mut().add_phase(phase);
+    }
+    let err = s.eval_query("{ (x > n, x <= n, x <> n) | \\x <- gen!3 }").unwrap_err();
+    match &err {
+        LangError::ExtensionPanic { kind, name, message } => {
+            assert_eq!((*kind, name.as_str()), ("optimizer rule", "grenade"));
+            assert!(message.contains("two"), "{message}");
+        }
+        other => panic!("expected ExtensionPanic, got {other:?}"),
+    }
+    let (_, v) = s.eval_query("{ (x > n, x <= n) | \\x <- gen!3 }").unwrap();
+    assert_eq!(v.as_set().unwrap().len(), 1, "(false, true) three times over");
+}
+
+#[test]
 fn deadline_exceeded_leaves_session_usable() {
     use std::time::Duration;
     let mut s = Session::new();

@@ -2,7 +2,8 @@
 //! type, as judged by `aql-verify`.
 //!
 //! For randomly composed well-typed terms (the array-pipeline fragment
-//! also used by `tests/properties.rs`, plus comprehension shapes), the
+//! also used by `tests/properties.rs`, plus comprehension shapes — the
+//! generators of `tests/common`, shared with `tests/opt_engine.rs`), the
 //! full §5 optimizer must produce a term on which the verifier reports
 //! zero diagnostics and whose checker-derived type is compatible with
 //! the input's. This is the static half of the semantics-preservation
@@ -12,88 +13,12 @@
 use proptest::prelude::*;
 
 use aql::core::check::typecheck_closed;
-use aql::core::derived;
-use aql::core::expr::builder::*;
 use aql::core::expr::Expr;
 use aql::opt::optimize;
 use aql::verify::{type_compatible, verify_closed};
 
-/// One symbolic step of a 1-d array pipeline.
-#[derive(Debug, Clone)]
-enum Step {
-    Reverse,
-    Evenpos,
-    Subseq(f64, f64),
-    Append(u8),
-    MapAdd(u8),
-}
-
-fn arb_step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        Just(Step::Reverse),
-        Just(Step::Evenpos),
-        (0.0f64..1.0, 0.0f64..1.0).prop_map(|(a, b)| Step::Subseq(a, b)),
-        (0u8..4).prop_map(Step::Append),
-        (0u8..9).prop_map(Step::MapAdd),
-    ]
-}
-
-/// Apply a pipeline symbolically, tracking the length so slices stay
-/// in bounds (mirrors `tests/properties.rs`).
-fn build_pipeline(base: Vec<u64>, steps: &[Step]) -> Expr {
-    let mut e = array1_lit(base.iter().map(|&x| nat(x)).collect());
-    let mut len_now = base.len() as u64;
-    for s in steps {
-        match s {
-            Step::Reverse => e = derived::reverse(e),
-            Step::Evenpos => {
-                e = derived::evenpos(e);
-                len_now /= 2;
-            }
-            Step::Subseq(a, b) => {
-                if len_now == 0 {
-                    continue;
-                }
-                let lo = ((*a * (len_now - 1) as f64) as u64).min(len_now - 1);
-                let hi = ((*b * (len_now - 1) as f64) as u64).clamp(lo, len_now - 1);
-                e = derived::subseq(e, nat(lo), nat(hi));
-                len_now = hi - lo + 1;
-            }
-            Step::Append(k) => {
-                let extra: Vec<Expr> = (0..*k as u64).map(nat).collect();
-                e = derived::append(e, array1_lit(extra));
-                len_now += *k as u64;
-            }
-            Step::MapAdd(c) => {
-                let f = {
-                    let x = aql::core::expr::free::fresh("x");
-                    lam(&x, add(var(&x), nat(*c as u64)))
-                };
-                e = derived::map_arr(f, e);
-            }
-        }
-    }
-    e
-}
-
-/// A closed comprehension-shaped query over a small literal set.
-fn arb_set_query() -> impl Strategy<Value = Expr> {
-    (prop::collection::vec(0u64..20, 0..5), 0u64..8, 0u64..4).prop_map(|(ns, cutoff, c)| {
-        let s = ns
-            .into_iter()
-            .fold(Expr::Empty, |a, n| union(a, single(nat(n))));
-        let x = aql::core::expr::free::fresh("x");
-        big_union(
-            &x,
-            s,
-            iff(
-                lt(var(&x), nat(cutoff)),
-                single(add(var(&x), nat(c))),
-                Expr::Empty,
-            ),
-        )
-    })
-}
+mod common;
+use common::{arb_set_query, arb_step, build_pipeline};
 
 /// Assert the verifier finds nothing and the type survived.
 fn assert_preserved(e: &Expr) {

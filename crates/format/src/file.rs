@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size      field
 //! 0       4         magic "AQF1"
-//! 4       4         format version (= 1)
+//! 4       4         format version (= 2)
 //! 8       1         dtype: 0 = f64, 1 = i64, 2 = bool
 //! 9       1         flags: bit 0 = compression enabled
 //! 10      2         reserved (= 0)
@@ -16,20 +16,34 @@
 //! ────────────────  chunk payloads, in chunk-id order ──────────────
 //! table   8         number of chunks n (= the layout's chunk count)
 //!         33·n      per chunk: offset u64 · byte_len u64 · elems u64
-//!                   · codec u8 · checksum u64 (FNV-1a of the DECODED
-//!                   payload — aql_store::fault::checksum)
+//!                   · codec u8 · checksum u64 (of the DECODED payload
+//!                   — aql_store::fault::checksum, below)
 //!         4         end marker "AQFE"
 //! ```
 //!
 //! The checksum covers the *decoded* scalars, so it is the same value
 //! [`ResilientSource`](aql_store::ResilientSource) computes when it
 //! verifies a loaded chunk — resilience-stack verification works on
-//! AQF sources without a re-read.
+//! AQF sources without a re-read. It is what makes this version 2: a
+//! word-at-a-time hash ([`aql_store::fault::checksum`] states it
+//! exactly — seed `0xcbf29ce484222325`, one `(h <<< 27 ^ w) ·
+//! 0x9e3779b97f4a7c15` step per 64-bit element word over four
+//! interleaved lanes, kind tag and element count mixed in first,
+//! `Bool`s eight to a little-endian word) where version 1 stored a
+//! byte-serial FNV-1a. Version 1 files are refused at `open` like any
+//! other unknown version; nothing else in the layout changed.
 //!
 //! [`AqfWriter`] is **streaming**: chunks are appended one at a time
 //! and never re-buffered, so `writeval` can spill a lazy query result
 //! whose total size far exceeds memory; only the table (33 bytes per
-//! chunk) is held until [`finish`](AqfWriter::finish). [`AqfFile`]
+//! chunk) is held until [`finish`](AqfWriter::finish). It writes a
+//! sibling temporary file and `finish` renames it over the
+//! destination, so the destination is either the previous file or the
+//! complete new one — a write that fails, or a writer dropped early,
+//! removes the temporary and leaves the destination untouched, and an
+//! array may be written over the very file it is lazily read from (the
+//! reader's handle keeps the replaced file). The rename is atomic, not
+//! durable: nothing is `fsync`ed. [`AqfFile`]
 //! validates everything structural up front — magic, version, dtype,
 //! rank, extents, table bounds, per-entry offsets and element counts —
 //! so a hostile or rotted file fails `open` (or a checksummed chunk
@@ -38,6 +52,7 @@
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use aql_store::fault::checksum;
 use aql_store::{ChunkLayout, ScalarBuf, ScalarKind, StoreError};
@@ -49,7 +64,7 @@ pub const MAGIC: [u8; 4] = *b"AQF1";
 /// Trailing end marker: "AQFE". Its absence means truncation.
 pub const END_MARKER: [u8; 4] = *b"AQFE";
 /// The (only) format version this crate reads and writes.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Largest representable rank.
 pub const MAX_RANK: u32 = 64;
 
@@ -98,7 +113,7 @@ pub struct ChunkEntry {
     pub elems: u64,
     /// Codec the payload was encoded with.
     pub codec: Codec,
-    /// FNV-1a checksum of the decoded payload.
+    /// [`checksum`] of the decoded payload.
     pub checksum: u64,
 }
 
@@ -118,11 +133,14 @@ pub struct AqfSummary {
 }
 
 /// A streaming AQF writer: create, append every chunk in id order,
-/// finish.
+/// finish. Until `finish` everything goes to a temporary file beside
+/// the destination; dropping the writer first removes it.
 #[derive(Debug)]
 pub struct AqfWriter {
     file: BufWriter<File>,
     path: PathBuf,
+    /// The temporary being written; `None` once renamed into place.
+    tmp: Option<PathBuf>,
     layout: ChunkLayout,
     kind: ScalarKind,
     compress: bool,
@@ -132,9 +150,10 @@ pub struct AqfWriter {
 }
 
 impl AqfWriter {
-    /// Create `path` and write the header for an array of `layout`
-    /// and `kind`. With `compress`, each chunk gets the packing codec
-    /// when it is strictly smaller than raw.
+    /// Start writing an array of `layout` and `kind` destined for
+    /// `path` (which is not touched before [`finish`](Self::finish)).
+    /// With `compress`, each chunk gets the packing codec when it is
+    /// strictly smaller than raw.
     pub fn create(
         path: impl AsRef<Path>,
         layout: ChunkLayout,
@@ -148,10 +167,21 @@ impl AqfWriter {
                 "aqf: rank {rank} exceeds the format maximum {MAX_RANK}"
             )));
         }
-        let file = File::create(&path).map_err(|e| io_err("create", e))?;
+        // Unique per writer, so concurrent writers to one destination
+        // race only at the rename.
+        static WRITERS: AtomicU64 = AtomicU64::new(0);
+        let mut name = path.file_name().unwrap_or_default().to_os_string();
+        name.push(format!(
+            ".{}-{}.tmp",
+            std::process::id(),
+            WRITERS.fetch_add(1, Ordering::Relaxed)
+        ));
+        let tmp = path.with_file_name(name);
+        let file = File::create(&tmp).map_err(|e| io_err("create", e))?;
         let mut w = AqfWriter {
             file: BufWriter::new(file),
             path,
+            tmp: Some(tmp),
             layout,
             kind,
             compress,
@@ -228,8 +258,8 @@ impl AqfWriter {
     }
 
     /// Write the chunk table and end marker, patch the header's table
-    /// offset, and flush. Fails unless every chunk of the layout was
-    /// written.
+    /// offset, flush, and rename the finished file over the
+    /// destination. Fails unless every chunk of the layout was written.
     pub fn finish(mut self) -> Result<AqfSummary, StoreError> {
         let want = self.layout.num_chunks();
         if self.entries.len() as u64 != want {
@@ -258,14 +288,27 @@ impl AqfWriter {
             .write_all(&table_offset.to_le_bytes())
             .map_err(|e| io_err("patch table offset", e))?;
         self.file.flush().map_err(|e| io_err("flush", e))?;
+        if let Some(tmp) = &self.tmp {
+            std::fs::rename(tmp, &self.path).map_err(|e| io_err("rename into place", e))?;
+            self.tmp = None;
+        }
         let encoded_bytes: u64 = self.entries.iter().map(|e| e.byte_len).sum();
         Ok(AqfSummary {
-            path: self.path,
+            path: std::mem::take(&mut self.path),
             chunks: want,
             raw_bytes: self.raw_bytes,
             encoded_bytes,
             file_bytes: table_offset + table.len() as u64,
         })
+    }
+}
+
+impl Drop for AqfWriter {
+    fn drop(&mut self) {
+        if let Some(tmp) = &self.tmp {
+            // Never finished: the destination keeps what it had.
+            std::fs::remove_file(tmp).ok();
+        }
     }
 }
 

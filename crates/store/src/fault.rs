@@ -16,6 +16,15 @@
 //!   [`ChunkSource::chunk_checksum`], so a verifying reader detects
 //!   the corruption instead of serving it.
 //!
+//! [`checksum`] is the one chunk checksum in the system: the AQF chunk
+//! table stores it (format v2), [`MemChunkSource`](crate::MemChunkSource)
+//! and [`FaultyChunkSource`] advertise it, and
+//! [`ResilientSource`](crate::ResilientSource) recomputes it on every
+//! load. It is a 64-bit-word-at-a-time multiply–rotate hash over four
+//! interleaved lanes, seeded with the element kind and count; its doc
+//! comment is the normative statement (constants, word order, `Bool`
+//! packing), and a test writes the same steps out longhand.
+//!
 //! Schedules are *deterministic per seed and per operation index*: the
 //! decision for operation `k` is drawn from an RNG keyed on
 //! `(seed, k)`, so it does not depend on thread interleaving or on how
@@ -34,42 +43,67 @@ use crate::error::StoreError;
 use crate::interrupt;
 use crate::source::ChunkSource;
 
-/// A checksum of a chunk payload: FNV-1a over the buffer's element
-/// kind, length, and byte representation. Not cryptographic — it only
-/// needs to make accidental (or injected) corruption visible.
-pub fn checksum(buf: &ScalarBuf) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(PRIME);
-    };
-    match buf {
-        ScalarBuf::F64(v) => {
-            eat(0);
-            for x in v {
-                for b in x.to_bits().to_le_bytes() {
-                    eat(b);
-                }
-            }
-        }
-        ScalarBuf::I64(v) => {
-            eat(1);
-            for x in v {
-                for b in x.to_le_bytes() {
-                    eat(b);
-                }
-            }
-        }
-        ScalarBuf::Bool(v) => {
-            eat(2);
-            for x in v {
-                eat(*x as u8);
-            }
+/// Seed of the chunk checksum (the FNV-1a offset basis, kept from v1).
+const SUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// Odd multiplier of the mix step (2^64 / φ).
+const SUM_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One mix step: `(h <<< 27 ^ w) · SUM_MUL mod 2^64`. A bijection of
+/// `h` for fixed `w` and of `w` for fixed `h`, so a change confined to
+/// one word always changes the sum.
+#[inline(always)]
+fn mix(h: u64, w: u64) -> u64 {
+    (h.rotate_left(27) ^ w).wrapping_mul(SUM_MUL)
+}
+
+/// Fold `v` into four lanes seeded with `h0`, `per` elements to a word
+/// (`word` packs one — possibly short, final — group): word `k` goes
+/// to lane `k mod 4`, so the four multiplies of a row are independent.
+#[inline(always)]
+fn sum_lanes<T>(h0: u64, v: &[T], per: usize, word: impl Fn(&[T]) -> u64) -> u64 {
+    let mut lanes = [h0; 4];
+    let mut rows = v.chunks_exact(4 * per);
+    for row in &mut rows {
+        for (lane, group) in lanes.iter_mut().zip(row.chunks_exact(per)) {
+            *lane = mix(*lane, word(group));
         }
     }
-    h
+    for (lane, group) in lanes.iter_mut().zip(rows.remainder().chunks(per)) {
+        *lane = mix(*lane, word(group));
+    }
+    let [a, b, c, d] = lanes;
+    let mut h = mix(mix(mix(a, b), c), d);
+    h ^= h >> 32;
+    h = h.wrapping_mul(SUM_MUL);
+    h ^ (h >> 29)
+}
+
+/// The checksum of a chunk payload — the value an AQF chunk table
+/// stores (format v2) and every verifying reader recomputes. Not
+/// cryptographic: it only has to make accidental (or injected)
+/// corruption visible, at memory speed.
+///
+/// All arithmetic is on `u64`, wrapping. With `mix(h, w) =
+/// (h <<< 27 ^ w) · 0x9e3779b97f4a7c15`:
+///
+/// 1. `h0 = mix(mix(0xcbf29ce484222325, tag), n)` — `tag` is 0 for
+///    `F64`, 1 for `I64`, 2 for `Bool`; `n` is the element count.
+/// 2. The payload is a sequence of words in element order: an `F64`
+///    element is its IEEE bits, an `I64` element its two's complement,
+///    and `Bool`s go eight to a word — element `8k + j` is byte `j`
+///    (little-endian, 0 or 1) of word `k`, the last word zero-padded.
+/// 3. Four lanes start at `h0`; word `k` is mixed into lane `k mod 4`.
+/// 4. `h = mix(mix(mix(lane0, lane1), lane2), lane3)`, then
+///    `h ^= h >> 32; h *= 0x9e3779b97f4a7c15; h ^= h >> 29`.
+pub fn checksum(buf: &ScalarBuf) -> u64 {
+    let h0 = |tag: u64| mix(mix(SUM_SEED, tag), buf.len() as u64);
+    match buf {
+        ScalarBuf::F64(v) => sum_lanes(h0(0), v, 1, |x| x[0].to_bits()),
+        ScalarBuf::I64(v) => sum_lanes(h0(1), v, 1, |x| x[0] as u64),
+        ScalarBuf::Bool(v) => sum_lanes(h0(2), v, 8, |group| {
+            group.iter().enumerate().fold(0, |w, (j, &b)| w | u64::from(b) << (8 * j))
+        }),
+    }
 }
 
 /// A deterministic, seeded schedule of chunk-level faults.
@@ -318,6 +352,88 @@ mod tests {
             checksum(&ScalarBuf::I64(vec![0])),
             checksum(&ScalarBuf::F64(vec![0.0]))
         );
+    }
+
+    /// `buf` with bit `bit` of element `at` flipped (`Bool`: the element).
+    fn flipped(buf: &ScalarBuf, at: usize, bit: u32) -> ScalarBuf {
+        let mut out = buf.clone();
+        match &mut out {
+            ScalarBuf::F64(v) => v[at] = f64::from_bits(v[at].to_bits() ^ (1 << bit)),
+            ScalarBuf::I64(v) => v[at] ^= 1 << bit,
+            ScalarBuf::Bool(v) => v[at] = !v[at],
+        }
+        out
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_chunk_changes_the_sum() {
+        let n = 4096usize;
+        let chunks = [
+            ScalarBuf::F64((0..n).map(|k| 273.15 + k as f64 * 0.37).collect()),
+            ScalarBuf::I64((0..n as i64).map(|k| k * k - 4000).collect()),
+            ScalarBuf::Bool((0..n).map(|k| k % 3 == 0).collect()),
+        ];
+        for buf in &chunks {
+            let clean = checksum(buf);
+            let width = if buf.kind() == ScalarKind::Bool { 1 } else { 64 };
+            for at in 0..n {
+                // All 64 bits of every element in an optimized build;
+                // unoptimized (185 µs a sum) all 64 only for the first
+                // and last two rows of lanes, one rotating bit elsewhere.
+                let all = !cfg!(debug_assertions) || !(8..n - 8).contains(&at);
+                let bits = if all { 0..width } else { at as u32 % width..at as u32 % width + 1 };
+                for bit in bits {
+                    let dirty = checksum(&flipped(buf, at, bit));
+                    assert_ne!(dirty, clean, "{} {at} bit {bit}", buf.kind());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kind_and_length_participate() {
+        // Same bits, different kind.
+        assert_ne!(
+            checksum(&ScalarBuf::F64(vec![1.0, -2.5])),
+            checksum(&ScalarBuf::I64(vec![1.0f64.to_bits() as i64, (-2.5f64).to_bits() as i64]))
+        );
+        // Same packed words, different element count.
+        assert_ne!(
+            checksum(&ScalarBuf::Bool(vec![false; 8])),
+            checksum(&ScalarBuf::Bool(vec![false; 9]))
+        );
+        assert_ne!(checksum(&ScalarBuf::I64(vec![0; 4])), checksum(&ScalarBuf::I64(vec![0; 5])));
+        // The three empty buffers.
+        let empty = [
+            checksum(&ScalarBuf::F64(vec![])),
+            checksum(&ScalarBuf::I64(vec![])),
+            checksum(&ScalarBuf::Bool(vec![])),
+        ];
+        assert!(empty[0] != empty[1] && empty[1] != empty[2] && empty[0] != empty[2], "{empty:x?}");
+    }
+
+    #[test]
+    fn the_sum_is_the_documented_function() {
+        // The doc comment's four steps, written out longhand for a
+        // five-word payload (one full row of lanes and one word over).
+        let words = [3u64, 1 << 63, u64::MAX, 0, 42];
+        let mix = |h: u64, w: u64| (h.rotate_left(27) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let h0 = mix(mix(0xcbf2_9ce4_8422_2325, 1), 5);
+        let lane0 = mix(mix(h0, words[0]), words[4]);
+        let [lane1, lane2, lane3] = [1, 2, 3].map(|k| mix(h0, words[k]));
+        let mut h = mix(mix(mix(lane0, lane1), lane2), lane3);
+        h ^= h >> 32;
+        h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^= h >> 29;
+        assert_eq!(checksum(&ScalarBuf::I64(words.map(|w| w as i64).to_vec())), h);
+        // `Bool`s pack eight to a little-endian word, zero-padded.
+        let bools = [true, false, true, true, false, false, false, true, true];
+        let h0 = mix(mix(0xcbf2_9ce4_8422_2325, 2), 9);
+        let mut h = mix(mix(mix(mix(h0, 0x0100_0000_0101_0001), mix(h0, 1)), h0), h0);
+        h ^= h >> 32;
+        h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^= h >> 29;
+        assert_eq!(checksum(&ScalarBuf::Bool(bools.to_vec())), h);
     }
 
     #[test]

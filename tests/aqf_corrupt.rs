@@ -8,7 +8,8 @@
 //! AQF file is covered by a structural check or a chunk checksum, so
 //! every single-byte flip must be *detected*, not just survived.
 
-use aql::format::{AqfFile, AqfWriter, MAGIC};
+use aql::format::{register_aqf, AqfFile, AqfWriter, END_MARKER, MAGIC, VERSION};
+use aql::lang::session::Session;
 use aql::store::{ChunkLayout, ScalarBuf, ScalarKind, StoreError};
 
 /// Write a small representative file: rank 2, edge chunks on both
@@ -103,11 +104,15 @@ fn bad_magic_is_rejected() {
 #[test]
 fn bad_version_dtype_flags_rank_are_rejected() {
     let good = sample(false);
-    // Version 2 (offset 4).
-    let mut bytes = good.clone();
-    bytes[4] = 2;
-    let e = assert_rejected(&bytes, "future version");
-    assert!(format!("{e}").contains("version"), "{e}");
+    // Version 1 (its chunk table holds FNV-1a sums; there is no reader
+    // for it) and a future version 3 (offset 4).
+    for version in [1, 3] {
+        let mut bytes = good.clone();
+        bytes[4] = version;
+        let e = assert_rejected(&bytes, "other version");
+        assert!(matches!(e, StoreError::Corrupt(_)), "classified Corrupt, got {e:?}");
+        assert!(format!("{e}").contains(&format!("unsupported format version {version}")), "{e}");
+    }
     // Unknown dtype (offset 8).
     let mut bytes = good.clone();
     bytes[8] = 9;
@@ -222,4 +227,79 @@ fn errors_carry_byte_offsets() {
     let shown = format!("{e}");
     assert!(shown.contains("byte 8"), "display names the offset: {shown}");
     assert!(!e.is_transient(), "corruption is never retried");
+}
+
+/// A structurally valid rank-1 `I64` file of one chunk whose table row
+/// claims `elems` elements under `codec` with the given payload. The
+/// stored checksum is never reached.
+fn one_chunk_file(elems: u64, codec: u8, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&MAGIC);
+    bytes.extend_from_slice(&VERSION.to_le_bytes());
+    bytes.extend_from_slice(&[1, 1, 0, 0]); // i64, compressed, reserved
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    let table_offset = 40 + payload.len() as u64;
+    bytes.extend_from_slice(&table_offset.to_le_bytes());
+    bytes.extend_from_slice(&elems.to_le_bytes()); // extent
+    bytes.extend_from_slice(&elems.to_le_bytes()); // chunk extent
+    bytes.extend_from_slice(payload);
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    bytes.extend_from_slice(&40u64.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&elems.to_le_bytes());
+    bytes.push(codec);
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    bytes.extend_from_slice(&END_MARKER);
+    bytes
+}
+
+/// `readval` the file and subscript it in a session: the statement must
+/// fail as a storage failure (binding already probes the chunk, so by
+/// the subscript the source's breaker may be what answers), and the
+/// session must go on.
+fn assert_session_survives(bytes: &[u8], tag: &str) {
+    let dir = std::env::temp_dir().join(format!("aql-aqfhostile-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let path = dir.join("hostile.aqf");
+    std::fs::write(&path, bytes).expect("write case");
+    let mut s = Session::new();
+    register_aqf(&mut s);
+    let err = s
+        .run(&format!("readval \\H using AQF at \"{}\"; H[5];", path.display()))
+        .expect_err("a hostile chunk is not served");
+    assert!(format!("{err}").contains("array storage failure"), "{err}");
+    let (_, v) = s.eval_query("1 + 1").expect("the session still answers");
+    assert_eq!(format!("{v}"), "2");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_huge_element_count_under_width_zero_is_an_error_not_an_abort() {
+    // Before decode reserved its output fallibly this could not be a
+    // plain #[test]: `Vec::with_capacity(2^40)` aborted the whole test
+    // process (`memory allocation of 8796093022208 bytes failed`).
+    if Vec::<u8>::new().try_reserve_exact(8 << 40).is_ok() {
+        // This machine hands out 8 TB unbacked: here the chunk is not
+        // refusable up front, and filling it would take the host down.
+        return;
+    }
+    // Nine payload bytes — frame minimum 0, bit width 0 — "hold" 2^40
+    // integers.
+    let bytes = one_chunk_file(1 << 40, 1, &[0u8; 9]);
+    let e = assert_rejected(&bytes, "2^40 elements in 9 bytes");
+    assert!(matches!(e, StoreError::Corrupt(_)), "classified Corrupt, got {e:?}");
+    assert!(format!("{e}").contains("chunk 0"), "{e}");
+    assert_session_survives(&bytes, "width0");
+}
+
+#[test]
+fn an_element_count_whose_byte_size_wraps_is_rejected() {
+    // 2^61 raw elements: `elems * 8` wraps to 0, the size of the empty
+    // payload. An unoptimized build used to panic on the multiplication;
+    // an optimized one decoded "2^61 elements" as none and left the
+    // file to a checksum its author also chooses.
+    let bytes = one_chunk_file(1 << 61, 0, &[]);
+    let e = assert_rejected(&bytes, "2^61 raw elements in 0 bytes");
+    assert!(matches!(e, StoreError::Corrupt(_)), "classified Corrupt, got {e:?}");
+    assert_session_survives(&bytes, "wrap");
 }

@@ -192,3 +192,83 @@ fn repl_save_requires_the_registered_writer() {
     assert!(!std::path::Path::new(&aqf).exists(), "no file for a failed save");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The entries of `dir`, sorted: proof that no temporary is left.
+fn listing(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read_dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn writing_an_array_over_the_file_it_is_read_from_round_trips() {
+    // The writer used to truncate its destination up front: this
+    // statement pair failed half-way (`failed to fill whole buffer`)
+    // and left a 7 KB `f.aqf` that no longer opened.
+    let _gov = GOVERNOR.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = tmpdir("selfwrite");
+    let aqf = dir.join("f.aqf").to_str().expect("utf-8").to_string();
+    let mut s = Session::new();
+    register_aqf(&mut s);
+    // 14 chunks of 4,096 integers.
+    s.run(&format!(
+        "val \\A = [[ (i * 7) % 1000 | \\i < 57000 ]]; writeval A using AQF at \"{aqf}\";"
+    ))
+    .expect("first write");
+    let before = std::fs::read(&aqf).expect("written");
+
+    s.run(&format!("readval \\B using AQF at \"{aqf}\"; writeval B using AQF at \"{aqf}\";"))
+        .expect("an array may be written over its own file");
+    assert_eq!(std::fs::read(&aqf).expect("rewritten"), before, "same array, same bytes");
+    assert_eq!(listing(&dir), ["f.aqf"]);
+    // B still reads (through the handle on the file it was bound to),
+    // and a fresh binding of the new file agrees with it everywhere.
+    let (_, v) = s.eval_query("B[56999]").expect("B survives its own overwrite");
+    assert_eq!(format!("{v}"), format!("{}", (56999 * 7) % 1000));
+    s.run(&format!("readval \\C using AQF at \"{aqf}\";")).expect("rebind");
+    let (_, v) = s
+        .eval_query("summap(fn \\i => if B[i] = C[i] then 0 else 1)!(gen!57000)")
+        .expect("compare");
+    assert_eq!(format!("{v}"), "0");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_writer_dropped_early_leaves_the_previous_file_untouched() {
+    use aql::format::AqfWriter;
+    use aql::store::{ChunkLayout, ScalarBuf, ScalarKind};
+
+    let dir = tmpdir("dropped");
+    let path = dir.join("f.aqf");
+    let layout = ChunkLayout::row_major(vec![57000], 4096).expect("layout");
+    assert_eq!(layout.num_chunks(), 14);
+    let chunk = |id: u64, salt: i64| {
+        let n = layout.chunk_len(id).expect("chunk len") as i64;
+        ScalarBuf::I64((0..n).map(|k| (k * 31 + id as i64 + salt) % 512).collect())
+    };
+    let mut w = AqfWriter::create(&path, layout.clone(), ScalarKind::I64, true).expect("create");
+    for id in 0..14 {
+        w.write_chunk(&chunk(id, 0)).expect("write chunk");
+    }
+    w.finish().expect("finish");
+    let before = std::fs::read(&path).expect("written");
+
+    // A second write of different data gets 3 of its 14 chunks out…
+    let mut w = AqfWriter::create(&path, layout.clone(), ScalarKind::I64, true).expect("create");
+    for id in 0..3 {
+        w.write_chunk(&chunk(id, 5)).expect("write chunk");
+    }
+    assert_eq!(std::fs::read(&path).expect("still there"), before, "untouched while writing");
+    // …and neither an early `finish` nor the drop touches the destination.
+    w.finish().expect_err("11 chunks short");
+    assert_eq!(std::fs::read(&path).expect("still there"), before);
+    let mut w = AqfWriter::create(&path, layout.clone(), ScalarKind::I64, true).expect("create");
+    w.write_chunk(&chunk(0, 9)).expect("write chunk");
+    drop(w);
+    assert_eq!(std::fs::read(&path).expect("still there"), before);
+    assert_eq!(listing(&dir), ["f.aqf"], "temporaries are removed");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use aql_core::error::{EvalError, TypeError};
+use aql_journal::ErrorClass;
 
 /// Any failure while lexing, parsing, desugaring, or executing an AQL
 /// statement.
@@ -80,6 +81,21 @@ impl LangError {
         LangError::Session(message.into())
     }
 
+    /// What the journal, an incident and `\doctor` call this failure
+    /// (DESIGN.md §12).
+    pub fn class(&self) -> ErrorClass {
+        match self {
+            LangError::Eval(e) => e.class(),
+            LangError::Unsound { .. } => ErrorClass::Unsound,
+            LangError::Lex { .. }
+            | LangError::Parse { .. }
+            | LangError::Desugar(_)
+            | LangError::Type(_)
+            | LangError::Session(_)
+            | LangError::ExtensionPanic { .. } => ErrorClass::Error,
+        }
+    }
+
     /// Construct an extension-panic error.
     pub fn extension_panic(
         kind: &'static str,
@@ -130,6 +146,14 @@ impl From<EvalError> for LangError {
     }
 }
 
+/// A storage failure a reader or writer meets keeps its type: the same
+/// error, and class, as when a subscript meets it.
+impl From<aql_store::StoreError> for LangError {
+    fn from(e: aql_store::StoreError) -> Self {
+        LangError::Eval(e.into())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,5 +164,18 @@ mod tests {
         assert!(e.to_string().contains("line 7"));
         let e: LangError = TypeError::Unbound("x".into()).into();
         assert!(e.to_string().contains("type error"));
+    }
+
+    #[test]
+    fn the_class_is_the_values_not_the_messages() {
+        // A message may spell any class's vocabulary; only the value counts.
+        for word in ["budget", "exhausted", "deadline", "interrupt", "checksum", "corrupt"] {
+            let e: LangError = TypeError::Unbound(word.into()).into();
+            assert_eq!(e.class(), ErrorClass::Error, "{e}");
+            assert_eq!(LangError::session(word).class(), ErrorClass::Error);
+        }
+        let e: LangError = aql_store::StoreError::Corrupt("x".into()).into();
+        assert_eq!(e.class(), ErrorClass::Corruption);
+        assert_eq!(LangError::Eval(EvalError::Deadline).class(), ErrorClass::Deadline);
     }
 }

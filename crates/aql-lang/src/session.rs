@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use aql_journal::{emit, Event};
+use aql_journal::{emit, ErrorClass, Event};
 
 use aql_core::check::typecheck;
 use aql_core::error::EvalError;
@@ -636,11 +636,6 @@ impl Session {
         self.incidents = None;
     }
 
-    /// The incident-dump directory, when the pipeline is enabled.
-    pub fn incident_dir(&self) -> Option<std::path::PathBuf> {
-        self.incidents.as_ref().map(|c| c.dir.clone())
-    }
-
     /// Path of the most recent incident dump of this session, if any.
     pub fn last_incident_path(&self) -> Option<std::path::PathBuf> {
         self.last_incident.borrow().clone()
@@ -944,19 +939,17 @@ impl Session {
         st.cache = aql_store::stats::global().delta_since(&cache_base);
         self.stmt_stats.borrow_mut().push(st);
         let dur = aql_trace::now() - t0;
-        let outcome = match &out {
-            Ok(_) => "ok",
-            Err(e) => error_class(e),
-        };
+        let class = out.as_ref().err().map(LangError::class);
+        let outcome = class.map_or("ok", ErrorClass::name);
         emit(Event::StmtEnd { outcome, seq, ns: dur.as_nanos() as u64 });
-        if let Err(e) = &out {
+        if class.is_some() {
             emit(Event::StmtFailed);
-            if matches!(e, LangError::Unsound { .. }) {
-                emit(Event::StmtUnsound);
-            }
+        }
+        if class == Some(ErrorClass::Unsound) {
+            emit(Event::StmtUnsound);
         }
         let run = StmtRun { kind, seq, hash, dur, ledger: &ledger };
-        let incident = self.maybe_dump_incident(&run, tripped, metrics_base, &out);
+        let incident = self.maybe_dump_incident(&run, tripped, metrics_base, out.as_ref().err());
         self.maybe_log_slow(&run, &st, fires_base, out.is_err(), incident.as_deref());
         self.stmt_attr.borrow_mut().push(ledger);
         out
@@ -972,20 +965,21 @@ impl Session {
         run: &StmtRun<'_>,
         tripped: bool,
         metrics_base: Option<Vec<(String, u64)>>,
-        out: &Result<Outcome, LangError>,
+        error: Option<&LangError>,
     ) -> Option<std::path::PathBuf> {
         let cfg = self.incidents.as_ref()?;
+        let class = error.map(LangError::class);
         let slow_threshold = cfg
             .slow_threshold
             .or_else(|| self.slow_log.as_ref().map(|l| l.config.threshold));
         let slow = slow_threshold.is_some_and(|t| run.dur >= t);
         use aql_journal::incident::{Incident, IncidentKind};
-        let ikind = match out {
-            Err(e) if is_resource_exhausted(e) => IncidentKind::ResourceExhausted,
-            Err(_) => IncidentKind::Error,
-            Ok(_) if tripped => IncidentKind::BreakerTrip,
-            Ok(_) if slow => IncidentKind::Slow,
-            Ok(_) => return None,
+        let ikind = match class {
+            Some(ErrorClass::ResourceExhausted) => IncidentKind::ResourceExhausted,
+            Some(_) => IncidentKind::Error,
+            None if tripped => IncidentKind::BreakerTrip,
+            None if slow => IncidentKind::Slow,
+            None => return None,
         };
         let base = metrics_base.unwrap_or_default();
         let metrics_delta: Vec<(String, u64)> = aql_metrics::snapshot()
@@ -1001,7 +995,8 @@ impl Session {
             stmt_hash: format!("{:016x}", run.hash),
             stmt_kind: run.kind.to_string(),
             dur_ns: run.dur.as_nanos() as u64,
-            error: out.as_ref().err().map(|e| e.to_string()),
+            error: error.map(|e| e.to_string()),
+            class,
             events: aql_journal::snapshot().tail(cfg.last_events),
             attribution: Some(run.ledger.clone()),
             metrics_delta,
@@ -1465,35 +1460,6 @@ fn opt_error(e: OptError) -> LangError {
             rule: v.rule.to_string(),
             message: v.message,
         },
-    }
-}
-
-/// Whether a statement failure is resource exhaustion rather than a
-/// plain error — the distinction incident dumps record (`IncidentKind`)
-/// and `\doctor` keys its diagnosis on.
-fn is_resource_exhausted(e: &LangError) -> bool {
-    match e {
-        LangError::Eval(
-            EvalError::ResourceLimit { .. }
-            | EvalError::ResourceExhausted { .. }
-            | EvalError::StepLimit,
-        ) => true,
-        other => {
-            let s = other.to_string().to_ascii_lowercase();
-            s.contains("budget") || s.contains("exhaust")
-        }
-    }
-}
-
-/// The flight-recorder outcome label for a failed statement.
-fn error_class(e: &LangError) -> &'static str {
-    match e {
-        _ if is_resource_exhausted(e) => "resource-exhausted",
-        LangError::Eval(EvalError::Deadline) => "deadline",
-        LangError::Eval(EvalError::Cancelled) => "cancelled",
-        LangError::Eval(EvalError::Storage { .. }) => "storage",
-        LangError::Unsound { .. } => "unsound",
-        _ => "error",
     }
 }
 

@@ -9,6 +9,9 @@
 
 use std::fmt;
 
+use aql_store::error::ErrorClass;
+use aql_store::{Interrupt, StoreError};
+
 use crate::types::Type;
 
 /// A failure while typechecking an NRCA expression.
@@ -95,9 +98,11 @@ pub enum EvalError {
     /// an ill-typed term was evaluated (e.g. optimizer bug).
     IllTyped(String),
     /// A lazily chunked array failed to load elements from its backing
-    /// store (I/O failure or corrupt chunk data). `transient` carries
-    /// the storage layer's retry classification.
-    Storage { message: String, transient: bool },
+    /// store (I/O failure, corrupt chunk data, an open circuit
+    /// breaker): the storage layer's own error, untranslated. Boxed:
+    /// inline, its nested layout slowed the `Ok` path of every
+    /// evaluation step by ≈ 4 % (EXPERIMENTS.md S11).
+    Storage(Box<StoreError>),
     /// The process-wide byte budget (see `aql_store::governor`) could
     /// not admit an allocation even after shedding cache residency.
     /// Fails this one statement; the session and its bindings survive.
@@ -126,11 +131,7 @@ impl fmt::Display for EvalError {
                 write!(f, "external primitive `{name}` failed: {message}")
             }
             EvalError::IllTyped(m) => write!(f, "ill-typed value at runtime: {m}"),
-            EvalError::Storage { message, transient } => write!(
-                f,
-                "array storage failure{}: {message}",
-                if *transient { " (transient)" } else { "" }
-            ),
+            EvalError::Storage(e) => write!(f, "array storage failure: {e}"),
             EvalError::ResourceExhausted { requested, budget } => write!(
                 f,
                 "process memory budget exhausted: {requested} bytes requested, budget {budget}"
@@ -140,37 +141,41 @@ impl fmt::Display for EvalError {
     }
 }
 
+impl EvalError {
+    /// What the journal, an incident and `\doctor` call this failure
+    /// (DESIGN.md §12).
+    pub fn class(&self) -> ErrorClass {
+        match self {
+            EvalError::Storage(e) => e.error_class(),
+            EvalError::ResourceLimit { .. }
+            | EvalError::StepLimit
+            | EvalError::ResourceExhausted { .. } => ErrorClass::ResourceExhausted,
+            EvalError::Deadline => ErrorClass::Deadline,
+            EvalError::Cancelled => ErrorClass::Cancelled,
+            EvalError::UnboundGlobal(_)
+            | EvalError::Overflow
+            | EvalError::External { .. }
+            | EvalError::IllTyped(_)
+            | EvalError::Internal(_) => ErrorClass::Error,
+        }
+    }
+}
+
 impl std::error::Error for EvalError {}
 
-impl From<aql_store::StoreError> for EvalError {
-    fn from(e: aql_store::StoreError) -> EvalError {
+impl From<StoreError> for EvalError {
+    fn from(e: StoreError) -> EvalError {
         match e {
-            aql_store::StoreError::Io { message, transient } => {
-                EvalError::Storage { message, transient }
-            }
-            aql_store::StoreError::Corrupt(m) => {
-                EvalError::Storage { message: format!("corrupt chunk: {m}"), transient: false }
-            }
             // Shape errors indicate the layout and the access disagree
             // — a bug in the binding code, not a user-visible failure.
-            aql_store::StoreError::Shape(m) => EvalError::Internal(format!("storage shape: {m}")),
-            aql_store::StoreError::Budget { requested, budget } => {
+            StoreError::Shape(m) => EvalError::Internal(format!("storage shape: {m}")),
+            StoreError::Budget { requested, budget } => {
                 EvalError::ResourceExhausted { requested, budget }
             }
-            // A breaker fast-fail is worth retrying after its
-            // cool-down, so it surfaces as a transient storage error.
-            aql_store::StoreError::Unavailable { source, retry_after_ms } => EvalError::Storage {
-                message: format!(
-                    "chunk source `{source}` unavailable (circuit open, retry in {retry_after_ms}ms)"
-                ),
-                transient: true,
-            },
-            aql_store::StoreError::Interrupted(aql_store::Interrupt::Deadline) => {
-                EvalError::Deadline
-            }
-            aql_store::StoreError::Interrupted(aql_store::Interrupt::Cancelled) => {
-                EvalError::Cancelled
-            }
+            StoreError::Interrupted(Interrupt::Deadline) => EvalError::Deadline,
+            StoreError::Interrupted(Interrupt::Cancelled) => EvalError::Cancelled,
+            // A failure of the source keeps its type.
+            source => EvalError::Storage(Box::new(source)),
         }
     }
 }
@@ -192,5 +197,22 @@ mod tests {
         };
         assert!(e.to_string().contains("100"));
         assert!(e.to_string().contains("limit 10"));
+    }
+
+    #[test]
+    fn a_storage_failure_keeps_its_type_and_names_its_own_class() {
+        let open = StoreError::Unavailable { source: "s".into(), retry_after_ms: 5 };
+        let e = EvalError::from(open.clone());
+        assert_eq!(e, EvalError::Storage(Box::new(open)));
+        assert_eq!(e.class(), ErrorClass::Unavailable);
+        assert!(!e.to_string().contains("transient"), "{e}");
+        // The statement's own limits keep their typed targets.
+        let denied = EvalError::from(StoreError::Budget { requested: 8, budget: 4 });
+        assert_eq!(denied, EvalError::ResourceExhausted { requested: 8, budget: 4 });
+        assert_eq!(denied.class(), ErrorClass::ResourceExhausted);
+        assert_eq!(EvalError::StepLimit.class(), ErrorClass::ResourceExhausted);
+        assert_eq!(EvalError::UnboundGlobal("budget".into()).class(), ErrorClass::Error);
+        // The `Err` of every evaluation step did not grow.
+        assert!(std::mem::size_of::<EvalError>() <= 48);
     }
 }

@@ -1589,7 +1589,11 @@ mod tests {
             for vars in [None, Some(IJ)] {
                 let got = run(&e, &g, &Limits::default(), vars);
                 assert!(
-                    matches!(got.value, Err(EvalError::Storage { transient: false, .. })),
+                    matches!(
+                        &got.value,
+                        Err(EvalError::Storage(e))
+                            if matches!(**e, aql_store::StoreError::Io { transient: false, .. })
+                    ),
                     "{e}"
                 );
                 assert_eq!(got.nests, 0);

@@ -50,6 +50,9 @@ static M_OPENS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
     "AQF files bound as lazy arrays.",
 );
 
+/// A request the driver refuses, in words. (A failure *of the storage
+/// layer* is not one of these: it passes through `?` with its type, so
+/// the statement fails as it would had a subscript met the fault.)
 fn store_err(e: impl std::fmt::Display) -> LangError {
     LangError::session(format!("AQF: {e}"))
 }
@@ -144,7 +147,7 @@ fn write_gathered<T, U>(
                 .ok_or_else(|| store_err("index outside the array it came from"))?;
             append(cells, &mut out)
         })?;
-        w.write_chunk(&wrap(out)).map_err(store_err)?;
+        w.write_chunk(&wrap(out))?;
     }
     Ok(())
 }
@@ -161,7 +164,7 @@ pub fn write_array(
     let dims = arr.dims().to_vec();
     let kind = persisted_kind(arr)?;
     let layout = ChunkLayout::row_major(dims.clone(), chunk_elems).map_err(store_err)?;
-    let mut w = AqfWriter::create(path, layout.clone(), kind, compress).map_err(store_err)?;
+    let mut w = AqfWriter::create(path, layout.clone(), kind, compress)?;
     match arr.array_data() {
         ArrayData::Lazy(l) => {
             // Streaming spill: each output chunk is one hyperslab read
@@ -170,8 +173,8 @@ pub fn write_array(
             let mut l = l.borrow_mut();
             for id in 0..layout.num_chunks() {
                 let (start, count) = layout.chunk_bounds(id).expect("id < num_chunks");
-                let buf = l.read_slab(&start, &count).map_err(store_err)?;
-                w.write_chunk(&buf).map_err(store_err)?;
+                let buf = l.read_slab(&start, &count)?;
+                w.write_chunk(&buf)?;
             }
         }
         // Typed flat buffers: each output chunk is gathered run by run
@@ -202,8 +205,7 @@ pub fn write_array(
                 while remaining > 0 {
                     let off = flatten(&idx, &dims) as usize;
                     let v = arr
-                        .try_value_at(off)
-                        .map_err(store_err)?
+                        .try_value_at(off)?
                         .ok_or_else(|| store_err("index outside the array it came from"))?;
                     if !buf.push(value_to_scalar(&v, kind)?) {
                         return Err(store_err("internal: scalar kind drifted during write"));
@@ -219,11 +221,11 @@ pub fn write_array(
                         idx[j] = start[j];
                     }
                 }
-                w.write_chunk(&buf).map_err(store_err)?;
+                w.write_chunk(&buf)?;
             }
         }
     }
-    let summary = w.finish().map_err(store_err)?;
+    let summary = w.finish()?;
     M_SAVES.inc();
     if aql_trace::enabled() {
         aql_trace::count("aqf.chunks_written", summary.chunks);
@@ -297,7 +299,7 @@ impl Reader for AqfReader {
                 )))
             }
         };
-        let src = AqfChunkSource::open(&path).map_err(store_err)?;
+        let src = AqfChunkSource::open(&path)?;
         let layout = src.file().layout().clone();
         let kind = src.file().kind();
         let rank = layout.dims().len();
@@ -314,7 +316,7 @@ impl Reader for AqfReader {
                 lazy.attach_prefetcher(Prefetcher::spawn(Box::new(pf_src), layout, cfg));
             }
         }
-        let arr = ArrayVal::lazy(lazy).map_err(store_err)?;
+        let arr = ArrayVal::lazy(lazy)?;
         M_OPENS.inc();
         let base = match kind {
             ScalarKind::F64 => Type::Real,

@@ -74,11 +74,6 @@ impl Ledger {
             .map(|(l, c)| (l.as_str(), c))
     }
 
-    /// Sum of retries across sources.
-    pub fn total_retries(&self) -> u64 {
-        self.sources.iter().map(|(_, c)| c.retries).sum()
-    }
-
     /// The ledger as a JSON object (incident files, `QueryReport`).
     pub fn to_json_value(&self) -> Json {
         let sources = Json::Arr(
@@ -398,7 +393,6 @@ mod tests {
         assert_eq!(ledger.sources[1].1.hits, 3);
         assert_eq!(ledger.governor_sheds, 1);
         assert_eq!(ledger.governor_denials, 1);
-        assert_eq!(ledger.total_retries(), 2);
         assert_eq!(ledger.dominant_source().map(|(l, _)| l), Some("t_attr:a"));
         assert!(!active(), "finish closes the ledger");
     }

@@ -10,31 +10,24 @@
 use aql_trace::json::Json;
 
 use crate::attr::Ledger;
-use crate::incident::{Incident, IncidentKind};
+use crate::incident::{ErrorClass, Incident, IncidentKind};
 use crate::{Journal, Tag};
 
-/// The failure class the analyzer pins an incident on.
+/// What the analyzer pins a report on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
-    /// Transient I/O faults (retried reads, injected transients).
-    TransientIo,
-    /// Data corruption (checksum mismatches, malformed chunks).
-    Corruption,
-    /// Governor or limits budget exhausted.
-    ResourceExhausted,
-    /// A circuit breaker is open / the source is unavailable.
-    Unavailable,
-    /// The statement's deadline expired.
-    Deadline,
-    /// The statement was cancelled.
-    Cancelled,
+    /// The failed statement's class — or, for a statement that did not
+    /// fail, the class whose signature its window carries (a retried
+    /// read, a breaker trip, a governor denial).
+    Error(ErrorClass),
     /// No failure — the statement was just slow.
     SlowQuery,
     /// Nothing to diagnose: no incident, no error, and no fault
     /// signatures (retries, breaker events, governor pressure, load
     /// errors) in the window. A clean session's `\doctor;` lands here.
     Healthy,
-    /// Nothing matched; the report still shows the evidence.
+    /// Nothing matched (an error dump written before incidents carried
+    /// a class lands here); the report still shows the evidence.
     Unknown,
 }
 
@@ -42,12 +35,7 @@ impl FaultClass {
     /// Stable report name.
     pub fn name(self) -> &'static str {
         match self {
-            FaultClass::TransientIo => "transient-io",
-            FaultClass::Corruption => "corruption",
-            FaultClass::ResourceExhausted => "resource-exhausted",
-            FaultClass::Unavailable => "unavailable",
-            FaultClass::Deadline => "deadline",
-            FaultClass::Cancelled => "cancelled",
+            FaultClass::Error(class) => class.name(),
             FaultClass::SlowQuery => "slow-query",
             FaultClass::Healthy => "healthy",
             FaultClass::Unknown => "unknown",
@@ -55,60 +43,45 @@ impl FaultClass {
     }
 }
 
-/// Classify a failure from the error text and the event window.
-pub fn classify(kind: Option<IncidentKind>, error: Option<&str>, events: &Journal) -> FaultClass {
-    let msg = error.unwrap_or("").to_ascii_lowercase();
+/// Classify a report. A failed statement's class is the one its error
+/// value named (`error`, from the incident record or the ring's
+/// `StmtEnd` label); only a statement that did not fail is read off the
+/// event window: a breaker trip, a repaired read, governor pressure, a
+/// slow query, or nothing at all.
+pub fn classify(
+    kind: Option<IncidentKind>,
+    error: Option<FaultClass>,
+    events: &Journal,
+) -> FaultClass {
+    if let Some(class) = error {
+        return class;
+    }
     let has = |tags: &[Tag]| events.events.iter().any(|e| tags.contains(&e.tag));
-    // A failure with a mismatch in its window is corruption whatever
-    // the final message says; one the retry repaired is only a slower
-    // statement, and the timeline still shows it.
-    if msg.contains("checksum")
-        || msg.contains("corrupt")
-        || (error.is_some() && has(&[Tag::ChecksumMismatch]))
-    {
-        return FaultClass::Corruption;
-    }
-    if msg.contains("deadline") {
-        return FaultClass::Deadline;
-    }
-    if msg.contains("cancel") || msg.contains("interrupt") {
-        return FaultClass::Cancelled;
-    }
-    if msg.contains("budget") || msg.contains("exhausted") || msg.contains("resource") {
-        return FaultClass::ResourceExhausted;
-    }
-    // The error text outranks the event window from here on: the
-    // window is a process-wide tail and can carry a neighboring
-    // statement's breaker events, but the message is this failure's.
-    if msg.contains("transient") || msg.contains("i/o") || msg.contains("io error") {
-        return FaultClass::TransientIo;
-    }
-    let tripped = has(&[Tag::BreakerTrip, Tag::BreakerFastFail]);
-    if msg.contains("unavailable") || (tripped && error.is_some()) {
-        return FaultClass::Unavailable;
-    }
-    if kind == Some(IncidentKind::BreakerTrip) || tripped {
-        return FaultClass::Unavailable;
-    }
-    if has(&[Tag::Retry]) {
-        if error.is_none() && kind == Some(IncidentKind::Slow) {
-            return FaultClass::SlowQuery;
-        }
-        return FaultClass::TransientIo;
-    }
-    if kind == Some(IncidentKind::ResourceExhausted) || has(&[Tag::GovernorDeny]) {
-        return FaultClass::ResourceExhausted;
+    if kind == Some(IncidentKind::BreakerTrip) || has(&[Tag::BreakerTrip, Tag::BreakerFastFail]) {
+        return FaultClass::Error(ErrorClass::Unavailable);
     }
     if kind == Some(IncidentKind::Slow) {
         return FaultClass::SlowQuery;
     }
-    // A live-journal diagnosis (no incident, no error) whose window
-    // carries no fault signature at all is a healthy session, not an
-    // unrecognized fault.
-    if kind.is_none() && error.is_none() && !has(FAULT_SIGNATURES) {
+    if has(&[Tag::Retry]) {
+        return FaultClass::Error(ErrorClass::TransientIo);
+    }
+    if has(&[Tag::GovernorDeny]) {
+        return FaultClass::Error(ErrorClass::ResourceExhausted);
+    }
+    // A live-journal diagnosis whose window carries no fault signature
+    // at all is a healthy session, not an unrecognized fault.
+    if kind.is_none() && !has(FAULT_SIGNATURES) {
         return FaultClass::Healthy;
     }
     FaultClass::Unknown
+}
+
+/// The class of the statement that ended last in a live window, if it
+/// failed: its `StmtEnd` label (`ok` is no class).
+fn last_outcome(events: &Journal) -> Option<FaultClass> {
+    let end = events.events.iter().rev().find(|e| e.tag == Tag::StmtEnd)?;
+    ErrorClass::from_name(&end.label_str()).map(FaultClass::Error)
 }
 
 /// The kinds that mark a window as other than healthy; the timeline
@@ -184,6 +157,13 @@ fn push_timeline(out: &mut String, events: &Journal) {
     }
 }
 
+/// The class an incident's error had: the record's `class`; `unknown`
+/// for an error dump that carries none.
+fn incident_class(inc: &Incident) -> Option<FaultClass> {
+    let failed = inc.error.is_some();
+    failed.then(|| inc.class.map_or(FaultClass::Unknown, FaultClass::Error))
+}
+
 /// Analyze a loaded incident file into a human-readable report.
 pub fn diagnose(inc: &Incident) -> String {
     let mut out = String::new();
@@ -198,7 +178,7 @@ pub fn diagnose(inc: &Incident) -> String {
     if let Some(err) = &inc.error {
         out.push_str(&format!("error: {err}\n"));
     }
-    out.push_str(&body(&inc.events, inc.attribution.as_ref(), Some(inc.kind), inc.error.as_deref()));
+    out.push_str(&body(&inc.events, inc.attribution.as_ref(), Some(inc.kind), incident_class(inc)));
     if !inc.metrics_delta.is_empty() {
         out.push_str("metrics moved during the statement:\n");
         for (series, delta) in inc.metrics_delta.iter().take(12) {
@@ -224,7 +204,7 @@ pub fn diagnose_live(journal: &Journal, attribution: Option<&Ledger>) -> String 
             threads.len().max(1)
         }
     );
-    out.push_str(&body(journal, attribution, None, None));
+    out.push_str(&body(journal, attribution, None, last_outcome(journal)));
     out
 }
 
@@ -246,7 +226,7 @@ pub fn diagnose_json(inc: &Incident) -> String {
         &inc.events,
         inc.attribution.as_ref(),
         Some(inc.kind),
-        inc.error.as_deref(),
+        incident_class(inc),
     ));
     obj.push((
         "metrics_delta".to_string(),
@@ -268,7 +248,7 @@ pub fn diagnose_live_json(journal: &Journal, attribution: Option<&Ledger>) -> St
         ("incident_kind".to_string(), Json::Null),
         ("events".to_string(), Json::Num(journal.events.len() as f64)),
     ];
-    obj.extend(json_analysis(journal, attribution, None, None));
+    obj.extend(json_analysis(journal, attribution, None, last_outcome(journal)));
     Json::Obj(obj).write()
 }
 
@@ -279,7 +259,7 @@ fn json_analysis(
     events: &Journal,
     attribution: Option<&Ledger>,
     kind: Option<IncidentKind>,
-    error: Option<&str>,
+    error: Option<FaultClass>,
 ) -> Vec<(String, Json)> {
     let class = classify(kind, error, events);
     let source = failing_source(events, attribution);
@@ -310,7 +290,7 @@ fn json_analysis(
             },
         ),
     ];
-    out.push(("diagnosis".to_string(), Json::Str(advice_for(class, &subject, events))));
+    out.push(("diagnosis".to_string(), Json::Str(advice_for(class, error.is_some(), &subject, events))));
     out
 }
 
@@ -323,45 +303,45 @@ fn dominant_source(attribution: Option<&Ledger>, folded: &Ledger) -> Option<(Str
 
 /// The `diagnosis: …` sentence for a classified fault. `subject` is
 /// either ``source `<label>` `` or "the statement". A checksum mismatch
-/// in the window that did not end in corruption — a retry read clean
+/// in the window of a statement that did not fail — a retry read clean
 /// bytes — is named too: it is a flaky read path worth knowing about.
-fn advice_for(class: FaultClass, subject: &str, events: &Journal) -> String {
-    let mut advice = advice_for_class(class, subject);
-    if class != FaultClass::Corruption
-        && events.events.iter().any(|e| e.tag == Tag::ChecksumMismatch)
-    {
-        advice.push_str(
-            " A chunk payload failed checksum verification on the way and a retry read clean \
-             bytes; if that recurs, verify the file on disk.",
-        );
-    }
-    advice
-}
-
-fn advice_for_class(class: FaultClass, subject: &str) -> String {
-    match class {
-        FaultClass::TransientIo => format!(
+fn advice_for(class: FaultClass, failed: bool, subject: &str, events: &Journal) -> String {
+    use ErrorClass::*;
+    let mut advice = match class {
+        FaultClass::Error(TransientIo) => format!(
             "diagnosis: {subject} hit transient I/O faults; retries were spent before the \
              outcome. If this recurs, raise the retry budget or investigate the backing store."
         ),
-        FaultClass::Corruption => format!(
+        FaultClass::Error(Corruption) => format!(
             "diagnosis: {subject} returned corrupt data (checksum mismatch). Retries cannot \
              fix corruption — verify the file on disk (`aqf`/NetCDF) and restore from a good copy."
         ),
-        FaultClass::ResourceExhausted => format!(
-            "diagnosis: {subject} exhausted the memory governor's budget. Raise the budget, \
-             shrink the working set, or let eviction shed colder bindings first."
+        FaultClass::Error(ResourceExhausted) => format!(
+            "diagnosis: {subject} exhausted a resource budget (the memory governor's, or the \
+             statement's element or step limit). Raise the budget, shrink the working set, or \
+             let eviction shed colder bindings first."
         ),
-        FaultClass::Unavailable => format!(
-            "diagnosis: {subject} is unavailable — its circuit breaker opened after repeated \
-             failures. Calls fast-fail until the cooldown elapses; check the backing store's health."
+        FaultClass::Error(Unavailable) => format!(
+            "diagnosis: {subject} is unavailable — its reads fail persistently, or its circuit \
+             breaker opened after repeated failures and calls fast-fail until the cooldown \
+             elapses; check the backing store's health."
         ),
-        FaultClass::Deadline => format!(
+        FaultClass::Error(Deadline) => format!(
             "diagnosis: {subject} exceeded its deadline. Narrow the subslab, raise the limit, \
              or check whether cold reads (see the cost source above) dominated the wall time."
         ),
-        FaultClass::Cancelled => {
+        FaultClass::Error(Cancelled) => {
             "diagnosis: the statement was cancelled or interrupted before completing.".to_string()
+        }
+        FaultClass::Error(Unsound) => {
+            "diagnosis: the rewrite-soundness gate rejected an optimizer rule's output; the \
+             error above names the rule. The storage layer is not involved."
+                .to_string()
+        }
+        FaultClass::Error(Error) => {
+            "diagnosis: the statement failed with an ordinary error (the program, the request \
+             or an extension — see the message above), not a storage, resource or limits fault."
+                .to_string()
         }
         FaultClass::SlowQuery => format!(
             "diagnosis: no failure — {subject} was just slow. The dominant cost source above \
@@ -377,7 +357,14 @@ fn advice_for_class(class: FaultClass, subject: &str) -> String {
             "diagnosis: no specific fault signature recognized for {subject}; inspect the \
              timeline and metrics deltas above."
         ),
+    };
+    if !failed && events.events.iter().any(|e| e.tag == Tag::ChecksumMismatch) {
+        advice.push_str(
+            " A chunk payload failed checksum verification on the way and a retry read clean \
+             bytes; if that recurs, verify the file on disk.",
+        );
     }
+    advice
 }
 
 /// ``source `<label>` `` when a failing source is known, else "the
@@ -393,7 +380,7 @@ fn body(
     events: &Journal,
     attribution: Option<&Ledger>,
     kind: Option<IncidentKind>,
-    error: Option<&str>,
+    error: Option<FaultClass>,
 ) -> String {
     let mut out = String::new();
 
@@ -446,7 +433,7 @@ fn body(
     let source = failing_source(events, attribution);
     out.push_str(&format!("fault class: {}\n", class.name()));
     let subject = subject_for(source.as_deref());
-    out.push_str(&advice_for(class, &subject, events));
+    out.push_str(&advice_for(class, error.is_some(), &subject, events));
     out.push('\n');
     out
 }
@@ -461,9 +448,11 @@ mod tests {
         Record { thread: 1, epoch: t_us, t_us, tag, label, a, b }
     }
 
+    /// An incident whose statement failed with `error` (message and
+    /// class), or did not fail.
     fn incident_with(
         kind: IncidentKind,
-        error: Option<&str>,
+        error: Option<(&str, ErrorClass)>,
         events: Vec<Record>,
         ledger: Option<Ledger>,
     ) -> Incident {
@@ -473,7 +462,8 @@ mod tests {
             stmt_hash: "deadbeefdeadbeef".to_string(),
             stmt_kind: "query".to_string(),
             dur_ns: 2_000_000,
-            error: error.map(str::to_string),
+            error: error.map(|(message, _)| message.to_string()),
+            class: error.map(|(_, class)| class),
             events: Journal { events },
             attribution: ledger,
             metrics_delta: vec![("aql_store_chunk_retries_total".to_string(), 2)],
@@ -485,7 +475,7 @@ mod tests {
         let l = intern("netcdf:grid");
         let inc = incident_with(
             IncidentKind::Error,
-            Some("storage: chunk read failed after 3 attempts: injected transient fault"),
+            Some(("storage: chunk read failed after 3 attempts: injected transient fault", ErrorClass::TransientIo)),
             vec![ev(Tag::Retry, l, 1, 0, 10), ev(Tag::Retry, l, 2, 0, 20)],
             None,
         );
@@ -500,7 +490,7 @@ mod tests {
         let l = intern("netcdf:grid");
         let inc = incident_with(
             IncidentKind::Error,
-            Some("storage: chunk read failed after 3 attempts: injected transient fault"),
+            Some(("storage: chunk read failed after 3 attempts: injected transient fault", ErrorClass::TransientIo)),
             vec![ev(Tag::Retry, l, 1, 0, 10), ev(Tag::Retry, l, 2, 0, 20)],
             None,
         );
@@ -567,7 +557,7 @@ mod tests {
     fn classifies_corruption_over_transient() {
         let inc = incident_with(
             IncidentKind::Error,
-            Some("storage: chunk checksum mismatch at chunk 4"),
+            Some(("storage: chunk checksum mismatch at chunk 4", ErrorClass::Corruption)),
             vec![ev(Tag::Retry, intern("aqf:blob"), 1, 0, 10)],
             None,
         );
@@ -590,7 +580,10 @@ mod tests {
 
         let deny = incident_with(
             IncidentKind::Error,
-            Some("storage: budget exceeded: requested 4096 B, budget 1024 B"),
+            Some((
+                "storage: budget exceeded: requested 4096 B, budget 1024 B",
+                ErrorClass::ResourceExhausted,
+            )),
             vec![ev(Tag::GovernorDeny, 0, 4096, 0, 10)],
             None,
         );
@@ -648,15 +641,58 @@ mod tests {
         assert!(report.contains("checksum MISMATCH on a chunk of `t_doc:flaky`"), "{report}");
         assert!(report.contains("fault class: transient-io"), "{report}");
         assert!(report.contains("failed checksum verification"), "{report}");
-        // The same window under an error whose text says nothing of
-        // checksums is corruption all the same.
+        // The same window under a statement that failed: the class is
+        // the error's, and nothing claims a retry read clean bytes.
         let inc = incident_with(
             IncidentKind::Error,
-            Some("storage: circuit open for `t_doc:flaky`"),
+            Some(("storage: circuit open for `t_doc:flaky`", ErrorClass::Unavailable)),
             window,
             None,
         );
-        assert!(diagnose(&inc).contains("fault class: corruption"));
+        let report = diagnose(&inc);
+        assert!(report.contains("fault class: unavailable"), "{report}");
+        assert!(!report.contains("read clean bytes"), "{report}");
+    }
+
+    #[test]
+    fn an_error_is_classified_by_its_class_never_by_its_words() {
+        // Messages that spell another class's vocabulary, and a window
+        // that carries another class's signature.
+        let window = vec![ev(Tag::Retry, intern("t_doc:words"), 2, 0, 10)];
+        for message in [
+            "type error: unbound variable `deadline`",
+            "type error: unbound variable `interrupt`",
+            "type error: unbound variable `checksum`",
+            "type error: unbound variable `corrupt`",
+            "type error: unbound variable `budget`",
+        ] {
+            let inc = incident_with(
+                IncidentKind::Error,
+                Some((message, ErrorClass::Error)),
+                window.clone(),
+                None,
+            );
+            let report = diagnose(&inc);
+            assert!(report.contains("fault class: error\n"), "{message}: {report}");
+            assert!(report.contains("ordinary error"), "{report}");
+        }
+        // A dump written before incidents carried a class.
+        let mut old = incident_with(IncidentKind::Error, Some(("boom", ErrorClass::Error)), vec![], None);
+        old.class = None;
+        assert!(diagnose(&old).contains("fault class: unknown"));
+    }
+
+    #[test]
+    fn a_live_window_takes_the_class_of_the_statement_that_ended_last() {
+        let l = intern("t_doc:live-class");
+        let end = |outcome: &str, t| ev(Tag::StmtEnd, intern(outcome), 1, 500, t);
+        let failed = Journal { events: vec![ev(Tag::Retry, l, 2, 0, 1), end("deadline", 2)] };
+        assert!(diagnose_live(&failed, None).contains("fault class: deadline"));
+        // An `ok` ending is no class: the window speaks.
+        let repaired = Journal { events: vec![ev(Tag::Retry, l, 2, 0, 1), end("ok", 2)] };
+        assert!(diagnose_live(&repaired, None).contains("fault class: transient-io"));
+        let clean = Journal { events: vec![end("deadline", 1), end("ok", 2)] };
+        assert!(diagnose_live(&clean, None).contains("fault class: healthy"));
     }
 
     #[test]

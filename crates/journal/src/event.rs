@@ -92,10 +92,6 @@ pub enum Event {
     PrefetchWasted { src: u16 },
     /// The chaos harness injected a fault (`transient`, `corrupt`, …).
     FaultInjected { kind: &'static str },
-    /// A NetCDF I/O operation returned an error (before any retry).
-    NetcdfFault,
-    /// A NetCDF I/O attempt is about to be retried.
-    NetcdfRetry,
     /// A hyperslab read was requested of a NetCDF source.
     NetcdfHyperslab,
 }
@@ -145,8 +141,6 @@ impl Event {
             Event::GovernorPeak { bytes } => (Counted(&GOVERNOR_PEAK, A), 0, bytes, 0),
             Event::PrefetchHit => (Counted(&PREFETCH_HITS, One), 0, 0, 0),
             Event::FaultInjected { kind } => (Counted(&FAULTS_INJECTED, One), intern(kind), 0, 0),
-            Event::NetcdfFault => (Counted(&NETCDF_FAULTS, One), 0, 0, 0),
-            Event::NetcdfRetry => (Counted(&NETCDF_RETRIES, One), 0, 0, 0),
             Event::NetcdfHyperslab => (Counted(&NETCDF_HYPERSLABS, One), 0, 0, 0),
         }
     }
@@ -390,10 +384,6 @@ quantities! {
         "Speculatively loaded chunks discarded without ever being consumed.");
     FAULTS_INJECTED = new("chaos.injected:", "aql_store_chaos_injected_total",
         "Faults injected by FaultyChunkSource (errors, corruption, latency).");
-    NETCDF_FAULTS = new("netcdf.faults", "aql_netcdf_faults_total",
-        "NetCDF I/O operations that returned an error (pre-retry).");
-    NETCDF_RETRIES = new("netcdf.retries", "aql_netcdf_retries_total",
-        "NetCDF I/O attempts retried after a transient error.");
     NETCDF_HYPERSLABS = new("netcdf.hyperslab_requests", "aql_netcdf_hyperslab_requests_total",
         "Hyperslab read requests issued to NetCDF sources.");
     STATEMENTS = new("", "aql_session_statements_total",
@@ -517,8 +507,6 @@ mod tests {
             Event::PrefetchHit,
             Event::PrefetchWasted { src },
             Event::FaultInjected { kind: "transient" },
-            Event::NetcdfFault,
-            Event::NetcdfRetry,
             Event::NetcdfHyperslab,
         ]
     }

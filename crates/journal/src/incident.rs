@@ -18,6 +18,60 @@ use crate::Journal;
 /// Incident file schema version. Bump on breaking layout changes.
 pub const SCHEMA_VERSION: u64 = 1;
 
+/// The class of a failed statement, the one vocabulary every view of a
+/// failure speaks (DESIGN.md §12): the error value names it
+/// (`LangError::class` → `EvalError::class` → `StoreError::error_class`);
+/// the ring's `StmtEnd` label, the incident's `class` and `\doctor`
+/// carry the name unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorClass {
+    /// A retryable read failure that outlasted its retry budget.
+    TransientIo,
+    /// Bytes that contradict their own metadata or checksum.
+    Corruption,
+    /// The source cannot be read: a persistent I/O failure, or its
+    /// circuit breaker is open.
+    Unavailable,
+    /// A governor, element or step budget was exhausted.
+    ResourceExhausted,
+    /// The statement's deadline expired.
+    Deadline,
+    /// The statement was cancelled.
+    Cancelled,
+    /// The rewrite-soundness gate rejected the statement.
+    Unsound,
+    /// Any other failure: the program, the request or an extension.
+    Error,
+}
+
+impl ErrorClass {
+    /// Every class, in declaration order.
+    pub const ALL: [ErrorClass; 8] = {
+        use ErrorClass::*;
+        [TransientIo, Corruption, Unavailable, ResourceExhausted, Deadline, Cancelled, Unsound, Error]
+    };
+
+    /// Stable name: the `StmtEnd` label, the incident's `class`, the
+    /// doctor's `fault class:` line.
+    pub fn name(self) -> &'static str {
+        match self {
+            ErrorClass::TransientIo => "transient-io",
+            ErrorClass::Corruption => "corruption",
+            ErrorClass::Unavailable => "unavailable",
+            ErrorClass::ResourceExhausted => "resource-exhausted",
+            ErrorClass::Deadline => "deadline",
+            ErrorClass::Cancelled => "cancelled",
+            ErrorClass::Unsound => "unsound",
+            ErrorClass::Error => "error",
+        }
+    }
+
+    /// Parse a name; `None` for anything else (`ok` included).
+    pub fn from_name(name: &str) -> Option<ErrorClass> {
+        ErrorClass::ALL.into_iter().find(|c| c.name() == name)
+    }
+}
+
 /// Why an incident was dumped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IncidentKind {
@@ -44,13 +98,8 @@ impl IncidentKind {
 
     /// Parse a wire name.
     pub fn from_name(name: &str) -> Option<IncidentKind> {
-        Some(match name {
-            "error" => IncidentKind::Error,
-            "resource_exhausted" => IncidentKind::ResourceExhausted,
-            "breaker_trip" => IncidentKind::BreakerTrip,
-            "slow" => IncidentKind::Slow,
-            _ => return None,
-        })
+        use IncidentKind::*;
+        [Error, ResourceExhausted, BreakerTrip, Slow].into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -70,6 +119,9 @@ pub struct Incident {
     pub dur_ns: u64,
     /// The error message, when the outcome was an error.
     pub error: Option<String>,
+    /// The error's class, when the outcome was an error (`None` also
+    /// for a dump written before the member existed).
+    pub class: Option<ErrorClass>,
     /// The flight recorder's last-N-events window at dump time.
     pub events: Journal,
     /// The statement's resource attribution ledger.
@@ -82,7 +134,7 @@ pub struct Incident {
 impl Incident {
     /// The incident as a JSON value.
     pub fn to_json_value(&self) -> Json {
-        let mut fields = vec![
+        Json::Obj(vec![
             (
                 "schema_version".to_string(),
                 Json::Num(SCHEMA_VERSION as f64),
@@ -99,25 +151,31 @@ impl Incident {
                     None => Json::Null,
                 },
             ),
-            ("events".to_string(), self.events.to_json_value()),
-        ];
-        fields.push((
-            "attribution".to_string(),
-            match &self.attribution {
-                Some(l) => l.to_json_value(),
-                None => Json::Null,
-            },
-        ));
-        fields.push((
-            "metrics_delta".to_string(),
-            Json::Obj(
-                self.metrics_delta
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                    .collect(),
+            (
+                "class".to_string(),
+                match self.class {
+                    Some(c) => Json::Str(c.name().to_string()),
+                    None => Json::Null,
+                },
             ),
-        ));
-        Json::Obj(fields)
+            ("events".to_string(), self.events.to_json_value()),
+            (
+                "attribution".to_string(),
+                match &self.attribution {
+                    Some(l) => l.to_json_value(),
+                    None => Json::Null,
+                },
+            ),
+            (
+                "metrics_delta".to_string(),
+                Json::Obj(
+                    self.metrics_delta
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
+                        .collect(),
+                ),
+            ),
+        ])
     }
 
     /// Serialize to a JSON string.
@@ -155,21 +213,15 @@ impl Incident {
                 metrics_delta.push((k.clone(), v.as_u64().unwrap_or(0)));
             }
         }
+        let text = |key: &str| j.get(key).and_then(Json::as_str).map(str::to_string);
         Ok(Incident {
             kind,
             seq: j.get("seq").and_then(Json::as_u64).unwrap_or(0),
-            stmt_hash: j
-                .get("stmt_hash")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-            stmt_kind: j
-                .get("stmt_kind")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
+            stmt_hash: text("stmt_hash").unwrap_or_default(),
+            stmt_kind: text("stmt_kind").unwrap_or_default(),
             dur_ns: j.get("dur_ns").and_then(Json::as_u64).unwrap_or(0),
-            error: j.get("error").and_then(Json::as_str).map(str::to_string),
+            error: text("error"),
+            class: text("class").as_deref().and_then(ErrorClass::from_name),
             events,
             attribution,
             metrics_delta,
@@ -254,6 +306,7 @@ mod tests {
             stmt_kind: "query".to_string(),
             dur_ns: 1_000_000,
             error: Some("storage: injected transient fault".to_string()),
+            class: Some(ErrorClass::TransientIo),
             events: Journal {
                 events: vec![Record {
                     thread: 1,
@@ -268,6 +321,16 @@ mod tests {
             attribution: Some(ledger),
             metrics_delta: vec![("aql_store_chunk_retries_total".to_string(), 3)],
         }
+    }
+
+    #[test]
+    fn classes_round_trip_and_a_dump_without_one_still_loads() {
+        for c in ErrorClass::ALL {
+            assert_eq!(ErrorClass::from_name(c.name()), Some(c));
+        }
+        assert_eq!(ErrorClass::from_name("ok"), None);
+        let old = sample().to_json().replacen("\"class\":\"transient-io\",", "", 1);
+        assert_eq!(Incident::from_json(&old).expect("parse").class, None);
     }
 
     #[test]

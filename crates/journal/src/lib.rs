@@ -60,6 +60,7 @@ pub mod event;
 pub mod incident;
 
 pub use event::{emit, Event};
+pub use incident::ErrorClass;
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;

@@ -2,22 +2,24 @@
 //! reads.
 //!
 //! An [`NcChunkSource`] binds one variable of one dataset and serves
-//! `aql-store` chunk requests through the existing
-//! [`read_slab_retrying`] path: a
-//! fresh source is opened per attempt, transient I/O errors are
-//! retried with bounded backoff, and the resulting typed values are
-//! widened to `f64` (the drivers' "numeric external types widen to
-//! `real`" policy). The source carries a *base offset* so a lazy
-//! array over a subslab `(lo, hi)` addresses its chunks in subslab
-//! coordinates while the file is read in absolute coordinates.
+//! each `aql-store` chunk request with one open, one header parse and
+//! one hyperslab read — a failed request leaves no partial reader
+//! state behind, and whether it is tried again is the caller's
+//! business ([`aql_store::ResilientSource`] in every bound reader).
+//! The typed values are widened to `f64` (the drivers' "numeric
+//! external types widen to `real`" policy). The source carries a *base
+//! offset* so a lazy array over a subslab `(lo, hi)` addresses its
+//! chunks in subslab coordinates while the file is read in absolute
+//! coordinates.
 
 use std::marker::PhantomData;
 
+use aql_journal::{emit, Event};
 use aql_store::{ChunkSource, ScalarBuf, StoreError};
 
-use crate::driver::read_slab_retrying;
 use crate::io::IoSource;
 use crate::model::{NcError, NcValues};
+use crate::read::SlabReader;
 
 /// Translate a NetCDF substrate error into a storage error, keeping
 /// the transient/corrupt classification.
@@ -46,8 +48,8 @@ fn values_to_buf(vals: &NcValues) -> Result<ScalarBuf, StoreError> {
 }
 
 /// A chunk source reading one NetCDF variable through an
-/// open-per-attempt factory (so retries never see partial reader
-/// state).
+/// open-per-request factory (so a retried request never sees partial
+/// reader state).
 pub struct NcChunkSource<S, F> {
     open: F,
     var: String,
@@ -81,7 +83,12 @@ where
             )));
         }
         let abs: Vec<u64> = start.iter().zip(&self.base).map(|(&s, &b)| s + b).collect();
-        let vals = read_slab_retrying(&mut self.open, &self.var, &abs, count)
+        let _span = aql_trace::span("netcdf.hyperslab");
+        emit(Event::NetcdfHyperslab);
+        aql_trace::note("var", || self.var.clone());
+        let vals = (self.open)()
+            .and_then(SlabReader::from_source)
+            .and_then(|mut reader| reader.read_slab(&self.var, &abs, count))
             .map_err(nc_to_store)?;
         values_to_buf(&vals)
     }
@@ -90,6 +97,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    use aql_store::{BreakerState, FaultClass, ResiliencePolicy, ResilientSource};
+
     use crate::format::{NcType, VERSION_CLASSIC};
     use crate::io::{FaultPlan, FaultyIo};
     use crate::model::NcFile;
@@ -124,14 +136,17 @@ mod tests {
         assert_eq!(buf, ScalarBuf::F64(vec![5.0, 6.0, 9.0, 10.0]));
     }
 
-    #[test]
-    fn transient_faults_retry_per_chunk() {
+    /// A source whose first `flaky` opens meet a transient fault on
+    /// their first read, counting opens.
+    fn flaky_source(
+        flaky: u32,
+        opens: Rc<Cell<u32>>,
+    ) -> impl ChunkSource {
         let bytes = sample_bytes();
-        let mut attempts = 0u32;
-        let mut src = NcChunkSource::new(
+        NcChunkSource::new(
             move || {
-                attempts += 1;
-                let plan = if attempts == 1 {
+                opens.set(opens.get() + 1);
+                let plan = if opens.get() <= flaky {
                     FaultPlan::new().transient_at(0)
                 } else {
                     FaultPlan::new()
@@ -140,9 +155,53 @@ mod tests {
             },
             "v",
             vec![0, 0],
+        )
+    }
+
+    #[test]
+    fn a_request_is_one_open_and_the_store_is_what_retries() {
+        // Bare, the source reads once and hands the fault up …
+        let opens = Rc::new(Cell::new(0));
+        let mut bare = flaky_source(1, Rc::clone(&opens));
+        let fault = bare.read_chunk(&[2, 0], &[1, 4]).unwrap_err();
+        assert_eq!(fault.class(), FaultClass::Retryable);
+        assert_eq!(opens.get(), 1);
+        // … wrapped the way every reader binds it, one fault then a
+        // clean source heals inside one `read_chunk`.
+        let opens = Rc::new(Cell::new(0));
+        let mut src = ResilientSource::new(
+            flaky_source(1, Rc::clone(&opens)),
+            "netcdf:v",
+            ResiliencePolicy::default(),
         );
         let buf = src.read_chunk(&[2, 0], &[1, 4]).unwrap();
         assert_eq!(buf, ScalarBuf::F64(vec![8.0, 9.0, 10.0, 11.0]));
+        assert_eq!((opens.get(), src.retries()), (2, 1));
+    }
+
+    #[test]
+    fn a_source_that_keeps_failing_is_opened_once_per_attempt() {
+        // `attempts: 3` is three opens, every failed read is one retry
+        // event or the final error, and every failed read is one step
+        // of the breaker's streak: threshold 5 trips on the fifth read,
+        // in the second call. (A retry loop in this crate, under the
+        // store's, would multiply all three.)
+        let opens = Rc::new(Cell::new(0));
+        let mut src = ResilientSource::new(
+            flaky_source(u32::MAX, Rc::clone(&opens)),
+            "netcdf:v",
+            ResiliencePolicy::default(),
+        );
+        aql_trace::enable();
+        let err = src.read_chunk(&[0, 0], &[1, 4]).unwrap_err();
+        let trace = aql_trace::disable();
+        assert!(matches!(err, StoreError::Io { transient: true, .. }), "{err}");
+        assert_eq!(opens.get(), 3);
+        assert_eq!((trace.total_counter("chunks.retries"), src.retries()), (2, 2));
+        assert_eq!(src.breaker().unwrap().state(), BreakerState::Closed);
+        assert!(src.read_chunk(&[0, 0], &[1, 4]).is_err());
+        assert_eq!(opens.get(), 5, "the trip ends the second call's loop");
+        assert_eq!(src.breaker().unwrap().state(), BreakerState::Open);
     }
 
     #[test]

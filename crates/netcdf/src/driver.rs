@@ -12,63 +12,60 @@
 //! (no textual exchange step). Numeric external types are widened to
 //! `real`.
 //!
-//! Transient I/O failures (timeouts, interrupted calls — see
-//! [`crate::model::NcError::is_transient`]) are retried with bounded
-//! exponential backoff via [`crate::io::retry`]; each attempt reopens
-//! the source so no partial state leaks between attempts. Persistent
-//! failures propagate immediately with their original context.
+//! Nothing below the chunk source retries. A bound array's chunk reads
+//! go through the `aql-store` resilience stack ([`ResilientSource`]:
+//! the one retry loop, interruptible backoff, the breaker); the one
+//! header read a bind makes is tried again on the same [`RetryPolicy`].
+//! An I/O or corruption failure met while binding is the same typed
+//! storage error a subscript would report for it.
 
 use std::rc::Rc;
 
 use aql_core::types::Type;
 use aql_core::value::{ArrayVal, Value};
-use aql_journal::{emit, Event};
 use aql_lang::errors::LangError;
 use aql_lang::reader::Reader;
 use aql_lang::session::Session;
 
 use aql_store::{
     ChunkFaultPlan, ChunkLayout, ChunkSource, FaultyChunkSource, LazyArray, ResiliencePolicy,
-    ResilientSource, ScalarKind,
+    ResilientSource, RetryPolicy, ScalarKind, StoreError,
 };
 
-use crate::chunk::NcChunkSource;
-use crate::io::{retry, IoSource};
-use crate::model::{NcError, NcValues};
+use crate::chunk::{nc_to_store, NcChunkSource};
+use crate::model::NcError;
 use crate::read::SlabReader;
 
-/// Read a hyperslab through a freshly-opened source per attempt,
-/// retrying transient I/O errors with bounded backoff. `open` is
-/// called once per attempt so a failed attempt leaves no partial
-/// reader state behind. Exposed so tests can drive the retry loop
-/// with instrumented sources ([`crate::io::FaultyIo`]).
-pub fn read_slab_retrying<S, F>(
-    mut open: F,
-    var: &str,
-    start: &[u64],
-    count: &[u64],
-) -> Result<NcValues, NcError>
-where
-    S: IoSource,
-    F: FnMut() -> Result<S, NcError>,
-{
-    let _span = aql_trace::span("netcdf.hyperslab");
-    emit(Event::NetcdfHyperslab);
-    aql_trace::note("var", || var.to_string());
-    // Bound sources get retry events from the resilience stack; this
-    // loop retries below it (and is all a raw `resilience: None`
-    // binding has), so it emits its own — `\doctor`'s retry timeline
-    // covers both.
-    let mut attempt: u64 = 0;
-    retry(|| {
-        attempt += 1;
-        if attempt > 1 {
-            let src = aql_journal::intern(&format!("netcdf:{var}"));
-            emit(Event::Retry { src, attempt });
+/// A substrate failure met while binding, classified as a chunk read
+/// classifies it: an I/O or corruption error keeps its storage type (the
+/// statement fails as it would had a subscript met it); anything else
+/// says the request and the file disagree.
+fn bind_err(who: &str, e: NcError) -> LangError {
+    match nc_to_store(e) {
+        StoreError::Shape(message) => LangError::session(format!("{who}: {message}")),
+        storage => storage.into(),
+    }
+}
+
+/// Open `file` and parse its header for a bind-time check. A transient
+/// I/O error is tried again on `retry`'s schedule, sleeping
+/// interruptibly (un-jittered: one bind is no herd); `None` — a reader
+/// bound raw — makes one attempt.
+fn open_header(
+    who: &str,
+    file: &str,
+    retry: Option<&RetryPolicy>,
+) -> Result<SlabReader<std::io::BufReader<std::fs::File>>, LangError> {
+    let mut attempt = 1;
+    loop {
+        match (SlabReader::open(file), retry) {
+            (Err(e), Some(retry)) if e.is_transient() && attempt < retry.attempts => {
+                attempt += 1;
+                aql_store::interrupt::sleep(retry.backoff(attempt, 0.5))?;
+            }
+            (opened, _) => return opened.map_err(|e| bind_err(who, e)),
         }
-        let mut reader = SlabReader::from_source(open()?)?;
-        reader.read_slab(var, start, count)
-    })
+    }
 }
 
 /// Target chunk size for lazily bound variables, in elements: 4096
@@ -178,8 +175,10 @@ impl Reader for NetcdfSlabReader {
         // Validate the binding against the header up front, so a bad
         // file / variable / bound fails at `readval` time (a lazy
         // array must not defer *request* errors to first touch).
-        let sess_err = |e: NcError| LangError::session(format!("NETCDF{k}: {e}"));
-        let reader = retry(|| SlabReader::open(&file)).map_err(sess_err)?;
+        let who = format!("NETCDF{k}");
+        let sess_err = |e: NcError| bind_err(&who, e);
+        let retry = self.resilience.as_ref().map(|policy| &policy.retry);
+        let reader = open_header(&who, &file, retry)?;
         let meta = reader.header.find(&varname).map_err(sess_err)?;
         if meta.var.ty == crate::format::NcType::Char {
             return Err(LangError::session(format!(
@@ -226,8 +225,7 @@ impl Reader for NetcdfSlabReader {
         }
         let lazy =
             LazyArray::labeled(layout, ScalarKind::F64, source, self.cache_budget, label);
-        let arr = ArrayVal::lazy(lazy)
-            .map_err(|e| LangError::session(format!("NETCDF{k}: {e}")))?;
+        let arr = ArrayVal::lazy(lazy)?;
         Ok((Value::Array(Rc::new(arr)), Some(Type::array(Type::Real, k))))
     }
 }
@@ -246,14 +244,10 @@ impl Reader for NetcdfInfoReader {
                 )))
             }
         };
-        let reader = retry(|| SlabReader::open(&file))
-            .map_err(|e| LangError::session(format!("NETCDFINFO: {e}")))?;
+        let reader = open_header("NETCDFINFO", &file, Some(&RetryPolicy::default()))?;
         let mut rows = Vec::new();
         for m in &reader.header.vars {
-            let shape = reader
-                .header
-                .shape(&m.var)
-                .map_err(|e| LangError::session(format!("NETCDFINFO: {e}")))?;
+            let shape = reader.header.shape(&m.var).map_err(|e| bind_err("NETCDFINFO", e))?;
             let dims = Value::array1(shape.into_iter().map(Value::Nat).collect());
             rows.push(Value::tuple(vec![Value::str(&m.var.name), dims]));
         }
@@ -499,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn transient_faults_recover_via_retry() {
+    fn a_retry_is_journaled_once_under_the_variables_label() {
         use crate::io::{FaultPlan, FaultyIo};
         use crate::write::to_bytes;
         let mut f = NcFile::new();
@@ -507,84 +501,85 @@ mod tests {
         f.add_var("v", vec![x], NcType::Int, vec![], NcValues::Int(vec![1, 2, 3, 4])).unwrap();
         let bytes = to_bytes(&f, VERSION_CLASSIC).unwrap();
 
-        // First attempt hits an injected transient error; the retry
-        // reopens a clean source and succeeds.
-        let mut attempts = 0;
-        let vals = read_slab_retrying(
-            || {
-                attempts += 1;
-                let plan = if attempts == 1 {
-                    FaultPlan::new().transient_at(0)
-                } else {
-                    FaultPlan::new()
-                };
+        // The first open hits an injected transient error; the stack
+        // the reader binds retries, reopening a clean source.
+        let mut opens = 0;
+        let nc = NcChunkSource::new(
+            move || {
+                opens += 1;
+                let plan =
+                    if opens == 1 { FaultPlan::new().transient_at(0) } else { FaultPlan::new() };
                 Ok(FaultyIo::new(std::io::Cursor::new(bytes.clone()), plan))
             },
             "v",
-            &[1],
-            &[2],
-        )
-        .unwrap();
-        assert_eq!(vals, NcValues::Int(vec![2, 3]));
-        assert_eq!(attempts, 2);
-
-        // The retried attempt must land in the flight recorder with
-        // the variable's label, so `\doctor` can see this loop's
-        // retries, not just the resilience stack's.
-        let snap = aql_journal::snapshot();
-        assert!(
-            snap.events.iter().any(|e| {
-                e.tag == aql_journal::Tag::Retry && e.a == 2 && e.label_str() == "netcdf:v"
-            }),
-            "hyperslab retry missing from the journal: {:?}",
-            snap.events
+            vec![1],
         );
+        let label = "netcdf:t_driver_retry";
+        let mut src = ResilientSource::new(nc, label, ResiliencePolicy::default());
+        let vals = src.read_chunk(&[0], &[2]).unwrap();
+        assert_eq!(vals, aql_store::ScalarBuf::F64(vec![2.0, 3.0]));
+
+        // One retry, one record: `\doctor`'s timeline and the ledger
+        // count what happened, once.
+        let mine: Vec<_> = aql_journal::snapshot()
+            .events
+            .into_iter()
+            .filter(|e| e.tag == aql_journal::Tag::Retry && e.label_str() == label)
+            .collect();
+        assert_eq!(mine.iter().map(|e| e.a).collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
-    fn persistent_faults_fail_after_bounded_attempts() {
-        use crate::io::{FaultPlan, FaultyIo, RETRY_ATTEMPTS};
+    fn a_persistent_fault_is_one_read_with_its_context_kept() {
+        use crate::io::{FaultPlan, FaultyIo};
         use crate::write::to_bytes;
         let mut f = NcFile::new();
         let x = f.add_dim("x", 2);
         f.add_var("v", vec![x], NcType::Int, vec![], NcValues::Int(vec![7, 8])).unwrap();
         let bytes = to_bytes(&f, VERSION_CLASSIC).unwrap();
 
-        // Every read fails transiently: the retry loop must give up
-        // after its bounded attempt budget with the original context.
-        let mut attempts = 0u32;
-        let err = read_slab_retrying(
-            || {
-                attempts += 1;
-                let plan = FaultPlan::new().transient_at(0).transient_at(1).transient_at(2);
-                Ok(FaultyIo::new(std::io::Cursor::new(bytes.clone()), plan))
+        let opens = Rc::new(std::cell::Cell::new(0u32));
+        let counted = Rc::clone(&opens);
+        let nc = NcChunkSource::new(
+            move || {
+                counted.set(counted.get() + 1);
+                let dead = FaultPlan::new().persistent_from(0);
+                Ok(FaultyIo::new(std::io::Cursor::new(bytes.clone()), dead))
             },
             "v",
-            &[0],
-            &[2],
-        )
-        .unwrap_err();
-        assert_eq!(attempts, RETRY_ATTEMPTS);
-        assert!(err.is_transient(), "final error keeps its classification: {err}");
-
-        // Non-transient failures are not retried at all.
-        let mut attempts = 0u32;
-        let err = read_slab_retrying(
-            || {
-                attempts += 1;
-                Ok(FaultyIo::new(
-                    std::io::Cursor::new(bytes.clone()),
-                    FaultPlan::new().persistent_from(0),
-                ))
-            },
-            "v",
-            &[0],
-            &[2],
-        )
-        .unwrap_err();
-        assert_eq!(attempts, 1);
-        assert!(!err.is_transient());
+            vec![0],
+        );
+        let mut src = ResilientSource::new(nc, "netcdf:v", ResiliencePolicy::default());
+        let err = src.read_chunk(&[0], &[2]).unwrap_err();
+        assert_eq!(opens.get(), 1, "a non-transient failure is not retried at all");
+        assert_eq!(err.class(), aql_store::FaultClass::Fatal);
         assert!(err.to_string().contains("injected persistent"), "context kept: {err}");
+    }
+
+    #[test]
+    fn a_bind_time_io_failure_is_the_typed_storage_error() {
+        use aql_core::error::EvalError;
+        use aql_store::StoreError;
+        let arg = Value::tuple(vec![
+            Value::str("/nonexistent/aql-ncdriver.nc"),
+            Value::str("temp"),
+            Value::tuple(vec![Value::Nat(0), Value::Nat(0)]),
+            Value::tuple(vec![Value::Nat(1), Value::Nat(1)]),
+        ]);
+        for err in [
+            NetcdfSlabReader::lazy(2).read(&arg).unwrap_err(),
+            NetcdfInfoReader.read(&Value::str("/nonexistent/aql-ncdriver.nc")).unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    &err,
+                    LangError::Eval(EvalError::Storage(e))
+                        if matches!(**e, StoreError::Io { transient: false, .. })
+                ),
+                "{err:?}"
+            );
+            assert_eq!(err.class(), aql_journal::ErrorClass::Unavailable);
+        }
     }
 
     #[test]

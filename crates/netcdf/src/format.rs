@@ -16,8 +16,6 @@ pub const NC_DIMENSION: u32 = 0x0A;
 pub const NC_VARIABLE: u32 = 0x0B;
 /// Tag introducing an attribute list.
 pub const NC_ATTRIBUTE: u32 = 0x0C;
-/// The `numrecs` value meaning "streaming" (record count unknown).
-pub const STREAMING: u32 = 0xFFFF_FFFF;
 
 /// The external data types of the classic format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

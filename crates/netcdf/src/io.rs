@@ -10,20 +10,15 @@
 //! [`FaultPlan`] of short reads, premature EOFs, transient
 //! (retryable) errors, persistent errors, and byte corruption. It
 //! exists so tests can drive the error paths of the parser and the
-//! drivers' retry loop deterministically; production code never
+//! store's retry loop deterministically; production code never
 //! constructs one.
 //!
-//! [`retry`] is the bounded retry-with-backoff loop the drivers use:
-//! only errors classified transient ([`NcError::is_transient`]) are
-//! retried, everything else propagates immediately.
+//! Nothing here retries: an I/O failure is classified once
+//! ([`crate::model::NcError::is_transient`]) and handed up, and the one retry loop
+//! over chunk reads is `aql_store::ResilientSource`'s (DESIGN.md §12).
 
 use std::fs::File;
 use std::io::{self, BufReader, Cursor, Read, Seek, SeekFrom};
-use std::time::Duration;
-
-use aql_journal::{emit, Event};
-
-use crate::model::NcError;
 
 /// A seekable byte source with a known total length.
 ///
@@ -189,134 +184,10 @@ impl<S: IoSource> IoSource for FaultyIo<S> {
     }
 }
 
-/// How many attempts [`retry`] makes before giving up on transient
-/// errors, under the default [`RetryConfig`].
-pub const RETRY_ATTEMPTS: u32 = 3;
-
-/// The retry schedule for the drivers' byte-level I/O loop.
-///
-/// Attempt `k` (0-based) that fails transiently sleeps
-/// `min(base · 2^k, max)`, scaled by a uniform random factor in
-/// `[1 − jitter, 1 + jitter]`. `jitter = 0` (the default) reproduces
-/// the historical fixed exponential schedule byte-for-byte; a nonzero
-/// jitter decorrelates concurrent retry storms against a shared
-/// backend.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryConfig {
-    /// Total attempts (the first try counts; min 1).
-    pub attempts: u32,
-    /// Backoff after the first failed attempt.
-    pub base: Duration,
-    /// Cap on any single backoff sleep.
-    pub max: Duration,
-    /// Jitter fraction in `[0, 1)`; `0` disables jitter.
-    pub jitter: f64,
-}
-
-impl Default for RetryConfig {
-    fn default() -> RetryConfig {
-        RetryConfig {
-            attempts: RETRY_ATTEMPTS,
-            base: Duration::from_millis(1),
-            max: Duration::from_millis(64),
-            jitter: 0.0,
-        }
-    }
-}
-
-/// The process-wide config [`retry`] uses. An `RwLock` (not an
-/// `AtomicCell`) because reads vastly outnumber writes and the
-/// structure has four fields.
-static CONFIG: std::sync::RwLock<RetryConfig> = std::sync::RwLock::new(RetryConfig {
-    attempts: RETRY_ATTEMPTS,
-    base: Duration::from_millis(1),
-    max: Duration::from_millis(64),
-    jitter: 0.0,
-});
-
-/// Sequence for deriving per-call jitter seeds without consulting the
-/// clock (deterministic across runs for a fixed call order).
-static JITTER_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Replace the process-wide retry configuration used by [`retry`].
-/// `attempts` is clamped to at least 1.
-pub fn set_retry_config(config: RetryConfig) {
-    let mut guard = CONFIG.write().expect("retry config lock");
-    *guard = RetryConfig { attempts: config.attempts.max(1), ..config };
-}
-
-/// The current process-wide retry configuration.
-pub fn retry_config() -> RetryConfig {
-    *CONFIG.read().expect("retry config lock")
-}
-
-/// Run `op` with bounded retry under the process-wide [`RetryConfig`]
-/// (see [`set_retry_config`]): transient errors are retried with
-/// exponential, optionally jittered backoff; non-transient errors
-/// propagate immediately. The final transient error (if attempts run
-/// out) is returned as-is, still carrying its message.
-/// Each fault observed bumps `netcdf.faults` and each retried attempt
-/// bumps `netcdf.retries` on the active `aql-trace` span, so a
-/// profiled query shows how much of its I/O time went to recovery.
-pub fn retry<T>(op: impl FnMut() -> Result<T, NcError>) -> Result<T, NcError> {
-    retry_with(retry_config(), op)
-}
-
-/// [`retry`] under an explicit configuration (callers that need a
-/// schedule different from the process-wide one).
-pub fn retry_with<T>(
-    config: RetryConfig,
-    mut op: impl FnMut() -> Result<T, NcError>,
-) -> Result<T, NcError> {
-    let attempts = config.attempts.max(1);
-    let mut rng: Option<rand::rngs::StdRng> = None;
-    let mut attempt = 0;
-    loop {
-        match op() {
-            Err(e) if e.is_transient() && attempt + 1 < attempts => {
-                emit(Event::NetcdfFault);
-                emit(Event::NetcdfRetry);
-                std::thread::sleep(backoff(config, attempt, &mut rng));
-                attempt += 1;
-            }
-            other => {
-                if other.is_err() {
-                    emit(Event::NetcdfFault);
-                }
-                return other;
-            }
-        }
-    }
-}
-
-/// The sleep before retrying after failed attempt `attempt` (0-based).
-/// The jitter RNG is created lazily on the first jittered sleep so the
-/// (far more common) jitter-free path never touches the sequence
-/// counter.
-fn backoff(
-    config: RetryConfig,
-    attempt: u32,
-    rng: &mut Option<rand::rngs::StdRng>,
-) -> Duration {
-    let raw = config
-        .base
-        .saturating_mul(1u32 << attempt.min(20))
-        .min(config.max);
-    if config.jitter <= 0.0 {
-        return raw;
-    }
-    use rand::{Rng, SeedableRng};
-    let rng = rng.get_or_insert_with(|| {
-        let n = JITTER_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        rand::rngs::StdRng::seed_from_u64(n ^ 0x6E63_6466_6A74_7221)
-    });
-    let factor = rng.gen_range(1.0 - config.jitter..1.0 + config.jitter);
-    raw.mul_f64(factor.max(0.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::NcError;
 
     fn src(bytes: &[u8]) -> Cursor<Vec<u8>> {
         Cursor::new(bytes.to_vec())
@@ -384,94 +255,5 @@ mod tests {
         let mut one = [0u8; 1];
         f.read_exact(&mut one).unwrap();
         assert_eq!(one[0], b'c' ^ 0xFF);
-    }
-
-    #[test]
-    fn retry_recovers_from_transient_and_respects_bound() {
-        // Succeeds on the 3rd attempt: two transient failures allowed.
-        let mut calls = 0;
-        let out = retry(|| {
-            calls += 1;
-            if calls < 3 {
-                Err(NcError::Io { message: "flaky".into(), transient: true })
-            } else {
-                Ok(calls)
-            }
-        });
-        assert_eq!(out, Ok(3));
-
-        // Persistent transient failure: gives up after RETRY_ATTEMPTS.
-        let mut calls = 0;
-        let out: Result<(), _> = retry(|| {
-            calls += 1;
-            Err(NcError::Io { message: "always down".into(), transient: true })
-        });
-        assert_eq!(calls, RETRY_ATTEMPTS);
-        assert!(matches!(out, Err(NcError::Io { transient: true, .. })));
-
-        // Non-transient errors are not retried.
-        let mut calls = 0;
-        let out: Result<(), _> = retry(|| {
-            calls += 1;
-            Err(NcError::io("disk on fire"))
-        });
-        assert_eq!(calls, 1);
-        assert!(matches!(out, Err(NcError::Io { transient: false, .. })));
-    }
-
-    #[test]
-    fn retry_with_controls_attempt_count() {
-        let cfg = RetryConfig { attempts: 5, base: Duration::ZERO, ..RetryConfig::default() };
-        let mut calls = 0;
-        let out: Result<(), _> = retry_with(cfg, || {
-            calls += 1;
-            Err(NcError::Io { message: "always down".into(), transient: true })
-        });
-        assert_eq!(calls, 5);
-        assert!(out.is_err());
-        // attempts is clamped to at least one call.
-        let cfg = RetryConfig { attempts: 0, ..RetryConfig::default() };
-        let mut calls = 0;
-        let _ = retry_with(cfg, || -> Result<(), _> {
-            calls += 1;
-            Err(NcError::io("nope"))
-        });
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn backoff_jitter_band_and_exact_default() {
-        let cfg = RetryConfig {
-            base: Duration::from_millis(4),
-            max: Duration::from_millis(32),
-            jitter: 0.5,
-            ..RetryConfig::default()
-        };
-        let mut rng = None;
-        for attempt in 0..4 {
-            let raw = Duration::from_millis(4u64 << attempt).min(cfg.max);
-            let d = backoff(cfg, attempt, &mut rng);
-            assert!(d >= raw.mul_f64(0.5) && d <= raw.mul_f64(1.5), "{d:?} outside band of {raw:?}");
-        }
-        assert!(rng.is_some(), "jitter draws use the rng");
-        // Zero jitter reproduces the historical fixed schedule and
-        // never builds an rng.
-        let exact = RetryConfig::default();
-        let mut none = None;
-        assert_eq!(backoff(exact, 0, &mut none), Duration::from_millis(1));
-        assert_eq!(backoff(exact, 3, &mut none), Duration::from_millis(8));
-        assert!(none.is_none(), "no rng without jitter");
-    }
-
-    #[test]
-    fn retry_config_roundtrip() {
-        // Only mutate jitter: other tests in this binary observe call
-        // counts through the process-wide config, and jitter does not
-        // change them.
-        let orig = retry_config();
-        set_retry_config(RetryConfig { jitter: 0.25, ..orig });
-        assert_eq!(retry_config().jitter, 0.25);
-        set_retry_config(orig);
-        assert_eq!(retry_config(), orig);
     }
 }

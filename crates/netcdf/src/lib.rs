@@ -18,9 +18,11 @@
 //!   for the paper's 1995 NYC observations (see DESIGN.md for the
 //!   substitution rationale);
 //! * [`io`] — the injectable byte-source abstraction ([`io::IoSource`])
-//!   plus the fault-injection wrapper ([`io::FaultyIo`]) and the
-//!   bounded retry loop ([`io::retry`]) the drivers use for transient
-//!   I/O errors.
+//!   plus the fault-injection wrapper ([`io::FaultyIo`]);
+//! * [`chunk`] — [`chunk::NcChunkSource`], the `aql-store` chunk source
+//!   a bound variable is read through: one open and one hyperslab read
+//!   per request. No chunk read is retried here — the store's
+//!   resilience stack around the source does that (DESIGN.md §12).
 //!
 //! The parser is hardened against corrupt input: every declared
 //! count, length, and offset is validated against the actual source

@@ -21,8 +21,8 @@ pub enum NcError {
         message: String,
     },
     /// An I/O failure (message of the underlying error). `transient`
-    /// marks failures worth retrying (timeouts, interrupted calls);
-    /// drivers retry those with backoff and give up on the rest.
+    /// marks failures worth retrying (timeouts, interrupted calls): the
+    /// store's retry loop tries those again and gives up on the rest.
     Io {
         /// Message of the underlying I/O error.
         message: String,
@@ -42,11 +42,6 @@ impl NcError {
     /// A corruption error detected at byte `offset`.
     pub fn corrupt(offset: u64, message: impl Into<String>) -> NcError {
         NcError::Corrupt { offset, message: message.into() }
-    }
-
-    /// A non-transient I/O error.
-    pub fn io(message: impl Into<String>) -> NcError {
-        NcError::Io { message: message.into(), transient: false }
     }
 
     /// Would retrying the failed operation plausibly succeed?

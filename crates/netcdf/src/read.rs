@@ -575,12 +575,6 @@ pub fn from_bytes_full(bytes: Vec<u8>) -> Result<NcFile, NcError> {
     Ok(f)
 }
 
-/// Fully materialise a dataset from a file.
-pub fn read_file_full(path: impl AsRef<Path>) -> Result<NcFile, NcError> {
-    let bytes = std::fs::read(path)?;
-    from_bytes_full(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

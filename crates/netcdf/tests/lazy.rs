@@ -6,8 +6,9 @@
 //! * property tests — a lazily bound array must agree
 //!   element-for-element with `SlabReader::read_slab` over random
 //!   subslabs and chunk shapes, including edge chunks;
-//! * fault-injection tests — a `FaultyIo`-backed chunk source must
-//!   retry transient faults per chunk, propagate persistent and
+//! * fault-injection tests — a `FaultyIo`-backed chunk source, under
+//!   the resilience stack every reader binds it in, must heal a
+//!   transient fault within one chunk load, propagate persistent and
 //!   corrupt failures, and never poison chunks already cached.
 
 use std::cell::Cell;
@@ -22,7 +23,9 @@ use aql_netcdf::io::{FaultPlan, FaultyIo};
 use aql_netcdf::model::{NcFile, NcValues};
 use aql_netcdf::read::SlabReader;
 use aql_netcdf::write::to_bytes;
-use aql_store::{ChunkLayout, LazyArray, Scalar, ScalarKind, StoreError};
+use aql_store::{
+    ChunkLayout, LazyArray, ResiliencePolicy, ResilientSource, Scalar, ScalarKind, StoreError,
+};
 
 /// A 6×5×4 double variable with distinct values.
 fn sample_bytes() -> Vec<u8> {
@@ -106,6 +109,9 @@ fn transient_fault_retries_within_one_chunk_load() {
         "v",
         vec![0, 0, 0],
     );
+    // Bound the way the driver binds it: the store's stack is what
+    // retries, the source reads once per request.
+    let source = ResilientSource::new(source, "netcdf:v", ResiliencePolicy::default());
     let mut lazy = LazyArray::new(layout, ScalarKind::F64, Box::new(source), 1 << 16);
 
     assert_eq!(lazy.get(&[0, 0, 0]).unwrap(), Some(Scalar::F64(0.0)));
@@ -183,7 +189,7 @@ fn corrupt_header_fails_as_corrupt_not_cached() {
     // A mangled header surfaces as a non-transient storage failure
     // (corrupt or format, depending on where parsing trips), and the
     // cache records the failed load without caching anything.
-    assert!(!err.is_transient(), "got {err:?}");
+    assert_eq!(err.class(), aql_store::FaultClass::Fatal, "got {err:?}");
     let s = lazy.stats();
     assert_eq!((s.misses, s.load_errors, s.bytes_read), (1, 1, 0));
 }

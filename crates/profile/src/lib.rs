@@ -239,18 +239,32 @@ mod tests {
 
     #[test]
     fn sampler_captures_a_busy_thread() {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
+        use std::sync::mpsc;
+        // Publication is on for the whole test, so the worker's one
+        // span is there to be seen whenever a sampler looks.
+        livepath::publish_begin();
+        let (opened, wait_for_opened) = mpsc::channel();
+        let (release, wait_for_release) = mpsc::channel::<()>();
         let worker = thread::spawn(move || {
-            while !flag.load(Ordering::Relaxed) {
-                let _s = aql_trace::span("pf-busy-loop");
-                std::hint::black_box(0u64);
-            }
+            let _s = aql_trace::span("pf-busy-loop");
+            opened.send(()).expect("the test is waiting");
+            let _ = wait_for_release.recv();
         });
-        let profile = sample_for(Duration::from_millis(120), 997).expect("sampler");
-        stop.store(true, Ordering::SeqCst);
+        wait_for_opened.recv().expect("the span is open");
+        // The span outlives every sampler below, so one that ticked at
+        // all saw it. One stopped before its first tick — the only race
+        // left, and it decides nothing — is started again.
+        let profile = loop {
+            let sampler = Sampler::start(997).expect("sampler");
+            thread::sleep(Duration::from_millis(2));
+            let profile = sampler.stop();
+            if profile.ticks > 0 {
+                break profile;
+            }
+        };
+        release.send(()).expect("the worker is waiting");
         worker.join().expect("worker");
-        assert!(profile.ticks > 0);
+        livepath::publish_end();
         assert!(
             profile.folded().keys().any(|k| k.contains("pf-busy-loop")),
             "expected pf-busy-loop in {:?}",

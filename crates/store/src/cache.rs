@@ -379,7 +379,7 @@ mod tests {
         let mut c = ChunkCache::new(1024);
         c.get_or_load(0, || Ok(buf(4, 0.0))).unwrap();
         let err = c.get_or_load(1, || Err(StoreError::io("boom"))).unwrap_err();
-        assert!(!err.is_transient());
+        assert_eq!(err.class(), crate::FaultClass::Fatal);
         // Chunk 0 still hits; chunk 1 was never inserted.
         c.get_or_load(0, || panic!("0 still cached")).unwrap();
         let s = c.stats();

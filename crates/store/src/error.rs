@@ -17,6 +17,8 @@
 
 use std::fmt;
 
+pub use aql_journal::ErrorClass;
+
 /// The retry classification of a storage failure (DESIGN.md §12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
@@ -53,9 +55,8 @@ impl fmt::Display for Interrupt {
 ///
 /// The `transient` flag on [`StoreError::Io`] preserves the retry
 /// classification of the underlying driver (a timed-out read is worth
-/// retrying, a corrupt header is not); callers that hold their own
-/// retry loops can use [`StoreError::is_transient`] to decide, and
-/// [`StoreError::class`] gives the full retryable/fatal taxonomy.
+/// retrying, a corrupt header is not); [`StoreError::class`] is the
+/// retry decision, which only [`crate::ResilientSource`] acts on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// An I/O failure reported by the chunk source.
@@ -69,6 +70,11 @@ pub enum StoreError {
     /// (wrong chunk length, wrong element kind, corrupt framing, or a
     /// checksum mismatch that retries could not clear).
     Corrupt(String),
+    /// A payload whose checksum (`got`) is not the one its source
+    /// advertises (`want`). Retryable: the read path may be flaky; one
+    /// that outlasts its retries surfaces as [`StoreError::Corrupt`].
+    #[allow(missing_docs)]
+    ChecksumMismatch { got: u64, want: u64 },
     /// A request whose shape does not fit the layout (rank mismatch,
     /// out-of-bounds slab, zero chunk extent).
     Shape(String),
@@ -96,13 +102,6 @@ pub enum StoreError {
 }
 
 impl StoreError {
-    /// Is this failure worth retrying *immediately*? (Breaker
-    /// fast-fails are retryable only after the cool-down, so they
-    /// answer `false` here; see [`StoreError::class`].)
-    pub fn is_transient(&self) -> bool {
-        matches!(self, StoreError::Io { transient: true, .. })
-    }
-
     /// The retryable/fatal classification of this failure
     /// (DESIGN.md §12). Every variant maps to exactly one class:
     ///
@@ -111,20 +110,39 @@ impl StoreError {
     /// | `Io` transient  | retryable  | timeout/disconnect may clear      |
     /// | `Io` persistent | fatal      | the driver already classified it  |
     /// | `Corrupt`       | fatal      | surfaced only after retries       |
+    /// | `ChecksumMismatch` | retryable | the read path may be flaky       |
     /// | `Shape`         | fatal      | the request itself is wrong       |
     /// | `Budget`        | fatal      | for this statement; session lives |
     /// | `Unavailable`   | retryable  | after the breaker cool-down       |
     /// | `Interrupted`   | fatal      | the statement's limits fired      |
     pub fn class(&self) -> FaultClass {
         match self {
-            StoreError::Io { transient: true, .. } | StoreError::Unavailable { .. } => {
-                FaultClass::Retryable
-            }
+            StoreError::Io { transient: true, .. }
+            | StoreError::ChecksumMismatch { .. }
+            | StoreError::Unavailable { .. } => FaultClass::Retryable,
             StoreError::Io { transient: false, .. }
             | StoreError::Corrupt(_)
             | StoreError::Shape(_)
             | StoreError::Budget { .. }
             | StoreError::Interrupted(_) => FaultClass::Fatal,
+        }
+    }
+
+    /// What the journal, an incident and `\doctor` call this failure
+    /// (DESIGN.md §12) — not the retry decision, which is [`Self::class`].
+    pub fn error_class(&self) -> ErrorClass {
+        match self {
+            StoreError::Io { transient: true, .. } => ErrorClass::TransientIo,
+            // A read that will not succeed on retry and an open breaker
+            // are the same thing to the statement: no bytes to be had.
+            StoreError::Io { transient: false, .. } | StoreError::Unavailable { .. } => {
+                ErrorClass::Unavailable
+            }
+            StoreError::Corrupt(_) | StoreError::ChecksumMismatch { .. } => ErrorClass::Corruption,
+            StoreError::Shape(_) => ErrorClass::Error,
+            StoreError::Budget { .. } => ErrorClass::ResourceExhausted,
+            StoreError::Interrupted(Interrupt::Deadline) => ErrorClass::Deadline,
+            StoreError::Interrupted(Interrupt::Cancelled) => ErrorClass::Cancelled,
         }
     }
 
@@ -141,6 +159,10 @@ impl fmt::Display for StoreError {
                 write!(f, "storage I/O error{}: {message}", if *transient { " (transient)" } else { "" })
             }
             StoreError::Corrupt(m) => write!(f, "corrupt chunk data: {m}"),
+            StoreError::ChecksumMismatch { got, want } => write!(
+                f,
+                "chunk checksum mismatch: payload {got:#018x}, source says {want:#018x}"
+            ),
             StoreError::Shape(m) => write!(f, "storage shape error: {m}"),
             StoreError::Budget { requested, budget } => write!(
                 f,
@@ -165,29 +187,25 @@ mod tests {
 
     #[test]
     fn taxonomy_is_total_and_stable() {
+        use ErrorClass::*;
+        use FaultClass::{Fatal, Retryable};
+        let transient = StoreError::Io { message: "t".into(), transient: true };
+        let open = StoreError::Unavailable { source: "x".into(), retry_after_ms: 5 };
         let cases = [
-            (StoreError::Io { message: "t".into(), transient: true }, FaultClass::Retryable),
-            (StoreError::io("p"), FaultClass::Fatal),
-            (StoreError::Corrupt("c".into()), FaultClass::Fatal),
-            (StoreError::Shape("s".into()), FaultClass::Fatal),
-            (StoreError::Budget { requested: 8, budget: 4 }, FaultClass::Fatal),
-            (
-                StoreError::Unavailable { source: "x".into(), retry_after_ms: 5 },
-                FaultClass::Retryable,
-            ),
-            (StoreError::Interrupted(Interrupt::Deadline), FaultClass::Fatal),
-            (StoreError::Interrupted(Interrupt::Cancelled), FaultClass::Fatal),
+            (transient, Retryable, TransientIo),
+            (StoreError::io("p"), Fatal, Unavailable),
+            (StoreError::Corrupt("c".into()), Fatal, Corruption),
+            (StoreError::ChecksumMismatch { got: 1, want: 2 }, Retryable, Corruption),
+            (StoreError::Shape("s".into()), Fatal, Error),
+            (StoreError::Budget { requested: 8, budget: 4 }, Fatal, ResourceExhausted),
+            (open, Retryable, Unavailable),
+            (StoreError::Interrupted(Interrupt::Deadline), Fatal, Deadline),
+            (StoreError::Interrupted(Interrupt::Cancelled), Fatal, Cancelled),
         ];
-        for (e, class) in cases {
-            assert_eq!(e.class(), class, "classification of {e}");
+        for (e, retry, class) in cases {
+            assert_eq!(e.class(), retry, "retry decision for {e}");
+            assert_eq!(e.error_class(), class, "class of {e}");
             assert!(!e.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn transient_means_retry_now() {
-        assert!(StoreError::Io { message: "x".into(), transient: true }.is_transient());
-        assert!(!StoreError::Unavailable { source: "s".into(), retry_after_ms: 1 }.is_transient());
-        assert!(!StoreError::io("x").is_transient());
     }
 }

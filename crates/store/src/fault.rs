@@ -478,9 +478,9 @@ mod tests {
         };
         let mut src = FaultyChunkSource::new(ConstSource(7.0), plan);
         let e0 = src.read_chunk(&[0], &[4]).expect_err("op 0 transient");
-        assert!(e0.is_transient());
+        assert_eq!(e0.class(), crate::FaultClass::Retryable);
         let e1 = src.read_chunk(&[0], &[4]).expect_err("op 1 persistent");
-        assert!(!e1.is_transient());
+        assert_eq!(e1.class(), crate::FaultClass::Fatal);
         assert_eq!(src.injected(), 2);
     }
 

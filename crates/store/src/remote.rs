@@ -113,7 +113,10 @@ mod tests {
             ..ChunkFaultPlan::default()
         };
         let mut r = RemoteChunkSource::with_plan(mem4(), Duration::from_millis(1), plan);
-        assert!(r.read_chunk(&[0], &[4]).unwrap_err().is_transient());
+        assert!(matches!(
+            r.read_chunk(&[0], &[4]).unwrap_err(),
+            StoreError::Io { transient: true, .. }
+        ));
         assert!(r.read_chunk(&[0], &[4]).is_ok(), "op 1 is clean");
     }
 

@@ -73,14 +73,13 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The jittered backoff before attempt `next_attempt` (2-based).
-    fn backoff(&self, next_attempt: u32, rng: &mut StdRng) -> Duration {
+    /// The backoff before attempt `next_attempt` (2-based). `unit`, a
+    /// uniform draw from `[0, 1)`, picks the point in the jitter band
+    /// (`0.5` is the un-jittered schedule).
+    pub fn backoff(&self, next_attempt: u32, unit: f64) -> Duration {
         let exp = next_attempt.saturating_sub(2).min(20);
         let raw = self.base.saturating_mul(1u32 << exp).min(self.max);
-        if self.jitter <= 0.0 {
-            return raw;
-        }
-        let factor = rng.gen_range(1.0 - self.jitter..1.0 + self.jitter);
+        let factor = 1.0 + self.jitter * (2.0 * unit - 1.0);
         raw.mul_f64(factor.max(0.0))
     }
 }
@@ -114,16 +113,6 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-impl std::fmt::Display for BreakerState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BreakerState::Closed => write!(f, "closed"),
-            BreakerState::Open => write!(f, "open"),
-            BreakerState::HalfOpen => write!(f, "half-open"),
-        }
-    }
-}
-
 /// A per-source circuit breaker.
 ///
 /// Owned by a [`ResilientSource`]; exposed for white-box tests and for
@@ -136,9 +125,6 @@ pub struct CircuitBreaker {
     state: BreakerState,
     consecutive: u32,
     opened_at: Option<Instant>,
-    trips: u64,
-    probes: u64,
-    fast_fails: u64,
 }
 
 impl CircuitBreaker {
@@ -152,9 +138,6 @@ impl CircuitBreaker {
             state: BreakerState::Closed,
             consecutive: 0,
             opened_at: None,
-            trips: 0,
-            probes: 0,
-            fast_fails: 0,
         }
     }
 
@@ -162,21 +145,6 @@ impl CircuitBreaker {
     /// the outcome callbacks, never asynchronously).
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    /// Times this breaker tripped open.
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
-    /// Half-open probes admitted.
-    pub fn probes(&self) -> u64 {
-        self.probes
-    }
-
-    /// Calls rejected while open.
-    pub fn fast_fails(&self) -> u64 {
-        self.fast_fails
     }
 
     /// Gate a call: `Ok` admits it (closed, or half-open probe),
@@ -188,11 +156,9 @@ impl CircuitBreaker {
                 let since = self.opened_at.map_or(Duration::MAX, |t| t.elapsed());
                 if since >= self.policy.cooldown {
                     self.state = BreakerState::HalfOpen;
-                    self.probes += 1;
                     emit(Event::BreakerProbe { src: self.jlabel });
                     Ok(())
                 } else {
-                    self.fast_fails += 1;
                     emit(Event::BreakerFastFail { src: self.jlabel });
                     Err(StoreError::Unavailable {
                         source: self.label.clone(),
@@ -213,19 +179,20 @@ impl CircuitBreaker {
         self.consecutive = 0;
     }
 
-    /// Report a failed source call. A half-open probe failure re-trips
-    /// immediately; otherwise the breaker trips once the consecutive
-    /// streak reaches the threshold.
-    pub fn on_failure(&mut self) {
+    /// Report a failed source call; says whether it tripped the
+    /// breaker. A half-open probe failure re-trips immediately;
+    /// otherwise the breaker trips once the consecutive streak reaches
+    /// the threshold.
+    pub fn on_failure(&mut self) -> bool {
         self.consecutive = self.consecutive.saturating_add(1);
         let trip = self.state == BreakerState::HalfOpen
             || (self.state == BreakerState::Closed && self.consecutive >= self.policy.threshold);
         if trip {
             self.state = BreakerState::Open;
             self.opened_at = Some(Instant::now());
-            self.trips += 1;
             emit(Event::BreakerTrip { src: self.jlabel });
         }
+        trip
     }
 }
 
@@ -311,14 +278,7 @@ impl<S: ChunkSource> ResilientSource<S> {
                 let got = checksum(&buf);
                 if got != want {
                     emit(Event::ChecksumMismatch { src: self.jlabel });
-                    return Err(StoreError::Io {
-                        message: format!(
-                            "chunk checksum mismatch: payload {got:#018x}, source says {want:#018x}"
-                        ),
-                        // Retryable inside our own loop: a flaky read
-                        // path may deliver clean bytes next time.
-                        transient: true,
-                    });
+                    return Err(StoreError::ChecksumMismatch { got, want });
                 }
             }
         }
@@ -348,21 +308,17 @@ impl<S: ChunkSource> ChunkSource for ResilientSource<S> {
                 | StoreError::Budget { .. }
                 | StoreError::Unavailable { .. })) => return Err(e),
                 Err(e) => {
-                    if let Some(b) = self.breaker.as_mut() {
-                        b.on_failure();
-                        if b.state() == BreakerState::Open {
-                            // Tripped mid-loop: surface the real error
-                            // now; subsequent calls fail fast.
-                            return Err(checksum_to_corrupt(e, attempt));
-                        }
-                    }
-                    if e.class() == FaultClass::Fatal || attempt >= self.retry.attempts {
-                        return Err(checksum_to_corrupt(e, attempt));
+                    // A trip mid-loop surfaces the real error now;
+                    // subsequent calls fail fast.
+                    let tripped = self.breaker.as_mut().is_some_and(CircuitBreaker::on_failure);
+                    if tripped || e.class() == FaultClass::Fatal || attempt >= self.retry.attempts {
+                        return Err(surfaced(e, attempt));
                     }
                     attempt += 1;
                     self.retries += 1;
                     emit(Event::Retry { src: self.jlabel, attempt: attempt as u64 });
-                    interrupt::sleep(self.retry.backoff(attempt, &mut self.rng))?;
+                    let unit = self.rng.gen_range(0.0..1.0);
+                    interrupt::sleep(self.retry.backoff(attempt, unit))?;
                 }
             }
         }
@@ -373,14 +329,12 @@ impl<S: ChunkSource> ChunkSource for ResilientSource<S> {
     }
 }
 
-/// A checksum mismatch that exhausted its retries is corruption, not a
-/// transient I/O hiccup — rewrite it so callers see the right class.
-fn checksum_to_corrupt(e: StoreError, attempts: u32) -> StoreError {
+/// The error the loop gives up with: a checksum mismatch that outlasted
+/// its retries is corruption, not a flaky read.
+fn surfaced(e: StoreError, attempts: u32) -> StoreError {
     match e {
-        StoreError::Io { ref message, transient: true }
-            if message.starts_with("chunk checksum mismatch") =>
-        {
-            StoreError::Corrupt(format!("{message} (after {attempts} attempts)"))
+        StoreError::ChecksumMismatch { .. } => {
+            StoreError::Corrupt(format!("{e} (after {attempts} attempts)"))
         }
         other => other,
     }
@@ -446,7 +400,7 @@ mod tests {
             policy,
         );
         let err = s.read_chunk(&[0], &[4]).expect_err("fatal fails at once");
-        assert!(!err.is_transient());
+        assert_eq!(err.class(), FaultClass::Fatal);
         assert_eq!(s.retries(), 0);
         assert_eq!(s.inner_mut().calls, 1, "exactly one source call");
     }
@@ -463,19 +417,20 @@ mod tests {
             "b",
             policy,
         );
+        aql_trace::enable();
         for _ in 0..3 {
             assert!(s.read_chunk(&[0], &[4]).is_err());
         }
-        let b = s.breaker().expect("breaker on");
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 1);
+        assert_eq!(s.breaker().expect("breaker on").state(), BreakerState::Open);
         // Zero cool-down: the next call is the half-open probe and the
         // source is healthy again, so the breaker closes.
         let buf = s.read_chunk(&[0], &[4]).expect("probe succeeds");
         assert_eq!(buf.len(), 4);
-        let b = s.breaker().expect("breaker on");
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.probes(), 1);
+        assert_eq!(s.breaker().expect("breaker on").state(), BreakerState::Closed);
+        // The spine is the breaker's only tally.
+        let trace = aql_trace::disable();
+        assert_eq!(trace.total_counter("breaker.trip:b"), 1);
+        assert_eq!(trace.total_counter("breaker.probe:b"), 1);
     }
 
     #[test]
@@ -492,11 +447,12 @@ mod tests {
         );
         assert!(s.read_chunk(&[0], &[4]).is_err(), "first call trips");
         let calls_after_trip = s.inner_mut().calls;
+        aql_trace::enable();
         let err = s.read_chunk(&[0], &[4]).expect_err("fast fail");
+        assert_eq!(aql_trace::disable().total_counter("breaker.fast_fail:ff"), 1);
         assert!(matches!(err, StoreError::Unavailable { .. }));
         assert_eq!(err.class(), FaultClass::Retryable, "fast-fail is retry-later");
         assert_eq!(s.inner_mut().calls, calls_after_trip, "source untouched while open");
-        assert_eq!(s.breaker().expect("breaker on").fast_fails(), 1);
     }
 
     #[test]
@@ -505,14 +461,13 @@ mod tests {
             "re",
             BreakerPolicy { threshold: 2, cooldown: Duration::ZERO },
         );
-        b.on_failure();
-        b.on_failure();
+        assert!(!b.on_failure());
+        assert!(b.on_failure(), "the second failure reaches the threshold");
         assert_eq!(b.state(), BreakerState::Open);
         b.admit().expect("zero cooldown admits probe");
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.on_failure();
-        assert_eq!(b.state(), BreakerState::Open, "probe failure re-trips at once");
-        assert_eq!(b.trips(), 2);
+        assert!(b.on_failure(), "probe failure re-trips at once");
+        assert_eq!(b.state(), BreakerState::Open);
     }
 
     #[test]
@@ -578,13 +533,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         for attempt in 2..6u32 {
             let raw = Duration::from_millis(4 << (attempt - 2)).min(p.max);
-            let d = p.backoff(attempt, &mut rng);
+            let d = p.backoff(attempt, rng.gen_range(0.0..1.0));
             assert!(d >= raw.mul_f64(0.5) && d <= raw.mul_f64(1.5), "{d:?} vs {raw:?}");
         }
+        assert_eq!(p.backoff(2, 0.5), Duration::from_millis(4), "the band's midpoint");
         let exact = RetryPolicy { jitter: 0.0, ..p };
-        assert_eq!(exact.backoff(2, &mut rng), Duration::from_millis(4));
-        assert_eq!(exact.backoff(3, &mut rng), Duration::from_millis(8));
-        assert_eq!(exact.backoff(9, &mut rng), Duration::from_millis(100), "capped at max");
+        assert_eq!(exact.backoff(2, 0.0), Duration::from_millis(4));
+        assert_eq!(exact.backoff(3, 0.99), Duration::from_millis(8));
+        assert_eq!(exact.backoff(9, 0.5), Duration::from_millis(100), "capped at max");
     }
 
     #[test]

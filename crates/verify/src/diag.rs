@@ -16,7 +16,7 @@
 //! | V006 | error    | array literal shape mismatch |
 //! | V007 | error    | primitive arity mismatch |
 //! | V008 | error    | malformed tuple (arity < 2) |
-//! | V010 | error    | de-Bruijn index out of range (compiled form) |
+//! | V010 | —        | retired: de-Bruijn index out of range (the evaluator reports it, `EvalError::Internal`) |
 //! | L001 | warning  | provable out-of-bounds subscript (guaranteed ⊥) |
 //! | L002 | warning  | zero-extent dimension |
 //! | L003 | warning  | dead conditional branch |

@@ -9,9 +9,6 @@
 //!   bottom-up on a compatibility lattice (`Any` ⊑ everything) and
 //!   reports structured [`Diagnostic`]s for scope errors, type
 //!   mismatches, and arity/rank violations;
-//! * a **compiled-form verifier** ([`verify_compiled`]) — checks the
-//!   de-Bruijn form produced by `aql_core::eval::compile` for
-//!   out-of-range indices and malformed constructors;
 //! * a **rewrite-soundness check** ([`check_rewrite`]) — the per-fire
 //!   half of the `aql-opt` gate: given the redex and the contractum of
 //!   a rule application, rejects rewrites that introduce unbound
@@ -33,13 +30,11 @@
 
 #![warn(missing_docs)]
 
-pub mod compiled;
 pub mod diag;
 pub mod lint;
 mod vty;
 pub mod verify;
 
-pub use compiled::verify_compiled;
 pub use diag::{normalize, Diagnostic, Severity};
 pub use lint::lint_expr;
 pub use verify::{check_rewrite, verify_closed, verify_expr, verify_open};

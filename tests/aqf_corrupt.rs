@@ -226,7 +226,7 @@ fn errors_carry_byte_offsets() {
     let e = assert_rejected(&bytes, "dtype");
     let shown = format!("{e}");
     assert!(shown.contains("byte 8"), "display names the offset: {shown}");
-    assert!(!e.is_transient(), "corruption is never retried");
+    assert_eq!(e.class(), aql_store::FaultClass::Fatal, "corruption is never retried");
 }
 
 /// A structurally valid rank-1 `I64` file of one chunk whose table row

@@ -3,26 +3,40 @@
 //! and the corpus of core terms the optimizer is pinned on — the
 //! `derivations.rs` terms, the benchmark's eight `compile_mix`
 //! templates, and the paper's §4.2 and §1 programs, each taken to the
-//! resolved core term the session hands its optimizer.
+//! resolved core term the session hands its optimizer. Last, the fault
+//! axis of the differential oracle (ROADMAP item 1b): four chunk
+//! sources behind the production resilience stack, with one fault
+//! placed on the chunk a chosen stage of a session reads first.
 
 #![allow(dead_code)] // every includer uses its own part
 
 use std::path::Path;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use aql::core::derived;
 use aql::core::expr::builder::*;
 use aql::core::expr::Expr;
+use aql::core::types::Type;
 use aql::core::value::{ArrayVal, Value};
 use aql::externals::{register_heatindex, register_june_sunset};
+use aql::journal::ErrorClass;
 use aql::lang::ast::Stmt;
 use aql::lang::desugar::desugar;
+use aql::lang::errors::LangError;
 use aql::lang::parser::parse_program;
+use aql::lang::reader::Reader;
 use aql::lang::session::Session;
 use aql::netcdf::driver::register_netcdf;
 use aql::netcdf::synth;
+use aql::store::{
+    fault, governor, interrupt, ChunkLayout, ChunkSource, LazyArray, MemChunkSource,
+    RemoteChunkSource, ResiliencePolicy, ResilientSource, ScalarBuf, ScalarKind, StoreError,
+};
 
 // ---- generators -----------------------------------------------------------
 
@@ -255,4 +269,195 @@ pub fn corpus(dir: &Path) -> Vec<(String, Expr)> {
         out.extend(terms.into_iter().enumerate().map(|(i, e)| (format!("{label} term {i}"), e)));
     }
     out
+}
+
+// ---- the fault axis -------------------------------------------------------
+
+/// Cells of the array every fault-axis source serves (`A[i] = i`), and
+/// of one chunk: chunk `k` is the one stage `k` reads first.
+pub const FAULT_AXIS_CELLS: u64 = 64;
+const FAULT_AXIS_CHUNK: u64 = 16;
+
+/// What a chunk source can be made to do to the statement reading it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// The first read of the chunk fails transiently, the next is clean.
+    TransientOnce,
+    /// Every read of the chunk fails transiently.
+    TransientForever,
+    /// Every read of the chunk fails with a non-retryable I/O error.
+    PersistentIo,
+    /// Every read delivers a damaged payload under the clean checksum.
+    Corruption,
+    /// The process byte budget drops to one byte as the chunk arrives,
+    /// so the governor denies its admission.
+    GovernorDenial,
+    /// The read stalls (interruptibly) for far longer than the
+    /// statement's 1 ms deadline.
+    Deadline,
+    /// The statement's cancellation flag is raised mid-read.
+    Cancel,
+}
+
+impl Fault {
+    pub const ALL: [Fault; 7] = [
+        Fault::TransientOnce,
+        Fault::TransientForever,
+        Fault::PersistentIo,
+        Fault::Corruption,
+        Fault::GovernorDenial,
+        Fault::Deadline,
+        Fault::Cancel,
+    ];
+
+    /// The one class a statement this fault fails may report; `None`
+    /// for the fault the stack must absorb.
+    pub fn class(self) -> Option<ErrorClass> {
+        match self {
+            Fault::TransientOnce => None,
+            Fault::TransientForever => Some(ErrorClass::TransientIo),
+            Fault::PersistentIo => Some(ErrorClass::Unavailable),
+            Fault::Corruption => Some(ErrorClass::Corruption),
+            Fault::GovernorDenial => Some(ErrorClass::ResourceExhausted),
+            Fault::Deadline => Some(ErrorClass::Deadline),
+            Fault::Cancel => Some(ErrorClass::Cancelled),
+        }
+    }
+}
+
+/// When a session first reads the faulty chunk: while the reader binds
+/// (it validates its first element), while `readval` echoes the value,
+/// at the first subscript, or inside a kernel's window read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    Bind = 0,
+    Echo = 1,
+    Subscript = 2,
+    Kernel = 3,
+}
+
+impl Stage {
+    pub const ALL: [Stage; 4] = [Stage::Bind, Stage::Echo, Stage::Subscript, Stage::Kernel];
+}
+
+/// The source kinds of the axis, as the `FAULTY` reader's argument.
+pub const FAULT_AXIS_SOURCES: [&str; 4] = ["mem", "netcdf", "aqf", "remote"];
+
+/// Injects `fault` into reads of the chunk starting at `at`; every
+/// other chunk is the inner source's.
+struct FaultAt {
+    inner: Box<dyn ChunkSource>,
+    at: u64,
+    fault: Fault,
+    reads: u32,
+    cancel: Arc<AtomicBool>,
+}
+
+impl ChunkSource for FaultAt {
+    fn read_chunk(&mut self, start: &[u64], count: &[u64]) -> Result<ScalarBuf, StoreError> {
+        if start[0] != self.at {
+            return self.inner.read_chunk(start, count);
+        }
+        self.reads += 1;
+        let transient = || StoreError::Io { message: "injected: link flapped".into(), transient: true };
+        match self.fault {
+            Fault::TransientOnce if self.reads == 1 => return Err(transient()),
+            Fault::TransientForever => return Err(transient()),
+            Fault::PersistentIo => return Err(StoreError::io("injected: device gone")),
+            Fault::GovernorDenial => governor::set_budget(Some(1)),
+            // Interrupted at once under a statement's 1 ms deadline; a
+            // short stall where no statement's limits are installed.
+            Fault::Deadline => interrupt::sleep(Duration::from_millis(20))?,
+            Fault::Cancel => {
+                self.cancel.store(true, Ordering::SeqCst);
+                interrupt::check()?;
+            }
+            Fault::TransientOnce | Fault::Corruption => {}
+        }
+        let mut buf = self.inner.read_chunk(start, count)?;
+        if let (Fault::Corruption, ScalarBuf::F64(cells)) = (self.fault, &mut buf) {
+            cells[0] += 1.0;
+        }
+        Ok(buf)
+    }
+
+    /// The clean payload's checksum, as a source's metadata would have it.
+    fn chunk_checksum(&mut self, start: &[u64], count: &[u64]) -> Option<u64> {
+        self.inner.read_chunk(start, count).ok().map(|clean| fault::checksum(&clean))
+    }
+}
+
+/// The `FAULTY` reader: binds the source kind its argument names
+/// (`mem`, `netcdf`, `aqf`, `remote`) the way the stock readers bind
+/// theirs — fault injector innermost, the default resilience stack
+/// around it, a labelled cache on top — and reads the first element
+/// before handing the array over.
+pub struct FaultyReader {
+    /// Holds `axis.aqf`, written once by [`FaultyReader::new`].
+    dir: std::path::PathBuf,
+    pub fault: Fault,
+    pub stage: Stage,
+    /// Raised by [`Fault::Cancel`]; the session's `limits.cancel`.
+    pub cancel: Arc<AtomicBool>,
+}
+
+impl FaultyReader {
+    pub fn new(dir: &Path, fault: Fault, stage: Stage) -> FaultyReader {
+        let aqf = dir.join("axis.aqf");
+        if !aqf.exists() {
+            let cells = ArrayVal::from_f64(vec![FAULT_AXIS_CELLS], Self::cells()).expect("a vector");
+            let path = aqf.to_str().expect("utf-8 path");
+            aql::format::write_array(path, &cells, true, FAULT_AXIS_CHUNK).expect("write axis.aqf");
+        }
+        let cancel = Arc::new(AtomicBool::new(false));
+        FaultyReader { dir: dir.to_path_buf(), fault, stage, cancel }
+    }
+
+    fn cells() -> Vec<f64> {
+        (0..FAULT_AXIS_CELLS).map(|i| i as f64).collect()
+    }
+
+    fn source(&self, kind: &str) -> Result<Box<dyn ChunkSource>, LangError> {
+        let mem = || MemChunkSource::new(vec![FAULT_AXIS_CELLS], ScalarBuf::F64(Self::cells()));
+        Ok(match kind {
+            "mem" => Box::new(mem()?),
+            "remote" => Box::new(RemoteChunkSource::new(mem()?, Duration::from_micros(50))),
+            "aqf" => Box::new(aql::format::AqfChunkSource::open(self.dir.join("axis.aqf"))?),
+            "netcdf" => {
+                use aql::netcdf::format::{NcType, VERSION_CLASSIC};
+                use aql::netcdf::model::{NcFile, NcValues};
+                let mut file = NcFile::new();
+                let x = file.add_dim("x", FAULT_AXIS_CELLS as u32);
+                file.add_var("v", vec![x], NcType::Double, vec![], NcValues::Double(Self::cells()))
+                    .expect("a consistent variable");
+                let bytes = aql::netcdf::write::to_bytes(&file, VERSION_CLASSIC).expect("serialises");
+                let open = move || Ok(std::io::Cursor::new(bytes.clone()));
+                Box::new(aql::netcdf::chunk::NcChunkSource::new(open, "v", vec![0]))
+            }
+            other => return Err(LangError::session(format!("FAULTY: no source kind `{other}`"))),
+        })
+    }
+}
+
+impl Reader for FaultyReader {
+    fn read(&self, arg: &Value) -> Result<(Value, Option<Type>), LangError> {
+        let Value::Str(kind) = arg else {
+            return Err(LangError::session("FAULTY expects a source kind"));
+        };
+        let faulty = FaultAt {
+            inner: self.source(kind)?,
+            at: self.stage as u64 * FAULT_AXIS_CHUNK,
+            fault: self.fault,
+            reads: 0,
+            cancel: Arc::clone(&self.cancel),
+        };
+        let label = format!("axis:{kind}");
+        let source = ResilientSource::new(faulty, label.clone(), ResiliencePolicy::default());
+        let layout = ChunkLayout::new(vec![FAULT_AXIS_CELLS], vec![FAULT_AXIS_CHUNK])?;
+        let mut lazy = LazyArray::labeled(layout, ScalarKind::F64, Box::new(source), 1 << 20, label);
+        // Met at bind: a storage failure here is the reader's `Err`,
+        // with its type (`From<StoreError> for LangError`).
+        lazy.get(&[0])?;
+        Ok((Value::Array(Rc::new(ArrayVal::lazy(lazy)?)), Some(Type::array1(Type::Real))))
+    }
 }

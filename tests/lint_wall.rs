@@ -1,5 +1,5 @@
-//! The workspace lint wall, two rules over the non-test library code
-//! under `crates/*/src`.
+//! The workspace lint wall: rules over the non-test library code under
+//! `crates/*/src`.
 //!
 //! **No aborts**: no `panic!(`, `.unwrap()`, `todo!(`,
 //! `unimplemented!(`, or `dbg!(`. Robustness is a stated goal (PR 1
@@ -25,6 +25,12 @@
 //! [`ENGINE_LINES`] non-test lines, the baseline ROADMAP holds "not
 //! longer" against. (That figure still included the rewrite trace's
 //! record type, `trace.rs` since issue 19 — ROADMAP has both numbers.)
+//!
+//! **No classifier reads prose**: the four files a failure passes
+//! through on its way to a class name ([`CLASSIFIED_STRUCTURALLY`])
+//! contain no `.contains("` and no `.starts_with("` — a class comes
+//! from the error value's variant, never from its rendered message,
+//! which any program can make spell anything (`budget;`).
 //!
 //! Nothing but `cargo test` runs these checks; CI has no grep step.
 
@@ -58,8 +64,16 @@ const MAY_MATCH_EVERY_CONSTRUCTOR: &[&str] = &[
     "analysis/src/analyze.rs",
     "analysis/src/cost.rs",
     "verify/src/verify.rs",
-    "verify/src/compiled.rs",
     "verify/src/lint.rs",
+];
+
+/// The files under `crates/` that map a failure to its class, or hold
+/// the loop that decides whether to retry one.
+const CLASSIFIED_STRUCTURALLY: &[&str] = &[
+    "aql-lang/src/session.rs",
+    "journal/src/doctor.rs",
+    "store/src/resilient.rs",
+    "core/src/error.rs",
 ];
 
 /// Non-test lines of `crates/aql-opt/src/engine.rs` at issue 18, by
@@ -194,6 +208,30 @@ fn only_listed_files_match_every_expr_constructor() {
     for listed in MAY_MATCH_EVERY_CONSTRUCTOR {
         assert!(seen.iter().any(|s| s == listed), "{listed} no longer names `{SENTINEL}`: unlist it");
     }
+}
+
+#[test]
+fn no_classifier_reads_a_rendered_message() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut violations = Vec::new();
+    for rel in CLASSIFIED_STRUCTURALLY {
+        let path = crates.join(rel);
+        let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+        for (ln, line) in non_test_lines(&text) {
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            if line.contains(".contains(\"") || line.contains(".starts_with(\"") {
+                violations.push(format!("{rel}:{ln}: {}", line.trim()));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "a failure's class is its error value's (`LangError::class` → `EvalError::class` → \
+         `StoreError::error_class`), not a substring of its message:\n{}",
+        violations.join("\n")
+    );
 }
 
 #[test]

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use aql_journal::{emit, ErrorClass, Event};
 
-use aql_core::check::typecheck;
+use aql_core::check::{type_compatible, typecheck};
 use aql_core::error::EvalError;
 use aql_core::eval::{EvalCtx, EvalStats, Limits};
 use aql_core::expr::children::map_children;
@@ -523,8 +523,8 @@ pub struct Session {
     /// to measure the unoptimized pipeline).
     pub optimize: bool,
     /// Whether the rewrite-soundness gate runs during optimization:
-    /// every rule firing is locally verified
-    /// ([`aql_verify::check_rewrite`]) and each phase that rewrote
+    /// every rule firing is typechecked as a fragment
+    /// ([`aql_core::check::check_rewrite`]) and each phase that rewrote
     /// anything is re-typechecked against the query's original type.
     /// Defaults to on in debug builds and off in release; the
     /// `AQL_VERIFY` environment variable overrides (`0`/`false`/`off`
@@ -1225,7 +1225,7 @@ impl Session {
         move |e2: &Expr| {
             let t2 = typecheck(e2, &self.val_types, &self.externals)
                 .map_err(|err| format!("optimized term no longer typechecks: {err}"))?;
-            if aql_verify::type_compatible(&expected, &t2) {
+            if type_compatible(&expected, &t2) {
                 Ok(())
             } else {
                 Err(format!("query type changed: {expected} ~> {t2}"))

@@ -12,6 +12,7 @@ use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
+use aql_core::check::check_rewrite;
 use aql_core::expr::children::try_for_each_child_mut;
 use aql_core::expr::{Expr, Head, Name};
 
@@ -138,15 +139,16 @@ impl From<RulePanic> for OptError {
 /// Two levels, both optional:
 ///
 /// * **per-fire** — after every rule application, run
-///   [`aql_verify::check_rewrite`] on the redex/contractum pair with
-///   the binders in scope at the rewrite site. Catches scope escapes
-///   and local type changes the moment they happen, with exact
-///   `(phase, rule)` attribution.
+///   [`aql_core::check::check_rewrite`] — the typechecker itself, in
+///   open mode — on the redex/contractum pair with the binders in scope
+///   at the rewrite site. Catches scope escapes and type changes the
+///   moment they happen, with exact `(phase, rule)` attribution.
 /// * **phase boundary** — a caller-supplied whole-term check (the
-///   session passes its full typechecker here) run once after each
-///   phase in which at least one rule fired. Catches global
-///   violations the local lattice cannot see; attribution falls back
-///   to the last rule that fired in the phase.
+///   session passes the same typechecker here, closed over its `val`
+///   and external types) run once after each phase in which at least
+///   one rule fired. Catches what a fragment cannot show — a clash with
+///   a global's declared type; attribution falls back to the last rule
+///   that fired in the phase.
 pub struct Gate<'a> {
     /// Run the local check after every rule firing.
     pub per_fire: bool,
@@ -328,7 +330,7 @@ impl Phase {
                 let Some(next) = self.apply_checked(&self.rules[index], e)? else { continue };
                 let rule = self.rules[index].name();
                 if st.gate.per_fire {
-                    if let Err(message) = aql_verify::check_rewrite(e, &next, &st.scope) {
+                    if let Err(message) = check_rewrite(e, &next, &st.scope) {
                         return Err(self.unsound(rule, message));
                     }
                 }
@@ -698,71 +700,87 @@ mod tests {
         assert!(t.find("opt.pass").is_some(), "per-pass spans recorded");
     }
 
-    /// A deliberately unsound rule: rewrites the literal `7` to
-    /// `true`, changing the redex's type.
-    struct EvilTypeChange;
-    impl Rule for EvilTypeChange {
+    /// An injected rule: rewrites every occurrence of `from` to `to`.
+    struct Rewrite {
+        name: &'static str,
+        from: Expr,
+        to: Expr,
+    }
+    impl Rule for Rewrite {
         fn name(&self) -> &'static str {
-            "evil-type-change"
+            self.name
         }
         fn apply(&self, e: &Expr) -> Option<Expr> {
-            (*e == Expr::Nat(7)).then_some(Expr::Bool(true))
+            (*e == self.from).then(|| self.to.clone())
         }
     }
 
-    /// An unsound rule that leaks a variable no binder introduces.
-    struct EvilGhostVar;
-    impl Rule for EvilGhostVar {
-        fn name(&self) -> &'static str {
-            "evil-ghost-var"
-        }
-        fn apply(&self, e: &Expr) -> Option<Expr> {
-            (*e == Expr::Nat(1)).then(|| var("ghost"))
-        }
-    }
-
+    /// The gate's detection table: one unsound rule per row, each
+    /// rejected at its firing with exact `(phase, rule)` attribution and
+    /// a message naming what broke — and each let through with the gate
+    /// off, which is what the gate buys.
     #[test]
-    fn gate_catches_type_changing_rewrite() {
-        let mut p = Phase::new("normalize");
-        p.add_rule(Rc::new(EvilTypeChange));
-        let mut opt = Optimizer::empty();
-        opt.add_phase(p);
-        // Off: the bad rewrite sails through.
-        assert_eq!(
-            opt.run(&add(nat(7), nat(0)), &Gate::off(), None)
-                .expect("gate off"),
-            add(Expr::Bool(true), nat(0))
-        );
-        // Local gate: caught and attributed to (phase, rule).
-        let err = opt
-            .run(&add(nat(7), nat(0)), &Gate::local(), None)
-            .expect_err("gate must reject");
-        let OptError::Unsound(v) = err else {
-            panic!("expected Unsound, got {err}");
-        };
-        assert_eq!(v.phase, "normalize");
-        assert_eq!(v.rule, "evil-type-change");
-        assert!(v.message.contains("type"), "{}", v.message);
-        assert!(v.to_string().contains("evil-type-change"), "{v}");
-    }
-
-    #[test]
-    fn gate_catches_scope_escape_under_binders() {
-        let mut p = Phase::new("normalize");
-        p.add_rule(Rc::new(EvilGhostVar));
-        let mut opt = Optimizer::empty();
-        opt.add_phase(p);
-        // The redex sits under a λ-binder: the gate's scope tracking
-        // must allow `x` but still reject `ghost`.
-        let e = lam("x", add(var("x"), nat(1)));
-        let err = opt
-            .run(&e, &Gate::local(), None)
-            .expect_err("ghost variable must be rejected");
-        let OptError::Unsound(v) = err else {
-            panic!("expected Unsound, got {err}");
-        };
-        assert_eq!((v.phase.as_str(), v.rule), ("normalize", "evil-ghost-var"));
-        assert!(v.message.contains("ghost"), "{}", v.message);
+    fn the_local_gate_catches_each_kind_of_unsound_rewrite() {
+        let i_lt_n = tab1("i", var("n"), var("i"));
+        // Naive β of `(λx. λy. if y then x else 0) y`: the argument `y`
+        // (a `nat`) lands under the inner `λy` (a `bool`).
+        let k = lam("x", lam("y", iff(var("y"), var("x"), nat(0))));
+        let x_plus_1 = add(var("x"), nat(1));
+        let rows = [
+            ("evil-type-change", add(nat(7), nat(0)), nat(7), Expr::Bool(true), "type"),
+            (
+                "evil-ghost-var",
+                tab1("i", nat(3), add(nat(1), var("i"))),
+                nat(1),
+                var("ghost"),
+                "unbound variable `ghost`",
+            ),
+            (
+                "evil-rank-change",
+                lam("n", i_lt_n.clone()),
+                i_lt_n,
+                tab(vec![("i", var("n")), ("j", var("n"))], var("i")),
+                "type",
+            ),
+            (
+                "evil-arity-change",
+                lam("x", tuple(vec![var("x"), var("x")])),
+                tuple(vec![var("x"), var("x")]),
+                tuple(vec![var("x"), var("x"), var("x")]),
+                "type",
+            ),
+            (
+                "evil-capture",
+                lam("y", app(k.clone(), add(var("y"), nat(0)))),
+                app(k, add(var("y"), nat(0))),
+                lam("y", iff(var("y"), add(var("y"), nat(0)), nat(0))),
+                "ill-formed",
+            ),
+            // The binder `x` is a `nat` to the redex and a `bool` to the
+            // contractum; each alone is well-typed.
+            (
+                "evil-binder-at-two-types",
+                lam("x", x_plus_1.clone()),
+                x_plus_1,
+                iff(var("x"), nat(1), nat(2)),
+                "type mismatch",
+            ),
+        ];
+        for (name, input, from, to, says) in rows {
+            let mut p = Phase::new("normalize");
+            p.add_rule(Rc::new(Rewrite { name, from, to }));
+            let mut opt = Optimizer::empty();
+            opt.add_phase(p);
+            let off = opt.run(&input, &Gate::off(), None).expect("gate off");
+            assert_ne!(off, input, "{name}: the rule fires, and ungated nothing stops it");
+            let err = opt.run(&input, &Gate::local(), None).expect_err(name);
+            let OptError::Unsound(v) = &err else {
+                panic!("{name}: expected Unsound, got {err}");
+            };
+            assert_eq!((v.phase.as_str(), v.rule), ("normalize", name));
+            assert!(v.message.contains(says), "{name}: {}", v.message);
+            assert!(err.to_string().contains(name), "{err}");
+        }
     }
 
     #[test]

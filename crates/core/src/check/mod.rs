@@ -13,12 +13,17 @@
 //! * **object** — element types of sets/bags/arrays and operand types
 //!   of comparisons must be object types (no arrows), since only
 //!   object types carry the canonical order `≤_t`.
+//!
+//! The same judgement is the optimizer's per-fire soundness gate:
+//! [`check_rewrite`] runs it in *open mode* over a redex and its
+//! contractum, fragments no session environment closes.
 
 pub mod unify;
 
 use std::collections::HashMap;
 
 use crate::error::TypeError;
+use crate::expr::free::free_vars;
 use crate::expr::{Expr, Name};
 use crate::prim::Extensions;
 use crate::types::Type;
@@ -32,13 +37,7 @@ pub fn typecheck(
     globals: &HashMap<Name, Type>,
     externals: &Extensions,
 ) -> Result<Type, TypeError> {
-    let mut cx = Checker {
-        uni: Unifier::new(),
-        globals,
-        externals,
-        numeric: Vec::new(),
-        object: Vec::new(),
-    };
+    let mut cx = Checker::new(globals, externals, false);
     let mut env = Vec::new();
     let t = cx.infer(&mut env, e)?;
     cx.discharge()?;
@@ -50,6 +49,58 @@ pub fn typecheck_closed(e: &Expr) -> Result<Type, TypeError> {
     typecheck(e, &HashMap::new(), &Extensions::new())
 }
 
+/// The per-fire rewrite-soundness check (§5: every rule preserves
+/// type): is there one typing of the names assumed at the rewrite site
+/// — the lexical binders `scope` and the free variables of `before` —
+/// under which `before` and `after` both satisfy Fig. 1 at one type?
+/// One open-mode checker infers both in one environment and unifies the
+/// results, so a binder the redex uses at `nat` cannot be used at
+/// `bool` by the contractum, and a variable the contractum invents or
+/// captures is unbound. `Err` says which of the three steps failed.
+pub fn check_rewrite(before: &Expr, after: &Expr, scope: &[Name]) -> Result<(), String> {
+    let (globals, externals) = (HashMap::new(), Extensions::new());
+    let mut cx = Checker::new(&globals, &externals, true);
+    // A name listed twice shadows itself, for both terms alike.
+    let mut env: Env =
+        scope.iter().cloned().chain(free_vars(before)).map(|x| (x, cx.uni.fresh())).collect();
+    let t_before = cx
+        .infer(&mut env, before)
+        .map_err(|err| format!("the redex is ill-typed before the rewrite: {err}"))?;
+    let t_after = cx
+        .infer(&mut env, after)
+        .map_err(|err| format!("rewrite produced an ill-formed term: {err}"))?;
+    cx.uni
+        .unify(&t_before, &t_after)
+        .and_then(|()| cx.discharge())
+        .map_err(|err| format!("rewrite changed the redex's type: {err}"))
+}
+
+/// Are two checker-produced types compatible up to inference
+/// variables? The unifier numbers its variables per run, so the
+/// pre-optimization snapshot and a post-rewrite re-check can disagree
+/// on `Var` identities while describing the same type; a `Var` on
+/// either side therefore matches anything. Used by the session's
+/// phase-level gate to assert type preservation.
+pub fn type_compatible(a: &Type, b: &Type) -> bool {
+    match (a, b) {
+        (Type::Var(_), _) | (_, Type::Var(_)) => true,
+        (Type::Bool, Type::Bool)
+        | (Type::Nat, Type::Nat)
+        | (Type::Real, Type::Real)
+        | (Type::Str, Type::Str) => true,
+        (Type::Base(x), Type::Base(y)) => x == y,
+        (Type::Tuple(xs), Type::Tuple(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys.iter()).all(|(x, y)| type_compatible(x, y))
+        }
+        (Type::Set(x), Type::Set(y)) | (Type::Bag(x), Type::Bag(y)) => type_compatible(x, y),
+        (Type::Array(x, j), Type::Array(y, k)) => j == k && type_compatible(x, y),
+        (Type::Fun(xa, xr), Type::Fun(ya, yr)) => {
+            type_compatible(xa, ya) && type_compatible(xr, yr)
+        }
+        _ => false,
+    }
+}
+
 struct Checker<'a> {
     uni: Unifier,
     globals: &'a HashMap<Name, Type>,
@@ -59,9 +110,23 @@ struct Checker<'a> {
     /// Types that must resolve to object types, with a description for
     /// error messages.
     object: Vec<(Type, &'static str)>,
+    /// Open mode ([`check_rewrite`]): the term is a fragment, so every
+    /// `Global`/`Ext` occurrence is well-typed at a type of its own and
+    /// nothing the context could still decide is defaulted.
+    open: bool,
 }
 
 type Env = Vec<(Name, Type)>;
+
+/// `k` as an array rank. Fig. 1 has no rank-0 array, [`Type::array`]
+/// asserts as much, and `Expr` is public: a term built by hand (or by
+/// a rule) that asks for one is a type error, not an abort.
+fn rank(k: usize) -> Result<usize, TypeError> {
+    if k == 0 {
+        return Err(TypeError::Other("arrays have rank >= 1, rank 0 requested".into()));
+    }
+    Ok(k)
+}
 
 /// Does the type contain a function arrow anywhere?
 fn contains_arrow(t: &Type) -> bool {
@@ -74,11 +139,16 @@ fn contains_arrow(t: &Type) -> bool {
 }
 
 impl<'a> Checker<'a> {
+    fn new(globals: &'a HashMap<Name, Type>, externals: &'a Extensions, open: bool) -> Self {
+        Checker { uni: Unifier::new(), globals, externals, numeric: vec![], object: vec![], open }
+    }
+
     fn discharge(&mut self) -> Result<(), TypeError> {
         for t in std::mem::take(&mut self.numeric) {
             let r = self.uni.resolve(&t);
             match r {
                 Type::Nat | Type::Real => {}
+                Type::Var(_) if self.open => {}
                 Type::Var(_) => {
                     // Default unconstrained numeric types to nat.
                     self.uni.unify(&t, &Type::Nat)?;
@@ -112,6 +182,7 @@ impl<'a> Checker<'a> {
     fn infer(&mut self, env: &mut Env, e: &Expr) -> Result<Type, TypeError> {
         match e {
             Expr::Var(x) => self.lookup(env, x),
+            Expr::Global(_) | Expr::Ext(_) if self.open => Ok(self.uni.fresh()),
             Expr::Global(x) => self
                 .globals
                 .get(x)
@@ -144,6 +215,10 @@ impl<'a> Checker<'a> {
                 Ok(t)
             }
             Expr::Tuple(items) => {
+                if items.len() < 2 {
+                    let n = items.len();
+                    return Err(TypeError::Other(format!("{n}-tuple: products have arity >= 2")));
+                }
                 let ts: Result<Vec<Type>, TypeError> =
                     items.iter().map(|it| self.infer(env, it)).collect();
                 Ok(Type::tuple(ts?))
@@ -293,7 +368,7 @@ impl<'a> Checker<'a> {
                     let tb = self.infer(env, b)?;
                     self.uni.unify(&tb, &Type::Nat)?;
                 }
-                let k = idx.len();
+                let k = rank(idx.len())?;
                 for (n, _) in idx {
                     env.push((n.clone(), Type::Nat));
                 }
@@ -318,7 +393,10 @@ impl<'a> Checker<'a> {
                     // A single index of type N^k subscripts a k-d array:
                     // resolve the index type to learn k; an unresolved
                     // index defaults to nat (k = 1).
-                    let ti = self.infer(env, &idx[0])?;
+                    let Some(index) = idx.first() else {
+                        return Err(TypeError::Other("subscript with no index".into()));
+                    };
+                    let ti = self.infer(env, index)?;
                     let k = match self.uni.resolve(&ti) {
                         Type::Tuple(comps) => {
                             for c in comps.iter() {
@@ -326,6 +404,17 @@ impl<'a> Checker<'a> {
                             }
                             comps.len()
                         }
+                        // Open mode: the context may yet make this index a
+                        // tuple (`A[p]` beside `π₁ p`), so only an array
+                        // whose rank is already known decides k.
+                        Type::Var(_) if self.open => match self.uni.resolve(&ta) {
+                            Type::Array(_, k) => {
+                                self.uni.unify(&ti, &Type::nat_power(k))?;
+                                k
+                            }
+                            Type::Var(_) => return Ok(self.uni.fresh()),
+                            _ => 1,
+                        },
                         _ => {
                             self.uni.unify(&ti, &Type::Nat)?;
                             1
@@ -339,7 +428,7 @@ impl<'a> Checker<'a> {
             Expr::Dim(k, e) => {
                 let te = self.infer(env, e)?;
                 let elem = self.uni.fresh();
-                self.uni.unify(&te, &Type::array(elem, *k))?;
+                self.uni.unify(&te, &Type::array(elem, rank(*k)?))?;
                 Ok(Type::nat_power(*k))
             }
             Expr::ArrayLit { dims, items } => {
@@ -367,12 +456,12 @@ impl<'a> Checker<'a> {
                     }
                 }
                 self.object.push((elem.clone(), "array element"));
-                Ok(Type::array(elem, dims.len()))
+                Ok(Type::array(elem, rank(dims.len())?))
             }
             Expr::Index(k, e) => {
                 let te = self.infer(env, e)?;
                 let val = self.uni.fresh();
-                let pair = Type::tuple(vec![Type::nat_power(*k), val.clone()]);
+                let pair = Type::tuple(vec![Type::nat_power(rank(*k)?), val.clone()]);
                 self.uni.unify(&te, &Type::set(pair))?;
                 self.object.push((val.clone(), "indexed value"));
                 Ok(Type::array(Type::set(val), *k))
@@ -649,6 +738,118 @@ mod tests {
         assert_eq!(check(&e).unwrap(), Type::bag(Type::Nat));
         let e = big_bag_union("x", bag_single(nat(2)), bag_single(mul(var("x"), nat(3))));
         assert_eq!(check(&e).unwrap(), Type::bag(Type::Nat));
+    }
+
+    /// `Expr` is a public enum and a registered optimizer rule is
+    /// extension code: a term no parser would build is a `TypeError`,
+    /// never an abort — the `Type` constructors assert these shapes.
+    #[test]
+    fn malformed_terms_are_type_errors_not_panics() {
+        let a = || array1_lit(vec![nat(1)]);
+        let rows = [
+            ("1-tuple", Expr::Tuple(vec![nat(1)])),
+            ("0-tuple", Expr::Tuple(vec![])),
+            ("subscript with no index", Expr::Sub(a().boxed(), vec![])),
+            ("dim_0", Expr::Dim(0, a().boxed())),
+            ("tabulation with no index", Expr::Tab { head: nat(1).boxed(), idx: vec![] }),
+            ("index_0", Expr::Index(0, single(tuple(vec![nat(0), nat(1)])).boxed())),
+            ("array literal of rank 0", Expr::ArrayLit { dims: vec![], items: vec![nat(1)] }),
+        ];
+        for (what, e) in rows {
+            let got = std::panic::catch_unwind(|| check(&e));
+            let Ok(got) = got else { panic!("{what}: typecheck panicked") };
+            assert!(matches!(got, Err(TypeError::Other(_))), "{what}: {got:?}");
+            // …and so it is to the gate, as a rule's output.
+            let err = check_rewrite(&nat(1), &e, &[]).expect_err(what);
+            assert!(err.contains("ill-formed"), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn arity_rank_and_branch_violations_are_type_errors() {
+        let bad_proj = Expr::Proj(0, 5, nat(1).boxed());
+        assert!(matches!(check(&bad_proj), Err(TypeError::BadProjection { .. })));
+        assert!(check(&proj(1, 3, tuple(vec![nat(1), nat(2), nat(3)]))).is_ok());
+        assert!(check(&Expr::Proj(1, 2, tuple(vec![nat(1), nat(2), nat(3)]).boxed())).is_err());
+        // Two subscripts into, and dim_2 of, a 1-d tabulation.
+        let t = || tab1("i", nat(4), var("i"));
+        assert!(check(&sub(t(), vec![nat(0), nat(1)])).is_err());
+        assert!(check(&dim_ik(2, 2, t())).is_err());
+        assert!(check(&iff(nat(3), nat(1), nat(2))).is_err(), "condition must be bool");
+        assert!(check(&iff(Expr::Bool(true), nat(1), strlit("x"))).is_err(), "branches differ");
+    }
+
+    #[test]
+    fn check_rewrite_accepts_sound_and_rejects_unsound() {
+        // β: (λx. x + 1) 2 ~> 2 + 1 — sound.
+        let before = app(lam("x", add(var("x"), nat(1))), nat(2));
+        let after = add(nat(2), nat(1));
+        assert!(check_rewrite(&before, &after, &[]).is_ok());
+        // A rule that invents a variable.
+        let bad = add(var("ghost"), nat(1));
+        let err = check_rewrite(&before, &bad, &[]).unwrap_err();
+        assert!(err.contains("unbound variable `ghost`"), "{err}");
+        // A rule that changes the type.
+        let err = check_rewrite(&before, &Expr::Bool(true), &[]).unwrap_err();
+        assert!(err.contains("changed the redex's type"), "{err}");
+        // Free variables of the redex stay legal in the contractum.
+        let before = add(var("x"), nat(0));
+        assert!(check_rewrite(&before, &var("x"), &[]).is_ok());
+        // Binders tracked by the engine are in scope.
+        let i = [crate::expr::name("i")];
+        assert!(check_rewrite(&nat(0), &var("i"), &i).is_ok());
+        // …at one type for redex and contractum alike.
+        let err = check_rewrite(&add(var("i"), nat(1)), &iff(var("i"), nat(1), nat(2)), &i);
+        assert!(err.unwrap_err().contains("type mismatch"));
+        // A redex Fig. 1 rejects is named as such, not blamed on the rule.
+        let err = check_rewrite(&add(nat(1), Expr::Bool(true)), &nat(1), &[]).unwrap_err();
+        assert!(err.contains("redex is ill-typed"), "{err}");
+    }
+
+    #[test]
+    fn open_mode_trusts_what_only_the_context_can_type() {
+        // `e` as its own contractum: is the fragment typeable under `scope`?
+        let fragment = |e: &Expr, scope: &[Name]| check_rewrite(e, e, scope);
+        let [x, p] = ["x", "p"].map(crate::expr::name);
+        let (x, p) = (std::slice::from_ref(&x), std::slice::from_ref(&p));
+        assert!(fragment(&add(var("x"), nat(1)), &[]).is_ok(), "free in the redex");
+        assert!(check_rewrite(&nat(1), &add(var("x"), nat(1)), &[]).is_err());
+        assert!(check_rewrite(&nat(1), &add(var("x"), nat(1)), x).is_ok());
+        // Globals and externals: any type, and a type per occurrence.
+        let g_twice = tuple(vec![add(global("g"), nat(1)), iff(global("g"), ext("f"), ext("f"))]);
+        assert!(fragment(&g_twice, &[]).is_ok());
+        assert!(check(&global("g")).is_err() && check(&ext("f")).is_err(), "closed: unbound");
+        // No numeric default: `p + p` is `real` if the context says so.
+        assert!(check_rewrite(&add(var("p"), var("p")), &mul(var("p"), real(2.0)), p).is_ok());
+        // No rank default: `A[p]` beside `π₁ p` is a 2-d subscript, which
+        // closed mode (p : nat by default) would reject…
+        let e = tuple(vec![sub(global("A"), vec![var("p")]), fst(var("p"))]);
+        assert!(fragment(&e, p).is_ok());
+        // …but a rank the fragment itself fixes still binds the index,
+        let a2 = array_lit(vec![nat(1), nat(1)], vec![nat(7)]);
+        let e = tuple(vec![sub(a2, vec![var("p")]), add(var("p"), nat(1))]);
+        assert!(fragment(&e, p).is_err(), "p : nat × nat, not nat");
+        // and what is subscripted must still be an array.
+        assert!(fragment(&sub(nat(3), vec![var("p")]), p).is_err());
+    }
+
+    #[test]
+    fn var_is_a_wildcard() {
+        assert!(type_compatible(&Type::Var(0), &Type::Nat));
+        assert!(type_compatible(&Type::set(Type::Var(3)), &Type::set(Type::Bool)));
+        assert!(!type_compatible(&Type::Nat, &Type::Bool));
+        assert!(!type_compatible(
+            &Type::array(Type::Nat, 2),
+            &Type::array(Type::Nat, 1)
+        ));
+        assert!(type_compatible(
+            &Type::fun(Type::Var(1), Type::Nat),
+            &Type::fun(Type::Real, Type::Nat)
+        ));
+        assert!(!type_compatible(
+            &Type::tuple(vec![Type::Nat, Type::Nat]),
+            &Type::tuple(vec![Type::Nat, Type::Nat, Type::Nat])
+        ));
     }
 
     #[test]

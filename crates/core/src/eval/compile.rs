@@ -152,10 +152,10 @@ fn malformed(constructor: &str, detail: String) -> EvalError {
 
 impl Compiler<'_> {
     fn go(&mut self, e: &Expr) -> Result<CExpr, EvalError> {
-        // Shape invariants the typechecker (and `aql-verify`) enforce on
-        // the way in; re-checked here because compile is also reachable
-        // with terms built programmatically or rewritten by extension
-        // rules.
+        // Shape invariants the typechecker enforces on the way in (and,
+        // as the rewrite gate, on every rule's output); re-checked here
+        // because compile is also reachable with terms built
+        // programmatically or rewritten by extension rules, ungated.
         match e {
             Expr::Tuple(items) if items.len() < 2 => {
                 return Err(malformed("Tuple", format!("arity {} < 2", items.len())));

@@ -24,18 +24,9 @@ impl Snap {
             .unwrap_or(0)
     }
 
-    /// All `{source="…"}` label values of series in `family`, with the
-    /// series value, sorted by source.
-    fn by_source(&self, family: &str) -> Vec<(String, u64)> {
-        let prefix = format!("{family}{{source=\"");
-        self.0
-            .iter()
-            .filter_map(|(k, v)| {
-                let rest = k.strip_prefix(&prefix)?;
-                let src = rest.strip_suffix("\"}")?;
-                Some((src.to_string(), *v))
-            })
-            .collect()
+    /// The series of `family` labelled `source=src`.
+    fn of_source(&self, family: &str, src: &str) -> u64 {
+        self.get(&crate::series_key(family, &[("source", src)]))
     }
 }
 
@@ -54,17 +45,14 @@ pub(crate) fn stats_json(uptime_s: u64) -> String {
     let misses = crate::family_total("aql_store_cache_misses_total");
     let budget = snap.get("aql_store_governor_budget_bytes");
     let peak = snap.get("aql_store_governor_peak_bytes");
-    let mut breakers: Vec<(String, u64)> =
-        snap.by_source("aql_store_breaker_trips_total");
-    breakers.sort();
-    let breaker_items: Vec<String> = breakers
+    // The label values as registered, not as a series key spells them:
+    // a key escapes its values its own way.
+    let breaker_items: Vec<String> = crate::label_values("aql_store_breaker_trips_total", "source")
         .iter()
-        .map(|(src, trips)| {
-            let probes = snap
-                .get(&format!("aql_store_breaker_probes_total{{source=\"{src}\"}}"));
-            let fast_fails = snap.get(&format!(
-                "aql_store_breaker_fast_fails_total{{source=\"{src}\"}}"
-            ));
+        .map(|src| {
+            let trips = snap.of_source("aql_store_breaker_trips_total", src);
+            let probes = snap.of_source("aql_store_breaker_probes_total", src);
+            let fast_fails = snap.of_source("aql_store_breaker_fast_fails_total", src);
             format!(
                 "{{\"source\":\"{}\",\"trips\":{trips},\"probes\":{probes},\
                  \"fast_fails\":{fast_fails}}}",
@@ -239,6 +227,12 @@ mod tests {
         // The labeled breaker series shows up under its source label.
         assert!(body.contains("\"source\":\"t-dash-src\""), "{body}");
         assert!(body.contains("\"trips\":2"), "{body}");
+        // …escaped once, as JSON: not as the series key spells it.
+        let label = "t-dash \"q\" \\ \n \u{1} é";
+        crate::counter_with("aql_store_breaker_trips_total", &[("source", label)], "t").add(3);
+        let body = stats_json(7);
+        let json = r#""source":"t-dash \"q\" \\ \n \u0001 é","trips":3,"#;
+        assert!(body.contains(json), "{body}");
     }
 
     #[test]

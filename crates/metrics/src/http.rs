@@ -104,10 +104,25 @@ fn healthz_body() -> String {
     )
 }
 
-/// JSON-escape for the path-ish strings `/incidents` and `/stats.json`
-/// emit.
+/// The body of a JSON string (RFC 8259 §7) for the path-ish strings
+/// `/incidents` and `/stats.json` emit: `"`, `\` and every control
+/// character U+0000–U+001F escaped, anything else as it is. A file name
+/// or a source label can hold any of them.
 pub(crate) fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// The `/incidents` body: the registered directory (or null) and up to

@@ -422,6 +422,19 @@ impl std::ops::Deref for LazyCounter {
 
 // ---- snapshots and exposition ----------------------------------------
 
+/// The values label `label` takes over the series of `family`, as they
+/// were registered, sorted.
+pub(crate) fn label_values(family: &str, label: &str) -> Vec<String> {
+    let reg = registry();
+    let mut out: Vec<String> = reg
+        .values()
+        .filter(|e| e.family == family)
+        .filter_map(|e| e.labels.iter().find(|(k, _)| k == label).map(|(_, v)| v.clone()))
+        .collect();
+    out.sort();
+    out
+}
+
 /// A flat numeric snapshot of the registry: every counter and gauge as
 /// its series key, every histogram as `<key>_count` / `<key>_sum` /
 /// `<key>_p50` / `<key>_p95` / `<key>_p99`. Sorted by key; gauges

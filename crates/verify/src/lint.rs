@@ -33,7 +33,7 @@ use aql_analysis::{Analysis, SubVerdict};
 use aql_core::eval::bounds::Iv;
 use aql_core::expr::Expr;
 
-use crate::diag::{normalize, Diagnostic, Severity};
+use crate::diag::{normalize, Diagnostic};
 
 /// Run the lint pass over a (resolved, well-typed) term.
 pub fn lint_expr(e: &Expr) -> Vec<Diagnostic> {
@@ -53,7 +53,7 @@ struct Linter<'a> {
 
 impl Linter<'_> {
     fn warn(&mut self, code: &'static str, message: impl Into<String>) {
-        self.diags.push(Diagnostic::new(code, Severity::Warning, &self.path, message));
+        self.diags.push(Diagnostic::new(code, &self.path, message));
     }
 
     /// L005: the abstract interpreter proved this comprehension/sum

@@ -8,12 +8,17 @@
 //! cargo run --release --example gate_overhead
 //! ```
 //!
-//! Representative numbers (release, one container): gate off is
-//! statistically indistinguishable from the pre-gate engine (the off
-//! path adds one branch per rule fire plus binder-scope bookkeeping
-//! dwarfed by the rewrites' term cloning); per-fire verification costs
-//! ~1.4x optimizer time — which is why it defaults on only in debug
-//! builds, where the whole test corpus doubles as a soundness corpus.
+//! Representative numbers (release, one container, issue 22): gate off
+//! is statistically indistinguishable from the pre-gate engine (the off
+//! path adds one branch per rule fire plus binder-scope bookkeeping);
+//! with per-fire checking — `aql_core::check::check_rewrite`, the
+//! typechecker in open mode over redex and contractum — a run takes
+//! 2.7–2.8x as long (6.9 ms → 19.0 ms per iteration, three runs). The
+//! lattice-based term verifier it replaced read 2.0–2.2x the same day;
+//! the "~1.4x" this header carried since PR 4 predates issue 19, which
+//! halved the optimizer under it. That is why the gate defaults on only
+//! in debug builds, where the whole test corpus doubles as a soundness
+//! corpus.
 
 use std::time::Instant;
 

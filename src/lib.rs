@@ -3,7 +3,7 @@
 //! Re-exports the full AQL system: the NRCA core calculus
 //! ([`aql_core`]), the surface language and session ([`aql_lang`]),
 //! the optimizer ([`aql_opt`]), the abstract-interpretation framework
-//! ([`aql_analysis`]), the IR verifier and lint pass
+//! ([`aql_analysis`]), the diagnostics and lint pass
 //! ([`aql_verify`]), the NetCDF driver ([`aql_netcdf`]), the
 //! query-lifecycle tracer ([`aql_trace`]), the process-lifetime
 //! metrics registry ([`aql_metrics`]) and the always-on flight

@@ -81,8 +81,22 @@ fn dashboard_stats_and_profile_routes_serve_live_data() {
     }
 
     // ---- GET /stats.json ---------------------------------------------
-    let stats = Json::parse(body_of(&http_get(&addr, "/stats.json")))
-        .expect("stats.json must be strict JSON");
+    // A source label is a path the user typed (`aqf:<path>`): one with a
+    // quote, a backslash, a newline and a non-ASCII character in it has
+    // to come back as itself from strict JSON.
+    let label = "aqf:a\"q\"\\b\nc é.aqf";
+    aql::metrics::counter_with("aql_store_breaker_trips_total", &[("source", label)], "t").inc();
+    let resp = http_get(&addr, "/stats.json");
+    let body = body_of(&resp);
+    assert!(!body.trim_end().contains(|c: char| c < ' '), "unescaped control character: {body:?}");
+    let stats = Json::parse(body).expect("stats.json must be strict JSON");
+    let Some(Json::Arr(breakers)) = stats.get("breakers") else {
+        panic!("breakers is an array: {stats:?}")
+    };
+    assert!(
+        breakers.iter().any(|b| b.get("source").and_then(Json::as_str) == Some(label)),
+        "the label round-trips: {breakers:?}"
+    );
     assert_eq!(stats.get("schema_version").and_then(Json::as_u64), Some(1));
     for key in [
         "uptime_s",

@@ -129,6 +129,25 @@ fn repl_session_serves_prometheus_and_logs_slow_queries() {
         assert!(typed.contains(fam), "sample `{line}` has no preceding # TYPE");
     }
 
+    // ---- the incident listing ---------------------------------------
+    // File names are whatever the directory holds: a quote, a backslash,
+    // a newline and a non-ASCII character must come back as themselves
+    // from strict JSON, in the directory's name and in a file's.
+    let incidents = dir.join("inc \"q\"\\\n é");
+    std::fs::create_dir_all(&incidents).unwrap();
+    let name = "incident-7-\"q\"\\\n é.json";
+    std::fs::write(incidents.join(name), "{}").unwrap();
+    aql::metrics::http::set_incident_dir(Some(incidents.clone()));
+    let resp = http_get(&addr, "/incidents");
+    aql::metrics::http::set_incident_dir(None);
+    let body = resp.split("\r\n\r\n").nth(1).expect("response body");
+    // `Json::parse` forgives a raw control character in a string; RFC
+    // 8259 does not, so look for one in the bytes too.
+    assert!(!body.trim_end().contains(|c: char| c < ' '), "unescaped control character: {body:?}");
+    let listing = Json::parse(body).expect("/incidents must be strict JSON");
+    assert_eq!(listing.get("dir").and_then(Json::as_str), incidents.to_str());
+    assert_eq!(listing.get("incidents"), Some(&Json::Arr(vec![Json::Str(name.into())])));
+
     // Everything else 404s.
     assert!(http_get(&addr, "/other").starts_with("HTTP/1.1 404"), "non-/metrics paths 404");
 

@@ -13,6 +13,13 @@
 //! what a timer cannot: the §1 query costs under a thousand
 //! `Rule::apply` calls (the parent's loop made 43,479), and no term of
 //! the corpus is stopped by a bound instead of a fixpoint.
+//!
+//! The same corpus and generators hold the per-fire soundness gate to
+//! its other half: what it must *not* reject. `Gate::local()` runs
+//! `aql_core::check::check_rewrite` — the typechecker in open mode — on
+//! every firing, in release builds too (where sessions leave the gate
+//! off), and no library rule may trip it. The rewrites it must reject
+//! are the detection table in `aql-opt`'s engine tests.
 
 use proptest::prelude::*;
 
@@ -20,7 +27,7 @@ use aql::core::expr::children::map_children;
 use aql::core::expr::free::alpha_eq;
 use aql::core::expr::Expr;
 use aql::opt::rules::{checks_phase, motion_phase, normalize_phase};
-use aql::opt::{standard, Phase, Trace};
+use aql::opt::{standard, Gate, Phase, Trace};
 
 mod common;
 use common::{arb_set_query, arb_step, build_pipeline};
@@ -85,6 +92,18 @@ fn assert_engine_matches_reference(label: &str, e: &Expr) {
     assert!(alpha_eq(&got, &expected), "{label}: normal form\n got    {got}\n expect {expected}");
 }
 
+/// Every firing of the standard pipeline on `e` passes the per-fire
+/// gate, and gating changes nothing about the result.
+fn assert_no_library_rewrite_is_rejected(label: &str, e: &Expr) {
+    let mut trace = Trace::default();
+    let gated = standard()
+        .run(e, &Gate::local(), Some(&mut trace))
+        .unwrap_or_else(|err| panic!("{label}: {err}\n{e}"));
+    let (ungated, expected) = engine_run(e);
+    assert_eq!(firings(&trace), firings(&expected), "{label}: the gate only watches\n{e}");
+    assert!(alpha_eq(&gated, &ungated), "{label}: normal form\n got    {gated}\n expect {ungated}");
+}
+
 /// At every node of `e`, a library rule that fires lists the node's
 /// head among its `heads()`.
 fn assert_rules_fire_only_at_their_heads(label: &str, e: &Expr) {
@@ -116,6 +135,13 @@ fn a_library_rule_fires_only_at_a_head_it_declares() {
         assert_rules_fire_only_at_their_heads(label, e);
         // The normal form too: other constructors, other shapes.
         assert_rules_fire_only_at_their_heads(label, &engine_run(e).0);
+    }
+}
+
+#[test]
+fn the_per_fire_gate_rejects_no_library_rewrite_on_the_corpus() {
+    for (label, e) in &common::corpus(&data_dir("gate")) {
+        assert_no_library_rewrite_is_rejected(label, e);
     }
 }
 
@@ -166,11 +192,13 @@ proptest! {
         let e = build_pipeline(base, &steps);
         assert_engine_matches_reference("pipeline", &e);
         assert_rules_fire_only_at_their_heads("pipeline", &e);
+        assert_no_library_rewrite_is_rejected("pipeline", &e);
     }
 
     #[test]
     fn generated_set_queries_rewrite_as_under_the_reference_driver(q in arb_set_query()) {
         assert_engine_matches_reference("set query", &q);
         assert_rules_fire_only_at_their_heads("set query", &q);
+        assert_no_library_rewrite_is_rejected("set query", &q);
     }
 }

@@ -37,6 +37,19 @@ impl Rule for EvilGhostVar {
     }
 }
 
+/// Rewrites the literal `13` to the 1-tuple `(13)` — a term no parser
+/// builds and `Type::tuple` asserts against.
+struct EvilOneTuple;
+
+impl Rule for EvilOneTuple {
+    fn name(&self) -> &'static str {
+        "evil-one-tuple"
+    }
+    fn apply(&self, e: &Expr) -> Option<Expr> {
+        matches!(e, Expr::Nat(13)).then(|| Expr::Tuple(vec![Expr::Nat(13)]))
+    }
+}
+
 fn session_with_rule(rule: Rc<dyn Rule>) -> Session {
     let mut s = Session::new();
     // Explicit: the default is debug-on/release-off, but this test must
@@ -89,6 +102,21 @@ fn scope_escaping_rewrite_is_caught_under_binders() {
         message.contains("ghost") || message.contains("unbound"),
         "message names the escape: {message}"
     );
+}
+
+#[test]
+fn a_malformed_contractum_is_an_attributed_error_not_a_panic() {
+    // The gate feeds a rule's output to the typechecker, which must
+    // answer with a type error for a term outside the grammar too.
+    let mut s = session_with_rule(Rc::new(EvilOneTuple));
+    let err = s.run("13 + 0;").expect_err("the gate must reject the 1-tuple");
+    let LangError::Unsound { phase, rule, message } = &err else {
+        unreachable!("expected LangError::Unsound, got: {err}");
+    };
+    assert_eq!((phase.as_str(), rule.as_str()), ("normalize", "evil-one-tuple"));
+    assert!(message.contains("1-tuple"), "message names the malformation: {message}");
+    let out = s.run("1 + 1;").expect("session stays usable");
+    assert!(out[0].text.contains("val it = 2"), "{}", out[0].text);
 }
 
 #[test]

@@ -24,8 +24,8 @@ meta-commands:
   \\lint <query>;           run the shape/bounds lints without evaluating
   \\profile <statements>    run with tracing on and print the phase tree
                            (… > \"f.json\"; exports Chrome trace JSON for Perfetto)
-  \\flame <statements>      sample span stacks while re-running; prints hottest
-                           stacks (… > \"f.svg\"; writes an SVG flamegraph)
+  \\flame <statements>      run once with tracing on; prints the hottest span
+                           stacks by self time (… > \"f.svg\"; writes a flamegraph)
   \\metrics;                print the process-lifetime metrics registry
   \\metrics serve [addr];   serve Prometheus exposition + live dashboard at /
                            (default 127.0.0.1:0)
@@ -154,10 +154,10 @@ pub fn run_repl(
             pending.clear();
             continue;
         }
-        // `\flame <statements>` re-runs the statements under the
-        // background span-sampling profiler and prints the hottest
-        // collapsed stacks; with a trailing `> "file.svg";` it writes
-        // the SVG flamegraph instead.
+        // `\flame <statements>` runs the statements once with tracing
+        // on and prints the span stacks with the most self time; with
+        // a trailing `> "file.svg";` it writes the SVG flamegraph
+        // instead.
         if let Some(src) = trimmed_stmt.strip_prefix("\\flame ") {
             let (src, redirect) = split_redirect(src);
             match session.flame(src) {
@@ -166,29 +166,20 @@ pub fn run_repl(
                         writeln!(output, "{}", o.text)?;
                         executed += 1;
                     }
+                    let size = format!(
+                        "{} in {} stacks",
+                        aql_trace::fmt_dur(profile.total_ns()),
+                        profile.folded().len()
+                    );
                     match redirect {
-                        Some(path) => {
-                            let svg = profile.to_svg(src.trim());
-                            match std::fs::write(path, svg) {
-                                Ok(()) => writeln!(
-                                    output,
-                                    "flame: wrote {path} ({} samples at {} Hz)",
-                                    profile.samples, profile.hz
-                                )?,
-                                Err(e) => writeln!(
-                                    output,
-                                    "error: cannot write `{path}`: {e}"
-                                )?,
-                            }
-                        }
+                        Some(path) => match std::fs::write(path, profile.to_svg(src.trim())) {
+                            Ok(()) => writeln!(output, "flame: wrote {path} ({size})")?,
+                            Err(e) => writeln!(output, "error: cannot write `{path}`: {e}")?,
+                        },
                         None => {
-                            writeln!(
-                                output,
-                                "flame: {} samples at {} Hz, hottest stacks:",
-                                profile.samples, profile.hz
-                            )?;
-                            for (stack, n) in profile.top(8) {
-                                writeln!(output, "  {n:>6} {stack}")?;
+                            writeln!(output, "flame: {size}, hottest stacks:")?;
+                            for (stack, ns) in profile.top(8) {
+                                writeln!(output, "  {:>8} {stack}", aql_trace::fmt_dur(ns))?;
                             }
                         }
                     }
@@ -212,20 +203,10 @@ pub fn run_repl(
             let addr = if addr.is_empty() { "127.0.0.1:0" } else { addr };
             match aql_metrics::http::serve(addr) {
                 Ok(server) => {
-                    // Wire `GET /profile?seconds=N` to the sampler.
-                    // aql-metrics stays profiler-free; the session is
-                    // the layer that owns both and ties them together.
-                    aql_metrics::http::set_profile_provider(Some(Box::new(
-                        |seconds| {
-                            match aql_profile::sample_for(
-                                std::time::Duration::from_secs(seconds),
-                                aql_profile::DEFAULT_HZ,
-                            ) {
-                                Ok(p) => p.folded_text(),
-                                Err(e) => format!("profile: sampler failed: {e}\n"),
-                            }
-                        },
-                    )));
+                    // `GET /profile?seconds=N` folds the flight recorder,
+                    // which aql-metrics cannot see; the session is the
+                    // layer that owns both and ties them together.
+                    aql_metrics::http::set_profile_provider(Some(Box::new(live_profile)));
                     writeln!(output, "metrics: serving http://{}/metrics", server.addr())?;
                     writeln!(output, "metrics: dashboard at http://{}/", server.addr())?;
                 }
@@ -342,6 +323,16 @@ pub fn run_repl(
         pending.clear();
     }
     Ok(executed)
+}
+
+/// The `GET /profile?seconds=N` body: every thread's flight-recorder
+/// records of the last `seconds` (or as far back as the rings still
+/// hold), folded into `statement;<phase> <ns>` lines.
+fn live_profile(seconds: u64) -> String {
+    let since = aql_journal::now_us().saturating_sub(seconds.saturating_mul(1_000_000));
+    let mut recent = aql_journal::snapshot();
+    recent.events.retain(|r| r.t_us >= since);
+    aql_profile::Profile::from_folded(recent.folded()).folded_text()
 }
 
 /// Strip a double-quoted argument (`"<text>"`). Returns `None` when it
@@ -674,14 +665,42 @@ mod tests {
         assert_eq!(split_redirect("x > 3;"), ("x > 3;", None));
     }
 
+    /// Is `word` a duration as [`aql_trace::fmt_dur`] prints one (`12.3µs`)?
+    fn is_duration(word: &str) -> bool {
+        aql_trace::redact_timings(&format!("({word})")) == "(_)"
+    }
+
+    /// `<total> in <n> stacks` → `n`, having checked `<total>`.
+    fn stacks_of(size: &str) -> usize {
+        let (total, rest) = size.split_once(" in ").unwrap_or_else(|| panic!("`{size}`"));
+        assert!(is_duration(total), "the total is a duration: `{size}`");
+        rest.strip_suffix(" stacks").and_then(|n| n.parse().ok()).unwrap_or_else(|| panic!("`{size}`"))
+    }
+
     #[test]
     fn backslash_flame_prints_hottest_stacks() {
-        let text = redacted_transcript(
-            "\\flame max!{ i * i | \\i <- gen!400 };\n",
-        );
-        assert!(text.contains("val it = "), "{text}");
-        assert!(text.contains("Hz, hottest stacks:"), "{text}");
-        assert!(text.contains("statement"), "span frames expected: {text}");
+        let text = redacted_transcript("\\flame max!{ i * i | \\i <- gen!400 };\n");
+        assert!(text.contains("val it = 159201"), "{text}");
+        let mut lines = text.lines().skip_while(|l| !l.starts_with("flame: "));
+        // `flame: <total> in <n> stacks, hottest stacks:` …
+        let head = lines.next().unwrap_or_else(|| panic!("no flame line: {text}"));
+        let size = head.strip_prefix("flame: ").and_then(|h| h.strip_suffix(", hottest stacks:"));
+        assert!(stacks_of(size.unwrap_or_else(|| panic!("`{head}`"))) >= 8, "{head}");
+        // … then the eight heaviest `  <dur> <stack>` lines, every span
+        // of the statement a candidate, not only those a tick caught.
+        let hottest: Vec<&str> = lines
+            .take_while(|l| l.starts_with("  "))
+            .map(|l| {
+                let (dur, stack) = l.trim().split_once(' ').unwrap_or_else(|| panic!("`{l}`"));
+                assert!(is_duration(dur), "a duration leads `{l}`");
+                stack
+            })
+            .collect();
+        assert_eq!(hottest.len(), 8, "{text}");
+        for stack in ["statement", "statement;eval", "statement;optimize;opt.phase;opt.pass"] {
+            assert!(hottest.contains(&stack), "{stack}: {text}");
+        }
+        assert!(hottest.iter().all(|s| s.starts_with("statement") || s.starts_with("parse")));
     }
 
     #[test]
@@ -692,10 +711,17 @@ mod tests {
         let text = redacted_transcript(&format!(
             "\\flame max!{{ i + 1 | \\i <- gen!200 }}; > \"{path_str}\";\n"
         ));
-        assert!(text.contains("flame: wrote"), "{text}");
+        let size = text
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("flame: wrote {path_str} (")))
+            .and_then(|l| l.strip_suffix(')'))
+            .unwrap_or_else(|| panic!("no flame line: {text}"));
+        assert!(stacks_of(size) >= 8, "{text}");
         let svg = std::fs::read_to_string(&path).expect("svg written");
         assert!(svg.starts_with("<svg"), "{svg}");
-        assert!(svg.contains("statement"), "{svg}");
+        assert!(svg.contains("<title>statement ("), "{svg}");
+        assert!(svg.contains("<title>opt.pass ("), "the exact tree, not what a tick caught: {svg}");
+        assert!(!svg.contains("samples"), "weights are durations: {svg}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -272,33 +272,6 @@ fn render_cost(c: &aql_opt::cost::CostEstimate) -> String {
     format!("cells~{} steps~{} bytes~{}", c.cardinality, c.steps, c.bytes_moved)
 }
 
-/// Tuning for [`Session::flame_with`]: how fast to sample and how long
-/// to keep re-running the program to accumulate samples.
-#[derive(Debug, Clone, Copy)]
-pub struct FlameOptions {
-    /// Sampling frequency in Hz (the sampler clamps to 1..=10 000).
-    /// High by default — a flame run is short and explicitly
-    /// requested, so per-sample overhead is not a concern the way it
-    /// is for the always-on 99 Hz dashboard window.
-    pub hz: u32,
-    /// Re-run the program until this much wall time has elapsed, so
-    /// even microsecond statements accumulate enough samples for
-    /// stable frame proportions.
-    pub min_duration: Duration,
-    /// Hard cap on re-runs regardless of wall time.
-    pub max_iters: u32,
-}
-
-impl Default for FlameOptions {
-    fn default() -> Self {
-        FlameOptions {
-            hz: 997,
-            min_duration: Duration::from_millis(250),
-            max_iters: 400,
-        }
-    }
-}
-
 /// A machine-readable account of the most recent [`Session::run`]:
 /// per-statement evaluation statistics plus (when collected through
 /// [`Session::profile`]) the full span/counter trace. Supersedes the
@@ -846,49 +819,16 @@ impl Session {
         }))
     }
 
-    /// Run a program under the span-sampling profiler
-    /// ([`aql_profile::Sampler`]) with default [`FlameOptions`]. See
-    /// [`Session::flame_with`].
+    /// [`Session::profile`] with the span tree folded into collapsed
+    /// stacks ([`aql_profile::Profile::from_trace`]: each span path
+    /// weighs its exact self time; renderable as text or an SVG
+    /// flamegraph). The program runs once.
     pub fn flame(
         &mut self,
         src: &str,
     ) -> Result<(Vec<Outcome>, aql_profile::Profile), LangError> {
-        self.flame_with(src, FlameOptions::default())
-    }
-
-    /// Run a program while a background sampler snapshots this
-    /// thread's open span path, and return the first run's outcomes
-    /// together with the accumulated [`aql_profile::Profile`] (folded
-    /// stacks, renderable as text or an SVG flamegraph).
-    ///
-    /// A single statement usually finishes in well under one sampling
-    /// interval, so the program is re-run until `opts.min_duration` of
-    /// wall time has elapsed (or `opts.max_iters` runs), which makes
-    /// the flamegraph's frame proportions statistically meaningful.
-    /// Statements are re-executed as written — idempotent `val`
-    /// rebinding and reads are fine; a program with external side
-    /// effects (e.g. `writeval`) will repeat them.
-    pub fn flame_with(
-        &mut self,
-        src: &str,
-        opts: FlameOptions,
-    ) -> Result<(Vec<Outcome>, aql_profile::Profile), LangError> {
-        let sampler = aql_profile::Sampler::start(opts.hz)
-            .map_err(|e| LangError::session(format!("flame: sampler: {e}")))?;
-        let deadline = Instant::now() + opts.min_duration;
-        // On error the `?` drops the sampler, which stops its thread.
-        let first = self.run(src)?;
-        let mut iters = 1u32;
-        while Instant::now() < deadline && iters < opts.max_iters {
-            if self.run(src).is_err() {
-                // The program succeeded once; a rerun failure means it
-                // is not idempotent. Keep the first outcomes and stop
-                // accumulating rather than erroring the whole call.
-                break;
-            }
-            iters += 1;
-        }
-        Ok((first, sampler.stop()))
+        let (outcomes, report) = self.profile(src)?;
+        Ok((outcomes, aql_profile::Profile::from_trace(&report.trace)))
     }
 
     /// Evaluate a single query expression and return its type and value.

@@ -129,7 +129,7 @@ fn the_statement_path_looks_no_metric_up_after_the_first_statement() {
 }
 
 #[test]
-fn trace_and_sampler_cost_do_not_grow_with_the_data_scanned() {
+fn trace_cost_does_not_grow_with_the_data_scanned() {
     use aql_core::types::Type;
     use aql_core::value::{ArrayVal, Value};
     use aql_store::{ChunkLayout, LazyArray, MemChunkSource, ScalarBuf, ScalarKind};
@@ -155,12 +155,9 @@ fn trace_and_sampler_cost_do_not_grow_with_the_data_scanned() {
         let before = aql_trace::clock_reads();
         let (_, report) = s.profile(&scan(hours)).expect("profiled scan");
         assert_eq!(report.total().cache.misses, 0, "warm cache");
-        assert!(aql_trace::livepath::current_path().is_empty(), "no span left open");
+        assert!(report.trace.spans.iter().all(|s| s.dur_ns.is_some()), "no span left open");
         (report.trace.spans.len(), aql_trace::clock_reads() - before)
     };
     let small = cost(200);
     assert_eq!(cost(400), small, "twice the cells, the same spans and clock reads");
-    let sampler = aql_profile::Sampler::start(aql_profile::DEFAULT_HZ).expect("sampler");
-    assert_eq!((cost(200), cost(400)), (small, small), "and the same with the sampler running");
-    sampler.stop();
 }

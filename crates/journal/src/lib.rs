@@ -442,6 +442,41 @@ impl Journal {
         Journal { events: self.events[start..].to_vec() }
     }
 
+    /// The statements this journal holds whole — `StmtBegin` to
+    /// `StmtEnd` on one thread — as collapsed stacks, the shape of
+    /// `aql_trace::Trace::folded` at the granularity the recorder keeps
+    /// durations at: `statement;<phase>` carries the phase time
+    /// [`Ledger::fold`](attr::Ledger::fold) finds inside them and
+    /// `statement` the rest of their `StmtEnd` durations, so the weights
+    /// sum to those durations. Empty stacks are left out. Lexing and
+    /// parsing happen before a statement exists and a running statement
+    /// has no duration yet: neither is in this account.
+    pub fn folded(&self) -> Vec<(String, u64)> {
+        // Per thread inside a statement, the records since its `StmtBegin`.
+        let mut open: Vec<(u64, Vec<Record>)> = Vec::new();
+        let mut inside = Vec::new();
+        let mut ended_ns = 0u64;
+        for r in &self.events {
+            let at = open.iter().position(|(thread, _)| *thread == r.thread);
+            match (r.tag, at) {
+                (Tag::StmtBegin, Some(i)) => open[i].1.clear(),
+                (Tag::StmtBegin, None) => open.push((r.thread, Vec::new())),
+                (Tag::StmtEnd, Some(i)) => {
+                    ended_ns += r.b;
+                    inside.append(&mut open.swap_remove(i).1);
+                }
+                (_, Some(i)) => open[i].1.push(*r),
+                (_, None) => {}
+            }
+        }
+        let phases = attr::Ledger::fold(&inside).phases;
+        let in_phases: u64 = phases.iter().map(|(_, ns)| ns).sum();
+        let mut out = vec![("statement".to_string(), ended_ns.saturating_sub(in_phases))];
+        out.extend(phases.into_iter().map(|(p, ns)| (format!("statement;{p}"), ns)));
+        out.retain(|(_, ns)| *ns > 0);
+        out
+    }
+
     /// The journal as a JSON value: an array of event objects with
     /// labels resolved to strings.
     pub fn to_json_value(&self) -> Json {
@@ -670,6 +705,35 @@ mod tests {
         let ts: Vec<u64> = a.events.iter().map(|e| e.t_us).collect();
         assert_eq!(ts, vec![10, 20, 30, 30]);
         assert_eq!(a.events[2].thread, 0, "ties break by thread then epoch");
+    }
+
+    #[test]
+    fn folded_accounts_whole_statements_per_thread() {
+        let (eval, parse) = (intern("eval"), intern("parse"));
+        let mut epoch = 0;
+        let mut ev = |thread, tag, label, a, b| {
+            epoch += 1;
+            Record { thread, epoch, t_us: epoch, tag, label, a, b }
+        };
+        let j = Journal {
+            events: vec![
+                // Thread 1's statement was cut by the window: not counted.
+                ev(1, Tag::Phase, eval, 1000, 0),
+                ev(1, Tag::StmtEnd, 0, 0, 5000),
+                ev(1, Tag::Phase, parse, 7, 0), // no statement yet
+                ev(1, Tag::StmtBegin, 0, 1, 0),
+                ev(2, Tag::StmtBegin, 0, 1, 0), // interleaved, still running
+                ev(1, Tag::Phase, eval, 30, 0),
+                ev(2, Tag::Phase, eval, 999, 0),
+                ev(1, Tag::StmtEnd, 0, 1, 50),
+                ev(1, Tag::StmtBegin, 0, 2, 0),
+                ev(1, Tag::Phase, eval, 40, 0),
+                ev(1, Tag::StmtEnd, 0, 2, 45),
+            ],
+        };
+        let want = vec![("statement".to_string(), 25), ("statement;eval".to_string(), 70)];
+        assert_eq!(j.folded(), want);
+        assert!(Journal::default().folded().is_empty());
     }
 
     #[test]

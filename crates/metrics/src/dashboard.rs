@@ -13,6 +13,10 @@
 //! JS, no external assets, no frameworks) that polls `stats.json` every
 //! two seconds and can fetch `profile?seconds=N` on demand.
 
+use aql_trace::json::Json;
+
+use crate::http::{json_line, num, obj};
+
 /// The flat snapshot as a key → value map lookup helper.
 struct Snap(Vec<(String, u64)>);
 
@@ -30,65 +34,69 @@ impl Snap {
     }
 }
 
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
+/// `part / whole` to four decimals (0 of an empty whole).
+fn ratio(part: u64, whole: u64) -> Json {
+    let r = if whole == 0 { 0.0 } else { part as f64 / whole as f64 };
+    Json::Num((r * 1e4).round() / 1e4)
 }
 
 /// Build the `GET /stats.json` body. Stable keys; see module docs.
 pub(crate) fn stats_json(uptime_s: u64) -> String {
     let snap = Snap(crate::snapshot());
+    let total = |family: &str| num(crate::family_total(family));
     let hits = crate::family_total("aql_store_cache_hits_total");
     let misses = crate::family_total("aql_store_cache_misses_total");
     let budget = snap.get("aql_store_governor_budget_bytes");
     let peak = snap.get("aql_store_governor_peak_bytes");
     // The label values as registered, not as a series key spells them:
     // a key escapes its values its own way.
-    let breaker_items: Vec<String> = crate::label_values("aql_store_breaker_trips_total", "source")
-        .iter()
+    let breakers = crate::label_values("aql_store_breaker_trips_total", "source")
+        .into_iter()
         .map(|src| {
-            let trips = snap.of_source("aql_store_breaker_trips_total", src);
-            let probes = snap.of_source("aql_store_breaker_probes_total", src);
-            let fast_fails = snap.of_source("aql_store_breaker_fast_fails_total", src);
-            format!(
-                "{{\"source\":\"{}\",\"trips\":{trips},\"probes\":{probes},\
-                 \"fast_fails\":{fast_fails}}}",
-                crate::http::json_escape(src),
-            )
+            let of = |family: &str| num(snap.of_source(family, &src));
+            let trips = of("aql_store_breaker_trips_total");
+            let probes = of("aql_store_breaker_probes_total");
+            let fast_fails = of("aql_store_breaker_fast_fails_total");
+            obj(vec![
+                ("source", Json::Str(src)),
+                ("trips", trips),
+                ("probes", probes),
+                ("fast_fails", fast_fails),
+            ])
         })
         .collect();
-    format!(
-        "{{\"schema_version\":1,\
-         \"uptime_s\":{uptime_s},\
-         \"statements_total\":{stmts},\
-         \"errors_total\":{errs},\
-         \"slow_queries_total\":{slow},\
-         \"latency_ns\":{{\"count\":{lc},\"sum\":{ls},\"p50\":{p50},\
-         \"p95\":{p95},\"p99\":{p99}}},\
-         \"cache\":{{\"hits\":{hits},\"misses\":{misses},\
-         \"hit_ratio\":{hit_ratio:.4}}},\
-         \"governor\":{{\"budget_bytes\":{budget},\"peak_bytes\":{peak},\
-         \"residency\":{residency:.4},\"sheds\":{sheds},\"denials\":{denials}}},\
-         \"journal_dropped_total\":{dropped},\
-         \"breakers\":[{breakers}]}}\n",
-        stmts = crate::family_total("aql_session_statements_total"),
-        errs = crate::family_total("aql_session_errors_total"),
-        slow = crate::family_total("aql_session_slow_queries_total"),
-        lc = snap.get("aql_session_statement_ns_count"),
-        ls = snap.get("aql_session_statement_ns_sum"),
-        p50 = snap.get("aql_session_statement_ns_p50"),
-        p95 = snap.get("aql_session_statement_ns_p95"),
-        p99 = snap.get("aql_session_statement_ns_p99"),
-        hit_ratio = ratio(hits, hits + misses),
-        residency = ratio(peak, budget),
-        sheds = crate::family_total("aql_store_governor_sheds_total"),
-        denials = crate::family_total("aql_store_governor_denials_total"),
-        dropped = crate::family_total("aql_journal_dropped_total"),
-        breakers = breaker_items.join(","),
-    )
+    let latency = |q: &str| num(snap.get(&format!("aql_session_statement_ns_{q}")));
+    json_line(obj(vec![
+        ("schema_version", num(1)),
+        ("uptime_s", num(uptime_s)),
+        ("statements_total", total("aql_session_statements_total")),
+        ("errors_total", total("aql_session_errors_total")),
+        ("slow_queries_total", total("aql_session_slow_queries_total")),
+        (
+            "latency_ns",
+            obj(["count", "sum", "p50", "p95", "p99"].map(|q| (q, latency(q))).to_vec()),
+        ),
+        (
+            "cache",
+            obj(vec![
+                ("hits", num(hits)),
+                ("misses", num(misses)),
+                ("hit_ratio", ratio(hits, hits + misses)),
+            ]),
+        ),
+        (
+            "governor",
+            obj(vec![
+                ("budget_bytes", num(budget)),
+                ("peak_bytes", num(peak)),
+                ("residency", ratio(peak, budget)),
+                ("sheds", total("aql_store_governor_sheds_total")),
+                ("denials", total("aql_store_governor_denials_total")),
+            ]),
+        ),
+        ("journal_dropped_total", total("aql_journal_dropped_total")),
+        ("breakers", Json::Arr(breakers)),
+    ]))
 }
 
 /// The dashboard page served at `GET /`. Self-contained: inline style
@@ -130,7 +138,7 @@ pub(crate) const DASHBOARD_HTML: &str = r#"<!doctype html>
 <h2>circuit breakers</h2>
 <table id="breakers"><tr><th>source</th><th>trips</th><th>probes</th><th>fast fails</th></tr></table>
 <h2>profile</h2>
-<p><button id="prof">sample 1 s</button> folded span stacks from the live engine</p>
+<p><button id="prof">last 1 s</button> of the flight recorder, folded into <code>stack ns</code> lines</p>
 <pre id="folded">(press the button while queries run)</pre>
 <p><a href="metrics">prometheus exposition</a> · <a href="healthz">healthz</a>
  · <a href="incidents">incidents</a></p>
@@ -180,9 +188,8 @@ function tick() {
   }).catch(function (e) { put("err", " — " + e); });
 }
 document.getElementById("prof").addEventListener("click", function () {
-  put("folded", "sampling 1 s…");
   fetch("profile?seconds=1").then(function (r) { return r.text(); })
-    .then(function (t) { put("folded", t.trim() || "(no samples — engine idle)"); })
+    .then(function (t) { put("folded", t.trim() || "(no statement ended in the last second)"); })
     .catch(function (e) { put("folded", "error: " + e); });
 });
 tick();
@@ -237,8 +244,9 @@ mod tests {
 
     #[test]
     fn ratios_are_defined_on_empty_registries() {
-        assert_eq!(ratio(0, 0), 0.0);
-        assert_eq!(ratio(3, 4), 0.75);
+        assert_eq!(ratio(0, 0), Json::Num(0.0));
+        assert_eq!(ratio(3, 4), Json::Num(0.75));
+        assert_eq!(ratio(1, 3).write(), "0.3333");
     }
 
     #[test]

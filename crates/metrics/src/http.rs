@@ -1,4 +1,4 @@
-//! A dependency-free Prometheus scrape endpoint and live dashboard.
+//! A std-only Prometheus scrape endpoint and live dashboard.
 //!
 //! [`serve`] binds a `std::net::TcpListener`, spawns one responder
 //! thread, and answers six routes:
@@ -13,14 +13,14 @@
 //!   exposition;
 //! * `GET /healthz` — a JSON liveness probe: status, uptime, and the
 //!   flight recorder's `aql_journal_dropped_total` (read back from the
-//!   registry, so this crate stays dependency-free);
+//!   registry: the journal depends on this crate, not the reverse);
 //! * `GET /incidents` — a JSON listing of recent incident files in the
 //!   directory registered via [`set_incident_dir`], newest first;
-//! * `GET /profile?seconds=N` — folded span stacks sampled over a live
-//!   window, delegated to the provider registered via
+//! * `GET /profile?seconds=N` — folded stacks of the last `N` seconds,
+//!   answered at once by the provider registered via
 //!   [`set_profile_provider`] (503 when none is installed — the
-//!   profiler lives in `aql-profile`, and this crate stays
-//!   dependency-free).
+//!   account it folds, the flight recorder's, lives in `aql-journal`,
+//!   which depends on this crate).
 //!
 //! Anything else gets a 404. One request per connection
 //! (`Connection: close`), which is exactly the Prometheus scrape model;
@@ -39,6 +39,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use aql_trace::json::Json;
+
 /// The liveness anchor: first touched when a server binds (or on the
 /// first `/healthz` probe), so uptime measures "how long has this
 /// process been serving".
@@ -54,8 +56,8 @@ pub fn set_incident_dir(dir: Option<PathBuf>) {
     *INCIDENT_DIR.lock().unwrap_or_else(|p| p.into_inner()) = dir;
 }
 
-/// A live-profile callback: given a window in seconds, return folded
-/// span stacks (`path;to;frame count` lines). See
+/// A live-profile callback: given a look-back in seconds, return folded
+/// stacks (`path;to;frame ns` lines) without blocking. See
 /// [`set_profile_provider`].
 pub type ProfileProvider = Box<dyn Fn(u64) -> String + Send + Sync>;
 
@@ -63,21 +65,19 @@ pub type ProfileProvider = Box<dyn Fn(u64) -> String + Send + Sync>;
 static PROFILE_PROVIDER: Mutex<Option<ProfileProvider>> = Mutex::new(None);
 
 /// Register (or clear, with `None`) the live-profile provider behind
-/// `GET /profile?seconds=N`. This crate has no profiler of its own —
-/// `aql-profile` owns the sampler, and hosts wire the two together
+/// `GET /profile?seconds=N`. The profile is a fold of the flight
+/// recorder, which this crate cannot see; hosts wire the two together
 /// (the REPL's `\metrics serve` does) exactly like [`set_incident_dir`]
 /// keeps the incident pipeline decoupled.
 pub fn set_profile_provider(provider: Option<ProfileProvider>) {
     *PROFILE_PROVIDER.lock().unwrap_or_else(|p| p.into_inner()) = provider;
 }
 
-/// Window bounds for `/profile?seconds=N`: at least one second, capped
-/// so one request cannot occupy the responder thread for minutes.
+/// Look-back bounds for `/profile?seconds=N`: at least one second, at
+/// most this many. The request costs the same either way.
 const PROFILE_MAX_SECONDS: u64 = 30;
 
 /// The `/profile` response, or `None` when no provider is registered.
-/// The provider call blocks for the sampling window — acceptable on
-/// the single-request-per-connection responder thread.
 fn profile_body(query: &str) -> Option<String> {
     let seconds = query
         .split('&')
@@ -94,35 +94,29 @@ fn uptime_s() -> u64 {
     STARTED.get_or_init(Instant::now).elapsed().as_secs()
 }
 
+/// A JSON object of `members`, in order.
+pub(crate) fn obj(members: Vec<(&str, Json)>) -> Json {
+    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// A counter reading as a JSON number.
+pub(crate) fn num(v: u64) -> Json {
+    Json::Num(v as f64)
+}
+
+/// One line of compact JSON, the shape of every JSON body served.
+pub(crate) fn json_line(body: Json) -> String {
+    body.write() + "\n"
+}
+
 /// The `/healthz` body: a flat JSON object — liveness, uptime, and the
 /// flight recorder's drop counter (0 when no journal is linked in).
 fn healthz_body() -> String {
-    format!(
-        "{{\"status\":\"ok\",\"uptime_s\":{},\"journal_dropped_total\":{}}}\n",
-        uptime_s(),
-        crate::family_total("aql_journal_dropped_total"),
-    )
-}
-
-/// The body of a JSON string (RFC 8259 §7) for the path-ish strings
-/// `/incidents` and `/stats.json` emit: `"`, `\` and every control
-/// character U+0000–U+001F escaped, anything else as it is. A file name
-/// or a source label can hold any of them.
-pub(crate) fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if c < ' ' => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    json_line(obj(vec![
+        ("status", Json::Str("ok".to_string())),
+        ("uptime_s", num(uptime_s())),
+        ("journal_dropped_total", num(crate::family_total("aql_journal_dropped_total"))),
+    ]))
 }
 
 /// The `/incidents` body: the registered directory (or null) and up to
@@ -145,13 +139,10 @@ fn incidents_body() -> String {
     names.sort();
     names.reverse();
     names.truncate(100);
-    let dir_json = match &dir {
-        Some(d) => format!("\"{}\"", json_escape(&d.display().to_string())),
-        None => "null".to_string(),
-    };
-    let items: Vec<String> =
-        names.iter().map(|n| format!("\"{}\"", json_escape(n))).collect();
-    format!("{{\"dir\":{dir_json},\"incidents\":[{}]}}\n", items.join(","))
+    json_line(obj(vec![
+        ("dir", dir.map_or(Json::Null, |d| Json::Str(d.display().to_string()))),
+        ("incidents", Json::Arr(names.into_iter().map(Json::Str).collect())),
+    ]))
 }
 
 /// Handle to a running exposition endpoint.
@@ -261,8 +252,8 @@ fn respond(mut stream: TcpStream) -> std::io::Result<()> {
             None => (
                 "503 Service Unavailable",
                 "text/plain; charset=utf-8",
-                "profile: no provider registered (serve from a session \
-                 with aql-profile wired in)\n"
+                "profile: no provider registered (`\\metrics serve` in a \
+                 session installs the flight recorder's)\n"
                     .to_string(),
             ),
         }
@@ -403,8 +394,10 @@ mod tests {
         let got = fetch(server.addr(), "/profile?seconds=9999");
         assert!(got.starts_with("HTTP/1.1 200 OK\r\n"), "{got}");
         assert!(got.ends_with("statement;eval 30\n"), "{got}");
-        let default = fetch(server.addr(), "/profile");
-        assert!(default.ends_with("statement;eval 1\n"), "{default}");
+        for fallback in ["/profile", "/profile?seconds=0", "/profile?seconds=soon"] {
+            let default = fetch(server.addr(), fallback);
+            assert!(default.ends_with("statement;eval 1\n"), "{fallback}: {default}");
+        }
         set_profile_provider(None);
         server.stop();
     }

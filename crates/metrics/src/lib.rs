@@ -39,7 +39,7 @@
 //!
 //! [`render_prometheus`] renders the whole registry in the Prometheus
 //! text format (version 0.0.4); [`http::serve`] exposes it over a
-//! dependency-free `GET /metrics` endpoint.
+//! std-only `GET /metrics` endpoint.
 //!
 //! ```
 //! use aql_metrics as m;

@@ -1,8 +1,8 @@
 //! Hand-rolled SVG flamegraph renderer (no dependencies, no scripts).
 //!
 //! Classic flamegraph layout: one row per stack depth, one rectangle
-//! per frame, width proportional to the frame's inclusive sample
-//! count, children stacked above their parent. Deterministic output:
+//! per frame, width proportional to the frame's inclusive time,
+//! children stacked above their parent. Deterministic output:
 //! children are laid out in name order and colors are hashed from the
 //! frame name, so the same profile always renders the same bytes.
 
@@ -108,10 +108,10 @@ fn render_node(
     };
     let name = esc(&node.name);
     out.push_str(&format!(
-        "<g><title>{name} ({} samples, {pct:.1}%)</title>\
+        "<g><title>{name} ({}, {pct:.1}%)</title>\
          <rect x=\"{x:.1}\" y=\"{y:.1}\" width=\"{w:.1}\" height=\"{h:.1}\" \
          fill=\"{fill}\" rx=\"1\"/>",
-        node.total,
+        aql_trace::fmt_dur(node.total),
         h = ROW_H - 1.0,
         fill = color(&node.name),
     ));
@@ -140,11 +140,7 @@ fn render_node(
 }
 
 /// Render folded stacks as a complete standalone SVG document.
-pub(crate) fn render(
-    folded: &BTreeMap<String, u64>,
-    title: &str,
-    samples: u64,
-) -> String {
+pub(crate) fn render(folded: &BTreeMap<String, u64>, title: &str) -> String {
     let root = build_tree(folded);
     let rows = root.depth();
     let height = HEADER_H + rows as f64 * ROW_H + PAD;
@@ -154,8 +150,9 @@ pub(crate) fn render(
          height=\"{height:.0}\" viewBox=\"0 0 {WIDTH} {height:.0}\">\n\
          <rect width=\"100%\" height=\"100%\" fill=\"#fcfcf7\"/>\n\
          <text x=\"{PAD}\" y=\"22\" font-size=\"15\" font-family=\"monospace\" \
-         fill=\"#333\">flamegraph: {t} ({samples} samples)</text>\n",
+         fill=\"#333\">flamegraph: {t} ({total})</text>\n",
         t = esc(title),
+        total = aql_trace::fmt_dur(root.total),
     ));
     if root.total > 0 {
         let scale = (WIDTH - 2.0 * PAD) / root.total as f64;
@@ -180,14 +177,14 @@ mod tests {
         let mut folded = BTreeMap::new();
         folded.insert("a;b".to_string(), 10);
         folded.insert("a;c".to_string(), 5);
-        let one = render(&folded, "t", 15);
-        let two = render(&folded, "t", 15);
+        let one = render(&folded, "t");
+        let two = render(&folded, "t");
         assert_eq!(one, two);
     }
 
     #[test]
     fn empty_profile_renders_placeholder() {
-        let svg = render(&BTreeMap::new(), "empty", 0);
+        let svg = render(&BTreeMap::new(), "empty");
         assert!(svg.contains("no samples"));
         assert!(svg.ends_with("</svg>\n"));
     }
@@ -197,9 +194,9 @@ mod tests {
         let mut folded = BTreeMap::new();
         folded.insert("p;l".to_string(), 50);
         folded.insert("p;r".to_string(), 50);
-        let svg = render(&folded, "t", 100);
+        let svg = render(&folded, "t");
         // Both children render and each title carries 50.0%.
-        assert_eq!(svg.matches("50 samples, 50.0%").count(), 2);
-        assert!(svg.contains("100 samples, 100.0%"));
+        assert_eq!(svg.matches("(50ns, 50.0%)").count(), 2);
+        assert!(svg.contains("(100ns, 100.0%)"));
     }
 }

@@ -31,7 +31,8 @@
 //! parent's and sibling durations sum to at most the parent duration.
 //! Counters and notes attach to the innermost open span (or to the
 //! trace itself when no span is open). [`Trace::render`] pretty-prints
-//! the tree; [`Trace::to_json`] / [`Trace::from_json`] round-trip the
+//! the tree; [`Trace::folded`] collapses it into flamegraph stacks of
+//! exact self times; [`Trace::to_json`] / [`Trace::from_json`] round-trip the
 //! whole structure through the bundled [`json`] module.
 //!
 //! ```
@@ -49,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod livepath;
 
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
@@ -143,6 +143,37 @@ impl Trace {
                 self.counters.push((n, v));
             }
         }
+    }
+
+    /// The trace as collapsed stacks, the flamegraph input format: one
+    /// `(path, ns)` per distinct span path (names root to leaf joined
+    /// by `;`), in first-open order, weighted by the *self time* of the
+    /// spans on it — duration less the children's, zero rather than
+    /// wrapping if a merged child outlasts its parent. A span that
+    /// never closed has no duration and adds nothing. When every span
+    /// closed within its parent, the weights sum to the root spans'
+    /// durations.
+    pub fn folded(&self) -> Vec<(String, u64)> {
+        let mut in_children = vec![0u64; self.spans.len()];
+        let mut paths: Vec<String> = Vec::with_capacity(self.spans.len());
+        for (i, s) in self.spans.iter().enumerate() {
+            // Open order: a parent precedes its children.
+            let parent = s.parent.filter(|&p| p < i);
+            paths.push(match parent {
+                Some(p) => format!("{};{}", paths[p], s.name),
+                None => s.name.clone(),
+            });
+            if let (Some(p), Some(dur)) = (parent, s.dur_ns) {
+                in_children[p] = in_children[p].saturating_add(dur);
+            }
+        }
+        let mut out = Vec::new();
+        for ((s, path), children) in self.spans.iter().zip(&paths).zip(in_children) {
+            if let Some(dur) = s.dur_ns {
+                bump(&mut out, path, dur.saturating_sub(children));
+            }
+        }
+        out
     }
 
     /// Pretty-print the span tree. With `redact_timings`, durations
@@ -331,10 +362,6 @@ pub fn disable() -> Trace {
 #[must_use = "a span guard measures until it is dropped"]
 pub struct SpanGuard {
     idx: Option<usize>,
-    /// Whether opening this span published a live-path frame (see
-    /// [`livepath`]); if so, dropping must pop exactly one frame even
-    /// if publication was turned off in between.
-    published: bool,
 }
 
 impl SpanGuard {
@@ -344,9 +371,6 @@ impl SpanGuard {
     /// takes it from here instead of reading the clock a second time,
     /// so both accounts hold one number.
     pub fn finish(&mut self) -> Option<u64> {
-        if std::mem::take(&mut self.published) {
-            livepath::on_span_close();
-        }
         let idx = self.idx.take()?;
         COLLECTOR.with(|c| {
             let mut b = c.borrow_mut();
@@ -373,9 +397,8 @@ impl Drop for SpanGuard {
 /// guard that records the duration when dropped.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    let published = livepath::on_span_open(name);
     if !enabled() {
-        return SpanGuard { idx: None, published };
+        return SpanGuard { idx: None };
     }
     let idx = COLLECTOR.with(|c| {
         let mut b = c.borrow_mut();
@@ -392,7 +415,7 @@ pub fn span(name: &'static str) -> SpanGuard {
         col.stack.push(idx);
         Some(idx)
     });
-    SpanGuard { idx, published }
+    SpanGuard { idx }
 }
 
 fn bump(target: &mut Vec<(String, u64)>, name: &str, delta: u64) {
@@ -675,6 +698,46 @@ mod tests {
             None,
         );
         assert_eq!(p2.roots(), vec![0]);
+    }
+
+    #[test]
+    fn folded_stacks_carry_self_times() {
+        let span = |name: &str, parent, dur_ns| SpanRec {
+            name: name.into(),
+            parent,
+            dur_ns,
+            ..Default::default()
+        };
+        let t = Trace {
+            spans: vec![
+                span("statement", None, Some(100)),
+                span("eval", Some(0), Some(30)),
+                span("cache.load", Some(1), Some(10)),
+                // A sibling of the same name lands on the same stack.
+                span("eval", Some(0), Some(20)),
+                // Never closed: no weight of its own, none taken from
+                // its parent; its closed child still counts.
+                span("optimize", Some(0), None),
+                span("opt.phase", Some(4), Some(5)),
+                // A merged worker span may outlast the span it hangs under.
+                span("worker", Some(2), Some(25)),
+                span("parse", None, Some(7)),
+            ],
+            counters: Vec::new(),
+        };
+        let stack = |path: &str, ns| (path.to_string(), ns);
+        assert_eq!(
+            t.folded(),
+            vec![
+                stack("statement", 50),
+                stack("statement;eval", 20 + 20),
+                stack("statement;eval;cache.load", 0),
+                stack("statement;optimize;opt.phase", 5),
+                stack("statement;eval;cache.load;worker", 25),
+                stack("parse", 7),
+            ]
+        );
+        assert!(Trace::default().folded().is_empty());
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Acceptance: the ops dashboard the metrics endpoint serves is real.
 //! `GET /` returns the self-contained HTML page, `GET /stats.json`
 //! returns parseable live statistics with the documented stable keys,
-//! and `GET /profile?seconds=1` — while another thread is busy running
-//! queries — returns non-empty folded stacks naming real phases.
+//! and `GET /profile?seconds=N` answers at once with the flight
+//! recorder's last N seconds folded into stacks: empty in an idle
+//! process, naming real phases while another thread runs queries, and
+//! never in the way of the probes behind it.
 
 use std::io::{BufReader, Read as _, Write as _};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use aql::lang::repl::run_repl;
 use aql::lang::session::Session;
@@ -31,29 +34,12 @@ fn body_of(resp: &str) -> &str {
     resp.split("\r\n\r\n").nth(1).expect("response body")
 }
 
-#[test]
-fn dashboard_stats_and_profile_routes_serve_live_data() {
-    let dir = std::env::temp_dir()
-        .join(format!("aql-dashboard-endpoint-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("temp.nc");
-    write_file(&year_temp_file().unwrap(), &path, VERSION_CLASSIC).unwrap();
-    let p = path.to_str().unwrap();
-
-    // `\metrics serve` starts the endpoint AND installs the live
-    // profile provider behind `/profile`. Run a few real statements so
-    // the stats have something to show.
-    let mut s = Session::new();
-    register_netcdf(&mut s);
-    let input = format!(
-        "\\metrics serve 127.0.0.1:0;\n\
-         readval \\T using NETCDF3 at (\"{p}\", \"temp\", (0, 0, 0), (8759, 4, 4));\n\
-         max!{{ T[4000 + t, i, j] | \\t <- gen!100, \\i <- gen!5, \\j <- gen!5 }};\n"
-    );
+/// Run `input` through `s`'s REPL; returns the statements executed and
+/// the address its `\metrics serve` line advertises.
+fn repl_serving(s: &mut Session, input: &str) -> (usize, String) {
     let mut reader = BufReader::new(input.as_bytes());
     let mut out: Vec<u8> = Vec::new();
-    let executed = run_repl(&mut s, &mut reader, &mut out).unwrap();
-    assert_eq!(executed, 2, "both statements must run");
+    let executed = run_repl(s, &mut reader, &mut out).unwrap();
     let transcript = String::from_utf8(out).unwrap();
     let addr = transcript
         .lines()
@@ -65,6 +51,41 @@ fn dashboard_stats_and_profile_routes_serve_live_data() {
         transcript.contains("metrics: dashboard at http://"),
         "serve must advertise the dashboard: {transcript}"
     );
+    (executed, addr)
+}
+
+#[test]
+fn dashboard_stats_and_profile_routes_serve_live_data() {
+    let dir = std::env::temp_dir()
+        .join(format!("aql-dashboard-endpoint-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("temp.nc");
+    write_file(&year_temp_file().unwrap(), &path, VERSION_CLASSIC).unwrap();
+    let p = path.to_str().unwrap();
+
+    // ---- GET /profile in an idle process -----------------------------
+    // `\metrics serve` starts the endpoint AND installs the live profile
+    // provider behind `/profile`. No statement has run in this process
+    // yet (a bare session loads no prelude): the longest look-back is an
+    // empty account, answered at once.
+    let (executed, idle_addr) = repl_serving(&mut Session::bare(), "\\metrics serve 127.0.0.1:0;\n");
+    assert_eq!(executed, 0);
+    let asked = Instant::now();
+    let resp = http_get(&idle_addr, "/profile?seconds=30");
+    assert!(asked.elapsed() < Duration::from_secs(1), "a fold, not a 30 s sleep");
+    assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
+    assert_eq!(body_of(&resp), "", "nothing ran, nothing to fold");
+
+    // Run a few real statements so the stats have something to show.
+    let mut s = Session::new();
+    register_netcdf(&mut s);
+    let input = format!(
+        "\\metrics serve 127.0.0.1:0;\n\
+         readval \\T using NETCDF3 at (\"{p}\", \"temp\", (0, 0, 0), (8759, 4, 4));\n\
+         max!{{ T[4000 + t, i, j] | \\t <- gen!100, \\i <- gen!5, \\j <- gen!5 }};\n"
+    );
+    let (executed, addr) = repl_serving(&mut s, &input);
+    assert_eq!(executed, 2, "both statements must run");
 
     // ---- GET / --------------------------------------------------------
     let resp = http_get(&addr, "/");
@@ -126,43 +147,51 @@ fn dashboard_stats_and_profile_routes_serve_live_data() {
     let hits = stats.get("cache").and_then(|c| c.get("hits")).and_then(Json::as_u64);
     assert!(hits.is_some(), "cache.hits missing: {stats:?}");
 
-    // ---- GET /profile?seconds=1 under load ---------------------------
+    // ---- GET /profile under load -------------------------------------
     // Sessions are single-threaded, so the load thread builds its own;
-    // the sampler observes every registered thread in the process.
+    // the fold reads every thread's ring.
     let stop = Arc::new(AtomicBool::new(false));
+    let ran = Arc::new(AtomicU64::new(0));
     let loader = {
-        let stop = Arc::clone(&stop);
+        let (stop, ran) = (Arc::clone(&stop), Arc::clone(&ran));
         std::thread::spawn(move || {
             let mut s = Session::new();
-            let mut ran = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 s.eval_query("max!{ i * i | \\i <- gen!2000 }").expect("load query");
-                ran += 1;
+                ran.fetch_add(1, Ordering::Relaxed);
             }
-            ran
         })
     };
 
-    let resp = http_get(&addr, "/profile?seconds=1");
+    // A load query is in the thread's ring once it has ended.
+    while ran.load(Ordering::Relaxed) < 3 {
+        std::thread::yield_now();
+    }
+    // The longest look-back still answers at once, and the one
+    // responder thread is free for the probe right behind it.
+    let asked = Instant::now();
+    let resp = http_get(&addr, "/profile?seconds=30");
+    let health = http_get(&addr, "/healthz");
+    assert!(asked.elapsed() < Duration::from_secs(1), "a fold, not a 30 s sleep");
+    assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
     stop.store(true, Ordering::Relaxed);
-    let ran = loader.join().expect("load thread");
-    assert!(ran > 0, "the load thread must actually have run queries");
+    loader.join().expect("load thread");
     assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
     let folded = body_of(&resp);
     assert!(
         !folded.trim().is_empty(),
         "folded stacks must be non-empty while queries run"
     );
-    // Every line is `path;frames count`, and the busy thread's
-    // evaluation phase dominates somewhere in the set.
+    // Every line is `path;frames ns`, and the busy thread's evaluation
+    // phase is somewhere in the set.
     for line in folded.lines() {
-        let (stack, count) = line.rsplit_once(' ').expect("folded line");
+        let (stack, ns) = line.rsplit_once(' ').expect("folded line");
         assert!(!stack.is_empty(), "empty stack in `{line}`");
-        count.parse::<u64>().unwrap_or_else(|_| panic!("bad count in `{line}`"));
+        ns.parse::<u64>().unwrap_or_else(|_| panic!("bad weight in `{line}`"));
     }
     assert!(
-        folded.lines().any(|l| l.contains("statement")),
-        "profile must name the statement phase: {folded}"
+        folded.lines().any(|l| l.starts_with("statement;eval ")),
+        "profile must name the statement's phases: {folded}"
     );
 
     std::fs::remove_dir_all(&dir).ok();

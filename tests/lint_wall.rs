@@ -33,6 +33,15 @@
 //! `aql_core::check`, and a pass that needs more than this budget is
 //! probably growing that lattice back.
 //!
+//! **Telemetry is folds, not mechanisms**: the four observability
+//! crates, `crates/{trace,metrics,journal,profile}/src`, stay within
+//! [`TELEMETRY_LINES`] non-test lines together — none of them is one of
+//! the paper's four modules (§4, Fig. 3). Issue 23 deleted the span
+//! sampler (its thread, the live-path seqlock and interner, 4,831 →
+//! 4,488); a profile is a fold of the trace or of the flight recorder,
+//! so the tracer and the renderer start no threads: no `thread::` in
+//! `crates/trace/src` or `crates/profile/src` outside tests.
+//!
 //! **No classifier reads prose**: the four files a failure passes
 //! through on its way to a class name ([`CLASSIFIED_STRUCTURALLY`])
 //! contain no `.contains("` and no `.starts_with("` — a class comes
@@ -89,6 +98,10 @@ const ENGINE_LINES: usize = 475;
 /// The budget for `crates/verify/src`, by [`non_test_lines`]'s count
 /// (334 at issue 22, down from 1,138).
 const VERIFY_LINES: usize = 450;
+
+/// The budget for `crates/{trace,metrics,journal,profile}/src` together,
+/// by [`non_test_lines`]'s count (4,488 at issue 23, down from 4,831).
+const TELEMETRY_LINES: usize = 4500;
 
 /// Collect every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -271,6 +284,36 @@ fn the_rewrite_engine_is_not_longer_than_its_baseline() {
 fn the_verify_crate_holds_no_second_type_system() {
     let lines = non_test_line_count("verify/src");
     assert!(lines <= VERIFY_LINES, "crates/verify/src: {lines} non-test lines, over {VERIFY_LINES}");
+}
+
+#[test]
+fn telemetry_stays_within_its_budget_and_starts_no_sampler() {
+    let lines: usize =
+        ["trace/src", "metrics/src", "journal/src", "profile/src"].map(non_test_line_count).iter().sum();
+    assert!(
+        lines <= TELEMETRY_LINES,
+        "crates/{{trace,metrics,journal,profile}}/src: {lines} non-test lines, over {TELEMETRY_LINES}"
+    );
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut spawns = Vec::new();
+    for dir in ["trace/src", "profile/src"] {
+        let mut files = Vec::new();
+        rust_files(&crates.join(dir), &mut files);
+        for path in files {
+            let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+            for (ln, line) in non_test_lines(&text) {
+                if !line.trim_start().starts_with("//") && line.contains("thread::") {
+                    spawns.push(format!("{}:{ln}: {}", path.display(), line.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        spawns.is_empty(),
+        "a tracer and a renderer start no threads (a profile is a fold of an account \
+         already kept, DESIGN.md §16):\n{}",
+        spawns.join("\n")
+    );
 }
 
 #[test]

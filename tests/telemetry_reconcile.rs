@@ -12,7 +12,10 @@
 //! * the doctor's dominant source (`diagnose_live_json`);
 //!
 //! and each phase's span duration, ledger entry and journal `Phase`
-//! record must be one number, traced or not. Every one of these is fed
+//! record must be one number, traced or not — as must the two profiles,
+//! which are folds of those accounts: the flamegraph of the trace
+//! weighs each span path its exact self time, and the flight recorder's
+//! window folds to the ledger's phases under `statement`. Every one of these is fed
 //! by one `aql_journal::emit` per event, so a disagreement is a bug in
 //! the spine's table, not in some call site's arithmetic.
 //!
@@ -192,6 +195,37 @@ fn one_statement_reads_the_same_in_every_view() {
             .unwrap_or_else(|| panic!("journal record for `{phase}`"));
         assert_eq!(record.a, *ns, "journal `{phase}` vs ledger");
     }
+
+    // 7. The flamegraph is the trace, folded: each stack weighs the
+    //    self time of the spans on its path, and nothing is lost.
+    let profile = aql_profile::Profile::from_trace(t);
+    let mut self_times = std::collections::BTreeMap::new();
+    for (i, span) in t.spans.iter().enumerate() {
+        let mut path = span.name.clone();
+        let mut up = span.parent;
+        while let Some(p) = up {
+            path = format!("{};{path}", t.spans[p].name);
+            up = t.spans[p].parent;
+        }
+        let in_children: u64 = t.children(i).iter().filter_map(|&c| t.spans[c].dur_ns).sum();
+        *self_times.entry(path).or_insert(0) += span.dur_ns.expect("closed") - in_children;
+    }
+    assert_eq!(profile.folded(), &self_times, "flamegraph vs span self times");
+    let roots: u64 = t.roots().iter().filter_map(|&r| t.spans[r].dur_ns).sum();
+    assert_eq!(profile.total_ns(), roots, "the stacks sum to the root spans");
+    for stack in ["statement", "statement;eval", "statement;eval;cache.load", "parse;lex"] {
+        assert!(profile.folded().contains_key(stack), "`{stack}` in {:?}", profile.folded());
+    }
+
+    // 8. The live profile is the flight recorder, folded: the ledger's
+    //    phases under `statement`, which keeps the rest of `StmtEnd`.
+    let mut live = window_journal.folded();
+    let ended = window.last().expect("StmtEnd").b;
+    let in_phases: u64 = ledger.phases.iter().map(|(_, ns)| ns).sum();
+    assert_eq!(live.remove(0), ("statement".to_string(), ended - in_phases));
+    let under_statement: Vec<(String, u64)> =
+        ledger.phases.iter().map(|(p, ns)| (format!("statement;{p}"), *ns)).collect();
+    assert_eq!(live, under_statement);
 
     // Untraced, the guard's own clock pair is the one number.
     s.run(stmt).expect("untraced");

@@ -16,6 +16,11 @@
 //!   with a provably in-range fusible nest does run a kernel; a stage
 //!   whose sites are all proven in-bounds never yields `⊥` from a
 //!   non-`⊥` input;
+//! * the `⊥` escape — guarded tabulations, sums and maxima of scalars
+//!   and tuples (what β^p leaves behind), over eager operands and lazy
+//!   ones behind a one-chunk cache, whose `⊥` branch fires at a random
+//!   cell or never: a kernel that meets it hands the nest back, and the
+//!   outcome and the counts are the interpreter's either way;
 //! * α-invariance — renaming binders (with deliberate shadowing)
 //!   changes neither the verdict tally nor the marked evaluation;
 //! * the expectations of the compiled-form interval pass this analysis
@@ -37,6 +42,7 @@ use aql_core::expr::free::{alpha_eq, free_vars};
 use aql_core::expr::{name, Expr, Name};
 use aql_core::prim::Extensions;
 use aql_core::value::{ArrayVal, Value};
+use aql_store::{ChunkLayout, LazyArray, MemChunkSource, ScalarBuf};
 
 // ---------------------------------------------------------------------
 // Pipeline generation: rank-1 nat-array transformations.
@@ -551,6 +557,88 @@ proptest! {
         }
     }
 
+}
+
+/// `cells` as a rank-1 operand: in memory, or (`chunk > 0`) lazy in
+/// chunks of that many cells behind a cache that holds one of them.
+fn operand(cells: ScalarBuf, chunk: u64) -> Value {
+    let n = cells.len() as u64;
+    let arr = match (chunk, cells) {
+        (0, ScalarBuf::F64(v)) => ArrayVal::from_f64(vec![n], v),
+        (0, ScalarBuf::I64(v)) => ArrayVal::from_nat(vec![n], v.iter().map(|&x| x as u64).collect()),
+        (0, ScalarBuf::Bool(v)) => ArrayVal::from_bool(vec![n], v),
+        (chunk, cells) => {
+            let kind = cells.kind();
+            let layout = ChunkLayout::new(vec![n], vec![chunk]).expect("a chunking"); // lint-wall: allow (test)
+            let source = MemChunkSource::new(vec![n], cells).expect("a vector"); // lint-wall: allow (test)
+            ArrayVal::lazy(LazyArray::new(layout, kind, Box::new(source), chunk * 8))
+        }
+    };
+    Value::Array(Rc::new(arr.expect("consistent shape"))) // lint-wall: allow (test)
+}
+
+/// What β^p leaves of a `subseq` of a `zip`, per "day" under a loop the
+/// interpreter runs: `⋃ d < days. { let h = d·m in SINK k < m. if h+k <
+/// t then HEAD(h+k) else ⊥ }` (`flip`: `if t ≤ h+k then ⊥ else …`).
+/// Heads: a scalar, a pair, and the §1 triple whose last component is
+/// guarded again around a stride-2 site. Sinks: a tabulation, `Σ`,
+/// `max!` (the last two over the scalar head).
+fn guarded_days(days: u64, m: u64, t: u64, head: usize, sink: usize, flip: bool) -> Expr {
+    let at = add(var("h"), var("k"));
+    let cell = |a: &str| sub(global(a), vec![at.clone()]);
+    let twice = mul(at.clone(), nat(2));
+    let strided = iff(lt(twice.clone(), len(global("W"))), sub(global("W"), vec![twice]), bottom());
+    let head = match (sink, head) {
+        (0, 1) => tuple(vec![cell("A"), cell("B")]),
+        (0, 2) => tuple(vec![cell("A"), cell("B"), strided]),
+        _ => cell("A"),
+    };
+    let guarded = if flip {
+        iff(le(nat(t), at.clone()), bottom(), head)
+    } else {
+        iff(lt(at, nat(t)), head, bottom())
+    };
+    let nest = match sink {
+        0 => tab1("k", nat(m), guarded),
+        1 => sum("k", gen(nat(m)), guarded),
+        _ => set_max(big_union("k", gen(nat(m)), single(guarded))),
+    };
+    big_union("d", gen(nat(days)), single(let_("h", mul(var("d"), nat(m)), nest)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn a_bottom_branch_taken_anywhere_or_never_is_the_interpreters(
+        (days, m) in (1u64..4, 1u64..7),
+        (head, sink, flip) in (0usize..3, 0usize..3, any::<bool>()),
+        // The operands' cells over what the nests span, the threshold
+        // below them (half the time not at all), the strided operand's
+        // cells short of twice the span.
+        (spare, below, wide) in (0u64..3, prop_oneof![Just(0u64), 0u64..20], 0u64..5),
+        chunk in 0u64..5,
+    ) {
+        let n = days * m + spare;
+        let t = n.saturating_sub(below);
+        let w = (2 * days * m).saturating_sub(wide).max(1);
+        let globals = globals_with(vec![
+            ("A", operand(ScalarBuf::F64((0..n).map(|i| i as f64 * 0.5 - 3.0).collect()), chunk)),
+            ("B", operand(ScalarBuf::I64((0..n as i64).map(|i| i * 7 % 11).collect()), chunk)),
+            ("W", operand(ScalarBuf::F64((0..w).map(|i| i as f64).collect()), chunk)),
+        ]);
+        let e = guarded_days(days, m, t, head, sink, flip);
+        // `run` holds marks on to marks off: outcome, steps, subscripts
+        // and materialized.
+        let r = run(&e, &globals);
+        let fires = t < days * m || (sink, head) == (0, 2) && 2 * (days * m - 1) >= w;
+        prop_assert_eq!(r.value().is_bottom(), fires, "{}", e);
+        if !fires {
+            // Every site is guarded into range and proven so; nothing
+            // was handed back: a kernel a day.
+            prop_assert_eq!(r.kernel_nests, days, "{}", e);
+        }
+    }
 }
 
 proptest! {

@@ -43,7 +43,7 @@ use crate::errors::LangError;
 use crate::parser::parse_program;
 use crate::reader::{CoFileReader, CoFileWriter, Reader, Writer};
 
-/// Prelude macros, written in AQL itself and loaded into every
+/// Prelude macros, written in AQL itself and present in every
 /// session: the derived operators §3 says "are available as macros".
 pub const PRELUDE: &str = r#"
 macro \zip = fn (\a, \b) => [[ (a[i], b[i]) | \i < min!{len!a, len!b} ]];
@@ -97,6 +97,23 @@ macro \flatten = fn \m =>
 macro \nearest = fn (\c, \x) =>
   pi_2_2!(min!{((if v > x then v - x else x - v), i) | [\i : \v] <- c});
 "#;
+
+/// A macro's resolved body and its type, shared between the sessions
+/// that hold it.
+type Macro = Rc<(Expr, Type)>;
+
+thread_local! {
+    /// What running [`PRELUDE`] through a bare session leaves behind —
+    /// its macro table and the statement sequence number it reached —
+    /// computed once per thread (a [`Session`] holds `Rc`s) and handed
+    /// to every [`Session::new`] on it. The prelude's statements are
+    /// therefore journalled once per thread, not once per session.
+    static PRELUDE_LOADED: (HashMap<Name, Macro>, u64) = {
+        let mut s = Session::bare();
+        s.run(PRELUDE).expect("prelude must load");
+        (s.macros, s.stmt_seq.get())
+    };
+}
 
 /// Configuration of the structured slow-query log.
 #[derive(Debug, Clone)]
@@ -485,7 +502,7 @@ fn stats_from_json(j: &aql_trace::json::Json) -> Result<EvalStats, String> {
 pub struct Session {
     vals: HashMap<Name, Value>,
     val_types: HashMap<Name, Type>,
-    macros: HashMap<Name, (Expr, Type)>,
+    macros: HashMap<Name, Macro>,
     externals: Extensions,
     readers: HashMap<String, Rc<dyn Reader>>,
     writers: HashMap<String, Rc<dyn Writer>>,
@@ -540,7 +557,10 @@ impl Session {
     /// reader/writer, and the AQL prelude loaded.
     pub fn new() -> Session {
         let mut s = Session::bare();
-        s.run(PRELUDE).expect("prelude must load");
+        PRELUDE_LOADED.with(|(macros, seq)| {
+            s.macros = macros.clone();
+            s.stmt_seq.set(*seq);
+        });
         s
     }
 
@@ -1034,7 +1054,7 @@ impl Session {
                 let core = desugar(e)?;
                 let resolved = self.resolve(&core);
                 let ty = typecheck(&resolved, &self.val_types, &self.externals)?;
-                self.macros.insert(name(mname), (resolved, ty.clone()));
+                self.macros.insert(name(mname), Rc::new((resolved, ty.clone())));
                 Ok(Outcome {
                     text: format!(
                         "typ {mname} : {ty}\nval {mname} = {mname} registered as macro."
@@ -1199,8 +1219,8 @@ impl Session {
             if bound.contains(x) {
                 return e.clone();
             }
-            if let Some((body, _)) = self.macros.get(x) {
-                return body.clone();
+            if let Some(m) = self.macros.get(x) {
+                return m.0.clone();
             }
             if self.externals.get(x).is_some() {
                 return Expr::Ext(x.clone());
@@ -1515,6 +1535,26 @@ mod tests {
             .unwrap();
         let (_, v) = s.eval_query("inc2!40").unwrap();
         assert_eq!(v, Value::Nat(42));
+    }
+
+    #[test]
+    fn sessions_of_a_thread_share_the_prelude_and_nothing_else() {
+        // The thread's first `Session::new` runs the prelude through a
+        // bare session; every session starts from that macro table and
+        // that sequence number, with the entries shared.
+        let mut a = Session::new();
+        let b = Session::new();
+        assert_eq!(a.macro_names(), b.macro_names());
+        assert!(a.macro_names().iter().any(|m| m == "zip_3"));
+        assert_eq!(a.stmt_seq.get(), b.stmt_seq.get());
+        assert_eq!(a.stmt_seq.get(), parse_program(PRELUDE).unwrap().len() as u64);
+        assert!(Rc::ptr_eq(&a.macros[&name("zip")], &b.macros[&name("zip")]));
+        // Redefining a prelude name is one session's business.
+        a.run("macro \\evenpos = fn \\a => a;").unwrap();
+        let evens = |s: &mut Session| s.eval_query("len!(evenpos![[0, 1, 2, 3]])").unwrap().1;
+        assert_eq!(evens(&mut a), Value::Nat(4));
+        assert_eq!(evens(&mut Session::new()), Value::Nat(2));
+        assert_eq!(a.explain("reverse!([[1, 2]])").unwrap().ty, Type::array1(Type::Nat));
     }
 
     #[test]

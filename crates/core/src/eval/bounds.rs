@@ -64,6 +64,18 @@ impl Iv {
         }
     }
 
+    /// Greatest lower bound: the values in both intervals (none, if
+    /// the result's `hi` is below its `lo`).
+    pub fn meet(self, o: Iv) -> Iv {
+        Iv {
+            lo: self.lo.max(o.lo),
+            hi: match (self.hi, o.hi) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (hi, None) | (None, hi) => hi,
+            },
+        }
+    }
+
     /// Does the interval contain `n`?
     pub fn contains(self, n: u64) -> bool {
         n >= self.lo && self.hi.is_none_or(|h| n <= h)

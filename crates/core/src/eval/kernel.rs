@@ -1,26 +1,38 @@
-//! Bulk kernels: pure scalar loop nests run over unboxed data.
+//! Bulk kernels: pure loop nests run over unboxed data.
 //!
 //! [`plan`] recognises, on the compiled form, a *sink* — a tabulation,
 //! a `Σ`, or `min!`/`max!` of a comprehension whose innermost head is a
 //! singleton — around loops over `gen` sources and tabulation bounds,
-//! with scalar `let`s between the levels and a head drawn from the
-//! scalar fragment: literals, loop and `let` variables, scalars bound
-//! outside the nest, arithmetic, comparison, `if`, nested `Σ` over
-//! `gen`, `dim_1`, and subscripts of arrays bound outside the nest (a
-//! tuple of such scalars directly under a tabulation). A nest is
-//! planned only when it subscripts something and **every** subscript in
-//! it carries the analyzer's in-bounds mark; `compile` marks nothing,
-//! so the all-checked [`eval`](super::eval) never runs a kernel.
+//! with scalar `let`s between the levels and a head drawn from one
+//! fragment: literals, loop and `let` variables, scalars bound outside
+//! the nest, arithmetic, comparison, `if`, nested `Σ` over `gen`,
+//! `dim_1`, subscripts of arrays bound outside the nest, tuples of
+//! these (a tabulation's cells; boxed, one allocation each), and `⊥` as
+//! a branch of an `if` — which is what β^p leaves around every fused
+//! subscript `check-elim` cannot discharge, so the §1 query's
+//! `if g then (T[h+k], RH[h+k], if g' then WS[…] else ⊥) else ⊥` is a
+//! head like any other. A nest is planned only when it subscripts
+//! something and **every** subscript in it carries the analyzer's
+//! in-bounds mark; `compile` marks nothing, so the all-checked
+//! [`eval`](super::eval) never runs a kernel. Planning never
+//! backtracks: the first node outside the fragment refuses the nest.
 //!
 //! [`run`] *binds* a plan to one evaluation — fetches the operand
 //! arrays and captured scalars, learns each expression's kind (`nat`,
-//! `real`, `bool`) from them, and composes the nest into closures over
-//! a flat frame of `u64` slots — and runs it: no [`Value`], no
-//! environment node, no per-node tick, typed output buffers. A lazy
-//! operand is read once per subscript site, as the window the site's
-//! index intervals span (one `read_slab`: one cache lookup per
+//! `real`, `bool`, tuple) from them, and composes the nest into
+//! closures over a flat frame of `u64` slots — and runs it: no
+//! environment node, no per-node tick, typed output buffers, a
+//! [`Value`] only where a cell is a tuple. A `⊥` branch has the kind of
+//! the branch beside it. A lazy operand is read once per subscript
+//! site, as one window (one `read_slab`: one cache lookup per
 //! overlapped chunk), when that window has no more cells than the site
-//! has executions; otherwise per element, still unboxed.
+//! has executions; otherwise per element, still unboxed. The window is
+//! sized when the site is bound: per axis, what the index `konst +
+//! Σ coef·slot` reaches over the trip counts known by then (captures
+//! are constants at bind, so a nest under an interpreted `⋃ d` asks
+//! for day `d`'s 24 cells), inside the analyzer's interval, which
+//! holds for every run of the statement at once and is all there is
+//! for an index of another form.
 //!
 //! **Accounting in closed form.** The planner returns, next to each
 //! piece of a nest, what the interpreter charges for evaluating it
@@ -33,19 +45,22 @@
 //! the charges the interpreter would have produced, or it returns
 //! `None` having changed no counter, and the caller evaluates the
 //! nest's ordinary [`CExpr`] instead. Everything the typed loop does
-//! not reproduce takes that route: `⊥` (division by zero), `nat`
-//! overflow, a real-typed `Σ` over nothing (the interpreter's `0 : nat`),
-//! a negative stored integer (a `real` to the interpreter), an operand
-//! that is not a flat scalar array, a limit that would be exceeded, a
-//! pending deadline or cancellation, a storage failure. The interpreter
-//! then reports the error, or the `⊥`, at the point and with the counts
-//! it always did.
+//! not reproduce takes that route: `⊥` — a division by zero, or an
+//! `if` taking its `⊥` branch: tabulation, `Σ` and `⋃` are strict, so
+//! the sink's value is `⊥` from that cell on, with the charges up to
+//! it, which no closed form knows —, `nat` overflow, a real-typed `Σ`
+//! over nothing (the interpreter's `0 : nat`), a negative stored
+//! integer (a `real` to the interpreter), an operand that is not a flat
+//! scalar array, a limit that would be exceeded, a pending deadline or
+//! cancellation, a storage failure. The interpreter then reports the
+//! error, or the `⊥`, at the point and with the counts it always did;
+//! the trace counts the nest under `eval.kernel_escapes`.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::rc::Rc;
 
-use aql_store::{LazyArray, Scalar, ScalarBuf, ScalarKind};
+use aql_store::{Scalar, ScalarBuf, ScalarKind};
 
 use super::bounds::Iv;
 use super::{
@@ -116,6 +131,10 @@ enum P {
     /// The root loop's trip count, evaluated before the nest is bound.
     Trips,
     Fold(Box<Fold>),
+    /// A tuple of scalars (or of tuples): boxed, one per cell.
+    Tuple(Vec<P>),
+    /// `⊥`, as a branch of an `if`. Reaching it is the escape.
+    Bottom,
 }
 
 /// A loop over `gen!n`. `Sum` is a scalar; `Min`/`Max` only occur as
@@ -154,19 +173,13 @@ struct Site {
     inner_trips: u64,
 }
 
-#[derive(Debug)]
-enum Head {
-    Scalar(P),
-    Tuple(Vec<P>),
-}
-
 /// The sink and its outermost loop. That loop's trip count (the
 /// tabulation bounds, the `gen` argument) is any expression at all:
 /// [`run`] reads it from the fallback term and evaluates it with the
 /// interpreter, and a root fold's `n` is [`P::Trips`].
 #[derive(Debug)]
 enum Root {
-    Tab { head: Head, per_cell: Cost },
+    Tab { head: P, per_cell: Cost },
     /// A [`P::Fold`], and the nodes above its loop: `Σ` and `gen`, or
     /// the primitive, `⋃` and `gen`.
     Fold { kind: FoldKind, nest: P, fixed: u64 },
@@ -205,28 +218,13 @@ pub(super) fn plan(c: &CExpr) -> Option<KernelPlan> {
     let root = match c {
         CExpr::Tab { head, bounds } => {
             let rank = bounds.len();
-            let (head, per_cell) = match &**head {
-                CExpr::Tuple(items) => {
-                    let mut cost = Cost::NODE;
-                    let mut ps = Vec::with_capacity(items.len());
-                    for it in items {
-                        let (p, c) = b.scalar(it, rank, 1)?;
-                        cost = cost.plus(c);
-                        ps.push(p);
-                    }
-                    (Head::Tuple(ps), cost)
-                }
-                h => {
-                    let (p, c) = b.scalar(h, rank, 1)?;
-                    (Head::Scalar(p), c)
-                }
-            };
+            let (head, per_cell) = b.expr(head, rank, 1)?;
             b.slots = b.slots.max(rank);
             Root::Tab { head, per_cell }
         }
         CExpr::Sum { head, src } => {
             gen_arg(src)?;
-            let (head, per_iter) = b.scalar(head, 1, 1)?;
+            let (head, per_iter) = b.expr(head, 1, 1)?;
             let kind = FoldKind::Sum;
             let nest = Fold { kind, n: P::Trips, slot: 0, head, per_iter };
             Root::Fold { kind, nest: P::Fold(Box::new(nest)), fixed: 2 }
@@ -281,15 +279,15 @@ impl Planner {
     }
 
     fn pair(&mut self, a: &CExpr, b: &CExpr, depth: usize, trips: u64) -> Option<(P, P, Cost)> {
-        let (pa, ca) = self.scalar(a, depth, trips)?;
-        let (pb, cb) = self.scalar(b, depth, trips)?;
+        let (pa, ca) = self.expr(a, depth, trips)?;
+        let (pb, cb) = self.expr(b, depth, trips)?;
         Some((pa, pb, Cost::NODE.plus(ca).plus(cb)))
     }
 
     /// A `gen` loop: its trip count, the slot of its variable, and the
     /// trip product its head runs under.
     fn gen_loop(&mut self, src: &CExpr, depth: usize, trips: u64) -> Option<(P, Cost, u64)> {
-        let (n, cn) = self.scalar(gen_arg(src)?, depth, trips)?;
+        let (n, cn) = self.expr(gen_arg(src)?, depth, trips)?;
         let count = match n {
             P::Const(V::N(k)) => k,
             _ => 1,
@@ -299,14 +297,32 @@ impl Planner {
         Some((n, Cost { steps: 2, subs: 0 }.plus(cn), trips.saturating_mul(count)))
     }
 
-    /// Plan a scalar expression under `depth` nest binders, executed
-    /// `trips` times per root iteration; with its static cost.
-    fn scalar(&mut self, c: &CExpr, depth: usize, trips: u64) -> Option<(P, Cost)> {
+    /// Plan each of `items`, adding their static costs to `cost`.
+    fn all(
+        &mut self,
+        items: &[CExpr],
+        depth: usize,
+        trips: u64,
+        mut cost: Cost,
+    ) -> Option<(Vec<P>, Cost)> {
+        let mut ps = Vec::with_capacity(items.len());
+        for it in items {
+            let (p, c) = self.expr(it, depth, trips)?;
+            cost = cost.plus(c);
+            ps.push(p);
+        }
+        Some((ps, cost))
+    }
+
+    /// Plan an expression of the fragment under `depth` nest binders,
+    /// executed `trips` times per root iteration; with its static cost.
+    fn expr(&mut self, c: &CExpr, depth: usize, trips: u64) -> Option<(P, Cost)> {
         let leaf = |p| Some((p, Cost::NODE));
         match c {
             CExpr::Nat(n) => leaf(P::Const(V::N(*n))),
             CExpr::Real(r) => leaf(P::Const(V::R(*r))),
             CExpr::Bool(b) => leaf(P::Const(V::B(*b))),
+            CExpr::Bottom => leaf(P::Bottom),
             CExpr::Var(i) if *i < depth => leaf(P::Slot(depth - 1 - *i)),
             CExpr::Var(i) => leaf(P::Cap(intern(&mut self.captures, Outer::Env(*i - depth)))),
             CExpr::Global(n) => {
@@ -321,42 +337,40 @@ impl Planner {
                 Some((P::Cmp(*op, Box::new(a), Box::new(b)), cost))
             }
             CExpr::If(c, t, f) => {
-                let (c, cc) = self.scalar(c, depth, trips)?;
-                let t = self.scalar(t, depth, trips)?;
-                let f = self.scalar(f, depth, trips)?;
+                let (c, cc) = self.expr(c, depth, trips)?;
+                let t = self.expr(t, depth, trips)?;
+                let f = self.expr(f, depth, trips)?;
                 Some((P::If(Box::new(c), Box::new(t), Box::new(f)), Cost::NODE.plus(cc)))
             }
             CExpr::Let(bound, body) => {
-                let (b, cb) = self.scalar(bound, depth, trips)?;
-                let (body, cbody) = self.scalar(body, depth + 1, trips)?;
+                let (b, cb) = self.expr(bound, depth, trips)?;
+                let (body, cbody) = self.expr(body, depth + 1, trips)?;
                 self.slots = self.slots.max(depth + 1);
                 Some((P::Let(depth, Box::new(b), Box::new(body)), Cost::NODE.plus(cb).plus(cbody)))
             }
             CExpr::Sum { head, src } => {
                 let (n, cost, trips) = self.gen_loop(src, depth, trips)?;
-                let (head, per_iter) = self.scalar(head, depth + 1, trips)?;
+                let (head, per_iter) = self.expr(head, depth + 1, trips)?;
                 let fold = Fold { kind: FoldKind::Sum, n, slot: depth, head, per_iter };
                 Some((P::Fold(Box::new(fold)), cost))
             }
             CExpr::Sub(arr, idx, Some(axes)) => {
                 let operand = self.operand(arr, depth)?;
                 // The subscript node and its array expression.
-                let mut cost = Cost { steps: 2, subs: 1 };
-                let mut ps = Vec::with_capacity(idx.len());
-                for i in idx {
-                    let (p, c) = self.scalar(i, depth, trips)?;
-                    cost = cost.plus(c);
-                    ps.push(p);
-                }
+                let (ps, cost) = self.all(idx, depth, trips, Cost { steps: 2, subs: 1 })?;
                 self.sites.push(Site { operand, axes: axes.clone(), inner_trips: trips });
                 Some((P::Load(self.sites.len() - 1, ps), cost))
+            }
+            CExpr::Tuple(items) => {
+                let (ps, cost) = self.all(items, depth, trips, Cost::NODE)?;
+                Some((P::Tuple(ps), cost))
             }
             CExpr::Dim(1, arr) => {
                 let operand = self.operand(arr, depth)?;
                 Some((P::Dim1(operand), Cost { steps: 2, subs: 0 }))
             }
             // An inner nest planned on the way up: this plan covers it.
-            CExpr::Kernel { fallback, .. } => self.scalar(fallback, depth, trips),
+            CExpr::Kernel { fallback, .. } => self.expr(fallback, depth, trips),
             _ => None,
         }
     }
@@ -377,13 +391,13 @@ impl Planner {
                 Some((P::Fold(Box::new(Fold { kind, n, slot: depth, head, per_iter })), cost))
             }
             CExpr::Let(bound, body) => {
-                let (b, cb) = self.scalar(bound, depth, trips)?;
+                let (b, cb) = self.expr(bound, depth, trips)?;
                 let (body, cbody) = self.set_level(kind, body, depth + 1, trips)?;
                 self.slots = self.slots.max(depth + 1);
                 Some((P::Let(depth, Box::new(b), Box::new(body)), Cost::NODE.plus(cb).plus(cbody)))
             }
             CExpr::Single(h) => {
-                let (p, c) = self.scalar(h, depth, trips)?;
+                let (p, c) = self.expr(h, depth, trips)?;
                 Some((p, Cost::NODE.plus(c)))
             }
             _ => None,
@@ -517,17 +531,17 @@ enum Arg<'a, T> {
     Op(Op<'a, T>),
 }
 
-impl<'a, T: Copy + 'a> Arg<'a, T> {
+impl<'a, T: Clone + 'a> Arg<'a, T> {
     fn op(self) -> Op<'a, T> {
         match self {
-            Arg::Const(c) => Box::new(move |_| Some(c)),
+            Arg::Const(c) => Box::new(move |_| Some(c.clone())),
             Arg::Op(op) => op,
         }
     }
 
     fn get(&self, f: &Frame) -> Option<T> {
         match self {
-            Arg::Const(c) => Some(*c),
+            Arg::Const(c) => Some(c.clone()),
             Arg::Op(op) => op(f),
         }
     }
@@ -547,11 +561,13 @@ fn binary<'a, T: Copy + 'a, U: 'a>(
     })
 }
 
-/// A typed scalar expression, ready to run.
+/// A typed expression, ready to run: a scalar of one of the three
+/// kinds, or a tuple (boxed — a tabulation's cells, never a slot).
 enum Code<'a> {
     N(Arg<'a, u64>),
     R(Arg<'a, f64>),
     B(Arg<'a, bool>),
+    T(Arg<'a, Value>),
 }
 
 /// `$code` with `$body` applied to the closure of whichever kind it is.
@@ -561,6 +577,7 @@ macro_rules! each_kind {
             Code::N($op) => Code::N(Arg::Op($body)),
             Code::R($op) => Code::R(Arg::Op($body)),
             Code::B($op) => Code::B(Arg::Op($body)),
+            Code::T($op) => Code::T(Arg::Op($body)),
         }
     };
 }
@@ -586,26 +603,19 @@ impl<'a> Code<'a> {
         Code::B(Arg::Op(Box::new(op)))
     }
 
-    fn ty(&self) -> Ty {
-        match self {
-            Code::N(_) => Ty::N,
-            Code::R(_) => Ty::R,
-            Code::B(_) => Ty::B,
-        }
+    /// The value as slot bits, with its kind; a tuple has neither.
+    fn bits(self) -> Option<(Ty, Op<'a, u64>)> {
+        Some(match self {
+            Code::N(n) => (Ty::N, n.op()),
+            Code::R(Arg::Const(r)) => (Ty::R, Box::new(move |_| Some(r.to_bits()))),
+            Code::R(Arg::Op(r)) => (Ty::R, Box::new(move |f| Some(r(f)?.to_bits()))),
+            Code::B(Arg::Const(b)) => (Ty::B, Box::new(move |_| Some(u64::from(b)))),
+            Code::B(Arg::Op(b)) => (Ty::B, Box::new(move |f| Some(u64::from(b(f)?)))),
+            Code::T(_) => return None,
+        })
     }
 
-    /// The value as slot bits.
-    fn bits(self) -> Op<'a, u64> {
-        match self {
-            Code::N(n) => n.op(),
-            Code::R(Arg::Const(r)) => Box::new(move |_| Some(r.to_bits())),
-            Code::R(Arg::Op(r)) => Box::new(move |f| Some(r(f)?.to_bits())),
-            Code::B(Arg::Const(b)) => Box::new(move |_| Some(u64::from(b))),
-            Code::B(Arg::Op(b)) => Box::new(move |f| Some(u64::from(b(f)?))),
-        }
-    }
-
-    /// The boxed value, for a tuple cell.
+    /// The boxed value: a tuple's component, a root `Σ`'s result.
     fn value(self) -> Op<'a, Value> {
         match self {
             Code::N(n) => {
@@ -620,6 +630,7 @@ impl<'a> Code<'a> {
                 let b = b.op();
                 Box::new(move |f| Some(Value::Bool(b(f)?)))
             }
+            Code::T(t) => t.op(),
         }
     }
 }
@@ -667,23 +678,9 @@ fn nat_arith(op: ArithOp, x: u64, y: u64) -> Option<u64> {
     }
 }
 
-/// The cells a subscript site reads, borrowed for one run.
-#[derive(Clone, Copy)]
-enum Cells<'a> {
-    F64(&'a [f64]),
-    Nat(&'a [u64]),
-    Bool(&'a [bool]),
-    I64(&'a [i64]),
-    /// No window: one cache lookup per element.
-    Lazy(&'a RefCell<LazyArray>),
-}
-
-struct BoundSite<'a> {
-    cells: Cells<'a>,
-    /// Row-major strides of what `cells` holds (the operand, or the
-    /// window), and the window origin's offset under them.
-    strides: Vec<u64>,
-    base: u64,
+/// `⊥` as code of whatever kind the other branch has.
+fn escape<'a, T: 'a>() -> Op<'a, T> {
+    Box::new(|_| None)
 }
 
 /// A site's flat offset into its cells: `konst + Σ coef · slot` over
@@ -714,27 +711,33 @@ impl Offset<'_> {
     }
 }
 
+/// An index as `konst + Σ coef · slot` over `nat` slots.
+type Affine = (u64, Vec<(usize, u64)>);
+
 /// Binding: types a plan's expressions against the operands and
 /// captures of one evaluation, producing [`Code`].
 struct Binder<'a> {
     root_trips: u64,
+    /// What the governor admits as one window, in cells.
+    admissible: u64,
     caps: Vec<V>,
     arrays: &'a [Rc<ArrayVal>],
-    sites: Vec<BoundSite<'a>>,
-    /// The kind each slot holds where the code being bound can see it.
-    slot_ty: Vec<Ty>,
+    sites: &'a [Site],
+    /// The kind each slot holds where the code being bound can see it,
+    /// and — for a loop variable whose trip count is known now — the
+    /// largest value it takes (the least is 0).
+    vars: Vec<(Ty, Option<u64>)>,
 }
 
 impl<'a> Binder<'a> {
-    /// `p` as `konst + Σ coef · slot` over `nat` slots.
-    fn affine(&self, p: &P) -> Option<(u64, Vec<(usize, u64)>)> {
+    fn affine(&self, p: &P) -> Option<Affine> {
         match p {
             P::Const(V::N(n)) => Some((*n, Vec::new())),
             P::Cap(k) => match self.caps.get(*k)? {
                 V::N(n) => Some((*n, Vec::new())),
                 _ => None,
             },
-            P::Slot(s) if self.slot_ty.get(*s) == Some(&Ty::N) => Some((0, vec![(*s, 1)])),
+            P::Slot(s) if matches!(self.vars.get(*s), Some((Ty::N, _))) => Some((0, vec![(*s, 1)])),
             P::Arith(ArithOp::Add, a, b) => {
                 let ((ka, mut ta), (kb, tb)) = (self.affine(a)?, self.affine(b)?);
                 ta.extend(tb);
@@ -754,6 +757,15 @@ impl<'a> Binder<'a> {
         }
     }
 
+    /// Every value an index of that form takes in this run, as far as
+    /// the ranges of its loop variables are known: from `konst` up.
+    fn reach(&self, (konst, terms): &Affine) -> Iv {
+        let hi = terms.iter().try_fold(*konst, |hi, (slot, coef)| {
+            hi.checked_add(coef.checked_mul(self.vars.get(*slot)?.1?)?)
+        });
+        Iv { lo: *konst, hi }
+    }
+
     fn nat(&mut self, p: &'a P) -> Option<Op<'a, u64>> {
         match self.code(p)? {
             Code::N(n) => Some(n.op()),
@@ -761,17 +773,29 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// A `gen` loop's trip count; its variable is a `nat`.
+    /// A `gen` loop's trip count; its variable is a `nat` below it.
     fn loop_of(&mut self, fold: &'a Fold) -> Option<Arg<'a, u64>> {
         let Code::N(n) = self.code(&fold.n)? else { return None };
-        *self.slot_ty.get_mut(fold.slot)? = Ty::N;
+        let hi = match n {
+            Arg::Const(n) => n.checked_sub(1),
+            Arg::Op(_) => None,
+        };
+        *self.vars.get_mut(fold.slot)? = (Ty::N, hi);
         Some(n)
     }
 
     fn bind_let(&mut self, slot: usize, bound: &'a P) -> Option<Op<'a, u64>> {
-        let bound = self.code(bound)?;
-        *self.slot_ty.get_mut(slot)? = bound.ty();
-        Some(bound.bits())
+        let (ty, bits) = self.code(bound)?.bits()?;
+        *self.vars.get_mut(slot)? = (ty, None);
+        Some(bits)
+    }
+
+    /// A branch of an `if`: `None` for `⊥`, which the other one types.
+    fn arm(&mut self, p: &'a P) -> Option<Option<Code<'a>>> {
+        match p {
+            P::Bottom => Some(None),
+            p => self.code(p).map(Some),
+        }
     }
 
     fn code(&mut self, p: &'a P) -> Option<Code<'a>> {
@@ -781,7 +805,7 @@ impl<'a> Binder<'a> {
             P::Trips => Code::constant(V::N(self.root_trips)),
             P::Slot(s) => {
                 let s = *s;
-                match self.slot_ty.get(s)? {
+                match self.vars.get(s)?.0 {
                     Ty::N => Code::n(move |f| Some(f.slots.get(s)?.get())),
                     Ty::R => Code::r(move |f| Some(f64::from_bits(f.slots.get(s)?.get()))),
                     Ty::B => Code::b(move |f| Some(f.slots.get(s)?.get() != 0)),
@@ -818,16 +842,24 @@ impl<'a> Binder<'a> {
             P::If(c, t, e) => {
                 let Code::B(c) = self.code(c)? else { return None };
                 let c = c.op();
-                match (self.code(&t.0)?, self.code(&e.0)?) {
-                    (Code::N(x), Code::N(y)) => {
+                match (self.arm(&t.0)?, self.arm(&e.0)?) {
+                    (Some(Code::N(x)), Some(Code::N(y))) => {
                         Code::N(Arg::Op(branch(c, (x.op(), t.1), (y.op(), e.1))))
                     }
-                    (Code::R(x), Code::R(y)) => {
+                    (Some(Code::R(x)), Some(Code::R(y))) => {
                         Code::R(Arg::Op(branch(c, (x.op(), t.1), (y.op(), e.1))))
                     }
-                    (Code::B(x), Code::B(y)) => {
+                    (Some(Code::B(x)), Some(Code::B(y))) => {
                         Code::B(Arg::Op(branch(c, (x.op(), t.1), (y.op(), e.1))))
                     }
+                    (Some(Code::T(x)), Some(Code::T(y))) => {
+                        Code::T(Arg::Op(branch(c, (x.op(), t.1), (y.op(), e.1))))
+                    }
+                    // A tabulation, a `Σ` and a `⋃` are strict: the
+                    // sink's value is `⊥` from the first such cell on.
+                    (Some(x), None) => each_kind!(x, |x| branch(c, (x.op(), t.1), (escape(), e.1))),
+                    (None, Some(y)) => each_kind!(y, |y| branch(c, (escape(), t.1), (y.op(), e.1))),
+                    // Two kinds, or no kind at all.
                     _ => return None,
                 }
             }
@@ -840,6 +872,13 @@ impl<'a> Binder<'a> {
                 [d] => Code::constant(V::N(*d)),
                 _ => return None,
             },
+            P::Tuple(items) => {
+                let parts = items.iter().map(|p| Some(self.code(p)?.value()));
+                let parts = parts.collect::<Option<Vec<_>>>()?;
+                Code::T(Arg::Op(Box::new(move |f| {
+                    try_tuple(&parts, |part| part(f).ok_or(())).ok().map(Value::Tuple)
+                })))
+            }
             P::Fold(fold) if fold.kind == FoldKind::Sum => {
                 let n = self.loop_of(fold)?;
                 let (slot, per_iter) = (fold.slot, fold.per_iter);
@@ -871,20 +910,52 @@ impl<'a> Binder<'a> {
                             Some(acc)
                         })
                     }
-                    Code::B(_) => return None,
+                    Code::B(_) | Code::T(_) => return None,
                 }
             }
-            // Set levels are bound by `level`.
-            P::Fold(_) => return None,
+            // Set levels are bound by `level`; a `⊥` no `if` types.
+            P::Fold(_) | P::Bottom => return None,
         })
     }
 
     fn load(&mut self, site: usize, idx: &'a [P]) -> Option<Code<'a>> {
-        let BoundSite { cells, base, .. } = *self.sites.get(site)?;
+        let s = self.sites.get(site)?;
+        let a = self.arrays.get(s.operand)?;
+        let forms: Vec<Option<Affine>> = idx.iter().map(|p| self.affine(p)).collect();
+        // A lazy operand is read as one window where that pays: the
+        // box this run's indices span has no more cells than the site
+        // has executions. Per axis the box is the index's reach (known
+        // now: captures, trip counts) inside the analyzer's interval
+        // (sound over the whole statement, so never narrower than needed).
+        let window = match a.array_data() {
+            ArrayData::Lazy(l) => {
+                let axes = forms.iter().zip(&s.axes).map(|(form, mark)| match form {
+                    Some(form) => self.reach(form).meet(*mark),
+                    None => *mark,
+                });
+                let most = self.root_trips.saturating_mul(s.inner_trips).min(self.admissible);
+                match window_of(axes, a.dims(), most) {
+                    Some((start, count)) => {
+                        Some((l.borrow_mut().read_slab(&start, &count).ok()?, start, count))
+                    }
+                    None => None,
+                }
+            }
+            _ => None,
+        };
+        // Row-major strides of what is read (the operand, or the
+        // window), and the window origin's offset under them.
+        let (strides, base) = match &window {
+            Some((_, start, count)) => {
+                let strides = strides(count);
+                let base = start.iter().zip(&strides).map(|(s, k)| s.wrapping_mul(*k)).sum();
+                (strides, base)
+            }
+            None => (strides(a.dims()), 0),
+        };
         let mut at = Offset { konst: 0u64.wrapping_sub(base), terms: Vec::new(), rest: Vec::new() };
-        for (k, p) in idx.iter().enumerate() {
-            let stride = *self.sites.get(site)?.strides.get(k)?;
-            match self.affine(p) {
+        for ((p, form), &stride) in idx.iter().zip(forms).zip(&strides) {
+            match form {
                 Some((konst, terms)) => {
                     at.konst = at.konst.wrapping_add(konst.wrapping_mul(stride));
                     at.terms.extend(terms.iter().map(|(s, c)| (*s, c.wrapping_mul(stride))));
@@ -892,22 +963,26 @@ impl<'a> Binder<'a> {
                 None => at.rest.push((self.nat(p)?, stride)),
             }
         }
-        let offset = move |f: &Frame| at.at(f);
-        Some(match cells {
-            Cells::F64(v) => Code::r(move |f| v.get(offset(f)? as usize).copied()),
-            Cells::Nat(v) => Code::n(move |f| v.get(offset(f)? as usize).copied()),
-            Cells::Bool(v) => Code::b(move |f| v.get(offset(f)? as usize).copied()),
-            // A negative stored integer is a `real` to the interpreter.
-            Cells::I64(v) => Code::n(move |f| u64::try_from(*v.get(offset(f)? as usize)?).ok()),
-            Cells::Lazy(l) => {
-                let get = move |f: &Frame| l.borrow_mut().get_linear(offset(f)?).ok()?;
+        let at = move |f: &Frame| Some(at.at(f)? as usize);
+        // A negative stored integer is a `real` to the interpreter.
+        let nat_of = |x: &i64| u64::try_from(*x).ok();
+        Some(match (window.map(|w| w.0), a.array_data()) {
+            (Some(ScalarBuf::F64(v)), _) => Code::r(move |f| v.get(at(f)?).copied()),
+            (Some(ScalarBuf::I64(v)), _) => Code::n(move |f| nat_of(v.get(at(f)?)?)),
+            (Some(ScalarBuf::Bool(v)), _) => Code::b(move |f| v.get(at(f)?).copied()),
+            (None, ArrayData::F64(v)) => Code::r(move |f| v.get(at(f)?).copied()),
+            (None, ArrayData::Nat(v)) => Code::n(move |f| v.get(at(f)?).copied()),
+            (None, ArrayData::Bool(v)) => Code::b(move |f| v.get(at(f)?).copied()),
+            // No window: one cache lookup per element.
+            (None, ArrayData::Lazy(l)) => {
+                let get = move |f: &Frame| l.borrow_mut().get_linear(at(f)? as u64).ok()?;
                 match l.borrow().kind() {
                     ScalarKind::F64 => Code::r(move |f| match get(f)? {
                         Scalar::F64(x) => Some(x),
                         _ => None,
                     }),
                     ScalarKind::I64 => Code::n(move |f| match get(f)? {
-                        Scalar::I64(x) => u64::try_from(x).ok(),
+                        Scalar::I64(x) => nat_of(&x),
                         _ => None,
                     }),
                     ScalarKind::Bool => Code::b(move |f| match get(f)? {
@@ -916,6 +991,7 @@ impl<'a> Binder<'a> {
                     }),
                 }
             }
+            (None, ArrayData::Materialized(_)) => return None,
         })
     }
 
@@ -944,35 +1020,36 @@ impl<'a> Binder<'a> {
                         f.best.set(Some(bits));
                     }
                 }
-                let head = self.code(head)?;
-                let ty = head.ty();
-                let op: Op<'a, ()> = match head {
+                Some(match self.code(head)? {
                     Code::N(h) => {
                         let h = h.op();
-                        Box::new(move |f| {
+                        let op = move |f: &Frame| {
                             let v = h(f)?;
                             keep(f, v, wins, |best| v.cmp(&best));
                             Some(())
-                        })
+                        };
+                        (Box::new(op), Ty::N)
                     }
                     Code::R(h) => {
                         let h = h.op();
-                        Box::new(move |f| {
+                        let op = move |f: &Frame| {
                             let v = h(f)?;
                             keep(f, v.to_bits(), wins, |best| v.total_cmp(&f64::from_bits(best)));
                             Some(())
-                        })
+                        };
+                        (Box::new(op), Ty::R)
                     }
                     Code::B(h) => {
                         let h = h.op();
-                        Box::new(move |f| {
+                        let op = move |f: &Frame| {
                             let v = u64::from(h(f)?);
                             keep(f, v, wins, |best| v.cmp(&best));
                             Some(())
-                        })
+                        };
+                        (Box::new(op), Ty::B)
                     }
-                };
-                Some((op, ty))
+                    Code::T(_) => return None,
+                })
             }
         }
     }
@@ -994,16 +1071,20 @@ fn strides(dims: &[u64]) -> Vec<u64> {
     s
 }
 
-/// The window of a lazy operand a site reads — `(start, count)` of its
-/// interval box — if every interval is finite, the box lies inside the
-/// array (re-checked here: a mark is not trusted with a slab request)
-/// and it has no more than `most` cells. Otherwise the site reads per
-/// element.
-fn window_of(site: &Site, dims: &[u64], most: u64) -> Option<(Vec<u64>, Vec<u64>)> {
+/// The window of a lazy operand a site reads — `(start, count)` of the
+/// box of its per-axis index intervals — if every interval is finite,
+/// the box lies inside the array (re-checked here: neither a mark nor a
+/// folded index is trusted with a slab request) and it has no more than
+/// `most` cells. Otherwise the site reads per element.
+fn window_of(
+    axes: impl Iterator<Item = Iv>,
+    dims: &[u64],
+    most: u64,
+) -> Option<(Vec<u64>, Vec<u64>)> {
     let mut start = Vec::with_capacity(dims.len());
     let mut count = Vec::with_capacity(dims.len());
     let mut cells = 1u64;
-    for (iv, &d) in site.axes.iter().zip(dims) {
+    for (iv, &d) in axes.zip(dims) {
         let n = iv.hi?.checked_sub(iv.lo)?.checked_add(1)?;
         if iv.lo.checked_add(n)? > d {
             return None;
@@ -1016,8 +1097,8 @@ fn window_of(site: &Site, dims: &[u64], most: u64) -> Option<(Vec<u64>, Vec<u64>
 }
 
 /// Run `plan` — the plan of `fallback` — in `env`. `None` is the
-/// module's one escape: no counter of `ctx` has changed and the caller
-/// evaluates `fallback` itself.
+/// module's one escape: no counter of `ctx` has changed (but the trace's
+/// count of escapes) and the caller evaluates `fallback` itself.
 pub(super) fn run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -> Option<Value> {
     let saved = ctx.counters();
     let out = bind_and_run(plan, fallback, env, ctx);
@@ -1025,6 +1106,7 @@ pub(super) fn run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx)
         // The root's bounds were evaluated by the interpreter, which
         // charged them; the fallback will charge them again.
         ctx.set_counters(saved);
+        ctx.kernel_escapes.set(ctx.kernel_escapes.get() + 1);
     }
     out
 }
@@ -1070,46 +1152,14 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
     // here rather than of it, so that a refusal — which escapes to the
     // interpreter, which asks — is recorded as one denial, not two.)
     let admissible = aql_store::governor::budget().map_or(u64::MAX, |bytes| bytes / 8);
-    // One window per site of a lazy operand, where it pays — it has no
-    // more cells than the site has executions — and fits.
-    let mut windows = Vec::with_capacity(plan.sites.len());
-    for s in &plan.sites {
-        let a = arrays.get(s.operand)?;
-        let most = root_trips.saturating_mul(s.inner_trips).min(admissible);
-        let window = match (a.array_data(), window_of(s, a.dims(), most)) {
-            (ArrayData::Lazy(l), Some((start, count))) => {
-                let buf = l.borrow_mut().read_slab(&start, &count).ok()?;
-                Some((buf, start, count))
-            }
-            _ => None,
-        };
-        windows.push(window);
+    // A tabulation's variables range below its extents (a root fold's
+    // is entered by `loop_of`, like any other).
+    let mut vars = vec![(Ty::N, None); plan.slots];
+    for (var, d) in vars.iter_mut().zip(&dims) {
+        var.1 = d.checked_sub(1);
     }
-    let mut sites = Vec::with_capacity(plan.sites.len());
-    for (s, w) in plan.sites.iter().zip(&windows) {
-        let a = arrays.get(s.operand)?;
-        let (cells, strides, base) = match (w, a.array_data()) {
-            (Some((buf, start, count)), _) => {
-                let strides = strides(count);
-                let base = start.iter().zip(&strides).map(|(s, k)| s.wrapping_mul(*k)).sum();
-                let cells = match buf {
-                    ScalarBuf::F64(v) => Cells::F64(v),
-                    ScalarBuf::I64(v) => Cells::I64(v),
-                    ScalarBuf::Bool(v) => Cells::Bool(v),
-                };
-                (cells, strides, base)
-            }
-            (None, ArrayData::F64(v)) => (Cells::F64(v), strides(a.dims()), 0),
-            (None, ArrayData::Nat(v)) => (Cells::Nat(v), strides(a.dims()), 0),
-            (None, ArrayData::Bool(v)) => (Cells::Bool(v), strides(a.dims()), 0),
-            (None, ArrayData::Lazy(l)) => (Cells::Lazy(l), strides(a.dims()), 0),
-            (None, ArrayData::Materialized(_)) => return None,
-        };
-        sites.push(BoundSite { cells, strides, base });
-    }
-
-    let slot_ty = vec![Ty::N; plan.slots];
-    let mut binder = Binder { root_trips, caps, arrays: &arrays, sites, slot_ty };
+    let mut binder =
+        Binder { root_trips, admissible, caps, arrays: &arrays, sites: &plan.sites, vars };
     let frame = Frame {
         ctx,
         max_loop: admissible.min(ctx.limits.max_elems),
@@ -1121,16 +1171,15 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
         unpolled: Cell::new(0),
     };
     let value = match &plan.root {
-        Root::Tab { head, per_cell, .. } => {
+        Root::Tab { head, per_cell } => {
             // The tabulation node itself.
             frame.steps.set(1);
-            let arr = match head {
+            let arr = if root_trips == 0 {
                 // What the interpreter builds from no cells.
-                _ if root_trips == 0 => {
-                    frame.enter(0, *per_cell)?;
-                    ArrayVal::new(dims, Vec::new())
-                }
-                Head::Scalar(p) => match binder.code(p)? {
+                frame.enter(0, *per_cell)?;
+                ArrayVal::new(dims, Vec::new())
+            } else {
+                match binder.code(head)? {
                     Code::N(h) => {
                         let cells = frame.fill(&dims, *per_cell, h.op())?;
                         ArrayVal::from_nat(dims, cells)
@@ -1143,17 +1192,10 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
                         let cells = frame.fill(&dims, *per_cell, h.op())?;
                         ArrayVal::from_bool(dims, cells)
                     }
-                },
-                Head::Tuple(items) => {
-                    let mut codes = Vec::with_capacity(items.len());
-                    for p in items {
-                        codes.push(binder.code(p)?.value());
+                    Code::T(h) => {
+                        let cells = frame.fill(&dims, *per_cell, h.op())?;
+                        ArrayVal::new(dims, cells)
                     }
-                    let tuples = frame.fill(&dims, *per_cell, |f| {
-                        let parts = try_tuple(&codes, |part| part(f).ok_or(()));
-                        parts.ok().map(Value::Tuple)
-                    })?;
-                    ArrayVal::new(dims, tuples)
                 }
             };
             Value::Array(Rc::new(arr.ok()?))
@@ -1204,7 +1246,7 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
-    use aql_store::{ChunkFaultPlan, ChunkLayout, FaultyChunkSource, MemChunkSource};
+    use aql_store::{ChunkFaultPlan, ChunkLayout, FaultyChunkSource, LazyArray, MemChunkSource};
 
     use super::*;
     use crate::error::EvalError;
@@ -1538,6 +1580,129 @@ mod tests {
         let got = same(&tab1("i", nat(4), guarded), &g, four);
         assert_eq!(got.nests, 1);
         assert_eq!(got.value, Ok(array(ArrayVal::from_nat(vec![4], vec![0, 100, 50, 20]))));
+    }
+
+    /// `if i·5 + j < t then head else ⊥`: `⊥` from row-major cell `t`
+    /// of the 7×5 nests of [`sinks`] on.
+    fn until(t: u64, head: Expr) -> Expr {
+        iff(lt(add(mul(var("i"), nat(5)), var("j")), nat(t)), head, bottom())
+    }
+
+    #[test]
+    fn a_guarded_head_runs_until_its_bottom_branch_is_taken() {
+        let g = world(vec![
+            ("A", array(ArrayVal::from_f64(vec![7, 5], reals(35)))),
+            ("L", lazy(&[7, 5], &[3, 2], ScalarBuf::F64(reals(35)))),
+            ("W", lazy(&[14, 2], &[4, 2], ScalarBuf::F64(reals(28)))),
+            ("n", Value::Nat(7)),
+        ]);
+        let at = |a: &str| sub(global(a), vec![var("i"), var("j")]);
+        // What β^p leaves of the §1 query: a guarded tuple whose last
+        // component is guarded twice more, one site with a stride.
+        let wide = sub(global("W"), vec![mul(var("i"), nat(2)), nat(0)]);
+        let inner = iff(lt(var("i"), global("n")), iff(lt(var("j"), nat(5)), wide, bottom()), bottom());
+        let heads = [
+            tuple(vec![at("A"), at("L")]),
+            tuple(vec![at("A"), at("L"), inner]),
+            // A scalar, and a tuple inside a tuple.
+            mul(at("L"), real(2.0)),
+            tuple(vec![var("i"), tuple(vec![at("A"), lt(at("L"), real(0.0))])]),
+        ];
+        for head in &heads {
+            // No cell takes the `⊥` branch: a kernel.
+            let e = tab(vec![("i", nat(7)), ("j", nat(5))], until(35, head.clone()));
+            assert_eq!(same(&e, &g, IJ).nests, 1, "{e}");
+            // The first, a middle and the last cell take it: the value
+            // is `⊥` with the interpreter's charges up to that cell —
+            // `same` compares them — and none of the kernel's.
+            for t in [0, 17, 34] {
+                let e = tab(vec![("i", nat(7)), ("j", nat(5))], until(t, head.clone()));
+                let got = same(&e, &g, IJ);
+                assert_eq!((got.value, got.nests), (Ok(Value::Bottom), 0), "{e} at {t}");
+            }
+        }
+        // Under `Σ` and under `min!`/`max!`, guarded either way round.
+        let then_bottom = iff(lt(at("A"), real(-1e9)), bottom(), at("L"));
+        for head in [until(35, at("L")), then_bottom] {
+            for e in sinks(&head) {
+                assert_eq!(same(&e, &g, IJ).nests, 1, "{e}");
+            }
+        }
+        // (Handed back, the outer `Σ` meets its rows as nests of their
+        // own: the three before the `⊥` run as kernels.)
+        for (e, rows) in sinks(&until(17, at("L"))).iter().zip([0, 3, 0, 0]) {
+            let got = same(e, &g, IJ);
+            assert_eq!((got.value, got.nests), (Ok(Value::Bottom), rows), "{e}");
+        }
+    }
+
+    #[test]
+    fn a_bottom_no_branch_types_is_handed_back() {
+        let g = world(vec![("A", array(ArrayVal::from_f64(vec![7, 5], reals(35))))]);
+        // Both branches `⊥`, `⊥` outside an `if`, and branches of two
+        // kinds: refused when bound, never given a kind of their own.
+        let positive = || gt(cell(), real(0.0));
+        let heads = [
+            iff(positive(), bottom(), bottom()),
+            add(cell(), bottom()),
+            tuple(vec![cell(), bottom()]),
+            iff(positive(), cell(), tuple(vec![cell(), cell()])),
+        ];
+        for head in heads {
+            let e = tab(vec![("i", nat(7)), ("j", nat(5))], head);
+            let got = run(&e, &g, &Limits::default(), Some(IJ));
+            let want = run(&e, &g, &Limits::default(), None);
+            assert_eq!((got.value, got.steps, got.nests), (want.value, want.steps, 0), "{e}");
+        }
+        // A head outside the grammar refuses its nest and leaves
+        // nothing behind: the subscript-free nest beside it is planned
+        // on its own, and so not at all.
+        let first = sub(global("A"), vec![var("i"), nat(0)]);
+        let refused = tab1("i", nat(7), tuple(vec![first, single(var("i"))]));
+        let free = sum("i", gen(nat(10)), mul(var("i"), var("i")));
+        assert_eq!(same(&tuple(vec![refused, free]), &g, IJ).nests, 0);
+    }
+
+    /// `⋃ d < days. { let h = d·len in [[ if h+k < n then (T[h+k], R[h+k]) else ⊥ | k < len ]] }`
+    /// over lazy `T` and `R` of `days·len` cells.
+    fn per_day(days: u64, len: u64, chunk: u64) -> (HashMap<Name, Value>, Marked) {
+        let n = days * len;
+        let g = world(vec![
+            ("T", lazy(&[n], &[chunk], ScalarBuf::F64(reals(n)))),
+            ("R", lazy(&[n], &[chunk], ScalarBuf::I64((0..n as i64).collect()))),
+            ("n", Value::Nat(n)),
+        ]);
+        let at = |a: &str| sub(global(a), vec![add(var("h"), var("k"))]);
+        let inside = lt(add(var("h"), var("k")), global("n"));
+        let head = iff(inside, tuple(vec![at("T"), at("R")]), bottom());
+        let day = let_("h", mul(var("d"), nat(len)), tab1("k", nat(len), head));
+        let e = big_union("d", gen(nat(days)), single(day));
+        (g, (e, vec![("d", below(days)), ("h", span(0, n - len)), ("k", below(len))]))
+    }
+
+    #[test]
+    fn a_window_is_sized_by_the_run_not_by_the_statement() {
+        // Four days of 12 cells in chunks of 10. The mark says
+        // `[0, 47]` — all four days, 48 cells for 12 executions — but
+        // day `d` reads `[12d, 12d+11]`, which is two chunks, whichever
+        // day: one lookup per overlapped chunk per site per run.
+        let (g, (e, vars)) = per_day(4, 12, 10);
+        let got = same(&e, &g, &vars);
+        assert_eq!((got.nests, got.lookups), (4, 4 * 2 * 2), "{e}");
+        // A box that leaves the array is not asked for: `k` has no
+        // useful mark here and ranges to 8 over five cells, so the four
+        // reads the guard lets through go one by one.
+        let g = world(vec![("A", lazy(&[5], &[2], ScalarBuf::F64(reals(5))))]);
+        let guarded = iff(lt(var("k"), nat(4)), sub(global("A"), vec![var("k")]), real(0.0));
+        let e = tab1("k", nat(9), guarded);
+        let got = same(&e, &g, &[]);
+        assert_eq!((got.nests, got.lookups), (1, 4), "{e}");
+        // A stride spans more cells than it reads — 23 for 12 — and
+        // stays per element; the guard is the one windows always had.
+        let g = world(vec![("A", lazy(&[24], &[5], ScalarBuf::F64(reals(24))))]);
+        let e = tab1("k", nat(12), sub(global("A"), vec![mul(var("k"), nat(2))]));
+        let got = same(&e, &g, &[("k", below(12))]);
+        assert_eq!((got.nests, got.lookups), (1, 12), "{e}");
     }
 
     #[test]

@@ -202,10 +202,12 @@ pub struct EvalCtx<'a> {
     subscripts: Cell<u64>,
     elided: Cell<u64>,
     materialized: Cell<u64>,
-    /// Loop nests run as bulk kernels, and the loop iterations they
-    /// covered — trace counters, not part of [`EvalStats`].
+    /// Loop nests run as bulk kernels, the loop iterations they
+    /// covered, and the nests a kernel handed back to the interpreter —
+    /// trace counters, not part of [`EvalStats`].
     kernel_nests: Cell<u64>,
     kernel_cells: Cell<u64>,
+    kernel_escapes: Cell<u64>,
     /// Snapshot of the global chunk-cache counters at construction;
     /// [`EvalCtx::stats`] reports the delta since.
     cache_base: aql_store::CacheStats,
@@ -225,6 +227,7 @@ impl<'a> EvalCtx<'a> {
             materialized: Cell::new(0),
             kernel_nests: Cell::new(0),
             kernel_cells: Cell::new(0),
+            kernel_escapes: Cell::new(0),
             cache_base: aql_store::stats::global(),
         }
     }
@@ -362,9 +365,10 @@ pub fn eval_marked(
         aql_trace::count("eval.subscripts", s.subscripts);
         aql_trace::count("eval.elided", s.elided);
         aql_trace::count("eval.materialized", s.materialized);
-        if ctx.kernel_nests.get() > 0 {
+        if ctx.kernel_nests.get() + ctx.kernel_escapes.get() > 0 {
             aql_trace::count("eval.kernel_nests", ctx.kernel_nests.get());
             aql_trace::count("eval.kernel_cells", ctx.kernel_cells.get());
+            aql_trace::count("eval.kernel_escapes", ctx.kernel_escapes.get());
         }
     }
     out

@@ -5,7 +5,9 @@
 //! `RemoteChunkSource`} × {one transient then clear, transient forever,
 //! persistent I/O, payload corruption, governor denial, 1 ms deadline,
 //! cancel} × {met at bind, at echo, at first subscript, inside a kernel
-//! window}. Every cell runs the same three statements; it is either the
+//! window — the whole array's under a root `Σ`, and again one run's,
+//! sized at bind, of a guarded nest under an interpreted loop}. Every
+//! cell runs the same three statements; it is either the
 //! fault-free values, or its first failing statement names the row's
 //! one class — read three ways that must agree: the returned error's
 //! `class()`, the ring's `StmtEnd` label, the incident's `class`. The
@@ -85,9 +87,32 @@ impl Readings {
     }
 }
 
+/// The third statement, whose kernel reads the last chunk in a window,
+/// with its value: `Σ A[i]`, one window over the whole array; and four
+/// blocks of 16 summed under a `⋃` the interpreter runs, what β^p
+/// leaves of `subseq` guarding every read — a window a run, the fourth
+/// of them the chunk no earlier stage touched.
+fn kernel_statements() -> [(String, Value); 2] {
+    let total = (0..FAULT_AXIS_CELLS).sum::<u64>() as f64;
+    let block = |d: u64| Value::tuple(vec![Value::Nat(d), Value::Real((256 * d + 120) as f64)]);
+    [
+        (format!("summap(fn \\i => A[i])!(gen!{FAULT_AXIS_CELLS});"), Value::Real(total)),
+        (
+            "{(d, summap(fn \\k => (subseq!(A, d*16, d*16+15))[k])!(gen!16)) | \\d <- gen!4};".to_string(),
+            Value::set((0..4).map(block).collect()),
+        ),
+    ]
+}
+
 /// One cell: the three statements against a freshly bound source, up
 /// to the first that fails.
-fn cell(dir: &std::path::Path, source: &str, fault: Fault, stage: Stage) -> Option<Readings> {
+fn cell(
+    dir: &std::path::Path,
+    source: &str,
+    fault: Fault,
+    stage: Stage,
+    (kernel, value): (String, Value),
+) -> Option<Readings> {
     let reader = FaultyReader::new(dir, fault, stage);
     let mut s = Session::new();
     // The echo fetches one cell past its limit, cells 0..=16: chunk 0
@@ -100,11 +125,10 @@ fn cell(dir: &std::path::Path, source: &str, fault: Fault, stage: Stage) -> Opti
     }
     s.register_reader("FAULTY", Rc::new(reader));
 
-    let total = (0..FAULT_AXIS_CELLS).sum::<u64>() as f64;
     let statements = [
         (format!("readval \\A using FAULTY at \"{source}\";"), None),
         ("A[40];".to_string(), Some(Value::Real(40.0))),
-        (format!("summap(fn \\i => A[i])!(gen!{FAULT_AXIS_CELLS});"), Some(Value::Real(total))),
+        (kernel, Some(value)),
     ];
     let mut failed = None;
     for (statement, want) in &statements {
@@ -135,15 +159,19 @@ fn every_cell_is_the_fault_free_value_or_its_rows_class() {
     let dir = tmpdir("table");
     for fault in Fault::ALL {
         for source in FAULT_AXIS_SOURCES {
-            for stage in Stage::ALL {
-                let context = format!("{source} × {fault:?} × {stage:?}");
+            // (The second kernel statement differs from the first only
+            // where the fault is met inside its window.)
+            let [whole, blocks] = kernel_statements();
+            let cells = Stage::ALL.map(|stage| (stage, whole.clone()));
+            for (stage, kernel) in cells.into_iter().chain([(Stage::Kernel, blocks)]) {
+                let context = format!("{source} × {fault:?} × {stage:?} × `{}`", kernel.0);
                 // No statement's deadline is installed while a reader
                 // binds or an echo renders: a stall there is only slow.
                 // (A flag raised there stops the next statement's first
                 // chunk load.)
                 let may_pass =
                     fault == Fault::Deadline && matches!(stage, Stage::Bind | Stage::Echo);
-                match (cell(&dir, source, fault, stage), fault.class()) {
+                match (cell(&dir, source, fault, stage, kernel), fault.class()) {
                     (None, None) => {}
                     (None, Some(_)) if may_pass => {}
                     (None, Some(class)) => panic!("{context}: no statement failed as {class:?}"),

@@ -80,6 +80,39 @@ fn section1_zip_subseq_order_is_irrelevant() {
 }
 
 #[test]
+fn the_section1_query_and_both_e3_orders_run_as_kernels_at_the_interpreters_cost() {
+    // β^p leaves every fused subscript of these under `if … else ⊥`;
+    // the nests run unboxed all the same (`⊥` is the kernel's escape,
+    // and no cell here takes it), 24 cells a day for the §1 query, and
+    // are charged what the interpreter charges with kernels off.
+    let mut s = june_session("kernels");
+    let counted = |s: &mut Session, q: &str| {
+        let (out, report) = s.profile(&format!("{q};")).expect("the query runs");
+        let stats = report.statements.last().copied().expect("one statement");
+        let counter = |name: &str| report.trace.total_counter(&format!("eval.kernel_{name}"));
+        (
+            (out.last().and_then(|o| o.value.clone()), stats.steps, stats.subscripts, stats.materialized),
+            [counter("nests"), counter("cells"), counter("escapes")],
+        )
+    };
+    let queries = [
+        (HEAT_QUERY, [30, 720, 0]),
+        ("subseq!(zip!(T, RH), 10, 13)", [1, 4, 0]),
+        ("zip!(subseq!(T, 10, 13), subseq!(RH, 10, 13))", [1, 4, 0]),
+    ];
+    for (q, kernels) in queries {
+        let (on, ran) = counted(&mut s, q);
+        // (Process-wide, and harmless to the tests beside this one:
+        // they assert values, which do not depend on it.)
+        aql_core::eval::bounds::set_enabled(false);
+        let (off, none) = counted(&mut s, q);
+        aql_core::eval::bounds::set_enabled(true);
+        assert_eq!(on, off, "{q}");
+        assert_eq!((ran, none), (kernels, [0, 0, 0]), "{q}");
+    }
+}
+
+#[test]
 fn section42_sunset_session_verbatim() {
     let dir = data_dir("sunset");
     let (temp, _) = synth::write_example_data(&dir).expect("synthetic data");

@@ -5,7 +5,7 @@
 //!
 //! `aql-core` cannot call the analyzer (this crate depends on it), so
 //! the two meet here: every statement-path caller — the session, the
-//! bench environment, the differential tests — evaluates through
+//! counted paper claims, the differential tests — evaluates through
 //! [`eval_elided`].
 
 use aql_core::error::EvalError;

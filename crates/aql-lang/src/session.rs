@@ -1238,7 +1238,7 @@ impl Session {
     }
 
     /// The evaluation context over this session's registries
-    /// (used by benches that need direct evaluator access).
+    /// (used by the benchmark, which needs direct evaluator access).
     pub fn eval_expr_raw(&self, e: &Expr) -> Result<Value, EvalError> {
         let ctx = EvalCtx::new(&self.vals, &self.externals).with_limits(self.limits.clone());
         aql_analysis::eval_elided(e, &ctx)

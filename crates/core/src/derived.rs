@@ -5,9 +5,9 @@
 //! `subseq`, `reverse`, `evenpos`, `transpose`, `proj_col`, matrix
 //! multiply, `nest`, `filter`, the histograms of §2, and the monoid
 //! `empty/singleton/append` of §3 are all definable. This module
-//! constructs those definitions as [`Expr`] values so tests, the
-//! optimizer and the benches can exercise them exactly as written in
-//! the paper.
+//! constructs those definitions as [`Expr`] values so the tests (the
+//! counted claims of `tests/paper_claims.rs` among them) and the
+//! optimizer can exercise them exactly as written in the paper.
 //!
 //! All helpers take argument *expressions* and generate fresh internal
 //! binder names, so they can be composed without variable capture.

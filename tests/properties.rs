@@ -7,9 +7,13 @@
 //! * the §6 object translation `°` roundtrips at every object type;
 //! * the §5 optimizer is semantics-preserving on randomly composed
 //!   array pipelines (the error-free fragment, per the paper's
-//!   soundness convention).
+//!   soundness convention);
+//! * every prelude macro that `core::derived` also builds evaluates to
+//!   the builder's value — the operators `tests/paper_claims.rs` counts
+//!   are the ones users call.
 
 use std::cmp::Ordering;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
@@ -21,7 +25,8 @@ use aql::core::rank::{decode_obj, encode_obj};
 use aql::core::types::Type;
 use aql::core::value::ord::canonical_cmp;
 use aql::core::value::parse::parse_value;
-use aql::core::value::Value;
+use aql::core::value::{ArrayVal, Value};
+use aql::lang::session::Session;
 use aql::opt::optimize;
 
 // ---------------------------------------------------------------------
@@ -389,5 +394,73 @@ proptest! {
         prop_assert_eq!(&v1, &v2);
         prop_assert_eq!(eval_closed(&optimize(&q1)).unwrap(), v1);
         prop_assert_eq!(eval_closed(&optimize(&q2)).unwrap(), v2);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The prelude's macros and `core::derived`'s builders are one operator.
+// ---------------------------------------------------------------------
+
+fn nat_array(dims: Vec<u64>, ns: &[u64]) -> Value {
+    let data = ns.iter().map(|&n| Value::Nat(n)).collect();
+    Value::Array(Rc::new(ArrayVal::new(dims, data).expect("well-shaped")))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn prelude_macros_agree_with_their_builders(
+        a in prop::collection::vec(0u64..20, 1..12),
+        b in prop::collection::vec(0u64..20, 1..12),
+        c in prop::collection::vec(0u64..20, 1..12),
+        (r, k, q) in (1u64..4, 1u64..4, 1u64..4),
+        cells in prop::collection::vec(0u64..20, 9),
+        (i, j, cut) in (0u64..14, 0u64..14, 0u64..20),
+    ) {
+        // Both sides unoptimized: the macro's desugaring against the
+        // builder, nothing else between them.
+        let mut s = Session::new();
+        s.optimize = false;
+        let pairs = a.iter().zip(&b).map(|(&x, &y)| Value::tuple(vec![Value::Nat(x), Value::Nat(y)]));
+        for (name, v) in [
+            ("A", nat_array(vec![a.len() as u64], &a)),
+            ("B", nat_array(vec![b.len() as u64], &b)),
+            ("C", nat_array(vec![c.len() as u64], &c)),
+            ("M", nat_array(vec![r, k], &cells[..(r * k) as usize])),
+            ("N", nat_array(vec![k, q], &cells[..(k * q) as usize])),
+            ("P", Value::set(a.iter().map(|&x| Value::Nat(x)).collect())),
+            ("S", Value::set(pairs.collect())),
+        ] {
+            s.bind_val(name, v).expect("bind");
+        }
+        let g = global;
+        let cases = [
+            ("zip!(A, B)".to_string(), derived::zip(g("A"), g("B"))),
+            ("zip_3!(A, B, C)".into(), derived::zip3(g("A"), g("B"), g("C"))),
+            (format!("subseq!(A, {i}, {j})"), derived::subseq(g("A"), nat(i), nat(j))),
+            ("evenpos!A".into(), derived::evenpos(g("A"))),
+            ("reverse!A".into(), derived::reverse(g("A"))),
+            ("transpose!M".into(), derived::transpose(g("M"))),
+            ("proj_col!(M, 0)".into(), derived::proj_col(g("M"), nat(0))),
+            ("matmul!(M, N)".into(), derived::matmul(g("M"), g("N"))),
+            // ⊥ unless M is square.
+            ("matmul!(M, M)".into(), derived::matmul(g("M"), g("M"))),
+            ("append!(A, B)".into(), derived::append(g("A"), g("B"))),
+            // ⊥ when A is shorter than r·k.
+            (format!("reshape!(A, {r}, {k})"), derived::reshape2(g("A"), nat(r), nat(k))),
+            ("flatten!M".into(), derived::flatten2(g("M"))),
+            (
+                format!("filter!(fn \\x => x < {cut}, P)"),
+                derived::filter_set(lam("x", lt(var("x"), nat(cut))), g("P")),
+            ),
+            ("nest!S".into(), derived::nest(g("S"))),
+            ("graph!A".into(), derived::graph1(g("A"))),
+        ];
+        for (text, built) in cases {
+            let (_, via_macro) = s.eval_query(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            let via_builder = s.eval_expr_raw(&built).unwrap_or_else(|e| panic!("{built}: {e}"));
+            prop_assert_eq!(via_macro, via_builder, "{}", text);
+        }
     }
 }

@@ -15,17 +15,20 @@
 //!    classifying which loop nests could compile to bulk kernels.
 //!
 //! Consumers: the evaluator (bounds-check elision marks, via
-//! [`eval_elided`]), `aql-verify` (the L001–L005 shape/bounds lints),
-//! `aql-opt` (analysis-backed cost/cardinality estimates), and the
-//! REPL's `\analyze` command ([`report`]).
+//! [`eval_elided`]), the cost model ([`cost::estimate`]: cardinality,
+//! steps and bytes moved), the L001–L005 shape/bounds lints
+//! ([`lint::lint`], reporting in [`diag::Diagnostic`]s), and the REPL's
+//! `\analyze` command ([`report`]).
 
 #![warn(missing_docs)]
 
 pub mod absval;
 pub mod analyze;
 pub mod cost;
+pub mod diag;
 pub mod effect;
 pub mod elide;
+pub mod lint;
 pub mod report;
 pub mod sym;
 

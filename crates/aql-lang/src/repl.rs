@@ -109,7 +109,8 @@ pub fn run_repl(
             continue;
         }
         // `\lint <query>;` typechecks the query and reports the
-        // aql-verify shape/bounds lints without evaluating it.
+        // shape/bounds lints (`aql_analysis::lint`) without evaluating
+        // it.
         if let Some(q) = trimmed_stmt.strip_prefix("\\lint ") {
             let q = q.trim_end().trim_end_matches(';');
             match session.lint(q) {
@@ -332,7 +333,7 @@ fn live_profile(seconds: u64) -> String {
     let since = aql_journal::now_us().saturating_sub(seconds.saturating_mul(1_000_000));
     let mut recent = aql_journal::snapshot();
     recent.events.retain(|r| r.t_us >= since);
-    aql_profile::Profile::from_folded(recent.folded()).folded_text()
+    aql_trace::profile::Profile::from_folded(recent.folded()).folded_text()
 }
 
 /// Strip a double-quoted argument (`"<text>"`). Returns `None` when it
@@ -616,6 +617,20 @@ mod tests {
         assert!(text.contains("error: type error"), "{text}");
         // Golden: lint output is deterministic across fresh sessions.
         assert_eq!(text, redacted_transcript(input));
+    }
+
+    #[test]
+    fn backslash_lint_sees_val_extents() {
+        // `A`'s extent lives only in the session's bindings: the lint
+        // pass reads the analysis `\analyze` runs, with them as globals.
+        let text = redacted_transcript("val \\A = [[ i | \\i < 2 ]];\n\\lint A[5];\n");
+        assert!(
+            text.contains(
+                "lint : L001 warning: subscript along dimension 1 is provably out of bounds \
+                 (index >= 5, extent 2): the subscript always evaluates to bottom\n"
+            ),
+            "{text}"
+        );
     }
 
     #[test]

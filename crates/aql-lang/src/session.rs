@@ -35,7 +35,6 @@ use aql_core::value::print::session_string;
 use aql_core::value::tyof::type_of_value;
 use aql_core::value::Value;
 use aql_opt::{Gate, OptError, Optimizer, Trace};
-use aql_verify::Diagnostic;
 
 use crate::ast::Stmt;
 use crate::desugar::desugar;
@@ -258,9 +257,9 @@ pub struct Explain {
     /// terms: the `aql-analysis` abstract interpreter supplies
     /// cardinality and iteration counts, and the session's chunked
     /// sources supply the layouts behind `bytes_moved`.
-    pub cost_before: aql_opt::cost::CostEstimate,
+    pub cost_before: aql_analysis::cost::CostEstimate,
     /// The optimized term's estimate (same model as `cost_before`).
-    pub cost_after: aql_opt::cost::CostEstimate,
+    pub cost_after: aql_analysis::cost::CostEstimate,
 }
 
 impl Explain {
@@ -285,7 +284,7 @@ impl Explain {
 
 /// One cost estimate as a compact `cells≈… steps≈… bytes≈…` cell of
 /// the `\explain` cost line.
-fn render_cost(c: &aql_opt::cost::CostEstimate) -> String {
+fn render_cost(c: &aql_analysis::cost::CostEstimate) -> String {
     format!("cells~{} steps~{} bytes~{}", c.cardinality, c.steps, c.bytes_moved)
 }
 
@@ -840,15 +839,15 @@ impl Session {
     }
 
     /// [`Session::profile`] with the span tree folded into collapsed
-    /// stacks ([`aql_profile::Profile::from_trace`]: each span path
+    /// stacks ([`aql_trace::profile::Profile::from_trace`]: each span path
     /// weighs its exact self time; renderable as text or an SVG
     /// flamegraph). The program runs once.
     pub fn flame(
         &mut self,
         src: &str,
-    ) -> Result<(Vec<Outcome>, aql_profile::Profile), LangError> {
+    ) -> Result<(Vec<Outcome>, aql_trace::profile::Profile), LangError> {
         let (outcomes, report) = self.profile(src)?;
-        Ok((outcomes, aql_profile::Profile::from_trace(&report.trace)))
+        Ok((outcomes, aql_trace::profile::Profile::from_trace(&report.trace)))
     }
 
     /// Evaluate a single query expression and return its type and value.
@@ -1263,7 +1262,7 @@ impl Session {
         let layouts = self.source_layouts();
         let cost = |e: &Expr| {
             let globals = aql_analysis::globals_mentioned(e, &self.vals);
-            aql_opt::cost::estimate(e, &aql_analysis::analyze(e, &globals), &layouts)
+            aql_analysis::cost::estimate(e, &aql_analysis::analyze(e, &globals), &layouts)
         };
         let (cost_before, cost_after) = (cost(&resolved), cost(&optimized));
         Ok(Explain { ty, core: resolved, optimized, trace, cost_before, cost_after })
@@ -1282,8 +1281,8 @@ impl Session {
     }
 
     /// Chunk layouts of the session's lazily stored array bindings,
-    /// for the bytes-moved half of [`aql_opt::cost::estimate`].
-    pub fn source_layouts(&self) -> BTreeMap<Name, aql_opt::cost::SourceLayout> {
+    /// for the bytes-moved half of [`aql_analysis::cost::estimate`].
+    pub fn source_layouts(&self) -> BTreeMap<Name, aql_analysis::cost::SourceLayout> {
         use aql_core::value::array::ArrayData;
         let mut out = BTreeMap::new();
         for (n, v) in &self.vals {
@@ -1297,7 +1296,7 @@ impl Session {
             };
             out.insert(
                 n.clone(),
-                aql_opt::cost::SourceLayout {
+                aql_analysis::cost::SourceLayout {
                     dims: layout.dims().to_vec(),
                     chunk_dims: layout.chunk_dims().to_vec(),
                     elem_bytes,
@@ -1316,19 +1315,23 @@ impl Session {
         let (resolved, ty) = self.check_query(query)?;
         let globals = aql_analysis::globals_mentioned(&resolved, &self.vals);
         let analysis = aql_analysis::analyze(&resolved, &globals);
-        let cost = aql_opt::cost::estimate(&resolved, &analysis, &self.source_layouts());
+        let cost = aql_analysis::cost::estimate(&resolved, &analysis, &self.source_layouts());
         let body = aql_analysis::report::render(&analysis, &resolved);
         Ok(AnalyzeReport { ty, body, cost })
     }
 
     /// Statically analyse a query without evaluating it: run the
-    /// pipeline through typechecking, then the `aql-verify`
-    /// shape/bounds lints (provable out-of-bounds subscripts,
-    /// zero-extent dimensions, dead conditional branches). The REPL's
-    /// `\lint` meta-command renders the result.
+    /// pipeline through typechecking, then the shape/bounds lints
+    /// ([`aql_analysis::lint::lint`]: provable out-of-bounds
+    /// subscripts, zero-extent dimensions, dead conditional branches)
+    /// over the same analysis [`Session::analyze`] runs, so `val`
+    /// extents reach them. The REPL's `\lint` meta-command renders the
+    /// result.
     pub fn lint(&self, query: &str) -> Result<LintReport, LangError> {
         let (resolved, ty) = self.check_query(query)?;
-        let diagnostics = aql_verify::lint_expr(&resolved);
+        let globals = aql_analysis::globals_mentioned(&resolved, &self.vals);
+        let analysis = aql_analysis::analyze(&resolved, &globals);
+        let diagnostics = aql_analysis::lint::lint(&resolved, &analysis);
         emit(Event::LintFindings { n: diagnostics.len() as u64 });
         Ok(LintReport { ty, diagnostics })
     }
@@ -1351,7 +1354,7 @@ pub struct AnalyzeReport {
     pub body: String,
     /// Cardinality / step / bytes-moved estimate for the (unoptimized)
     /// core term.
-    pub cost: aql_opt::cost::CostEstimate,
+    pub cost: aql_analysis::cost::CostEstimate,
 }
 
 impl AnalyzeReport {
@@ -1375,7 +1378,7 @@ pub struct LintReport {
     pub ty: Type,
     /// Lint findings in traversal order (empty when the query is
     /// clean).
-    pub diagnostics: Vec<Diagnostic>,
+    pub diagnostics: Vec<aql_analysis::diag::Diagnostic>,
 }
 
 impl LintReport {

@@ -1,4 +1,4 @@
-//! The cost model against the evaluator: `aql_opt::cost::estimate`'s
+//! The cost model against the evaluator: `aql_analysis::cost::estimate`'s
 //! step prediction for an optimized term, and the steps the session
 //! then charges for evaluating it — with bulk kernels on, so the
 //! closed-form charge a kernel makes for its nest is what is checked.

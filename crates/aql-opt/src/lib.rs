@@ -30,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cost;
 pub mod engine;
 pub mod rules;
 pub mod trace;

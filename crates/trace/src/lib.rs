@@ -32,7 +32,8 @@
 //! Counters and notes attach to the innermost open span (or to the
 //! trace itself when no span is open). [`Trace::render`] pretty-prints
 //! the tree; [`Trace::folded`] collapses it into flamegraph stacks of
-//! exact self times; [`Trace::to_json`] / [`Trace::from_json`] round-trip the
+//! exact self times, which [`profile`] renders as text and SVG;
+//! [`Trace::to_json`] / [`Trace::from_json`] round-trip the
 //! whole structure through the bundled [`json`] module.
 //!
 //! ```
@@ -50,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod profile;
 
 use std::cell::{Cell, RefCell};
 use std::time::Instant;

@@ -3,9 +3,9 @@
 //! Re-exports the full AQL system: the NRCA core calculus
 //! ([`aql_core`]), the surface language and session ([`aql_lang`]),
 //! the optimizer ([`aql_opt`]), the abstract-interpretation framework
-//! ([`aql_analysis`]), the diagnostics and lint pass
-//! ([`aql_verify`]), the NetCDF driver ([`aql_netcdf`]), the
-//! query-lifecycle tracer ([`aql_trace`]), the process-lifetime
+//! with the cost model and the `\lint` pass ([`aql_analysis`]), the
+//! NetCDF driver ([`aql_netcdf`]), the query-lifecycle tracer and its
+//! flamegraph folds ([`aql_trace`]), the process-lifetime
 //! metrics registry ([`aql_metrics`]) and the always-on flight
 //! recorder with incident dumps ([`aql_journal`]).
 //!
@@ -27,4 +27,3 @@ pub use aql_netcdf as netcdf;
 pub use aql_opt as opt;
 pub use aql_store as store;
 pub use aql_trace as trace;
-pub use aql_verify as verify;

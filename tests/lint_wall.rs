@@ -26,21 +26,23 @@
 //! longer" against. (That figure still included the rewrite trace's
 //! record type, `trace.rs` since issue 19 — ROADMAP has both numbers.)
 //!
-//! **One typing judgement**: `crates/verify/src` stays within
-//! [`VERIFY_LINES`] non-test lines — diagnostics and the `\lint` walk.
-//! Issue 22 deleted a second implementation of Fig. 1 from it (a term
-//! verifier over its own type lattice, 725 lines); what types a term is
-//! `aql_core::check`, and a pass that needs more than this budget is
-//! probably growing that lattice back.
+//! **One typing judgement**: `crates/analysis/src/{lint,diag}.rs` stay
+//! within [`VERIFY_LINES`] non-test lines — diagnostics and the `\lint`
+//! walk. Issue 22 deleted a second implementation of Fig. 1 from them
+//! (a term verifier over its own type lattice, 725 lines, then in the
+//! `aql-verify` crate that issue 26 folded into `aql-analysis`); what
+//! types a term is `aql_core::check`, and a pass that needs more than
+//! this budget is probably growing that lattice back.
 //!
-//! **Telemetry is folds, not mechanisms**: the four observability
-//! crates, `crates/{trace,metrics,journal,profile}/src`, stay within
+//! **Telemetry is folds, not mechanisms**: the three observability
+//! crates, `crates/{trace,metrics,journal}/src`, stay within
 //! [`TELEMETRY_LINES`] non-test lines together — none of them is one of
 //! the paper's four modules (§4, Fig. 3). Issue 23 deleted the span
 //! sampler (its thread, the live-path seqlock and interner, 4,831 →
-//! 4,488); a profile is a fold of the trace or of the flight recorder,
-//! so the tracer and the renderer start no threads: no `thread::` in
-//! `crates/trace/src` or `crates/profile/src` outside tests.
+//! 4,488); a profile is a fold of the trace or of the flight recorder
+//! (`aql_trace::profile` since issue 26), so the tracer and its
+//! renderer start no threads: no `thread::` in `crates/trace/src`
+//! outside tests.
 //!
 //! **Kernels admit shapes, not mechanisms**: `crates/core/src/eval/
 //! kernel.rs` stays within [`KERNEL_LINES`] non-test lines. Issue 24
@@ -51,8 +53,14 @@
 //! **A round that deletes stays deleted**: every `crates/*/src`
 //! together (the shims included) stays within [`CRATES_LINES`]
 //! non-test lines — ROADMAP 7's "hold it there". Issue 25 set it when it
-//! deleted `aql-bench` (28,283 → 27,293); a PR that needs more raises it
-//! and says why.
+//! deleted `aql-bench` (28,283 → 27,293), issue 26 lowered it when it
+//! folded `aql-verify` and `aql-profile` away; a PR that needs more
+//! raises it and says why.
+//!
+//! **One inventory**: README's Architecture block and DESIGN.md §4 each
+//! name exactly the directories under `crates/` (the shims included),
+//! so a crate cannot be added or folded away without the tour
+//! following.
 //!
 //! **No classifier reads prose**: the four files a failure passes
 //! through on its way to a class name ([`CLASSIFIED_STRUCTURALLY`])
@@ -91,7 +99,7 @@ const MAY_MATCH_EVERY_CONSTRUCTOR: &[&str] = &[
     "core/src/eval/mod.rs",
     "analysis/src/analyze.rs",
     "analysis/src/cost.rs",
-    "verify/src/lint.rs",
+    "analysis/src/lint.rs",
 ];
 
 /// The files under `crates/` that map a failure to its class, or hold
@@ -107,12 +115,14 @@ const CLASSIFIED_STRUCTURALLY: &[&str] = &[
 /// [`non_test_lines`]'s count.
 const ENGINE_LINES: usize = 475;
 
-/// The budget for `crates/verify/src`, by [`non_test_lines`]'s count
-/// (334 at issue 22, down from 1,138).
+/// The budget for `crates/analysis/src/{lint,diag}.rs`, by
+/// [`non_test_lines`]'s count (334 at issue 22 as `crates/verify/src`,
+/// down from 1,138).
 const VERIFY_LINES: usize = 450;
 
-/// The budget for `crates/{trace,metrics,journal,profile}/src` together,
-/// by [`non_test_lines`]'s count (4,488 at issue 23, down from 4,831).
+/// The budget for `crates/{trace,metrics,journal}/src` together, by
+/// [`non_test_lines`]'s count (4,488 at issue 23, down from 4,831, with
+/// `crates/profile/src`, which issue 26 moved into `aql_trace::profile`).
 const TELEMETRY_LINES: usize = 4500;
 
 /// The budget for `crates/core/src/eval/kernel.rs`, by
@@ -122,7 +132,8 @@ const TELEMETRY_LINES: usize = 4500;
 const KERNEL_LINES: usize = 1320;
 
 /// The budget for every `crates/*/src` together, by [`non_test_lines`]'s
-/// count (27,293 at issue 25, rounded up to the next hundred).
+/// count (27,293 at issue 25; 27,242 at issue 26, rounded up to the next
+/// hundred).
 const CRATES_LINES: usize = 27_300;
 
 /// Collect every `.rs` file under `dir`, recursively.
@@ -309,30 +320,32 @@ fn the_kernel_planner_stays_within_its_budget() {
 }
 
 #[test]
-fn the_verify_crate_holds_no_second_type_system() {
-    let lines = non_test_line_count("verify/src");
-    assert!(lines <= VERIFY_LINES, "crates/verify/src: {lines} non-test lines, over {VERIFY_LINES}");
+fn the_lint_pass_holds_no_second_type_system() {
+    let lines: usize =
+        ["analysis/src/lint.rs", "analysis/src/diag.rs"].map(non_test_line_count).iter().sum();
+    assert!(
+        lines <= VERIFY_LINES,
+        "crates/analysis/src/{{lint,diag}}.rs: {lines} non-test lines, over {VERIFY_LINES} \
+         (what types a term is aql_core::check: no second type system)"
+    );
 }
 
 #[test]
 fn telemetry_stays_within_its_budget_and_starts_no_sampler() {
     let lines: usize =
-        ["trace/src", "metrics/src", "journal/src", "profile/src"].map(non_test_line_count).iter().sum();
+        ["trace/src", "metrics/src", "journal/src"].map(non_test_line_count).iter().sum();
     assert!(
         lines <= TELEMETRY_LINES,
-        "crates/{{trace,metrics,journal,profile}}/src: {lines} non-test lines, over {TELEMETRY_LINES}"
+        "crates/{{trace,metrics,journal}}/src: {lines} non-test lines, over {TELEMETRY_LINES}"
     );
-    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    rust_files(&Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/trace/src"), &mut files);
     let mut spawns = Vec::new();
-    for dir in ["trace/src", "profile/src"] {
-        let mut files = Vec::new();
-        rust_files(&crates.join(dir), &mut files);
-        for path in files {
-            let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
-            for (ln, line) in non_test_lines(&text) {
-                if !line.trim_start().starts_with("//") && line.contains("thread::") {
-                    spawns.push(format!("{}:{ln}: {}", path.display(), line.trim()));
-                }
+    for path in files {
+        let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+        for (ln, line) in non_test_lines(&text) {
+            if !line.trim_start().starts_with("//") && line.contains("thread::") {
+                spawns.push(format!("{}:{ln}: {}", path.display(), line.trim()));
             }
         }
     }
@@ -354,6 +367,45 @@ fn the_crates_stay_within_their_line_budget() {
         .map(|krate| non_test_line_count(&format!("{krate}/src")))
         .sum();
     assert!(lines <= CRATES_LINES, "crates/*/src: {lines} non-test lines, over {CRATES_LINES}");
+}
+
+/// The crates a doc's section lists: the first word of every line of
+/// the section that starts with `crates/`. The section runs from the
+/// line `heading` to the next `## ` heading.
+fn crates_listed(doc: &str, heading: &str) -> Vec<String> {
+    let text = fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(doc))
+        .unwrap_or_else(|e| panic!("read {doc}: {e}"));
+    let (_, section) = text.split_once(heading).unwrap_or_else(|| panic!("{doc}: no `{heading}`"));
+    let section = section.split("\n## ").next().unwrap_or(section);
+    let mut listed: Vec<String> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("crates/"))
+        .filter_map(|rest| rest.split_whitespace().next())
+        .map(str::to_string)
+        .collect();
+    listed.sort();
+    listed
+}
+
+#[test]
+fn every_crate_is_in_both_inventories() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut dirs: Vec<String> = fs::read_dir(&crates)
+        .expect("crates/ exists")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.is_dir())
+        .map(|path| path.file_name().expect("named").to_string_lossy().into_owned())
+        .collect();
+    dirs.sort();
+    let inventories = [("README.md", "## Architecture"), ("DESIGN.md", "## 4. Crate / module inventory")];
+    for (doc, heading) in inventories {
+        assert_eq!(
+            crates_listed(doc, heading),
+            dirs,
+            "{doc} `{heading}` must name exactly the directories under crates/, one \
+             `crates/<dir>` line each: a crate added or folded away takes its line with it"
+        );
+    }
 }
 
 #[test]

@@ -198,7 +198,7 @@ fn one_statement_reads_the_same_in_every_view() {
 
     // 7. The flamegraph is the trace, folded: each stack weighs the
     //    self time of the spans on its path, and nothing is lost.
-    let profile = aql_profile::Profile::from_trace(t);
+    let profile = aql_trace::profile::Profile::from_trace(t);
     let mut self_times = std::collections::BTreeMap::new();
     for (i, span) in t.spans.iter().enumerate() {
         let mut path = span.name.clone();

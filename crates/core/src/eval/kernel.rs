@@ -1246,7 +1246,7 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
-    use aql_store::{ChunkFaultPlan, ChunkLayout, FaultyChunkSource, LazyArray, MemChunkSource};
+    use aql_store::{ChunkLayout, Fault, FaultyChunkSource, LazyArray, MemChunkSource};
 
     use super::*;
     use crate::error::EvalError;
@@ -1744,7 +1744,7 @@ mod tests {
 
     #[test]
     fn a_storage_failure_in_a_window_is_the_interpreters_error() {
-        let dead = ChunkFaultPlan { persistent_from: 0, ..ChunkFaultPlan::none() };
+        let dead = |_, _: &[u64]| Some(Fault::Persistent);
         let source = MemChunkSource::new(vec![7, 5], ScalarBuf::F64(reals(35))).unwrap();
         let faulty = Box::new(FaultyChunkSource::new(source, dead));
         let g = world(vec![("A", lazy_over(&[7, 5], &[3, 2], faulty, ScalarKind::F64))]);

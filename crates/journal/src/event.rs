@@ -383,7 +383,7 @@ quantities! {
     PREFETCH_WASTED = new("", "aql_store_prefetch_wasted_total",
         "Speculatively loaded chunks discarded without ever being consumed.");
     FAULTS_INJECTED = new("chaos.injected:", "aql_store_chaos_injected_total",
-        "Faults injected by FaultyChunkSource (errors, corruption, latency).");
+        "Faults injected into chunk reads (errors, corruption, latency).");
     NETCDF_HYPERSLABS = new("netcdf.hyperslab_requests", "aql_netcdf_hyperslab_requests_total",
         "Hyperslab read requests issued to NetCDF sources.");
     STATEMENTS = new("", "aql_session_statements_total",

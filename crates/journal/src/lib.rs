@@ -21,10 +21,10 @@
 //!   payload and re-check the sequence, so a concurrent snapshot can
 //!   never observe a torn record — it simply skips slots that moved
 //!   under it.
-//! * **Epoch-stamped, variable-length records.** Each record is a
-//!   varint-encoded `(tag, t_us, label, a, b)` tuple (3–35 bytes);
-//!   the per-thread epoch is the slot sequence, so ordering within a
-//!   thread is exact even when the wall clock ties.
+//! * **Epoch-stamped, fixed-size records.** A slot holds a record as
+//!   four words — `tag << 16 | label`, `t_us`, `a`, `b` — stored as
+//!   they are; the per-thread epoch is the slot sequence, so ordering
+//!   within a thread is exact even when the wall clock ties.
 //! * **Oldest-first overflow.** The ring overwrites the oldest record
 //!   when full; every overwrite increments the per-ring drop counter
 //!   and the exported `aql_journal_dropped_total` metric.
@@ -45,9 +45,8 @@
 //!
 //! ## Overhead contract
 //!
-//! Recording is a varint encode into a stack buffer and a handful of
-//! relaxed stores into this thread's own ring — no locks, no
-//! allocation. Cache *hits* (the hottest call site) are coalesced per
+//! Recording is a handful of relaxed stores into this thread's own
+//! ring — no locks, no allocation. Cache *hits* (the hottest call site) are coalesced per
 //! thread and flushed as one `CacheHit` record with a count, so the
 //! hit path pays only a `Cell` bump; `tests/emit_cost.rs` holds
 //! `emit(CacheHit)` to zero allocations and zero lock acquisitions.
@@ -65,16 +64,12 @@ pub use incident::ErrorClass;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use aql_trace::json::Json;
 
-/// Words of payload per slot; bounds the encoded record size.
-const WORDS: usize = 5;
-/// Maximum encoded record length in bytes (tag + four varints).
-const MAX_PAYLOAD: usize = WORDS * 8;
 /// Hard cap on the interned-label table, enforcing the closed-set
 /// cardinality rule; overflowing labels collapse to id 0 (`""`).
 const MAX_LABELS: usize = 4096;
@@ -243,11 +238,15 @@ pub fn label_name(id: u16) -> String {
 
 // ---- the per-thread ring ---------------------------------------------
 
+#[derive(Default)]
 struct Slot {
     /// 0 = never written; odd = write in flight; even = 2 × epoch.
     seq: AtomicU64,
-    len: AtomicU32,
-    words: [AtomicU64; WORDS],
+    /// `tag << 16 | label`.
+    head: AtomicU64,
+    t_us: AtomicU64,
+    a: AtomicU64,
+    b: AtomicU64,
 }
 
 struct Ring {
@@ -294,30 +293,18 @@ impl Writer {
         let cap = CAPACITY.load(Ordering::Relaxed);
         let ring = Arc::new(Ring {
             thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
-            slots: (0..cap)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    len: AtomicU32::new(0),
-                    words: std::array::from_fn(|_| AtomicU64::new(0)),
-                })
-                .collect(),
+            slots: (0..cap).map(|_| Slot::default()).collect(),
             dropped: AtomicU64::new(0),
         });
         registry().push(Arc::clone(&ring));
         Writer { ring, epoch: 0 }
     }
 
-    /// Encode and publish one record. Single-writer seqlock: mark the
-    /// slot busy (odd sequence), store the payload with relaxed
-    /// atomics, then publish the even sequence with release ordering.
+    /// Publish one record. Single-writer seqlock: mark the slot busy
+    /// (odd sequence), store the payload with relaxed atomics, then
+    /// publish the even sequence with release ordering.
     fn push(&mut self, tag: Tag, label: u16, a: u64, b: u64) {
-        let mut buf = [0u8; MAX_PAYLOAD];
-        buf[0] = tag as u8;
-        let mut n = 1;
-        n += put_varint(&mut buf[n..], now_us());
-        n += put_varint(&mut buf[n..], label as u64);
-        n += put_varint(&mut buf[n..], a);
-        n += put_varint(&mut buf[n..], b);
+        let t_us = now_us();
         self.epoch += 1;
         let e = self.epoch;
         let cap = self.ring.slots.len();
@@ -329,12 +316,10 @@ impl Writer {
         }
         slot.seq.store(2 * e - 1, Ordering::Relaxed);
         fence(Ordering::Release);
-        slot.len.store(n as u32, Ordering::Relaxed);
-        for (i, w) in slot.words.iter().enumerate() {
-            let mut bytes = [0u8; 8];
-            bytes.copy_from_slice(&buf[i * 8..i * 8 + 8]);
-            w.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
-        }
+        slot.head.store((tag as u64) << 16 | label as u64, Ordering::Relaxed);
+        slot.t_us.store(t_us, Ordering::Relaxed);
+        slot.a.store(a, Ordering::Relaxed);
+        slot.b.store(b, Ordering::Relaxed);
         slot.seq.store(2 * e, Ordering::Release);
     }
 }
@@ -544,18 +529,17 @@ pub fn snapshot() -> Journal {
                 if s1 == 0 || s1 % 2 == 1 {
                     break;
                 }
-                let len = slot.len.load(Ordering::Relaxed) as usize;
-                let mut buf = [0u8; MAX_PAYLOAD];
-                for (i, w) in slot.words.iter().enumerate() {
-                    buf[i * 8..i * 8 + 8]
-                        .copy_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
-                }
+                let head = slot.head.load(Ordering::Relaxed);
+                let t_us = slot.t_us.load(Ordering::Relaxed);
+                let (a, b) = (slot.a.load(Ordering::Relaxed), slot.b.load(Ordering::Relaxed));
                 fence(Ordering::Acquire);
                 if slot.seq.load(Ordering::Relaxed) != s1 {
                     continue; // torn: the writer lapped us, retry
                 }
-                if let Some(ev) = decode(&buf, len, ring.thread, s1 / 2) {
-                    journal.events.push(ev);
+                // An unknown tag byte is no record.
+                if let Some(tag) = u8::try_from(head >> 16).ok().and_then(Tag::from_u8) {
+                    let (thread, epoch, label) = (ring.thread, s1 / 2, head as u16);
+                    journal.events.push(Record { thread, epoch, t_us, tag, label, a, b });
                 }
                 break;
             }
@@ -565,68 +549,9 @@ pub fn snapshot() -> Journal {
     journal
 }
 
-fn decode(buf: &[u8; MAX_PAYLOAD], len: usize, thread: u64, epoch: u64) -> Option<Record> {
-    if len == 0 || len > MAX_PAYLOAD {
-        return None;
-    }
-    let tag = Tag::from_u8(buf[0])?;
-    let mut i = 1;
-    let t_us = get_varint(buf, len, &mut i)?;
-    let label = get_varint(buf, len, &mut i)?;
-    let a = get_varint(buf, len, &mut i)?;
-    let b = get_varint(buf, len, &mut i)?;
-    Some(Record { thread, epoch, t_us, tag, label: label.min(u16::MAX as u64) as u16, a, b })
-}
-
-// ---- varint coding ---------------------------------------------------
-
-/// LEB128-encode `v` into `out`, returning the bytes written.
-fn put_varint(out: &mut [u8], mut v: u64) -> usize {
-    let mut n = 0;
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out[n] = byte;
-            return n + 1;
-        }
-        out[n] = byte | 0x80;
-        n += 1;
-    }
-}
-
-/// Decode one LEB128 varint from `buf[*i..len]`, advancing `i`.
-fn get_varint(buf: &[u8], len: usize, i: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if *i >= len || shift >= 64 {
-            return None;
-        }
-        let byte = buf[*i];
-        *i += 1;
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn varint_round_trips() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut buf = [0u8; 10];
-            let n = put_varint(&mut buf, v);
-            let mut i = 0;
-            assert_eq!(get_varint(&buf, n, &mut i), Some(v), "{v}");
-            assert_eq!(i, n);
-        }
-    }
 
     #[test]
     fn tags_round_trip_through_names_and_bytes() {

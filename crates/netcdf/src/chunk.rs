@@ -103,7 +103,6 @@ mod tests {
     use aql_store::{BreakerState, FaultClass, ResiliencePolicy, ResilientSource};
 
     use crate::format::{NcType, VERSION_CLASSIC};
-    use crate::io::{FaultPlan, FaultyIo};
     use crate::model::NcFile;
     use crate::write::to_bytes;
 
@@ -136,8 +135,8 @@ mod tests {
         assert_eq!(buf, ScalarBuf::F64(vec![5.0, 6.0, 9.0, 10.0]));
     }
 
-    /// A source whose first `flaky` opens meet a transient fault on
-    /// their first read, counting opens.
+    /// A source whose first `flaky` opens meet a transient fault,
+    /// counting opens.
     fn flaky_source(
         flaky: u32,
         opens: Rc<Cell<u32>>,
@@ -146,12 +145,11 @@ mod tests {
         NcChunkSource::new(
             move || {
                 opens.set(opens.get() + 1);
-                let plan = if opens.get() <= flaky {
-                    FaultPlan::new().transient_at(0)
-                } else {
-                    FaultPlan::new()
-                };
-                Ok(FaultyIo::new(std::io::Cursor::new(bytes.clone()), plan))
+                if opens.get() <= flaky {
+                    let flapped = std::io::Error::new(std::io::ErrorKind::TimedOut, "injected");
+                    return Err(flapped.into());
+                }
+                Ok(std::io::Cursor::new(bytes.clone()))
             },
             "v",
             vec![0, 0],

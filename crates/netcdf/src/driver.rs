@@ -28,8 +28,8 @@ use aql_lang::reader::Reader;
 use aql_lang::session::Session;
 
 use aql_store::{
-    ChunkFaultPlan, ChunkLayout, ChunkSource, FaultyChunkSource, LazyArray, ResiliencePolicy,
-    ResilientSource, RetryPolicy, ScalarKind, StoreError,
+    ChunkLayout, ChunkSource, LazyArray, ResiliencePolicy, ResilientSource, RetryPolicy,
+    ScalarKind, StoreError,
 };
 
 use crate::chunk::{nc_to_store, NcChunkSource};
@@ -90,9 +90,8 @@ pub const DEFAULT_CACHE_BUDGET: u64 = 4 << 20;
 /// jittered backoff, a per-source circuit breaker labelled
 /// `netcdf:{variable}`, checksum verification when available); set
 /// [`resilience`](NetcdfSlabReader::resilience) to `None` to bind the
-/// raw source. The [`chaos`](NetcdfSlabReader::chaos) plan — injected
-/// *inside* the resilience wrapper — exists for the chaos harness and
-/// fault-tolerance tests; production readers leave it `None`.
+/// raw source. [`bind`](NetcdfSlabReader::bind) is the same binding
+/// with a wrapper around the raw source, inside the stack.
 pub struct NetcdfSlabReader {
     /// The dimensionality this reader serves.
     pub k: usize,
@@ -100,9 +99,6 @@ pub struct NetcdfSlabReader {
     pub cache_budget: u64,
     /// Resilience stack around the chunk source; `None` binds raw.
     pub resilience: Option<ResiliencePolicy>,
-    /// Chunk-level fault injection between the resilience stack and
-    /// the real source (tests only).
-    pub chaos: Option<ChunkFaultPlan>,
 }
 
 impl NetcdfSlabReader {
@@ -113,7 +109,6 @@ impl NetcdfSlabReader {
             k,
             cache_budget: DEFAULT_CACHE_BUDGET,
             resilience: Some(ResiliencePolicy::default()),
-            chaos: None,
         }
     }
 
@@ -129,10 +124,15 @@ impl NetcdfSlabReader {
         }
         Ok(idx)
     }
-}
 
-impl Reader for NetcdfSlabReader {
-    fn read(&self, arg: &Value) -> Result<(Value, Option<Type>), LangError> {
+    /// Bind `arg` as [`Reader::read`] does, passing the raw chunk source
+    /// through `wrap` before the resilience stack goes around it: the
+    /// seam where a test puts a fault injector under the stock binding.
+    pub fn bind(
+        &self,
+        arg: &Value,
+        wrap: impl FnOnce(Box<dyn ChunkSource>) -> Box<dyn ChunkSource>,
+    ) -> Result<(Value, Option<Type>), LangError> {
         let k = self.k;
         let items = arg
             .as_tuple()
@@ -208,18 +208,13 @@ impl Reader for NetcdfSlabReader {
         let layout = ChunkLayout::row_major(count, DEFAULT_CHUNK_ELEMS)
             .map_err(|e| LangError::session(format!("NETCDF{k}: {e}")))?;
         let label = format!("netcdf:{varname}");
-        let mut source: Box<dyn ChunkSource> = Box::new(NcChunkSource::new(
+        let mut source = wrap(Box::new(NcChunkSource::new(
             move || {
                 Ok(std::io::BufReader::new(std::fs::File::open(&file).map_err(NcError::from)?))
             },
             varname,
             lo,
-        ));
-        // Chaos injection sits *inside* the resilience stack, so the
-        // stack is what the injected faults exercise.
-        if let Some(plan) = self.chaos.clone() {
-            source = Box::new(FaultyChunkSource::new(source, plan));
-        }
+        )));
         if let Some(policy) = self.resilience.clone() {
             source = Box::new(ResilientSource::new(source, label.clone(), policy));
         }
@@ -227,6 +222,12 @@ impl Reader for NetcdfSlabReader {
             LazyArray::labeled(layout, ScalarKind::F64, source, self.cache_budget, label);
         let arr = ArrayVal::lazy(lazy)?;
         Ok((Value::Array(Rc::new(arr)), Some(Type::array(Type::Real, k))))
+    }
+}
+
+impl Reader for NetcdfSlabReader {
+    fn read(&self, arg: &Value) -> Result<(Value, Option<Type>), LangError> {
+        self.bind(arg, |source| source)
     }
 }
 
@@ -494,7 +495,6 @@ mod tests {
 
     #[test]
     fn a_retry_is_journaled_once_under_the_variables_label() {
-        use crate::io::{FaultPlan, FaultyIo};
         use crate::write::to_bytes;
         let mut f = NcFile::new();
         let x = f.add_dim("x", 4);
@@ -507,9 +507,11 @@ mod tests {
         let nc = NcChunkSource::new(
             move || {
                 opens += 1;
-                let plan =
-                    if opens == 1 { FaultPlan::new().transient_at(0) } else { FaultPlan::new() };
-                Ok(FaultyIo::new(std::io::Cursor::new(bytes.clone()), plan))
+                if opens == 1 {
+                    let flapped = std::io::Error::new(std::io::ErrorKind::TimedOut, "injected");
+                    return Err(flapped.into());
+                }
+                Ok(std::io::Cursor::new(bytes.clone()))
             },
             "v",
             vec![1],
@@ -531,20 +533,14 @@ mod tests {
 
     #[test]
     fn a_persistent_fault_is_one_read_with_its_context_kept() {
-        use crate::io::{FaultPlan, FaultyIo};
-        use crate::write::to_bytes;
-        let mut f = NcFile::new();
-        let x = f.add_dim("x", 2);
-        f.add_var("v", vec![x], NcType::Int, vec![], NcValues::Int(vec![7, 8])).unwrap();
-        let bytes = to_bytes(&f, VERSION_CLASSIC).unwrap();
-
+        // Every open meets a dead device.
         let opens = Rc::new(std::cell::Cell::new(0u32));
         let counted = Rc::clone(&opens);
         let nc = NcChunkSource::new(
-            move || {
+            move || -> Result<std::io::Cursor<Vec<u8>>, NcError> {
                 counted.set(counted.get() + 1);
-                let dead = FaultPlan::new().persistent_from(0);
-                Ok(FaultyIo::new(std::io::Cursor::new(bytes.clone()), dead))
+                let dead = std::io::ErrorKind::NotConnected;
+                Err(std::io::Error::new(dead, "injected persistent I/O failure").into())
             },
             "v",
             vec![0],
@@ -584,25 +580,28 @@ mod tests {
 
     #[test]
     fn chaos_faults_are_absorbed_by_resilience() {
+        use aql_store::{Fault, FaultyChunkSource};
         let dir = tmpdir();
         let path = dir.join("c.nc");
         write_sample(&path);
-        let mut r = NetcdfSlabReader::lazy(2);
-        // Op 0 fails transiently, op 1 serves corrupted bytes; the
-        // resilience stack retries through both (checksum verification
-        // catches the corruption) and op 2 serves clean data.
-        r.chaos = Some(ChunkFaultPlan {
-            transient_ops: [0u64].into_iter().collect(),
-            corrupt_ops: [1u64].into_iter().collect(),
-            ..ChunkFaultPlan::default()
-        });
         let arg = Value::tuple(vec![
             Value::str(path.to_str().unwrap()),
             Value::str("temp"),
             Value::tuple(vec![Value::Nat(0), Value::Nat(0)]),
             Value::tuple(vec![Value::Nat(3), Value::Nat(2)]),
         ]);
-        let (v, _) = r.read(&arg).unwrap();
+        // Op 0 fails transiently, op 1 serves corrupted bytes; the
+        // resilience stack retries through both (checksum verification
+        // catches the corruption) and op 2 serves clean data.
+        let schedule = |op, _: &[u64]| match op {
+            0 => Some(Fault::Transient),
+            1 => Some(Fault::Corrupt),
+            _ => None,
+        };
+        let inject = |source: Box<dyn ChunkSource>| -> Box<dyn ChunkSource> {
+            Box::new(FaultyChunkSource::new(source, schedule))
+        };
+        let (v, _) = NetcdfSlabReader::lazy(2).bind(&arg, inject).unwrap();
         let a = v.as_array().unwrap();
         assert!(a.is_lazy());
         for i in 0..4u64 {
@@ -618,11 +617,7 @@ mod tests {
         // touch surfaces the raw injected error instead.
         let mut raw = NetcdfSlabReader::lazy(2);
         raw.resilience = None;
-        raw.chaos = Some(ChunkFaultPlan {
-            transient_ops: [0u64].into_iter().collect(),
-            ..ChunkFaultPlan::default()
-        });
-        let (v, _) = raw.read(&arg).unwrap();
+        let (v, _) = raw.bind(&arg, inject).unwrap();
         let a = v.as_array().unwrap();
         assert!(a.try_get(&[0, 0]).is_err(), "no retry without the stack");
         std::fs::remove_dir_all(&dir).ok();

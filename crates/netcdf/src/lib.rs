@@ -17,8 +17,7 @@
 //! * [`synth`] — deterministic synthetic weather datasets standing in
 //!   for the paper's 1995 NYC observations (see DESIGN.md for the
 //!   substitution rationale);
-//! * [`io`] — the injectable byte-source abstraction ([`io::IoSource`])
-//!   plus the fault-injection wrapper ([`io::FaultyIo`]);
+//! * [`io`] — the injectable byte-source abstraction ([`io::IoSource`]);
 //! * [`chunk`] — [`chunk::NcChunkSource`], the `aql-store` chunk source
 //!   a bound variable is read through: one open and one hyperslab read
 //!   per request. No chunk read is retried here — the store's

@@ -432,4 +432,21 @@ mod tests {
         let f = sample();
         assert!(f.find_var("nope").is_err());
     }
+
+    #[test]
+    fn io_errors_classify_by_kind() {
+        use std::io::ErrorKind::*;
+        for (kind, transient) in [
+            (Interrupted, true),
+            (TimedOut, true),
+            (WouldBlock, true),
+            (NotConnected, false),
+            (NotFound, false),
+            (UnexpectedEof, false),
+        ] {
+            let e = NcError::from(std::io::Error::new(kind, "injected"));
+            assert_eq!(e.is_transient(), transient, "{kind:?}");
+            assert!(matches!(e, NcError::Io { .. }), "{kind:?}");
+        }
+    }
 }

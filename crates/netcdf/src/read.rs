@@ -367,8 +367,7 @@ pub struct SlabReader<R: Read + Seek> {
 }
 
 impl<R: IoSource> SlabReader<R> {
-    /// Open a dataset over any [`IoSource`] (file, buffer, or an
-    /// instrumented wrapper such as [`crate::io::FaultyIo`]).
+    /// Open a dataset over any [`IoSource`] (a file or a buffer).
     pub fn from_source(mut src: R) -> Result<Self, NcError> {
         let src_len = src.byte_len()?;
         let header = read_header(&mut src)?;

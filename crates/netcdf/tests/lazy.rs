@@ -6,21 +6,21 @@
 //! * property tests — a lazily bound array must agree
 //!   element-for-element with `SlabReader::read_slab` over random
 //!   subslabs and chunk shapes, including edge chunks;
-//! * fault-injection tests — a `FaultyIo`-backed chunk source, under
-//!   the resilience stack every reader binds it in, must heal a
-//!   transient fault within one chunk load, propagate persistent and
-//!   corrupt failures, and never poison chunks already cached.
+//! * fault-injection tests — a chunk source whose `open` closure fails
+//!   (an `io::Error`) or serves flipped bytes, under the resilience
+//!   stack every reader binds it in, must heal a transient fault within
+//!   one chunk load, propagate persistent and corrupt failures, and
+//!   never poison chunks already cached.
 
 use std::cell::Cell;
-use std::io::Cursor;
+use std::io::{self, Cursor};
 use std::rc::Rc;
 
 use proptest::prelude::*;
 
 use aql_netcdf::chunk::NcChunkSource;
 use aql_netcdf::format::{NcType, VERSION_CLASSIC};
-use aql_netcdf::io::{FaultPlan, FaultyIo};
-use aql_netcdf::model::{NcFile, NcValues};
+use aql_netcdf::model::{NcError, NcFile, NcValues};
 use aql_netcdf::read::SlabReader;
 use aql_netcdf::write::to_bytes;
 use aql_store::{
@@ -102,9 +102,10 @@ fn transient_fault_retries_within_one_chunk_load() {
             let n = a2.get() + 1;
             a2.set(n);
             // First attempt of the first chunk load fails transiently.
-            let plan =
-                if n == 1 { FaultPlan::new().transient_at(0) } else { FaultPlan::new() };
-            Ok(FaultyIo::new(Cursor::new(bytes.clone()), plan))
+            if n == 1 {
+                return Err(io::Error::new(io::ErrorKind::TimedOut, "injected").into());
+            }
+            Ok(Cursor::new(bytes.clone()))
         },
         "v",
         vec![0, 0, 0],
@@ -135,12 +136,10 @@ fn persistent_fault_propagates_without_poisoning_cache() {
     let f2 = Rc::clone(&failing);
     let source = NcChunkSource::new(
         move || {
-            let plan = if f2.get() {
-                FaultPlan::new().persistent_from(0)
-            } else {
-                FaultPlan::new()
-            };
-            Ok(FaultyIo::new(Cursor::new(bytes.clone()), plan))
+            if f2.get() {
+                return Err(io::Error::new(io::ErrorKind::NotConnected, "injected").into());
+            }
+            Ok(Cursor::new(bytes.clone()))
         },
         "v",
         vec![0, 0, 0],
@@ -175,11 +174,10 @@ fn corrupt_header_fails_as_corrupt_not_cached() {
     // Flip a byte in the magic so the per-chunk open parses garbage.
     let layout = ChunkLayout::new(vec![6, 5, 4], vec![6, 5, 4]).unwrap();
     let source = NcChunkSource::new(
-        move || {
-            Ok(FaultyIo::new(
-                Cursor::new(bytes.clone()),
-                FaultPlan::new().corrupt_byte(0, 0xFF),
-            ))
+        move || -> Result<_, NcError> {
+            let mut flipped = bytes.clone();
+            flipped[0] ^= 0xFF;
+            Ok(Cursor::new(flipped))
         },
         "v",
         vec![0, 0, 0],

@@ -1,11 +1,10 @@
 //! Chunk-granularity fault injection and checksum verification.
 //!
-//! PR 1's `FaultyIo` injects faults at the NetCDF *byte* layer; this
-//! module lifts injection to the [`ChunkSource`] boundary so every
-//! driver — and every resilience layer above it — can be exercised
-//! under the same deterministic fault schedules. A
-//! [`FaultyChunkSource`] wraps any source and, per read operation,
-//! may:
+//! [`FaultyChunkSource`] is the one fault injector in the workspace. It
+//! sits at the [`ChunkSource`] boundary, so every driver — and every
+//! resilience layer above it — is exercised the same way, and it asks a
+//! *schedule* (any `FnMut(op, chunk_start) -> Option<Fault>`) what to
+//! do to each read:
 //!
 //! * fail with a **transient** I/O error (retry should clear it),
 //! * fail with a **persistent** I/O error (retry cannot help),
@@ -25,18 +24,13 @@
 //! comment is the normative statement (constants, word order, `Bool`
 //! packing), and a test writes the same steps out longhand.
 //!
-//! Schedules are *deterministic per seed and per operation index*: the
-//! decision for operation `k` is drawn from an RNG keyed on
-//! `(seed, k)`, so it does not depend on thread interleaving or on how
-//! many random draws earlier operations consumed. The chaos harness
-//! (`tests/chaos.rs`) leans on this to replay identical fault
-//! schedules across runs.
+//! A schedule that draws at random keys its draw on `(seed, op)` with
+//! [`splitmix64`], so the decision for read `k` does not depend on
+//! thread interleaving or on how many draws earlier reads consumed; the
+//! chaos harness (`tests/chaos.rs`) replays identical fault schedules
+//! across runs that way.
 
-use std::collections::BTreeSet;
 use std::time::Duration;
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::buffer::ScalarBuf;
 use crate::error::StoreError;
@@ -106,128 +100,58 @@ pub fn checksum(buf: &ScalarBuf) -> u64 {
     }
 }
 
-/// A deterministic, seeded schedule of chunk-level faults.
-///
-/// Rates are probabilities in `[0, 1]` evaluated independently per
-/// read operation; explicit operation sets (`transient_ops`,
-/// `corrupt_ops`) force a fault at exact operation indices (0-based,
-/// counted per wrapped source) regardless of the rates. `clear_after`
-/// turns every fault off from that operation index on, which is how
-/// the chaos harness models "the outage ends" and asserts breaker
-/// recovery.
-#[derive(Debug, Clone)]
-pub struct ChunkFaultPlan {
-    /// Seed for the per-operation fault draws.
-    pub seed: u64,
-    /// Probability a read fails with a *transient* I/O error.
-    pub transient_rate: f64,
-    /// Probability a read fails with a *persistent* I/O error.
-    pub persistent_rate: f64,
-    /// Probability a read's payload is corrupted in flight.
-    pub corrupt_rate: f64,
-    /// Probability a read is delayed by [`latency`](Self::latency).
-    pub latency_rate: f64,
-    /// The injected delay for latency faults.
-    pub latency: Duration,
-    /// Operation indices that always fail transiently.
-    pub transient_ops: BTreeSet<u64>,
-    /// Operation indices that always corrupt the payload.
-    pub corrupt_ops: BTreeSet<u64>,
-    /// Operation indices that always delay by [`latency`](Self::latency).
-    pub latency_ops: BTreeSet<u64>,
-    /// From this operation index on, every read fails persistently
-    /// (models a source that dies and stays dead). `u64::MAX` = never.
-    pub persistent_from: u64,
-    /// From this operation index on, no faults fire at all (models the
-    /// outage clearing; overrides everything else). `u64::MAX` = never.
-    pub clear_after: u64,
+/// splitmix64 (Steele, Lea & Flood 2014): advance `state` by the
+/// golden-ratio increment and return its next 64 bits. The one stream
+/// production code draws from — the retry jitter of
+/// [`ResilientSource`](crate::ResilientSource) and the corrupted cell of
+/// a [`Fault::Corrupt`] read — and the one seeded fault schedules draw
+/// from.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(SUM_MUL);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-impl Default for ChunkFaultPlan {
-    fn default() -> ChunkFaultPlan {
-        ChunkFaultPlan {
-            seed: 0,
-            transient_rate: 0.0,
-            persistent_rate: 0.0,
-            corrupt_rate: 0.0,
-            latency_rate: 0.0,
-            latency: Duration::from_millis(5),
-            transient_ops: BTreeSet::new(),
-            corrupt_ops: BTreeSet::new(),
-            latency_ops: BTreeSet::new(),
-            persistent_from: u64::MAX,
-            clear_after: u64::MAX,
-        }
-    }
+/// A uniform draw from `[0, 1)`: the top 53 bits of the next
+/// [`splitmix64`] word.
+pub fn unit(state: &mut u64) -> f64 {
+    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-impl ChunkFaultPlan {
-    /// A fault-free plan (useful as a base for builder-style setup).
-    pub fn none() -> ChunkFaultPlan {
-        ChunkFaultPlan::default()
-    }
-
-    /// A randomized chaos plan: moderate transient/corruption/latency
-    /// rates drawn against `seed`, as used by the chaos harness.
-    pub fn chaos(seed: u64) -> ChunkFaultPlan {
-        ChunkFaultPlan {
-            seed,
-            transient_rate: 0.2,
-            corrupt_rate: 0.1,
-            latency_rate: 0.05,
-            latency: Duration::from_millis(1),
-            ..ChunkFaultPlan::default()
-        }
-    }
-
-    /// What (if anything) fault operation `op` draws under this plan.
-    fn decide(&self, op: u64) -> Option<Fault> {
-        if op >= self.clear_after {
-            return None;
-        }
-        if op >= self.persistent_from {
-            return Some(Fault::Persistent);
-        }
-        if self.transient_ops.contains(&op) {
-            return Some(Fault::Transient);
-        }
-        if self.corrupt_ops.contains(&op) {
-            return Some(Fault::Corrupt);
-        }
-        if self.latency_ops.contains(&op) {
-            return Some(Fault::Latency);
-        }
-        // Keyed on (seed, op) so the schedule is independent of
-        // interleaving: mix the op index into the seed.
-        let mut rng = StdRng::seed_from_u64(
-            self.seed ^ op.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17),
-        );
-        if self.persistent_rate > 0.0 && rng.gen_bool(self.persistent_rate) {
-            return Some(Fault::Persistent);
-        }
-        if self.transient_rate > 0.0 && rng.gen_bool(self.transient_rate) {
-            return Some(Fault::Transient);
-        }
-        if self.corrupt_rate > 0.0 && rng.gen_bool(self.corrupt_rate) {
-            return Some(Fault::Corrupt);
-        }
-        if self.latency_rate > 0.0 && rng.gen_bool(self.latency_rate) {
-            return Some(Fault::Latency);
-        }
-        None
-    }
-}
-
+/// What a schedule does to one chunk read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fault {
+pub enum Fault {
+    /// Fail with a *transient* I/O error (a retry may clear it).
     Transient,
+    /// Fail with a *persistent* I/O error (a retry cannot help).
     Persistent,
+    /// Read, then flip one cell of the payload.
     Corrupt,
-    Latency,
+    /// Stall (interruptibly) this long, then read.
+    Latency(Duration),
 }
 
-/// A [`ChunkSource`] wrapper that injects faults per a
-/// [`ChunkFaultPlan`].
+impl Fault {
+    /// The `chaos.injected:<kind>` name of the fault.
+    fn kind(self) -> &'static str {
+        match self {
+            Fault::Transient => "transient",
+            Fault::Persistent => "persistent",
+            Fault::Corrupt => "corrupt",
+            Fault::Latency(_) => "latency",
+        }
+    }
+}
+
+/// A [`ChunkSource`] wrapper that asks its schedule, before every read,
+/// what (if anything) to do to it: `schedule(op, start)` sees the
+/// 0-based index of the read among this wrapper's reads and the start
+/// of the chunk it asks for. The schedule is any closure, so a fault can
+/// be keyed on the operation, on the chunk, on a seeded draw, or on
+/// state it keeps itself — and may act on the world (a governor budget,
+/// a cancellation flag) before the read goes ahead.
 ///
 /// Corruption flips payload values *after* the inner source reads
 /// them, but [`chunk_checksum`](ChunkSource::chunk_checksum) reports
@@ -235,37 +159,20 @@ enum Fault {
 /// real store is in when bits rot between the checksummed write and a
 /// later read. A verifying reader (see `ResilientSource`) compares and
 /// refuses to serve the mismatch.
-pub struct FaultyChunkSource<S> {
+pub struct FaultyChunkSource<S, F> {
     inner: S,
-    plan: ChunkFaultPlan,
+    schedule: F,
     op: u64,
-    injected: u64,
 }
 
-impl<S: ChunkSource> FaultyChunkSource<S> {
-    /// Wrap `inner` under `plan`.
-    pub fn new(inner: S, plan: ChunkFaultPlan) -> FaultyChunkSource<S> {
-        FaultyChunkSource { inner, plan, op: 0, injected: 0 }
-    }
-
-    /// Read operations seen so far.
-    pub fn ops(&self) -> u64 {
-        self.op
-    }
-
-    /// Faults injected so far (errors, corruptions, and delays).
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// The wrapped source.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
-    fn note_injected(&mut self, kind: &'static str) {
-        self.injected += 1;
-        aql_journal::emit(aql_journal::Event::FaultInjected { kind });
+impl<S, F> FaultyChunkSource<S, F>
+where
+    S: ChunkSource,
+    F: FnMut(u64, &[u64]) -> Option<Fault>,
+{
+    /// Wrap `inner` under `schedule`.
+    pub fn new(inner: S, schedule: F) -> FaultyChunkSource<S, F> {
+        FaultyChunkSource { inner, schedule, op: 0 }
     }
 }
 
@@ -273,12 +180,12 @@ impl<S: ChunkSource> FaultyChunkSource<S> {
 /// corruption is reproducible and checksum-detectable. Empty buffers
 /// pass through untouched.
 fn corrupt_in_place(buf: &mut ScalarBuf, op: u64) {
-    let n = buf.len();
+    let n = buf.len() as u64;
     if n == 0 {
         return;
     }
-    let mut rng = StdRng::seed_from_u64(op ^ 0xDEAD_BEEF_CAFE_F00D);
-    let at = rng.gen_range(0..n);
+    let mut seed = op ^ 0xDEAD_BEEF_CAFE_F00D;
+    let at = (splitmix64(&mut seed) % n) as usize;
     match buf {
         ScalarBuf::F64(v) => v[at] = f64::from_bits(v[at].to_bits() ^ (1 << 51)),
         ScalarBuf::I64(v) => v[at] ^= 1 << 31,
@@ -286,34 +193,35 @@ fn corrupt_in_place(buf: &mut ScalarBuf, op: u64) {
     }
 }
 
-impl<S: ChunkSource> ChunkSource for FaultyChunkSource<S> {
+impl<S, F> ChunkSource for FaultyChunkSource<S, F>
+where
+    S: ChunkSource,
+    F: FnMut(u64, &[u64]) -> Option<Fault>,
+{
     fn read_chunk(&mut self, start: &[u64], count: &[u64]) -> Result<ScalarBuf, StoreError> {
         let op = self.op;
         self.op += 1;
-        match self.plan.decide(op) {
-            Some(Fault::Transient) => {
-                self.note_injected("transient");
-                Err(StoreError::Io {
-                    message: format!("injected transient fault at op {op}"),
-                    transient: true,
-                })
-            }
-            Some(Fault::Persistent) => {
-                self.note_injected("persistent");
+        let Some(fault) = (self.schedule)(op, start) else {
+            return self.inner.read_chunk(start, count);
+        };
+        aql_journal::emit(aql_journal::Event::FaultInjected { kind: fault.kind() });
+        match fault {
+            Fault::Transient => Err(StoreError::Io {
+                message: format!("injected transient fault at op {op}"),
+                transient: true,
+            }),
+            Fault::Persistent => {
                 Err(StoreError::io(format!("injected persistent fault at op {op}")))
             }
-            Some(Fault::Corrupt) => {
-                self.note_injected("corrupt");
+            Fault::Corrupt => {
                 let mut buf = self.inner.read_chunk(start, count)?;
                 corrupt_in_place(&mut buf, op);
                 Ok(buf)
             }
-            Some(Fault::Latency) => {
-                self.note_injected("latency");
-                interrupt::sleep(self.plan.latency)?;
+            Fault::Latency(stall) => {
+                interrupt::sleep(stall)?;
                 self.inner.read_chunk(start, count)
             }
-            None => self.inner.read_chunk(start, count),
         }
     }
 
@@ -437,58 +345,35 @@ mod tests {
     }
 
     #[test]
-    fn schedule_is_deterministic_per_seed() {
-        let plan = ChunkFaultPlan { seed: 42, transient_rate: 0.5, ..ChunkFaultPlan::default() };
-        let a: Vec<_> = (0..64).map(|op| plan.decide(op)).collect();
-        let b: Vec<_> = (0..64).map(|op| plan.decide(op)).collect();
-        assert_eq!(a, b);
-        assert!(a.iter().any(|f| f.is_some()), "rate 0.5 fires in 64 ops");
-        assert!(a.iter().any(|f| f.is_none()), "rate 0.5 passes in 64 ops");
-        let other = ChunkFaultPlan { seed: 43, ..plan };
-        let c: Vec<_> = (0..64).map(|op| other.decide(op)).collect();
-        assert_ne!(a, c, "different seed, different schedule");
-    }
-
-    #[test]
-    fn explicit_ops_and_clear_after() {
-        let plan = ChunkFaultPlan {
-            transient_ops: [1u64].into_iter().collect(),
-            corrupt_ops: [2u64].into_iter().collect(),
-            latency_ops: [3u64].into_iter().collect(),
-            persistent_from: 4,
-            clear_after: 6,
-            ..ChunkFaultPlan::default()
-        };
-        assert_eq!(plan.decide(0), None);
-        assert_eq!(plan.decide(1), Some(Fault::Transient));
-        assert_eq!(plan.decide(2), Some(Fault::Corrupt));
-        assert_eq!(plan.decide(3), Some(Fault::Latency));
-        assert_eq!(plan.decide(4), Some(Fault::Persistent));
-        assert_eq!(plan.decide(5), Some(Fault::Persistent));
-        assert_eq!(plan.decide(6), None, "clear_after wins");
-        assert_eq!(plan.decide(1000), None);
+    fn the_schedule_sees_every_read_with_its_op_and_chunk() {
+        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let log = std::rc::Rc::clone(&seen);
+        let mut src = FaultyChunkSource::new(ConstSource(1.0), move |op, start: &[u64]| {
+            log.borrow_mut().push((op, start[0]));
+            None
+        });
+        for at in [8, 0, 8] {
+            src.read_chunk(&[at], &[8]).expect("no fault scheduled");
+        }
+        assert_eq!(*seen.borrow(), [(0, 8), (1, 0), (2, 8)]);
     }
 
     #[test]
     fn injected_errors_carry_their_class() {
-        let plan = ChunkFaultPlan {
-            transient_ops: [0u64].into_iter().collect(),
-            persistent_from: 1,
-            ..ChunkFaultPlan::default()
-        };
-        let mut src = FaultyChunkSource::new(ConstSource(7.0), plan);
+        let mut src = FaultyChunkSource::new(ConstSource(7.0), |op, _: &[u64]| {
+            Some(if op == 0 { Fault::Transient } else { Fault::Persistent })
+        });
         let e0 = src.read_chunk(&[0], &[4]).expect_err("op 0 transient");
         assert_eq!(e0.class(), crate::FaultClass::Retryable);
         let e1 = src.read_chunk(&[0], &[4]).expect_err("op 1 persistent");
         assert_eq!(e1.class(), crate::FaultClass::Fatal);
-        assert_eq!(src.injected(), 2);
+        assert_eq!(e1.to_string(), "storage I/O error: injected persistent fault at op 1");
     }
 
     #[test]
     fn corruption_is_served_raw_but_checksum_disagrees() {
-        let plan =
-            ChunkFaultPlan { corrupt_ops: [0u64].into_iter().collect(), ..ChunkFaultPlan::default() };
-        let mut src = FaultyChunkSource::new(ConstSource(1.0), plan);
+        let once = |op, _: &[u64]| (op == 0).then_some(Fault::Corrupt);
+        let mut src = FaultyChunkSource::new(ConstSource(1.0), once);
         let clean_sum = src.chunk_checksum(&[0], &[8]).expect("clean read works");
         let dirty = src.read_chunk(&[0], &[8]).expect("corrupt read still returns data");
         assert_ne!(checksum(&dirty), clean_sum, "corruption must be checksum-visible");
@@ -499,13 +384,9 @@ mod tests {
 
     #[test]
     fn latency_fault_respects_interrupts() {
-        use std::time::{Duration, Instant};
-        let plan = ChunkFaultPlan {
-            latency_rate: 1.0,
-            latency: Duration::from_millis(250),
-            ..ChunkFaultPlan::default()
-        };
-        let mut src = FaultyChunkSource::new(ConstSource(0.0), plan);
+        use std::time::Instant;
+        let stall = |_, _: &[u64]| Some(Fault::Latency(Duration::from_millis(250)));
+        let mut src = FaultyChunkSource::new(ConstSource(0.0), stall);
         let _g = interrupt::install(Some(Instant::now() + Duration::from_millis(5)), None);
         let t0 = Instant::now();
         let err = src.read_chunk(&[0], &[4]).expect_err("deadline fires in the wait");
@@ -515,15 +396,12 @@ mod tests {
 
     #[test]
     fn faulty_source_composes_with_lazy_array() {
-        let plan = ChunkFaultPlan {
-            transient_ops: [0u64].into_iter().collect(),
-            ..ChunkFaultPlan::default()
-        };
+        let once = |op, _: &[u64]| (op == 0).then_some(Fault::Transient);
         let layout = ChunkLayout::new(vec![8], vec![4]).expect("layout");
         let mut a = LazyArray::new(
             layout,
             ScalarKind::F64,
-            Box::new(FaultyChunkSource::new(ConstSource(3.0), plan)),
+            Box::new(FaultyChunkSource::new(ConstSource(3.0), once)),
             1 << 16,
         );
         assert!(a.get(&[0]).is_err(), "eager fault surfaces");

@@ -37,8 +37,9 @@
 //! * [`interrupt`] — cooperative deadline/cancellation hooks polled on
 //!   the chunk-load path, so a hung source cannot outlive a
 //!   statement's limits;
-//! * [`FaultyChunkSource`] — deterministic seeded fault injection at
-//!   chunk granularity, feeding the chaos harness.
+//! * [`FaultyChunkSource`] — the one fault injector: a schedule
+//!   closure decides, per chunk read, on a [`Fault`] (the chaos
+//!   harness's seeded draws, a test's explicit ops, the fault axis).
 
 #![warn(missing_docs)]
 
@@ -60,7 +61,7 @@ pub mod stats;
 pub use buffer::{Scalar, ScalarBuf, ScalarKind};
 pub use cache::{ChunkCache, Loaded};
 pub use error::{FaultClass, Interrupt, StoreError};
-pub use fault::{ChunkFaultPlan, FaultyChunkSource};
+pub use fault::{Fault, FaultyChunkSource};
 pub use layout::{ChunkAddr, ChunkLayout};
 pub use lazy::LazyArray;
 pub use mem::{MemChunkSource, MEM_SOURCE_LABEL};

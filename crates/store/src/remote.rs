@@ -1,16 +1,12 @@
 //! A simulated remote / object-store chunk source.
 //!
 //! Real object stores (S3-style blob services, NFS mounts) differ from
-//! local files in two ways the storage stack must be exercised
-//! against: every read pays a round-trip latency, and transient
-//! failures are routine rather than exceptional. [`RemoteChunkSource`]
-//! models both over any inner [`ChunkSource`] by combining a fixed
-//! per-read latency (slept through [`interrupt::sleep`], so a
-//! statement deadline still preempts a slow "network") with the PR 6
-//! [`FaultyChunkSource`] injector for the failure side — a
-//! [`ChunkFaultPlan`] gives the simulated remote deterministic
-//! transient errors, corruption, or extra latency spikes on top of the
-//! base round-trip cost.
+//! local files in that every read pays a round-trip latency.
+//! [`RemoteChunkSource`] models that over any inner [`ChunkSource`]: a
+//! fixed per-read latency, slept through [`interrupt::sleep`] so a
+//! statement deadline still preempts a slow "network". It injects no
+//! faults; a remote that also fails is this source under a
+//! [`FaultyChunkSource`](crate::FaultyChunkSource), the one injector.
 //!
 //! The read-ahead [`Prefetcher`](crate::Prefetcher) earns its keep
 //! against exactly this source: overlapping round-trip latencies is
@@ -21,38 +17,20 @@ use std::time::Duration;
 
 use crate::buffer::ScalarBuf;
 use crate::error::StoreError;
-use crate::fault::{ChunkFaultPlan, FaultyChunkSource};
 use crate::interrupt;
 use crate::source::ChunkSource;
 
-/// A [`ChunkSource`] that charges a round-trip latency per read and
-/// optionally injects object-store-style faults.
+/// A [`ChunkSource`] that charges a round-trip latency per read.
 pub struct RemoteChunkSource<S> {
-    inner: FaultyChunkSource<S>,
+    inner: S,
     latency: Duration,
 }
 
 impl<S: ChunkSource> RemoteChunkSource<S> {
     /// A simulated remote over `inner` with a fixed per-read
-    /// round-trip `latency` and no injected faults.
+    /// round-trip `latency`.
     pub fn new(inner: S, latency: Duration) -> RemoteChunkSource<S> {
-        RemoteChunkSource::with_plan(inner, latency, ChunkFaultPlan::none())
-    }
-
-    /// A simulated remote that additionally injects faults per `plan`
-    /// (on top of the base latency every read pays).
-    pub fn with_plan(inner: S, latency: Duration, plan: ChunkFaultPlan) -> RemoteChunkSource<S> {
-        RemoteChunkSource { inner: FaultyChunkSource::new(inner, plan), latency }
-    }
-
-    /// The configured per-read round-trip latency.
-    pub fn latency(&self) -> Duration {
-        self.latency
-    }
-
-    /// Read operations served so far.
-    pub fn ops(&self) -> u64 {
-        self.inner.ops()
+        RemoteChunkSource { inner, latency }
     }
 }
 
@@ -64,9 +42,7 @@ impl<S: ChunkSource> ChunkSource for RemoteChunkSource<S> {
     }
 
     /// Checksums model cheap metadata (an ETag-style header): no
-    /// round-trip latency is charged, and the clean payload's checksum
-    /// is reported even when the plan corrupts reads — the situation a
-    /// verifying reader exists for.
+    /// round-trip latency is charged.
     fn chunk_checksum(&mut self, start: &[u64], count: &[u64]) -> Option<u64> {
         self.inner.chunk_checksum(start, count)
     }
@@ -76,6 +52,7 @@ impl<S: ChunkSource> ChunkSource for RemoteChunkSource<S> {
 mod tests {
     use super::*;
     use crate::error::Interrupt;
+    use crate::fault::{Fault, FaultyChunkSource};
     use crate::mem::MemChunkSource;
     use std::time::Instant;
 
@@ -90,7 +67,6 @@ mod tests {
         let buf = r.read_chunk(&[0], &[4]).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(10));
         assert_eq!(buf, ScalarBuf::F64(vec![1.0, 2.0, 3.0, 4.0]));
-        assert_eq!(r.ops(), 1);
     }
 
     #[test]
@@ -107,12 +83,10 @@ mod tests {
     }
 
     #[test]
-    fn injected_faults_ride_on_top() {
-        let plan = ChunkFaultPlan {
-            transient_ops: [0u64].into_iter().collect(),
-            ..ChunkFaultPlan::default()
-        };
-        let mut r = RemoteChunkSource::with_plan(mem4(), Duration::from_millis(1), plan);
+    fn faults_compose_on_top() {
+        let remote = RemoteChunkSource::new(mem4(), Duration::from_millis(1));
+        let once = |op, _: &[u64]| (op == 0).then_some(Fault::Transient);
+        let mut r = FaultyChunkSource::new(remote, once);
         assert!(matches!(
             r.read_chunk(&[0], &[4]).unwrap_err(),
             StoreError::Io { transient: true, .. }

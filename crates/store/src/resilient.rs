@@ -31,12 +31,10 @@
 use std::time::{Duration, Instant};
 
 use aql_journal::{emit, Event};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::buffer::ScalarBuf;
 use crate::error::{FaultClass, StoreError};
-use crate::fault::checksum;
+use crate::fault::{checksum, unit};
 use crate::interrupt;
 use crate::source::ChunkSource;
 
@@ -225,7 +223,8 @@ pub struct ResilientSource<S> {
     retry: RetryPolicy,
     breaker: Option<CircuitBreaker>,
     verify: bool,
-    rng: StdRng,
+    /// [`splitmix64`](crate::fault::splitmix64) state of the jitter draws.
+    jitter: u64,
     retries: u64,
     /// Interned flight-recorder id of this source's label, so retry
     /// events are attributable even when no breaker is configured.
@@ -245,7 +244,7 @@ impl<S: ChunkSource> ResilientSource<S> {
         }
         ResilientSource {
             inner,
-            rng: StdRng::seed_from_u64(seed),
+            jitter: seed,
             jlabel: aql_journal::intern(&label),
             breaker: policy.breaker.map(|p| CircuitBreaker::new(label, p)),
             retry: RetryPolicy { attempts: policy.retry.attempts.max(1), ..policy.retry },
@@ -317,8 +316,8 @@ impl<S: ChunkSource> ChunkSource for ResilientSource<S> {
                     attempt += 1;
                     self.retries += 1;
                     emit(Event::Retry { src: self.jlabel, attempt: attempt as u64 });
-                    let unit = self.rng.gen_range(0.0..1.0);
-                    interrupt::sleep(self.retry.backoff(attempt, unit))?;
+                    let draw = unit(&mut self.jitter);
+                    interrupt::sleep(self.retry.backoff(attempt, draw))?;
                 }
             }
         }
@@ -343,7 +342,7 @@ fn surfaced(e: StoreError, attempts: u32) -> StoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{ChunkFaultPlan, FaultyChunkSource};
+    use crate::fault::{Fault, FaultyChunkSource};
 
     struct ConstSource(f64);
     impl ChunkSource for ConstSource {
@@ -474,13 +473,10 @@ mod tests {
     fn checksum_mismatch_never_serves_corruption() {
         // Every read is corrupted; the checksum catches each one and
         // retries exhaust into Corrupt.
-        let plan = ChunkFaultPlan {
-            corrupt_ops: (0..64u64).collect(),
-            ..ChunkFaultPlan::default()
-        };
+        let always = |_, _: &[u64]| Some(Fault::Corrupt);
         let policy = ResiliencePolicy { retry: fast_retry(), ..ResiliencePolicy::default() };
         let mut s = ResilientSource::new(
-            FaultyChunkSource::new(ConstSource(2.0), plan),
+            FaultyChunkSource::new(ConstSource(2.0), always),
             "ck",
             policy,
         );
@@ -491,11 +487,10 @@ mod tests {
     #[test]
     fn checksum_mismatch_clears_on_retry() {
         // Only op 0 corrupts; the retry reads clean data.
-        let plan =
-            ChunkFaultPlan { corrupt_ops: [0u64].into_iter().collect(), ..ChunkFaultPlan::default() };
+        let once = |op, _: &[u64]| (op == 0).then_some(Fault::Corrupt);
         let policy = ResiliencePolicy { retry: fast_retry(), ..ResiliencePolicy::default() };
         let mut s = ResilientSource::new(
-            FaultyChunkSource::new(ConstSource(2.0), plan),
+            FaultyChunkSource::new(ConstSource(2.0), once),
             "ck2",
             policy,
         );
@@ -506,15 +501,14 @@ mod tests {
 
     #[test]
     fn verification_off_serves_raw_payload() {
-        let plan =
-            ChunkFaultPlan { corrupt_ops: [0u64].into_iter().collect(), ..ChunkFaultPlan::default() };
+        let once = |op, _: &[u64]| (op == 0).then_some(Fault::Corrupt);
         let policy = ResiliencePolicy {
             retry: fast_retry(),
             verify_checksums: false,
             ..ResiliencePolicy::default()
         };
         let mut s = ResilientSource::new(
-            FaultyChunkSource::new(ConstSource(2.0), plan),
+            FaultyChunkSource::new(ConstSource(2.0), once),
             "raw",
             policy,
         );
@@ -530,10 +524,10 @@ mod tests {
             jitter: 0.5,
             ..RetryPolicy::default()
         };
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut state = 9;
         for attempt in 2..6u32 {
             let raw = Duration::from_millis(4 << (attempt - 2)).min(p.max);
-            let d = p.backoff(attempt, rng.gen_range(0.0..1.0));
+            let d = p.backoff(attempt, unit(&mut state));
             assert!(d >= raw.mul_f64(0.5) && d <= raw.mul_f64(1.5), "{d:?} vs {raw:?}");
         }
         assert_eq!(p.backoff(2, 0.5), Duration::from_millis(4), "the band's midpoint");
@@ -541,6 +535,26 @@ mod tests {
         assert_eq!(exact.backoff(2, 0.0), Duration::from_millis(4));
         assert_eq!(exact.backoff(3, 0.99), Duration::from_millis(8));
         assert_eq!(exact.backoff(9, 0.5), Duration::from_millis(100), "capped at max");
+    }
+
+    #[test]
+    fn the_jitter_draws_are_the_pinned_stream() {
+        // The first eight jitter units of a source labelled `netcdf:T`
+        // under the default policy, as the vendored `rand` stand-in
+        // (`StdRng::seed_from_u64` + `gen_range(0.0..1.0)`) drew them.
+        let mut s = ResilientSource::new(ConstSource(0.0), "netcdf:T", ResiliencePolicy::default());
+        let units: Vec<f64> = (0..8).map(|_| unit(&mut s.jitter)).collect();
+        let pinned = [
+            0.42432682836857094,
+            0.47161436933448986,
+            0.35542990177379863,
+            0.06717438932355291,
+            0.1908387005054305,
+            0.3971801574065116,
+            0.08108893552290386,
+            0.8629142873984218,
+        ];
+        assert_eq!(units, pinned);
     }
 
     #[test]

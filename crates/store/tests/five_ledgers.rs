@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use aql_journal::Tag;
 use aql_store::{
-    stats, ChunkFaultPlan, ChunkLayout, ChunkSource, FaultyChunkSource, LazyArray, MemChunkSource,
+    stats, ChunkLayout, ChunkSource, Fault, FaultyChunkSource, LazyArray, MemChunkSource,
     PrefetchConfig, Prefetcher, ResiliencePolicy, ResilientSource, RetryPolicy, Scalar, ScalarBuf,
     ScalarKind, StoreError,
 };
@@ -144,10 +144,7 @@ fn retries_load_errors_and_warm_handovers_agree_too() {
     // Reads 0, 2 and 3 of the consumer's source fail transiently under
     // a two-attempt retry budget: chunk 0 is repaired by its retry,
     // chunk 1 fails for good, chunk 2 loads cleanly.
-    let plan = ChunkFaultPlan {
-        transient_ops: [0u64, 2, 3].into_iter().collect(),
-        ..ChunkFaultPlan::default()
-    };
+    let plan = |op, _: &[u64]| [0, 2, 3].contains(&op).then_some(Fault::Transient);
     let policy = ResiliencePolicy {
         retry: RetryPolicy {
             attempts: 2,

@@ -55,8 +55,8 @@ fn demo(json: bool) -> Result<(), String> {
     use aql::core::value::Value;
     use aql::lang::session::{IncidentConfig, Session};
     use aql::store::{
-        ChunkFaultPlan, ChunkLayout, FaultyChunkSource, LazyArray, MemChunkSource,
-        ResiliencePolicy, ResilientSource, ScalarBuf, ScalarKind,
+        ChunkLayout, Fault, FaultyChunkSource, LazyArray, MemChunkSource, ResiliencePolicy,
+        ResilientSource, ScalarBuf, ScalarKind,
     };
 
     let dir = std::env::temp_dir().join(format!("aql-doctor-demo-{}", std::process::id()));
@@ -67,10 +67,7 @@ fn demo(json: bool) -> Result<(), String> {
     let mem = MemChunkSource::new(vec![n], ScalarBuf::F64(data)).map_err(|e| e.to_string())?;
     // The 8th read and every retry of it fail transiently: the retry
     // budget burns out and the statement errors.
-    let plan = ChunkFaultPlan {
-        transient_ops: (7..16).collect(),
-        ..ChunkFaultPlan::none()
-    };
+    let plan = |op, _: &[u64]| (7..16).contains(&op).then_some(Fault::Transient);
     let faulty = FaultyChunkSource::new(Box::new(mem), plan);
     let resilient = ResilientSource::new(
         Box::new(faulty),

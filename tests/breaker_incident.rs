@@ -9,6 +9,8 @@
 //! (inside an external primitive) while the other session's source
 //! trips, so the two overlap by construction, not by timing.
 
+mod common;
+
 use std::rc::Rc;
 use std::sync::mpsc;
 use std::sync::Mutex;
@@ -16,10 +18,12 @@ use std::time::Duration;
 
 use aql::journal::incident::{list_incidents, Incident, IncidentKind};
 use aql::lang::session::{IncidentConfig, Session};
-use aql::netcdf::driver::{register_netcdf, NetcdfSlabReader};
+use aql::netcdf::driver::register_netcdf;
 use aql_core::prim::NativeFn;
 use aql_core::types::Type;
-use aql_store::{BreakerPolicy, ChunkFaultPlan, ResiliencePolicy, RetryPolicy};
+use aql_store::{BreakerPolicy, Fault, ResiliencePolicy, RetryPolicy};
+
+use common::ScheduledNetcdf;
 
 /// A session whose `readval` meets one transient fault on its preview
 /// read, under a breaker that trips on the first failure. The preview
@@ -36,12 +40,8 @@ fn run_the_tripping_statement(dir: &std::path::Path) -> Session {
          writeval M using NETCDF at (\"{p}\", \"grid\");"
     ))
     .unwrap();
-    let mut reader = NetcdfSlabReader::lazy(2);
-    reader.chaos = Some(ChunkFaultPlan {
-        transient_ops: [0u64].into_iter().collect(),
-        ..ChunkFaultPlan::default()
-    });
-    reader.resilience = Some(ResiliencePolicy {
+    let mut reader = ScheduledNetcdf::new(2, |op, _| (op == 0).then_some(Fault::Transient));
+    reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 1, ..RetryPolicy::default() },
         breaker: Some(BreakerPolicy { threshold: 1, cooldown: Duration::from_secs(3600) }),
         verify_checksums: true,

@@ -14,10 +14,16 @@
 //! * **session survival** — a statement killed by `ResourceExhausted`
 //!   (or any fault) leaves the session able to answer the next one.
 //!
-//! Fault schedules are deterministic per seed (`ChunkFaultPlan`
-//! decides per operation index), so failures reproduce exactly.
-//! Tests serialize on [`GOV`]: the resource governor and the metrics
-//! registry are process state.
+//! Every fault comes from `FaultyChunkSource`, the one injector, under
+//! a schedule: [`seeded`] draws per operation index from `splitmix64`
+//! keyed on `(seed, op)`, so failures reproduce exactly; the targeted
+//! cases name their operations. NetCDF bindings go through
+//! `common::ScheduledNetcdf`: the stock reader's binding with the
+//! injector between the chunk source and the resilience stack. Tests
+//! serialize on [`GOV`]: the
+//! resource governor and the metrics registry are process state.
+
+mod common;
 
 use std::rc::Rc;
 use std::sync::{Mutex, MutexGuard};
@@ -26,15 +32,17 @@ use std::time::Duration;
 use aql_core::error::EvalError;
 use aql_core::value::Value;
 use aql_lang::errors::LangError;
+use aql_lang::reader::Reader;
 use aql_lang::session::Session;
 use aql_netcdf::driver::{register_netcdf, NetcdfSlabReader};
+use aql_store::fault::{splitmix64, unit};
 use aql_store::{
-    governor, BreakerPolicy, ChunkFaultPlan, ChunkLayout, ChunkSource, FaultyChunkSource,
-    LazyArray, ResiliencePolicy, ResilientSource, RetryPolicy, Scalar, ScalarBuf, ScalarKind,
+    governor, BreakerPolicy, ChunkLayout, ChunkSource, Fault, FaultyChunkSource, LazyArray,
+    MemChunkSource, ResiliencePolicy, ResilientSource, RetryPolicy, Scalar, ScalarBuf, ScalarKind,
     StoreError,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+use common::ScheduledNetcdf;
 
 /// The acceptance criteria ask for ≥ 3 fixed seeds.
 const SEEDS: [u64; 3] = [1, 7, 42];
@@ -76,24 +84,110 @@ fn fast_retry() -> RetryPolicy {
     RetryPolicy { base: Duration::ZERO, max: Duration::ZERO, jitter: 0.0, ..RetryPolicy::default() }
 }
 
+/// How often a seeded schedule injects each fault, and when it stops.
+#[derive(Clone, Copy)]
+struct Rates {
+    transient: f64,
+    corrupt: f64,
+    latency: f64,
+    stall: Duration,
+    /// From this operation on no fault fires: the outage ends.
+    clear_after: u64,
+}
+
+/// The store-level run's rates.
+const STORE: Rates = Rates {
+    transient: 0.25,
+    corrupt: 0.15,
+    latency: 0.02,
+    stall: Duration::from_micros(200),
+    clear_after: 600,
+};
+
+/// The session-level run's rates.
+const SESSION: Rates = Rates {
+    transient: 0.3,
+    corrupt: 0.2,
+    latency: 0.0,
+    stall: Duration::ZERO,
+    clear_after: 40,
+};
+
+/// A seeded schedule: operation `op` draws from `splitmix64` keyed on
+/// `(seed, op)`, so its fault depends on neither thread interleaving
+/// nor how many draws earlier operations took. Each nonzero rate takes
+/// one draw, in the order transient, corruption, latency; the first
+/// draw under its rate is the fault.
+fn seeded(seed: u64, rates: Rates) -> impl FnMut(u64, &[u64]) -> Option<Fault> {
+    move |op, _| {
+        if op >= rates.clear_after {
+            return None;
+        }
+        let mut state = seed ^ op.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
+        let mut fires = |rate: f64| rate > 0.0 && unit(&mut state) < rate;
+        if fires(rates.transient) {
+            Some(Fault::Transient)
+        } else if fires(rates.corrupt) {
+            Some(Fault::Corrupt)
+        } else if fires(rates.latency) {
+            Some(Fault::Latency(rates.stall))
+        } else {
+            None
+        }
+    }
+}
+
+/// The first 64 operations of every seeded schedule this suite runs,
+/// and the cell a corrupting read flips for operations 0..16 of a
+/// 4,096-cell chunk, as the seeded fault plan and the vendored `rand`
+/// stand-in drew them before both were replaced by schedules and
+/// `splitmix64` (`.` clean, `T` transient, `C` corrupt, `L` latency).
+#[test]
+fn the_seeded_draws_are_the_pinned_table() {
+    let pinned = [
+        (STORE, 1, ".TT..T.T.T........T....T.....TT...T.T.TT..CC.T...C.C.T...T...T.C"),
+        (STORE, 7, "C.T.TT.T..C.......T..TT...TT....T..TTTT..CC.CT.L..T..TT.T.TC.T.."),
+        (STORE, 42, ".TT....T...CT...TTTT..T..C.TCT.TT..T......TTC........CC.....CC.."),
+        (SESSION, 1, ".TT..T.T.T........T....T.T...TT...T.T.TT........................"),
+        (SESSION, 7, "CCT.TT.T..TT......TC.TT.C.TT.C.CT.TTTTT........................."),
+        (SESSION, 42, "CTT....T...CT...TTTT..T..C.TCT.TT..T..TT........................"),
+    ];
+    for (rates, seed, want) in pinned {
+        let mut schedule = seeded(seed, rates);
+        let got: String = (0..64)
+            .map(|op| match schedule(op, &[0]) {
+                None => '.',
+                Some(Fault::Transient) => 'T',
+                Some(Fault::Persistent) => 'P',
+                Some(Fault::Corrupt) => 'C',
+                Some(Fault::Latency(_)) => 'L',
+            })
+            .collect();
+        assert_eq!(got, want, "seed {seed}");
+    }
+
+    let zeros = MemChunkSource::new(vec![4096], ScalarBuf::F64(vec![0.0; 4096])).unwrap();
+    let mut src = FaultyChunkSource::new(zeros, |_, _: &[u64]| Some(Fault::Corrupt));
+    let flipped: Vec<usize> = (0..16)
+        .map(|_| match src.read_chunk(&[0], &[4096]).unwrap() {
+            ScalarBuf::F64(cells) => cells.iter().position(|&x| x != 0.0).expect("a flipped cell"),
+            other => panic!("read back {other:?}"),
+        })
+        .collect();
+    let pinned =
+        [715, 391, 674, 4044, 2804, 1222, 2002, 2164, 397, 3271, 742, 3847, 230, 23, 2969, 2312];
+    assert_eq!(flipped, pinned);
+}
+
 /// The full store-level chaos run for one seed.
 fn store_chaos_run(seed: u64) {
-    let plan = ChunkFaultPlan {
-        seed,
-        transient_rate: 0.25,
-        corrupt_rate: 0.15,
-        latency_rate: 0.02,
-        latency: Duration::from_micros(200),
-        clear_after: 600,
-        ..ChunkFaultPlan::default()
-    };
     let policy = ResiliencePolicy {
         retry: fast_retry(),
         breaker: Some(BreakerPolicy { threshold: 4, cooldown: Duration::ZERO }),
         verify_checksums: true,
     };
     let source = ResilientSource::new(
-        FaultyChunkSource::new(IotaSource, plan),
+        FaultyChunkSource::new(IotaSource, seeded(seed, STORE)),
         format!("chaos:iota:{seed}"),
         policy,
     );
@@ -103,10 +197,10 @@ fn store_chaos_run(seed: u64) {
     let mut a = LazyArray::new(layout, ScalarKind::F64, Box::new(source), 4 * 8 * 8 * 8);
 
     let injected_before = aql_metrics::family_total("aql_store_chaos_injected_total");
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(1000) + 1);
+    let mut probe = seed.wrapping_mul(1000) + 1;
     let mut errors = 0u64;
     for _ in 0..400 {
-        let (i, j) = (rng.gen_range(0..32u64), rng.gen_range(0..32u64));
+        let (i, j) = (splitmix64(&mut probe) % 32, splitmix64(&mut probe) % 32);
         match a.get(&[i, j]) {
             Ok(Some(Scalar::F64(x))) => {
                 assert_eq!(x, truth(i, j), "seed {seed}: wrong value served at ({i}, {j})");
@@ -182,7 +276,7 @@ fn netcdf_session(tag: &str) -> (Session, String, std::path::PathBuf) {
     (s, p, dir)
 }
 
-fn bind_chaos(s: &mut Session, p: &str, reader: NetcdfSlabReader) {
+fn bind_chaos(s: &mut Session, p: &str, reader: impl Reader + 'static) {
     s.register_reader("NETCDF2", Rc::new(reader));
     s.run(&format!(
         "readval \\T using NETCDF2 at (\"{p}\", \"grid\", (0, 0), (39, 39));"
@@ -195,15 +289,8 @@ fn bind_chaos(s: &mut Session, p: &str, reader: NetcdfSlabReader) {
 /// exact, session survives everything.
 fn session_chaos_run(seed: u64) {
     let (mut s, p, dir) = netcdf_session("rand");
-    let mut reader = NetcdfSlabReader::lazy(2);
-    reader.chaos = Some(ChunkFaultPlan {
-        seed,
-        transient_rate: 0.3,
-        corrupt_rate: 0.2,
-        clear_after: 40,
-        ..ChunkFaultPlan::default()
-    });
-    reader.resilience = Some(ResiliencePolicy {
+    let mut reader = ScheduledNetcdf::new(2, seeded(seed, SESSION));
+    reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 2, ..fast_retry() },
         breaker: Some(BreakerPolicy { threshold: 3, cooldown: Duration::ZERO }),
         verify_checksums: true,
@@ -262,53 +349,45 @@ fn session_chaos_survives_and_answers_exactly() {
 #[test]
 fn breaker_trips_and_recovers_through_the_session() {
     let _g = lock();
-    for seed in SEEDS {
-        let (mut s, p, dir) = netcdf_session("breaker");
-        let mut reader = NetcdfSlabReader::lazy(2);
-        // Every chunk read fails until op 10, then the outage clears.
-        reader.chaos = Some(ChunkFaultPlan {
-            seed,
-            transient_rate: 1.0,
-            clear_after: 10,
-            ..ChunkFaultPlan::default()
-        });
-        reader.resilience = Some(ResiliencePolicy {
-            retry: RetryPolicy { attempts: 1, ..fast_retry() },
-            breaker: Some(BreakerPolicy { threshold: 3, cooldown: Duration::ZERO }),
-            verify_checksums: true,
-        });
-        bind_chaos(&mut s, &p, reader);
+    let (mut s, p, dir) = netcdf_session("breaker");
+    // Every chunk read fails until op 10, then the outage clears.
+    let mut reader = ScheduledNetcdf::new(2, |op, _| (op < 10).then_some(Fault::Transient));
+    reader.stock.resilience = Some(ResiliencePolicy {
+        retry: RetryPolicy { attempts: 1, ..fast_retry() },
+        breaker: Some(BreakerPolicy { threshold: 3, cooldown: Duration::ZERO }),
+        verify_checksums: true,
+    });
+    bind_chaos(&mut s, &p, reader);
 
-        let trips_before = aql_metrics::family_total("aql_store_breaker_trips_total");
-        let probes_before = aql_metrics::family_total("aql_store_breaker_probes_total");
-        let mut failures = 0u64;
-        let mut recovered = None;
-        for _ in 0..30 {
-            match s.eval_query("T[1, 1]") {
-                Ok((_, v)) => {
-                    recovered = Some(v);
-                    break;
-                }
-                Err(LangError::Eval(EvalError::Storage { .. })) => failures += 1,
-                Err(other) => panic!("seed {seed}: unclassified error: {other}"),
+    let trips_before = aql_metrics::family_total("aql_store_breaker_trips_total");
+    let probes_before = aql_metrics::family_total("aql_store_breaker_probes_total");
+    let mut failures = 0u64;
+    let mut recovered = None;
+    for _ in 0..30 {
+        match s.eval_query("T[1, 1]") {
+            Ok((_, v)) => {
+                recovered = Some(v);
+                break;
             }
+            Err(LangError::Eval(EvalError::Storage { .. })) => failures += 1,
+            Err(other) => panic!("unclassified error: {other}"),
         }
-        assert_eq!(recovered, Some(Value::Real(8.0)), "seed {seed}: no recovery");
-        assert!(failures >= 3, "seed {seed}: outage too short to trip anything");
-        assert!(
-            aql_metrics::family_total("aql_store_breaker_trips_total") > trips_before,
-            "seed {seed}: breaker never tripped"
-        );
-        assert!(
-            aql_metrics::family_total("aql_store_breaker_probes_total") > probes_before,
-            "seed {seed}: breaker never probed (recovery path untested)"
-        );
-        // Recovered for good: the chunk is cached, statements keep
-        // answering.
-        let (_, v) = s.eval_query("T[3, 4]").unwrap();
-        assert_eq!(v, Value::Real(25.0));
-        std::fs::remove_dir_all(&dir).ok();
     }
+    assert_eq!(recovered, Some(Value::Real(8.0)), "no recovery");
+    assert!(failures >= 3, "outage too short to trip anything");
+    assert!(
+        aql_metrics::family_total("aql_store_breaker_trips_total") > trips_before,
+        "breaker never tripped"
+    );
+    assert!(
+        aql_metrics::family_total("aql_store_breaker_probes_total") > probes_before,
+        "breaker never probed (recovery path untested)"
+    );
+    // Recovered for good: the chunk is cached, statements keep
+    // answering.
+    let (_, v) = s.eval_query("T[3, 4]").unwrap();
+    assert_eq!(v, Value::Real(25.0));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -346,18 +425,16 @@ fn resource_exhausted_kills_the_statement_not_the_session() {
 fn injected_latency_cannot_outlive_the_deadline() {
     let _g = lock();
     let (mut s, p, dir) = netcdf_session("deadline");
-    let mut reader = NetcdfSlabReader::lazy(2);
     // Binding a value renders a preview, which costs exactly one read
     // (op 0): fail it fast so nothing gets cached at bind time. Op 1 —
     // the first real probe — stalls 30 s; only the interrupt hooks can
     // save the statement.
-    reader.chaos = Some(ChunkFaultPlan {
-        transient_ops: [0u64].into_iter().collect(),
-        latency_ops: [1u64].into_iter().collect(),
-        latency: Duration::from_secs(30),
-        ..ChunkFaultPlan::default()
+    let mut reader = ScheduledNetcdf::new(2, |op, _| match op {
+        0 => Some(Fault::Transient),
+        1 => Some(Fault::Latency(Duration::from_secs(30))),
+        _ => None,
     });
-    reader.resilience = Some(ResiliencePolicy {
+    reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 1, ..fast_retry() },
         breaker: None,
         verify_checksums: true,
@@ -395,15 +472,10 @@ fn chaos_incident_is_dumped_and_doctor_names_the_fault() {
 
     let _g = lock();
     let (mut s, p, dir) = netcdf_session("doctor");
-    let mut reader = NetcdfSlabReader::lazy(2);
     // A total outage: every chunk read (and every retry of it) fails
     // transiently, and the schedule never clears.
-    reader.chaos = Some(ChunkFaultPlan {
-        seed: 42,
-        transient_rate: 1.0,
-        ..ChunkFaultPlan::default()
-    });
-    reader.resilience = Some(ResiliencePolicy {
+    let mut reader = ScheduledNetcdf::new(2, |_, _| Some(Fault::Transient));
+    reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 2, ..fast_retry() },
         breaker: None,
         verify_checksums: true,
@@ -459,14 +531,10 @@ fn chaos_incident_is_dumped_and_doctor_names_the_fault() {
 fn preset_cancellation_stops_the_chunk_load() {
     let _g = lock();
     let (mut s, p, dir) = netcdf_session("cancel");
-    let mut reader = NetcdfSlabReader::lazy(2);
     // Fail the bind-time preview read (op 0) so the chunk is not yet
     // cached when the cancelled statement runs.
-    reader.chaos = Some(ChunkFaultPlan {
-        transient_ops: [0u64].into_iter().collect(),
-        ..ChunkFaultPlan::default()
-    });
-    reader.resilience = Some(ResiliencePolicy {
+    let mut reader = ScheduledNetcdf::new(2, |op, _| (op == 0).then_some(Fault::Transient));
+    reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 1, ..fast_retry() },
         breaker: None,
         verify_checksums: true,

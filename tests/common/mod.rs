@@ -3,13 +3,16 @@
 //! and the corpus of core terms the optimizer is pinned on — the
 //! `derivations.rs` terms, the benchmark's eight `compile_mix`
 //! templates, and the paper's §4.2 and §1 programs, each taken to the
-//! resolved core term the session hands its optimizer. Last, the fault
-//! axis of the differential oracle (ROADMAP item 1b): four chunk
+//! resolved core term the session hands its optimizer. Then the fault
+//! axis of the differential oracle (ROADMAP item 3): four chunk
 //! sources behind the production resilience stack, with one fault
-//! placed on the chunk a chosen stage of a session reads first.
+//! placed on the chunk a chosen stage of a session reads first. Last,
+//! `NETCDFk` under any fault schedule, for the chaos and incident
+//! suites. Both break reads with `FaultyChunkSource`, the one injector.
 
 #![allow(dead_code)] // every includer uses its own part
 
+use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,11 +34,12 @@ use aql::lang::errors::LangError;
 use aql::lang::parser::parse_program;
 use aql::lang::reader::Reader;
 use aql::lang::session::Session;
-use aql::netcdf::driver::register_netcdf;
+use aql::netcdf::chunk::NcChunkSource;
+use aql::netcdf::driver::{register_netcdf, NetcdfSlabReader};
 use aql::netcdf::synth;
 use aql::store::{
-    fault, governor, interrupt, ChunkLayout, ChunkSource, LazyArray, MemChunkSource,
-    RemoteChunkSource, ResiliencePolicy, ResilientSource, ScalarBuf, ScalarKind, StoreError,
+    fault, governor, ChunkLayout, ChunkSource, FaultyChunkSource, LazyArray, MemChunkSource,
+    RemoteChunkSource, ResiliencePolicy, ResilientSource, ScalarBuf, ScalarKind,
 };
 
 // ---- generators -----------------------------------------------------------
@@ -343,53 +347,9 @@ impl Stage {
 /// The source kinds of the axis, as the `FAULTY` reader's argument.
 pub const FAULT_AXIS_SOURCES: [&str; 4] = ["mem", "netcdf", "aqf", "remote"];
 
-/// Injects `fault` into reads of the chunk starting at `at`; every
-/// other chunk is the inner source's.
-struct FaultAt {
-    inner: Box<dyn ChunkSource>,
-    at: u64,
-    fault: Fault,
-    reads: u32,
-    cancel: Arc<AtomicBool>,
-}
-
-impl ChunkSource for FaultAt {
-    fn read_chunk(&mut self, start: &[u64], count: &[u64]) -> Result<ScalarBuf, StoreError> {
-        if start[0] != self.at {
-            return self.inner.read_chunk(start, count);
-        }
-        self.reads += 1;
-        let transient = || StoreError::Io { message: "injected: link flapped".into(), transient: true };
-        match self.fault {
-            Fault::TransientOnce if self.reads == 1 => return Err(transient()),
-            Fault::TransientForever => return Err(transient()),
-            Fault::PersistentIo => return Err(StoreError::io("injected: device gone")),
-            Fault::GovernorDenial => governor::set_budget(Some(1)),
-            // Interrupted at once under a statement's 1 ms deadline; a
-            // short stall where no statement's limits are installed.
-            Fault::Deadline => interrupt::sleep(Duration::from_millis(20))?,
-            Fault::Cancel => {
-                self.cancel.store(true, Ordering::SeqCst);
-                interrupt::check()?;
-            }
-            Fault::TransientOnce | Fault::Corruption => {}
-        }
-        let mut buf = self.inner.read_chunk(start, count)?;
-        if let (Fault::Corruption, ScalarBuf::F64(cells)) = (self.fault, &mut buf) {
-            cells[0] += 1.0;
-        }
-        Ok(buf)
-    }
-
-    /// The clean payload's checksum, as a source's metadata would have it.
-    fn chunk_checksum(&mut self, start: &[u64], count: &[u64]) -> Option<u64> {
-        self.inner.read_chunk(start, count).ok().map(|clean| fault::checksum(&clean))
-    }
-}
-
 /// The `FAULTY` reader: binds the source kind its argument names
 /// (`mem`, `netcdf`, `aqf`, `remote`) the way the stock readers bind
-/// theirs — fault injector innermost, the default resilience stack
+/// theirs — `FaultyChunkSource` innermost, the default resilience stack
 /// around it, a labelled cache on top — and reads the first element
 /// before handing the array over.
 pub struct FaultyReader {
@@ -417,6 +377,38 @@ impl FaultyReader {
         (0..FAULT_AXIS_CELLS).map(|i| i as f64).collect()
     }
 
+    /// The row's fault as a schedule: it acts on reads of the chunk the
+    /// stage reads first, and leaves every other chunk alone.
+    fn schedule(&self) -> impl FnMut(u64, &[u64]) -> Option<fault::Fault> {
+        let (at, row) = (self.stage as u64 * FAULT_AXIS_CHUNK, self.fault);
+        let cancel = Arc::clone(&self.cancel);
+        let mut reads = 0;
+        move |_, start| {
+            if start[0] != at {
+                return None;
+            }
+            reads += 1;
+            match row {
+                Fault::TransientOnce => (reads == 1).then_some(fault::Fault::Transient),
+                Fault::TransientForever => Some(fault::Fault::Transient),
+                Fault::PersistentIo => Some(fault::Fault::Persistent),
+                Fault::Corruption => Some(fault::Fault::Corrupt),
+                Fault::GovernorDenial => {
+                    governor::set_budget(Some(1));
+                    None
+                }
+                // Interrupted at once under a statement's 1 ms deadline; a
+                // short stall where no statement's limits are installed.
+                Fault::Deadline => Some(fault::Fault::Latency(Duration::from_millis(20))),
+                // Raised mid-read; the stall polls it before the read.
+                Fault::Cancel => {
+                    cancel.store(true, Ordering::SeqCst);
+                    Some(fault::Fault::Latency(Duration::ZERO))
+                }
+            }
+        }
+    }
+
     fn source(&self, kind: &str) -> Result<Box<dyn ChunkSource>, LangError> {
         let mem = || MemChunkSource::new(vec![FAULT_AXIS_CELLS], ScalarBuf::F64(Self::cells()));
         Ok(match kind {
@@ -432,7 +424,7 @@ impl FaultyReader {
                     .expect("a consistent variable");
                 let bytes = aql::netcdf::write::to_bytes(&file, VERSION_CLASSIC).expect("serialises");
                 let open = move || Ok(std::io::Cursor::new(bytes.clone()));
-                Box::new(aql::netcdf::chunk::NcChunkSource::new(open, "v", vec![0]))
+                Box::new(NcChunkSource::new(open, "v", vec![0]))
             }
             other => return Err(LangError::session(format!("FAULTY: no source kind `{other}`"))),
         })
@@ -444,13 +436,7 @@ impl Reader for FaultyReader {
         let Value::Str(kind) = arg else {
             return Err(LangError::session("FAULTY expects a source kind"));
         };
-        let faulty = FaultAt {
-            inner: self.source(kind)?,
-            at: self.stage as u64 * FAULT_AXIS_CHUNK,
-            fault: self.fault,
-            reads: 0,
-            cancel: Arc::clone(&self.cancel),
-        };
+        let faulty = FaultyChunkSource::new(self.source(kind)?, self.schedule());
         let label = format!("axis:{kind}");
         let source = ResilientSource::new(faulty, label.clone(), ResiliencePolicy::default());
         let layout = ChunkLayout::new(vec![FAULT_AXIS_CELLS], vec![FAULT_AXIS_CHUNK])?;
@@ -459,5 +445,41 @@ impl Reader for FaultyReader {
         // with its type (`From<StoreError> for LangError`).
         lazy.get(&[0])?;
         Ok((Value::Array(Rc::new(ArrayVal::lazy(lazy)?)), Some(Type::array1(Type::Real))))
+    }
+}
+
+// ---- NETCDFk under a fault schedule ----------------------------------------
+
+/// A fault schedule, boxed so a reader can hold one until it binds.
+type Schedule = Box<dyn FnMut(u64, &[u64]) -> Option<fault::Fault>>;
+
+/// `NETCDFk` with a fault schedule: the stock reader's own binding
+/// (`NetcdfSlabReader::bind`) with `FaultyChunkSource` between the
+/// `NcChunkSource` and the resilience stack, as [`FaultyReader`] binds
+/// its sources. One `readval` per reader: the schedule moves into the
+/// array it binds.
+pub struct ScheduledNetcdf {
+    /// The reader that binds; set its `resilience` to change the stack.
+    pub stock: NetcdfSlabReader,
+    schedule: RefCell<Option<Schedule>>,
+}
+
+impl ScheduledNetcdf {
+    pub fn new(
+        k: usize,
+        schedule: impl FnMut(u64, &[u64]) -> Option<fault::Fault> + 'static,
+    ) -> ScheduledNetcdf {
+        ScheduledNetcdf {
+            stock: NetcdfSlabReader::lazy(k),
+            schedule: RefCell::new(Some(Box::new(schedule))),
+        }
+    }
+}
+
+impl Reader for ScheduledNetcdf {
+    fn read(&self, arg: &Value) -> Result<(Value, Option<Type>), LangError> {
+        let schedule = self.schedule.borrow_mut().take();
+        let schedule = schedule.ok_or_else(|| LangError::session("the schedule is bound already"))?;
+        self.stock.bind(arg, |source| Box::new(FaultyChunkSource::new(source, schedule)))
     }
 }

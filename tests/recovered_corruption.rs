@@ -9,14 +9,18 @@
 //!
 //! Its own binary: the diagnosis reads the process-wide live journal.
 
+mod common;
+
 use std::rc::Rc;
 
 use aql::journal::{doctor, Tag};
 use aql::lang::session::Session;
-use aql::netcdf::driver::{register_netcdf, NetcdfSlabReader};
+use aql::netcdf::driver::register_netcdf;
 use aql::trace::json::Json;
 use aql_core::value::Value;
-use aql_store::ChunkFaultPlan;
+use aql_store::Fault;
+
+use common::ScheduledNetcdf;
 
 #[test]
 fn a_repaired_checksum_mismatch_is_journaled_and_the_doctor_names_it() {
@@ -34,11 +38,7 @@ fn a_repaired_checksum_mismatch_is_journaled_and_the_doctor_names_it() {
 
     // The first payload the source delivers is corrupted in flight;
     // the resilience stack is the default one.
-    let mut reader = NetcdfSlabReader::lazy(2);
-    reader.chaos = Some(ChunkFaultPlan {
-        corrupt_ops: [0u64].into_iter().collect(),
-        ..ChunkFaultPlan::default()
-    });
+    let reader = ScheduledNetcdf::new(2, |op, _| (op == 0).then_some(Fault::Corrupt));
     s.register_reader("NETCDF2", Rc::new(reader));
     // The statement that meets the corruption (the bind previews the
     // array, which loads its one chunk) succeeds, and what it cached is

@@ -33,7 +33,7 @@ use aql_core::types::Type;
 use aql_core::value::array::ArrayVal;
 use aql_core::value::Value;
 use aql_store::{
-    ChunkFaultPlan, ChunkLayout, FaultyChunkSource, LazyArray, MemChunkSource, ResiliencePolicy,
+    ChunkLayout, Fault, FaultyChunkSource, LazyArray, MemChunkSource, ResiliencePolicy,
     ResilientSource, RetryPolicy, ScalarBuf, ScalarKind,
 };
 
@@ -45,10 +45,7 @@ const N: u64 = 64;
 /// transiently.
 fn bind_flaky(s: &mut Session) {
     let data = ScalarBuf::F64((0..N).map(|i| i as f64).collect());
-    let plan = ChunkFaultPlan {
-        transient_ops: [0u64].into_iter().collect(),
-        ..ChunkFaultPlan::default()
-    };
+    let plan = |op, _: &[u64]| (op == 0).then_some(Fault::Transient);
     let policy = ResiliencePolicy {
         retry: RetryPolicy {
             base: Duration::ZERO,

@@ -27,7 +27,7 @@ use aql_journal::{emit, ErrorClass, Event};
 use aql_core::check::{type_compatible, typecheck};
 use aql_core::error::EvalError;
 use aql_core::eval::{EvalCtx, EvalStats, Limits};
-use aql_core::expr::children::map_children;
+use aql_core::expr::children::for_each_child_mut;
 use aql_core::expr::{name, Expr, Name};
 use aql_core::prim::{Extensions, NativeFn};
 use aql_core::types::Type;
@@ -1210,29 +1210,29 @@ impl Session {
     /// stored fully resolved), externals become [`Expr::Ext`], `val`s
     /// become [`Expr::Global`]. Lexically bound names are untouched.
     pub fn resolve(&self, e: &Expr) -> Expr {
-        self.resolve_in(e, &mut Vec::new())
+        let mut resolved = e.clone();
+        self.resolve_in(&mut resolved, &mut Vec::new());
+        resolved
     }
 
-    fn resolve_in(&self, e: &Expr, bound: &mut Vec<Name>) -> Expr {
+    fn resolve_in(&self, e: &mut Expr, bound: &mut Vec<Name>) {
         if let Expr::Var(x) = e {
             if bound.contains(x) {
-                return e.clone();
+                return;
             }
             if let Some(m) = self.macros.get(x) {
-                return m.0.clone();
+                *e = m.0.clone();
+            } else if self.externals.get(x).is_some() {
+                *e = Expr::Ext(x.clone());
+            } else if self.vals.contains_key(x) {
+                *e = Expr::Global(x.clone());
             }
-            if self.externals.get(x).is_some() {
-                return Expr::Ext(x.clone());
-            }
-            if self.vals.contains_key(x) {
-                return Expr::Global(x.clone());
-            }
+            return;
         }
-        map_children(e, &mut |binders, c| {
+        for_each_child_mut(e, &mut |binders, c| {
             bound.extend_from_slice(binders);
-            let resolved = self.resolve_in(c, bound);
+            self.resolve_in(c, bound);
             bound.truncate(bound.len() - binders.len());
-            resolved
         })
     }
 

@@ -36,24 +36,26 @@ fn bump_unsound_metric(phase: &str, rule: &str) {
     .inc();
 }
 
-/// A rewrite rule. `apply` inspects only the *root* of the given
-/// expression and returns the replacement if the rule fires; the
-/// engine handles traversal. Rules must be semantics-preserving (for
-/// error-free programs, per the paper's conventions) and, jointly,
-/// terminating.
+/// A rewrite rule. `apply` inspects only the *root* of the node it is
+/// handed and owns it: it returns the replacement if the rule fires,
+/// moving the redex's parts into it, and hands the node back untouched
+/// if not. The engine handles traversal. Rules must be
+/// semantics-preserving (for error-free programs, per the paper's
+/// conventions) and, jointly, terminating.
 pub trait Rule {
     /// Rule name, used in traces.
     fn name(&self) -> &'static str;
     /// The root constructors `apply` can match. The engine offers a node
     /// only to the rules that list its head, so this is a promise:
-    /// `apply(e)` is `None` whenever `e.head()` is not listed (debug
+    /// `apply(e)` is `Err(e)` whenever `e.head()` is not listed (debug
     /// builds check it at every node). The default — every head — is
     /// always sound and is what a rule registered at run time gets.
     fn heads(&self) -> &'static [Head] {
         Head::ALL
     }
-    /// Attempt to rewrite the root of `e`.
-    fn apply(&self, e: &Expr) -> Option<Expr>;
+    /// Rewrite the root of `e`: `Ok` is the contractum, `Err` hands the
+    /// redex back untouched.
+    fn apply(&self, e: Expr) -> Result<Expr, Expr>;
 }
 
 /// A user-supplied rule panicked during application. The engine
@@ -305,15 +307,19 @@ impl Phase {
     }
 
     /// One bottom-up pass, in place: rewrite the children first
-    /// (tracking the binders in scope so the gate can verify rewrites of
+    /// (tracking the binders in scope when the gate verifies rewrites of
     /// open subterms), then offer this node to the rules that list its
     /// head, in registration order and from the first again after every
-    /// firing, until none fires (bounded). Only a firing allocates.
+    /// firing, until none fires (bounded). A rule that declines hands the
+    /// node back, so only a firing allocates — and one copy of the node
+    /// per visit when the gate or a trace needs the redex.
     fn pass(&self, e: &mut Expr, st: &mut Pass<'_, '_>) -> Result<(), OptError> {
+        let per_fire = st.gate.per_fire;
         try_for_each_child_mut(e, &mut |binders, child| {
-            st.scope.extend_from_slice(binders);
+            let scoped = if per_fire { binders.len() } else { 0 };
+            st.scope.extend_from_slice(&binders[..scoped]);
             let done = self.pass(child, st);
-            st.scope.truncate(st.scope.len() - binders.len());
+            st.scope.truncate(st.scope.len() - scoped);
             done
         })?;
         st.visits += 1;
@@ -323,19 +329,34 @@ impl Phase {
             #[cfg(debug_assertions)]
             for (_, r) in self.rules.iter().enumerate().filter(|(i, _)| !offered.contains(i)) {
                 let (name, head) = (r.name(), e.head());
-                assert!(r.apply(e).is_none(), "`{name}` fired at a {head:?} its heads() omit");
+                let back = r.apply(e.take());
+                assert!(back.is_err(), "`{name}` fired at a {head:?} its heads() omit");
+                *e = back.unwrap_or_else(|declined| declined);
             }
+            let redex = (st.gate.per_fire || st.trace.is_some()).then(|| e.clone());
             for &index in offered {
                 st.applies += 1;
-                let Some(next) = self.apply_checked(&self.rules[index], e)? else { continue };
-                let rule = self.rules[index].name();
-                if st.gate.per_fire {
-                    if let Err(message) = check_rewrite(e, &next, &st.scope) {
-                        return Err(self.unsound(rule, message));
+                let next = match self.apply_checked(&self.rules[index], e.take())? {
+                    Ok(next) => next,
+                    // Declining hands the node back as it came: what a
+                    // rule changes, the gate must see.
+                    Err(back) if st.gate.per_fire && redex.as_ref() != Some(&back) => {
+                        let message = "declined, but changed the node it was handed".into();
+                        return Err(self.unsound(self.rules[index].name(), message));
                     }
+                    Err(back) => {
+                        *e = back;
+                        continue;
+                    }
+                };
+                let rule = self.rules[index].name();
+                let (redex, scope) = (redex.as_ref(), &st.scope);
+                let checked = redex.filter(|_| st.gate.per_fire).map(|r| check_rewrite(r, &next, scope));
+                if let Some(Err(message)) = checked {
+                    return Err(self.unsound(rule, message));
                 }
-                if let Some(t) = st.trace.as_deref_mut() {
-                    t.steps.push(TraceStep::new(&self.name, rule, e, &next));
+                if let (Some(t), Some(redex)) = (st.trace.as_deref_mut(), redex) {
+                    t.steps.push(TraceStep::new(&self.name, rule, redex, &next));
                 }
                 aql_trace::count_with(|| format!("fire:{}/{rule}", self.name), 1);
                 self.fires[index]
@@ -359,8 +380,9 @@ impl Phase {
     }
 
     /// Apply one rule with a panic guard: rules are extension code, so
-    /// a panic inside `apply` must not take down the host.
-    fn apply_checked(&self, r: &Rc<dyn Rule>, e: &Expr) -> Result<Option<Expr>, RulePanic> {
+    /// a panic inside `apply` must not take down the host. The node it
+    /// was handed is lost with the panic; the run is discarded.
+    fn apply_checked(&self, r: &Rc<dyn Rule>, e: Expr) -> Result<Result<Expr, Expr>, RulePanic> {
         catch_unwind(AssertUnwindSafe(|| r.apply(e))).map_err(|payload| {
             let message = aql_core::prim::panic_message(payload.as_ref());
             RulePanic { phase: self.name.clone(), rule: r.name(), message }
@@ -462,12 +484,10 @@ mod tests {
         fn name(&self) -> &'static str {
             "zero-add"
         }
-        fn apply(&self, e: &Expr) -> Option<Expr> {
+        fn apply(&self, e: Expr) -> Result<Expr, Expr> {
             match e {
-                Expr::Arith(aql_core::expr::ArithOp::Add, a, b) if **a == Expr::Nat(0) => {
-                    Some((**b).clone())
-                }
-                _ => None,
+                Expr::Arith(aql_core::expr::ArithOp::Add, a, b) if *a == Expr::Nat(0) => Ok(*b),
+                e => Err(e),
             }
         }
     }
@@ -514,10 +534,10 @@ mod tests {
     }
 
     #[test]
-    fn map_children_rebuilds() {
-        let e = add(nat(1), nat(2));
-        let got = aql_core::expr::children::map_children(&e, &mut |_, _| nat(9));
-        assert_eq!(got, add(nat(9), nat(9)));
+    fn for_each_child_mut_rewrites_in_place() {
+        let mut e = add(nat(1), nat(2));
+        aql_core::expr::children::for_each_child_mut(&mut e, &mut |_, c| *c = nat(9));
+        assert_eq!(e, add(nat(9), nat(9)));
     }
 
     /// A hostile rule that never stops rewriting (ping-pongs between
@@ -528,10 +548,10 @@ mod tests {
         fn name(&self) -> &'static str {
             "ping-pong"
         }
-        fn apply(&self, e: &Expr) -> Option<Expr> {
+        fn apply(&self, e: Expr) -> Result<Expr, Expr> {
             match e {
-                Expr::Arith(op, a, b) => Some(Expr::Arith(*op, b.clone(), a.clone())),
-                _ => None,
+                Expr::Arith(op, a, b) => Ok(Expr::Arith(op, b, a)),
+                e => Err(e),
             }
         }
     }
@@ -586,7 +606,7 @@ mod tests {
         fn heads(&self) -> &'static [Head] {
             &[Head::Arith]
         }
-        fn apply(&self, e: &Expr) -> Option<Expr> {
+        fn apply(&self, e: Expr) -> Result<Expr, Expr> {
             ZeroAdd.apply(e)
         }
     }
@@ -632,12 +652,10 @@ mod tests {
         fn name(&self) -> &'static str {
             "zero-add" // duplicate across phases, intentionally
         }
-        fn apply(&self, e: &Expr) -> Option<Expr> {
+        fn apply(&self, e: Expr) -> Result<Expr, Expr> {
             match e {
-                Expr::Arith(aql_core::expr::ArithOp::Mul, a, b) if **b == Expr::Nat(1) => {
-                    Some((**a).clone())
-                }
-                _ => None,
+                Expr::Arith(aql_core::expr::ArithOp::Mul, a, b) if *b == Expr::Nat(1) => Ok(*a),
+                e => Err(e),
             }
         }
     }
@@ -710,8 +728,12 @@ mod tests {
         fn name(&self) -> &'static str {
             self.name
         }
-        fn apply(&self, e: &Expr) -> Option<Expr> {
-            (*e == self.from).then(|| self.to.clone())
+        fn apply(&self, e: Expr) -> Result<Expr, Expr> {
+            if e == self.from {
+                Ok(self.to.clone())
+            } else {
+                Err(e)
+            }
         }
     }
 
@@ -781,6 +803,35 @@ mod tests {
             assert!(v.message.contains(says), "{name}: {}", v.message);
             assert!(err.to_string().contains(name), "{err}");
         }
+    }
+
+    /// Declines every node, but swaps an addition's operands first: a
+    /// rewrite the gate would never see if it trusted `Err`.
+    struct ChangesWhatItDeclines;
+    impl Rule for ChangesWhatItDeclines {
+        fn name(&self) -> &'static str {
+            "changes-what-it-declines"
+        }
+        fn apply(&self, e: Expr) -> Result<Expr, Expr> {
+            match e {
+                Expr::Arith(op, a, b) => Err(Expr::Arith(op, b, a)),
+                e => Err(e),
+            }
+        }
+    }
+
+    #[test]
+    fn the_gate_rejects_a_rule_that_changes_a_node_it_declines() {
+        let mut p = Phase::new("normalize");
+        p.add_rule(Rc::new(ChangesWhatItDeclines));
+        let opt = Optimizer::with_phases(vec![p]);
+        let e = add(nat(1), var("x"));
+        let off = opt.run(&e, &Gate::off(), None).expect("gate off");
+        assert_eq!(off, add(var("x"), nat(1)), "ungated, the change slips through unseen");
+        let err = opt.run(&e, &Gate::local(), None).expect_err("the gate sees it");
+        let OptError::Unsound(v) = &err else { panic!("expected Unsound, got {err}") };
+        assert_eq!((v.phase.as_str(), v.rule), ("normalize", "changes-what-it-declines"));
+        assert!(v.message.contains("declined"), "{}", v.message);
     }
 
     #[test]

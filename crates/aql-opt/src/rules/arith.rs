@@ -21,10 +21,10 @@ impl Rule for SumEmptySrc {
     fn heads(&self) -> &'static [Head] {
         &[Head::Sum]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         match e {
-            Expr::Sum { src, .. } if **src == Expr::Empty => Some(Expr::Nat(0)),
-            _ => None,
+            Expr::Sum { src, .. } if *src == Expr::Empty => Ok(Expr::Nat(0)),
+            e => Err(e),
         }
     }
 }
@@ -39,14 +39,12 @@ impl Rule for SumSingletonSrc {
     fn heads(&self) -> &'static [Head] {
         &[Head::Sum]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        match e {
-            Expr::Sum { head, var, src } => match &**src {
-                Expr::Single(x) => Some(subst(head, var, x)),
-                _ => None,
-            },
-            _ => None,
-        }
+    fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
+        let Expr::Sum { head, var, src } = &mut e else { return Err(e) };
+        let Expr::Single(x) = &mut **src else { return Err(e) };
+        let mut out = head.take();
+        subst(&mut out, var, x.take());
+        Ok(out)
     }
 }
 
@@ -61,26 +59,21 @@ impl Rule for SumFilterPromotion {
     fn heads(&self) -> &'static [Head] {
         &[Head::Sum]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         match e {
-            Expr::Sum { head, var, src } => match &**head {
-                Expr::If(p, t, f) if **f == Expr::Nat(0) && !is_free_in(var, p) => {
-                    Some(Expr::If(
-                        p.clone(),
-                        Expr::Sum {
-                            head: t.clone(),
-                            var: var.clone(),
-                            src: src.clone(),
-                        }
-                        .boxed(),
-                        Expr::Nat(0).boxed(),
-                    ))
-                }
-                _ => None,
-            },
-            _ => None,
+            Expr::Sum { head, var, src } if promotable(&head, &var, &Expr::Nat(0)) => {
+                let Expr::If(p, t, f) = *head else { unreachable!("matched above") };
+                Ok(Expr::If(p, Expr::Sum { head: t, var, src }.boxed(), f))
+            }
+            e => Err(e),
         }
     }
+}
+
+/// Is `head` a filter `if p then e else zero` whose test `p` does not
+/// mention the loop variable?
+pub(crate) fn promotable(head: &Expr, var: &str, zero: &Expr) -> bool {
+    matches!(head, Expr::If(p, _, f) if **f == *zero && !is_free_in(var, p))
 }
 
 /// Constant folding on natural literals: arithmetic (respecting monus,
@@ -96,48 +89,41 @@ impl Rule for ConstFold {
     fn heads(&self) -> &'static [Head] {
         &[Head::Arith, Head::Cmp]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        match e {
-            Expr::Arith(op, a, b) => match (&**a, &**b) {
-                (Expr::Nat(x), Expr::Nat(y)) => Some(match op {
-                    ArithOp::Add => Expr::Nat(x.checked_add(*y)?),
-                    ArithOp::Monus => Expr::Nat(x.saturating_sub(*y)),
-                    ArithOp::Mul => Expr::Nat(x.checked_mul(*y)?),
-                    ArithOp::Div => {
-                        if *y == 0 {
-                            Expr::Bottom
-                        } else {
-                            Expr::Nat(x / y)
-                        }
+    fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
+        match &mut e {
+            Expr::Arith(op, a, b) => {
+                let folded = match (&**a, &**b) {
+                    (Expr::Nat(x), Expr::Nat(y)) => match op {
+                        ArithOp::Add => x.checked_add(*y).map(Expr::Nat),
+                        ArithOp::Monus => Some(Expr::Nat(x.saturating_sub(*y))),
+                        ArithOp::Mul => x.checked_mul(*y).map(Expr::Nat),
+                        ArithOp::Div if *y == 0 => Some(Expr::Bottom),
+                        ArithOp::Div => Some(Expr::Nat(x / y)),
+                        ArithOp::Mod if *y == 0 => Some(Expr::Bottom),
+                        ArithOp::Mod => Some(Expr::Nat(x % y)),
+                    },
+                    // Unit laws (sound without evaluating the operand —
+                    // except that they do not discard anything).
+                    (Expr::Nat(0), _) if *op == ArithOp::Add => Some(b.take()),
+                    (_, Expr::Nat(0)) if matches!(op, ArithOp::Add | ArithOp::Monus) => {
+                        Some(a.take())
                     }
-                    ArithOp::Mod => {
-                        if *y == 0 {
-                            Expr::Bottom
-                        } else {
-                            Expr::Nat(x % y)
-                        }
+                    (Expr::Nat(1), _) if *op == ArithOp::Mul => Some(b.take()),
+                    (_, Expr::Nat(1)) if matches!(op, ArithOp::Mul | ArithOp::Div) => {
+                        Some(a.take())
                     }
-                }),
-                // Unit laws (sound without evaluating the operand —
-                // except that they do not discard anything).
-                (Expr::Nat(0), _) if *op == ArithOp::Add => Some((**b).clone()),
-                (_, Expr::Nat(0)) if matches!(op, ArithOp::Add | ArithOp::Monus) => {
-                    Some((**a).clone())
-                }
-                (Expr::Nat(1), _) if *op == ArithOp::Mul => Some((**b).clone()),
-                (_, Expr::Nat(1)) if matches!(op, ArithOp::Mul | ArithOp::Div) => {
-                    Some((**a).clone())
-                }
-                _ => None,
-            },
+                    _ => None,
+                };
+                folded.ok_or(e)
+            }
             Expr::Cmp(op, a, b) => {
                 let ord = match (&**a, &**b) {
                     (Expr::Nat(x), Expr::Nat(y)) => x.cmp(y),
                     (Expr::Bool(x), Expr::Bool(y)) => x.cmp(y),
                     (Expr::Str(x), Expr::Str(y)) => x.cmp(y),
-                    _ => return None,
+                    _ => return Err(e),
                 };
-                Some(Expr::Bool(match op {
+                Ok(Expr::Bool(match op {
                     CmpOp::Eq => ord.is_eq(),
                     CmpOp::Ne => ord.is_ne(),
                     CmpOp::Lt => ord.is_lt(),
@@ -146,7 +132,7 @@ impl Rule for ConstFold {
                     CmpOp::Ge => ord.is_ge(),
                 }))
             }
-            _ => None,
+            _ => Err(e),
         }
     }
 }
@@ -159,9 +145,9 @@ mod tests {
     #[test]
     fn sum_unit_laws() {
         let e = sum("x", empty(), var("x"));
-        assert_eq!(SumEmptySrc.apply(&e).unwrap(), nat(0));
+        assert_eq!(SumEmptySrc.apply(e.clone()).unwrap(), nat(0));
         let e = sum("x", single(nat(5)), mul(var("x"), var("x")));
-        assert_eq!(SumSingletonSrc.apply(&e).unwrap(), mul(nat(5), nat(5)));
+        assert_eq!(SumSingletonSrc.apply(e.clone()).unwrap(), mul(nat(5), nat(5)));
     }
 
     #[test]
@@ -171,7 +157,7 @@ mod tests {
             gen(nat(4)),
             iff(gt(var("n"), nat(0)), var("x"), nat(0)),
         );
-        let got = SumFilterPromotion.apply(&e).unwrap();
+        let got = SumFilterPromotion.apply(e.clone()).unwrap();
         assert!(matches!(got, Expr::If(..)));
         // x-dependent predicate does not promote.
         let e = sum(
@@ -179,41 +165,41 @@ mod tests {
             gen(nat(4)),
             iff(gt(var("x"), nat(0)), var("x"), nat(0)),
         );
-        assert!(SumFilterPromotion.apply(&e).is_none());
+        assert!(SumFilterPromotion.apply(e.clone()).is_err());
     }
 
     #[test]
     fn folding_arithmetic() {
-        assert_eq!(ConstFold.apply(&add(nat(2), nat(3))).unwrap(), nat(5));
-        assert_eq!(ConstFold.apply(&monus(nat(2), nat(5))).unwrap(), nat(0));
-        assert_eq!(ConstFold.apply(&div(nat(7), nat(0))).unwrap(), bottom());
-        assert_eq!(ConstFold.apply(&modulo(nat(9), nat(4))).unwrap(), nat(1));
+        assert_eq!(ConstFold.apply(add(nat(2), nat(3))).unwrap(), nat(5));
+        assert_eq!(ConstFold.apply(monus(nat(2), nat(5))).unwrap(), nat(0));
+        assert_eq!(ConstFold.apply(div(nat(7), nat(0))).unwrap(), bottom());
+        assert_eq!(ConstFold.apply(modulo(nat(9), nat(4))).unwrap(), nat(1));
         // Overflow is left for the evaluator to report.
-        assert!(ConstFold.apply(&mul(nat(u64::MAX), nat(2))).is_none());
+        assert!(ConstFold.apply(mul(nat(u64::MAX), nat(2))).is_err());
     }
 
     #[test]
     fn unit_laws() {
-        assert_eq!(ConstFold.apply(&add(var("e"), nat(0))).unwrap(), var("e"));
-        assert_eq!(ConstFold.apply(&add(nat(0), var("e"))).unwrap(), var("e"));
-        assert_eq!(ConstFold.apply(&mul(var("e"), nat(1))).unwrap(), var("e"));
-        assert_eq!(ConstFold.apply(&mul(nat(1), var("e"))).unwrap(), var("e"));
-        assert_eq!(ConstFold.apply(&monus(var("e"), nat(0))).unwrap(), var("e"));
-        assert_eq!(ConstFold.apply(&div(var("e"), nat(1))).unwrap(), var("e"));
+        assert_eq!(ConstFold.apply(add(var("e"), nat(0))).unwrap(), var("e"));
+        assert_eq!(ConstFold.apply(add(nat(0), var("e"))).unwrap(), var("e"));
+        assert_eq!(ConstFold.apply(mul(var("e"), nat(1))).unwrap(), var("e"));
+        assert_eq!(ConstFold.apply(mul(nat(1), var("e"))).unwrap(), var("e"));
+        assert_eq!(ConstFold.apply(monus(var("e"), nat(0))).unwrap(), var("e"));
+        assert_eq!(ConstFold.apply(div(var("e"), nat(1))).unwrap(), var("e"));
         // e*0 is NOT folded: it would discard a possibly-erroneous e.
-        assert!(ConstFold.apply(&mul(var("e"), nat(0))).is_none());
+        assert!(ConstFold.apply(mul(var("e"), nat(0))).is_err());
     }
 
     #[test]
     fn folding_comparisons() {
         assert_eq!(
-            ConstFold.apply(&lt(nat(1), nat(2))).unwrap(),
+            ConstFold.apply(lt(nat(1), nat(2))).unwrap(),
             Expr::Bool(true)
         );
         assert_eq!(
-            ConstFold.apply(&eq(strlit("a"), strlit("b"))).unwrap(),
+            ConstFold.apply(eq(strlit("a"), strlit("b"))).unwrap(),
             Expr::Bool(false)
         );
-        assert!(ConstFold.apply(&lt(var("x"), nat(2))).is_none());
+        assert!(ConstFold.apply(lt(var("x"), nat(2))).is_err());
     }
 }

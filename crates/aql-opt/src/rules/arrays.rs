@@ -13,26 +13,40 @@
 //! bodies, as the paper notes). Experiments E3, E5 and E6 measure
 //! exactly these effects.
 
-use aql_core::expr::free::{fresh, is_free_in, subst};
-use aql_core::expr::{Expr, Head, Name};
+use aql_core::expr::free::{is_free_in, subst_all};
+use aql_core::expr::{CmpOp, Expr, Head};
 
 use crate::engine::Rule;
 
-/// Extract the per-dimension index expressions of a subscript whose
-/// tabulated array has `k` index binders: either `k` separate index
-/// expressions or a single literal k-tuple.
-fn subscript_components(indices: &[Expr], k: usize) -> Option<Vec<Expr>> {
-    if indices.len() == k {
-        return Some(indices.to_vec());
+/// The per-dimension index expressions of a subscript whose array has
+/// `k` dimensions: either `k` separate index expressions or a single
+/// literal k-tuple.
+fn subscript_components(indices: &[Expr], k: usize) -> Option<&[Expr]> {
+    match indices {
+        _ if indices.len() == k => Some(indices),
+        [Expr::Tuple(comps)] if k > 1 && comps.len() == k => Some(comps),
+        _ => None,
     }
-    if indices.len() == 1 && k > 1 {
-        if let Expr::Tuple(comps) = &indices[0] {
-            if comps.len() == k {
-                return Some(comps.clone());
-            }
-        }
+}
+
+/// [`subscript_components`], taking them: `Err` hands `indices` back.
+fn into_components(mut indices: Vec<Expr>, k: usize) -> Result<Vec<Expr>, Vec<Expr>> {
+    match subscript_components(&indices, k) {
+        Some(comps) if comps.len() == indices.len() => Ok(indices),
+        Some(_) => match indices.pop() {
+            Some(Expr::Tuple(comps)) => Ok(comps),
+            _ => unreachable!("a single k-tuple, matched above"),
+        },
+        None => Err(indices),
     }
-    None
+}
+
+/// The natural literal `e` is, if it is one.
+fn nat_lit(e: &Expr) -> Option<u64> {
+    match e {
+        Expr::Nat(n) => Some(*n),
+        _ => None,
+    }
 }
 
 /// `β^p`: subscripting a tabulation becomes a bound-checked
@@ -46,37 +60,26 @@ impl Rule for BetaPartial {
     fn heads(&self) -> &'static [Head] {
         &[Head::Sub]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        let Expr::Sub(arr, indices) = e else { return None };
-        let Expr::Tab { head, idx } = &**arr else { return None };
-        let comps = subscript_components(indices, idx.len())?;
-
-        // α-rename the index binders to fresh names first, so index
-        // expressions that happen to mention variables with the same
-        // names as later binders cannot be confused during the
-        // sequential substitution.
-        let mut body = (**head).clone();
-        let mut fresh_names: Vec<Name> = Vec::with_capacity(idx.len());
-        for (n, _) in idx {
-            let f = fresh(n);
-            body = subst(&body, n, &Expr::Var(f.clone()));
-            fresh_names.push(f);
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
+        let Expr::Sub(arr, indices) = e else { return Err(e) };
+        let Expr::Tab { idx, .. } = &*arr else { return Err(Expr::Sub(arr, indices)) };
+        let mut comps = match into_components(indices, idx.len()) {
+            Ok(comps) => comps,
+            Err(indices) => return Err(Expr::Sub(arr, indices)),
+        };
+        let Expr::Tab { mut head, mut idx } = *arr else { unreachable!("matched above") };
+        // Each index expression goes beside its binder, to be substituted
+        // for it — all at once, so that an index mentioning a variable
+        // named like a later binder is not substituted again — and its
+        // bound check, `c_j < b_j`, takes the bound's place.
+        for ((_, bound), c) in idx.iter_mut().zip(comps.iter_mut()) {
+            let check = Expr::Cmp(CmpOp::Lt, c.clone().boxed(), bound.take().boxed());
+            *bound = std::mem::replace(c, check);
         }
-        for (f, c) in fresh_names.iter().zip(comps.iter()) {
-            body = subst(&body, f, c);
-        }
-        // Wrap in bound checks, outermost dimension first:
-        // if e1 < b1 then (… body …) else ⊥.
-        let mut out = body;
-        for ((_, bound), c) in idx.iter().zip(comps.iter()).rev() {
-            out = Expr::If(
-                Expr::Cmp(aql_core::expr::CmpOp::Lt, c.clone().boxed(), bound.clone().boxed())
-                    .boxed(),
-                out.boxed(),
-                Expr::Bottom.boxed(),
-            );
-        }
-        Some(out)
+        subst_all(&mut head, &mut idx);
+        // if c1 < b1 then (… body …) else ⊥, outermost dimension first.
+        let wrap = |body: Expr, check: Expr| Expr::If(check.boxed(), body.boxed(), Expr::Bottom.boxed());
+        Ok(comps.into_iter().rev().fold(*head, wrap))
     }
 }
 
@@ -92,37 +95,34 @@ impl Rule for EtaPartial {
     fn heads(&self) -> &'static [Head] {
         &[Head::Tab]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        let Expr::Tab { head, idx } = e else { return None };
-        let k = idx.len();
-        let Expr::Sub(arr, indices) = &**head else { return None };
-        // The subscript must be exactly the index variables in order.
-        let comps = subscript_components(indices, k)?;
-        for ((n, _), c) in idx.iter().zip(comps.iter()) {
-            match c {
-                Expr::Var(v) if v == n => {}
-                _ => return None,
-            }
+    fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
+        if !copies_an_array(&e) {
+            return Err(e);
         }
-        // The source array must be index-variable-free.
-        for (n, _) in idx {
-            if is_free_in(n, arr) {
-                return None;
-            }
-        }
-        // Each bound must be the corresponding dimension of the array.
-        for (j, (_, bound)) in idx.iter().enumerate() {
-            let expect = if k == 1 {
-                Expr::Dim(1, arr.clone())
-            } else {
-                Expr::Proj(j + 1, k, Expr::Dim(k, arr.clone()).boxed())
-            };
-            if *bound != expect {
-                return None;
-            }
-        }
-        Some((**arr).clone())
+        let Expr::Tab { head, .. } = &mut e else { return Err(e) };
+        let Expr::Sub(arr, _) = &mut **head else { return Err(e) };
+        Ok(arr.take())
     }
+}
+
+/// Is `e` `[[a[i1,…,ik] | i1 < dim_{1,k}(a), …]]` with `a` free of the
+/// index variables?
+fn copies_an_array(e: &Expr) -> bool {
+    let Expr::Tab { head, idx } = e else { return false };
+    let k = idx.len();
+    let Expr::Sub(arr, indices) = &**head else { return false };
+    // The subscript must be exactly the index variables in order.
+    let Some(comps) = subscript_components(indices, k) else { return false };
+    let dim_of_arr = |d: &Expr| matches!(d, Expr::Dim(kd, a) if *kd == k && **a == **arr);
+    // Each bound must be the corresponding dimension of the array.
+    let is_dim = |j: usize, bound: &Expr| match bound {
+        _ if k == 1 => dim_of_arr(bound),
+        Expr::Proj(i, kp, d) => *i == j + 1 && *kp == k && dim_of_arr(d),
+        _ => false,
+    };
+    idx.iter().zip(comps).all(|((n, _), c)| matches!(c, Expr::Var(v) if v == n))
+        && idx.iter().all(|(n, _)| !is_free_in(n, arr))
+        && idx.iter().enumerate().all(|(j, (_, bound))| is_dim(j, bound))
 }
 
 /// `δ^p`: the dimensions of a tabulation are its bounds — no
@@ -136,16 +136,13 @@ impl Rule for DeltaPartial {
     fn heads(&self) -> &'static [Head] {
         &[Head::Dim]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        let Expr::Dim(k, arr) = e else { return None };
-        let Expr::Tab { idx, .. } = &**arr else { return None };
-        if idx.len() != *k {
-            return None;
-        }
-        if *k == 1 {
-            Some(idx[0].1.clone())
-        } else {
-            Some(Expr::Tuple(idx.iter().map(|(_, b)| b.clone()).collect()))
+    fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
+        let Expr::Dim(k, arr) = &mut e else { return Err(e) };
+        let Expr::Tab { idx, .. } = &mut **arr else { return Err(e) };
+        match idx.len() {
+            n if n != *k => Err(e),
+            1 => Ok(idx[0].1.take()),
+            _ => Ok(Expr::Tuple(idx.iter_mut().map(|(_, b)| b.take()).collect())),
         }
     }
 }
@@ -161,40 +158,27 @@ impl Rule for SubOfLiteral {
     fn heads(&self) -> &'static [Head] {
         &[Head::Sub]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        let Expr::Sub(arr, indices) = e else { return None };
-        let Expr::ArrayLit { dims, items } = &**arr else { return None };
-        let dim_vals: Option<Vec<u64>> = dims
-            .iter()
-            .map(|d| match d {
-                Expr::Nat(n) => Some(*n),
-                _ => None,
-            })
-            .collect();
-        let dim_vals = dim_vals?;
-        let comps = subscript_components(indices, dims.len())?;
-        let idx_vals: Option<Vec<u64>> = comps
-            .iter()
-            .map(|c| match c {
-                Expr::Nat(n) => Some(*n),
-                _ => None,
-            })
-            .collect();
-        let idx_vals = idx_vals?;
+    fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
+        let Expr::Sub(arr, indices) = &mut e else { return Err(e) };
+        let Expr::ArrayLit { dims, items } = &mut **arr else { return Err(e) };
+        let Some(total) = dims.iter().map(nat_lit).product::<Option<u64>>() else { return Err(e) };
+        let Some(comps) = subscript_components(indices, dims.len()) else { return Err(e) };
+        if !comps.iter().all(|c| nat_lit(c).is_some()) {
+            return Err(e);
+        }
         // Only fire on shape-consistent literals (others are ⊥ at
         // run time and are left to the evaluator).
-        let total: u64 = dim_vals.iter().product();
         if total != items.len() as u64 {
-            return None;
+            return Err(e);
         }
         let mut off: u64 = 0;
-        for (i, d) in idx_vals.iter().zip(dim_vals.iter()) {
+        for (i, d) in comps.iter().filter_map(nat_lit).zip(dims.iter().filter_map(nat_lit)) {
             if i >= d {
-                return Some(Expr::Bottom);
+                return Ok(Expr::Bottom);
             }
             off = off * d + i;
         }
-        Some(items[off as usize].clone())
+        Ok(items[off as usize].take())
     }
 }
 
@@ -208,31 +192,20 @@ impl Rule for DimOfLiteral {
     fn heads(&self) -> &'static [Head] {
         &[Head::Dim]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        let Expr::Dim(k, arr) = e else { return None };
-        let Expr::ArrayLit { dims, items } = &**arr else { return None };
-        if dims.len() != *k {
-            return None;
-        }
+    fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
+        let Expr::Dim(k, arr) = &mut e else { return Err(e) };
+        let Expr::ArrayLit { dims, items } = &mut **arr else { return Err(e) };
         // Only when the static shape is consistent (otherwise the
         // literal is ⊥ and dim of ⊥ is ⊥).
-        let dim_vals: Option<Vec<u64>> = dims
+        let inconsistent = dims
             .iter()
-            .map(|d| match d {
-                Expr::Nat(n) => Some(*n),
-                _ => None,
-            })
-            .collect();
-        if let Some(ds) = dim_vals {
-            let total: u64 = ds.iter().product();
-            if total != items.len() as u64 {
-                return None;
-            }
-        }
-        if *k == 1 {
-            Some(dims[0].clone())
-        } else {
-            Some(Expr::Tuple(dims.clone()))
+            .map(nat_lit)
+            .product::<Option<u64>>()
+            .is_some_and(|total| total != items.len() as u64);
+        match dims.len() {
+            n if n != *k || inconsistent => Err(e),
+            1 => Ok(dims[0].take()),
+            _ => Ok(Expr::Tuple(std::mem::take(dims))),
         }
     }
 }
@@ -249,7 +222,7 @@ mod tests {
     fn beta_p_one_dim() {
         // [[ i*2 | i < 10 ]][3] ⤳ if 3 < 10 then 3*2 else ⊥
         let e = sub(tab1("i", nat(10), mul(var("i"), nat(2))), vec![nat(3)]);
-        let got = BetaPartial.apply(&e).unwrap();
+        let got = BetaPartial.apply(e.clone()).unwrap();
         let expect = iff(lt(nat(3), nat(10)), mul(nat(3), nat(2)), bottom());
         assert!(alpha_eq(&got, &expect), "got {got}");
         assert_eq!(eval_closed(&e).unwrap(), eval_closed(&got).unwrap());
@@ -264,14 +237,14 @@ mod tests {
             ),
             vec![nat(1), nat(2)],
         );
-        let got = BetaPartial.apply(&e).unwrap();
+        let got = BetaPartial.apply(e.clone()).unwrap();
         assert_eq!(eval_closed(&got).unwrap(), Value::Nat(12));
         // Out-of-bounds also agrees (both ⊥).
         let e = sub(
             tab(vec![("i", nat(2)), ("j", nat(3))], var("i")),
             vec![nat(5), nat(0)],
         );
-        let got = BetaPartial.apply(&e).unwrap();
+        let got = BetaPartial.apply(e.clone()).unwrap();
         assert_eq!(eval_closed(&got).unwrap(), Value::Bottom);
     }
 
@@ -281,7 +254,7 @@ mod tests {
             tab(vec![("i", nat(2)), ("j", nat(2))], var("j")),
             vec![tuple(vec![nat(1), nat(0)])],
         );
-        let got = BetaPartial.apply(&e).unwrap();
+        let got = BetaPartial.apply(e.clone()).unwrap();
         assert_eq!(eval_closed(&got).unwrap(), Value::Nat(0));
     }
 
@@ -303,7 +276,7 @@ mod tests {
             Expr::Let(x, b, body) => Expr::Let(
                 x.clone(),
                 b.clone(),
-                BetaPartial.apply(body).unwrap().boxed(),
+                BetaPartial.apply((**body).clone()).unwrap().boxed(),
             ),
             _ => unreachable!(),
         };
@@ -315,7 +288,7 @@ mod tests {
     fn eta_p_contracts_copy() {
         // [[ A[i] | i < len A ]] ⤳ A
         let e = tab1("i", len(var("A")), sub(var("A"), vec![var("i")]));
-        assert_eq!(EtaPartial.apply(&e).unwrap(), var("A"));
+        assert_eq!(EtaPartial.apply(e.clone()).unwrap(), var("A"));
         // 2-d: [[ M[i,j] | i < dim_{1,2} M, j < dim_{2,2} M ]] ⤳ M
         let e = tab(
             vec![
@@ -324,7 +297,7 @@ mod tests {
             ],
             sub(var("M"), vec![var("i"), var("j")]),
         );
-        assert_eq!(EtaPartial.apply(&e).unwrap(), var("M"));
+        assert_eq!(EtaPartial.apply(e.clone()).unwrap(), var("M"));
     }
 
     #[test]
@@ -337,29 +310,29 @@ mod tests {
             ],
             sub(var("M"), vec![var("j"), var("i")]),
         );
-        assert!(EtaPartial.apply(&e).is_none());
+        assert!(EtaPartial.apply(e.clone()).is_err());
         // Wrong bound.
         let e = tab1("i", nat(5), sub(var("A"), vec![var("i")]));
-        assert!(EtaPartial.apply(&e).is_none());
+        assert!(EtaPartial.apply(e.clone()).is_err());
         // Source depends on the index variable.
         let e = tab1(
             "i",
             len(var("A")),
             sub(sub(var("A"), vec![var("i")]), vec![var("i")]),
         );
-        assert!(EtaPartial.apply(&e).is_none());
+        assert!(EtaPartial.apply(e.clone()).is_err());
     }
 
     #[test]
     fn delta_p_reads_bounds() {
         let e = len(tab1("i", add(var("n"), nat(1)), mul(var("i"), var("i"))));
-        assert_eq!(DeltaPartial.apply(&e).unwrap(), add(var("n"), nat(1)));
+        assert_eq!(DeltaPartial.apply(e.clone()).unwrap(), add(var("n"), nat(1)));
         let e = dim(
             2,
             tab(vec![("i", var("m")), ("j", var("n"))], var("i")),
         );
         assert_eq!(
-            DeltaPartial.apply(&e).unwrap(),
+            DeltaPartial.apply(e.clone()).unwrap(),
             tuple(vec![var("m"), var("n")])
         );
     }
@@ -368,21 +341,21 @@ mod tests {
     fn literal_rules() {
         let lit = array1_lit(vec![nat(10), nat(20), nat(30)]);
         let e = sub(lit.clone(), vec![nat(2)]);
-        assert_eq!(SubOfLiteral.apply(&e).unwrap(), nat(30));
+        assert_eq!(SubOfLiteral.apply(e.clone()).unwrap(), nat(30));
         let e = sub(lit.clone(), vec![nat(9)]);
-        assert_eq!(SubOfLiteral.apply(&e).unwrap(), bottom());
-        assert_eq!(DimOfLiteral.apply(&len(lit)).unwrap(), nat(3));
+        assert_eq!(SubOfLiteral.apply(e.clone()).unwrap(), bottom());
+        assert_eq!(DimOfLiteral.apply(len(lit)).unwrap(), nat(3));
         // 2-d literal.
         let m = array_lit(vec![nat(2), nat(2)], vec![nat(1), nat(2), nat(3), nat(4)]);
         let e = sub(m.clone(), vec![nat(1), nat(1)]);
-        assert_eq!(SubOfLiteral.apply(&e).unwrap(), nat(4));
+        assert_eq!(SubOfLiteral.apply(e.clone()).unwrap(), nat(4));
         assert_eq!(
-            DimOfLiteral.apply(&dim(2, m)).unwrap(),
+            DimOfLiteral.apply(dim(2, m)).unwrap(),
             tuple(vec![nat(2), nat(2)])
         );
         // Inconsistent static shape: leave for the evaluator.
         let bad = array_lit(vec![nat(2)], vec![nat(1), nat(2), nat(3)]);
-        assert!(SubOfLiteral.apply(&sub(bad.clone(), vec![nat(0)])).is_none());
-        assert!(DimOfLiteral.apply(&len(bad)).is_none());
+        assert!(SubOfLiteral.apply(sub(bad.clone(), vec![nat(0)])).is_err());
+        assert!(DimOfLiteral.apply(len(bad)).is_err());
     }
 }

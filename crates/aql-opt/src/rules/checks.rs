@@ -15,7 +15,7 @@
 //! the paper notes.
 
 use aql_core::expr::builder::lt;
-use aql_core::expr::{Expr, Head};
+use aql_core::expr::{CmpOp, Expr, Head, Name};
 
 use crate::engine::Rule;
 use super::replace_capture_aware;
@@ -31,26 +31,37 @@ impl Rule for TabBodyBound {
     fn heads(&self) -> &'static [Head] {
         &[Head::Tab]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        let Expr::Tab { head, idx } = e else { return None };
-        let mut body: Option<Expr> = None;
-        for (n, bound) in idx {
+    fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
+        let Expr::Tab { head, idx } = &mut e else { return Err(e) };
+        let mut fired = false;
+        for (n, bound) in idx.iter() {
             // The pattern `i_j < e_j`. replace_capture_aware refuses to
             // rewrite under binders that shadow `i_j` or the free
             // variables of `e_j`, which is exactly the paper's side
             // condition.
-            let pattern = lt(Expr::Var(n.clone()), bound.clone());
-            let so_far = body.as_ref().unwrap_or(head);
-            if let Some(next) = replace_capture_aware(so_far, &pattern, &Expr::Bool(true)) {
-                body = Some(next);
-            }
+            fired |= replace_bound_check(head, n, bound);
         }
-        Some(Expr::Tab { head: body?.boxed(), idx: idx.clone() })
+        if fired {
+            Ok(e)
+        } else {
+            Err(e)
+        }
     }
 }
 
+/// Replace every `x < bound` in `e` by `true`, capture-awarely. The
+/// pattern is built only if such a comparison occurs at all.
+fn replace_bound_check(e: &mut Expr, x: &Name, bound: &Expr) -> bool {
+    let mut occurs = false;
+    e.walk(&mut |n| {
+        occurs = occurs
+            || matches!(n, Expr::Cmp(CmpOp::Lt, a, b) if **b == *bound && matches!(&**a, Expr::Var(v) if v == x));
+    });
+    occurs && replace_capture_aware(e, &lt(Expr::Var(x.clone()), bound.clone()), &Expr::Bool(true))
+}
+
 /// Inside a loop over `gen(e)`, the test `x < e` is always true. Fires
-/// for `⋃`, `Σ`, and their ranked/bag analogues.
+/// for `⋃`, `Σ`, and their bag analogue.
 pub struct GenBodyBound;
 
 impl Rule for GenBodyBound {
@@ -60,37 +71,20 @@ impl Rule for GenBodyBound {
     fn heads(&self) -> &'static [Head] {
         &[Head::BigUnion, Head::Sum, Head::BigBagUnion]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        // Destructure any of the loop shapes over gen(e).
-        let (head, var, gen_arg) = match e {
-            Expr::BigUnion { head, var, src }
-            | Expr::Sum { head, var, src }
-            | Expr::BigBagUnion { head, var, src } => match &**src {
-                Expr::Gen(g) => (head, var, g),
-                _ => return None,
-            },
-            _ => return None,
+    fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
+        // Any of the loop shapes over gen(e).
+        let (Expr::BigUnion { head, var, src }
+        | Expr::Sum { head, var, src }
+        | Expr::BigBagUnion { head, var, src }) = &mut e
+        else {
+            return Err(e);
         };
-        let pattern = lt(Expr::Var(var.clone()), (**gen_arg).clone());
-        let body = replace_capture_aware(head, &pattern, &Expr::Bool(true))?;
-        Some(match e {
-            Expr::BigUnion { var, src, .. } => Expr::BigUnion {
-                head: body.boxed(),
-                var: var.clone(),
-                src: src.clone(),
-            },
-            Expr::Sum { var, src, .. } => Expr::Sum {
-                head: body.boxed(),
-                var: var.clone(),
-                src: src.clone(),
-            },
-            Expr::BigBagUnion { var, src, .. } => Expr::BigBagUnion {
-                head: body.boxed(),
-                var: var.clone(),
-                src: src.clone(),
-            },
-            _ => unreachable!("matched above"),
-        })
+        let Expr::Gen(gen_arg) = &**src else { return Err(e) };
+        if replace_bound_check(head, var, gen_arg) {
+            Ok(e)
+        } else {
+            Err(e)
+        }
     }
 }
 
@@ -104,7 +98,7 @@ mod tests {
     fn tab_body_bound_removes_redundant_check() {
         // [[ if i < n then i else ⊥ | i < n ]] ⤳ [[ if true then i else ⊥ | … ]]
         let e = tab1("i", var("n"), iff(lt(var("i"), var("n")), var("i"), bottom()));
-        let got = TabBodyBound.apply(&e).unwrap();
+        let got = TabBodyBound.apply(e.clone()).unwrap();
         let expect = tab1("i", var("n"), iff(Expr::Bool(true), var("i"), bottom()));
         assert_eq!(got, expect);
     }
@@ -117,7 +111,7 @@ mod tests {
             vec![("i", var("m")), ("j", var("n"))],
             iff(c1, iff(c2, var("i"), bottom()), bottom()),
         );
-        let got = TabBodyBound.apply(&e).unwrap();
+        let got = TabBodyBound.apply(e.clone()).unwrap();
         let expect = tab(
             vec![("i", var("m")), ("j", var("n"))],
             iff(
@@ -133,7 +127,7 @@ mod tests {
     fn tab_body_bound_non_matching_bound_untouched() {
         // i < m with a different bound than the binder's n: not redundant.
         let e = tab1("i", var("n"), iff(lt(var("i"), var("m")), var("i"), bottom()));
-        assert!(TabBodyBound.apply(&e).is_none());
+        assert!(TabBodyBound.apply(e.clone()).is_err());
     }
 
     #[test]
@@ -143,7 +137,7 @@ mod tests {
             gen(var("n")),
             iff(lt(var("x"), var("n")), single(var("x")), empty()),
         );
-        let got = GenBodyBound.apply(&e).unwrap();
+        let got = GenBodyBound.apply(e.clone()).unwrap();
         match &got {
             Expr::BigUnion { head, .. } => {
                 assert_eq!(
@@ -158,7 +152,7 @@ mod tests {
             gen(nat(5)),
             iff(lt(var("x"), nat(5)), var("x"), nat(0)),
         );
-        let got = GenBodyBound.apply(&e).unwrap();
+        let got = GenBodyBound.apply(e.clone()).unwrap();
         // Semantics preserved.
         assert_eq!(eval_closed(&e).unwrap(), eval_closed(&got).unwrap());
     }
@@ -170,6 +164,6 @@ mod tests {
             var("S"),
             iff(lt(var("x"), var("n")), single(var("x")), empty()),
         );
-        assert!(GenBodyBound.apply(&e).is_none());
+        assert!(GenBodyBound.apply(e.clone()).is_err());
     }
 }

@@ -25,15 +25,13 @@ impl Rule for IfConst {
     fn heads(&self) -> &'static [Head] {
         &[Head::If]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        match e {
-            Expr::If(c, t, f) => match &**c {
-                Expr::Bool(true) => Some((**t).clone()),
-                Expr::Bool(false) => Some((**f).clone()),
-                Expr::Bottom => Some(Expr::Bottom),
-                _ => None,
-            },
-            _ => None,
+    fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
+        let Expr::If(c, t, f) = &mut e else { return Err(e) };
+        match **c {
+            Expr::Bool(true) => Ok(t.take()),
+            Expr::Bool(false) => Ok(f.take()),
+            Expr::Bottom => Ok(Expr::Bottom),
+            _ => Err(e),
         }
     }
 }
@@ -49,10 +47,10 @@ impl Rule for IfSameBranches {
     fn heads(&self) -> &'static [Head] {
         &[Head::If]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         match e {
-            Expr::If(_, t, f) if t == f => Some((**t).clone()),
-            _ => None,
+            Expr::If(_, t, f) if t == f => Ok(*t),
+            e => Err(e),
         }
     }
 }
@@ -70,19 +68,19 @@ impl Rule for IfPropagate {
     fn heads(&self) -> &'static [Head] {
         &[Head::If]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        let Expr::If(c, t, f) = e else { return None };
+    fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
+        let Expr::If(c, t, f) = &mut e else { return Err(e) };
         // Propagating a literal is pointless; IfConst handles those.
-        if matches!(&**c, Expr::Bool(_) | Expr::Bottom) {
-            return None;
+        if matches!(**c, Expr::Bool(_) | Expr::Bottom) {
+            return Err(e);
         }
-        let t2 = replace_capture_aware(t, c, &Expr::Bool(true));
-        let f2 = replace_capture_aware(f, c, &Expr::Bool(false));
-        if t2.is_none() && f2.is_none() {
-            return None;
+        let in_then = replace_capture_aware(t, c, &Expr::Bool(true));
+        let in_else = replace_capture_aware(f, c, &Expr::Bool(false));
+        if in_then || in_else {
+            Ok(e)
+        } else {
+            Err(e)
         }
-        let or_old = |new: Option<Expr>, old: &Expr| new.unwrap_or_else(|| old.clone()).boxed();
-        Some(Expr::If(c.clone(), or_old(t2, t), or_old(f2, f)))
     }
 }
 
@@ -94,25 +92,25 @@ mod tests {
     #[test]
     fn constant_conditions() {
         assert_eq!(
-            IfConst.apply(&iff(Expr::Bool(true), nat(1), nat(2))).unwrap(),
+            IfConst.apply(iff(Expr::Bool(true), nat(1), nat(2))).unwrap(),
             nat(1)
         );
         assert_eq!(
-            IfConst.apply(&iff(Expr::Bool(false), nat(1), nat(2))).unwrap(),
+            IfConst.apply(iff(Expr::Bool(false), nat(1), nat(2))).unwrap(),
             nat(2)
         );
         assert_eq!(
-            IfConst.apply(&iff(bottom(), nat(1), nat(2))).unwrap(),
+            IfConst.apply(iff(bottom(), nat(1), nat(2))).unwrap(),
             bottom()
         );
-        assert!(IfConst.apply(&iff(var("c"), nat(1), nat(2))).is_none());
+        assert!(IfConst.apply(iff(var("c"), nat(1), nat(2))).is_err());
     }
 
     #[test]
     fn equal_branches_collapse() {
         let e = iff(var("c"), nat(5), nat(5));
-        assert_eq!(IfSameBranches.apply(&e).unwrap(), nat(5));
-        assert!(IfSameBranches.apply(&iff(var("c"), nat(5), nat(6))).is_none());
+        assert_eq!(IfSameBranches.apply(e.clone()).unwrap(), nat(5));
+        assert!(IfSameBranches.apply(iff(var("c"), nat(5), nat(6))).is_err());
     }
 
     #[test]
@@ -121,7 +119,7 @@ mod tests {
         //   ⤳ if (i < n) then (if true then x else y) else z
         let c = lt(var("i"), var("n"));
         let e = iff(c.clone(), iff(c.clone(), var("x"), var("y")), var("z"));
-        let got = IfPropagate.apply(&e).unwrap();
+        let got = IfPropagate.apply(e.clone()).unwrap();
         let expect = iff(
             c.clone(),
             iff(Expr::Bool(true), var("x"), var("y")),
@@ -130,7 +128,7 @@ mod tests {
         assert_eq!(got, expect);
         // And in the else branch the condition becomes false.
         let e = iff(c.clone(), var("x"), iff(c.clone(), var("y"), var("z")));
-        let got = IfPropagate.apply(&e).unwrap();
+        let got = IfPropagate.apply(e.clone()).unwrap();
         let expect = iff(
             c.clone(),
             var("x"),
@@ -145,14 +143,14 @@ mod tests {
         let c = lt(var("i"), var("n"));
         let shadowed = big_union("i", gen(nat(3)), single(iff(c.clone(), nat(1), nat(0))));
         let e = iff(c.clone(), shadowed.clone(), var("z"));
-        assert!(IfPropagate.apply(&e).is_none());
+        assert!(IfPropagate.apply(e.clone()).is_err());
     }
 
     #[test]
     fn propagation_fires_once() {
         let c = lt(var("i"), var("n"));
         let e = iff(c.clone(), iff(c.clone(), var("x"), var("y")), var("z"));
-        let once = IfPropagate.apply(&e).unwrap();
-        assert!(IfPropagate.apply(&once).is_none(), "must reach fixpoint");
+        let once = IfPropagate.apply(e.clone()).unwrap();
+        assert!(IfPropagate.apply(once).is_err(), "must reach fixpoint");
     }
 }

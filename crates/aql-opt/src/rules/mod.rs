@@ -26,9 +26,9 @@ pub mod sets;
 
 use std::rc::Rc;
 
-use aql_core::expr::children::{for_each_child, map_children};
+use aql_core::expr::children::{for_each_child, for_each_child_mut};
 use aql_core::expr::free::is_free_in;
-use aql_core::expr::{Expr, Name};
+use aql_core::expr::Expr;
 
 use crate::engine::{Optimizer, Phase};
 
@@ -115,17 +115,10 @@ pub fn motion_phase() -> Phase {
 // Shared helpers for capture-aware replacement.
 // ---------------------------------------------------------------------
 
-/// Every name `e` binds, over whichever child.
-fn binders_of(e: &Expr) -> Vec<Name> {
-    let mut out = Vec::new();
-    for_each_child(e, &mut |binders, _| out.extend_from_slice(binders));
-    out
-}
-
 /// Does a binder of `e` (over whichever child) shadow a free variable
 /// of `pattern`? Below such a node an occurrence of the pattern would
-/// no longer denote the same value, and the replacement helpers
-/// conservatively leave the whole subtree alone. (Non-head children of
+/// no longer denote the same value, and the replacement helper
+/// conservatively leaves the whole subtree alone. (Non-head children of
 /// binding nodes are actually safe, but the conservative cut keeps the
 /// logic obviously correct; the fixpoint loop recovers most
 /// opportunities.)
@@ -137,37 +130,23 @@ fn shadows(e: &Expr, pattern: &Expr) -> bool {
     shadowing
 }
 
-/// Does `pattern` occur in `e` where [`replace_capture_aware`] would
-/// replace it?
-fn occurs_replaceably(e: &Expr, pattern: &Expr) -> bool {
+/// Replace, in place, every occurrence of `pattern` (syntactic
+/// equality) inside `e` with `replacement`, without descending into
+/// subtrees whose binders shadow a free variable of the pattern (the
+/// "extra conditions guaranteeing free variables … are not captured"
+/// of §5). `false` — and `e` untouched — when there is no such
+/// occurrence, which is what a rule finds at almost every node.
+pub fn replace_capture_aware(e: &mut Expr, pattern: &Expr, replacement: &Expr) -> bool {
     if e == pattern {
+        *e = replacement.clone();
         return true;
     }
     if shadows(e, pattern) {
         return false;
     }
-    let mut found = false;
-    for_each_child(e, &mut |_, c| found = found || occurs_replaceably(c, pattern));
-    found
-}
-
-/// Replace every occurrence of `pattern` (syntactic equality) inside
-/// `e` with `replacement`, without descending into subtrees whose
-/// binders shadow a free variable of the pattern (the "extra
-/// conditions guaranteeing free variables … are not captured" of §5).
-/// `None` — and nothing rebuilt — when there is no such occurrence,
-/// which is what a rule's `apply` finds at almost every node.
-pub fn replace_capture_aware(e: &Expr, pattern: &Expr, replacement: &Expr) -> Option<Expr> {
-    fn go(e: &Expr, pattern: &Expr, replacement: &Expr) -> Expr {
-        if e == pattern {
-            return replacement.clone();
-        }
-        if shadows(e, pattern) {
-            return e.clone();
-        }
-        map_children(e, &mut |_, c| go(c, pattern, replacement))
-    }
-    occurs_replaceably(e, pattern).then(|| go(e, pattern, replacement))
+    let mut replaced = false;
+    for_each_child_mut(e, &mut |_, c| replaced |= replace_capture_aware(c, pattern, replacement));
+    replaced
 }
 
 #[cfg(test)]
@@ -177,28 +156,30 @@ mod tests {
 
     #[test]
     fn replace_plain_occurrences() {
-        let e = add(var("c"), add(var("c"), nat(1)));
-        let got = replace_capture_aware(&e, &var("c"), &nat(9));
-        assert_eq!(got, Some(add(nat(9), add(nat(9), nat(1)))));
-        assert_eq!(replace_capture_aware(&e, &var("d"), &nat(9)), None);
+        let mut e = add(var("c"), add(var("c"), nat(1)));
+        assert!(!replace_capture_aware(&mut e, &var("d"), &nat(9)));
+        assert!(replace_capture_aware(&mut e, &var("c"), &nat(9)));
+        assert_eq!(e, add(nat(9), add(nat(9), nat(1))));
     }
 
     #[test]
     fn replacement_stops_at_shadowing_binders() {
         // Replace x inside λx.x must not happen.
-        let e = tuple(vec![var("x"), lam("x", var("x"))]);
-        let got = replace_capture_aware(&e, &var("x"), &nat(5));
-        assert_eq!(got, Some(tuple(vec![nat(5), lam("x", var("x"))])));
+        let mut e = tuple(vec![var("x"), lam("x", var("x"))]);
+        assert!(replace_capture_aware(&mut e, &var("x"), &nat(5)));
+        assert_eq!(e, tuple(vec![nat(5), lam("x", var("x"))]));
     }
 
     #[test]
     fn compound_patterns() {
         let pat = lt(var("i"), var("n"));
-        let e = iff(lt(var("i"), var("n")), nat(1), nat(0));
-        let got = replace_capture_aware(&e, &pat, &Expr::Bool(true));
-        assert_eq!(got, Some(iff(Expr::Bool(true), nat(1), nat(0))));
+        let mut e = iff(lt(var("i"), var("n")), nat(1), nat(0));
+        assert!(replace_capture_aware(&mut e, &pat, &Expr::Bool(true)));
+        assert_eq!(e, iff(Expr::Bool(true), nat(1), nat(0)));
         // A binder shadowing `n` blocks the replacement under it.
         let e = big_union("n", gen(nat(3)), single(iff(lt(var("i"), var("n")), nat(1), nat(0))));
-        assert_eq!(replace_capture_aware(&e, &pat, &Expr::Bool(true)), None);
+        let mut got = e.clone();
+        assert!(!replace_capture_aware(&mut got, &pat, &Expr::Bool(true)));
+        assert_eq!(got, e);
     }
 }

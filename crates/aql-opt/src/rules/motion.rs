@@ -19,7 +19,7 @@ use aql_core::expr::free::fresh;
 use aql_core::expr::{Expr, Head, Name};
 
 use crate::engine::Rule;
-use super::{binders_of, replace_capture_aware};
+use super::replace_capture_aware;
 
 /// Hoist loop-invariant subexpressions out of `⋃`/`Σ`/tabulation
 /// bodies.
@@ -57,40 +57,57 @@ fn trivial(e: &Expr) -> bool {
 /// every node on the way down.
 struct Scan<'e> {
     min_size: usize,
-    /// The names a candidate must not mention, outermost first: the
-    /// loop variables (depth 0), then the binders of every node on the
-    /// path to the current one — for every child, the same conservative
-    /// cut as `replace_capture_aware`, which must find what is found
-    /// here — with that node's depth and whether the binder really
-    /// scopes over the child the path descends into.
-    path: Vec<(Name, usize, bool)>,
     /// The first candidate in pre-order among the nodes scanned so far.
     best: Option<&'e Expr>,
+}
+
+/// A node on the path from the loop to the node being scanned, with the
+/// binders it has over the child the path descends into. The names a
+/// candidate must not mention are every name a path node binds — over
+/// whichever child: the same conservative cut as
+/// `replace_capture_aware`, which must find what is found here. The
+/// loop itself is the root, at depth 0.
+struct Frame<'f> {
+    node: &'f Expr,
+    over: &'f [Name],
+    depth: usize,
+    up: Option<&'f Frame<'f>>,
+}
+
+impl<'f> Frame<'f> {
+    fn path(&self) -> impl Iterator<Item = &Frame<'f>> {
+        std::iter::successors(Some(self), |f| f.up)
+    }
+}
+
+/// Does `e` bind `x` over any of its children?
+fn binds(e: &Expr, x: &str) -> bool {
+    let mut found = false;
+    for_each_child(e, &mut |binders, _| found = found || binders.iter().any(|b| &**b == x));
+    found
 }
 
 impl<'e> Scan<'e> {
     /// Returns `e`'s size and its *reach*: the greatest depth at which
     /// a node containing `e` can sit and still mention no forbidden
-    /// name through a variable of `e`. A variable bound on the path
-    /// (really bound, at depth `b`) is free — and forbidden — in
-    /// exactly the path nodes deeper than `b`; one only conservatively
-    /// forbidden is so below the outermost node that forbids it.
-    fn scan(&mut self, e: &'e Expr, depth: usize) -> (usize, usize) {
+    /// name through a variable of `e`. A variable really bound on the
+    /// path (over the child it descends into, at depth `b`) is free —
+    /// and forbidden — in exactly the path nodes deeper than `b`; one
+    /// only conservatively forbidden is so below the outermost node
+    /// that binds it.
+    fn scan(&mut self, e: &'e Expr, depth: usize, up: &Frame<'_>) -> (usize, usize) {
         if let Expr::Var(x) = e {
-            let binder = self.path.iter().rev().find(|(n, _, real)| *real && n == x);
-            let forbidder = binder.or_else(|| self.path.iter().find(|(n, ..)| n == x));
-            return (1, forbidder.map_or(usize::MAX, |(_, depth, _)| *depth));
+            let binder = up.path().find(|f| f.over.contains(x));
+            let forbidder = binder.or_else(|| up.path().filter(|f| binds(f.node, x)).last());
+            return (1, forbidder.map_or(usize::MAX, |f| f.depth));
         }
         // A candidate found before `e` was entered precedes it; one
         // found inside `e` follows it, and `e` contains it.
         let preceded = self.best.is_some();
-        let all_binders = binders_of(e);
         let (mut size, mut reach) = (1, usize::MAX);
-        for_each_child(e, &mut |binders, child| {
-            let outer = self.path.len();
-            self.path.extend(all_binders.iter().map(|b| (b.clone(), depth, binders.contains(b))));
-            let (s, r) = self.scan(child, depth + 1);
-            self.path.truncate(outer);
+        for_each_child(e, &mut |over, child| {
+            let frame = Frame { node: e, over, depth, up: Some(up) };
+            let (s, r) = self.scan(child, depth + 1, &frame);
             size += s;
             reach = reach.min(r);
         });
@@ -102,22 +119,20 @@ impl<'e> Scan<'e> {
 }
 
 impl HoistInvariant {
-    /// Find a maximal subexpression of `head` whose free variables
-    /// avoid the loop variables and every binder on the path to it.
-    /// The whole head qualifies when fully invariant — hoisting it
-    /// evaluates it once.
-    fn find_candidate<'e>(&self, head: &'e Expr, loop_vars: &[Name]) -> Option<&'e Expr> {
-        let path = loop_vars.iter().map(|v| (v.clone(), 0, true)).collect();
-        let mut scan = Scan { min_size: self.min_size, path, best: None };
-        scan.scan(head, 1);
+    /// Find a maximal subexpression of the head of the loop `e` whose
+    /// free variables avoid the loop variables and every binder on the
+    /// path to it. The whole head qualifies when fully invariant —
+    /// hoisting it evaluates it once.
+    fn find_candidate<'e>(&self, e: &'e Expr) -> Option<&'e Expr> {
+        let mut scan = Scan { min_size: self.min_size, best: None };
+        let mut first = true;
+        for_each_child(e, &mut |over, head| {
+            // The head comes first; the source and bounds see no loop variable.
+            if std::mem::take(&mut first) {
+                scan.scan(head, 1, &Frame { node: e, over, depth: 0, up: None });
+            }
+        });
         scan.best
-    }
-
-    fn hoist(&self, head: &Expr, loop_vars: &[Name], rebuild: impl FnOnce(Expr) -> Expr) -> Option<Expr> {
-        let cand = self.find_candidate(head, loop_vars)?;
-        let t = fresh("hoist");
-        let new_head = replace_capture_aware(head, cand, &Expr::Var(t.clone()))?;
-        Some(Expr::Let(t, cand.clone().boxed(), rebuild(new_head).boxed()))
     }
 }
 
@@ -128,39 +143,28 @@ impl Rule for HoistInvariant {
     fn heads(&self) -> &'static [Head] {
         &[Head::BigUnion, Head::BigBagUnion, Head::Sum, Head::Tab]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        match e {
-            Expr::BigUnion { head, var, src } => {
-                let (var2, src2) = (var.clone(), src.clone());
-                self.hoist(head, std::slice::from_ref(var), move |h| Expr::BigUnion {
-                    head: h.boxed(),
-                    var: var2,
-                    src: src2,
-                })
-            }
-            Expr::BigBagUnion { head, var, src } => {
-                let (var2, src2) = (var.clone(), src.clone());
-                self.hoist(head, std::slice::from_ref(var), move |h| Expr::BigBagUnion {
-                    head: h.boxed(),
-                    var: var2,
-                    src: src2,
-                })
-            }
-            Expr::Sum { head, var, src } => {
-                let (var2, src2) = (var.clone(), src.clone());
-                self.hoist(head, std::slice::from_ref(var), move |h| Expr::Sum {
-                    head: h.boxed(),
-                    var: var2,
-                    src: src2,
-                })
-            }
-            Expr::Tab { head, idx } => {
-                let vars: Vec<Name> = idx.iter().map(|(n, _)| n.clone()).collect();
-                let idx2 = idx.clone();
-                self.hoist(head, &vars, move |h| Expr::Tab { head: h.boxed(), idx: idx2 })
-            }
-            _ => None,
+    fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
+        if loop_head(&mut e).is_none() {
+            return Err(e);
         }
+        let Some(cand) = self.find_candidate(&e).cloned() else { return Err(e) };
+        let t = fresh("hoist");
+        let hoisted = Expr::Var(t.clone());
+        if !loop_head(&mut e).is_some_and(|head| replace_capture_aware(head, &cand, &hoisted)) {
+            return Err(e);
+        }
+        Ok(Expr::Let(t, cand.boxed(), e.boxed()))
+    }
+}
+
+/// The head of a loop the rule hoists out of.
+fn loop_head(e: &mut Expr) -> Option<&mut Expr> {
+    match e {
+        Expr::BigUnion { head, .. }
+        | Expr::BigBagUnion { head, .. }
+        | Expr::Sum { head, .. }
+        | Expr::Tab { head, .. } => Some(head),
+        _ => None,
     }
 }
 
@@ -176,7 +180,7 @@ mod tests {
     fn hoists_invariant_subexpression() {
         // [[ i + max(gen 100) | i < 4 ]]: max(gen 100) is invariant.
         let e = tab1("i", nat(4), add(var("i"), set_max(gen(nat(100)))));
-        let got = HoistInvariant::default().apply(&e).unwrap();
+        let got = HoistInvariant::default().apply(e.clone()).unwrap();
         match &got {
             Expr::Let(_, bound, body) => {
                 assert_eq!(**bound, set_max(gen(nat(100))));
@@ -190,13 +194,13 @@ mod tests {
     #[test]
     fn does_not_hoist_dependent_code() {
         let e = tab1("i", nat(4), set_max(gen(add(var("i"), nat(1)))));
-        assert!(HoistInvariant::default().apply(&e).is_none());
+        assert!(HoistInvariant::default().apply(e.clone()).is_err());
     }
 
     #[test]
     fn does_not_hoist_trivia() {
         let e = tab1("i", nat(4), add(var("i"), var("n")));
-        assert!(HoistInvariant::default().apply(&e).is_none());
+        assert!(HoistInvariant::default().apply(e.clone()).is_err());
     }
 
     #[test]
@@ -210,7 +214,7 @@ mod tests {
             nat(3),
             add(var("i"), sum("x", var("S"), mul(var("x"), var("x")))),
         );
-        let got = HoistInvariant::default().apply(&e).unwrap();
+        let got = HoistInvariant::default().apply(e.clone()).unwrap();
         match &got {
             Expr::Let(_, bound, _) => {
                 assert!(matches!(**bound, Expr::Sum { .. }));
@@ -229,7 +233,7 @@ mod tests {
             gen(nat(3)),
             add(mul(var("x"), inv.clone()), add(inv.clone(), nat(1))),
         );
-        let got = HoistInvariant::default().apply(&e).unwrap();
+        let got = HoistInvariant::default().apply(e.clone()).unwrap();
         let mut count = 0;
         got.walk(&mut |n| {
             if *n == inv {
@@ -244,7 +248,7 @@ mod tests {
     fn fully_invariant_head_hoists_whole_head() {
         let inv = set_max(gen(nat(50)));
         let e = sum("x", gen(nat(3)), add(inv.clone(), inv.clone()));
-        let got = HoistInvariant::default().apply(&e).unwrap();
+        let got = HoistInvariant::default().apply(e.clone()).unwrap();
         match &got {
             Expr::Let(_, bound, body) => {
                 assert_eq!(**bound, add(inv.clone(), inv.clone()));
@@ -256,6 +260,13 @@ mod tests {
             other => panic!("expected let, got {other}"),
         }
         assert_eq!(eval_closed(&e).unwrap(), eval_closed(&got).unwrap());
+    }
+
+    /// Every name `e` binds, over whichever child.
+    fn binders_of(e: &Expr) -> Vec<Name> {
+        let mut out = Vec::new();
+        for_each_child(e, &mut |binders, _| out.extend_from_slice(binders));
+        out
     }
 
     /// The search the scan replaced: top-down, `free_vars` and `size`
@@ -310,7 +321,7 @@ mod tests {
                 };
                 loops += 1;
                 for min_size in [1, 3, 6] {
-                    let scanned = HoistInvariant { min_size }.find_candidate(head, &vars).cloned();
+                    let scanned = HoistInvariant { min_size }.find_candidate(e).cloned();
                     let forbidden = vars.iter().cloned().collect();
                     assert_eq!(scanned, top_down(min_size, head, &forbidden), "in {e}");
                 }

@@ -8,9 +8,10 @@
 //! error-free programs, exactly like the paper's `δ^p`.
 
 use aql_core::expr::free::{fresh, is_free_in, subst};
-use aql_core::expr::{Expr, Head};
+use aql_core::expr::{Expr, Head, Name};
 
 use crate::engine::Rule;
+use super::arith::promotable;
 
 /// `e ∪ {} ⤳ e` and `{} ∪ e ⤳ e`.
 pub struct UnionEmpty;
@@ -22,11 +23,11 @@ impl Rule for UnionEmpty {
     fn heads(&self) -> &'static [Head] {
         &[Head::Union]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         match e {
-            Expr::Union(a, b) if **a == Expr::Empty => Some((**b).clone()),
-            Expr::Union(a, b) if **b == Expr::Empty => Some((**a).clone()),
-            _ => None,
+            Expr::Union(a, b) if *a == Expr::Empty => Ok(*b),
+            Expr::Union(a, b) if *b == Expr::Empty => Ok(*a),
+            e => Err(e),
         }
     }
 }
@@ -41,10 +42,10 @@ impl Rule for BigUnionEmptySrc {
     fn heads(&self) -> &'static [Head] {
         &[Head::BigUnion]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         match e {
-            Expr::BigUnion { src, .. } if **src == Expr::Empty => Some(Expr::Empty),
-            _ => None,
+            Expr::BigUnion { src, .. } if *src == Expr::Empty => Ok(Expr::Empty),
+            e => Err(e),
         }
     }
 }
@@ -59,14 +60,12 @@ impl Rule for BigUnionSingletonSrc {
     fn heads(&self) -> &'static [Head] {
         &[Head::BigUnion]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        match e {
-            Expr::BigUnion { head, var, src } => match &**src {
-                Expr::Single(x) => Some(subst(head, var, x)),
-                _ => None,
-            },
-            _ => None,
-        }
+    fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
+        let Expr::BigUnion { head, var, src } = &mut e else { return Err(e) };
+        let Expr::Single(x) = &mut **src else { return Err(e) };
+        let mut out = head.take();
+        subst(&mut out, var, x.take());
+        Ok(out)
     }
 }
 
@@ -80,26 +79,14 @@ impl Rule for BigUnionUnionSrc {
     fn heads(&self) -> &'static [Head] {
         &[Head::BigUnion]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         match e {
-            Expr::BigUnion { head, var, src } => match &**src {
-                Expr::Union(a, b) => Some(Expr::Union(
-                    Expr::BigUnion {
-                        head: head.clone(),
-                        var: var.clone(),
-                        src: a.clone(),
-                    }
-                    .boxed(),
-                    Expr::BigUnion {
-                        head: head.clone(),
-                        var: var.clone(),
-                        src: b.clone(),
-                    }
-                    .boxed(),
-                )),
-                _ => None,
-            },
-            _ => None,
+            Expr::BigUnion { head, var, src } if matches!(*src, Expr::Union(..)) => {
+                let Expr::Union(a, b) = *src else { unreachable!("matched above") };
+                let left = Expr::BigUnion { head: head.clone(), var: var.clone(), src: a };
+                Ok(Expr::Union(left.boxed(), Expr::BigUnion { head, var, src: b }.boxed()))
+            }
+            e => Err(e),
         }
     }
 }
@@ -116,32 +103,30 @@ impl Rule for VerticalFusion {
     fn heads(&self) -> &'static [Head] {
         &[Head::BigUnion]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         match e {
-            Expr::BigUnion { head: h1, var: x, src } => match &**src {
-                Expr::BigUnion { head: h2, var: y, src: s3 } => {
-                    let (y2, h2b) = if is_free_in(y, h1) {
-                        let ny = fresh(y);
-                        (ny.clone(), subst(h2, y, &Expr::Var(ny)))
-                    } else {
-                        (y.clone(), (**h2).clone())
-                    };
-                    Some(Expr::BigUnion {
-                        head: Expr::BigUnion {
-                            head: h1.clone(),
-                            var: x.clone(),
-                            src: h2b.boxed(),
-                        }
-                        .boxed(),
-                        var: y2,
-                        src: s3.clone(),
-                    })
-                }
-                _ => None,
-            },
-            _ => None,
+            Expr::BigUnion { head: h1, var: x, src } if matches!(*src, Expr::BigUnion { .. }) => {
+                let Expr::BigUnion { head: mut h2, var: y, src: s3 } = *src else {
+                    unreachable!("matched above")
+                };
+                let y = rename_if_free_in(y, &mut h2, &h1);
+                let inner = Expr::BigUnion { head: h1, var: x, src: h2 };
+                Ok(Expr::BigUnion { head: inner.boxed(), var: y, src: s3 })
+            }
+            e => Err(e),
         }
     }
+}
+
+/// The binder `y` of `body`, α-renamed in `body` to a fresh name if it is
+/// free in `outer` (which is about to move under it).
+fn rename_if_free_in(y: Name, body: &mut Expr, outer: &Expr) -> Name {
+    if !is_free_in(&y, outer) {
+        return y;
+    }
+    let ny = fresh(&y);
+    subst(body, &y, Expr::Var(ny.clone()));
+    ny
 }
 
 /// Horizontal fusion: `⋃{e1 | x ∈ S} ∪ ⋃{e2 | x ∈ S} ⤳
@@ -156,27 +141,23 @@ impl Rule for HorizontalFusion {
     fn heads(&self) -> &'static [Head] {
         &[Head::Union]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
+        let same_source = |a: &Expr, b: &Expr| {
+            matches!((a, b), (Expr::BigUnion { src: s1, .. }, Expr::BigUnion { src: s2, .. }) if s1 == s2)
+        };
         match e {
-            Expr::Union(a, b) => match (&**a, &**b) {
-                (
-                    Expr::BigUnion { head: h1, var: x1, src: s1 },
-                    Expr::BigUnion { head: h2, var: x2, src: s2 },
-                ) if s1 == s2 => {
-                    let h2b = if x1 == x2 {
-                        (**h2).clone()
-                    } else {
-                        subst(h2, x2, &Expr::Var(x1.clone()))
-                    };
-                    Some(Expr::BigUnion {
-                        head: Expr::Union(h1.clone(), h2b.boxed()).boxed(),
-                        var: x1.clone(),
-                        src: s1.clone(),
-                    })
+            Expr::Union(a, b) if same_source(&a, &b) => {
+                let (Expr::BigUnion { head: h1, var: x1, src }, Expr::BigUnion { head: mut h2, var: x2, .. }) =
+                    (*a, *b)
+                else {
+                    unreachable!("matched above")
+                };
+                if x1 != x2 {
+                    subst(&mut h2, &x2, Expr::Var(x1.clone()));
                 }
-                _ => None,
-            },
-            _ => None,
+                Ok(Expr::BigUnion { head: Expr::Union(h1, h2).boxed(), var: x1, src })
+            }
+            e => Err(e),
         }
     }
 }
@@ -192,24 +173,13 @@ impl Rule for FilterPromotion {
     fn heads(&self) -> &'static [Head] {
         &[Head::BigUnion]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         match e {
-            Expr::BigUnion { head, var, src } => match &**head {
-                Expr::If(p, t, f) if **f == Expr::Empty && !is_free_in(var, p) => {
-                    Some(Expr::If(
-                        p.clone(),
-                        Expr::BigUnion {
-                            head: t.clone(),
-                            var: var.clone(),
-                            src: src.clone(),
-                        }
-                        .boxed(),
-                        Expr::Empty.boxed(),
-                    ))
-                }
-                _ => None,
-            },
-            _ => None,
+            Expr::BigUnion { head, var, src } if promotable(&head, &var, &Expr::Empty) => {
+                let Expr::If(p, t, f) = *head else { unreachable!("matched above") };
+                Ok(Expr::If(p, Expr::BigUnion { head: t, var, src }.boxed(), f))
+            }
+            e => Err(e),
         }
     }
 }
@@ -224,18 +194,19 @@ impl Rule for SingletonEta {
     fn heads(&self) -> &'static [Head] {
         &[Head::BigUnion]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         match e {
-            Expr::BigUnion { head, var, src } => match &**head {
-                Expr::Single(x) => match &**x {
-                    Expr::Var(v) if v == var => Some((**src).clone()),
-                    _ => None,
-                },
-                _ => None,
-            },
-            _ => None,
+            Expr::BigUnion { head, var, src } if matches!(&*head, Expr::Single(x) if is_var(x, &var)) => {
+                Ok(*src)
+            }
+            e => Err(e),
         }
     }
+}
+
+/// Is `e` the variable `var`?
+fn is_var(e: &Expr, var: &Name) -> bool {
+    matches!(e, Expr::Var(v) if v == var)
 }
 
 /// Union idempotence: `e ∪ e ⤳ e` (syntactic match).
@@ -248,10 +219,10 @@ impl Rule for UnionIdem {
     fn heads(&self) -> &'static [Head] {
         &[Head::Union]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         match e {
-            Expr::Union(a, b) if a == b => Some((**a).clone()),
-            _ => None,
+            Expr::Union(a, b) if a == b => Ok(*a),
+            e => Err(e),
         }
     }
 }
@@ -268,18 +239,13 @@ impl Rule for MinMaxSingleton {
     fn heads(&self) -> &'static [Head] {
         &[Head::Prim]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
         use aql_core::expr::Prim;
-        match e {
-            Expr::Prim(p @ (Prim::MinSet | Prim::MaxSet), args) => {
-                let _ = p;
-                match &args[0] {
-                    Expr::Single(x) => Some((**x).clone()),
-                    Expr::Empty => Some(Expr::Bottom),
-                    _ => None,
-                }
-            }
-            _ => None,
+        let Expr::Prim(Prim::MinSet | Prim::MaxSet, args) = &mut e else { return Err(e) };
+        match &mut args[0] {
+            Expr::Single(x) => Ok(x.take()),
+            Expr::Empty => Ok(Expr::Bottom),
+            _ => Err(e),
         }
     }
 }
@@ -295,10 +261,10 @@ impl Rule for EmptyHead {
     fn heads(&self) -> &'static [Head] {
         &[Head::BigUnion]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         match e {
-            Expr::BigUnion { head, .. } if **head == Expr::Empty => Some(Expr::Empty),
-            _ => None,
+            Expr::BigUnion { head, .. } if *head == Expr::Empty => Ok(Expr::Empty),
+            e => Err(e),
         }
     }
 }
@@ -319,11 +285,11 @@ impl Rule for BagUnionEmpty {
     fn heads(&self) -> &'static [Head] {
         &[Head::BagUnion]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         match e {
-            Expr::BagUnion(a, b) if **a == Expr::BagEmpty => Some((**b).clone()),
-            Expr::BagUnion(a, b) if **b == Expr::BagEmpty => Some((**a).clone()),
-            _ => None,
+            Expr::BagUnion(a, b) if *a == Expr::BagEmpty => Ok(*b),
+            Expr::BagUnion(a, b) if *b == Expr::BagEmpty => Ok(*a),
+            e => Err(e),
         }
     }
 }
@@ -339,45 +305,30 @@ impl Rule for BigBagUnionLaws {
     fn heads(&self) -> &'static [Head] {
         &[Head::BigBagUnion]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        let Expr::BigBagUnion { head, var, src } = e else { return None };
-        match &**src {
-            Expr::BagEmpty => Some(Expr::BagEmpty),
-            Expr::BagSingle(x) => Some(subst(head, var, x)),
-            Expr::BagUnion(a, b) => Some(Expr::BagUnion(
-                Expr::BigBagUnion {
-                    head: head.clone(),
-                    var: var.clone(),
-                    src: a.clone(),
-                }
-                .boxed(),
-                Expr::BigBagUnion {
-                    head: head.clone(),
-                    var: var.clone(),
-                    src: b.clone(),
-                }
-                .boxed(),
-            )),
-            Expr::BigBagUnion { head: h2, var: y, src: s3 } => {
-                // Vertical fusion, α-renaming on capture.
-                let (y2, h2b) = if is_free_in(y, head) {
-                    let ny = fresh(y);
-                    (ny.clone(), subst(h2, y, &Expr::Var(ny)))
-                } else {
-                    (y.clone(), (**h2).clone())
-                };
-                Some(Expr::BigBagUnion {
-                    head: Expr::BigBagUnion {
-                        head: head.clone(),
-                        var: var.clone(),
-                        src: h2b.boxed(),
-                    }
-                    .boxed(),
-                    var: y2,
-                    src: s3.clone(),
-                })
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
+        let fires = |src: &Expr| {
+            matches!(src, Expr::BagEmpty | Expr::BagSingle(_) | Expr::BagUnion(..) | Expr::BigBagUnion { .. })
+        };
+        let Expr::BigBagUnion { mut head, var, src } = e else { return Err(e) };
+        if !fires(&src) {
+            return Err(Expr::BigBagUnion { head, var, src });
+        }
+        match *src {
+            Expr::BagSingle(x) => {
+                subst(&mut head, &var, *x);
+                Ok(*head)
             }
-            _ => None,
+            Expr::BagUnion(a, b) => {
+                let left = Expr::BigBagUnion { head: head.clone(), var: var.clone(), src: a };
+                Ok(Expr::BagUnion(left.boxed(), Expr::BigBagUnion { head, var, src: b }.boxed()))
+            }
+            Expr::BigBagUnion { head: mut h2, var: y, src: s3 } => {
+                // Vertical fusion, α-renaming on capture.
+                let y = rename_if_free_in(y, &mut h2, &head);
+                let inner = Expr::BigBagUnion { head, var, src: h2 };
+                Ok(Expr::BigBagUnion { head: inner.boxed(), var: y, src: s3 })
+            }
+            _ => Ok(Expr::BagEmpty),
         }
     }
 }
@@ -394,26 +345,16 @@ impl Rule for BagFilterEta {
     fn heads(&self) -> &'static [Head] {
         &[Head::BigBagUnion]
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        let Expr::BigBagUnion { head, var, src } = e else { return None };
-        match &**head {
-            Expr::If(p, t, f) if **f == Expr::BagEmpty && !is_free_in(var, p) => {
-                Some(Expr::If(
-                    p.clone(),
-                    Expr::BigBagUnion {
-                        head: t.clone(),
-                        var: var.clone(),
-                        src: src.clone(),
-                    }
-                    .boxed(),
-                    Expr::BagEmpty.boxed(),
-                ))
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
+        match e {
+            Expr::BigBagUnion { head, var, src } if promotable(&head, &var, &Expr::BagEmpty) => {
+                let Expr::If(p, t, f) = *head else { unreachable!("matched above") };
+                Ok(Expr::If(p, Expr::BigBagUnion { head: t, var, src }.boxed(), f))
             }
-            Expr::BagSingle(x) => match &**x {
-                Expr::Var(v) if v == var => Some((**src).clone()),
-                _ => None,
-            },
-            _ => None,
+            Expr::BigBagUnion { head, var, src } if matches!(&*head, Expr::BagSingle(x) if is_var(x, &var)) => {
+                Ok(*src)
+            }
+            e => Err(e),
         }
     }
 }
@@ -428,11 +369,11 @@ mod tests {
     fn unit_laws() {
         let e = big_union("x", single(nat(3)), single(mul(var("x"), nat(2))));
         assert_eq!(
-            BigUnionSingletonSrc.apply(&e).unwrap(),
+            BigUnionSingletonSrc.apply(e.clone()).unwrap(),
             single(mul(nat(3), nat(2)))
         );
         let e = big_union("x", empty(), single(var("x")));
-        assert_eq!(BigUnionEmptySrc.apply(&e).unwrap(), empty());
+        assert_eq!(BigUnionEmptySrc.apply(e.clone()).unwrap(), empty());
     }
 
     #[test]
@@ -442,7 +383,7 @@ mod tests {
             union(single(nat(1)), single(nat(2))),
             single(mul(var("x"), nat(10))),
         );
-        let split = BigUnionUnionSrc.apply(&e).unwrap();
+        let split = BigUnionUnionSrc.apply(e.clone()).unwrap();
         assert_eq!(eval_closed(&e).unwrap(), eval_closed(&split).unwrap());
     }
 
@@ -451,7 +392,7 @@ mod tests {
         // ⋃{ {x+1} | x ∈ ⋃{ {y*2} | y ∈ gen 4 } }
         let inner = big_union("y", gen(nat(4)), single(mul(var("y"), nat(2))));
         let e = big_union("x", inner, single(add(var("x"), nat(1))));
-        let fused = VerticalFusion.apply(&e).unwrap();
+        let fused = VerticalFusion.apply(e.clone()).unwrap();
         // Fused form is a BigUnion whose source is gen 4.
         match &fused {
             Expr::BigUnion { src, .. } => assert_eq!(**src, gen(nat(4))),
@@ -466,7 +407,7 @@ mod tests {
         // the head h1 = {(x,y)} mentions y free, so fusion must rename.
         let inner = big_union("y", gen(nat(2)), single(var("y")));
         let e = big_union("x", inner, single(tuple(vec![var("x"), var("y")])));
-        let fused = VerticalFusion.apply(&e).unwrap();
+        let fused = VerticalFusion.apply(e.clone()).unwrap();
         // The free y must still be free in the fused expression.
         assert!(aql_core::expr::free::is_free_in("y", &fused));
     }
@@ -476,7 +417,7 @@ mod tests {
         let a = big_union("x", gen(nat(5)), single(mul(var("x"), nat(2))));
         let b = big_union("z", gen(nat(5)), single(add(var("z"), nat(1))));
         let e = union(a, b);
-        let fused = HorizontalFusion.apply(&e).unwrap();
+        let fused = HorizontalFusion.apply(e.clone()).unwrap();
         match &fused {
             Expr::BigUnion { .. } => {}
             other => panic!("expected fused loop, got {other}"),
@@ -485,7 +426,7 @@ mod tests {
         // Different sources do not fuse.
         let a = big_union("x", gen(nat(5)), single(var("x")));
         let b = big_union("x", gen(nat(6)), single(var("x")));
-        assert!(HorizontalFusion.apply(&union(a, b)).is_none());
+        assert!(HorizontalFusion.apply(union(a, b)).is_err());
     }
 
     #[test]
@@ -495,7 +436,7 @@ mod tests {
             gen(nat(4)),
             iff(lt(var("n"), nat(10)), single(var("x")), empty()),
         );
-        let got = FilterPromotion.apply(&e).unwrap();
+        let got = FilterPromotion.apply(e.clone()).unwrap();
         match &got {
             Expr::If(p, _, _) => assert_eq!(**p, lt(var("n"), nat(10))),
             other => panic!("unexpected {other}"),
@@ -506,18 +447,18 @@ mod tests {
             gen(nat(4)),
             iff(lt(var("x"), nat(2)), single(var("x")), empty()),
         );
-        assert!(FilterPromotion.apply(&e).is_none());
+        assert!(FilterPromotion.apply(e.clone()).is_err());
     }
 
     #[test]
     fn eta_and_empty_head() {
         let e = big_union("x", gen(nat(9)), single(var("x")));
-        assert_eq!(SingletonEta.apply(&e).unwrap(), gen(nat(9)));
+        assert_eq!(SingletonEta.apply(e.clone()).unwrap(), gen(nat(9)));
         let e = big_union("x", gen(nat(9)), empty());
-        assert_eq!(EmptyHead.apply(&e).unwrap(), empty());
+        assert_eq!(EmptyHead.apply(e.clone()).unwrap(), empty());
         // {y} for a different variable does not η-contract.
         let e = big_union("x", gen(nat(9)), single(var("y")));
-        assert!(SingletonEta.apply(&e).is_none());
+        assert!(SingletonEta.apply(e.clone()).is_err());
     }
 
     #[test]
@@ -525,25 +466,25 @@ mod tests {
         // Unit.
         let e = big_bag_union("x", bag_single(nat(3)), bag_single(mul(var("x"), nat(2))));
         assert_eq!(
-            BigBagUnionLaws.apply(&e).unwrap(),
+            BigBagUnionLaws.apply(e.clone()).unwrap(),
             bag_single(mul(nat(3), nat(2)))
         );
         // Empty source.
         let e = big_bag_union("x", Expr::BagEmpty, bag_single(var("x")));
-        assert_eq!(BigBagUnionLaws.apply(&e).unwrap(), Expr::BagEmpty);
+        assert_eq!(BigBagUnionLaws.apply(e.clone()).unwrap(), Expr::BagEmpty);
         // Union splitting preserves multiplicities.
         let src = bag_union(bag_single(nat(1)), bag_single(nat(1)));
         let e = big_bag_union("x", src, bag_union(bag_single(var("x")), bag_single(var("x"))));
-        let split = BigBagUnionLaws.apply(&e).unwrap();
+        let split = BigBagUnionLaws.apply(e.clone()).unwrap();
         assert_eq!(eval_closed(&e).unwrap(), eval_closed(&split).unwrap());
         // Vertical fusion.
         let inner = big_bag_union("y", bag_single(nat(2)), bag_single(mul(var("y"), nat(3))));
         let e = big_bag_union("x", inner, bag_single(add(var("x"), nat(1))));
-        let fused = BigBagUnionLaws.apply(&e).unwrap();
+        let fused = BigBagUnionLaws.apply(e.clone()).unwrap();
         assert_eq!(eval_closed(&e).unwrap(), eval_closed(&fused).unwrap());
         // Unit union laws.
         assert_eq!(
-            BagUnionEmpty.apply(&bag_union(Expr::BagEmpty, var("b"))).unwrap(),
+            BagUnionEmpty.apply(bag_union(Expr::BagEmpty, var("b"))).unwrap(),
             var("b")
         );
     }
@@ -555,26 +496,26 @@ mod tests {
             var("B"),
             iff(lt(var("n"), nat(5)), bag_single(var("x")), Expr::BagEmpty),
         );
-        assert!(matches!(BagFilterEta.apply(&e).unwrap(), Expr::If(..)));
+        assert!(matches!(BagFilterEta.apply(e.clone()).unwrap(), Expr::If(..)));
         let e = big_bag_union("x", var("B"), bag_single(var("x")));
-        assert_eq!(BagFilterEta.apply(&e).unwrap(), var("B"));
+        assert_eq!(BagFilterEta.apply(e.clone()).unwrap(), var("B"));
         // Dependent predicate stays.
         let e = big_bag_union(
             "x",
             var("B"),
             iff(lt(var("x"), nat(5)), bag_single(var("x")), Expr::BagEmpty),
         );
-        assert!(BagFilterEta.apply(&e).is_none());
+        assert!(BagFilterEta.apply(e.clone()).is_err());
     }
 
     #[test]
     fn union_unit_laws() {
         assert_eq!(
-            UnionEmpty.apply(&union(empty(), var("s"))).unwrap(),
+            UnionEmpty.apply(union(empty(), var("s"))).unwrap(),
             var("s")
         );
         assert_eq!(
-            UnionEmpty.apply(&union(var("s"), empty())).unwrap(),
+            UnionEmpty.apply(union(var("s"), empty())).unwrap(),
             var("s")
         );
     }

@@ -9,7 +9,7 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use super::children::{for_each_child, map_children};
+use super::children::{for_each_child, try_for_each_child_mut};
 use super::{name, Expr, Name};
 
 static FRESH_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -56,34 +56,136 @@ fn collect_free(e: &Expr, bound: &mut Vec<Name>, out: &mut HashSet<Name>) {
     });
 }
 
-/// Capture-avoiding substitution `e{x := r}`.
-pub fn subst(e: &Expr, x: &str, r: &Expr) -> Expr {
-    // Fast path: nothing to do if x is not free in e.
-    if !is_free_in(x, e) {
-        return e.clone();
-    }
-    let r_free = free_vars(r);
-    subst_in(e, x, r, &r_free)
+/// Capture-avoiding substitution `e{x := r}`, in place. `r` moves into
+/// the last occurrence of `x` and is cloned for the others; a binder
+/// that would capture a free variable of `r` is renamed to a fresh name,
+/// only in a child where `x` is free.
+pub fn subst(e: &mut Expr, x: &str, r: Expr) {
+    Subst::run(e, &mut [Pending { x, r: Some(r), left: 0, shadowed: 0 }]);
 }
 
-fn subst_in(e: &Expr, x: &str, r: &Expr, r_free: &HashSet<Name>) -> Expr {
-    if let Expr::Var(v) = e {
-        return if &**v == x { r.clone() } else { e.clone() };
+/// Simultaneous capture-avoiding substitution `e{x1 := r1, …, xk := rk}`,
+/// in place: no `r_j` is searched for another `x`. Each `r_j` is moved
+/// out of `subs` (leaving `⊥`) into the last occurrence of its `x_j`.
+pub fn subst_all(e: &mut Expr, subs: &mut [(Name, Expr)]) {
+    let mut pending: Vec<Pending<'_>> = subs
+        .iter_mut()
+        .map(|(x, r)| Pending { x, r: Some(r.take()), left: 0, shadowed: 0 })
+        .collect();
+    Subst::run(e, &mut pending);
+}
+
+/// One variable of a substitution: its replacement, the occurrences not
+/// yet replaced, and how many binders on the walk's path shadow it.
+struct Pending<'x> {
+    x: &'x str,
+    r: Option<Expr>,
+    left: usize,
+    shadowed: usize,
+}
+
+/// The walk: a count of the free occurrences, then a rewrite in place
+/// that stops at the last of them.
+struct Subst<'s, 'x> {
+    subs: &'s mut [Pending<'x>],
+    left: usize,
+    /// The free variables of the replacements, computed at the first
+    /// binder that might capture one.
+    r_free: Option<HashSet<Name>>,
+}
+
+impl<'s, 'x> Subst<'s, 'x> {
+    fn run(e: &mut Expr, subs: &'s mut [Pending<'x>]) {
+        let mut walk = Subst { subs, left: 0, r_free: None };
+        walk.count(e);
+        walk.left = walk.subs.iter().map(|p| p.left).sum();
+        if walk.left > 0 {
+            let _ = walk.rewrite(e);
+        }
     }
-    map_children(e, &mut |binders, child| {
-        if binders.iter().any(|b| &**b == x) {
-            // x is shadowed: leave the child alone.
-            return child.clone();
+
+    /// The substituted variable `v` names, if any and not shadowed.
+    fn pending(&mut self, v: &str) -> Option<&mut Pending<'x>> {
+        self.subs.iter_mut().find(|p| p.shadowed == 0 && p.x == v)
+    }
+
+    /// Enter or leave the scope of `binders`; on entry, whether any
+    /// occurrence still to be replaced can lie inside.
+    fn shadow(&mut self, binders: &[Name], enter: bool) -> bool {
+        let mut live = false;
+        for p in self.subs.iter_mut() {
+            if binders.iter().any(|b| &**b == p.x) {
+                p.shadowed = if enter { p.shadowed + 1 } else { p.shadowed - 1 };
+            }
+            live |= p.shadowed == 0 && p.left > 0;
         }
-        // α-rename every binder that would capture a free variable of r.
-        let mut renamed = None;
-        for b in binders.iter_mut().filter(|b| r_free.contains(&**b)) {
-            let nb = fresh(b);
-            renamed = Some(subst(renamed.as_ref().unwrap_or(child), b, &Expr::Var(nb.clone())));
-            *b = nb;
+        live
+    }
+
+    fn count(&mut self, e: &Expr) {
+        if let Expr::Var(v) = e {
+            if let Some(p) = self.pending(v) {
+                p.left += 1;
+            }
+            return;
         }
-        subst_in(renamed.as_ref().unwrap_or(child), x, r, r_free)
-    })
+        for_each_child(e, &mut |binders, child| {
+            self.shadow(binders, true);
+            self.count(child);
+            self.shadow(binders, false);
+        });
+    }
+
+    /// `Err` once every occurrence is replaced: nothing is left to do.
+    fn rewrite(&mut self, e: &mut Expr) -> Result<(), ()> {
+        if let Expr::Var(v) = e {
+            let Some(p) = self.pending(v) else { return Ok(()) };
+            p.left -= 1;
+            *e = match p.left {
+                0 => p.r.take().expect("an occurrence is counted once, so r is moved once"),
+                _ => p.r.clone().expect("r moves at the last occurrence"),
+            };
+            self.left -= 1;
+            return if self.left == 0 { Err(()) } else { Ok(()) };
+        }
+        try_for_each_child_mut(e, &mut |binders, child| {
+            if binders.is_empty() {
+                return self.rewrite(child);
+            }
+            let done = if self.shadow(binders, true) { self.under(binders, child) } else { Ok(()) };
+            self.shadow(binders, false);
+            done
+        })
+    }
+
+    /// Rewrite `child` under `binders`, first α-renaming every binder that
+    /// would capture a free variable of a replacement — if a variable
+    /// still to be replaced is free in `child` at all.
+    fn under(&mut self, binders: &mut [Name], child: &mut Expr) -> Result<(), ()> {
+        let subs = self.subs.iter().filter_map(|p| p.r.as_ref());
+        let r_free = self.r_free.get_or_insert_with(|| {
+            let mut fv = HashSet::new();
+            subs.for_each(|r| collect_free(r, &mut Vec::new(), &mut fv));
+            fv
+        });
+        if binders.iter().any(|b| r_free.contains(b)) {
+            let live = |p: &Pending<'_>| p.shadowed == 0 && p.left > 0;
+            if !self.subs.iter().any(|p| live(p) && is_free_in(p.x, child)) {
+                return Ok(());
+            }
+            for j in 0..binders.len() {
+                if !self.r_free.as_ref().is_some_and(|fv| fv.contains(&binders[j])) {
+                    continue;
+                }
+                // Renamed, the binder no longer shadows what it named.
+                self.shadow(&binders[j..=j], false);
+                let nb = fresh(&binders[j]);
+                subst(child, &binders[j], Expr::Var(nb.clone()));
+                binders[j] = nb;
+            }
+        }
+        self.rewrite(child)
+    }
 }
 
 /// α-equivalence: equality up to consistent renaming of bound
@@ -166,16 +268,19 @@ mod tests {
 
     #[test]
     fn subst_basic() {
-        let e = add(var("x"), nat(1));
-        assert_eq!(subst(&e, "x", &nat(41)), add(nat(41), nat(1)));
+        let mut e = add(var("x"), nat(1));
+        subst(&mut e, "x", nat(41));
+        assert_eq!(e, add(nat(41), nat(1)));
     }
 
     #[test]
     fn subst_respects_shadowing() {
         let e = lam("x", var("x"));
-        assert_eq!(subst(&e, "x", &nat(5)), e);
-        let e = big_union("x", var("x"), single(var("x")));
-        let got = subst(&e, "x", &nat(5));
+        let mut got = e.clone();
+        subst(&mut got, "x", nat(5));
+        assert_eq!(got, e);
+        let mut got = big_union("x", var("x"), single(var("x")));
+        subst(&mut got, "x", nat(5));
         // Only the source occurrence is free.
         assert_eq!(got, big_union("x", nat(5), single(var("x"))));
     }
@@ -183,8 +288,8 @@ mod tests {
     #[test]
     fn subst_avoids_capture() {
         // (λy. x + y){x := y} must not capture the free y.
-        let e = lam("y", add(var("x"), var("y")));
-        let got = subst(&e, "x", &var("y"));
+        let mut got = lam("y", add(var("x"), var("y")));
+        subst(&mut got, "x", var("y"));
         if let Expr::Lam(ny, body) = &got {
             assert_ne!(&**ny, "y", "binder must have been renamed");
             assert_eq!(**body, add(var("y"), Expr::Var(ny.clone())));
@@ -196,8 +301,8 @@ mod tests {
     #[test]
     fn subst_avoids_capture_in_tab() {
         // [[ x + i | i < n ]]{x := i} must rename the tabulation index.
-        let e = tab1("i", var("n"), add(var("x"), var("i")));
-        let got = subst(&e, "x", &var("i"));
+        let mut got = tab1("i", var("n"), add(var("x"), var("i")));
+        subst(&mut got, "x", var("i"));
         if let Expr::Tab { head, idx } = &got {
             let ni = &idx[0].0;
             assert_ne!(&**ni, "i");
@@ -211,11 +316,43 @@ mod tests {
     fn subst_shadowed_tab_index() {
         // [[ i | i < n ]]{i := 9}: the head i is bound, the bound n is not i.
         let e = tab1("i", var("n"), var("i"));
-        assert_eq!(subst(&e, "i", &nat(9)), e);
+        let mut got = e.clone();
+        subst(&mut got, "i", nat(9));
+        assert_eq!(got, e);
         // But a bound expression mentioning i IS substituted.
-        let e = tab1("i", var("i"), var("i"));
-        let got = subst(&e, "i", &nat(9));
+        let mut got = tab1("i", var("i"), var("i"));
+        subst(&mut got, "i", nat(9));
         assert_eq!(got, tab1("i", nat(9), var("i")));
+    }
+
+    #[test]
+    fn subst_renames_only_where_x_is_free() {
+        // (λy. y, λy. x){x := y}: only the second λ would capture.
+        let mut got = tuple(vec![lam("y", var("y")), lam("y", var("x"))]);
+        subst(&mut got, "x", var("y"));
+        let Expr::Tuple(items) = &got else { panic!("expected tuple, got {got}") };
+        assert_eq!(items[0], lam("y", var("y")), "no x here, so no renaming");
+        let Expr::Lam(ny, body) = &items[1] else { panic!("expected lambda, got {got}") };
+        assert_ne!(&**ny, "y");
+        assert_eq!(**body, var("y"));
+    }
+
+    #[test]
+    fn simultaneous_substitution_does_not_resubstitute() {
+        // (x, y){x := y, y := x} swaps: no replacement is searched again.
+        let mut got = tuple(vec![var("x"), var("y"), var("x")]);
+        subst_all(&mut got, &mut [(name("x"), var("y")), (name("y"), var("x"))]);
+        assert_eq!(got, tuple(vec![var("y"), var("x"), var("y")]));
+        // A binder shadows only the variable it names.
+        let mut got = lam("x", add(var("x"), var("y")));
+        subst_all(&mut got, &mut [(name("x"), nat(1)), (name("y"), nat(2))]);
+        assert_eq!(got, lam("x", add(var("x"), nat(2))));
+        // …and is renamed when a replacement of another would be captured.
+        let mut got = lam("x", add(var("x"), var("y")));
+        subst_all(&mut got, &mut [(name("x"), nat(1)), (name("y"), var("x"))]);
+        let Expr::Lam(nx, body) = &got else { panic!("expected lambda, got {got}") };
+        assert_ne!(&**nx, "x");
+        assert_eq!(**body, add(Expr::Var(nx.clone()), var("x")));
     }
 
     #[test]

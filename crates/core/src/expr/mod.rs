@@ -256,6 +256,12 @@ impl Expr {
         Box::new(self)
     }
 
+    /// Move this node out, leaving `⊥` in its place (which allocates
+    /// nothing): how a rewrite takes a part of the term it owns.
+    pub fn take(&mut self) -> Expr {
+        std::mem::replace(self, Expr::Bottom)
+    }
+
     /// Count AST nodes (used by the optimizer's convergence checks and
     /// cost reporting).
     pub fn size(&self) -> usize {

@@ -10,15 +10,21 @@
 //! * scoping agreement: the names `free_vars` reports are exactly the
 //!   ones `compile` turns into globals, and the ones `is_free_in` finds
 //!   by searching;
-//! * the table's three readers agree: the in-place visitor hands out
-//!   the same `(binders, child)` pairs as the rebuilding map, in the
-//!   same (evaluation) order, and the read-only visitor the same pairs.
+//! * the table's two readers agree: the in-place visitor hands out the
+//!   same `(binders, child)` pairs as the read-only one (in evaluation
+//!   order), and what it is handed — children and binders — it writes
+//!   back;
+//! * the in-place substitution is the rebuilding one it replaced
+//!   ([`reference`]) up to the names of bound variables, and clones `r`
+//!   once per occurrence of `x` but the last, into which `r` moves.
 //!
 //! Every variable is drawn from a three-name pool, binders included, so
 //! most terms shadow a name and most substitutions meet a binder that
 //! would capture. Every binder binds a `nat` and every free name is a
 //! `nat` global, so any name is well typed anywhere.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
@@ -26,13 +32,113 @@ use proptest::test_runner::TestRng;
 
 use aql_core::eval::{compile, eval, EvalCtx};
 use aql_core::expr::builder::*;
-use aql_core::expr::children::{for_each_child, map_children, try_for_each_child_mut};
+use aql_core::expr::children::{for_each_child, for_each_child_mut, try_for_each_child_mut};
 use aql_core::expr::free::{alpha_eq, free_vars, is_free_in, subst};
 use aql_core::expr::{name, CmpOp, Expr, Head, Name, Prim};
 use aql_core::prim::Extensions;
 use aql_core::value::Value;
 
 const POOL: [&str; 3] = ["x", "y", "z"];
+
+thread_local! {
+    /// Allocations of exactly this many bytes made by this thread while
+    /// `WATCHED` is non-zero (const-initialized, no destructor: reading
+    /// them from the allocator allocates nothing).
+    static WATCHED: Cell<usize> = const { Cell::new(0) };
+    static SEEN: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting the allocations of one watched size.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters are plain
+// thread-local `Cell`s and never allocate or unwind.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if WATCHED.with(Cell::get) == layout.size() {
+            SEEN.with(|n| n.set(n.get() + 1));
+        }
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations of `bytes` bytes this thread makes while running `f`.
+fn allocations_of<T>(bytes: usize, f: impl FnOnce() -> T) -> (u64, T) {
+    WATCHED.with(|w| w.set(bytes));
+    let before = SEEN.with(Cell::get);
+    let out = f();
+    WATCHED.with(|w| w.set(0));
+    (SEEN.with(Cell::get) - before, out)
+}
+
+/// The substitution the in-place one replaced, kept as its oracle: it
+/// rebuilds every node it passes and renames every binder that would
+/// capture, wherever `x` occurs.
+mod reference {
+    use std::collections::HashSet;
+
+    use aql_core::expr::children::for_each_child_mut;
+    use aql_core::expr::free::{free_vars, fresh, is_free_in};
+    use aql_core::expr::{Expr, Name};
+
+    /// Rebuild `e` with `f` applied to each immediate child and the
+    /// names `e` binds over it.
+    fn map_children(e: &Expr, f: &mut impl FnMut(&mut [Name], &Expr) -> Expr) -> Expr {
+        let mut out = e.clone();
+        for_each_child_mut(&mut out, &mut |names, c| *c = f(names, c));
+        out
+    }
+
+    /// Capture-avoiding substitution `e{x := r}`.
+    pub fn subst(e: &Expr, x: &str, r: &Expr) -> Expr {
+        if !is_free_in(x, e) {
+            return e.clone();
+        }
+        subst_in(e, x, r, &free_vars(r))
+    }
+
+    fn subst_in(e: &Expr, x: &str, r: &Expr, r_free: &HashSet<Name>) -> Expr {
+        if let Expr::Var(v) = e {
+            return if &**v == x { r.clone() } else { e.clone() };
+        }
+        map_children(e, &mut |binders, child| {
+            if binders.iter().any(|b| &**b == x) {
+                return child.clone();
+            }
+            let mut renamed = None;
+            for b in binders.iter_mut().filter(|b| r_free.contains(&**b)) {
+                let nb = fresh(b);
+                renamed = Some(subst(renamed.as_ref().unwrap_or(child), b, &Expr::Var(nb.clone())));
+                *b = nb;
+            }
+            subst_in(renamed.as_ref().unwrap_or(child), x, r, r_free)
+        })
+    }
+}
+
+/// The free occurrences of `x` in `e`.
+fn occurrences(x: &str, e: &Expr) -> usize {
+    if let Expr::Var(v) = e {
+        return usize::from(&**v == x);
+    }
+    let mut n = 0;
+    for_each_child(e, &mut |binders, c| {
+        if !binders.iter().any(|b| &**b == x) {
+            n += occurrences(x, c);
+        }
+    });
+    n
+}
 
 /// A term generator. With `total` set it leaves out subscripting, the
 /// one construct here that can yield `⊥`.
@@ -138,17 +244,7 @@ fn quoted_after(text: &str, marker: &str, quote: char) -> HashSet<String> {
 
 type Row = (Vec<Name>, Expr);
 
-/// The scoping table of one node as the rebuilding map states it.
-fn table_by_map(e: &Expr) -> Vec<Row> {
-    let mut rows = Vec::new();
-    map_children(e, &mut |binders, child| {
-        rows.push((binders.to_vec(), child.clone()));
-        child.clone()
-    });
-    rows
-}
-
-/// …as the in-place visitor states it.
+/// The scoping table of one node as the in-place visitor states it.
 fn table_in_place(e: &Expr) -> Vec<Row> {
     let (mut rows, mut e) = (Vec::new(), e.clone());
     let done = try_for_each_child_mut(&mut e, &mut |binders, child| {
@@ -167,30 +263,31 @@ fn table_by_read(e: &Expr) -> Vec<Row> {
     rows
 }
 
-/// The three readers agree at every node of `e`, and writing through
-/// the in-place visitor is rebuilding through the map.
+/// The two readers agree at every node of `e`, and what the in-place
+/// visitor hands out — children and binders — it writes back.
 fn assert_one_table(e: &Expr) {
     e.walk(&mut |node| {
-        let by_map = table_by_map(node);
-        assert_eq!(table_in_place(node), by_map, "in place vs map, in order: {node}");
+        let in_place = table_in_place(node);
         let by_read = table_by_read(node);
-        assert_eq!(by_read.len(), by_map.len(), "{node}");
-        assert!(by_read.iter().all(|row| by_map.contains(row)), "read vs map: {node}");
+        assert_eq!(by_read.len(), in_place.len(), "{node}");
+        assert!(by_read.iter().all(|row| in_place.contains(row)), "read vs in place: {node}");
         let mut written = node.clone();
         let mut k = 0;
-        let marked = |k: u64| nat(1000 + k);
-        try_for_each_child_mut(&mut written, &mut |_, child| {
-            *child = marked(k);
+        for_each_child_mut(&mut written, &mut |binders, child| {
+            *child = nat(1000 + k);
+            for b in binders.iter_mut() {
+                *b = name(&format!("{b}{k}"));
+            }
             k += 1;
-            Ok::<(), ()>(())
-        })
-        .expect("infallible");
-        let mut k = 0;
-        let rebuilt = map_children(node, &mut |_, _| {
-            k += 1;
-            marked(k - 1)
         });
-        assert_eq!(written, rebuilt, "{node}");
+        let expected: Vec<Row> = in_place
+            .iter()
+            .zip(1000..)
+            .map(|((binders, _), k)| {
+                (binders.iter().map(|b| name(&format!("{b}{}", k - 1000))).collect(), nat(k))
+            })
+            .collect();
+        assert_eq!(table_in_place(&written), expected, "{node}");
     });
 }
 
@@ -226,6 +323,11 @@ fn the_in_place_visitor_reads_the_scoping_table_as_the_map_does() {
         gen(x()),
         sum("x", s(), mul(x(), y())),
         tab(vec![("i", x()), ("j", var("i"))], add(var("i"), var("j"))),
+        // Beyond the four index names a visit copies onto the stack.
+        tab(
+            ["i", "j", "k", "l", "m"].iter().map(|n| (*n, nat(2))).collect(),
+            add(var("i"), var("m")),
+        ),
         sub(x(), vec![y(), nat(2)]),
         dim(2, x()),
         array_lit(vec![nat(1), nat(2)], vec![x(), y()]),
@@ -253,7 +355,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn the_three_readers_of_the_scoping_table_agree(seed in 0u64..u64::MAX) {
+    fn the_two_readers_of_the_scoping_table_agree(seed in 0u64..u64::MAX) {
         let e = TermGen { rng: TestRng::from_seed(seed), total: false }.any(3);
         assert_one_table(&e);
         for x in POOL {
@@ -267,7 +369,8 @@ proptest! {
         let e = g.any(3);
         g.total = true;
         let r = g.nat(2);
-        let substituted = subst(&e, "x", &r);
+        let mut substituted = e.clone();
+        subst(&mut substituted, "x", r.clone());
         prop_assert_eq!(
             run(&let_("x", r.clone(), e.clone())),
             run(&substituted),
@@ -280,8 +383,28 @@ proptest! {
         }
         prop_assert_eq!(names(&substituted), expected, "e = {}\nr = {}", e, r);
 
-        let identity = subst(&e, "x", &var("x"));
+        let mut identity = e.clone();
+        subst(&mut identity, "x", var("x"));
         prop_assert!(alpha_eq(&e, &identity), "{} vs {}", e, identity);
+    }
+
+    #[test]
+    fn in_place_substitution_is_the_rebuilding_one_up_to_renaming(seed in 0u64..u64::MAX) {
+        let mut g = TermGen { rng: TestRng::from_seed(seed), total: false };
+        let e = g.any(3);
+        // Seven components, so that a copy of `r` is the one allocation
+        // of its size; `y` and `z` are captured wherever a binder names them.
+        const WIDTH: usize = 7;
+        let mut parts = vec![var("y"), var("z")];
+        parts.extend((2..WIDTH).map(|_| g.nat(1)));
+        let r = tuple(parts);
+        let expected = reference::subst(&e, "x", &r);
+        let mut got = e.clone();
+        let bytes = WIDTH * std::mem::size_of::<Expr>();
+        let (copies, ()) = allocations_of(bytes, || subst(&mut got, "x", r));
+        prop_assert!(alpha_eq(&got, &expected), "e = {}\n got    {}\n expect {}", e, got, expected);
+        let uses = occurrences("x", &e);
+        prop_assert_eq!(copies as usize, uses.saturating_sub(1), "{} occurrences in {}", uses, e);
     }
 
     #[test]

@@ -76,18 +76,17 @@ fn main() {
         fn name(&self) -> &'static str {
             "double-reverse"
         }
-        fn apply(&self, e: &Expr) -> Option<Expr> {
+        fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
             // rev(rev(x)) with rev spelled as an Ext call.
-            if let Expr::App(f, a) = e {
-                if matches!(&**f, Expr::Ext(n) if &**n == "rev") {
-                    if let Expr::App(g, inner) = &**a {
-                        if matches!(&**g, Expr::Ext(n) if &**n == "rev") {
-                            return Some((**inner).clone());
-                        }
+            let is_rev = |f: &Expr| matches!(f, Expr::Ext(n) if &**n == "rev");
+            if let Expr::App(f, a) = &mut e {
+                if let Expr::App(g, inner) = &mut **a {
+                    if is_rev(f) && is_rev(g) {
+                        return Ok(inner.take());
                     }
                 }
             }
-            None
+            Err(e)
         }
     }
     let mut opt = aql::opt::standard();

@@ -8,13 +8,16 @@
 //! Per template (the benchmark's eight, `tests/common`): nodes in and
 //! out, passes, node visits, `Rule::apply` calls and firings as the
 //! engine counts them (`opt.passes` / `opt.visits` / `opt.applies`,
-//! exact), and the median µs of an untraced `optimize`. Per rule, summed
+//! exact), the heap allocations of one untraced `optimize` (a counting
+//! global allocator; the run's one copy of its input included) and the
+//! median µs of an untraced `optimize`. Per rule, summed
 //! over the templates: applies, firings and the time spent inside
 //! `apply`, from a timing wrapper around every library rule. Build with
 //! `--release`: a debug build also offers each node to the rules the
 //! dispatch table skips (the `heads()` tripwire), which the wrappers
 //! would count.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Instant;
@@ -25,6 +28,53 @@ use aql::opt::{Optimizer, Phase, Rule};
 
 #[path = "../tests/common/mod.rs"]
 mod common;
+
+thread_local! {
+    /// Allocations made by this thread (const-initialized and without a
+    /// destructor, so reading it from the allocator allocates nothing).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting calls per thread.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a plain
+// thread-local `Cell` and never allocates or unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread makes while running `f`.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
 
 /// A library rule behind counters.
 struct Timed {
@@ -42,12 +92,12 @@ impl Rule for Timed {
     fn heads(&self) -> &'static [Head] {
         self.rule.heads()
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         let t0 = Instant::now();
         let out = self.rule.apply(e);
         self.ns.set(self.ns.get() + t0.elapsed().as_nanos() as u64);
         self.applies.set(self.applies.get() + 1);
-        self.fires.set(self.fires.get() + u64::from(out.is_some()));
+        self.fires.set(self.fires.get() + u64::from(out.is_ok()));
         out
     }
 }
@@ -93,8 +143,8 @@ fn main() {
     let standard = aql::opt::standard();
     let (wrapped, timed) = timed_standard();
     let mut session = common::compile_mix_session();
-    println!("| template | nodes in | nodes out | passes | visits | applies | firings | µs/optimize |");
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("| template | nodes in | nodes out | passes | visits | applies | firings | allocs/optimize | µs/optimize |");
+    println!("|---|---|---|---|---|---|---|---|---|");
     let mut sum_us = 0.0;
     for template in common::compile_mix_templates() {
         // A template is one statement with one term to optimize.
@@ -104,12 +154,13 @@ fn main() {
             let spans = aql::trace::disable();
             let count = |name| spans.total_counter(name);
             wrapped.optimize(&e);
+            let allocs = allocs_during(|| drop(standard.optimize(&e)));
             let us = median_us(&standard, &e);
             sum_us += us;
             let label = template.split_whitespace().collect::<Vec<_>>().join(" ");
             let label = label.chars().take(40).collect::<String>();
             println!(
-                "| `{label}` | {} | {} | {} | {} | {} | {} | {us:.1} |",
+                "| `{label}` | {} | {} | {} | {} | {} | {} | {allocs} | {us:.1} |",
                 e.size(),
                 out.size(),
                 count("opt.passes"),

@@ -152,10 +152,10 @@ fn hostile_optimizer_rule_is_contained() {
         fn name(&self) -> &'static str {
             "flip"
         }
-        fn apply(&self, e: &Expr) -> Option<Expr> {
+        fn apply(&self, e: Expr) -> Result<Expr, Expr> {
             match e {
-                Expr::Arith(op, a, b) => Some(Expr::Arith(*op, b.clone(), a.clone())),
-                _ => None,
+                Expr::Arith(op, a, b) => Ok(Expr::Arith(op, b, a)),
+                e => Err(e),
             }
         }
     }
@@ -256,10 +256,10 @@ fn panicking_optimizer_rule_is_contained_and_named() {
         fn name(&self) -> &'static str {
             "grenade"
         }
-        fn apply(&self, e: &Expr) -> Option<Expr> {
+        fn apply(&self, e: Expr) -> Result<Expr, Expr> {
             match e {
                 Expr::Arith(..) => panic!("rule exploded"),
-                _ => None,
+                e => Err(e),
             }
         }
     }
@@ -306,10 +306,10 @@ fn a_panic_under_a_binder_after_firings_in_the_same_pass_is_contained() {
         fn heads(&self) -> &'static [Head] {
             &[Head::Cmp]
         }
-        fn apply(&self, e: &Expr) -> Option<Expr> {
+        fn apply(&self, e: Expr) -> Result<Expr, Expr> {
             match e {
-                Expr::Cmp(op, a, b) if *op == self.1 => Some(Expr::Cmp(self.2, b.clone(), a.clone())),
-                _ => None,
+                Expr::Cmp(op, a, b) if op == self.1 => Ok(Expr::Cmp(self.2, b, a)),
+                e => Err(e),
             }
         }
     }
@@ -319,10 +319,10 @@ fn a_panic_under_a_binder_after_firings_in_the_same_pass_is_contained() {
         fn name(&self) -> &'static str {
             "grenade"
         }
-        fn apply(&self, e: &Expr) -> Option<Expr> {
+        fn apply(&self, e: Expr) -> Result<Expr, Expr> {
             match e {
                 Expr::Cmp(CmpOp::Ne, ..) => panic!("rule exploded"),
-                _ => None,
+                e => Err(e),
             }
         }
     }

@@ -147,9 +147,9 @@ const TELEMETRY_LINES: usize = 4410;
 const KERNEL_LINES: usize = 1320;
 
 /// The budget for every `crates/*/src` together, by [`non_test_lines`]'s
-/// count: 26,822 once three fault injectors and the `rand` shim were
-/// deleted, rounded up to the next hundred.
-const CRATES_LINES: usize = 26_900;
+/// count: 26,758 once the rebuilding child map was deleted and rules
+/// took the redex by value, rounded up to the next hundred.
+const CRATES_LINES: usize = 26_800;
 
 /// Collect every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -280,9 +280,8 @@ fn only_listed_files_match_every_expr_constructor() {
     assert!(
         violations.is_empty(),
         "`{SENTINEL}` outside the listed files: a traversal that only reaches children \
-         belongs on `aql_core::expr::children::{{for_each_child, try_map_children, \
-         try_for_each_child_mut}}`; a new \
-         pass doing per-constructor work is added to MAY_MATCH_EVERY_CONSTRUCTOR:\n{}",
+         belongs on `aql_core::expr::children::{{for_each_child, try_for_each_child_mut}}`; \
+         a new pass doing per-constructor work is added to MAY_MATCH_EVERY_CONSTRUCTOR:\n{}",
         violations.join("\n")
     );
 }

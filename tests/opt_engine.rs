@@ -2,11 +2,11 @@
 //! `tests/common` and on generated terms.
 //!
 //! The engine offers a node only to the rules whose `heads()` list its
-//! root constructor and rewrites the term in place; the parent's engine
-//! offered every node to every rule and rebuilt the term by clone on
-//! every pass. [`reference_run`] *is* that loop, kept here as the
-//! oracle: same normal form and the same `(phase, rule)` firing
-//! sequence, or the dispatch table is wrong. Two more angles on the
+//! root constructor; the loop before it offered every node to every
+//! rule. [`reference_run`] *is* that loop (rewriting in place, as rules
+//! now take the node by value), kept here as the oracle: same normal
+//! form and the same `(phase, rule)` firing sequence, or the dispatch
+//! table is wrong. Two more angles on the
 //! same table: a library rule fires only at a head it declares, and (in
 //! debug builds, inside the engine) every rule the table skips is
 //! offered the node anyway and must decline. Exact counts then hold
@@ -23,7 +23,7 @@
 
 use proptest::prelude::*;
 
-use aql::core::expr::children::map_children;
+use aql::core::expr::children::for_each_child_mut;
 use aql::core::expr::free::alpha_eq;
 use aql::core::expr::Expr;
 use aql::opt::rules::{checks_phase, motion_phase, normalize_phase};
@@ -42,22 +42,24 @@ fn data_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("aql-it-opt-engine-{tag}-{}", std::process::id()))
 }
 
-/// The parent's `Phase::pass`: rebuild the children, then offer the
-/// node to *every* rule in registration order, from the first again
-/// after each firing.
-fn reference_pass(phase: &Phase, e: &Expr, fired: &mut Vec<Firing>) -> Expr {
-    let mut cur = map_children(e, &mut |_, c| reference_pass(phase, c, fired));
+/// The offer-every-rule `Phase::pass`: rewrite the children, then
+/// offer the node to *every* rule in registration order, from the first
+/// again after each firing.
+fn reference_pass(phase: &Phase, e: &mut Expr, fired: &mut Vec<Firing>) {
+    for_each_child_mut(e, &mut |_, c| reference_pass(phase, c, fired));
     'offers: for _ in 0..32 {
         for rule in phase.rules() {
-            if let Some(next) = rule.apply(&cur) {
-                fired.push((phase.name.clone(), rule.name()));
-                cur = next;
-                continue 'offers;
+            match rule.apply(e.take()) {
+                Ok(next) => {
+                    fired.push((phase.name.clone(), rule.name()));
+                    *e = next;
+                    continue 'offers;
+                }
+                Err(back) => *e = back,
             }
         }
         break;
     }
-    cur
 }
 
 /// The parent's `Optimizer::run`: each phase's passes to a fixpoint.
@@ -66,7 +68,7 @@ fn reference_run(e: &Expr) -> (Expr, Vec<Firing>) {
     for phase in &standard_phases() {
         for _ in 0..64 {
             let before = fired.len();
-            cur = reference_pass(phase, &cur, &mut fired);
+            reference_pass(phase, &mut cur, &mut fired);
             if fired.len() == before {
                 break;
             }
@@ -111,7 +113,7 @@ fn assert_rules_fire_only_at_their_heads(label: &str, e: &Expr) {
     e.walk(&mut |node| {
         for rule in phases.iter().flat_map(Phase::rules) {
             assert!(
-                rule.apply(node).is_none() || rule.heads().contains(&node.head()),
+                rule.heads().contains(&node.head()) || rule.apply(node.clone()).is_err(),
                 "{label}: `{}` fired at a {:?}, which its heads() omit: {node}",
                 rule.name(),
                 node.head()

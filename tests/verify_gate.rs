@@ -20,8 +20,11 @@ impl Rule for EvilTypeChange {
     fn name(&self) -> &'static str {
         "evil-type-change"
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        matches!(e, Expr::Nat(7)).then_some(Expr::Bool(true))
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
+        match e {
+            Expr::Nat(7) => Ok(Expr::Bool(true)),
+            e => Err(e),
+        }
     }
 }
 
@@ -32,8 +35,11 @@ impl Rule for EvilGhostVar {
     fn name(&self) -> &'static str {
         "evil-ghost-var"
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        matches!(e, Expr::Nat(41)).then_some(Expr::Var("ghost".into()))
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
+        match e {
+            Expr::Nat(41) => Ok(Expr::Var("ghost".into())),
+            e => Err(e),
+        }
     }
 }
 
@@ -45,8 +51,11 @@ impl Rule for EvilOneTuple {
     fn name(&self) -> &'static str {
         "evil-one-tuple"
     }
-    fn apply(&self, e: &Expr) -> Option<Expr> {
-        matches!(e, Expr::Nat(13)).then(|| Expr::Tuple(vec![Expr::Nat(13)]))
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
+        match e {
+            Expr::Nat(13) => Ok(Expr::Tuple(vec![Expr::Nat(13)])),
+            e => Err(e),
+        }
     }
 }
 

@@ -21,6 +21,9 @@
 //!   ones behind a one-chunk cache, whose `⊥` branch fires at a random
 //!   cell or never: a kernel that meets it hands the nest back, and the
 //!   outcome and the counts are the interpreter's either way;
+//! * columns — a tabulation of pairs or triples of each kind writes one
+//!   typed column per component, not a boxed tuple per cell, and its
+//!   value and counts are still the interpreter's;
 //! * α-invariance — renaming binders (with deliberate shadowing)
 //!   changes neither the verdict tally nor the marked evaluation;
 //! * the expectations of the compiled-form interval pass this analysis
@@ -41,6 +44,7 @@ use aql_core::expr::builder::*;
 use aql_core::expr::free::{alpha_eq, free_vars};
 use aql_core::expr::{name, Expr, Name};
 use aql_core::prim::Extensions;
+use aql_core::value::array::ArrayData;
 use aql_core::value::{ArrayVal, Value};
 use aql_store::{ChunkLayout, LazyArray, MemChunkSource, ScalarBuf};
 
@@ -401,6 +405,8 @@ struct Run {
     outcome: Result<Value, EvalError>,
     /// Subscripts that took the marked fast path.
     elided: u64,
+    /// Subscripts evaluated (the same with marks off, asserted).
+    subscripts: u64,
     /// Loop nests the marked evaluation ran as bulk kernels.
     kernel_nests: u64,
 }
@@ -441,7 +447,7 @@ fn run(e: &Expr, globals: &HashMap<Name, Value>) -> Run {
     if on.elided > 0 {
         assert!(analysis.sub_counts().in_bounds > 0, "a mark without an InBounds verdict in {e}");
     }
-    Run { analysis, outcome, elided: on.elided, kernel_nests }
+    Run { analysis, outcome, elided: on.elided, subscripts: on.subscripts, kernel_nests }
 }
 
 fn nat_array(dims: Vec<u64>, cell: impl Fn(u64) -> u64) -> Value {
@@ -637,6 +643,55 @@ proptest! {
             // Every site is guarded into range and proven so; nothing
             // was handed back: a kernel a day.
             prop_assert_eq!(r.kernel_nests, days, "{}", e);
+            prop_assert_eq!(r.elided, r.subscripts, "{}", e);
+            if sink == 0 && head > 0 {
+                // Each day's pairs or triples are columns.
+                let days = r.value().as_set().expect("a set of days"); // lint-wall: allow (test)
+                prop_assert!(days.iter().all(|d| matches!(d, Value::Array(a)
+                    if matches!(a.array_data(), ArrayData::Columns(_)))), "{}", e);
+            }
+        }
+    }
+}
+
+/// The three kinds an operand of the tuple tabulations holds: `real`,
+/// `nat`, `bool`.
+const KINDS: [&str; 3] = ["R", "N", "B"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn tuple_heads_write_columns_and_agree_with_the_interpreter(
+        m in 1u64..9,
+        parts in prop::collection::vec(0usize..3, 2..4),
+        cut in 0usize..4,
+        chunk in 0u64..4,
+    ) {
+        // `[[ if k < t then (X₁[k], …) else ⊥ | k < m ]]` with its `⊥`
+        // at the first, a middle or the last cell, or at none; each
+        // `Xᵢ` of one kind, eager or behind a one-chunk cache.
+        let t = [0, m / 2, m - 1, m][cut];
+        let n = m + 2;
+        let globals = globals_with(vec![
+            ("R", operand(ScalarBuf::F64((0..n).map(|i| i as f64 - 2.5).collect()), chunk)),
+            ("N", operand(ScalarBuf::I64((0..n as i64).map(|i| i * 3 % 7).collect()), chunk)),
+            ("B", operand(ScalarBuf::Bool((0..n).map(|i| i % 3 == 1).collect()), chunk)),
+        ]);
+        let head = tuple(parts.iter().map(|&p| sub(global(KINDS[p]), vec![var("k")])).collect());
+        let e = tab1("k", nat(m), iff(lt(var("k"), nat(t)), head, bottom()));
+        // `run`: the same outcome, steps, subscripts and cells with the
+        // kernel as the all-checked interpreter; every site elided.
+        let r = run(&e, &globals);
+        prop_assert_eq!(r.elided, r.subscripts, "{}", e);
+        if t < m {
+            prop_assert!(r.value().is_bottom(), "{}", e);
+            prop_assert_eq!(r.kernel_nests, 0, "{}", e);
+        } else {
+            prop_assert_eq!(r.kernel_nests, 1, "{}", e);
+            let Value::Array(a) = r.value() else { panic!("{e} is a tabulation") };
+            let ArrayData::Columns(cols) = a.array_data() else { panic!("{e} was boxed") };
+            prop_assert_eq!(cols.len(), parts.len());
         }
     }
 }

@@ -7,9 +7,9 @@
 //! fragment: literals, loop and `let` variables, scalars bound outside
 //! the nest, arithmetic, comparison, `if`, nested `Σ` over `gen`,
 //! `dim_1`, subscripts of arrays bound outside the nest, tuples of
-//! these (a tabulation's cells; boxed, one allocation each), and `⊥` as
-//! a branch of an `if` — which is what β^p leaves around every fused
-//! subscript `check-elim` cannot discharge, so the §1 query's
+//! these (a tabulation's cells; a tuple inside a tuple is not planned),
+//! and `⊥` as a branch of an `if` — which is what β^p leaves around
+//! every fused subscript `check-elim` cannot discharge, so the §1 query's
 //! `if g then (T[h+k], RH[h+k], if g' then WS[…] else ⊥) else ⊥` is a
 //! head like any other. A nest is planned only when it subscripts
 //! something and **every** subscript in it carries the analyzer's
@@ -21,8 +21,11 @@
 //! arrays and captured scalars, learns each expression's kind (`nat`,
 //! `real`, `bool`, tuple) from them, and composes the nest into
 //! closures over a flat frame of `u64` slots — and runs it: no
-//! environment node, no per-node tick, typed output buffers, a
-//! [`Value`] only where a cell is a tuple. A `⊥` branch has the kind of
+//! environment node, no per-node tick, typed output buffers. A tuple
+//! head is a row writer: it writes its components into the frame's row
+//! slots, whose kinds are fixed at bind, and the tabulation appends each
+//! slot to its column ([`Column`]), so an array of `n` tuples is `k`
+//! buffers, not `n` boxes. A `⊥` branch has the kind of
 //! the branch beside it. A lazy operand is read once per subscript
 //! site, as one window (one `read_slab`: one cache lookup per
 //! overlapped chunk), when that window has no more cells than the site
@@ -51,10 +54,11 @@
 //! it, which no closed form knows —, `nat` overflow, a real-typed `Σ`
 //! over nothing (the interpreter's `0 : nat`), a negative stored
 //! integer (a `real` to the interpreter), an operand that is not a flat
-//! scalar array, a limit that would be exceeded, a pending deadline or
-//! cancellation, a storage failure. The interpreter then reports the
-//! error, or the `⊥`, at the point and with the counts it always did;
-//! the trace counts the nest under `eval.kernel_escapes`.
+//! scalar array (a column array is not), a limit that would be
+//! exceeded, a pending deadline or cancellation, a storage failure. The
+//! interpreter then reports the error, or the `⊥`, at the point and
+//! with the counts it always did; the trace counts the nest under
+//! `eval.kernel_escapes`.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -63,11 +67,9 @@ use std::rc::Rc;
 use aql_store::{Scalar, ScalarBuf, ScalarKind};
 
 use super::bounds::Iv;
-use super::{
-    eval_compiled, holds, real_arith, try_tuple, CExpr, Env, EvalCtx, INTERRUPT_CHECK_MASK,
-};
+use super::{eval_compiled, holds, real_arith, CExpr, Env, EvalCtx, INTERRUPT_CHECK_MASK};
 use crate::expr::{ArithOp, CmpOp, Name, Prim};
-use crate::value::array::{checked_product, ArrayData};
+use crate::value::array::{checked_product, ArrayData, Column};
 use crate::value::{ArrayVal, Value};
 
 /// A scalar known before the nest runs: a literal, or a value captured
@@ -131,7 +133,7 @@ enum P {
     /// The root loop's trip count, evaluated before the nest is bound.
     Trips,
     Fold(Box<Fold>),
-    /// A tuple of scalars (or of tuples): boxed, one per cell.
+    /// A tuple of scalars: a row, written into the frame's row slots.
     Tuple(Vec<P>),
     /// `⊥`, as a branch of an `if`. Reaching it is the escape.
     Bottom,
@@ -193,6 +195,8 @@ pub struct KernelPlan {
     operands: Vec<Outer>,
     sites: Vec<Site>,
     slots: usize,
+    /// Row slots: the arity of the widest tuple.
+    row: usize,
 }
 
 /// The argument of a `gen` loop source.
@@ -248,6 +252,7 @@ pub(super) fn plan(c: &CExpr) -> Option<KernelPlan> {
         operands: b.operands,
         sites: b.sites,
         slots: b.slots.max(1),
+        row: b.row,
     })
 }
 
@@ -257,6 +262,9 @@ struct Planner {
     operands: Vec<Outer>,
     sites: Vec<Site>,
     slots: usize,
+    row: usize,
+    /// Planning a tuple's components, where another tuple refuses.
+    in_tuple: bool,
 }
 
 /// Position of `o` in `list`, appended if new.
@@ -361,8 +369,11 @@ impl Planner {
                 self.sites.push(Site { operand, axes: axes.clone(), inner_trips: trips });
                 Some((P::Load(self.sites.len() - 1, ps), cost))
             }
-            CExpr::Tuple(items) => {
+            CExpr::Tuple(items) if !self.in_tuple => {
+                self.in_tuple = true;
                 let (ps, cost) = self.all(items, depth, trips, Cost::NODE)?;
+                self.in_tuple = false;
+                self.row = self.row.max(ps.len());
                 Some((P::Tuple(ps), cost))
             }
             CExpr::Dim(1, arr) => {
@@ -418,6 +429,8 @@ struct Frame<'c> {
     /// what the governor's byte budget holds at eight bytes a cell.
     max_loop: u64,
     slots: Vec<Cell<u64>>,
+    /// The components a tuple head wrote for the current cell, as bits.
+    row: Vec<Cell<u64>>,
     /// The running `min!`/`max!`, as bits.
     best: Cell<Option<u64>>,
     steps: Cell<u64>,
@@ -492,21 +505,24 @@ impl Frame<'_> {
         Some(())
     }
 
-    /// The tabulation sink: `head` at every index of `dims`, row-major.
-    fn fill<T>(
+    /// The tabulation sink: `cell` at every index of `dims`, row-major,
+    /// writing into what `out` makes for that many cells once the loop
+    /// is admitted.
+    fn fill<B>(
         &self,
         dims: &[u64],
         per_cell: Cost,
-        mut head: impl FnMut(&Self) -> Option<T>,
-    ) -> Option<Vec<T>> {
+        out: impl FnOnce(usize) -> B,
+        mut cell: impl FnMut(&Self, &mut B) -> Option<()>,
+    ) -> Option<B> {
         let total = checked_product(dims).ok()?;
         self.enter(total, per_cell)?;
         let vars = self.slots.get(..dims.len())?;
         vars.iter().for_each(|v| v.set(0));
-        let mut out = Vec::with_capacity(total as usize);
-        for cell in 0..total {
-            self.tick(cell)?;
-            out.push(head(self)?);
+        let mut out = out(total as usize);
+        for c in 0..total {
+            self.tick(c)?;
+            cell(self, &mut out)?;
             // Row-major increment; the last index varies fastest.
             for (var, &d) in vars.iter().zip(dims).rev() {
                 if var.get() + 1 < d {
@@ -517,6 +533,26 @@ impl Frame<'_> {
             }
         }
         Some(out)
+    }
+
+    /// A scalar head's cells, in one typed buffer.
+    fn cells<T>(&self, dims: &[u64], per_cell: Cost, head: Op<T>) -> Option<Vec<T>> {
+        self.fill(dims, per_cell, Vec::with_capacity, |f, out| {
+            out.push(head(f)?);
+            Some(())
+        })
+    }
+
+    /// Append the row a tuple head has written, each slot to its column.
+    fn append_row(&self, cols: &mut [Column]) {
+        for (col, slot) in cols.iter_mut().zip(&self.row) {
+            let bits = slot.get();
+            match col {
+                Column::F64(c) => c.push(f64::from_bits(bits)),
+                Column::Nat(c) => c.push(bits),
+                Column::Bool(c) => c.push(bits != 0),
+            }
+        }
     }
 }
 
@@ -562,12 +598,13 @@ fn binary<'a, T: Copy + 'a, U: 'a>(
 }
 
 /// A typed expression, ready to run: a scalar of one of the three
-/// kinds, or a tuple (boxed — a tabulation's cells, never a slot).
+/// kinds, or a tuple — code that writes its components, of the kinds
+/// listed, into the frame's row (a tabulation's cells, never a slot).
 enum Code<'a> {
     N(Arg<'a, u64>),
     R(Arg<'a, f64>),
     B(Arg<'a, bool>),
-    T(Arg<'a, Value>),
+    T(Arg<'a, ()>, Vec<Ty>),
 }
 
 /// `$code` with `$body` applied to the closure of whichever kind it is.
@@ -577,7 +614,7 @@ macro_rules! each_kind {
             Code::N($op) => Code::N(Arg::Op($body)),
             Code::R($op) => Code::R(Arg::Op($body)),
             Code::B($op) => Code::B(Arg::Op($body)),
-            Code::T($op) => Code::T(Arg::Op($body)),
+            Code::T($op, kinds) => Code::T(Arg::Op($body), kinds),
         }
     };
 }
@@ -611,27 +648,8 @@ impl<'a> Code<'a> {
             Code::R(Arg::Op(r)) => (Ty::R, Box::new(move |f| Some(r(f)?.to_bits()))),
             Code::B(Arg::Const(b)) => (Ty::B, Box::new(move |_| Some(u64::from(b)))),
             Code::B(Arg::Op(b)) => (Ty::B, Box::new(move |f| Some(u64::from(b(f)?)))),
-            Code::T(_) => return None,
+            Code::T(..) => return None,
         })
-    }
-
-    /// The boxed value: a tuple's component, a root `Σ`'s result.
-    fn value(self) -> Op<'a, Value> {
-        match self {
-            Code::N(n) => {
-                let n = n.op();
-                Box::new(move |f| Some(Value::Nat(n(f)?)))
-            }
-            Code::R(r) => {
-                let r = r.op();
-                Box::new(move |f| Some(Value::Real(r(f)?)))
-            }
-            Code::B(b) => {
-                let b = b.op();
-                Box::new(move |f| Some(Value::Bool(b(f)?)))
-            }
-            Code::T(t) => t.op(),
-        }
     }
 }
 
@@ -641,6 +659,17 @@ enum Ty {
     N,
     R,
     B,
+}
+
+impl Ty {
+    /// An empty column of this kind with room for `n` cells.
+    fn column(self, n: usize) -> Column {
+        match self {
+            Ty::N => Column::Nat(Vec::with_capacity(n)),
+            Ty::R => Column::F64(Vec::with_capacity(n)),
+            Ty::B => Column::Bool(Vec::with_capacity(n)),
+        }
+    }
 }
 
 fn let_in<'a, T: 'a>(slot: usize, bound: Op<'a, u64>, body: Op<'a, T>) -> Op<'a, T> {
@@ -852,8 +881,8 @@ impl<'a> Binder<'a> {
                     (Some(Code::B(x)), Some(Code::B(y))) => {
                         Code::B(Arg::Op(branch(c, (x.op(), t.1), (y.op(), e.1))))
                     }
-                    (Some(Code::T(x)), Some(Code::T(y))) => {
-                        Code::T(Arg::Op(branch(c, (x.op(), t.1), (y.op(), e.1))))
+                    (Some(Code::T(x, kinds)), Some(Code::T(y, other))) if kinds == other => {
+                        Code::T(Arg::Op(branch(c, (x.op(), t.1), (y.op(), e.1))), kinds)
                     }
                     // A tabulation, a `Σ` and a `⋃` are strict: the
                     // sink's value is `⊥` from the first such cell on.
@@ -873,11 +902,15 @@ impl<'a> Binder<'a> {
                 _ => return None,
             },
             P::Tuple(items) => {
-                let parts = items.iter().map(|p| Some(self.code(p)?.value()));
-                let parts = parts.collect::<Option<Vec<_>>>()?;
-                Code::T(Arg::Op(Box::new(move |f| {
-                    try_tuple(&parts, |part| part(f).ok_or(())).ok().map(Value::Tuple)
-                })))
+                let parts = items.iter().map(|p| self.code(p)?.bits());
+                let (kinds, parts): (Vec<Ty>, Vec<_>) = parts.collect::<Option<Vec<_>>>()?.into_iter().unzip();
+                let write = move |f: &Frame| {
+                    for (slot, part) in f.row.iter().zip(&parts) {
+                        slot.set(part(f)?);
+                    }
+                    Some(())
+                };
+                Code::T(Arg::Op(Box::new(write)), kinds)
             }
             P::Fold(fold) if fold.kind == FoldKind::Sum => {
                 let n = self.loop_of(fold)?;
@@ -910,7 +943,7 @@ impl<'a> Binder<'a> {
                             Some(acc)
                         })
                     }
-                    Code::B(_) | Code::T(_) => return None,
+                    Code::B(_) | Code::T(..) => return None,
                 }
             }
             // Set levels are bound by `level`; a `⊥` no `if` types.
@@ -970,9 +1003,9 @@ impl<'a> Binder<'a> {
             (Some(ScalarBuf::F64(v)), _) => Code::r(move |f| v.get(at(f)?).copied()),
             (Some(ScalarBuf::I64(v)), _) => Code::n(move |f| nat_of(v.get(at(f)?)?)),
             (Some(ScalarBuf::Bool(v)), _) => Code::b(move |f| v.get(at(f)?).copied()),
-            (None, ArrayData::F64(v)) => Code::r(move |f| v.get(at(f)?).copied()),
-            (None, ArrayData::Nat(v)) => Code::n(move |f| v.get(at(f)?).copied()),
-            (None, ArrayData::Bool(v)) => Code::b(move |f| v.get(at(f)?).copied()),
+            (None, ArrayData::Flat(Column::F64(v))) => Code::r(move |f| v.get(at(f)?).copied()),
+            (None, ArrayData::Flat(Column::Nat(v))) => Code::n(move |f| v.get(at(f)?).copied()),
+            (None, ArrayData::Flat(Column::Bool(v))) => Code::b(move |f| v.get(at(f)?).copied()),
             // No window: one cache lookup per element.
             (None, ArrayData::Lazy(l)) => {
                 let get = move |f: &Frame| l.borrow_mut().get_linear(at(f)? as u64).ok()?;
@@ -991,7 +1024,7 @@ impl<'a> Binder<'a> {
                     }),
                 }
             }
-            (None, ArrayData::Materialized(_)) => return None,
+            (None, ArrayData::Materialized(_) | ArrayData::Columns(_)) => return None,
         })
     }
 
@@ -1048,7 +1081,7 @@ impl<'a> Binder<'a> {
                         };
                         (Box::new(op), Ty::B)
                     }
-                    Code::T(_) => return None,
+                    Code::T(..) => return None,
                 })
             }
         }
@@ -1117,7 +1150,7 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
     let mut arrays = Vec::with_capacity(plan.operands.len());
     for o in &plan.operands {
         let Value::Array(a) = outer(o, env, ctx)? else { return None };
-        if matches!(a.array_data(), ArrayData::Materialized(_)) {
+        if matches!(a.array_data(), ArrayData::Materialized(_) | ArrayData::Columns(_)) {
             return None;
         }
         arrays.push(a.clone());
@@ -1164,6 +1197,7 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
         ctx,
         max_loop: admissible.min(ctx.limits.max_elems),
         slots: vec![Cell::new(0); plan.slots],
+        row: vec![Cell::new(0); plan.row],
         best: Cell::new(None),
         steps: Cell::new(0),
         subs: Cell::new(0),
@@ -1181,20 +1215,26 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
             } else {
                 match binder.code(head)? {
                     Code::N(h) => {
-                        let cells = frame.fill(&dims, *per_cell, h.op())?;
+                        let cells = frame.cells(&dims, *per_cell, h.op())?;
                         ArrayVal::from_nat(dims, cells)
                     }
                     Code::R(h) => {
-                        let cells = frame.fill(&dims, *per_cell, h.op())?;
+                        let cells = frame.cells(&dims, *per_cell, h.op())?;
                         ArrayVal::from_f64(dims, cells)
                     }
                     Code::B(h) => {
-                        let cells = frame.fill(&dims, *per_cell, h.op())?;
+                        let cells = frame.cells(&dims, *per_cell, h.op())?;
                         ArrayVal::from_bool(dims, cells)
                     }
-                    Code::T(h) => {
-                        let cells = frame.fill(&dims, *per_cell, h.op())?;
-                        ArrayVal::new(dims, cells)
+                    Code::T(h, kinds) => {
+                        let h = h.op();
+                        let columns = |n| kinds.iter().map(|ty| ty.column(n)).collect::<Vec<_>>();
+                        let cols = frame.fill(&dims, *per_cell, columns, |f, cols| {
+                            h(f)?;
+                            f.append_row(cols);
+                            Some(())
+                        })?;
+                        ArrayVal::from_columns(dims, cols)
                     }
                 }
             };
@@ -1204,7 +1244,11 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
             frame.steps.set(*fixed);
             // (A real sum of nothing escapes here as it does inside a
             // nest: the interpreter's answer is `0 : nat`.)
-            binder.code(nest)?.value()(&frame)?
+            match binder.code(nest)? {
+                Code::N(n) => Value::Nat(n.get(&frame)?),
+                Code::R(r) => Value::Real(r.get(&frame)?),
+                _ => return None,
+            }
         }
         Root::Fold { kind, nest, fixed } => {
             frame.steps.set(*fixed);
@@ -1284,6 +1328,7 @@ mod tests {
         elided: u64,
         materialized: u64,
         nests: u64,
+        escapes: u64,
         lookups: u64,
     }
 
@@ -1307,6 +1352,7 @@ mod tests {
             elided: s.elided,
             materialized: s.materialized,
             nests: ctx.kernel_nests(),
+            escapes: ctx.kernel_escapes.get(),
             lookups: s.cache.hits + s.cache.misses,
         }
     }
@@ -1342,14 +1388,30 @@ mod tests {
         Value::Array(Rc::new(a.unwrap()))
     }
 
-    fn lazy_over(dims: &[u64], chunk: &[u64], source: Box<dyn aql_store::ChunkSource>, kind: ScalarKind) -> Value {
+    fn lazy_over(
+        dims: &[u64],
+        chunk: &[u64],
+        source: Box<dyn aql_store::ChunkSource>,
+        kind: ScalarKind,
+        budget: u64,
+    ) -> Value {
         let layout = ChunkLayout::new(dims.to_vec(), chunk.to_vec()).unwrap();
-        array(ArrayVal::lazy(LazyArray::new(layout, kind, source, 1 << 20)))
+        array(ArrayVal::lazy(LazyArray::new(layout, kind, source, budget)))
+    }
+
+    fn lazy_in(dims: &[u64], chunk: &[u64], buf: ScalarBuf, budget: u64) -> Value {
+        let kind = buf.kind();
+        let source = Box::new(MemChunkSource::new(dims.to_vec(), buf).unwrap());
+        lazy_over(dims, chunk, source, kind, budget)
     }
 
     fn lazy(dims: &[u64], chunk: &[u64], buf: ScalarBuf) -> Value {
-        let kind = buf.kind();
-        lazy_over(dims, chunk, Box::new(MemChunkSource::new(dims.to_vec(), buf).unwrap()), kind)
+        lazy_in(dims, chunk, buf, 1 << 20)
+    }
+
+    /// Lazy behind a cache that holds one chunk.
+    fn lazy_cached(dims: &[u64], chunk: &[u64], buf: ScalarBuf) -> Value {
+        lazy_in(dims, chunk, buf, chunk.iter().product::<u64>() * 8)
     }
 
     /// Mixed-sign reals with no two alike.
@@ -1532,6 +1594,13 @@ mod tests {
         assert_eq!(got.nests, 1);
         let Ok(Value::Array(a)) = got.value else { unreachable!("a tabulation") };
         assert_eq!(a.dims(), &[0, 5]);
+        // An inner zero extent under a tuple head: no cell, no columns,
+        // and still a kernel.
+        let e = tab(vec![("i", nat(7)), ("j", nat(0))], tuple(vec![cell(), var("j")]));
+        let got = same(&e, &g, IJ);
+        assert_eq!((got.nests, got.escapes), (1, 0));
+        let Ok(Value::Array(a)) = got.value else { unreachable!("a tabulation") };
+        assert_eq!(a.dims(), &[7, 0]);
         // So with a nested one, where the addition around it promotes
         // that zero. The interpreter then meets the inner sums as
         // nests of their own: of the three, the one that is not empty
@@ -1604,14 +1673,19 @@ mod tests {
         let heads = [
             tuple(vec![at("A"), at("L")]),
             tuple(vec![at("A"), at("L"), inner]),
-            // A scalar, and a tuple inside a tuple.
+            // A scalar, and a triple of three kinds under a `let`.
             mul(at("L"), real(2.0)),
-            tuple(vec![var("i"), tuple(vec![at("A"), lt(at("L"), real(0.0))])]),
+            let_("x", at("A"), tuple(vec![var("i"), var("x"), lt(var("x"), at("L"))])),
         ];
         for head in &heads {
-            // No cell takes the `⊥` branch: a kernel.
+            // No cell takes the `⊥` branch: a kernel, whose tuples are
+            // columns.
             let e = tab(vec![("i", nat(7)), ("j", nat(5))], until(35, head.clone()));
-            assert_eq!(same(&e, &g, IJ).nests, 1, "{e}");
+            let got = same(&e, &g, IJ);
+            assert_eq!(got.nests, 1, "{e}");
+            let Ok(Value::Array(a)) = got.value else { unreachable!("a tabulation") };
+            let columns = matches!(a.array_data(), ArrayData::Columns(_));
+            assert_eq!(columns, !matches!(head, Expr::Arith(..)), "{e}");
             // The first, a middle and the last cell take it: the value
             // is `⊥` with the interpreter's charges up to that cell —
             // `same` compares them — and none of the kernel's.
@@ -1633,6 +1707,55 @@ mod tests {
         for (e, rows) in sinks(&until(17, at("L"))).iter().zip([0, 3, 0, 0]) {
             let got = same(e, &g, IJ);
             assert_eq!((got.value, got.nests), (Ok(Value::Bottom), rows), "{e}");
+        }
+    }
+
+    #[test]
+    fn tuple_heads_fill_one_column_per_component() {
+        let (dims, chunk) = ([7u64, 5], [3u64, 2]);
+        let signed = nats(35).into_iter().map(|n| n as i64).collect();
+        // Each kind eager and lazy (the lazy ones behind a one-chunk
+        // cache, so windows evict one another).
+        let g = world(vec![
+            ("R", array(ArrayVal::from_f64(dims.to_vec(), reals(35)))),
+            ("N", array(ArrayVal::from_nat(dims.to_vec(), nats(35)))),
+            ("B", array(ArrayVal::from_bool(dims.to_vec(), bools(35)))),
+            ("LR", lazy_cached(&dims, &chunk, ScalarBuf::F64(reals(35)))),
+            ("LN", lazy_cached(&dims, &chunk, ScalarBuf::I64(signed))),
+            ("LB", lazy_cached(&dims, &chunk, ScalarBuf::Bool(bools(35)))),
+        ]);
+        let at = |a: &str| sub(global(a), vec![var("i"), var("j")]);
+        let all = ["R", "LR", "N", "LN", "B", "LB"];
+        for (x, y) in all.iter().flat_map(|x| all.iter().map(move |y| (x, y))) {
+            for head in [tuple(vec![at(x), at(y)]), tuple(vec![at(y), at(x), at(y)])] {
+                let e = tab(vec![("i", nat(7)), ("j", nat(5))], head);
+                let got = same(&e, &g, IJ);
+                assert_eq!(got.nests, 1, "{e}");
+                let Ok(Value::Array(a)) = &got.value else { unreachable!("a tabulation") };
+                let ArrayData::Columns(cols) = a.array_data() else { unreachable!("{e} boxed") };
+                assert_eq!(cols.len(), a.value_at(0).as_tuple().map_or(0, <[_]>::len), "{e}");
+            }
+        }
+        // A tuple inside a tuple is not planned: no kernel, no escape.
+        let nested = tuple(vec![var("i"), tuple(vec![at("R"), at("B")])]);
+        let got = same(&tab(vec![("i", nat(7)), ("j", nat(5))], nested), &g, IJ);
+        assert_eq!((got.nests, got.escapes), (0, 0));
+    }
+
+    #[test]
+    fn a_column_array_operand_is_refused_like_a_boxed_one() {
+        // Read as a flat buffer, `Z[i]` would be a real, not a pair.
+        let z = ArrayVal::new(
+            vec![3],
+            (0..3).map(|i| Value::tuple(vec![Value::Real(i as f64), Value::Nat(i)])).collect(),
+        );
+        let boxed = Value::array1(vec![Value::Nat(1), Value::Bottom, Value::Nat(2)]);
+        let g = world(vec![("Z", array(z)), ("M", boxed)]);
+        assert!(matches!(g[&name("Z")].as_array().unwrap().array_data(), ArrayData::Columns(_)));
+        for operand in ["Z", "M"] {
+            let e = tab1("i", nat(3), sub(global(operand), vec![var("i")]));
+            let got = same(&e, &g, &[("i", below(3))]);
+            assert_eq!((got.nests, got.escapes), (0, 1), "{e}");
         }
     }
 
@@ -1747,7 +1870,7 @@ mod tests {
         let dead = |_, _: &[u64]| Some(Fault::Persistent);
         let source = MemChunkSource::new(vec![7, 5], ScalarBuf::F64(reals(35))).unwrap();
         let faulty = Box::new(FaultyChunkSource::new(source, dead));
-        let g = world(vec![("A", lazy_over(&[7, 5], &[3, 2], faulty, ScalarKind::F64))]);
+        let g = world(vec![("A", lazy_over(&[7, 5], &[3, 2], faulty, ScalarKind::F64, 1 << 20))]);
         for e in sinks(&cell()) {
             // (Not `same`: the message counts the reads attempted, and
             // the window was one.)

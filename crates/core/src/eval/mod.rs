@@ -432,17 +432,23 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
             eval_compiled(body, &env.push(v), ctx)
         }
         CExpr::Tuple(items) => {
-            // `Err(None)`: a `⊥` component, which is the tuple's value.
-            let t = try_tuple(items, |it| match eval_compiled(it, env, ctx) {
-                Ok(v) if v.is_bottom() => Err(None),
-                Ok(v) => Ok(v),
-                Err(e) => Err(Some(e)),
+            // Built straight into the `Rc`: one allocation, where a `Vec`
+            // turned into an `Rc` is two and a copy (the mapped slice
+            // iterator has the exact size `collect` needs for that). A
+            // `⊥` component, which is the tuple's value, or an error
+            // stops the evaluation of the rest.
+            let mut stop = None;
+            let t = items.iter().map(|it| {
+                if stop.is_none() {
+                    match eval_compiled(it, env, ctx) {
+                        Ok(v) if !v.is_bottom() => return v,
+                        other => stop = Some(other),
+                    }
+                }
+                Value::Bottom
             });
-            match t {
-                Ok(t) => Ok(Value::Tuple(t)),
-                Err(None) => Ok(Value::Bottom),
-                Err(Some(e)) => Err(e),
-            }
+            let t = Value::Tuple(t.collect());
+            stop.unwrap_or(Ok(t))
         }
         CExpr::Proj(i, k, e) => {
             let v = strict!(eval_compiled(e, env, ctx)?);
@@ -782,31 +788,6 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
             }
         }
     }
-}
-
-/// A tuple's components, `f` of each of `items`, built straight into
-/// the `Rc` — one allocation, where a `Vec` turned into an `Rc` is two
-/// and a copy (the mapped slice iterator has an exact size, which is
-/// what `collect` needs for that). The first `Err` is the result, and
-/// `f` is not called again after it.
-fn try_tuple<T, E>(
-    items: &[T],
-    mut f: impl FnMut(&T) -> Result<Value, E>,
-) -> Result<Rc<[Value]>, E> {
-    let mut stop = None;
-    let t = items
-        .iter()
-        .map(|it| {
-            if stop.is_none() {
-                match f(it) {
-                    Ok(v) => return v,
-                    Err(e) => stop = Some(e),
-                }
-            }
-            Value::Bottom
-        })
-        .collect();
-    stop.map_or(Ok(t), Err)
 }
 
 /// Does a comparison hold, given how its operands are ordered?

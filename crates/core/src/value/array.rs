@@ -8,15 +8,25 @@
 //!
 //! * `Materialized` — the function fully tabulated as boxed [`Value`]s
 //!   in row-major order (the historical representation);
-//! * `F64` / `Nat` / `Bool` — homogeneous arrays tabulated as unboxed
-//!   flat buffers (an eighth of the memory, no pointer chasing);
+//! * `Flat` — homogeneous `real`, `nat` or `bool` arrays tabulated as
+//!   one unboxed buffer, a [`Column`] (an eighth of the memory, no
+//!   pointer chasing);
+//! * `Columns` — arrays of records (`zip`, `zip_3`, the §1 query's
+//!   triples): every cell a tuple of one arity whose each position
+//!   holds one scalar kind, stored as one column per component — `k`
+//!   buffers where boxing takes `n` tuples;
 //! * `Lazy` — the function *not* tabulated: an `aql-store`
 //!   [`LazyArray`] that fetches row-major chunks from a
 //!   [`ChunkSource`](aql_store::ChunkSource) through a budgeted LRU
 //!   cache, so only the elements a query touches ever leave disk.
 //!
-//! Element access is uniform across all variants via [`ArrayVal::get`]
-//! / [`ArrayVal::value_at`]. Lazy reads can fail in the storage layer;
+//! [`ArrayVal::new`] picks the flat or columnar store whenever the
+//! cells allow it, however the array was built, so the store is never
+//! observable: element access is uniform across all variants via
+//! [`ArrayVal::get`] / [`ArrayVal::value_at`] (a column array's cell is
+//! boxed on the way out; [`ArrayVal::component_at`] reads one component
+//! without boxing), and equality, ordering and printing go through it.
+//! Lazy reads can fail in the storage layer;
 //! fallible callers (the evaluator's subscript path) use
 //! [`ArrayVal::try_get`] and surface a proper
 //! [`EvalError::Storage`], while infallible contexts (ordering,
@@ -39,15 +49,82 @@ pub enum ArrayData {
     /// Boxed values in row-major order (heterogeneous or non-scalar
     /// element types).
     Materialized(Vec<Value>),
-    /// Unboxed reals in row-major order.
-    F64(Vec<f64>),
-    /// Unboxed naturals in row-major order.
-    Nat(Vec<u64>),
-    /// Unboxed booleans in row-major order.
-    Bool(Vec<bool>),
+    /// Scalars of one kind, unboxed, in row-major order.
+    Flat(Column),
+    /// Tuples of scalars: one column per component (at least one), each
+    /// as long as the array, in row-major order.
+    Columns(Vec<Column>),
     /// A chunked on-demand array; shared so cloning an array value
     /// shares one cache rather than duplicating it.
     Lazy(Rc<RefCell<LazyArray>>),
+}
+
+/// An unboxed buffer of one scalar kind: a flat array's cells, or one
+/// component of a tuple array's.
+#[derive(Debug, Clone)]
+pub enum Column {
+    /// Reals.
+    F64(Vec<f64>),
+    /// Naturals.
+    Nat(Vec<u64>),
+    /// Booleans.
+    Bool(Vec<bool>),
+}
+
+impl Column {
+    /// An empty column of `v`'s kind with room for `n` cells; `None`
+    /// when `v` is not a scalar.
+    fn of(v: &Value, n: usize) -> Option<Column> {
+        Some(match v {
+            Value::Real(_) => Column::F64(Vec::with_capacity(n)),
+            Value::Nat(_) => Column::Nat(Vec::with_capacity(n)),
+            Value::Bool(_) => Column::Bool(Vec::with_capacity(n)),
+            _ => return None,
+        })
+    }
+
+    /// Append `v`; `None` when it is not of the column's kind.
+    fn push(&mut self, v: &Value) -> Option<()> {
+        match (self, v) {
+            (Column::F64(c), Value::Real(x)) => c.push(*x),
+            (Column::Nat(c), Value::Nat(n)) => c.push(*n),
+            (Column::Bool(c), Value::Bool(b)) => c.push(*b),
+            _ => return None,
+        }
+        Some(())
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Column::F64(c) => c.len(),
+            Column::Nat(c) => c.len(),
+            Column::Bool(c) => c.len(),
+        }
+    }
+
+    /// The cell at `off`, which the caller has checked is in range.
+    fn value_at(&self, off: usize) -> Value {
+        match self {
+            Column::F64(c) => Value::Real(c[off]),
+            Column::Nat(c) => Value::Nat(c[off]),
+            Column::Bool(c) => Value::Bool(c[off]),
+        }
+    }
+}
+
+impl PartialEq for Column {
+    /// Cell for cell under the canonical order: reals bitwise (which is
+    /// `total_cmp` equality); columns of two kinds are never equal.
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Column::F64(a), Column::F64(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+            }
+            (Column::Nat(a), Column::Nat(b)) => a == b,
+            (Column::Bool(a), Column::Bool(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 /// A k-dimensional array value: dimensions plus row-major elements.
@@ -97,41 +174,45 @@ fn scalar_to_value(s: Scalar) -> Value {
     }
 }
 
-/// Collapse a homogeneous scalar vector into a typed flat buffer;
-/// heterogeneous or non-scalar data stays materialized.
+/// A cell's components: a tuple's (for `tuples`), else the scalar
+/// itself as the only one.
+fn row(v: &Value, tuples: bool) -> Option<&[Value]> {
+    match v {
+        Value::Tuple(t) => tuples.then_some(&t[..]),
+        v => (!tuples).then_some(std::slice::from_ref(v)),
+    }
+}
+
+/// The cells' rows as typed columns, if every row has the first one's
+/// length, at least one, and each position one scalar kind.
+fn columns(data: &[Value], tuples: bool) -> Option<Vec<Column>> {
+    let first = row(data.first()?, tuples)?;
+    let mut cols = first.iter().map(|v| Column::of(v, data.len())).collect::<Option<Vec<_>>>()?;
+    if cols.is_empty() {
+        return None;
+    }
+    for cell in data {
+        let parts = row(cell, tuples)?;
+        if parts.len() != cols.len() {
+            return None;
+        }
+        for (col, v) in cols.iter_mut().zip(parts) {
+            col.push(v)?;
+        }
+    }
+    Some(cols)
+}
+
+/// Collapse homogeneous scalars into one typed column, and tuples of
+/// scalars into one per component; anything else — a `⊥` cell, two
+/// kinds at one position, a nested tuple, unequal arities — stays
+/// materialized.
 fn specialize(data: Vec<Value>) -> ArrayData {
-    match data.first() {
-        Some(Value::Real(_)) if data.iter().all(|v| matches!(v, Value::Real(_))) => {
-            ArrayData::F64(
-                data.iter()
-                    .map(|v| match v {
-                        Value::Real(x) => *x,
-                        _ => unreachable!(),
-                    })
-                    .collect(),
-            )
-        }
-        Some(Value::Nat(_)) if data.iter().all(|v| matches!(v, Value::Nat(_))) => {
-            ArrayData::Nat(
-                data.iter()
-                    .map(|v| match v {
-                        Value::Nat(n) => *n,
-                        _ => unreachable!(),
-                    })
-                    .collect(),
-            )
-        }
-        Some(Value::Bool(_)) if data.iter().all(|v| matches!(v, Value::Bool(_))) => {
-            ArrayData::Bool(
-                data.iter()
-                    .map(|v| match v {
-                        Value::Bool(b) => *b,
-                        _ => unreachable!(),
-                    })
-                    .collect(),
-            )
-        }
-        _ => ArrayData::Materialized(data),
+    let tuples = matches!(data.first(), Some(Value::Tuple(_)));
+    match columns(&data, tuples) {
+        None => ArrayData::Materialized(data),
+        Some(cols) if tuples => ArrayData::Columns(cols),
+        Some(mut cols) => ArrayData::Flat(cols.swap_remove(0)),
     }
 }
 
@@ -153,7 +234,8 @@ fn check_shape(dims: &[u64], len: usize) -> Result<usize, EvalError> {
 impl ArrayVal {
     /// Create an array, checking that `data.len()` equals the product
     /// of `dims`. `dims` must be non-empty (`k ≥ 1`). Homogeneous
-    /// scalar data is stored as an unboxed flat buffer.
+    /// scalar data is stored as an unboxed flat buffer, tuples of
+    /// scalars as one per component.
     pub fn new(dims: Vec<u64>, data: Vec<Value>) -> Result<ArrayVal, EvalError> {
         let len = check_shape(&dims, data.len())?;
         Ok(ArrayVal { dims, len, data: specialize(data) })
@@ -162,19 +244,30 @@ impl ArrayVal {
     /// Create an array directly over an unboxed real buffer.
     pub fn from_f64(dims: Vec<u64>, data: Vec<f64>) -> Result<ArrayVal, EvalError> {
         let len = check_shape(&dims, data.len())?;
-        Ok(ArrayVal { dims, len, data: ArrayData::F64(data) })
+        Ok(ArrayVal { dims, len, data: ArrayData::Flat(Column::F64(data)) })
     }
 
     /// Create an array directly over an unboxed natural buffer.
     pub fn from_nat(dims: Vec<u64>, data: Vec<u64>) -> Result<ArrayVal, EvalError> {
         let len = check_shape(&dims, data.len())?;
-        Ok(ArrayVal { dims, len, data: ArrayData::Nat(data) })
+        Ok(ArrayVal { dims, len, data: ArrayData::Flat(Column::Nat(data)) })
     }
 
     /// Create an array directly over an unboxed boolean buffer.
     pub fn from_bool(dims: Vec<u64>, data: Vec<bool>) -> Result<ArrayVal, EvalError> {
         let len = check_shape(&dims, data.len())?;
-        Ok(ArrayVal { dims, len, data: ArrayData::Bool(data) })
+        Ok(ArrayVal { dims, len, data: ArrayData::Flat(Column::Bool(data)) })
+    }
+
+    /// Create a tuple array directly over its columns: at least one, all
+    /// of the array's length, and that not zero (an empty array has no
+    /// cell to give it an arity, and is stored boxed).
+    pub(crate) fn from_columns(dims: Vec<u64>, cols: Vec<Column>) -> Result<ArrayVal, EvalError> {
+        let len = check_shape(&dims, cols.first().map_or(0, Column::len))?;
+        if len == 0 || cols.iter().any(|c| c.len() != len) {
+            return Err(EvalError::IllTyped("tuple columns must be non-empty and equal".into()));
+        }
+        Ok(ArrayVal { dims, len, data: ArrayData::Columns(cols) })
     }
 
     /// Create a lazy array over an `aql-store` [`LazyArray`]. The
@@ -288,13 +381,28 @@ impl ArrayVal {
         }
         match &self.data {
             ArrayData::Materialized(v) => Ok(Some(v[off].clone())),
-            ArrayData::F64(v) => Ok(Some(Value::Real(v[off]))),
-            ArrayData::Nat(v) => Ok(Some(Value::Nat(v[off]))),
-            ArrayData::Bool(v) => Ok(Some(Value::Bool(v[off]))),
+            ArrayData::Flat(c) => Ok(Some(c.value_at(off))),
+            ArrayData::Columns(cols) => {
+                Ok(Some(Value::Tuple(cols.iter().map(|c| c.value_at(off)).collect())))
+            }
             ArrayData::Lazy(l) => {
                 let s = l.borrow_mut().get_linear(off as u64).map_err(EvalError::from)?;
                 Ok(s.map(scalar_to_value))
             }
+        }
+    }
+
+    /// Component `i` of the tuple at a row-major offset; `None` when the
+    /// offset is out of range, the cell is not a tuple or has no
+    /// component `i`. A column array answers without boxing the tuple.
+    pub fn component_at(&self, off: usize, i: usize) -> Option<Value> {
+        if off >= self.len {
+            return None;
+        }
+        match &self.data {
+            ArrayData::Columns(cols) => Some(cols.get(i)?.value_at(off)),
+            ArrayData::Materialized(v) => row(&v[off], true)?.get(i).cloned(),
+            _ => None,
         }
     }
 
@@ -341,13 +449,11 @@ impl PartialEq for ArrayVal {
         if self.dims != other.dims {
             return false;
         }
-        // Typed fast paths; `total_cmp` equality for reals is bitwise.
+        // Typed fast paths (two empty flat arrays are equal whatever
+        // their columns' kinds; a column array is never empty).
         match (&self.data, &other.data) {
-            (ArrayData::F64(a), ArrayData::F64(b)) => {
-                return a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-            }
-            (ArrayData::Nat(a), ArrayData::Nat(b)) => return a == b,
-            (ArrayData::Bool(a), ArrayData::Bool(b)) => return a == b,
+            (ArrayData::Flat(a), ArrayData::Flat(b)) if self.len > 0 => return a == b,
+            (ArrayData::Columns(a), ArrayData::Columns(b)) => return a == b,
             _ => {}
         }
         (0..self.len).all(|o| self.value_at(o) == other.value_at(o))
@@ -406,11 +512,11 @@ mod tests {
     #[test]
     fn homogeneous_scalars_specialize() {
         let a = nat_array(vec![3], vec![1, 2, 3]);
-        assert!(matches!(a.array_data(), ArrayData::Nat(_)));
+        assert!(matches!(a.array_data(), ArrayData::Flat(Column::Nat(_))));
         let a = ArrayVal::new(vec![2], vec![Value::Real(1.0), Value::Real(2.0)]).unwrap();
-        assert!(matches!(a.array_data(), ArrayData::F64(_)));
+        assert!(matches!(a.array_data(), ArrayData::Flat(Column::F64(_))));
         let a = ArrayVal::new(vec![2], vec![Value::Bool(true), Value::Bool(false)]).unwrap();
-        assert!(matches!(a.array_data(), ArrayData::Bool(_)));
+        assert!(matches!(a.array_data(), ArrayData::Flat(Column::Bool(_))));
         // Mixed data stays materialized.
         let a = ArrayVal::new(vec![2], vec![Value::Nat(1), Value::Bottom]).unwrap();
         assert!(matches!(a.array_data(), ArrayData::Materialized(_)));
@@ -428,6 +534,139 @@ mod tests {
         };
         assert_eq!(typed, boxed);
         assert_eq!(typed.data(), boxed.data());
+        // Two empty arrays are equal whatever kind of buffer each has.
+        let (reals, nats) = (ArrayVal::from_f64(vec![0], vec![]), ArrayVal::from_nat(vec![0], vec![]));
+        assert_eq!(reals.unwrap(), nats.unwrap());
+    }
+
+    /// `cells` stored boxed whatever they are: the twin a specialized
+    /// array is held against.
+    fn boxed(dims: &[u64], cells: Vec<Value>) -> ArrayVal {
+        ArrayVal { dims: dims.to_vec(), len: cells.len(), data: ArrayData::Materialized(cells) }
+    }
+
+    /// Deterministic draws from a proptest seed.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+
+        /// A scalar of `kind` (nat, real, bool) from a pool small enough
+        /// that two draws often agree, with NaN and both zeros.
+        fn scalar(&mut self, kind: u64) -> Value {
+            match kind {
+                0 => Value::Nat([0, 1, 7, u64::MAX][self.below(4) as usize]),
+                1 => Value::Real([0.0, -0.0, f64::NAN, 1.5, -2.25][self.below(5) as usize]),
+                _ => Value::Bool(self.below(2) == 1),
+            }
+        }
+
+        /// Tuple cells with one component of each of `kinds`.
+        fn cells(&mut self, n: u64, kinds: &[u64]) -> Vec<Value> {
+            (0..n).map(|_| Value::Tuple(kinds.iter().map(|&k| self.scalar(k)).collect())).collect()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn columns_are_invisible(seed in 0u64..u64::MAX, arity in 1usize..5, rank in 1usize..4) {
+            use crate::value::{ord::canonical_cmp, parse::parse_value, print::session_string};
+            use crate::value::tyof::type_of_value;
+            use proptest::prelude::*;
+            let mut d = Draw(seed);
+            // Extents 0–3, so some arrays have no cell at all.
+            let dims: Vec<u64> = (0..rank).map(|_| d.below(4)).collect();
+            let kinds: Vec<u64> = (0..arity).map(|_| d.below(3)).collect();
+            let n = dims.iter().product();
+            let (xs, ys) = (d.cells(n, &kinds), d.cells(n, &kinds));
+            let a = ArrayVal::new(dims.clone(), xs.clone()).unwrap();
+            let b = ArrayVal::new(dims.clone(), ys.clone()).unwrap();
+            let (a_twin, b_twin) = (boxed(&dims, xs), boxed(&dims, ys));
+            // Columns whenever there is a cell to give the arity.
+            prop_assert_eq!(matches!(a.array_data(), ArrayData::Columns(_)), n > 0);
+
+            // Equality both ways, and the typed fast path between two
+            // column arrays agrees with the boxed comparison.
+            prop_assert!(a == a_twin);
+            prop_assert!(a_twin == a);
+            prop_assert!(a == a.clone());
+            prop_assert_eq!(a == b, a_twin == b_twin);
+            prop_assert_eq!(b == a, b_twin == a_twin);
+            let val = |x: &ArrayVal| Value::Array(Rc::new(x.clone()));
+            let (va, vb, va_twin, vb_twin) = (val(&a), val(&b), val(&a_twin), val(&b_twin));
+            prop_assert_eq!(canonical_cmp(&va, &va_twin), std::cmp::Ordering::Equal);
+            prop_assert_eq!(canonical_cmp(&va, &vb), canonical_cmp(&va_twin, &vb_twin));
+            prop_assert_eq!(canonical_cmp(&vb_twin, &va), canonical_cmp(&vb, &va_twin));
+            // A set of arrays deduplicates across stores, and finds either.
+            let mixed = Value::set(vec![va.clone(), vb_twin.clone(), va_twin.clone(), vb.clone()]);
+            let twins = Value::set(vec![va_twin.clone(), vb_twin.clone()]);
+            prop_assert_eq!(&mixed, &twins);
+            let (mixed, twins) = (mixed.as_set().unwrap(), twins.as_set().unwrap());
+            prop_assert!(twins.contains(&va) && twins.contains(&vb) && mixed.contains(&va_twin));
+
+            // Both printers; the exchange format read back, and the type
+            // (a 1-tuple has neither a literal nor a type).
+            prop_assert_eq!(va.to_string(), va_twin.to_string());
+            prop_assert_eq!(session_string(&va, 5), session_string(&va_twin, 5));
+            if arity > 1 {
+                prop_assert_eq!(type_of_value(&va), type_of_value(&va_twin));
+                let back = parse_value(&va.to_string()).unwrap();
+                prop_assert_eq!(&back, &va);
+                let Value::Array(back) = back else { unreachable!("an array literal") };
+                prop_assert_eq!(matches!(back.array_data(), ArrayData::Columns(_)), n > 0);
+            }
+
+            // Element access, past the end included.
+            prop_assert_eq!(a.data(), a_twin.data());
+            prop_assert!(a.iter_indexed().eq(a_twin.iter_indexed()));
+            for off in 0..=a.len() {
+                prop_assert_eq!(a.value_at(off), a_twin.value_at(off));
+                for i in 0..=arity {
+                    prop_assert_eq!(a.component_at(off, i), a_twin.component_at(off, i));
+                }
+            }
+            // Every index whose components run up to their extents: in
+            // range, and out of it on one axis or more.
+            let mut idx = vec![0u64; rank];
+            loop {
+                prop_assert_eq!(a.try_get(&idx).unwrap(), a_twin.try_get(&idx).unwrap());
+                let Some(j) = (0..rank).rev().find(|&j| idx[j] < dims[j]) else { break };
+                idx[j] += 1;
+                idx[j + 1..].iter_mut().for_each(|i| *i = 0);
+            }
+        }
+    }
+
+    #[test]
+    fn cells_no_column_can_hold_stay_boxed() {
+        let (nat, real) = (Value::Nat(1), Value::Real(2.0));
+        let pair = |x: &Value, y: &Value| Value::Tuple(vec![x.clone(), y.clone()].into());
+        let cases = [
+            // A `⊥` cell, and a `⊥` component.
+            vec![pair(&nat, &real), Value::Bottom],
+            vec![pair(&nat, &real), pair(&nat, &Value::Bottom)],
+            // Two kinds at one position.
+            vec![pair(&nat, &real), pair(&real, &real)],
+            // A nested tuple, a string, unequal arities, arity 0.
+            vec![pair(&nat, &pair(&nat, &real))],
+            vec![pair(&Value::str("a"), &real)],
+            vec![pair(&nat, &real), Value::Tuple(vec![nat.clone(); 3].into())],
+            vec![Value::Tuple(Vec::new().into())],
+        ];
+        for cells in cases {
+            let a = ArrayVal::new(vec![cells.len() as u64], cells.clone()).unwrap();
+            assert!(matches!(a.array_data(), ArrayData::Materialized(_)), "{cells:?}");
+        }
+        // And a column array's own constructor checks its columns.
+        let ragged = vec![Column::Nat(vec![1, 2]), Column::F64(vec![0.5])];
+        assert!(ArrayVal::from_columns(vec![2], ragged).is_err());
+        assert!(ArrayVal::from_columns(vec![0], vec![Column::Nat(Vec::new())]).is_err());
+        assert!(ArrayVal::from_columns(vec![2], Vec::new()).is_err());
     }
 
     #[test]

@@ -1,0 +1,95 @@
+//! A kernel tabulation of tuples writes one typed column per component
+//! instead of boxing each cell, proven by counting allocations as
+//! `aql-opt`'s `opt_alloc` does: a tabulation of pairs makes as many
+//! allocations at 2,500 cells as at 100 (a boxed tuple per cell would
+//! add one allocation a cell).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::rc::Rc;
+
+use aql_core::eval::bounds::Iv;
+use aql_core::eval::{eval_marked, EvalCtx};
+use aql_core::expr::builder::*;
+use aql_core::expr::{name, Expr};
+use aql_core::prim::Extensions;
+use aql_core::value::array::ArrayData;
+use aql_core::value::{ArrayVal, Value};
+
+thread_local! {
+    /// Allocations made by this thread (const-initialized and without a
+    /// destructor, so reading it from the allocator allocates nothing).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting calls per thread.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a plain
+// thread-local `Cell` and never allocates or unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread makes while running `f`.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Allocations of one marked evaluation of `[[ (A[k], A[k + n]) | k < n ]]`
+/// over an unboxed real `A` of `2n` cells — the `zip` of two windows —
+/// after a first evaluation has created whatever a thread creates once.
+fn pairs_of_two_windows(n: u64) -> u64 {
+    let a = ArrayVal::from_f64(vec![2 * n], (0..2 * n).map(|i| i as f64 * 0.5).collect());
+    let globals = HashMap::from([(name("A"), Value::Array(Rc::new(a.unwrap())))]);
+    let at = |i: Expr| sub(global("A"), vec![i]);
+    let e = tab1("k", nat(n), tuple(vec![at(var("k")), at(add(var("k"), nat(n)))]));
+    // Both indices lie in `[0, 2n)`: every site marked, so a kernel.
+    let marks = |_: &Expr| Some(vec![Iv { lo: 0, hi: Some(2 * n - 1) }]);
+    let externals = Extensions::new();
+    drop(eval_marked(&e, &EvalCtx::new(&globals, &externals), &marks));
+    let ctx = EvalCtx::new(&globals, &externals);
+    let (allocs, out) = allocs_during(|| eval_marked(&e, &ctx, &marks));
+    assert_eq!(ctx.kernel_nests(), 1, "{e} ran as a kernel");
+    let Ok(Value::Array(pairs)) = out else { panic!("{e} is a tabulation") };
+    assert!(matches!(pairs.array_data(), ArrayData::Columns(c) if c.len() == 2));
+    assert_eq!(pairs.value_at(n as usize - 1), Value::tuple(vec![
+        Value::Real((n - 1) as f64 * 0.5),
+        Value::Real((2 * n - 1) as f64 * 0.5),
+    ]));
+    allocs
+}
+
+#[test]
+fn a_tabulation_of_pairs_allocates_independently_of_its_length() {
+    let (small, large) = (pairs_of_two_windows(100), pairs_of_two_windows(2_500));
+    assert_eq!(small, large, "allocations at 100 cells and at 2,500");
+}

@@ -20,7 +20,7 @@ use std::path::Path;
 use std::rc::Rc;
 
 use aql_core::types::Type;
-use aql_core::value::array::ArrayData;
+use aql_core::value::array::{ArrayData, Column};
 use aql_core::value::{ArrayVal, Value};
 use aql_lang::errors::LangError;
 use aql_lang::reader::{Reader, Writer};
@@ -71,10 +71,15 @@ fn label_for(path: &str) -> String {
 /// The element kind an array will be persisted as.
 fn persisted_kind(arr: &ArrayVal) -> Result<ScalarKind, LangError> {
     match arr.array_data() {
-        ArrayData::F64(_) => Ok(ScalarKind::F64),
-        ArrayData::Nat(_) => Ok(ScalarKind::I64),
-        ArrayData::Bool(_) => Ok(ScalarKind::Bool),
+        ArrayData::Flat(Column::F64(_)) => Ok(ScalarKind::F64),
+        ArrayData::Flat(Column::Nat(_)) => Ok(ScalarKind::I64),
+        ArrayData::Flat(Column::Bool(_)) => Ok(ScalarKind::Bool),
         ArrayData::Lazy(l) => Ok(l.borrow().kind()),
+        // Never empty: its first cell is the tuple to name.
+        ArrayData::Columns(_) => Err(store_err(format!(
+            "arrays of scalars only; found element {}",
+            arr.value_at(0)
+        ))),
         ArrayData::Materialized(vals) => {
             let mut kind = None;
             for v in vals {
@@ -179,23 +184,25 @@ pub fn write_array(
         }
         // Typed flat buffers: each output chunk is gathered run by run
         // straight from the buffer.
-        ArrayData::F64(v) => write_gathered(&mut w, &layout, v, ScalarBuf::F64, |cells, out| {
-            out.extend_from_slice(cells);
-            Ok(())
-        })?,
-        ArrayData::Bool(v) => write_gathered(&mut w, &layout, v, ScalarBuf::Bool, |cells, out| {
-            out.extend_from_slice(cells);
-            Ok(())
-        })?,
-        ArrayData::Nat(v) => write_gathered(&mut w, &layout, v, ScalarBuf::I64, |cells, out| {
-            for &n in cells {
-                out.push(i64::try_from(n).map_err(|_| {
-                    store_err(format!("natural {n} exceeds the format's integer range"))
-                })?);
-            }
-            Ok(())
-        })?,
-        ArrayData::Materialized(_) => {
+        ArrayData::Flat(col) => match col {
+            Column::F64(v) => write_gathered(&mut w, &layout, v, ScalarBuf::F64, |cells, out| {
+                out.extend_from_slice(cells);
+                Ok(())
+            })?,
+            Column::Bool(v) => write_gathered(&mut w, &layout, v, ScalarBuf::Bool, |cells, out| {
+                out.extend_from_slice(cells);
+                Ok(())
+            })?,
+            Column::Nat(v) => write_gathered(&mut w, &layout, v, ScalarBuf::I64, |cells, out| {
+                for &n in cells {
+                    out.push(i64::try_from(n).map_err(|_| {
+                        store_err(format!("natural {n} exceeds the format's integer range"))
+                    })?);
+                }
+                Ok(())
+            })?,
+        },
+        ArrayData::Materialized(_) | ArrayData::Columns(_) => {
             for id in 0..layout.num_chunks() {
                 let (start, count) = layout.chunk_bounds(id).expect("id < num_chunks");
                 let n = layout.chunk_len(id).expect("id < num_chunks") as usize;

@@ -149,7 +149,8 @@ impl ScalarBuf {
     }
 
     /// Overwrite `len` elements starting at `at` with the `len`
-    /// elements of `src` starting at `from` — one `copy_from_slice`.
+    /// elements of `src` starting at `from` — one `copy_from_slice`
+    /// (one move for one element).
     /// Returns `false` (and leaves the buffer unchanged) when the kinds
     /// differ or either range runs past its buffer's end.
     pub fn copy_run(&mut self, at: usize, src: &ScalarBuf, from: usize, len: usize) -> bool {
@@ -157,6 +158,11 @@ impl ScalarBuf {
             let dst = at.checked_add(len).and_then(|end| dst.get_mut(at..end));
             let src = from.checked_add(len).and_then(|end| src.get(from..end));
             match (dst, src) {
+                // A strided gather's one-cell run: a move, not a `memcpy` call.
+                (Some([d]), Some([s])) => {
+                    *d = *s;
+                    true
+                }
                 (Some(dst), Some(src)) => {
                     dst.copy_from_slice(src);
                     true

@@ -228,8 +228,16 @@ pub fn for_each_run<E>(
         split -= 1;
         run *= len[split];
     }
+    // The runs come in rows along `inner`, the innermost counted axis
+    // longer than one: a row's first run is decoded, the others are
+    // steps of that axis's stride in either box (a strided gather, one
+    // cell a run, costs no division a cell).
+    let inner = (0..split).rev().find(|&j| len[j] > 1).unwrap_or(0);
+    let row = if split > 0 { len[inner] } else { 1 };
+    let stride = |dims: &[u64]| dims[inner + 1..].iter().product::<u64>();
+    let (src_step, dst_step) = (stride(src_dims), stride(dst_dims));
     let runs: u64 = len[..split].iter().product();
-    for r in 0..runs {
+    for r in (0..runs).step_by(row as usize) {
         let mut rem = r;
         let (mut src_off, mut dst_off) = (0u64, 0u64);
         let (mut src_stride, mut dst_stride) = (1u64, 1u64);
@@ -244,7 +252,9 @@ pub fn for_each_run<E>(
             src_stride *= src_dims[j];
             dst_stride *= dst_dims[j];
         }
-        f(src_off as usize, dst_off as usize, run as usize)?;
+        for i in 0..row {
+            f((src_off + i * src_step) as usize, (dst_off + i * dst_step) as usize, run as usize)?;
+        }
     }
     Ok(())
 }
@@ -383,5 +393,39 @@ mod tests {
         );
         // Rank 1 is always a single run.
         assert_eq!(runs(&[4], (&[3], &[9]), (&[0], &[4])), vec![(3, 0, 4)]);
+    }
+
+    #[test]
+    fn runs_cover_a_box_cell_by_cell_in_row_major_order() {
+        // Every box of extents 1–3 at origins 0–1 of a 4×3×5 source,
+        // into a buffer that is the box or one a column wider: unit axes
+        // between counted ones, strided one-cell runs and folded axes,
+        // against a walk of the box one cell at a time.
+        let offset = |at: &[u64], dims: &[u64], idx: &[u64]| {
+            (0..3).fold(0, |o, j| o * dims[j] + at[j] + idx[j]) as usize
+        };
+        for code in 0..27 * 8 * 2 {
+            // Three base-3 digits of extents, three bits of origin, a bit
+            // of width.
+            let len: Vec<u64> = (0..3).map(|j| code / 3u64.pow(j) % 3 + 1).collect();
+            let src_at: Vec<u64> = (0..3).map(|j| (code / 27) >> j & 1).collect();
+            let wide = code / 216;
+            let (dst_at, dst_dims) = ([0, 0, wide], [len[0], len[1], len[2] + wide]);
+            let mut cells = Vec::new();
+            for (s, d, n) in runs(&len, (&src_at, &[4, 3, 5]), (&dst_at, &dst_dims)) {
+                cells.extend((0..n).map(|t| (s + t, d + t)));
+            }
+            let mut want = Vec::new();
+            for i in 0..len[0] {
+                for j in 0..len[1] {
+                    for k in 0..len[2] {
+                        let idx = [i, j, k];
+                        let src = offset(&src_at, &[4, 3, 5], &idx);
+                        want.push((src, offset(&dst_at, &dst_dims, &idx)));
+                    }
+                }
+            }
+            assert_eq!(cells, want, "box {len:?} at {src_at:?}, buffer {dst_dims:?}");
+        }
     }
 }

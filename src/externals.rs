@@ -7,6 +7,7 @@
 //! [`register_june_sunset`] are the Rust counterparts of the paper's
 //! `TopEnv.RegisterCO` calls.
 
+use aql_core::error::EvalError;
 use aql_core::prim::NativeFn;
 use aql_core::types::Type;
 use aql_core::value::Value;
@@ -49,9 +50,16 @@ pub fn register_heatindex(session: &mut Session) {
     session.register_external(NativeFn::new("heatindex", ty, |v| {
         let arr = v.as_array()?;
         let mut readings = Vec::with_capacity(arr.len());
-        for item in arr.data().iter() {
-            let t = item.as_tuple()?;
-            readings.push((t[0].as_real()?, t[1].as_real()?, t[2].as_real()?));
+        for off in 0..arr.len() {
+            // Component by component: a column array boxes no triple.
+            let part = |i| match arr.component_at(off, i) {
+                Some(x) => x.as_real(),
+                // Not a tuple (`as_tuple` says so), or a short one.
+                None => arr.value_at(off).as_tuple().and_then(|t| {
+                    Err(EvalError::IllTyped(format!("expected a triple, got a {}-tuple", t.len())))
+                }),
+            };
+            readings.push((part(0)?, part(1)?, part(2)?));
         }
         if readings.is_empty() {
             return Ok(Value::Bottom);
@@ -148,5 +156,32 @@ mod tests {
         // Day 0 → ⊥.
         let (_, v) = s.eval_query("june_sunset!(40.7, -74.0, 0)").unwrap();
         assert!(v.is_bottom());
+    }
+
+    #[test]
+    fn heatindex_reads_a_column_day_component_by_component() {
+        use aql_core::value::array::ArrayData;
+        let mut s = Session::new();
+        register_heatindex(&mut s);
+        let day = [(95.0, 60.0, 3.0), (80.0, 40.0, 0.5), (70.0, 90.0, 0.0)];
+        let real = |x: f64| Value::Real(x);
+        let cells = day.iter().map(|&(t, rh, ws)| Value::tuple(vec![real(t), real(rh), real(ws)]));
+        let columns = Value::array1(cells.collect());
+        let Value::Array(a) = &columns else { unreachable!("an array") };
+        assert!(matches!(a.array_data(), ArrayData::Columns(_)));
+        let (_, Value::Native(f)) = s.eval_query("heatindex").unwrap() else {
+            panic!("heatindex is a primitive")
+        };
+        assert_eq!(f.call(&columns).unwrap(), Value::Real(day_heat_index(&day)));
+        // A cell that is no triple, in a flat array or a boxed one: the
+        // error the boxed reading always gave.
+        let flat = Value::array1(vec![real(1.0)]);
+        let hour = Value::tuple(vec![real(95.0), real(60.0), real(3.0)]);
+        let boxed = Value::array1(vec![hour, real(1.0)]);
+        let error = "external primitive `heatindex` failed: \
+                     ill-typed value at runtime: expected tuple, got 1.0";
+        for arr in [flat, boxed] {
+            assert_eq!(f.call(&arr).unwrap_err().to_string(), error);
+        }
     }
 }

@@ -148,8 +148,13 @@ const KERNEL_LINES: usize = 1320;
 
 /// The budget for every `crates/*/src` together, by [`non_test_lines`]'s
 /// count: 26,758 once the rebuilding child map was deleted and rules
-/// took the redex by value, rounded up to the next hundred.
-const CRATES_LINES: usize = 26_800;
+/// took the redex by value, rounded up to the next hundred; raised by
+/// 120 when arrays of tuples became columns (26,912: the `Column`
+/// buffer, the columnar store, `component_at`, the kernel's row writer
+/// and the strided gather that fills a tuple head's windows, less the
+/// boxed tuple path, its `try_tuple` helper and the three typed
+/// variants `Flat` replaced).
+const CRATES_LINES: usize = 26_920;
 
 /// Collect every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {

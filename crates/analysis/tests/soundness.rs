@@ -696,6 +696,72 @@ proptest! {
     }
 }
 
+/// Row lengths on either side of a kernel's cut into rows (4,096).
+const ROW_LENGTHS: [u64; 5] = [0, 1, 4095, 4096, 4097];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn column_array_components_agree_with_the_interpreter(
+        n in 1u64..9,
+        part in 1usize..4,
+        sink in 0usize..3,
+    ) {
+        // `Z[i] = (i/2 - 1, i·3 mod 7, i mod 3 = 1)`: one column of each
+        // kind; `πₚ(Z[i])` read as a column under a tabulation, a `Σ`
+        // (the `nat` and `real` ones) or `max!`.
+        let cell = |i: u64| Value::tuple(vec![
+            Value::Real(i as f64 * 0.5 - 1.0),
+            Value::Nat(i * 3 % 7),
+            Value::Bool(i % 3 == 1),
+        ]);
+        let z = ArrayVal::new(vec![n], (0..n).map(cell).collect()).expect("a shape"); // lint-wall: allow (test)
+        prop_assert!(matches!(z.array_data(), ArrayData::Columns(_)));
+        let globals = globals_with(vec![("Z", Value::Array(Rc::new(z)))]);
+        let at = proj(part, 3, sub(global("Z"), vec![var("i")]));
+        let e = match (sink, part) {
+            (0, _) | (1, 3) => tab1("i", nat(n), at),
+            (1, _) => sum("i", gen(nat(n)), at),
+            _ => set_max(big_union("i", gen(nat(n)), single(at))),
+        };
+        // `run`: the same outcome, steps, subscripts and cells as the
+        // all-checked interpreter.
+        let r = run(&e, &globals);
+        prop_assert_eq!((r.elided, r.kernel_nests), (r.subscripts, 1), "{}", e);
+    }
+
+    #[test]
+    fn a_row_ends_or_escapes_as_the_interpreter_would(
+        length in 0usize..5,
+        spike in 0usize..4,
+        kind in 0usize..3,
+        lazy in any::<bool>(),
+    ) {
+        let len = ROW_LENGTHS[length];
+        // One cell of a row — the first, a middle one, the last, or none —
+        // overflows `N[i] * 2`, divides by zero in `100 / D[i]`, or is a
+        // negative stored `L[i]`; under a tabulation and a `Σ`.
+        let at = [Some(0), Some(len / 2), len.checked_sub(1), None][spike];
+        let cells = |x| (0..len).map(|i| if Some(i) == at { x } else { i as i64 % 7 + 1 }).collect::<Vec<i64>>();
+        let (name, x, head): (&str, i64, fn(Expr) -> Expr) = match kind {
+            0 => ("N", i64::MAX, |x| mul(x, nat(4))),
+            1 => ("D", 0, |x| div(nat(100), x)),
+            _ => ("L", -1, |x| x),
+        };
+        let cells = cells(x);
+        let chunk = if lazy || kind == 2 { 1000 } else { 0 };
+        let globals = globals_with(vec![(name, operand(ScalarBuf::I64(cells), chunk))]);
+        let at_i = || head(sub(global(name), vec![var("i")]));
+        for e in [tab1("i", nat(len), at_i()), sum("i", gen(nat(len)), at_i())] {
+            // `run`: the same value or error, steps, subscripts and cells.
+            let r = run(&e, &globals);
+            let clean = at.is_none_or(|at| at >= len);
+            prop_assert_eq!(r.kernel_nests, u64::from(clean), "{}", e);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

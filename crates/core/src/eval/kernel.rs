@@ -19,30 +19,38 @@
 //!
 //! [`run`] *binds* a plan to one evaluation — fetches the operand
 //! arrays and captured scalars, learns each expression's kind (`nat`,
-//! `real`, `bool`, tuple) from them, and composes the nest into
-//! closures over a flat frame of `u64` slots — and runs it: no
-//! environment node, no per-node tick, typed output buffers. A tuple
-//! head is a row writer: it writes its components into the frame's row
-//! slots, whose kinds are fixed at bind, and the tabulation appends each
-//! slot to its column ([`Column`]), so an array of `n` tuples is `k`
-//! buffers, not `n` boxes. A `⊥` branch has the kind of
-//! the branch beside it. A lazy operand is read once per subscript
-//! site, as one window (one `read_slab`: one cache lookup per
+//! `real`, `bool`, tuple) from them — and runs it over a flat frame of
+//! `u64` slots: no environment node, no per-node tick, typed output
+//! buffers. **A row is the unit of work.** Every piece of a nest is
+//! compiled to one form, row code: a closure that appends the piece's
+//! values at `len` consecutive cells of its innermost loop to a typed
+//! buffer. One driver (`Frame::grid`) hands each loop's iterations to
+//! its head as rows, cut every [`POLL_EVERY`] cells; a tabulation's
+//! trailing axes make one row when every load steps through them in
+//! row-major order (`coef_k = coef_{k+1} · d_{k+1}`, as
+//! `layout::for_each_run` folds runs), so `[[ T[t0+t, i, j] * 1.8 + 32.0
+//! | t, i, j ]]` is one slice read and two loops over a buffer. The
+//! elementwise fragment — constants, the row's variable, `Arith`, `Cmp`,
+//! tuples (a column per component) and loads with affine indices —
+//! runs a row at a time; an `if` runs each run of cells taking one
+//! branch as a row of that branch; `let`, a nested `Σ`, a non-affine
+//! index and a per-element lazy read run a cell at a time inside their
+//! row. Buffers are allocated at bind. A lazy operand is read once per
+//! subscript site, as one window (one `read_slab`: one cache lookup per
 //! overlapped chunk), when that window has no more cells than the site
 //! has executions; otherwise per element, still unboxed. The window is
-//! sized when the site is bound: per axis, what the index `konst +
-//! Σ coef·slot` reaches over the trip counts known by then (captures
-//! are constants at bind, so a nest under an interpreted `⋃ d` asks
-//! for day `d`'s 24 cells), inside the analyzer's interval, which
-//! holds for every run of the statement at once and is all there is
-//! for an index of another form.
+//! sized at bind: per axis, what the index `konst + Σ coef·slot` reaches
+//! over the trip counts known by then, inside the analyzer's interval.
+//! A column array is an operand one component at a time: `πᵢ(Z[…])`.
 //!
 //! **Accounting in closed form.** The planner returns, next to each
 //! piece of a nest, what the interpreter charges for evaluating it
 //! once ([`Cost`]); a loop charges its head's cost times its trip count
-//! on entry, an `if` the cost of the branch it takes, and every loop
-//! what `check_elems` checks and counts for the `gen` or tabulation it
-//! stands in for. The totals reach the context when the nest completes.
+//! on entry, an `if` the cost of the branch taken times the cells taking
+//! it, and every loop what `check_elems` checks and counts for the `gen`
+//! or tabulation it stands in for. The totals reach the context when the
+//! nest completes. `Σ` keeps one accumulator per level, adding in
+//! iteration order, so a real sum is the interpreter's bit for bit.
 //!
 //! **One escape.** A kernel either finishes with exactly the value and
 //! the charges the interpreter would have produced, or it returns
@@ -53,18 +61,18 @@
 //! the sink's value is `⊥` from that cell on, with the charges up to
 //! it, which no closed form knows —, `nat` overflow, a real-typed `Σ`
 //! over nothing (the interpreter's `0 : nat`), a negative stored
-//! integer (a `real` to the interpreter), an operand that is not a flat
-//! scalar array (a column array is not), a limit that would be
-//! exceeded, a pending deadline or cancellation, a storage failure. The
-//! interpreter then reports the error, or the `⊥`, at the point and
-//! with the counts it always did; the trace counts the nest under
-//! `eval.kernel_escapes`.
+//! integer (a `real` to the interpreter), a boxed operand or a whole
+//! cell of a column array, a limit that would be exceeded, a pending
+//! deadline or cancellation, a storage failure. The interpreter then
+//! reports the error, or the `⊥`, at the point and with the counts it
+//! always did; the trace counts the nest under `eval.kernel_escapes`.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell, RefMut};
 use std::cmp::Ordering;
+use std::iter::repeat_n;
 use std::rc::Rc;
 
-use aql_store::{Scalar, ScalarBuf, ScalarKind};
+use aql_store::{LazyArray, Scalar, ScalarBuf, ScalarKind};
 
 use super::bounds::Iv;
 use super::{eval_compiled, holds, real_arith, CExpr, Env, EvalCtx, INTERRUPT_CHECK_MASK};
@@ -133,7 +141,7 @@ enum P {
     /// The root loop's trip count, evaluated before the nest is bound.
     Trips,
     Fold(Box<Fold>),
-    /// A tuple of scalars: a row, written into the frame's row slots.
+    /// A tuple of scalars: a tabulation's cell, one column a component.
     Tuple(Vec<P>),
     /// `⊥`, as a branch of an `if`. Reaching it is the escape.
     Bottom,
@@ -173,6 +181,9 @@ struct Site {
     /// Product of the literal trip counts of the folds around the site,
     /// the root loop excluded (a computed trip count counts 1).
     inner_trips: u64,
+    /// For `πᵢ,ₖ(A[…])`, the component read (`i - 1`) and the arity `k`:
+    /// a column array's cell is read one column at a time.
+    part: Option<(usize, usize)>,
 }
 
 /// The sink and its outermost loop. That loop's trip count (the
@@ -195,8 +206,6 @@ pub struct KernelPlan {
     operands: Vec<Outer>,
     sites: Vec<Site>,
     slots: usize,
-    /// Row slots: the arity of the widest tuple.
-    row: usize,
 }
 
 /// The argument of a `gen` loop source.
@@ -252,7 +261,6 @@ pub(super) fn plan(c: &CExpr) -> Option<KernelPlan> {
         operands: b.operands,
         sites: b.sites,
         slots: b.slots.max(1),
-        row: b.row,
     })
 }
 
@@ -262,7 +270,6 @@ struct Planner {
     operands: Vec<Outer>,
     sites: Vec<Site>,
     slots: usize,
-    row: usize,
     /// Planning a tuple's components, where another tuple refuses.
     in_tuple: bool,
 }
@@ -366,14 +373,20 @@ impl Planner {
                 let operand = self.operand(arr, depth)?;
                 // The subscript node and its array expression.
                 let (ps, cost) = self.all(idx, depth, trips, Cost { steps: 2, subs: 1 })?;
-                self.sites.push(Site { operand, axes: axes.clone(), inner_trips: trips });
+                let site = Site { operand, axes: axes.clone(), inner_trips: trips, part: None };
+                self.sites.push(site);
                 Some((P::Load(self.sites.len() - 1, ps), cost))
+            }
+            // A component of a subscripted cell: the site reads it alone.
+            CExpr::Proj(i, k, sub) if matches!(**sub, CExpr::Sub(..)) => {
+                let (p, cost) = self.expr(sub, depth, trips)?;
+                self.sites.last_mut()?.part = Some((i.checked_sub(1)?, *k));
+                Some((p, Cost::NODE.plus(cost)))
             }
             CExpr::Tuple(items) if !self.in_tuple => {
                 self.in_tuple = true;
                 let (ps, cost) = self.all(items, depth, trips, Cost::NODE)?;
                 self.in_tuple = false;
-                self.row = self.row.max(ps.len());
                 Some((P::Tuple(ps), cost))
             }
             CExpr::Dim(1, arr) => {
@@ -417,7 +430,7 @@ impl Planner {
 }
 
 /// How often a running kernel looks at the step budget, the deadline
-/// and the cancellation flag, in loop iterations.
+/// and the cancellation flag, in loop iterations; also the longest row.
 const POLL_EVERY: u64 = 4096;
 
 /// What a run mutates: the variable slots (naturals, or the bits of a
@@ -429,8 +442,6 @@ struct Frame<'c> {
     /// what the governor's byte budget holds at eight bytes a cell.
     max_loop: u64,
     slots: Vec<Cell<u64>>,
-    /// The components a tuple head wrote for the current cell, as bits.
-    row: Vec<Cell<u64>>,
     /// The running `min!`/`max!`, as bits.
     best: Cell<Option<u64>>,
     steps: Cell<u64>,
@@ -438,7 +449,9 @@ struct Frame<'c> {
     /// Iterations entered, all loops together: what the `gen`s and the
     /// tabulation they stand in for count as materialized.
     materialized: Cell<u64>,
-    /// Iterations entered since the limits were last looked at.
+    /// Rows handed to heads: telemetry, like the nests and cells.
+    rows: Cell<u64>,
+    /// Iterations run since the limits were last looked at.
     unpolled: Cell<u64>,
 }
 
@@ -471,152 +484,201 @@ impl Frame<'_> {
         }
         bump(&self.materialized, n);
         self.charge(per_iter, n);
-        bump(&self.unpolled, n.min(POLL_EVERY));
-        if self.unpolled.get() >= POLL_EVERY {
-            self.poll()?;
-        }
         Some(())
     }
 
-    /// Inside a loop: keep polls at most [`POLL_EVERY`] iterations
-    /// apart however long the row.
-    fn tick(&self, i: u64) -> Option<()> {
-        if i % POLL_EVERY == POLL_EVERY - 1 {
-            self.poll()?;
+    /// The one loop driver: hand `row` the cells of a grid, row-major,
+    /// the variables in `slots` ranging over `dims`. The axes from
+    /// `from` on make one row, cut every [`POLL_EVERY`] cells; the
+    /// limits are looked at before a row that would take the iterations
+    /// since the last look past [`POLL_EVERY`].
+    fn grid(&self, slots: &[usize], dims: &[u64], from: usize, mut row: impl FnMut(&Self, u64) -> Option<()>) -> Option<()> {
+        let var = |k: usize| slots.get(k).and_then(|&s| self.slots.get(s));
+        (0..dims.len()).try_for_each(|k| var(k).map(|v| v.set(0)))?;
+        if dims.contains(&0) {
+            return Some(());
         }
-        Some(())
-    }
-
-    /// Run `body` with the variable in `slot` at `0, …, n-1`.
-    fn each(
-        &self,
-        n: u64,
-        slot: usize,
-        per_iter: Cost,
-        mut body: impl FnMut(&Self) -> Option<()>,
-    ) -> Option<()> {
-        self.enter(n, per_iter)?;
-        let var = self.slots.get(slot)?;
-        for i in 0..n {
-            self.tick(i)?;
-            var.set(i);
-            body(self)?;
-        }
-        Some(())
-    }
-
-    /// The tabulation sink: `cell` at every index of `dims`, row-major,
-    /// writing into what `out` makes for that many cells once the loop
-    /// is admitted.
-    fn fill<B>(
-        &self,
-        dims: &[u64],
-        per_cell: Cost,
-        out: impl FnOnce(usize) -> B,
-        mut cell: impl FnMut(&Self, &mut B) -> Option<()>,
-    ) -> Option<B> {
-        let total = checked_product(dims).ok()?;
-        self.enter(total, per_cell)?;
-        let vars = self.slots.get(..dims.len())?;
-        vars.iter().for_each(|v| v.set(0));
-        let mut out = out(total as usize);
-        for c in 0..total {
-            self.tick(c)?;
-            cell(self, &mut out)?;
-            // Row-major increment; the last index varies fastest.
-            for (var, &d) in vars.iter().zip(dims).rev() {
-                if var.get() + 1 < d {
-                    var.set(var.get() + 1);
-                    break;
+        let len = dims.get(from..)?.iter().product::<u64>();
+        'grid: loop {
+            let mut first = 0;
+            while first < len {
+                let n = (len - first).min(POLL_EVERY);
+                if self.unpolled.get() + n > POLL_EVERY {
+                    self.poll()?;
                 }
-                var.set(0);
+                bump(&self.unpolled, n);
+                bump(&self.rows, 1);
+                row(self, n)?;
+                first += n;
+                // The next row's first cell as indices of the axes a row
+                // covers: zeros once the row is done, so that only a row
+                // cut short divides.
+                let mut at = if first < len { first } else { 0 };
+                for k in (from..dims.len()).rev() {
+                    let d = *dims.get(k)?;
+                    let (i, rest) = if at == 0 { (0, 0) } else { (at % d, at / d) };
+                    var(k)?.set(i);
+                    at = rest;
+                }
             }
+            // Row-major increment of the other axes; done when they wrap.
+            for k in (0..from).rev() {
+                let v = var(k)?;
+                if v.get() + 1 < *dims.get(k)? {
+                    v.set(v.get() + 1);
+                    continue 'grid;
+                }
+                v.set(0);
+            }
+            return Some(());
         }
+    }
+
+    /// A loop over `gen!n`: `row` over `0, …, n-1` of the variable in
+    /// `slot`.
+    fn each(&self, n: u64, slot: usize, per_iter: Cost, row: impl FnMut(&Self, u64) -> Option<()>) -> Option<()> {
+        self.enter(n, per_iter)?;
+        self.grid(&[slot], &[n], 0, row)
+    }
+
+    /// A row a cell at a time: `cell` with the variable in `slot` at
+    /// each of the row's values in turn, then back at the first.
+    fn cells(&self, slot: usize, len: u64, mut cell: impl FnMut(&Self) -> Option<()>) -> Option<()> {
+        let var = self.slots.get(slot)?;
+        let first = var.get();
+        for i in first..first + len {
+            var.set(i);
+            cell(self)?;
+        }
+        var.set(first);
+        Some(())
+    }
+
+    /// The tabulation sink, once its loop is admitted: the cells of
+    /// `dims` by rows (the axes from `from` on making one), into `out`.
+    fn fill<B>(&self, dims: &[u64], from: usize, mut out: B, row: impl Fn(&Self, u64, &mut B) -> Option<()>) -> Option<B> {
+        let slots: Vec<usize> = (0..dims.len()).collect();
+        self.grid(&slots, dims, from, |f, len| row(f, len, &mut out))?;
         Some(out)
-    }
-
-    /// A scalar head's cells, in one typed buffer.
-    fn cells<T>(&self, dims: &[u64], per_cell: Cost, head: Op<T>) -> Option<Vec<T>> {
-        self.fill(dims, per_cell, Vec::with_capacity, |f, out| {
-            out.push(head(f)?);
-            Some(())
-        })
-    }
-
-    /// Append the row a tuple head has written, each slot to its column.
-    fn append_row(&self, cols: &mut [Column]) {
-        for (col, slot) in cols.iter_mut().zip(&self.row) {
-            let bits = slot.get();
-            match col {
-                Column::F64(c) => c.push(f64::from_bits(bits)),
-                Column::Nat(c) => c.push(bits),
-                Column::Bool(c) => c.push(bits != 0),
-            }
-        }
     }
 }
 
-/// Compiled code of one kind: the closure evaluates a piece of the
-/// nest in a frame, `None` being the escape.
-type Op<'a, T> = Box<dyn Fn(&Frame) -> Option<T> + 'a>;
+/// Row code, the one form a piece of a nest is compiled to: appends its
+/// values at `len` cells of its loop, the frame's slots at the first of
+/// them, to a buffer; `None` is the escape.
+type Op<'a, B> = Box<dyn Fn(&Frame, u64, &mut B) -> Option<()> + 'a>;
 
-/// An operand: a constant is kept apart so that the operation using
-/// it need not call anything to get it.
+/// Code run once at the current cell.
+type Get<'a, T> = Box<dyn Fn(&Frame) -> Option<T> + 'a>;
+
+/// A level of a `min!`/`max!` comprehension, a row at a time.
+type Level<'a> = Box<dyn Fn(&Frame, u64) -> Option<()> + 'a>;
+
+/// An operand: a constant, or code computed a cell at a time (over the
+/// loop variable in its slot), kept apart from row code to be read alone.
 enum Arg<'a, T> {
     Const(T),
-    Op(Op<'a, T>),
+    Cell(usize, Get<'a, T>),
+    Op(Op<'a, Vec<T>>),
 }
 
 impl<'a, T: Clone + 'a> Arg<'a, T> {
-    fn op(self) -> Op<'a, T> {
+    /// Append the row; a constant's is the constant `len` times.
+    fn run(&self, f: &Frame, len: u64, out: &mut Vec<T>) -> Option<()> {
         match self {
-            Arg::Const(c) => Box::new(move |_| Some(c.clone())),
+            Arg::Const(c) => out.extend(repeat_n(c.clone(), len as usize)),
+            Arg::Cell(slot, get) => f.cells(*slot, len, |f| {
+                out.push(get(f)?);
+                Some(())
+            })?,
+            Arg::Op(op) => op(f, len, out)?,
+        }
+        Some(())
+    }
+
+    /// The row, in `buf` (emptied first).
+    fn run_in<'b>(&self, buf: &'b RefCell<Vec<T>>, f: &Frame, len: u64) -> Option<RefMut<'b, Vec<T>>> {
+        let mut b = buf.try_borrow_mut().ok()?;
+        b.clear();
+        self.run(f, len, &mut b)?;
+        Some(b)
+    }
+
+    fn op(self) -> Op<'a, Vec<T>> {
+        match self {
             Arg::Op(op) => op,
+            arg => Box::new(move |f, len, out| arg.run(f, len, out)),
         }
     }
 
-    fn get(&self, f: &Frame) -> Option<T> {
+    /// Read a cell at a time: row code as a row of one, into a buffer.
+    fn once(self) -> Get<'a, T> {
         match self {
-            Arg::Const(c) => Some(c.clone()),
-            Arg::Op(op) => op(f),
+            Arg::Const(c) => Box::new(move |_| Some(c.clone())),
+            Arg::Cell(_, get) => get,
+            arg => {
+                let buf = RefCell::new(Vec::with_capacity(1));
+                Box::new(move |f| arg.run_in(&buf, f, 1)?.first().cloned())
+            }
         }
+    }
+
+    /// A cell at a time over `slot`, each cell after `before`.
+    fn per_cell(self, slot: usize, before: impl Fn(&Frame) -> Option<()> + 'a) -> Arg<'a, T> {
+        let get = self.once();
+        Arg::Cell(slot, Box::new(move |f| before(f).and_then(|()| get(f))))
     }
 }
 
-/// `g` over two operands.
-fn binary<'a, T: Copy + 'a, U: 'a>(
-    a: Arg<'a, T>,
-    b: Arg<'a, T>,
-    g: impl Fn(T, T) -> Option<U> + 'a,
-) -> Arg<'a, U> {
-    Arg::Op(match (a, b) {
-        (Arg::Op(a), Arg::Op(b)) => Box::new(move |f| g(a(f)?, b(f)?)),
-        (Arg::Op(a), Arg::Const(y)) => Box::new(move |f| g(a(f)?, y)),
-        (Arg::Const(x), Arg::Op(b)) => Box::new(move |f| g(x, b(f)?)),
-        (Arg::Const(x), Arg::Const(y)) => Box::new(move |_| g(x, y)),
-    })
+/// A buffer for rows of `cap` cells, allocated at bind; none for a
+/// constant, which is never run into one.
+fn buffer<T, U>(arg: &Arg<T>, cap: usize) -> RefCell<Vec<U>> {
+    RefCell::new(Vec::with_capacity(if matches!(arg, Arg::Const(_)) { 0 } else { cap }))
+}
+
+/// `g` over two rows of one kind, in place: `a`'s row is appended to the
+/// output and combined there with `b`'s; an overflow or `/ 0` escapes.
+fn arith<'a, T: Copy + 'a>(a: Arg<'a, T>, b: Arg<'a, T>, cap: usize, g: impl Fn(T, T) -> Option<T> + 'a) -> Arg<'a, T> {
+    if let (Arg::Const(x), Arg::Const(y)) = (&a, &b) {
+        if let Some(z) = g(*x, *y) {
+            return Arg::Const(z);
+        }
+    }
+    let ys = buffer(&b, cap);
+    Arg::Op(Box::new(move |f, len, out| {
+        let first = out.len();
+        a.run(f, len, out)?;
+        let (xs, mut whole) = (out.get_mut(first..)?, true);
+        let mut put = |x: &mut T, y: T| match g(*x, y) {
+            Some(z) => *x = z,
+            None => whole = false,
+        };
+        match &b {
+            Arg::Const(y) => xs.iter_mut().for_each(|x| put(x, *y)),
+            b => xs.iter_mut().zip(b.run_in(&ys, f, len)?.iter()).for_each(|(x, &y)| put(x, y)),
+        }
+        whole.then_some(())
+    }))
+}
+
+/// `op` over two rows of one kind, cell by cell.
+fn compare<'a, T: Clone + 'a>(op: CmpOp, a: Arg<'a, T>, b: Arg<'a, T>, cap: usize, ord: fn(&T, &T) -> Ordering) -> Arg<'a, bool> {
+    let (xs, ys) = (buffer(&a, cap), buffer(&b, cap));
+    Arg::Op(Box::new(move |f, len, out| {
+        let xs = a.run_in(&xs, f, len)?;
+        out.extend(xs.iter().zip(b.run_in(&ys, f, len)?.iter()).map(|(x, y)| holds(op, ord(x, y))));
+        Some(())
+    }))
 }
 
 /// A typed expression, ready to run: a scalar of one of the three
-/// kinds, or a tuple — code that writes its components, of the kinds
-/// listed, into the frame's row (a tabulation's cells, never a slot).
+/// kinds, or a tuple — code that appends a row to each of its kinds'
+/// columns (a tabulation's cells).
 enum Code<'a> {
     N(Arg<'a, u64>),
     R(Arg<'a, f64>),
     B(Arg<'a, bool>),
-    T(Arg<'a, ()>, Vec<Ty>),
-}
-
-/// `$code` with `$body` applied to the closure of whichever kind it is.
-macro_rules! each_kind {
-    ($code:expr, |$op:ident| $body:expr) => {
-        match $code {
-            Code::N($op) => Code::N(Arg::Op($body)),
-            Code::R($op) => Code::R(Arg::Op($body)),
-            Code::B($op) => Code::B(Arg::Op($body)),
-            Code::T($op, kinds) => Code::T(Arg::Op($body), kinds),
-        }
-    };
+    T(Op<'a, Vec<Column>>, Vec<Ty>),
 }
 
 impl<'a> Code<'a> {
@@ -628,28 +690,51 @@ impl<'a> Code<'a> {
         }
     }
 
-    fn n(op: impl Fn(&Frame) -> Option<u64> + 'a) -> Code<'a> {
-        Code::N(Arg::Op(Box::new(op)))
-    }
-
-    fn r(op: impl Fn(&Frame) -> Option<f64> + 'a) -> Code<'a> {
-        Code::R(Arg::Op(Box::new(op)))
-    }
-
-    fn b(op: impl Fn(&Frame) -> Option<bool> + 'a) -> Code<'a> {
-        Code::B(Arg::Op(Box::new(op)))
-    }
-
-    /// The value as slot bits, with its kind; a tuple has neither.
-    fn bits(self) -> Option<(Ty, Op<'a, u64>)> {
+    fn ty(&self) -> Option<Ty> {
         Some(match self {
-            Code::N(n) => (Ty::N, n.op()),
-            Code::R(Arg::Const(r)) => (Ty::R, Box::new(move |_| Some(r.to_bits()))),
-            Code::R(Arg::Op(r)) => (Ty::R, Box::new(move |f| Some(r(f)?.to_bits()))),
-            Code::B(Arg::Const(b)) => (Ty::B, Box::new(move |_| Some(u64::from(b)))),
-            Code::B(Arg::Op(b)) => (Ty::B, Box::new(move |f| Some(u64::from(b(f)?)))),
+            Code::N(_) => Ty::N,
+            Code::R(_) => Ty::R,
+            Code::B(_) => Ty::B,
             Code::T(..) => return None,
         })
+    }
+
+    /// `⊥` as code of this kind: reaching it is the escape.
+    fn bottom(&self) -> Code<'a> {
+        match self {
+            Code::N(_) => Code::N(Arg::Op(Box::new(|_, _, _| None))),
+            Code::R(_) => Code::R(Arg::Op(Box::new(|_, _, _| None))),
+            Code::B(_) => Code::B(Arg::Op(Box::new(|_, _, _| None))),
+            Code::T(_, kinds) => Code::T(Box::new(|_, _, _| None), kinds.clone()),
+        }
+    }
+
+    /// A cell at a time over `slot`, each cell after `before`.
+    fn per_cell(self, slot: usize, before: impl Fn(&Frame) -> Option<()> + 'a) -> Code<'a> {
+        match self {
+            Code::N(a) => Code::N(a.per_cell(slot, before)),
+            Code::R(a) => Code::R(a.per_cell(slot, before)),
+            Code::B(a) => Code::B(a.per_cell(slot, before)),
+            Code::T(op, kinds) => {
+                let cells = move |f: &Frame, len, out: &mut Vec<Column>| {
+                    f.cells(slot, len, |f| {
+                        before(f)?;
+                        op(f, 1, out)
+                    })
+                };
+                Code::T(Box::new(cells), kinds)
+            }
+        }
+    }
+
+    /// Append a scalar's row to its column.
+    fn append(&self, f: &Frame, len: u64, col: &mut Column) -> Option<()> {
+        match (self, col) {
+            (Code::N(a), Column::Nat(c)) => a.run(f, len, c),
+            (Code::R(a), Column::F64(c)) => a.run(f, len, c),
+            (Code::B(a), Column::Bool(c)) => a.run(f, len, c),
+            _ => None,
+        }
     }
 }
 
@@ -661,37 +746,24 @@ enum Ty {
     B,
 }
 
-impl Ty {
-    /// An empty column of this kind with room for `n` cells.
-    fn column(self, n: usize) -> Column {
-        match self {
-            Ty::N => Column::Nat(Vec::with_capacity(n)),
-            Ty::R => Column::F64(Vec::with_capacity(n)),
-            Ty::B => Column::Bool(Vec::with_capacity(n)),
+/// An `if` over a row: the condition's row, then each run of cells
+/// that take the same branch as a row of that branch, charged for it.
+fn branch<'a, B: 'a>(slot: usize, (cond, cap): (Arg<'a, bool>, usize), then: (Op<'a, B>, Cost), other: (Op<'a, B>, Cost)) -> Op<'a, B> {
+    let buf = buffer(&cond, cap);
+    Box::new(move |f, len, out| {
+        let (conds, var) = (cond.run_in(&buf, f, len)?, f.slots.get(slot)?);
+        let first = var.get();
+        let mut rest = conds.as_slice();
+        while let Some(&c) = rest.first() {
+            let n = rest.iter().take_while(|&&x| x == c).count();
+            let (arm, cost) = if c { &then } else { &other };
+            f.charge(*cost, n as u64);
+            var.set(first + (conds.len() - rest.len()) as u64);
+            arm(f, n as u64, out)?;
+            rest = &rest[n..];
         }
-    }
-}
-
-fn let_in<'a, T: 'a>(slot: usize, bound: Op<'a, u64>, body: Op<'a, T>) -> Op<'a, T> {
-    Box::new(move |f| {
-        f.slots.get(slot)?.set(bound(f)?);
-        body(f)
-    })
-}
-
-fn branch<'a, T: 'a>(
-    cond: Op<'a, bool>,
-    (then, then_cost): (Op<'a, T>, Cost),
-    (other, other_cost): (Op<'a, T>, Cost),
-) -> Op<'a, T> {
-    Box::new(move |f| {
-        if cond(f)? {
-            f.charge(then_cost, 1);
-            then(f)
-        } else {
-            f.charge(other_cost, 1);
-            other(f)
-        }
+        var.set(first);
+        Some(())
     })
 }
 
@@ -707,9 +779,40 @@ fn nat_arith(op: ArithOp, x: u64, y: u64) -> Option<u64> {
     }
 }
 
-/// `⊥` as code of whatever kind the other branch has.
-fn escape<'a, T: 'a>() -> Op<'a, T> {
-    Box::new(|_| None)
+/// A `Σ` over `gen!n`, per cell of the loop over `slot`: the head's
+/// rows over the loop's own variable added into one accumulator from
+/// `zero` — a sum of nothing escapes unless `empty` says it is `zero`.
+fn sum_rows<'a, T: Copy + 'a>(
+    slot: usize,
+    (n, fs, per_iter): (Get<'a, u64>, usize, Cost),
+    (head, cap): (Arg<'a, T>, usize),
+    (zero, empty): (T, bool),
+    add: impl Fn(T, T) -> Option<T> + 'a,
+) -> Arg<'a, T> {
+    let buf = RefCell::new(Vec::with_capacity(cap));
+    Arg::Cell(slot, Box::new(move |f| {
+        let n = n(f).filter(|&n| n > 0 || empty)?;
+        let mut acc = zero;
+        f.each(n, fs, per_iter, |f, len| {
+            acc = head.run_in(&buf, f, len)?.iter().try_fold(acc, |acc, &x| add(acc, x))?;
+            Some(())
+        })?;
+        Some(acc)
+    }))
+}
+
+/// A `min!`/`max!` head's rows: each value kept in the frame's `best`,
+/// as `bits`, if nothing is kept yet or it beats what is (`ord`).
+fn keep_rows<'a, T: Copy + 'a>(head: Arg<'a, T>, cap: usize, wins: Ordering, bits: impl Fn(T) -> u64 + 'a, ord: impl Fn(T, u64) -> Ordering + 'a) -> Level<'a> {
+    let buf = RefCell::new(Vec::with_capacity(cap));
+    Box::new(move |f, len| {
+        for &v in head.run_in(&buf, f, len)?.iter() {
+            if f.best.get().is_none_or(|best| ord(v, best) == wins) {
+                f.best.set(Some(bits(v)));
+            }
+        }
+        Some(())
+    })
 }
 
 /// A site's flat offset into its cells: `konst + Σ coef · slot` over
@@ -719,7 +822,7 @@ fn escape<'a, T: 'a>() -> Op<'a, T> {
 struct Offset<'a> {
     konst: u64,
     terms: Vec<(usize, u64)>,
-    rest: Vec<(Op<'a, u64>, u64)>,
+    rest: Vec<(Get<'a, u64>, u64)>,
 }
 
 impl Offset<'_> {
@@ -740,8 +843,65 @@ impl Offset<'_> {
     }
 }
 
+/// The coefficient of the variable in `slot` in an offset's terms: how
+/// far apart the cells of a row over that variable lie.
+fn coef(terms: &[(usize, u64)], slot: usize) -> u64 {
+    terms.iter().filter(|t| t.0 == slot).fold(0, |c, t| c.wrapping_add(t.1))
+}
+
 /// An index as `konst + Σ coef · slot` over `nat` slots.
 type Affine = (u64, Vec<(usize, u64)>);
+
+/// What a site reads: a window of a lazy operand, read at bind, or an
+/// operand's column (a column array's component included); else a lazy
+/// operand, an element at a time.
+enum Cells<'a> {
+    Window(ScalarBuf),
+    Column(&'a Column),
+    Lazy(&'a RefCell<LazyArray>),
+}
+
+/// A negative stored integer is a `real` to the interpreter.
+fn nat_of(x: &i64) -> Option<u64> {
+    u64::try_from(*x).ok()
+}
+
+/// Row code reading `v`: the row's first cell at the site's offset, the
+/// others `stride` apart, in one slice whose ends are checked.
+fn gather<'a, X: 'a, T: Clone + Default + 'a>(v: impl AsRef<[X]> + 'a, at: Offset<'a>, stride: u64, conv: impl Fn(&X) -> Option<T> + 'a) -> Arg<'a, T> {
+    Arg::Op(Box::new(move |f, len, out| {
+        let first = at.at(f)?;
+        let last = stride.checked_mul(len - 1)?.checked_add(first)?;
+        let cells = v.as_ref().get(usize::try_from(first).ok()?..=usize::try_from(last).ok()?)?;
+        match stride {
+            0 => out.extend(repeat_n(conv(cells.first()?)?, len as usize)),
+            1 => push_all(out, cells.iter().map(&conv))?,
+            s => push_all(out, cells.iter().step_by(s as usize).map(&conv))?,
+        }
+        Some(())
+    }))
+}
+
+/// Append a row's cells; a `None` among them (a negative stored
+/// integer) is the escape.
+fn push_all<T: Default>(out: &mut Vec<T>, cells: impl Iterator<Item = Option<T>>) -> Option<()> {
+    let mut whole = true;
+    out.extend(cells.map(|c| {
+        whole &= c.is_some();
+        c.unwrap_or_default()
+    }));
+    whole.then_some(())
+}
+
+/// Whether `p` is a further level of a `min!`/`max!` comprehension (a
+/// `let` around one included), not its singleton's expression.
+fn is_level(kind: FoldKind, p: &P) -> bool {
+    match p {
+        P::Fold(fold) => fold.kind == kind,
+        P::Let(_, _, body) => is_level(kind, body),
+        _ => false,
+    }
+}
 
 /// Binding: types a plan's expressions against the operands and
 /// captures of one evaluation, producing [`Code`].
@@ -756,6 +916,12 @@ struct Binder<'a> {
     /// and — for a loop variable whose trip count is known now — the
     /// largest value it takes (the least is 0).
     vars: Vec<(Ty, Option<u64>)>,
+    /// The longest row the row buffers being bound will hold.
+    cap: usize,
+    /// Whether the code bound runs a cell at a time somewhere or reads a
+    /// loop variable, and the offsets of its loads: what [`Binder::collapse`] reads.
+    per_cell: bool,
+    offsets: Vec<Vec<(usize, u64)>>,
 }
 
 impl<'a> Binder<'a> {
@@ -795,154 +961,125 @@ impl<'a> Binder<'a> {
         Iv { lo: *konst, hi }
     }
 
-    fn nat(&mut self, p: &'a P) -> Option<Op<'a, u64>> {
-        match self.code(p)? {
-            Code::N(n) => Some(n.op()),
-            _ => None,
-        }
-    }
-
-    /// A `gen` loop's trip count; its variable is a `nat` below it.
-    fn loop_of(&mut self, fold: &'a Fold) -> Option<Arg<'a, u64>> {
-        let Code::N(n) = self.code(&fold.n)? else { return None };
-        let hi = match n {
-            Arg::Const(n) => n.checked_sub(1),
-            Arg::Op(_) => None,
+    /// A `gen` loop inside the loop over `slot`: its trip count, its
+    /// variable entered as a `nat` below it, and its longest row.
+    fn loop_of(&mut self, fold: &'a Fold, slot: usize) -> Option<(Get<'a, u64>, usize)> {
+        let Code::N(n) = self.code(&fold.n, slot)? else { return None };
+        let (hi, cap) = match &n {
+            Arg::Const(n) => (n.checked_sub(1), (*n).min(POLL_EVERY)),
+            _ => (None, POLL_EVERY),
         };
         *self.vars.get_mut(fold.slot)? = (Ty::N, hi);
-        Some(n)
+        Some((n.once(), cap as usize))
     }
 
-    fn bind_let(&mut self, slot: usize, bound: &'a P) -> Option<Op<'a, u64>> {
-        let (ty, bits) = self.code(bound)?.bits()?;
-        *self.vars.get_mut(slot)? = (ty, None);
-        Some(bits)
-    }
-
-    /// A branch of an `if`: `None` for `⊥`, which the other one types.
-    fn arm(&mut self, p: &'a P) -> Option<Option<Code<'a>>> {
-        match p {
-            P::Bottom => Some(None),
-            p => self.code(p).map(Some),
+    /// Code that sets a `let`'s slot, at the current cell.
+    fn bind_let(&mut self, ls: usize, bound: &'a P, slot: usize) -> Option<Get<'a, ()>> {
+        fn bits<'a, T: Clone + 'a>(a: Arg<'a, T>, to: fn(T) -> u64) -> Get<'a, u64> {
+            let a = a.once();
+            Box::new(move |f| a(f).map(to))
         }
+        let (ty, bits) = match self.code(bound, slot)? {
+            Code::N(a) => (Ty::N, a.once()),
+            Code::R(a) => (Ty::R, bits(a, f64::to_bits)),
+            Code::B(a) => (Ty::B, bits(a, u64::from)),
+            Code::T(..) => return None,
+        };
+        *self.vars.get_mut(ls)? = (ty, None);
+        Some(Box::new(move |f| bits(f).and_then(|b| f.slots.get(ls).map(|v| v.set(b)))))
     }
 
-    fn code(&mut self, p: &'a P) -> Option<Code<'a>> {
+    /// `p` as row code over `slot`, the innermost loop around it (see the
+    /// module doc for what runs a row at a time).
+    fn code(&mut self, p: &'a P, slot: usize) -> Option<Code<'a>> {
+        let cap = self.cap;
         Some(match p {
             P::Const(v) => Code::constant(*v),
             P::Cap(k) => Code::constant(*self.caps.get(*k)?),
             P::Trips => Code::constant(V::N(self.root_trips)),
             P::Slot(s) => {
                 let s = *s;
+                self.per_cell = true;
+                let bits = move |f: &Frame| Some(f.slots.get(s)?.get());
                 match self.vars.get(s)?.0 {
-                    Ty::N => Code::n(move |f| Some(f.slots.get(s)?.get())),
-                    Ty::R => Code::r(move |f| Some(f64::from_bits(f.slots.get(s)?.get()))),
-                    Ty::B => Code::b(move |f| Some(f.slots.get(s)?.get() != 0)),
+                    Ty::N if s == slot => Code::N(Arg::Op(Box::new(move |f, len, out| {
+                        let first = bits(f)?;
+                        out.extend(first..first + len);
+                        Some(())
+                    }))),
+                    Ty::N => Code::N(Arg::Cell(slot, Box::new(bits))),
+                    Ty::R => Code::R(Arg::Cell(slot, Box::new(move |f| Some(f64::from_bits(bits(f)?))))),
+                    Ty::B => Code::B(Arg::Cell(slot, Box::new(move |f| Some(bits(f)? != 0)))),
                 }
             }
             P::Arith(op, a, b) => {
                 let op = *op;
-                match (self.code(a)?, self.code(b)?) {
-                    (Code::N(a), Code::N(b)) => {
-                        Code::N(binary(a, b, move |x, y| nat_arith(op, x, y)))
-                    }
-                    (Code::R(a), Code::R(b)) => {
-                        Code::R(binary(a, b, move |x, y| Some(real_arith(op, x, y))))
-                    }
+                match (self.code(a, slot)?, self.code(b, slot)?) {
+                    (Code::N(a), Code::N(b)) => Code::N(arith(a, b, cap, move |x, y| nat_arith(op, x, y))),
+                    (Code::R(a), Code::R(b)) => Code::R(arith(a, b, cap, move |x, y| Some(real_arith(op, x, y)))),
                     // Only an empty real sum's `0 : nat` mixes kinds.
                     _ => return None,
                 }
             }
-            P::Cmp(op, a, b) => {
-                let op = *op;
-                Code::B(match (self.code(a)?, self.code(b)?) {
-                    (Code::N(a), Code::N(b)) => {
-                        binary(a, b, move |x, y| Some(holds(op, x.cmp(&y))))
-                    }
-                    (Code::R(a), Code::R(b)) => {
-                        binary(a, b, move |x, y| Some(holds(op, x.total_cmp(&y))))
-                    }
-                    (Code::B(a), Code::B(b)) => {
-                        binary(a, b, move |x, y| Some(holds(op, x.cmp(&y))))
-                    }
-                    _ => return None,
-                })
-            }
+            P::Cmp(op, a, b) => Code::B(match (self.code(a, slot)?, self.code(b, slot)?) {
+                (Code::N(a), Code::N(b)) => compare(*op, a, b, cap, Ord::cmp),
+                (Code::R(a), Code::R(b)) => compare(*op, a, b, cap, f64::total_cmp),
+                (Code::B(a), Code::B(b)) => compare(*op, a, b, cap, Ord::cmp),
+                _ => return None,
+            }),
             P::If(c, t, e) => {
-                let Code::B(c) = self.code(c)? else { return None };
-                let c = c.op();
-                match (self.arm(&t.0)?, self.arm(&e.0)?) {
-                    (Some(Code::N(x)), Some(Code::N(y))) => {
-                        Code::N(Arg::Op(branch(c, (x.op(), t.1), (y.op(), e.1))))
+                let Code::B(c) = self.code(c, slot)? else { return None };
+                self.per_cell = true;
+                // A tabulation, a `Σ` and a `⋃` are strict: the sink's
+                // value is `⊥` from the first cell taking a `⊥` branch on.
+                let mut arm = |p: &'a P| if matches!(p, P::Bottom) { Some(None) } else { self.code(p, slot).map(Some) };
+                let (x, y) = match (arm(&t.0)?, arm(&e.0)?) {
+                    (Some(x), Some(y)) => (x, y),
+                    (Some(x), None) => {
+                        let y = x.bottom();
+                        (x, y)
                     }
-                    (Some(Code::R(x)), Some(Code::R(y))) => {
-                        Code::R(Arg::Op(branch(c, (x.op(), t.1), (y.op(), e.1))))
+                    (None, Some(y)) => (y.bottom(), y),
+                    (None, None) => return None,
+                };
+                let c = (c, cap);
+                match (x, y) {
+                    (Code::N(x), Code::N(y)) => Code::N(Arg::Op(branch(slot, c, (x.op(), t.1), (y.op(), e.1)))),
+                    (Code::R(x), Code::R(y)) => Code::R(Arg::Op(branch(slot, c, (x.op(), t.1), (y.op(), e.1)))),
+                    (Code::B(x), Code::B(y)) => Code::B(Arg::Op(branch(slot, c, (x.op(), t.1), (y.op(), e.1)))),
+                    (Code::T(x, kinds), Code::T(y, other)) if kinds == other => {
+                        Code::T(branch(slot, c, (x, t.1), (y, e.1)), kinds)
                     }
-                    (Some(Code::B(x)), Some(Code::B(y))) => {
-                        Code::B(Arg::Op(branch(c, (x.op(), t.1), (y.op(), e.1))))
-                    }
-                    (Some(Code::T(x, kinds)), Some(Code::T(y, other))) if kinds == other => {
-                        Code::T(Arg::Op(branch(c, (x.op(), t.1), (y.op(), e.1))), kinds)
-                    }
-                    // A tabulation, a `Σ` and a `⋃` are strict: the
-                    // sink's value is `⊥` from the first such cell on.
-                    (Some(x), None) => each_kind!(x, |x| branch(c, (x.op(), t.1), (escape(), e.1))),
-                    (None, Some(y)) => each_kind!(y, |y| branch(c, (escape(), t.1), (y.op(), e.1))),
-                    // Two kinds, or no kind at all.
+                    // Two kinds.
                     _ => return None,
                 }
             }
-            P::Let(slot, bound, body) => {
-                let bound = self.bind_let(*slot, bound)?;
-                each_kind!(self.code(body)?, |body| let_in(*slot, bound, body.op()))
+            P::Let(ls, bound, body) => {
+                let set = self.bind_let(*ls, bound, slot)?;
+                self.per_cell = true;
+                self.code(body, slot)?.per_cell(slot, set)
             }
-            P::Load(site, idx) => self.load(*site, idx)?,
+            P::Load(site, idx) => self.load(*site, idx, slot)?,
             P::Dim1(operand) => match self.arrays.get(*operand)?.dims() {
                 [d] => Code::constant(V::N(*d)),
                 _ => return None,
             },
             P::Tuple(items) => {
-                let parts = items.iter().map(|p| self.code(p)?.bits());
-                let (kinds, parts): (Vec<Ty>, Vec<_>) = parts.collect::<Option<Vec<_>>>()?.into_iter().unzip();
-                let write = move |f: &Frame| {
-                    for (slot, part) in f.row.iter().zip(&parts) {
-                        slot.set(part(f)?);
-                    }
-                    Some(())
+                let parts = items.iter().map(|p| self.code(p, slot)).collect::<Option<Vec<_>>>()?;
+                let kinds = parts.iter().map(Code::ty).collect::<Option<Vec<_>>>()?;
+                let write = move |f: &Frame, len, cols: &mut Vec<Column>| {
+                    cols.iter_mut().zip(&parts).try_for_each(|(col, part)| part.append(f, len, col))
                 };
-                Code::T(Arg::Op(Box::new(write)), kinds)
+                Code::T(Box::new(write), kinds)
             }
             P::Fold(fold) if fold.kind == FoldKind::Sum => {
-                let n = self.loop_of(fold)?;
-                let (slot, per_iter) = (fold.slot, fold.per_iter);
-                match self.code(&fold.head)? {
-                    Code::N(h) => {
-                        let h = h.op();
-                        Code::n(move |f| {
-                            let mut acc = 0u64;
-                            f.each(n.get(f)?, slot, per_iter, |f| {
-                                acc = acc.checked_add(h(f)?)?;
-                                Some(())
-                            })?;
-                            Some(acc)
-                        })
-                    }
-                    Code::R(h) => {
-                        let h = h.op();
-                        Code::r(move |f| {
-                            // The interpreter's sum of nothing is `0 : nat`.
-                            let n = n.get(f).filter(|&n| n > 0)?;
-                            // One accumulator per level, from 0.0, in
-                            // iteration order: the interpreter's
-                            // association.
-                            let mut acc = 0.0f64;
-                            f.each(n, slot, per_iter, |f| {
-                                acc += h(f)?;
-                                Some(())
-                            })?;
-                            Some(acc)
-                        })
-                    }
+                let (n, cap) = self.loop_of(fold, slot)?;
+                let loop_ = (n, fold.slot, fold.per_iter);
+                self.per_cell = true;
+                match self.head(&fold.head, fold.slot, cap)? {
+                    Code::N(h) => Code::N(sum_rows(slot, loop_, (h, cap), (0, true), u64::checked_add)),
+                    // A real sum of nothing is the interpreter's `0 : nat`.
+                    Code::R(h) => Code::R(sum_rows(slot, loop_, (h, cap), (0.0, false), |acc, x| Some(acc + x))),
                     Code::B(_) | Code::T(..) => return None,
                 }
             }
@@ -951,7 +1088,32 @@ impl<'a> Binder<'a> {
         })
     }
 
-    fn load(&mut self, site: usize, idx: &'a [P]) -> Option<Code<'a>> {
+    /// A loop's head, its buffers sized for rows of `cap`.
+    fn head(&mut self, head: &'a P, slot: usize, cap: usize) -> Option<Code<'a>> {
+        let outer = std::mem::replace(&mut self.cap, cap);
+        let code = self.code(head, slot);
+        self.cap = outer;
+        code
+    }
+
+    /// The first of the tabulation axes `dims` a row covers: the last,
+    /// and before it each axis that every load of a head run a row at a
+    /// time steps through in row-major order (`coef_k = coef_{k+1} · d_{k+1}`).
+    fn collapse(&self, dims: &[u64]) -> usize {
+        let mut from = dims.len().saturating_sub(1);
+        let steps = |terms: &Vec<(usize, u64)>, k: usize| {
+            let outer = dims.get(k).and_then(|&d| coef(terms, k).checked_mul(d));
+            outer == Some(coef(terms, k - 1))
+        };
+        while !self.per_cell && from > 0 && self.offsets.iter().all(|terms| steps(terms, from)) {
+            from -= 1;
+        }
+        from
+    }
+
+    /// A subscript site as row code: one strided read of a column or a
+    /// window; a cell at a time for a lazy read per element or an index of another form.
+    fn load(&mut self, site: usize, idx: &'a [P], slot: usize) -> Option<Code<'a>> {
         let s = self.sites.get(site)?;
         let a = self.arrays.get(s.operand)?;
         let forms: Vec<Option<Affine>> = idx.iter().map(|p| self.affine(p)).collect();
@@ -960,26 +1122,31 @@ impl<'a> Binder<'a> {
         // has executions. Per axis the box is the index's reach (known
         // now: captures, trip counts) inside the analyzer's interval
         // (sound over the whole statement, so never narrower than needed).
-        let window = match a.array_data() {
-            ArrayData::Lazy(l) => {
+        let mut window = None;
+        let cells = match (a.array_data(), s.part) {
+            (ArrayData::Lazy(l), None) => {
                 let axes = forms.iter().zip(&s.axes).map(|(form, mark)| match form {
                     Some(form) => self.reach(form).meet(*mark),
                     None => *mark,
                 });
                 let most = self.root_trips.saturating_mul(s.inner_trips).min(self.admissible);
                 match window_of(axes, a.dims(), most) {
-                    Some((start, count)) => {
-                        Some((l.borrow_mut().read_slab(&start, &count).ok()?, start, count))
+                    Some(w) => {
+                        let cells = l.borrow_mut().read_slab(&w.0, &w.1).ok()?;
+                        window = Some(w);
+                        Cells::Window(cells)
                     }
-                    None => None,
+                    None => Cells::Lazy(l),
                 }
             }
-            _ => None,
+            (ArrayData::Flat(c), None) => Cells::Column(c),
+            (ArrayData::Columns(cols), Some((i, _))) => Cells::Column(cols.get(i)?),
+            _ => return None,
         };
         // Row-major strides of what is read (the operand, or the
         // window), and the window origin's offset under them.
         let (strides, base) = match &window {
-            Some((_, start, count)) => {
+            Some((start, count)) => {
                 let strides = strides(count);
                 let base = start.iter().zip(&strides).map(|(s, k)| s.wrapping_mul(*k)).sum();
                 (strides, base)
@@ -993,98 +1160,79 @@ impl<'a> Binder<'a> {
                     at.konst = at.konst.wrapping_add(konst.wrapping_mul(stride));
                     at.terms.extend(terms.iter().map(|(s, c)| (*s, c.wrapping_mul(stride))));
                 }
-                None => at.rest.push((self.nat(p)?, stride)),
+                None => match self.code(p, slot)? {
+                    Code::N(index) => at.rest.push((index.once(), stride)),
+                    _ => return None,
+                },
             }
         }
-        let at = move |f: &Frame| Some(at.at(f)? as usize);
-        // A negative stored integer is a `real` to the interpreter.
-        let nat_of = |x: &i64| u64::try_from(*x).ok();
-        Some(match (window.map(|w| w.0), a.array_data()) {
-            (Some(ScalarBuf::F64(v)), _) => Code::r(move |f| v.get(at(f)?).copied()),
-            (Some(ScalarBuf::I64(v)), _) => Code::n(move |f| nat_of(v.get(at(f)?)?)),
-            (Some(ScalarBuf::Bool(v)), _) => Code::b(move |f| v.get(at(f)?).copied()),
-            (None, ArrayData::Flat(Column::F64(v))) => Code::r(move |f| v.get(at(f)?).copied()),
-            (None, ArrayData::Flat(Column::Nat(v))) => Code::n(move |f| v.get(at(f)?).copied()),
-            (None, ArrayData::Flat(Column::Bool(v))) => Code::b(move |f| v.get(at(f)?).copied()),
+        let (stride, strided) = (coef(&at.terms, slot), at.rest.is_empty());
+        self.offsets.push(at.terms.clone());
+        self.per_cell |= !strided;
+        let code = match cells {
+            Cells::Window(ScalarBuf::F64(v)) => Code::R(gather(v, at, stride, |x| Some(*x))),
+            Cells::Window(ScalarBuf::I64(v)) => Code::N(gather(v, at, stride, nat_of)),
+            Cells::Window(ScalarBuf::Bool(v)) => Code::B(gather(v, at, stride, |x| Some(*x))),
+            Cells::Column(Column::F64(v)) => Code::R(gather(v, at, stride, |x| Some(*x))),
+            Cells::Column(Column::Nat(v)) => Code::N(gather(v, at, stride, |x| Some(*x))),
+            Cells::Column(Column::Bool(v)) => Code::B(gather(v, at, stride, |x| Some(*x))),
             // No window: one cache lookup per element.
-            (None, ArrayData::Lazy(l)) => {
-                let get = move |f: &Frame| l.borrow_mut().get_linear(at(f)? as u64).ok()?;
-                match l.borrow().kind() {
-                    ScalarKind::F64 => Code::r(move |f| match get(f)? {
+            Cells::Lazy(l) => {
+                self.per_cell = true;
+                let get = move |f: &Frame| l.borrow_mut().get_linear(at.at(f)?).ok()?;
+                return Some(match l.borrow().kind() {
+                    ScalarKind::F64 => Code::R(Arg::Cell(slot, Box::new(move |f| match get(f)? {
                         Scalar::F64(x) => Some(x),
                         _ => None,
-                    }),
-                    ScalarKind::I64 => Code::n(move |f| match get(f)? {
+                    }))),
+                    ScalarKind::I64 => Code::N(Arg::Cell(slot, Box::new(move |f| match get(f)? {
                         Scalar::I64(x) => nat_of(&x),
                         _ => None,
-                    }),
-                    ScalarKind::Bool => Code::b(move |f| match get(f)? {
+                    }))),
+                    ScalarKind::Bool => Code::B(Arg::Cell(slot, Box::new(move |f| match get(f)? {
                         Scalar::Bool(b) => Some(b),
                         _ => None,
-                    }),
-                }
+                    }))),
+                });
             }
-            (None, ArrayData::Materialized(_) | ArrayData::Columns(_)) => return None,
-        })
+        };
+        Some(if strided { code } else { code.per_cell(slot, |_| Some(())) })
     }
 
-    /// One level of a `min!`/`max!` comprehension: code that folds the
-    /// level's heads into the frame's `best` under the canonical order,
-    /// and the kind of those heads.
-    fn level(&mut self, kind: FoldKind, p: &'a P) -> Option<(Op<'a, ()>, Ty)> {
+    /// One level of a `min!`/`max!` comprehension inside the loop over
+    /// `slot`: code that folds the level's heads into the frame's `best`
+    /// under the canonical order, and the kind of those heads.
+    fn level(&mut self, kind: FoldKind, p: &'a P, slot: usize) -> Option<(Get<'a, ()>, Ty)> {
         match p {
             P::Fold(fold) if fold.kind == kind => {
-                let n = self.loop_of(fold)?;
-                let (slot, per_iter) = (fold.slot, fold.per_iter);
-                let (body, ty) = self.level(kind, &fold.head)?;
-                Some((Box::new(move |f| f.each(n.get(f)?, slot, per_iter, &body)), ty))
+                let (n, cap) = self.loop_of(fold, slot)?;
+                let (fs, per_iter) = (fold.slot, fold.per_iter);
+                let (row, ty) = self.extreme(kind, &fold.head, fs, cap)?;
+                Some((Box::new(move |f| f.each(n(f)?, fs, per_iter, &row)), ty))
             }
-            P::Let(slot, bound, body) => {
-                let bound = self.bind_let(*slot, bound)?;
-                let (body, ty) = self.level(kind, body)?;
-                Some((let_in(*slot, bound, body), ty))
+            P::Let(ls, bound, body) => {
+                let set = self.bind_let(*ls, bound, slot)?;
+                let (body, ty) = self.level(kind, body, slot)?;
+                Some((Box::new(move |f| set(f).and_then(|()| body(f))), ty))
             }
-            head => {
-                // Keep `v` (as `bits`) if nothing is kept yet or it
-                // beats what is, `ord` comparing it to kept bits.
-                let wins = if kind == FoldKind::Max { Ordering::Greater } else { Ordering::Less };
-                fn keep(f: &Frame, bits: u64, wins: Ordering, ord: impl Fn(u64) -> Ordering) {
-                    if f.best.get().is_none_or(|best| ord(best) == wins) {
-                        f.best.set(Some(bits));
-                    }
-                }
-                Some(match self.code(head)? {
-                    Code::N(h) => {
-                        let h = h.op();
-                        let op = move |f: &Frame| {
-                            let v = h(f)?;
-                            keep(f, v, wins, |best| v.cmp(&best));
-                            Some(())
-                        };
-                        (Box::new(op), Ty::N)
-                    }
-                    Code::R(h) => {
-                        let h = h.op();
-                        let op = move |f: &Frame| {
-                            let v = h(f)?;
-                            keep(f, v.to_bits(), wins, |best| v.total_cmp(&f64::from_bits(best)));
-                            Some(())
-                        };
-                        (Box::new(op), Ty::R)
-                    }
-                    Code::B(h) => {
-                        let h = h.op();
-                        let op = move |f: &Frame| {
-                            let v = u64::from(h(f)?);
-                            keep(f, v, wins, |best| v.cmp(&best));
-                            Some(())
-                        };
-                        (Box::new(op), Ty::B)
-                    }
-                    Code::T(..) => return None,
-                })
-            }
+            _ => None,
         }
+    }
+
+    /// A level's rows over its variable in `slot`: each iteration's
+    /// further level, a cell at a time, or the singleton's values.
+    fn extreme(&mut self, kind: FoldKind, head: &'a P, slot: usize, cap: usize) -> Option<(Level<'a>, Ty)> {
+        if is_level(kind, head) {
+            let (next, ty) = self.level(kind, head, slot)?;
+            return Some((Box::new(move |f, len| f.cells(slot, len, &next)), ty));
+        }
+        let wins = if kind == FoldKind::Max { Ordering::Greater } else { Ordering::Less };
+        Some(match self.head(head, slot, cap)? {
+            Code::N(h) => (keep_rows(h, cap, wins, |v| v, |v, best| v.cmp(&best)), Ty::N),
+            Code::R(h) => (keep_rows(h, cap, wins, f64::to_bits, |v, best| v.total_cmp(&f64::from_bits(best))), Ty::R),
+            Code::B(h) => (keep_rows(h, cap, wins, u64::from, |v, best| u64::from(v).cmp(&best)), Ty::B),
+            Code::T(..) => return None,
+        })
     }
 }
 
@@ -1150,15 +1298,20 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
     let mut arrays = Vec::with_capacity(plan.operands.len());
     for o in &plan.operands {
         let Value::Array(a) = outer(o, env, ctx)? else { return None };
-        if matches!(a.array_data(), ArrayData::Materialized(_) | ArrayData::Columns(_)) {
-            return None;
-        }
         arrays.push(a.clone());
     }
     let caps = plan.captures.iter().map(|o| V::of(outer(o, env, ctx)?)).collect::<Option<_>>()?;
     for s in &plan.sites {
-        // The marks are conditional on the arity being the rank.
-        if arrays.get(s.operand)?.rank() != s.axes.len() {
+        // A site reads scalars: a flat or lazy operand's, or one
+        // component of a column array's tuples. And the marks are
+        // conditional on the arity being the rank.
+        let a = arrays.get(s.operand)?;
+        let scalars = match (a.array_data(), s.part) {
+            (ArrayData::Flat(_) | ArrayData::Lazy(_), None) => true,
+            (ArrayData::Columns(cols), Some((_, k))) => cols.len() == k,
+            _ => false,
+        };
+        if !scalars || a.rank() != s.axes.len() {
             return None;
         }
     }
@@ -1191,17 +1344,17 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
     for (var, d) in vars.iter_mut().zip(&dims) {
         var.1 = d.checked_sub(1);
     }
-    let mut binder =
-        Binder { root_trips, admissible, caps, arrays: &arrays, sites: &plan.sites, vars };
+    let (arrays, sites, offsets) = (&arrays, &plan.sites, Vec::new());
+    let mut binder = Binder { root_trips, admissible, caps, arrays, sites, vars, cap: 0, per_cell: false, offsets };
     let frame = Frame {
         ctx,
         max_loop: admissible.min(ctx.limits.max_elems),
         slots: vec![Cell::new(0); plan.slots],
-        row: vec![Cell::new(0); plan.row],
         best: Cell::new(None),
         steps: Cell::new(0),
         subs: Cell::new(0),
         materialized: Cell::new(0),
+        rows: Cell::new(0),
         unpolled: Cell::new(0),
     };
     let value = match &plan.root {
@@ -1213,28 +1366,24 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
                 frame.enter(0, *per_cell)?;
                 ArrayVal::new(dims, Vec::new())
             } else {
-                match binder.code(head)? {
-                    Code::N(h) => {
-                        let cells = frame.cells(&dims, *per_cell, h.op())?;
-                        ArrayVal::from_nat(dims, cells)
-                    }
-                    Code::R(h) => {
-                        let cells = frame.cells(&dims, *per_cell, h.op())?;
-                        ArrayVal::from_f64(dims, cells)
-                    }
-                    Code::B(h) => {
-                        let cells = frame.cells(&dims, *per_cell, h.op())?;
-                        ArrayVal::from_bool(dims, cells)
-                    }
+                // Rows along the last axis, and the axes before it that
+                // every load steps through in row-major order.
+                let slot = dims.len().saturating_sub(1);
+                let rows = binder.head(head, slot, root_trips.min(POLL_EVERY) as usize)?;
+                frame.enter(root_trips, *per_cell)?;
+                let (n, from) = (root_trips as usize, binder.collapse(&dims));
+                match rows {
+                    Code::N(h) => ArrayVal::from_nat(dims.clone(), frame.fill(&dims, from, Vec::with_capacity(n), h.op())?),
+                    Code::R(h) => ArrayVal::from_f64(dims.clone(), frame.fill(&dims, from, Vec::with_capacity(n), h.op())?),
+                    Code::B(h) => ArrayVal::from_bool(dims.clone(), frame.fill(&dims, from, Vec::with_capacity(n), h.op())?),
                     Code::T(h, kinds) => {
-                        let h = h.op();
-                        let columns = |n| kinds.iter().map(|ty| ty.column(n)).collect::<Vec<_>>();
-                        let cols = frame.fill(&dims, *per_cell, columns, |f, cols| {
-                            h(f)?;
-                            f.append_row(cols);
-                            Some(())
-                        })?;
-                        ArrayVal::from_columns(dims, cols)
+                        let cols = kinds.iter().map(|ty| match ty {
+                            Ty::N => Column::Nat(Vec::with_capacity(n)),
+                            Ty::R => Column::F64(Vec::with_capacity(n)),
+                            Ty::B => Column::Bool(Vec::with_capacity(n)),
+                        });
+                        let cols = cols.collect();
+                        ArrayVal::from_columns(dims.clone(), frame.fill(&dims, from, cols, h)?)
                     }
                 }
             };
@@ -1244,15 +1393,15 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
             frame.steps.set(*fixed);
             // (A real sum of nothing escapes here as it does inside a
             // nest: the interpreter's answer is `0 : nat`.)
-            match binder.code(nest)? {
-                Code::N(n) => Value::Nat(n.get(&frame)?),
-                Code::R(r) => Value::Real(r.get(&frame)?),
+            match binder.code(nest, 0)? {
+                Code::N(n) => Value::Nat(n.once()(&frame)?),
+                Code::R(r) => Value::Real(r.once()(&frame)?),
                 _ => return None,
             }
         }
         Root::Fold { kind, nest, fixed } => {
             frame.steps.set(*fixed);
-            let (fold, ty) = binder.level(*kind, nest)?;
+            let (fold, ty) = binder.level(*kind, nest, 0)?;
             fold(&frame)?;
             match (frame.best.get(), ty) {
                 // `min!`/`max!` of the empty set.
@@ -1277,6 +1426,7 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
     ctx.materialized.set(ctx.materialized.get() + frame.materialized.get());
     ctx.kernel_nests.set(ctx.kernel_nests.get() + 1);
     ctx.kernel_cells.set(ctx.kernel_cells.get() + frame.materialized.get());
+    ctx.kernel_rows.set(ctx.kernel_rows.get() + frame.rows.get());
     Some(value)
 }
 
@@ -1329,6 +1479,7 @@ mod tests {
         materialized: u64,
         nests: u64,
         escapes: u64,
+        rows: u64,
         lookups: u64,
     }
 
@@ -1353,6 +1504,7 @@ mod tests {
             materialized: s.materialized,
             nests: ctx.kernel_nests(),
             escapes: ctx.kernel_escapes.get(),
+            rows: ctx.kernel_rows.get(),
             lookups: s.cache.hits + s.cache.misses,
         }
     }
@@ -1531,11 +1683,15 @@ mod tests {
     fn the_warm_scan_statements_run_as_kernels_over_windows() {
         let (g, stmts) = warm_scan();
         // Rows 3..=22 of 7-row chunks: chunks 0 to 3. The zip reads
-        // rows 3..=14 (three chunks) and 21..=32 (two).
-        for ((e, vars), chunks) in stmts.iter().zip([4, 4, 4, 5]) {
+        // rows 3..=14 (three chunks) and 21..=32 (two). The map's three
+        // axes make one row of 500 and the zip's one of 12; the folds
+        // hand a row of 20 to `t`, 20 of five to `i` and 100 of five to
+        // `j`: their levels do not collapse.
+        for ((e, vars), (chunks, rows)) in stmts.iter().zip([(4, 121), (4, 121), (4, 1), (5, 1)]) {
             let got = same(e, &g, vars);
             assert_eq!(got.nests, 1, "{e}");
             assert_eq!(got.lookups, chunks, "one lookup per overlapped chunk: {e}");
+            assert_eq!(got.rows, rows, "rows of {e}");
         }
         // The sum nest is 157 steps a row and three at the top; every
         // loop counts its `gen` as materialized.
@@ -1742,20 +1898,185 @@ mod tests {
         assert_eq!((got.nests, got.escapes), (0, 0));
     }
 
+    /// Triples of the three kinds, as columns: `Z[i] = (i/2, i, i even)`.
+    fn triples(n: u64) -> Value {
+        let cell = |i: u64| Value::tuple(vec![Value::Real(i as f64 * 0.5), Value::Nat(i), Value::Bool(i.is_multiple_of(2))]);
+        let z = array(ArrayVal::new(vec![n], (0..n).map(cell).collect()));
+        assert!(matches!(z.as_array().unwrap().array_data(), ArrayData::Columns(_)));
+        z
+    }
+
     #[test]
-    fn a_column_array_operand_is_refused_like_a_boxed_one() {
-        // Read as a flat buffer, `Z[i]` would be a real, not a pair.
-        let z = ArrayVal::new(
-            vec![3],
-            (0..3).map(|i| Value::tuple(vec![Value::Real(i as f64), Value::Nat(i)])).collect(),
-        );
+    fn a_component_of_a_column_array_is_a_column_operand() {
+        let g = world(vec![("Z", triples(7))]);
+        let part = |k| proj(k, 3, sub(global("Z"), vec![var("i")]));
+        let nest = |head| big_union("i", gen(nat(7)), single(head));
+        let es = [
+            tab1("i", nat(7), add(mul(part(1), real(2.0)), real(1.0))),
+            tab1("i", nat(7), tuple(vec![part(3), part(2), part(1)])),
+            tab1("i", nat(7), iff(part(3), part(2), nat(0))),
+            sum("i", gen(nat(7)), part(2)),
+            set_max(nest(part(1))),
+            set_min(nest(part(3))),
+        ];
+        for e in es {
+            let got = same(&e, &g, &[("i", below(7))]);
+            assert_eq!((got.nests, got.escapes), (1, 0), "{e}");
+        }
+    }
+
+    #[test]
+    fn a_whole_cell_of_a_column_array_is_refused_like_a_boxed_one() {
+        // Read as a flat buffer, `Z[i]` would be a real, not a triple;
+        // and a projection of another arity is the interpreter's error.
         let boxed = Value::array1(vec![Value::Nat(1), Value::Bottom, Value::Nat(2)]);
-        let g = world(vec![("Z", array(z)), ("M", boxed)]);
-        assert!(matches!(g[&name("Z")].as_array().unwrap().array_data(), ArrayData::Columns(_)));
-        for operand in ["Z", "M"] {
-            let e = tab1("i", nat(3), sub(global(operand), vec![var("i")]));
+        let g = world(vec![("Z", triples(3)), ("M", boxed)]);
+        let at = |a: &str| sub(global(a), vec![var("i")]);
+        for e in [tab1("i", nat(3), at("Z")), tab1("i", nat(3), at("M")), tab1("i", nat(3), proj(1, 2, at("Z")))] {
             let got = same(&e, &g, &[("i", below(3))]);
             assert_eq!((got.nests, got.escapes), (0, 1), "{e}");
+        }
+    }
+
+    /// `[[ h(A[i]) | i < n ]]`, `Σ_{i<n} A[i]` and `max!` of the same.
+    fn one_axis(n: u64, head: impl Fn(Expr) -> Expr) -> [Expr; 3] {
+        let at = || head(sub(global("A"), vec![var("i")]));
+        [
+            tab1("i", nat(n), at()),
+            sum("i", gen(nat(n)), at()),
+            set_max(big_union("i", gen(nat(n)), single(at()))),
+        ]
+    }
+
+    #[test]
+    fn rows_are_cut_where_the_limits_are_looked_at() {
+        for n in [0, 1, POLL_EVERY - 1, POLL_EVERY, POLL_EVERY + 1] {
+            let g = world(vec![("A", array(ArrayVal::from_f64(vec![n], reals(n))))]);
+            for (k, e) in one_axis(n, |a| add(mul(a, real(1.8)), real(32.0))).iter().enumerate() {
+                let got = same(e, &g, &[("i", below(n))]);
+                // An empty real `Σ` is the interpreter's `0 : nat`.
+                let runs = n > 0 || k != 1;
+                assert_eq!(got.nests, u64::from(runs), "{e} over {n}");
+                assert_eq!(got.rows, n.div_ceil(POLL_EVERY), "{e} over {n}");
+                // The step budget ending one step short, or at the
+                // second row; a cancellation raised beforehand.
+                for max_steps in [got.steps - 1, 2 * POLL_EVERY + 3] {
+                    checked(e, &g, &Limits { max_steps, ..Limits::default() }, &[("i", below(n))]);
+                }
+                let cancel = Some(Arc::new(AtomicBool::new(true)));
+                checked(e, &g, &Limits { cancel, ..Limits::default() }, &[("i", below(n))]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_cancellation_raised_mid_row_is_the_interpreters_error() {
+        // `Σ A[2i]` reads per element (its box spans twice its reads);
+        // the source raises the flag when it loads the chunk holding
+        // cell 2,000, inside the first row. The kernel sees it at the
+        // next row and hands the nest back, whose rerun stops at its
+        // first check; so the error is compared, not the counts.
+        let n = 2 * POLL_EVERY;
+        let outcome = |vars: Option<Vars>| {
+            let flag = Arc::new(AtomicBool::new(false));
+            let raise = Arc::clone(&flag);
+            let schedule = move |_, start: &[u64]| -> Option<Fault> {
+                if start.first() == Some(&2000) {
+                    raise.store(true, std::sync::atomic::Ordering::Relaxed);
+                }
+                None
+            };
+            let source = MemChunkSource::new(vec![2 * n], ScalarBuf::F64(reals(2 * n))).unwrap();
+            let faulty = Box::new(FaultyChunkSource::new(source, schedule));
+            let g = world(vec![("A", lazy_over(&[2 * n], &[1000], faulty, ScalarKind::F64, 1 << 20))]);
+            let e = sum("i", gen(nat(n)), sub(global("A"), vec![mul(var("i"), nat(2))]));
+            run(&e, &g, &Limits { cancel: Some(flag), ..Limits::default() }, vars)
+        };
+        let (want, got) = (outcome(None), outcome(Some(&[("i", below(n))])));
+        assert_eq!((want.value, got.value), (Err(EvalError::Cancelled), Err(EvalError::Cancelled)));
+        assert_eq!((got.nests, got.escapes), (0, 1));
+    }
+
+    #[test]
+    fn an_escape_anywhere_in_a_row_is_the_interpreters() {
+        let n = POLL_EVERY;
+        for at in [0, n / 2, n - 1] {
+            let spiked = |x| (0..n).map(|i| if i == at { x } else { i % 7 + 1 }).collect::<Vec<u64>>();
+            let signed = spiked(9).into_iter().map(|x| if x == 9 { -1 } else { x as i64 }).collect();
+            let g = world(vec![
+                ("N", array(ArrayVal::from_nat(vec![n], spiked(u64::MAX)))),
+                ("D", array(ArrayVal::from_nat(vec![n], spiked(0)))),
+                ("L", lazy(&[n], &[1000], ScalarBuf::I64(signed))),
+            ]);
+            let on = |a: &'static str, h: fn(Expr) -> Expr| {
+                one_axis(n, move |_| h(sub(global(a), vec![var("i")])))
+            };
+            let cases = [
+                (on("N", |x| mul(x, nat(2))), Err(EvalError::Overflow)),
+                (on("D", |x| div(nat(100), x)), Ok(Value::Bottom)),
+                (on("D", |x| modulo(nat(100), x)), Ok(Value::Bottom)),
+            ];
+            for (es, want) in cases {
+                for e in &es[..2] {
+                    let got = same(e, &g, &[("i", below(n))]);
+                    assert_eq!((got.value, got.nests, got.escapes), (want.clone(), 0, 1), "{e} at {at}");
+                }
+            }
+            // A negative stored integer, read through a window.
+            for e in on("L", |x| x) {
+                let got = same(&e, &g, &[("i", below(n))]);
+                assert_eq!((got.nests, got.escapes), (0, 1), "{e} at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn levels_keep_their_order_and_their_accumulators() {
+        // Grouped by row, 1e16 + 1 and -1e16 + 1 round to 1e16 and
+        // -1e16, and the sum is 0; in one run it would be 1.
+        let g = world(vec![("A", array(ArrayVal::from_f64(vec![2, 2], vec![1e16, 1.0, -1e16, 1.0])))]);
+        let e = sum("i", gen(nat(2)), sum("j", gen(nat(2)), sub(global("A"), vec![var("i"), var("j")])));
+        let got = same(&e, &g, &[("i", below(2)), ("j", below(2))]);
+        assert_eq!((got.value, got.nests), (Ok(Value::Real(0.0)), 1));
+        // NaN beats everything under `max!`, -0.0 loses to 0.0 under
+        // `min!`, over two levels whose rows each hold one of them.
+        let cells = vec![0.0, 2.0, -0.0, f64::NAN, -1.5, 0.0, -0.0, 7.0];
+        let g = world(vec![("A", array(ArrayVal::from_f64(vec![2, 4], cells)))]);
+        let at = sub(global("A"), vec![var("i"), var("j")]);
+        let levels = big_union("i", gen(nat(2)), big_union("j", gen(nat(4)), single(at)));
+        for e in [set_max(levels.clone()), set_min(levels)] {
+            assert_eq!(same(&e, &g, &[("i", below(2)), ("j", below(4))]).nests, 1, "{e}");
+        }
+    }
+
+    #[test]
+    fn only_row_major_sites_make_one_row_of_several_axes() {
+        let g = world(vec![
+            ("M", array(ArrayVal::from_f64(vec![4, 5], reals(20)))),
+            ("C", lazy(&[4, 5, 5], &[2, 5, 5], ScalarBuf::F64(reals(100)))),
+            ("A", lazy(&[40], &[8], ScalarBuf::F64(reals(40)))),
+        ]);
+        let ij: Vars = &[("i", below(4)), ("j", below(5))];
+        let at = |a: &str, idx: Vec<Expr>| sub(global(a), idx);
+        let cases = [
+            // Row-major: one row of 20 cells; a pair of such sites too.
+            (tab(vec![("i", nat(4)), ("j", nat(5))], at("M", vec![var("i"), var("j")])), 1),
+            (tab(vec![("i", nat(4)), ("j", nat(5))], tuple(vec![at("M", vec![var("i"), var("j")]), at("C", vec![var("i"), var("j"), nat(2)])])), 1),
+            // Transposed, diagonal, or reading its row variable: a row
+            // per `i`.
+            (tab(vec![("j", nat(5)), ("i", nat(4))], at("M", vec![var("i"), var("j")])), 5),
+            (tab(vec![("i", nat(4)), ("j", nat(5))], at("C", vec![var("i"), var("j"), var("j")])), 4),
+            (tab(vec![("i", nat(4)), ("j", nat(5))], add(at("M", vec![var("i"), var("j")]), real(1.0))), 1),
+            (tab(vec![("i", nat(4)), ("j", nat(5))], tuple(vec![var("j"), at("M", vec![var("i"), var("j")])])), 4),
+            // A stride of 2, and an index of another form.
+            (tab(vec![("i", nat(4)), ("j", nat(5))], at("A", vec![add(mul(var("i"), nat(10)), mul(var("j"), nat(2)))])), 4),
+            (tab(vec![("i", nat(4)), ("j", nat(5))], at("M", vec![var("i"), modulo(add(var("j"), nat(3)), nat(5))])), 4),
+        ];
+        for (e, rows) in cases {
+            let marked = run(&e, &g, &Limits::default(), Some(ij));
+            let want = run(&e, &g, &Limits::default(), None);
+            assert_eq!((&marked.value, marked.steps), (&want.value, want.steps), "{e}");
+            assert_eq!((marked.nests, marked.rows), (1, rows), "{e}");
         }
     }
 

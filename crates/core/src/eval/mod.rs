@@ -203,10 +203,12 @@ pub struct EvalCtx<'a> {
     elided: Cell<u64>,
     materialized: Cell<u64>,
     /// Loop nests run as bulk kernels, the loop iterations they
-    /// covered, and the nests a kernel handed back to the interpreter —
-    /// trace counters, not part of [`EvalStats`].
+    /// covered, the rows their loops ran, and the nests a kernel handed
+    /// back to the interpreter — trace counters, not part of
+    /// [`EvalStats`].
     kernel_nests: Cell<u64>,
     kernel_cells: Cell<u64>,
+    kernel_rows: Cell<u64>,
     kernel_escapes: Cell<u64>,
     /// Snapshot of the global chunk-cache counters at construction;
     /// [`EvalCtx::stats`] reports the delta since.
@@ -227,6 +229,7 @@ impl<'a> EvalCtx<'a> {
             materialized: Cell::new(0),
             kernel_nests: Cell::new(0),
             kernel_cells: Cell::new(0),
+            kernel_rows: Cell::new(0),
             kernel_escapes: Cell::new(0),
             cache_base: aql_store::stats::global(),
         }
@@ -368,6 +371,7 @@ pub fn eval_marked(
         if ctx.kernel_nests.get() + ctx.kernel_escapes.get() > 0 {
             aql_trace::count("eval.kernel_nests", ctx.kernel_nests.get());
             aql_trace::count("eval.kernel_cells", ctx.kernel_cells.get());
+            aql_trace::count("eval.kernel_rows", ctx.kernel_rows.get());
             aql_trace::count("eval.kernel_escapes", ctx.kernel_escapes.get());
         }
     }

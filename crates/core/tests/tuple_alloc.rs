@@ -1,8 +1,9 @@
-//! A kernel tabulation of tuples writes one typed column per component
-//! instead of boxing each cell, proven by counting allocations as
-//! `aql-opt`'s `opt_alloc` does: a tabulation of pairs makes as many
-//! allocations at 2,500 cells as at 100 (a boxed tuple per cell would
-//! add one allocation a cell).
+//! A kernel tabulation allocates per nest, never per cell or per row,
+//! proven by counting allocations as `aql-opt`'s `opt_alloc` does: a
+//! tabulation of pairs writes one typed column per component instead of
+//! boxing each cell, and a real-valued map's row buffers are allocated
+//! at bind — each makes as many allocations over a few cells as over
+//! thousands (a boxed tuple per cell, or a buffer per row, would not).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -86,6 +87,31 @@ fn pairs_of_two_windows(n: u64) -> u64 {
         Value::Real((2 * n - 1) as f64 * 0.5),
     ]));
     allocs
+}
+
+/// Allocations of one marked evaluation of `[[ T[k] * 1.8 + 32.0 | k < n ]]`
+/// over an unboxed real `T` — the `warm_scan` map — after a first
+/// evaluation, output buffer included.
+fn a_real_map(n: u64) -> u64 {
+    let t = ArrayVal::from_f64(vec![n], (0..n).map(|i| i as f64 * 0.25).collect());
+    let globals = HashMap::from([(name("T"), Value::Array(Rc::new(t.unwrap())))]);
+    let cell = sub(global("T"), vec![var("k")]);
+    let e = tab1("k", nat(n), add(mul(cell, real(1.8)), real(32.0)));
+    let marks = |_: &Expr| Some(vec![Iv { lo: 0, hi: Some(n - 1) }]);
+    let externals = Extensions::new();
+    drop(eval_marked(&e, &EvalCtx::new(&globals, &externals), &marks));
+    let ctx = EvalCtx::new(&globals, &externals);
+    let (allocs, out) = allocs_during(|| eval_marked(&e, &ctx, &marks));
+    assert_eq!(ctx.kernel_nests(), 1, "{e} ran as a kernel");
+    let Ok(Value::Array(map)) = out else { panic!("{e} is a tabulation") };
+    assert_eq!(map.value_at(n as usize - 1), Value::Real((n - 1) as f64 * 0.25 * 1.8 + 32.0));
+    allocs
+}
+
+#[test]
+fn a_real_map_allocates_independently_of_its_length() {
+    let (small, large) = (a_real_map(100), a_real_map(5_000));
+    assert_eq!(small, large, "allocations at 100 cells and at 5,000");
 }
 
 #[test]

@@ -654,6 +654,45 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn a_nest_re_entered_under_an_interpreted_loop_is_the_interpreters(
+        (days, m, step) in (0u64..5, 0u64..5, 0u64..4),
+        shape in 0usize..4,
+        chunk in 0u64..4,
+    ) {
+        // `⋃ d < days. { let h = d·step in let s = Σ_{x < d} 0.5 in
+        // [[ HEAD | k < LEN ]] }`, bound once and re-entered: a capture
+        // `h` that moves on every entry; a capture `s` whose kind flips
+        // (`0 : nat` on the first day); a trip count that varies, 0
+        // included; a guarded pair, `⊥` once `h + k` reaches the end.
+        let n = days * step + m + 1;
+        let globals = globals_with(vec![
+            ("A", operand(ScalarBuf::F64((0..n).map(|i| i as f64 * 0.5 - 1.0).collect()), chunk)),
+            ("B", operand(ScalarBuf::I64((0..n as i64).map(|i| i * 5 % 7).collect()), chunk)),
+        ]);
+        let at = |a: &str| sub(global(a), vec![add(var("h"), var("k"))]);
+        let (head, len) = match shape {
+            0 => (at("A"), nat(m)),
+            1 => (add(at("A"), var("s")), nat(m)),
+            2 => (at("A"), mul(modulo(var("d"), nat(2)), nat(m))),
+            _ => (iff(lt(add(var("h"), var("k")), nat(n - 1)), tuple(vec![at("A"), at("B")]), bottom()), nat(m)),
+        };
+        let s = sum("x", gen(var("d")), real(0.5));
+        let day = let_("h", mul(var("d"), nat(step)), let_("s", s, tab1("k", len, head)));
+        let e = big_union("d", gen(nat(days)), single(day));
+        // `run`: the same outcome, steps, subscripts and cells with the
+        // kernels as the all-checked interpreter.
+        let r = run(&e, &globals);
+        if shape == 0 && m > 0 {
+            // Every day's nest proven and run as a kernel.
+            prop_assert_eq!(r.kernel_nests, days, "{}", e);
+        }
+    }
+}
+
 /// The three kinds an operand of the tuple tabulations holds: `real`,
 /// `nat`, `bool`.
 const KINDS: [&str; 3] = ["R", "N", "B"];

@@ -27,6 +27,9 @@ pub enum LangError {
     },
     /// Desugaring error (bad pattern, unknown builtin arity, …).
     Desugar(String),
+    /// A statement, or a value a reader parsed, nested deeper than
+    /// the budget: the parser's [`MAX_DEPTH`](crate::parser::MAX_DEPTH).
+    TooDeep(usize),
     /// The typechecker rejected the query.
     Type(TypeError),
     /// Evaluation failed at the host level.
@@ -87,6 +90,7 @@ impl LangError {
         match self {
             LangError::Eval(e) => e.class(),
             LangError::Unsound { .. } => ErrorClass::Unsound,
+            LangError::TooDeep(_) => ErrorClass::TooDeep,
             LangError::Lex { .. }
             | LangError::Parse { .. }
             | LangError::Desugar(_)
@@ -116,6 +120,7 @@ impl fmt::Display for LangError {
                 write!(f, "parse error (line {line}): {message}")
             }
             LangError::Desugar(m) => write!(f, "desugaring error: {m}"),
+            LangError::TooDeep(limit) => write!(f, "nesting deeper than {limit} levels"),
             LangError::Type(e) => write!(f, "type error: {e}"),
             LangError::Eval(e) => write!(f, "evaluation error: {e}"),
             LangError::Session(m) => write!(f, "session error: {m}"),

@@ -21,7 +21,7 @@ pub fn parse_program(src: &str) -> Result<Vec<Stmt>, LangError> {
         let _lex = crate::session::phase("lex");
         lex(src)?
     };
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     let mut out = Vec::new();
     while !p.at(&Tok::Eof) {
         out.push(p.stmt()?);
@@ -32,15 +32,22 @@ pub fn parse_program(src: &str) -> Result<Vec<Stmt>, LangError> {
 /// Parse a single expression (the whole input must be one expression).
 pub fn parse_expr(src: &str) -> Result<SExpr, LangError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     let e = p.expr()?;
     p.expect(&Tok::Eof)?;
     Ok(e)
 }
 
+/// How deeply expressions may nest, in levels: each `expr` is one, and
+/// a set or bag literal one more (it desugars to two nodes a level).
+/// Deeper is [`LangError::TooDeep`], before any later pass recurses on
+/// the term (DESIGN.md §7 has the stack it was sized for).
+pub const MAX_DEPTH: usize = 17;
+
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser {
@@ -147,7 +154,22 @@ impl Parser {
 
     // ---- expressions ---------------------------------------------------
 
+    /// `f`, one level deeper.
+    fn deeper<T>(&mut self, f: impl FnOnce(&mut Parser) -> Result<T, LangError>) -> Result<T, LangError> {
+        if self.depth == MAX_DEPTH {
+            return Err(LangError::TooDeep(MAX_DEPTH));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn expr(&mut self) -> Result<SExpr, LangError> {
+        self.deeper(Parser::nested)
+    }
+
+    fn nested(&mut self) -> Result<SExpr, LangError> {
         match self.peek() {
             Tok::Fn => {
                 self.bump();
@@ -396,7 +418,7 @@ impl Parser {
                 if self.eat(&Tok::RBrace) {
                     return Ok(SExpr::SetLit(Vec::new()));
                 }
-                let first = self.expr()?;
+                let first = self.deeper(Parser::expr)?;
                 if self.eat(&Tok::Pipe) {
                     let quals = self.quals()?;
                     self.expect(&Tok::RBrace)?;
@@ -404,7 +426,7 @@ impl Parser {
                 } else {
                     let mut items = vec![first];
                     while self.eat(&Tok::Comma) {
-                        items.push(self.expr()?);
+                        items.push(self.deeper(Parser::expr)?);
                     }
                     self.expect(&Tok::RBrace)?;
                     Ok(SExpr::SetLit(items))
@@ -415,7 +437,7 @@ impl Parser {
                 if self.eat(&Tok::RBagBrace) {
                     return Ok(SExpr::BagLit(Vec::new()));
                 }
-                let first = self.expr()?;
+                let first = self.deeper(Parser::expr)?;
                 if self.eat(&Tok::Pipe) {
                     let quals = self.quals()?;
                     self.expect(&Tok::RBagBrace)?;
@@ -423,7 +445,7 @@ impl Parser {
                 } else {
                     let mut items = vec![first];
                     while self.eat(&Tok::Comma) {
-                        items.push(self.expr()?);
+                        items.push(self.deeper(Parser::expr)?);
                     }
                     self.expect(&Tok::RBagBrace)?;
                     Ok(SExpr::BagLit(items))

@@ -130,11 +130,14 @@ pub fn compile_marked(
     e: &Expr,
     in_bounds: &dyn Fn(&Expr) -> Option<Vec<Iv>>,
 ) -> Result<CExpr, EvalError> {
-    Compiler { scope: Vec::new(), in_bounds, marked: 0 }.go(e)
+    Compiler { scope: Vec::new(), lets: 0, in_bounds, marked: 0 }.go(e)
 }
 
 struct Compiler<'a> {
     scope: Vec<Name>,
+    /// The `let`s in `scope`: every other binder there is a loop's or a
+    /// function's, whose body may run many times.
+    lets: usize,
     in_bounds: &'a dyn Fn(&Expr) -> Option<Vec<Iv>>,
     /// Sites marked so far: a nest is worth planning as a kernel only
     /// if this moved while its children were compiled.
@@ -204,7 +207,9 @@ impl Compiler<'_> {
             Expr::Let(x, bound, body) => {
                 let b = self.go(bound)?;
                 self.scope.push(x.clone());
+                self.lets += 1;
                 let body = self.go(body)?;
+                self.lets -= 1;
                 self.scope.pop();
                 CExpr::Let(rc(b), rc(body))
             }
@@ -327,7 +332,7 @@ impl Compiler<'_> {
         if self.marked == before {
             return nest;
         }
-        match kernel::plan(&nest) {
+        match kernel::plan(&nest, self.scope.len() > self.lets) {
             Some(plan) => CExpr::Kernel { plan: Rc::new(plan), fallback: rc(nest) },
             None => nest,
         }

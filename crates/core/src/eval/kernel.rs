@@ -17,31 +17,39 @@
 //! [`eval`](super::eval) never runs a kernel. Planning never
 //! backtracks: the first node outside the fragment refuses the nest.
 //!
-//! [`run`] *binds* a plan to one evaluation — fetches the operand
-//! arrays and captured scalars, learns each expression's kind (`nat`,
-//! `real`, `bool`, tuple) from them — and runs it over a flat frame of
-//! `u64` slots: no environment node, no per-node tick, typed output
-//! buffers. **A row is the unit of work.** Every piece of a nest is
-//! compiled to one form, row code: a closure that appends the piece's
-//! values at `len` consecutive cells of its innermost loop to a typed
-//! buffer. One driver (`Frame::grid`) hands each loop's iterations to
-//! its head as rows, cut every [`POLL_EVERY`] cells; a tabulation's
-//! trailing axes make one row when every load steps through them in
-//! row-major order (`coef_k = coef_{k+1} · d_{k+1}`, as
-//! `layout::for_each_run` folds runs), so `[[ T[t0+t, i, j] * 1.8 + 32.0
-//! | t, i, j ]]` is one slice read and two loops over a buffer. The
-//! elementwise fragment — constants, the row's variable, `Arith`, `Cmp`,
-//! tuples (a column per component) and loads with affine indices —
-//! runs a row at a time; an `if` runs each run of cells taking one
-//! branch as a row of that branch; `let`, a nested `Σ`, a non-affine
-//! index and a per-element lazy read run a cell at a time inside their
-//! row. Buffers are allocated at bind. A lazy operand is read once per
-//! subscript site, as one window (one `read_slab`: one cache lookup per
-//! overlapped chunk), when that window has no more cells than the site
-//! has executions; otherwise per element, still unboxed. The window is
-//! sized at bind: per axis, what the index `konst + Σ coef·slot` reaches
-//! over the trip counts known by then, inside the analyzer's interval.
-//! A column array is an operand one component at a time: `πᵢ(Z[…])`.
+//! [`run`] *binds* a plan to an entry — fetches the operand arrays and
+//! captured scalars, learns each expression's kind (`nat`, `real`,
+//! `bool`, tuple) from them — and runs it over a flat frame of `u64`
+//! slots: no environment node, no per-node tick, typed output buffers.
+//! A nest entered once per evaluation is bound with its captures as
+//! constants. A nest under an interpreted loop or a function body is
+//! bound **once per evaluation**: its captures (but a loop's trip count)
+//! and its windows' origins are slots written on each entry, and an
+//! entry with the same operands, capture kinds and trip counts reruns
+//! the bound code (DESIGN.md §17 has the whole re-bind key). **A row is
+//! the unit of work.** Every piece of a nest is compiled to one form,
+//! row code: a closure that appends the piece's values at `len`
+//! consecutive cells of its innermost loop to a typed buffer. One driver
+//! (`Frame::grid`) hands each loop's iterations to its head as rows, cut
+//! every [`POLL_EVERY`] cells; a tabulation's trailing axes make one row
+//! when every load steps through them in row-major order (`coef_k =
+//! coef_{k+1} · d_{k+1}`, as `layout::for_each_run` folds runs), so
+//! `[[ T[t0+t, i, j] * 1.8 + 32.0 | t, i, j ]]` is one slice read and
+//! two loops over a buffer. The elementwise fragment — constants, the
+//! row's variable, `Arith`, `Cmp`, tuples (a column per component) and
+//! loads with affine indices — runs a row at a time; an `if` runs each
+//! run of cells taking one branch as a row of that branch; `let`, a
+//! nested `Σ`, a non-affine index and a per-element lazy read run a cell
+//! at a time inside their row. Buffers are allocated at bind. A lazy
+//! operand is read once per subscript site and entry, as one window (one
+//! `read_slab`: one cache lookup per overlapped chunk), when that window
+//! has no more cells than the site has executions; otherwise per
+//! element, still unboxed. The window is placed per axis at what the
+//! index `konst + Σ coef·slot` reaches over the captures and the trip
+//! counts known by then, inside the analyzer's interval: when bound, and
+//! read into the load's code, in a nest entered once; on each entry,
+//! and read into the frame, in a nest bound once per evaluation. A
+//! column array is an operand one component at a time: `πᵢ(Z[…])`.
 //!
 //! **Accounting in closed form.** The planner returns, next to each
 //! piece of a nest, what the interpreter charges for evaluating it
@@ -66,13 +74,14 @@
 //! deadline or cancellation, a storage failure. The interpreter then
 //! reports the error, or the `⊥`, at the point and with the counts it
 //! always did; the trace counts the nest under `eval.kernel_escapes`.
+//! An entry that escapes leaves its nest's binding for the next entry.
 
 use std::cell::{Cell, RefCell, RefMut};
 use std::cmp::Ordering;
 use std::iter::repeat_n;
 use std::rc::Rc;
 
-use aql_store::{LazyArray, Scalar, ScalarBuf, ScalarKind};
+use aql_store::{Scalar, ScalarBuf, ScalarKind};
 
 use super::bounds::Iv;
 use super::{eval_compiled, holds, real_arith, CExpr, Env, EvalCtx, INTERRUPT_CHECK_MASK};
@@ -96,6 +105,15 @@ impl V {
             Value::Real(r) => Some(V::R(*r)),
             Value::Bool(b) => Some(V::B(*b)),
             _ => None,
+        }
+    }
+
+    /// Its kind, and its bits as a frame slot holds them.
+    fn bits(self) -> (Ty, u64) {
+        match self {
+            V::N(n) => (Ty::N, n),
+            V::R(r) => (Ty::R, r.to_bits()),
+            V::B(b) => (Ty::B, u64::from(b)),
         }
     }
 }
@@ -206,6 +224,9 @@ pub struct KernelPlan {
     operands: Vec<Outer>,
     sites: Vec<Site>,
     slots: usize,
+    /// Whether the nest lies under an interpreted loop or a function
+    /// body, and so may be entered more than once in an evaluation.
+    again: bool,
 }
 
 /// The argument of a `gen` loop source.
@@ -225,8 +246,9 @@ fn extreme_kind(p: Prim) -> Option<FoldKind> {
 }
 
 /// Plan `c` as a kernel if it is a sink over a nest of the module's
-/// grammar with at least one subscript, all of them marked.
-pub(super) fn plan(c: &CExpr) -> Option<KernelPlan> {
+/// grammar with at least one subscript, all of them marked; `again`
+/// says whether it may be entered more than once per evaluation.
+pub(super) fn plan(c: &CExpr, again: bool) -> Option<KernelPlan> {
     let mut b = Planner::default();
     let root = match c {
         CExpr::Tab { head, bounds } => {
@@ -261,6 +283,7 @@ pub(super) fn plan(c: &CExpr) -> Option<KernelPlan> {
         operands: b.operands,
         sites: b.sites,
         slots: b.slots.max(1),
+        again,
     })
 }
 
@@ -433,15 +456,17 @@ impl Planner {
 /// and the cancellation flag, in loop iterations; also the longest row.
 const POLL_EVERY: u64 = 4096;
 
-/// What a run mutates: the variable slots (naturals, or the bits of a
-/// real or a boolean — the code reading a slot knows which) and the
-/// charges, committed to the context only when the nest completes.
+/// What an entry mutates — the slots (naturals, or the bits of a real
+/// or a boolean) and the charges, committed to the context only when the
+/// nest completes — and the operands and windows its loads read.
 struct Frame<'c> {
     ctx: &'c EvalCtx<'c>,
     /// The longest loop `check_elems` would admit: `max_elems`, and
     /// what the governor's byte budget holds at eight bytes a cell.
     max_loop: u64,
-    slots: Vec<Cell<u64>>,
+    slots: &'c [Cell<u64>],
+    arrays: &'c [Rc<ArrayVal>],
+    windows: &'c [Window],
     /// The running `min!`/`max!`, as bits.
     best: Cell<Option<u64>>,
     steps: Cell<u64>,
@@ -488,12 +513,12 @@ impl Frame<'_> {
     }
 
     /// The one loop driver: hand `row` the cells of a grid, row-major,
-    /// the variables in `slots` ranging over `dims`. The axes from
-    /// `from` on make one row, cut every [`POLL_EVERY`] cells; the
-    /// limits are looked at before a row that would take the iterations
-    /// since the last look past [`POLL_EVERY`].
-    fn grid(&self, slots: &[usize], dims: &[u64], from: usize, mut row: impl FnMut(&Self, u64) -> Option<()>) -> Option<()> {
-        let var = |k: usize| slots.get(k).and_then(|&s| self.slots.get(s));
+    /// the variables in the slots from `first` on ranging over `dims`.
+    /// The axes from `from` on make one row, cut every [`POLL_EVERY`]
+    /// cells; the limits are looked at before a row that would take the
+    /// iterations since the last look past [`POLL_EVERY`].
+    fn grid(&self, first: usize, dims: &[u64], from: usize, mut row: impl FnMut(&Self, u64) -> Option<()>) -> Option<()> {
+        let var = |k: usize| self.slots.get(first + k);
         (0..dims.len()).try_for_each(|k| var(k).map(|v| v.set(0)))?;
         if dims.contains(&0) {
             return Some(());
@@ -538,7 +563,7 @@ impl Frame<'_> {
     /// `slot`.
     fn each(&self, n: u64, slot: usize, per_iter: Cost, row: impl FnMut(&Self, u64) -> Option<()>) -> Option<()> {
         self.enter(n, per_iter)?;
-        self.grid(&[slot], &[n], 0, row)
+        self.grid(slot, &[n], 0, row)
     }
 
     /// A row a cell at a time: `cell` with the variable in `slot` at
@@ -557,41 +582,50 @@ impl Frame<'_> {
     /// The tabulation sink, once its loop is admitted: the cells of
     /// `dims` by rows (the axes from `from` on making one), into `out`.
     fn fill<B>(&self, dims: &[u64], from: usize, mut out: B, row: impl Fn(&Self, u64, &mut B) -> Option<()>) -> Option<B> {
-        let slots: Vec<usize> = (0..dims.len()).collect();
-        self.grid(&slots, dims, from, |f, len| row(f, len, &mut out))?;
-        Some(out)
+        self.grid(0, dims, from, |f, len| row(f, len, &mut out)).map(|()| out)
     }
 }
 
 /// Row code, the one form a piece of a nest is compiled to: appends its
 /// values at `len` cells of its loop, the frame's slots at the first of
 /// them, to a buffer; `None` is the escape.
-type Op<'a, B> = Box<dyn Fn(&Frame, u64, &mut B) -> Option<()> + 'a>;
+type Op<B> = Box<dyn Fn(&Frame, u64, &mut B) -> Option<()>>;
 
 /// Code run once at the current cell.
-type Get<'a, T> = Box<dyn Fn(&Frame) -> Option<T> + 'a>;
+type Get<T> = Box<dyn Fn(&Frame) -> Option<T>>;
 
 /// A level of a `min!`/`max!` comprehension, a row at a time.
-type Level<'a> = Box<dyn Fn(&Frame, u64) -> Option<()> + 'a>;
+type Level = Box<dyn Fn(&Frame, u64) -> Option<()>>;
 
-/// An operand: a constant, or code computed a cell at a time (over the
-/// loop variable in its slot), kept apart from row code to be read alone.
-enum Arg<'a, T> {
+/// An operand: a constant, a capture (read from its slot once a row, as
+/// its kind), or code computed a cell at a time (over the loop variable
+/// in its slot), kept apart from row code to be read alone.
+enum Arg<T> {
     Const(T),
-    Cell(usize, Get<'a, T>),
-    Op(Op<'a, Vec<T>>),
+    Slot(usize, fn(u64) -> T),
+    Cell(usize, Get<T>),
+    Op(Op<Vec<T>>),
 }
 
-impl<'a, T: Clone + 'a> Arg<'a, T> {
-    /// Append the row; a constant's is the constant `len` times.
+impl<T: Clone + 'static> Arg<T> {
+    /// A constant's or a capture's value: the same at every cell.
+    fn fixed(&self, f: &Frame) -> Option<T> {
+        match self {
+            Arg::Const(c) => Some(c.clone()),
+            Arg::Slot(s, of) => Some(of(f.slots.get(*s)?.get())),
+            _ => None,
+        }
+    }
+
+    /// Append the row; a fixed value's is that value `len` times.
     fn run(&self, f: &Frame, len: u64, out: &mut Vec<T>) -> Option<()> {
         match self {
-            Arg::Const(c) => out.extend(repeat_n(c.clone(), len as usize)),
             Arg::Cell(slot, get) => f.cells(*slot, len, |f| {
                 out.push(get(f)?);
                 Some(())
             })?,
             Arg::Op(op) => op(f, len, out)?,
+            fixed => out.extend(repeat_n(fixed.fixed(f)?, len as usize)),
         }
         Some(())
     }
@@ -604,7 +638,13 @@ impl<'a, T: Clone + 'a> Arg<'a, T> {
         Some(b)
     }
 
-    fn op(self) -> Op<'a, Vec<T>> {
+    /// [`Arg::once`], its value mapped by `to`.
+    fn once_as<U: 'static>(self, to: fn(T) -> U) -> Get<U> {
+        let get = self.once();
+        Box::new(move |f| get(f).map(to))
+    }
+
+    fn op(self) -> Op<Vec<T>> {
         match self {
             Arg::Op(op) => op,
             arg => Box::new(move |f, len, out| arg.run(f, len, out)),
@@ -612,19 +652,20 @@ impl<'a, T: Clone + 'a> Arg<'a, T> {
     }
 
     /// Read a cell at a time: row code as a row of one, into a buffer.
-    fn once(self) -> Get<'a, T> {
+    fn once(self) -> Get<T> {
         match self {
-            Arg::Const(c) => Box::new(move |_| Some(c.clone())),
             Arg::Cell(_, get) => get,
-            arg => {
+            Arg::Op(_) => {
                 let buf = RefCell::new(Vec::with_capacity(1));
-                Box::new(move |f| arg.run_in(&buf, f, 1)?.first().cloned())
+                Box::new(move |f| self.run_in(&buf, f, 1)?.first().cloned())
             }
+            Arg::Const(c) => Box::new(move |_| Some(c.clone())),
+            Arg::Slot(s, of) => Box::new(move |f| Some(of(f.slots.get(s)?.get()))),
         }
     }
 
     /// A cell at a time over `slot`, each cell after `before`.
-    fn per_cell(self, slot: usize, before: impl Fn(&Frame) -> Option<()> + 'a) -> Arg<'a, T> {
+    fn per_cell(self, slot: usize, before: impl Fn(&Frame) -> Option<()> + 'static) -> Arg<T> {
         let get = self.once();
         Arg::Cell(slot, Box::new(move |f| before(f).and_then(|()| get(f))))
     }
@@ -638,7 +679,7 @@ fn buffer<T, U>(arg: &Arg<T>, cap: usize) -> RefCell<Vec<U>> {
 
 /// `g` over two rows of one kind, in place: `a`'s row is appended to the
 /// output and combined there with `b`'s; an overflow or `/ 0` escapes.
-fn arith<'a, T: Copy + 'a>(a: Arg<'a, T>, b: Arg<'a, T>, cap: usize, g: impl Fn(T, T) -> Option<T> + 'a) -> Arg<'a, T> {
+fn arith<T: Copy + 'static>(a: Arg<T>, b: Arg<T>, cap: usize, g: impl Fn(T, T) -> Option<T> + 'static) -> Arg<T> {
     if let (Arg::Const(x), Arg::Const(y)) = (&a, &b) {
         if let Some(z) = g(*x, *y) {
             return Arg::Const(z);
@@ -653,16 +694,16 @@ fn arith<'a, T: Copy + 'a>(a: Arg<'a, T>, b: Arg<'a, T>, cap: usize, g: impl Fn(
             Some(z) => *x = z,
             None => whole = false,
         };
-        match &b {
-            Arg::Const(y) => xs.iter_mut().for_each(|x| put(x, *y)),
-            b => xs.iter_mut().zip(b.run_in(&ys, f, len)?.iter()).for_each(|(x, &y)| put(x, y)),
+        match b.fixed(f) {
+            Some(y) => xs.iter_mut().for_each(|x| put(x, y)),
+            None => xs.iter_mut().zip(b.run_in(&ys, f, len)?.iter()).for_each(|(x, &y)| put(x, y)),
         }
         whole.then_some(())
     }))
 }
 
 /// `op` over two rows of one kind, cell by cell.
-fn compare<'a, T: Clone + 'a>(op: CmpOp, a: Arg<'a, T>, b: Arg<'a, T>, cap: usize, ord: fn(&T, &T) -> Ordering) -> Arg<'a, bool> {
+fn compare<T: Clone + 'static>(op: CmpOp, a: Arg<T>, b: Arg<T>, cap: usize, ord: fn(&T, &T) -> Ordering) -> Arg<bool> {
     let (xs, ys) = (buffer(&a, cap), buffer(&b, cap));
     Arg::Op(Box::new(move |f, len, out| {
         let xs = a.run_in(&xs, f, len)?;
@@ -674,15 +715,15 @@ fn compare<'a, T: Clone + 'a>(op: CmpOp, a: Arg<'a, T>, b: Arg<'a, T>, cap: usiz
 /// A typed expression, ready to run: a scalar of one of the three
 /// kinds, or a tuple — code that appends a row to each of its kinds'
 /// columns (a tabulation's cells).
-enum Code<'a> {
-    N(Arg<'a, u64>),
-    R(Arg<'a, f64>),
-    B(Arg<'a, bool>),
-    T(Op<'a, Vec<Column>>, Vec<Ty>),
+enum Code {
+    N(Arg<u64>),
+    R(Arg<f64>),
+    B(Arg<bool>),
+    T(Op<Vec<Column>>, Vec<Ty>),
 }
 
-impl<'a> Code<'a> {
-    fn constant(v: V) -> Code<'a> {
+impl Code {
+    fn constant(v: V) -> Code {
         match v {
             V::N(n) => Code::N(Arg::Const(n)),
             V::R(r) => Code::R(Arg::Const(r)),
@@ -700,7 +741,7 @@ impl<'a> Code<'a> {
     }
 
     /// `⊥` as code of this kind: reaching it is the escape.
-    fn bottom(&self) -> Code<'a> {
+    fn bottom(&self) -> Code {
         match self {
             Code::N(_) => Code::N(Arg::Op(Box::new(|_, _, _| None))),
             Code::R(_) => Code::R(Arg::Op(Box::new(|_, _, _| None))),
@@ -710,7 +751,7 @@ impl<'a> Code<'a> {
     }
 
     /// A cell at a time over `slot`, each cell after `before`.
-    fn per_cell(self, slot: usize, before: impl Fn(&Frame) -> Option<()> + 'a) -> Code<'a> {
+    fn per_cell(self, slot: usize, before: impl Fn(&Frame) -> Option<()> + 'static) -> Code {
         match self {
             Code::N(a) => Code::N(a.per_cell(slot, before)),
             Code::R(a) => Code::R(a.per_cell(slot, before)),
@@ -748,7 +789,7 @@ enum Ty {
 
 /// An `if` over a row: the condition's row, then each run of cells
 /// that take the same branch as a row of that branch, charged for it.
-fn branch<'a, B: 'a>(slot: usize, (cond, cap): (Arg<'a, bool>, usize), then: (Op<'a, B>, Cost), other: (Op<'a, B>, Cost)) -> Op<'a, B> {
+fn branch<B: 'static>(slot: usize, (cond, cap): (Arg<bool>, usize), then: (Op<B>, Cost), other: (Op<B>, Cost)) -> Op<B> {
     let buf = buffer(&cond, cap);
     Box::new(move |f, len, out| {
         let (conds, var) = (cond.run_in(&buf, f, len)?, f.slots.get(slot)?);
@@ -782,13 +823,13 @@ fn nat_arith(op: ArithOp, x: u64, y: u64) -> Option<u64> {
 /// A `Σ` over `gen!n`, per cell of the loop over `slot`: the head's
 /// rows over the loop's own variable added into one accumulator from
 /// `zero` — a sum of nothing escapes unless `empty` says it is `zero`.
-fn sum_rows<'a, T: Copy + 'a>(
+fn sum_rows<T: Copy + 'static>(
     slot: usize,
-    (n, fs, per_iter): (Get<'a, u64>, usize, Cost),
-    (head, cap): (Arg<'a, T>, usize),
+    (n, fs, per_iter): (Get<u64>, usize, Cost),
+    (head, cap): (Arg<T>, usize),
     (zero, empty): (T, bool),
-    add: impl Fn(T, T) -> Option<T> + 'a,
-) -> Arg<'a, T> {
+    add: impl Fn(T, T) -> Option<T> + 'static,
+) -> Arg<T> {
     let buf = RefCell::new(Vec::with_capacity(cap));
     Arg::Cell(slot, Box::new(move |f| {
         let n = n(f).filter(|&n| n > 0 || empty)?;
@@ -803,7 +844,7 @@ fn sum_rows<'a, T: Copy + 'a>(
 
 /// A `min!`/`max!` head's rows: each value kept in the frame's `best`,
 /// as `bits`, if nothing is kept yet or it beats what is (`ord`).
-fn keep_rows<'a, T: Copy + 'a>(head: Arg<'a, T>, cap: usize, wins: Ordering, bits: impl Fn(T) -> u64 + 'a, ord: impl Fn(T, u64) -> Ordering + 'a) -> Level<'a> {
+fn keep_rows<T: Copy + 'static>(head: Arg<T>, cap: usize, wins: Ordering, bits: impl Fn(T) -> u64 + 'static, ord: impl Fn(T, u64) -> Ordering + 'static) -> Level {
     let buf = RefCell::new(Vec::with_capacity(cap));
     Box::new(move |f, len| {
         for &v in head.run_in(&buf, f, len)?.iter() {
@@ -817,15 +858,15 @@ fn keep_rows<'a, T: Copy + 'a>(head: Arg<'a, T>, cap: usize, wins: Ordering, bit
 
 /// A site's flat offset into its cells: `konst + Σ coef · slot` over
 /// the indices of that form (every loop-variable-plus-offset index has
-/// it), with strides and the window origin folded in, plus
-/// `Σ stride · index` over the rest.
-struct Offset<'a> {
+/// it; a capture or a window origin is a slot like a loop variable),
+/// with strides folded in, plus `Σ stride · index` over the rest.
+struct Offset {
     konst: u64,
     terms: Vec<(usize, u64)>,
-    rest: Vec<(Get<'a, u64>, u64)>,
+    rest: Vec<(Get<u64>, u64)>,
 }
 
-impl Offset<'_> {
+impl Offset {
     /// Wrapping arithmetic throughout. It is exact when the mark is
     /// sound: every index is then below its extent, so each of these
     /// non-negative partial sums is below the cell count. And a mark is
@@ -852,13 +893,61 @@ fn coef(terms: &[(usize, u64)], slot: usize) -> u64 {
 /// An index as `konst + Σ coef · slot` over `nat` slots.
 type Affine = (u64, Vec<(usize, u64)>);
 
-/// What a site reads: a window of a lazy operand, read at bind, or an
-/// operand's column (a column array's component included); else a lazy
-/// operand, an element at a time.
-enum Cells<'a> {
-    Window(ScalarBuf),
-    Column(&'a Column),
-    Lazy(&'a RefCell<LazyArray>),
+/// Where a load's cells are: a window (by position in the bound nest's
+/// windows), or an operand's column (a column array's component `i`).
+#[derive(Clone, Copy)]
+enum Src {
+    Window(usize),
+    Column(usize, Option<usize>),
+}
+
+/// A window's cells, or a column's.
+type Cells<'a> = Result<&'a ScalarBuf, &'a Column>;
+
+/// A scalar a load reads: its slice of a window or of a column.
+trait Elem: Sized + 'static {
+    fn of(cells: Cells<'_>) -> Option<&[Self]>;
+}
+impl Elem for f64 {
+    fn of(c: Cells<'_>) -> Option<&[f64]> { if let Ok(ScalarBuf::F64(v)) | Err(Column::F64(v)) = c { Some(v) } else { None } }
+}
+impl Elem for i64 {
+    fn of(c: Cells<'_>) -> Option<&[i64]> { if let Ok(ScalarBuf::I64(v)) = c { Some(v) } else { None } }
+}
+impl Elem for u64 {
+    fn of(c: Cells<'_>) -> Option<&[u64]> { if let Err(Column::Nat(v)) = c { Some(v) } else { None } }
+}
+impl Elem for bool {
+    fn of(c: Cells<'_>) -> Option<&[bool]> { if let Ok(ScalarBuf::Bool(v)) | Err(Column::Bool(v)) = c { Some(v) } else { None } }
+}
+
+/// Where a load finds its cells on each row: in its own code (a window
+/// read when bound), or through the frame (a window read on entry, a
+/// column).
+trait Source<X>: 'static {
+    fn cells<'f>(&'f self, f: &'f Frame) -> Option<&'f [X]>;
+}
+impl<X: 'static> Source<X> for Vec<X> {
+    fn cells<'f>(&'f self, _: &'f Frame) -> Option<&'f [X]> {
+        Some(self)
+    }
+}
+impl<X: Elem> Source<X> for Src {
+    fn cells<'f>(&'f self, f: &'f Frame) -> Option<&'f [X]> {
+        X::of(match *self {
+            Src::Window(w) => Ok(&f.windows.get(w)?.cells),
+            Src::Column(operand, part) => Err(column(f.arrays.get(operand)?, part)?),
+        })
+    }
+}
+
+/// The column of `a` a site reads: a flat operand's, or component `i`.
+fn column(a: &ArrayVal, part: Option<usize>) -> Option<&Column> {
+    match (a.array_data(), part) {
+        (ArrayData::Flat(c), None) => Some(c),
+        (ArrayData::Columns(cols), Some(i)) => cols.get(i),
+        _ => None,
+    }
 }
 
 /// A negative stored integer is a `real` to the interpreter.
@@ -866,13 +955,13 @@ fn nat_of(x: &i64) -> Option<u64> {
     u64::try_from(*x).ok()
 }
 
-/// Row code reading `v`: the row's first cell at the site's offset, the
-/// others `stride` apart, in one slice whose ends are checked.
-fn gather<'a, X: 'a, T: Clone + Default + 'a>(v: impl AsRef<[X]> + 'a, at: Offset<'a>, stride: u64, conv: impl Fn(&X) -> Option<T> + 'a) -> Arg<'a, T> {
+/// Row code reading `src`: the row's first cell at the site's offset,
+/// the others `stride` apart, in one slice whose ends are checked.
+fn gather<X, T: Clone + Default + 'static>(src: impl Source<X>, at: Offset, stride: u64, conv: impl Fn(&X) -> Option<T> + 'static) -> Arg<T> {
     Arg::Op(Box::new(move |f, len, out| {
         let first = at.at(f)?;
         let last = stride.checked_mul(len - 1)?.checked_add(first)?;
-        let cells = v.as_ref().get(usize::try_from(first).ok()?..=usize::try_from(last).ok()?)?;
+        let cells = src.cells(f)?.get(usize::try_from(first).ok()?..=usize::try_from(last).ok()?)?;
         match stride {
             0 => out.extend(repeat_n(conv(cells.first()?)?, len as usize)),
             1 => push_all(out, cells.iter().map(&conv))?,
@@ -880,6 +969,59 @@ fn gather<'a, X: 'a, T: Clone + Default + 'a>(v: impl AsRef<[X]> + 'a, at: Offse
         }
         Some(())
     }))
+}
+
+/// A lazy operand's site, placed anew on each entry: per axis the
+/// index's [`Reach`] (`None`: another form) and the analyzer's interval;
+/// the box `(start, count)` placed when bound (`None`: read per
+/// element), the slot of its origin as an offset, and the cells read
+/// this entry.
+struct Window {
+    operand: usize,
+    axes: Vec<(Option<Reach>, Iv)>,
+    most: u64,
+    placed: Option<(Vec<u64>, Vec<u64>)>,
+    origin: usize,
+    cells: ScalarBuf,
+}
+
+/// An index `konst + Σ coef·capture + Σ coef·variable` as its constant,
+/// its capture terms (by capture) and how far its variables take it
+/// over the trip counts known at bind (`None`: not known).
+type Reach = (u64, Vec<(usize, u64)>, Option<u64>);
+
+impl Window {
+    /// The box `(start, count)` the site reads with the captures `caps`:
+    /// per axis what the index reaches, inside the analyzer's interval,
+    /// if every such interval is finite, the box lies inside the array
+    /// (re-checked here: neither a mark nor a folded index is trusted
+    /// with a slab request) and it has no more than `most` cells.
+    fn place(&self, caps: &[V], dims: &[u64]) -> Option<(Vec<u64>, Vec<u64>)> {
+        let (mut start, mut count, mut cells) = (Vec::new(), Vec::new(), 1u64);
+        for ((reach, mark), &d) in self.axes.iter().zip(dims) {
+            let reach = reach.as_ref().and_then(|(konst, terms, span)| {
+                let lo = terms.iter().try_fold(*konst, |lo, &(k, coef)| match caps.get(k)? {
+                    V::N(n) => lo.checked_add(coef.checked_mul(*n)?),
+                    _ => None,
+                })?;
+                Some(Iv { lo, hi: span.and_then(|s| lo.checked_add(s)) })
+            });
+            let iv = reach.map_or(*mark, |r| r.meet(*mark));
+            let n = iv.hi?.checked_sub(iv.lo)?.checked_add(1)?;
+            if iv.lo.checked_add(n)? > d {
+                return None;
+            }
+            cells = cells.checked_mul(n)?;
+            start.push(iv.lo);
+            count.push(n);
+        }
+        (cells <= self.most).then_some((start, count))
+    }
+}
+
+/// The row-major offset of a box's first cell in the box's own cells.
+fn base(start: &[u64], count: &[u64]) -> u64 {
+    start.iter().zip(strides(count)).fold(0u64, |b, (s, k)| b.wrapping_add(s.wrapping_mul(k)))
 }
 
 /// Append a row's cells; a `None` among them (a negative stored
@@ -903,15 +1045,22 @@ fn is_level(kind: FoldKind, p: &P) -> bool {
     }
 }
 
-/// Binding: types a plan's expressions against the operands and
-/// captures of one evaluation, producing [`Code`].
+/// Binding: types a plan's expressions against the operands and the
+/// captures' kinds of one entry, producing [`Code`]. A capture is read
+/// from its slot: the code depends on no capture's value.
 struct Binder<'a> {
-    root_trips: u64,
-    /// What the governor admits as one window, in cells.
-    admissible: u64,
-    caps: Vec<V>,
-    arrays: &'a [Rc<ArrayVal>],
+    e: &'a Entry,
     sites: &'a [Site],
+    /// The nest's variable slots: the captures' follow.
+    nvars: usize,
+    /// Whether the nest is entered once (its code is not kept), and
+    /// whether a capture is bound by its value (a constant of the code,
+    /// recorded in `pinned`) rather than read from its slot: in such a
+    /// nest, and in a loop's trip count.
+    once: bool,
+    inline: bool,
+    pinned: Vec<usize>,
+    windows: Vec<Window>,
     /// The kind each slot holds where the code being bound can see it,
     /// and — for a loop variable whose trip count is known now — the
     /// largest value it takes (the least is 0).
@@ -924,12 +1073,24 @@ struct Binder<'a> {
     offsets: Vec<Vec<(usize, u64)>>,
 }
 
-impl<'a> Binder<'a> {
-    fn affine(&self, p: &P) -> Option<Affine> {
+impl Binder<'_> {
+    /// Capture `k`: its value where the code is bound by value, else its
+    /// slot.
+    fn capture(&mut self, k: usize) -> Option<Result<V, usize>> {
+        let v = *self.e.caps.get(k)?;
+        if !self.inline {
+            return Some(Err(self.nvars + k));
+        }
+        self.pinned.push(k);
+        Some(Ok(v))
+    }
+
+    fn affine(&mut self, p: &P) -> Option<Affine> {
         match p {
             P::Const(V::N(n)) => Some((*n, Vec::new())),
-            P::Cap(k) => match self.caps.get(*k)? {
-                V::N(n) => Some((*n, Vec::new())),
+            P::Cap(k) => match (self.capture(*k)?, self.e.caps.get(*k)?) {
+                (Ok(V::N(n)), _) => Some((n, Vec::new())),
+                (Err(s), V::N(_)) => Some((0, vec![(s, 1)])),
                 _ => None,
             },
             P::Slot(s) if matches!(self.vars.get(*s), Some((Ty::N, _))) => Some((0, vec![(*s, 1)])),
@@ -952,19 +1113,26 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// Every value an index of that form takes in this run, as far as
-    /// the ranges of its loop variables are known: from `konst` up.
-    fn reach(&self, (konst, terms): &Affine) -> Iv {
-        let hi = terms.iter().try_fold(*konst, |hi, (slot, coef)| {
-            hi.checked_add(coef.checked_mul(self.vars.get(*slot)?.1?)?)
-        });
-        Iv { lo: *konst, hi }
+    /// What an index of that form reaches as far as the ranges of its
+    /// loop variables are known now, its captures apart.
+    fn reach(&self, (konst, terms): &Affine) -> Reach {
+        let (mut caps, mut span) = (Vec::new(), Some(0u64));
+        for &(s, coef) in terms {
+            match s.checked_sub(self.nvars) {
+                Some(k) => caps.push((k, coef)),
+                None => span = span.zip(self.vars.get(s).and_then(|v| v.1)).and_then(|(sp, hi)| sp.checked_add(coef.checked_mul(hi)?)),
+            }
+        }
+        (*konst, caps, span)
     }
 
     /// A `gen` loop inside the loop over `slot`: its trip count, its
     /// variable entered as a `nat` below it, and its longest row.
-    fn loop_of(&mut self, fold: &'a Fold, slot: usize) -> Option<(Get<'a, u64>, usize)> {
-        let Code::N(n) = self.code(&fold.n, slot)? else { return None };
+    fn loop_of(&mut self, fold: &Fold, slot: usize) -> Option<(Get<u64>, usize)> {
+        let inline = std::mem::replace(&mut self.inline, true);
+        let n = self.code(&fold.n, slot);
+        self.inline = inline;
+        let Code::N(n) = n? else { return None };
         let (hi, cap) = match &n {
             Arg::Const(n) => (n.checked_sub(1), (*n).min(POLL_EVERY)),
             _ => (None, POLL_EVERY),
@@ -974,15 +1142,11 @@ impl<'a> Binder<'a> {
     }
 
     /// Code that sets a `let`'s slot, at the current cell.
-    fn bind_let(&mut self, ls: usize, bound: &'a P, slot: usize) -> Option<Get<'a, ()>> {
-        fn bits<'a, T: Clone + 'a>(a: Arg<'a, T>, to: fn(T) -> u64) -> Get<'a, u64> {
-            let a = a.once();
-            Box::new(move |f| a(f).map(to))
-        }
+    fn bind_let(&mut self, ls: usize, bound: &P, slot: usize) -> Option<Get<()>> {
         let (ty, bits) = match self.code(bound, slot)? {
             Code::N(a) => (Ty::N, a.once()),
-            Code::R(a) => (Ty::R, bits(a, f64::to_bits)),
-            Code::B(a) => (Ty::B, bits(a, u64::from)),
+            Code::R(a) => (Ty::R, a.once_as(f64::to_bits)),
+            Code::B(a) => (Ty::B, a.once_as(u64::from)),
             Code::T(..) => return None,
         };
         *self.vars.get_mut(ls)? = (ty, None);
@@ -991,12 +1155,17 @@ impl<'a> Binder<'a> {
 
     /// `p` as row code over `slot`, the innermost loop around it (see the
     /// module doc for what runs a row at a time).
-    fn code(&mut self, p: &'a P, slot: usize) -> Option<Code<'a>> {
+    fn code(&mut self, p: &P, slot: usize) -> Option<Code> {
         let cap = self.cap;
         Some(match p {
             P::Const(v) => Code::constant(*v),
-            P::Cap(k) => Code::constant(*self.caps.get(*k)?),
-            P::Trips => Code::constant(V::N(self.root_trips)),
+            P::Cap(k) => match (self.capture(*k)?, self.e.caps.get(*k)?.bits().0) {
+                (Ok(v), _) => Code::constant(v),
+                (Err(s), Ty::N) => Code::N(Arg::Slot(s, |b| b)),
+                (Err(s), Ty::R) => Code::R(Arg::Slot(s, f64::from_bits)),
+                (Err(s), Ty::B) => Code::B(Arg::Slot(s, |b| b != 0)),
+            },
+            P::Trips => Code::constant(V::N(self.e.root_trips)),
             P::Slot(s) => {
                 let s = *s;
                 self.per_cell = true;
@@ -1032,7 +1201,7 @@ impl<'a> Binder<'a> {
                 self.per_cell = true;
                 // A tabulation, a `Σ` and a `⋃` are strict: the sink's
                 // value is `⊥` from the first cell taking a `⊥` branch on.
-                let mut arm = |p: &'a P| if matches!(p, P::Bottom) { Some(None) } else { self.code(p, slot).map(Some) };
+                let mut arm = |p: &P| if matches!(p, P::Bottom) { Some(None) } else { self.code(p, slot).map(Some) };
                 let (x, y) = match (arm(&t.0)?, arm(&e.0)?) {
                     (Some(x), Some(y)) => (x, y),
                     (Some(x), None) => {
@@ -1060,7 +1229,7 @@ impl<'a> Binder<'a> {
                 self.code(body, slot)?.per_cell(slot, set)
             }
             P::Load(site, idx) => self.load(*site, idx, slot)?,
-            P::Dim1(operand) => match self.arrays.get(*operand)?.dims() {
+            P::Dim1(operand) => match self.e.arrays.get(*operand)?.dims() {
                 [d] => Code::constant(V::N(*d)),
                 _ => return None,
             },
@@ -1089,7 +1258,7 @@ impl<'a> Binder<'a> {
     }
 
     /// A loop's head, its buffers sized for rows of `cap`.
-    fn head(&mut self, head: &'a P, slot: usize, cap: usize) -> Option<Code<'a>> {
+    fn head(&mut self, head: &P, slot: usize, cap: usize) -> Option<Code> {
         let outer = std::mem::replace(&mut self.cap, cap);
         let code = self.code(head, slot);
         self.cap = outer;
@@ -1113,48 +1282,42 @@ impl<'a> Binder<'a> {
 
     /// A subscript site as row code: one strided read of a column or a
     /// window; a cell at a time for a lazy read per element or an index of another form.
-    fn load(&mut self, site: usize, idx: &'a [P], slot: usize) -> Option<Code<'a>> {
-        let s = self.sites.get(site)?;
-        let a = self.arrays.get(s.operand)?;
+    fn load(&mut self, site: usize, idx: &[P], slot: usize) -> Option<Code> {
+        let (sites, e) = (self.sites, self.e);
+        let (s, caps) = (sites.get(site)?, &e.caps);
+        let a = e.arrays.get(s.operand)?;
         let forms: Vec<Option<Affine>> = idx.iter().map(|p| self.affine(p)).collect();
         // A lazy operand is read as one window where that pays: the
-        // box this run's indices span has no more cells than the site
+        // box this entry's indices span has no more cells than the site
         // has executions. Per axis the box is the index's reach (known
         // now: captures, trip counts) inside the analyzer's interval
         // (sound over the whole statement, so never narrower than needed).
-        let mut window = None;
-        let cells = match (a.array_data(), s.part) {
+        // The binding keeps the box's shape; each entry places it anew.
+        let lazy = match (a.array_data(), s.part) {
             (ArrayData::Lazy(l), None) => {
-                let axes = forms.iter().zip(&s.axes).map(|(form, mark)| match form {
-                    Some(form) => self.reach(form).meet(*mark),
-                    None => *mark,
-                });
-                let most = self.root_trips.saturating_mul(s.inner_trips).min(self.admissible);
-                match window_of(axes, a.dims(), most) {
-                    Some(w) => {
-                        let cells = l.borrow_mut().read_slab(&w.0, &w.1).ok()?;
-                        window = Some(w);
-                        Cells::Window(cells)
-                    }
-                    None => Cells::Lazy(l),
-                }
+                let axes = forms.iter().zip(&s.axes).map(|(form, mark)| (form.as_ref().map(|f| self.reach(f)), *mark));
+                let most = e.root_trips.saturating_mul(s.inner_trips).min(e.admissible);
+                let origin = self.nvars + caps.len() + site;
+                let cells = ScalarBuf::empty(l.borrow().kind());
+                let mut w = Window { operand: s.operand, axes: axes.collect(), most, placed: None, origin, cells };
+                w.placed = w.place(caps, a.dims());
+                Some((l, w))
             }
-            (ArrayData::Flat(c), None) => Cells::Column(c),
-            (ArrayData::Columns(cols), Some((i, _))) => Cells::Column(cols.get(i)?),
+            (ArrayData::Flat(_), None) | (ArrayData::Columns(_), Some(_)) => None,
             _ => return None,
         };
-        // Row-major strides of what is read (the operand, or the
-        // window), and the window origin's offset under them.
-        let (strides, base) = match &window {
-            Some((start, count)) => {
-                let strides = strides(count);
-                let base = start.iter().zip(&strides).map(|(s, k)| s.wrapping_mul(*k)).sum();
-                (strides, base)
-            }
-            None => (strides(a.dims()), 0),
-        };
-        let mut at = Offset { konst: 0u64.wrapping_sub(base), terms: Vec::new(), rest: Vec::new() };
-        for ((p, form), &stride) in idx.iter().zip(forms).zip(&strides) {
+        // Row-major strides of what is read (the operand, or the window),
+        // and the window's origin: a constant in a nest entered once, else
+        // an offset written on each entry.
+        let placed = lazy.as_ref().and_then(|(_, w)| Some((w.placed.as_ref()?, w)));
+        let shape = placed.map(|((_, count), _)| count.as_slice());
+        let mut at = Offset { konst: 0, terms: Vec::new(), rest: Vec::new() };
+        match placed {
+            Some(((start, count), _)) if self.once => at.konst = 0u64.wrapping_sub(base(start, count)),
+            Some((_, w)) => at.terms.push((w.origin, 1)),
+            None => {}
+        }
+        for ((p, form), &stride) in idx.iter().zip(forms).zip(&strides(shape.unwrap_or(a.dims()))) {
             match form {
                 Some((konst, terms)) => {
                     at.konst = at.konst.wrapping_add(konst.wrapping_mul(stride));
@@ -1169,30 +1332,42 @@ impl<'a> Binder<'a> {
         let (stride, strided) = (coef(&at.terms, slot), at.rest.is_empty());
         self.offsets.push(at.terms.clone());
         self.per_cell |= !strided;
-        let code = match cells {
-            Cells::Window(ScalarBuf::F64(v)) => Code::R(gather(v, at, stride, |x| Some(*x))),
-            Cells::Window(ScalarBuf::I64(v)) => Code::N(gather(v, at, stride, nat_of)),
-            Cells::Window(ScalarBuf::Bool(v)) => Code::B(gather(v, at, stride, |x| Some(*x))),
-            Cells::Column(Column::F64(v)) => Code::R(gather(v, at, stride, |x| Some(*x))),
-            Cells::Column(Column::Nat(v)) => Code::N(gather(v, at, stride, |x| Some(*x))),
-            Cells::Column(Column::Bool(v)) => Code::B(gather(v, at, stride, |x| Some(*x))),
+        let part = s.part.map(|(i, _)| i);
+        let code = match (lazy, column(a, part)) {
+            // A nest entered once reads its window now, into its code.
+            (Some((l, Window { placed: Some((start, count)), .. })), _) if self.once => match l.borrow_mut().read_slab(&start, &count).ok()? {
+                ScalarBuf::F64(v) => Code::R(gather(v, at, stride, |x| Some(*x))),
+                ScalarBuf::I64(v) => Code::N(gather(v, at, stride, nat_of)),
+                ScalarBuf::Bool(v) => Code::B(gather(v, at, stride, |x| Some(*x))),
+            },
+            (Some((l, w)), _) if w.placed.is_some() => {
+                let (src, kind) = (Src::Window(self.windows.len()), l.borrow().kind());
+                self.windows.push(w);
+                match kind {
+                    ScalarKind::F64 => Code::R(gather::<f64, _>(src, at, stride, |x| Some(*x))),
+                    ScalarKind::I64 => Code::N(gather::<i64, _>(src, at, stride, nat_of)),
+                    ScalarKind::Bool => Code::B(gather::<bool, _>(src, at, stride, |x| Some(*x))),
+                }
+            }
+            (None, Some(c)) => {
+                let src = Src::Column(s.operand, part);
+                match c {
+                    Column::F64(_) => Code::R(gather::<f64, _>(src, at, stride, |x| Some(*x))),
+                    Column::Nat(_) => Code::N(gather::<u64, _>(src, at, stride, |x| Some(*x))),
+                    Column::Bool(_) => Code::B(gather::<bool, _>(src, at, stride, |x| Some(*x))),
+                }
+            }
+            (None, None) => return None,
             // No window: one cache lookup per element.
-            Cells::Lazy(l) => {
+            (Some((l, w)), _) => {
+                self.windows.push(w);
                 self.per_cell = true;
+                let (l, kind) = (Rc::clone(l), l.borrow().kind());
                 let get = move |f: &Frame| l.borrow_mut().get_linear(at.at(f)?).ok()?;
-                return Some(match l.borrow().kind() {
-                    ScalarKind::F64 => Code::R(Arg::Cell(slot, Box::new(move |f| match get(f)? {
-                        Scalar::F64(x) => Some(x),
-                        _ => None,
-                    }))),
-                    ScalarKind::I64 => Code::N(Arg::Cell(slot, Box::new(move |f| match get(f)? {
-                        Scalar::I64(x) => nat_of(&x),
-                        _ => None,
-                    }))),
-                    ScalarKind::Bool => Code::B(Arg::Cell(slot, Box::new(move |f| match get(f)? {
-                        Scalar::Bool(b) => Some(b),
-                        _ => None,
-                    }))),
+                return Some(match kind {
+                    ScalarKind::F64 => Code::R(Arg::Cell(slot, Box::new(move |f| if let Scalar::F64(x) = get(f)? { Some(x) } else { None }))),
+                    ScalarKind::I64 => Code::N(Arg::Cell(slot, Box::new(move |f| if let Scalar::I64(x) = get(f)? { nat_of(&x) } else { None }))),
+                    ScalarKind::Bool => Code::B(Arg::Cell(slot, Box::new(move |f| if let Scalar::Bool(b) = get(f)? { Some(b) } else { None }))),
                 });
             }
         };
@@ -1202,7 +1377,7 @@ impl<'a> Binder<'a> {
     /// One level of a `min!`/`max!` comprehension inside the loop over
     /// `slot`: code that folds the level's heads into the frame's `best`
     /// under the canonical order, and the kind of those heads.
-    fn level(&mut self, kind: FoldKind, p: &'a P, slot: usize) -> Option<(Get<'a, ()>, Ty)> {
+    fn level(&mut self, kind: FoldKind, p: &P, slot: usize) -> Option<(Get<()>, Ty)> {
         match p {
             P::Fold(fold) if fold.kind == kind => {
                 let (n, cap) = self.loop_of(fold, slot)?;
@@ -1221,7 +1396,7 @@ impl<'a> Binder<'a> {
 
     /// A level's rows over its variable in `slot`: each iteration's
     /// further level, a cell at a time, or the singleton's values.
-    fn extreme(&mut self, kind: FoldKind, head: &'a P, slot: usize, cap: usize) -> Option<(Level<'a>, Ty)> {
+    fn extreme(&mut self, kind: FoldKind, head: &P, slot: usize, cap: usize) -> Option<(Level, Ty)> {
         if is_level(kind, head) {
             let (next, ty) = self.level(kind, head, slot)?;
             return Some((Box::new(move |f, len| f.cells(slot, len, &next)), ty));
@@ -1252,37 +1427,37 @@ fn strides(dims: &[u64]) -> Vec<u64> {
     s
 }
 
-/// The window of a lazy operand a site reads — `(start, count)` of the
-/// box of its per-axis index intervals — if every interval is finite,
-/// the box lies inside the array (re-checked here: neither a mark nor a
-/// folded index is trusted with a slab request) and it has no more than
-/// `most` cells. Otherwise the site reads per element.
-fn window_of(
-    axes: impl Iterator<Item = Iv>,
-    dims: &[u64],
-    most: u64,
-) -> Option<(Vec<u64>, Vec<u64>)> {
-    let mut start = Vec::with_capacity(dims.len());
-    let mut count = Vec::with_capacity(dims.len());
-    let mut cells = 1u64;
-    for (iv, &d) in axes.zip(dims) {
-        let n = iv.hi?.checked_sub(iv.lo)?.checked_add(1)?;
-        if iv.lo.checked_add(n)? > d {
-            return None;
-        }
-        cells = cells.checked_mul(n)?;
-        start.push(iv.lo);
-        count.push(n);
-    }
-    (cells <= most).then_some((start, count))
-}
-
 /// Run `plan` — the plan of `fallback` — in `env`. `None` is the
 /// module's one escape: no counter of `ctx` has changed (but the trace's
-/// count of escapes) and the caller evaluates `fallback` itself.
-pub(super) fn run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -> Option<Value> {
+/// counts of escapes and binds) and the caller evaluates `fallback`
+/// itself.
+///
+/// A nest an interpreted loop may re-enter is bound once per evaluation.
+/// Its code is kept in `ctx`, keyed by the plan, and an entry that
+/// [fits](Bound::fits) it re-enters it:
+/// the captures and the windows' origins go into their slots and the
+/// windows are read again, where binding afresh would rebuild every
+/// closure and buffer.
+pub(super) fn run(plan: &Rc<KernelPlan>, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -> Option<Value> {
     let saved = ctx.counters();
-    let out = bind_and_run(plan, fallback, env, ctx);
+    let out = entry(plan, fallback, env, ctx).and_then(|entry| {
+        // A nest entered once is bound by value and not kept.
+        let kept = ctx.kernels.borrow().iter().position(|b| plan.again && Rc::ptr_eq(&b.plan, plan));
+        let kept = kept.map(|i| ctx.kernels.borrow_mut().swap_remove(i));
+        let mut bound = match kept.filter(|b| b.fits(&entry)) {
+            Some(b) => Bound { entry, ..b },
+            None => {
+                bump(&ctx.kernel_binds, 1);
+                bind(plan, entry)?
+            }
+        };
+        // An entry that escapes leaves the binding for the next one.
+        let value = bound.run(ctx);
+        if plan.again {
+            ctx.kernels.borrow_mut().push(bound);
+        }
+        value
+    });
     if out.is_none() {
         // The root's bounds were evaluated by the interpreter, which
         // charged them; the fallback will charge them again.
@@ -1292,7 +1467,19 @@ pub(super) fn run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx)
     out
 }
 
-fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -> Option<Value> {
+/// What an entry of a nest reads: operands, captures, a tabulation's
+/// extents, the root's trip count, the cells the governor admits.
+struct Entry {
+    arrays: Vec<Rc<ArrayVal>>,
+    caps: Vec<V>,
+    dims: Vec<u64>,
+    root_trips: u64,
+    admissible: u64,
+}
+
+/// The entry of `plan` in `env`, its root's trip count evaluated by the
+/// interpreter (which charges it).
+fn entry(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -> Option<Entry> {
     // Everything that can refuse cheaply comes before the bounds are
     // evaluated, so that a nest of the wrong shape costs no evaluation.
     let mut arrays = Vec::with_capacity(plan.operands.len());
@@ -1338,83 +1525,140 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
     // here rather than of it, so that a refusal — which escapes to the
     // interpreter, which asks — is recorded as one denial, not two.)
     let admissible = aql_store::governor::budget().map_or(u64::MAX, |bytes| bytes / 8);
+    Some(Entry { arrays, caps, dims, root_trips, admissible })
+}
+
+/// A nest bound to one entry, kept for the next entry of the same
+/// evaluation: the plan (held, so that its address is not reused), the
+/// entry, the windows, the slots (the nest's variables, the captures, a
+/// window origin a site) and the code of the sink.
+pub(super) struct Bound {
+    plan: Rc<KernelPlan>,
+    entry: Entry,
+    windows: Vec<Window>,
+    /// The captures the code holds by value.
+    pinned: Vec<usize>,
+    slots: Vec<Cell<u64>>,
+    sink: Get<Value>,
+}
+
+fn bind(plan: &Rc<KernelPlan>, entry: Entry) -> Option<Bound> {
     // A tabulation's variables range below its extents (a root fold's
     // is entered by `loop_of`, like any other).
     let mut vars = vec![(Ty::N, None); plan.slots];
-    for (var, d) in vars.iter_mut().zip(&dims) {
+    for (var, d) in vars.iter_mut().zip(&entry.dims) {
         var.1 = d.checked_sub(1);
     }
-    let (arrays, sites, offsets) = (&arrays, &plan.sites, Vec::new());
-    let mut binder = Binder { root_trips, admissible, caps, arrays, sites, vars, cap: 0, per_cell: false, offsets };
-    let frame = Frame {
-        ctx,
-        max_loop: admissible.min(ctx.limits.max_elems),
-        slots: vec![Cell::new(0); plan.slots],
-        best: Cell::new(None),
-        steps: Cell::new(0),
-        subs: Cell::new(0),
-        materialized: Cell::new(0),
-        rows: Cell::new(0),
-        unpolled: Cell::new(0),
-    };
-    let value = match &plan.root {
-        Root::Tab { head, per_cell } => {
-            // The tabulation node itself.
-            frame.steps.set(1);
-            let arr = if root_trips == 0 {
-                // What the interpreter builds from no cells.
-                frame.enter(0, *per_cell)?;
-                ArrayVal::new(dims, Vec::new())
-            } else {
-                // Rows along the last axis, and the axes before it that
-                // every load steps through in row-major order.
-                let slot = dims.len().saturating_sub(1);
-                let rows = binder.head(head, slot, root_trips.min(POLL_EVERY) as usize)?;
-                frame.enter(root_trips, *per_cell)?;
-                let (n, from) = (root_trips as usize, binder.collapse(&dims));
-                match rows {
-                    Code::N(h) => ArrayVal::from_nat(dims.clone(), frame.fill(&dims, from, Vec::with_capacity(n), h.op())?),
-                    Code::R(h) => ArrayVal::from_f64(dims.clone(), frame.fill(&dims, from, Vec::with_capacity(n), h.op())?),
-                    Code::B(h) => ArrayVal::from_bool(dims.clone(), frame.fill(&dims, from, Vec::with_capacity(n), h.op())?),
-                    Code::T(h, kinds) => {
+    let n = entry.root_trips;
+    let (once, inline, pinned) = (!plan.again, !plan.again, Vec::new());
+    let mut b = Binder { e: &entry, sites: &plan.sites, nvars: plan.slots, once, inline, pinned, windows: Vec::new(), vars, cap: 0, per_cell: false, offsets: Vec::new() };
+    let sink: Get<Value> = match plan.root {
+        Root::Tab { ref head, per_cell } => {
+            // Rows along the last axis, and the axes before it that every
+            // load steps through in row-major order; no code for no cells.
+            let slot = entry.dims.len().saturating_sub(1);
+            let rows = if n == 0 { None } else { Some(b.head(head, slot, n.min(POLL_EVERY) as usize)?) };
+            let (dims, from) = (entry.dims.clone(), b.collapse(&entry.dims));
+            Box::new(move |f| {
+                // The tabulation node itself, and its loop.
+                f.steps.set(1);
+                f.enter(n, per_cell)?;
+                let cells = n as usize;
+                let arr = match &rows {
+                    // What the interpreter builds from no cells.
+                    None => ArrayVal::new(dims.clone(), Vec::new()),
+                    Some(Code::N(h)) => ArrayVal::from_nat(dims.clone(), f.fill(&dims, from, Vec::with_capacity(cells), |f, len, out| h.run(f, len, out))?),
+                    Some(Code::R(h)) => ArrayVal::from_f64(dims.clone(), f.fill(&dims, from, Vec::with_capacity(cells), |f, len, out| h.run(f, len, out))?),
+                    Some(Code::B(h)) => ArrayVal::from_bool(dims.clone(), f.fill(&dims, from, Vec::with_capacity(cells), |f, len, out| h.run(f, len, out))?),
+                    Some(Code::T(h, kinds)) => {
                         let cols = kinds.iter().map(|ty| match ty {
-                            Ty::N => Column::Nat(Vec::with_capacity(n)),
-                            Ty::R => Column::F64(Vec::with_capacity(n)),
-                            Ty::B => Column::Bool(Vec::with_capacity(n)),
+                            Ty::N => Column::Nat(Vec::with_capacity(cells)),
+                            Ty::R => Column::F64(Vec::with_capacity(cells)),
+                            Ty::B => Column::Bool(Vec::with_capacity(cells)),
                         });
-                        let cols = cols.collect();
-                        ArrayVal::from_columns(dims.clone(), frame.fill(&dims, from, cols, h)?)
+                        ArrayVal::from_columns(dims.clone(), f.fill(&dims, from, cols.collect(), h)?)
                     }
-                }
-            };
-            Value::Array(Rc::new(arr.ok()?))
+                };
+                Some(Value::Array(Rc::new(arr.ok()?)))
+            })
         }
-        Root::Fold { kind: FoldKind::Sum, nest, fixed } => {
-            frame.steps.set(*fixed);
-            // (A real sum of nothing escapes here as it does inside a
-            // nest: the interpreter's answer is `0 : nat`.)
-            match binder.code(nest, 0)? {
-                Code::N(n) => Value::Nat(n.once()(&frame)?),
-                Code::R(r) => Value::Real(r.once()(&frame)?),
+        // (A real sum of nothing escapes here as it does inside a nest:
+        // the interpreter's answer is `0 : nat`.)
+        Root::Fold { kind: FoldKind::Sum, ref nest, fixed } => {
+            let sum = match b.code(nest, 0)? {
+                Code::N(n) => n.once_as(Value::Nat),
+                Code::R(r) => r.once_as(Value::Real),
                 _ => return None,
-            }
+            };
+            Box::new(move |f| {
+                f.steps.set(fixed);
+                sum(f)
+            })
         }
-        Root::Fold { kind, nest, fixed } => {
-            frame.steps.set(*fixed);
-            let (fold, ty) = binder.level(*kind, nest, 0)?;
-            fold(&frame)?;
-            match (frame.best.get(), ty) {
-                // `min!`/`max!` of the empty set.
-                (None, _) => Value::Bottom,
-                (Some(b), Ty::N) => Value::Nat(b),
-                (Some(b), Ty::R) => Value::Real(f64::from_bits(b)),
-                (Some(b), Ty::B) => Value::Bool(b != 0),
-            }
+        Root::Fold { kind, ref nest, fixed } => {
+            let (fold, ty) = b.level(kind, nest, 0)?;
+            Box::new(move |f| {
+                f.steps.set(fixed);
+                fold(f)?;
+                Some(match (f.best.get(), ty) {
+                    // `min!`/`max!` of the empty set.
+                    (None, _) => Value::Bottom,
+                    (Some(b), Ty::N) => Value::Nat(b),
+                    (Some(b), Ty::R) => Value::Real(f64::from_bits(b)),
+                    (Some(b), Ty::B) => Value::Bool(b != 0),
+                })
+            })
         }
     };
+    let (windows, pinned, slots) = (b.windows, b.pinned, vec![Cell::new(0); plan.slots + entry.caps.len() + plan.sites.len()]);
+    Some(Bound { plan: Rc::clone(plan), entry, windows, pinned, slots, sink })
+}
 
-    // Commit. The interpreter looks at the interrupts whenever its step
-    // count crosses a multiple of the check interval; so does this.
+impl Bound {
+    /// Whether the code bound serves `e` as it is: the same operands,
+    /// kinds of captures (values, of those it holds), trip counts and
+    /// budget, and windows' shapes.
+    fn fits(&self, e: &Entry) -> bool {
+        let old = &self.entry;
+        let shape = |w: &Window| {
+            let dims = e.arrays.get(w.operand).map_or(&[][..], |a| a.dims());
+            w.place(&e.caps, dims).as_ref().map(|(_, count)| count) == w.placed.as_ref().map(|(_, count)| count)
+        };
+        old.arrays.iter().zip(&e.arrays).all(|(a, b)| Rc::ptr_eq(a, b))
+            && old.caps.iter().zip(&e.caps).all(|(a, b)| a.bits().0 == b.bits().0)
+            && self.pinned.iter().all(|&k| old.caps.get(k).map(|v| v.bits()) == e.caps.get(k).map(|v| v.bits()))
+            && (&old.dims, old.root_trips, old.admissible) == (&e.dims, e.root_trips, e.admissible)
+            && self.windows.iter().all(shape)
+    }
+
+    /// Run the code on its entry: the captures and the windows' origins
+    /// into their slots, the windows read, the sink run and its charges
+    /// committed.
+    fn run(&mut self, ctx: &EvalCtx) -> Option<Value> {
+        let Bound { plan, entry, windows, slots, sink, .. } = self;
+        slots.iter().for_each(|s| s.set(0));
+        for (s, v) in slots.get(plan.slots..)?.iter().zip(&entry.caps) {
+            s.set(v.bits().1);
+        }
+        for w in windows.iter_mut() {
+            let a = entry.arrays.get(w.operand)?;
+            let (Some((start, count)), ArrayData::Lazy(l)) = (w.place(&entry.caps, a.dims()), a.array_data()) else { continue };
+            w.cells = l.borrow_mut().read_slab(&start, &count).ok()?;
+            slots.get(w.origin)?.set(0u64.wrapping_sub(base(&start, &count)));
+        }
+        let (max_loop, zero) = (entry.admissible.min(ctx.limits.max_elems), || Cell::new(0));
+        let (arrays, best) = (&entry.arrays, Cell::new(None));
+        let frame = Frame { ctx, max_loop, slots, arrays, windows, best, steps: zero(), subs: zero(), materialized: zero(), rows: zero(), unpolled: zero() };
+        let value = sink(&frame)?;
+        commit(ctx, &frame)?;
+        Some(value)
+    }
+}
+
+/// Commit a completed nest's charges. The interpreter looks at the
+/// interrupts whenever its step count crosses a multiple of the check
+/// interval; so does this.
+fn commit(ctx: &EvalCtx, frame: &Frame) -> Option<()> {
     let before = ctx.steps.get();
     let after = before.checked_add(frame.steps.get()).filter(|&s| s <= ctx.limits.max_steps)?;
     if before / (INTERRUPT_CHECK_MASK + 1) != after / (INTERRUPT_CHECK_MASK + 1) {
@@ -1427,7 +1671,7 @@ fn bind_and_run(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -
     ctx.kernel_nests.set(ctx.kernel_nests.get() + 1);
     ctx.kernel_cells.set(ctx.kernel_cells.get() + frame.materialized.get());
     ctx.kernel_rows.set(ctx.kernel_rows.get() + frame.rows.get());
-    Some(value)
+    Some(())
 }
 
 #[cfg(test)]
@@ -1481,6 +1725,7 @@ mod tests {
         escapes: u64,
         rows: u64,
         lookups: u64,
+        binds: u64,
     }
 
     /// Evaluate `e` with every subscript marked from `vars` (`None`:
@@ -1506,6 +1751,7 @@ mod tests {
             escapes: ctx.kernel_escapes.get(),
             rows: ctx.kernel_rows.get(),
             lookups: s.cache.hits + s.cache.misses,
+            binds: ctx.kernel_binds.get(),
         }
     }
 
@@ -1689,7 +1935,8 @@ mod tests {
         // `j`: their levels do not collapse.
         for ((e, vars), (chunks, rows)) in stmts.iter().zip([(4, 121), (4, 121), (4, 1), (5, 1)]) {
             let got = same(e, &g, vars);
-            assert_eq!(got.nests, 1, "{e}");
+            // Each nest is entered once, and bound once.
+            assert_eq!((got.nests, got.binds), (1, 1), "{e}");
             assert_eq!(got.lookups, chunks, "one lookup per overlapped chunk: {e}");
             assert_eq!(got.rows, rows, "rows of {e}");
         }
@@ -1713,13 +1960,14 @@ mod tests {
         );
         let e = let_("p", global("A"), body);
         assert_eq!(same(&e, &g, &[("i", below(9))]).nests, 1);
-        // A nest inside an interpreted loop is bound once per
-        // iteration, to that iteration's variable.
+        // A nest inside an interpreted loop runs once per iteration, on
+        // that iteration's variable, and is bound once.
         let a = array(ArrayVal::from_f64(vec![3, 4], reals(12)));
         let g = world(vec![("A", a)]);
         let row = sum("i", gen(nat(4)), sub(global("A"), vec![var("d"), var("i")]));
         let e = big_union("d", gen(nat(3)), single(row));
-        assert_eq!(same(&e, &g, &[("d", below(3)), ("i", below(4))]).nests, 3);
+        let got = same(&e, &g, &[("d", below(3)), ("i", below(4))]);
+        assert_eq!((got.nests, got.binds), (3, 1));
         // `dim_1` in the head, as a rotation uses it.
         let g = world(vec![("A", array(ArrayVal::from_nat(vec![9], nats(9))))]);
         let at = modulo(add(var("i"), nat(4)), dim(1, global("A")));
@@ -2132,7 +2380,7 @@ mod tests {
         // day: one lookup per overlapped chunk per site per run.
         let (g, (e, vars)) = per_day(4, 12, 10);
         let got = same(&e, &g, &vars);
-        assert_eq!((got.nests, got.lookups), (4, 4 * 2 * 2), "{e}");
+        assert_eq!((got.nests, got.lookups, got.binds), (4, 4 * 2 * 2, 1), "{e}");
         // A box that leaves the array is not asked for: `k` has no
         // useful mark here and ranges to 8 over five cells, so the four
         // reads the guard lets through go one by one.
@@ -2260,5 +2508,152 @@ mod tests {
         let g = world(vec![("B", boxed)]);
         let e = sum("i", gen(nat(1)), sub(global("B"), vec![var("i")]));
         assert_eq!(same(&e, &g, &[("i", below(1))]).nests, 0);
+    }
+
+    /// `⋃ d < days. { let h = at(d) in [[ head(h) | k < len ]] }`.
+    fn daily(days: u64, at: Expr, len: Expr, head: Expr) -> Expr {
+        big_union("d", gen(nat(days)), single(let_("h", at, tab1("k", len, head))))
+    }
+
+    #[test]
+    fn a_nest_re_entered_under_an_interpreted_loop_is_bound_once() {
+        let g = world(vec![
+            ("A", array(ArrayVal::from_f64(vec![12], reals(12)))),
+            ("N", array(ArrayVal::from_nat(vec![12], nats(12)))),
+        ]);
+        let at = |a: &str| sub(global(a), vec![add(var("h"), var("k"))]);
+        let vars: Vars = &[("d", below(4)), ("h", span(0, 9)), ("k", below(3))];
+        // A capture that changes on every entry, read as a row's offset,
+        // in arithmetic and in a guard: one binding for four days.
+        let guarded = iff(lt(var("h"), nat(6)), tuple(vec![at("A"), add(at("N"), var("h"))]), tuple(vec![at("A"), var("h")]));
+        for head in [at("A"), mul(at("A"), real(2.0)), guarded] {
+            let got = same(&daily(4, mul(var("d"), nat(3)), nat(3), head.clone()), &g, vars);
+            assert_eq!((got.nests, got.binds, got.escapes), (4, 1, 0), "{head}");
+        }
+        // A root trip count that varies — 0, 0, 3, 3, 6, 6 — binds anew
+        // for each count it has not been bound for.
+        let e = daily(6, nat(0), mul(div(var("d"), nat(2)), nat(3)), at("A"));
+        let got = same(&e, &g, &[("d", below(6)), ("h", span(0, 0)), ("k", below(6))]);
+        assert_eq!((got.nests, got.binds), (6, 3));
+        // An operand bound in the loop is another array on each entry.
+        let day = tab1("i", nat(4), add(sub(global("A"), vec![var("i")]), var("x")));
+        let e = big_union("d", gen(nat(3)), single(let_("x", real(0.5), let_("B", day, sum("k", gen(nat(4)), sub(var("B"), vec![var("k")]))))));
+        let got = same(&e, &g, &[("d", below(3)), ("i", below(4)), ("k", below(4))]);
+        // The tabulation is bound once, the `Σ` over its result thrice.
+        assert_eq!((got.nests, got.binds), (6, 4));
+    }
+
+    #[test]
+    fn a_trip_count_read_from_a_capture_is_bound_by_value() {
+        // `Σ t < 4. Σ i < n. L[t, i]` over a 4×3 lazy array in one chunk.
+        // With `n = 1` known at bind the site's box is 4×1 cells, no more
+        // than its 4 executions: one lookup. From the mark alone it would
+        // be 4×3, refused: a lookup a cell.
+        let g = world(vec![("L", lazy(&[4, 3], &[4, 3], ScalarBuf::F64(reals(12))))]);
+        let nest = sum("t", gen(nat(4)), sum("i", gen(var("n")), sub(global("L"), vec![var("t"), var("i")])));
+        let vars: Vars = &[("d", below(3)), ("t", below(4)), ("i", below(3))];
+        let got = same(&let_("n", nat(1), nest.clone()), &g, vars);
+        assert_eq!((got.nests, got.binds, got.lookups), (1, 1, 1));
+        // Re-entered, the count is part of the re-bind key: the same on
+        // three days, one binding and a window a day; 1, 2, 3, a binding
+        // a day, and only the first day's box is small enough.
+        let e = big_union("d", gen(nat(3)), single(let_("n", nat(1), nest.clone())));
+        let got = same(&e, &g, vars);
+        assert_eq!((got.nests, got.binds, got.lookups), (3, 1, 3));
+        let e = big_union("d", gen(nat(3)), single(let_("n", add(var("d"), nat(1)), nest)));
+        let got = same(&e, &g, vars);
+        assert_eq!((got.nests, got.binds, got.lookups), (3, 3, 1 + 8 + 12));
+    }
+
+    #[test]
+    fn a_capture_whose_kind_flips_is_bound_again() {
+        // `s` is a real sum, but over nothing it is the interpreter's
+        // `0 : nat`: the entry that reads it so is refused when bound
+        // and handed back, and a later real one binds anew.
+        let g = world(vec![("A", array(ArrayVal::from_f64(vec![3], reals(3))))]);
+        let head = add(sub(global("A"), vec![var("k")]), var("s"));
+        let vars: Vars = &[("d", below(3)), ("k", below(3))];
+        for (s, (nests, binds, escapes)) in [
+            (sum("x", gen(var("d")), real(1.5)), (2, 2, 1)),
+            (iff(eq(var("d"), nat(1)), sum("x", gen(nat(0)), real(1.5)), real(0.5)), (2, 3, 1)),
+        ] {
+            let e = big_union("d", gen(nat(3)), single(let_("s", s, tab1("k", nat(3), head.clone()))));
+            let got = same(&e, &g, vars);
+            assert_eq!((got.nests, got.binds, got.escapes), (nests, binds, escapes), "{e}");
+        }
+    }
+
+    #[test]
+    fn a_window_taken_on_one_entry_and_refused_on_another_rebinds() {
+        // Ten cells; a day reads `[h, h+3]` behind a guard. The box of
+        // the day at `h = 9` leaves the array: read per element.
+        let g = world(vec![("L", lazy(&[10], &[4], ScalarBuf::F64(reals(10))))]);
+        let head = iff(lt(add(var("h"), var("k")), nat(10)), sub(global("L"), vec![add(var("h"), var("k"))]), real(0.0));
+        let vars: Vars = &[("d", below(4)), ("h", span(0, 9)), ("k", below(4))];
+        for at in [mul(var("d"), nat(3)), mul(monus(nat(3), var("d")), nat(3))] {
+            let got = same(&daily(4, at.clone(), nat(4), head.clone()), &g, vars);
+            assert_eq!((got.nests, got.binds), (4, 2), "{at}");
+        }
+    }
+
+    #[test]
+    fn an_escape_on_one_entry_leaves_the_binding_to_the_next() {
+        // An empty real `Σ` inside the head on the second day only: that
+        // day is the interpreter's. Its count is a capture, held by value,
+        // so each day binds: the third finds the second's binding.
+        let g = world(vec![("A", array(ArrayVal::from_f64(vec![4], reals(4))))]);
+        let inner = sum("j", gen(var("c")), sub(global("A"), vec![var("j")]));
+        let nest = sum("i", gen(nat(2)), add(inner, sub(global("A"), vec![var("i")])));
+        let c = iff(eq(var("d"), nat(1)), nat(0), nat(2));
+        let e = big_union("d", gen(nat(3)), single(let_("c", c, nest)));
+        let got = same(&e, &g, &[("d", below(3)), ("i", below(2)), ("j", below(2))]);
+        // (Handed back, the second day meets its inner `Σ` as a nest of
+        // its own, empty twice: bound once, handed back twice more.)
+        assert_eq!((got.nests, got.binds, got.escapes), (2, 4, 3));
+        // A negative stored integer on one day's window.
+        let cells = ScalarBuf::I64(vec![1, 2, 3, -4, 5, 6, 7, 8, 9]);
+        let g = world(vec![("L", lazy(&[9], &[3], cells))]);
+        let e = daily(3, mul(var("d"), nat(3)), nat(3), sub(global("L"), vec![add(var("h"), var("k"))]));
+        let got = same(&e, &g, &[("d", below(3)), ("h", span(0, 6)), ("k", below(3))]);
+        assert_eq!((got.nests, got.binds, got.escapes), (2, 1, 1));
+        // Overflow on the third day, and a `⊥` branch on the last: the
+        // interpreter's error, or `⊥`, with its charges.
+        let g = world(vec![("N", array(ArrayVal::from_nat(vec![4], vec![1, 2, u64::MAX, 3])))]);
+        let vars: Vars = &[("d", below(4)), ("h", span(0, 3)), ("k", below(1))];
+        let cell = || sub(global("N"), vec![add(var("h"), var("k"))]);
+        let got = same(&daily(4, var("d"), nat(1), mul(cell(), nat(2))), &g, vars);
+        assert_eq!((got.value, got.nests, got.binds), (Err(EvalError::Overflow), 2, 1));
+        let guarded = iff(lt(var("h"), nat(3)), cell(), bottom());
+        let got = same(&daily(4, var("d"), nat(1), guarded), &g, vars);
+        assert_eq!((got.value, got.nests, got.binds), (Ok(Value::Bottom), 3, 1));
+    }
+
+    #[test]
+    fn limits_landing_between_entries_are_the_interpreters() {
+        let g = world(vec![("A", array(ArrayVal::from_f64(vec![12], reals(12))))]);
+        let e = daily(4, mul(var("d"), nat(3)), nat(3), sub(global("A"), vec![add(var("h"), var("k"))]));
+        let vars: Vars = &[("d", below(4)), ("h", span(0, 9)), ("k", below(3))];
+        let cost = same(&e, &g, vars).steps;
+        // Every step budget from one day short of the whole to the whole.
+        for max_steps in cost.saturating_sub(40)..=cost {
+            checked(&e, &g, &Limits { max_steps, ..Limits::default() }, vars);
+        }
+        // A cancellation raised when the third day loads its chunk.
+        let outcome = |vars: Option<Vars>| {
+            let flag = Arc::new(AtomicBool::new(false));
+            let raise = Arc::clone(&flag);
+            let schedule = move |_, start: &[u64]| -> Option<Fault> {
+                if start.first() == Some(&6) {
+                    raise.store(true, std::sync::atomic::Ordering::Relaxed);
+                }
+                None
+            };
+            let source = MemChunkSource::new(vec![12], ScalarBuf::F64(reals(12))).unwrap();
+            let faulty = Box::new(FaultyChunkSource::new(source, schedule));
+            let g = world(vec![("A", lazy_over(&[12], &[3], faulty, ScalarKind::F64, 1 << 20))]);
+            run(&e, &g, &Limits { cancel: Some(flag), ..Limits::default() }, vars)
+        };
+        let (want, got) = (outcome(None), outcome(Some(vars)));
+        assert_eq!((want.value, got.value), (Err(EvalError::Cancelled), Err(EvalError::Cancelled)));
     }
 }

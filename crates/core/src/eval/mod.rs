@@ -27,7 +27,7 @@ mod kernel;
 pub use compile::{compile, compile_marked, CExpr};
 pub use kernel::KernelPlan;
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -203,13 +203,16 @@ pub struct EvalCtx<'a> {
     elided: Cell<u64>,
     materialized: Cell<u64>,
     /// Loop nests run as bulk kernels, the loop iterations they
-    /// covered, the rows their loops ran, and the nests a kernel handed
-    /// back to the interpreter — trace counters, not part of
-    /// [`EvalStats`].
+    /// covered, the rows their loops ran, the nests a kernel handed
+    /// back to the interpreter, and the times a nest was bound — trace
+    /// counters, not part of [`EvalStats`].
     kernel_nests: Cell<u64>,
     kernel_cells: Cell<u64>,
     kernel_rows: Cell<u64>,
     kernel_escapes: Cell<u64>,
+    kernel_binds: Cell<u64>,
+    /// The nests bound in this evaluation, for their next entry.
+    kernels: RefCell<Vec<kernel::Bound>>,
     /// Snapshot of the global chunk-cache counters at construction;
     /// [`EvalCtx::stats`] reports the delta since.
     cache_base: aql_store::CacheStats,
@@ -231,6 +234,8 @@ impl<'a> EvalCtx<'a> {
             kernel_cells: Cell::new(0),
             kernel_rows: Cell::new(0),
             kernel_escapes: Cell::new(0),
+            kernel_binds: Cell::new(0),
+            kernels: RefCell::new(Vec::new()),
             cache_base: aql_store::stats::global(),
         }
     }
@@ -362,6 +367,8 @@ pub fn eval_marked(
     let _interrupts =
         aql_store::interrupt::install(ctx.deadline, ctx.limits.cancel.clone());
     let out = eval_compiled(&c, &Env::empty(), ctx);
+    // The nests bound here are this evaluation's alone.
+    ctx.kernels.borrow_mut().clear();
     if aql_trace::enabled() {
         let s = ctx.stats();
         aql_trace::count("eval.steps", s.steps);
@@ -373,6 +380,7 @@ pub fn eval_marked(
             aql_trace::count("eval.kernel_cells", ctx.kernel_cells.get());
             aql_trace::count("eval.kernel_rows", ctx.kernel_rows.get());
             aql_trace::count("eval.kernel_escapes", ctx.kernel_escapes.get());
+            aql_trace::count("eval.kernel_binds", ctx.kernel_binds.get());
         }
     }
     out

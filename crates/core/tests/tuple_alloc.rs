@@ -4,6 +4,8 @@
 //! boxing each cell, and a real-valued map's row buffers are allocated
 //! at bind — each makes as many allocations over a few cells as over
 //! thousands (a boxed tuple per cell, or a buffer per row, would not).
+//! A nest an interpreted loop enters again is bound once: each entry
+//! then allocates only what it builds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -106,6 +108,48 @@ fn a_real_map(n: u64) -> u64 {
     let Ok(Value::Array(map)) = out else { panic!("{e} is a tabulation") };
     assert_eq!(map.value_at(n as usize - 1), Value::Real((n - 1) as f64 * 0.25 * 1.8 + 32.0));
     allocs
+}
+
+/// Allocations of one marked evaluation of the §1 query's shape over
+/// `n` days of in-memory readings: `Σ_{d < n} dim_1!(day d)`, where a
+/// day is `let h = d·24 in [[ if h+k < |T| then (T[h+k], R[h+k], if
+/// (h+k)·2 < |W| then W[(h+k)·2, 0] else ⊥) else ⊥ | k < 24 ]]` — the
+/// nest the interpreted loop enters once a day, bound once.
+fn days_of_readings(n: u64) -> u64 {
+    let hours = 30 * 24;
+    let col = |f: fn(u64) -> f64, len: u64| Value::Array(Rc::new(ArrayVal::from_f64(vec![len], (0..len).map(f).collect()).unwrap()));
+    let w = ArrayVal::from_f64(vec![2 * hours, 5], (0..10 * hours).map(|i| i as f64 * 0.1).collect());
+    let globals = HashMap::from([
+        (name("T"), col(|i| 70.0 + (i % 24) as f64, hours)),
+        (name("R"), col(|i| 40.0 + (i % 13) as f64, hours)),
+        (name("W"), Value::Array(Rc::new(w.unwrap()))),
+    ]);
+    let at = || add(var("h"), var("k"));
+    let wide = iff(lt(mul(at(), nat(2)), nat(2 * hours)), sub(global("W"), vec![mul(at(), nat(2)), nat(0)]), bottom());
+    let cell = tuple(vec![sub(global("T"), vec![at()]), sub(global("R"), vec![at()]), wide]);
+    let day = let_("h", mul(var("d"), nat(24)), tab1("k", nat(24), iff(lt(at(), nat(hours)), cell, bottom())));
+    let e = sum("d", gen(nat(n)), len(day));
+    // Every index is below the end the guard around it tests.
+    let marks = |site: &Expr| match site {
+        Expr::Sub(_, idx) if idx.len() == 2 => Some(vec![Iv { lo: 0, hi: Some(2 * hours - 1) }, Iv::exact(0)]),
+        _ => Some(vec![Iv { lo: 0, hi: Some(hours - 1) }]),
+    };
+    let externals = Extensions::new();
+    drop(eval_marked(&e, &EvalCtx::new(&globals, &externals), &marks));
+    let ctx = EvalCtx::new(&globals, &externals);
+    let (allocs, out) = allocs_during(|| eval_marked(&e, &ctx, &marks));
+    assert_eq!(ctx.kernel_nests(), n, "{e} ran a kernel a day");
+    assert_eq!(out, Ok(Value::Nat(24 * n)));
+    allocs
+}
+
+#[test]
+fn a_nest_entered_once_a_day_allocates_per_day_only_what_its_day_builds() {
+    // A day's own allocations: its environment, its entry (operands,
+    // captures, extents) and its array (three columns). Binding, which
+    // made 69 a day, happens once.
+    let per_day = (days_of_readings(30) - days_of_readings(15)) / 15;
+    assert!(per_day <= 20, "{per_day} allocations a day");
 }
 
 #[test]

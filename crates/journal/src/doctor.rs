@@ -338,6 +338,11 @@ fn advice_for(class: FaultClass, failed: bool, subject: &str, events: &Journal) 
              error above names the rule. The storage layer is not involved."
                 .to_string()
         }
+        FaultClass::Error(TooDeep) => {
+            "diagnosis: the statement, or a value it read, nests past the parser's depth budget; \
+             flatten it. The storage layer is not involved."
+                .to_string()
+        }
         FaultClass::Error(Error) => {
             "diagnosis: the statement failed with an ordinary error (the program, the request \
              or an extension — see the message above), not a storage, resource or limits fault."

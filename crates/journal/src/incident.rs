@@ -40,15 +40,17 @@ pub enum ErrorClass {
     Cancelled,
     /// The rewrite-soundness gate rejected the statement.
     Unsound,
+    /// The statement, or a value read, nests past the parser's budget.
+    TooDeep,
     /// Any other failure: the program, the request or an extension.
     Error,
 }
 
 impl ErrorClass {
     /// Every class, in declaration order.
-    pub const ALL: [ErrorClass; 8] = {
+    pub const ALL: [ErrorClass; 9] = {
         use ErrorClass::*;
-        [TransientIo, Corruption, Unavailable, ResourceExhausted, Deadline, Cancelled, Unsound, Error]
+        [TransientIo, Corruption, Unavailable, ResourceExhausted, Deadline, Cancelled, Unsound, TooDeep, Error]
     };
 
     /// Stable name: the `StmtEnd` label, the incident's `class`, the
@@ -62,6 +64,7 @@ impl ErrorClass {
             ErrorClass::Deadline => "deadline",
             ErrorClass::Cancelled => "cancelled",
             ErrorClass::Unsound => "unsound",
+            ErrorClass::TooDeep => "too-deep",
             ErrorClass::Error => "error",
         }
     }

@@ -10,6 +10,7 @@
 use aql_core::error::EvalError;
 use aql_core::prim::NativeFn;
 use aql_core::types::Type;
+use aql_core::value::array::{ArrayData, Column};
 use aql_core::value::Value;
 use aql_lang::session::Session;
 
@@ -33,10 +34,13 @@ pub fn heat_index(t: f64, rh: f64) -> f64 {
 /// day's worth of hourly `(temperature, humidity, wind-speed)` triples,
 /// the maximum hourly heat index, discounted slightly by wind relief.
 pub fn day_heat_index(readings: &[(f64, f64, f64)]) -> f64 {
-    readings
-        .iter()
-        .map(|&(t, rh, ws)| heat_index(t, rh) - 0.3 * ws)
-        .fold(f64::MIN, f64::max)
+    fold_day(readings.iter().copied())
+}
+
+/// [`day_heat_index`] over readings in any order of storage: the one
+/// expression and fold order, so that every layout gives the same bits.
+fn fold_day(readings: impl Iterator<Item = (f64, f64, f64)>) -> f64 {
+    readings.map(|(t, rh, ws)| heat_index(t, rh) - 0.3 * ws).fold(f64::MIN, f64::max)
 }
 
 /// Register `heatindex : [[real * real * real]] -> real` on a session
@@ -49,6 +53,16 @@ pub fn register_heatindex(session: &mut Session) {
     );
     session.register_external(NativeFn::new("heatindex", ty, |v| {
         let arr = v.as_array()?;
+        // A day stored as three real columns is read as three slices.
+        if let ArrayData::Columns(cols) = arr.array_data() {
+            if let [Column::F64(t), Column::F64(rh), Column::F64(ws)] = cols.as_slice() {
+                if t.is_empty() {
+                    return Ok(Value::Bottom);
+                }
+                let day = t.iter().zip(rh).zip(ws).map(|((&t, &rh), &ws)| (t, rh, ws));
+                return Ok(Value::Real(fold_day(day)));
+            }
+        }
         let mut readings = Vec::with_capacity(arr.len());
         for off in 0..arr.len() {
             // Component by component: a column array boxes no triple.
@@ -156,6 +170,44 @@ mod tests {
         // Day 0 → ⊥.
         let (_, v) = s.eval_query("june_sunset!(40.7, -74.0, 0)").unwrap();
         assert!(v.is_bottom());
+    }
+
+    #[test]
+    fn heatindex_over_three_real_columns_is_the_readings_fold_bit_for_bit() {
+        let mut s = Session::new();
+        register_heatindex(&mut s);
+        let (_, Value::Native(f)) = s.eval_query("heatindex").unwrap() else {
+            panic!("heatindex is a primitive")
+        };
+        let triple = |&(t, rh, ws): &(f64, f64, f64)| Value::tuple(vec![Value::Real(t), Value::Real(rh), Value::Real(ws)]);
+        let days: [&[(f64, f64, f64)]; 5] = [
+            &[(95.0, 60.0, 3.0), (80.0, 40.0, 0.5), (70.0, 90.0, 0.0)],
+            // Below 80 °F the index is the temperature.
+            &[(79.9, 99.0, 0.0), (42.0, 10.0, 7.5), (-3.0, 0.0, 0.25)],
+            // A NaN reading, at the start and at the end; and −0.0.
+            &[(f64::NAN, 50.0, 1.0), (88.0, 70.0, -0.0), (90.0, 65.0, 2.0)],
+            &[(88.0, 70.0, 0.0), (-0.0, -0.0, -0.0), (92.0, f64::NAN, 1.0)],
+            &[(-0.0, 0.0, 0.0)],
+        ];
+        for day in days {
+            let columns = Value::array1(day.iter().map(triple).collect());
+            let Value::Array(a) = &columns else { unreachable!("an array") };
+            assert!(matches!(a.array_data(), ArrayData::Columns(c) if c.len() == 3));
+            // The slice path against the component path's own fold over
+            // the same readings, one at a time.
+            let Value::Real(got) = f.call(&columns).unwrap() else { panic!("a real") };
+            assert_eq!(got.to_bits(), day_heat_index(day).to_bits(), "{day:?}");
+        }
+        // An empty day of three columns is ⊥, as an empty day always was.
+        let (_, v) = s.eval_query("heatindex!(subseq!([[ (90.0, 60.0, 5.0) ]], 5, 4))").unwrap();
+        assert!(v.is_bottom());
+        // Another layout keeps its reading and its error text: a `nat`
+        // column, and pairs.
+        let nat = Value::array1(vec![Value::tuple(vec![Value::Real(90.0), Value::Real(60.0), Value::Nat(3)])]);
+        let pairs = Value::array1(vec![Value::tuple(vec![Value::Real(90.0), Value::Real(60.0)])]);
+        let failed = "external primitive `heatindex` failed: ill-typed value at runtime:";
+        assert_eq!(f.call(&nat).unwrap_err().to_string(), format!("{failed} expected real, got 3"));
+        assert_eq!(f.call(&pairs).unwrap_err().to_string(), format!("{failed} expected a triple, got a 2-tuple"));
     }
 
     #[test]

@@ -234,6 +234,27 @@ fn a_program_that_spells_a_class_is_not_in_it() {
 }
 
 #[test]
+fn a_statement_nested_past_the_budget_is_too_deep() {
+    let _g = lock();
+    let dir = tmpdir("deep");
+    let mut s = Session::new();
+    s.enable_incidents(IncidentConfig::new(&dir));
+    // A value read past the budget fails its `readval`, which the
+    // journal records. (A statement past it fails to parse, before any
+    // statement begins; `tests/hostile_nesting.rs` reads that class.)
+    let depth = aql::core::value::parse::MAX_DEPTH;
+    let path = dir.join("deep.co");
+    std::fs::write(&path, format!("{}1{}", "[[".repeat(depth), "]]".repeat(depth))).expect("write");
+    let statement = format!("readval \\v using COFILE at \"{}\";", path.display());
+    let (readings, kind, report) = failing(&mut s, &statement);
+    readings.agree_on(ErrorClass::TooDeep, "nesting");
+    assert_eq!(kind, IncidentKind::Error);
+    assert!(report.contains("fault class: too-deep\n"), "{report}");
+    s.disable_incidents();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn one_flipped_byte_of_an_aqf_file_is_corruption_wherever_it_is_met() {
     let _g = lock();
     let dir = tmpdir("aqf");

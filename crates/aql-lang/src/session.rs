@@ -78,9 +78,10 @@ macro \resize = fn (\a, \n, \d) =>
 macro \insert_at = fn (\a, \i, \v) =>
   [[ if j < i then a[j] else if j = i then v else a[j - 1]
    | \j < len!a + 1 ]];
-(* remove the element at position i *)
+(* remove the element at position i (i < len a) *)
 macro \remove_at = fn (\a, \i) =>
-  [[ if j < i then a[j] else a[j + 1] | \j < len!a - 1 ]];
+  if i < len!a then [[ if j < i then a[j] else a[j + 1] | \j < len!a - 1 ]]
+  else bottom;
 
 (* --- reshaping (§1: "why not include primitives for … reshaping a
        one-dimensional array in row-major order into a two-dimensional

@@ -287,7 +287,6 @@ mod tests {
 
     #[test]
     fn the_scan_finds_what_the_top_down_search_found() {
-        use aql_core::derived;
         let big = set_max(gen(nat(9)));
         let mut terms = vec![
             // A `let` binder does not reach its own right-hand side, yet
@@ -299,11 +298,15 @@ mod tests {
             sum("x", var("S"), tab1("x", add(var("x"), nat(1)), add(big.clone(), var("x")))),
             big_union("x", var("S"), big_union("y", single(var("x")), single(add(var("y"), big)))),
         ];
+        // `subseq!(zip!(A, B), 2, 9)`, `transpose!(transpose!M)` and
+        // `evenpos!(reverse!(append!(A, B)))`, as a session resolves them.
+        let session = aql_lang::session::Session::new();
+        let p = |name: &str, arg| app(session.resolve(&var(name)), arg);
         let (a, b) = (var("A"), var("B"));
         for e in [
-            derived::subseq(derived::zip(a.clone(), b.clone()), nat(2), nat(9)),
-            derived::transpose(derived::transpose(var("M"))),
-            derived::evenpos(derived::reverse(derived::append(a, b))),
+            p("subseq", tuple(vec![p("zip", tuple(vec![a.clone(), b.clone()])), nat(2), nat(9)])),
+            p("transpose", p("transpose", var("M"))),
+            p("evenpos", p("reverse", p("append", tuple(vec![a, b])))),
         ] {
             terms.push(crate::normalizer().optimize(&e));
             terms.push(crate::normalize_and_eliminate().optimize(&e));

@@ -9,12 +9,20 @@
 //! * `zip ∘ (subseq, subseq)` and `subseq ∘ zip` normalize "to the
 //!   same query, up to extra constant-time bound checks" (§1, §5).
 
-use aql_core::derived;
 use aql_core::eval::eval_closed;
 use aql_core::expr::builder::*;
 use aql_core::expr::free::alpha_eq;
 use aql_core::expr::Expr;
+use aql_lang::session::Session;
 use aql_opt::{normalize_and_eliminate, normalizer, optimize, optimize_traced};
+
+/// The core term `name!(args)` becomes in a session: the prelude
+/// macro's resolved body applied to its argument, or to the tuple of
+/// its arguments.
+fn prelude(name: &str, mut args: Vec<Expr>) -> Expr {
+    let arg = if args.len() == 1 { args.pop().expect("one argument") } else { tuple(args) };
+    app(Session::new().resolve(&var(name)), arg)
+}
 
 fn count_tabs(e: &Expr) -> usize {
     let mut n = 0;
@@ -41,7 +49,7 @@ fn transpose_rule_is_derivable() {
     // transpose([[ i*10 + j | i < m, j < n ]])
     let body = add(mul(var("i"), nat(10)), var("j"));
     let tabbed = tab(vec![("i", var("m")), ("j", var("n"))], body.clone());
-    let e = derived::transpose(tabbed);
+    let e = prelude("transpose", vec![tabbed]);
 
     let opt = normalize_and_eliminate().optimize(&e);
 
@@ -56,11 +64,11 @@ fn transpose_rule_is_derivable() {
 #[test]
 fn transpose_derivation_uses_the_paper_rules() {
     let tabbed = tab(vec![("i", var("m")), ("j", var("n"))], var("i"));
-    let e = derived::transpose(tabbed);
+    let e = prelude("transpose", vec![tabbed]);
     let (_, trace) = optimize_traced(&e);
-    // The §5 derivation applies β (via let-inline here), δ^p, π, β^p,
-    // and then the redundant-check machinery.
-    assert!(trace.count("let-inline") >= 1, "β step missing");
+    // The §5 derivation applies β, δ^p, π, β^p, and then the
+    // redundant-check machinery.
+    assert!(trace.count("beta") >= 1, "β step missing");
     assert!(trace.count("delta-p") >= 1, "δ^p step missing");
     assert!(trace.count("pi") >= 2, "π steps missing");
     assert!(trace.count("beta-p") >= 1, "β^p step missing");
@@ -73,7 +81,7 @@ fn transpose_of_concrete_matrix_still_correct() {
         vec![nat(2), nat(3)],
         vec![nat(1), nat(2), nat(3), nat(4), nat(5), nat(6)],
     );
-    let e = derived::transpose(m);
+    let e = prelude("transpose", vec![m]);
     let opt = optimize(&e);
     assert_eq!(eval_closed(&e).unwrap(), eval_closed(&opt).unwrap());
 }
@@ -81,11 +89,9 @@ fn transpose_of_concrete_matrix_still_correct() {
 #[test]
 fn zip_subseq_commute_to_one_tabulation() {
     // Both pipelines over free A, B, constant slice bounds.
-    let lhs = derived::zip(
-        derived::subseq(var("A"), nat(2), nat(9)),
-        derived::subseq(var("B"), nat(2), nat(9)),
-    );
-    let rhs = derived::subseq(derived::zip(var("A"), var("B")), nat(2), nat(9));
+    let slice = |a| prelude("subseq", vec![a, nat(2), nat(9)]);
+    let lhs = prelude("zip", vec![slice(var("A")), slice(var("B"))]);
+    let rhs = slice(prelude("zip", vec![var("A"), var("B")]));
 
     let nl = normalize_and_eliminate().optimize(&lhs);
     let nr = normalize_and_eliminate().optimize(&rhs);
@@ -104,11 +110,9 @@ fn zip_subseq_commute_to_one_tabulation() {
 fn zip_subseq_semantics_agree_after_optimization() {
     let arr_a = array1_lit((0..12).map(|v| nat(v * 3)).collect());
     let arr_b = array1_lit((0..15).map(|v| nat(v * 5)).collect());
-    let lhs = derived::zip(
-        derived::subseq(arr_a.clone(), nat(2), nat(9)),
-        derived::subseq(arr_b.clone(), nat(2), nat(9)),
-    );
-    let rhs = derived::subseq(derived::zip(arr_a, arr_b), nat(2), nat(9));
+    let slice = |a| prelude("subseq", vec![a, nat(2), nat(9)]);
+    let lhs = prelude("zip", vec![slice(arr_a.clone()), slice(arr_b.clone())]);
+    let rhs = slice(prelude("zip", vec![arr_a, arr_b]));
     let vl = eval_closed(&lhs).unwrap();
     let vr = eval_closed(&rhs).unwrap();
     assert_eq!(vl, vr, "unoptimized pipelines must already agree");
@@ -148,12 +152,12 @@ fn reverse_of_reverse_normalizes_small() {
     // defeats syntactic matching — bound-check elimination is
     // undecidable, Prop. 5.1), but it must still normalize to a single
     // tabulation over A and evaluate correctly.
-    let e = derived::reverse(derived::reverse(var("A")));
+    let e = prelude("reverse", vec![prelude("reverse", vec![var("A")])]);
     let opt = optimize(&e);
     assert_eq!(count_tabs(&opt), 1, "intermediate reversal array must fuse");
 
     let arr = array1_lit(vec![nat(4), nat(7), nat(9)]);
-    let concrete = derived::reverse(derived::reverse(arr.clone()));
+    let concrete = prelude("reverse", vec![prelude("reverse", vec![arr.clone()])]);
     assert_eq!(
         eval_closed(&optimize(&concrete)).unwrap(),
         eval_closed(&arr).unwrap()
@@ -163,7 +167,7 @@ fn reverse_of_reverse_normalizes_small() {
 #[test]
 fn evenpos_projcol_pipeline_fuses() {
     // The §1 pipeline fragment: evenpos(proj_col(WS, 0)).
-    let e = derived::evenpos(derived::proj_col(var("WS"), nat(0)));
+    let e = prelude("evenpos", vec![prelude("proj_col", vec![var("WS"), nat(0)])]);
     let opt = normalize_and_eliminate().optimize(&e);
     assert_eq!(
         count_tabs(&opt),
@@ -175,9 +179,9 @@ fn evenpos_projcol_pipeline_fuses() {
 #[test]
 fn optimizer_is_idempotent_on_normal_forms() {
     let cases = vec![
-        derived::zip(var("A"), var("B")),
-        derived::transpose(var("M")),
-        derived::evenpos(var("A")),
+        prelude("zip", vec![var("A"), var("B")]),
+        prelude("transpose", vec![var("M")]),
+        prelude("evenpos", vec![var("A")]),
         sub(tab1("i", nat(100), var("i")), vec![nat(3)]),
     ];
     for e in cases {
@@ -195,7 +199,7 @@ fn normalizer_alone_leaves_redundant_checks() {
     // Without the check-elimination phase, β^p residue remains; with
     // it, the checks disappear. This isolates the two phases.
     let tabbed = tab(vec![("i", var("m")), ("j", var("n"))], var("i"));
-    let e = derived::transpose(tabbed);
+    let e = prelude("transpose", vec![tabbed]);
     let normal = normalizer().optimize(&e);
     assert!(count_ifs(&normal) >= 2, "expected residual checks: {normal}");
     let clean = normalize_and_eliminate().optimize(&e);

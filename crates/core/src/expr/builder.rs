@@ -1,8 +1,8 @@
 //! Ergonomic constructors for NRCA expressions.
 //!
-//! The derived-operation library ([`crate::derived`]), the optimizer's
-//! rule tests and the benches all build calculus terms through these
-//! helpers instead of spelling out the `Expr` enum.
+//! The §6 rank queries, the optimizer's rule tests and the benches all
+//! build calculus terms through these helpers instead of spelling out
+//! the `Expr` enum.
 
 use super::{name, ArithOp, CmpOp, Expr, Name, Prim};
 

@@ -17,9 +17,6 @@
 //! * [`mod@eval`] — compilation to de-Bruijn form and strict evaluation
 //!   with `⊥` propagation and resource limits;
 //! * [`prim`] — the open registry of external primitives (§4);
-//! * [`derived`] — every derived operation of §2–§3 (`map`, `zip`,
-//!   `subseq`, `transpose`, matrix multiply, histograms, the array
-//!   monoid, …) defined inside the calculus;
 //! * [`rank`] — the §6 expressiveness results made executable.
 //!
 //! Surface syntax (comprehensions, patterns, blocks) lives in the
@@ -40,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod check;
-pub mod derived;
 pub mod error;
 pub mod eval;
 pub mod expr;

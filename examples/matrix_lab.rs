@@ -10,10 +10,9 @@
 
 use std::rc::Rc;
 
-use aql::core::derived;
-use aql::core::eval::eval_closed;
 use aql::core::expr::builder::*;
 use aql::core::expr::Expr;
+use aql::lang::session::Session;
 use aql::opt::{normalize_and_eliminate, optimize_traced, Phase, Rule};
 
 fn main() {
@@ -25,7 +24,8 @@ fn main() {
         vec![("i", var("m")), ("j", var("n"))],
         add(mul(var("i"), nat(10)), var("j")),
     );
-    let e = derived::transpose(tabbed);
+    let mut s = Session::new();
+    let e = app(s.resolve(&var("transpose")), tabbed);
     println!("input:      {e}");
     let (opt, trace) = optimize_traced(&e);
     println!("normalized: {opt}\n");
@@ -55,15 +55,14 @@ fn main() {
 
     // ---- 4. The two histograms of §2 ----------------------------------
     println!("--- hist (O(n·m)) vs hist' via index (O(m + n log n)) ---");
-    let data: Vec<Expr> = [3u64, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
-        .iter()
-        .map(|&x| nat(x))
-        .collect();
-    let arr = array1_lit(data);
-    let h1 = eval_closed(&derived::hist(arr.clone())).expect("hist");
-    let h2 = eval_closed(&derived::hist_indexed(arr)).expect("hist'");
-    println!("hist  = {h1}");
-    println!("hist' = {h2}");
+    s.run("val \\A = [[3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]];").expect("bind A");
+    for (name, text) in [
+        ("hist ", "[[ summap(fn \\j => if A[j] = i then 1 else 0)!(dom!A) | \\i < max!(rng!A) ]]"),
+        ("hist'", "let val \\G = index_1!{(A[j], j) | \\j <- dom!A} in [[ count!(G[i]) | \\i < len!G ]] end"),
+    ] {
+        let (_, h) = s.eval_query(text).expect(name);
+        println!("{name} = {text}\n      = {h}");
+    }
     println!("(both count occurrences; hist' groups via the index construct)\n");
 
     // ---- 5. Openness: inject a user rewrite rule -----------------------

@@ -4,12 +4,12 @@
 //!
 //! Run with `cargo run --example ranking`.
 
-use aql::core::derived;
 use aql::core::eval::eval_closed;
 use aql::core::expr::builder::*;
 use aql::core::rank;
 use aql::core::types::Type;
 use aql::core::value::tyof::type_of_value;
+use aql::lang::session::Session;
 
 fn main() {
     println!("=== §6: arrays ≡ ranking ===\n");
@@ -32,10 +32,11 @@ fn main() {
     // 3. Arrays give ranking: the graph of an array is a ranked set,
     //    and array queries run on the encoding (the other direction).
     println!("--- the ° encoding: array queries on graphs ---");
-    let a = array1_lit(vec![nat(10), nat(20), nat(30), nat(40), nat(50)]);
-    let native = eval_closed(&derived::evenpos(a.clone())).expect("native");
+    let mut s = Session::new();
+    s.run("val \\A = [[10, 20, 30, 40, 50]];").expect("bind A");
+    let (_, native) = s.eval_query("evenpos!A").expect("native");
     println!("evenpos([[10,20,30,40,50]])      = {native}");
-    let g = eval_closed(&derived::graph1(a)).expect("graph");
+    let (_, g) = s.eval_query("graph!A").expect("graph");
     println!("graph of the input               = {g}");
     let g_expr = {
         // Re-embed the graph value as a literal for the NRC_r query.

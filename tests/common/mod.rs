@@ -1,9 +1,11 @@
 //! What more than one root test (and `examples/opt_profile.rs`) builds
-//! the same way: the symbolic array-pipeline and set-query generators,
-//! and the corpus of core terms the optimizer is pinned on — the
-//! `derivations.rs` terms, the benchmark's eight `compile_mix`
-//! templates, and the paper's §4.2 and §1 programs, each taken to the
-//! resolved core term the session hands its optimizer. Then the fault
+//! the same way: the core term a prelude macro or a builtin becomes,
+//! the paper's comparison forms that have no macro, the symbolic
+//! array-pipeline and set-query generators, and the corpus of core
+//! terms the optimizer is pinned on — the `derivations.rs` terms, the
+//! benchmark's eight `compile_mix` templates, and the paper's §4.2 and
+//! §1 programs, each taken to the resolved core term the session hands
+//! its optimizer. Then the fault
 //! axis of the differential oracle (ROADMAP item 3): four chunk
 //! sources behind the production resilience stack, with one fault
 //! placed on the chunk a chosen stage of a session reads first. Last,
@@ -21,8 +23,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use aql::core::derived;
 use aql::core::expr::builder::*;
+use aql::core::expr::free::{fresh, subst};
 use aql::core::expr::Expr;
 use aql::core::types::Type;
 use aql::core::value::{ArrayVal, Value};
@@ -41,6 +43,76 @@ use aql::store::{
     fault, governor, ChunkLayout, ChunkSource, FaultyChunkSource, LazyArray, MemChunkSource,
     RemoteChunkSource, ResiliencePolicy, ResilientSource, ScalarBuf, ScalarKind,
 };
+
+// ---- derived terms ----------------------------------------------------------
+
+/// The core term `name!(args)` becomes in a session: the prelude
+/// macro's resolved body applied to its argument, or to the tuple of
+/// its arguments.
+pub fn prelude(name: &str, mut args: Vec<Expr>) -> Expr {
+    let arg = if args.len() == 1 { args.pop().expect("one argument") } else { tuple(args) };
+    app(Session::new().resolve(&var(name)), arg)
+}
+
+/// `map f A = [[ f(A[i]) | i < len(A) ]]` (§2).
+pub fn map_arr(f: Expr, a: Expr) -> Expr {
+    let (va, i) = (fresh("A"), fresh("i"));
+    let_(&va, a, tab1(&i, len(var(&va)), app(f, sub(var(&va), vec![var(&i)]))))
+}
+
+/// The core term the desugarer's builtin `name!x` (`count`, `dom`,
+/// `rng`, …) becomes, with `arg` for `x`.
+pub fn builtin(name: &str, arg: Expr) -> Expr {
+    let Stmt::Query(e) = parse_program(&format!("{name}!x;")).expect("parses").remove(0) else {
+        unreachable!("an expression statement is a query")
+    };
+    let mut core = desugar(&e).expect("desugars");
+    subst(&mut core, "x", arg);
+    core
+}
+
+/// `hist e = [[ Σ{if e[j] = i then 1 else 0 | j ∈ dom(e)} | i < max(rng(e)) ]]`
+/// — the O(n·m) histogram of §2, verbatim (the paper tabulates up to
+/// `max(rng e)` *exclusive*, so the maximum value itself falls outside).
+pub fn hist(a: Expr) -> Expr {
+    let (va, i, j) = (fresh("A"), fresh("i"), fresh("j"));
+    let hit = iff(eq(sub(var(&va), vec![var(&j)]), var(&i)), nat(1), nat(0));
+    let counts = sum(&j, builtin("dom", var(&va)), hit);
+    let_(&va, a, tab1(&i, set_max(builtin("rng", var(&va))), counts))
+}
+
+/// `hist' e = map(count)(index(⋃{ {(e[j], j)} | j ∈ dom(e) }))` — the
+/// O(m + n log n) histogram via the implicit group-by of `index` (§2).
+pub fn hist_indexed(a: Expr) -> Expr {
+    let (va, j, g) = (fresh("A"), fresh("j"), fresh("g"));
+    let pairs = big_union(&j, builtin("dom", var(&va)), single(tuple(vec![sub(var(&va), vec![var(&j)]), var(&j)])));
+    let_(&va, a, map_arr(lam(&g, builtin("count", var(&g))), index(1, pairs)))
+}
+
+/// Zip *without* arrays (§1): both arrays as graphs, joined by a
+/// quadratic cross-product (the only way in a collection language),
+/// and re-indexed. The baseline of experiment E1.
+pub fn zip_via_sets(a: Expr, b: Expr) -> Expr {
+    let (ga, gb, p, q, i) = (fresh("GA"), fresh("GB"), fresh("p"), fresh("q"), fresh("i"));
+    let pair = single(tuple(vec![fst(var(&p)), tuple(vec![snd(var(&p)), snd(var(&q))])]));
+    let joined = big_union(
+        &p,
+        var(&ga),
+        big_union(&q, var(&gb), iff(eq(fst(var(&p)), fst(var(&q))), pair, empty())),
+    );
+    let rezip = map_arr(lam(&i, get(var(&i))), index(1, joined));
+    let_(&ga, prelude("graph", vec![a]), let_(&gb, prelude("graph", vec![b]), rezip))
+}
+
+/// `[[e_1, …, e_n]] = [[e_1]] @ … @ [[e_n]]` (§3): the O(n²) literal
+/// the row-major construct exists to avoid, from the empty array
+/// `[[x | x < 0]]` and singletons `[[e]]`. The slow side of E4.
+pub fn literal_via_append(items: Vec<Expr>) -> Expr {
+    items.into_iter().fold(array_lit(vec![nat(0)], vec![]), |acc, item| {
+        let (i, v) = (fresh("i"), fresh("v"));
+        prelude("append", vec![acc, let_(&v, item, tab1(&i, nat(1), var(&v)))])
+    })
+}
 
 // ---- generators -----------------------------------------------------------
 
@@ -65,15 +137,15 @@ pub fn arb_step() -> impl Strategy<Value = Step> {
 }
 
 /// Apply a pipeline symbolically, tracking the length so slices stay
-/// in bounds (mirrors `tests/properties.rs`).
+/// in bounds.
 pub fn build_pipeline(base: Vec<u64>, steps: &[Step]) -> Expr {
     let mut e = array1_lit(base.iter().map(|&x| nat(x)).collect());
     let mut len_now = base.len() as u64;
     for s in steps {
         match s {
-            Step::Reverse => e = derived::reverse(e),
+            Step::Reverse => e = prelude("reverse", vec![e]),
             Step::Evenpos => {
-                e = derived::evenpos(e);
+                e = prelude("evenpos", vec![e]);
                 len_now /= 2;
             }
             Step::Subseq(a, b) => {
@@ -82,20 +154,18 @@ pub fn build_pipeline(base: Vec<u64>, steps: &[Step]) -> Expr {
                 }
                 let lo = ((*a * (len_now - 1) as f64) as u64).min(len_now - 1);
                 let hi = ((*b * (len_now - 1) as f64) as u64).clamp(lo, len_now - 1);
-                e = derived::subseq(e, nat(lo), nat(hi));
+                e = prelude("subseq", vec![e, nat(lo), nat(hi)]);
                 len_now = hi - lo + 1;
             }
             Step::Append(k) => {
                 let extra: Vec<Expr> = (0..*k as u64).map(nat).collect();
-                e = derived::append(e, array1_lit(extra));
+                e = prelude("append", vec![e, array1_lit(extra)]);
                 len_now += *k as u64;
             }
             Step::MapAdd(c) => {
-                let f = {
-                    let x = aql::core::expr::free::fresh("x");
-                    lam(&x, add(var(&x), nat(*c as u64)))
-                };
-                e = derived::map_arr(f, e);
+                let x = fresh("x");
+                let f = lam(&x, add(var(&x), nat(*c as u64)));
+                e = map_arr(f, e);
             }
         }
     }
@@ -108,7 +178,7 @@ pub fn arb_set_query() -> impl Strategy<Value = Expr> {
         let s = ns
             .into_iter()
             .fold(Expr::Empty, |a, n| union(a, single(nat(n))));
-        let x = aql::core::expr::free::fresh("x");
+        let x = fresh("x");
         big_union(
             &x,
             s,
@@ -129,20 +199,21 @@ pub fn derivation_terms() -> Vec<(String, Expr)> {
     let (a, b) = (|| var("A"), || var("B"));
     let matrix = |head| tab(vec![("i", var("m")), ("j", var("n"))], head);
     let literal = || array_lit(vec![nat(2), nat(3)], (1..=6).map(nat).collect());
+    let p = prelude;
     let terms = vec![
-        ("transpose of a tabulation", derived::transpose(matrix(add(mul(var("i"), nat(10)), var("j"))))),
-        ("transpose, index head", derived::transpose(matrix(var("i")))),
-        ("transpose of a literal", derived::transpose(literal())),
-        ("zip of subseqs", derived::zip(derived::subseq(a(), nat(2), nat(9)), derived::subseq(b(), nat(2), nat(9)))),
-        ("subseq of zip", derived::subseq(derived::zip(a(), b()), nat(2), nat(9))),
+        ("transpose of a tabulation", p("transpose", vec![matrix(add(mul(var("i"), nat(10)), var("j")))])),
+        ("transpose, index head", p("transpose", vec![matrix(var("i"))])),
+        ("transpose of a literal", p("transpose", vec![literal()])),
+        ("zip of subseqs", p("zip", vec![p("subseq", vec![a(), nat(2), nat(9)]), p("subseq", vec![b(), nat(2), nat(9)])])),
+        ("subseq of zip", p("subseq", vec![p("zip", vec![a(), b()]), nat(2), nat(9)])),
         ("beta-p", sub(tab1("i", nat(1000), mul(var("i"), var("i"))), vec![nat(17)])),
         ("delta-p", len(tab1("i", var("n"), mul(var("i"), var("i"))))),
         ("eta-p", tab1("i", len(a()), sub(a(), vec![var("i")]))),
-        ("reverse of reverse", derived::reverse(derived::reverse(a()))),
-        ("evenpos of proj_col", derived::evenpos(derived::proj_col(var("WS"), nat(0)))),
-        ("zip", derived::zip(a(), b())),
-        ("transpose", derived::transpose(var("M"))),
-        ("evenpos", derived::evenpos(a())),
+        ("reverse of reverse", p("reverse", vec![p("reverse", vec![a()])])),
+        ("evenpos of proj_col", p("evenpos", vec![p("proj_col", vec![var("WS"), nat(0)])])),
+        ("zip", p("zip", vec![a(), b()])),
+        ("transpose", p("transpose", vec![var("M")])),
+        ("evenpos", p("evenpos", vec![a()])),
     ];
     terms.into_iter().map(|(label, e)| (label.to_string(), e)).collect()
 }

@@ -5,7 +5,10 @@
 //! have the same power. These tests run the translations and ranked
 //! queries against the native array semantics.
 
-use aql::core::derived;
+mod common;
+
+use common::{hist_indexed, map_arr, prelude};
+
 use aql::core::eval::eval_closed;
 use aql::core::expr::builder::*;
 use aql::core::rank;
@@ -55,7 +58,7 @@ fn array_queries_run_on_the_graph_encoding() {
         let g = rank::graph_value(arr_v.as_array().unwrap()).unwrap();
         let genv = set_value_to_expr(&g);
 
-        let native_even = eval_closed(&derived::evenpos(lit(ns))).unwrap();
+        let native_even = eval_closed(&prelude("evenpos", vec![lit(ns)])).unwrap();
         let graph_even = eval_closed(&rank::evenpos_on_graph(genv.clone())).unwrap();
         assert_eq!(
             graph_even,
@@ -63,7 +66,7 @@ fn array_queries_run_on_the_graph_encoding() {
             "evenpos on {ns:?}"
         );
 
-        let native_rev = eval_closed(&derived::reverse(lit(ns))).unwrap();
+        let native_rev = eval_closed(&prelude("reverse", vec![lit(ns)])).unwrap();
         let graph_rev = eval_closed(&rank::reverse_on_graph(genv)).unwrap();
         assert_eq!(
             graph_rev,
@@ -131,7 +134,7 @@ fn histogram_with_ranking_matches_index_version() {
     // A §6-flavoured consistency check: hist' (which uses index, i.e.
     // implicit ranking by key) matches a direct count per value.
     let ns = [3u64, 1, 3, 0, 3, 1];
-    let h = eval_closed(&derived::hist_indexed(lit(&ns))).unwrap();
+    let h = eval_closed(&hist_indexed(lit(&ns))).unwrap();
     let counts: Vec<u64> = h
         .as_array()
         .unwrap()
@@ -199,13 +202,7 @@ proptest! {
         // set_to_array(dom-ordered graph values) rebuilds the array:
         // index+get over the ranked graph is the identity.
         let arr = lit(&ns);
-        let rebuilt = derived::map_arr(
-            {
-                let g = aql::core::expr::free::fresh("g");
-                lam(&g, get(var(&g)))
-            },
-            index(1, derived::graph1(arr.clone())),
-        );
+        let rebuilt = map_arr(lam("g", get(var("g"))), index(1, prelude("graph", vec![arr.clone()])));
         prop_assert_eq!(
             eval_closed(&rebuilt).unwrap(),
             eval_closed(&arr).unwrap()

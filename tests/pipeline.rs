@@ -34,6 +34,25 @@ const CORPUS: &[(&str, &str, &str)] = &[
     ("transpose![[2, 2; 1, 2, 3, 4]]", "[[nat]]_2", "[[2, 2; 1, 3, 2, 4]]"),
     ("matmul!([[2, 2; 1, 0, 0, 1]], [[2, 2; 5, 6, 7, 8]])", "[[nat]]_2",
      "[[2, 2; 5, 6, 7, 8]]"),
+    // zip and zip_3 truncate to the shortest argument.
+    ("zip!([[1, 2, 3]], [[10, 20]])", "[[nat * nat]]_1", "[[(1, 10), (2, 20)]]"),
+    ("zip_3!([[1, 2, 3]], [[4, 5]], [[true, false, true]])", "[[nat * nat * bool]]_1",
+     "[[(1, 4, true), (2, 5, false)]]"),
+    // subseq is inclusive, and empty when j < i.
+    ("subseq!([[0, 10, 20]], 2, 2)", "[[nat]]_1", "[[20]]"),
+    ("subseq!([[0, 10, 20]], 2, 0)", "[[nat]]_1", "[[0;]]"),
+    ("evenpos![[9]]", "[[nat]]_1", "[[0;]]"),
+    ("oddpos![[0, 1, 2, 3, 4]]", "[[nat]]_1", "[[1, 3]]"),
+    ("proj_col!([[2, 3; 1, 2, 3, 4, 5, 6]], 1)", "[[nat]]_1", "[[2, 5]]"),
+    ("proj_row!([[2, 3; 1, 2, 3, 4, 5, 6]], 1)", "[[nat]]_1", "[[4, 5, 6]]"),
+    ("transpose![[2, 3; 1, 2, 3, 4, 5, 6]]", "[[nat]]_2", "[[3, 2; 1, 4, 2, 5, 3, 6]]"),
+    ("append!([[1, 2]], [[3]])", "[[nat]]_1", "[[1, 2, 3]]"),
+    ("graph![[7, 8, 7]]", "{nat * nat}", "{(0, 7), (1, 8), (2, 7)}"),
+    // An inner-dimension mismatch is ⊥.
+    ("matmul!([[2, 3; 0, 0, 0, 0, 0, 0]], [[2, 2; 0, 0, 0, 0]])", "[[nat]]_2", "_|_"),
+    ("filter!(fn \\x => x < 3, {5, 1, 2, 9})", "{nat}", "{1, 2}"),
+    ("forall_in!({}, fn \\x => x > 3)", "bool", "true"),
+    ("exists_in!({}, fn \\x => x > 3)", "bool", "false"),
     // Aggregates and numerics.
     ("summap(fn \\x => x)!(gen!101)", "nat", "5050"),
     ("count!{7, 7, 8}", "nat", "2"),
@@ -73,7 +92,13 @@ const CORPUS: &[(&str, &str, &str)] = &[
     // ODMG primitives (§7) and reshaping (§1), as prelude macros.
     ("upd!([[5, 6, 7]], 0, 9)", "[[nat]]_1", "[[9, 6, 7]]"),
     ("insert_at!(remove_at!([[1, 2, 3]], 1), 1, 9)", "[[nat]]_1", "[[1, 9, 3]]"),
+    // A position past the end is ⊥, as for an out-of-range subscript.
+    ("remove_at!([[1, 2, 3]], 3)", "[[nat]]_1", "_|_"),
+    ("remove_at!([[1, 2, 3]], 7)", "[[nat]]_1", "_|_"),
+    ("insert_at!([[1, 2, 3]], 7, 0)", "[[nat]]_1", "_|_"),
     ("reshape!([[1, 2, 3, 4]], 2, 2)", "[[nat]]_2", "[[2, 2; 1, 2, 3, 4]]"),
+    // A source shorter than the shape is ⊥.
+    ("reshape!([[1, 2]], 2, 3)", "[[nat]]_2", "_|_"),
     ("flatten![[2, 2; 1, 2, 3, 4]]", "[[nat]]_1", "[[1, 2, 3, 4]]"),
     // Coordinate lookup (§7 future work).
     ("nearest!([[10.0, 20.0, 30.0]], 22.0)", "nat", "1"),

@@ -6,18 +6,17 @@
 //! * `index` inverts `graph` up to singleton grouping (§2);
 //! * the §6 object translation `°` roundtrips at every object type;
 //! * the §5 optimizer is semantics-preserving on randomly composed
-//!   array pipelines (the error-free fragment, per the paper's
-//!   soundness convention);
-//! * every prelude macro that `core::derived` also builds evaluates to
-//!   the builder's value — the operators `tests/paper_claims.rs` counts
-//!   are the ones users call.
+//!   array pipelines of prelude macros (the error-free fragment, per
+//!   the paper's soundness convention).
+
+mod common;
 
 use std::cmp::Ordering;
-use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use aql::core::derived;
+use common::{arb_step, build_pipeline, builtin, hist_indexed, prelude};
+
 use aql::core::eval::eval_closed;
 use aql::core::expr::builder::*;
 use aql::core::expr::Expr;
@@ -25,8 +24,7 @@ use aql::core::rank::{decode_obj, encode_obj};
 use aql::core::types::Type;
 use aql::core::value::ord::canonical_cmp;
 use aql::core::value::parse::parse_value;
-use aql::core::value::{ArrayVal, Value};
-use aql::lang::session::Session;
+use aql::core::value::Value;
 use aql::opt::optimize;
 
 // ---------------------------------------------------------------------
@@ -124,7 +122,7 @@ proptest! {
     fn index_inverts_graph(ns in prop::collection::vec(0u64..50, 0..12)) {
         // index_1(graph(A)) is the array of singletons {A[i]} (§2).
         let arr_expr = array1_lit(ns.iter().map(|&x| nat(x)).collect());
-        let e = index(1, derived::graph1(arr_expr));
+        let e = index(1, prelude("graph", vec![arr_expr]));
         let v = eval_closed(&e).unwrap();
         let got = v.as_array().unwrap();
         prop_assert_eq!(got.dims(), &[ns.len() as u64][..]);
@@ -149,33 +147,6 @@ proptest! {
 // ---------------------------------------------------------------------
 // Optimizer soundness on random array pipelines.
 // ---------------------------------------------------------------------
-
-/// One step of an array-to-array pipeline (kept within the error-free
-/// fragment: slices stay in bounds).
-#[derive(Debug, Clone)]
-enum Step {
-    Reverse,
-    Evenpos,
-    /// Fractions of the current length, lo ≤ hi.
-    Subseq(f64, f64),
-    /// Append `k` constant elements.
-    Append(u8),
-    /// Tabulated map (+c).
-    MapAdd(u8),
-}
-
-fn arb_step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        Just(Step::Reverse),
-        Just(Step::Evenpos),
-        (0.0f64..1.0, 0.0f64..1.0).prop_map(|(a, b)| {
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            Step::Subseq(lo, hi)
-        }),
-        (1u8..4).prop_map(Step::Append),
-        (0u8..10).prop_map(Step::MapAdd),
-    ]
-}
 
 /// A random expression of type `{nat}` with the given recursion depth:
 /// leaves are `gen`/literals, inner nodes are unions, comprehensions
@@ -214,11 +185,7 @@ fn arb_set_expr(depth: u32) -> BoxedStrategy<Expr> {
         // rng of a tabulation over a count derived from the subtree
         sub_strategy.prop_map(|s| {
             let x = aql::core::expr::free::fresh("x");
-            derived::rng(tab1(
-                &x,
-                sum(&aql::core::expr::free::fresh("c"), s, nat(1)),
-                mul(var(&x), nat(3)),
-            ))
+            builtin("rng", tab1(&x, builtin("count", s), mul(var(&x), nat(3))))
         }),
     ]
     .boxed()
@@ -262,44 +229,6 @@ fn arb_bag_expr(depth: u32) -> BoxedStrategy<Expr> {
     .boxed()
 }
 
-/// Apply a pipeline symbolically, tracking the length so slices stay
-/// in bounds.
-fn build_pipeline(base: Vec<u64>, steps: &[Step]) -> Expr {
-    let mut e = array1_lit(base.iter().map(|&x| nat(x)).collect());
-    let mut len_now = base.len() as u64;
-    for s in steps {
-        match s {
-            Step::Reverse => e = derived::reverse(e),
-            Step::Evenpos => {
-                e = derived::evenpos(e);
-                len_now /= 2;
-            }
-            Step::Subseq(a, b) => {
-                if len_now == 0 {
-                    continue;
-                }
-                let lo = ((*a * (len_now - 1) as f64) as u64).min(len_now - 1);
-                let hi = ((*b * (len_now - 1) as f64) as u64).clamp(lo, len_now - 1);
-                e = derived::subseq(e, nat(lo), nat(hi));
-                len_now = hi - lo + 1;
-            }
-            Step::Append(k) => {
-                let extra: Vec<Expr> = (0..*k as u64).map(nat).collect();
-                e = derived::append(e, array1_lit(extra));
-                len_now += *k as u64;
-            }
-            Step::MapAdd(c) => {
-                let f = {
-                    let x = aql::core::expr::free::fresh("x");
-                    lam(&x, add(var(&x), nat(*c as u64)))
-                };
-                e = derived::map_arr(f, e);
-            }
-        }
-    }
-    e
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -323,10 +252,10 @@ proptest! {
         let data: Vec<Expr> = vals[..r * c].iter().map(|&x| nat(x)).collect();
         let m = array_lit(vec![nat(r as u64), nat(c as u64)], data);
         for q in [
-            derived::transpose(m.clone()),
-            derived::transpose(derived::transpose(m.clone())),
-            derived::proj_col(m.clone(), nat(0)),
-            derived::matmul(m.clone(), derived::transpose(m.clone())),
+            prelude("transpose", vec![m.clone()]),
+            prelude("transpose", vec![prelude("transpose", vec![m.clone()])]),
+            prelude("proj_col", vec![m.clone(), nat(0)]),
+            prelude("matmul", vec![m.clone(), prelude("transpose", vec![m.clone()])]),
         ] {
             let raw = eval_closed(&q).unwrap();
             let opt = eval_closed(&optimize(&q)).unwrap();
@@ -341,10 +270,10 @@ proptest! {
     ) {
         let arr = array1_lit(ns.iter().map(|&x| nat(x)).collect());
         let queries = vec![
-            derived::count(derived::rng(arr.clone())),
+            builtin("count", builtin("rng", arr.clone())),
             sum("x", gen(nat(bound)), mul(var("x"), var("x"))),
-            derived::hist_indexed(arr.clone()),
-            big_union("x", derived::rng(arr), iff(lt(var("x"), nat(20)), single(var("x")), empty())),
+            hist_indexed(arr.clone()),
+            big_union("x", builtin("rng", arr), iff(lt(var("x"), nat(20)), single(var("x")), empty())),
         ];
         for q in queries {
             let raw = eval_closed(&q).unwrap();
@@ -384,83 +313,13 @@ proptest! {
         // agree (both produce the same ⊥-or-array), optimized or not.
         let ea = array1_lit(a.iter().map(|&x| nat(x)).collect());
         let eb = array1_lit(b.iter().map(|&x| nat(x)).collect());
-        let q1 = derived::zip(
-            derived::subseq(ea.clone(), nat(lo), nat(hi)),
-            derived::subseq(eb.clone(), nat(lo), nat(hi)),
-        );
-        let q2 = derived::subseq(derived::zip(ea, eb), nat(lo), nat(hi));
+        let slice = |a| prelude("subseq", vec![a, nat(lo), nat(hi)]);
+        let q1 = prelude("zip", vec![slice(ea.clone()), slice(eb.clone())]);
+        let q2 = slice(prelude("zip", vec![ea, eb]));
         let v1 = eval_closed(&q1).unwrap();
         let v2 = eval_closed(&q2).unwrap();
         prop_assert_eq!(&v1, &v2);
         prop_assert_eq!(eval_closed(&optimize(&q1)).unwrap(), v1);
         prop_assert_eq!(eval_closed(&optimize(&q2)).unwrap(), v2);
-    }
-}
-
-// ---------------------------------------------------------------------
-// The prelude's macros and `core::derived`'s builders are one operator.
-// ---------------------------------------------------------------------
-
-fn nat_array(dims: Vec<u64>, ns: &[u64]) -> Value {
-    let data = ns.iter().map(|&n| Value::Nat(n)).collect();
-    Value::Array(Rc::new(ArrayVal::new(dims, data).expect("well-shaped")))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn prelude_macros_agree_with_their_builders(
-        a in prop::collection::vec(0u64..20, 1..12),
-        b in prop::collection::vec(0u64..20, 1..12),
-        c in prop::collection::vec(0u64..20, 1..12),
-        (r, k, q) in (1u64..4, 1u64..4, 1u64..4),
-        cells in prop::collection::vec(0u64..20, 9),
-        (i, j, cut) in (0u64..14, 0u64..14, 0u64..20),
-    ) {
-        // Both sides unoptimized: the macro's desugaring against the
-        // builder, nothing else between them.
-        let mut s = Session::new();
-        s.optimize = false;
-        let pairs = a.iter().zip(&b).map(|(&x, &y)| Value::tuple(vec![Value::Nat(x), Value::Nat(y)]));
-        for (name, v) in [
-            ("A", nat_array(vec![a.len() as u64], &a)),
-            ("B", nat_array(vec![b.len() as u64], &b)),
-            ("C", nat_array(vec![c.len() as u64], &c)),
-            ("M", nat_array(vec![r, k], &cells[..(r * k) as usize])),
-            ("N", nat_array(vec![k, q], &cells[..(k * q) as usize])),
-            ("P", Value::set(a.iter().map(|&x| Value::Nat(x)).collect())),
-            ("S", Value::set(pairs.collect())),
-        ] {
-            s.bind_val(name, v).expect("bind");
-        }
-        let g = global;
-        let cases = [
-            ("zip!(A, B)".to_string(), derived::zip(g("A"), g("B"))),
-            ("zip_3!(A, B, C)".into(), derived::zip3(g("A"), g("B"), g("C"))),
-            (format!("subseq!(A, {i}, {j})"), derived::subseq(g("A"), nat(i), nat(j))),
-            ("evenpos!A".into(), derived::evenpos(g("A"))),
-            ("reverse!A".into(), derived::reverse(g("A"))),
-            ("transpose!M".into(), derived::transpose(g("M"))),
-            ("proj_col!(M, 0)".into(), derived::proj_col(g("M"), nat(0))),
-            ("matmul!(M, N)".into(), derived::matmul(g("M"), g("N"))),
-            // ⊥ unless M is square.
-            ("matmul!(M, M)".into(), derived::matmul(g("M"), g("M"))),
-            ("append!(A, B)".into(), derived::append(g("A"), g("B"))),
-            // ⊥ when A is shorter than r·k.
-            (format!("reshape!(A, {r}, {k})"), derived::reshape2(g("A"), nat(r), nat(k))),
-            ("flatten!M".into(), derived::flatten2(g("M"))),
-            (
-                format!("filter!(fn \\x => x < {cut}, P)"),
-                derived::filter_set(lam("x", lt(var("x"), nat(cut))), g("P")),
-            ),
-            ("nest!S".into(), derived::nest(g("S"))),
-            ("graph!A".into(), derived::graph1(g("A"))),
-        ];
-        for (text, built) in cases {
-            let (_, via_macro) = s.eval_query(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
-            let via_builder = s.eval_expr_raw(&built).unwrap_or_else(|e| panic!("{built}: {e}"));
-            prop_assert_eq!(via_macro, via_builder, "{}", text);
-        }
     }
 }

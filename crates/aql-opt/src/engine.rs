@@ -53,6 +53,13 @@ pub trait Rule {
     fn heads(&self) -> &'static [Head] {
         Head::ALL
     }
+    /// Whether `apply` may leave redexes below its contractum's root
+    /// because it substituted a term for a variable. A speed hint only: a
+    /// rule that substitutes but keeps the default reaches the same
+    /// fixpoint, a pass later.
+    fn substitutes(&self) -> bool {
+        false
+    }
     /// Rewrite the root of `e`: `Ok` is the contractum, `Err` hands the
     /// redex back untouched.
     fn apply(&self, e: Expr) -> Result<Expr, Expr>;
@@ -306,22 +313,17 @@ impl Phase {
         Ok(())
     }
 
-    /// One bottom-up pass, in place: rewrite the children first
-    /// (tracking the binders in scope when the gate verifies rewrites of
-    /// open subterms), then offer this node to the rules that list its
-    /// head, in registration order and from the first again after every
-    /// firing, until none fires (bounded). A rule that declines hands the
-    /// node back, so only a firing allocates — and one copy of the node
-    /// per visit when the gate or a trace needs the redex.
+    /// One bottom-up pass, in place: rewrite the children first, then
+    /// offer this node to the rules that list its head, in registration
+    /// order and from the first again after every firing, until none
+    /// fires (bounded). A rule that [substitutes](Rule::substitutes)
+    /// has its contractum's children rewritten before the root is
+    /// re-offered: a redex it made is reduced where it landed, before an
+    /// enclosing `let` copies it. A rule that declines hands the node
+    /// back, so only a firing allocates — and one copy of the node per
+    /// visit when the gate or a trace needs the redex.
     fn pass(&self, e: &mut Expr, st: &mut Pass<'_, '_>) -> Result<(), OptError> {
-        let per_fire = st.gate.per_fire;
-        try_for_each_child_mut(e, &mut |binders, child| {
-            let scoped = if per_fire { binders.len() } else { 0 };
-            st.scope.extend_from_slice(&binders[..scoped]);
-            let done = self.pass(child, st);
-            st.scope.truncate(st.scope.len() - scoped);
-            done
-        })?;
+        self.pass_children(e, st)?;
         st.visits += 1;
         'offers: for _ in 0..MAX_FIRES_PER_VISIT {
             let offered = &self.by_head[e.head() as usize];
@@ -371,12 +373,27 @@ impl Phase {
                 st.fired += 1;
                 st.last_fired = Some(rule);
                 *e = next;
+                if self.rules[index].substitutes() {
+                    self.pass_children(e, st)?;
+                }
                 continue 'offers;
             }
             return Ok(());
         }
         self.bound_hit(st);
         Ok(())
+    }
+
+    /// [`Phase::pass`] over each child, tracking binders for the gate.
+    fn pass_children(&self, e: &mut Expr, st: &mut Pass<'_, '_>) -> Result<(), OptError> {
+        let per_fire = st.gate.per_fire;
+        try_for_each_child_mut(e, &mut |binders, child| {
+            let scoped = if per_fire { binders.len() } else { 0 };
+            st.scope.extend_from_slice(&binders[..scoped]);
+            let done = self.pass(child, st);
+            st.scope.truncate(st.scope.len() - scoped);
+            done
+        })
     }
 
     /// Apply one rule with a panic guard: rules are extension code, so
@@ -477,6 +494,7 @@ impl Optimizer {
 mod tests {
     use super::*;
     use aql_core::expr::builder::*;
+    use aql_core::expr::ArithOp;
 
     /// A toy rule: fold `0 + e` to `e`.
     struct ZeroAdd;
@@ -595,6 +613,99 @@ mod tests {
         assert_eq!(trace.bound_hit, None);
         assert!(!trace.render_fire_table().contains("bound hit"));
         assert!(t.spans.iter().flat_map(|s| &s.counters).all(|(n, _)| !n.starts_with("opt.bound")));
+    }
+
+    /// One half of a hostile pair that declares it substitutes: turns
+    /// the `from` operator into the `to` one, and its twin turns it back.
+    struct Flip {
+        name: &'static str,
+        from: ArithOp,
+        to: ArithOp,
+    }
+    impl Rule for Flip {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+        fn substitutes(&self) -> bool {
+            true
+        }
+        fn apply(&self, e: Expr) -> Result<Expr, Expr> {
+            match e {
+                Expr::Arith(op, a, b) if op == self.from => Ok(Expr::Arith(self.to, a, b)),
+                e => Err(e),
+            }
+        }
+    }
+
+    #[test]
+    fn the_rewalk_after_a_substituting_rule_cannot_recurse_without_bound() {
+        // Each firing re-walks the contractum's children, where the twin
+        // fires again: recursion as deep as the term, work bounded by
+        // `MAX_FIRES_PER_VISIT` at every visit. A small stack shows the
+        // depth stays the term's.
+        let run = || {
+            let mut p = Phase::new("hostile");
+            p.add_rule(Rc::new(Flip { name: "ping", from: ArithOp::Add, to: ArithOp::Mul }));
+            p.add_rule(Rc::new(Flip { name: "pong", from: ArithOp::Mul, to: ArithOp::Add }));
+            let opt = Optimizer::with_phases(vec![p]);
+            let e = add(nat(1), add(nat(2), nat(3)));
+            aql_trace::enable();
+            let (got, trace) = opt.optimize_traced(&e);
+            let t = aql_trace::disable();
+            let counts = [t.total_counter("opt.bound_hit:hostile/pong"), t.total_counter("opt.passes")];
+            // An even number of firings at each node leaves each as it was.
+            (got == e, trace.len(), trace.bound_hit, counts)
+        };
+        let thread = std::thread::Builder::new().stack_size(256 * 1024).spawn(run);
+        let (unchanged, fired, bound_hit, [hits, passes]) = thread.expect("spawned").join().expect("no overflow");
+        assert!(unchanged);
+        assert_eq!(bound_hit, Some(("hostile".to_string(), "pong")));
+        // Per pass: 32 firings at the inner node; 32 at the root, each
+        // followed by a re-walk with 32 more at the inner node — and a
+        // bound hit at the end of every one of those 34 visits.
+        assert_eq!(fired, 64 * (32 + 32 * (1 + 32)));
+        assert_eq!((hits, passes), (64 * 34 + 1, 64));
+    }
+
+    /// Unfolds the variable `t` to `π₁(1, 2) + u`: a contractum with a
+    /// redex below its root. Declared or not, per `substitutes`.
+    struct Unfold {
+        substitutes: bool,
+    }
+    impl Rule for Unfold {
+        fn name(&self) -> &'static str {
+            "unfold"
+        }
+        fn substitutes(&self) -> bool {
+            self.substitutes
+        }
+        fn apply(&self, e: Expr) -> Result<Expr, Expr> {
+            match e {
+                Expr::Var(x) if x.as_ref() == "t" => {
+                    Ok(add(proj(1, 2, tuple(vec![nat(1), nat(2)])), var("u")))
+                }
+                e => Err(e),
+            }
+        }
+    }
+
+    #[test]
+    fn a_redex_a_declared_rule_leaves_below_its_contractum_is_reduced_in_the_same_pass() {
+        let passes = |substitutes| {
+            let mut p = Phase::new("normalize");
+            p.add_rule(Rc::new(Unfold { substitutes }));
+            p.add_rule(Rc::new(crate::rules::beta::PiTuple));
+            aql_trace::enable();
+            let got = p.run(&mul(var("t"), var("y")), &Gate::off(), None).expect("no rule panics");
+            let t = aql_trace::disable();
+            assert_eq!(got, mul(add(nat(1), var("u")), var("y")));
+            (t.total_counter("opt.passes"), t.total_counter("fire:normalize/pi"))
+        };
+        // Declared: `unfold` and `pi` fire in the first pass; the second
+        // proves the fixpoint.
+        assert_eq!(passes(true), (2, 1));
+        // The undeclared twin reaches the same term, one pass later.
+        assert_eq!(passes(false), (3, 1));
     }
 
     /// `ZeroAdd` again, declaring the one head its pattern opens with.

@@ -39,6 +39,7 @@ impl Rule for SumSingletonSrc {
     fn heads(&self) -> &'static [Head] {
         &[Head::Sum]
     }
+    fn substitutes(&self) -> bool { true }
     fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
         let Expr::Sum { head, var, src } = &mut e else { return Err(e) };
         let Expr::Single(x) = &mut **src else { return Err(e) };

@@ -60,6 +60,7 @@ impl Rule for BetaPartial {
     fn heads(&self) -> &'static [Head] {
         &[Head::Sub]
     }
+    fn substitutes(&self) -> bool { true }
     fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         let Expr::Sub(arr, indices) = e else { return Err(e) };
         let Expr::Tab { idx, .. } = &*arr else { return Err(Expr::Sub(arr, indices)) };

@@ -20,6 +20,7 @@ impl Rule for BetaFun {
     fn heads(&self) -> &'static [Head] {
         &[Head::App]
     }
+    fn substitutes(&self) -> bool { true }
     fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
         let Expr::App(f, a) = &mut e else { return Err(e) };
         let Expr::Lam(x, body) = &mut **f else { return Err(e) };
@@ -40,6 +41,7 @@ impl Rule for LetInline {
     fn heads(&self) -> &'static [Head] {
         &[Head::Let]
     }
+    fn substitutes(&self) -> bool { true }
     fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
         let Expr::Let(x, bound, body) = &mut e else { return Err(e) };
         let mut out = body.take();

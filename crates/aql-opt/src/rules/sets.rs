@@ -60,6 +60,7 @@ impl Rule for BigUnionSingletonSrc {
     fn heads(&self) -> &'static [Head] {
         &[Head::BigUnion]
     }
+    fn substitutes(&self) -> bool { true }
     fn apply(&self, mut e: Expr) -> Result<Expr, Expr> {
         let Expr::BigUnion { head, var, src } = &mut e else { return Err(e) };
         let Expr::Single(x) = &mut **src else { return Err(e) };
@@ -305,6 +306,7 @@ impl Rule for BigBagUnionLaws {
     fn heads(&self) -> &'static [Head] {
         &[Head::BigBagUnion]
     }
+    fn substitutes(&self) -> bool { true }
     fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         let fires = |src: &Expr| {
             matches!(src, Expr::BagEmpty | Expr::BagSingle(_) | Expr::BagUnion(..) | Expr::BigBagUnion { .. })

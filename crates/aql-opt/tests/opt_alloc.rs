@@ -144,11 +144,14 @@ fn heat_query() -> Expr {
 }
 
 #[test]
-fn the_heat_query_optimizes_in_under_1800_allocations() {
+fn the_heat_query_optimizes_in_at_most_400_allocations() {
     let e = heat_query();
     let (allocs, _) = allocs_beyond_the_copy(&aql_opt::standard(), &e);
     let (copy, _) = allocs_during(|| e.clone());
     // Cloning rules over a rebuilding substitution made 3,579, copy
-    // included: the bound is half of that.
-    assert!(allocs + copy <= 1_800, "{allocs} allocations beyond a copy of {copy}");
+    // included; rules that take the redex by value, 1,325, in whole
+    // passes: a `let` copied redexes its body's substitution had made
+    // into every use before they were reduced. Reduced where they land,
+    // they cost 281.
+    assert!(allocs + copy <= 400, "{allocs} allocations beyond a copy of {copy}");
 }

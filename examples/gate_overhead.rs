@@ -24,7 +24,12 @@
 //! only in debug builds, where the whole test corpus doubles as a
 //! soundness corpus. With `reverse` the prelude macro's own term (a β
 //! redex a round), the pipeline reads 6.8–7.6 ms → 54–56 ms, 7.2–7.9x
-//! (three runs, release, 2-vCPU Xeon container).
+//! (three runs, release, 2-vCPU Xeon container). Once a rule that
+//! substitutes has its contractum reduced before the root is re-offered,
+//! the nested β redexes no longer balloon between passes:
+//! 0.28–0.32 ms → 2.5–2.8 ms, 8.3–9.1x, against 5.5–6.8 ms → 43–51 ms,
+//! 7.5–8.3x for the whole-pass engine the same hour (three alternating
+//! runs a side, same container).
 
 use std::time::Instant;
 

@@ -8,9 +8,11 @@
 //! Per template (the benchmark's eight, `tests/common`): nodes in and
 //! out, passes, node visits, `Rule::apply` calls and firings as the
 //! engine counts them (`opt.passes` / `opt.visits` / `opt.applies`,
-//! exact), the heap allocations of one untraced `optimize` (a counting
-//! global allocator; the run's one copy of its input included) and the
-//! median µs of an untraced `optimize`. Per rule, summed
+//! exact), the size in nodes of the largest contractum any rule built
+//! (where a substitution that balloons shows first), the heap
+//! allocations of one untraced `optimize` (a counting global allocator;
+//! the run's one copy of its input included) and the median µs of an
+//! untraced `optimize`. Per rule, summed
 //! over the templates: applies, firings and the time spent inside
 //! `apply`, from a timing wrapper around every library rule. Build with
 //! `--release`: a debug build also offers each node to the rules the
@@ -83,6 +85,8 @@ struct Timed {
     applies: Cell<u64>,
     fires: Cell<u64>,
     ns: Cell<u64>,
+    /// Nodes in the largest contractum since the last reset.
+    largest: Cell<usize>,
 }
 
 impl Rule for Timed {
@@ -92,12 +96,18 @@ impl Rule for Timed {
     fn heads(&self) -> &'static [Head] {
         self.rule.heads()
     }
+    fn substitutes(&self) -> bool {
+        self.rule.substitutes()
+    }
     fn apply(&self, e: Expr) -> Result<Expr, Expr> {
         let t0 = Instant::now();
         let out = self.rule.apply(e);
         self.ns.set(self.ns.get() + t0.elapsed().as_nanos() as u64);
         self.applies.set(self.applies.get() + 1);
         self.fires.set(self.fires.get() + u64::from(out.is_ok()));
+        if let Ok(next) = &out {
+            self.largest.set(self.largest.get().max(next.size()));
+        }
         out
     }
 }
@@ -111,7 +121,8 @@ fn timed_standard() -> (Optimizer, Vec<Rc<Timed>>) {
         for rule in phase.rules() {
             let zero = || Cell::new(0);
             let (phase, rule) = (phase.name.clone(), rule.clone());
-            let t = Rc::new(Timed { phase, rule, applies: zero(), fires: zero(), ns: zero() });
+            let (applies, fires, ns, largest) = (zero(), zero(), zero(), Cell::new(0));
+            let t = Rc::new(Timed { phase, rule, applies, fires, ns, largest });
             wrapped.add_rule(t.clone());
             timed.push(t);
         }
@@ -143,8 +154,8 @@ fn main() {
     let standard = aql::opt::standard();
     let (wrapped, timed) = timed_standard();
     let mut session = common::compile_mix_session();
-    println!("| template | nodes in | nodes out | passes | visits | applies | firings | allocs/optimize | µs/optimize |");
-    println!("|---|---|---|---|---|---|---|---|---|");
+    println!("| template | nodes in | nodes out | passes | visits | applies | firings | largest contractum | allocs/optimize | µs/optimize |");
+    println!("|---|---|---|---|---|---|---|---|---|---|");
     let mut sum_us = 0.0;
     for template in common::compile_mix_templates() {
         // A template is one statement with one term to optimize.
@@ -154,13 +165,14 @@ fn main() {
             let spans = aql::trace::disable();
             let count = |name| spans.total_counter(name);
             wrapped.optimize(&e);
+            let largest = timed.iter().map(|t| t.largest.replace(0)).max().unwrap_or(0);
             let allocs = allocs_during(|| drop(standard.optimize(&e)));
             let us = median_us(&standard, &e);
             sum_us += us;
             let label = template.split_whitespace().collect::<Vec<_>>().join(" ");
             let label = label.chars().take(40).collect::<String>();
             println!(
-                "| `{label}` | {} | {} | {} | {} | {} | {} | {allocs} | {us:.1} |",
+                "| `{label}` | {} | {} | {} | {} | {} | {} | {largest} | {allocs} | {us:.1} |",
                 e.size(),
                 out.size(),
                 count("opt.passes"),

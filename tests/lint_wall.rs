@@ -127,8 +127,11 @@ const CLASSIFIED_STRUCTURALLY: &[&str] = &[
 ];
 
 /// Non-test lines of `crates/aql-opt/src/engine.rs` at issue 18, by
-/// [`non_test_lines`]'s count.
-const ENGINE_LINES: usize = 475;
+/// [`non_test_lines`]'s count (475); raised by 17 when a rule that
+/// substitutes had its contractum's children rewritten before its root
+/// was re-offered (492: `Rule::substitutes` and its doc, the child walk
+/// factored into `pass_children` so the firing can call it again).
+const ENGINE_LINES: usize = 492;
 
 /// The budget for `crates/analysis/src/{lint,diag}.rs`, by
 /// [`non_test_lines`]'s count (334 at issue 22 as `crates/verify/src`,
@@ -172,8 +175,11 @@ const KERNEL_LINES: usize = 1680;
 /// lowered by 590 when `aql_core::derived` went (26,790: a Rust builder
 /// for every prelude macro, the builders only its own tests called, and
 /// the comparison forms, now in `tests/common`; `rank.rs` keeps the
-/// three pieces it used, privately).
-const CRATES_LINES: usize = 26_790;
+/// three pieces it used, privately); raised by 23 when a substitution
+/// was reduced where it landed (26,813: see [`ENGINE_LINES`], and one
+/// `substitutes()` line in each of the six library rules that
+/// substitute).
+const CRATES_LINES: usize = 26_813;
 
 /// Collect every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -2,17 +2,23 @@
 //! `tests/common` and on generated terms.
 //!
 //! The engine offers a node only to the rules whose `heads()` list its
-//! root constructor; the loop before it offered every node to every
-//! rule. [`reference_run`] *is* that loop (rewriting in place, as rules
-//! now take the node by value), kept here as the oracle: same normal
-//! form and the same `(phase, rule)` firing sequence, or the dispatch
-//! table is wrong. Two more angles on the
-//! same table: a library rule fires only at a head it declares, and (in
-//! debug builds, inside the engine) every rule the table skips is
-//! offered the node anyway and must decline. Exact counts then hold
-//! what a timer cannot: the §1 query costs under a thousand
-//! `Rule::apply` calls (the parent's loop made 43,479), and no term of
-//! the corpus is stopped by a bound instead of a fixpoint.
+//! root constructor, and after a rule that `substitutes()` fires it
+//! rewrites the contractum's children before re-offering the root; the
+//! loop before it offered every node to every rule, in whole bottom-up
+//! passes. [`reference_run`] is that loop (rewriting in place, as rules
+//! now take the node by value), kept here as two oracles. Without the
+//! re-walk it is the normal-form oracle: the engine must reach the same
+//! term, up to α, or reducing where a substitution lands changed what
+//! the rules compute. With the re-walk it is the sequence reference:
+//! the same `(phase, rule)` firing sequence, or the dispatch table is
+//! wrong. Two more angles on the same table: a library rule fires only
+//! at a head it declares, and (in debug builds, inside the engine) every
+//! rule the table skips is offered the node anyway and must decline.
+//! Exact counts then hold what a timer cannot: the §1 query fires 43
+//! rules in at most 600 `Rule::apply` calls (whole passes fired 254 in
+//! 931; the parent's loop made 43,479 calls), its largest contractum
+//! stays under 128 nodes (1,227 under whole passes), and no term of the
+//! corpus is stopped by a bound instead of a fixpoint.
 //!
 //! The same corpus and generators hold the per-fire soundness gate to
 //! its other half: what it must *not* reject. `Gate::local()` runs
@@ -25,9 +31,12 @@ use proptest::prelude::*;
 
 use aql::core::expr::children::for_each_child_mut;
 use aql::core::expr::free::alpha_eq;
-use aql::core::expr::Expr;
+use std::cell::Cell;
+use std::rc::Rc;
+
+use aql::core::expr::{Expr, Head};
 use aql::opt::rules::{checks_phase, motion_phase, normalize_phase};
-use aql::opt::{standard, Gate, Phase, Trace};
+use aql::opt::{standard, Gate, Optimizer, Phase, Rule, Trace};
 
 mod common;
 use common::{arb_set_query, arb_step, build_pipeline};
@@ -44,15 +53,21 @@ fn data_dir(tag: &str) -> std::path::PathBuf {
 
 /// The offer-every-rule `Phase::pass`: rewrite the children, then
 /// offer the node to *every* rule in registration order, from the first
-/// again after each firing.
-fn reference_pass(phase: &Phase, e: &mut Expr, fired: &mut Vec<Firing>) {
-    for_each_child_mut(e, &mut |_, c| reference_pass(phase, c, fired));
+/// again after each firing. With `rewalk`, a firing of a rule that
+/// `substitutes()` rewrites the contractum's children again before the
+/// node is re-offered, as the engine does; without it, this is the loop
+/// of whole passes the engine replaced.
+fn reference_pass(phase: &Phase, e: &mut Expr, rewalk: bool, fired: &mut Vec<Firing>) {
+    for_each_child_mut(e, &mut |_, c| reference_pass(phase, c, rewalk, fired));
     'offers: for _ in 0..32 {
         for rule in phase.rules() {
             match rule.apply(e.take()) {
                 Ok(next) => {
                     fired.push((phase.name.clone(), rule.name()));
                     *e = next;
+                    if rewalk && rule.substitutes() {
+                        for_each_child_mut(e, &mut |_, c| reference_pass(phase, c, rewalk, fired));
+                    }
                     continue 'offers;
                 }
                 Err(back) => *e = back,
@@ -62,13 +77,16 @@ fn reference_pass(phase: &Phase, e: &mut Expr, fired: &mut Vec<Firing>) {
     }
 }
 
-/// The parent's `Optimizer::run`: each phase's passes to a fixpoint.
-fn reference_run(e: &Expr) -> (Expr, Vec<Firing>) {
+/// Each phase's [`reference_pass`]es to a fixpoint. With `rewalk` it is
+/// the sequence reference: the engine must fire what it fires, in its
+/// order. Without, it is the parent's `Optimizer::run` and the
+/// normal-form oracle: the engine must reach its normal form.
+fn reference_run(e: &Expr, rewalk: bool) -> (Expr, Vec<Firing>) {
     let (mut cur, mut fired) = (e.clone(), Vec::new());
     for phase in &standard_phases() {
         for _ in 0..64 {
             let before = fired.len();
-            reference_pass(phase, &mut cur, &mut fired);
+            reference_pass(phase, &mut cur, rewalk, &mut fired);
             if fired.len() == before {
                 break;
             }
@@ -85,10 +103,12 @@ fn firings(trace: &Trace) -> Vec<Firing> {
     trace.steps.iter().map(|s| (s.phase.clone(), s.rule)).collect()
 }
 
-/// Same firing sequence, same normal form (up to the numbering of the
-/// fresh names each run drew from the shared counter).
+/// Same firing sequence as the sequence reference, and the normal form
+/// of whole passes (up to the numbering of the fresh names each run drew
+/// from the shared counter).
 fn assert_engine_matches_reference(label: &str, e: &Expr) {
-    let (expected, expected_firings) = reference_run(e);
+    let (_, expected_firings) = reference_run(e, true);
+    let (expected, _) = reference_run(e, false);
     let (got, trace) = engine_run(e);
     assert_eq!(firings(&trace), expected_firings, "{label}: firing sequence\n{e}");
     assert!(alpha_eq(&got, &expected), "{label}: normal form\n got    {got}\n expect {expected}");
@@ -165,21 +185,73 @@ fn the_standard_pipeline_reaches_a_fixpoint_before_either_bound() {
     }
 }
 
+/// A library rule behind a recorder of the largest contractum it builds.
+struct Measured {
+    rule: Rc<dyn Rule>,
+    largest: Rc<Cell<usize>>,
+}
+
+impl Rule for Measured {
+    fn name(&self) -> &'static str {
+        self.rule.name()
+    }
+    fn heads(&self) -> &'static [Head] {
+        self.rule.heads()
+    }
+    fn substitutes(&self) -> bool {
+        self.rule.substitutes()
+    }
+    fn apply(&self, e: Expr) -> Result<Expr, Expr> {
+        let out = self.rule.apply(e);
+        if let Ok(next) = &out {
+            self.largest.set(self.largest.get().max(next.size()));
+        }
+        out
+    }
+}
+
+/// The size in nodes of the largest contractum the standard pipeline
+/// builds on `e`.
+fn largest_contractum(e: &Expr) -> usize {
+    let largest = Rc::new(Cell::new(0));
+    let phases = standard_phases().map(|phase| {
+        let mut measured = Phase::new(&phase.name);
+        for rule in phase.rules() {
+            measured.add_rule(Rc::new(Measured { rule: rule.clone(), largest: largest.clone() }));
+        }
+        measured
+    });
+    Optimizer::with_phases(phases.into()).optimize(e);
+    largest.get()
+}
+
 #[test]
-fn the_heat_query_costs_under_a_thousand_applies() {
+fn the_heat_query_is_reduced_where_its_substitutions_land() {
     let heat = common::core_terms(&mut common::compile_mix_session(), common::HEAT_QUERY);
     let [heat] = heat.as_slice() else { panic!("one query, one term") };
-    let (_, expected_firings) = reference_run(heat);
+    let (_, expected_firings) = reference_run(heat, true);
     aql::trace::enable();
     let (_, trace) = engine_run(heat);
     let spans = aql::trace::disable();
-    assert!(trace.len() > 200, "the query is the optimizer's largest: {}", trace.len());
     assert_eq!(firings(&trace), expected_firings, "every firing of the offer-every-rule loop");
-    // The parent's loop called `apply` 43,479 times for these firings.
+    // Whole passes fired 254 rules here, 172 / 29 / 28 of them these
+    // three: `subseq!`'s inlined `let p` left `pi_1_3!(TRW, …)` redexes
+    // below its contractum, the enclosing `let TRW` copied the
+    // tabulation into all four and `let WS'` copied
+    // `evenpos!(proj_col!(WS, 0))` into twelve places, unreduced, before
+    // the next pass shrank the copies again.
+    assert_eq!(trace.len(), 43);
+    let count = |rule| trace.count_in("normalize", rule);
+    assert_eq!([count("pi"), count("beta-p"), count("delta-p")], [13, 3, 2]);
+    // Whole passes made 931 applies; the parent's loop before head
+    // dispatch, 43,479.
     let applies = spans.total_counter("opt.applies");
     assert!(applies as usize >= trace.len(), "a firing is an apply: {applies}");
-    assert!(applies <= 1_000, "head dispatch: {applies} applies for {} firings", trace.len());
+    assert!(applies <= 600, "{applies} applies for {} firings", trace.len());
     assert!(spans.total_counter("opt.visits") > 0, "visits are counted beside them");
+    // 1,227 nodes under whole passes; 102 when reduced where it lands.
+    let largest = largest_contractum(heat);
+    assert!(largest <= 128, "a contractum of {largest} nodes: the balloon is back");
 }
 
 proptest! {

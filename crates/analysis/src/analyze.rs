@@ -1,6 +1,6 @@
 //! The analyzer: one structural walk over a named NRCA term that runs
-//! all three abstract domains — symbolic shapes, index intervals, and
-//! effect classification — in a single pass.
+//! both abstract domains — symbolic shapes and index intervals — in a
+//! single pass.
 //!
 //! NRCA has no recursion, so no fixpoint iteration is needed: every
 //! node is visited exactly once and the walk is linear in term size
@@ -30,7 +30,6 @@ use aql_core::eval::bounds::{arith_iv, Iv};
 use aql_core::expr::{ArithOp, Expr, Name, Prim};
 
 use crate::absval::{AbsVal, NatAbs};
-use crate::effect::Effect;
 use crate::sym::SymExt;
 
 /// Per-subscript-site verdict of the bounds domains.
@@ -62,55 +61,6 @@ pub struct AccessRegion {
     pub axes: Vec<Iv>,
 }
 
-/// Kind of loop nest a kernel classification describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelKind {
-    /// A tabulation (`[[ … | i < b ]]`): candidate map kernel.
-    Map,
-    /// A summation (`Σ{ … | x ∈ S }`), or `min!`/`max!` of a
-    /// comprehension whose innermost head is a singleton: candidate
-    /// reduction kernel.
-    Reduce,
-}
-
-impl KernelKind {
-    /// Stable report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::Map => "map",
-            KernelKind::Reduce => "reduction",
-        }
-    }
-}
-
-/// One loop nest classified for fusibility.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Kernel {
-    /// Map or reduction.
-    pub kind: KernelKind,
-    /// Joined effect of the loop head.
-    pub head_effect: Effect,
-    /// Can this nest compile to a bulk kernel (head is
-    /// pure-elementwise)?
-    pub fusible: bool,
-    /// Address of the nest's node in the analyzed tree.
-    node: usize,
-}
-
-impl Kernel {
-    /// Truncated rendering of the nest, for reports. `root` is the
-    /// tree that was analyzed; only a report ever pays for this.
-    pub fn desc(&self, root: &Expr) -> String {
-        let mut desc = String::new();
-        root.walk(&mut |e| {
-            if ptr(e) == self.node && desc.is_empty() {
-                desc = describe(e);
-            }
-        });
-        desc
-    }
-}
-
 /// Tally of subscript-site verdicts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubCounts {
@@ -129,8 +79,6 @@ pub struct SubCounts {
 pub struct Analysis {
     /// Abstraction of the whole term's result.
     pub result: AbsVal,
-    /// Joined effect of the whole term.
-    pub effect: Effect,
     /// Per-`Sub`-node facts, keyed by node address.
     subs: HashMap<usize, SubSite>,
     /// Interval of each tabulation bound and array-literal dimension,
@@ -144,21 +92,17 @@ pub struct Analysis {
     loops: HashMap<usize, Iv>,
     /// Source-array regions touched by subscripts.
     pub regions: Vec<AccessRegion>,
-    /// Loop nests classified for fusibility, in traversal order.
-    pub kernels: Vec<Kernel>,
 }
 
 impl Default for Analysis {
     fn default() -> Analysis {
         Analysis {
             result: AbsVal::Top,
-            effect: Effect::PureElementwise,
             subs: HashMap::new(),
             bounds: HashMap::new(),
             empties: HashMap::new(),
             loops: HashMap::new(),
             regions: Vec::new(),
-            kernels: Vec::new(),
         }
     }
 }
@@ -234,12 +178,9 @@ pub fn analyze(e: &Expr, globals: &BTreeMap<Name, AbsVal>) -> Analysis {
         env: Vec::new(),
         binders: 0,
         bound_syms: 0,
-        last_single: (0, Effect::PureElementwise),
         out: Analysis::default(),
     };
-    let (result, effect) = a.go(e);
-    a.out.result = result;
-    a.out.effect = effect;
+    a.out.result = a.go(e);
     a.out
 }
 
@@ -252,9 +193,6 @@ struct Analyzer<'a> {
     binders: u32,
     /// [`SymExt::Dim`] symbols minted for lexically bound arrays so far.
     bound_syms: usize,
-    /// The singleton (`{e}`) visited last, with the effect of its `e`:
-    /// for a `min!`/`max!` nest, the innermost head.
-    last_single: (usize, Effect),
     out: Analysis,
 }
 
@@ -335,18 +273,17 @@ fn arith_nat(op: ArithOp, a: &NatAbs, b: &NatAbs) -> NatAbs {
 }
 
 impl Analyzer<'_> {
-    fn scoped(&mut self, binds: Vec<(Name, AbsVal)>, e: &Expr) -> (AbsVal, Effect) {
+    fn scoped(&mut self, binds: Vec<(Name, AbsVal)>, e: &Expr) -> AbsVal {
         let (depth, first, syms) = (self.env.len(), self.binders + 1, self.bound_syms);
         for (x, v) in binds {
             self.binders += 1;
             self.env.push((x, self.binders, v));
         }
-        let (v, eff) = self.go(e);
+        let v = self.go(e);
         self.env.truncate(depth);
         // Only a scope that minted a symbol for a bound array can leak
         // one; everything else skips the walk.
-        let v = if self.bound_syms == syms { v } else { v.forget_binders_from(first) };
-        (v, eff)
+        if self.bound_syms == syms { v } else { v.forget_binders_from(first) }
     }
 
     fn lookup(&self, n: &Name) -> Option<&(Name, u32, AbsVal)> {
@@ -424,8 +361,8 @@ impl Analyzer<'_> {
         rank: Option<&Name>,
         src: &Expr,
         bag: bool,
-    ) -> (AbsVal, Effect) {
-        let (sv, se) = self.go(src);
+    ) -> AbsVal {
+        let sv = self.go(src);
         let card = sv.card().unwrap_or(Iv::TOP);
         if card.hi == Some(0) {
             let what = if bag { "bag comprehension" } else { "set comprehension" };
@@ -445,7 +382,7 @@ impl Analyzer<'_> {
                 }),
             ));
         }
-        let (hv, he) = self.scoped(binds, head);
+        let hv = self.scoped(binds, head);
         let hcard = hv.card().unwrap_or(Iv::TOP);
         let out_card = Iv {
             lo: 0,
@@ -455,108 +392,69 @@ impl Analyzer<'_> {
             },
         };
         let elem = Rc::new(Self::elem_of(&hv));
-        let out = if bag {
+        if bag {
             AbsVal::Bag { elem, card: out_card }
         } else {
             AbsVal::Set { elem, card: out_card }
-        };
-        (out, se.join(he).join(Effect::Materializing))
+        }
     }
 
-    fn go(&mut self, e: &Expr) -> (AbsVal, Effect) {
-        use Effect::{External, Materializing, PureElementwise, Reduction};
+    fn go(&mut self, e: &Expr) -> AbsVal {
         match e {
             // A free variable falls through to the `val` registry, as
             // in `compile`.
             Expr::Var(x) => {
                 let v = self.lookup(x).map(|(.., v)| v).or_else(|| self.globals.get(x));
-                (v.cloned().unwrap_or(AbsVal::Top), PureElementwise)
+                v.cloned().unwrap_or(AbsVal::Top)
             }
-            Expr::Global(x) => {
-                (self.globals.get(x).cloned().unwrap_or(AbsVal::Top), PureElementwise)
-            }
-            Expr::Ext(_) => (AbsVal::Fun, External),
-            Expr::Bool(_) => (AbsVal::Bool, PureElementwise),
-            Expr::Nat(n) => (AbsVal::Nat(NatAbs::exact(*n)), PureElementwise),
-            Expr::Real(_) => (AbsVal::Real, PureElementwise),
-            Expr::Str(_) => (AbsVal::Str, PureElementwise),
-            Expr::Bottom => (AbsVal::Bot, PureElementwise),
+            Expr::Global(x) => self.globals.get(x).cloned().unwrap_or(AbsVal::Top),
+            Expr::Ext(_) => AbsVal::Fun,
+            Expr::Bool(_) => AbsVal::Bool,
+            Expr::Nat(n) => AbsVal::Nat(NatAbs::exact(*n)),
+            Expr::Real(_) => AbsVal::Real,
+            Expr::Str(_) => AbsVal::Str,
+            Expr::Bottom => AbsVal::Bot,
             Expr::Lam(x, body) => {
                 // Unknown argument; the body is still scanned so its
                 // subscripts and loops get (conservative) facts.
-                let (_, be) = self.scoped(vec![(x.clone(), AbsVal::Top)], body);
-                (AbsVal::Fun, be)
+                self.scoped(vec![(x.clone(), AbsVal::Top)], body);
+                AbsVal::Fun
             }
             Expr::App(f, a) => {
                 if let Expr::Lam(x, body) = f.as_ref() {
                     // β-aware: analyze the body under the argument's
                     // abstraction instead of forgetting it.
-                    let (av, ae) = self.go(a);
-                    let (bv, be) = self.scoped(vec![(x.clone(), av)], body);
-                    (bv, ae.join(be))
+                    let av = self.go(a);
+                    self.scoped(vec![(x.clone(), av)], body)
                 } else {
-                    let (_, fe) = self.go(f);
-                    let (_, ae) = self.go(a);
-                    (AbsVal::Top, fe.join(ae).join(External))
+                    self.go(f);
+                    self.go(a);
+                    AbsVal::Top
                 }
             }
             Expr::Let(x, e1, e2) => {
-                let (v1, f1) = self.go(e1);
-                let (v2, f2) = self.scoped(vec![(x.clone(), v1)], e2);
-                (v2, f1.join(f2))
+                let v1 = self.go(e1);
+                self.scoped(vec![(x.clone(), v1)], e2)
             }
-            Expr::Tuple(items) => {
-                let mut eff = PureElementwise;
-                let avs = items
-                    .iter()
-                    .map(|it| {
-                        let (v, f) = self.go(it);
-                        eff = eff.join(f);
-                        v
-                    })
-                    .collect();
-                (AbsVal::Tup(avs), eff)
-            }
-            Expr::Proj(i, k, inner) => {
-                let (v, eff) = self.go(inner);
-                let out = match &v {
-                    AbsVal::Tup(items) if items.len() == *k && *i >= 1 && *i <= *k => {
-                        items[*i - 1].clone()
-                    }
-                    _ => AbsVal::Top,
-                };
-                (out, eff)
-            }
-            Expr::Empty => {
-                (AbsVal::Set { elem: Rc::new(AbsVal::Bot), card: Iv::exact(0) }, Materializing)
-            }
-            Expr::BagEmpty => {
-                (AbsVal::Bag { elem: Rc::new(AbsVal::Bot), card: Iv::exact(0) }, Materializing)
-            }
+            Expr::Tuple(items) => AbsVal::Tup(items.iter().map(|it| self.go(it)).collect()),
+            Expr::Proj(i, k, inner) => match self.go(inner) {
+                AbsVal::Tup(mut items) if items.len() == *k && *i >= 1 && *i <= *k => {
+                    items.swap_remove(*i - 1)
+                }
+                _ => AbsVal::Top,
+            },
+            Expr::Empty => AbsVal::Set { elem: Rc::new(AbsVal::Bot), card: Iv::exact(0) },
+            Expr::BagEmpty => AbsVal::Bag { elem: Rc::new(AbsVal::Bot), card: Iv::exact(0) },
             Expr::Single(inner) => {
-                let (v, eff) = self.go(inner);
-                self.last_single = (ptr(e), eff);
-                (
-                    AbsVal::Set { elem: Rc::new(v), card: Iv::exact(1) },
-                    eff.join(Materializing),
-                )
+                AbsVal::Set { elem: Rc::new(self.go(inner)), card: Iv::exact(1) }
             }
             Expr::BagSingle(inner) => {
-                let (v, eff) = self.go(inner);
-                (
-                    AbsVal::Bag { elem: Rc::new(v), card: Iv::exact(1) },
-                    eff.join(Materializing),
-                )
+                AbsVal::Bag { elem: Rc::new(self.go(inner)), card: Iv::exact(1) }
             }
-            Expr::Union(a, b) => {
-                let (av, ae) = self.go(a);
-                let (bv, be) = self.go(b);
-                let out = match (&av, &bv) {
-                    (
-                        AbsVal::Set { elem: ea, card: ca },
-                        AbsVal::Set { elem: eb, card: cb },
-                    ) => AbsVal::Set {
-                        elem: Rc::new(ea.join(eb)),
+            Expr::Union(a, b) => match (self.go(a), self.go(b)) {
+                (AbsVal::Set { elem: ea, card: ca }, AbsVal::Set { elem: eb, card: cb }) => {
+                    AbsVal::Set {
+                        elem: Rc::new(ea.join(&eb)),
                         card: Iv {
                             // Duplicates can only shrink a set union,
                             // so |A ∪ B| ∈ [max lo, hi_a + hi_b].
@@ -566,20 +464,14 @@ impl Analyzer<'_> {
                                 _ => None,
                             },
                         },
-                    },
-                    _ => AbsVal::Top,
-                };
-                (out, ae.join(be).join(Materializing))
-            }
-            Expr::BagUnion(a, b) => {
-                let (av, ae) = self.go(a);
-                let (bv, be) = self.go(b);
-                let out = match (&av, &bv) {
-                    (
-                        AbsVal::Bag { elem: ea, card: ca },
-                        AbsVal::Bag { elem: eb, card: cb },
-                    ) => AbsVal::Bag {
-                        elem: Rc::new(ea.join(eb)),
+                    }
+                }
+                _ => AbsVal::Top,
+            },
+            Expr::BagUnion(a, b) => match (self.go(a), self.go(b)) {
+                (AbsVal::Bag { elem: ea, card: ca }, AbsVal::Bag { elem: eb, card: cb }) => {
+                    AbsVal::Bag {
+                        elem: Rc::new(ea.join(&eb)),
                         // Additive union: cardinalities add exactly.
                         card: Iv {
                             lo: ca.lo.saturating_add(cb.lo),
@@ -588,11 +480,10 @@ impl Analyzer<'_> {
                                 _ => None,
                             },
                         },
-                    },
-                    _ => AbsVal::Top,
-                };
-                (out, ae.join(be).join(Materializing))
-            }
+                    }
+                }
+                _ => AbsVal::Top,
+            },
             Expr::BigUnion { head, var, src } => {
                 self.comprehension(e, head, var, None, src, false)
             }
@@ -606,28 +497,27 @@ impl Analyzer<'_> {
                 self.comprehension(e, head, var, Some(rank), src, true)
             }
             Expr::If(c, t, f) => {
-                let (_, ce) = self.go(c);
-                let (tv, te) = self.go(t);
-                let (fv, fe) = self.go(f);
+                self.go(c);
+                let tv = self.go(t);
+                let fv = self.go(f);
                 // A literal condition selects the live branch (the
                 // lints report the dead one); `⊥` kills both.
-                let out = match **c {
+                match **c {
                     Expr::Bool(true) => tv,
                     Expr::Bool(false) => fv,
                     Expr::Bottom => AbsVal::Bot,
                     _ => tv.join(&fv),
-                };
-                (out, ce.join(te).join(fe))
+                }
             }
             Expr::Cmp(_, a, b) => {
-                let (_, ae) = self.go(a);
-                let (_, be) = self.go(b);
-                (AbsVal::Bool, ae.join(be))
+                self.go(a);
+                self.go(b);
+                AbsVal::Bool
             }
             Expr::Arith(op, a, b) => {
-                let (av, ae) = self.go(a);
-                let (bv, be) = self.go(b);
-                let out = match (av.as_nat(), bv.as_nat()) {
+                let av = self.go(a);
+                let bv = self.go(b);
+                match (av.as_nat(), bv.as_nat()) {
                     (Some(x), Some(y)) => AbsVal::Nat(
                         self.cancelled(*op, a, b).unwrap_or_else(|| arith_nat(*op, x, y)),
                     ),
@@ -635,42 +525,30 @@ impl Analyzer<'_> {
                         (AbsVal::Real, AbsVal::Real) => AbsVal::Real,
                         _ => AbsVal::Top,
                     },
-                };
-                (out, ae.join(be))
+                }
             }
-            Expr::Gen(inner) => {
-                let (v, eff) = self.go(inner);
-                let out = match v.as_nat() {
-                    Some(nb) => AbsVal::Set {
-                        // Elements of gen(b) are exactly 0, …, b-1:
-                        // each is < b, symbolically too.
-                        elem: Rc::new(AbsVal::Nat(NatAbs {
-                            iv: Iv { lo: 0, hi: nb.iv.hi.map(|h| h.saturating_sub(1)) },
-                            sym: None,
-                            lt: nb.sym.clone().or_else(|| nb.lt.clone()),
-                            ge: Some(SymExt::Const(0)),
-                        })),
-                        card: nb.iv,
-                    },
-                    None => AbsVal::Set { elem: Rc::new(AbsVal::Top), card: Iv::TOP },
-                };
-                (out, eff.join(Materializing))
-            }
+            Expr::Gen(inner) => match self.go(inner).as_nat() {
+                Some(nb) => AbsVal::Set {
+                    // Elements of gen(b) are exactly 0, …, b-1: each
+                    // is < b, symbolically too.
+                    elem: Rc::new(AbsVal::Nat(NatAbs {
+                        iv: Iv { lo: 0, hi: nb.iv.hi.map(|h| h.saturating_sub(1)) },
+                        sym: None,
+                        lt: nb.sym.clone().or_else(|| nb.lt.clone()),
+                        ge: Some(SymExt::Const(0)),
+                    })),
+                    card: nb.iv,
+                },
+                None => AbsVal::Set { elem: Rc::new(AbsVal::Top), card: Iv::TOP },
+            },
             Expr::Sum { head, var, src } => {
-                let (sv, se) = self.go(src);
+                let sv = self.go(src);
                 let card = sv.card().unwrap_or(Iv::TOP);
                 if card.hi == Some(0) {
                     self.out.empties.insert(ptr(e), "sum");
                 }
                 self.out.loops.insert(ptr(e), card);
-                let (hv, he) = self.scoped(vec![(var.clone(), Self::elem_of(&sv))], head);
-                self.out.kernels.push(Kernel {
-                    kind: KernelKind::Reduce,
-                    head_effect: he,
-                    fusible: he <= PureElementwise,
-                    node: ptr(e),
-                });
-                let out = match &hv {
+                match self.scoped(vec![(var.clone(), Self::elem_of(&sv))], head) {
                     AbsVal::Nat(nb) => AbsVal::Nat(NatAbs {
                         iv: Iv {
                             lo: card.lo.saturating_mul(nb.iv.lo),
@@ -685,18 +563,14 @@ impl Analyzer<'_> {
                     }),
                     AbsVal::Real => AbsVal::Real,
                     _ => AbsVal::Top,
-                };
-                (out, se.join(he).join(Reduction))
+                }
             }
             Expr::Tab { head, idx } => {
-                let mut eff = Materializing;
                 let mut exts = Vec::with_capacity(idx.len());
                 let mut binds = Vec::with_capacity(idx.len());
                 let mut count = Iv::exact(1);
                 for (x, b) in idx {
-                    let (bv, be) = self.go(b);
-                    eff = eff.join(be);
-                    let nb = bv.as_nat().cloned().unwrap_or_else(NatAbs::top);
+                    let nb = self.go(b).as_nat().cloned().unwrap_or_else(NatAbs::top);
                     self.out.bounds.insert(ptr(b), nb.iv);
                     exts.push(nb.extent());
                     count = arith_iv(ArithOp::Mul, count, nb.iv);
@@ -714,23 +588,12 @@ impl Analyzer<'_> {
                     ));
                 }
                 self.out.loops.insert(ptr(e), count);
-                let (hv, he) = self.scoped(binds, head);
-                self.out.kernels.push(Kernel {
-                    kind: KernelKind::Map,
-                    head_effect: he,
-                    fusible: he <= PureElementwise,
-                    node: ptr(e),
-                });
-                (AbsVal::Arr { exts, elem: Rc::new(hv) }, eff.join(he))
+                let hv = self.scoped(binds, head);
+                AbsVal::Arr { exts, elem: Rc::new(hv) }
             }
             Expr::Sub(arr, idx) => {
-                let (av, mut eff) = self.go(arr);
-                let mut iavs = Vec::with_capacity(idx.len());
-                for i in idx {
-                    let (v, ie) = self.go(i);
-                    eff = eff.join(ie);
-                    iavs.push(v);
-                }
+                let av = self.go(arr);
+                let iavs: Vec<AbsVal> = idx.iter().map(|i| self.go(i)).collect();
                 // A single tuple-valued index addresses each axis, but
                 // through `as_index`, not per-axis `as_nat`: such a
                 // site can be proven *out*, never marked in.
@@ -770,149 +633,61 @@ impl Analyzer<'_> {
                         self.out.regions.push(AccessRegion { source, axes });
                     }
                 }
-                let elem = match &av {
+                match av {
                     // Every reachable evaluation yields `⊥`.
                     _ if verdict == SubVerdict::ProvablyOut => AbsVal::Bot,
-                    AbsVal::Arr { elem, .. } => (**elem).clone(),
+                    AbsVal::Arr { elem, .. } => (*elem).clone(),
                     _ => AbsVal::Top,
-                };
-                (elem, eff)
+                }
             }
             Expr::Dim(k, inner) => {
-                let (v, eff) = self.go(inner);
-                let exts: Option<Vec<SymExt>> = match &v {
-                    AbsVal::Arr { exts, .. } => {
-                        (exts.len() == *k).then(|| exts.clone())
-                    }
+                let exts: Option<Vec<SymExt>> = match self.go(inner) {
+                    AbsVal::Arr { exts, .. } => (exts.len() == *k).then_some(exts),
                     _ => self.source_of(inner).map(|src| self.symbolic_dims(src, *k)),
                 };
-                let out = match (exts, *k) {
+                match (exts, *k) {
                     (Some(es), 1) => nat_of_ext(&es[0]),
                     (Some(es), _) => AbsVal::Tup(es.iter().map(nat_of_ext).collect()),
                     (None, 1) => AbsVal::Nat(NatAbs::top()),
                     (None, _) => AbsVal::Top,
-                };
-                (out, eff)
+                }
             }
             Expr::ArrayLit { dims, items } => {
-                let mut eff = Materializing;
                 let mut exts = Vec::with_capacity(dims.len());
                 for d in dims {
-                    let (dv, de) = self.go(d);
-                    eff = eff.join(de);
-                    let nb = dv.as_nat().cloned().unwrap_or_else(NatAbs::top);
+                    let nb = self.go(d).as_nat().cloned().unwrap_or_else(NatAbs::top);
                     self.out.bounds.insert(ptr(d), nb.iv);
                     exts.push(nb.extent());
                 }
                 let mut elem = AbsVal::Bot;
                 for it in items {
-                    let (iv2, ie) = self.go(it);
-                    eff = eff.join(ie);
-                    elem = elem.join(&iv2);
+                    elem = elem.join(&self.go(it));
                 }
-                (AbsVal::Arr { exts, elem: Rc::new(elem) }, eff)
+                AbsVal::Arr { exts, elem: Rc::new(elem) }
             }
             Expr::Index(k, inner) => {
-                let (_, eff) = self.go(inner);
-                (
-                    AbsVal::Arr {
-                        exts: vec![SymExt::Top; *k],
-                        elem: Rc::new(AbsVal::Set {
-                            elem: Rc::new(AbsVal::Top),
-                            card: Iv::TOP,
-                        }),
-                    },
-                    eff.join(Materializing),
-                )
-            }
-            Expr::Get(inner) => {
-                let (v, eff) = self.go(inner);
-                let out = match &v {
-                    AbsVal::Set { elem, .. } => (**elem).clone(),
-                    _ => AbsVal::Top,
-                };
-                (out, eff.join(Reduction))
-            }
-            Expr::Prim(p, args) => {
-                let mut eff = Reduction;
-                let avs: Vec<AbsVal> = args
-                    .iter()
-                    .map(|x| {
-                        let (v, f) = self.go(x);
-                        eff = eff.join(f);
-                        v
-                    })
-                    .collect();
-                // `min!`/`max!` of `⋃{ … ⋃{ {h} | … } … | … }` folds `h`
-                // over the loops: a reduction nest with head `h`. The
-                // singleton is in tail position, so it was visited last.
-                if let (Prim::MinSet | Prim::MaxSet, [arg]) = (p, args.as_slice()) {
-                    if let Some(single) = singleton_head(arg) {
-                        if self.last_single.0 == ptr(single) {
-                            let he = self.last_single.1;
-                            self.out.kernels.push(Kernel {
-                                kind: KernelKind::Reduce,
-                                head_effect: he,
-                                fusible: he <= PureElementwise,
-                                node: ptr(e),
-                            });
-                        }
-                    }
+                self.go(inner);
+                AbsVal::Arr {
+                    exts: vec![SymExt::Top; *k],
+                    elem: Rc::new(AbsVal::Set { elem: Rc::new(AbsVal::Top), card: Iv::TOP }),
                 }
-                let out = match p {
+            }
+            Expr::Get(inner) => match self.go(inner) {
+                AbsVal::Set { elem, .. } => (*elem).clone(),
+                _ => AbsVal::Top,
+            },
+            Expr::Prim(p, args) => {
+                let avs: Vec<AbsVal> = args.iter().map(|x| self.go(x)).collect();
+                match p {
                     Prim::Member => AbsVal::Bool,
                     // min/max of a set is one of its elements.
                     Prim::MinSet | Prim::MaxSet => match avs.first() {
                         Some(AbsVal::Set { elem, .. }) => (**elem).clone(),
                         _ => AbsVal::Top,
                     },
-                };
-                (out, eff)
-            }
-        }
-    }
-}
-
-/// The singleton a nest of set comprehensions (with `let`s between the
-/// levels, as hoisting leaves them) ends in, if it is one.
-fn singleton_head(e: &Expr) -> Option<&Expr> {
-    match e {
-        Expr::BigUnion { head, .. } => match &**head {
-            Expr::Single(_) => Some(head),
-            inner => singleton_head(inner),
-        },
-        Expr::Let(_, _, body) => singleton_head(body),
-        _ => None,
-    }
-}
-
-/// Truncated one-line rendering of a node for reports.
-fn describe(e: &Expr) -> String {
-    use std::fmt::Write;
-    /// Keeps the first 61 characters and then fails the write, so a
-    /// large term (this runs on the statement path) is not rendered in
-    /// full only to be cut.
-    struct Head(String, usize);
-    impl Write for Head {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            for c in s.chars() {
-                if self.1 > 60 {
-                    return Err(std::fmt::Error);
                 }
-                self.0.push(c);
-                self.1 += 1;
             }
-            Ok(())
         }
-    }
-    let mut head = Head(String::new(), 0);
-    let _ = write!(head, "{e}");
-    if head.1 <= 60 {
-        head.0
-    } else {
-        let mut t: String = head.0.chars().take(57).collect();
-        t.push('…');
-        t
     }
 }
 
@@ -1030,56 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn effects_classify_kernels() {
-        // Pure head → fusible map kernel.
-        let e = tab1("i", nat(4), mul(var("i"), nat(2)));
-        let a = run(&e);
-        assert_eq!(a.effect, Effect::Materializing);
-        assert_eq!(a.kernels.len(), 1);
-        assert!(a.kernels[0].fusible);
-        assert_eq!(a.kernels[0].kind, KernelKind::Map);
-        // Materializing head → not fusible.
-        let e = tab1("i", nat(4), single(var("i")));
-        let a = run(&e);
-        assert!(!a.kernels[0].fusible, "{:?}", a.kernels);
-        // Sum with pure head → fusible reduction.
-        let e = sum("x", gen(nat(4)), var("x"));
-        let a = run(&e);
-        assert_eq!(a.effect, Effect::Reduction.join(Effect::Materializing));
-        assert_eq!(a.kernels[0].kind, KernelKind::Reduce);
-        assert!(a.kernels[0].fusible);
-        // External call poisons everything.
-        let e = app(ext("f"), nat(1));
-        let a = run(&e);
-        assert_eq!(a.effect, Effect::External);
-    }
-
-    #[test]
-    fn min_max_of_a_singleton_comprehension_is_a_reduction_nest() {
-        // max!{ A[x] + y | x ∈ gen(dim A), y ∈ gen 2 }, as it desugars.
-        let head = single(add(sub(var("A"), vec![var("x")]), var("y")));
-        let e = set_max(big_union(
-            "x",
-            gen(dim(1, var("A"))),
-            big_union("y", gen(nat(2)), head),
-        ));
-        let a = run(&e);
-        assert_eq!(a.kernels.len(), 1, "{:?}", a.kernels);
-        assert_eq!(a.kernels[0].kind, KernelKind::Reduce);
-        assert!(a.kernels[0].fusible);
-        // Described on demand, from the tree.
-        assert_eq!(a.kernels[0].desc(&e), describe(&e));
-        // The head's effect decides: a materializing head blocks it.
-        let e = set_min(big_union("x", gen(nat(3)), single(gen(var("x")))));
-        let a = run(&e);
-        assert_eq!(a.kernels.len(), 1);
-        assert!(!a.kernels[0].fusible);
-        // A comprehension that does not end in a singleton is no nest.
-        let e = set_max(big_union("x", gen(nat(3)), gen(var("x"))));
-        assert!(run(&e).kernels.is_empty());
-    }
-
-    #[test]
     fn beta_aware_application_keeps_argument_facts() {
         // (λx. A[x]) 3 over a length-8 global.
         let mut g = BTreeMap::new();
@@ -1131,22 +856,5 @@ mod tests {
         assert_eq!(a.regions.len(), 1);
         assert_eq!(a.regions[0].source, name("T"));
         assert_eq!(a.regions[0].axes, vec![Iv { lo: 100, hi: Some(149) }]);
-    }
-
-    #[test]
-    fn kernel_descriptions_are_cut_at_sixty_characters() {
-        // Terms rendering to every length around the cut: whole up to
-        // 60 characters, otherwise the first 57 and an ellipsis.
-        let mut e = var("x");
-        for _ in 0..40 {
-            let (whole, got) = (e.to_string(), describe(&e));
-            if whole.chars().count() <= 60 {
-                assert_eq!(got, whole);
-            } else {
-                let head: String = whole.chars().take(57).collect();
-                assert_eq!(got, format!("{head}…"));
-            }
-            e = add(e, nat(1));
-        }
     }
 }

@@ -12,10 +12,14 @@
 //! * differential — the value with marks (and therefore with bulk
 //!   kernels: a fully marked loop nest runs as one) equals the value
 //!   with elision switched off, which is the plain interpreter; so do
-//!   the step, subscript and materialization counts, and a pipeline
-//!   with a provably in-range fusible nest does run a kernel; a stage
-//!   whose sites are all proven in-bounds never yields `⊥` from a
-//!   non-`⊥` input;
+//!   the step, subscript and materialization counts; a stage whose
+//!   sites are all proven in-bounds never yields `⊥` from a non-`⊥`
+//!   input;
+//! * the plan — a kernel is entered (`kernel_nests + kernel_escapes`
+//!   moves) only where `\analyze`'s listing ([`nests`]) names one, on
+//!   every term evaluated here; on a pipeline whose value is not `⊥`
+//!   (so every stage ran) the listing names one exactly when one is
+//!   entered;
 //! * the `⊥` escape — guarded tabulations, sums and maxima of scalars
 //!   and tuples (what β^p leaves behind), over eager operands and lazy
 //!   ones behind a one-chunk cache, whose `⊥` branch fires at a random
@@ -35,9 +39,8 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use aql_analysis::{
-    analyze, eval_elided, globals_mentioned, AbsVal, Analysis, Effect, SubVerdict, SymExt,
-};
+use aql_analysis::report::nests;
+use aql_analysis::{analyze, eval_elided, globals_mentioned, AbsVal, Analysis, SubVerdict, SymExt};
 use aql_core::error::EvalError;
 use aql_core::eval::{bounds, EvalCtx};
 use aql_core::expr::builder::*;
@@ -409,6 +412,10 @@ struct Run {
     subscripts: u64,
     /// Loop nests the marked evaluation ran as bulk kernels.
     kernel_nests: u64,
+    /// Kernel entries that handed their nest back to the interpreter.
+    escapes: u64,
+    /// Kernels `\analyze` lists for `e`.
+    listed: usize,
 }
 
 impl Run {
@@ -427,14 +434,25 @@ fn run(e: &Expr, globals: &HashMap<Name, Value>) -> Run {
         bounds::set_enabled(on);
         let ctx = EvalCtx::new(globals, &ext);
         let out = eval_elided(e, &ctx);
-        (out, ctx.stats(), ctx.kernel_nests())
+        (out, ctx.stats(), ctx.kernel_nests(), ctx.kernel_escapes())
     };
     let guard = TOGGLE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let (outcome, on, kernel_nests) = eval(true);
-    let (unmarked, off, no_kernels) = eval(false);
+    let listed = nests(e, &analysis).iter().filter(|n| n.kernel).count();
+    let (outcome, on, kernel_nests, escapes) = eval(true);
+    let (unmarked, off, no_kernels, no_escapes) = eval(false);
     bounds::set_enabled(true);
     drop(guard);
-    assert_eq!((off.elided, no_kernels), (0, 0), "elision off must mark nothing, run no kernel");
+    assert_eq!(
+        (off.elided, no_kernels, no_escapes),
+        (0, 0, 0),
+        "elision off must mark nothing, run no kernel"
+    );
+    // The listing is the planner's verdict under the evaluator's marks:
+    // no kernel is entered that it does not name.
+    assert!(
+        listed > 0 || kernel_nests + escapes == 0,
+        "no kernel listed, {kernel_nests} run and {escapes} escaped in {e}"
+    );
     assert_eq!(outcome, unmarked, "marks changed the outcome of {e}");
     // A kernel charges what the interpreter would have (`elided` is
     // the one count that differs by construction: off, it is zero).
@@ -447,7 +465,8 @@ fn run(e: &Expr, globals: &HashMap<Name, Value>) -> Run {
     if on.elided > 0 {
         assert!(analysis.sub_counts().in_bounds > 0, "a mark without an InBounds verdict in {e}");
     }
-    Run { analysis, outcome, elided: on.elided, subscripts: on.subscripts, kernel_nests }
+    let (elided, subscripts) = (on.elided, on.subscripts);
+    Run { analysis, outcome, elided, subscripts, kernel_nests, escapes, listed }
 }
 
 fn nat_array(dims: Vec<u64>, cell: impl Fn(u64) -> u64) -> Value {
@@ -490,14 +509,14 @@ proptest! {
             let c = r.analysis.sub_counts();
             prop_assert_eq!(c.total, c.in_bounds + c.unknown + c.provably_out);
 
-            // A pipeline all of whose sites are proven, with a nest
-            // the report calls fusible, ran that nest as a kernel: this
-            // file's differential runs do exercise kernels. (Not over
-            // an empty source: with no cell to type it by it is stored
-            // boxed, and a boxed operand is the interpreter's.)
-            let proven = c.total > 0 && c.in_bounds == c.total;
-            if len > 0 && proven && r.analysis.kernels.iter().any(|k| k.fusible) {
-                prop_assert!(r.kernel_nests > 0, "no kernel ran for {e}");
+            // A value that is not `⊥` ran every stage, and so reached
+            // every nest: the listing names a kernel exactly when one
+            // was entered.
+            if !v.is_bottom() {
+                let (listed, entered) = (r.listed, r.kernel_nests + r.escapes);
+                prop_assert_eq!(
+                    listed > 0, entered > 0, "{} listed, {} entered: {}", listed, entered, e
+                );
             }
 
             // A reached in-bounds site yields an element, never `⊥`:
@@ -510,24 +529,6 @@ proptest! {
                 }
             }
 
-            // A freshly allocated bulk result is a materialization
-            // event the effect domain must have predicted.
-            match v {
-                Value::Array(rc) => {
-                    let reused =
-                        matches!(&globals[&name("A")], Value::Array(g) if Rc::ptr_eq(g, rc));
-                    if !reused {
-                        prop_assert!(
-                            r.analysis.effect >= Effect::Materializing,
-                            "fresh array but predicted effect {:?}", r.analysis.effect
-                        );
-                    }
-                }
-                Value::Set(_) | Value::Bag(_) => {
-                    prop_assert!(r.analysis.effect >= Effect::Materializing);
-                }
-                _ => {}
-            }
             before = Some(r);
         }
     }

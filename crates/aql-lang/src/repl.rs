@@ -20,7 +20,7 @@ meta-commands:
   vals;                    list bound vals with their types
   macros;                  list registered macros
   \\explain <query>;        show the core/optimized terms, cost estimates, rule fires
-  \\analyze <query>;        abstract interpretation: shape, bounds, fusibility, cost
+  \\analyze <query>;        shape, bounds, kernel plan and cost of the term that runs
   \\lint <query>;           run the shape/bounds lints without evaluating
   \\profile <statements>    run with tracing on and print the phase tree
                            (… > \"f.json\"; exports Chrome trace JSON for Perfetto)
@@ -95,10 +95,10 @@ pub fn run_repl(
             pending.clear();
             continue;
         }
-        // `\analyze <query>;` runs the abstract interpreter and prints
-        // the inferred (symbolic) shape, effect class, bounds
-        // verdicts, fusibility report, and cost estimate — without
-        // evaluating the query.
+        // `\analyze <query>;` runs the abstract interpreter over the
+        // term the statement would evaluate and prints the inferred
+        // (symbolic) shape, bounds verdicts, the kernel planner's plan
+        // and the cost estimate — without evaluating the query.
         if let Some(q) = trimmed_stmt.strip_prefix("\\analyze ") {
             let q = q.trim_end().trim_end_matches(';');
             match session.analyze(q) {
@@ -544,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn backslash_analyze_reports_shape_bounds_and_fusibility() {
+    fn backslash_analyze_reports_shape_bounds_and_the_kernel_plan() {
         let input = "val \\a = [[ i * i | \\i < 8 ]];\n\
                      \\analyze [[ a[i] + 1 | \\i < len!a ]];\n\
                      \\analyze summap(fn \\x => x)!(gen!9);\n\
@@ -553,11 +553,11 @@ mod tests {
         assert!(text.contains("typ    : [[nat]]_1"), "{text}");
         assert!(text.contains("shape  : array[8] of"), "bound extent is concrete: {text}");
         assert!(text.contains("1 provably in-bounds"), "{text}");
-        assert!(text.contains("map kernel (fusible)"), "{text}");
+        assert!(text.contains("  - kernel: [[(a[i]) + 1 | "), "{text}");
         assert!(text.contains("cost   : cells~8"), "{text}");
         assert!(
-            text.contains("reduction kernel (fusible)"),
-            "the summap is a fusible reduction: {text}"
+            text.contains("  - interpreted: sum{"),
+            "a Σ with no subscript to mark is the interpreter's: {text}"
         );
         assert!(text.contains("error: type error"), "{text}");
         // Golden: analysis output carries no timings and is

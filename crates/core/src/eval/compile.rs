@@ -130,7 +130,19 @@ pub fn compile_marked(
     e: &Expr,
     in_bounds: &dyn Fn(&Expr) -> Option<Vec<Iv>>,
 ) -> Result<CExpr, EvalError> {
-    Compiler { scope: Vec::new(), lets: 0, in_bounds, marked: 0 }.go(e)
+    compile_observed(e, in_bounds, &mut |_, _| {})
+}
+
+/// [`compile_marked`], telling `planned` of every tabulation, `Σ` and
+/// primitive it compiled — innermost first, each before the nest around
+/// it — and whether the planner took it as a kernel. This is the
+/// planner's own verdict, so a report built on it says what runs.
+pub fn compile_observed(
+    e: &Expr,
+    in_bounds: &dyn Fn(&Expr) -> Option<Vec<Iv>>,
+    planned: &mut dyn FnMut(&Expr, bool),
+) -> Result<CExpr, EvalError> {
+    Compiler { scope: Vec::new(), lets: 0, in_bounds, planned, marked: 0 }.go(e)
 }
 
 struct Compiler<'a> {
@@ -139,6 +151,7 @@ struct Compiler<'a> {
     /// function's, whose body may run many times.
     lets: usize,
     in_bounds: &'a dyn Fn(&Expr) -> Option<Vec<Iv>>,
+    planned: &'a mut dyn FnMut(&Expr, bool),
     /// Sites marked so far: a nest is worth planning as a kernel only
     /// if this moved while its children were compiled.
     marked: usize,
@@ -281,7 +294,7 @@ impl Compiler<'_> {
                 self.scope.push(var.clone());
                 let h = self.go(head)?;
                 self.scope.pop();
-                self.nest(before, CExpr::Sum { head: rc(h), src: rc(s) })
+                self.nest(e, before, CExpr::Sum { head: rc(h), src: rc(s) })
             }
             Expr::Tab { head, idx } => {
                 let before = self.marked;
@@ -297,7 +310,7 @@ impl Compiler<'_> {
                 for _ in idx {
                     self.scope.pop();
                 }
-                self.nest(before, CExpr::Tab { head: rc(h), bounds })
+                self.nest(e, before, CExpr::Tab { head: rc(h), bounds })
             }
             Expr::Sub(arr, idx) => {
                 let mark = (self.in_bounds)(e);
@@ -319,20 +332,23 @@ impl Compiler<'_> {
             Expr::Prim(p, args) => {
                 let before = self.marked;
                 let args = args.iter().map(|a| self.go(a)).collect::<Result<_, _>>()?;
-                self.nest(before, CExpr::Prim(*p, args))
+                self.nest(e, before, CExpr::Prim(*p, args))
             }
         })
     }
 
-    /// `nest` — a tabulation, `Σ` or primitive just compiled — as a
-    /// bulk kernel where the planner takes it. `before` is `marked` as
+    /// `nest` — `e`, a tabulation, `Σ` or primitive just compiled — as
+    /// a bulk kernel where the planner takes it. `before` is `marked` as
     /// it stood when the nest was entered: no site marked inside, no
     /// plan to look for.
-    fn nest(&self, before: usize, nest: CExpr) -> CExpr {
-        if self.marked == before {
-            return nest;
-        }
-        match kernel::plan(&nest, self.scope.len() > self.lets) {
+    fn nest(&mut self, e: &Expr, before: usize, nest: CExpr) -> CExpr {
+        let plan = if self.marked == before {
+            None
+        } else {
+            kernel::plan(&nest, self.scope.len() > self.lets)
+        };
+        (self.planned)(e, plan.is_some());
+        match plan {
             Some(plan) => CExpr::Kernel { plan: Rc::new(plan), fallback: rc(nest) },
             None => nest,
         }

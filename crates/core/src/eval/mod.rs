@@ -24,7 +24,7 @@ pub mod bounds;
 mod compile;
 mod kernel;
 
-pub use compile::{compile, compile_marked, CExpr};
+pub use compile::{compile, compile_marked, compile_observed, CExpr};
 pub use kernel::KernelPlan;
 
 use std::cell::{Cell, RefCell};
@@ -257,6 +257,11 @@ impl<'a> EvalCtx<'a> {
     /// rather than through the interpreter.
     pub fn kernel_nests(&self) -> u64 {
         self.kernel_nests.get()
+    }
+
+    /// Kernel entries that handed their nest back to the interpreter.
+    pub fn kernel_escapes(&self) -> u64 {
+        self.kernel_escapes.get()
     }
 
     /// The four evaluation counters, for a kernel to put back when it

@@ -107,11 +107,6 @@ impl Type {
             Type::Fun(s, t) => s.has_var() || t.has_var(),
         }
     }
-
-    /// Is the type numeric (admissible for the arithmetic operators)?
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Type::Nat | Type::Real)
-    }
 }
 
 impl fmt::Display for Type {

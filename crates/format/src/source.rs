@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use aql_store::{ChunkLayout, ChunkSource, ScalarBuf, StoreError};
+use aql_store::{ChunkSource, ScalarBuf, StoreError};
 
 use crate::file::AqfFile;
 
@@ -24,11 +24,6 @@ impl AqfChunkSource {
     /// Open (and fully validate) `path`.
     pub fn open(path: impl AsRef<Path>) -> Result<AqfChunkSource, StoreError> {
         Ok(AqfChunkSource { file: AqfFile::open(path)? })
-    }
-
-    /// Wrap an already opened file.
-    pub fn from_file(file: AqfFile) -> AqfChunkSource {
-        AqfChunkSource { file }
     }
 
     /// The underlying file (layout, kind, table).
@@ -68,10 +63,4 @@ impl ChunkSource for AqfChunkSource {
         let id = self.locate(start, count).ok()?;
         self.file.entry(id).map(|e| e.checksum)
     }
-}
-
-/// The layout of the file at `path` — a cheap metadata peek used by
-/// the driver to size caches before deciding how to bind.
-pub fn peek_layout(path: impl AsRef<Path>) -> Result<ChunkLayout, StoreError> {
-    Ok(AqfFile::open(path)?.layout().clone())
 }

@@ -16,7 +16,7 @@ use crate::elide::marks;
 pub struct Nest {
     /// The planner took it: it runs as a bulk kernel.
     pub kernel: bool,
-    /// The nest, cut to one line ([`describe`]).
+    /// The nest, cut to one line (`describe`).
     pub desc: String,
 }
 

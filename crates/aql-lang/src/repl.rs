@@ -202,12 +202,8 @@ pub fn run_repl(
         if let Some(rest) = trimmed_stmt.strip_prefix("\\metrics serve") {
             let addr = rest.trim_end().trim_end_matches(';').trim();
             let addr = if addr.is_empty() { "127.0.0.1:0" } else { addr };
-            match aql_metrics::http::serve(addr) {
+            match aql_journal::metrics::http::serve(addr) {
                 Ok(server) => {
-                    // `GET /profile?seconds=N` folds the flight recorder,
-                    // which aql-metrics cannot see; the session is the
-                    // layer that owns both and ties them together.
-                    aql_metrics::http::set_profile_provider(Some(Box::new(live_profile)));
                     writeln!(output, "metrics: serving http://{}/metrics", server.addr())?;
                     writeln!(output, "metrics: dashboard at http://{}/", server.addr())?;
                 }
@@ -306,7 +302,7 @@ pub fn run_repl(
         }
         // `\metrics;` dumps the registry: one `series value` per line.
         if trimmed_stmt == "\\metrics;" {
-            for (k, v) in aql_metrics::snapshot() {
+            for (k, v) in aql_journal::metrics::snapshot() {
                 writeln!(output, "{k} {v}")?;
             }
             pending.clear();
@@ -324,16 +320,6 @@ pub fn run_repl(
         pending.clear();
     }
     Ok(executed)
-}
-
-/// The `GET /profile?seconds=N` body: every thread's flight-recorder
-/// records of the last `seconds` (or as far back as the rings still
-/// hold), folded into `statement;<phase> <ns>` lines.
-fn live_profile(seconds: u64) -> String {
-    let since = aql_journal::now_us().saturating_sub(seconds.saturating_mul(1_000_000));
-    let mut recent = aql_journal::snapshot();
-    recent.events.retain(|r| r.t_us >= since);
-    aql_trace::profile::Profile::from_folded(recent.folded()).folded_text()
 }
 
 /// Strip a double-quoted argument (`"<text>"`). Returns `None` when it

@@ -310,7 +310,7 @@ pub struct QueryReport {
     /// (empty for an untraced run).
     pub trace: aql_trace::Trace,
     /// A flat snapshot of the **process-lifetime** metrics registry at
-    /// report time ([`aql_metrics::snapshot`]): counters and gauges by
+    /// report time ([`aql_journal::metrics::snapshot`]): counters and gauges by
     /// series key, histograms as `_count`/`_sum`/`_p50`/`_p95`/`_p99`.
     /// Unlike `statements`, these are cumulative since process start —
     /// the report carries both the per-query and the fleet view.
@@ -323,87 +323,12 @@ impl QueryReport {
         self.statements.iter().fold(EvalStats::default(), |a, s| a.merged(s))
     }
 
-    /// The report as a JSON value.
-    pub fn to_json_value(&self) -> aql_trace::json::Json {
-        use aql_trace::json::Json;
-        Json::Obj(vec![
-            (
-                "statements".to_string(),
-                Json::Arr(self.statements.iter().map(stats_to_json).collect()),
-            ),
-            (
-                "attribution".to_string(),
-                Json::Arr(
-                    self.attribution
-                        .iter()
-                        .map(aql_journal::attr::Ledger::to_json_value)
-                        .collect(),
-                ),
-            ),
-            ("trace".to_string(), self.trace.to_json_value()),
-            (
-                "metrics".to_string(),
-                Json::Obj(
-                    self.metrics
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Serialize to compact JSON (embedded in `BENCH_*.json`).
-    pub fn to_json(&self) -> String {
-        self.to_json_value().write()
-    }
-
     /// The report's span tree as Chrome trace-event JSON
     /// ([`aql_trace::Trace::to_chrome_json`]): loadable directly in
     /// Perfetto or `chrome://tracing`. The REPL's
     /// `\profile … > "file.json";` writes exactly this.
     pub fn to_chrome_json(&self) -> String {
         self.trace.to_chrome_json()
-    }
-
-    /// Rebuild a report serialized by [`QueryReport::to_json`].
-    pub fn from_json(src: &str) -> Result<QueryReport, String> {
-        let j = aql_trace::json::Json::parse(src)?;
-        let statements = j
-            .get("statements")
-            .and_then(aql_trace::json::Json::as_arr)
-            .ok_or("report: missing `statements` array")?
-            .iter()
-            .map(stats_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let trace = aql_trace::Trace::from_json_value(
-            j.get("trace").ok_or("report: missing `trace`")?,
-        )?;
-        // `attribution` is optional: reports serialized before the
-        // flight recorder existed stay parseable.
-        let attribution = match j.get("attribution") {
-            None => Vec::new(),
-            Some(aql_trace::json::Json::Arr(ls)) => ls
-                .iter()
-                .map(aql_journal::attr::Ledger::from_json_value)
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) => return Err("report: `attribution` must be an array".to_string()),
-        };
-        // `metrics` is optional: reports serialized before the metrics
-        // registry existed stay parseable.
-        let metrics = match j.get("metrics") {
-            None => Vec::new(),
-            Some(aql_trace::json::Json::Obj(ms)) => ms
-                .iter()
-                .map(|(k, v)| {
-                    v.as_u64()
-                        .map(|n| (k.clone(), n))
-                        .ok_or_else(|| format!("report: bad metric `{k}`"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) => return Err("report: `metrics` must be an object".to_string()),
-        };
-        Ok(QueryReport { statements, attribution, trace, metrics })
     }
 
     /// The `\profile` rendering: the phase-timing tree followed by the
@@ -442,20 +367,7 @@ impl QueryReport {
     }
 }
 
-fn stats_to_json(s: &EvalStats) -> aql_trace::json::Json {
-    use aql_trace::json::Json;
-    let n = |v: u64| Json::Num(v as f64);
-    Json::Obj(vec![
-        ("steps".to_string(), n(s.steps)),
-        ("subscripts".to_string(), n(s.subscripts)),
-        ("elided".to_string(), n(s.elided)),
-        ("materialized".to_string(), n(s.materialized)),
-        ("cache".to_string(), cache_to_json(&s.cache)),
-    ])
-}
-
-/// The `cache` member of a statement's stats, in reports and in the
-/// slow-query log alike.
+/// The `cache` member of a statement's stats in the slow-query log.
 fn cache_to_json(c: &aql_store::CacheStats) -> aql_trace::json::Json {
     use aql_trace::json::Json;
     let n = |v: u64| Json::Num(v as f64);
@@ -467,34 +379,6 @@ fn cache_to_json(c: &aql_store::CacheStats) -> aql_trace::json::Json {
         ("prefetched_bytes".to_string(), n(c.prefetched_bytes)),
         ("load_errors".to_string(), n(c.load_errors)),
     ])
-}
-
-fn stats_from_json(j: &aql_trace::json::Json) -> Result<EvalStats, String> {
-    let field = |o: &aql_trace::json::Json, k: &str| {
-        o.get(k)
-            .and_then(aql_trace::json::Json::as_u64)
-            .ok_or_else(|| format!("stats: bad or missing `{k}`"))
-    };
-    let cache = j.get("cache").ok_or("stats: missing `cache`")?;
-    Ok(EvalStats {
-        steps: field(j, "steps")?,
-        subscripts: field(j, "subscripts")?,
-        // Absent in pre-bounds-elision reports.
-        elided: j.get("elided").and_then(aql_trace::json::Json::as_u64).unwrap_or(0),
-        materialized: field(j, "materialized")?,
-        cache: aql_store::CacheStats {
-            hits: field(cache, "hits")?,
-            misses: field(cache, "misses")?,
-            evictions: field(cache, "evictions")?,
-            bytes_read: field(cache, "bytes_read")?,
-            // Absent in pre-prefetch-attribution reports.
-            prefetched_bytes: cache
-                .get("prefetched_bytes")
-                .and_then(aql_trace::json::Json::as_u64)
-                .unwrap_or(0),
-            load_errors: field(cache, "load_errors")?,
-        },
-    })
 }
 
 /// An interactive AQL session: the top-level environment plus the
@@ -619,13 +503,13 @@ impl Session {
     /// telemetry, never a reason to fail a query.
     pub fn enable_incidents(&mut self, config: IncidentConfig) {
         // Keep `GET /incidents` pointed at the same directory.
-        aql_metrics::http::set_incident_dir(Some(config.dir.clone()));
+        aql_journal::metrics::http::set_incident_dir(Some(config.dir.clone()));
         self.incidents = Some(config);
     }
 
     /// Stop dumping incidents.
     pub fn disable_incidents(&mut self) {
-        aql_metrics::http::set_incident_dir(None);
+        aql_journal::metrics::http::set_incident_dir(None);
         self.incidents = None;
     }
 
@@ -687,7 +571,7 @@ impl Session {
             statements: self.statement_stats(),
             attribution: self.statement_attribution(),
             trace: aql_trace::Trace::default(),
-            metrics: aql_metrics::snapshot(),
+            metrics: aql_journal::metrics::snapshot(),
         }
     }
 
@@ -835,7 +719,7 @@ impl Session {
             statements: self.statement_stats(),
             attribution: self.statement_attribution(),
             trace,
-            metrics: aql_metrics::snapshot(),
+            metrics: aql_journal::metrics::snapshot(),
         }))
     }
 
@@ -882,9 +766,9 @@ impl Session {
         let fires_base = self
             .slow_log
             .as_ref()
-            .map(|_| aql_metrics::family_total("aql_opt_rule_fires_total"));
+            .map(|_| aql_journal::metrics::family_total("aql_opt_rule_fires_total"));
         // The snapshot seeds the incident's metrics-delta table.
-        let metrics_base = self.incidents.as_ref().map(|_| aql_metrics::snapshot());
+        let metrics_base = self.incidents.as_ref().map(|_| aql_journal::metrics::snapshot());
         let cache_base = aql_store::stats::global();
         self.cur_stats.set(EvalStats::default());
         aql_store::governor::reset_peak();
@@ -942,7 +826,7 @@ impl Session {
             None => return None,
         };
         let base = metrics_base.unwrap_or_default();
-        let metrics_delta: Vec<(String, u64)> = aql_metrics::snapshot()
+        let metrics_delta: Vec<(String, u64)> = aql_journal::metrics::snapshot()
             .into_iter()
             .filter_map(|(k, v)| {
                 let before = base.iter().find(|(bk, _)| *bk == k).map_or(0, |(_, bv)| *bv);
@@ -994,7 +878,7 @@ impl Session {
         let n = |v: u64| Json::Num(v as f64);
         let phases = run.ledger.phases.iter().map(|(p, ns)| (p.clone(), n(*ns))).collect();
         let fires = fires_base.map_or(0, |base| {
-            aql_metrics::family_total("aql_opt_rule_fires_total").saturating_sub(base)
+            aql_journal::metrics::family_total("aql_opt_rule_fires_total").saturating_sub(base)
         });
         // Schema history (DESIGN.md §11): 2 adds `incident` (path of
         // the statement's incident dump, or null) and
@@ -1814,17 +1698,10 @@ mod tests {
     }
 
     #[test]
-    fn query_report_round_trips_through_json() {
+    fn profile_snapshots_the_metrics_registry() {
         let mut s = Session::new();
         let (_, report) = s.profile("[[ i * i | \\i < 10 ]][4];").unwrap();
         assert!(!report.metrics.is_empty(), "profile must snapshot the registry");
-        let back = QueryReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back, report);
-        assert!(QueryReport::from_json("{\"statements\":[]}").is_err());
-        // Pre-metrics reports (no `metrics` member) stay parseable.
-        let legacy = QueryReport::default().to_json().replace(",\"metrics\":{}", "");
-        assert!(!legacy.contains("metrics"));
-        assert_eq!(QueryReport::from_json(&legacy).unwrap(), QueryReport::default());
     }
 
     /// A shared in-memory slow-log sink (the session owns a boxed
@@ -1979,7 +1856,7 @@ mod tests {
 
     #[test]
     fn session_metrics_reach_the_registry() {
-        let errors = aql_metrics::counter("aql_session_errors_total", "");
+        let errors = aql_journal::metrics::counter("aql_session_errors_total", "");
         let errors_before = errors.get();
         let mut s = Session::new();
         // A typecheck failure (unbound name) — unlike a parse error,
@@ -2031,11 +1908,8 @@ mod tests {
             !ledger.phases.is_empty(),
             "per-phase wall time must be recorded: {ledger:?}"
         );
-        // The ledger also reaches the report, and survives JSON.
-        let report = s.last_report();
-        assert_eq!(report.attribution, attr);
-        let back = QueryReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back.attribution, attr);
+        // The ledger also reaches the report.
+        assert_eq!(s.last_report().attribution, attr);
     }
 
     #[test]
@@ -2136,32 +2010,6 @@ mod tests {
             "slow log links its own incident: {linked}"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn slow_log_v1_records_remain_parseable() {
-        use aql_trace::json::Json;
-        // A canned v1 line: no `incident`, no `cache.prefetched_bytes`.
-        // Consumers dispatch on schema_version and treat the v2 members
-        // as absent-means-none — the same convention stats_from_json
-        // applies to pre-v2 reports.
-        let v1 = r#"{"schema_version":1,"seq":3,"stmt_hash":"00000000deadbeef",
-            "kind":"query","slow":true,"sampled":false,"dur_ns":5,"phases":{},
-            "eval":{"steps":1,"subscripts":0,"materialized":0},
-            "cache":{"hits":2,"misses":1,"evictions":0,"bytes_read":64,"load_errors":0},
-            "rule_fires":0,"error":false}"#;
-        let rec = Json::parse(v1).expect("v1 lines stay valid JSON");
-        assert_eq!(rec.get("schema_version").and_then(Json::as_u64), Some(1));
-        assert!(rec.get("incident").is_none(), "absent in v1 ⇒ no dump");
-        let stats = stats_from_json(&Json::Obj(vec![
-            ("steps".to_string(), Json::Num(1.0)),
-            ("subscripts".to_string(), Json::Num(0.0)),
-            ("materialized".to_string(), Json::Num(0.0)),
-            ("cache".to_string(), rec.get("cache").unwrap().clone()),
-        ]))
-        .expect("a v1 cache object parses");
-        assert_eq!(stats.cache.bytes_read, 64);
-        assert_eq!(stats.cache.prefetched_bytes, 0, "absent ⇒ zero");
     }
 
     #[test]

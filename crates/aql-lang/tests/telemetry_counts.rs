@@ -96,26 +96,26 @@ fn the_statement_path_looks_no_metric_up_after_the_first_statement() {
     // The first run resolves the handles: per-kind statement counter,
     // per-phase histograms, statement latency, the governor gauges.
     s.run(STATEMENT).expect("first");
-    let (registry, all) = (aql_metrics::registry_locks(), aql_journal::lock_count());
+    let (registry, all) = (aql_journal::metrics::registry_locks(), aql_journal::lock_count());
     for _ in 0..3 {
         s.run(STATEMENT).expect("again");
     }
-    assert_eq!(aql_metrics::registry_locks(), registry, "no string-keyed registry lookup");
+    assert_eq!(aql_journal::metrics::registry_locks(), registry, "no string-keyed registry lookup");
     assert_eq!(aql_journal::lock_count(), all, "and no label-table lock either");
     // A statement that fires rules resolves each `(phase, rule)` fire
     // counter at the rule's first firing; after that a firing is an
     // increment on a kept handle — no key formatted, no registry lock.
     let _turn = FIRES_RULES.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let fires = || aql_metrics::family_total("aql_opt_rule_fires_total");
+    let fires = || aql_journal::metrics::family_total("aql_opt_rule_fires_total");
     let before = fires();
     s.run(FIRING_STATEMENT).expect("first firing run");
     let per_run = fires() - before;
     assert_eq!(per_run, 5, "E5 fires five rules");
-    let (registry, all) = (aql_metrics::registry_locks(), aql_journal::lock_count());
+    let (registry, all) = (aql_journal::metrics::registry_locks(), aql_journal::lock_count());
     for _ in 0..3 {
         s.run(FIRING_STATEMENT).expect("again");
     }
-    assert_eq!(aql_metrics::registry_locks(), registry, "a firing takes no registry lock");
+    assert_eq!(aql_journal::metrics::registry_locks(), registry, "a firing takes no registry lock");
     assert_eq!(aql_journal::lock_count(), all);
     // `family_total` itself locks, so the totals are read after the
     // lock counts: the handles count what the string-keyed lookups did.
@@ -123,9 +123,9 @@ fn the_statement_path_looks_no_metric_up_after_the_first_statement() {
     // A failing statement resolves the error counter once, then is as
     // quiet.
     assert!(s.run("a[true];").is_err());
-    let registry = aql_metrics::registry_locks();
+    let registry = aql_journal::metrics::registry_locks();
     assert!(s.run("a[true];").is_err());
-    assert_eq!(aql_metrics::registry_locks(), registry);
+    assert_eq!(aql_journal::metrics::registry_locks(), registry);
 }
 
 #[test]

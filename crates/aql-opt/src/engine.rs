@@ -19,7 +19,7 @@ use aql_core::expr::{Expr, Head, Name};
 pub use crate::trace::{Trace, TraceStep};
 
 /// Process-lifetime count of optimizer passes run to fixpoint.
-static M_PASSES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
+static M_PASSES: aql_journal::metrics::LazyCounter = aql_journal::metrics::LazyCounter::new(
     "aql_opt_passes_total",
     "Optimizer fixpoint passes executed.",
 );
@@ -28,7 +28,7 @@ static M_PASSES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
 /// rewrites are exceptional, so the lookup cost is irrelevant — but
 /// an operator watching `/metrics` must see them.
 fn bump_unsound_metric(phase: &str, rule: &str) {
-    aql_metrics::counter_with(
+    aql_journal::metrics::counter_with(
         "aql_opt_unsound_total",
         &[("phase", phase), ("rule", rule)],
         "Rewrites rejected by the soundness gate, by (phase, rule).",
@@ -201,7 +201,7 @@ pub struct Phase {
     rules: Vec<Rc<dyn Rule>>,
     /// Per rule, its `aql_opt_rule_fires_total{phase,rule}` series,
     /// looked up at the rule's first firing and kept.
-    fires: Vec<OnceCell<&'static aql_metrics::Counter>>,
+    fires: Vec<OnceCell<&'static aql_journal::metrics::Counter>>,
     /// Per [`Head`], the rules listing it, in registration order.
     by_head: Vec<Vec<usize>>,
 }
@@ -363,7 +363,7 @@ impl Phase {
                 aql_trace::count_with(|| format!("fire:{}/{rule}", self.name), 1);
                 self.fires[index]
                     .get_or_init(|| {
-                        aql_metrics::counter_with(
+                        aql_journal::metrics::counter_with(
                             "aql_opt_rule_fires_total",
                             &[("phase", &self.name), ("rule", rule)],
                             "Optimizer rule applications, by (phase, rule).",

@@ -41,11 +41,11 @@ pub const DEFAULT_CHUNK_ELEMS: u64 = 4096;
 /// Default per-array chunk-cache budget when reading: 4 MiB.
 pub const DEFAULT_CACHE_BUDGET: u64 = 4 << 20;
 
-static M_SAVES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
+static M_SAVES: aql_journal::metrics::LazyCounter = aql_journal::metrics::LazyCounter::new(
     "aql_format_saves_total",
     "Arrays written to AQF files.",
 );
-static M_OPENS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
+static M_OPENS: aql_journal::metrics::LazyCounter = aql_journal::metrics::LazyCounter::new(
     "aql_format_opens_total",
     "AQF files bound as lazy arrays.",
 );

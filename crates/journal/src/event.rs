@@ -2,7 +2,7 @@
 //!
 //! An instrumented site says what happened; the tables below say where
 //! that lands. Each **quantity** is one named number as all the
-//! counting views see it — its `aql-trace` counter, its `aql-metrics`
+//! counting views see it — its `aql-trace` counter, its process metric
 //! family (with help text and, where it has one, a per-label series)
 //! and the attribution-ledger field it folds into. Each **event kind**
 //! moves some quantities, by some amount. The kinds the flight
@@ -24,9 +24,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use aql_metrics::{Counter, Gauge, Histogram};
-
 use crate::attr::{self, Fold};
+use crate::metrics::{Counter, Gauge, Histogram};
 use crate::{intern, label_name, Tag};
 
 /// Something that happened, as the site that saw it describes it.
@@ -194,7 +193,7 @@ fn walk(ev: Event) {
 
 // ---- quantities ------------------------------------------------------
 
-/// A resolved `aql-metrics` series.
+/// A resolved [`metrics`](crate::metrics) series.
 #[derive(Clone, Copy)]
 enum Handle {
     Counter(&'static Counter),
@@ -204,15 +203,15 @@ enum Handle {
 
 impl Handle {
     fn counter(family: &str, labels: &[(&str, &str)], help: &str) -> Handle {
-        Handle::Counter(aql_metrics::counter_with(family, labels, help))
+        Handle::Counter(crate::metrics::counter_with(family, labels, help))
     }
 
     fn gauge(family: &str, _labels: &[(&str, &str)], help: &str) -> Handle {
-        Handle::Gauge(aql_metrics::gauge(family, help))
+        Handle::Gauge(crate::metrics::gauge(family, help))
     }
 
     fn histogram(family: &str, labels: &[(&str, &str)], help: &str) -> Handle {
-        Handle::Histogram(aql_metrics::histogram_with(family, labels, help))
+        Handle::Histogram(crate::metrics::histogram_with(family, labels, help))
     }
 
     #[inline]
@@ -231,7 +230,7 @@ pub(crate) struct Quantity {
     /// `aql-trace` counter name; `""` = not traced. A name ending in
     /// `:` is completed with the event's label (`breaker.trip:<src>`).
     trace: &'static str,
-    /// `aql-metrics` family; `""` = not exported.
+    /// Process metric family; `""` = not exported.
     family: &'static str,
     help: &'static str,
     resolve: fn(&str, &[(&str, &str)], &str) -> Handle,
@@ -551,7 +550,7 @@ mod tests {
     #[test]
     fn one_event_lands_in_every_view_its_row_names() {
         let src = intern("t_event:views");
-        let family = |name: &str| aql_metrics::family_total(name);
+        let family = |name: &str| crate::metrics::family_total(name);
         let (misses0, bytes0) =
             (family("aql_store_cache_misses_total"), family("aql_store_cache_bytes_read_total"));
         let totals0 = attr::totals();
@@ -573,7 +572,7 @@ mod tests {
         // other tests in this binary emit misses too.
         assert!(family("aql_store_cache_misses_total") > misses0);
         assert!(family("aql_store_cache_bytes_read_total") >= bytes0 + 2 * 4096);
-        let labeled = aql_metrics::counter_with(
+        let labeled = crate::metrics::counter_with(
             "aql_store_cache_bytes_read_total",
             &[("source", "t_event:views")],
             "",
@@ -605,6 +604,6 @@ mod tests {
         emit(Event::FaultInjected { kind: "t_event:kind" });
         let kind = intern("t_event:kind");
         assert!(!snapshot().events.iter().any(|r| r.label == src || r.label == kind));
-        assert!(aql_metrics::family_total("aql_store_chaos_injected_total") >= 1);
+        assert!(crate::metrics::family_total("aql_store_chaos_injected_total") >= 1);
     }
 }

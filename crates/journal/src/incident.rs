@@ -130,7 +130,7 @@ pub struct Incident {
     /// The statement's resource attribution ledger.
     pub attribution: Option<Ledger>,
     /// Process metrics that moved during the statement:
-    /// `(series, delta)` pairs from the `aql-metrics` snapshot.
+    /// `(series, delta)` pairs from the [`metrics`](crate::metrics) snapshot.
     pub metrics_delta: Vec<(String, u64)>,
 }
 

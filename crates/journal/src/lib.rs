@@ -1,10 +1,11 @@
 //! # aql-journal — the always-on flight recorder
 //!
-//! The third leg of the observability stack (DESIGN.md §14): where
-//! `aql-trace` describes *one profiled query* in full detail and
-//! `aql-metrics` keeps *process-lifetime aggregates*, this crate keeps
-//! a bounded record of **recent activity** — always on, near-zero
-//! cost, and readable after the fact. When a statement fails, trips a
+//! The always-on half of the observability stack (DESIGN.md §14):
+//! where `aql-trace` describes *one profiled query* in full detail,
+//! and only when asked, this crate keeps a bounded record of **recent
+//! activity** — near-zero cost, and readable after the fact — and, in
+//! its [`metrics`] module, the *process-lifetime aggregates* and the
+//! HTTP endpoint that serves both. When a statement fails, trips a
 //! breaker, or blows its latency budget, the journal is the black box
 //! that explains what the engine was doing in the moments before.
 //!
@@ -14,8 +15,7 @@
 //!   own fixed-capacity ring of slots; the write path is single-writer
 //!   and therefore lock-free — no CAS loop, no shared tail pointer.
 //!   A process-wide registry of rings lets [`snapshot`] fold every
-//!   thread's events into one [`Journal`], mirroring how
-//!   `Trace::merge` folds worker-thread traces under a parent span.
+//!   thread's events into one [`Journal`].
 //! * **Seqlock slots.** Every slot carries a sequence word (odd while
 //!   a write is in flight, `2 × epoch` when stable). Readers copy the
 //!   payload and re-check the sequence, so a concurrent snapshot can
@@ -31,7 +31,7 @@
 //! * **Interned labels.** Event labels (source labels, phase names,
 //!   statement kinds, outcome classes) come from small closed sets and
 //!   are interned once into a process-wide table; records carry a
-//!   16-bit id. The same cardinality rules as `aql-metrics` apply:
+//!   16-bit id. The same cardinality rules as [`metrics`] apply:
 //!   never intern query text or user-controlled strings.
 //!
 //! ## The telemetry spine
@@ -57,6 +57,7 @@ pub mod attr;
 pub mod doctor;
 pub mod event;
 pub mod incident;
+pub mod metrics;
 
 pub use event::{emit, Event};
 pub use incident::ErrorClass;
@@ -77,7 +78,7 @@ const MAX_LABELS: usize = 4096;
 /// Default per-thread ring capacity, in records.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-static M_DROPPED: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
+static M_DROPPED: metrics::LazyCounter = metrics::LazyCounter::new(
     "aql_journal_dropped_total",
     "Journal records overwritten (oldest-first) before being read.",
 );
@@ -185,7 +186,7 @@ fn remember(label: &str, id: u16) {
 /// table, the ring registry and the metrics registry. Test hook.
 #[doc(hidden)]
 pub fn lock_count() -> u64 {
-    LOCKS.with(Cell::get) + aql_metrics::registry_locks()
+    LOCKS.with(Cell::get) + metrics::registry_locks()
 }
 
 fn labels() -> MutexGuard<'static, Vec<String>> {
@@ -410,8 +411,8 @@ pub struct Journal {
 
 impl Journal {
     /// Fold `other`'s events into this journal, keeping the global
-    /// time order — the journal counterpart of `Trace::merge`, so a
-    /// worker thread's record folds cleanly into its parent's view.
+    /// time order, so a worker thread's record folds cleanly into its
+    /// parent's view.
     pub fn merge(&mut self, other: Journal) {
         self.events.extend(other.events);
         self.sort();

@@ -1,7 +1,7 @@
 //! The live ops dashboard: the `GET /stats.json` snapshot and the
 //! zero-dependency HTML page `GET /` serves.
 //!
-//! `stats_json` distills the full registry [`snapshot`](crate::snapshot)
+//! `stats_json` distills the full registry [`snapshot`](super::snapshot)
 //! into the handful of numbers an operator watches: statement latency
 //! quantiles, statement/error totals, cache hit ratio, governor
 //! residency, journal drops, and per-source breaker counters. Keys are
@@ -15,7 +15,7 @@
 
 use aql_trace::json::Json;
 
-use crate::http::{json_line, num, obj};
+use super::http::{json_line, num, obj};
 
 /// The flat snapshot as a key → value map lookup helper.
 struct Snap(Vec<(String, u64)>);
@@ -30,7 +30,7 @@ impl Snap {
 
     /// The series of `family` labelled `source=src`.
     fn of_source(&self, family: &str, src: &str) -> u64 {
-        self.get(&crate::series_key(family, &[("source", src)]))
+        self.get(&super::series_key(family, &[("source", src)]))
     }
 }
 
@@ -42,15 +42,15 @@ fn ratio(part: u64, whole: u64) -> Json {
 
 /// Build the `GET /stats.json` body. Stable keys; see module docs.
 pub(crate) fn stats_json(uptime_s: u64) -> String {
-    let snap = Snap(crate::snapshot());
-    let total = |family: &str| num(crate::family_total(family));
-    let hits = crate::family_total("aql_store_cache_hits_total");
-    let misses = crate::family_total("aql_store_cache_misses_total");
+    let snap = Snap(super::snapshot());
+    let total = |family: &str| num(super::family_total(family));
+    let hits = super::family_total("aql_store_cache_hits_total");
+    let misses = super::family_total("aql_store_cache_misses_total");
     let budget = snap.get("aql_store_governor_budget_bytes");
     let peak = snap.get("aql_store_governor_peak_bytes");
     // The label values as registered, not as a series key spells them:
     // a key escapes its values its own way.
-    let breakers = crate::label_values("aql_store_breaker_trips_total", "source")
+    let breakers = super::label_values("aql_store_breaker_trips_total", "source")
         .into_iter()
         .map(|src| {
             let of = |family: &str| num(snap.of_source(family, &src));
@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn stats_json_has_stable_keys_and_balances() {
-        crate::counter_with(
+        crate::metrics::counter_with(
             "aql_store_breaker_trips_total",
             &[("source", "t-dash-src")],
             "t",
@@ -236,7 +236,7 @@ mod tests {
         assert!(body.contains("\"trips\":2"), "{body}");
         // …escaped once, as JSON: not as the series key spells it.
         let label = "t-dash \"q\" \\ \n \u{1} é";
-        crate::counter_with("aql_store_breaker_trips_total", &[("source", label)], "t").add(3);
+        crate::metrics::counter_with("aql_store_breaker_trips_total", &[("source", label)], "t").add(3);
         let body = stats_json(7);
         let json = r#""source":"t-dash \"q\" \\ \n \u0001 é","trips":3,"#;
         assert!(body.contains(json), "{body}");

@@ -9,18 +9,15 @@
 //!   statement and error totals, cache hit ratio, governor residency,
 //!   journal drops, breaker counters (stable keys; see the
 //!   `dashboard` module docs);
-//! * `GET /metrics` — [`render_prometheus`](crate::render_prometheus)
+//! * `GET /metrics` — [`render_prometheus`](super::render_prometheus)
 //!   exposition;
 //! * `GET /healthz` — a JSON liveness probe: status, uptime, and the
-//!   flight recorder's `aql_journal_dropped_total` (read back from the
-//!   registry: the journal depends on this crate, not the reverse);
+//!   flight recorder's `aql_journal_dropped_total`;
 //! * `GET /incidents` — a JSON listing of recent incident files in the
 //!   directory registered via [`set_incident_dir`], newest first;
-//! * `GET /profile?seconds=N` — folded stacks of the last `N` seconds,
-//!   answered at once by the provider registered via
-//!   [`set_profile_provider`] (503 when none is installed — the
-//!   account it folds, the flight recorder's, lives in `aql-journal`,
-//!   which depends on this crate).
+//! * `GET /profile?seconds=N` — the flight recorder's records of the
+//!   last `N` seconds (1–30, default 1), every thread's, folded into
+//!   `statement;<phase> <ns>` lines and answered at once.
 //!
 //! Anything else gets a 404. One request per connection
 //! (`Connection: close`), which is exactly the Prometheus scrape model;
@@ -56,37 +53,29 @@ pub fn set_incident_dir(dir: Option<PathBuf>) {
     *INCIDENT_DIR.lock().unwrap_or_else(|p| p.into_inner()) = dir;
 }
 
-/// A live-profile callback: given a look-back in seconds, return folded
-/// stacks (`path;to;frame ns` lines) without blocking. See
-/// [`set_profile_provider`].
-pub type ProfileProvider = Box<dyn Fn(u64) -> String + Send + Sync>;
-
-/// The provider `GET /profile?seconds=N` delegates to.
-static PROFILE_PROVIDER: Mutex<Option<ProfileProvider>> = Mutex::new(None);
-
-/// Register (or clear, with `None`) the live-profile provider behind
-/// `GET /profile?seconds=N`. The profile is a fold of the flight
-/// recorder, which this crate cannot see; hosts wire the two together
-/// (the REPL's `\metrics serve` does) exactly like [`set_incident_dir`]
-/// keeps the incident pipeline decoupled.
-pub fn set_profile_provider(provider: Option<ProfileProvider>) {
-    *PROFILE_PROVIDER.lock().unwrap_or_else(|p| p.into_inner()) = provider;
-}
-
 /// Look-back bounds for `/profile?seconds=N`: at least one second, at
 /// most this many. The request costs the same either way.
 const PROFILE_MAX_SECONDS: u64 = 30;
 
-/// The `/profile` response, or `None` when no provider is registered.
-fn profile_body(query: &str) -> Option<String> {
-    let seconds = query
+/// The look-back a `/profile` query string asks for: its `seconds=`
+/// clamped to `1..=PROFILE_MAX_SECONDS`, 1 when missing or malformed.
+fn profile_seconds(query: &str) -> u64 {
+    query
         .split('&')
         .find_map(|kv| kv.strip_prefix("seconds="))
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(1)
-        .clamp(1, PROFILE_MAX_SECONDS);
-    let guard = PROFILE_PROVIDER.lock().unwrap_or_else(|p| p.into_inner());
-    guard.as_ref().map(|p| p(seconds))
+        .clamp(1, PROFILE_MAX_SECONDS)
+}
+
+/// The `/profile` body: every thread's flight-recorder records of the
+/// last `seconds` (or as far back as the rings still hold), folded into
+/// `statement;<phase> <ns>` lines.
+fn profile_body(seconds: u64) -> String {
+    let since = crate::now_us().saturating_sub(seconds.saturating_mul(1_000_000));
+    let mut recent = crate::snapshot();
+    recent.events.retain(|r| r.t_us >= since);
+    aql_trace::profile::Profile::from_folded(recent.folded()).folded_text()
 }
 
 /// Seconds since the liveness anchor.
@@ -110,12 +99,12 @@ pub(crate) fn json_line(body: Json) -> String {
 }
 
 /// The `/healthz` body: a flat JSON object — liveness, uptime, and the
-/// flight recorder's drop counter (0 when no journal is linked in).
+/// flight recorder's drop counter.
 fn healthz_body() -> String {
     json_line(obj(vec![
         ("status", Json::Str("ok".to_string())),
         ("uptime_s", num(uptime_s())),
-        ("journal_dropped_total", num(crate::family_total("aql_journal_dropped_total"))),
+        ("journal_dropped_total", num(crate::M_DROPPED.get())),
     ]))
 }
 
@@ -223,7 +212,7 @@ fn respond(mut stream: TcpStream) -> std::io::Result<()> {
         (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            crate::render_prometheus(),
+            super::render_prometheus(),
         )
     } else if method == "GET" && path == "/healthz" {
         ("200 OK", "application/json; charset=utf-8", healthz_body())
@@ -233,7 +222,7 @@ fn respond(mut stream: TcpStream) -> std::io::Result<()> {
         (
             "200 OK",
             "text/html; charset=utf-8",
-            crate::dashboard::DASHBOARD_HTML.to_string(),
+            super::dashboard::DASHBOARD_HTML.to_string(),
         )
     } else if method == "GET"
         && (path == "/stats.json" || path.starts_with("/stats.json?"))
@@ -241,22 +230,13 @@ fn respond(mut stream: TcpStream) -> std::io::Result<()> {
         (
             "200 OK",
             "application/json; charset=utf-8",
-            crate::dashboard::stats_json(uptime_s()),
+            super::dashboard::stats_json(uptime_s()),
         )
     } else if method == "GET"
         && (path == "/profile" || path.starts_with("/profile?"))
     {
         let query = path.split_once('?').map_or("", |(_, q)| q);
-        match profile_body(query) {
-            Some(folded) => ("200 OK", "text/plain; charset=utf-8", folded),
-            None => (
-                "503 Service Unavailable",
-                "text/plain; charset=utf-8",
-                "profile: no provider registered (`\\metrics serve` in a \
-                 session installs the flight recorder's)\n"
-                    .to_string(),
-            ),
-        }
+        ("200 OK", "text/plain; charset=utf-8", profile_body(profile_seconds(query)))
     } else {
         (
             "404 Not Found",
@@ -290,7 +270,7 @@ mod tests {
 
     #[test]
     fn serves_metrics_and_404s_everything_else() {
-        crate::counter("t_http_requests_total", "Test.").add(3);
+        crate::metrics::counter("t_http_requests_total", "Test.").add(3);
         let server = serve("127.0.0.1:0").expect("bind");
         let ok = fetch(server.addr(), "/metrics");
         assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
@@ -382,24 +362,12 @@ mod tests {
     }
 
     #[test]
-    fn profile_route_uses_the_registered_provider() {
-        let server = serve("127.0.0.1:0").expect("bind");
-        set_profile_provider(None);
-        let off = fetch(server.addr(), "/profile?seconds=1");
-        assert!(off.starts_with("HTTP/1.1 503"), "{off}");
-        set_profile_provider(Some(Box::new(|secs| {
-            format!("statement;eval {secs}\n")
-        })));
-        // Malformed / missing / huge windows clamp instead of erroring.
-        let got = fetch(server.addr(), "/profile?seconds=9999");
-        assert!(got.starts_with("HTTP/1.1 200 OK\r\n"), "{got}");
-        assert!(got.ends_with("statement;eval 30\n"), "{got}");
-        for fallback in ["/profile", "/profile?seconds=0", "/profile?seconds=soon"] {
-            let default = fetch(server.addr(), fallback);
-            assert!(default.ends_with("statement;eval 1\n"), "{fallback}: {default}");
+    fn profile_window_clamps_instead_of_erroring() {
+        assert_eq!(profile_seconds("seconds=7"), 7);
+        assert_eq!(profile_seconds("x=1&seconds=9999"), PROFILE_MAX_SECONDS);
+        for fallback in ["", "seconds=0", "seconds=soon", "secs=5"] {
+            assert_eq!(profile_seconds(fallback), 1, "{fallback:?}");
         }
-        set_profile_provider(None);
-        server.stop();
     }
 
     #[test]

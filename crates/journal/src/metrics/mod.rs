@@ -1,7 +1,7 @@
-//! # aql-metrics — process-lifetime metrics
+//! Process-lifetime metrics.
 //!
 //! The aggregate counterpart of `aql-trace`: where a trace describes
-//! *one* query in full detail and dies with it, this crate keeps
+//! *one* query in full detail and dies with it, this module keeps
 //! **durable, process-wide aggregates** — the numbers an operator of a
 //! long-running session needs (total statements, cache hit ratios,
 //! I/O fault rates, phase latency distributions) without profiling
@@ -9,12 +9,10 @@
 //!
 //! Three metric kinds live in one global registry:
 //!
-//! * [`Counter`] — a monotonically increasing `u64`, **sharded** over
-//!   cache-line-padded atomics so concurrent writers on different
-//!   threads do not contend (reads sum the shards).
+//! * [`Counter`] — a monotonically increasing `u64`: one relaxed atomic.
 //! * [`Gauge`] — a settable `i64` (last write wins).
 //! * [`Histogram`] — log2-bucketed `u64` samples (bucket *i* ≥ 1 holds
-//!   values in `[2^(i-1), 2^i)`; bucket 0 holds zero) with a sharded
+//!   values in `[2^(i-1), 2^i)`; bucket 0 holds zero) with an atomic
 //!   sum, supporting [`Histogram::quantile`] estimation (p50/p95/p99)
 //!   by interpolation inside the bucket containing the rank.
 //!
@@ -22,11 +20,14 @@
 //!
 //! Recording against a resolved handle (a `&'static` [`Counter`],
 //! [`Gauge`] or [`Histogram`], or a [`LazyCounter`]) is one relaxed
-//! `fetch_add` — no locking, no allocation, no formatting. Looking a
-//! name up (`counter`, `counter_with`, …) takes the registry mutex, and
-//! the first use of a name leaks the metric: handles are `&'static`
-//! and live for the process. Hot call sites resolve a handle once and
-//! keep it; [`registry_locks`] lets a test hold them to that.
+//! `fetch_add` — no locking, no allocation, no formatting. A session
+//! records from its one thread (values are `Rc`); the AQF prefetch
+//! worker is the only other writer, so there is no contention to shard
+//! for. Looking a name up (`counter`, `counter_with`, …) takes the
+//! registry mutex, and the first use of a name leaks the metric:
+//! handles are `&'static` and live for the process. Hot call sites
+//! resolve a handle once and keep it; [`registry_locks`] lets a test
+//! hold them to that.
 //!
 //! ## Cardinality rules
 //!
@@ -39,56 +40,34 @@
 //!
 //! [`render_prometheus`] renders the whole registry in the Prometheus
 //! text format (version 0.0.4); [`http::serve`] exposes it over a
-//! std-only `GET /metrics` endpoint.
+//! std-only `GET /metrics` endpoint, beside the dashboard and the
+//! flight recorder's live profile.
 //!
 //! ```
-//! use aql_metrics as m;
+//! use aql_journal::metrics as m;
 //! static QUERIES: m::LazyCounter =
 //!     m::LazyCounter::new("doc_queries_total", "Queries served.");
 //! QUERIES.add(1);
 //! assert!(m::render_prometheus().contains("doc_queries_total 1"));
 //! ```
 
-#![warn(missing_docs)]
-
-pub(crate) mod dashboard;
+mod dashboard;
 pub mod http;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Number of write shards per counter / histogram sum. Eight padded
-/// slots cover typical worker-thread counts without false sharing.
-pub const SHARDS: usize = 8;
 
 /// Number of histogram buckets: one for zero plus one per power of
 /// two up to `2^64`.
 pub const BUCKETS: usize = 65;
 
-// ---- shard selection -------------------------------------------------
-
-/// Each thread gets a fixed shard slot, assigned round-robin at first
-/// use, so a thread's increments always hit the same cache line.
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-    }
-    SLOT.with(|s| *s)
-}
-
-/// A cache-line-padded atomic, so adjacent shards never share a line.
-#[repr(align(64))]
-#[derive(Default)]
-struct Pad(AtomicU64);
-
 // ---- metric kinds ----------------------------------------------------
 
-/// A monotonically increasing counter, sharded across padded atomics.
+/// A monotonically increasing counter.
 #[derive(Default)]
 pub struct Counter {
-    shards: [Pad; SHARDS],
+    v: AtomicU64,
 }
 
 impl Counter {
@@ -98,7 +77,7 @@ impl Counter {
         if delta == 0 {
             return;
         }
-        self.shards[shard_index()].0.fetch_add(delta, Ordering::Relaxed);
+        self.v.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Add 1.
@@ -107,9 +86,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current total (sum over shards).
+    /// The current total.
     pub fn get(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.v.load(Ordering::Relaxed)
     }
 }
 
@@ -160,14 +139,14 @@ pub fn bounds_of(i: usize) -> (u64, u64) {
 /// A log2-bucketed histogram of `u64` samples.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    sum: [Pad; SHARDS],
+    sum: AtomicU64,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: Default::default(),
+            sum: AtomicU64::new(0),
         }
     }
 }
@@ -187,14 +166,14 @@ impl Histogram {
     #[inline]
     pub fn observe(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum[shard_index()].0.fetch_add(v, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Copy out the bucket counts and sum.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            sum: self.sum.iter().map(|s| s.0.load(Ordering::Relaxed)).sum(),
+            sum: self.sum.load(Ordering::Relaxed),
         }
     }
 
@@ -397,7 +376,7 @@ pub fn family_total(family: &str) -> u64 {
 
 /// A `static`-friendly counter handle: the registry lookup happens
 /// once, on first use, after which it dereferences to the registered
-/// [`Counter`] — an `add` is one sharded `fetch_add`.
+/// [`Counter`] — an `add` is one `fetch_add`.
 pub struct LazyCounter {
     name: &'static str,
     help: &'static str,

@@ -1,14 +1,14 @@
 //! Property tests for histogram bucket arithmetic and a multi-thread
-//! stress test for the sharded registry.
+//! stress test for the metrics registry.
 //!
 //! The bucket properties pin down the log2 scheme: every value round
 //! trips through `bucket_of` / `bounds_of`, buckets tile `u64` without
 //! gaps or overlaps, and estimated quantiles are monotone in `q` and
 //! bracketed by the observed extremes' buckets. The stress test proves
-//! the headline claim of the sharded counters: no increment is ever
-//! lost under concurrency.
+//! that a counter's one relaxed atomic loses no increment under
+//! concurrency.
 
-use aql_metrics::{
+use aql_journal::metrics::{
     bounds_of, bucket_of, counter, histogram, BUCKETS, HistogramSnapshot,
 };
 use proptest::prelude::*;
@@ -83,7 +83,7 @@ proptest! {
     }
 }
 
-/// The sharded registry loses no increments under concurrency: many
+/// The registry loses no increments under concurrency: many
 /// threads hammering the same counter and histogram sum exactly.
 #[test]
 fn concurrent_increments_are_never_lost() {

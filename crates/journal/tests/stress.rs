@@ -18,7 +18,7 @@ fn eight_writers_no_torn_records_bounded_memory() {
     set_capacity(CAP);
     let label = intern("stress:w");
     let before_dropped = dropped_total();
-    let before_metric = aql_metrics::family_total("aql_journal_dropped_total");
+    let before_metric = aql_journal::metrics::family_total("aql_journal_dropped_total");
 
     // Concurrent reader: snapshots must never observe a torn record
     // (bad tag, wrong label, out-of-range payload) while writers run.
@@ -103,7 +103,7 @@ fn eight_writers_no_torn_records_bounded_memory() {
         dropped >= expected,
         "dropped_total counted overwrites: {dropped} < {expected}"
     );
-    let metric = aql_metrics::family_total("aql_journal_dropped_total") - before_metric;
+    let metric = aql_journal::metrics::family_total("aql_journal_dropped_total") - before_metric;
     assert!(
         metric >= expected,
         "aql_journal_dropped_total exported: {metric} < {expected}"

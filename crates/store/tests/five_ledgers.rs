@@ -30,7 +30,7 @@ const LABEL: &str = "mem:five-ledgers";
 const CHUNK_BYTES: u64 = 8 * 8;
 
 fn metric(name: &str) -> u64 {
-    aql_metrics::counter(name, "").get()
+    aql_journal::metrics::counter(name, "").get()
 }
 
 #[test]
@@ -106,7 +106,7 @@ fn hits_misses_evictions_and_bytes_agree_across_all_five_ledgers() {
     assert_eq!(metric("aql_store_cache_misses_total") - metrics0.1, own.misses);
     assert_eq!(metric("aql_store_cache_evictions_total") - metrics0.2, own.evictions);
     assert_eq!(metric("aql_store_cache_bytes_read_total") - metrics0.3, own.bytes_read);
-    let labeled = aql_metrics::counter_with(
+    let labeled = aql_journal::metrics::counter_with(
         "aql_store_cache_bytes_read_total",
         &[("source", LABEL)],
         "",
@@ -224,7 +224,7 @@ fn retries_load_errors_and_warm_handovers_agree_too() {
         ("aql_store_cache_prefetched_bytes_total", own.prefetched_bytes),
         ("aql_store_cache_load_errors_total", own.load_errors),
     ] {
-        let series = aql_metrics::counter_with(family, &[("source", FAULTY)], "");
+        let series = aql_journal::metrics::counter_with(family, &[("source", FAULTY)], "");
         assert_eq!(series.get(), want, "{family}{{source}}");
     }
 }

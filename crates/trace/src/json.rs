@@ -1,10 +1,11 @@
 //! Minimal dependency-free JSON: a value tree, a writer, and a strict
-//! parser — just enough for [`Trace`] and the session's
-//! `QueryReport` to round-trip machine-readably into the `BENCH_*.json`
-//! artifacts. Numbers are `f64` (every counter this crate emits fits
-//! exactly below 2⁵³); object member order is preserved.
+//! parser — just enough for the Chrome export of a [`Trace`], the
+//! slow-query log, the endpoint's JSON routes and the flight
+//! recorder's incident files (which `\doctor` reads back). Numbers
+//! are `f64` (every counter this crate emits fits exactly below 2⁵³);
+//! object member order is preserved.
 
-use crate::{SpanRec, Trace};
+use crate::Trace;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -296,124 +297,9 @@ impl<'a> Parser<'a> {
     }
 }
 
-// ---- Trace <-> JSON --------------------------------------------------
-
-fn counters_to_json(cs: &[(String, u64)]) -> Json {
-    Json::Obj(cs.iter().map(|(k, v)| (k.clone(), Json::Num(*v as f64))).collect())
-}
-
-fn counters_from_json(j: &Json) -> Result<Vec<(String, u64)>, String> {
-    match j {
-        Json::Obj(ms) => ms
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("counter `{k}` is not a u64"))
-            })
-            .collect(),
-        _ => Err("counters must be an object".to_string()),
-    }
-}
+// ---- Trace -> Chrome trace-event JSON --------------------------------
 
 impl Trace {
-    /// The trace as a JSON value (see [`Trace::to_json`]).
-    pub fn to_json_value(&self) -> Json {
-        let spans = self
-            .spans
-            .iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("name".to_string(), Json::Str(s.name.clone())),
-                    (
-                        "parent".to_string(),
-                        s.parent.map_or(Json::Null, |p| Json::Num(p as f64)),
-                    ),
-                    ("start_ns".to_string(), Json::Num(s.start_ns as f64)),
-                    (
-                        "dur_ns".to_string(),
-                        s.dur_ns.map_or(Json::Null, |d| Json::Num(d as f64)),
-                    ),
-                    ("counters".to_string(), counters_to_json(&s.counters)),
-                    (
-                        "notes".to_string(),
-                        Json::Obj(
-                            s.notes
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("spans".to_string(), Json::Arr(spans)),
-            ("counters".to_string(), counters_to_json(&self.counters)),
-        ])
-    }
-
-    /// Serialize the trace to compact JSON.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().write()
-    }
-
-    /// Rebuild a trace from a JSON value produced by
-    /// [`Trace::to_json_value`].
-    pub fn from_json_value(j: &Json) -> Result<Trace, String> {
-        let spans = j
-            .get("spans")
-            .and_then(Json::as_arr)
-            .ok_or("trace: missing `spans` array")?
-            .iter()
-            .map(|s| {
-                Ok(SpanRec {
-                    name: s
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("span: missing name")?
-                        .to_string(),
-                    parent: match s.get("parent") {
-                        Some(Json::Null) | None => None,
-                        Some(p) => {
-                            Some(p.as_u64().ok_or("span: bad parent")? as usize)
-                        }
-                    },
-                    start_ns: s
-                        .get("start_ns")
-                        .and_then(Json::as_u64)
-                        .ok_or("span: bad start_ns")?,
-                    dur_ns: match s.get("dur_ns") {
-                        Some(Json::Null) | None => None,
-                        Some(d) => Some(d.as_u64().ok_or("span: bad dur_ns")?),
-                    },
-                    counters: counters_from_json(
-                        s.get("counters").unwrap_or(&Json::Obj(vec![])),
-                    )?,
-                    notes: match s.get("notes") {
-                        Some(Json::Obj(ms)) => ms
-                            .iter()
-                            .map(|(k, v)| {
-                                v.as_str()
-                                    .map(|s2| (k.clone(), s2.to_string()))
-                                    .ok_or_else(|| format!("note `{k}` is not a string"))
-                            })
-                            .collect::<Result<_, _>>()?,
-                        _ => Vec::new(),
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let counters =
-            counters_from_json(j.get("counters").unwrap_or(&Json::Obj(vec![])))?;
-        Ok(Trace { spans, counters })
-    }
-
-    /// Parse a trace serialized by [`Trace::to_json`].
-    pub fn from_json(src: &str) -> Result<Trace, String> {
-        Trace::from_json_value(&Json::parse(src)?)
-    }
-
     /// The trace as a Chrome trace-event JSON value: one complete
     /// (`"ph": "X"`) event per span, timestamps and durations in
     /// microseconds (fractional, preserving nanosecond resolution),
@@ -499,23 +385,6 @@ mod tests {
             Some("x")
         );
         assert_eq!(v.get("c"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn trace_round_trips() {
-        crate::enable();
-        {
-            let _a = crate::span("statement");
-            crate::note("kind", || "query".to_string());
-            {
-                let _b = crate::span("eval");
-                crate::count("eval.steps", 12345);
-            }
-        }
-        crate::count("outside", 7);
-        let t = crate::disable();
-        let back = Trace::from_json(&t.to_json()).unwrap();
-        assert_eq!(back, t);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! recorded by a **thread-local subscriber** so no handle is ever
 //! threaded through evaluator or storage code. The runtime is
 //! single-threaded (values are `Rc`-based), so a thread-local
-//! subscriber sees every event of a query, exactly once. Work spawned
-//! onto other threads is *not* seen automatically — the worker
-//! collects its own [`Trace`] and the parent folds it back in with
-//! [`merge`] (or [`Trace::merge`]); see `merge`'s docs for the
-//! pattern.
+//! subscriber sees every event of a query, exactly once. No work of a
+//! query is traced on another thread: the one other thread that works
+//! for a session, the AQF prefetch worker, reports through the flight
+//! recorder (`aql-journal`), not through a trace.
 //!
 //! ## Overhead contract
 //!
@@ -33,8 +32,8 @@
 //! trace itself when no span is open). [`Trace::render`] pretty-prints
 //! the tree; [`Trace::folded`] collapses it into flamegraph stacks of
 //! exact self times, which [`profile`] renders as text and SVG;
-//! [`Trace::to_json`] / [`Trace::from_json`] round-trip the
-//! whole structure through the bundled [`json`] module.
+//! [`Trace::to_chrome_json`] exports it for Perfetto through the
+//! bundled [`json`] module.
 //!
 //! ```
 //! aql_trace::enable();
@@ -60,8 +59,7 @@ use std::time::Instant;
 /// clock, with its counters and annotations.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpanRec {
-    /// Span name (a static label at record time; owned so traces can
-    /// be reconstructed from JSON).
+    /// Span name (a static label at record time).
     pub name: String,
     /// Index of the enclosing span in [`Trace::spans`], if any.
     pub parent: Option<usize>,
@@ -122,36 +120,11 @@ impl Trace {
         spans + top
     }
 
-    /// Fold another trace into this one: `other`'s spans are appended
-    /// with their parent indices re-based, its roots re-parented under
-    /// `attach_to` (an index into `self.spans`, or `None` to keep them
-    /// roots), and its trace-level counters merged into this trace's.
-    /// Span timings keep their own epochs — a merged child's
-    /// `start_ns` is relative to the clock of the thread that recorded
-    /// it, so cross-thread offsets are not comparable (durations are).
-    pub fn merge(&mut self, other: Trace, attach_to: Option<usize>) {
-        let base = self.spans.len();
-        for mut s in other.spans {
-            s.parent = match s.parent {
-                Some(p) => Some(p + base),
-                None => attach_to,
-            };
-            self.spans.push(s);
-        }
-        for (n, v) in other.counters {
-            if let Some(slot) = self.counters.iter_mut().find(|(k, _)| *k == n) {
-                slot.1 += v;
-            } else {
-                self.counters.push((n, v));
-            }
-        }
-    }
-
     /// The trace as collapsed stacks, the flamegraph input format: one
     /// `(path, ns)` per distinct span path (names root to leaf joined
     /// by `;`), in first-open order, weighted by the *self time* of the
     /// spans on it — duration less the children's, zero rather than
-    /// wrapping if a merged child outlasts its parent. A span that
+    /// wrapping if a child outlasts its parent. A span that
     /// never closed has no duration and adds nothing. When every span
     /// closed within its parent, the weights sum to the root spans'
     /// durations.
@@ -478,59 +451,6 @@ pub fn note(key: &'static str, value: impl FnOnce() -> String) {
     });
 }
 
-/// Fold a [`Trace`] collected on another thread into this thread's
-/// active subscriber, attaching its root spans (and its trace-level
-/// counters) under the innermost open span. No-op when tracing is
-/// disabled here.
-///
-/// This is the worker-thread pattern: the subscriber is
-/// `thread_local!`, so spans and counters recorded on a spawned thread
-/// are invisible to the spawning thread's trace unless folded back in.
-/// The worker calls [`enable`] / [`disable`] around its work and sends
-/// the resulting [`Trace`] back; the parent calls `merge`:
-///
-/// ```
-/// aql_trace::enable();
-/// let root = aql_trace::span("parent-work");
-/// let child = std::thread::spawn(|| {
-///     aql_trace::enable();
-///     let _s = aql_trace::span("worker");
-///     aql_trace::count("worker.items", 3);
-///     drop(_s);
-///     aql_trace::disable()
-/// })
-/// .join()
-/// .expect("worker");
-/// aql_trace::merge(child);
-/// drop(root);
-/// let t = aql_trace::disable();
-/// assert_eq!(t.total_counter("worker.items"), 3);
-/// ```
-pub fn merge(child: Trace) {
-    if !enabled() {
-        return;
-    }
-    COLLECTOR.with(|c| {
-        let mut b = c.borrow_mut();
-        let Some(col) = b.as_mut() else { return };
-        let attach = col.stack.last().copied();
-        let base = col.spans.len();
-        for mut s in child.spans {
-            s.parent = match s.parent {
-                Some(p) => Some(p + base),
-                None => attach,
-            };
-            col.spans.push(s);
-        }
-        for (n, v) in child.counters {
-            match attach {
-                Some(i) => bump(&mut col.spans[i].counters, &n, v),
-                None => bump(&mut col.top_counters, &n, v),
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,77 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_thread_traces_fold_into_parent() {
-        // Regression: the subscriber is thread-local, so without an
-        // explicit merge everything recorded on a spawned thread was
-        // silently dropped.
-        enable();
-        let worker = {
-            let _root = span("statement");
-            count("parent.events", 1);
-            let child = std::thread::spawn(|| {
-                // The parent's subscriber is not visible here.
-                assert!(!enabled(), "subscriber must not leak across threads");
-                enable();
-                {
-                    let _s = span("worker.chunk");
-                    count("worker.bytes", 64);
-                }
-                count("worker.top", 2);
-                disable()
-            })
-            .join()
-            .expect("worker thread");
-            merge(child);
-            disable()
-        };
-        // The worker's span nests under the parent's open span …
-        let root = worker.find("statement").expect("root span");
-        assert_eq!(root.name, "statement");
-        let chunk_idx = worker
-            .spans
-            .iter()
-            .position(|s| s.name == "worker.chunk")
-            .expect("merged span");
-        assert_eq!(worker.spans[chunk_idx].parent, Some(0));
-        // … and every counter survives, including the worker's
-        // trace-level ones (folded onto the attachment span).
-        assert_eq!(worker.total_counter("worker.bytes"), 64);
-        assert_eq!(worker.total_counter("worker.top"), 2);
-        assert_eq!(worker.total_counter("parent.events"), 1);
-    }
-
-    #[test]
-    fn trace_merge_rebases_parents_and_sums_counters() {
-        let mut parent = Trace {
-            spans: vec![SpanRec { name: "a".into(), ..Default::default() }],
-            counters: vec![("n".to_string(), 1)],
-        };
-        let child = Trace {
-            spans: vec![
-                SpanRec { name: "w".into(), ..Default::default() },
-                SpanRec { name: "w.inner".into(), parent: Some(0), ..Default::default() },
-            ],
-            counters: vec![("n".to_string(), 2), ("m".to_string(), 5)],
-        };
-        parent.merge(child, Some(0));
-        assert_eq!(parent.spans.len(), 3);
-        assert_eq!(parent.spans[1].parent, Some(0), "root re-parented");
-        assert_eq!(parent.spans[2].parent, Some(1), "index re-based");
-        assert_eq!(parent.counters, vec![("n".to_string(), 3), ("m".to_string(), 5)]);
-        // `None` keeps the child's roots as roots.
-        let mut p2 = Trace::default();
-        p2.merge(
-            Trace {
-                spans: vec![SpanRec { name: "w".into(), ..Default::default() }],
-                counters: vec![],
-            },
-            None,
-        );
-        assert_eq!(p2.roots(), vec![0]);
-    }
-
-    #[test]
     fn folded_stacks_carry_self_times() {
         let span = |name: &str, parent, dur_ns| SpanRec {
             name: name.into(),
@@ -721,7 +570,7 @@ mod tests {
                 // its parent; its closed child still counts.
                 span("optimize", Some(0), None),
                 span("opt.phase", Some(4), Some(5)),
-                // A merged worker span may outlast the span it hangs under.
+                // A span may outlast the span it hangs under.
                 span("worker", Some(2), Some(25)),
                 span("parse", None, Some(7)),
             ],
@@ -740,16 +589,6 @@ mod tests {
             ]
         );
         assert!(Trace::default().folded().is_empty());
-    }
-
-    #[test]
-    fn merge_without_subscriber_is_inert() {
-        assert!(!enabled());
-        merge(Trace {
-            spans: vec![SpanRec { name: "w".into(), ..Default::default() }],
-            counters: vec![("n".to_string(), 1)],
-        });
-        assert!(disable().is_empty());
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! the optimizer ([`aql_opt`]), the abstract-interpretation framework
 //! with the cost model and the `\lint` pass ([`aql_analysis`]), the
 //! NetCDF driver ([`aql_netcdf`]), the query-lifecycle tracer and its
-//! flamegraph folds ([`aql_trace`]), the process-lifetime
-//! metrics registry ([`aql_metrics`]) and the always-on flight
-//! recorder with incident dumps ([`aql_journal`]).
+//! flamegraph folds ([`aql_trace`]), and the always-on flight recorder
+//! with incident dumps and, as its [`metrics`] module, the
+//! process-lifetime metrics registry and its HTTP endpoint
+//! ([`aql_journal`]).
 //!
 //! This is a from-scratch Rust reproduction of *Libkin, Machlin &
 //! Wong, "A Query Language for Multidimensional Arrays: Design,
@@ -22,7 +23,7 @@ pub use aql_core as core;
 pub use aql_format as format;
 pub use aql_journal as journal;
 pub use aql_lang as lang;
-pub use aql_metrics as metrics;
+pub use aql_journal::metrics;
 pub use aql_netcdf as netcdf;
 pub use aql_opt as opt;
 pub use aql_store as store;

@@ -196,7 +196,7 @@ fn store_chaos_run(seed: u64) {
     // fault schedule advancing.
     let mut a = LazyArray::new(layout, ScalarKind::F64, Box::new(source), 4 * 8 * 8 * 8);
 
-    let injected_before = aql_metrics::family_total("aql_store_chaos_injected_total");
+    let injected_before = aql::metrics::family_total("aql_store_chaos_injected_total");
     let mut probe = seed.wrapping_mul(1000) + 1;
     let mut errors = 0u64;
     for _ in 0..400 {
@@ -215,7 +215,7 @@ fn store_chaos_run(seed: u64) {
         }
     }
     assert!(
-        aql_metrics::family_total("aql_store_chaos_injected_total") > injected_before,
+        aql::metrics::family_total("aql_store_chaos_injected_total") > injected_before,
         "seed {seed}: the schedule injected no faults — the run proved nothing"
     );
 
@@ -359,8 +359,8 @@ fn breaker_trips_and_recovers_through_the_session() {
     });
     bind_chaos(&mut s, &p, reader);
 
-    let trips_before = aql_metrics::family_total("aql_store_breaker_trips_total");
-    let probes_before = aql_metrics::family_total("aql_store_breaker_probes_total");
+    let trips_before = aql::metrics::family_total("aql_store_breaker_trips_total");
+    let probes_before = aql::metrics::family_total("aql_store_breaker_probes_total");
     let mut failures = 0u64;
     let mut recovered = None;
     for _ in 0..30 {
@@ -376,11 +376,11 @@ fn breaker_trips_and_recovers_through_the_session() {
     assert_eq!(recovered, Some(Value::Real(8.0)), "no recovery");
     assert!(failures >= 3, "outage too short to trip anything");
     assert!(
-        aql_metrics::family_total("aql_store_breaker_trips_total") > trips_before,
+        aql::metrics::family_total("aql_store_breaker_trips_total") > trips_before,
         "breaker never tripped"
     );
     assert!(
-        aql_metrics::family_total("aql_store_breaker_probes_total") > probes_before,
+        aql::metrics::family_total("aql_store_breaker_probes_total") > probes_before,
         "breaker never probed (recovery path untested)"
     );
     // Recovered for good: the chunk is cached, statements keep

@@ -64,8 +64,8 @@ fn dashboard_stats_and_profile_routes_serve_live_data() {
     let p = path.to_str().unwrap();
 
     // ---- GET /profile in an idle process -----------------------------
-    // `\metrics serve` starts the endpoint AND installs the live profile
-    // provider behind `/profile`. No statement has run in this process
+    // `\metrics serve` starts the endpoint, which folds the flight
+    // recorder behind `/profile` itself. No statement has run in this process
     // yet (a bare session loads no prelude): the longest look-back is an
     // empty account, answered at once.
     let (executed, idle_addr) = repl_serving(&mut Session::bare(), "\\metrics serve 127.0.0.1:0;\n");

@@ -213,7 +213,7 @@ pub fn run_repl(
             continue;
         }
         // `\store;` reports per-binding chunk-store residency and the
-        // process governor's budget/usage/peak.
+        // process governor's usage and peak.
         if trimmed_stmt == "\\store;" {
             write!(output, "{}", session.store_report())?;
             pending.clear();
@@ -245,7 +245,7 @@ pub fn run_repl(
         }
         // `\attr;` renders the per-query resource attribution of the
         // most recent run: bytes and chunks by source label, per-phase
-        // wall time, and governor pressure.
+        // wall time, and the governor's peak.
         if trimmed_stmt == "\\attr;" {
             let ledgers = session.statement_attribution();
             if ledgers.is_empty() {
@@ -291,7 +291,7 @@ pub fn run_repl(
             } else {
                 match parse_quoted(arg) {
                     Some(dir) => {
-                        session.enable_incidents(crate::session::IncidentConfig::new(dir));
+                        session.enable_incidents(dir);
                         writeln!(output, "incidents: dumping into {dir}")?;
                     }
                     None => writeln!(output, "error: usage: \\incidents \"<dir>\"; | off;")?,
@@ -811,7 +811,8 @@ mod tests {
     fn backslash_store_reports_without_open_sources() {
         let text = redacted_transcript("val \\x = 3;\n\\store;\n");
         assert!(text.contains("store: no open chunk sources"), "{text}");
-        assert!(text.contains("governor: budget="), "{text}");
+        assert!(text.contains("governor: in_use="), "{text}");
+        assert!(!text.contains("budget"), "no process budget is reported: {text}");
     }
 
     #[test]

@@ -115,29 +115,15 @@ thread_local! {
     };
 }
 
-/// Configuration of the structured slow-query log.
-#[derive(Debug, Clone)]
-pub struct SlowLogConfig {
-    /// Statements at or above this wall time are always logged.
-    pub threshold: Duration,
-    /// Additionally log every `N`-th statement below the threshold
-    /// (`0` disables sampling). Sampled records carry
-    /// `"sampled": true`, so latency baselines can be reconstructed
-    /// without logging everything.
-    pub sample_every: u64,
-}
-
-impl Default for SlowLogConfig {
-    fn default() -> Self {
-        SlowLogConfig { threshold: Duration::from_millis(100), sample_every: 0 }
-    }
-}
-
-/// The slow-query log: a JSON-lines sink plus its policy.
+/// The slow-query log: a JSON-lines sink and the wall time at or above
+/// which a statement is logged.
 struct SlowLog {
     sink: RefCell<Box<dyn std::io::Write>>,
-    config: SlowLogConfig,
+    threshold: Duration,
 }
+
+/// How many flight-recorder events an incident file keeps.
+const INCIDENT_EVENTS: usize = 256;
 
 /// One run of a pipeline phase: opens the phase's trace span and, on
 /// drop, emits [`Event::Phase`] — the one number the span tree, the
@@ -184,32 +170,6 @@ fn stmt_hash(stmt: &Stmt) -> u64 {
     // The sink never fails, and `Debug` for the AST has no other error.
     let _ = std::fmt::Write::write_fmt(&mut h, format_args!("{stmt:?}"));
     h.0
-}
-
-/// Configuration of the incident dump pipeline: when a statement ends
-/// badly (error, resource exhaustion, a breaker trip during it, or a
-/// slow-query threshold crossing), the session snapshots the flight
-/// recorder's last events, the statement's attribution ledger, and the
-/// metrics that moved, into one self-contained JSON file under `dir`
-/// (see `aql_journal::incident` and DESIGN.md §14).
-#[derive(Debug, Clone)]
-pub struct IncidentConfig {
-    /// Directory incident files are written to (created on demand).
-    pub dir: std::path::PathBuf,
-    /// How many flight-recorder events to keep in the dump.
-    pub last_events: usize,
-    /// Statements at or above this wall time dump a `slow` incident.
-    /// `None` falls back to the slow-query log's threshold when that
-    /// log is enabled, otherwise slow statements never dump.
-    pub slow_threshold: Option<Duration>,
-}
-
-impl IncidentConfig {
-    /// A config with the default window (256 events) and no standalone
-    /// slow threshold.
-    pub fn new(dir: impl Into<std::path::PathBuf>) -> IncidentConfig {
-        IncidentConfig { dir: dir.into(), last_events: 256, slow_threshold: None }
-    }
 }
 
 /// The kind of statement an outcome came from.
@@ -303,7 +263,7 @@ pub struct QueryReport {
     pub statements: Vec<EvalStats>,
     /// Per-statement resource attribution ledgers, parallel to
     /// `statements`: bytes and chunks by labeled source, per-phase wall
-    /// time, and governor pressure (see `aql_journal::attr`). Rendered
+    /// time, and the governor's peak (see `aql_journal::attr`). Rendered
     /// by the REPL's `\attr;`.
     pub attribution: Vec<aql_journal::attr::Ledger>,
     /// The span tree and counters collected while tracing was on
@@ -414,15 +374,15 @@ pub struct Session {
     stmt_stats: RefCell<Vec<EvalStats>>,
     /// The slow-query log, if enabled.
     slow_log: Option<SlowLog>,
-    /// The incident dump pipeline, if enabled.
-    incidents: Option<IncidentConfig>,
+    /// The incident directory, if the dump pipeline is enabled.
+    incidents: Option<std::path::PathBuf>,
     /// Path of the most recent incident dump (drives `\doctor` and the
     /// slow log's `incident` member).
     last_incident: RefCell<Option<std::path::PathBuf>>,
     /// Per-statement attribution ledgers of the most recent
     /// [`Session::run`], parallel to `stmt_stats`.
     stmt_attr: RefCell<Vec<aql_journal::attr::Ledger>>,
-    /// Monotone statement sequence number (drives `sample_every`).
+    /// Monotone statement sequence number.
     stmt_seq: Cell<u64>,
 }
 
@@ -478,17 +438,12 @@ impl Session {
     }
 
     /// Route the slow-query log to `sink`: every statement whose wall
-    /// time reaches `config.threshold` — and every
-    /// `config.sample_every`-th statement regardless — is appended to
-    /// `sink` as one JSON object per line (see DESIGN.md §11 for the
-    /// record schema). Write errors are ignored: the log is telemetry,
-    /// never a reason to fail a query.
-    pub fn enable_slow_log(
-        &mut self,
-        sink: Box<dyn std::io::Write>,
-        config: SlowLogConfig,
-    ) {
-        self.slow_log = Some(SlowLog { sink: RefCell::new(sink), config });
+    /// time reaches `threshold` is appended to `sink` as one JSON
+    /// object per line (see DESIGN.md §11 for the record schema). Write
+    /// errors are ignored: the log is telemetry, never a reason to
+    /// fail a query.
+    pub fn enable_slow_log(&mut self, sink: Box<dyn std::io::Write>, threshold: Duration) {
+        self.slow_log = Some(SlowLog { sink: RefCell::new(sink), threshold });
     }
 
     /// Stop slow-query logging and release the sink.
@@ -496,15 +451,19 @@ impl Session {
         self.slow_log = None;
     }
 
-    /// Enable the incident dump pipeline: statements that error, hit a
-    /// resource limit, trip a circuit breaker, or cross the slow
-    /// threshold write a self-contained incident file into
-    /// `config.dir`. Dump failures are swallowed — incidents are
-    /// telemetry, never a reason to fail a query.
-    pub fn enable_incidents(&mut self, config: IncidentConfig) {
+    /// Enable the incident dump pipeline: a statement that errors,
+    /// hits a resource limit, trips a circuit breaker, or crosses the
+    /// slow-query log's threshold (when that log is on) writes one
+    /// self-contained JSON file into `dir` — the flight recorder's
+    /// last 256 events, the statement's attribution ledger and the
+    /// metrics that moved (see `aql_journal::incident` and DESIGN.md
+    /// §14). Dump failures are swallowed — incidents are telemetry,
+    /// never a reason to fail a query.
+    pub fn enable_incidents(&mut self, dir: impl Into<std::path::PathBuf>) {
+        let dir = dir.into();
         // Keep `GET /incidents` pointed at the same directory.
-        aql_journal::metrics::http::set_incident_dir(Some(config.dir.clone()));
-        self.incidents = Some(config);
+        aql_journal::metrics::http::set_incident_dir(Some(dir.clone()));
+        self.incidents = Some(dir);
     }
 
     /// Stop dumping incidents.
@@ -631,8 +590,8 @@ impl Session {
     /// binding (source label, resident chunks/bytes against the cache
     /// budget, hit/miss/read/error counters, and prefetch
     /// effectiveness when a read-ahead worker is attached), followed
-    /// by the process chunk governor's budget, usage and high-water
-    /// mark. Rendered by the REPL's `\store;` meta-command.
+    /// by the process chunk governor's usage and high-water mark.
+    /// Rendered by the REPL's `\store;` meta-command.
     pub fn store_report(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -669,19 +628,8 @@ impl Session {
         } else {
             format!("store: {open} open chunk source(s)\n")
         };
-        let governor = match aql_store::governor::budget() {
-            Some(b) => format!(
-                "governor: budget={b} in_use={} peak={}\n",
-                aql_store::governor::bytes_in_use(),
-                aql_store::governor::peak_bytes()
-            ),
-            None => format!(
-                "governor: budget=unlimited in_use={} peak={}\n",
-                aql_store::governor::bytes_in_use(),
-                aql_store::governor::peak_bytes()
-            ),
-        };
-        format!("{header}{out}{governor}")
+        let in_use = aql_store::governor::bytes_in_use();
+        format!("{header}{out}governor: in_use={in_use} peak={}\n", aql_store::governor::peak_bytes())
     }
 
     /// The registered macros, by name.
@@ -811,12 +759,9 @@ impl Session {
         metrics_base: Option<Vec<(String, u64)>>,
         error: Option<&LangError>,
     ) -> Option<std::path::PathBuf> {
-        let cfg = self.incidents.as_ref()?;
+        let dir = self.incidents.as_ref()?;
         let class = error.map(LangError::class);
-        let slow_threshold = cfg
-            .slow_threshold
-            .or_else(|| self.slow_log.as_ref().map(|l| l.config.threshold));
-        let slow = slow_threshold.is_some_and(|t| run.dur >= t);
+        let slow = self.slow_log.as_ref().is_some_and(|l| run.dur >= l.threshold);
         use aql_journal::incident::{Incident, IncidentKind};
         let ikind = match class {
             Some(ErrorClass::ResourceExhausted) => IncidentKind::ResourceExhausted,
@@ -841,20 +786,19 @@ impl Session {
             dur_ns: run.dur.as_nanos() as u64,
             error: error.map(|e| e.to_string()),
             class,
-            events: aql_journal::snapshot().tail(cfg.last_events),
+            events: aql_journal::snapshot().tail(INCIDENT_EVENTS),
             attribution: Some(run.ledger.clone()),
             metrics_delta,
         };
-        let path = incident.write_to(&cfg.dir).ok()?;
+        let path = incident.write_to(dir).ok()?;
         emit(Event::Incident { kind: ikind.name(), seq: run.seq });
         *self.last_incident.borrow_mut() = Some(path.clone());
         Some(path)
     }
 
-    /// Append a slow-query-log record for the statement just executed,
-    /// if the policy selects it: always when `dur` reaches the
-    /// threshold, plus every `sample_every`-th statement as a baseline
-    /// sample. One JSON object per line; sink errors are swallowed.
+    /// Append a slow-query-log record for the statement just executed
+    /// if its wall time reached the threshold. One JSON object per
+    /// line; sink errors are swallowed.
     fn maybe_log_slow(
         &self,
         run: &StmtRun<'_>,
@@ -865,15 +809,10 @@ impl Session {
     ) {
         let Some(log) = &self.slow_log else { return };
         let &StmtRun { kind, seq, dur, .. } = run;
-        let slow = dur >= log.config.threshold;
-        if slow {
-            emit(Event::SlowQuery { kind, seq, ns: dur.as_nanos() as u64 });
-        }
-        let sampled =
-            !slow && log.config.sample_every > 0 && seq.is_multiple_of(log.config.sample_every);
-        if !slow && !sampled {
+        if dur < log.threshold {
             return;
         }
+        emit(Event::SlowQuery { kind, seq, ns: dur.as_nanos() as u64 });
         use aql_trace::json::Json;
         let n = |v: u64| Json::Num(v as f64);
         let phases = run.ledger.phases.iter().map(|(p, ns)| (p.clone(), n(*ns))).collect();
@@ -882,15 +821,13 @@ impl Session {
         });
         // Schema history (DESIGN.md §11): 2 adds `incident` (path of
         // the statement's incident dump, or null) and
-        // `cache.prefetched_bytes`. Consumers of v1 records must treat
-        // both as absent-means-none.
+        // `cache.prefetched_bytes`; 3 drops `slow` and `sampled`, as
+        // every record is a slow statement.
         let rec = Json::Obj(vec![
-            ("schema_version".to_string(), n(2)),
+            ("schema_version".to_string(), n(3)),
             ("seq".to_string(), n(seq)),
             ("stmt_hash".to_string(), Json::Str(format!("{:016x}", run.hash))),
             ("kind".to_string(), Json::Str(kind.to_string())),
-            ("slow".to_string(), Json::Bool(slow)),
-            ("sampled".to_string(), Json::Bool(sampled)),
             ("dur_ns".to_string(), n(dur.as_nanos() as u64)),
             ("phases".to_string(), Json::Obj(phases)),
             (
@@ -1735,15 +1672,12 @@ mod tests {
         use aql_trace::json::Json;
         let sink = SharedSink::default();
         let mut s = Session::new();
-        s.enable_slow_log(
-            Box::new(sink.clone()),
-            SlowLogConfig { threshold: std::time::Duration::ZERO, sample_every: 0 },
-        );
+        s.enable_slow_log(Box::new(sink.clone()), Duration::ZERO);
         s.run("val \\a = gen!40; summap(fn \\x => x)!a;").unwrap();
         let lines = sink.lines();
         assert_eq!(lines.len(), 2, "threshold 0 logs every statement");
         let rec = Json::parse(&lines[0]).expect("each line must be valid JSON");
-        assert_eq!(rec.get("schema_version").and_then(Json::as_u64), Some(2));
+        assert_eq!(rec.get("schema_version").and_then(Json::as_u64), Some(3));
         assert_eq!(rec.get("kind").and_then(Json::as_str), Some("val"));
         // v2: no incident pipeline configured ⇒ explicit null.
         assert_eq!(rec.get("incident"), Some(&Json::Null));
@@ -1751,7 +1685,8 @@ mod tests {
             rec.get("cache").and_then(|c| c.get("prefetched_bytes")).is_some(),
             "v2 carries cache.prefetched_bytes"
         );
-        assert_eq!(rec.get("slow"), Some(&Json::Bool(true)));
+        // v3: every record is a slow statement, so no `slow`/`sampled`.
+        assert_eq!((rec.get("slow"), rec.get("sampled")), (None, None));
         assert_eq!(rec.get("error"), Some(&Json::Bool(false)));
         assert!(rec.get("dur_ns").and_then(Json::as_u64).is_some_and(|ns| ns > 0));
         let hash = rec.get("stmt_hash").and_then(Json::as_str).expect("hash");
@@ -1778,44 +1713,6 @@ mod tests {
         s.disable_slow_log();
         s.run("1 + 1;").unwrap();
         assert_eq!(sink.lines().len(), 2);
-    }
-
-    #[test]
-    fn slow_log_sampling_picks_every_nth_statement() {
-        use aql_trace::json::Json;
-        let sink = SharedSink::default();
-        let mut s = Session::new();
-        // Unreachable threshold: only sampling can select records.
-        s.enable_slow_log(
-            Box::new(sink.clone()),
-            SlowLogConfig {
-                threshold: std::time::Duration::from_secs(3600),
-                sample_every: 3,
-            },
-        );
-        for _ in 0..7 {
-            s.run("1 + 1;").unwrap();
-        }
-        let lines = sink.lines();
-        // Statement seqs 0..7 with the prelude already past: every 3rd
-        // of *this* session's sequence numbers. The prelude consumed
-        // seqs, so just assert the cadence and the flags.
-        assert!(!lines.is_empty(), "sampling must select something in 7 statements");
-        assert!(lines.len() <= 3, "1-in-3 sampling over 7 statements, got {lines:?}");
-        for l in &lines {
-            let rec = Json::parse(l).expect("valid JSON");
-            assert_eq!(rec.get("sampled"), Some(&Json::Bool(true)));
-            assert_eq!(rec.get("slow"), Some(&Json::Bool(false)));
-        }
-        let seqs: Vec<u64> = lines
-            .iter()
-            .map(|l| {
-                Json::parse(l).expect("json").get("seq").and_then(Json::as_u64).expect("seq")
-            })
-            .collect();
-        for w in seqs.windows(2) {
-            assert_eq!(w[1] - w[0], 3, "sampled seqs must be 3 apart: {seqs:?}");
-        }
     }
 
     #[test]
@@ -1949,7 +1846,7 @@ mod tests {
             .join(format!("aql-incidents-{}-err", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut s = Session::new();
-        s.enable_incidents(IncidentConfig::new(&dir));
+        s.enable_incidents(&dir);
         assert!(s.run("no_such_name + 1;").is_err());
         let path = s.last_incident_path().expect("an incident file was written");
         let inc = aql_journal::incident::Incident::load(&path).unwrap();
@@ -1969,11 +1866,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut s = Session::new();
         s.limits = Limits { max_elems: 100, ..Limits::default() };
-        s.enable_incidents(IncidentConfig {
-            dir: dir.clone(),
-            last_events: 64,
-            slow_threshold: None,
-        });
+        s.enable_incidents(&dir);
         assert!(s.eval_query("gen!1000").is_err());
         let inc = aql_journal::incident::Incident::load(
             &s.last_incident_path().expect("resource incident"),
@@ -1981,19 +1874,11 @@ mod tests {
         .unwrap();
         assert_eq!(inc.kind, aql_journal::incident::IncidentKind::ResourceExhausted);
 
-        // A zero slow threshold dumps a slow incident even on success,
-        // and the slow log's v2 record links to it.
+        // A zero slow-log threshold dumps a slow incident even on
+        // success, and the slow log's record links to it.
         let sink = SharedSink::default();
         s.limits = Limits::default();
-        s.enable_slow_log(
-            Box::new(sink.clone()),
-            SlowLogConfig { threshold: Duration::ZERO, sample_every: 0 },
-        );
-        s.enable_incidents(IncidentConfig {
-            dir: dir.clone(),
-            last_events: 64,
-            slow_threshold: Some(Duration::ZERO),
-        });
+        s.enable_slow_log(Box::new(sink.clone()), Duration::ZERO);
         s.run("1 + 1;").unwrap();
         let inc = aql_journal::incident::Incident::load(
             &s.last_incident_path().expect("slow incident"),

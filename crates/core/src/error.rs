@@ -103,10 +103,6 @@ pub enum EvalError {
     /// inline, its nested layout slowed the `Ok` path of every
     /// evaluation step by ≈ 4 % (EXPERIMENTS.md S11).
     Storage(Box<StoreError>),
-    /// The process-wide byte budget (see `aql_store::governor`) could
-    /// not admit an allocation even after shedding cache residency.
-    /// Fails this one statement; the session and its bindings survive.
-    ResourceExhausted { requested: u64, budget: u64 },
     /// An internal invariant of the evaluator was violated (e.g. a
     /// compiled de-Bruijn index outran the environment). Always a bug
     /// in compilation or optimization, never a user error — but
@@ -132,10 +128,6 @@ impl fmt::Display for EvalError {
             }
             EvalError::IllTyped(m) => write!(f, "ill-typed value at runtime: {m}"),
             EvalError::Storage(e) => write!(f, "array storage failure: {e}"),
-            EvalError::ResourceExhausted { requested, budget } => write!(
-                f,
-                "process memory budget exhausted: {requested} bytes requested, budget {budget}"
-            ),
             EvalError::Internal(m) => write!(f, "internal evaluator error: {m}"),
         }
     }
@@ -147,9 +139,7 @@ impl EvalError {
     pub fn class(&self) -> ErrorClass {
         match self {
             EvalError::Storage(e) => e.error_class(),
-            EvalError::ResourceLimit { .. }
-            | EvalError::StepLimit
-            | EvalError::ResourceExhausted { .. } => ErrorClass::ResourceExhausted,
+            EvalError::ResourceLimit { .. } | EvalError::StepLimit => ErrorClass::ResourceExhausted,
             EvalError::Deadline => ErrorClass::Deadline,
             EvalError::Cancelled => ErrorClass::Cancelled,
             EvalError::UnboundGlobal(_)
@@ -169,9 +159,6 @@ impl From<StoreError> for EvalError {
             // Shape errors indicate the layout and the access disagree
             // — a bug in the binding code, not a user-visible failure.
             StoreError::Shape(m) => EvalError::Internal(format!("storage shape: {m}")),
-            StoreError::Budget { requested, budget } => {
-                EvalError::ResourceExhausted { requested, budget }
-            }
             StoreError::Interrupted(Interrupt::Deadline) => EvalError::Deadline,
             StoreError::Interrupted(Interrupt::Cancelled) => EvalError::Cancelled,
             // A failure of the source keeps its type.
@@ -207,9 +194,10 @@ mod tests {
         assert_eq!(e.class(), ErrorClass::Unavailable);
         assert!(!e.to_string().contains("transient"), "{e}");
         // The statement's own limits keep their typed targets.
-        let denied = EvalError::from(StoreError::Budget { requested: 8, budget: 4 });
-        assert_eq!(denied, EvalError::ResourceExhausted { requested: 8, budget: 4 });
-        assert_eq!(denied.class(), ErrorClass::ResourceExhausted);
+        let late = EvalError::from(StoreError::Interrupted(Interrupt::Deadline));
+        assert_eq!(late, EvalError::Deadline);
+        let over = EvalError::ResourceLimit { requested: 8, limit: 4 };
+        assert_eq!(over.class(), ErrorClass::ResourceExhausted);
         assert_eq!(EvalError::StepLimit.class(), ErrorClass::ResourceExhausted);
         assert_eq!(EvalError::UnboundGlobal("budget".into()).class(), ErrorClass::Error);
         // The `Err` of every evaluation step did not grow.

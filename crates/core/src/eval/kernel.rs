@@ -461,9 +461,6 @@ const POLL_EVERY: u64 = 4096;
 /// nest completes — and the operands and windows its loads read.
 struct Frame<'c> {
     ctx: &'c EvalCtx<'c>,
-    /// The longest loop `check_elems` would admit: `max_elems`, and
-    /// what the governor's byte budget holds at eight bytes a cell.
-    max_loop: u64,
     slots: &'c [Cell<u64>],
     arrays: &'c [Rc<ArrayVal>],
     windows: &'c [Window],
@@ -504,7 +501,7 @@ impl Frame<'_> {
     /// counts for the `gen` (or tabulation) it stands in for, and the
     /// whole loop's static charge.
     fn enter(&self, n: u64, per_iter: Cost) -> Option<()> {
-        if n > self.max_loop {
+        if n > self.ctx.limits.max_elems {
             return None;
         }
         bump(&self.materialized, n);
@@ -1296,7 +1293,7 @@ impl Binder<'_> {
         let lazy = match (a.array_data(), s.part) {
             (ArrayData::Lazy(l), None) => {
                 let axes = forms.iter().zip(&s.axes).map(|(form, mark)| (form.as_ref().map(|f| self.reach(f)), *mark));
-                let most = e.root_trips.saturating_mul(s.inner_trips).min(e.admissible);
+                let most = e.root_trips.saturating_mul(s.inner_trips);
                 let origin = self.nvars + caps.len() + site;
                 let cells = ScalarBuf::empty(l.borrow().kind());
                 let mut w = Window { operand: s.operand, axes: axes.collect(), most, placed: None, origin, cells };
@@ -1468,13 +1465,12 @@ pub(super) fn run(plan: &Rc<KernelPlan>, fallback: &CExpr, env: &Env, ctx: &Eval
 }
 
 /// What an entry of a nest reads: operands, captures, a tabulation's
-/// extents, the root's trip count, the cells the governor admits.
+/// extents, the root's trip count.
 struct Entry {
     arrays: Vec<Rc<ArrayVal>>,
     caps: Vec<V>,
     dims: Vec<u64>,
     root_trips: u64,
-    admissible: u64,
 }
 
 /// The entry of `plan` in `env`, its root's trip count evaluated by the
@@ -1520,12 +1516,7 @@ fn entry(plan: &KernelPlan, fallback: &CExpr, env: &Env, ctx: &EvalCtx) -> Optio
         },
         _ => return None,
     };
-
-    // What `governor::admit_materialization` admits, in cells. (Asked
-    // here rather than of it, so that a refusal — which escapes to the
-    // interpreter, which asks — is recorded as one denial, not two.)
-    let admissible = aql_store::governor::budget().map_or(u64::MAX, |bytes| bytes / 8);
-    Some(Entry { arrays, caps, dims, root_trips, admissible })
+    Some(Entry { arrays, caps, dims, root_trips })
 }
 
 /// A nest bound to one entry, kept for the next entry of the same
@@ -1617,7 +1608,7 @@ fn bind(plan: &Rc<KernelPlan>, entry: Entry) -> Option<Bound> {
 impl Bound {
     /// Whether the code bound serves `e` as it is: the same operands,
     /// kinds of captures (values, of those it holds), trip counts and
-    /// budget, and windows' shapes.
+    /// windows' shapes.
     fn fits(&self, e: &Entry) -> bool {
         let old = &self.entry;
         let shape = |w: &Window| {
@@ -1627,7 +1618,7 @@ impl Bound {
         old.arrays.iter().zip(&e.arrays).all(|(a, b)| Rc::ptr_eq(a, b))
             && old.caps.iter().zip(&e.caps).all(|(a, b)| a.bits().0 == b.bits().0)
             && self.pinned.iter().all(|&k| old.caps.get(k).map(|v| v.bits()) == e.caps.get(k).map(|v| v.bits()))
-            && (&old.dims, old.root_trips, old.admissible) == (&e.dims, e.root_trips, e.admissible)
+            && (&old.dims, old.root_trips) == (&e.dims, e.root_trips)
             && self.windows.iter().all(shape)
     }
 
@@ -1646,9 +1637,8 @@ impl Bound {
             w.cells = l.borrow_mut().read_slab(&start, &count).ok()?;
             slots.get(w.origin)?.set(0u64.wrapping_sub(base(&start, &count)));
         }
-        let (max_loop, zero) = (entry.admissible.min(ctx.limits.max_elems), || Cell::new(0));
-        let (arrays, best) = (&entry.arrays, Cell::new(None));
-        let frame = Frame { ctx, max_loop, slots, arrays, windows, best, steps: zero(), subs: zero(), materialized: zero(), rows: zero(), unpolled: zero() };
+        let (arrays, best, zero) = (&entry.arrays, Cell::new(None), || Cell::new(0));
+        let frame = Frame { ctx, slots, arrays, windows, best, steps: zero(), subs: zero(), materialized: zero(), rows: zero(), unpolled: zero() };
         let value = sink(&frame)?;
         commit(ctx, &frame)?;
         Some(value)

@@ -322,11 +322,6 @@ impl<'a> EvalCtx<'a> {
         if requested > self.limits.max_elems {
             return Err(EvalError::ResourceLimit { requested, limit: self.limits.max_elems });
         }
-        // Process-wide admission: an eager materialization that could
-        // never fit the governor's byte budget is denied before any
-        // allocation happens (8 bytes per element — every scalar kind
-        // except Bool, which only over-estimates).
-        aql_store::governor::admit_materialization(requested.saturating_mul(8))?;
         // Every materialization site (gen / tabulation / array literal
         // / index) passes through this budget check, so it doubles as
         // the materialized-elements profile counter.

@@ -29,10 +29,8 @@
 //! widths must be in range, and `Bool` bytes must be 0/1 — a corrupted
 //! or truncated payload yields [`StoreError::Corrupt`], never a panic
 //! or a silently wrong buffer. The element count is the file's word,
-//! not ours: every size derived from it is computed checked, the
-//! decoded size is offered to
-//! [`governor::admit_materialization`](aql_store::governor::admit_materialization)
-//! and the output is reserved fallibly, so nine bytes that claim 2^40
+//! not ours: every size derived from it is computed checked and the
+//! output is reserved fallibly, so nine bytes that claim 2^40
 //! elements are an error and not an abort.
 
 use aql_store::{ScalarBuf, ScalarKind, StoreError};
@@ -239,14 +237,12 @@ fn corrupt(msg: impl Into<String>) -> StoreError {
 }
 
 /// Collect the `elems` decoded elements a chunk table claims. The
-/// count comes from the file, so the size is computed checked, offered
-/// to the governor, and reserved fallibly: a hostile count ends as an
-/// error, not an abort.
+/// count comes from the file, so the size is computed checked and
+/// reserved fallibly: a hostile count ends as an error, not an abort.
 fn collect<T>(elems: usize, items: impl Iterator<Item = T>) -> Result<Vec<T>, StoreError> {
     let bytes = (elems as u64)
         .checked_mul(std::mem::size_of::<T>() as u64)
         .ok_or_else(|| corrupt(format!("{elems} elements overflow the decoded size")))?;
-    aql_store::governor::admit_materialization(bytes)?;
     let mut out = Vec::new();
     out.try_reserve_exact(elems)
         .map_err(|_| corrupt(format!("{elems} elements ({bytes} bytes) cannot be allocated")))?;

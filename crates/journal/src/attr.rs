@@ -58,10 +58,6 @@ pub struct Ledger {
     pub phases: Vec<(String, u64)>,
     /// Governor charge high-water mark during the statement, bytes.
     pub governor_peak_bytes: u64,
-    /// Governor sheds observed during the statement.
-    pub governor_sheds: u64,
-    /// Governor denials observed during the statement.
-    pub governor_denials: u64,
 }
 
 impl Ledger {
@@ -114,11 +110,6 @@ impl Ledger {
                 "governor_peak_bytes".to_string(),
                 Json::Num(self.governor_peak_bytes as f64),
             ),
-            ("governor_sheds".to_string(), Json::Num(self.governor_sheds as f64)),
-            (
-                "governor_denials".to_string(),
-                Json::Num(self.governor_denials as f64),
-            ),
         ])
     }
 
@@ -127,8 +118,6 @@ impl Ledger {
         let num = |o: &Json, k: &str| o.get(k).and_then(Json::as_u64).unwrap_or(0);
         let mut ledger = Ledger {
             governor_peak_bytes: num(j, "governor_peak_bytes"),
-            governor_sheds: num(j, "governor_sheds"),
-            governor_denials: num(j, "governor_denials"),
             ..Ledger::default()
         };
         for s in j.get("sources").and_then(Json::as_arr).unwrap_or(&[]) {
@@ -189,10 +178,7 @@ impl Ledger {
                 out.push_str(&format!("  {name}: {:.3} ms\n", *ns as f64 / 1e6));
             }
         }
-        out.push_str(&format!(
-            "governor: peak {} B in use, {} sheds, {} denials\n",
-            self.governor_peak_bytes, self.governor_sheds, self.governor_denials
-        ));
+        out.push_str(&format!("governor: peak {} B in use\n", self.governor_peak_bytes));
         out
     }
 }
@@ -206,10 +192,6 @@ pub(crate) enum Fold {
     Source(fn(&mut SourceCounts) -> &mut u64),
     /// The wall time of the phase the event's label names.
     Phase,
-    /// The ledger's governor shed count.
-    Sheds,
-    /// The ledger's governor denial count.
-    Denials,
     /// The ledger's breaker-trip count.
     Trips,
 }
@@ -219,8 +201,6 @@ pub(crate) enum Fold {
 struct OpenLedger {
     sources: Vec<(u16, SourceCounts)>,
     phases: Vec<(u16, u64)>,
-    sheds: u64,
-    denials: u64,
     trips: u64,
 }
 
@@ -240,8 +220,6 @@ impl OpenLedger {
             Fold::None => {}
             Fold::Source(field) => *field(slot(&mut self.sources, label)) += n,
             Fold::Phase => *slot(&mut self.phases, label) += n,
-            Fold::Sheds => self.sheds += n,
-            Fold::Denials => self.denials += n,
             Fold::Trips => self.trips += n,
         }
     }
@@ -251,8 +229,6 @@ impl OpenLedger {
             sources: self.sources.into_iter().map(|(id, c)| (label_name(id), c)).collect(),
             phases: self.phases.into_iter().map(|(id, ns)| (label_name(id), ns)).collect(),
             governor_peak_bytes: 0,
-            governor_sheds: self.sheds,
-            governor_denials: self.denials,
         }
     }
 }
@@ -381,8 +357,6 @@ mod tests {
         }
         emit(Event::Retry { src: a, attempt: 2 });
         emit(Event::Retry { src: a, attempt: 3 });
-        emit(Event::GovernorShed);
-        emit(Event::GovernorDeny { requested: 64 });
         emit(Event::BreakerTrip { src: a });
         assert_eq!(breaker_trips(), 1);
         let ledger = finish();
@@ -391,8 +365,6 @@ mod tests {
         assert_eq!(ledger.sources[0].1.bytes_read, 4096);
         assert_eq!(ledger.sources[0].1.retries, 2);
         assert_eq!(ledger.sources[1].1.hits, 3);
-        assert_eq!(ledger.governor_sheds, 1);
-        assert_eq!(ledger.governor_denials, 1);
         assert_eq!(ledger.dominant_source().map(|(l, _)| l), Some("t_attr:a"));
         assert!(!active(), "finish closes the ledger");
     }

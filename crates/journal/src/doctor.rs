@@ -18,13 +18,13 @@ use crate::{Journal, Tag};
 pub enum FaultClass {
     /// The failed statement's class — or, for a statement that did not
     /// fail, the class whose signature its window carries (a retried
-    /// read, a breaker trip, a governor denial).
+    /// read, a breaker trip).
     Error(ErrorClass),
     /// No failure — the statement was just slow.
     SlowQuery,
     /// Nothing to diagnose: no incident, no error, and no fault
-    /// signatures (retries, breaker events, governor pressure, load
-    /// errors) in the window. A clean session's `\doctor;` lands here.
+    /// signatures (retries, breaker events, load errors) in the
+    /// window. A clean session's `\doctor;` lands here.
     Healthy,
     /// Nothing matched (an error dump written before incidents carried
     /// a class lands here); the report still shows the evidence.
@@ -46,8 +46,8 @@ impl FaultClass {
 /// Classify a report. A failed statement's class is the one its error
 /// value named (`error`, from the incident record or the ring's
 /// `StmtEnd` label); only a statement that did not fail is read off the
-/// event window: a breaker trip, a repaired read, governor pressure, a
-/// slow query, or nothing at all.
+/// event window: a breaker trip, a repaired read, a slow query, or
+/// nothing at all.
 pub fn classify(
     kind: Option<IncidentKind>,
     error: Option<FaultClass>,
@@ -65,9 +65,6 @@ pub fn classify(
     }
     if has(&[Tag::Retry]) {
         return FaultClass::Error(ErrorClass::TransientIo);
-    }
-    if has(&[Tag::GovernorDeny]) {
-        return FaultClass::Error(ErrorClass::ResourceExhausted);
     }
     // A live-journal diagnosis whose window carries no fault signature
     // at all is a healthy session, not an unrecognized fault.
@@ -92,8 +89,6 @@ const FAULT_SIGNATURES: &[Tag] = &[
     Tag::BreakerTrip,
     Tag::BreakerProbe,
     Tag::BreakerFastFail,
-    Tag::GovernorShed,
-    Tag::GovernorDeny,
     Tag::CacheLoadError,
     Tag::SlowQuery,
 ];
@@ -133,7 +128,7 @@ fn push_timeline(out: &mut String, events: &Journal) {
     let interesting: Vec<_> =
         events.events.iter().filter(|e| FAULT_SIGNATURES.contains(&e.tag)).collect();
     if interesting.is_empty() {
-        out.push_str("timeline: no retries, breaker events, or governor pressure recorded\n");
+        out.push_str("timeline: no retries or breaker events recorded\n");
         return;
     }
     out.push_str("timeline:\n");
@@ -147,8 +142,6 @@ fn push_timeline(out: &mut String, events: &Journal) {
             Tag::BreakerTrip => format!("breaker TRIPPED open for `{label}`"),
             Tag::BreakerProbe => format!("breaker half-open probe on `{label}`"),
             Tag::BreakerFastFail => format!("fast-fail: breaker open for `{label}`"),
-            Tag::GovernorShed => "governor shed a cached chunk".to_string(),
-            Tag::GovernorDeny => format!("governor DENIED a {} B charge", e.a),
             Tag::CacheLoadError => format!("chunk load error on `{label}`"),
             Tag::SlowQuery => format!("slow-query threshold crossed ({:.1} ms)", e.b as f64 / 1e6),
             _ => continue,
@@ -254,7 +247,7 @@ pub fn diagnose_live_json(journal: &Journal, attribution: Option<&Ledger>) -> St
 
 /// Analysis keys shared by [`diagnose_json`] and
 /// [`diagnose_live_json`]: fault class, failing/dominant source,
-/// governor counters, and the diagnosis sentence.
+/// the governor's peak, and the diagnosis sentence.
 fn json_analysis(
     events: &Journal,
     attribution: Option<&Ledger>,
@@ -283,8 +276,6 @@ fn json_analysis(
             match attribution {
                 Some(l) => Json::Obj(vec![
                     ("peak_bytes".to_string(), Json::Num(l.governor_peak_bytes as f64)),
-                    ("sheds".to_string(), Json::Num(l.governor_sheds as f64)),
-                    ("denials".to_string(), Json::Num(l.governor_denials as f64)),
                 ]),
                 None => Json::Null,
             },
@@ -317,9 +308,8 @@ fn advice_for(class: FaultClass, failed: bool, subject: &str, events: &Journal) 
              fix corruption — verify the file on disk (`aqf`/NetCDF) and restore from a good copy."
         ),
         FaultClass::Error(ResourceExhausted) => format!(
-            "diagnosis: {subject} exhausted a resource budget (the memory governor's, or the \
-             statement's element or step limit). Raise the budget, shrink the working set, or \
-             let eviction shed colder bindings first."
+            "diagnosis: {subject} exhausted a budget of the statement's `Limits` (`max_elems` \
+             or `max_steps`). Raise the limit, or narrow the subslab so less is materialized."
         ),
         FaultClass::Error(Unavailable) => format!(
             "diagnosis: {subject} is unavailable — its reads fail persistently, or its circuit \
@@ -354,8 +344,8 @@ fn advice_for(class: FaultClass, failed: bool, subject: &str, events: &Journal) 
              narrower subslab."
         ),
         FaultClass::Healthy => {
-            "diagnosis: nothing wrong — no errors, retries, breaker events, or governor \
-             pressure recorded. The session is healthy; there is nothing to diagnose."
+            "diagnosis: nothing wrong — no errors, retries or breaker events recorded. The \
+             session is healthy; there is nothing to diagnose."
                 .to_string()
         }
         FaultClass::Unknown => format!(
@@ -425,10 +415,7 @@ fn body(
         }
     }
     if attribution.is_some() {
-        out.push_str(&format!(
-            "governor: peak {} B in use, {} sheds, {} denials\n",
-            ledger.governor_peak_bytes, ledger.governor_sheds, ledger.governor_denials
-        ));
+        out.push_str(&format!("governor: peak {} B in use\n", ledger.governor_peak_bytes));
     }
 
     push_timeline(&mut out, events);
@@ -533,7 +520,6 @@ mod tests {
         let ledger = Ledger {
             sources: vec![("aqf:sst".to_string(), counts)],
             governor_peak_bytes: 1 << 20,
-            governor_sheds: 1,
             ..Ledger::default()
         };
         let inc = incident_with(IncidentKind::Slow, None, vec![], Some(ledger));
@@ -543,7 +529,6 @@ mod tests {
         assert_eq!(dom.get("bytes").and_then(Json::as_u64), Some(4096));
         let gov = parsed.get("governor").expect("governor key");
         assert_eq!(gov.get("peak_bytes").and_then(Json::as_u64), Some(1 << 20));
-        assert_eq!(gov.get("sheds").and_then(Json::as_u64), Some(1));
         assert_eq!(parsed.get("fault_class").and_then(Json::as_str), Some("slow-query"));
         assert_eq!(parsed.get("error"), Some(&Json::Null));
     }
@@ -572,7 +557,7 @@ mod tests {
     }
 
     #[test]
-    fn classifies_breaker_and_budget() {
+    fn classifies_breaker_and_limits() {
         let l = intern("remote:s3");
         let trip = incident_with(
             IncidentKind::BreakerTrip,
@@ -583,18 +568,18 @@ mod tests {
         assert!(diagnose(&trip).contains("fault class: unavailable"));
         assert!(diagnose(&trip).contains("remote:s3"));
 
-        let deny = incident_with(
-            IncidentKind::Error,
+        let limit = incident_with(
+            IncidentKind::ResourceExhausted,
             Some((
-                "storage: budget exceeded: requested 4096 B, budget 1024 B",
+                "resource limit exceeded: 4096 elements requested, limit 1024",
                 ErrorClass::ResourceExhausted,
             )),
-            vec![ev(Tag::GovernorDeny, 0, 4096, 0, 10)],
+            vec![],
             None,
         );
-        let report = diagnose(&deny);
+        let report = diagnose(&limit);
         assert!(report.contains("fault class: resource-exhausted"), "{report}");
-        assert!(report.contains("DENIED a 4096 B charge"), "{report}");
+        assert!(report.contains("`max_elems`"), "{report}");
     }
 
     #[test]

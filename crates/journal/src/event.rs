@@ -75,12 +75,6 @@ pub enum Event {
     BreakerFastFail { src: u16 },
     /// A tripped breaker closed again after a successful call.
     BreakerClose { src: u16 },
-    /// The governor shed a cache entry to fit the process budget.
-    GovernorShed,
-    /// The governor denied a charge of `requested` bytes.
-    GovernorDeny { requested: u64 },
-    /// The process byte budget was set to `bytes` (`u64::MAX` = unlimited).
-    GovernorBudget { bytes: u64 },
     /// The governor's high-water mark was read as `bytes`.
     GovernorPeak { bytes: u64 },
     /// `n` speculative chunk loads were queued.
@@ -128,15 +122,12 @@ impl Event {
             Event::BreakerTrip { src } => (Kept(Tag::BreakerTrip), src, 0, 0),
             Event::BreakerProbe { src } => (Kept(Tag::BreakerProbe), src, 0, 0),
             Event::BreakerFastFail { src } => (Kept(Tag::BreakerFastFail), src, 0, 0),
-            Event::GovernorShed => (Kept(Tag::GovernorShed), 0, 0, 0),
-            Event::GovernorDeny { requested } => (Kept(Tag::GovernorDeny), 0, requested, 0),
             Event::PrefetchIssued { src, n } => (Kept(Tag::PrefetchIssued), src, n, 0),
             Event::PrefetchWasted { src } => (Kept(Tag::PrefetchWasted), src, 1, 0),
             Event::StmtFailed => (Counted(&SESSION_ERRORS, One), 0, 0, 0),
             Event::StmtUnsound => (Counted(&SESSION_UNSOUND, One), 0, 0, 0),
             Event::LintFindings { n } => (Counted(&LINT_FINDINGS, A), 0, n, 0),
             Event::BreakerClose { src } => (Counted(&BREAKER_CLOSES, One), src, 0, 0),
-            Event::GovernorBudget { bytes } => (Counted(&GOVERNOR_BUDGET, A), 0, bytes, 0),
             Event::GovernorPeak { bytes } => (Counted(&GOVERNOR_PEAK, A), 0, bytes, 0),
             Event::PrefetchHit => (Counted(&PREFETCH_HITS, One), 0, 0, 0),
             Event::FaultInjected { kind } => (Counted(&FAULTS_INJECTED, One), intern(kind), 0, 0),
@@ -218,8 +209,7 @@ impl Handle {
     fn record(self, n: u64) {
         match self {
             Handle::Counter(c) => c.add(n),
-            // `u64::MAX` is how the governor spells "unlimited".
-            Handle::Gauge(g) => g.set(i64::try_from(n).unwrap_or(-1)),
+            Handle::Gauge(g) => g.set(i64::try_from(n).unwrap_or(i64::MAX)),
             Handle::Histogram(h) => h.observe(n),
         }
     }
@@ -366,13 +356,6 @@ quantities! {
     BREAKER_FAST_FAILS = new("breaker.fast_fail:", "aql_store_breaker_fast_fails_total",
         "Chunk reads rejected without touching the source (breaker open).");
     BREAKER_CLOSES = new("breaker.close:", "", "");
-    GOVERNOR_SHEDS = new("governor.sheds", "aql_store_governor_sheds_total",
-        "Cache entries evicted to make room under the process byte budget.").fold(Fold::Sheds);
-    GOVERNOR_DENIALS = new("governor.denials", "aql_store_governor_denials_total",
-        "Byte-budget charges denied after shedding (surfaced as ResourceExhausted).")
-        .fold(Fold::Denials);
-    GOVERNOR_BUDGET = gauge("aql_store_governor_budget_bytes",
-        "Configured process-wide chunk-memory budget (-1 = unlimited).");
     GOVERNOR_PEAK = gauge("aql_store_governor_peak_bytes",
         "High-water mark of governed chunk-memory bytes.");
     PREFETCH_ISSUED = new("prefetch.issued", "aql_store_prefetch_issued_total",
@@ -442,7 +425,7 @@ const fn kept(tag: Tag, name: &'static str, bumps: &'static [Bump]) -> Row {
 }
 
 /// The kept kinds, in [`Tag`] order (`TABLE[tag - 1]`).
-pub(crate) static TABLE: [Row; 19] = [
+pub(crate) static TABLE: [Row; 17] = [
     kept(Tag::StmtBegin, "stmt_begin", &[(&STATEMENTS, One)]),
     kept(Tag::StmtEnd, "stmt_end", &[(&STATEMENT_NS, B)]),
     kept(Tag::Phase, "phase", &[(&PHASE_NS, A)]),
@@ -451,8 +434,6 @@ pub(crate) static TABLE: [Row; 19] = [
     kept(Tag::CacheWarm, "cache_warm", &[(&MISSES, One), (&LOADED, One), (&PREFETCHED_BYTES, A)]),
     kept(Tag::CacheEvict, "cache_evict", &[(&EVICTIONS, A)]),
     kept(Tag::CacheLoadError, "cache_load_error", &[(&MISSES, One), (&LOAD_ERRORS, One)]),
-    kept(Tag::GovernorShed, "governor_shed", &[(&GOVERNOR_SHEDS, One)]),
-    kept(Tag::GovernorDeny, "governor_deny", &[(&GOVERNOR_DENIALS, One)]),
     kept(Tag::Retry, "retry", &[(&RETRIES, One)]),
     kept(Tag::BreakerTrip, "breaker_trip", &[(&BREAKER_TRIPS, One)]),
     kept(Tag::BreakerProbe, "breaker_probe", &[(&BREAKER_PROBES, One)]),
@@ -498,9 +479,6 @@ mod tests {
             Event::BreakerProbe { src },
             Event::BreakerFastFail { src },
             Event::BreakerClose { src },
-            Event::GovernorShed,
-            Event::GovernorDeny { requested: 128 },
-            Event::GovernorBudget { bytes: u64::MAX },
             Event::GovernorPeak { bytes: 4096 },
             Event::PrefetchIssued { src, n: 3 },
             Event::PrefetchHit,

@@ -32,7 +32,8 @@ pub enum ErrorClass {
     /// The source cannot be read: a persistent I/O failure, or its
     /// circuit breaker is open.
     Unavailable,
-    /// A governor, element or step budget was exhausted.
+    /// An element or step budget of the statement's `Limits` was
+    /// exhausted.
     ResourceExhausted,
     /// The statement's deadline expired.
     Deadline,
@@ -80,7 +81,7 @@ impl ErrorClass {
 pub enum IncidentKind {
     /// The statement returned an error.
     Error,
-    /// The statement failed on a governor/limits resource budget.
+    /// The statement failed on a resource budget of its `Limits`.
     ResourceExhausted,
     /// A circuit breaker tripped open during the statement.
     BreakerTrip,

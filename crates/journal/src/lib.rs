@@ -65,7 +65,7 @@ pub use incident::ErrorClass;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -75,7 +75,7 @@ use aql_trace::json::Json;
 /// cardinality rule; overflowing labels collapse to id 0 (`""`).
 const MAX_LABELS: usize = 4096;
 
-/// Default per-thread ring capacity, in records.
+/// Per-thread ring capacity, in records.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 static M_DROPPED: metrics::LazyCounter = metrics::LazyCounter::new(
@@ -112,32 +112,28 @@ pub enum Tag {
     CacheEvict = 7,
     /// Chunk loader returned an error: `label` = source.
     CacheLoadError = 8,
-    /// Governor shed a cache entry to fit the process budget.
-    GovernorShed = 9,
-    /// Governor denied a charge: `a` = requested bytes.
-    GovernorDeny = 10,
     /// Chunk read retried: `label` = source, `a` = attempt number.
-    Retry = 11,
+    Retry = 9,
     /// Circuit breaker tripped open: `label` = source.
-    BreakerTrip = 12,
+    BreakerTrip = 10,
     /// Half-open probe admitted: `label` = source.
-    BreakerProbe = 13,
+    BreakerProbe = 11,
     /// Call rejected while the breaker was open: `label` = source.
-    BreakerFastFail = 14,
+    BreakerFastFail = 12,
     /// Speculative loads queued: `label` = source, `a` = count.
-    PrefetchIssued = 15,
+    PrefetchIssued = 13,
     /// Prefetched chunks discarded unconsumed: `label` = source,
     /// `a` = count.
-    PrefetchWasted = 16,
+    PrefetchWasted = 14,
     /// Statement crossed the slow-query threshold: `a` = statement
     /// sequence number, `b` = duration in ns.
-    SlowQuery = 17,
+    SlowQuery = 15,
     /// An incident file was written: `label` = incident kind,
     /// `a` = statement sequence number.
-    Incident = 18,
+    Incident = 16,
     /// A chunk payload failed checksum verification (the read is
     /// retried; see [`Tag::Retry`]): `label` = source.
-    ChecksumMismatch = 19,
+    ChecksumMismatch = 17,
 }
 
 impl Tag {
@@ -256,15 +252,6 @@ struct Ring {
     dropped: AtomicU64,
 }
 
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
-
-/// Set the per-thread ring capacity for rings created *after* this
-/// call (existing rings keep their size). Values are clamped to at
-/// least 8 records. Intended for tests and memory-tight deployments.
-pub fn set_capacity(records: usize) {
-    CAPACITY.store(records.max(8), Ordering::Relaxed);
-}
-
 fn registry() -> MutexGuard<'static, Vec<Arc<Ring>>> {
     static REG: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
     LOCKS.with(|c| c.set(c.get() + 1));
@@ -291,10 +278,9 @@ struct Writer {
 impl Writer {
     fn new() -> Writer {
         static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
-        let cap = CAPACITY.load(Ordering::Relaxed);
         let ring = Arc::new(Ring {
             thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
-            slots: (0..cap).map(|_| Slot::default()).collect(),
+            slots: (0..DEFAULT_CAPACITY).map(|_| Slot::default()).collect(),
             dropped: AtomicU64::new(0),
         });
         registry().push(Arc::clone(&ring));
@@ -556,18 +542,20 @@ mod tests {
 
     #[test]
     fn tags_round_trip_through_names_and_bytes() {
-        for v in 1..=19u8 {
+        for v in 1..=17u8 {
             let t = Tag::from_u8(v).expect("dense tag space");
             assert_eq!(t as u8, v);
             assert_eq!(Tag::from_name(t.name()), Some(t));
         }
         assert_eq!(Tag::from_u8(0), None);
-        assert_eq!(Tag::from_u8(20), None);
+        assert_eq!(Tag::from_u8(18), None);
         assert_eq!(Tag::from_name("nope"), None);
-        // Wire names and numbers are append-only: 1–18 predate the spine.
+        // Numbers are dense in `TABLE` order; names are stable.
         assert_eq!((Tag::StmtBegin as u8, Tag::StmtBegin.name()), (1, "stmt_begin"));
-        assert_eq!((Tag::Incident as u8, Tag::Incident.name()), (18, "incident"));
-        assert_eq!(Tag::ChecksumMismatch as u8, 19);
+        assert_eq!((Tag::Retry as u8, Tag::Retry.name()), (9, "retry"));
+        assert_eq!((Tag::Incident as u8, Tag::Incident.name()), (16, "incident"));
+        let last = Tag::ChecksumMismatch;
+        assert_eq!((last as u8, last.name()), (17, "checksum_mismatch"));
     }
 
     #[test]
@@ -602,7 +590,7 @@ mod tests {
             emit(Event::CacheHit { src: l1 });
         }
         emit(Event::CacheHit { src: l2 }); // different source flushes the l1 run
-        emit(Event::GovernorShed); // flushes the l2 run
+        emit(Event::BreakerTrip { src: l1 }); // flushes the l2 run
         let j = snapshot();
         let h1: Vec<&Record> =
             j.events.iter().filter(|e| e.tag == Tag::CacheHit && e.label == l1).collect();

@@ -3,8 +3,8 @@
 //!
 //! `stats_json` distills the full registry [`snapshot`](super::snapshot)
 //! into the handful of numbers an operator watches: statement latency
-//! quantiles, statement/error totals, cache hit ratio, governor
-//! residency, journal drops, and per-source breaker counters. Keys are
+//! quantiles, statement/error totals, cache hit ratio, the governor's
+//! peak residency, journal drops, and per-source breaker counters. Keys are
 //! stable — dashboards and scrapers may depend on them. The statement
 //! *rate* is deliberately absent: it is a derivative, and the page
 //! computes it client-side from successive `statements_total` readings.
@@ -46,8 +46,6 @@ pub(crate) fn stats_json(uptime_s: u64) -> String {
     let total = |family: &str| num(super::family_total(family));
     let hits = super::family_total("aql_store_cache_hits_total");
     let misses = super::family_total("aql_store_cache_misses_total");
-    let budget = snap.get("aql_store_governor_budget_bytes");
-    let peak = snap.get("aql_store_governor_peak_bytes");
     // The label values as registered, not as a series key spells them:
     // a key escapes its values its own way.
     let breakers = super::label_values("aql_store_breaker_trips_total", "source")
@@ -67,7 +65,7 @@ pub(crate) fn stats_json(uptime_s: u64) -> String {
         .collect();
     let latency = |q: &str| num(snap.get(&format!("aql_session_statement_ns_{q}")));
     json_line(obj(vec![
-        ("schema_version", num(1)),
+        ("schema_version", num(2)),
         ("uptime_s", num(uptime_s)),
         ("statements_total", total("aql_session_statements_total")),
         ("errors_total", total("aql_session_errors_total")),
@@ -84,16 +82,7 @@ pub(crate) fn stats_json(uptime_s: u64) -> String {
                 ("hit_ratio", ratio(hits, hits + misses)),
             ]),
         ),
-        (
-            "governor",
-            obj(vec![
-                ("budget_bytes", num(budget)),
-                ("peak_bytes", num(peak)),
-                ("residency", ratio(peak, budget)),
-                ("sheds", total("aql_store_governor_sheds_total")),
-                ("denials", total("aql_store_governor_denials_total")),
-            ]),
-        ),
+        ("governor", obj(vec![("peak_bytes", num(snap.get("aql_store_governor_peak_bytes")))])),
         ("journal_dropped_total", total("aql_journal_dropped_total")),
         ("breakers", Json::Arr(breakers)),
     ]))
@@ -132,9 +121,9 @@ pub(crate) const DASHBOARD_HTML: &str = r#"<!doctype html>
 <tr><td id="lc">–</td><td id="p50">–</td><td id="p95">–</td><td id="p99">–</td></tr></table>
 <h2>chunk cache &amp; governor</h2>
 <table><tr><th>cache hits</th><th>misses</th><th>hit ratio</th>
-<th>governor residency</th><th>sheds</th><th>denials</th></tr>
+<th>governor peak</th></tr>
 <tr><td id="hits">–</td><td id="misses">–</td><td id="ratio">–</td>
-<td id="resid">–</td><td id="sheds">–</td><td id="denials">–</td></tr></table>
+<td id="peak">–</td></tr></table>
 <h2>circuit breakers</h2>
 <table id="breakers"><tr><th>source</th><th>trips</th><th>probes</th><th>fast fails</th></tr></table>
 <h2>profile</h2>
@@ -174,9 +163,7 @@ function tick() {
     put("hits", s.cache.hits);
     put("misses", s.cache.misses);
     put("ratio", (100 * s.cache.hit_ratio).toFixed(1) + "%");
-    put("resid", (100 * s.governor.residency).toFixed(1) + "%");
-    put("sheds", s.governor.sheds);
-    put("denials", s.governor.denials);
+    put("peak", s.governor.peak_bytes + " B");
     var tbl = document.getElementById("breakers");
     while (tbl.rows.length > 1) tbl.deleteRow(1);
     s.breakers.forEach(function (b) {
@@ -213,7 +200,7 @@ mod tests {
         .add(2);
         let body = stats_json(7);
         for key in [
-            "\"schema_version\":1",
+            "\"schema_version\":2",
             "\"uptime_s\":7",
             "\"statements_total\":",
             "\"errors_total\":",
@@ -224,8 +211,7 @@ mod tests {
             "\"p99\":",
             "\"cache\":{\"hits\":",
             "\"hit_ratio\":",
-            "\"governor\":{\"budget_bytes\":",
-            "\"residency\":",
+            "\"governor\":{\"peak_bytes\":",
             "\"journal_dropped_total\":",
             "\"breakers\":[",
         ] {

@@ -7,15 +7,15 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use aql_journal::{dropped_total, intern, set_capacity, snapshot, Tag};
+use aql_journal::{dropped_total, intern, snapshot, Tag, DEFAULT_CAPACITY};
 
 const THREADS: u64 = 8;
-const WRITES: u64 = 1000;
-const CAP: usize = 64;
+const CAP: usize = DEFAULT_CAPACITY;
+/// Three ring-fulls a writer, so every ring overflows.
+const WRITES: u64 = 3 * CAP as u64;
 
 #[test]
 fn eight_writers_no_torn_records_bounded_memory() {
-    set_capacity(CAP);
     let label = intern("stress:w");
     let before_dropped = dropped_total();
     let before_metric = aql_journal::metrics::family_total("aql_journal_dropped_total");

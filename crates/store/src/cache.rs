@@ -55,11 +55,9 @@ pub enum Loaded {
 /// to the caller and leaves the cache contents untouched, so a failed
 /// load can never poison previously cached chunks.
 ///
-/// Residency is also charged against the process-wide
-/// [`governor`] ledger: when a charge would exceed
-/// the process budget the cache sheds its own LRU entries first and
-/// only then fails the load with [`StoreError::Budget`]. Misses (and
-/// only misses) poll [`interrupt::check`] so
+/// Residency is also charged to the process-wide [`governor`] ledger,
+/// which counts it across caches. Misses (and only misses) poll
+/// [`interrupt::check`] so
 /// a statement blocked on I/O honors its deadline and cancellation.
 ///
 /// Recency is exact LRU: the resident chunks form a doubly linked list
@@ -146,7 +144,7 @@ impl ChunkCache {
     }
 
     /// Resident chunk ids, least recently used first — the order
-    /// eviction and governor shedding take them in. Test hook.
+    /// eviction takes them in. Test hook.
     #[doc(hidden)]
     pub fn lru_order(&self) -> Vec<u64> {
         let mut ids = Vec::with_capacity(self.slots.len());
@@ -211,12 +209,7 @@ impl ChunkCache {
             }
         };
         let (loaded, buf) = (buf.byte_len(), Rc::new(buf));
-        // Process-wide admission: shed own residency before denying
-        // (DESIGN.md §12 degradation order). A denial fails this one
-        // load; everything already cached stays valid.
-        if !self.shed_until_charged(loaded) {
-            return Err(governor::deny(loaded));
-        }
+        governor::charge(loaded);
         self.bytes += loaded;
         let slot = self.slots.len();
         self.slots.push(Slot { id, buf: Rc::clone(&buf), newer: NIL, older: NIL });
@@ -274,24 +267,6 @@ impl ChunkCache {
         governor::release(freed);
         self.stats.evictions += 1;
         emit(Event::CacheEvict { src: self.jlabel });
-    }
-
-    /// Charge `needed` bytes against the process governor, evicting
-    /// LRU entries (and releasing their governed bytes) until the
-    /// charge fits or the cache is empty. Returns whether the charge
-    /// succeeded. The unlimited default budget makes the first
-    /// `try_charge` succeed immediately.
-    fn shed_until_charged(&mut self, needed: u64) -> bool {
-        loop {
-            if governor::try_charge(needed) {
-                return true;
-            }
-            if self.oldest == NIL {
-                return false;
-            }
-            emit(Event::GovernorShed);
-            self.evict(self.oldest);
-        }
     }
 
     /// Evict LRU-first until within budget, sparing `keep`.

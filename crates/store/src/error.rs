@@ -78,15 +78,6 @@ pub enum StoreError {
     /// A request whose shape does not fit the layout (rank mismatch,
     /// out-of-bounds slab, zero chunk extent).
     Shape(String),
-    /// Admitting the bytes would exceed the process-wide
-    /// [`ResourceGovernor`](crate::governor) budget even after
-    /// shedding cache residency.
-    Budget {
-        /// Bytes the operation needed to admit.
-        requested: u64,
-        /// The configured process-wide byte budget.
-        budget: u64,
-    },
     /// The source's circuit breaker is open: the call failed fast
     /// without touching the source. Retrying after `retry_after_ms`
     /// will probe the source again.
@@ -112,7 +103,6 @@ impl StoreError {
     /// | `Corrupt`       | fatal      | surfaced only after retries       |
     /// | `ChecksumMismatch` | retryable | the read path may be flaky       |
     /// | `Shape`         | fatal      | the request itself is wrong       |
-    /// | `Budget`        | fatal      | for this statement; session lives |
     /// | `Unavailable`   | retryable  | after the breaker cool-down       |
     /// | `Interrupted`   | fatal      | the statement's limits fired      |
     pub fn class(&self) -> FaultClass {
@@ -123,7 +113,6 @@ impl StoreError {
             StoreError::Io { transient: false, .. }
             | StoreError::Corrupt(_)
             | StoreError::Shape(_)
-            | StoreError::Budget { .. }
             | StoreError::Interrupted(_) => FaultClass::Fatal,
         }
     }
@@ -140,7 +129,6 @@ impl StoreError {
             }
             StoreError::Corrupt(_) | StoreError::ChecksumMismatch { .. } => ErrorClass::Corruption,
             StoreError::Shape(_) => ErrorClass::Error,
-            StoreError::Budget { .. } => ErrorClass::ResourceExhausted,
             StoreError::Interrupted(Interrupt::Deadline) => ErrorClass::Deadline,
             StoreError::Interrupted(Interrupt::Cancelled) => ErrorClass::Cancelled,
         }
@@ -164,11 +152,6 @@ impl fmt::Display for StoreError {
                 "chunk checksum mismatch: payload {got:#018x}, source says {want:#018x}"
             ),
             StoreError::Shape(m) => write!(f, "storage shape error: {m}"),
-            StoreError::Budget { requested, budget } => write!(
-                f,
-                "storage byte budget exhausted: {requested} bytes requested, \
-                 process budget {budget} (cache already shed)"
-            ),
             StoreError::Unavailable { source, retry_after_ms } => write!(
                 f,
                 "chunk source `{source}` unavailable: circuit breaker open, \
@@ -197,7 +180,6 @@ mod tests {
             (StoreError::Corrupt("c".into()), Fatal, Corruption),
             (StoreError::ChecksumMismatch { got: 1, want: 2 }, Retryable, Corruption),
             (StoreError::Shape("s".into()), Fatal, Error),
-            (StoreError::Budget { requested: 8, budget: 4 }, Fatal, ResourceExhausted),
             (open, Retryable, Unavailable),
             (StoreError::Interrupted(Interrupt::Deadline), Fatal, Deadline),
             (StoreError::Interrupted(Interrupt::Cancelled), Fatal, Cancelled),

@@ -150,8 +150,8 @@ impl Fault {
 /// 0-based index of the read among this wrapper's reads and the start
 /// of the chunk it asks for. The schedule is any closure, so a fault can
 /// be keyed on the operation, on the chunk, on a seeded draw, or on
-/// state it keeps itself — and may act on the world (a governor budget,
-/// a cancellation flag) before the read goes ahead.
+/// state it keeps itself — and may act on the world (a cancellation
+/// flag) before the read goes ahead.
 ///
 /// Corruption flips payload values *after* the inner source reads
 /// them, but [`chunk_checksum`](ChunkSource::chunk_checksum) reports

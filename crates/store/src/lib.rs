@@ -32,8 +32,8 @@
 //! * [`ResilientSource`] — retry with jittered backoff, a per-source
 //!   circuit breaker ([`CircuitBreaker`]), and checksum verification
 //!   wrapped around any [`ChunkSource`];
-//! * [`governor`] — a process-wide byte budget that cache residency
-//!   charges against, with shed-before-deny degradation;
+//! * [`governor`] — a process-wide byte ledger that counts what cache
+//!   residency and warm pools hold;
 //! * [`interrupt`] — cooperative deadline/cancellation hooks polled on
 //!   the chunk-load path, so a hung source cannot outlive a
 //!   statement's limits;

@@ -18,11 +18,10 @@
 //!   map owned by the prefetcher) and the *consumer* moves buffers
 //!   from pool to cache on its own thread.
 //! * **Memory stays governed.** Every pooled buffer is charged against
-//!   the process [`governor`] ledger exactly like cache residency; a
-//!   denied charge drops the speculative buffer (the consumer just
-//!   pays the miss). The pool additionally keeps itself under its own
-//!   `pool_bytes` bound by discarding the oldest unconsumed buffer —
-//!   counted as *wasted* speculation.
+//!   the process [`governor`] ledger exactly like cache residency,
+//!   and the pool keeps itself under its own `pool_bytes` bound by
+//!   discarding the oldest unconsumed buffer — counted as *wasted*
+//!   speculation.
 //!
 //! The worker installs the prefetcher's stop flag as its thread's
 //! [`interrupt`] cancel hook, so a slow source that sleeps through
@@ -78,8 +77,8 @@ pub struct PrefetchStats {
     pub issued: u64,
     /// Misses served from the warm pool.
     pub hits: u64,
-    /// Speculative buffers discarded unconsumed (pool overflow,
-    /// governor denial, or shutdown drain).
+    /// Speculative buffers discarded unconsumed (pool overflow or
+    /// shutdown drain).
     pub wasted: u64,
 }
 
@@ -117,18 +116,13 @@ impl Shared {
         self.jlabel.load(Ordering::Relaxed) as u16
     }
 
-    /// Count one speculative load that never paid off.
-    fn count_waste(&self) {
-        self.wasted.fetch_add(1, Ordering::Relaxed);
-        emit(Event::PrefetchWasted { src: self.jlabel() });
-    }
-
     /// Discard a never-consumed buffer: release its governed bytes and
     /// count the waste. `bytes` were part of `ready_bytes` already.
     fn waste(&self, state: &mut State, bytes: u64) {
         state.ready_bytes -= bytes;
         governor::release(bytes);
-        self.count_waste();
+        self.wasted.fetch_add(1, Ordering::Relaxed);
+        emit(Event::PrefetchWasted { src: self.jlabel() });
     }
 }
 
@@ -277,8 +271,8 @@ impl Prefetcher {
         let bytes = buf.byte_len();
         state.ready_bytes -= bytes;
         drop(state);
-        // The caller's cache will try_charge these same bytes; release
-        // first so a tight budget does not double-count the handoff.
+        // The caller's cache will charge these same bytes; release
+        // first so the handoff is not counted twice.
         governor::release(bytes);
         self.shared.hits.fetch_add(1, Ordering::Relaxed);
         emit(Event::PrefetchHit);
@@ -374,13 +368,7 @@ fn worker_loop(shared: Arc<Shared>, mut source: Box<dyn ChunkSource + Send>, lay
             Err(_) => continue,
         };
         let bytes = buf.byte_len();
-        if !governor::try_charge(bytes) {
-            // Denied by the process budget: speculation yields first
-            // (DESIGN.md §12 — real work sheds caches; guesses just
-            // give up).
-            shared.count_waste();
-            continue;
-        }
+        governor::charge(bytes);
         let mut state = shared.state.lock().expect("prefetch lock");
         state.ready.insert(chunk, buf);
         state.ready_order.push_back(chunk);

@@ -25,7 +25,7 @@
 //!
 //! Failures *of the source* (I/O errors, corruption) count toward the
 //! breaker; failures of the *caller or statement* (shape errors,
-//! interrupts, budget denials) pass through uncounted — a breaker must
+//! interrupts, an open breaker) pass through uncounted — a breaker must
 //! not trip because a query was cancelled.
 
 use std::time::{Duration, Instant};
@@ -304,7 +304,6 @@ impl<S: ChunkSource> ChunkSource for ResilientSource<S> {
                 // no breaker accounting, no retry.
                 Err(e @ (StoreError::Shape(_)
                 | StoreError::Interrupted(_)
-                | StoreError::Budget { .. }
                 | StoreError::Unavailable { .. })) => return Err(e),
                 Err(e) => {
                     // A trip mid-loop surfaces the real error now;

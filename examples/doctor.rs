@@ -53,7 +53,7 @@ fn demo(json: bool) -> Result<(), String> {
     use aql::core::types::Type;
     use aql::core::value::array::ArrayVal;
     use aql::core::value::Value;
-    use aql::lang::session::{IncidentConfig, Session};
+    use aql::lang::session::Session;
     use aql::store::{
         ChunkLayout, Fault, FaultyChunkSource, LazyArray, MemChunkSource, ResiliencePolicy,
         ResilientSource, ScalarBuf, ScalarKind,
@@ -86,7 +86,7 @@ fn demo(json: bool) -> Result<(), String> {
 
     let mut s = Session::new();
     s.bind_val_typed("sst", Value::Array(std::rc::Rc::new(av)), Type::array1(Type::Real));
-    s.enable_incidents(IncidentConfig::new(&dir));
+    s.enable_incidents(&dir);
 
     if !json {
         println!("demo: scanning a 64-element array whose chunk 7 always fails...\n");

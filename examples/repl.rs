@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use aql::externals::{register_heatindex, register_june_sunset};
 use aql::lang::repl::run_repl;
-use aql::lang::session::{Session, SlowLogConfig};
+use aql::lang::session::Session;
 use aql::netcdf::driver::register_netcdf;
 use aql::netcdf::synth;
 
@@ -61,13 +61,7 @@ fn main() {
             .append(true)
             .open(&path)
             .expect("open slow-query log");
-        session.enable_slow_log(
-            Box::new(sink),
-            SlowLogConfig {
-                threshold: Duration::from_millis(threshold_ms),
-                sample_every: 0,
-            },
-        );
+        session.enable_slow_log(Box::new(sink), Duration::from_millis(threshold_ms));
         println!("Slow-query log ({threshold_ms}ms threshold): {path}");
     }
 

@@ -169,7 +169,7 @@ fn repl_store_and_save_goldens() {
     assert!(text.contains("store: 1 open chunk source(s)"), "{text}");
     assert!(text.contains("source=aqf:store.aqf"), "{text}");
     assert!(text.contains("prefetch issued="), "{text}");
-    assert!(text.contains("governor: budget="), "{text}");
+    assert!(text.contains("governor: in_use="), "{text}");
     // Golden: the whole transcript is deterministic across fresh
     // sessions (cache/residency counters included — same statements,
     // same chunks; the governor peak is monotonic and already at its

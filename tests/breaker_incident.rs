@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use aql::journal::incident::{list_incidents, Incident, IncidentKind};
-use aql::lang::session::{IncidentConfig, Session};
+use aql::lang::session::Session;
 use aql::netcdf::driver::register_netcdf;
 use aql_core::prim::NativeFn;
 use aql_core::types::Type;
@@ -47,7 +47,7 @@ fn run_the_tripping_statement(dir: &std::path::Path) -> Session {
         verify_checksums: true,
     });
     s.register_reader("NETCDF2", Rc::new(reader));
-    s.enable_incidents(IncidentConfig::new(dir.join("incidents")));
+    s.enable_incidents(dir.join("incidents"));
     s.run(&format!("readval \\T using NETCDF2 at (\"{p}\", \"grid\", (0, 0), (39, 39));")).unwrap();
     s
 }
@@ -67,7 +67,7 @@ fn only_the_session_whose_source_tripped_writes_the_incident() {
         let dir = bystander_dir.clone();
         std::thread::spawn(move || {
             let mut s = Session::new();
-            s.enable_incidents(IncidentConfig::new(&dir));
+            s.enable_incidents(&dir);
             // Mid-statement: let the other session trip its breaker,
             // and return only once it has.
             let rendezvous = Mutex::new((go, wait_for_done));

@@ -6,13 +6,14 @@
 //! * **zero panics** — any panic fails the test outright;
 //! * **classified errors** — every surfaced failure is one of the
 //!   taxonomy's variants (storage I/O, corruption, unavailability,
-//!   budget, deadline, cancellation), never an internal error;
+//!   deadline, cancellation), never an internal error;
 //! * **no cache poisoning** — a value served `Ok` always equals the
 //!   fault-free ground truth, even right after corruption faults;
 //! * **breaker recovery** — once the fault schedule clears, reads
 //!   succeed again (the breaker closes via half-open probes);
-//! * **session survival** — a statement killed by `ResourceExhausted`
-//!   (or any fault) leaves the session able to answer the next one.
+//! * **session survival** — a statement killed by an exhausted
+//!   `Limits` budget (class `resource-exhausted`), or by any fault,
+//!   leaves the session able to answer the next one.
 //!
 //! Every fault comes from `FaultyChunkSource`, the one injector, under
 //! a schedule: [`seeded`] draws per operation index from `splitmix64`
@@ -20,8 +21,7 @@
 //! cases name their operations. NetCDF bindings go through
 //! `common::ScheduledNetcdf`: the stock reader's binding with the
 //! injector between the chunk source and the resilience stack. Tests
-//! serialize on [`GOV`]: the
-//! resource governor and the metrics registry are process state.
+//! serialize on [`GOV`]: the metrics registry is process state.
 
 mod common;
 
@@ -30,14 +30,16 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use aql_core::error::EvalError;
+use aql_core::eval::Limits;
 use aql_core::value::Value;
 use aql_lang::errors::LangError;
 use aql_lang::reader::Reader;
 use aql_lang::session::Session;
 use aql_netcdf::driver::{register_netcdf, NetcdfSlabReader};
 use aql_store::fault::{splitmix64, unit};
+use aql_journal::ErrorClass;
 use aql_store::{
-    governor, BreakerPolicy, ChunkLayout, ChunkSource, Fault, FaultyChunkSource, LazyArray,
+    BreakerPolicy, ChunkLayout, ChunkSource, Fault, FaultyChunkSource, LazyArray,
     MemChunkSource, ResiliencePolicy, ResilientSource, RetryPolicy, Scalar, ScalarBuf, ScalarKind,
     StoreError,
 };
@@ -47,16 +49,11 @@ use common::ScheduledNetcdf;
 /// The acceptance criteria ask for ≥ 3 fixed seeds.
 const SEEDS: [u64; 3] = [1, 7, 42];
 
-/// Serializes tests: the governor budget and metric counters are
-/// process-wide.
+/// Serializes tests: the metric counters are process-wide.
 static GOV: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
-    let g = GOV.lock().unwrap_or_else(|e| e.into_inner());
-    // A test that panicked mid-budget must not starve the rest of the
-    // suite: every test starts from the unlimited default.
-    governor::set_budget(None);
-    g
+    GOV.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Ground truth for the store-level array: row-major iota over 32×32.
@@ -318,7 +315,6 @@ fn session_chaos_run(seed: u64) {
             }
             Err(LangError::Eval(
                 EvalError::Storage { .. }
-                | EvalError::ResourceExhausted { .. }
                 | EvalError::Deadline
                 | EvalError::Cancelled,
             )) => failures += 1,
@@ -393,26 +389,27 @@ fn breaker_trips_and_recovers_through_the_session() {
 #[test]
 fn resource_exhausted_kills_the_statement_not_the_session() {
     let _g = lock();
-    let (mut s, p, dir) = netcdf_session("governor");
+    let (mut s, p, dir) = netcdf_session("limits");
     bind_chaos(&mut s, &p, NetcdfSlabReader::lazy(2));
     // Sanity: the binding answers before the budget shrinks.
     let (_, v) = s.eval_query("T[0, 5]").unwrap();
     assert_eq!(v, Value::Real(5.0));
 
-    governor::set_budget(Some(1024));
-    // 100k elements × 8 bytes could never fit a 1 KiB process budget:
-    // the statement dies with the classified error... (`val` forces
+    s.limits = Limits { max_elems: 1024, ..Limits::default() };
+    // 100k elements could never fit a 1,024-element budget: the
+    // statement dies with the classified error... (`val` forces
     // materialization; a bare `len!` of a comprehension gets rewritten
     // to its bound and never allocates.)
     let err = s.run("val \\X = [[ i | \\i < 100000 ]];").unwrap_err();
+    assert_eq!(err.class(), ErrorClass::ResourceExhausted, "{err}");
     match err {
-        LangError::Eval(EvalError::ResourceExhausted { requested, budget }) => {
-            assert_eq!(requested, 800_000);
-            assert_eq!(budget, 1024);
+        LangError::Eval(EvalError::ResourceLimit { requested, limit }) => {
+            assert_eq!(requested, 100_000);
+            assert_eq!(limit, 1024);
         }
-        other => panic!("expected ResourceExhausted, got {other}"),
+        other => panic!("expected ResourceLimit, got {other}"),
     }
-    governor::set_budget(None);
+    s.limits = Limits::default();
     // ...and the session, its bindings, and the cache all survive.
     let (_, v) = s.eval_query("T[2, 2]").unwrap();
     assert_eq!(v, Value::Real(16.0));
@@ -468,8 +465,6 @@ fn injected_latency_cannot_outlive_the_deadline() {
 /// incident dump, and offline analysis.
 #[test]
 fn chaos_incident_is_dumped_and_doctor_names_the_fault() {
-    use aql_lang::session::IncidentConfig;
-
     let _g = lock();
     let (mut s, p, dir) = netcdf_session("doctor");
     // A total outage: every chunk read (and every retry of it) fails
@@ -483,7 +478,7 @@ fn chaos_incident_is_dumped_and_doctor_names_the_fault() {
     bind_chaos(&mut s, &p, reader);
 
     let inc_dir = dir.join("incidents");
-    s.enable_incidents(IncidentConfig::new(&inc_dir));
+    s.enable_incidents(&inc_dir);
 
     // The probe burns its retry budget and the statement dies with a
     // classified storage error...

@@ -40,7 +40,7 @@ use aql::netcdf::chunk::NcChunkSource;
 use aql::netcdf::driver::{register_netcdf, NetcdfSlabReader};
 use aql::netcdf::synth;
 use aql::store::{
-    fault, governor, ChunkLayout, ChunkSource, FaultyChunkSource, LazyArray, MemChunkSource,
+    fault, ChunkLayout, ChunkSource, FaultyChunkSource, LazyArray, MemChunkSource,
     RemoteChunkSource, ResiliencePolicy, ResilientSource, ScalarBuf, ScalarKind,
 };
 
@@ -364,9 +364,6 @@ pub enum Fault {
     PersistentIo,
     /// Every read delivers a damaged payload under the clean checksum.
     Corruption,
-    /// The process byte budget drops to one byte as the chunk arrives,
-    /// so the governor denies its admission.
-    GovernorDenial,
     /// The read stalls (interruptibly) for far longer than the
     /// statement's 1 ms deadline.
     Deadline,
@@ -375,12 +372,11 @@ pub enum Fault {
 }
 
 impl Fault {
-    pub const ALL: [Fault; 7] = [
+    pub const ALL: [Fault; 6] = [
         Fault::TransientOnce,
         Fault::TransientForever,
         Fault::PersistentIo,
         Fault::Corruption,
-        Fault::GovernorDenial,
         Fault::Deadline,
         Fault::Cancel,
     ];
@@ -393,7 +389,6 @@ impl Fault {
             Fault::TransientForever => Some(ErrorClass::TransientIo),
             Fault::PersistentIo => Some(ErrorClass::Unavailable),
             Fault::Corruption => Some(ErrorClass::Corruption),
-            Fault::GovernorDenial => Some(ErrorClass::ResourceExhausted),
             Fault::Deadline => Some(ErrorClass::Deadline),
             Fault::Cancel => Some(ErrorClass::Cancelled),
         }
@@ -464,10 +459,6 @@ impl FaultyReader {
                 Fault::TransientForever => Some(fault::Fault::Transient),
                 Fault::PersistentIo => Some(fault::Fault::Persistent),
                 Fault::Corruption => Some(fault::Fault::Corrupt),
-                Fault::GovernorDenial => {
-                    governor::set_budget(Some(1));
-                    None
-                }
                 // Interrupted at once under a statement's 1 ms deadline; a
                 // short stall where no statement's limits are installed.
                 Fault::Deadline => Some(fault::Fault::Latency(Duration::from_millis(20))),

@@ -118,7 +118,7 @@ fn dashboard_stats_and_profile_routes_serve_live_data() {
         breakers.iter().any(|b| b.get("source").and_then(Json::as_str) == Some(label)),
         "the label round-trips: {breakers:?}"
     );
-    assert_eq!(stats.get("schema_version").and_then(Json::as_u64), Some(1));
+    assert_eq!(stats.get("schema_version").and_then(Json::as_u64), Some(2));
     for key in [
         "uptime_s",
         "statements_total",

@@ -3,8 +3,8 @@
 //!
 //! **The table.** {`MemChunkSource`, NetCDF lazy, AQF reopen,
 //! `RemoteChunkSource`} × {one transient then clear, transient forever,
-//! persistent I/O, payload corruption, governor denial, 1 ms deadline,
-//! cancel} × {met at bind, at echo, at first subscript, inside a kernel
+//! persistent I/O, payload corruption, 1 ms deadline, cancel} × {met
+//! at bind, at echo, at first subscript, inside a kernel
 //! window — the whole array's under a root `Σ`, and again one run's,
 //! sized at bind, of a guarded nest under an interpreted loop}. Every
 //! cell runs the same three statements; it is either the
@@ -18,8 +18,8 @@
 //! is an unbound variable, not an exhausted budget); the class is the
 //! error value's.
 //!
-//! Its own binary, serialized on [`PROCESS`]: the governor budget and
-//! the flight recorder are process state.
+//! Its own binary, serialized on [`PROCESS`]: the flight recorder is
+//! process state.
 
 mod common;
 
@@ -33,17 +33,14 @@ use aql::format::register_aqf;
 use aql::journal::incident::{Incident, IncidentKind};
 use aql::journal::{ErrorClass, Tag};
 use aql::lang::errors::LangError;
-use aql::lang::session::{IncidentConfig, Session};
-use aql::store::governor;
+use aql::lang::session::Session;
 
 use common::{Fault, FaultyReader, Stage, FAULT_AXIS_CELLS, FAULT_AXIS_SOURCES};
 
 static PROCESS: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
-    let guard = PROCESS.lock().unwrap_or_else(|e| e.into_inner());
-    governor::set_budget(None);
-    guard
+    PROCESS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -118,7 +115,7 @@ fn cell(
     // The echo fetches one cell past its limit, cells 0..=16: chunk 0
     // (resident since the bind) and exactly one cell of chunk 1.
     s.display_limit = 16;
-    s.enable_incidents(IncidentConfig::new(dir.join(format!("incidents-{source}"))));
+    s.enable_incidents(dir.join(format!("incidents-{source}")));
     s.limits.cancel = Some(reader.cancel.clone());
     if fault == Fault::Deadline {
         s.limits.timeout = Some(Duration::from_millis(1));
@@ -145,7 +142,6 @@ fn cell(
         }
     }
     // Whatever happened, the session answers the next statement.
-    governor::set_budget(None);
     s.limits = Limits::default();
     let (_, two) = s.eval_query("1 + 1").expect("the session survives");
     assert_eq!(two, Value::Nat(2), "{source} {fault:?} {stage:?}");
@@ -198,7 +194,7 @@ fn a_program_that_spells_a_class_is_not_in_it() {
     let _g = lock();
     let dir = tmpdir("words");
     let mut s = Session::new();
-    s.enable_incidents(IncidentConfig::new(&dir));
+    s.enable_incidents(&dir);
     // Unbound variables and type errors, every one: outcome `error`,
     // incident kind `error`, and the doctor says so.
     for statement in
@@ -210,11 +206,10 @@ fn a_program_that_spells_a_class_is_not_in_it() {
         assert!(report.contains("fault class: error\n"), "{statement}: {report}");
     }
 
-    // The real things still get their classes. A governor denial …
-    governor::set_budget(Some(1024));
+    // The real things still get their classes. An element limit …
+    s.limits = Limits { max_elems: 1024, ..Limits::default() };
     let (readings, kind, report) = failing(&mut s, "val \\X = [[ i | \\i < 100000 ]];");
-    governor::set_budget(None);
-    readings.agree_on(ErrorClass::ResourceExhausted, "governor denial");
+    readings.agree_on(ErrorClass::ResourceExhausted, "element limit");
     assert_eq!(kind, IncidentKind::ResourceExhausted);
     assert!(report.contains("fault class: resource-exhausted\n"), "{report}");
     // … a step-limit stop …
@@ -238,7 +233,7 @@ fn a_statement_nested_past_the_budget_is_too_deep() {
     let _g = lock();
     let dir = tmpdir("deep");
     let mut s = Session::new();
-    s.enable_incidents(IncidentConfig::new(&dir));
+    s.enable_incidents(&dir);
     // A value read past the budget fails its `readval`, which the
     // journal records. (A statement past it fails to parse, before any
     // statement begins; `tests/hostile_nesting.rs` reads that class.)
@@ -268,7 +263,7 @@ fn one_flipped_byte_of_an_aqf_file_is_corruption_wherever_it_is_met() {
     // Rank-1 header: 24 fixed bytes, one extent, one chunk extent.
     let payload = 24 + 16;
 
-    s.enable_incidents(IncidentConfig::new(dir.join("incidents")));
+    s.enable_incidents(dir.join("incidents"));
     // The echo probes one cell: a damaged payload is met there first
     // (and rendered `⊥`), then by the subscript.
     s.display_limit = 0;

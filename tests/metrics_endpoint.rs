@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 
 use aql::lang::repl::run_repl;
-use aql::lang::session::{Session, SlowLogConfig};
+use aql::lang::session::Session;
 use aql::netcdf::driver::register_netcdf;
 use aql::netcdf::format::VERSION_CLASSIC;
 use aql::netcdf::synth::year_temp_file;
@@ -55,10 +55,7 @@ fn repl_session_serves_prometheus_and_logs_slow_queries() {
     let mut s = Session::new();
     register_netcdf(&mut s);
     // Threshold zero: every statement is over the slow-query bar.
-    s.enable_slow_log(
-        Box::new(sink.clone()),
-        SlowLogConfig { threshold: std::time::Duration::ZERO, sample_every: 0 },
-    );
+    s.enable_slow_log(Box::new(sink.clone()), std::time::Duration::ZERO);
 
     // The acceptance session: start the endpoint, then three
     // statements — a NetCDF bind, a point probe, a windowed aggregate.
@@ -158,8 +155,8 @@ fn repl_session_serves_prometheus_and_logs_slow_queries() {
     assert_eq!(lines.len(), 3, "threshold 0 logs all three statements: {log}");
     for l in &lines {
         let rec = Json::parse(l).expect("each slow-log line must be valid JSON");
-        assert_eq!(rec.get("schema_version").and_then(Json::as_u64), Some(2), "{l}");
-        assert_eq!(rec.get("slow"), Some(&Json::Bool(true)), "{l}");
+        assert_eq!(rec.get("schema_version").and_then(Json::as_u64), Some(3), "{l}");
+        assert_eq!(rec.get("slow"), None, "v3: every record is slow: {l}");
         assert!(rec.get("dur_ns").and_then(Json::as_u64).is_some(), "{l}");
         assert!(rec.get("phases").is_some(), "{l}");
         // v2 members: the incident link (null here — no incident dir is

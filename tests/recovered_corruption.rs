@@ -3,7 +3,7 @@
 //! recorder kept nothing, so `\doctor` showed a bare `retry` line and
 //! could only find corruption by matching a *final* error message.
 //! The mismatch is now an event like any other (`checksum_mismatch`,
-//! tag 19): journaled, on the doctor's timeline, and named in its
+//! tag 17): journaled, on the doctor's timeline, and named in its
 //! diagnosis — while the statement that met it still succeeds with the
 //! right value.
 //!

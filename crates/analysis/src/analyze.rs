@@ -400,6 +400,11 @@ impl Analyzer<'_> {
     }
 
     fn go(&mut self, e: &Expr) -> AbsVal {
+        // Past this thread's stack, the subterm is unknown and none of
+        // its subscripts gets a verdict (so none is elided).
+        if aql_core::stack::check().is_err() {
+            return AbsVal::Top;
+        }
         match e {
             // A free variable falls through to the `val` registry, as
             // in `compile`.

@@ -176,6 +176,48 @@ impl SExpr {
     pub fn boxed(self) -> Box<SExpr> {
         Box::new(self)
     }
+
+    /// Push the direct subexpressions onto `out`.
+    pub fn push_children<'a>(&'a self, out: &mut Vec<&'a SExpr>) {
+        match self {
+            SExpr::Var(_) | SExpr::Nat(_) | SExpr::Real(_) | SExpr::Str(_) | SExpr::Bool(_) => {}
+            SExpr::Tuple(v) | SExpr::SetLit(v) | SExpr::BagLit(v) | SExpr::ArrayLit(v) => out.extend(v),
+            SExpr::ArrayRowMajor { dims, items } => out.extend(dims.iter().chain(items)),
+            SExpr::SetComp { head, quals } | SExpr::BagComp { head, quals } => {
+                out.push(head);
+                out.extend(quals.iter().map(|q| match q {
+                    Qual::Gen(_, e) | Qual::ArrGen(_, _, e) | Qual::Bind(_, e) | Qual::Filter(e) => e,
+                }));
+            }
+            SExpr::ArrayTab { head, idx } => out.extend(idx.iter().map(|(_, b)| b).chain([&**head])),
+            SExpr::Subscript(a, v) => out.extend(v.iter().chain([&**a])),
+            SExpr::App(a, b) | SExpr::Binop(_, a, b) => out.extend([a, b].map(|e| &**e)),
+            SExpr::Lam(_, e) | SExpr::Not(e) => out.push(e),
+            SExpr::LetBlock(binds, body) => out.extend(binds.iter().map(|(_, e)| e).chain([&**body])),
+            SExpr::If(c, t, f) => out.extend([c, t, f].map(|e| &**e)),
+        }
+    }
+
+    /// The left operand of a binary operator, an application's function
+    /// or a subscript's array: the child the parser's loops chain on.
+    fn spine(&mut self) -> Option<&mut SExpr> {
+        match self {
+            SExpr::Binop(_, l, _) | SExpr::App(l, _) | SExpr::Subscript(l, _) => Some(l),
+            _ => None,
+        }
+    }
+}
+
+/// The parser builds `a + b + …`, `f!x!…` and `a[i][j]…` in a loop, as
+/// deep as the statement is long: they are taken apart in a loop too.
+/// Every other child is as deep as the parser's guarded recursion.
+impl Drop for SExpr {
+    fn drop(&mut self) {
+        let mut next = self.spine().map(|l| std::mem::replace(l, SExpr::Nat(0)));
+        while let Some(mut e) = next {
+            next = e.spine().map(|l| std::mem::replace(l, SExpr::Nat(0)));
+        }
+    }
 }
 
 /// A top-level statement of the AQL read-eval-print loop (§4).

@@ -20,7 +20,7 @@
 
 use aql_core::expr::builder as b;
 use aql_core::expr::free::fresh;
-use aql_core::expr::{name, CmpOp, Expr};
+use aql_core::expr::{name, CmpOp, Expr, Name};
 
 use crate::ast::{Lit, Pattern, Qual, SBinOp, SExpr};
 use crate::errors::LangError;
@@ -81,6 +81,7 @@ impl Cx {
     }
 
     fn expr(&mut self, e: &SExpr) -> Result<Expr, LangError> {
+        aql_core::stack::check()?;
         Ok(match e {
             SExpr::Var(x) => {
                 if !self.bound(x) {
@@ -100,16 +101,8 @@ impl Cx {
             SExpr::Tuple(items) => {
                 Expr::Tuple(items.iter().map(|i| self.expr(i)).collect::<Result<_, _>>()?)
             }
-            SExpr::SetLit(items) => {
-                items.iter().try_fold(Expr::Empty, |acc, it| -> Result<Expr, LangError> {
-                    Ok(b::union(acc, b::single(self.expr(it)?)))
-                })?
-            }
-            SExpr::BagLit(items) => {
-                items.iter().try_fold(Expr::BagEmpty, |acc, it| -> Result<Expr, LangError> {
-                    Ok(b::bag_union(acc, b::bag_single(self.expr(it)?)))
-                })?
-            }
+            SExpr::SetLit(items) => self.literal(items, Monoid::Set)?,
+            SExpr::BagLit(items) => self.literal(items, Monoid::Bag)?,
             SExpr::SetComp { head, quals } => self.comp(head, quals, Monoid::Set)?,
             SExpr::BagComp { head, quals } => self.comp(head, quals, Monoid::Bag)?,
             SExpr::ArrayLit(items) => {
@@ -150,27 +143,7 @@ impl Cx {
             ),
             SExpr::App(f, a) => self.app(f, a)?,
             SExpr::Lam(p, body) => self.lambda(p, body)?,
-            SExpr::LetBlock(binds, body) => {
-                let mut pushed = 0usize;
-                let mut compiled: Vec<(Pattern, Expr)> = Vec::new();
-                for (p, rhs) in binds {
-                    let rhs = self.expr(rhs)?;
-                    for bn in p.bound_names() {
-                        self.scope.push(bn);
-                        pushed += 1;
-                    }
-                    compiled.push((p.clone(), rhs));
-                }
-                let inner = self.expr(body);
-                for _ in 0..pushed {
-                    self.scope.pop();
-                }
-                let mut out = inner?;
-                for (p, rhs) in compiled.into_iter().rev() {
-                    out = bind_irrefutable(&p, rhs, out)?;
-                }
-                out
-            }
+            SExpr::LetBlock(binds, body) => self.let_block(binds, body)?,
             SExpr::If(c, t, f) => b::iff(self.expr(c)?, self.expr(t)?, self.expr(f)?),
             SExpr::Not(a) => b::not(self.expr(a)?),
             SExpr::Binop(op, a, f) => {
@@ -300,8 +273,34 @@ impl Cx {
         }
     }
 
+    /// `let val P1 = e1 … val Pn = en in e end` as nested `let`s, one
+    /// recursion a binder, so that the guard sees the chain's depth.
+    fn let_block(&mut self, binds: &[(Pattern, SExpr)], body: &SExpr) -> Result<Expr, LangError> {
+        aql_core::stack::check()?;
+        let Some(((p, rhs), rest)) = binds.split_first() else { return self.expr(body) };
+        let rhs = self.expr(rhs)?;
+        let bound = p.bound_names();
+        self.scope.extend(bound.iter().cloned());
+        let inner = if rest.is_empty() { self.expr(body) } else { self.let_block(rest, body) };
+        self.scope.truncate(self.scope.len() - bound.len());
+        bind_irrefutable(p, rhs, inner?)
+    }
+
+    /// `{e1, …, en}` as `((∅ ∪ {e1}) ∪ …) ∪ {en}`, one recursion an
+    /// element, so that the guard sees the chain's depth.
+    fn literal(&mut self, items: &[SExpr], m: Monoid) -> Result<Expr, LangError> {
+        aql_core::stack::check()?;
+        let Some((last, init)) = items.split_last() else { return Ok(m.empty()) };
+        let (acc, x) = (self.literal(init, m)?, m.single(self.expr(last)?));
+        Ok(match m {
+            Monoid::Set => b::union(acc, x),
+            Monoid::Bag => b::bag_union(acc, x),
+        })
+    }
+
     /// Comprehension desugaring (Fig. 2), parameterised by monoid.
     fn comp(&mut self, head: &SExpr, quals: &[Qual], m: Monoid) -> Result<Expr, LangError> {
+        aql_core::stack::check()?;
         match quals.split_first() {
             None => Ok(m.single(self.expr(head)?)),
             Some((q, rest)) => match q {
@@ -427,17 +426,15 @@ impl Cx {
 
 /// Destructure an irrefutable (lambda/let) pattern with `let`s.
 fn bind_irrefutable(p: &Pattern, scrut: Expr, body: Expr) -> Result<Expr, LangError> {
+    aql_core::stack::check()?;
     match p {
         Pattern::Wild => Ok(body),
         Pattern::Bind(x) => Ok(Expr::Let(name(x), scrut.boxed(), body.boxed())),
         Pattern::Tuple(ps) => {
-            let k = ps.len();
             // Bind the scrutinee once, then project components.
             let z = fresh("p");
-            let mut out = body;
-            for (i, sub) in ps.iter().enumerate().rev() {
-                out = bind_irrefutable(sub, b::proj(i + 1, k, Expr::Var(z.clone())), out)?;
-            }
+            let bind = &mut |sub: &Pattern, proj, out| bind_irrefutable(sub, proj, out);
+            let out = components(ps, ps.len(), &z, body, bind)?;
             Ok(Expr::Let(z, scrut.boxed(), out.boxed()))
         }
         Pattern::Var(_) | Pattern::Const(_) => Err(LangError::desugar(
@@ -455,6 +452,7 @@ fn bind_refutable(
     body: Expr,
     empty: Expr,
 ) -> Result<Expr, LangError> {
+    aql_core::stack::check()?;
     match p {
         Pattern::Wild => Ok(body),
         Pattern::Bind(x) => Ok(Expr::Let(name(x), scrut.boxed(), body.boxed())),
@@ -469,20 +467,28 @@ fn bind_refutable(
             empty,
         )),
         Pattern::Tuple(ps) => {
-            let k = ps.len();
             let z = fresh("p");
-            let mut out = body;
-            for (i, sub) in ps.iter().enumerate().rev() {
-                out = bind_refutable(
-                    sub,
-                    b::proj(i + 1, k, Expr::Var(z.clone())),
-                    out,
-                    empty.clone(),
-                )?;
-            }
+            let bind = &mut |sub: &Pattern, proj, out| bind_refutable(sub, proj, out, empty.clone());
+            let out = components(ps, ps.len(), &z, body, bind)?;
             Ok(Expr::Let(z, scrut.boxed(), out.boxed()))
         }
     }
+}
+
+/// The components `ps` of a `k`-tuple pattern bound to `z`'s
+/// projections around `body`, one recursion a component, so that the
+/// guard sees the chain of `let`s they become.
+fn components(
+    ps: &[Pattern],
+    k: usize,
+    z: &Name,
+    body: Expr,
+    bind: &mut dyn FnMut(&Pattern, Expr, Expr) -> Result<Expr, LangError>,
+) -> Result<Expr, LangError> {
+    aql_core::stack::check()?;
+    let Some((p, rest)) = ps.split_first() else { return Ok(body) };
+    let out = components(rest, k, z, body, bind)?;
+    bind(p, b::proj(k - ps.len() + 1, k, Expr::Var(z.clone())), out)
 }
 
 fn lit_expr(l: &Lit) -> Expr {

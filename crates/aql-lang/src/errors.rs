@@ -3,6 +3,7 @@
 use std::fmt;
 
 use aql_core::error::{EvalError, TypeError};
+use aql_core::stack::TooDeep;
 use aql_journal::ErrorClass;
 
 /// Any failure while lexing, parsing, desugaring, or executing an AQL
@@ -27,9 +28,9 @@ pub enum LangError {
     },
     /// Desugaring error (bad pattern, unknown builtin arity, …).
     Desugar(String),
-    /// A statement, or a value a reader parsed, nested deeper than
-    /// the budget: the parser's [`MAX_DEPTH`](crate::parser::MAX_DEPTH).
-    TooDeep(usize),
+    /// A statement, or a value a reader parsed, nests too deep for this
+    /// thread's stack: one pass's [`aql_core::stack`] guard fired.
+    TooDeep,
     /// The typechecker rejected the query.
     Type(TypeError),
     /// Evaluation failed at the host level.
@@ -90,7 +91,7 @@ impl LangError {
         match self {
             LangError::Eval(e) => e.class(),
             LangError::Unsound { .. } => ErrorClass::Unsound,
-            LangError::TooDeep(_) => ErrorClass::TooDeep,
+            LangError::TooDeep => ErrorClass::TooDeep,
             LangError::Lex { .. }
             | LangError::Parse { .. }
             | LangError::Desugar(_)
@@ -120,7 +121,7 @@ impl fmt::Display for LangError {
                 write!(f, "parse error (line {line}): {message}")
             }
             LangError::Desugar(m) => write!(f, "desugaring error: {m}"),
-            LangError::TooDeep(limit) => write!(f, "nesting deeper than {limit} levels"),
+            LangError::TooDeep => fmt::Display::fmt(&TooDeep, f),
             LangError::Type(e) => write!(f, "type error: {e}"),
             LangError::Eval(e) => write!(f, "evaluation error: {e}"),
             LangError::Session(m) => write!(f, "session error: {m}"),
@@ -139,15 +140,28 @@ impl fmt::Display for LangError {
 
 impl std::error::Error for LangError {}
 
+impl From<TooDeep> for LangError {
+    fn from(_: TooDeep) -> Self {
+        LangError::TooDeep
+    }
+}
+
+/// Every pass's guard is one error, whichever pass it fired in.
 impl From<TypeError> for LangError {
     fn from(e: TypeError) -> Self {
-        LangError::Type(e)
+        match e {
+            TypeError::TooDeep => LangError::TooDeep,
+            e => LangError::Type(e),
+        }
     }
 }
 
 impl From<EvalError> for LangError {
     fn from(e: EvalError) -> Self {
-        LangError::Eval(e)
+        match e {
+            EvalError::TooDeep => LangError::TooDeep,
+            e => LangError::Eval(e),
+        }
     }
 }
 

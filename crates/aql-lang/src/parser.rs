@@ -1,9 +1,16 @@
-//! Recursive-descent parser for the AQL surface syntax.
+//! Recursive-descent parser for the AQL surface syntax, with one
+//! precedence-climbing loop for the operators.
 //!
 //! Operator precedence, loosest first:
 //! `fn`/`let`/`if` (extend right) < `or` < `and` < `not` <
-//! comparisons / `in` < `union`/`bunion` < `+`/`-` < `*`/`/`/`%` <
-//! application `!` < postfix subscript/call < atoms.
+//! comparisons (non-associative) < `union`/`bunion` < `+`/`-` <
+//! `*`/`/`/`%` < application `!` < postfix subscript/call < atoms.
+//! Every binary operator but the comparisons associates to the left.
+//!
+//! A nesting level costs three frames (operator loop, postfix loop,
+//! atom); the operator loop and patterns check [`aql_core::stack`], so
+//! a statement too deep for this thread's stack is [`LangError::TooDeep`].
+//! Chains of binary operators or postfix forms are built by the loops.
 //!
 //! Comprehension qualifiers are disambiguated by backtracking: an item
 //! is a generator/binding if a pattern followed by `<-`, `:==` or `==`
@@ -21,7 +28,7 @@ pub fn parse_program(src: &str) -> Result<Vec<Stmt>, LangError> {
         let _lex = crate::session::phase("lex");
         lex(src)?
     };
-    let mut p = Parser { toks, pos: 0, depth: 0 };
+    let mut p = Parser { toks, pos: 0 };
     let mut out = Vec::new();
     while !p.at(&Tok::Eof) {
         out.push(p.stmt()?);
@@ -32,22 +39,49 @@ pub fn parse_program(src: &str) -> Result<Vec<Stmt>, LangError> {
 /// Parse a single expression (the whole input must be one expression).
 pub fn parse_expr(src: &str) -> Result<SExpr, LangError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, depth: 0 };
+    let mut p = Parser { toks, pos: 0 };
     let e = p.expr()?;
     p.expect(&Tok::Eof)?;
     Ok(e)
 }
 
-/// How deeply expressions may nest, in levels: each `expr` is one, and
-/// a set or bag literal one more (it desugars to two nodes a level).
-/// Deeper is [`LangError::TooDeep`], before any later pass recurses on
-/// the term (DESIGN.md §7 has the stack it was sized for).
-pub const MAX_DEPTH: usize = 17;
+/// Binding levels of the binary operators, loosest first.
+const OR: u8 = 1;
+const AND: u8 = 2;
+const NOT: u8 = 3;
+const CMP: u8 = 4;
+const APP: u8 = 8;
+
+/// A binary operator and its level; `None` is application `!`.
+fn infix(t: &Tok) -> Option<(u8, Option<SBinOp>)> {
+    use SBinOp::*;
+    let (level, op) = match t {
+        Tok::Or => (OR, Or),
+        Tok::And => (AND, And),
+        Tok::Eq => (CMP, Eq),
+        Tok::Ne => (CMP, Ne),
+        Tok::Lt => (CMP, Lt),
+        Tok::Le => (CMP, Le),
+        Tok::Gt => (CMP, Gt),
+        Tok::Ge => (CMP, Ge),
+        // NB: membership is spelled `member(x, S)`, not infix `in` —
+        // the keyword `in` belongs to `let … in … end`.
+        Tok::UnionKw => (5, Union),
+        Tok::BunionKw => (5, Bunion),
+        Tok::Plus => (6, Add),
+        Tok::Minus => (6, Sub),
+        Tok::Star => (7, Mul),
+        Tok::Slash => (7, Div),
+        Tok::Percent => (7, Mod),
+        Tok::Bang => return Some((APP, None)),
+        _ => return None,
+    };
+    Some((level, Some(op)))
+}
 
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
-    depth: usize,
 }
 
 impl Parser {
@@ -154,25 +188,42 @@ impl Parser {
 
     // ---- expressions ---------------------------------------------------
 
-    /// `f`, one level deeper.
-    fn deeper<T>(&mut self, f: impl FnOnce(&mut Parser) -> Result<T, LangError>) -> Result<T, LangError> {
-        if self.depth == MAX_DEPTH {
-            return Err(LangError::TooDeep(MAX_DEPTH));
-        }
-        self.depth += 1;
-        let out = f(self);
-        self.depth -= 1;
-        out
-    }
-
     fn expr(&mut self) -> Result<SExpr, LangError> {
-        self.deeper(Parser::nested)
+        self.binary(0)
     }
 
-    fn nested(&mut self) -> Result<SExpr, LangError> {
-        match self.peek() {
-            Tok::Fn => {
+    /// An expression whose binary operators all bind at `min` or
+    /// tighter; at level 0 also `fn`/`let`/`if`, which extend right.
+    fn binary(&mut self, min: u8) -> Result<SExpr, LangError> {
+        aql_core::stack::check()?;
+        // A comparison's operands are neither comparisons nor `not`s.
+        let mut compared = self.at(&Tok::Not);
+        let mut lhs = match self.peek() {
+            Tok::Fn | Tok::Let | Tok::If if min == 0 => return self.binder(),
+            Tok::Not if min <= NOT => {
                 self.bump();
+                SExpr::Not(self.binary(NOT)?.boxed())
+            }
+            _ => self.postfix_expr()?,
+        };
+        while let Some((level, op)) = infix(self.peek()).filter(|(level, _)| *level >= min) {
+            if level == CMP && std::mem::replace(&mut compared, true) {
+                return Err(self.err(format!("comparisons do not chain: parenthesise one before `{}`", self.peek())));
+            }
+            self.bump();
+            let rhs = if level == APP { self.postfix_expr()? } else { self.binary(level + 1)? };
+            lhs = match op {
+                Some(op) => SExpr::Binop(op, lhs.boxed(), rhs.boxed()),
+                None => SExpr::App(lhs.boxed(), rhs.boxed()),
+            };
+        }
+        Ok(lhs)
+    }
+
+    /// `fn P => e`, `let val P = e … in e end` or `if e then e else e`.
+    fn binder(&mut self) -> Result<SExpr, LangError> {
+        match self.bump() {
+            Tok::Fn => {
                 let p = self.pattern()?;
                 if !p.is_lambda_pattern() {
                     return Err(self.err(
@@ -184,7 +235,6 @@ impl Parser {
                 Ok(SExpr::Lam(p, body.boxed()))
             }
             Tok::Let => {
-                self.bump();
                 let mut binds = Vec::new();
                 while self.eat(&Tok::Val) {
                     let p = self.pattern()?;
@@ -205,8 +255,7 @@ impl Parser {
                 self.expect(&Tok::End)?;
                 Ok(SExpr::LetBlock(binds, body.boxed()))
             }
-            Tok::If => {
-                self.bump();
+            _ => {
                 let c = self.expr()?;
                 self.expect(&Tok::Then)?;
                 let t = self.expr()?;
@@ -214,110 +263,7 @@ impl Parser {
                 let f = self.expr()?;
                 Ok(SExpr::If(c.boxed(), t.boxed(), f.boxed()))
             }
-            _ => self.or_expr(),
         }
-    }
-
-    fn or_expr(&mut self) -> Result<SExpr, LangError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&Tok::Or) {
-            let rhs = self.and_expr()?;
-            lhs = SExpr::Binop(SBinOp::Or, lhs.boxed(), rhs.boxed());
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<SExpr, LangError> {
-        let mut lhs = self.not_expr()?;
-        while self.eat(&Tok::And) {
-            let rhs = self.not_expr()?;
-            lhs = SExpr::Binop(SBinOp::And, lhs.boxed(), rhs.boxed());
-        }
-        Ok(lhs)
-    }
-
-    fn not_expr(&mut self) -> Result<SExpr, LangError> {
-        if self.eat(&Tok::Not) {
-            let e = self.not_expr()?;
-            Ok(SExpr::Not(e.boxed()))
-        } else {
-            self.cmp_expr()
-        }
-    }
-
-    fn cmp_expr(&mut self) -> Result<SExpr, LangError> {
-        let lhs = self.union_expr()?;
-        let op = match self.peek() {
-            Tok::Eq => SBinOp::Eq,
-            Tok::Ne => SBinOp::Ne,
-            Tok::Lt => SBinOp::Lt,
-            Tok::Le => SBinOp::Le,
-            Tok::Gt => SBinOp::Gt,
-            Tok::Ge => SBinOp::Ge,
-            // NB: membership is spelled `member(x, S)`, not infix `in`
-            // — the keyword `in` belongs to `let … in … end` and the
-            // two cannot be disambiguated without lookahead.
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let rhs = self.union_expr()?;
-        Ok(SExpr::Binop(op, lhs.boxed(), rhs.boxed()))
-    }
-
-    fn union_expr(&mut self) -> Result<SExpr, LangError> {
-        let mut lhs = self.add_expr()?;
-        loop {
-            let op = if self.eat(&Tok::UnionKw) {
-                SBinOp::Union
-            } else if self.eat(&Tok::BunionKw) {
-                SBinOp::Bunion
-            } else {
-                break;
-            };
-            let rhs = self.add_expr()?;
-            lhs = SExpr::Binop(op, lhs.boxed(), rhs.boxed());
-        }
-        Ok(lhs)
-    }
-
-    fn add_expr(&mut self) -> Result<SExpr, LangError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => SBinOp::Add,
-                Tok::Minus => SBinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = SExpr::Binop(op, lhs.boxed(), rhs.boxed());
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<SExpr, LangError> {
-        let mut lhs = self.app_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => SBinOp::Mul,
-                Tok::Slash => SBinOp::Div,
-                Tok::Percent => SBinOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.app_expr()?;
-            lhs = SExpr::Binop(op, lhs.boxed(), rhs.boxed());
-        }
-        Ok(lhs)
-    }
-
-    fn app_expr(&mut self) -> Result<SExpr, LangError> {
-        let mut lhs = self.postfix_expr()?;
-        while self.eat(&Tok::Bang) {
-            let rhs = self.postfix_expr()?;
-            lhs = SExpr::App(lhs.boxed(), rhs.boxed());
-        }
-        Ok(lhs)
     }
 
     fn postfix_expr(&mut self) -> Result<SExpr, LangError> {
@@ -418,7 +364,7 @@ impl Parser {
                 if self.eat(&Tok::RBrace) {
                     return Ok(SExpr::SetLit(Vec::new()));
                 }
-                let first = self.deeper(Parser::expr)?;
+                let first = self.expr()?;
                 if self.eat(&Tok::Pipe) {
                     let quals = self.quals()?;
                     self.expect(&Tok::RBrace)?;
@@ -426,7 +372,7 @@ impl Parser {
                 } else {
                     let mut items = vec![first];
                     while self.eat(&Tok::Comma) {
-                        items.push(self.deeper(Parser::expr)?);
+                        items.push(self.expr()?);
                     }
                     self.expect(&Tok::RBrace)?;
                     Ok(SExpr::SetLit(items))
@@ -437,7 +383,7 @@ impl Parser {
                 if self.eat(&Tok::RBagBrace) {
                     return Ok(SExpr::BagLit(Vec::new()));
                 }
-                let first = self.deeper(Parser::expr)?;
+                let first = self.expr()?;
                 if self.eat(&Tok::Pipe) {
                     let quals = self.quals()?;
                     self.expect(&Tok::RBagBrace)?;
@@ -445,7 +391,7 @@ impl Parser {
                 } else {
                     let mut items = vec![first];
                     while self.eat(&Tok::Comma) {
-                        items.push(self.deeper(Parser::expr)?);
+                        items.push(self.expr()?);
                     }
                     self.expect(&Tok::RBagBrace)?;
                     Ok(SExpr::BagLit(items))
@@ -539,6 +485,7 @@ impl Parser {
     }
 
     fn pattern(&mut self) -> Result<Pattern, LangError> {
+        aql_core::stack::check()?;
         match self.peek().clone() {
             Tok::Underscore => {
                 self.bump();
@@ -621,9 +568,9 @@ mod tests {
     fn precedence() {
         // 1 + 2 * 3 = (1 + (2*3))
         let e = pe("1 + 2 * 3");
-        match e {
+        match &e {
             SExpr::Binop(SBinOp::Add, _, rhs) => {
-                assert!(matches!(*rhs, SExpr::Binop(SBinOp::Mul, _, _)))
+                assert!(matches!(**rhs, SExpr::Binop(SBinOp::Mul, _, _)))
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -641,8 +588,8 @@ mod tests {
         assert_eq!(pe("f!(a, b)"), pe("f(a, b)"));
         // Left associativity of !.
         let e = pe("f!x!y");
-        match e {
-            SExpr::App(inner, _) => assert!(matches!(*inner, SExpr::App(..))),
+        match &e {
+            SExpr::App(inner, _) => assert!(matches!(**inner, SExpr::App(..))),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -663,7 +610,7 @@ mod tests {
         assert_eq!(pe("{}"), SExpr::SetLit(vec![]));
         assert!(matches!(pe("{1, 2, 3}"), SExpr::SetLit(ref v) if v.len() == 3));
         let e = pe("{x | \\x <- S, x > 90}");
-        match e {
+        match &e {
             SExpr::SetComp { quals, .. } => {
                 assert_eq!(quals.len(), 2);
                 assert!(matches!(quals[0], Qual::Gen(Pattern::Bind(ref b), _) if b == "x"));
@@ -687,7 +634,7 @@ mod tests {
     fn array_forms() {
         assert!(matches!(pe("[[1, 2, 3]]"), SExpr::ArrayLit(ref v) if v.len() == 3));
         let e = pe("[[2, 2; 1, 2, 3, 4]]");
-        match e {
+        match &e {
             SExpr::ArrayRowMajor { dims, items } => {
                 assert_eq!(dims.len(), 2);
                 assert_eq!(items.len(), 4);
@@ -695,12 +642,12 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         let e = pe("[[ a[i] * 2 | \\i < n ]]");
-        match e {
+        match &e {
             SExpr::ArrayTab { idx, .. } => assert_eq!(idx[0].0, "i"),
             other => panic!("unexpected {other:?}"),
         }
         let e = pe("[[ m[i,j] | \\j < p, \\i < q ]]");
-        match e {
+        match &e {
             SExpr::ArrayTab { idx, .. } => {
                 assert_eq!(idx.len(), 2);
                 assert_eq!(idx[0].0, "j");
@@ -713,7 +660,7 @@ mod tests {
     fn patterns_in_generators() {
         // Natural join from §3: {(x,y,z) | (\x,\y) <- R, (y,\z) <- S}
         let e = pe("{(x, y, z) | (\\x, \\y) <- R, (y, \\z) <- S}");
-        match e {
+        match &e {
             SExpr::SetComp { quals, .. } => {
                 match &quals[0] {
                     Qual::Gen(Pattern::Tuple(ps), _) => {
@@ -733,7 +680,7 @@ mod tests {
         }
         // Wildcard and constants: {x | (_, 0, \x) <- R}
         let e = pe("{x | (_, 0, \\x) <- R}");
-        match e {
+        match &e {
             SExpr::SetComp { quals, .. } => match &quals[0] {
                 Qual::Gen(Pattern::Tuple(ps), _) => {
                     assert_eq!(ps[0], Pattern::Wild);
@@ -749,7 +696,7 @@ mod tests {
     fn array_generator_qualifier() {
         // §4.2: {d | [(\h,_,_):\t] <- T, …}
         let e = pe("{d | [(\\h, _, _) : \\t] <- T, t > 85.0}");
-        match e {
+        match &e {
             SExpr::SetComp { quals, .. } => match &quals[0] {
                 Qual::ArrGen(p1, p2, _) => {
                     assert!(matches!(p1, Pattern::Tuple(ps) if ps.len() == 3));
@@ -764,7 +711,7 @@ mod tests {
     #[test]
     fn binding_qualifiers() {
         let e = pe("{d | \\d <- gen!30, \\A == subseq!(TRW, d*24, d*24+23)}");
-        match e {
+        match &e {
             SExpr::SetComp { quals, .. } => {
                 assert!(matches!(quals[1], Qual::Bind(Pattern::Bind(ref b), _) if b == "A"));
             }
@@ -780,7 +727,7 @@ mod tests {
         let e = pe("fn (\\m, \\d, \\y) => d + m * y");
         assert!(matches!(e, SExpr::Lam(Pattern::Tuple(_), _)));
         let e = pe("let val \\x = 1 val \\y = 2 in x + y end");
-        match e {
+        match &e {
             SExpr::LetBlock(binds, _) => assert_eq!(binds.len(), 2),
             other => panic!("unexpected {other:?}"),
         }
@@ -820,7 +767,7 @@ mod tests {
             \A == subseq!(TRW, d*24, d*24+23),
             heatindex!(A) > threshold}"#;
         let e = pe(src);
-        match e {
+        match &e {
             SExpr::SetComp { quals, .. } => assert_eq!(quals.len(), 5),
             other => panic!("unexpected {other:?}"),
         }
@@ -831,7 +778,7 @@ mod tests {
         let src = r#"{d | [(\h, _, _) : \t] <- T, \d == h/24 + 1,
             h > june_sunset!(NYlat, NYlon, d), t > 85.0}"#;
         let e = pe(src);
-        match e {
+        match &e {
             SExpr::SetComp { quals, .. } => assert_eq!(quals.len(), 4),
             other => panic!("unexpected {other:?}"),
         }
@@ -840,10 +787,32 @@ mod tests {
     #[test]
     fn if_extends_right() {
         let e = pe("if a then 1 else 2 + 3");
-        match e {
-            SExpr::If(_, _, f) => assert!(matches!(*f, SExpr::Binop(SBinOp::Add, _, _))),
+        match &e {
+            SExpr::If(_, _, f) => assert!(matches!(**f, SExpr::Binop(SBinOp::Add, _, _))),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn one_loop_keeps_the_ladders_precedence_and_associativity() {
+        let b = |op, l, r| SExpr::Binop(op, Box::new(l), Box::new(r));
+        let v = |x: &str| SExpr::Var(x.into());
+        // Left-associative at every level but the comparisons'.
+        assert_eq!(pe("a - b - c"), b(SBinOp::Sub, b(SBinOp::Sub, v("a"), v("b")), v("c")));
+        assert_eq!(pe("a or b and c"), b(SBinOp::Or, v("a"), b(SBinOp::And, v("b"), v("c"))));
+        assert_eq!(pe("a union b + c"), b(SBinOp::Union, v("a"), b(SBinOp::Add, v("b"), v("c"))));
+        // `not` takes a comparison, and is looser than it.
+        assert_eq!(pe("not a = b and c"), b(SBinOp::And, SExpr::Not(Box::new(b(SBinOp::Eq, v("a"), v("b")))), v("c")));
+        // Comparisons do not chain, nor take a `not` on either side.
+        for bad in ["a = b = c", "a < b + 1 < c", "not a = b = c", "a = not b", "1 + not b"] {
+            assert!(parse_expr(bad).is_err(), "{bad}");
+        }
+        // `!` binds tighter than `*`, a subscript or call tighter than `!`.
+        assert_eq!(pe("f!x * 2"), b(SBinOp::Mul, SExpr::App(Box::new(v("f")), Box::new(v("x"))), SExpr::Nat(2)));
+        assert_eq!(pe("f!a[0]"), SExpr::App(Box::new(v("f")), Box::new(SExpr::Subscript(Box::new(v("a")), vec![SExpr::Nat(0)]))));
+        // `fn`, `let` and `if` start an expression, never an operand.
+        assert!(parse_expr("1 + if a then 1 else 2").is_err());
+        assert!(parse_expr("let val \\x = 1 in x end + 1").is_err());
     }
 
     #[test]

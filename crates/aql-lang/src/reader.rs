@@ -52,7 +52,7 @@ impl Reader for CoFileReader {
         let text = std::fs::read_to_string(Path::new(&path))
             .map_err(|e| LangError::session(format!("COFILE: cannot read `{path}`: {e}")))?;
         let v = parse_value(&text).map_err(|e| match e.too_deep {
-            true => LangError::TooDeep(aql_core::value::parse::MAX_DEPTH),
+            true => LangError::TooDeep,
             false => LangError::session(format!("COFILE: `{path}`: {e}")),
         })?;
         Ok((v, None))

@@ -25,18 +25,19 @@ use std::time::{Duration, Instant};
 use aql_journal::{emit, ErrorClass, Event};
 
 use aql_core::check::{type_compatible, typecheck};
-use aql_core::error::EvalError;
+use aql_core::error::{EvalError, TypeError};
 use aql_core::eval::{EvalCtx, EvalStats, Limits};
-use aql_core::expr::children::for_each_child_mut;
+use aql_core::expr::children::try_for_each_child_mut;
 use aql_core::expr::{name, Expr, Name};
 use aql_core::prim::{Extensions, NativeFn};
+use aql_core::stack::TooDeep;
 use aql_core::types::Type;
 use aql_core::value::print::session_string;
 use aql_core::value::tyof::type_of_value;
 use aql_core::value::Value;
 use aql_opt::{Gate, OptError, Optimizer, Trace};
 
-use crate::ast::Stmt;
+use crate::ast::{Lit, Pattern, Qual, SExpr, Stmt};
 use crate::desugar::desugar;
 use crate::errors::LangError;
 use crate::parser::parse_program;
@@ -152,23 +153,90 @@ impl Drop for PhaseGuard {
     }
 }
 
-/// FNV-1a 64 over the statement's debug form: a stable fingerprint
-/// for grouping slow-log records of the same statement shape without
-/// logging query text verbatim. The rendering is hashed as it is
-/// produced, never built; reports print it `{:016x}`.
+/// FNV-1a 64 over the statement's nodes in pre-order, each as its
+/// variant, its own scalars (names, literals, operators, qualifier
+/// kinds) and its arity, patterns included: a stable fingerprint for
+/// grouping slow-log records of the same statement without logging
+/// query text verbatim; reports print it `{:016x}`. The walk keeps its
+/// own stack, as no guarded pass has seen the statement yet.
 fn stmt_hash(stmt: &Stmt) -> u64 {
+    use std::hash::{Hash, Hasher};
+    use std::mem::discriminant;
     struct Fnv(u64);
-    impl std::fmt::Write for Fnv {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            for b in s.bytes() {
-                self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    impl Hasher for Fnv {
+        fn write(&mut self, bytes: &[u8]) {
+            for b in bytes {
+                self.0 = (self.0 ^ *b as u64).wrapping_mul(0x100_0000_01b3);
             }
-            Ok(())
+        }
+        fn finish(&self) -> u64 {
+            self.0
         }
     }
+    enum Node<'a> {
+        E(&'a SExpr),
+        P(&'a Pattern),
+    }
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    // The sink never fails, and `Debug` for the AST has no other error.
-    let _ = std::fmt::Write::write_fmt(&mut h, format_args!("{stmt:?}"));
+    stmt_label(stmt).hash(&mut h);
+    match stmt {
+        Stmt::Val(x, _) | Stmt::MacroDef(x, _) => x.hash(&mut h),
+        Stmt::ReadVal { name, reader, .. } => (name, reader).hash(&mut h),
+        Stmt::WriteVal { writer, .. } => writer.hash(&mut h),
+        Stmt::Query(_) => {}
+    }
+    let mut todo: Vec<Node> = match stmt {
+        Stmt::Val(_, e) | Stmt::MacroDef(_, e) | Stmt::Query(e) | Stmt::ReadVal { arg: e, .. } => vec![Node::E(e)],
+        Stmt::WriteVal { value, arg, .. } => vec![Node::E(value), Node::E(arg)],
+    };
+    let mut kids = Vec::new();
+    while let Some(node) = todo.pop() {
+        let e = match node {
+            Node::P(p) => {
+                discriminant(p).hash(&mut h);
+                match p {
+                    Pattern::Wild => {}
+                    Pattern::Bind(x) | Pattern::Var(x) => x.hash(&mut h),
+                    Pattern::Const(Lit::Nat(n)) => (0u8, n).hash(&mut h),
+                    Pattern::Const(Lit::Real(r)) => (1u8, r.to_bits()).hash(&mut h),
+                    Pattern::Const(Lit::Str(s)) => (2u8, s).hash(&mut h),
+                    Pattern::Const(Lit::Bool(b)) => (3u8, b).hash(&mut h),
+                    Pattern::Tuple(ps) => {
+                        ps.len().hash(&mut h);
+                        todo.extend(ps.iter().map(Node::P));
+                    }
+                }
+                continue;
+            }
+            Node::E(e) => e,
+        };
+        discriminant(e).hash(&mut h);
+        match e {
+            SExpr::Var(s) | SExpr::Str(s) => s.hash(&mut h),
+            SExpr::Nat(n) => n.hash(&mut h),
+            SExpr::Real(r) => r.to_bits().hash(&mut h),
+            SExpr::Bool(b) => b.hash(&mut h),
+            SExpr::Binop(op, ..) => (*op as u8).hash(&mut h),
+            SExpr::ArrayRowMajor { dims, .. } => dims.len().hash(&mut h),
+            SExpr::ArrayTab { idx, .. } => idx.iter().for_each(|(i, _)| i.hash(&mut h)),
+            SExpr::Lam(p, _) => todo.push(Node::P(p)),
+            SExpr::LetBlock(binds, _) => todo.extend(binds.iter().map(|(p, _)| Node::P(p))),
+            SExpr::SetComp { quals, .. } | SExpr::BagComp { quals, .. } => {
+                for q in quals {
+                    discriminant(q).hash(&mut h);
+                    match q {
+                        Qual::Gen(p, _) | Qual::Bind(p, _) => todo.push(Node::P(p)),
+                        Qual::ArrGen(i, v, _) => todo.extend([Node::P(i), Node::P(v)]),
+                        Qual::Filter(_) => {}
+                    }
+                }
+            }
+            _ => {}
+        }
+        e.push_children(&mut kids);
+        kids.len().hash(&mut h);
+        todo.extend(kids.drain(..).map(Node::E));
+    }
     h.0
 }
 
@@ -727,6 +795,7 @@ impl Session {
         let tripped = aql_journal::attr::breaker_trips() > 0;
         let mut ledger = aql_journal::attr::finish();
         ledger.governor_peak_bytes = aql_store::governor::peak_bytes();
+        emit(Event::GovernorPeak { bytes: ledger.governor_peak_bytes });
         let mut st = self.cur_stats.take();
         st.cache = aql_store::stats::global().delta_since(&cache_base);
         self.stmt_stats.borrow_mut().push(st);
@@ -872,8 +941,7 @@ impl Session {
                 })
             }
             Stmt::MacroDef(mname, e) => {
-                let core = desugar(e)?;
-                let resolved = self.resolve(&core);
+                let resolved = self.resolved(desugar(e)?)?;
                 let ty = typecheck(&resolved, &self.val_types, &self.externals)?;
                 self.macros.insert(name(mname), Rc::new((resolved, ty.clone())));
                 Ok(Outcome {
@@ -967,16 +1035,16 @@ impl Session {
             let _phase = phase("desugar");
             desugar(e)?
         };
-        self.eval_core(&core)
+        self.eval_core(core)
     }
 
     /// Run the pipeline from the core-calculus stage. Each phase runs
     /// under its own trace span; evaluation stats are merged into the
     /// current statement's accumulator.
-    pub fn eval_core(&self, core: &Expr) -> Result<(Type, Value), LangError> {
+    pub fn eval_core(&self, core: Expr) -> Result<(Type, Value), LangError> {
         let resolved = {
             let _phase = phase("resolve");
-            self.resolve(core)
+            self.resolved(core)?
         };
         let ty = {
             let _phase = phase("typecheck");
@@ -994,23 +1062,22 @@ impl Session {
             aql_analysis::eval_elided(&optimized, &ctx)
         };
         self.cur_stats.set(self.cur_stats.get().merged(&ctx.stats()));
-        let v = v.map_err(LangError::Eval)?;
+        let v = v?;
         Ok((ty, v))
     }
 
     /// The phase-boundary half of the soundness gate: re-typecheck the
     /// whole term in the session environment and require the query's
     /// type to be preserved (up to inference-variable numbering).
-    fn phase_check(&self, expected: &Type) -> impl Fn(&Expr) -> Result<(), String> + '_ {
+    fn phase_check(&self, expected: &Type) -> impl Fn(&Expr) -> Result<Result<(), String>, TooDeep> + '_ {
         let expected = expected.clone();
         move |e2: &Expr| {
-            let t2 = typecheck(e2, &self.val_types, &self.externals)
-                .map_err(|err| format!("optimized term no longer typechecks: {err}"))?;
-            if type_compatible(&expected, &t2) {
-                Ok(())
-            } else {
-                Err(format!("query type changed: {expected} ~> {t2}"))
-            }
+            Ok(match typecheck(e2, &self.val_types, &self.externals) {
+                Err(TypeError::TooDeep) => return Err(TooDeep),
+                Err(err) => Err(format!("optimized term no longer typechecks: {err}")),
+                Ok(t2) if type_compatible(&expected, &t2) => Ok(()),
+                Ok(t2) => Err(format!("query type changed: {expected} ~> {t2}")),
+            })
         }
     }
 
@@ -1030,17 +1097,28 @@ impl Session {
 
     /// Resolve free names: macros are substituted (their bodies are
     /// stored fully resolved), externals become [`Expr::Ext`], `val`s
-    /// become [`Expr::Global`]. Lexically bound names are untouched.
+    /// become [`Expr::Global`]. Lexically bound names are untouched. A
+    /// term too deep for this thread's stack comes back with its deepest
+    /// names unresolved; the session's own pipeline ends it in
+    /// `too-deep`.
     pub fn resolve(&self, e: &Expr) -> Expr {
         let mut resolved = e.clone();
-        self.resolve_in(&mut resolved, &mut Vec::new());
+        let _ = self.resolve_in(&mut resolved, &mut Vec::new());
         resolved
     }
 
-    fn resolve_in(&self, e: &mut Expr, bound: &mut Vec<Name>) {
+    /// [`Session::resolve`] in place, for the pipeline's own term: a
+    /// clone would walk it unguarded.
+    fn resolved(&self, mut e: Expr) -> Result<Expr, TooDeep> {
+        self.resolve_in(&mut e, &mut Vec::new())?;
+        Ok(e)
+    }
+
+    fn resolve_in(&self, e: &mut Expr, bound: &mut Vec<Name>) -> Result<(), TooDeep> {
+        aql_core::stack::check()?;
         if let Expr::Var(x) = e {
             if bound.contains(x) {
-                return;
+                return Ok(());
             }
             if let Some(m) = self.macros.get(x) {
                 *e = m.0.clone();
@@ -1049,12 +1127,13 @@ impl Session {
             } else if self.vals.contains_key(x) {
                 *e = Expr::Global(x.clone());
             }
-            return;
+            return Ok(());
         }
-        for_each_child_mut(e, &mut |binders, c| {
+        try_for_each_child_mut(e, &mut |binders, c| {
             bound.extend_from_slice(binders);
-            self.resolve_in(c, bound);
+            let resolved = self.resolve_in(c, bound);
             bound.truncate(bound.len() - binders.len());
+            resolved
         })
     }
 
@@ -1068,8 +1147,7 @@ impl Session {
     /// The front half of the pipeline, for the queries that stop short
     /// of evaluation: parse → desugar → resolve → typecheck.
     fn check_query(&self, query: &str) -> Result<(Expr, Type), LangError> {
-        let core = desugar(&crate::parser::parse_expr(query)?)?;
-        let resolved = self.resolve(&core);
+        let resolved = self.resolved(desugar(&crate::parser::parse_expr(query)?)?)?;
         let ty = typecheck(&resolved, &self.val_types, &self.externals)?;
         Ok((resolved, ty))
     }
@@ -1251,6 +1329,7 @@ fn opt_error(e: OptError) -> LangError {
             rule: v.rule.to_string(),
             message: v.message,
         },
+        OptError::TooDeep(t) => t.into(),
     }
 }
 
@@ -1716,7 +1795,7 @@ mod tests {
     }
 
     #[test]
-    fn stmt_hash_is_fnv1a_of_the_debug_rendering_without_building_it() {
+    fn stmt_hash_tells_statements_apart_and_walks_a_chain_without_recursing() {
         // Every statement of the paper's §4.2 sunset session, the §1
         // heat-index query, and a `writeval` so each kind is covered.
         let paper = r#"
@@ -1742,13 +1821,29 @@ mod tests {
         "#;
         let stmts = parse_program(paper).expect("the paper's statements parse");
         assert_eq!(stmts.len(), 11);
-        for stmt in &stmts {
-            let mut reference: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in format!("{stmt:?}").bytes() {
-                reference = (reference ^ b as u64).wrapping_mul(0x100_0000_01b3);
-            }
-            assert_eq!(stmt_hash(stmt), reference, "{stmt:?}");
+        let again = parse_program(paper).expect("the paper's statements parse");
+        let mut hashes: Vec<u64> = stmts.iter().map(stmt_hash).collect();
+        assert_eq!(hashes, again.iter().map(stmt_hash).collect::<Vec<_>>(), "a statement's hash is its own");
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), 11, "each statement has its own hash");
+        // Statements that differ only in a pattern, a qualifier's kind
+        // or an index name.
+        for pair in [
+            ["{x | (\\x, 0) <- R};", "{x | (\\x, 1) <- R};"],
+            ["fn \\x => x;", "fn \\y => x;"],
+            ["{x | \\x <- R};", "{x | \\x == R};"],
+            ["{x | [\\x : _] <- R};", "{x | [_ : \\x] <- R};"],
+            ["[[ i | \\i < 3 ]];", "[[ i | \\j < 3 ]];"],
+            ["let val \\a = 1 in a end;", "let val (\\a, _) = 1 in a end;"],
+        ] {
+            let [a, b] = pair.map(|src| stmt_hash(&parse_program(src).expect("parses")[0]));
+            assert_ne!(a, b, "{pair:?}");
         }
+        // A chain the parser builds in a loop is hashed (and dropped)
+        // without recursing, on a test thread's stack.
+        let chain = parse_program(&format!("{}1;", "1 + ".repeat(1_000_000))).expect("a chain parses");
+        assert_ne!(stmt_hash(&chain[0]), stmt_hash(&parse_program("1 + 1;").expect("parses")[0]));
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::rc::Rc;
 use aql_core::check::check_rewrite;
 use aql_core::expr::children::try_for_each_child_mut;
 use aql_core::expr::{Expr, Head, Name};
+use aql_core::stack::TooDeep;
 
 pub use crate::trace::{Trace, TraceStep};
 
@@ -124,6 +125,8 @@ pub enum OptError {
     Panic(RulePanic),
     /// A rewrite failed the soundness gate.
     Unsound(SoundnessViolation),
+    /// The phase-boundary check ran out of this thread's stack.
+    TooDeep(TooDeep),
 }
 
 impl std::fmt::Display for OptError {
@@ -131,6 +134,7 @@ impl std::fmt::Display for OptError {
         match self {
             OptError::Panic(p) => p.fmt(f),
             OptError::Unsound(v) => v.fmt(f),
+            OptError::TooDeep(t) => t.fmt(f),
         }
     }
 }
@@ -165,9 +169,9 @@ pub struct Gate<'a> {
     pub phase_check: Option<&'a PhaseCheck<'a>>,
 }
 
-/// A whole-term phase-boundary check: `Err` carries the verifier's
-/// objection.
-pub type PhaseCheck<'a> = dyn Fn(&Expr) -> Result<(), String> + 'a;
+/// A whole-term phase-boundary check: the inner `Err` carries the
+/// verifier's objection, the outer one a term too deep to check.
+pub type PhaseCheck<'a> = dyn Fn(&Expr) -> Result<Result<(), String>, TooDeep> + 'a;
 
 impl<'a> Gate<'a> {
     /// No checking (the release-mode hot path).
@@ -219,6 +223,9 @@ struct Pass<'a, 'g> {
     /// Node visits and `Rule::apply` calls so far in the phase.
     visits: u64,
     applies: u64,
+    /// This thread's stack ran out: no rule fires again in the run, as a
+    /// substitution could walk a deeper term.
+    too_deep: bool,
 }
 
 impl Phase {
@@ -266,7 +273,7 @@ impl Phase {
         trace: Option<&mut Trace>,
     ) -> Result<Expr, OptError> {
         let mut cur = e.clone();
-        self.run_in_place(&mut cur, gate, trace).map(|()| cur)
+        self.run_in_place(&mut cur, gate, trace, &mut false).map(|()| cur)
     }
 
     /// [`Phase::run`] on a term the caller owns (and, on an error,
@@ -276,6 +283,7 @@ impl Phase {
         cur: &mut Expr,
         gate: &Gate<'_>,
         trace: Option<&mut Trace>,
+        too_deep: &mut bool,
     ) -> Result<(), OptError> {
         let _phase_span = aql_trace::span("opt.phase");
         aql_trace::note("phase", || self.name.clone());
@@ -287,6 +295,7 @@ impl Phase {
             last_fired: None,
             visits: 0,
             applies: 0,
+            too_deep: *too_deep,
         };
         for pass in 1..=MAX_PASSES {
             let pass_span = aql_trace::span("opt.pass");
@@ -304,8 +313,9 @@ impl Phase {
         }
         aql_trace::count("opt.visits", st.visits);
         aql_trace::count("opt.applies", st.applies);
+        *too_deep = st.too_deep;
         if let (Some(check), Some(rule)) = (gate.phase_check, st.last_fired) {
-            if let Err(message) = check(cur) {
+            if let Err(message) = check(cur).map_err(OptError::TooDeep)? {
                 let message = format!("phase-boundary check failed: {message}");
                 return Err(self.unsound(rule, message));
             }
@@ -323,6 +333,11 @@ impl Phase {
     /// back, so only a firing allocates — and one copy of the node per
     /// visit when the gate or a trace needs the redex.
     fn pass(&self, e: &mut Expr, st: &mut Pass<'_, '_>) -> Result<(), OptError> {
+        // Past this thread's stack the subterm is left as it came.
+        st.too_deep = st.too_deep || aql_core::stack::check().is_err();
+        if st.too_deep {
+            return Ok(());
+        }
         self.pass_children(e, st)?;
         st.visits += 1;
         'offers: for _ in 0..MAX_FIRES_PER_VISIT {
@@ -353,9 +368,15 @@ impl Phase {
                 };
                 let rule = self.rules[index].name();
                 let (redex, scope) = (redex.as_ref(), &st.scope);
-                let checked = redex.filter(|_| st.gate.per_fire).map(|r| check_rewrite(r, &next, scope));
-                if let Some(Err(message)) = checked {
-                    return Err(self.unsound(rule, message));
+                match redex.filter(|_| st.gate.per_fire).map(|r| (r, check_rewrite(r, &next, scope))) {
+                    Some((_, Ok(Err(message)))) => return Err(self.unsound(rule, message)),
+                    // Too deep to judge here: the node stays as it came.
+                    Some((redex, Err(_))) => {
+                        *e = redex.clone();
+                        st.too_deep = true;
+                        return Ok(());
+                    }
+                    _ => {}
                 }
                 if let (Some(t), Some(redex)) = (st.trace.as_deref_mut(), redex) {
                     t.steps.push(TraceStep::new(&self.name, rule, redex, &next));
@@ -463,9 +484,9 @@ impl Optimizer {
         gate: &Gate<'_>,
         mut trace: Option<&mut Trace>,
     ) -> Result<Expr, OptError> {
-        let mut cur = e.clone();
+        let (mut cur, mut too_deep) = (e.clone(), false);
         for p in &self.phases {
-            p.run_in_place(&mut cur, gate, trace.as_deref_mut())?;
+            p.run_in_place(&mut cur, gate, trace.as_deref_mut(), &mut too_deep)?;
         }
         Ok(cur)
     }
@@ -975,7 +996,7 @@ mod tests {
         opt.add_phase(p);
         // A check that rejects everything: only consulted when a rule
         // fired, and attributed to the last firing rule.
-        let reject = |_: &Expr| -> Result<(), String> { Err("nope".into()) };
+        let reject = |_: &Expr| -> Result<Result<(), String>, TooDeep> { Ok(Err("nope".into())) };
         let gate = Gate::full(&reject);
         // No redex → no firing → the check never runs.
         opt.run(&var("x"), &gate, None)

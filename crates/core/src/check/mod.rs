@@ -26,6 +26,7 @@ use crate::error::TypeError;
 use crate::expr::free::free_vars;
 use crate::expr::{Expr, Name};
 use crate::prim::Extensions;
+use crate::stack::TooDeep;
 use crate::types::Type;
 
 use unify::Unifier;
@@ -56,23 +57,25 @@ pub fn typecheck_closed(e: &Expr) -> Result<Type, TypeError> {
 /// One open-mode checker infers both in one environment and unifies the
 /// results, so a binder the redex uses at `nat` cannot be used at
 /// `bool` by the contractum, and a variable the contractum invents or
-/// captures is unbound. `Err` says which of the three steps failed.
-pub fn check_rewrite(before: &Expr, after: &Expr, scope: &[Name]) -> Result<(), String> {
+/// captures is unbound. The inner `Err` says which of the three steps
+/// failed; the outer one that this thread's stack could not hold the
+/// check, which judges nothing.
+pub fn check_rewrite(before: &Expr, after: &Expr, scope: &[Name]) -> Result<Result<(), String>, TooDeep> {
     let (globals, externals) = (HashMap::new(), Extensions::new());
     let mut cx = Checker::new(&globals, &externals, true);
     // A name listed twice shadows itself, for both terms alike.
     let mut env: Env =
         scope.iter().cloned().chain(free_vars(before)).map(|x| (x, cx.uni.fresh())).collect();
-    let t_before = cx
-        .infer(&mut env, before)
-        .map_err(|err| format!("the redex is ill-typed before the rewrite: {err}"))?;
-    let t_after = cx
-        .infer(&mut env, after)
-        .map_err(|err| format!("rewrite produced an ill-formed term: {err}"))?;
-    cx.uni
-        .unify(&t_before, &t_after)
-        .and_then(|()| cx.discharge())
-        .map_err(|err| format!("rewrite changed the redex's type: {err}"))
+    let verdict = (|| {
+        let t_before = cx.infer(&mut env, before).map_err(|e| ("the redex is ill-typed before the rewrite", e))?;
+        let t_after = cx.infer(&mut env, after).map_err(|e| ("rewrite produced an ill-formed term", e))?;
+        let unified = cx.uni.unify(&t_before, &t_after).and_then(|()| cx.discharge());
+        unified.map_err(|e| ("rewrite changed the redex's type", e))
+    })();
+    match verdict {
+        Err((_, TypeError::TooDeep)) => Err(TooDeep),
+        verdict => Ok(verdict.map_err(|(what, e)| format!("{what}: {e}"))),
+    }
 }
 
 /// Are two checker-produced types compatible up to inference
@@ -180,6 +183,7 @@ impl<'a> Checker<'a> {
     }
 
     fn infer(&mut self, env: &mut Env, e: &Expr) -> Result<Type, TypeError> {
+        crate::stack::check().map_err(|_| TypeError::TooDeep)?;
         match e {
             Expr::Var(x) => self.lookup(env, x),
             Expr::Global(_) | Expr::Ext(_) if self.open => Ok(self.uni.fresh()),
@@ -510,6 +514,11 @@ mod tests {
     use crate::prim::NativeFn;
     use crate::value::Value;
 
+    /// [`check_rewrite`]'s verdict on fragments this thread's stack holds.
+    fn gate(before: &Expr, after: &Expr, scope: &[Name]) -> Result<(), String> {
+        check_rewrite(before, after, scope).expect("a shallow fragment")
+    }
+
     fn check(e: &Expr) -> Result<Type, TypeError> {
         typecheck_closed(e)
     }
@@ -760,7 +769,7 @@ mod tests {
             let Ok(got) = got else { panic!("{what}: typecheck panicked") };
             assert!(matches!(got, Err(TypeError::Other(_))), "{what}: {got:?}");
             // …and so it is to the gate, as a rule's output.
-            let err = check_rewrite(&nat(1), &e, &[]).expect_err(what);
+            let err = gate(&nat(1), &e, &[]).expect_err(what);
             assert!(err.contains("ill-formed"), "{what}: {err}");
         }
     }
@@ -784,43 +793,43 @@ mod tests {
         // β: (λx. x + 1) 2 ~> 2 + 1 — sound.
         let before = app(lam("x", add(var("x"), nat(1))), nat(2));
         let after = add(nat(2), nat(1));
-        assert!(check_rewrite(&before, &after, &[]).is_ok());
+        assert!(gate(&before, &after, &[]).is_ok());
         // A rule that invents a variable.
         let bad = add(var("ghost"), nat(1));
-        let err = check_rewrite(&before, &bad, &[]).unwrap_err();
+        let err = gate(&before, &bad, &[]).unwrap_err();
         assert!(err.contains("unbound variable `ghost`"), "{err}");
         // A rule that changes the type.
-        let err = check_rewrite(&before, &Expr::Bool(true), &[]).unwrap_err();
+        let err = gate(&before, &Expr::Bool(true), &[]).unwrap_err();
         assert!(err.contains("changed the redex's type"), "{err}");
         // Free variables of the redex stay legal in the contractum.
         let before = add(var("x"), nat(0));
-        assert!(check_rewrite(&before, &var("x"), &[]).is_ok());
+        assert!(gate(&before, &var("x"), &[]).is_ok());
         // Binders tracked by the engine are in scope.
         let i = [crate::expr::name("i")];
-        assert!(check_rewrite(&nat(0), &var("i"), &i).is_ok());
+        assert!(gate(&nat(0), &var("i"), &i).is_ok());
         // …at one type for redex and contractum alike.
-        let err = check_rewrite(&add(var("i"), nat(1)), &iff(var("i"), nat(1), nat(2)), &i);
+        let err = gate(&add(var("i"), nat(1)), &iff(var("i"), nat(1), nat(2)), &i);
         assert!(err.unwrap_err().contains("type mismatch"));
         // A redex Fig. 1 rejects is named as such, not blamed on the rule.
-        let err = check_rewrite(&add(nat(1), Expr::Bool(true)), &nat(1), &[]).unwrap_err();
+        let err = gate(&add(nat(1), Expr::Bool(true)), &nat(1), &[]).unwrap_err();
         assert!(err.contains("redex is ill-typed"), "{err}");
     }
 
     #[test]
     fn open_mode_trusts_what_only_the_context_can_type() {
         // `e` as its own contractum: is the fragment typeable under `scope`?
-        let fragment = |e: &Expr, scope: &[Name]| check_rewrite(e, e, scope);
+        let fragment = |e: &Expr, scope: &[Name]| gate(e, e, scope);
         let [x, p] = ["x", "p"].map(crate::expr::name);
         let (x, p) = (std::slice::from_ref(&x), std::slice::from_ref(&p));
         assert!(fragment(&add(var("x"), nat(1)), &[]).is_ok(), "free in the redex");
-        assert!(check_rewrite(&nat(1), &add(var("x"), nat(1)), &[]).is_err());
-        assert!(check_rewrite(&nat(1), &add(var("x"), nat(1)), x).is_ok());
+        assert!(gate(&nat(1), &add(var("x"), nat(1)), &[]).is_err());
+        assert!(gate(&nat(1), &add(var("x"), nat(1)), x).is_ok());
         // Globals and externals: any type, and a type per occurrence.
         let g_twice = tuple(vec![add(global("g"), nat(1)), iff(global("g"), ext("f"), ext("f"))]);
         assert!(fragment(&g_twice, &[]).is_ok());
         assert!(check(&global("g")).is_err() && check(&ext("f")).is_err(), "closed: unbound");
         // No numeric default: `p + p` is `real` if the context says so.
-        assert!(check_rewrite(&add(var("p"), var("p")), &mul(var("p"), real(2.0)), p).is_ok());
+        assert!(gate(&add(var("p"), var("p")), &mul(var("p"), real(2.0)), p).is_ok());
         // No rank default: `A[p]` beside `π₁ p` is a 2-d subscript, which
         // closed mode (p : nat by default) would reject…
         let e = tuple(vec![sub(global("A"), vec![var("p")]), fst(var("p"))]);

@@ -12,6 +12,7 @@ use std::fmt;
 use aql_store::error::ErrorClass;
 use aql_store::{Interrupt, StoreError};
 
+use crate::stack::TooDeep;
 use crate::types::Type;
 
 /// A failure while typechecking an NRCA expression.
@@ -41,6 +42,8 @@ pub enum TypeError {
     SubscriptArity { dims: usize, given: usize },
     /// Anything else, with a message.
     Other(String),
+    /// The term nests too deep for this thread's stack.
+    TooDeep,
 }
 
 impl fmt::Display for TypeError {
@@ -66,6 +69,7 @@ impl fmt::Display for TypeError {
                 "subscript arity mismatch: array has {dims} dimension(s), {given} index(es) given"
             ),
             TypeError::Other(m) => write!(f, "{m}"),
+            TypeError::TooDeep => fmt::Display::fmt(&TooDeep, f),
         }
     }
 }
@@ -109,6 +113,8 @@ pub enum EvalError {
     /// reported as an error rather than a panic so a session survives
     /// it.
     Internal(String),
+    /// The term nests too deep for this thread's stack.
+    TooDeep,
 }
 
 impl fmt::Display for EvalError {
@@ -129,6 +135,7 @@ impl fmt::Display for EvalError {
             EvalError::IllTyped(m) => write!(f, "ill-typed value at runtime: {m}"),
             EvalError::Storage(e) => write!(f, "array storage failure: {e}"),
             EvalError::Internal(m) => write!(f, "internal evaluator error: {m}"),
+            EvalError::TooDeep => fmt::Display::fmt(&TooDeep, f),
         }
     }
 }
@@ -142,6 +149,7 @@ impl EvalError {
             EvalError::ResourceLimit { .. } | EvalError::StepLimit => ErrorClass::ResourceExhausted,
             EvalError::Deadline => ErrorClass::Deadline,
             EvalError::Cancelled => ErrorClass::Cancelled,
+            EvalError::TooDeep => ErrorClass::TooDeep,
             EvalError::UnboundGlobal(_)
             | EvalError::Overflow
             | EvalError::External { .. }

@@ -168,6 +168,7 @@ fn malformed(constructor: &str, detail: String) -> EvalError {
 
 impl Compiler<'_> {
     fn go(&mut self, e: &Expr) -> Result<CExpr, EvalError> {
+        crate::stack::check().map_err(|_| EvalError::TooDeep)?;
         // Shape invariants the typechecker enforces on the way in (and,
         // as the rewrite gate, on every rule's output); re-checked here
         // because compile is also reachable with terms built

@@ -216,6 +216,8 @@ pub struct EvalCtx<'a> {
     /// Snapshot of the global chunk-cache counters at construction;
     /// [`EvalCtx::stats`] reports the delta since.
     cache_base: aql_store::CacheStats,
+    /// This thread's [`crate::stack::limit`], read once here.
+    stack_limit: usize,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -237,6 +239,7 @@ impl<'a> EvalCtx<'a> {
             kernel_binds: Cell::new(0),
             kernels: RefCell::new(Vec::new()),
             cache_base: aql_store::stats::global(),
+            stack_limit: crate::stack::limit(),
         }
     }
 
@@ -421,6 +424,7 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
         };
     }
     ctx.tick()?;
+    crate::stack::within(ctx.stack_limit).map_err(|_| EvalError::TooDeep)?;
     match c {
         CExpr::Var(i) => Ok(env.get(*i)?.clone()),
         CExpr::Global(n) => ctx

@@ -270,8 +270,13 @@ impl Expr {
         n
     }
 
-    /// Visit every sub-expression (including `self`), pre-order.
+    /// Visit every sub-expression (including `self`), pre-order — but
+    /// none past this thread's stack ([`crate::stack`]): of a term too
+    /// deep to walk, `f` sees a prefix.
     pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+        if crate::stack::check().is_err() {
+            return;
+        }
         f(self);
         children::for_each_child(self, &mut |_, c| c.walk(f));
     }

@@ -17,7 +17,8 @@
 //! * [`mod@eval`] — compilation to de-Bruijn form and strict evaluation
 //!   with `⊥` propagation and resource limits;
 //! * [`prim`] — the open registry of external primitives (§4);
-//! * [`rank`] — the §6 expressiveness results made executable.
+//! * [`rank`] — the §6 expressiveness results made executable;
+//! * [`stack`] — the depth guard every recursive pass shares.
 //!
 //! Surface syntax (comprehensions, patterns, blocks) lives in the
 //! `aql-lang` crate; the rewrite optimizer in `aql-opt`.
@@ -42,6 +43,7 @@ pub mod eval;
 pub mod expr;
 pub mod prim;
 pub mod rank;
+pub mod stack;
 pub mod types;
 pub mod value;
 

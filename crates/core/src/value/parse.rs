@@ -25,13 +25,10 @@ pub struct ParseError {
     pub pos: usize,
     /// Human-readable description.
     pub message: String,
-    /// Whether the value nests deeper than [`MAX_DEPTH`].
+    /// Whether the value nests too deep for this thread's stack
+    /// ([`crate::stack`]).
     pub too_deep: bool,
 }
-
-/// How deeply a value may nest: deeper is an error (`too_deep`), so
-/// that no reader recurses past what a thread's stack holds.
-pub const MAX_DEPTH: usize = 96;
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -44,7 +41,7 @@ impl std::error::Error for ParseError {}
 /// Parse a single complex-object value, requiring the whole input to be
 /// consumed (modulo trailing whitespace).
 pub fn parse_value(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { src: input.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { src: input.as_bytes(), pos: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.src.len() {
@@ -56,7 +53,6 @@ pub fn parse_value(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
-    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -90,16 +86,9 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Value, ParseError> {
-        if self.depth == MAX_DEPTH {
-            return Err(ParseError { too_deep: true, ..self.err(format!("nesting deeper than {MAX_DEPTH} levels")) });
+        if let Err(e) = crate::stack::check() {
+            return Err(ParseError { too_deep: true, ..self.err(e.to_string()) });
         }
-        self.depth += 1;
-        let v = self.nested();
-        self.depth -= 1;
-        v
-    }
-
-    fn nested(&mut self) -> Result<Value, ParseError> {
         self.skip_ws();
         match self.peek() {
             None => Err(self.err("unexpected end of input")),

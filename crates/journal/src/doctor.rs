@@ -329,8 +329,8 @@ fn advice_for(class: FaultClass, failed: bool, subject: &str, events: &Journal) 
                 .to_string()
         }
         FaultClass::Error(TooDeep) => {
-            "diagnosis: the statement, or a value it read, nests past the parser's depth budget; \
-             flatten it. The storage layer is not involved."
+            "diagnosis: the statement, or a value it read, nests too deep for this thread's \
+             stack; flatten it, or run it on a thread with more. The storage layer is not involved."
                 .to_string()
         }
         FaultClass::Error(Error) => {

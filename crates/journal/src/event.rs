@@ -75,7 +75,7 @@ pub enum Event {
     BreakerFastFail { src: u16 },
     /// A tripped breaker closed again after a successful call.
     BreakerClose { src: u16 },
-    /// The governor's high-water mark was read as `bytes`.
+    /// A statement's governor high-water mark (the gauge keeps the largest).
     GovernorPeak { bytes: u64 },
     /// `n` speculative chunk loads were queued.
     PrefetchIssued { src: u16, n: u64 },
@@ -209,7 +209,7 @@ impl Handle {
     fn record(self, n: u64) {
         match self {
             Handle::Counter(c) => c.add(n),
-            Handle::Gauge(g) => g.set(i64::try_from(n).unwrap_or(i64::MAX)),
+            Handle::Gauge(g) => g.raise(i64::try_from(n).unwrap_or(i64::MAX)),
             Handle::Histogram(h) => h.observe(n),
         }
     }

@@ -10,7 +10,7 @@
 //! Three metric kinds live in one global registry:
 //!
 //! * [`Counter`] — a monotonically increasing `u64`: one relaxed atomic.
-//! * [`Gauge`] — a settable `i64` (last write wins).
+//! * [`Gauge`] — an `i64` high-water mark (the largest value raised to).
 //! * [`Histogram`] — log2-bucketed `u64` samples (bucket *i* ≥ 1 holds
 //!   values in `[2^(i-1), 2^i)`; bucket 0 holds zero) with an atomic
 //!   sum, supporting [`Histogram::quantile`] estimation (p50/p95/p99)
@@ -92,21 +92,16 @@ impl Counter {
     }
 }
 
-/// A last-write-wins signed gauge.
+/// A signed high-water mark: the largest value raised to.
 #[derive(Default)]
 pub struct Gauge {
     v: AtomicI64,
 }
 
 impl Gauge {
-    /// Set the gauge.
-    pub fn set(&self, v: i64) {
-        self.v.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjust the gauge by `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.v.fetch_add(delta, Ordering::Relaxed);
+    /// Raise the gauge to `v`, if `v` is larger.
+    pub fn raise(&self, v: i64) {
+        self.v.fetch_max(v, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -569,11 +564,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_add() {
+    fn a_gauge_keeps_the_largest_value() {
         let g = gauge("t_lib_gauge", "g");
-        g.set(5);
-        g.add(-2);
-        assert_eq!(g.get(), 3);
+        g.raise(5);
+        g.raise(3);
+        assert_eq!(g.get(), 5);
     }
 
     #[test]

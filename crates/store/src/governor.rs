@@ -15,8 +15,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use aql_journal::{emit, Event};
-
 /// A byte ledger: the bytes currently charged and their high-water
 /// mark. The process governor is one static `Ledger`; the struct is
 /// public so the accounting is testable without touching process
@@ -78,15 +76,12 @@ pub fn bytes_in_use() -> u64 {
 }
 
 /// High-water mark of governed bytes since process start (or the last
-/// [`reset_peak`]). Reading it refreshes the
-/// `aql_store_governor_peak_bytes` gauge, so a scrape taken after a
-/// bounded operation (a streaming `writeval`, say) shows the true peak
-/// residency the operation reached — the figure the acceptance tests
-/// assert a cache-budget bound on.
+/// [`reset_peak`]: a session resets it as each statement starts) — the
+/// figure the acceptance tests assert a cache-budget bound on. The
+/// session reports each statement's to the process-wide
+/// `aql_store_governor_peak_bytes` gauge, which keeps the largest.
 pub fn peak_bytes() -> u64 {
-    let peak = GLOBAL.peak_bytes();
-    emit(Event::GovernorPeak { bytes: peak });
-    peak
+    GLOBAL.peak_bytes()
 }
 
 /// Reset the process-wide high-water mark to the current residency.

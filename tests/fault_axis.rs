@@ -234,10 +234,11 @@ fn a_statement_nested_past_the_budget_is_too_deep() {
     let dir = tmpdir("deep");
     let mut s = Session::new();
     s.enable_incidents(&dir);
-    // A value read past the budget fails its `readval`, which the
-    // journal records. (A statement past it fails to parse, before any
-    // statement begins; `tests/hostile_nesting.rs` reads that class.)
-    let depth = aql::core::value::parse::MAX_DEPTH;
+    // A value nested past what the stack holds fails its `readval`,
+    // which the journal records. (A statement nested past it fails to
+    // parse, before any statement begins; `tests/hostile_nesting.rs`
+    // reads that class.)
+    let depth = 100_000;
     let path = dir.join("deep.co");
     std::fs::write(&path, format!("{}1{}", "[[".repeat(depth), "]]".repeat(depth))).expect("write");
     let statement = format!("readval \\v using COFILE at \"{}\";", path.display());

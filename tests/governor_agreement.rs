@@ -2,7 +2,10 @@
 //! the same number, and none reports a budget. After a lazy scan,
 //! `GET /stats.json`'s `governor.peak_bytes`, the
 //! `aql_store_governor_peak_bytes` series of `GET /metrics`, `\store`'s
-//! `peak=` and `\attr`'s `governor: peak N B in use` agree.
+//! `peak=` and `\attr`'s `governor: peak N B in use` agree. After a
+//! later, smaller statement the two process views still read the scan's
+//! peak — a high-water mark — while `\attr` and `\store` read the
+//! statement's own.
 //!
 //! Its own binary with one test: the ledger is process state, and a
 //! cache on another test thread would move the peak between readings.
@@ -55,12 +58,16 @@ fn stats_metrics_store_and_attr_report_one_governor_peak() {
          readval \\T using NETCDF3 at (\"{}\", \"temp\", (0, 0, 0), (8759, 4, 4));\n\
          max!{{ T[4000 + t, i, j] | \\t <- gen!100, \\i <- gen!5, \\j <- gen!5 }};\n\
          \\store;\n\
+         \\attr;\n\
+         val \\T = 0;\n\
+         1 + 1;\n\
+         \\store;\n\
          \\attr;\n",
         path.display()
     );
     let mut out: Vec<u8> = Vec::new();
     let executed = run_repl(&mut s, &mut BufReader::new(input.as_bytes()), &mut out).unwrap();
-    assert_eq!(executed, 2, "both statements run");
+    assert_eq!(executed, 4, "every statement runs");
     let transcript = String::from_utf8(out).unwrap();
     let addr = transcript
         .lines()
@@ -88,5 +95,18 @@ fn stats_metrics_store_and_attr_report_one_governor_peak() {
     assert_eq!(governor, &only_peak);
     assert!(!metrics.contains("aql_store_governor_budget"), "{metrics}");
     assert!(!transcript.contains("budget="), "{transcript}");
+
+    // The smaller statement ran after `T`'s chunks were released.
+    let last = |prefix: &str| {
+        let (_, tail) = transcript.rsplit_once(prefix).unwrap_or_else(|| panic!("no `{prefix}` in {transcript}"));
+        number_after(&format!("{prefix}{tail}"), prefix)
+    };
+    let (small_attr, small_store) = (last("governor: peak "), last(" peak="));
+    assert!(small_attr < attr_peak, "\\attr reads the last statement's own peak: {transcript}");
+    assert_eq!(small_store, small_attr, "\\store reads it too");
+    let stats = Json::parse(&http_body(addr, "/stats.json")).expect("strict JSON");
+    let stats_peak = stats.get("governor").and_then(|g| g.get("peak_bytes")).and_then(Json::as_u64);
+    let series_peak = number_after(&http_body(addr, "/metrics"), "aql_store_governor_peak_bytes ");
+    assert_eq!((stats_peak, series_peak), (Some(attr_peak), attr_peak), "the process views keep the scan's peak");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,22 +1,26 @@
-//! Hostile nesting ends in a typed error, never in a stack overflow.
+//! Hostile nesting ends in an answer or a typed error, never in a stack
+//! overflow.
 //!
 //! A stack overflow aborts the process, and `catch_unwind` cannot catch
 //! it, so the corpus runs in a child process: this binary re-executes
 //! itself on the one test below that does the work, and an abort there
 //! reads as a failed exit here. The child runs each family of nesting —
 //! parentheses, set, array and tuple literals, `if`, `let` and
-//! application, and `COFILE` values — 10³, 10⁴ and 10⁵ deep on a test
-//! thread's stack: each must end in `LangError::TooDeep`, class
-//! `too-deep`, and `1+1;` must answer after it. It then runs the deepest
-//! forms each budget admits through the whole pipeline on a quarter of
-//! that stack (512 KiB of a test thread's 2 MiB): the budgets leave a
-//! four-fold margin in a debug build.
+//! application, and `COFILE` values — 10³, 10⁴ and 10⁵ deep; chains
+//! the parser builds in a loop — `+`, `not`, `!` and `[0]` — 10³ to 10⁶
+//! long; `let` blocks of 10⁴ and 10⁵ `val`s and tuple patterns as wide,
+//! which desugar to chains of `let`s; and the doubling macro towers
+//! `d_k!(0)` (a `+` chain 2^k long once the optimizer has reduced it)
+//! for k ≤ 16, all on a test thread's stack. Each must answer or end in `LangError::TooDeep`,
+//! class `too-deep`, and `1+1;` must answer after it. Then a full
+//! session loads on a 512 KiB thread and each family 10⁴ deep ends in
+//! `too-deep` there: the guard reads the stack of the thread it runs on
+//! (`aql::core::stack`).
 
 use std::process::Command;
 
 use aql::journal::ErrorClass;
 use aql::lang::errors::LangError;
-use aql::lang::parser::{parse_program, MAX_DEPTH};
 use aql::lang::session::Session;
 
 /// The variable that makes this binary the child.
@@ -38,6 +42,17 @@ fn nested(family: &str, n: usize) -> String {
 
 const FAMILIES: [&str; 7] = ["parentheses", "sets", "arrays", "tuples", "if", "let", "application"];
 
+/// A statement that desugars to a chain of `n` `let`s, one a binder or
+/// component: a `let` block of `n` `val`s, or a tuple pattern of `n`
+/// components.
+fn wide(form: &str, n: usize) -> String {
+    let names = |sep: &str, name: &dyn Fn(usize) -> String| (0..n).map(name).collect::<Vec<_>>().join(sep);
+    match form {
+        "let block" => format!("let {} in 1 end;", names(" ", &|i| format!("val \\a{i} = 1"))),
+        _ => format!("fn ({}) => 1;", names(", ", &|i| format!("\\a{i}"))),
+    }
+}
+
 /// `readval` of a `COFILE` value nesting `n` arrays deep (tuples and
 /// sets alternate with them).
 fn cofile(dir: &std::path::Path, n: usize) -> String {
@@ -57,10 +72,32 @@ fn answers(s: &mut Session, after: &str) {
 
 fn too_deep(s: &mut Session, stmt: &str, what: &str) {
     match s.run(stmt) {
-        Err(e @ LangError::TooDeep(_)) => assert_eq!(e.class(), ErrorClass::TooDeep, "{what}"),
+        Err(e @ LangError::TooDeep) => assert_eq!(e.class(), ErrorClass::TooDeep, "{what}"),
         other => panic!("{what}: {:?}", other.map(|o| o.len())),
     }
     answers(s, what);
+}
+
+/// An answer or `too-deep`, and `1+1;` answers after it.
+fn answers_or_too_deep(s: &mut Session, stmt: &str, what: &str) {
+    match s.run(stmt) {
+        Ok(_) => {}
+        Err(e @ LangError::TooDeep) => assert_eq!(e.class(), ErrorClass::TooDeep, "{what}"),
+        Err(e) => panic!("{what}: {e}"),
+    }
+    answers(s, what);
+}
+
+/// A statement chaining one operator `n` times: the parser builds it in
+/// a loop. `[0]` is a macro's body, whose parameter is inferred as an
+/// `n`-deep array.
+fn chain(op: &str, n: usize) -> String {
+    match op {
+        "+" => format!("{}1;", "1 + ".repeat(n)),
+        "not" => format!("{}true;", "not ".repeat(n)),
+        "!" => format!("{}1;", "id!".repeat(n)),
+        _ => format!("macro \\s = fn \\a => a{};", "[0]".repeat(n)),
+    }
 }
 
 /// Everything, in the child: an abort here fails the parent.
@@ -74,31 +111,45 @@ fn child() {
     let mut s = Session::new();
     for n in [1_000, 10_000, 100_000] {
         for family in FAMILIES {
-            too_deep(&mut s, &nested(family, n), &format!("{family} × {n}"));
+            answers_or_too_deep(&mut s, &nested(family, n), &format!("{family} × {n}"));
         }
-        too_deep(&mut s, &cofile(&dir, n), &format!("COFILE × {n}"));
+        answers_or_too_deep(&mut s, &cofile(&dir, n), &format!("COFILE × {n}"));
     }
-    // The deepest form of each family the budgets admit (one level more
-    // is too deep) runs the whole pipeline on a quarter of a test
-    // thread's stack.
-    let deepest = std::thread::Builder::new()
+    s.run("macro \\id = fn \\x => x;").expect("the identity");
+    for n in [1_000, 10_000, 100_000, 1_000_000] {
+        for op in ["+", "not", "!", "[0]"] {
+            answers_or_too_deep(&mut s, &chain(op, n), &format!("`{op}` × {n}"));
+        }
+    }
+    // From 10⁴, where desugar's chain is past a test thread's stack (a
+    // 10³-wide tuple pattern answers, but typechecks in seconds: time
+    // cubic in the width).
+    for n in [10_000, 100_000] {
+        for form in ["let block", "tuple pattern"] {
+            answers_or_too_deep(&mut s, &wide(form, n), &format!("{form} × {n}"));
+        }
+    }
+    s.run("macro \\d0 = fn \\x => x + 1;").expect("d0");
+    for k in 1..=16 {
+        let tower = format!("macro \\d{k} = fn \\x => d{j}!(d{j}!(x));", j = k - 1);
+        s.run(&tower).unwrap_or_else(|e| panic!("d{k}: {e}"));
+        answers_or_too_deep(&mut s, &format!("d{k}!(0);"), &format!("d{k}!(0)"));
+    }
+    // A full session loads on a quarter of a test thread's stack, and
+    // 10⁴ of each family is too deep there, whichever pass the guard
+    // fires in.
+    let small = std::thread::Builder::new()
         .stack_size(512 << 10)
         .spawn(move || {
             let mut s = Session::new();
             for family in FAMILIES {
-                // The deepest this family's statement parses at.
-                let parses = |n: &usize| !matches!(parse_program(&nested(family, *n)), Err(LangError::TooDeep(_)));
-                let n = (0..MAX_DEPTH).rev().find(parses).expect("a shallow form parses");
-                s.run(&nested(family, n)).unwrap_or_else(|e| panic!("{family} × {n}, at the budget: {e}"));
-                too_deep(&mut s, &nested(family, n + 1), family);
+                too_deep(&mut s, &nested(family, 10_000), family);
             }
-            let stmt = cofile(&dir, aql::core::value::parse::MAX_DEPTH - 1);
-            s.run(&format!("{stmt} v;")).unwrap_or_else(|e| panic!("COFILE at the budget: {e}"));
-            too_deep(&mut s, &cofile(&dir, aql::core::value::parse::MAX_DEPTH), "COFILE");
+            too_deep(&mut s, &cofile(&dir, 10_000), "COFILE");
             std::fs::remove_dir_all(&dir).ok();
         })
         .expect("a thread");
-    deepest.join().expect("the deepest admitted forms run");
+    small.join().expect("a session loads and every family is too deep on 512 KiB");
     println!("hostile nesting: every form typed");
 }
 

@@ -81,6 +81,13 @@
 //! from the error value's variant, never from its rendered message,
 //! which any program can make spell anything (`budget;`).
 //!
+//! **One depth mechanism**: a recursive pass asks `aql_core::stack`
+//! whether this thread's stack holds another level. No syntax budget
+//! comes back ([`SYNTAX_BUDGET`] appears nowhere under `crates/*/src`),
+//! and no code picks a thread's stack size to make a pass fit
+//! (`stack_size` is called only in the files of [`MAY_SIZE_A_STACK`],
+//! each a test that says why).
+//!
 //! Nothing but `cargo test` runs these checks; CI has no grep step.
 
 use std::fs;
@@ -131,12 +138,28 @@ const CLASSIFIED_STRUCTURALLY: &[&str] = &[
     "core/src/error.rs",
 ];
 
+/// The name the two syntax budgets the stack guard replaced went by.
+const SYNTAX_BUDGET: &str = "MAX_DEPTH";
+
+/// The files (under the repository root) that may size a thread's
+/// stack, and why.
+const MAY_SIZE_A_STACK: &[(&str, &str)] = &[
+    ("tests/paper_claims.rs", "E4's 64-deep `append!` chain needs more than a debug test thread's 2 MiB"),
+    ("tests/hostile_nesting.rs", "proves the guard reads the stack of the thread it runs on (512 KiB)"),
+    ("crates/aql-opt/src/engine.rs", "the re-walk test shows the engine's recursion is the term's depth"),
+];
+
 /// Non-test lines of `crates/aql-opt/src/engine.rs` at issue 18, by
 /// [`non_test_lines`]'s count (475); raised by 17 when a rule that
 /// substitutes had its contractum's children rewritten before its root
 /// was re-offered (492: `Rule::substitutes` and its doc, the child walk
-/// factored into `pass_children` so the firing can call it again).
-const ENGINE_LINES: usize = 492;
+/// factored into `pass_children` so the firing can call it again);
+/// raised by 21 when the engine began to share the stack guard (513: a
+/// subterm past this thread's stack is left as it came and no rule
+/// fires again in the run, a firing the per-fire gate has no stack to
+/// judge is undone, and a phase check with no stack to run is
+/// `OptError::TooDeep`).
+const ENGINE_LINES: usize = 513;
 
 /// The budget for `crates/analysis/src/{lint,diag}.rs`, by
 /// [`non_test_lines`]'s count (334 at issue 22 as `crates/verify/src`,
@@ -151,8 +174,9 @@ const VERIFY_LINES: usize = 450;
 /// journal's `metrics` module and the trace merge, the counter shards
 /// and the trace's JSON round trip went; lowered to 4,099 when the
 /// governor stopped gating (its shed/deny events, quantities and ledger
-/// fields, the ring's capacity setter).
-const TELEMETRY_LINES: usize = 4099;
+/// fields, the ring's capacity setter); lowered to 4,094 when the one
+/// gauge became a high-water mark (its setter and adder went).
+const TELEMETRY_LINES: usize = 4094;
 
 /// The budget for `crates/core/src/eval/kernel.rs`, by
 /// [`non_test_lines`]'s count (1,196 at issue 23; issue 24 admitted
@@ -196,8 +220,14 @@ const KERNEL_LINES: usize = 1666;
 /// see [`TELEMETRY_LINES`], and the session's report JSON); lowered by
 /// 325 when the governor became a ledger that only counts (25,931: the
 /// process byte budget, shed-before-deny, the admission checks and
-/// their error variants, and the slow-log and incident configs).
-const CRATES_LINES: usize = 25_931;
+/// their error variants, and the slow-log and incident configs); raised
+/// by 203 when one stack guard replaced the two syntax budgets (26,134:
+/// the guard and a check in each recursive pass, the resolver's among
+/// them, the desugaring of `let` blocks, tuple patterns and literals one
+/// recursion an element, the statement hash's walk with its own stack,
+/// the iterative `SExpr` drop and the error variants, less the
+/// precedence ladder that became one loop and the two counters).
+const CRATES_LINES: usize = 26_134;
 
 /// Collect every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -522,6 +552,31 @@ fn every_crate_is_in_both_inventories() {
              `crates/<dir>` line each: a crate added or folded away takes its line with it"
         );
     }
+}
+
+#[test]
+fn one_depth_mechanism() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let budgets: Vec<String> = library_sources()
+        .into_iter()
+        .filter(|path| fs::read_to_string(path).is_ok_and(|text| text.contains(SYNTAX_BUDGET)))
+        .map(|path| path.display().to_string())
+        .collect();
+    assert!(budgets.is_empty(), "a syntax depth budget is back (the guard is `aql_core::stack`):\n{}", budgets.join("\n"));
+    let needle = concat!("stack_", "size(");
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "src", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut sized: Vec<String> = files
+        .iter()
+        .filter(|path| fs::read_to_string(path).is_ok_and(|text| text.contains(needle)))
+        .map(|path| path.strip_prefix(root).expect("under the root").to_string_lossy().into_owned())
+        .collect();
+    sized.sort();
+    let mut listed: Vec<String> = MAY_SIZE_A_STACK.iter().map(|(file, _)| file.to_string()).collect();
+    listed.sort();
+    assert_eq!(sized, listed, "only the listed tests size a thread's stack; a pass that needs more asks `aql_core::stack`");
 }
 
 #[test]

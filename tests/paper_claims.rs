@@ -361,9 +361,10 @@ fn table() -> &'static str {
     static TABLE: OnceLock<String> = OnceLock::new();
     TABLE.get_or_init(|| {
         // E4's chain nests 64 `append!` calls, two core nodes a call: a
-        // debug build needs between 3 and 4 MiB of stack to analyse and
-        // evaluate it, more than a test thread's 2 MiB, so the claims
-        // run on a thread with a main thread's 8 MiB.
+        // debug build needs between 3.75 and 4 MiB of stack to run it
+        // (the stack guard's 128 KiB reserve included), more than a test
+        // thread's 2 MiB, where it ends in `too-deep`. So the claims run
+        // on a thread with a main thread's 8 MiB.
         let claims = std::thread::Builder::new().stack_size(8 << 20).spawn(|| {
             let mut t = Table::new();
             for claim in [e1, e2, e3, e4, e5, e6, e7, e8, e9, e10] {

@@ -22,6 +22,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
+use aql_journal::attr::SourceCounts;
 use aql_journal::{emit, ErrorClass, Event};
 
 use aql_core::check::{type_compatible, typecheck};
@@ -36,6 +37,7 @@ use aql_core::value::print::session_string;
 use aql_core::value::tyof::type_of_value;
 use aql_core::value::Value;
 use aql_opt::{Gate, OptError, Optimizer, Trace};
+use aql_store::CacheStats;
 
 use crate::ast::{Lit, Pattern, Qual, SExpr, Stmt};
 use crate::desugar::desugar;
@@ -450,6 +452,9 @@ pub struct Session {
     /// Per-statement attribution ledgers of the most recent
     /// [`Session::run`], parallel to `stmt_stats`.
     stmt_attr: RefCell<Vec<aql_journal::attr::Ledger>>,
+    /// Per source label, the sum of every finished statement's row:
+    /// what `\store` reports a source moved for this session.
+    source_totals: Vec<(String, SourceCounts)>,
     /// Monotone statement sequence number.
     stmt_seq: Cell<u64>,
 }
@@ -501,6 +506,7 @@ impl Session {
             incidents: None,
             last_incident: RefCell::new(None),
             stmt_attr: RefCell::new(Vec::new()),
+            source_totals: Vec::new(),
             stmt_seq: Cell::new(0),
         }
     }
@@ -654,50 +660,56 @@ impl Session {
         v
     }
 
-    /// A storage-residency report: one line per lazy-array `val`
-    /// binding (source label, resident chunks/bytes against the cache
-    /// budget, hit/miss/read/error counters, and prefetch
-    /// effectiveness when a read-ahead worker is attached), followed
-    /// by the process chunk governor's usage and high-water mark.
-    /// Rendered by the REPL's `\store;` meta-command.
+    /// A storage report: for each source label an open lazy-array
+    /// `val` binding reads, the session's totals for it (the sum of its
+    /// finished statements' rows: hits, misses, bytes read, load
+    /// errors); then one residency line per binding (resident
+    /// chunks/bytes against its cache budget, and prefetch
+    /// effectiveness when a read-ahead worker is attached); then the
+    /// process chunk governor's usage and high-water mark. Rendered by
+    /// the REPL's `\store;` meta-command.
     pub fn store_report(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::new();
         let mut names: Vec<&Name> = self.vals.keys().collect();
         names.sort();
-        let mut open = 0usize;
+        let (mut labels, mut bindings) = (Vec::new(), String::new());
         for n in names {
             let Some(Value::Array(a)) = self.vals.get(n) else { continue };
             let Some(info) = a.store_info() else { continue };
-            open += 1;
-            let label = info.label.as_deref().unwrap_or("-");
+            let label = info.label.unwrap_or_else(|| "-".to_string());
             let _ = write!(
-                out,
-                "  {n}  source={label}  chunks={}  bytes={}/{}  hits={} misses={} read={} errors={}",
-                info.chunks_held,
-                info.bytes_held,
-                info.budget_bytes,
-                info.stats.hits,
-                info.stats.misses,
-                info.stats.bytes_read,
-                info.stats.load_errors,
+                bindings,
+                "  {n}  source={label}  chunks={}  bytes={}/{}",
+                info.chunks_held, info.bytes_held, info.budget_bytes,
             );
             if let Some(p) = info.prefetch {
                 let _ = write!(
-                    out,
+                    bindings,
                     "  prefetch issued={} hits={} wasted={}",
                     p.issued, p.hits, p.wasted
                 );
             }
-            out.push('\n');
+            bindings.push('\n');
+            labels.push(label);
         }
-        let header = if open == 0 {
-            "store: no open chunk sources\n".to_string()
-        } else {
-            format!("store: {open} open chunk source(s)\n")
+        let mut out = match labels.len() {
+            0 => "store: no open chunk sources\n".to_string(),
+            open => format!("store: {open} open chunk source(s)\n"),
         };
+        for (i, label) in labels.iter().enumerate() {
+            if labels[..i].contains(label) {
+                continue;
+            }
+            let row = self.source_totals.iter().find(|(l, _)| l == label).map(|(_, c)| *c);
+            let c = CacheStats::from(row.unwrap_or_default());
+            let _ = writeln!(
+                out,
+                "  {label}  hits={} misses={} read={} errors={}",
+                c.hits, c.misses, c.bytes_read, c.load_errors
+            );
+        }
         let in_use = aql_store::governor::bytes_in_use();
-        format!("{header}{out}governor: in_use={in_use} peak={}\n", aql_store::governor::peak_bytes())
+        format!("{out}{bindings}governor: in_use={in_use} peak={}\n", aql_store::governor::peak_bytes())
     }
 
     /// The registered macros, by name.
@@ -767,9 +779,9 @@ impl Session {
     /// Run a statement. Opens a root `statement` span (when tracing)
     /// and records the statement's [`EvalStats`]: evaluation counters
     /// merged over every evaluation it performs, with cache counters
-    /// taken as the statement-level delta of the store's global
-    /// aggregate — so reader I/O and echo-forced chunk loads are
-    /// attributed to the statement that caused them.
+    /// read from the statement's attribution row — so reader I/O and
+    /// echo-forced chunk loads are attributed to the statement that
+    /// caused them.
     pub fn exec(&mut self, stmt: &Stmt) -> Result<Outcome, LangError> {
         let _span = aql_trace::span("statement");
         let kind = stmt_label(stmt);
@@ -785,7 +797,6 @@ impl Session {
             .map(|_| aql_journal::metrics::family_total("aql_opt_rule_fires_total"));
         // The snapshot seeds the incident's metrics-delta table.
         let metrics_base = self.incidents.as_ref().map(|_| aql_journal::metrics::snapshot());
-        let cache_base = aql_store::stats::global();
         self.cur_stats.set(EvalStats::default());
         aql_store::governor::reset_peak();
         aql_journal::attr::begin();
@@ -797,7 +808,13 @@ impl Session {
         ledger.governor_peak_bytes = aql_store::governor::peak_bytes();
         emit(Event::GovernorPeak { bytes: ledger.governor_peak_bytes });
         let mut st = self.cur_stats.take();
-        st.cache = aql_store::stats::global().delta_since(&cache_base);
+        st.cache = CacheStats::from(&ledger);
+        for (label, row) in &ledger.sources {
+            match self.source_totals.iter_mut().find(|(l, _)| l == label) {
+                Some((_, sum)) => *sum = *sum + *row,
+                None => self.source_totals.push((label.clone(), *row)),
+            }
+        }
         self.stmt_stats.borrow_mut().push(st);
         let dur = aql_trace::now() - t0;
         let class = out.as_ref().err().map(LangError::class);

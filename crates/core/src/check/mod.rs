@@ -232,6 +232,14 @@ impl<'a> Checker<'a> {
                     return Err(TypeError::BadProjection { index: *i, arity: *k });
                 }
                 let te = self.infer(env, e)?;
+                // A tuple already: its component, with no fresh k-tuple
+                // to unify (k projections of one k-wide pattern would
+                // otherwise chain k variables per component).
+                if let Type::Tuple(ts) = self.uni.shallow(&te) {
+                    if ts.len() == *k {
+                        return Ok(ts[*i - 1].clone());
+                    }
+                }
                 let comps: Vec<Type> = (0..*k).map(|_| self.uni.fresh()).collect();
                 self.uni.unify(&te, &Type::tuple(comps.clone()))?;
                 Ok(comps[*i - 1].clone())
@@ -771,6 +779,26 @@ mod tests {
             // …and so it is to the gate, as a rule's output.
             let err = gate(&nat(1), &e, &[]).expect_err(what);
             assert!(err.contains("ill-formed"), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_wide_tuple_pattern_costs_fresh_variables_linear_in_its_width() {
+        // `(fn (\a0, …, \a(k-1)) => 1)!(1, …, 1)`: k projections of one
+        // k-tuple. Unifying a fresh k-tuple at each would make k² fresh
+        // variables and chains as long as k, a cubic walk.
+        let fresh_for = |k: usize| {
+            let names: Vec<String> = (0..k).map(|i| format!("a{i}")).collect();
+            let params: Vec<&str> = names.iter().map(String::as_str).collect();
+            let e = app_tuple(lam_tuple(&params, nat(1)), vec![nat(1); k]);
+            let (globals, externals) = (HashMap::new(), Extensions::new());
+            let mut cx = Checker::new(&globals, &externals, false);
+            assert_eq!(cx.infer(&mut Vec::new(), &e).map(|t| cx.uni.resolve(&t)), Ok(Type::Nat));
+            let Type::Var(n) = cx.uni.fresh() else { unreachable!("fresh is a variable") };
+            n as usize
+        };
+        for k in [2, 8, 32] {
+            assert!(fresh_for(k) <= k + 3, "k = {k}: {} fresh variables", fresh_for(k));
         }
     }
 

@@ -30,7 +30,7 @@ impl Unifier {
     }
 
     /// Follow variable bindings one level (path-shortening reads).
-    fn shallow(&self, t: &Type) -> Type {
+    pub(crate) fn shallow(&self, t: &Type) -> Type {
         let mut t = t.clone();
         while let Type::Var(v) = t {
             match &self.bindings[v as usize] {

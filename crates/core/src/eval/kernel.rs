@@ -1723,6 +1723,7 @@ mod tests {
     fn run(e: &Expr, globals: &HashMap<Name, Value>, limits: &Limits, vars: Option<Vars>) -> Outcome {
         let externals = Extensions::new();
         let ctx = EvalCtx::new(globals, &externals).with_limits(limits.clone());
+        let cache = aql_store::stats::global();
         let value = match vars {
             None => eval(e, &ctx),
             Some(vars) => eval_marked(e, &ctx, &|site| match site {
@@ -1730,7 +1731,7 @@ mod tests {
                 _ => None,
             }),
         };
-        let s = ctx.stats();
+        let (s, io) = (ctx.stats(), aql_store::stats::global().delta_since(&cache));
         Outcome {
             value,
             steps: s.steps,
@@ -1740,7 +1741,7 @@ mod tests {
             nests: ctx.kernel_nests(),
             escapes: ctx.kernel_escapes.get(),
             rows: ctx.kernel_rows.get(),
-            lookups: s.cache.hits + s.cache.misses,
+            lookups: io.hits + io.misses,
             binds: ctx.kernel_binds.get(),
         }
     }

@@ -162,7 +162,8 @@ pub struct EvalStats {
     /// array literals, and `index` (the sites governed by
     /// `Limits::max_elems`).
     pub materialized: u64,
-    /// Chunk-cache counters attributable to this evaluation.
+    /// Chunk-cache counters of the statement: its attribution row,
+    /// filled by the session (zero from [`EvalCtx::stats`]).
     pub cache: aql_store::CacheStats,
 }
 
@@ -213,9 +214,6 @@ pub struct EvalCtx<'a> {
     kernel_binds: Cell<u64>,
     /// The nests bound in this evaluation, for their next entry.
     kernels: RefCell<Vec<kernel::Bound>>,
-    /// Snapshot of the global chunk-cache counters at construction;
-    /// [`EvalCtx::stats`] reports the delta since.
-    cache_base: aql_store::CacheStats,
     /// This thread's [`crate::stack::limit`], read once here.
     stack_limit: usize,
 }
@@ -238,7 +236,6 @@ impl<'a> EvalCtx<'a> {
             kernel_escapes: Cell::new(0),
             kernel_binds: Cell::new(0),
             kernels: RefCell::new(Vec::new()),
-            cache_base: aql_store::stats::global(),
             stack_limit: crate::stack::limit(),
         }
     }
@@ -280,15 +277,16 @@ impl<'a> EvalCtx<'a> {
         self.materialized.set(materialized);
     }
 
-    /// Statistics for the evaluation driven through this context:
-    /// steps plus the chunk-cache activity since construction.
+    /// Evaluation counters for the evaluation driven through this
+    /// context. `cache` is left zero: a statement's chunk-cache counters
+    /// are its attribution row, which the session reads.
     pub fn stats(&self) -> EvalStats {
         EvalStats {
             steps: self.steps.get(),
             subscripts: self.subscripts.get(),
             elided: self.elided.get(),
             materialized: self.materialized.get(),
-            cache: aql_store::stats::global().delta_since(&self.cache_base),
+            cache: aql_store::CacheStats::default(),
         }
     }
 

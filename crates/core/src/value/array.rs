@@ -37,7 +37,7 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use aql_store::{CacheStats, LazyArray, PrefetchStats, Scalar};
+use aql_store::{LazyArray, PrefetchStats, Scalar};
 
 use crate::error::EvalError;
 
@@ -148,8 +148,6 @@ pub struct StoreInfo {
     pub budget_bytes: u64,
     /// Chunks resident in the cache.
     pub chunks_held: usize,
-    /// The cache's lifetime counters.
-    pub stats: CacheStats,
     /// Read-ahead effectiveness, when a prefetcher is attached.
     pub prefetch: Option<PrefetchStats>,
 }
@@ -312,14 +310,6 @@ impl ArrayVal {
         matches!(self.data, ArrayData::Lazy(_))
     }
 
-    /// Cache counters of the backing chunk cache, for lazy arrays.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        match &self.data {
-            ArrayData::Lazy(l) => Some(l.borrow().stats()),
-            _ => None,
-        }
-    }
-
     /// Storage residency snapshot of the backing chunk cache, for
     /// lazy arrays — what the REPL's `\store;` report renders.
     pub fn store_info(&self) -> Option<StoreInfo> {
@@ -331,7 +321,6 @@ impl ArrayVal {
                     bytes_held: l.cache_bytes_held(),
                     budget_bytes: l.cache_budget_bytes(),
                     chunks_held: l.chunks_held(),
-                    stats: l.stats(),
                     prefetch: l.prefetch_stats(),
                 })
             }
@@ -775,9 +764,9 @@ mod tests {
 
     #[test]
     fn lazy_point_read_touches_one_chunk() {
-        let lazy = lazy_iota(vec![10, 10], vec![2, 10]);
+        let (lazy, base) = (lazy_iota(vec![10, 10], vec![2, 10]), aql_store::stats::global());
         assert_eq!(lazy.try_get(&[5, 5]).unwrap(), Some(Value::Real(55.0)));
-        let stats = lazy.cache_stats().unwrap();
+        let stats = aql_store::stats::global().delta_since(&base);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.bytes_read, 20 * 8);
     }
@@ -812,6 +801,7 @@ mod tests {
 
     #[test]
     fn lazy_value_at_past_the_end_never_reaches_the_cache() {
+        let base = aql_store::stats::global();
         let a = lazy_iota(vec![5, 4, 3], vec![2, 3, 2]);
         for off in [60, 61, usize::MAX] {
             assert_eq!(a.try_value_at(off).unwrap(), None);
@@ -821,10 +811,8 @@ mod tests {
         assert!(empty.is_empty());
         assert_eq!(empty.try_value_at(0).unwrap(), None);
         assert_eq!(empty.try_get(&[0, 0, 0]).unwrap(), None);
-        for arr in [&a, &empty] {
-            let s = arr.cache_stats().unwrap();
-            assert_eq!((s.hits, s.misses), (0, 0), "no lookup was recorded");
-        }
+        let s = aql_store::stats::global().delta_since(&base);
+        assert_eq!((s.hits, s.misses), (0, 0), "no lookup was recorded");
     }
 
     #[test]

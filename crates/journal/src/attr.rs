@@ -1,23 +1,23 @@
 //! Per-query resource attribution.
 //!
-//! While a statement runs, the session opens a thread-local ledger
-//! ([`begin`]); [`emit`](crate::emit) folds every event into it — each
-//! quantity of the event table names the ledger field it lands in
-//! (`Fold`) — charging hits/misses/bytes/evictions/retries to the
-//! query *and* the source that actually moved them. [`finish`] closes
-//! the ledger and resolves labels to strings. [`Ledger::fold`] runs the
-//! same fold over a window of ring records, which is how `\doctor`
-//! reconstructs cache behavior from an incident file.
+//! Each thread always has one open attribution row: [`emit`](crate::emit)
+//! folds every event into it — each quantity of the event table names
+//! the row field it lands in (`Fold`) — charging hits/misses/bytes/
+//! evictions/retries to the source that moved them. The session closes
+//! the row at a statement's start ([`begin`]) and end ([`finish`]), so
+//! a statement's row holds its own events and nothing else. A closed
+//! row is added to this thread's sum of closed rows, never discarded:
+//! [`totals`], that sum plus the open row, is every event this thread
+//! saw, inside a statement or not. [`Ledger::fold`] runs the same fold
+//! over ring records, which is how `\doctor` reconstructs cache
+//! behavior from an incident file.
 //!
-//! The hot path is one `Cell<bool>` read when no ledger is open —
-//! attribution costs nothing outside a session statement — and a
-//! linear probe over a handful of sources when one is. Background
-//! threads (the prefetcher's worker) never open a ledger, so their
-//! loads are *not* charged to whichever statement happens to be
-//! running; warm-pool handovers are charged at consumption time to the
-//! owning binding's label as `prefetched_bytes`.
+//! Every event that lands in a row is emitted on the thread that owns
+//! the array: the prefetcher's worker emits only prefetch events, which
+//! fold into no row, and a warm-pool handover is charged when consumed.
 
 use std::cell::{Cell, RefCell};
+use std::ops::Add;
 
 use aql_trace::json::Json;
 
@@ -40,6 +40,22 @@ pub struct SourceCounts {
     pub load_errors: u64,
     /// Read retries spent on this source.
     pub retries: u64,
+}
+
+impl Add for SourceCounts {
+    type Output = SourceCounts;
+
+    fn add(self, o: SourceCounts) -> SourceCounts {
+        SourceCounts {
+            hits: self.hits + o.hits,
+            chunks_loaded: self.chunks_loaded + o.chunks_loaded,
+            bytes_read: self.bytes_read + o.bytes_read,
+            prefetched_bytes: self.prefetched_bytes + o.prefetched_bytes,
+            evictions: self.evictions + o.evictions,
+            load_errors: self.load_errors + o.load_errors,
+            retries: self.retries + o.retries,
+        }
+    }
 }
 
 impl SourceCounts {
@@ -188,7 +204,7 @@ impl Ledger {
 pub(crate) enum Fold {
     /// Nowhere: the quantity is counted, not attributed.
     None,
-    /// A field of the source's row (and of the thread totals).
+    /// A field of the source's row.
     Source(fn(&mut SourceCounts) -> &mut u64),
     /// The wall time of the phase the event's label names.
     Phase,
@@ -196,7 +212,7 @@ pub(crate) enum Fold {
     Trips,
 }
 
-/// A ledger while it is being folded, rows keyed by interned label id.
+/// A row while it is being folded, keyed by interned label id.
 #[derive(Default)]
 struct OpenLedger {
     sources: Vec<(u16, SourceCounts)>,
@@ -224,10 +240,11 @@ impl OpenLedger {
         }
     }
 
-    fn close(self) -> Ledger {
+    /// The row with its labels resolved.
+    fn resolved(&self) -> Ledger {
         Ledger {
-            sources: self.sources.into_iter().map(|(id, c)| (label_name(id), c)).collect(),
-            phases: self.phases.into_iter().map(|(id, ns)| (label_name(id), ns)).collect(),
+            sources: self.sources.iter().map(|&(id, c)| (label_name(id), c)).collect(),
+            phases: self.phases.iter().map(|&(id, ns)| (label_name(id), ns)).collect(),
             governor_peak_bytes: 0,
         }
     }
@@ -247,72 +264,52 @@ impl Ledger {
                 open.add(q.fold, r.label, amount.of(r.a, r.b));
             }
         }
-        open.close()
+        open.resolved()
     }
 }
 
 thread_local! {
-    /// Fast flag: is a ledger open on this thread?
-    static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static OPEN: RefCell<OpenLedger> = RefCell::new(OpenLedger::default());
-    /// Everything this thread's sources ever moved, all sources in one
-    /// row — `aql_store::stats::global` reads it.
-    static TOTALS: Cell<SourceCounts> = const { Cell::new(SourceCounts {
-        hits: 0,
-        chunks_loaded: 0,
-        bytes_read: 0,
-        prefetched_bytes: 0,
-        evictions: 0,
-        load_errors: 0,
-        retries: 0,
-    }) };
+    /// This thread's open row.
+    static OPEN: RefCell<OpenLedger> =
+        const { RefCell::new(OpenLedger { sources: Vec::new(), phases: Vec::new(), trips: 0 }) };
+    /// The sum of this thread's closed rows, all sources in one.
+    static CLOSED: Cell<SourceCounts> = Cell::new(SourceCounts::default());
 }
 
-/// Is a ledger open on this thread? One `Cell` read.
-#[inline]
-pub fn active() -> bool {
-    ACTIVE.with(|a| a.get())
-}
-
-/// Open a fresh ledger on this thread, discarding any previous one.
+/// Close this thread's row into the sum of closed rows and open a
+/// fresh one, which keeps the old one's capacity: a hit on a source the
+/// last row saw allocates nothing.
 pub fn begin() {
-    OPEN.with(|o| *o.borrow_mut() = OpenLedger::default());
-    ACTIVE.with(|a| a.set(true));
+    OPEN.with(|o| {
+        let mut o = o.borrow_mut();
+        CLOSED.set(o.sources.iter().fold(CLOSED.get(), |sum, (_, c)| sum + *c));
+        o.sources.clear();
+        o.phases.clear();
+        o.trips = 0;
+    });
 }
 
-/// Fold `n` of one quantity into this thread's totals and, when one is
-/// open, its ledger.
+/// Fold `n` of one quantity into this thread's open row.
 #[inline]
 pub(crate) fn add(fold: Fold, label: u16, n: u64) {
-    if let Fold::Source(field) = fold {
-        TOTALS.with(|t| {
-            let mut totals = t.get();
-            *field(&mut totals) += n;
-            t.set(totals);
-        });
-    }
-    if active() {
-        OPEN.with(|o| o.borrow_mut().add(fold, label, n));
-    }
+    OPEN.with(|o| o.borrow_mut().add(fold, label, n));
 }
 
 /// [`add`] of one cache hit, without the indirection: the hit path's
 /// share of the fold (see `event::hit`).
 #[inline]
 pub(crate) fn hit(label: u16) {
-    TOTALS.with(|t| t.set(SourceCounts { hits: t.get().hits + 1, ..t.get() }));
-    if active() {
-        OPEN.with(|o| slot(&mut o.borrow_mut().sources, label).hits += 1);
-    }
+    OPEN.with(|o| slot(&mut o.borrow_mut().sources, label).hits += 1);
 }
 
-/// This thread's totals over every source since it started: the
-/// monotonic aggregate a caller differences around a piece of work.
+/// Everything this thread's sources ever moved, all sources in one row:
+/// the closed rows' sum plus the open row. Monotonic, so a caller can
+/// difference it around a piece of work.
 pub fn totals() -> SourceCounts {
-    TOTALS.with(Cell::get)
+    OPEN.with(|o| o.borrow().sources.iter().fold(CLOSED.get(), |sum, (_, c)| sum + *c))
 }
 
-/// Breaker trips the open ledger has seen so far (the session reads it
+/// Breaker trips the open row has seen so far (the session reads it
 /// before [`finish`] to decide on a `breaker_trip` incident). Only
 /// this thread's events count — a trip on another thread's session is
 /// that session's.
@@ -320,12 +317,13 @@ pub fn breaker_trips() -> u64 {
     OPEN.with(|o| o.borrow().trips)
 }
 
-/// Close this thread's ledger and return it with labels resolved. The
-/// caller (the session) fills in the governor high-water mark, which it
-/// alone can see.
+/// Close this thread's row, as [`begin`] does, and return it with
+/// labels resolved. The caller (the session) fills in the governor
+/// high-water mark, which it alone can see.
 pub fn finish() -> Ledger {
-    ACTIVE.with(|a| a.set(false));
-    OPEN.with(|o| std::mem::take(&mut *o.borrow_mut())).close()
+    let ledger = OPEN.with(|o| o.borrow().resolved());
+    begin();
+    ledger
 }
 
 #[cfg(test)]
@@ -334,16 +332,16 @@ mod tests {
     use crate::{emit, intern, Event};
 
     #[test]
-    fn events_are_dropped_when_no_ledger_is_open() {
-        let l = intern("t_attr:closed");
-        assert!(!active());
+    fn events_between_statements_count_in_the_totals_and_no_statements_row() {
+        let l = intern("t_attr:between");
         let before = totals();
         emit(Event::CacheMiss { src: l, bytes: 100 });
         begin();
         let ledger = finish();
-        assert!(ledger.sources.is_empty(), "closed-ledger events vanish");
-        // … from the ledger; the thread totals always count.
-        assert_eq!(totals().bytes_read, before.bytes_read + 100);
+        assert!(ledger.sources.is_empty(), "the statement saw none of it");
+        assert_eq!(totals().bytes_read, before.bytes_read + 100, "closed, not discarded");
+        emit(Event::CacheHit { src: l });
+        assert_eq!(totals().hits, before.hits + 1, "the open row counts too");
     }
 
     #[test]
@@ -366,7 +364,7 @@ mod tests {
         assert_eq!(ledger.sources[0].1.retries, 2);
         assert_eq!(ledger.sources[1].1.hits, 3);
         assert_eq!(ledger.dominant_source().map(|(l, _)| l), Some("t_attr:a"));
-        assert!(!active(), "finish closes the ledger");
+        assert_eq!((breaker_trips(), finish().sources.len()), (0, 0), "finish opens a fresh row");
     }
 
     #[test]

@@ -137,8 +137,8 @@ impl Event {
 }
 
 /// Record `ev` in every view its kind names: trace counters on the
-/// innermost open span, process metrics, this thread's totals and open
-/// attribution ledger, and — for the kinds the flight recorder keeps —
+/// innermost open span, process metrics, this thread's open attribution
+/// row, and — for the kinds the flight recorder keeps —
 /// one ring record (cache hits coalesce into a pending count instead).
 /// No lock and no allocation once a quantity's metric handle is
 /// resolved, which its first use does.

@@ -24,7 +24,8 @@ use aql_netcdf::model::{NcError, NcFile, NcValues};
 use aql_netcdf::read::SlabReader;
 use aql_netcdf::write::to_bytes;
 use aql_store::{
-    ChunkLayout, LazyArray, ResiliencePolicy, ResilientSource, Scalar, ScalarKind, StoreError,
+    stats, ChunkLayout, LazyArray, ResiliencePolicy, ResilientSource, Scalar, ScalarKind,
+    StoreError,
 };
 
 /// A 6×5×4 double variable with distinct values.
@@ -114,16 +115,17 @@ fn transient_fault_retries_within_one_chunk_load() {
     // retries, the source reads once per request.
     let source = ResilientSource::new(source, "netcdf:v", ResiliencePolicy::default());
     let mut lazy = LazyArray::new(layout, ScalarKind::F64, Box::new(source), 1 << 16);
+    let base = stats::global();
 
     assert_eq!(lazy.get(&[0, 0, 0]).unwrap(), Some(Scalar::F64(0.0)));
     assert_eq!(attempts.get(), 2, "one failed attempt + one retry");
-    let s = lazy.stats();
+    let s = stats::global().delta_since(&base);
     assert_eq!((s.misses, s.load_errors), (1, 0), "retry is invisible to the cache");
 
     // The chunk was cached despite the bumpy load: no further opens.
     assert_eq!(lazy.get(&[1, 4, 3]).unwrap(), Some(Scalar::F64(39.0 * 0.25)));
     assert_eq!(attempts.get(), 2);
-    assert_eq!(lazy.stats().hits, 1);
+    assert_eq!(stats::global().delta_since(&base).hits, 1);
 }
 
 #[test]
@@ -145,6 +147,8 @@ fn persistent_fault_propagates_without_poisoning_cache() {
         vec![0, 0, 0],
     );
     let mut lazy = LazyArray::new(layout, ScalarKind::F64, Box::new(source), 1 << 16);
+    let base = stats::global();
+    let counts = || stats::global().delta_since(&base);
 
     // Healthy load of chunk 0.
     assert_eq!(lazy.get(&[0, 0, 0]).unwrap(), Some(Scalar::F64(0.0)));
@@ -153,18 +157,18 @@ fn persistent_fault_propagates_without_poisoning_cache() {
     failing.set(true);
     let err = lazy.get(&[2, 0, 0]).unwrap_err();
     assert!(matches!(err, StoreError::Io { transient: false, .. }), "got {err:?}");
-    assert_eq!(lazy.stats().load_errors, 1);
+    assert_eq!(counts().load_errors, 1);
 
     // Chunk 0 is still served from cache — the failed load poisoned
     // nothing.
     assert_eq!(lazy.get(&[1, 0, 0]).unwrap(), Some(Scalar::F64(20.0 * 0.25)));
-    assert_eq!(lazy.stats().hits, 1);
+    assert_eq!(counts().hits, 1);
 
     // The device recovers: chunk 1 loads and caches normally.
     failing.set(false);
     assert_eq!(lazy.get(&[2, 0, 0]).unwrap(), Some(Scalar::F64(40.0 * 0.25)));
     assert_eq!(lazy.get(&[2, 0, 1]).unwrap(), Some(Scalar::F64(41.0 * 0.25)));
-    let s = lazy.stats();
+    let s = counts();
     assert_eq!((s.misses, s.load_errors, s.hits), (3, 1, 2));
 }
 
@@ -182,12 +186,13 @@ fn corrupt_header_fails_as_corrupt_not_cached() {
         "v",
         vec![0, 0, 0],
     );
-    let mut lazy = LazyArray::new(layout, ScalarKind::F64, Box::new(source), 1 << 16);
+    let (mut lazy, base) =
+        (LazyArray::new(layout, ScalarKind::F64, Box::new(source), 1 << 16), stats::global());
     let err = lazy.get(&[0, 0, 0]).unwrap_err();
     // A mangled header surfaces as a non-transient storage failure
     // (corrupt or format, depending on where parsing trips), and the
     // cache records the failed load without caching anything.
     assert_eq!(err.class(), aql_store::FaultClass::Fatal, "got {err:?}");
-    let s = lazy.stats();
+    let s = stats::global().delta_since(&base);
     assert_eq!((s.misses, s.load_errors, s.bytes_read), (1, 1, 0));
 }

@@ -7,7 +7,6 @@ use crate::buffer::ScalarBuf;
 use crate::error::StoreError;
 use crate::governor;
 use crate::interrupt;
-use crate::stats::CacheStats;
 use aql_journal::{emit, Event};
 
 /// "No slot": the end of the recency list in either direction.
@@ -30,8 +29,8 @@ struct Slot {
 /// possibly while a different statement was running. Counting them as
 /// the consuming statement's `bytes_read` both inflates that statement
 /// and misattributes the I/O; they are accounted separately as
-/// [`CacheStats::prefetched_bytes`] against the owning binding's
-/// source label.
+/// [`CacheStats::prefetched_bytes`](crate::CacheStats::prefetched_bytes)
+/// against the owning binding's source label.
 pub enum Loaded {
     /// The loader read from the chunk source (consumer-paid I/O).
     Source(ScalarBuf),
@@ -65,10 +64,9 @@ pub enum Loaded {
 /// (an evicted slot is back-filled by the last one), so eviction pops
 /// the tail in constant time.
 ///
-/// Every count is kept twice: in this cache's own [`CacheStats`] and,
-/// through one `aql_journal::emit` per event, in every telemetry view
-/// (the thread aggregate [`stats::global`](crate::stats::global) among
-/// them).
+/// The cache keeps no counters: each event is one `aql_journal::emit`,
+/// and every count (the thread's [`stats::global`](crate::stats::global)
+/// among them) is read from the attribution rows it lands in.
 pub struct ChunkCache {
     budget: u64,
     /// Chunk id → index into `slots`.
@@ -77,7 +75,6 @@ pub struct ChunkCache {
     newest: usize,
     oldest: usize,
     bytes: u64,
-    stats: CacheStats,
     label: Option<Box<str>>,
     /// The label interned for the flight recorder / attribution ledger
     /// (0 = unlabeled).
@@ -94,7 +91,6 @@ impl ChunkCache {
             newest: NIL,
             oldest: NIL,
             bytes: 0,
-            stats: CacheStats::default(),
             label: None,
             jlabel: 0,
         }
@@ -138,11 +134,6 @@ impl ChunkCache {
         self.map.len()
     }
 
-    /// This cache's counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
     /// Resident chunk ids, least recently used first — the order
     /// eviction takes them in. Test hook.
     #[doc(hidden)]
@@ -182,28 +173,23 @@ impl ChunkCache {
                 self.unlink(slot);
                 self.link_newest(slot);
             }
-            self.stats.hits += 1;
             emit(Event::CacheHit { src: self.jlabel });
             return Ok(Rc::clone(&self.slots[slot].buf));
         }
         // Miss path only: a statement blocked on I/O must notice its
         // deadline/cancellation, but a hit costs nothing extra.
         interrupt::check()?;
-        self.stats.misses += 1;
         let src = self.jlabel;
         let buf = match load() {
             Ok(Loaded::Source(buf)) => {
-                self.stats.bytes_read += buf.byte_len();
                 emit(Event::CacheMiss { src, bytes: buf.byte_len() });
                 buf
             }
             Ok(Loaded::Warm(buf)) => {
-                self.stats.prefetched_bytes += buf.byte_len();
                 emit(Event::CacheWarm { src, bytes: buf.byte_len() });
                 buf
             }
             Err(e) => {
-                self.stats.load_errors += 1;
                 emit(Event::CacheLoadError { src });
                 return Err(e);
             }
@@ -265,7 +251,6 @@ impl ChunkCache {
         let freed = gone.buf.byte_len();
         self.bytes -= freed;
         governor::release(freed);
-        self.stats.evictions += 1;
         emit(Event::CacheEvict { src: self.jlabel });
     }
 
@@ -298,7 +283,6 @@ impl std::fmt::Debug for ChunkCache {
             .field("budget", &self.budget)
             .field("bytes", &self.bytes)
             .field("chunks", &self.map.len())
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -306,6 +290,7 @@ impl std::fmt::Debug for ChunkCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats;
 
     fn buf(n: usize, fill: f64) -> ScalarBuf {
         ScalarBuf::F64(vec![fill; n])
@@ -313,18 +298,18 @@ mod tests {
 
     #[test]
     fn hit_after_miss() {
-        let mut c = ChunkCache::new(1024);
+        let (mut c, base) = (ChunkCache::new(1024), stats::global());
         c.get_or_load(0, || Ok(buf(4, 1.0))).unwrap();
         let b = c.get_or_load(0, || panic!("should not reload")).unwrap();
         assert_eq!(b.len(), 4);
-        let s = c.stats();
+        let s = stats::global().delta_since(&base);
         assert_eq!((s.hits, s.misses, s.bytes_read), (1, 1, 32));
     }
 
     #[test]
     fn evicts_lru_first_under_budget() {
         // Budget fits two 32-byte chunks.
-        let mut c = ChunkCache::new(64);
+        let (mut c, base) = (ChunkCache::new(64), stats::global());
         c.get_or_load(0, || Ok(buf(4, 0.0))).unwrap();
         c.get_or_load(1, || Ok(buf(4, 1.0))).unwrap();
         c.get_or_load(0, || panic!("0 still cached")).unwrap(); // refresh 0
@@ -337,7 +322,7 @@ mod tests {
         })
         .unwrap();
         assert!(reloaded.get(), "LRU chunk 1 was evicted");
-        assert_eq!(c.stats().evictions, 2); // 1 evicted, then 2 or 0 evicted on reload of 1
+        assert_eq!(stats::global().delta_since(&base).evictions, 2); // 1 evicted, then 2 or 0 evicted on reload of 1
     }
 
     #[test]
@@ -351,14 +336,13 @@ mod tests {
 
     #[test]
     fn load_error_does_not_poison() {
-        let mut c = ChunkCache::new(1024);
+        let (mut c, base) = (ChunkCache::new(1024), stats::global());
         c.get_or_load(0, || Ok(buf(4, 0.0))).unwrap();
         let err = c.get_or_load(1, || Err(StoreError::io("boom"))).unwrap_err();
         assert_eq!(err.class(), crate::FaultClass::Fatal);
         // Chunk 0 still hits; chunk 1 was never inserted.
         c.get_or_load(0, || panic!("0 still cached")).unwrap();
-        let s = c.stats();
-        assert_eq!(s.load_errors, 1);
+        assert_eq!(stats::global().delta_since(&base).load_errors, 1);
         assert_eq!(c.chunks_held(), 1);
         // A later successful load of 1 caches normally.
         c.get_or_load(1, || Ok(buf(4, 1.0))).unwrap();

@@ -8,7 +8,6 @@ use crate::error::StoreError;
 use crate::layout::{checked_product, for_each_run, ChunkAddr, ChunkLayout};
 use crate::prefetch::{PrefetchStats, Prefetcher};
 use crate::source::ChunkSource;
-use crate::stats::CacheStats;
 
 /// An array whose elements live behind a [`ChunkSource`] and are
 /// fetched chunk-at-a-time through a budgeted [`ChunkCache`].
@@ -66,11 +65,6 @@ impl LazyArray {
     /// The element kind.
     pub fn kind(&self) -> ScalarKind {
         self.kind
-    }
-
-    /// This array's cache counters.
-    pub fn stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// The source label miss-path I/O is attributed to, if any.
@@ -286,6 +280,7 @@ impl std::fmt::Debug for LazyArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats;
 
     /// A source over an in-memory row-major f64 vector.
     pub(crate) struct VecSource {
@@ -361,15 +356,16 @@ mod tests {
     #[test]
     fn slab_costs_one_lookup_per_chunk_and_leaves_grid_order_recency() {
         // 4×5 in 2×2 chunks: a 2×3 grid, chunk ids 0..6 row-major.
-        let mut a = lazy_over(vec![4, 5], vec![2, 2], 1 << 16);
+        let (mut a, base) = (lazy_over(vec![4, 5], vec![2, 2], 1 << 16), stats::global());
+        let lookups = || stats::global().delta_since(&base);
         a.read_slab(&[0, 0], &[4, 5]).unwrap();
         assert_eq!(a.cache.lru_order(), vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!((a.stats().hits, a.stats().misses), (0, 6));
+        assert_eq!((lookups().hits, lookups().misses), (0, 6));
         // Rows 1..3 × cols 3..5 overlap chunks 1, 2, 4, 5 — visited in
         // that order whatever order their elements interleave in.
         a.read_slab(&[1, 3], &[2, 2]).unwrap();
         assert_eq!(a.cache.lru_order(), vec![0, 3, 1, 2, 4, 5]);
-        assert_eq!((a.stats().hits, a.stats().misses), (4, 6));
+        assert_eq!((lookups().hits, lookups().misses), (4, 6));
     }
 
     #[test]
@@ -389,14 +385,14 @@ mod tests {
 
     #[test]
     fn point_probe_touches_one_chunk() {
-        let mut a = lazy_over(vec![100, 10], vec![10, 10], 1 << 20);
+        let (mut a, base) = (lazy_over(vec![100, 10], vec![10, 10], 1 << 20), stats::global());
         a.get(&[55, 5]).unwrap();
-        let s = a.stats();
+        let s = stats::global().delta_since(&base);
         assert_eq!(s.misses, 1);
         assert_eq!(s.bytes_read, 100 * 8);
         // Second probe in the same chunk hits.
         a.get(&[55, 6]).unwrap();
-        assert_eq!(a.stats().hits, 1);
+        assert_eq!(stats::global().delta_since(&base).hits, 1);
     }
 
     /// Scan 64 elements in 16 chunks of 4 in order, a depth-2
@@ -446,7 +442,9 @@ mod tests {
         // must land in `prefetched_bytes` instead, attributed to the
         // binding's own label.
         let chunk_bytes = 4 * 8; // 4 f64 elements per chunk
-        let s = sequential_scan_with_prefetcher("mem:warm-regression").stats();
+        let base = stats::global();
+        sequential_scan_with_prefetcher("mem:warm-regression");
+        let s = stats::global().delta_since(&base);
         // Every miss moved exactly one chunk; warm handovers and
         // consumer reads split the traffic without double counting.
         assert_eq!((s.hits, s.misses), (48, 16));

@@ -16,11 +16,11 @@
 //! dependency cycle, and any driver crate (NetCDF today, others later)
 //! can implement [`ChunkSource`] against its own byte format.
 //!
-//! Every cache records [`CacheStats`] — hits, misses, evictions, bytes
-//! read, load errors — and mirrors them into a thread-local aggregate
-//! ([`stats::global`]) so an evaluator can report the I/O cost of a
-//! query as a before/after delta without threading a handle through
-//! every array.
+//! A cache keeps no counters: each hit, miss, eviction and load error
+//! is one event into the statement's attribution row
+//! (`aql_journal::attr`), and [`CacheStats`] — hits, misses, evictions,
+//! bytes read, load errors — is read from sums of those rows: a
+//! statement's own, or this thread's in all ([`stats::global`]).
 //!
 //! ## Resilience (DESIGN.md §12)
 //!

@@ -54,8 +54,6 @@ pub struct RetryPolicy {
     pub max: Duration,
     /// Jitter fraction in `[0, 1)`.
     pub jitter: f64,
-    /// Seed for the jitter draws (deterministic per source).
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -65,7 +63,6 @@ impl Default for RetryPolicy {
             base: Duration::from_millis(1),
             max: Duration::from_millis(50),
             jitter: 0.5,
-            seed: 0,
         }
     }
 }
@@ -201,8 +198,6 @@ pub struct ResiliencePolicy {
     pub retry: RetryPolicy,
     /// Circuit-breaker policy; `None` disables breaking.
     pub breaker: Option<BreakerPolicy>,
-    /// Verify payload checksums when the source advertises them.
-    pub verify_checksums: bool,
 }
 
 impl Default for ResiliencePolicy {
@@ -210,7 +205,6 @@ impl Default for ResiliencePolicy {
         ResiliencePolicy {
             retry: RetryPolicy::default(),
             breaker: Some(BreakerPolicy::default()),
-            verify_checksums: true,
         }
     }
 }
@@ -222,7 +216,6 @@ pub struct ResilientSource<S> {
     inner: S,
     retry: RetryPolicy,
     breaker: Option<CircuitBreaker>,
-    verify: bool,
     /// [`splitmix64`](crate::fault::splitmix64) state of the jitter draws.
     jitter: u64,
     retries: u64,
@@ -236,9 +229,9 @@ impl<S: ChunkSource> ResilientSource<S> {
     /// under `policy`.
     pub fn new(inner: S, label: impl Into<String>, policy: ResiliencePolicy) -> ResilientSource<S> {
         let label = label.into();
-        // Fold the label into the jitter seed so two sources with the
+        // Seed the jitter draws with the label, so two sources with the
         // same policy do not sleep in lockstep.
-        let mut seed = policy.retry.seed ^ 0x5157_4C2D_5245_5452;
+        let mut seed: u64 = 0x5157_4C2D_5245_5452;
         for b in label.bytes() {
             seed = seed.rotate_left(7) ^ b as u64;
         }
@@ -248,7 +241,6 @@ impl<S: ChunkSource> ResilientSource<S> {
             jlabel: aql_journal::intern(&label),
             breaker: policy.breaker.map(|p| CircuitBreaker::new(label, p)),
             retry: RetryPolicy { attempts: policy.retry.attempts.max(1), ..policy.retry },
-            verify: policy.verify_checksums,
             retries: 0,
         }
     }
@@ -272,13 +264,11 @@ impl<S: ChunkSource> ResilientSource<S> {
     /// advertised.
     fn attempt(&mut self, start: &[u64], count: &[u64]) -> Result<ScalarBuf, StoreError> {
         let buf = self.inner.read_chunk(start, count)?;
-        if self.verify {
-            if let Some(want) = self.inner.chunk_checksum(start, count) {
-                let got = checksum(&buf);
-                if got != want {
-                    emit(Event::ChecksumMismatch { src: self.jlabel });
-                    return Err(StoreError::ChecksumMismatch { got, want });
-                }
+        if let Some(want) = self.inner.chunk_checksum(start, count) {
+            let got = checksum(&buf);
+            if got != want {
+                emit(Event::ChecksumMismatch { src: self.jlabel });
+                return Err(StoreError::ChecksumMismatch { got, want });
             }
         }
         Ok(buf)
@@ -408,7 +398,6 @@ mod tests {
         let policy = ResiliencePolicy {
             retry: RetryPolicy { attempts: 1, ..fast_retry() },
             breaker: Some(BreakerPolicy { threshold: 3, cooldown: Duration::ZERO }),
-            verify_checksums: true,
         };
         let mut s = ResilientSource::new(
             FlakySource { fail: 3, calls: 0, transient: true },
@@ -436,7 +425,6 @@ mod tests {
         let policy = ResiliencePolicy {
             retry: RetryPolicy { attempts: 1, ..fast_retry() },
             breaker: Some(BreakerPolicy { threshold: 1, cooldown: Duration::from_secs(3600) }),
-            verify_checksums: true,
         };
         let mut s = ResilientSource::new(
             FlakySource { fail: 99, calls: 0, transient: true },
@@ -496,23 +484,6 @@ mod tests {
         let buf = s.read_chunk(&[0], &[8]).expect("retry clears the corruption");
         assert_eq!(buf, ScalarBuf::F64(vec![2.0; 8]));
         assert_eq!(s.retries(), 1);
-    }
-
-    #[test]
-    fn verification_off_serves_raw_payload() {
-        let once = |op, _: &[u64]| (op == 0).then_some(Fault::Corrupt);
-        let policy = ResiliencePolicy {
-            retry: fast_retry(),
-            verify_checksums: false,
-            ..ResiliencePolicy::default()
-        };
-        let mut s = ResilientSource::new(
-            FaultyChunkSource::new(ConstSource(2.0), once),
-            "raw",
-            policy,
-        );
-        let buf = s.read_chunk(&[0], &[8]).expect("no verification, no error");
-        assert_ne!(buf, ScalarBuf::F64(vec![2.0; 8]), "corruption passed through");
     }
 
     #[test]

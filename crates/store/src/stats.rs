@@ -1,13 +1,16 @@
-//! Cache instrumentation counters.
+//! Cache counters, as sums of attribution rows.
 //!
-//! Every [`ChunkCache`](crate::ChunkCache) keeps its own
-//! [`CacheStats`]; the same events, emitted once through
-//! `aql_journal::emit`, also feed a **thread-local aggregate** readable
-//! via [`global`]. The aggregate lets an evaluator report the I/O cost
-//! of one query as a before/after delta ([`CacheStats::delta_since`])
-//! without threading a cache handle through every array value. The
-//! runtime is single-threaded (values are `Rc`-based), so a
-//! thread-local is exact, not approximate.
+//! A cache keeps no counters of its own: each hit, miss, eviction and
+//! load error is emitted once through `aql_journal::emit` and lands in
+//! this thread's open attribution row (`aql_journal::attr`). A
+//! [`CacheStats`] is a sum of such rows, read through the one mapping
+//! below: a statement's is its row (`CacheStats::from`), and [`global`]
+//! is every row this thread has closed plus the open one. The runtime
+//! is single-threaded (values are `Rc`-based) and every event that
+//! lands in a row is emitted on the thread that owns the array, so a
+//! thread's sum is exact, not approximate.
+
+use aql_journal::attr::{Ledger, SourceCounts};
 
 /// Monotonic counters describing cache behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,19 +57,32 @@ impl CacheStats {
     }
 }
 
-/// Snapshot of the thread-local aggregate across all caches on this
-/// thread: the telemetry spine's per-thread totals, read as cache
-/// counters (a miss either loaded a chunk or failed to).
-pub fn global() -> CacheStats {
-    let t = aql_journal::attr::totals();
-    CacheStats {
-        hits: t.hits,
-        misses: t.chunks_loaded + t.load_errors,
-        evictions: t.evictions,
-        bytes_read: t.bytes_read,
-        prefetched_bytes: t.prefetched_bytes,
-        load_errors: t.load_errors,
+impl From<SourceCounts> for CacheStats {
+    /// An attribution row read as cache counters: a miss either loaded
+    /// a chunk or failed to.
+    fn from(t: SourceCounts) -> CacheStats {
+        CacheStats {
+            hits: t.hits,
+            misses: t.chunks_loaded + t.load_errors,
+            evictions: t.evictions,
+            bytes_read: t.bytes_read,
+            prefetched_bytes: t.prefetched_bytes,
+            load_errors: t.load_errors,
+        }
     }
+}
+
+impl From<&Ledger> for CacheStats {
+    /// A statement's counters: its row, every source added up.
+    fn from(row: &Ledger) -> CacheStats {
+        CacheStats::from(row.sources.iter().fold(SourceCounts::default(), |sum, (_, c)| sum + *c))
+    }
+}
+
+/// Every cache event this thread saw, inside a statement or not: the
+/// sum of its closed attribution rows plus the open one.
+pub fn global() -> CacheStats {
+    CacheStats::from(aql_journal::attr::totals())
 }
 
 #[cfg(test)]
@@ -90,7 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn global_is_the_spines_thread_totals() {
+    fn global_is_the_sum_of_this_threads_rows() {
         use aql_journal::{emit, Event};
         let base = global();
         emit(Event::CacheHit { src: 0 });

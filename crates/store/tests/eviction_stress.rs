@@ -8,7 +8,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use aql_store::{governor, ChunkCache, ScalarBuf, StoreError};
+use aql_store::{governor, stats, ChunkCache, ScalarBuf, StoreError};
 
 /// Serializes the tests that read the ledger; recovers from a
 /// poisoned lock so one failed test does not cascade.
@@ -29,7 +29,7 @@ const CHUNK_BYTES: u64 = 8 * 8; // chunk(8, _) payload
 #[test]
 fn failed_load_leaves_no_poisoned_entries_under_pressure() {
     let _g = gov_lock();
-    let mut c = ChunkCache::new(2 * CHUNK_BYTES);
+    let (mut c, base) = (ChunkCache::new(2 * CHUNK_BYTES), stats::global());
     c.get_or_load(0, || Ok(chunk(8, 0))).unwrap();
     c.get_or_load(1, || Ok(chunk(8, 1))).unwrap();
     // A loader failure mid-pressure: propagates, cached entries stay.
@@ -43,7 +43,7 @@ fn failed_load_leaves_no_poisoned_entries_under_pressure() {
     // And the failed id is not poisoned either: a later good load
     // caches normally (evicting an LRU victim to fit).
     assert_eq!(*c.get_or_load(2, || Ok(chunk(8, 2))).unwrap(), chunk(8, 2));
-    assert_eq!((c.chunks_held(), c.stats().evictions), (2, 1));
+    assert_eq!((c.chunks_held(), stats::global().delta_since(&base).evictions), (2, 1));
 }
 
 #[test]
@@ -57,11 +57,11 @@ fn drop_and_eviction_release_governed_bytes() {
         }
         assert_eq!(governor::bytes_in_use(), base + 4 * CHUNK_BYTES);
         // LRU eviction under the cache's own budget releases too.
-        let mut small = ChunkCache::new(2 * CHUNK_BYTES);
+        let (mut small, counted) = (ChunkCache::new(2 * CHUNK_BYTES), stats::global());
         for id in 0..4 {
             small.get_or_load(id, || Ok(chunk(8, id))).unwrap();
         }
-        assert_eq!(small.stats().evictions, 2);
+        assert_eq!(stats::global().delta_since(&counted).evictions, 2);
         assert_eq!(governor::bytes_in_use(), base + 6 * CHUNK_BYTES);
         drop(small);
         assert_eq!(governor::bytes_in_use(), base + 4 * CHUNK_BYTES);
@@ -82,6 +82,7 @@ fn concurrent_caches_balance_the_shared_ledger() {
                 // Tiny per-cache LRU budget: constant eviction, so every
                 // thread charges and releases all the time.
                 let mut c = ChunkCache::new(2 * CHUNK_BYTES);
+                let counted = stats::global();
                 for i in 0..LOADS {
                     let id = (t * LOADS + i) % 7; // overlapping id space
                     let buf = c.get_or_load(id, || Ok(chunk(8, id))).unwrap();
@@ -97,7 +98,7 @@ fn concurrent_caches_balance_the_shared_ledger() {
                     let most = base + THREADS * 3 * CHUNK_BYTES;
                     assert!(in_use <= most, "no double charge: {in_use}");
                 }
-                assert!(c.stats().evictions > 0);
+                assert!(stats::global().delta_since(&counted).evictions > 0);
                 // The cache drops here, releasing its residency.
             })
         })

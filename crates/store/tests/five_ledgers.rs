@@ -1,29 +1,35 @@
-//! One cache event, five ledgers. A mixed hit / miss / evict /
-//! `read_slab` sequence through a labeled `LazyArray` must leave the
-//! same totals in every view an operator can read them from:
+//! One cache event, one row. The statement's attribution row
+//! (`aql_journal::attr`) is the one recorder of cache quantities; the
+//! other views are sums of rows or are kept beside them. For a mixed
+//! hit / miss / evict / `read_slab` sequence through a labeled
+//! `LazyArray`, and for the rows that sequence leaves at zero — a
+//! retry, a load error, a warm-pool handover — over a second, faulty
+//! source:
 //!
-//! 1. the array's own `LazyArray::stats()`,
-//! 2. the thread aggregate `stats::global()` (as a delta),
-//! 3. the open statement's attribution row (`aql_journal::attr`),
-//! 4. the flight recorder's `CacheHit` / `CacheMiss` / `CacheEvict`
-//!    records, and
-//! 5. the process metrics `aql_store_cache_*_total` (as deltas).
+//! 1. the row equals `Ledger::fold` of the flight recorder's records
+//!    when the ring dropped nothing;
+//! 2. `EvalStats::cache` — `CacheStats::from` the row, the mapping
+//!    `Session::exec` reads it through — equals the `stats::global()`
+//!    delta, which is the thread's sum of rows;
+//! 3. the process metrics `aql_store_cache_*_total`, which count each
+//!    event as it is emitted, move by the same amounts.
 //!
-//! Then the same for the rows that sequence leaves at zero — a retry,
-//! a load error, a warm-pool handover — over a second, faulty source;
-//! and the no-fault path of the default resilience stack, which must
-//! cost one source read per missed chunk and nothing per hit.
+//! Then: the no-fault path of the default resilience stack costs one
+//! source read per missed chunk and nothing per hit, and a read outside
+//! any statement is counted by `stats::global()` and by no statement's
+//! row.
 //!
 //! A single test in its own binary, so no other thread moves the
 //! process-wide counters and every comparison is exact.
 
 use std::time::Duration;
 
-use aql_journal::Tag;
+use aql_journal::attr::{Ledger, SourceCounts};
+use aql_journal::{Record, Tag};
 use aql_store::{
-    stats, ChunkLayout, ChunkSource, Fault, FaultyChunkSource, LazyArray, MemChunkSource,
-    PrefetchConfig, Prefetcher, ResiliencePolicy, ResilientSource, RetryPolicy, Scalar, ScalarBuf,
-    ScalarKind, StoreError,
+    stats, CacheStats, ChunkLayout, ChunkSource, Fault, FaultyChunkSource, LazyArray,
+    MemChunkSource, PrefetchConfig, Prefetcher, ResiliencePolicy, ResilientSource, RetryPolicy,
+    Scalar, ScalarBuf, ScalarKind, StoreError,
 };
 
 const LABEL: &str = "mem:five-ledgers";
@@ -33,8 +39,75 @@ fn metric(name: &str) -> u64 {
     aql_journal::metrics::counter(name, "").get()
 }
 
+/// The process metrics read as cache counters, plus the retries.
+fn metrics() -> (CacheStats, u64) {
+    let stats = CacheStats {
+        hits: metric("aql_store_cache_hits_total"),
+        misses: metric("aql_store_cache_misses_total"),
+        evictions: metric("aql_store_cache_evictions_total"),
+        bytes_read: metric("aql_store_cache_bytes_read_total"),
+        prefetched_bytes: metric("aql_store_cache_prefetched_bytes_total"),
+        load_errors: metric("aql_store_cache_load_errors_total"),
+    };
+    (stats, metric("aql_store_resilience_retries_total"))
+}
+
+/// Run `body` as a statement does — between `attr::begin` and
+/// `attr::finish` — and check every view of it against its row: the
+/// ring's records of `label` fold to the row, and the thread's sum and
+/// the process metrics move by the row's sum. Returns the row.
+fn one_statement(label: &str, body: impl FnOnce()) -> SourceCounts {
+    let (dropped0, global0, (metrics0, retries0)) =
+        (aql_journal::dropped_total(), stats::global(), metrics());
+    let series = |family| aql_journal::metrics::counter_with(family, &[("source", label)], "");
+    let per_source = [
+        "aql_store_cache_bytes_read_total",
+        "aql_store_cache_prefetched_bytes_total",
+        "aql_store_cache_load_errors_total",
+    ]
+    .map(|family| (family, series(family).get()));
+    // Any record flushes this thread's coalesced hits into the ring, so
+    // the statement's window starts after hits made before it — as
+    // the session's `StmtBegin` and `StmtEnd` bound it.
+    aql_journal::record(Tag::StmtBegin, 0, 0, 0);
+    let begun = aql_journal::snapshot()
+        .events
+        .into_iter()
+        .filter(|e| e.tag == Tag::StmtBegin)
+        .max_by_key(|e| e.epoch)
+        .expect("just recorded");
+    aql_journal::attr::begin();
+    body();
+    let ledger = aql_journal::attr::finish();
+    aql_journal::record(Tag::StmtEnd, 0, 0, 0);
+    let id = aql_journal::intern(label);
+    let ring: Vec<Record> = aql_journal::snapshot()
+        .events
+        .into_iter()
+        .filter(|e| e.thread == begun.thread && e.epoch > begun.epoch && e.label == id)
+        .collect();
+
+    // 1. The row is the fold of the ring.
+    assert_eq!(aql_journal::dropped_total(), dropped0, "the ring dropped nothing");
+    assert_eq!(Ledger::fold(&ring).sources, ledger.sources, "one fold, live or replayed");
+    let [(name, row)] = &ledger.sources[..] else { panic!("one source: {:?}", ledger.sources) };
+    assert_eq!(name, label);
+
+    // 2. The statement's `EvalStats::cache` and the thread's sum.
+    let cache = CacheStats::from(&ledger);
+    assert_eq!(stats::global().delta_since(&global0), cache);
+
+    // 3. The process metrics, plain and per source.
+    let (metrics1, retries1) = metrics();
+    assert_eq!(metrics1.delta_since(&metrics0), cache);
+    assert_eq!(retries1 - retries0, row.retries);
+    let moved = per_source.map(|(family, before)| series(family).get() - before);
+    assert_eq!(moved, [row.bytes_read, row.prefetched_bytes, row.load_errors], "per source");
+    *row
+}
+
 #[test]
-fn hits_misses_evictions_and_bytes_agree_across_all_five_ledgers() {
+fn every_view_of_a_cache_event_is_a_sum_of_the_statements_row() {
     // 8×8 reals in 2×4 chunks: a 4×2 grid of eight 64-byte chunks
     // behind a cache that holds three.
     let data = ScalarBuf::F64((0..64).map(f64::from).collect());
@@ -42,79 +115,28 @@ fn hits_misses_evictions_and_bytes_agree_across_all_five_ledgers() {
     let layout = ChunkLayout::new(vec![8, 8], vec![2, 4]).unwrap();
     let mut a = LazyArray::labeled(layout, ScalarKind::F64, Box::new(src), 3 * CHUNK_BYTES, LABEL);
 
-    let global0 = stats::global();
-    let metrics0 = (
-        metric("aql_store_cache_hits_total"),
-        metric("aql_store_cache_misses_total"),
-        metric("aql_store_cache_evictions_total"),
-        metric("aql_store_cache_bytes_read_total"),
-    );
-    aql_journal::attr::begin();
+    let row = one_statement(LABEL, || {
+        // Chunk 0: a miss, then two hits (one without a relink, being MRU).
+        assert_eq!(a.get(&[0, 0]).unwrap(), Some(Scalar::F64(0.0)));
+        assert_eq!(a.get(&[1, 3]).unwrap(), Some(Scalar::F64(11.0)));
+        assert_eq!(a.get_linear(2).unwrap(), Some(Scalar::F64(2.0)));
+        // Rows 0..4: chunks 0 (hit), 1, 2 (misses), 3 (miss, evicts 0).
+        assert_eq!(a.read_slab(&[0, 0], &[4, 8]).unwrap().len(), 32);
+        // Chunk 7: a miss that evicts chunk 1.
+        assert_eq!(a.get(&[7, 7]).unwrap(), Some(Scalar::F64(63.0)));
+        // Rows 2..4 again, now resident: two hits for sixteen elements.
+        assert_eq!(a.read_slab(&[2, 0], &[2, 8]).unwrap().len(), 16);
+        // Chunk 0 once more: gone, so a miss and another eviction.
+        assert_eq!(a.get_linear(0).unwrap(), Some(Scalar::F64(0.0)));
+    });
+    // What the sequence should cost at one lookup per chunk.
+    assert_eq!((row.hits, row.chunks_loaded, row.evictions), (5, 6, 3));
+    assert_eq!(row.bytes_read, 6 * CHUNK_BYTES);
+    assert_eq!((row.prefetched_bytes, row.load_errors, row.retries), (0, 0, 0));
 
-    // Chunk 0: a miss, then two hits (one without a relink, being MRU).
-    assert_eq!(a.get(&[0, 0]).unwrap(), Some(Scalar::F64(0.0)));
-    assert_eq!(a.get(&[1, 3]).unwrap(), Some(Scalar::F64(11.0)));
-    assert_eq!(a.get_linear(2).unwrap(), Some(Scalar::F64(2.0)));
-    // Rows 0..4: chunks 0 (hit), 1, 2 (misses), 3 (miss, evicts 0).
-    assert_eq!(a.read_slab(&[0, 0], &[4, 8]).unwrap().len(), 32);
-    // Chunk 7: a miss that evicts chunk 1.
-    assert_eq!(a.get(&[7, 7]).unwrap(), Some(Scalar::F64(63.0)));
-    // Rows 2..4 again, now resident: two hits for sixteen elements.
-    assert_eq!(a.read_slab(&[2, 0], &[2, 8]).unwrap().len(), 16);
-    // Chunk 0 once more: gone, so a miss and another eviction.
-    assert_eq!(a.get_linear(0).unwrap(), Some(Scalar::F64(0.0)));
-
-    let ledger = aql_journal::attr::finish();
-    // Any record flushes this thread's coalesced hits into the ring.
-    aql_journal::record(Tag::StmtEnd, 0, 0, 0);
-    let journal = aql_journal::snapshot();
-
-    // 1. The array's own counters — and what the sequence should cost
-    //    at one lookup per chunk.
-    let own = a.stats();
-    assert_eq!((own.hits, own.misses, own.evictions), (5, 6, 3));
-    assert_eq!(own.bytes_read, 6 * CHUNK_BYTES);
-    assert_eq!((own.prefetched_bytes, own.load_errors), (0, 0));
-
-    // 2. The thread aggregate.
-    assert_eq!(stats::global().delta_since(&global0), own);
-
-    // 3. The attribution row.
-    let (_, row) = ledger
-        .sources
-        .iter()
-        .find(|(label, _)| label == LABEL)
-        .expect("the statement touched this source");
-    assert_eq!(row.hits, own.hits);
-    assert_eq!(row.chunks_loaded, own.misses);
-    assert_eq!(row.bytes_read, own.bytes_read);
-    assert_eq!(row.evictions, own.evictions);
-    assert_eq!((row.prefetched_bytes, row.load_errors), (0, 0));
-
-    // 4. The flight recorder: hits coalesce, so sum their counts; each
-    //    miss is one record carrying its bytes.
-    let id = aql_journal::intern(LABEL);
-    let of = |tag: Tag| journal.events.iter().filter(move |e| e.label == id && e.tag == tag);
-    assert_eq!(of(Tag::CacheHit).map(|e| e.a).sum::<u64>(), own.hits);
-    assert_eq!(of(Tag::CacheMiss).count() as u64, own.misses);
-    assert_eq!(of(Tag::CacheMiss).map(|e| e.a).sum::<u64>(), own.bytes_read);
-    assert_eq!(of(Tag::CacheEvict).map(|e| e.a).sum::<u64>(), own.evictions);
-    assert_eq!(of(Tag::CacheWarm).count() + of(Tag::CacheLoadError).count(), 0);
-
-    // 5. The process metrics.
-    assert_eq!(metric("aql_store_cache_hits_total") - metrics0.0, own.hits);
-    assert_eq!(metric("aql_store_cache_misses_total") - metrics0.1, own.misses);
-    assert_eq!(metric("aql_store_cache_evictions_total") - metrics0.2, own.evictions);
-    assert_eq!(metric("aql_store_cache_bytes_read_total") - metrics0.3, own.bytes_read);
-    let labeled = aql_journal::metrics::counter_with(
-        "aql_store_cache_bytes_read_total",
-        &[("source", LABEL)],
-        "",
-    );
-    assert_eq!(labeled.get(), own.bytes_read, "per-source series");
-
-    retries_load_errors_and_warm_handovers_agree_too();
+    retries_load_errors_and_warm_handovers_are_sums_of_the_row_too();
     the_default_resilience_stack_is_one_read_per_miss_and_silent();
+    a_read_outside_any_statement_is_the_threads_and_no_statements();
 }
 
 const FAULTY: &str = "mem:five-ledgers-faulty";
@@ -135,10 +157,9 @@ impl ChunkSource for Announcing {
 
 /// The rows the sequence above leaves at zero: a retry that repairs a
 /// read, a load that fails for good, and a miss served from the
-/// prefetch warm pool — same five ledgers, plus the journal window
-/// folded back through `Ledger::fold`. Called from the one test of
-/// this binary, after it, so the process metrics are still ours alone.
-fn retries_load_errors_and_warm_handovers_agree_too() {
+/// prefetch warm pool. Called from the one test of this binary, after
+/// it, so the process metrics are still ours alone.
+fn retries_load_errors_and_warm_handovers_are_sums_of_the_row_too() {
     let data = || ScalarBuf::F64((0..32).map(f64::from).collect());
     let layout = || ChunkLayout::new(vec![32], vec![4]).unwrap();
     // Reads 0, 2 and 3 of the consumer's source fail transiently under
@@ -151,10 +172,8 @@ fn retries_load_errors_and_warm_handovers_agree_too() {
             base: Duration::ZERO,
             max: Duration::ZERO,
             jitter: 0.0,
-            ..RetryPolicy::default()
         },
         breaker: None,
-        verify_checksums: true,
     };
     let flaky = FaultyChunkSource::new(MemChunkSource::new(vec![32], data()).unwrap(), plan);
     let src = ResilientSource::new(flaky, FAULTY, policy);
@@ -167,66 +186,19 @@ fn retries_load_errors_and_warm_handovers_agree_too() {
         PrefetchConfig { depth: 2, pool_bytes: 1 << 10 },
     ));
 
-    let global0 = stats::global();
-    let metrics0 = [
-        "aql_store_cache_misses_total",
-        "aql_store_cache_load_errors_total",
-        "aql_store_cache_bytes_read_total",
-        "aql_store_cache_prefetched_bytes_total",
-        "aql_store_resilience_retries_total",
-    ]
-    .map(|name| (name, metric(name)));
-    aql_journal::attr::begin();
-
-    assert_eq!(a.get(&[0]).unwrap(), Some(Scalar::F64(0.0)), "repaired by the retry");
-    assert!(a.get(&[4]).is_err(), "both attempts fail: a load error");
-    // The third access in stride confirms it: chunks 3 and 4 are
-    // queued. The worker announcing chunk 4 has settled chunk 3.
-    assert_eq!(a.get(&[8]).unwrap(), Some(Scalar::F64(8.0)));
-    while worker_reads.recv().expect("the worker reads what was queued") != 4 {}
-    assert_eq!(a.get(&[12]).unwrap(), Some(Scalar::F64(12.0)), "handed over warm");
-    assert_eq!(a.get(&[13]).unwrap(), Some(Scalar::F64(13.0)), "and resident since");
-
-    let ledger = aql_journal::attr::finish();
-    aql_journal::record(Tag::StmtEnd, 0, 0, 0);
-    let journal = aql_journal::snapshot();
-
-    // 1. The array's own counters.
-    let own = a.stats();
-    assert_eq!((own.hits, own.misses, own.load_errors), (1, 4, 1));
-    assert_eq!((own.bytes_read, own.prefetched_bytes), (64, 32));
-    assert_eq!(a.prefetch_stats().map(|p| p.hits), Some(1));
-
-    // 2. The thread aggregate.
-    assert_eq!(stats::global().delta_since(&global0), own);
-
-    // 3. The attribution row — which also has the retries.
-    let (_, row) = ledger.sources.iter().find(|(l, _)| l == FAULTY).expect("touched");
+    let row = one_statement(FAULTY, || {
+        assert_eq!(a.get(&[0]).unwrap(), Some(Scalar::F64(0.0)), "repaired by the retry");
+        assert!(a.get(&[4]).is_err(), "both attempts fail: a load error");
+        // The third access in stride confirms it: chunks 3 and 4 are
+        // queued. The worker announcing chunk 4 has settled chunk 3.
+        assert_eq!(a.get(&[8]).unwrap(), Some(Scalar::F64(8.0)));
+        while worker_reads.recv().expect("the worker reads what was queued") != 4 {}
+        assert_eq!(a.get(&[12]).unwrap(), Some(Scalar::F64(12.0)), "handed over warm");
+        assert_eq!(a.get(&[13]).unwrap(), Some(Scalar::F64(13.0)), "and resident since");
+    });
     assert_eq!((row.hits, row.chunks_loaded, row.load_errors), (1, 3, 1));
     assert_eq!((row.bytes_read, row.prefetched_bytes, row.retries), (64, 32, 2));
-
-    // 4. The flight recorder, record by record and folded.
-    let id = aql_journal::intern(FAULTY);
-    let mine: Vec<_> = journal.events.iter().filter(|e| e.label == id).copied().collect();
-    let of = |tag: Tag| mine.iter().filter(move |e| e.tag == tag);
-    assert_eq!(of(Tag::Retry).map(|e| e.a).collect::<Vec<_>>(), vec![2, 2], "attempt numbers");
-    assert_eq!(of(Tag::CacheLoadError).count(), 1);
-    assert_eq!(of(Tag::CacheWarm).map(|e| e.a).collect::<Vec<_>>(), vec![32]);
-    assert_eq!(of(Tag::CacheMiss).map(|e| e.a).sum::<u64>(), own.bytes_read);
-    let folded = aql_journal::attr::Ledger::fold(&mine);
-    assert_eq!(folded.sources, vec![(FAULTY.to_string(), *row)], "one fold, live or replayed");
-
-    // 5. The process metrics, plain and per source.
-    let moved: Vec<u64> = metrics0.iter().map(|(name, before)| metric(name) - before).collect();
-    assert_eq!(moved, vec![own.misses, own.load_errors, own.bytes_read, own.prefetched_bytes, 2]);
-    for (family, want) in [
-        ("aql_store_cache_bytes_read_total", own.bytes_read),
-        ("aql_store_cache_prefetched_bytes_total", own.prefetched_bytes),
-        ("aql_store_cache_load_errors_total", own.load_errors),
-    ] {
-        let series = aql_journal::metrics::counter_with(family, &[("source", FAULTY)], "");
-        assert_eq!(series.get(), want, "{family}{{source}}");
-    }
+    assert_eq!(a.prefetch_stats().map(|p| p.hits), Some(1));
 }
 
 /// The happy path of `ResiliencePolicy::default()` (retry, breaker,
@@ -242,12 +214,14 @@ fn the_default_resilience_stack_is_one_read_per_miss_and_silent() {
     let layout = ChunkLayout::new(vec![32], vec![4]).unwrap();
     let mut a = LazyArray::labeled(layout, ScalarKind::F64, Box::new(src), 1 << 10, CLEAN);
 
-    // Rows 4..24 overlap chunks 1–5.
-    assert_eq!(a.read_slab(&[4], &[20]).unwrap().len(), 20);
-    assert_eq!(inner_reads.try_iter().count(), 5, "one inner read per missed chunk");
-    assert_eq!(a.read_slab(&[4], &[20]).unwrap().len(), 20);
-    assert_eq!(inner_reads.try_iter().count(), 0, "hits bypass the stack");
-    assert_eq!((a.stats().hits, a.stats().misses), (5, 5));
+    let row = one_statement(CLEAN, || {
+        // Rows 4..24 overlap chunks 1–5.
+        assert_eq!(a.read_slab(&[4], &[20]).unwrap().len(), 20);
+        assert_eq!(inner_reads.try_iter().count(), 5, "one inner read per missed chunk");
+        assert_eq!(a.read_slab(&[4], &[20]).unwrap().len(), 20);
+        assert_eq!(inner_reads.try_iter().count(), 0, "hits bypass the stack");
+    });
+    assert_eq!((row.hits, row.chunks_loaded, row.retries), (5, 5, 0));
 
     let id = aql_journal::intern(CLEAN);
     let journal = aql_journal::snapshot();
@@ -257,4 +231,29 @@ fn the_default_resilience_stack_is_one_read_per_miss_and_silent() {
         .filter(|e| e.label == id && !matches!(e.tag, Tag::CacheMiss | Tag::CacheHit))
         .collect();
     assert!(noise.is_empty(), "no fault: no retry, breaker or checksum record, got {noise:?}");
+}
+
+/// A read between statements — as `Session::eval_expr_raw` and the
+/// benchmark's staged rounds make — lands in the thread's open row:
+/// `stats::global()` counts it, and the next statement's row, opened
+/// after it, does not.
+fn a_read_outside_any_statement_is_the_threads_and_no_statements() {
+    const OUTSIDE: &str = "mem:five-ledgers-outside";
+    let data = ScalarBuf::F64((0..8).map(f64::from).collect());
+    let src = MemChunkSource::new(vec![8], data).unwrap();
+    let layout = ChunkLayout::new(vec![8], vec![4]).unwrap();
+    let mut a = LazyArray::labeled(layout, ScalarKind::F64, Box::new(src), 1 << 10, OUTSIDE);
+
+    let global0 = stats::global();
+    assert_eq!(a.get(&[0]).unwrap(), Some(Scalar::F64(0.0)));
+    assert_eq!(a.get(&[1]).unwrap(), Some(Scalar::F64(1.0)));
+    let outside = stats::global().delta_since(&global0);
+    assert_eq!((outside.hits, outside.misses, outside.bytes_read), (1, 1, 4 * 8));
+
+    let row = one_statement(OUTSIDE, || {
+        assert_eq!(a.get(&[2]).unwrap(), Some(Scalar::F64(2.0)));
+    });
+    assert_eq!(row, SourceCounts { hits: 1, ..SourceCounts::default() }, "the statement's own hit");
+    let all = stats::global().delta_since(&global0);
+    assert_eq!((all.hits, all.misses), (2, 1), "the thread's sum has both");
 }

@@ -6,7 +6,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use aql_store::{
-    ChunkLayout, LazyArray, MemChunkSource, PrefetchConfig, PrefetchStats, Prefetcher, ScalarBuf,
+    stats, ChunkLayout, LazyArray, MemChunkSource, PrefetchConfig, PrefetchStats, Prefetcher, ScalarBuf,
     ScalarKind,
 };
 
@@ -75,7 +75,7 @@ fn resident_array() -> LazyArray {
 /// Probe `a` at `offset(k)` for 5,000 `k`, twice each (by index and by
 /// linear offset): 10,000 hits, no miss, no allocation.
 fn ten_thousand_hits(a: &mut LazyArray, mut offset: impl FnMut(u64) -> u64) {
-    let before = a.stats();
+    let before = stats::global();
     let (allocs, sum) = allocs_during(|| {
         let mut sum = 0.0;
         for k in 0..5_000u64 {
@@ -91,7 +91,7 @@ fn ten_thousand_hits(a: &mut LazyArray, mut offset: impl FnMut(u64) -> u64) {
         sum
     });
     assert_eq!(sum, 0.0, "every read returned its own offset");
-    let d = a.stats().delta_since(&before);
+    let d = stats::global().delta_since(&before);
     assert_eq!((d.hits, d.misses), (10_000, 0));
     assert_eq!(allocs, 0, "a hit on a resident chunk must not allocate");
 }

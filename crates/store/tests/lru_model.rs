@@ -10,7 +10,7 @@ use std::cell::Cell;
 
 use proptest::prelude::*;
 
-use aql_store::{governor, CacheStats, ChunkCache, ScalarBuf, StoreError};
+use aql_store::{governor, stats, CacheStats, ChunkCache, ScalarBuf, StoreError};
 
 /// Chunk `id` always has the same size: 1–6 `f64`s, so byte totals
 /// fingerprint the resident set and some chunks exceed small budgets.
@@ -93,7 +93,7 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..120),
     ) {
         let base = governor::bytes_in_use();
-        let mut cache = ChunkCache::new(budget);
+        let (mut cache, counted) = (ChunkCache::new(budget), stats::global());
         let mut model = Model { budget, lru: Vec::new(), stats: CacheStats::default(), charged: 0 };
         for Get { id, ok } in ops {
             let want = model.get(id, ok);
@@ -116,7 +116,7 @@ proptest! {
             prop_assert_eq!(got, want, "chunk {}", id);
             let ids: Vec<u64> = model.lru.iter().map(|&(i, _)| i).collect();
             prop_assert_eq!(cache.lru_order(), ids, "resident set and victim order");
-            prop_assert_eq!(cache.stats(), model.stats);
+            prop_assert_eq!(stats::global().delta_since(&counted), model.stats);
             prop_assert_eq!(cache.bytes_held(), model.bytes());
             prop_assert_eq!(cache.chunks_held(), model.lru.len());
             prop_assert_eq!(governor::bytes_in_use(), base + model.charged, "ledger balance");

@@ -8,7 +8,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use aql_store::{
-    ChunkLayout, ChunkSource, LazyArray, MemChunkSource, Scalar, ScalarBuf, ScalarKind, StoreError,
+    stats, ChunkLayout, ChunkSource, LazyArray, MemChunkSource, Scalar, ScalarBuf, ScalarKind,
+    StoreError,
 };
 
 /// A chunk source over a dense in-memory row-major f64 vector — the
@@ -213,7 +214,9 @@ proptest! {
         let mut lazy = LazyArray::new(layout.clone(), kind, Box::new(src.clone()), 1 << 12);
         let mut by_element = LazyArray::new(layout, kind, Box::new(src), 1 << 12);
 
+        let base = stats::global();
         let got = lazy.read_slab(&start, &count).unwrap();
+        let first = stats::global().delta_since(&base);
         let mut want = ScalarBuf::empty(kind);
         let n: u64 = count.iter().product();
         for k in 0..n {
@@ -229,13 +232,13 @@ proptest! {
         prop_assert_eq!(&got, &want);
 
         let chunks = overlapped_chunks(&chunk, &start, &count);
-        let s = lazy.stats();
-        prop_assert_eq!(s.hits + s.misses, chunks, "one lookup per overlapped chunk");
-        prop_assert_eq!(s.misses, chunks, "a fresh cache misses on each of them");
+        prop_assert_eq!(first.hits + first.misses, chunks, "one lookup per overlapped chunk");
+        prop_assert_eq!(first.misses, chunks, "a fresh cache misses on each of them");
         // Again, now resident: the same number of lookups, all hits.
+        let base = stats::global();
         prop_assert_eq!(&lazy.read_slab(&start, &count).unwrap(), &want);
-        let s = lazy.stats();
-        prop_assert_eq!((s.hits, s.misses), (chunks, chunks));
+        let s = stats::global().delta_since(&base);
+        prop_assert_eq!((s.hits, s.misses), (chunks, 0));
     }
 
     /// With room for a single chunk, a slab still loads every chunk it
@@ -254,13 +257,13 @@ proptest! {
             reads: Rc::clone(&reads),
         };
         let one_chunk = chunk.iter().product::<u64>() * 8;
-        let mut lazy = LazyArray::new(layout, kind, Box::new(src), one_chunk);
+        let (mut lazy, base) = (LazyArray::new(layout, kind, Box::new(src), one_chunk), stats::global());
 
         lazy.read_slab(&start, &count).unwrap();
         let chunks = overlapped_chunks(&chunk, &start, &count);
         let mut reads = reads.borrow().clone();
         prop_assert_eq!(reads.len() as u64, chunks);
-        prop_assert_eq!(lazy.stats().misses, chunks);
+        prop_assert_eq!(stats::global().delta_since(&base).misses, chunks);
         reads.sort();
         reads.dedup();
         prop_assert_eq!(reads.len() as u64, chunks, "no chunk is read twice");

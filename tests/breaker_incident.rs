@@ -44,7 +44,6 @@ fn run_the_tripping_statement(dir: &std::path::Path) -> Session {
     reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 1, ..RetryPolicy::default() },
         breaker: Some(BreakerPolicy { threshold: 1, cooldown: Duration::from_secs(3600) }),
-        verify_checksums: true,
     });
     s.register_reader("NETCDF2", Rc::new(reader));
     s.enable_incidents(dir.join("incidents"));

@@ -181,7 +181,6 @@ fn store_chaos_run(seed: u64) {
     let policy = ResiliencePolicy {
         retry: fast_retry(),
         breaker: Some(BreakerPolicy { threshold: 4, cooldown: Duration::ZERO }),
-        verify_checksums: true,
     };
     let source = ResilientSource::new(
         FaultyChunkSource::new(IotaSource, seeded(seed, STORE)),
@@ -290,7 +289,6 @@ fn session_chaos_run(seed: u64) {
     reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 2, ..fast_retry() },
         breaker: Some(BreakerPolicy { threshold: 3, cooldown: Duration::ZERO }),
-        verify_checksums: true,
     });
     // Cache budget below the single 12.8 KB chunk is still fine (an
     // oversized chunk stays resident); what matters is that failed
@@ -351,7 +349,6 @@ fn breaker_trips_and_recovers_through_the_session() {
     reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 1, ..fast_retry() },
         breaker: Some(BreakerPolicy { threshold: 3, cooldown: Duration::ZERO }),
-        verify_checksums: true,
     });
     bind_chaos(&mut s, &p, reader);
 
@@ -434,7 +431,6 @@ fn injected_latency_cannot_outlive_the_deadline() {
     reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 1, ..fast_retry() },
         breaker: None,
-        verify_checksums: true,
     });
     bind_chaos(&mut s, &p, reader);
 
@@ -473,7 +469,6 @@ fn chaos_incident_is_dumped_and_doctor_names_the_fault() {
     reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 2, ..fast_retry() },
         breaker: None,
-        verify_checksums: true,
     });
     bind_chaos(&mut s, &p, reader);
 
@@ -532,7 +527,6 @@ fn preset_cancellation_stops_the_chunk_load() {
     reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 1, ..fast_retry() },
         breaker: None,
-        verify_checksums: true,
     });
     bind_chaos(&mut s, &p, reader);
     let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));

@@ -138,6 +138,11 @@ const CLASSIFIED_STRUCTURALLY: &[&str] = &[
     "core/src/error.rs",
 ];
 
+/// The thread's sum of attribution rows. A statement's cache counters
+/// are its own row, so no library code differences this sum around a
+/// piece of work; `crates/store/src/stats.rs` defines it.
+const THREAD_SUM: &str = "stats::global";
+
 /// The name the two syntax budgets the stack guard replaced went by.
 const SYNTAX_BUDGET: &str = "MAX_DEPTH";
 
@@ -175,8 +180,11 @@ const VERIFY_LINES: usize = 450;
 /// and the trace's JSON round trip went; lowered to 4,099 when the
 /// governor stopped gating (its shed/deny events, quantities and ledger
 /// fields, the ring's capacity setter); lowered to 4,094 when the one
-/// gauge became a high-water mark (its setter and adder went).
-const TELEMETRY_LINES: usize = 4094;
+/// gauge became a high-water mark (its setter and adder went); lowered
+/// to 4,092 when the attribution row became the one recorder of cache
+/// counts (the `ACTIVE` flag, the `TOTALS` cell and their branches went;
+/// the closed-row sum and `SourceCounts`' `Add` came).
+const TELEMETRY_LINES: usize = 4092;
 
 /// The budget for `crates/core/src/eval/kernel.rs`, by
 /// [`non_test_lines`]'s count (1,196 at issue 23; issue 24 admitted
@@ -226,8 +234,13 @@ const KERNEL_LINES: usize = 1666;
 /// them, the desugaring of `let` blocks, tuple patterns and literals one
 /// recursion an element, the statement hash's walk with its own stack,
 /// the iterative `SExpr` drop and the error variants, less the
-/// precedence ladder that became one loop and the two counters).
-const CRATES_LINES: usize = 26_134;
+/// precedence ladder that became one loop and the two counters);
+/// lowered by 6 when the attribution row became the one recorder of
+/// cache counts (26,128: the cache's, the array's and `EvalCtx`'s
+/// counters and the session's delta went, as did the resilience
+/// options `verify_checksums` and `seed`; `\store`'s per-label totals,
+/// the typechecker's projection of a known tuple and the row sums came).
+const CRATES_LINES: usize = 26_128;
 
 /// Collect every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -371,6 +384,17 @@ fn no_reader_driver_or_source_embeds_an_injector() {
         violations.is_empty(),
         "`{INJECTOR}` outside its definition and export: a test composes the injector \
          with the source it breaks; no reader, driver or source embeds one:\n{}",
+        violations.join("\n")
+    );
+}
+
+#[test]
+fn no_statement_account_is_a_delta_of_the_thread_sum() {
+    let violations = lines_naming_outside(THREAD_SUM, &[]);
+    assert!(
+        violations.is_empty(),
+        "`{THREAD_SUM}` read in library code: a statement's cache counters are its \
+         attribution row (`CacheStats::from(&ledger)`), not a delta of the thread's sum:\n{}",
         violations.join("\n")
     );
 }

@@ -163,3 +163,48 @@ fn out_of_bounds_subscript_is_bottom_on_lazy_arrays() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `\store` totals each source once — the session's sum of the rows its
+/// statements left — and then lists each binding's residency. A read
+/// outside any statement (`Session::eval_expr_raw`) is counted by the
+/// thread's sum and by no statement's row, so not in those totals.
+#[test]
+fn store_totals_each_source_once_from_the_statements_rows() {
+    use aql_core::expr::builder::{global, nat, sub};
+
+    let dir = tmpdir("two-bindings");
+    let path = dir.join("temp.nc");
+    write_file(&year_temp_file().unwrap(), &path, VERSION_CLASSIC).unwrap();
+    let p = path.to_str().unwrap();
+    let mut s = Session::new();
+    register_netcdf(&mut s);
+    s.run(&format!(
+        "readval \\A using NETCDF3 at (\"{p}\", \"temp\", (0, 0, 0), (99, 4, 4));
+         readval \\B using NETCDF3 at (\"{p}\", \"temp\", (4000, 0, 0), (4099, 4, 4));
+         A[5, 2, 2] + B[5, 2, 2];"
+    ))
+    .unwrap();
+    let sum = |of: fn(&aql_core::eval::EvalStats) -> u64| s.statement_stats().iter().map(of).sum::<u64>();
+    let (hits, misses, read) = (sum(|st| st.cache.hits), sum(|st| st.cache.misses), sum(|st| st.cache.bytes_read));
+    assert!(hits > 0 && misses > 0 && read > 0);
+    let report = s.store_report();
+    let lines = |prefix: &str| -> Vec<String> {
+        report.lines().filter(|l| l.trim_start().starts_with(prefix)).map(str::to_string).collect()
+    };
+    assert_eq!(lines("store: 2 open chunk source(s)").len(), 1, "{report}");
+    assert_eq!(
+        lines("netcdf:temp "),
+        vec![format!("  netcdf:temp  hits={hits} misses={misses} read={read} errors=0")],
+        "one totals line, the sum of the statements' rows: {report}"
+    );
+    let bindings: Vec<String> = [lines("A "), lines("B ")].concat();
+    assert_eq!(bindings.len(), 2, "{report}");
+    assert!(bindings.iter().all(|l| l.contains("source=netcdf:temp")), "{report}");
+
+    let before = aql_store::stats::global();
+    let e = sub(global("B"), vec![nat(99), nat(4), nat(4)]);
+    assert!(matches!(s.eval_expr_raw(&e), Ok(Value::Real(_))));
+    assert_eq!(aql_store::stats::global().delta_since(&before).hits, 1, "the thread counts it");
+    assert_eq!(s.store_report(), report, "no statement's row does");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -12,7 +12,8 @@ use aql_journal::ErrorClass;
 pub enum LangError {
     /// Lexical error with position.
     Lex {
-        /// Byte offset.
+        /// Byte offset; the input's length when it ended inside a
+        /// comment, a string or an escape.
         offset: usize,
         /// 1-based line.
         line: usize,

@@ -12,7 +12,9 @@
 use crate::errors::LangError;
 use crate::token::{Spanned, Tok};
 
-/// Tokenize a complete source string.
+/// Tokenize a complete source string. Input that ends inside a
+/// comment, a string or an escape fails at its end (`offset` is the
+/// input's length), so a caller can tell it from a bad character.
 pub fn lex(src: &str) -> Result<Vec<Spanned>, LangError> {
     let b = src.as_bytes();
     let mut out = Vec::new();
@@ -54,7 +56,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LangError> {
                         }
                     }
                     if depth > 0 {
-                        return Err(LangError::lex(i, start_line, "unterminated comment"));
+                        return Err(LangError::lex(b.len(), start_line, "unterminated comment"));
                     }
                     i = j;
                 } else {
@@ -199,7 +201,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LangError> {
                 let mut s = String::new();
                 loop {
                     match b.get(j) {
-                        None => return Err(LangError::lex(start, line, "unterminated string")),
+                        None => return Err(LangError::lex(b.len(), line, "unterminated string")),
                         Some(b'"') => {
                             j += 1;
                             break;
@@ -207,7 +209,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LangError> {
                         Some(b'\\') => {
                             let esc = b
                                 .get(j + 1)
-                                .ok_or_else(|| LangError::lex(j, line, "unterminated escape"))?;
+                                .ok_or_else(|| LangError::lex(b.len(), line, "unterminated escape"))?;
                             s.push(match esc {
                                 b'n' => '\n',
                                 b't' => '\t',

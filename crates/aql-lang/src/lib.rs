@@ -15,6 +15,10 @@
 //!   registries for `val`s, macros, external primitives (Rust
 //!   closures), data readers/writers, and the optimizer, all
 //!   extensible at run time;
+//! * [`report`] — every account of a finished statement (the
+//!   `\profile` report, the slow-query log, incident dumps, `\store`,
+//!   `\doctor`) as a view of its one record, and the `\explain` /
+//!   `\analyze` / `\lint` reports;
 //! * [`repl`] — a read-eval-print driver that echoes `typ`/`val`
 //!   lines exactly like the paper's sample session;
 //! * [`reader`] — the reader/writer traits plus the built-in `COFILE`
@@ -37,6 +41,7 @@ pub mod lexer;
 pub mod parser;
 pub mod reader;
 pub mod repl;
+pub mod report;
 pub mod session;
 mod token;
 

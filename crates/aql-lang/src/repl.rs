@@ -7,7 +7,8 @@
 
 use std::io::{BufRead, Write};
 
-use crate::session::Session;
+use crate::errors::LangError;
+use crate::session::{Outcome, Session};
 
 /// The primary prompt.
 pub const PROMPT: &str = ": ";
@@ -62,264 +63,191 @@ pub fn run_repl(
             break;
         }
         pending.push_str(&line);
-        if !statement_complete(&pending) {
-            continue;
-        }
-        // Meta-commands: `vals;` and `macros;` list the environment.
-        let trimmed_stmt = pending.trim();
-        if trimmed_stmt == "vals;" {
-            for (n, t) in session.val_bindings() {
-                writeln!(output, "val {n} : {t}")?;
-            }
+        if statement_complete(&pending) {
+            executed += command(session, &pending, output)?;
             pending.clear();
-            continue;
         }
-        if trimmed_stmt == "macros;" {
-            writeln!(output, "{}", session.macro_names().join(", "))?;
-            pending.clear();
-            continue;
-        }
-        // `\explain <query>;` (and the legacy bare `explain` spelling)
-        // shows the pipeline — pre/post-optimization terms, rewrite
-        // steps, and the (phase, rule) fire table — instead of running
-        // the query.
-        if let Some(q) = trimmed_stmt
-            .strip_prefix("\\explain ")
-            .or_else(|| trimmed_stmt.strip_prefix("explain "))
-        {
-            let q = q.trim_end().trim_end_matches(';');
-            match session.explain(q) {
-                Ok(ex) => writeln!(output, "{}", ex.render())?,
-                Err(e) => writeln!(output, "error: {e}")?,
-            }
-            pending.clear();
-            continue;
-        }
-        // `\analyze <query>;` runs the abstract interpreter over the
-        // term the statement would evaluate and prints the inferred
-        // (symbolic) shape, bounds verdicts, the kernel planner's plan
-        // and the cost estimate — without evaluating the query.
-        if let Some(q) = trimmed_stmt.strip_prefix("\\analyze ") {
-            let q = q.trim_end().trim_end_matches(';');
-            match session.analyze(q) {
-                Ok(report) => write!(output, "{}", report.render())?,
-                Err(e) => writeln!(output, "error: {e}")?,
-            }
-            pending.clear();
-            continue;
-        }
-        // `\lint <query>;` typechecks the query and reports the
-        // shape/bounds lints (`aql_analysis::lint`) without evaluating
-        // it.
-        if let Some(q) = trimmed_stmt.strip_prefix("\\lint ") {
-            let q = q.trim_end().trim_end_matches(';');
-            match session.lint(q) {
-                Ok(report) => write!(output, "{}", report.render())?,
-                Err(e) => writeln!(output, "error: {e}")?,
-            }
-            pending.clear();
-            continue;
-        }
-        // `\profile <statements>` runs the statements with tracing on
-        // and prints the phase-timing tree plus evaluation/I/O totals
-        // after the usual echoes. With a trailing `> "file";` the
-        // trace is written as Chrome trace-event JSON instead (opens
-        // directly in Perfetto or chrome://tracing).
-        if let Some(src) = trimmed_stmt.strip_prefix("\\profile ") {
-            let (src, redirect) = split_redirect(src);
-            match session.profile(src) {
-                Ok((outcomes, report)) => {
-                    for o in outcomes {
-                        writeln!(output, "{}", o.text)?;
-                        executed += 1;
-                    }
-                    match redirect {
-                        Some(path) => {
-                            match std::fs::write(path, report.to_chrome_json()) {
-                                Ok(()) => writeln!(
-                                    output,
-                                    "profile: wrote chrome trace to {path} \
-                                     (open in Perfetto)"
-                                )?,
-                                Err(e) => writeln!(
-                                    output,
-                                    "error: cannot write `{path}`: {e}"
-                                )?,
-                            }
-                        }
-                        None => write!(output, "{}", report.render_profile(false))?,
-                    }
-                }
-                Err(e) => writeln!(output, "error: {e}")?,
-            }
-            pending.clear();
-            continue;
-        }
-        // `\flame <statements>` runs the statements once with tracing
-        // on and prints the span stacks with the most self time; with
-        // a trailing `> "file.svg";` it writes the SVG flamegraph
-        // instead.
-        if let Some(src) = trimmed_stmt.strip_prefix("\\flame ") {
-            let (src, redirect) = split_redirect(src);
-            match session.flame(src) {
-                Ok((outcomes, profile)) => {
-                    for o in outcomes {
-                        writeln!(output, "{}", o.text)?;
-                        executed += 1;
-                    }
-                    let size = format!(
-                        "{} in {} stacks",
-                        aql_trace::fmt_dur(profile.total_ns()),
-                        profile.folded().len()
-                    );
-                    match redirect {
-                        Some(path) => match std::fs::write(path, profile.to_svg(src.trim())) {
-                            Ok(()) => writeln!(output, "flame: wrote {path} ({size})")?,
-                            Err(e) => writeln!(output, "error: cannot write `{path}`: {e}")?,
-                        },
-                        None => {
-                            writeln!(output, "flame: {size}, hottest stacks:")?;
-                            for (stack, ns) in profile.top(8) {
-                                writeln!(output, "  {:>8} {stack}", aql_trace::fmt_dur(ns))?;
-                            }
-                        }
-                    }
-                }
-                Err(e) => writeln!(output, "error: {e}")?,
-            }
-            pending.clear();
-            continue;
-        }
-        // `\help;` lists the meta-commands.
-        if trimmed_stmt == "\\help;" {
-            write!(output, "{HELP}")?;
-            pending.clear();
-            continue;
-        }
-        // `\metrics serve [addr];` starts the Prometheus endpoint (it
-        // outlives the REPL by design — the registry is
-        // process-lifetime, so the scrape target stays up).
-        if let Some(rest) = trimmed_stmt.strip_prefix("\\metrics serve") {
-            let addr = rest.trim_end().trim_end_matches(';').trim();
-            let addr = if addr.is_empty() { "127.0.0.1:0" } else { addr };
-            match aql_journal::metrics::http::serve(addr) {
-                Ok(server) => {
-                    writeln!(output, "metrics: serving http://{}/metrics", server.addr())?;
-                    writeln!(output, "metrics: dashboard at http://{}/", server.addr())?;
-                }
-                Err(e) => writeln!(output, "error: cannot serve metrics on `{addr}`: {e}")?,
-            }
-            pending.clear();
-            continue;
-        }
-        // `\store;` reports per-binding chunk-store residency and the
-        // process governor's usage and peak.
-        if trimmed_stmt == "\\store;" {
-            write!(output, "{}", session.store_report())?;
-            pending.clear();
-            continue;
-        }
-        // `\save <val> "<path>";` persists a bound array to an AQF
-        // file by delegating to whatever `AQF` writer is registered
-        // (aql-format's `register_aqf` installs one).
-        if let Some(rest) = trimmed_stmt.strip_prefix("\\save ") {
-            let rest = rest.trim_end().trim_end_matches(';').trim();
-            match parse_save_args(rest) {
-                Some((name, path)) => {
-                    match session.run(&format!("writeval {name} using AQF at \"{path}\";")) {
-                        Ok(outcomes) => {
-                            for o in outcomes {
-                                writeln!(output, "{}", o.text)?;
-                                executed += 1;
-                            }
-                        }
-                        Err(e) => writeln!(output, "error: {e}")?,
-                    }
-                }
-                None => {
-                    writeln!(output, "error: usage: \\save <val> \"<path>\";")?;
-                }
-            }
-            pending.clear();
-            continue;
-        }
-        // `\attr;` renders the per-query resource attribution of the
-        // most recent run: bytes and chunks by source label, per-phase
-        // wall time, and the governor's peak.
-        if trimmed_stmt == "\\attr;" {
-            let ledgers = session.statement_attribution();
-            if ledgers.is_empty() {
-                writeln!(output, "attr: no statements run yet")?;
-            }
-            for (i, l) in ledgers.iter().enumerate() {
-                writeln!(output, "stmt {i}:")?;
-                write!(output, "{}", l.render())?;
-            }
-            pending.clear();
-            continue;
-        }
-        // `\doctor;` analyzes the most recent incident dump (or the
-        // live flight recorder when none exists); `\doctor "<path>";`
-        // analyzes a specific incident file.
-        if let Some(rest) = trimmed_stmt.strip_prefix("\\doctor") {
-            let arg = rest.trim_end().trim_end_matches(';').trim();
-            if arg.is_empty() {
-                write!(output, "{}", session.doctor())?;
-            } else {
-                match parse_quoted(arg) {
-                    Some(path) => {
-                        match aql_journal::incident::Incident::load(std::path::Path::new(path)) {
-                            Ok(inc) => {
-                                write!(output, "{}", aql_journal::doctor::diagnose(&inc))?
-                            }
-                            Err(e) => writeln!(output, "error: {e}")?,
-                        }
-                    }
-                    None => writeln!(output, "error: usage: \\doctor [\"<path>\"];")?,
-                }
-            }
-            pending.clear();
-            continue;
-        }
-        // `\incidents "<dir>";` turns the incident dump pipeline on;
-        // `\incidents off;` turns it off.
-        if let Some(rest) = trimmed_stmt.strip_prefix("\\incidents") {
-            let arg = rest.trim_end().trim_end_matches(';').trim();
-            if arg == "off" {
-                session.disable_incidents();
-                writeln!(output, "incidents: off")?;
-            } else {
-                match parse_quoted(arg) {
-                    Some(dir) => {
-                        session.enable_incidents(dir);
-                        writeln!(output, "incidents: dumping into {dir}")?;
-                    }
-                    None => writeln!(output, "error: usage: \\incidents \"<dir>\"; | off;")?,
-                }
-            }
-            pending.clear();
-            continue;
-        }
-        // `\metrics;` dumps the registry: one `series value` per line.
-        if trimmed_stmt == "\\metrics;" {
-            for (k, v) in aql_journal::metrics::snapshot() {
-                writeln!(output, "{k} {v}")?;
-            }
-            pending.clear();
-            continue;
-        }
-        match session.run(&pending) {
-            Ok(outcomes) => {
-                for o in outcomes {
-                    writeln!(output, "{}", o.text)?;
-                    executed += 1;
-                }
-            }
-            Err(e) => writeln!(output, "error: {e}")?,
-        }
-        pending.clear();
     }
     Ok(executed)
+}
+
+/// Run one complete input — a meta-command, or AQL statements — and
+/// return how many statements it executed.
+fn command(session: &mut Session, src: &str, output: &mut dyn Write) -> std::io::Result<usize> {
+    let stmt = src.trim();
+    // A meta-command's arguments: what follows `prefix`, less the `;`.
+    let args = |prefix: &str| stmt.strip_prefix(prefix).map(|a| a.trim_end().trim_end_matches(';'));
+    // `vals;` and `macros;` list the environment.
+    if stmt == "vals;" {
+        for (n, t) in session.val_bindings() {
+            writeln!(output, "val {n} : {t}")?;
+        }
+    } else if stmt == "macros;" {
+        writeln!(output, "{}", session.macro_names().join(", "))?;
+    } else if stmt == "\\help;" {
+        write!(output, "{HELP}")?;
+    // `\store;` reports per-binding chunk-store residency and the
+    // process governor's usage and peak.
+    } else if stmt == "\\store;" {
+        write!(output, "{}", session.store_report())?;
+    // `\attr;` renders the per-query resource attribution of the most
+    // recent run: bytes and chunks by source label, per-phase wall
+    // time, and the governor's peak.
+    } else if stmt == "\\attr;" {
+        let ledgers = session.statement_attribution();
+        if ledgers.is_empty() {
+            writeln!(output, "attr: no statements run yet")?;
+        }
+        for (i, l) in ledgers.iter().enumerate() {
+            writeln!(output, "stmt {i}:")?;
+            write!(output, "{}", l.render())?;
+        }
+    // `\metrics;` dumps the registry: one `series value` per line.
+    } else if stmt == "\\metrics;" {
+        for (k, v) in aql_journal::metrics::snapshot() {
+            writeln!(output, "{k} {v}")?;
+        }
+    // `\explain <query>;` (and the legacy bare `explain` spelling)
+    // shows the pipeline — pre/post-optimization terms, rewrite
+    // steps, and the (phase, rule) fire table — instead of running
+    // the query.
+    } else if let Some(q) = args("\\explain ").or_else(|| args("explain ")) {
+        match session.explain(q) {
+            Ok(ex) => writeln!(output, "{}", ex.render())?,
+            Err(e) => writeln!(output, "error: {e}")?,
+        }
+    // `\analyze <query>;` runs the abstract interpreter over the term
+    // the statement would evaluate and prints the inferred (symbolic)
+    // shape, bounds verdicts, the kernel planner's plan and the cost
+    // estimate — without evaluating the query.
+    } else if let Some(q) = args("\\analyze ") {
+        match session.analyze(q) {
+            Ok(report) => write!(output, "{}", report.render())?,
+            Err(e) => writeln!(output, "error: {e}")?,
+        }
+    // `\lint <query>;` typechecks the query and reports the
+    // shape/bounds lints (`aql_analysis::lint`) without evaluating it.
+    } else if let Some(q) = args("\\lint ") {
+        match session.lint(q) {
+            Ok(report) => write!(output, "{}", report.render())?,
+            Err(e) => writeln!(output, "error: {e}")?,
+        }
+    // `\profile <statements>` runs the statements with tracing on and
+    // prints the phase-timing tree plus evaluation/I/O totals after the
+    // usual echoes. With a trailing `> "file";` the trace is written as
+    // Chrome trace-event JSON instead (opens directly in Perfetto or
+    // chrome://tracing).
+    } else if let Some(rest) = stmt.strip_prefix("\\profile ") {
+        let (src, redirect) = split_redirect(rest);
+        let (outcomes, report) = match session.profile(src) {
+            Ok(run) => run,
+            Err(e) => return writeln!(output, "error: {e}").map(|()| 0),
+        };
+        echo(&outcomes, output)?;
+        match redirect {
+            Some(path) => match std::fs::write(path, report.to_chrome_json()) {
+                Ok(()) => writeln!(output, "profile: wrote chrome trace to {path} (open in Perfetto)")?,
+                Err(e) => writeln!(output, "error: cannot write `{path}`: {e}")?,
+            },
+            None => write!(output, "{}", report.render_profile(false))?,
+        }
+        return Ok(outcomes.len());
+    // `\flame <statements>` runs the statements once with tracing on
+    // and prints the span stacks with the most self time; with a
+    // trailing `> "file.svg";` it writes the SVG flamegraph instead.
+    } else if let Some(rest) = stmt.strip_prefix("\\flame ") {
+        let (src, redirect) = split_redirect(rest);
+        let (outcomes, profile) = match session.flame(src) {
+            Ok(run) => run,
+            Err(e) => return writeln!(output, "error: {e}").map(|()| 0),
+        };
+        echo(&outcomes, output)?;
+        let size =
+            format!("{} in {} stacks", aql_trace::fmt_dur(profile.total_ns()), profile.folded().len());
+        match redirect {
+            Some(path) => match std::fs::write(path, profile.to_svg(src.trim())) {
+                Ok(()) => writeln!(output, "flame: wrote {path} ({size})")?,
+                Err(e) => writeln!(output, "error: cannot write `{path}`: {e}")?,
+            },
+            None => {
+                writeln!(output, "flame: {size}, hottest stacks:")?;
+                for (stack, ns) in profile.top(8) {
+                    writeln!(output, "  {:>8} {stack}", aql_trace::fmt_dur(ns))?;
+                }
+            }
+        }
+        return Ok(outcomes.len());
+    // `\metrics serve [addr];` starts the Prometheus endpoint (it
+    // outlives the REPL by design — the registry is process-lifetime,
+    // so the scrape target stays up).
+    } else if let Some(addr) = args("\\metrics serve") {
+        let addr = match addr.trim() {
+            "" => "127.0.0.1:0",
+            addr => addr,
+        };
+        match aql_journal::metrics::http::serve(addr) {
+            Ok(server) => {
+                writeln!(output, "metrics: serving http://{}/metrics", server.addr())?;
+                writeln!(output, "metrics: dashboard at http://{}/", server.addr())?;
+            }
+            Err(e) => writeln!(output, "error: cannot serve metrics on `{addr}`: {e}")?,
+        }
+    // `\save <val> "<path>";` persists a bound array to an AQF file by
+    // delegating to whatever `AQF` writer is registered (aql-format's
+    // `register_aqf` installs one).
+    } else if let Some(rest) = args("\\save ") {
+        let Some((name, path)) = parse_save_args(rest.trim()) else {
+            return writeln!(output, "error: usage: \\save <val> \"<path>\";").map(|()| 0);
+        };
+        return run(session, &format!("writeval {name} using AQF at \"{path}\";"), output);
+    // `\doctor;` analyzes the most recent incident dump (or the live
+    // flight recorder when none exists); `\doctor "<path>";` analyzes a
+    // specific incident file.
+    } else if let Some(arg) = args("\\doctor") {
+        match arg.trim() {
+            "" => write!(output, "{}", session.doctor())?,
+            arg => match parse_quoted(arg) {
+                Some(path) => match aql_journal::incident::Incident::load(std::path::Path::new(path)) {
+                    Ok(inc) => write!(output, "{}", aql_journal::doctor::diagnose(&inc))?,
+                    Err(e) => writeln!(output, "error: {e}")?,
+                },
+                None => writeln!(output, "error: usage: \\doctor [\"<path>\"];")?,
+            },
+        }
+    // `\incidents "<dir>";` turns the incident dump pipeline on;
+    // `\incidents off;` turns it off.
+    } else if let Some(arg) = args("\\incidents") {
+        match (arg.trim(), parse_quoted(arg.trim())) {
+            ("off", _) => {
+                session.disable_incidents();
+                writeln!(output, "incidents: off")?;
+            }
+            (_, Some(dir)) => {
+                session.enable_incidents(dir);
+                writeln!(output, "incidents: dumping into {dir}")?;
+            }
+            (_, None) => writeln!(output, "error: usage: \\incidents \"<dir>\"; | off;")?,
+        }
+    } else {
+        return run(session, src, output);
+    }
+    Ok(0)
+}
+
+/// Run `src` and echo its outcomes, or its error.
+fn run(session: &mut Session, src: &str, output: &mut dyn Write) -> std::io::Result<usize> {
+    match session.run(src) {
+        Ok(outcomes) => echo(&outcomes, output),
+        Err(e) => writeln!(output, "error: {e}").map(|()| 0),
+    }
+}
+
+/// Print each outcome's echo; the number of statements run.
+fn echo(outcomes: &[Outcome], output: &mut dyn Write) -> std::io::Result<usize> {
+    for o in outcomes {
+        writeln!(output, "{}", o.text)?;
+    }
+    Ok(outcomes.len())
 }
 
 /// Strip a double-quoted argument (`"<text>"`). Returns `None` when it
@@ -366,53 +294,16 @@ fn split_redirect(rest: &str) -> (&str, Option<&str>) {
     (stmts.trim_end(), Some(path))
 }
 
-/// Heuristic statement-completeness check: the buffer ends with `;`
-/// outside strings and comments.
+/// Whether a buffer holds whole statements: its last token is `;`.
+/// A buffer the lexer finds ending inside a comment, a string or an
+/// escape (its error at the input's end) awaits more lines; any other
+/// lexical error is complete, so the session reports it.
 fn statement_complete(src: &str) -> bool {
-    let b = src.as_bytes();
-    let mut i = 0;
-    let mut depth_comment = 0usize;
-    let mut in_string = false;
-    let mut last_significant = 0u8;
-    while i < b.len() {
-        let c = b[i];
-        if in_string {
-            if c == b'\\' {
-                i += 2;
-                continue;
-            }
-            if c == b'"' {
-                in_string = false;
-            }
-            i += 1;
-            continue;
-        }
-        if depth_comment > 0 {
-            if c == b'(' && b.get(i + 1) == Some(&b'*') {
-                depth_comment += 1;
-                i += 2;
-                continue;
-            }
-            if c == b'*' && b.get(i + 1) == Some(&b')') {
-                depth_comment -= 1;
-                i += 2;
-                continue;
-            }
-            i += 1;
-            continue;
-        }
-        match c {
-            b'"' => in_string = true,
-            b'(' if b.get(i + 1) == Some(&b'*') => {
-                depth_comment += 1;
-                i += 1;
-            }
-            _ if c.is_ascii_whitespace() => {}
-            _ => last_significant = c,
-        }
-        i += 1;
+    match crate::lexer::lex(src) {
+        Ok(toks) => toks.iter().rev().nth(1).is_some_and(|t| t.tok == crate::token::Tok::Semi),
+        Err(LangError::Lex { offset, .. }) => offset < src.len(),
+        Err(_) => true,
     }
-    depth_comment == 0 && !in_string && last_significant == b';'
 }
 
 #[cfg(test)]
@@ -428,6 +319,15 @@ mod tests {
         assert!(!statement_complete("\"unterminated;"));
         assert!(!statement_complete("(* ; *)"));
         assert!(statement_complete("{x | \\x <- S};"));
+        // Comments nest: the first `*)` closes only the inner one.
+        assert!(!statement_complete("1; (* a (* b *) ;"));
+        assert!(statement_complete("1; (* a (* b *) c *)"));
+        // An escaped quote does not end the string.
+        assert!(!statement_complete("\"a\\\";"));
+        assert!(statement_complete("\"a\\\"\";"));
+        // A lexical error short of the end is complete: the session
+        // reports it.
+        assert!(statement_complete("1 + $ 2"));
     }
 
     #[test]

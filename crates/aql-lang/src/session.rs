@@ -15,9 +15,10 @@
 //! [`Session::register_reader`], [`Session::register_writer`] and
 //! [`Session::optimizer_mut`] inject primitives, drivers and rules at
 //! run time — the Rust counterparts of the paper's SML registration
-//! routines.
+//! routines. Each statement closes into one record; every report of it
+//! is a view in [`crate::report`].
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -39,11 +40,13 @@ use aql_core::value::Value;
 use aql_opt::{Gate, OptError, Optimizer, Trace};
 use aql_store::CacheStats;
 
-use crate::ast::{Lit, Pattern, Qual, SExpr, Stmt};
+use crate::ast::Stmt;
 use crate::desugar::desugar;
 use crate::errors::LangError;
 use crate::parser::parse_program;
 use crate::reader::{CoFileReader, CoFileWriter, Reader, Writer};
+use crate::report::{self, Sinks, SlowLog, StmtRecord};
+pub use crate::report::{AnalyzeReport, Explain, LintReport, QueryReport};
 
 /// Prelude macros, written in AQL itself and present in every
 /// session: the derived operators §3 says "are available as macros".
@@ -114,19 +117,9 @@ thread_local! {
     static PRELUDE_LOADED: (HashMap<Name, Macro>, u64) = {
         let mut s = Session::bare();
         s.run(PRELUDE).expect("prelude must load");
-        (s.macros, s.stmt_seq.get())
+        (s.macros, s.stmt_seq)
     };
 }
-
-/// The slow-query log: a JSON-lines sink and the wall time at or above
-/// which a statement is logged.
-struct SlowLog {
-    sink: RefCell<Box<dyn std::io::Write>>,
-    threshold: Duration,
-}
-
-/// How many flight-recorder events an incident file keeps.
-const INCIDENT_EVENTS: usize = 256;
 
 /// One run of a pipeline phase: opens the phase's trace span and, on
 /// drop, emits [`Event::Phase`] — the one number the span tree, the
@@ -153,93 +146,6 @@ impl Drop for PhaseGuard {
         let ns = self.span.finish().or_else(timed).unwrap_or(0);
         emit(Event::Phase { phase: self.phase, ns });
     }
-}
-
-/// FNV-1a 64 over the statement's nodes in pre-order, each as its
-/// variant, its own scalars (names, literals, operators, qualifier
-/// kinds) and its arity, patterns included: a stable fingerprint for
-/// grouping slow-log records of the same statement without logging
-/// query text verbatim; reports print it `{:016x}`. The walk keeps its
-/// own stack, as no guarded pass has seen the statement yet.
-fn stmt_hash(stmt: &Stmt) -> u64 {
-    use std::hash::{Hash, Hasher};
-    use std::mem::discriminant;
-    struct Fnv(u64);
-    impl Hasher for Fnv {
-        fn write(&mut self, bytes: &[u8]) {
-            for b in bytes {
-                self.0 = (self.0 ^ *b as u64).wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        fn finish(&self) -> u64 {
-            self.0
-        }
-    }
-    enum Node<'a> {
-        E(&'a SExpr),
-        P(&'a Pattern),
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    stmt_label(stmt).hash(&mut h);
-    match stmt {
-        Stmt::Val(x, _) | Stmt::MacroDef(x, _) => x.hash(&mut h),
-        Stmt::ReadVal { name, reader, .. } => (name, reader).hash(&mut h),
-        Stmt::WriteVal { writer, .. } => writer.hash(&mut h),
-        Stmt::Query(_) => {}
-    }
-    let mut todo: Vec<Node> = match stmt {
-        Stmt::Val(_, e) | Stmt::MacroDef(_, e) | Stmt::Query(e) | Stmt::ReadVal { arg: e, .. } => vec![Node::E(e)],
-        Stmt::WriteVal { value, arg, .. } => vec![Node::E(value), Node::E(arg)],
-    };
-    let mut kids = Vec::new();
-    while let Some(node) = todo.pop() {
-        let e = match node {
-            Node::P(p) => {
-                discriminant(p).hash(&mut h);
-                match p {
-                    Pattern::Wild => {}
-                    Pattern::Bind(x) | Pattern::Var(x) => x.hash(&mut h),
-                    Pattern::Const(Lit::Nat(n)) => (0u8, n).hash(&mut h),
-                    Pattern::Const(Lit::Real(r)) => (1u8, r.to_bits()).hash(&mut h),
-                    Pattern::Const(Lit::Str(s)) => (2u8, s).hash(&mut h),
-                    Pattern::Const(Lit::Bool(b)) => (3u8, b).hash(&mut h),
-                    Pattern::Tuple(ps) => {
-                        ps.len().hash(&mut h);
-                        todo.extend(ps.iter().map(Node::P));
-                    }
-                }
-                continue;
-            }
-            Node::E(e) => e,
-        };
-        discriminant(e).hash(&mut h);
-        match e {
-            SExpr::Var(s) | SExpr::Str(s) => s.hash(&mut h),
-            SExpr::Nat(n) => n.hash(&mut h),
-            SExpr::Real(r) => r.to_bits().hash(&mut h),
-            SExpr::Bool(b) => b.hash(&mut h),
-            SExpr::Binop(op, ..) => (*op as u8).hash(&mut h),
-            SExpr::ArrayRowMajor { dims, .. } => dims.len().hash(&mut h),
-            SExpr::ArrayTab { idx, .. } => idx.iter().for_each(|(i, _)| i.hash(&mut h)),
-            SExpr::Lam(p, _) => todo.push(Node::P(p)),
-            SExpr::LetBlock(binds, _) => todo.extend(binds.iter().map(|(p, _)| Node::P(p))),
-            SExpr::SetComp { quals, .. } | SExpr::BagComp { quals, .. } => {
-                for q in quals {
-                    discriminant(q).hash(&mut h);
-                    match q {
-                        Qual::Gen(p, _) | Qual::Bind(p, _) => todo.push(Node::P(p)),
-                        Qual::ArrGen(i, v, _) => todo.extend([Node::P(i), Node::P(v)]),
-                        Qual::Filter(_) => {}
-                    }
-                }
-            }
-            _ => {}
-        }
-        e.push_children(&mut kids);
-        kids.len().hash(&mut h);
-        todo.extend(kids.drain(..).map(Node::E));
-    }
-    h.0
 }
 
 /// The kind of statement an outcome came from.
@@ -271,146 +177,6 @@ pub struct Outcome {
     pub text: String,
 }
 
-/// The result of [`Session::explain`]: the compiled and optimized
-/// forms of a query with the rewrite trace.
-#[derive(Debug, Clone)]
-pub struct Explain {
-    /// The query's type.
-    pub ty: Type,
-    /// The resolved core-calculus term (after desugaring and macro
-    /// substitution).
-    pub core: Expr,
-    /// The term after the §5 optimizer.
-    pub optimized: Expr,
-    /// Every rule firing, in order.
-    pub trace: Trace,
-    /// Analysis-backed cost estimates for the core and optimized
-    /// terms: the `aql-analysis` abstract interpreter supplies
-    /// cardinality and iteration counts, and the session's chunked
-    /// sources supply the layouts behind `bytes_moved`.
-    pub cost_before: aql_analysis::cost::CostEstimate,
-    /// The optimized term's estimate (same model as `cost_before`).
-    pub cost_after: aql_analysis::cost::CostEstimate,
-}
-
-impl Explain {
-    /// A human-readable rendering (used by the REPL's `explain` and
-    /// `\explain`): the pre/post-optimization terms, the analysis-backed
-    /// cost estimates, the full rewrite trace, and the `(phase, rule)`
-    /// fire table.
-    pub fn render(&self) -> String {
-        format!(
-            "typ  : {}\ncore : {}\nopt  : {}\ncost : {} -> {}\n{} rewrite step(s):\n{}rule fires:\n{}",
-            self.ty,
-            self.core,
-            self.optimized,
-            render_cost(&self.cost_before),
-            render_cost(&self.cost_after),
-            self.trace.len(),
-            self.trace.render(),
-            self.trace.render_fire_table()
-        )
-    }
-}
-
-/// One cost estimate as a compact `cells≈… steps≈… bytes≈…` cell of
-/// the `\explain` cost line.
-fn render_cost(c: &aql_analysis::cost::CostEstimate) -> String {
-    format!("cells~{} steps~{} bytes~{}", c.cardinality, c.steps, c.bytes_moved)
-}
-
-/// A machine-readable account of the most recent [`Session::run`]:
-/// per-statement evaluation statistics plus (when collected through
-/// [`Session::profile`]) the full span/counter trace. Supersedes the
-/// old single-`EvalStats` `last_stats`, which silently dropped every
-/// statement but the final one in multi-statement input.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct QueryReport {
-    /// One entry per executed statement, in program order. Cache
-    /// counters are the statement-level delta of the store's global
-    /// counters, so reader I/O and echo-forced loads are attributed
-    /// to the statement that caused them.
-    pub statements: Vec<EvalStats>,
-    /// Per-statement resource attribution ledgers, parallel to
-    /// `statements`: bytes and chunks by labeled source, per-phase wall
-    /// time, and the governor's peak (see `aql_journal::attr`). Rendered
-    /// by the REPL's `\attr;`.
-    pub attribution: Vec<aql_journal::attr::Ledger>,
-    /// The span tree and counters collected while tracing was on
-    /// (empty for an untraced run).
-    pub trace: aql_trace::Trace,
-    /// A flat snapshot of the **process-lifetime** metrics registry at
-    /// report time ([`aql_journal::metrics::snapshot`]): counters and gauges by
-    /// series key, histograms as `_count`/`_sum`/`_p50`/`_p95`/`_p99`.
-    /// Unlike `statements`, these are cumulative since process start —
-    /// the report carries both the per-query and the fleet view.
-    pub metrics: Vec<(String, u64)>,
-}
-
-impl QueryReport {
-    /// Component-wise sum over all statements.
-    pub fn total(&self) -> EvalStats {
-        self.statements.iter().fold(EvalStats::default(), |a, s| a.merged(s))
-    }
-
-    /// The report's span tree as Chrome trace-event JSON
-    /// ([`aql_trace::Trace::to_chrome_json`]): loadable directly in
-    /// Perfetto or `chrome://tracing`. The REPL's
-    /// `\profile … > "file.json";` writes exactly this.
-    pub fn to_chrome_json(&self) -> String {
-        self.trace.to_chrome_json()
-    }
-
-    /// The `\profile` rendering: the phase-timing tree followed by the
-    /// evaluation and I/O totals. With `redact_timings` every duration
-    /// renders as `_` (deterministic; used by golden tests).
-    pub fn render_profile(&self, redact_timings: bool) -> String {
-        let mut out = String::new();
-        if !self.trace.is_empty() {
-            out.push_str(&self.trace.render(redact_timings));
-        }
-        let t = self.total();
-        out.push_str(&format!(
-            "totals: steps={} subscripts={} elided={} materialized={} | cache: hits={} \
-             misses={} evictions={} bytes_read={} prefetched={} load_errors={}\n",
-            t.steps,
-            t.subscripts,
-            t.elided,
-            t.materialized,
-            t.cache.hits,
-            t.cache.misses,
-            t.cache.evictions,
-            t.cache.bytes_read,
-            t.cache.prefetched_bytes,
-            t.cache.load_errors,
-        ));
-        if self.statements.len() > 1 {
-            for (i, s) in self.statements.iter().enumerate() {
-                out.push_str(&format!(
-                    "  stmt {i}: steps={} subscripts={} materialized={} \
-                     cache.bytes_read={}\n",
-                    s.steps, s.subscripts, s.materialized, s.cache.bytes_read,
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// The `cache` member of a statement's stats in the slow-query log.
-fn cache_to_json(c: &aql_store::CacheStats) -> aql_trace::json::Json {
-    use aql_trace::json::Json;
-    let n = |v: u64| Json::Num(v as f64);
-    Json::Obj(vec![
-        ("hits".to_string(), n(c.hits)),
-        ("misses".to_string(), n(c.misses)),
-        ("evictions".to_string(), n(c.evictions)),
-        ("bytes_read".to_string(), n(c.bytes_read)),
-        ("prefetched_bytes".to_string(), n(c.prefetched_bytes)),
-        ("load_errors".to_string(), n(c.load_errors)),
-    ])
-}
-
 /// An interactive AQL session: the top-level environment plus the
 /// query pipeline.
 pub struct Session {
@@ -438,35 +204,17 @@ pub struct Session {
     pub display_limit: usize,
     /// Accumulator for the statement currently executing: every
     /// `eval_core` within it merges its stats here; [`Session::exec`]
-    /// drains it into `stmt_stats`.
+    /// drains it into the statement's record.
     cur_stats: Cell<EvalStats>,
-    /// Per-statement statistics of the most recent [`Session::run`].
-    stmt_stats: RefCell<Vec<EvalStats>>,
-    /// The slow-query log, if enabled.
-    slow_log: Option<SlowLog>,
-    /// The incident directory, if the dump pipeline is enabled.
-    incidents: Option<std::path::PathBuf>,
-    /// Path of the most recent incident dump (drives `\doctor` and the
-    /// slow log's `incident` member).
-    last_incident: RefCell<Option<std::path::PathBuf>>,
-    /// Per-statement attribution ledgers of the most recent
-    /// [`Session::run`], parallel to `stmt_stats`.
-    stmt_attr: RefCell<Vec<aql_journal::attr::Ledger>>,
+    /// The finished statements of the most recent [`Session::run`].
+    records: Vec<StmtRecord>,
     /// Per source label, the sum of every finished statement's row:
     /// what `\store` reports a source moved for this session.
     source_totals: Vec<(String, SourceCounts)>,
+    /// The slow-query log and the incident directory.
+    sinks: Sinks,
     /// Monotone statement sequence number.
-    stmt_seq: Cell<u64>,
-}
-
-/// What [`Session::exec`] knows about the statement it just ran, for
-/// the incident dump and the slow-query log.
-struct StmtRun<'a> {
-    kind: &'static str,
-    seq: u64,
-    hash: u64,
-    dur: Duration,
-    ledger: &'a aql_journal::attr::Ledger,
+    stmt_seq: u64,
 }
 
 impl Session {
@@ -476,7 +224,7 @@ impl Session {
         let mut s = Session::bare();
         PRELUDE_LOADED.with(|(macros, seq)| {
             s.macros = macros.clone();
-            s.stmt_seq.set(*seq);
+            s.stmt_seq = *seq;
         });
         s
     }
@@ -501,13 +249,10 @@ impl Session {
             verify: default_verify(),
             display_limit: aql_core::value::print::SESSION_TRUNCATE,
             cur_stats: Cell::new(EvalStats::default()),
-            stmt_stats: RefCell::new(Vec::new()),
-            slow_log: None,
-            incidents: None,
-            last_incident: RefCell::new(None),
-            stmt_attr: RefCell::new(Vec::new()),
+            records: Vec::new(),
             source_totals: Vec::new(),
-            stmt_seq: Cell::new(0),
+            sinks: Sinks::default(),
+            stmt_seq: 0,
         }
     }
 
@@ -517,12 +262,12 @@ impl Session {
     /// errors are ignored: the log is telemetry, never a reason to
     /// fail a query.
     pub fn enable_slow_log(&mut self, sink: Box<dyn std::io::Write>, threshold: Duration) {
-        self.slow_log = Some(SlowLog { sink: RefCell::new(sink), threshold });
+        self.sinks.slow_log = Some(SlowLog { sink, threshold });
     }
 
     /// Stop slow-query logging and release the sink.
     pub fn disable_slow_log(&mut self) {
-        self.slow_log = None;
+        self.sinks.slow_log = None;
     }
 
     /// Enable the incident dump pipeline: a statement that errors,
@@ -537,41 +282,25 @@ impl Session {
         let dir = dir.into();
         // Keep `GET /incidents` pointed at the same directory.
         aql_journal::metrics::http::set_incident_dir(Some(dir.clone()));
-        self.incidents = Some(dir);
+        self.sinks.incidents = Some(dir);
     }
 
     /// Stop dumping incidents.
     pub fn disable_incidents(&mut self) {
         aql_journal::metrics::http::set_incident_dir(None);
-        self.incidents = None;
+        self.sinks.incidents = None;
     }
 
     /// Path of the most recent incident dump of this session, if any.
     pub fn last_incident_path(&self) -> Option<std::path::PathBuf> {
-        self.last_incident.borrow().clone()
+        self.sinks.last_incident.clone()
     }
 
     /// The `\doctor` analysis: the most recent incident dump when one
     /// exists, otherwise a live reading of the flight recorder plus the
     /// last statement's attribution ledger.
     pub fn doctor(&self) -> String {
-        if let Some(path) = self.last_incident_path() {
-            match aql_journal::incident::Incident::load(&path) {
-                Ok(inc) => {
-                    return format!(
-                        "incident: {}\n{}",
-                        path.display(),
-                        aql_journal::doctor::diagnose(&inc)
-                    )
-                }
-                Err(e) => {
-                    return format!("doctor: cannot load {}: {e}", path.display());
-                }
-            }
-        }
-        let journal = aql_journal::snapshot();
-        let attr = self.stmt_attr.borrow();
-        aql_journal::doctor::diagnose_live(&journal, attr.last())
+        self.sinks.doctor(self.records.last())
     }
 
     /// Statistics of the most recent [`Session::run`]: the
@@ -580,32 +309,27 @@ impl Session {
     /// first query. For per-statement attribution use
     /// [`Session::last_report`].
     pub fn last_stats(&self) -> EvalStats {
-        self.stmt_stats.borrow().iter().fold(EvalStats::default(), |a, s| a.merged(s))
+        report::total(self.records.iter().map(|r| &r.stats))
     }
 
     /// Per-statement statistics of the most recent [`Session::run`],
     /// in program order.
     pub fn statement_stats(&self) -> Vec<EvalStats> {
-        self.stmt_stats.borrow().clone()
+        self.records.iter().map(|r| r.stats).collect()
     }
 
     /// Per-statement attribution ledgers of the most recent
     /// [`Session::run`], in program order (parallel to
     /// [`Session::statement_stats`]).
     pub fn statement_attribution(&self) -> Vec<aql_journal::attr::Ledger> {
-        self.stmt_attr.borrow().clone()
+        self.records.iter().map(|r| r.attr.clone()).collect()
     }
 
     /// The report for the most recent [`Session::run`]. The trace is
     /// empty unless the run went through [`Session::profile`] (which
     /// returns the trace-bearing report directly).
     pub fn last_report(&self) -> QueryReport {
-        QueryReport {
-            statements: self.statement_stats(),
-            attribution: self.statement_attribution(),
-            trace: aql_trace::Trace::default(),
-            metrics: aql_journal::metrics::snapshot(),
-        }
+        QueryReport::of(&self.records, aql_trace::Trace::default())
     }
 
     // ---- openness: registration (§4.1) ---------------------------------
@@ -660,56 +384,12 @@ impl Session {
         v
     }
 
-    /// A storage report: for each source label an open lazy-array
-    /// `val` binding reads, the session's totals for it (the sum of its
-    /// finished statements' rows: hits, misses, bytes read, load
-    /// errors); then one residency line per binding (resident
-    /// chunks/bytes against its cache budget, and prefetch
-    /// effectiveness when a read-ahead worker is attached); then the
-    /// process chunk governor's usage and high-water mark. Rendered by
-    /// the REPL's `\store;` meta-command.
+    /// A storage report (`report::store`): per source label the
+    /// session's totals, then each open lazy binding's residency, then
+    /// the process chunk governor's usage and high-water mark. Rendered
+    /// by the REPL's `\store;` meta-command.
     pub fn store_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut names: Vec<&Name> = self.vals.keys().collect();
-        names.sort();
-        let (mut labels, mut bindings) = (Vec::new(), String::new());
-        for n in names {
-            let Some(Value::Array(a)) = self.vals.get(n) else { continue };
-            let Some(info) = a.store_info() else { continue };
-            let label = info.label.unwrap_or_else(|| "-".to_string());
-            let _ = write!(
-                bindings,
-                "  {n}  source={label}  chunks={}  bytes={}/{}",
-                info.chunks_held, info.bytes_held, info.budget_bytes,
-            );
-            if let Some(p) = info.prefetch {
-                let _ = write!(
-                    bindings,
-                    "  prefetch issued={} hits={} wasted={}",
-                    p.issued, p.hits, p.wasted
-                );
-            }
-            bindings.push('\n');
-            labels.push(label);
-        }
-        let mut out = match labels.len() {
-            0 => "store: no open chunk sources\n".to_string(),
-            open => format!("store: {open} open chunk source(s)\n"),
-        };
-        for (i, label) in labels.iter().enumerate() {
-            if labels[..i].contains(label) {
-                continue;
-            }
-            let row = self.source_totals.iter().find(|(l, _)| l == label).map(|(_, c)| *c);
-            let c = CacheStats::from(row.unwrap_or_default());
-            let _ = writeln!(
-                out,
-                "  {label}  hits={} misses={} read={} errors={}",
-                c.hits, c.misses, c.bytes_read, c.load_errors
-            );
-        }
-        let in_use = aql_store::governor::bytes_in_use();
-        format!("{out}{bindings}governor: in_use={in_use} peak={}\n", aql_store::governor::peak_bytes())
+        report::store(&self.vals, &self.source_totals)
     }
 
     /// The registered macros, by name.
@@ -723,8 +403,7 @@ impl Session {
 
     /// Execute a program (one or more `;`-terminated statements).
     pub fn run(&mut self, src: &str) -> Result<Vec<Outcome>, LangError> {
-        self.stmt_stats.borrow_mut().clear();
-        self.stmt_attr.borrow_mut().clear();
+        self.records.clear();
         let stmts = parse_program(src)?;
         let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
@@ -743,12 +422,7 @@ impl Session {
         let result = self.run(src);
         let trace = aql_trace::disable();
         let outcomes = result?;
-        Ok((outcomes, QueryReport {
-            statements: self.statement_stats(),
-            attribution: self.statement_attribution(),
-            trace,
-            metrics: aql_journal::metrics::snapshot(),
-        }))
+        Ok((outcomes, QueryReport::of(&self.records, trace)))
     }
 
     /// [`Session::profile`] with the span tree folded into collapsed
@@ -777,272 +451,122 @@ impl Session {
     }
 
     /// Run a statement. Opens a root `statement` span (when tracing)
-    /// and records the statement's [`EvalStats`]: evaluation counters
-    /// merged over every evaluation it performs, with cache counters
-    /// read from the statement's attribution row — so reader I/O and
-    /// echo-forced chunk loads are attributed to the statement that
-    /// caused them.
+    /// and closes the statement into its record (`StmtRecord`): evaluation
+    /// counters merged over every evaluation it performs, with cache
+    /// counters read from the statement's attribution row — so reader
+    /// I/O and echo-forced chunk loads are attributed to the statement
+    /// that caused them.
     pub fn exec(&mut self, stmt: &Stmt) -> Result<Outcome, LangError> {
         let _span = aql_trace::span("statement");
-        let kind = stmt_label(stmt);
+        let kind = stmt.kind();
         aql_trace::note("kind", || kind.to_string());
-        let seq = self.stmt_seq.get();
-        self.stmt_seq.set(seq + 1);
-        let hash = stmt_hash(stmt);
+        let seq = self.stmt_seq;
+        self.stmt_seq += 1;
+        let hash = stmt.fingerprint();
         let t0 = aql_trace::now();
         emit(Event::StmtBegin { kind, seq, hash });
-        let fires_base = self
-            .slow_log
-            .as_ref()
-            .map(|_| aql_journal::metrics::family_total("aql_opt_rule_fires_total"));
-        // The snapshot seeds the incident's metrics-delta table.
-        let metrics_base = self.incidents.as_ref().map(|_| aql_journal::metrics::snapshot());
+        let base = self.sinks.baseline();
         self.cur_stats.set(EvalStats::default());
         aql_store::governor::reset_peak();
         aql_journal::attr::begin();
         let out = self.exec_inner(stmt);
         // Breaker trips *during* the statement are the ones its own
-        // ledger saw: another thread's session trips into its own.
+        // row saw: another thread's session trips into its own.
         let tripped = aql_journal::attr::breaker_trips() > 0;
-        let mut ledger = aql_journal::attr::finish();
-        ledger.governor_peak_bytes = aql_store::governor::peak_bytes();
-        emit(Event::GovernorPeak { bytes: ledger.governor_peak_bytes });
-        let mut st = self.cur_stats.take();
-        st.cache = CacheStats::from(&ledger);
-        for (label, row) in &ledger.sources {
+        let mut attr = aql_journal::attr::finish();
+        attr.governor_peak_bytes = aql_store::governor::peak_bytes();
+        emit(Event::GovernorPeak { bytes: attr.governor_peak_bytes });
+        let mut stats = self.cur_stats.take();
+        stats.cache = CacheStats::from(&attr);
+        for (label, row) in &attr.sources {
             match self.source_totals.iter_mut().find(|(l, _)| l == label) {
                 Some((_, sum)) => *sum = *sum + *row,
                 None => self.source_totals.push((label.clone(), *row)),
             }
         }
-        self.stmt_stats.borrow_mut().push(st);
-        let dur = aql_trace::now() - t0;
+        let dur_ns = (aql_trace::now() - t0).as_nanos() as u64;
         let class = out.as_ref().err().map(LangError::class);
-        let outcome = class.map_or("ok", ErrorClass::name);
-        emit(Event::StmtEnd { outcome, seq, ns: dur.as_nanos() as u64 });
+        emit(Event::StmtEnd { outcome: class.map_or("ok", ErrorClass::name), seq, ns: dur_ns });
         if class.is_some() {
             emit(Event::StmtFailed);
         }
         if class == Some(ErrorClass::Unsound) {
             emit(Event::StmtUnsound);
         }
-        let run = StmtRun { kind, seq, hash, dur, ledger: &ledger };
-        let incident = self.maybe_dump_incident(&run, tripped, metrics_base, out.as_ref().err());
-        self.maybe_log_slow(&run, &st, fires_base, out.is_err(), incident.as_deref());
-        self.stmt_attr.borrow_mut().push(ledger);
+        let rec = StmtRecord { kind, seq, hash, dur_ns, class, stats, attr };
+        self.sinks.report(&rec, base, tripped, out.as_ref().err());
+        self.records.push(rec);
         out
     }
 
-    /// Dump an incident file for the statement just executed, if the
-    /// pipeline is on and the outcome warrants one: errors (with
-    /// resource exhaustion told apart), breaker trips observed during
-    /// the statement, and slow-threshold crossings. Returns the file's
-    /// path; dump failures are swallowed.
-    fn maybe_dump_incident(
-        &self,
-        run: &StmtRun<'_>,
-        tripped: bool,
-        metrics_base: Option<Vec<(String, u64)>>,
-        error: Option<&LangError>,
-    ) -> Option<std::path::PathBuf> {
-        let dir = self.incidents.as_ref()?;
-        let class = error.map(LangError::class);
-        let slow = self.slow_log.as_ref().is_some_and(|l| run.dur >= l.threshold);
-        use aql_journal::incident::{Incident, IncidentKind};
-        let ikind = match class {
-            Some(ErrorClass::ResourceExhausted) => IncidentKind::ResourceExhausted,
-            Some(_) => IncidentKind::Error,
-            None if tripped => IncidentKind::BreakerTrip,
-            None if slow => IncidentKind::Slow,
-            None => return None,
-        };
-        let base = metrics_base.unwrap_or_default();
-        let metrics_delta: Vec<(String, u64)> = aql_journal::metrics::snapshot()
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let before = base.iter().find(|(bk, _)| *bk == k).map_or(0, |(_, bv)| *bv);
-                (v > before).then(|| (k, v - before))
-            })
-            .collect();
-        let incident = Incident {
-            kind: ikind,
-            seq: run.seq,
-            stmt_hash: format!("{:016x}", run.hash),
-            stmt_kind: run.kind.to_string(),
-            dur_ns: run.dur.as_nanos() as u64,
-            error: error.map(|e| e.to_string()),
-            class,
-            events: aql_journal::snapshot().tail(INCIDENT_EVENTS),
-            attribution: Some(run.ledger.clone()),
-            metrics_delta,
-        };
-        let path = incident.write_to(dir).ok()?;
-        emit(Event::Incident { kind: ikind.name(), seq: run.seq });
-        *self.last_incident.borrow_mut() = Some(path.clone());
-        Some(path)
-    }
-
-    /// Append a slow-query-log record for the statement just executed
-    /// if its wall time reached the threshold. One JSON object per
-    /// line; sink errors are swallowed.
-    fn maybe_log_slow(
-        &self,
-        run: &StmtRun<'_>,
-        stats: &EvalStats,
-        fires_base: Option<u64>,
-        errored: bool,
-        incident: Option<&std::path::Path>,
-    ) {
-        let Some(log) = &self.slow_log else { return };
-        let &StmtRun { kind, seq, dur, .. } = run;
-        if dur < log.threshold {
-            return;
-        }
-        emit(Event::SlowQuery { kind, seq, ns: dur.as_nanos() as u64 });
-        use aql_trace::json::Json;
-        let n = |v: u64| Json::Num(v as f64);
-        let phases = run.ledger.phases.iter().map(|(p, ns)| (p.clone(), n(*ns))).collect();
-        let fires = fires_base.map_or(0, |base| {
-            aql_journal::metrics::family_total("aql_opt_rule_fires_total").saturating_sub(base)
-        });
-        // Schema history (DESIGN.md §11): 2 adds `incident` (path of
-        // the statement's incident dump, or null) and
-        // `cache.prefetched_bytes`; 3 drops `slow` and `sampled`, as
-        // every record is a slow statement.
-        let rec = Json::Obj(vec![
-            ("schema_version".to_string(), n(3)),
-            ("seq".to_string(), n(seq)),
-            ("stmt_hash".to_string(), Json::Str(format!("{:016x}", run.hash))),
-            ("kind".to_string(), Json::Str(kind.to_string())),
-            ("dur_ns".to_string(), n(dur.as_nanos() as u64)),
-            ("phases".to_string(), Json::Obj(phases)),
-            (
-                "eval".to_string(),
-                Json::Obj(vec![
-                    ("steps".to_string(), n(stats.steps)),
-                    ("subscripts".to_string(), n(stats.subscripts)),
-                    ("materialized".to_string(), n(stats.materialized)),
-                ]),
-            ),
-            ("cache".to_string(), cache_to_json(&stats.cache)),
-            ("rule_fires".to_string(), n(fires)),
-            ("error".to_string(), Json::Bool(errored)),
-            (
-                "incident".to_string(),
-                match incident {
-                    Some(p) => Json::Str(p.display().to_string()),
-                    None => Json::Null,
-                },
-            ),
-        ]);
-        use std::io::Write as _;
-        let mut sink = log.sink.borrow_mut();
-        let _ = writeln!(sink, "{}", rec.write());
-    }
-
     fn exec_inner(&mut self, stmt: &Stmt) -> Result<Outcome, LangError> {
-        match stmt {
+        let (vname, kind, ty, v) = match stmt {
             Stmt::Val(vname, e) => {
                 let (ty, v) = self.eval_surface(e)?;
-                let ty = default_type_vars(&ty);
-                self.vals.insert(name(vname), v.clone());
-                self.val_types.insert(name(vname), ty.clone());
-                Ok(Outcome {
-                    text: format!(
-                        "typ {vname} : {ty}\nval {vname} = {}",
-                        session_string(&v, self.display_limit)
-                    ),
-                    kind: OutcomeKind::Val(vname.clone()),
-                    ty: Some(ty),
-                    value: Some(v),
-                })
+                (vname.as_str(), OutcomeKind::Val(vname.clone()), default_type_vars(&ty), v)
             }
-            Stmt::MacroDef(mname, e) => {
-                let resolved = self.resolved(desugar(e)?)?;
-                let ty = typecheck(&resolved, &self.val_types, &self.externals)?;
-                self.macros.insert(name(mname), Rc::new((resolved, ty.clone())));
-                Ok(Outcome {
-                    text: format!(
-                        "typ {mname} : {ty}\nval {mname} = {mname} registered as macro."
-                    ),
-                    kind: OutcomeKind::Macro(mname.clone()),
-                    ty: Some(ty),
-                    value: None,
-                })
-            }
+            // The last query result is bound to `it`, as in ML.
             Stmt::Query(e) => {
                 let (ty, v) = self.eval_surface(e)?;
-                let ty = default_type_vars(&ty);
-                // The last query result is bound to `it`, as in ML.
-                self.vals.insert(name("it"), v.clone());
-                self.val_types.insert(name("it"), ty.clone());
-                Ok(Outcome {
-                    text: format!(
-                        "typ it : {ty}\nval it = {}",
-                        session_string(&v, self.display_limit)
-                    ),
-                    kind: OutcomeKind::Query,
-                    ty: Some(ty),
-                    value: Some(v),
-                })
+                ("it", OutcomeKind::Query, default_type_vars(&ty), v)
             }
             Stmt::ReadVal { name: vname, reader, arg } => {
                 let (_, argv) = self.eval_surface(arg)?;
-                let r = self
-                    .readers
-                    .get(reader)
-                    .cloned()
-                    .ok_or_else(|| {
-                        LangError::session(format!("no reader registered as `{reader}`"))
-                    })?;
+                let r = self.readers.get(reader).cloned().ok_or_else(|| {
+                    LangError::session(format!("no reader registered as `{reader}`"))
+                })?;
                 let (v, declared) = {
                     let _phase = phase("readval");
                     aql_trace::note("reader", || reader.clone());
                     catch_extension("reader", reader, || r.read(&argv))??
                 };
-                let ty = declared
-                    .or_else(|| type_of_value(&v))
-                    .ok_or_else(|| {
-                        LangError::session(format!(
-                            "reader `{reader}` produced a value of ambiguous type; \
-                             have the reader declare its result type"
-                        ))
-                    })?;
-                self.vals.insert(name(vname), v.clone());
-                self.val_types.insert(name(vname), ty.clone());
-                Ok(Outcome {
-                    text: format!(
-                        "typ {vname} : {ty}\nval {vname} = {}",
-                        session_string(&v, self.display_limit)
-                    ),
-                    kind: OutcomeKind::Read(vname.clone()),
+                let ty = declared.or_else(|| type_of_value(&v)).ok_or_else(|| {
+                    LangError::session(format!(
+                        "reader `{reader}` produced a value of ambiguous type; \
+                         have the reader declare its result type"
+                    ))
+                })?;
+                (vname.as_str(), OutcomeKind::Read(vname.clone()), ty, v)
+            }
+            Stmt::MacroDef(mname, e) => {
+                let resolved = self.resolved(desugar(e)?)?;
+                let ty = typecheck(&resolved, &self.val_types, &self.externals)?;
+                self.macros.insert(name(mname), Rc::new((resolved, ty.clone())));
+                return Ok(Outcome {
+                    text: format!("typ {mname} : {ty}\nval {mname} = {mname} registered as macro."),
+                    kind: OutcomeKind::Macro(mname.clone()),
                     ty: Some(ty),
-                    value: Some(v),
-                })
+                    value: None,
+                });
             }
             Stmt::WriteVal { value, writer, arg } => {
                 let (_, v) = self.eval_surface(value)?;
                 let (_, argv) = self.eval_surface(arg)?;
-                let w = self
-                    .writers
-                    .get(writer)
-                    .cloned()
-                    .ok_or_else(|| {
-                        LangError::session(format!("no writer registered as `{writer}`"))
-                    })?;
+                let w = self.writers.get(writer).cloned().ok_or_else(|| {
+                    LangError::session(format!("no writer registered as `{writer}`"))
+                })?;
                 {
                     let _phase = phase("writeval");
                     aql_trace::note("writer", || writer.clone());
                     catch_extension("writer", writer, || w.write(&argv, &v))??;
                 }
-                Ok(Outcome {
+                return Ok(Outcome {
                     text: format!("val it = () written using {writer}."),
                     kind: OutcomeKind::Write,
                     ty: None,
                     value: None,
-                })
+                });
             }
-        }
+        };
+        self.bind_val_typed(vname, v.clone(), ty.clone());
+        Ok(self.echo(vname, kind, ty, v))
+    }
+
+    /// A bound value's echo, as the paper's session prints it:
+    /// `typ x : t` / `val x = v`.
+    fn echo(&self, vname: &str, kind: OutcomeKind, ty: Type, v: Value) -> Outcome {
+        let text = format!("typ {vname} : {ty}\nval {vname} = {}", session_string(&v, self.display_limit));
+        Outcome { text, kind, ty: Some(ty), value: Some(v) }
     }
 
     /// The expression pipeline: desugar → resolve → typecheck →
@@ -1266,61 +790,6 @@ impl Default for Session {
     }
 }
 
-/// The result of [`Session::analyze`]: the query's type, the rendered
-/// abstract-interpretation summary, and the analysis-backed cost
-/// estimate.
-#[derive(Debug, Clone)]
-pub struct AnalyzeReport {
-    /// The query's type.
-    pub ty: Type,
-    /// The rendered analysis summary ([`aql_analysis::report::render`]).
-    pub body: String,
-    /// Cardinality / step / bytes-moved estimate for the term the
-    /// statement path would evaluate.
-    pub cost: aql_analysis::cost::CostEstimate,
-}
-
-impl AnalyzeReport {
-    /// The REPL rendering: type line, analysis summary, cost line.
-    pub fn render(&self) -> String {
-        format!(
-            "typ    : {}\n{}cost   : {}\n",
-            self.ty,
-            self.body,
-            render_cost(&self.cost)
-        )
-    }
-}
-
-/// The result of [`Session::lint`]: the query's type plus every
-/// shape/bounds finding (all warnings; errors would have failed
-/// typechecking first).
-#[derive(Debug, Clone)]
-pub struct LintReport {
-    /// The query's type.
-    pub ty: Type,
-    /// Lint findings in traversal order (empty when the query is
-    /// clean).
-    pub diagnostics: Vec<aql_analysis::diag::Diagnostic>,
-}
-
-impl LintReport {
-    /// The REPL rendering: the type line followed by one line per
-    /// finding, or a "no findings" note.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = format!("typ  : {}\n", self.ty);
-        if self.diagnostics.is_empty() {
-            out.push_str("lint : no findings\n");
-        } else {
-            for d in &self.diagnostics {
-                let _ = writeln!(out, "lint : {d}");
-            }
-        }
-        out
-    }
-}
-
 /// The default for [`Session::verify`]: the `AQL_VERIFY` environment
 /// variable when set (`0`/`false`/`off`/empty disable), otherwise on
 /// exactly in debug builds — tests and development runs gate every
@@ -1347,17 +816,6 @@ fn opt_error(e: OptError) -> LangError {
             message: v.message,
         },
         OptError::TooDeep(t) => t.into(),
-    }
-}
-
-/// The trace label for a statement's root span.
-fn stmt_label(stmt: &Stmt) -> &'static str {
-    match stmt {
-        Stmt::Val(..) => "val",
-        Stmt::MacroDef(..) => "macro",
-        Stmt::Query(..) => "query",
-        Stmt::ReadVal { .. } => "readval",
-        Stmt::WriteVal { .. } => "writeval",
     }
 }
 
@@ -1473,8 +931,8 @@ mod tests {
         let b = Session::new();
         assert_eq!(a.macro_names(), b.macro_names());
         assert!(a.macro_names().iter().any(|m| m == "zip_3"));
-        assert_eq!(a.stmt_seq.get(), b.stmt_seq.get());
-        assert_eq!(a.stmt_seq.get(), parse_program(PRELUDE).unwrap().len() as u64);
+        assert_eq!(a.stmt_seq, b.stmt_seq);
+        assert_eq!(a.stmt_seq, parse_program(PRELUDE).unwrap().len() as u64);
         assert!(Rc::ptr_eq(&a.macros[&name("zip")], &b.macros[&name("zip")]));
         // Redefining a prelude name is one session's business.
         a.run("macro \\evenpos = fn \\a => a;").unwrap();
@@ -1809,58 +1267,6 @@ mod tests {
         s.disable_slow_log();
         s.run("1 + 1;").unwrap();
         assert_eq!(sink.lines().len(), 2);
-    }
-
-    #[test]
-    fn stmt_hash_tells_statements_apart_and_walks_a_chain_without_recursing() {
-        // Every statement of the paper's §4.2 sunset session, the §1
-        // heat-index query, and a `writeval` so each kind is covered.
-        let paper = r#"
-            val \months = [[0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30]];
-            macro \days_since_1_1 = fn (\m, \d, \y) =>
-                d + summap(fn \i => months[i])!(gen!m) +
-                (if m > 2 and y % 4 = 0 then 1 else 0);
-            days_since_1_1!(6, 1, 95);
-            val \NYlat = 40.7; val \NYlon = -74.0;
-            macro \lat_index = fn \x => 2; macro \lon_index = fn \x => 2;
-            readval \T using NETCDF3 at
-               ("temp.nc", "temp",
-                (days_since_1_1!(6, 1, 95) * 24, lat_index!(NYlat), lon_index!(NYlon)),
-                (days_since_1_1!(6, 30, 95) * 24, lat_index!(NYlat), lon_index!(NYlon)));
-            {d | [(\h, _, _) : \t] <- T, \d == h/24 + 1,
-                 h > june_sunset!(NYlat, NYlon, d), t > 85.0};
-            {d | \d <- gen!30,
-                 \WS' == evenpos!(proj_col!(WS, 0)),
-                 \TRW == zip_3!(T, RH, WS'),
-                 \A == subseq!(TRW, d*24, d*24+23),
-                 heatindex!(A) > threshold};
-            writeval T using COFILE at "t.co";
-        "#;
-        let stmts = parse_program(paper).expect("the paper's statements parse");
-        assert_eq!(stmts.len(), 11);
-        let again = parse_program(paper).expect("the paper's statements parse");
-        let mut hashes: Vec<u64> = stmts.iter().map(stmt_hash).collect();
-        assert_eq!(hashes, again.iter().map(stmt_hash).collect::<Vec<_>>(), "a statement's hash is its own");
-        hashes.sort_unstable();
-        hashes.dedup();
-        assert_eq!(hashes.len(), 11, "each statement has its own hash");
-        // Statements that differ only in a pattern, a qualifier's kind
-        // or an index name.
-        for pair in [
-            ["{x | (\\x, 0) <- R};", "{x | (\\x, 1) <- R};"],
-            ["fn \\x => x;", "fn \\y => x;"],
-            ["{x | \\x <- R};", "{x | \\x == R};"],
-            ["{x | [\\x : _] <- R};", "{x | [_ : \\x] <- R};"],
-            ["[[ i | \\i < 3 ]];", "[[ i | \\j < 3 ]];"],
-            ["let val \\a = 1 in a end;", "let val (\\a, _) = 1 in a end;"],
-        ] {
-            let [a, b] = pair.map(|src| stmt_hash(&parse_program(src).expect("parses")[0]));
-            assert_ne!(a, b, "{pair:?}");
-        }
-        // A chain the parser builds in a loop is hashed (and dropped)
-        // without recursing, on a test thread's stack.
-        let chain = parse_program(&format!("{}1;", "1 + ".repeat(1_000_000))).expect("a chain parses");
-        assert_ne!(stmt_hash(&chain[0]), stmt_hash(&parse_program("1 + 1;").expect("parses")[0]));
     }
 
     #[test]

@@ -34,12 +34,7 @@ use aql_store::{
 use crate::file::{AqfSummary, AqfWriter};
 use crate::source::AqfChunkSource;
 
-/// Target elements per chunk when writing: 4096 (32 KiB of doubles),
-/// matching the NetCDF driver's lazy chunking.
-pub const DEFAULT_CHUNK_ELEMS: u64 = 4096;
-
-/// Default per-array chunk-cache budget when reading: 4 MiB.
-pub const DEFAULT_CACHE_BUDGET: u64 = 4 << 20;
+pub use aql_store::{DEFAULT_CACHE_BUDGET, DEFAULT_CHUNK_ELEMS};
 
 static M_SAVES: aql_journal::metrics::LazyCounter = aql_journal::metrics::LazyCounter::new(
     "aql_format_saves_total",

@@ -280,6 +280,7 @@ thread_local! {
 /// fresh one, which keeps the old one's capacity: a hit on a source the
 /// last row saw allocates nothing.
 pub fn begin() {
+    crate::flush_hits((0, 0));
     OPEN.with(|o| {
         let mut o = o.borrow_mut();
         CLOSED.set(o.sources.iter().fold(CLOSED.get(), |sum, (_, c)| sum + *c));
@@ -295,17 +296,11 @@ pub(crate) fn add(fold: Fold, label: u16, n: u64) {
     OPEN.with(|o| o.borrow_mut().add(fold, label, n));
 }
 
-/// [`add`] of one cache hit, without the indirection: the hit path's
-/// share of the fold (see `event::hit`).
-#[inline]
-pub(crate) fn hit(label: u16) {
-    OPEN.with(|o| slot(&mut o.borrow_mut().sources, label).hits += 1);
-}
-
 /// Everything this thread's sources ever moved, all sources in one row:
-/// the closed rows' sum plus the open row. Monotonic, so a caller can
-/// difference it around a piece of work.
+/// the closed rows' sum plus the open row (pending hits flushed into
+/// it). Monotonic, so a caller can difference it around a piece of work.
 pub fn totals() -> SourceCounts {
+    crate::flush_hits((0, 0));
     OPEN.with(|o| o.borrow().sources.iter().fold(CLOSED.get(), |sum, (_, c)| sum + *c))
 }
 
@@ -321,6 +316,7 @@ pub fn breaker_trips() -> u64 {
 /// labels resolved. The caller (the session) fills in the governor
 /// high-water mark, which it alone can see.
 pub fn finish() -> Ledger {
+    crate::flush_hits((0, 0));
     let ledger = OPEN.with(|o| o.borrow().resolved());
     begin();
     ledger
@@ -365,6 +361,20 @@ mod tests {
         assert_eq!(ledger.sources[1].1.hits, 3);
         assert_eq!(ledger.dominant_source().map(|(l, _)| l), Some("t_attr:a"));
         assert_eq!((breaker_trips(), finish().sources.len()), (0, 0), "finish opens a fresh row");
+    }
+
+    #[test]
+    fn pending_hits_fold_before_the_next_event_and_at_close() {
+        let (a, b) = (intern("t_attr:first"), intern("t_attr:second"));
+        begin();
+        emit(Event::CacheHit { src: a });
+        emit(Event::CacheHit { src: a });
+        emit(Event::CacheMiss { src: b, bytes: 8 });
+        emit(Event::CacheHit { src: b });
+        let ledger = finish();
+        let rows: Vec<(&str, u64, u64)> =
+            ledger.sources.iter().map(|(l, c)| (l.as_str(), c.hits, c.chunks_loaded)).collect();
+        assert_eq!(rows, [("t_attr:first", 2, 0), ("t_attr:second", 1, 1)], "first-touch order");
     }
 
     #[test]

@@ -158,7 +158,6 @@ pub fn emit(ev: Event) {
 fn hit(src: u16) {
     aql_trace::count(HITS.trace, 1);
     HITS.plain().record(1);
-    attr::hit(src);
     crate::coalesce_hit(src);
 }
 
@@ -166,7 +165,11 @@ fn walk(ev: Event) {
     let (kind, label, a, b) = ev.parts();
     let counted;
     let bumps = match kind {
-        Kind::Kept(tag) => row(tag).bumps,
+        // The ring write flushes pending hits into the row first.
+        Kind::Kept(tag) => {
+            crate::record(tag, label, a, b);
+            row(tag).bumps
+        }
         Kind::Counted(q, amount) => {
             counted = [(q, amount)];
             &counted[..]
@@ -176,9 +179,6 @@ fn walk(ev: Event) {
         let n = amount.of(a, b);
         q.count(label, n);
         attr::add(q.fold, label, n);
-    }
-    if let Kind::Kept(tag) = kind {
-        crate::record(tag, label, a, b);
     }
 }
 

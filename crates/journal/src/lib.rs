@@ -318,10 +318,7 @@ thread_local! {
 }
 
 fn push(tag: Tag, label: u16, a: u64, b: u64) {
-    WRITER.with(|w| {
-        let mut w = w.borrow_mut();
-        w.get_or_insert_with(Writer::new).push(tag, label, a, b);
-    });
+    WRITER.with(|w| w.borrow_mut().get_or_insert_with(Writer::new).push(tag, label, a, b));
 }
 
 /// Write one record into this thread's ring, and nothing else: the
@@ -330,28 +327,34 @@ fn push(tag: Tag, label: u16, a: u64, b: u64) {
 /// first, so record order within a thread stays faithful.
 #[inline]
 pub fn record(tag: Tag, label: u16, a: u64, b: u64) {
-    let (hl, hn) = PENDING_HITS.get();
-    if hn > 0 {
-        PENDING_HITS.set((0, 0));
-        push(Tag::CacheHit, hl, hn, 0);
-    }
+    flush_hits((0, 0));
     push(tag, label, a, b);
 }
 
 /// Count a cache hit for `label` towards this thread's pending
 /// `CacheHit` record: consecutive hits on one source coalesce, so the
-/// hit path pays a `Cell` bump, not a ring write. Flushed by the next
-/// [`record`] on this thread (every statement ends with one) or by a
-/// hit on a different source.
+/// hit path pays a `Cell` bump, not a ring write or a row update.
+/// Flushed by the next [`record`] on this thread (every statement ends
+/// with one), by a hit on a different source, and before the open
+/// attribution row is closed.
 #[inline]
 fn coalesce_hit(label: u16) {
     let (hl, hn) = PENDING_HITS.get();
     if hn > 0 && hl != label {
-        PENDING_HITS.set((label, 1));
-        push(Tag::CacheHit, hl, hn, 0);
-        return;
+        return flush_hits((label, 1));
     }
     PENDING_HITS.set((label, hn + 1));
+}
+
+/// Write this thread's pending hits, if any, as one `CacheHit` record
+/// and fold them into its open attribution row, leaving `next` pending.
+#[inline]
+pub(crate) fn flush_hits(next: (u16, u64)) {
+    let (hl, hn) = PENDING_HITS.replace(next);
+    if hn > 0 {
+        attr::add(attr::Fold::Source(|c| &mut c.hits), hl, hn);
+        push(Tag::CacheHit, hl, hn, 0);
+    }
 }
 
 /// Records dropped oldest-first across every ring since process start.

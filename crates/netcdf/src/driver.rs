@@ -68,14 +68,7 @@ fn open_header(
     }
 }
 
-/// Target chunk size for lazily bound variables, in elements: 4096
-/// doubles = 32 KiB per chunk, small enough that a point probe reads
-/// a tiny fraction of a large variable, large enough to amortize the
-/// per-read header parse.
-pub const DEFAULT_CHUNK_ELEMS: u64 = 4096;
-
-/// Default per-array chunk-cache budget: 4 MiB.
-pub const DEFAULT_CACHE_BUDGET: u64 = 4 << 20;
+pub use aql_store::{DEFAULT_CACHE_BUDGET, DEFAULT_CHUNK_ELEMS};
 
 /// A `NETCDFk` reader: binds a k-dimensional subslab as `[[real]]_k`.
 ///

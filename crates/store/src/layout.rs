@@ -15,6 +15,12 @@
 
 use crate::error::StoreError;
 
+/// Target chunk size of the drivers' lazy bindings and of AQF writes, in
+/// elements: 4096 doubles = 32 KiB per chunk, small enough that a point
+/// probe reads a tiny fraction of a large variable, large enough to
+/// amortize the per-read header parse.
+pub const DEFAULT_CHUNK_ELEMS: u64 = 4096;
+
 /// The location of one element: which chunk it lives in, and where.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkAddr {
@@ -70,7 +76,8 @@ impl ChunkLayout {
         Ok(ChunkLayout { dims, chunk, grid, total_elems, num_chunks })
     }
 
-    /// Build a layout whose chunks hold about `target_elems` elements,
+    /// Build a layout whose chunks hold about `target_elems` elements
+    /// ([`DEFAULT_CHUNK_ELEMS`] for the drivers' lazy bindings and AQF writes),
     /// assigned greedily to the innermost (fastest-varying) dimensions
     /// so each chunk is a contiguous run of the row-major element
     /// order.

@@ -26,6 +26,10 @@ pub struct LazyArray {
     prefetch: Option<Prefetcher>,
 }
 
+/// Default per-array chunk-cache budget of the drivers' lazy bindings:
+/// 4 MiB.
+pub const DEFAULT_CACHE_BUDGET: u64 = 4 << 20;
+
 impl LazyArray {
     /// A lazy array over `layout` whose elements have kind `kind`,
     /// served by `source` through a cache of `budget_bytes`.

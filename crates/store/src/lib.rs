@@ -62,8 +62,8 @@ pub use buffer::{Scalar, ScalarBuf, ScalarKind};
 pub use cache::{ChunkCache, Loaded};
 pub use error::{FaultClass, Interrupt, StoreError};
 pub use fault::{Fault, FaultyChunkSource};
-pub use layout::{ChunkAddr, ChunkLayout};
-pub use lazy::LazyArray;
+pub use layout::{ChunkAddr, ChunkLayout, DEFAULT_CHUNK_ELEMS};
+pub use lazy::{LazyArray, DEFAULT_CACHE_BUDGET};
 pub use mem::{MemChunkSource, MEM_SOURCE_LABEL};
 pub use prefetch::{PrefetchConfig, PrefetchStats, Prefetcher};
 pub use remote::RemoteChunkSource;

@@ -12,7 +12,10 @@
 //! * the doctor's dominant source (`diagnose_live_json`);
 //!
 //! and each phase's span duration, ledger entry and journal `Phase`
-//! record must be one number, traced or not — as must the two profiles,
+//! record must be one number, traced or not; the slow-query log's line
+//! and the incident file read as the statement's `QueryReport` entry
+//! and row, since all are views of one finished-statement record; as
+//! must the two profiles,
 //! which are folds of those accounts: the flamegraph of the trace
 //! weighs each span path its exact self time, and the flight recorder's
 //! window folds to the ledger's phases under `statement`. Every one of these is fed
@@ -61,6 +64,20 @@ fn bind_flaky(s: &mut Session) {
     let lazy = LazyArray::labeled(layout, ScalarKind::F64, Box::new(src), 3 * 32, LABEL);
     let value = Value::Array(Rc::new(ArrayVal::lazy(lazy).unwrap()));
     s.bind_val_typed("sst", value, Type::array1(Type::Real));
+}
+
+/// A slow-query-log sink the test keeps a handle on.
+#[derive(Clone, Default)]
+struct Sink(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl std::io::Write for Sink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 fn metric(name: &str) -> u64 {
@@ -222,9 +239,16 @@ fn one_statement_reads_the_same_in_every_view() {
         ledger.phases.iter().map(|(p, ns)| (format!("statement;{p}"), *ns)).collect();
     assert_eq!(live, under_statement);
 
-    // Untraced, the guard's own clock pair is the one number.
+    // Untraced, the guard's own clock pair is the one number. The
+    // statement is slow at threshold 0, so it also writes a slow-log
+    // line and a slow incident.
+    let sink = Sink::default();
+    let dir = std::env::temp_dir().join(format!("aql-reconcile-{}", std::process::id()));
+    s.enable_slow_log(Box::new(sink.clone()), Duration::ZERO);
+    s.enable_incidents(&dir);
     s.run(stmt).expect("untraced");
-    let ledger = &s.statement_attribution()[0];
+    let report = s.last_report();
+    let (stats, ledger) = (&report.statements[0], &report.attribution[0]);
     let journaled: Vec<(String, u64)> = last_statement_window()
         .iter()
         .filter(|r| r.tag == Tag::Phase)
@@ -232,4 +256,37 @@ fn one_statement_reads_the_same_in_every_view() {
         .collect();
     assert_eq!(ledger.phases, journaled);
     assert!(ledger.phases.iter().all(|(_, ns)| *ns > 0));
+
+    // 9. The slow-query log's line is the report's entry and row.
+    let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+    let line = Json::parse(text.lines().last().expect("a slow-log line")).expect("JSON");
+    let num = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).unwrap_or_else(|| panic!("{k}"));
+    let c = &stats.cache;
+    let cache = line.get("cache").expect("cache");
+    assert_eq!(
+        ["hits", "misses", "evictions", "bytes_read", "prefetched_bytes", "load_errors"]
+            .map(|k| num(cache, k)),
+        [c.hits, c.misses, c.evictions, c.bytes_read, c.prefetched_bytes, c.load_errors],
+        "slow-log cache"
+    );
+    let eval = line.get("eval").expect("eval");
+    assert_eq!(
+        ["steps", "subscripts", "materialized"].map(|k| num(eval, k)),
+        [stats.steps, stats.subscripts, stats.materialized],
+        "slow-log eval"
+    );
+    let phases = line.get("phases").expect("phases");
+    assert_eq!(
+        ledger.phases.iter().map(|(p, _)| (p.clone(), num(phases, p))).collect::<Vec<_>>(),
+        ledger.phases,
+        "slow-log phases"
+    );
+    assert!(matches!(phases, Json::Obj(m) if m.len() == ledger.phases.len()));
+
+    // 10. The incident file the line links carries the same row.
+    let path = s.last_incident_path().expect("a slow incident");
+    assert_eq!(line.get("incident").and_then(Json::as_str), Some(path.display().to_string().as_str()));
+    let incident = aql::journal::incident::Incident::load(&path).expect("the incident loads");
+    assert_eq!(incident.attribution.as_ref(), Some(ledger), "incident attribution");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -272,7 +272,7 @@ pub(crate) struct Sinks {
 /// optimizer's rule-fire total and the metrics registry.
 pub(crate) struct Baseline {
     fires: Option<u64>,
-    metrics: Option<Vec<(String, u64)>>,
+    metrics: Option<aql_journal::metrics::Readings>,
 }
 
 impl Sinks {
@@ -283,7 +283,7 @@ impl Sinks {
                 .slow_log
                 .as_ref()
                 .map(|_| aql_journal::metrics::family_total("aql_opt_rule_fires_total")),
-            metrics: self.incidents.as_ref().map(|_| aql_journal::metrics::snapshot()),
+            metrics: self.incidents.as_ref().map(|_| aql_journal::metrics::readings()),
         }
     }
 
@@ -309,7 +309,7 @@ impl Sinks {
     fn dump_incident(
         &mut self,
         rec: &StmtRecord,
-        metrics_base: Option<Vec<(String, u64)>>,
+        metrics_base: Option<aql_journal::metrics::Readings>,
         tripped: bool,
         error: Option<&LangError>,
     ) -> Option<PathBuf> {
@@ -322,14 +322,7 @@ impl Sinks {
             None if slow => IncidentKind::Slow,
             None => return None,
         };
-        let base = metrics_base.unwrap_or_default();
-        let metrics_delta: Vec<(String, u64)> = aql_journal::metrics::snapshot()
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let before = base.iter().find(|(bk, _)| *bk == k).map_or(0, |(_, bv)| *bv);
-                (v > before).then(|| (k, v - before))
-            })
-            .collect();
+        let metrics_delta = aql_journal::metrics::rises_since(&metrics_base.unwrap_or_default());
         let incident = Incident {
             kind,
             seq: rec.seq,

@@ -11,8 +11,8 @@
 //! budget plus one output chunk regardless of array size.
 //!
 //! The reader binds lazily: an [`AqfChunkSource`] under the usual
-//! stack (optional [`ResilientSource`], labeled cache, optional
-//! read-ahead [`Prefetcher`] on a second file handle), so an
+//! stack (optional [`ResilientSource`], labeled cache; a read-ahead
+//! [`Prefetcher`] on a second file handle only when configured), so an
 //! AQF-backed array behaves exactly like a NetCDF-backed one — only
 //! the chunks a query touches are ever read.
 
@@ -270,14 +270,17 @@ impl Writer for AqfArrayWriter {
 }
 
 /// The `AQF` reader: `readval \T using AQF at "file.aqf";` binds the
-/// file as a lazy array.
+/// file as a lazy array. The default binding (made by [`register_aqf`]
+/// and [`SessionAqfExt::spill_aqf`]) is one file handle and a cache and
+/// starts no thread: an AQF chunk loads in microseconds from the page
+/// cache, so read-ahead has no latency to hide. Set `prefetch` for it.
 #[derive(Debug, Clone)]
 pub struct AqfReader {
     /// Chunk-cache byte budget for the bound array.
     pub cache_budget: u64,
     /// Resilience stack around the file source; `None` binds raw.
     pub resilience: Option<ResiliencePolicy>,
-    /// Read-ahead configuration; `None` disables prefetching.
+    /// Read-ahead worker on a second file handle; `None` (the default) starts none.
     pub prefetch: Option<PrefetchConfig>,
 }
 
@@ -286,7 +289,7 @@ impl Default for AqfReader {
         AqfReader {
             cache_budget: DEFAULT_CACHE_BUDGET,
             resilience: Some(ResiliencePolicy::default()),
-            prefetch: Some(PrefetchConfig::default()),
+            prefetch: None,
         }
     }
 }

@@ -20,8 +20,8 @@
 //!   booleans, frame-of-reference packing for integral reals, with a
 //!   provably lossless raw fallback per chunk.
 //! * **First-class source** ([`AqfChunkSource`]): plugs into the
-//!   `LazyArray` / cache / governor / resilience stack, and — being
-//!   `Send` — feeds the read-ahead
+//!   `LazyArray` / cache / governor / resilience stack; being `Send`,
+//!   it can feed a configured read-ahead
 //!   [`Prefetcher`](aql_store::Prefetcher) a worker-owned handle.
 //!
 //! The [`driver`] module closes the loop at the language level: an

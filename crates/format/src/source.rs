@@ -12,9 +12,10 @@ use crate::file::AqfFile;
 ///
 /// Reads must be chunk-aligned against the file's own layout — which
 /// is exactly how a `LazyArray` built over that layout asks for them.
-/// The type is `Send` (it owns a plain `File`), so a second handle on
-/// the same path can feed a
-/// [`Prefetcher`](aql_store::Prefetcher) worker thread.
+/// A default [`AqfReader`](crate::AqfReader) binding opens one and no
+/// thread. The type is `Send` (it owns a plain `File`), so a reader
+/// configured for read-ahead can feed a
+/// [`Prefetcher`](aql_store::Prefetcher) worker a second handle.
 #[derive(Debug)]
 pub struct AqfChunkSource {
     file: AqfFile,

@@ -340,8 +340,8 @@ fn advice_for(class: FaultClass, failed: bool, subject: &str, events: &Journal) 
         }
         FaultClass::SlowQuery => format!(
             "diagnosis: no failure — {subject} was just slow. The dominant cost source above \
-             shows where the bytes went; consider prefetch, a larger cache budget, or a \
-             narrower subslab."
+             shows where the bytes went; read a narrower subslab, or bind the source with a \
+             larger cache budget."
         ),
         FaultClass::Healthy => {
             "diagnosis: nothing wrong — no errors, retries or breaker events recorded. The \
@@ -601,6 +601,13 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("20% hit rate"), "{report}");
+        assert!(
+            report.contains(
+                "shows where the bytes went; read a narrower subslab, or bind the source with a \
+                 larger cache budget."
+            ),
+            "{report}"
+        );
     }
 
     #[test]

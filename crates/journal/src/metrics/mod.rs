@@ -21,7 +21,7 @@
 //! Recording against a resolved handle (a `&'static` [`Counter`],
 //! [`Gauge`] or [`Histogram`], or a [`LazyCounter`]) is one relaxed
 //! `fetch_add` — no locking, no allocation, no formatting. A session
-//! records from its one thread (values are `Rc`); the AQF prefetch
+//! records from its one thread (values are `Rc`); a configured read-ahead
 //! worker is the only other writer, so there is no contention to shard
 //! for. Looking a name up (`counter`, `counter_with`, …) takes the
 //! registry mutex, and the first use of a name leaks the metric:
@@ -230,6 +230,22 @@ enum Metric {
     Histogram(&'static Histogram),
 }
 
+impl Metric {
+    /// The handle's address, which names the series without a key, and
+    /// the values [`snapshot`] lists for it with their key suffixes.
+    fn read(&self) -> (usize, &'static [&'static str], [u64; 5]) {
+        match *self {
+            Metric::Counter(c) => (c as *const Counter as usize, &[""], [c.get(), 0, 0, 0, 0]),
+            Metric::Gauge(g) => (g as *const Gauge as usize, &[""], [g.get().max(0) as u64, 0, 0, 0, 0]),
+            Metric::Histogram(h) => {
+                let (s, keys) = (h.snapshot(), &["_count", "_sum", "_p50", "_p95", "_p99"]);
+                let q = |q| s.quantile(q).unwrap_or(0);
+                (h as *const Histogram as usize, keys, [s.count(), s.sum, q(0.5), q(0.95), q(0.99)])
+            }
+        }
+    }
+}
+
 /// One registered time series: the metric family name, its (sorted)
 /// label pairs, and the help text given at registration.
 struct Entry {
@@ -242,14 +258,19 @@ struct Entry {
 /// Full key of a series: `family` or `family{k="v",…}` with labels
 /// sorted by key — the exact string exposition uses.
 fn series_key(family: &str, labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return family.to_string();
-    }
     let mut ls: Vec<_> = labels.to_vec();
     ls.sort();
-    let body: Vec<String> =
-        ls.iter().map(|(k, v)| format!("{k}={:?}", v)).collect();
-    format!("{family}{{{}}}", body.join(","))
+    series(family, "", &ls)
+}
+
+/// `family<suffix>{k="v",…}` with `labels` in the order given, or
+/// `family<suffix>` when there are none.
+fn series(family: &str, suffix: &str, labels: &[(&str, &str)]) -> String {
+    if labels.is_empty() {
+        return format!("{family}{suffix}");
+    }
+    let body: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
+    format!("{family}{suffix}{{{}}}", body.join(","))
 }
 
 thread_local! {
@@ -357,14 +378,8 @@ pub fn histogram_with(name: &str, labels: &[(&str, &str)], help: &str) -> &'stat
 /// Sum of every counter series in `family` (e.g. all
 /// `aql_opt_rule_fires_total{phase,rule}` series). Zero if none.
 pub fn family_total(family: &str) -> u64 {
-    registry()
-        .values()
-        .filter(|e| e.family == family)
-        .filter_map(|e| match e.metric {
-            Metric::Counter(c) => Some(c.get()),
-            _ => None,
-        })
-        .sum()
+    let is_counter = |e: &&Entry| e.family == family && matches!(e.metric, Metric::Counter(_));
+    registry().values().filter(is_counter).map(|e| e.metric.read().2[0]).sum()
 }
 
 // ---- cached handles for hot call sites -------------------------------
@@ -417,16 +432,36 @@ pub fn snapshot() -> Vec<(String, u64)> {
     let reg = registry();
     let mut out: Vec<(String, u64)> = Vec::with_capacity(reg.len());
     for (key, e) in reg.iter() {
-        match e.metric {
-            Metric::Counter(c) => out.push((key.clone(), c.get())),
-            Metric::Gauge(g) => out.push((key.clone(), g.get().max(0) as u64)),
-            Metric::Histogram(h) => {
-                let s = h.snapshot();
-                out.push((format!("{key}_count"), s.count()));
-                out.push((format!("{key}_sum"), s.sum));
-                for (q, tag) in [(0.50, "p50"), (0.95, "p95"), (0.99, "p99")] {
-                    out.push((format!("{key}_{tag}"), s.quantile(q).unwrap_or(0)));
-                }
+        let (_, suffixes, vals) = e.metric.read();
+        out.extend(suffixes.iter().zip(vals).map(|(sfx, v)| (format!("{key}{sfx}"), v)));
+    }
+    out.sort();
+    out
+}
+
+/// Every series' [`snapshot`] values by handle address, in address
+/// order: a baseline for [`rises_since`], read with no key built.
+#[derive(Default)]
+pub struct Readings(Vec<(usize, [u64; 5])>);
+
+/// Read the registry into a [`Readings`] baseline.
+pub fn readings() -> Readings {
+    let mut out: Vec<(usize, [u64; 5])> = registry().values().map(|e| e.metric.read()).map(|(a, _, v)| (a, v)).collect();
+    out.sort_unstable_by_key(|&(addr, _)| addr);
+    Readings(out)
+}
+
+/// The [`snapshot`] entries that rose since `base`, with their rise,
+/// sorted by key: one walk of the registry, each series found in `base`
+/// by address, and a key built only for a value that rose.
+pub fn rises_since(base: &Readings) -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (key, e) in registry().iter() {
+        let (addr, suffixes, vals) = e.metric.read();
+        let was = base.0.binary_search_by_key(&addr, |&(a, _)| a).map_or([0; 5], |i| base.0[i].1);
+        for ((sfx, v), w) in suffixes.iter().zip(vals).zip(was) {
+            if v > w {
+                out.push((format!("{key}{sfx}"), v - w));
             }
         }
     }
@@ -445,13 +480,11 @@ pub fn render_prometheus() -> String {
     // Sort by (family, series key) so every family's series are
     // contiguous and get exactly one HELP/TYPE header, even when one
     // family name is a prefix of another.
-    let mut keys: Vec<(&String, &String)> =
-        reg.iter().map(|(k, e)| (&e.family, k)).collect();
-    keys.sort();
+    let mut keys: Vec<(&String, &String, &Entry)> = reg.iter().map(|(k, e)| (&e.family, k, e)).collect();
+    keys.sort_by_key(|&(family, key, _)| (family, key));
     let mut out = String::new();
     let mut last_family = String::new();
-    for (_, key) in keys {
-        let Some(e) = reg.get(key) else { continue };
+    for (_, key, e) in keys {
         if e.family != last_family {
             let kind = match e.metric {
                 Metric::Counter(_) => "counter",
@@ -472,59 +505,24 @@ pub fn render_prometheus() -> String {
             }
             Metric::Histogram(h) => {
                 let s = h.snapshot();
-                let highest =
-                    s.buckets.iter().rposition(|&c| c > 0).unwrap_or(0);
+                let mut line = |suffix, le: Option<&str>, v: u64| {
+                    let labels = e.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                    let labels: Vec<_> = labels.chain(le.map(|le| ("le", le))).collect();
+                    let _ = writeln!(out, "{} {v}", series(&e.family, suffix, &labels));
+                };
+                let highest = s.buckets.iter().rposition(|&c| c > 0).unwrap_or(0);
                 let mut cum = 0u64;
                 for (i, &c) in s.buckets.iter().enumerate().take(highest + 1) {
                     cum += c;
-                    let le = bounds_of(i).1;
-                    let _ = writeln!(
-                        out,
-                        "{} {cum}",
-                        series_with(&e.family, &e.labels, "_bucket", Some(&le.to_string()))
-                    );
+                    line("_bucket", Some(&bounds_of(i).1.to_string()), cum);
                 }
-                let _ = writeln!(
-                    out,
-                    "{} {}",
-                    series_with(&e.family, &e.labels, "_bucket", Some("+Inf")),
-                    s.count()
-                );
-                let _ = writeln!(
-                    out,
-                    "{} {}",
-                    series_with(&e.family, &e.labels, "_sum", None),
-                    s.sum
-                );
-                let _ = writeln!(
-                    out,
-                    "{} {}",
-                    series_with(&e.family, &e.labels, "_count", None),
-                    s.count()
-                );
+                line("_bucket", Some("+Inf"), s.count());
+                line("_sum", None, s.sum);
+                line("_count", None, s.count());
             }
         }
     }
     out
-}
-
-/// `family<suffix>{labels…,le="…"}` — a histogram component series.
-fn series_with(
-    family: &str,
-    labels: &[(String, String)],
-    suffix: &str,
-    le: Option<&str>,
-) -> String {
-    let mut parts: Vec<String> =
-        labels.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
-    if let Some(le) = le {
-        parts.push(format!("le={le:?}"));
-    }
-    if parts.is_empty() {
-        format!("{family}{suffix}")
-    } else {
-        format!("{family}{suffix}{{{}}}", parts.join(","))
-    }
 }
 
 #[cfg(test)]
@@ -692,6 +690,53 @@ mod tests {
         assert!(snap.iter().any(|(k, v)| k == "t_snap_c_total" && *v >= 1));
         assert!(snap.iter().any(|(k, _)| k == "t_snap_h_ns_count"));
         assert!(snap.iter().any(|(k, _)| k == "t_snap_h_ns_p99"));
+    }
+
+    #[test]
+    fn rises_since_is_the_difference_of_two_snapshots() {
+        let ours = |v: Vec<(String, u64)>| -> Vec<(String, u64)> {
+            v.into_iter().filter(|(k, _)| k.starts_with("t_rise_")).collect()
+        };
+        counter("t_rise_flat_total", "c").add(4);
+        counter_with("t_rise_c_total", &[("src", "a")], "c").add(1);
+        gauge("t_rise_g", "g").raise(10);
+        histogram("t_rise_h_ns", "h").observe(100);
+        let (base, before) = (readings(), snapshot());
+
+        counter_with("t_rise_c_total", &[("src", "a")], "c").add(2);
+        counter_with("t_rise_c_total", &[("src", "b")], "c").add(3);
+        gauge("t_rise_g", "g").raise(25);
+        histogram("t_rise_h_ns", "h").observe(5000);
+        histogram("t_rise_new_ns", "h").observe(7);
+        let rises = ours(rises_since(&base));
+
+        // The old computation: every key of a fresh snapshot against
+        // the earlier one, a missing key counting as zero.
+        let oracle: Vec<(String, u64)> = ours(snapshot())
+            .into_iter()
+            .filter_map(|(k, v)| {
+                let then = before.iter().find(|(bk, _)| *bk == k).map_or(0, |(_, bv)| *bv);
+                (v > then).then(|| (k, v - then))
+            })
+            .collect();
+        assert_eq!(rises, oracle);
+        assert!(rises.contains(&("t_rise_c_total{src=\"a\"}".to_string(), 2)), "{rises:?}");
+        assert!(rises.contains(&("t_rise_c_total{src=\"b\"}".to_string(), 3)), "{rises:?}");
+        assert!(rises.contains(&("t_rise_g".to_string(), 15)), "{rises:?}");
+        assert!(rises.contains(&("t_rise_h_ns_sum".to_string(), 5000)), "{rises:?}");
+        assert!(rises.contains(&("t_rise_new_ns_count".to_string(), 1)), "{rises:?}");
+        assert!(!rises.iter().any(|(k, _)| k == "t_rise_flat_total"), "{rises:?}");
+        // An empty baseline is every nonzero value.
+        assert_eq!(ours(rises_since(&Readings::default())), ours(snapshot()).into_iter().filter(|(_, v)| *v > 0).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn readings_build_no_key() {
+        counter("t_read_total", "c").add(1);
+        let locks = registry_locks();
+        let base = readings();
+        assert_eq!(registry_locks(), locks + 1, "one lock, no lookups");
+        assert!(base.0.windows(2).all(|w| w[0].0 < w[1].0), "sorted by distinct address");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! single-threaded (values are `Rc`-based), so a thread-local
 //! subscriber sees every event of a query, exactly once. No work of a
 //! query is traced on another thread: the one other thread that works
-//! for a session, the AQF prefetch worker, reports through the flight
+//! for a session, a configured read-ahead worker, reports through the flight
 //! recorder (`aql-journal`), not through a trace.
 //!
 //! ## Overhead contract

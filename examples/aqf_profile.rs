@@ -11,22 +11,27 @@
 //! oktas, which bit-pack), median µs per array and MB/s of decoded
 //! bytes for: the chunk checksum, `codec::encode` and `codec::decode`
 //! over the array's 14 chunks, `AqfWriter` end to end (create, 14
-//! `write_chunk`, `finish`), `AqfFile` open + read of every chunk, and
-//! the bare-OS floor — create a temporary, write the same payload and
-//! table sizes, patch the header word, rename into place — with no
-//! AQF code in the loop. What is left of `share.format` once the first
-//! rows are small is the last one.
+//! `write_chunk`, `finish`), `AqfFile` open + read of every chunk, a
+//! reopen through `AqfReader::default().read` plus one probe (MB/s of
+//! the probed chunk), the same reopen with a read-ahead worker attached
+//! (`prefetch: Some(PrefetchConfig::default())`: the thread's spawn and
+//! join are the difference), and the bare-OS floor — create a
+//! temporary, write the same payload and table sizes, patch the header
+//! word, rename into place — with no AQF code in the loop. What is left
+//! of `share.format` once the first rows are small is the last one.
 
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 use std::time::Instant;
 
-use aql::format::{codec, AqfFile, AqfWriter, Codec, DEFAULT_CHUNK_ELEMS};
+use aql::core::value::Value;
+use aql::format::{codec, AqfFile, AqfReader, AqfWriter, Codec, DEFAULT_CHUNK_ELEMS};
+use aql::lang::reader::Reader;
 use aql::netcdf::model::NcValues;
 use aql::netcdf::synth::year_temp_file;
 use aql::store::fault::checksum;
-use aql::store::{ChunkLayout, ChunkSource, MemChunkSource, ScalarBuf, ScalarKind};
+use aql::store::{ChunkLayout, ChunkSource, MemChunkSource, PrefetchConfig, ScalarBuf, ScalarKind};
 
 const DIMS: [u64; 3] = [2190, 5, 5];
 const CELLS: usize = (DIMS[0] * DIMS[1] * DIMS[2]) as usize;
@@ -120,6 +125,20 @@ fn profile(name: &str, dir: &Path, buf: ScalarBuf) {
             }
         }),
     );
+    // A bind is what `readval … using AQF` and `spill_aqf` pay: open and
+    // validate the file, build the cache, and (when configured) start
+    // and, on drop, join the read-ahead worker.
+    let probe = [DIMS[0] / 2, 2, 2];
+    let probed = chunks[layout.locate(&probe).expect("inside").chunk as usize].byte_len() as usize;
+    let arg = Value::str(path.to_str().expect("utf-8 path"));
+    let reopen = |reader: &AqfReader| {
+        let (v, _) = reader.read(&arg).expect("reopen");
+        let off = (probe[0] * DIMS[1] + probe[1]) * DIMS[2] + probe[2];
+        v.as_array().expect("array").try_value_at(off as usize).expect("probe")
+    };
+    row("AqfReader::default + 1 probe", probed, median_s(|| reopen(&AqfReader::default())));
+    let ahead = AqfReader { prefetch: Some(PrefetchConfig::default()), ..AqfReader::default() };
+    row("same with a read-ahead worker", probed, median_s(|| reopen(&ahead)));
     let payloads: Vec<Vec<u8>> = encoded.into_iter().map(|(_, b)| b).collect();
     let (header, table) = (24 + 16 * 3, 8 + 33 * chunks.len() + 4);
     row(

@@ -92,9 +92,11 @@ fn spill_streams_reopens_and_probes_cheaply() {
 
     // The reopened binding reports its residency, and the probe's I/O
     // landed in the per-source labeled metric series.
+    // A default AQF binding is one file handle and a cache: no
+    // read-ahead worker, so no `prefetch` field on its `\store` line.
     let report = s.store_report();
     assert!(report.contains("source=aqf:temp.aqf"), "{report}");
-    assert!(report.contains("prefetch issued="), "{report}");
+    assert_no_worker(&s, "A", &report);
     let labeled: Vec<(String, u64)> = aql::metrics::snapshot()
         .into_iter()
         .filter(|(k, _)| {
@@ -127,12 +129,66 @@ fn spill_aqf_rebinds_in_place() {
     let arr = s.val("S").expect("still bound").as_array().expect("array").clone();
     let info = arr.store_info().expect("lazy after spill");
     assert_eq!(info.label.as_deref(), Some("aqf:squares.aqf"));
+    assert_no_worker(&s, "S", &s.store_report());
     let (_, v) = s.eval_query("S[7]").expect("probe");
     assert_eq!(format!("{v}"), "49");
     // save_aqf without rebinding leaves the binding alone.
     let again = dir.join("again.aqf").to_str().expect("utf-8").to_string();
     s.save_aqf("S", &again).expect("save");
     assert!(s.val("S").expect("bound").as_array().expect("array").is_lazy());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `\store` line of binding `name` in `report`.
+fn binding_line<'a>(report: &'a str, name: &str) -> &'a str {
+    let head = format!("  {name}  source=");
+    report.lines().find(|l| l.starts_with(&head)).unwrap_or_else(|| panic!("no `{name}` line: {report}"))
+}
+
+/// `name` is a lazy binding with no read-ahead worker: its store info
+/// has no prefetch stats and its `\store` line no `prefetch` field.
+fn assert_no_worker(s: &Session, name: &str, report: &str) {
+    let info = s.val(name).expect("bound").as_array().expect("array").store_info().expect("lazy");
+    assert!(info.prefetch.is_none(), "`{name}` has a read-ahead worker: {:?}", info.prefetch);
+    assert!(!binding_line(report, name).contains("prefetch"), "{report}");
+}
+
+#[test]
+fn an_explicitly_configured_reader_still_reads_ahead() {
+    use aql::format::AqfReader;
+    use aql::store::PrefetchConfig;
+
+    let _gov = GOVERNOR.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = tmpdir("readahead");
+    let aqf = dir.join("grid.aqf").to_str().expect("utf-8").to_string();
+    let mut s = Session::new();
+    register_aqf(&mut s);
+    let with_worker = AqfReader { prefetch: Some(PrefetchConfig::default()), ..AqfReader::default() };
+    s.register_reader("AQFRA", Rc::new(with_worker));
+    // 5 chunks of 4,096 integers, so a scan has chunks to read ahead.
+    s.run(&format!(
+        "val \\G = [[ (i * 13) % 997 | \\i < 20000 ]]; writeval G using AQF at \"{aqf}\";\n\
+         readval \\A using AQF at \"{aqf}\"; readval \\B using AQFRA at \"{aqf}\";"
+    ))
+    .expect("write and bind twice");
+
+    // The worker's binding answers exactly what the default one does,
+    // probe by probe and over a whole scan.
+    for probe in ["[3]", "[4095]", "[4096]", "[19999]"] {
+        let (_, a) = s.eval_query(&format!("A{probe}")).expect("default probe");
+        let (_, b) = s.eval_query(&format!("B{probe}")).expect("read-ahead probe");
+        assert_eq!(format!("{a}"), format!("{b}"), "probe {probe}");
+    }
+    let (_, v) = s
+        .eval_query("summap(fn \\i => if A[i] = B[i] then 0 else 1)!(gen!20000)")
+        .expect("compare");
+    assert_eq!(format!("{v}"), "0");
+
+    let report = s.store_report();
+    assert_no_worker(&s, "A", &report);
+    let info = s.val("B").expect("bound").as_array().expect("array").store_info().expect("lazy");
+    assert!(info.prefetch.is_some(), "the configured reader attached no worker");
+    assert!(binding_line(&report, "B").contains("prefetch issued="), "{report}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -168,7 +224,7 @@ fn repl_store_and_save_goldens() {
     assert!(text.contains("val it = 11"), "{text}");
     assert!(text.contains("store: 1 open chunk source(s)"), "{text}");
     assert!(text.contains("source=aqf:store.aqf"), "{text}");
-    assert!(text.contains("prefetch issued="), "{text}");
+    assert!(!binding_line(&text, "A").contains("prefetch"), "{text}");
     assert!(text.contains("governor: in_use="), "{text}");
     // Golden: the whole transcript is deterministic across fresh
     // sessions (cache/residency counters included — same statements,

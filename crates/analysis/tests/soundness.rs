@@ -434,7 +434,7 @@ fn run(e: &Expr, globals: &HashMap<Name, Value>) -> Run {
         bounds::set_enabled(on);
         let ctx = EvalCtx::new(globals, &ext);
         let out = eval_elided(e, &ctx);
-        (out, ctx.stats(), ctx.kernel_nests(), ctx.kernel_escapes())
+        (out, ctx.stats(), ctx.kernel_stats().nests, ctx.kernel_stats().escapes)
     };
     let guard = TOGGLE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let listed = nests(e, &analysis).iter().filter(|n| n.kernel).count();

@@ -94,7 +94,7 @@ fn command(session: &mut Session, src: &str, output: &mut dyn Write) -> std::io:
     // recent run: bytes and chunks by source label, per-phase wall
     // time, and the governor's peak.
     } else if stmt == "\\attr;" {
-        let ledgers = session.statement_attribution();
+        let ledgers = session.last_report().attribution;
         if ledgers.is_empty() {
             writeln!(output, "attr: no statements run yet")?;
         }
@@ -133,8 +133,8 @@ fn command(session: &mut Session, src: &str, output: &mut dyn Write) -> std::io:
             Err(e) => writeln!(output, "error: {e}")?,
         }
     // `\profile <statements>` runs the statements with tracing on and
-    // prints the phase-timing tree plus evaluation/I/O totals after the
-    // usual echoes. With a trailing `> "file";` the trace is written as
+    // prints the phase-timing tree plus each statement's counts after
+    // the usual echoes. With a trailing `> "file";` the trace is written as
     // Chrome trace-event JSON instead (opens directly in Perfetto or
     // chrome://tracing).
     } else if let Some(rest) = stmt.strip_prefix("\\profile ") {
@@ -423,8 +423,10 @@ mod tests {
                 "phase `{phase}` must appear as a child span: {text}"
             );
         }
-        assert!(text.contains("eval.steps="), "{text}");
-        assert!(text.contains("totals: steps="), "{text}");
+        // Then one block a statement, its counts from the record.
+        assert!(!text.contains("eval.steps="), "the tree counts nothing: {text}");
+        assert!(text.contains("stmt 0:\n  eval: steps="), "{text}");
+        assert!(text.contains("stmt 1:\n  eval: steps="), "{text}");
         // Golden: after redaction the transcript is deterministic.
         assert_eq!(text, redacted_transcript(input));
     }

@@ -3,12 +3,13 @@
 //!
 //! [`Session::exec`](crate::session::Session::exec) closes each
 //! statement into one record (`StmtRecord`) — its kind, sequence number,
-//! hash, wall time, error class, [`EvalStats`] and attribution row —
-//! and the session keeps the records of its last `run` in one `Vec`,
-//! beside the per-label sum of rows that `\store` prints. Every account
-//! of a statement is a function of one record or of that `Vec`:
-//! [`QueryReport`] (`\profile`, `\attr`), the slow-query log's line and
-//! the incident dump (`Sinks`), `\store` and `\doctor`. [`Explain`],
+//! hash, wall time, error class, counts ([`EvalStats`], [`KernelStats`],
+//! [`RunCounts`]) and attribution row — and the session keeps the
+//! records of its last `run` in one `Vec`, beside the per-label sum of
+//! rows that `\store` prints. Every account of a statement is a
+//! function of one record or of that `Vec`: [`QueryReport`]
+//! (`\profile`, `\attr`), the slow-query log's line and the incident
+//! dump (`Sinks`), `\store` and `\doctor`. [`Explain`],
 //! [`AnalyzeReport`] and [`LintReport`] render the pipeline's static
 //! half.
 
@@ -16,13 +17,14 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use aql_core::eval::EvalStats;
+use aql_core::eval::{EvalStats, KernelStats};
 use aql_core::expr::Name;
 use aql_core::types::Type;
 use aql_core::value::Value;
 use aql_journal::attr::{Ledger, SourceCounts};
 use aql_journal::incident::{Incident, IncidentKind};
 use aql_journal::{emit, ErrorClass, Event};
+use aql_opt::RunCounts;
 use aql_store::CacheStats;
 use aql_trace::json::Json;
 
@@ -41,16 +43,35 @@ pub(crate) struct StmtRecord {
     pub(crate) dur_ns: u64,
     /// The failure's class; `None` for a statement that succeeded.
     pub(crate) class: Option<ErrorClass>,
-    /// Evaluation counters merged over the statement's evaluations,
-    /// cache counters read from `attr`.
-    pub(crate) stats: EvalStats,
+    /// What the statement counted.
+    pub(crate) counts: Counts,
     /// The statement's attribution row.
     pub(crate) attr: Ledger,
 }
 
-/// A machine-readable account of the most recent `Session::run`:
-/// per-statement evaluation statistics plus (when collected through
-/// `Session::profile`) the full span/counter trace.
+/// What a statement counts, each number written once by the code that
+/// owns it, added up over the statement's evaluations and optimizer runs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Counts {
+    /// The evaluator's charges; cache counters read from the row.
+    pub(crate) stats: EvalStats,
+    /// The bulk kernels'.
+    pub(crate) kernel: KernelStats,
+    /// The optimizer's.
+    pub(crate) opt: RunCounts,
+}
+
+impl Counts {
+    /// Add what the evaluation through `ctx` counted.
+    pub(crate) fn add_eval(&mut self, ctx: &aql_core::eval::EvalCtx) {
+        self.stats = self.stats.merged(&ctx.stats());
+        self.kernel = self.kernel.merged(&ctx.kernel_stats());
+    }
+}
+
+/// A machine-readable account of the most recent `Session::run`: what
+/// each statement counted plus (when collected through
+/// `Session::profile`) the span tree that timed it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryReport {
     /// One entry per executed statement, in program order. Cache
@@ -58,20 +79,19 @@ pub struct QueryReport {
     /// echo-forced loads are attributed to the statement that caused
     /// them.
     pub statements: Vec<EvalStats>,
+    /// Per-statement kernel counts, parallel to `statements`.
+    pub kernels: Vec<KernelStats>,
+    /// Per-statement optimizer counts, over every run the statement
+    /// made, parallel to `statements`.
+    pub optimizer: Vec<RunCounts>,
     /// Per-statement resource attribution ledgers, parallel to
     /// `statements`: bytes and chunks by labeled source, per-phase wall
-    /// time, and the governor's peak (see `aql_journal::attr`). Rendered
-    /// by the REPL's `\attr;`.
+    /// time, hyperslab requests and the governor's peak (see
+    /// `aql_journal::attr`). Rendered by the REPL's `\attr;`.
     pub attribution: Vec<Ledger>,
-    /// The span tree and counters collected while tracing was on
-    /// (empty for an untraced run).
+    /// The span tree collected while tracing was on (empty for an
+    /// untraced run): names, notes and times, no counts.
     pub trace: aql_trace::Trace,
-    /// A flat snapshot of the **process-lifetime** metrics registry at
-    /// report time ([`aql_journal::metrics::snapshot`]): counters and gauges by
-    /// series key, histograms as `_count`/`_sum`/`_p50`/`_p95`/`_p99`.
-    /// Unlike `statements`, these are cumulative since process start —
-    /// the report carries both the per-query and the fleet view.
-    pub metrics: Vec<(String, u64)>,
 }
 
 impl QueryReport {
@@ -79,65 +99,86 @@ impl QueryReport {
     /// built.
     pub(crate) fn of(records: &[StmtRecord], trace: aql_trace::Trace) -> QueryReport {
         QueryReport {
-            statements: records.iter().map(|r| r.stats).collect(),
+            statements: records.iter().map(|r| r.counts.stats).collect(),
+            kernels: records.iter().map(|r| r.counts.kernel).collect(),
+            optimizer: records.iter().map(|r| r.counts.opt.clone()).collect(),
             attribution: records.iter().map(|r| r.attr.clone()).collect(),
             trace,
-            metrics: aql_journal::metrics::snapshot(),
         }
     }
 
-    /// Component-wise sum over all statements.
-    pub fn total(&self) -> EvalStats {
-        total(self.statements.iter())
+    /// Statement `i`'s counts, each once, as `(group, name, value)`:
+    /// `\profile` prints a line a group, and the Chrome export puts them
+    /// in the statement span's `args`. The kernel and optimizer groups
+    /// are left out when the statement ran neither.
+    fn counts(&self, i: usize) -> Vec<(&'static str, String, u64)> {
+        let (s, k, o) = (&self.statements[i], &self.kernels[i], &self.optimizer[i]);
+        let named = |group, fields: &[(&'static str, u64)]| {
+            fields.iter().map(|&(name, v)| (group, name.to_string(), v)).collect::<Vec<_>>()
+        };
+        let mut out = named("eval", &[("steps", s.steps), ("subscripts", s.subscripts)]);
+        out.extend(named("eval", &[("elided", s.elided), ("materialized", s.materialized)]));
+        if *k != KernelStats::default() {
+            out.extend(named("kernel", &[("marked_sites", k.marked_sites), ("nests", k.nests)]));
+            out.extend(named("kernel", &[("cells", k.cells), ("rows", k.rows)]));
+            out.extend(named("kernel", &[("escapes", k.escapes), ("binds", k.binds)]));
+        }
+        if o.passes > 0 {
+            out.extend(named("opt", &[("passes", o.passes), ("visits", o.visits), ("applies", o.applies)]));
+        }
+        for r in &o.rules {
+            out.push(("opt", format!("{}/{}", r.phase, r.rule), r.fires));
+            if r.bound_hits > 0 {
+                out.push(("opt", format!("bound_hit:{}/{}", r.phase, r.rule), r.bound_hits));
+            }
+        }
+        let c = &s.cache;
+        out.extend(named("cache", &[("hits", c.hits), ("misses", c.misses), ("evictions", c.evictions)]));
+        out.extend(named("cache", &[("bytes_read", c.bytes_read), ("prefetched_bytes", c.prefetched_bytes)]));
+        out.extend(named("cache", &[("load_errors", c.load_errors)]));
+        out.extend(named("cache", &[("hyperslab_requests", self.attribution[i].hyperslab_requests)]));
+        out
     }
 
     /// The report's span tree as Chrome trace-event JSON
-    /// ([`aql_trace::Trace::to_chrome_json`]): loadable directly in
-    /// Perfetto or `chrome://tracing`. The REPL's
-    /// `\profile … > "file.json";` writes exactly this.
+    /// ([`aql_trace::Trace::to_chrome_json_value`]), each statement's
+    /// counts in its `statement` span's `args` as `<group>.<name>`
+    /// (`steps` as `eval.steps`, …): loadable directly in Perfetto or
+    /// `chrome://tracing`. The REPL's `\profile … > "file.json";` writes
+    /// exactly this.
     pub fn to_chrome_json(&self) -> String {
-        self.trace.to_chrome_json()
+        let mut statements = self.trace.roots();
+        statements.retain(|&r| self.trace.spans[r].name == "statement");
+        let args = |span| match statements.iter().position(|&s| s == span) {
+            Some(i) if i < self.statements.len() => {
+                let counts = self.counts(i).into_iter();
+                counts.map(|(group, name, v)| (format!("{group}.{name}"), Json::Num(v as f64))).collect()
+            }
+            _ => Vec::new(),
+        };
+        self.trace.to_chrome_json_value(args).write()
     }
 
-    /// The `\profile` rendering: the phase-timing tree followed by the
-    /// evaluation and I/O totals. With `redact_timings` every duration
-    /// renders as `_` (deterministic; used by golden tests).
+    /// The `\profile` rendering: the phase-timing tree, then a block a
+    /// statement with its counts, a line a group (`eval`, `kernel`, `opt`,
+    /// `cache`). With `redact_timings` every duration renders as `_`
+    /// (deterministic; used by golden tests).
     pub fn render_profile(&self, redact_timings: bool) -> String {
-        let mut out = String::new();
-        if !self.trace.is_empty() {
-            out.push_str(&self.trace.render(redact_timings));
-        }
-        let t = self.total();
-        out.push_str(&format!(
-            "totals: steps={} subscripts={} elided={} materialized={} | cache: hits={} \
-             misses={} evictions={} bytes_read={} prefetched={} load_errors={}\n",
-            t.steps,
-            t.subscripts,
-            t.elided,
-            t.materialized,
-            t.cache.hits,
-            t.cache.misses,
-            t.cache.evictions,
-            t.cache.bytes_read,
-            t.cache.prefetched_bytes,
-            t.cache.load_errors,
-        ));
-        if self.statements.len() > 1 {
-            for (i, s) in self.statements.iter().enumerate() {
-                out.push_str(&format!(
-                    "  stmt {i}: steps={} subscripts={} materialized={} \
-                     cache.bytes_read={}\n",
-                    s.steps, s.subscripts, s.materialized, s.cache.bytes_read,
-                ));
+        let mut out = self.trace.render(redact_timings);
+        for i in 0..self.statements.len() {
+            out.push_str(&format!("stmt {i}:"));
+            let mut group = "";
+            for (g, name, v) in self.counts(i) {
+                if g != group {
+                    out.push_str(&format!("\n  {g}:"));
+                    group = g;
+                }
+                out.push_str(&format!(" {name}={v}"));
             }
+            out.push('\n');
         }
         out
     }
-}
-
-/// Component-wise sum of per-statement statistics.
-pub(crate) fn total<'a>(stats: impl Iterator<Item = &'a EvalStats>) -> EvalStats {
-    stats.fold(EvalStats::default(), |a, s| a.merged(s))
 }
 
 /// The result of `Session::explain`: the compiled and optimized
@@ -267,24 +308,11 @@ pub(crate) struct Sinks {
     pub(crate) last_incident: Option<PathBuf>,
 }
 
-/// What a statement's slow-log line and incident dump difference
-/// against, read before it runs by the sinks that are on: the
-/// optimizer's rule-fire total and the metrics registry.
-pub(crate) struct Baseline {
-    fires: Option<u64>,
-    metrics: Option<aql_journal::metrics::Readings>,
-}
-
 impl Sinks {
-    /// Read the baselines the enabled sinks need.
-    pub(crate) fn baseline(&self) -> Baseline {
-        Baseline {
-            fires: self
-                .slow_log
-                .as_ref()
-                .map(|_| aql_journal::metrics::family_total("aql_opt_rule_fires_total")),
-            metrics: self.incidents.as_ref().map(|_| aql_journal::metrics::readings()),
-        }
+    /// What an incident dump differences the metrics against, read
+    /// before the statement runs when the dump pipeline is on.
+    pub(crate) fn baseline(&self) -> Option<aql_journal::metrics::Readings> {
+        self.incidents.as_ref().map(|_| aql_journal::metrics::readings())
     }
 
     /// Report a finished statement: an incident dump if it warrants
@@ -293,12 +321,12 @@ impl Sinks {
     pub(crate) fn report(
         &mut self,
         rec: &StmtRecord,
-        base: Baseline,
+        metrics_base: Option<aql_journal::metrics::Readings>,
         tripped: bool,
         error: Option<&LangError>,
     ) {
-        let incident = self.dump_incident(rec, base.metrics, tripped, error);
-        self.log_slow(rec, base.fires, incident.as_deref());
+        let incident = self.dump_incident(rec, metrics_base, tripped, error);
+        self.log_slow(rec, incident.as_deref());
     }
 
     /// Dump an incident file for `rec`, if the pipeline is on and the
@@ -344,9 +372,9 @@ impl Sinks {
     /// Append a slow-query-log line for `rec` if its wall time reached
     /// the threshold. One JSON object per line; sink errors are
     /// swallowed.
-    fn log_slow(&mut self, rec: &StmtRecord, fires_base: Option<u64>, incident: Option<&Path>) {
+    fn log_slow(&mut self, rec: &StmtRecord, incident: Option<&Path>) {
         let Some(log) = &mut self.slow_log else { return };
-        let StmtRecord { kind, seq, dur_ns, ref stats, .. } = *rec;
+        let StmtRecord { kind, seq, dur_ns, counts: Counts { ref stats, ref opt, .. }, .. } = *rec;
         if !log.is_slow(rec) {
             return;
         }
@@ -356,9 +384,6 @@ impl Sinks {
             Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
         };
         let c = &stats.cache;
-        let fires = fires_base.map_or(0, |base| {
-            aql_journal::metrics::family_total("aql_opt_rule_fires_total").saturating_sub(base)
-        });
         // Schema history (DESIGN.md §11): 2 adds `incident` (path of
         // the statement's incident dump, or null) and
         // `cache.prefetched_bytes`; 3 drops `slow` and `sampled`, as
@@ -389,7 +414,7 @@ impl Sinks {
                     ("load_errors", n(c.load_errors)),
                 ]),
             ),
-            ("rule_fires", n(fires)),
+            ("rule_fires", n(opt.fires())),
             ("error", Json::Bool(rec.class.is_some())),
             ("incident", incident.map_or(Json::Null, |p| Json::Str(p.display().to_string()))),
         ]);

@@ -18,7 +18,7 @@
 //! routines. Each statement closes into one record; every report of it
 //! is a view in [`crate::report`].
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -45,7 +45,7 @@ use crate::desugar::desugar;
 use crate::errors::LangError;
 use crate::parser::parse_program;
 use crate::reader::{CoFileReader, CoFileWriter, Reader, Writer};
-use crate::report::{self, Sinks, SlowLog, StmtRecord};
+use crate::report::{self, Counts, Sinks, SlowLog, StmtRecord};
 pub use crate::report::{AnalyzeReport, Explain, LintReport, QueryReport};
 
 /// Prelude macros, written in AQL itself and present in every
@@ -203,9 +203,9 @@ pub struct Session {
     /// Truncation width for session echoes of large values.
     pub display_limit: usize,
     /// Accumulator for the statement currently executing: every
-    /// `eval_core` within it merges its stats here; [`Session::exec`]
-    /// drains it into the statement's record.
-    cur_stats: Cell<EvalStats>,
+    /// evaluation and optimizer run within it adds its counts here;
+    /// [`Session::exec`] drains it into the statement's record.
+    cur: RefCell<Counts>,
     /// The finished statements of the most recent [`Session::run`].
     records: Vec<StmtRecord>,
     /// Per source label, the sum of every finished statement's row:
@@ -248,7 +248,7 @@ impl Session {
             optimize: true,
             verify: default_verify(),
             display_limit: aql_core::value::print::SESSION_TRUNCATE,
-            cur_stats: Cell::new(EvalStats::default()),
+            cur: RefCell::default(),
             records: Vec::new(),
             source_totals: Vec::new(),
             sinks: Sinks::default(),
@@ -309,25 +309,13 @@ impl Session {
     /// first query. For per-statement attribution use
     /// [`Session::last_report`].
     pub fn last_stats(&self) -> EvalStats {
-        report::total(self.records.iter().map(|r| &r.stats))
+        self.records.iter().fold(EvalStats::default(), |sum, r| sum.merged(&r.counts.stats))
     }
 
-    /// Per-statement statistics of the most recent [`Session::run`],
-    /// in program order.
-    pub fn statement_stats(&self) -> Vec<EvalStats> {
-        self.records.iter().map(|r| r.stats).collect()
-    }
-
-    /// Per-statement attribution ledgers of the most recent
-    /// [`Session::run`], in program order (parallel to
-    /// [`Session::statement_stats`]).
-    pub fn statement_attribution(&self) -> Vec<aql_journal::attr::Ledger> {
-        self.records.iter().map(|r| r.attr.clone()).collect()
-    }
-
-    /// The report for the most recent [`Session::run`]. The trace is
-    /// empty unless the run went through [`Session::profile`] (which
-    /// returns the trace-bearing report directly).
+    /// The report for the most recent [`Session::run`]: what each of
+    /// its statements counted, in program order. The trace is empty
+    /// unless the run went through [`Session::profile`] (which returns
+    /// the trace-bearing report directly).
     pub fn last_report(&self) -> QueryReport {
         QueryReport::of(&self.records, aql_trace::Trace::default())
     }
@@ -413,10 +401,10 @@ impl Session {
     }
 
     /// Execute a program with tracing on and return the outcomes
-    /// together with the full [`QueryReport`] (span tree, counters,
-    /// per-statement stats). Installs a fresh subscriber for the
-    /// duration of the run, discarding any trace already in progress
-    /// on this thread.
+    /// together with the full [`QueryReport`] (per-statement counts and
+    /// the span tree that timed them). Installs a fresh subscriber for
+    /// the duration of the run, discarding any trace already in
+    /// progress on this thread.
     pub fn profile(&mut self, src: &str) -> Result<(Vec<Outcome>, QueryReport), LangError> {
         aql_trace::enable();
         let result = self.run(src);
@@ -451,11 +439,10 @@ impl Session {
     }
 
     /// Run a statement. Opens a root `statement` span (when tracing)
-    /// and closes the statement into its record (`StmtRecord`): evaluation
-    /// counters merged over every evaluation it performs, with cache
-    /// counters read from the statement's attribution row — so reader
-    /// I/O and echo-forced chunk loads are attributed to the statement
-    /// that caused them.
+    /// and closes the statement into its record (`StmtRecord`): counts
+    /// added up over its evaluations and optimizer runs, cache counters
+    /// read from its attribution row — so reader I/O and echo-forced
+    /// chunk loads are attributed to the statement that caused them.
     pub fn exec(&mut self, stmt: &Stmt) -> Result<Outcome, LangError> {
         let _span = aql_trace::span("statement");
         let kind = stmt.kind();
@@ -465,8 +452,8 @@ impl Session {
         let hash = stmt.fingerprint();
         let t0 = aql_trace::now();
         emit(Event::StmtBegin { kind, seq, hash });
-        let base = self.sinks.baseline();
-        self.cur_stats.set(EvalStats::default());
+        let metrics_base = self.sinks.baseline();
+        self.cur.take();
         aql_store::governor::reset_peak();
         aql_journal::attr::begin();
         let out = self.exec_inner(stmt);
@@ -476,8 +463,8 @@ impl Session {
         let mut attr = aql_journal::attr::finish();
         attr.governor_peak_bytes = aql_store::governor::peak_bytes();
         emit(Event::GovernorPeak { bytes: attr.governor_peak_bytes });
-        let mut stats = self.cur_stats.take();
-        stats.cache = CacheStats::from(&attr);
+        let mut counts = self.cur.take();
+        counts.stats.cache = CacheStats::from(&attr);
         for (label, row) in &attr.sources {
             match self.source_totals.iter_mut().find(|(l, _)| l == label) {
                 Some((_, sum)) => *sum = *sum + *row,
@@ -493,8 +480,8 @@ impl Session {
         if class == Some(ErrorClass::Unsound) {
             emit(Event::StmtUnsound);
         }
-        let rec = StmtRecord { kind, seq, hash, dur_ns, class, stats, attr };
-        self.sinks.report(&rec, base, tripped, out.as_ref().err());
+        let rec = StmtRecord { kind, seq, hash, dur_ns, class, counts, attr };
+        self.sinks.report(&rec, metrics_base, tripped, out.as_ref().err());
         self.records.push(rec);
         out
     }
@@ -579,9 +566,8 @@ impl Session {
         self.eval_core(core)
     }
 
-    /// Run the pipeline from the core-calculus stage. Each phase runs
-    /// under its own trace span; evaluation stats are merged into the
-    /// current statement's accumulator.
+    /// Run the pipeline from the core-calculus stage, each phase under
+    /// its own trace span; what it counts is added to the statement's.
     pub fn eval_core(&self, core: Expr) -> Result<(Type, Value), LangError> {
         let resolved = {
             let _phase = phase("resolve");
@@ -602,7 +588,7 @@ impl Session {
             let _phase = phase("eval");
             aql_analysis::eval_elided(&optimized, &ctx)
         };
-        self.cur_stats.set(self.cur_stats.get().merged(&ctx.stats()));
+        self.cur.borrow_mut().add_eval(&ctx);
         let v = v?;
         Ok((ty, v))
     }
@@ -622,9 +608,9 @@ impl Session {
         }
     }
 
-    /// Run the optimizer under the session's gate setting. Rules are
-    /// extension code: a panicking rule is contained and named, and the
-    /// session stays usable.
+    /// Run the optimizer under the session's gate setting, adding what
+    /// it counts to the statement's. Rules are extension code: a
+    /// panicking rule is contained and named, and the session stays usable.
     fn optimize_gated(
         &self,
         resolved: &Expr,
@@ -633,7 +619,9 @@ impl Session {
     ) -> Result<Expr, LangError> {
         let check = self.phase_check(ty);
         let gate = if self.verify { Gate::full(&check) } else { Gate::off() };
-        self.optimizer.run(resolved, &gate, trace).map_err(opt_error)
+        let out = self.optimizer.run(resolved, &gate, trace).map_err(opt_error);
+        self.cur.borrow_mut().opt.add(&self.optimizer.counts());
+        out
     }
 
     /// Resolve free names: macros are substituted (their bodies are
@@ -1145,7 +1133,7 @@ mod tests {
         let mut s = Session::new();
         s.run("val \\a = [[ i | \\i < 50 ]]; val \\b = [[ i | \\i < 50 ]];")
             .unwrap();
-        let per_stmt = s.statement_stats();
+        let per_stmt = s.last_report().statements;
         assert_eq!(per_stmt.len(), 2);
         assert!(per_stmt[0].steps > 0 && per_stmt[1].steps > 0);
         let total = s.last_stats();
@@ -1156,7 +1144,6 @@ mod tests {
         );
         // A new run resets the per-statement vector.
         s.run("1 + 1;").unwrap();
-        assert_eq!(s.statement_stats().len(), 1);
         assert_eq!(s.last_report().statements.len(), 1);
     }
 
@@ -1177,22 +1164,14 @@ mod tests {
         for name in ["parse", "desugar", "resolve", "typecheck", "optimize", "eval"] {
             assert!(report.trace.find(name).is_some(), "span `{name}` missing");
         }
-        // The evaluator's counters reached the trace, and agree with
-        // the stats vector.
-        assert_eq!(
-            report.trace.total_counter("eval.steps"),
-            report.total().steps,
-            "trace and stats must agree on steps"
-        );
+        // The counts are the record's, not the tree's: the same steps
+        // as an untraced run of the same program.
+        let traced: u64 = report.statements.iter().map(|s| s.steps).sum();
+        s.run("val \\a = gen!20; summap(fn \\x => x)!a;").unwrap();
+        assert_eq!(traced, s.last_stats().steps);
+        assert!(traced > 0);
         // Tracing is off again after `profile`.
         assert!(!aql_trace::enabled());
-    }
-
-    #[test]
-    fn profile_snapshots_the_metrics_registry() {
-        let mut s = Session::new();
-        let (_, report) = s.profile("[[ i * i | \\i < 10 ]][4];").unwrap();
-        assert!(!report.metrics.is_empty(), "profile must snapshot the registry");
     }
 
     /// A shared in-memory slow-log sink (the session owns a boxed
@@ -1278,18 +1257,15 @@ mod tests {
         // it reaches `exec` and must bump the error counter.
         assert!(s.run("no_such_name + 1;").is_err());
         assert!(errors.get() > errors_before, "a failed statement bumps errors");
-        let report = s.last_report();
+        let metrics = aql_journal::metrics::snapshot();
         assert!(
-            report
-                .metrics
-                .iter()
-                .any(|(k, _)| k.starts_with("aql_session_statements_total")),
-            "statement counters must appear in the report snapshot: {:?}",
-            report.metrics.iter().take(5).collect::<Vec<_>>()
+            metrics.iter().any(|(k, _)| k.starts_with("aql_session_statements_total")),
+            "statement counters must appear in the registry: {:?}",
+            metrics.iter().take(5).collect::<Vec<_>>()
         );
         assert!(
-            report.metrics.iter().any(|(k, _)| k.contains("aql_session_statement_ns")),
-            "statement latency histogram must appear in the snapshot"
+            metrics.iter().any(|(k, _)| k.contains("aql_session_statement_ns")),
+            "statement latency histogram must appear in the registry"
         );
     }
 
@@ -1309,7 +1285,7 @@ mod tests {
         let mut s = Session::new();
         bind_lazy(&mut s, "sst", "mem:attr-test", 32);
         s.run("reverse!sst;").unwrap();
-        let attr = s.statement_attribution();
+        let attr = s.last_report().attribution;
         assert_eq!(attr.len(), 1, "one ledger per statement");
         let ledger = &attr[0];
         let row = ledger

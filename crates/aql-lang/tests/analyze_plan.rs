@@ -6,8 +6,8 @@
 use aql_lang::session::Session;
 
 /// The `\analyze` nest lines of `query` (kernels, interpreted) and the
-/// kernel entries one evaluation of it makes (`eval.kernel_nests +
-/// eval.kernel_escapes`).
+/// kernel entries one evaluation of it makes (its record's kernel
+/// `nests + escapes`).
 fn plan_and_run(optimize: bool, query: &str) -> (Vec<String>, Vec<String>, u64) {
     let mut s = Session::new();
     s.optimize = optimize;
@@ -17,10 +17,9 @@ fn plan_and_run(optimize: bool, query: &str) -> (Vec<String>, Vec<String>, u64) 
         body.lines().filter_map(|l| l.strip_prefix(tag)).map(str::to_string).collect()
     };
     let (kernels, interpreted) = (lines("  - kernel: "), lines("  - interpreted: "));
-    let (_, report) = s.profile(&format!("{query};")).unwrap();
-    let t = &report.trace;
-    let entries = t.total_counter("eval.kernel_nests") + t.total_counter("eval.kernel_escapes");
-    (kernels, interpreted, entries)
+    s.run(&format!("{query};")).unwrap();
+    let k = s.last_report().kernels[0];
+    (kernels, interpreted, k.nests + k.escapes)
 }
 
 const SUMS: &str = "[[ summap(fn \\k => A[k])!(gen!(i+1)) | \\i < 8 ]]";

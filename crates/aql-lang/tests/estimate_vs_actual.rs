@@ -28,8 +28,8 @@ fn reals(dims: Vec<u64>) -> Value {
 /// took, and the loop nests that ran as kernels.
 fn predicted_actual_kernels(s: &mut Session, query: &str) -> (u64, u64, u64) {
     let predicted = s.explain(query).unwrap().cost_after.steps;
-    let (_, report) = s.profile(&format!("{query};")).unwrap();
-    (predicted, s.last_stats().steps, report.trace.total_counter("eval.kernel_nests"))
+    s.run(&format!("{query};")).unwrap();
+    (predicted, s.last_stats().steps, s.last_report().kernels[0].nests)
 }
 
 #[test]

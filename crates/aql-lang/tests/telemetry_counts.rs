@@ -56,7 +56,7 @@ fn a_statement_writes_one_record_per_phase_run_between_begin_and_end() {
     assert_eq!(shape, want, "StmtBegin + one Phase per phase run + StmtEnd, exactly");
     // The records are the statement's account: the ledger's phases are
     // these numbers, not a second measurement.
-    let ledger = &s.statement_attribution()[0];
+    let ledger = s.last_report().attribution[0].clone();
     let journaled: Vec<(String, u64)> = window
         .iter()
         .filter(|r| r.tag == Tag::Phase)
@@ -154,7 +154,7 @@ fn trace_cost_does_not_grow_with_the_data_scanned() {
     let mut cost = |hours: u64| {
         let before = aql_trace::clock_reads();
         let (_, report) = s.profile(&scan(hours)).expect("profiled scan");
-        assert_eq!(report.total().cache.misses, 0, "warm cache");
+        assert_eq!(s.last_stats().cache.misses, 0, "warm cache");
         assert!(report.trace.spans.iter().all(|s| s.dur_ns.is_some()), "no span left open");
         (report.trace.spans.len(), aql_trace::clock_reads() - before)
     };

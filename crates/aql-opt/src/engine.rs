@@ -17,25 +17,14 @@ use aql_core::expr::children::try_for_each_child_mut;
 use aql_core::expr::{Expr, Head, Name};
 use aql_core::stack::TooDeep;
 
-pub use crate::trace::{Trace, TraceStep};
+use crate::trace::{bump, Tally};
+pub use crate::trace::{RuleCounts, RunCounts, Trace, TraceStep};
 
 /// Process-lifetime count of optimizer passes run to fixpoint.
 static M_PASSES: aql_journal::metrics::LazyCounter = aql_journal::metrics::LazyCounter::new(
     "aql_opt_passes_total",
     "Optimizer fixpoint passes executed.",
 );
-
-/// Bump the `(phase, rule)`-labelled unsound-rewrite counter. Unsound
-/// rewrites are exceptional, so the lookup cost is irrelevant — but
-/// an operator watching `/metrics` must see them.
-fn bump_unsound_metric(phase: &str, rule: &str) {
-    aql_journal::metrics::counter_with(
-        "aql_opt_unsound_total",
-        &[("phase", phase), ("rule", rule)],
-        "Rewrites rejected by the soundness gate, by (phase, rule).",
-    )
-    .inc();
-}
 
 /// A rewrite rule. `apply` inspects only the *root* of the node it is
 /// handed and owns it: it returns the replacement if the rule fires,
@@ -208,6 +197,8 @@ pub struct Phase {
     fires: Vec<OnceCell<&'static aql_journal::metrics::Counter>>,
     /// Per [`Head`], the rules listing it, in registration order.
     by_head: Vec<Vec<usize>>,
+    /// What the phase's last run counted ([`Phase::counts`]).
+    tally: Tally,
 }
 
 /// What a phase's bottom-up passes thread through the tree.
@@ -218,11 +209,8 @@ struct Pass<'a, 'g> {
     scope: Vec<Name>,
     /// Rule firings in the current pass.
     fired: usize,
-    /// The last rule that fired in the phase.
-    last_fired: Option<&'static str>,
-    /// Node visits and `Rule::apply` calls so far in the phase.
-    visits: u64,
-    applies: u64,
+    /// The index of the last rule that fired in the phase.
+    last_fired: Option<usize>,
     /// This thread's stack ran out: no rule fires again in the run, as a
     /// substitution could walk a deeper term.
     too_deep: bool,
@@ -232,7 +220,8 @@ impl Phase {
     /// An empty phase.
     pub fn new(name: &str) -> Phase {
         let by_head = vec![Vec::new(); Head::ALL.len()];
-        Phase { name: name.to_string(), rules: Vec::new(), fires: Vec::new(), by_head }
+        let (rules, fires, tally) = (Vec::new(), Vec::new(), Tally::default());
+        Phase { name: name.to_string(), rules, fires, by_head, tally }
     }
 
     /// Append a rule (applied after already-registered rules).
@@ -246,6 +235,7 @@ impl Phase {
         }
         self.rules.push(rule);
         self.fires.push(OnceCell::new());
+        self.tally.rules.push(Default::default());
         self
     }
 
@@ -261,11 +251,9 @@ impl Phase {
     /// rule that panics aborts the phase with a [`RulePanic`] naming it.
     ///
     /// When `aql-trace` is collecting, the phase runs under an
-    /// `opt.phase` span annotated with its name and carrying the run's
-    /// `opt.visits` and `opt.applies`; each full bottom-up pass gets a
-    /// timed `opt.pass` child span, every rule firing bumps a
-    /// `fire:<phase>/<rule>` counter, and a phase a bound stopped short
-    /// of its fixpoint bumps `opt.bound_hit:<phase>/<rule>`.
+    /// `opt.phase` span annotated with its name, and each full bottom-up
+    /// pass under a timed `opt.pass` child span. What the run counted is
+    /// [`Phase::counts`].
     pub fn run(
         &self,
         e: &Expr,
@@ -273,6 +261,7 @@ impl Phase {
         trace: Option<&mut Trace>,
     ) -> Result<Expr, OptError> {
         let mut cur = e.clone();
+        self.tally.reset();
         self.run_in_place(&mut cur, gate, trace, &mut false).map(|()| cur)
     }
 
@@ -293,8 +282,6 @@ impl Phase {
             scope: Vec::new(),
             fired: 0,
             last_fired: None,
-            visits: 0,
-            applies: 0,
             too_deep: *too_deep,
         };
         for pass in 1..=MAX_PASSES {
@@ -302,7 +289,7 @@ impl Phase {
             st.fired = 0;
             self.pass(cur, &mut st)?;
             drop(pass_span);
-            aql_trace::count("opt.passes", 1);
+            bump(&self.tally.passes);
             M_PASSES.inc();
             if st.fired == 0 {
                 break;
@@ -311,13 +298,11 @@ impl Phase {
                 self.bound_hit(&mut st);
             }
         }
-        aql_trace::count("opt.visits", st.visits);
-        aql_trace::count("opt.applies", st.applies);
         *too_deep = st.too_deep;
-        if let (Some(check), Some(rule)) = (gate.phase_check, st.last_fired) {
+        if let (Some(check), Some(index)) = (gate.phase_check, st.last_fired) {
             if let Err(message) = check(cur).map_err(OptError::TooDeep)? {
                 let message = format!("phase-boundary check failed: {message}");
-                return Err(self.unsound(rule, message));
+                return Err(self.unsound(self.rules[index].name(), message));
             }
         }
         Ok(())
@@ -339,7 +324,7 @@ impl Phase {
             return Ok(());
         }
         self.pass_children(e, st)?;
-        st.visits += 1;
+        bump(&self.tally.visits);
         'offers: for _ in 0..MAX_FIRES_PER_VISIT {
             let offered = &self.by_head[e.head() as usize];
             // The tripwire on `heads()`: what the table skips must decline.
@@ -352,7 +337,7 @@ impl Phase {
             }
             let redex = (st.gate.per_fire || st.trace.is_some()).then(|| e.clone());
             for &index in offered {
-                st.applies += 1;
+                bump(&self.tally.applies);
                 let next = match self.apply_checked(&self.rules[index], e.take())? {
                     Ok(next) => next,
                     // Declining hands the node back as it came: what a
@@ -381,7 +366,7 @@ impl Phase {
                 if let (Some(t), Some(redex)) = (st.trace.as_deref_mut(), redex) {
                     t.steps.push(TraceStep::new(&self.name, rule, redex, &next));
                 }
-                aql_trace::count_with(|| format!("fire:{}/{rule}", self.name), 1);
+                bump(&self.tally.rules[index][0]);
                 self.fires[index]
                     .get_or_init(|| {
                         aql_journal::metrics::counter_with(
@@ -392,7 +377,7 @@ impl Phase {
                     })
                     .inc();
                 st.fired += 1;
-                st.last_fired = Some(rule);
+                st.last_fired = Some(index);
                 *e = next;
                 if self.rules[index].substitutes() {
                     self.pass_children(e, st)?;
@@ -431,18 +416,25 @@ impl Phase {
     /// the last rule that fired and mark the trace — a possibly
     /// non-normal form is never silent.
     fn bound_hit(&self, st: &mut Pass<'_, '_>) {
-        let Some(rule) = st.last_fired else { return };
-        aql_trace::count_with(|| format!("opt.bound_hit:{}/{rule}", self.name), 1);
+        let Some(index) = st.last_fired else { return };
+        bump(&self.tally.rules[index][1]);
         if let Some(t) = st.trace.as_deref_mut() {
-            t.bound_hit = Some((self.name.clone(), rule));
+            t.bound_hit = Some((self.name.clone(), self.rules[index].name()));
         }
     }
 
-    /// Record a rewrite of `rule` that the gate rejected (trace counter
-    /// and `/metrics`) and build the error naming it.
+    /// What the phase's last run counted.
+    pub fn counts(&self) -> RunCounts {
+        self.tally.counts(&self.name, &self.rules)
+    }
+
+    /// Record a rewrite of `rule` that the gate rejected in `/metrics`
+    /// (exceptional, so the lookup cost is irrelevant) and build the
+    /// error naming it.
     fn unsound(&self, rule: &'static str, message: String) -> OptError {
-        aql_trace::count_with(|| format!("unsound:{}/{rule}", self.name), 1);
-        bump_unsound_metric(&self.name, rule);
+        let labels = [("phase", self.name.as_str()), ("rule", rule)];
+        let help = "Rewrites rejected by the soundness gate, by (phase, rule).";
+        aql_journal::metrics::counter_with("aql_opt_unsound_total", &labels, help).inc();
         OptError::Unsound(SoundnessViolation { phase: self.name.clone(), rule, message })
     }
 }
@@ -477,7 +469,7 @@ impl Optimizer {
     /// Run every phase in order ([`Phase::run`]) under a soundness
     /// [`Gate`], recording rule firings in `trace` if one is given. Rule
     /// panics and gate violations both abort, attributed to
-    /// `(phase, rule)`.
+    /// `(phase, rule)`. What the run counted is [`Optimizer::counts`].
     pub fn run(
         &self,
         e: &Expr,
@@ -485,10 +477,18 @@ impl Optimizer {
         mut trace: Option<&mut Trace>,
     ) -> Result<Expr, OptError> {
         let (mut cur, mut too_deep) = (e.clone(), false);
+        self.phases.iter().for_each(|p| p.tally.reset());
         for p in &self.phases {
             p.run_in_place(&mut cur, gate, trace.as_deref_mut(), &mut too_deep)?;
         }
         Ok(cur)
+    }
+
+    /// What the last run counted, over every phase.
+    pub fn counts(&self) -> RunCounts {
+        let mut sum = RunCounts::default();
+        self.phases.iter().for_each(|p| sum.add(&p.counts()));
+        sum
     }
 
     /// Optimize an expression, ungated. A panicking rule propagates the
@@ -514,6 +514,12 @@ impl Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(fires, bound_hits)` of `rule` in `phase`, as `counts` has them.
+    fn rule(counts: &RunCounts, phase: &str, rule: &str) -> (u64, u64) {
+        let mine = counts.rules.iter().filter(|r| r.phase == phase && r.rule == rule);
+        mine.fold((0, 0), |(f, b), r| (f + r.fires, b + r.bound_hits))
+    }
     use aql_core::expr::builder::*;
     use aql_core::expr::ArithOp;
 
@@ -611,14 +617,12 @@ mod tests {
         p.add_rule(Rc::new(PingPong));
         let mut opt = Optimizer::empty();
         opt.add_phase(p);
-        aql_trace::enable();
         let (_, trace) = opt.optimize_traced(&add(nat(1), add(nat(2), nat(3))));
-        let t = aql_trace::disable();
         // Both bounds were hit: 32 firings at each of two nodes on each
         // of 64 passes, then the pass bound itself.
         assert_eq!(trace.bound_hit, Some(("hostile".to_string(), "ping-pong")));
-        assert_eq!(t.total_counter("opt.bound_hit:hostile/ping-pong"), 2 * 64 + 1);
-        assert_eq!(t.total_counter("opt.passes"), 64);
+        assert_eq!(rule(&opt.counts(), "hostile", "ping-pong"), (2 * 32 * 64, 2 * 64 + 1));
+        assert_eq!(opt.counts().passes, 64);
         let table = trace.render_fire_table();
         let last = table.lines().last().expect("a table");
         assert!(last.contains("bound hit: hostile/ping-pong"), "{table}");
@@ -628,12 +632,10 @@ mod tests {
         p.add_rule(Rc::new(ZeroAdd));
         let mut opt = Optimizer::empty();
         opt.add_phase(p);
-        aql_trace::enable();
         let (_, trace) = opt.optimize_traced(&add(nat(0), add(nat(0), var("x"))));
-        let t = aql_trace::disable();
         assert_eq!(trace.bound_hit, None);
         assert!(!trace.render_fire_table().contains("bound hit"));
-        assert!(t.spans.iter().flat_map(|s| &s.counters).all(|(n, _)| !n.starts_with("opt.bound")));
+        assert!(opt.counts().rules.iter().all(|r| r.bound_hits == 0), "{:?}", opt.counts());
     }
 
     /// One half of a hostile pair that declares it substitutes: turns
@@ -670,10 +672,8 @@ mod tests {
             p.add_rule(Rc::new(Flip { name: "pong", from: ArithOp::Mul, to: ArithOp::Add }));
             let opt = Optimizer::with_phases(vec![p]);
             let e = add(nat(1), add(nat(2), nat(3)));
-            aql_trace::enable();
             let (got, trace) = opt.optimize_traced(&e);
-            let t = aql_trace::disable();
-            let counts = [t.total_counter("opt.bound_hit:hostile/pong"), t.total_counter("opt.passes")];
+            let counts = [rule(&opt.counts(), "hostile", "pong").1, opt.counts().passes];
             // An even number of firings at each node leaves each as it was.
             (got == e, trace.len(), trace.bound_hit, counts)
         };
@@ -716,11 +716,9 @@ mod tests {
             let mut p = Phase::new("normalize");
             p.add_rule(Rc::new(Unfold { substitutes }));
             p.add_rule(Rc::new(crate::rules::beta::PiTuple));
-            aql_trace::enable();
             let got = p.run(&mul(var("t"), var("y")), &Gate::off(), None).expect("no rule panics");
-            let t = aql_trace::disable();
             assert_eq!(got, mul(add(nat(1), var("u")), var("y")));
-            (t.total_counter("opt.passes"), t.total_counter("fire:normalize/pi"))
+            (p.counts().passes, rule(&p.counts(), "normalize", "pi").0)
         };
         // Declared: `unfold` and `pi` fire in the first pass; the second
         // proves the fixpoint.
@@ -752,11 +750,9 @@ mod tests {
         let applies = |rule: Rc<dyn Rule>| {
             let mut p = Phase::new("test");
             p.add_rule(rule);
-            aql_trace::enable();
             let got = p.run(&e, &Gate::off(), None).expect("no rule panics");
-            let t = aql_trace::disable();
             assert_eq!(got, tuple(vec![var("x"), var("y"), var("z")]));
-            (t.total_counter("opt.applies"), t.total_counter("opt.visits"))
+            (p.counts().applies, p.counts().visits)
         };
         // Any head (the default, what a rule registered at run time
         // gets): every visit is an offer, and the firing a re-offer.
@@ -829,7 +825,7 @@ mod tests {
     }
 
     #[test]
-    fn phase_spans_and_fire_counters_reach_the_subscriber() {
+    fn phase_spans_reach_the_subscriber_and_the_run_keeps_its_counts() {
         let mut p = Phase::new("normalize");
         p.add_rule(Rc::new(ZeroAdd));
         let mut opt = Optimizer::empty();
@@ -843,11 +839,15 @@ mod tests {
             phase.notes,
             vec![("phase".to_string(), "normalize".to_string())]
         );
-        // Two firings total, attributed to (phase, rule); at least two
-        // passes (one that fires, one that proves the fixpoint).
-        assert_eq!(t.total_counter("fire:normalize/zero-add"), 2);
-        assert!(t.total_counter("opt.passes") >= 2);
         assert!(t.find("opt.pass").is_some(), "per-pass spans recorded");
+        // Two firings total, attributed to (phase, rule); at least two
+        // passes (one that fires, one that proves the fixpoint); and
+        // the same counts untraced.
+        let counts = opt.counts();
+        assert_eq!(rule(&counts, "normalize", "zero-add"), (2, 0));
+        assert!(counts.passes >= 2);
+        assert_eq!(opt.optimize(&add(nat(0), add(nat(0), var("x")))), var("x"));
+        assert_eq!(opt.counts(), counts, "a run's counts are its own: the next run starts at zero");
     }
 
     /// An injected rule: rewrites every occurrence of `from` to `to`.

@@ -35,8 +35,8 @@ pub mod rules;
 pub mod trace;
 
 pub use engine::{
-    Gate, OptError, Optimizer, Phase, PhaseCheck, Rule, RulePanic, SoundnessViolation, Trace,
-    TraceStep,
+    Gate, OptError, Optimizer, Phase, PhaseCheck, Rule, RuleCounts, RulePanic, RunCounts,
+    SoundnessViolation, Trace, TraceStep,
 };
 pub use rules::{normalize_and_eliminate, normalizer, standard};
 

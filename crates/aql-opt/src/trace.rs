@@ -1,9 +1,95 @@
 //! The rewrite trace: which rules fired, in order, what a bound cut
-//! short, and the renderings `\explain` shows.
+//! short, and the renderings `\explain` shows; and the counts every run
+//! keeps, traced or not.
 
+use std::cell::Cell;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 use aql_core::expr::Expr;
+
+use crate::engine::Rule;
+
+/// What optimizer runs counted, traced or not: the engine fills it on
+/// every run ([`Optimizer::counts`](crate::Optimizer::counts)), and a
+/// session adds up its statement's runs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunCounts {
+    /// Full bottom-up passes, over every phase.
+    pub passes: u64,
+    /// Nodes visited.
+    pub visits: u64,
+    /// `Rule::apply` calls.
+    pub applies: u64,
+    /// Every `(phase, rule)` that fired or was cut short, in phase and
+    /// then registration order.
+    pub rules: Vec<RuleCounts>,
+}
+
+/// One rule's share of a [`RunCounts`]: its firings, and the times a
+/// bound stopped its phase short of a fixpoint with it the last to fire.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub struct RuleCounts {
+    pub phase: String,
+    pub rule: &'static str,
+    pub fires: u64,
+    pub bound_hits: u64,
+}
+
+impl RunCounts {
+    /// Firings of every rule.
+    pub fn fires(&self) -> u64 {
+        self.rules.iter().map(|r| r.fires).sum()
+    }
+
+    /// Add `o` component-wise, rules matched by `(phase, rule)`.
+    pub fn add(&mut self, o: &RunCounts) {
+        (self.passes, self.visits, self.applies) =
+            (self.passes + o.passes, self.visits + o.visits, self.applies + o.applies);
+        for r in &o.rules {
+            match self.rules.iter_mut().find(|m| m.phase == r.phase && m.rule == r.rule) {
+                Some(m) => (m.fires, m.bound_hits) = (m.fires + r.fires, m.bound_hits + r.bound_hits),
+                None => self.rules.push(r.clone()),
+            }
+        }
+    }
+}
+
+/// What one phase's last run counted, kept by the phase: passes, visits
+/// and applies, then per rule in registration order `[fires, bound
+/// hits]`. Zeroed in place, so a run allocates nothing for it.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    pub(crate) passes: Cell<u64>,
+    pub(crate) visits: Cell<u64>,
+    pub(crate) applies: Cell<u64>,
+    pub(crate) rules: Vec<[Cell<u64>; 2]>,
+}
+
+/// Add one to a tally's count.
+#[inline]
+pub(crate) fn bump(c: &Cell<u64>) {
+    c.set(c.get() + 1);
+}
+
+impl Tally {
+    pub(crate) fn reset(&self) {
+        let counts = [&self.passes, &self.visits, &self.applies].into_iter();
+        counts.chain(self.rules.iter().flatten()).for_each(|c| c.set(0));
+    }
+
+    /// The tally as the [`RunCounts`] of phase `phase`, whose rules are `rules`.
+    pub(crate) fn counts(&self, phase: &str, rules: &[Rc<dyn Rule>]) -> RunCounts {
+        let counted = rules.iter().zip(&self.rules).map(|(r, [f, b])| (r.name(), f.get(), b.get()));
+        let rules = counted
+            .filter(|&(_, fires, bound_hits)| (fires, bound_hits) != (0, 0))
+            .map(|(rule, fires, bound_hits)| RuleCounts { phase: phase.into(), rule, fires, bound_hits })
+            .collect();
+        let (passes, visits, applies) = (self.passes.get(), self.visits.get(), self.applies.get());
+        RunCounts { passes, visits, applies, rules }
+    }
+}
 
 /// One step of a rewrite, recorded when tracing.
 #[derive(Debug, Clone)]

@@ -73,7 +73,7 @@
 //! cell of a column array, a limit that would be exceeded, a pending
 //! deadline or cancellation, a storage failure. The interpreter then
 //! reports the error, or the `⊥`, at the point and with the counts it
-//! always did; the trace counts the nest under `eval.kernel_escapes`.
+//! always did; [`KernelStats::escapes`](super::KernelStats::escapes) counts the nest.
 //! An entry that escapes leaves its nest's binding for the next entry.
 
 use std::cell::{Cell, RefCell, RefMut};
@@ -1425,7 +1425,7 @@ fn strides(dims: &[u64]) -> Vec<u64> {
 }
 
 /// Run `plan` — the plan of `fallback` — in `env`. `None` is the
-/// module's one escape: no counter of `ctx` has changed (but the trace's
+/// module's one escape: no counter of `ctx` has changed (but the kernel
 /// counts of escapes and binds) and the caller evaluates `fallback`
 /// itself.
 ///
@@ -1444,7 +1444,7 @@ pub(super) fn run(plan: &Rc<KernelPlan>, fallback: &CExpr, env: &Env, ctx: &Eval
         let mut bound = match kept.filter(|b| b.fits(&entry)) {
             Some(b) => Bound { entry, ..b },
             None => {
-                bump(&ctx.kernel_binds, 1);
+                ctx.count_kernel(|k| k.binds += 1);
                 bind(plan, entry)?
             }
         };
@@ -1459,7 +1459,7 @@ pub(super) fn run(plan: &Rc<KernelPlan>, fallback: &CExpr, env: &Env, ctx: &Eval
         // The root's bounds were evaluated by the interpreter, which
         // charged them; the fallback will charge them again.
         ctx.set_counters(saved);
-        ctx.kernel_escapes.set(ctx.kernel_escapes.get() + 1);
+        ctx.count_kernel(|k| k.escapes += 1);
     }
     out
 }
@@ -1658,9 +1658,8 @@ fn commit(ctx: &EvalCtx, frame: &Frame) -> Option<()> {
     ctx.subscripts.set(ctx.subscripts.get() + frame.subs.get());
     ctx.elided.set(ctx.elided.get() + frame.subs.get());
     ctx.materialized.set(ctx.materialized.get() + frame.materialized.get());
-    ctx.kernel_nests.set(ctx.kernel_nests.get() + 1);
-    ctx.kernel_cells.set(ctx.kernel_cells.get() + frame.materialized.get());
-    ctx.kernel_rows.set(ctx.kernel_rows.get() + frame.rows.get());
+    let (cells, rows) = (frame.materialized.get(), frame.rows.get());
+    ctx.count_kernel(|k| (k.nests, k.cells, k.rows) = (k.nests + 1, k.cells + cells, k.rows + rows));
     Some(())
 }
 
@@ -1738,11 +1737,11 @@ mod tests {
             subscripts: s.subscripts,
             elided: s.elided,
             materialized: s.materialized,
-            nests: ctx.kernel_nests(),
-            escapes: ctx.kernel_escapes.get(),
-            rows: ctx.kernel_rows.get(),
+            nests: ctx.kernel_stats().nests,
+            escapes: ctx.kernel_stats().escapes,
+            rows: ctx.kernel_stats().rows,
             lookups: io.hits + io.misses,
-            binds: ctx.kernel_binds.get(),
+            binds: ctx.kernel_stats().binds,
         }
     }
 

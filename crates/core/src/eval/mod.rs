@@ -143,12 +143,8 @@ impl Limits {
 }
 
 /// Aggregate statistics for one evaluation: steps consumed plus the
-/// chunk-cache activity of any lazy arrays the query touched.
-///
-/// The cache counters are a *delta* over `aql-store`'s thread-local
-/// aggregate, captured between context construction and the
-/// [`EvalCtx::stats`] call — so they attribute exactly the I/O this
-/// evaluation caused (the runtime is single-threaded).
+/// chunk-cache activity of any lazy arrays the query touched. What the
+/// bulk kernels did is [`KernelStats`], beside it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Evaluation steps (AST node visits).
@@ -188,6 +184,40 @@ impl EvalStats {
     }
 }
 
+/// What planning and running the bulk kernels counted in one
+/// evaluation. The interpreter's charges are [`EvalStats`]; these
+/// numbers say how the evaluation got its answer, not what it cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelStats {
+    /// Subscript sites compiled with their bounds check elided (none
+    /// while [`bounds::enabled`] is off).
+    pub marked_sites: u64,
+    /// Loop nests run as bulk kernels.
+    pub nests: u64,
+    /// Loop iterations those kernels covered.
+    pub cells: u64,
+    /// Rows their loops ran.
+    pub rows: u64,
+    /// Kernel entries that handed their nest back to the interpreter.
+    pub escapes: u64,
+    /// Times a nest was bound.
+    pub binds: u64,
+}
+
+impl KernelStats {
+    /// Component-wise sum.
+    pub fn merged(&self, o: &KernelStats) -> KernelStats {
+        KernelStats {
+            marked_sites: self.marked_sites + o.marked_sites,
+            nests: self.nests + o.nests,
+            cells: self.cells + o.cells,
+            rows: self.rows + o.rows,
+            escapes: self.escapes + o.escapes,
+            binds: self.binds + o.binds,
+        }
+    }
+}
+
 /// Evaluation context: session `val` bindings, external primitives,
 /// and resource limits.
 pub struct EvalCtx<'a> {
@@ -203,15 +233,7 @@ pub struct EvalCtx<'a> {
     subscripts: Cell<u64>,
     elided: Cell<u64>,
     materialized: Cell<u64>,
-    /// Loop nests run as bulk kernels, the loop iterations they
-    /// covered, the rows their loops ran, the nests a kernel handed
-    /// back to the interpreter, and the times a nest was bound — trace
-    /// counters, not part of [`EvalStats`].
-    kernel_nests: Cell<u64>,
-    kernel_cells: Cell<u64>,
-    kernel_rows: Cell<u64>,
-    kernel_escapes: Cell<u64>,
-    kernel_binds: Cell<u64>,
+    kernel: Cell<KernelStats>,
     /// The nests bound in this evaluation, for their next entry.
     kernels: RefCell<Vec<kernel::Bound>>,
     /// This thread's [`crate::stack::limit`], read once here.
@@ -230,11 +252,7 @@ impl<'a> EvalCtx<'a> {
             subscripts: Cell::new(0),
             elided: Cell::new(0),
             materialized: Cell::new(0),
-            kernel_nests: Cell::new(0),
-            kernel_cells: Cell::new(0),
-            kernel_rows: Cell::new(0),
-            kernel_escapes: Cell::new(0),
-            kernel_binds: Cell::new(0),
+            kernel: Cell::new(KernelStats::default()),
             kernels: RefCell::new(Vec::new()),
             stack_limit: crate::stack::limit(),
         }
@@ -253,15 +271,15 @@ impl<'a> EvalCtx<'a> {
         self.steps.get()
     }
 
-    /// Loop nests this context's evaluations ran as bulk kernels
-    /// rather than through the interpreter.
-    pub fn kernel_nests(&self) -> u64 {
-        self.kernel_nests.get()
+    /// What the bulk kernels of this context's evaluations counted.
+    pub fn kernel_stats(&self) -> KernelStats {
+        self.kernel.get()
     }
 
-    /// Kernel entries that handed their nest back to the interpreter.
-    pub fn kernel_escapes(&self) -> u64 {
-        self.kernel_escapes.get()
+    fn count_kernel(&self, f: impl FnOnce(&mut KernelStats)) {
+        let mut k = self.kernel.get();
+        f(&mut k);
+        self.kernel.set(k);
     }
 
     /// The four evaluation counters, for a kernel to put back when it
@@ -332,12 +350,8 @@ impl<'a> EvalCtx<'a> {
 }
 
 /// Compile and evaluate a closed named expression with every
-/// subscript bounds-checked.
-///
-/// When `aql-trace` is collecting, the evaluation's step, subscript,
-/// and materialization counters are flushed onto the innermost open
-/// span before returning (cache counters stream in live from
-/// `aql-store`).
+/// subscript bounds-checked. What it counted is [`EvalCtx::stats`] and
+/// [`EvalCtx::kernel_stats`].
 pub fn eval(e: &Expr, ctx: &EvalCtx) -> Result<Value, EvalError> {
     eval_marked(e, ctx, &|_| None)
 }
@@ -358,8 +372,8 @@ pub fn eval_marked(
         marked.set(marked.get() + u64::from(mark.is_some()));
         mark
     })?;
-    if bounds::enabled() && aql_trace::enabled() {
-        aql_trace::count("eval.bounds_elided_sites", marked.get());
+    if bounds::enabled() {
+        ctx.count_kernel(|k| k.marked_sites += marked.get());
     }
     // Make the statement's deadline/cancellation visible to the
     // storage layer for the duration of the evaluation: chunk-load
@@ -370,20 +384,6 @@ pub fn eval_marked(
     let out = eval_compiled(&c, &Env::empty(), ctx);
     // The nests bound here are this evaluation's alone.
     ctx.kernels.borrow_mut().clear();
-    if aql_trace::enabled() {
-        let s = ctx.stats();
-        aql_trace::count("eval.steps", s.steps);
-        aql_trace::count("eval.subscripts", s.subscripts);
-        aql_trace::count("eval.elided", s.elided);
-        aql_trace::count("eval.materialized", s.materialized);
-        if ctx.kernel_nests.get() + ctx.kernel_escapes.get() > 0 {
-            aql_trace::count("eval.kernel_nests", ctx.kernel_nests.get());
-            aql_trace::count("eval.kernel_cells", ctx.kernel_cells.get());
-            aql_trace::count("eval.kernel_rows", ctx.kernel_rows.get());
-            aql_trace::count("eval.kernel_escapes", ctx.kernel_escapes.get());
-            aql_trace::count("eval.kernel_binds", ctx.kernel_binds.get());
-        }
-    }
     out
 }
 

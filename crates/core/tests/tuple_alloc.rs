@@ -81,7 +81,7 @@ fn pairs_of_two_windows(n: u64) -> u64 {
     drop(eval_marked(&e, &EvalCtx::new(&globals, &externals), &marks));
     let ctx = EvalCtx::new(&globals, &externals);
     let (allocs, out) = allocs_during(|| eval_marked(&e, &ctx, &marks));
-    assert_eq!(ctx.kernel_nests(), 1, "{e} ran as a kernel");
+    assert_eq!(ctx.kernel_stats().nests, 1, "{e} ran as a kernel");
     let Ok(Value::Array(pairs)) = out else { panic!("{e} is a tabulation") };
     assert!(matches!(pairs.array_data(), ArrayData::Columns(c) if c.len() == 2));
     assert_eq!(pairs.value_at(n as usize - 1), Value::tuple(vec![
@@ -104,7 +104,7 @@ fn a_real_map(n: u64) -> u64 {
     drop(eval_marked(&e, &EvalCtx::new(&globals, &externals), &marks));
     let ctx = EvalCtx::new(&globals, &externals);
     let (allocs, out) = allocs_during(|| eval_marked(&e, &ctx, &marks));
-    assert_eq!(ctx.kernel_nests(), 1, "{e} ran as a kernel");
+    assert_eq!(ctx.kernel_stats().nests, 1, "{e} ran as a kernel");
     let Ok(Value::Array(map)) = out else { panic!("{e} is a tabulation") };
     assert_eq!(map.value_at(n as usize - 1), Value::Real((n - 1) as f64 * 0.25 * 1.8 + 32.0));
     allocs
@@ -138,7 +138,7 @@ fn days_of_readings(n: u64) -> u64 {
     drop(eval_marked(&e, &EvalCtx::new(&globals, &externals), &marks));
     let ctx = EvalCtx::new(&globals, &externals);
     let (allocs, out) = allocs_during(|| eval_marked(&e, &ctx, &marks));
-    assert_eq!(ctx.kernel_nests(), n, "{e} ran a kernel a day");
+    assert_eq!(ctx.kernel_stats().nests, n, "{e} ran a kernel a day");
     assert_eq!(out, Ok(Value::Nat(24 * n)));
     allocs
 }

@@ -229,10 +229,6 @@ pub fn write_array(
     }
     let summary = w.finish()?;
     M_SAVES.inc();
-    if aql_trace::enabled() {
-        aql_trace::count("aqf.chunks_written", summary.chunks);
-        aql_trace::count("aqf.bytes_written", summary.encoded_bytes);
-    }
     Ok(summary)
 }
 

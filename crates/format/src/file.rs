@@ -518,10 +518,6 @@ impl AqfFile {
                 ),
             ));
         }
-        if aql_trace::enabled() {
-            aql_trace::count("aqf.chunks_read", 1);
-            aql_trace::count("aqf.bytes_read", entry.byte_len);
-        }
         Ok(buf)
     }
 }

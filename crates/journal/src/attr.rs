@@ -74,6 +74,8 @@ pub struct Ledger {
     pub phases: Vec<(String, u64)>,
     /// Governor charge high-water mark during the statement, bytes.
     pub governor_peak_bytes: u64,
+    /// Hyperslab reads the statement asked of NetCDF sources.
+    pub hyperslab_requests: u64,
 }
 
 impl Ledger {
@@ -126,6 +128,7 @@ impl Ledger {
                 "governor_peak_bytes".to_string(),
                 Json::Num(self.governor_peak_bytes as f64),
             ),
+            ("hyperslab_requests".to_string(), Json::Num(self.hyperslab_requests as f64)),
         ])
     }
 
@@ -134,6 +137,7 @@ impl Ledger {
         let num = |o: &Json, k: &str| o.get(k).and_then(Json::as_u64).unwrap_or(0);
         let mut ledger = Ledger {
             governor_peak_bytes: num(j, "governor_peak_bytes"),
+            hyperslab_requests: num(j, "hyperslab_requests"),
             ..Ledger::default()
         };
         for s in j.get("sources").and_then(Json::as_arr).unwrap_or(&[]) {
@@ -210,6 +214,8 @@ pub(crate) enum Fold {
     Phase,
     /// The ledger's breaker-trip count.
     Trips,
+    /// The ledger's hyperslab-request count.
+    Hyperslabs,
 }
 
 /// A row while it is being folded, keyed by interned label id.
@@ -218,6 +224,7 @@ struct OpenLedger {
     sources: Vec<(u16, SourceCounts)>,
     phases: Vec<(u16, u64)>,
     trips: u64,
+    hyperslabs: u64,
 }
 
 /// The row keyed `label`, appended (first-touch order) if absent.
@@ -237,6 +244,7 @@ impl OpenLedger {
             Fold::Source(field) => *field(slot(&mut self.sources, label)) += n,
             Fold::Phase => *slot(&mut self.phases, label) += n,
             Fold::Trips => self.trips += n,
+            Fold::Hyperslabs => self.hyperslabs += n,
         }
     }
 
@@ -246,6 +254,7 @@ impl OpenLedger {
             sources: self.sources.iter().map(|&(id, c)| (label_name(id), c)).collect(),
             phases: self.phases.iter().map(|&(id, ns)| (label_name(id), ns)).collect(),
             governor_peak_bytes: 0,
+            hyperslab_requests: self.hyperslabs,
         }
     }
 }
@@ -255,8 +264,8 @@ impl Ledger {
     /// [`emit`](crate::emit) applies to the open ledger as events
     /// happen, run after the fact. Over the records between a
     /// statement's `StmtBegin` and `StmtEnd` it reproduces that
-    /// statement's own ledger (minus the governor high-water mark,
-    /// which no event carries).
+    /// statement's own ledger but the governor high-water mark, which
+    /// no event carries, and the hyperslab requests, which no record does.
     pub fn fold(records: &[Record]) -> Ledger {
         let mut open = OpenLedger::default();
         for r in records {
@@ -270,8 +279,9 @@ impl Ledger {
 
 thread_local! {
     /// This thread's open row.
-    static OPEN: RefCell<OpenLedger> =
-        const { RefCell::new(OpenLedger { sources: Vec::new(), phases: Vec::new(), trips: 0 }) };
+    static OPEN: RefCell<OpenLedger> = const {
+        RefCell::new(OpenLedger { sources: Vec::new(), phases: Vec::new(), trips: 0, hyperslabs: 0 })
+    };
     /// The sum of this thread's closed rows, all sources in one.
     static CLOSED: Cell<SourceCounts> = Cell::new(SourceCounts::default());
 }
@@ -287,6 +297,7 @@ pub fn begin() {
         o.sources.clear();
         o.phases.clear();
         o.trips = 0;
+        o.hyperslabs = 0;
     });
 }
 
@@ -394,6 +405,7 @@ mod tests {
         ));
         ledger.phases.push(("eval".to_string(), 1_500_000));
         ledger.governor_peak_bytes = 1 << 20;
+        ledger.hyperslab_requests = 3;
         let back = Ledger::from_json_value(&ledger.to_json_value()).expect("parse");
         assert_eq!(back, ledger);
     }

@@ -2,9 +2,9 @@
 //!
 //! An instrumented site says what happened; the tables below say where
 //! that lands. Each **quantity** is one named number as all the
-//! counting views see it — its `aql-trace` counter, its process metric
-//! family (with help text and, where it has one, a per-label series)
-//! and the attribution-ledger field it folds into. Each **event kind**
+//! counting views see it — its process metric family (with help text
+//! and, where it has one, a per-label series) and the attribution-ledger
+//! field it folds into. The span tree times; it counts nothing. Each **event kind**
 //! moves some quantities, by some amount. The kinds the flight
 //! recorder keeps are the [`Tag`]s, one row of `TABLE` each (wire name,
 //! quantities); the kinds that are only counted name their quantities
@@ -73,8 +73,6 @@ pub enum Event {
     BreakerProbe { src: u16 },
     /// A call was rejected while the breaker was open.
     BreakerFastFail { src: u16 },
-    /// A tripped breaker closed again after a successful call.
-    BreakerClose { src: u16 },
     /// A statement's governor high-water mark (the gauge keeps the largest).
     GovernorPeak { bytes: u64 },
     /// `n` speculative chunk loads were queued.
@@ -127,7 +125,6 @@ impl Event {
             Event::StmtFailed => (Counted(&SESSION_ERRORS, One), 0, 0, 0),
             Event::StmtUnsound => (Counted(&SESSION_UNSOUND, One), 0, 0, 0),
             Event::LintFindings { n } => (Counted(&LINT_FINDINGS, A), 0, n, 0),
-            Event::BreakerClose { src } => (Counted(&BREAKER_CLOSES, One), src, 0, 0),
             Event::GovernorPeak { bytes } => (Counted(&GOVERNOR_PEAK, A), 0, bytes, 0),
             Event::PrefetchHit => (Counted(&PREFETCH_HITS, One), 0, 0, 0),
             Event::FaultInjected { kind } => (Counted(&FAULTS_INJECTED, One), intern(kind), 0, 0),
@@ -136,9 +133,9 @@ impl Event {
     }
 }
 
-/// Record `ev` in every view its kind names: trace counters on the
-/// innermost open span, process metrics, this thread's open attribution
-/// row, and — for the kinds the flight recorder keeps —
+/// Record `ev` in every view its kind names: process metrics, this
+/// thread's open attribution row, and — for the kinds the flight
+/// recorder keeps —
 /// one ring record (cache hits coalesce into a pending count instead).
 /// No lock and no allocation once a quantity's metric handle is
 /// resolved, which its first use does.
@@ -156,7 +153,6 @@ pub fn emit(ev: Event) {
 /// name and handle still comes from the row's quantity.
 #[inline]
 fn hit(src: u16) {
-    aql_trace::count(HITS.trace, 1);
     HITS.plain().record(1);
     crate::coalesce_hit(src);
 }
@@ -217,9 +213,6 @@ impl Handle {
 
 /// One named number, as every counting view sees it.
 pub(crate) struct Quantity {
-    /// `aql-trace` counter name; `""` = not traced. A name ending in
-    /// `:` is completed with the event's label (`breaker.trip:<src>`).
-    trace: &'static str,
     /// Process metric family; `""` = not exported.
     family: &'static str,
     help: &'static str,
@@ -240,9 +233,8 @@ thread_local! {
 }
 
 impl Quantity {
-    const fn new(trace: &'static str, family: &'static str, help: &'static str) -> Quantity {
+    const fn new(family: &'static str, help: &'static str) -> Quantity {
         Quantity {
-            trace,
             family,
             help,
             resolve: Handle::counter,
@@ -254,13 +246,13 @@ impl Quantity {
     }
 
     const fn gauge(family: &'static str, help: &'static str) -> Quantity {
-        let mut q = Quantity::new("", family, help);
+        let mut q = Quantity::new(family, help);
         q.resolve = Handle::gauge;
         q
     }
 
     const fn histogram(family: &'static str, help: &'static str) -> Quantity {
-        let mut q = Quantity::new("", family, help);
+        let mut q = Quantity::new(family, help);
         q.resolve = Handle::histogram;
         q
     }
@@ -292,15 +284,8 @@ impl Quantity {
         *self.handle.get_or_init(|| (self.resolve)(self.family, &[], self.help))
     }
 
-    /// Add `n` to the trace counter and the metric series.
+    /// Add `n` to the metric series.
     fn count(&'static self, label: u16, n: u64) {
-        if !self.trace.is_empty() && aql_trace::enabled() {
-            if self.trace.ends_with(':') {
-                aql_trace::count_with(|| format!("{}{}", self.trace, label_name(label)), n);
-            } else {
-                aql_trace::count(self.trace, n);
-            }
-        }
         if self.family.is_empty() {
             return;
         }
@@ -319,8 +304,8 @@ impl Quantity {
     }
 }
 
-/// The quantities, one per entry: trace counter, metric family and help
-/// text, then how the series is labelled and where the number folds.
+/// The quantities, one per entry: metric family and help text, then how
+/// the series is labelled and where the number folds.
 macro_rules! quantities {
     ($($(#[$doc:meta])* $name:ident = $new:ident($($arg:expr),*) $(.$with:ident($to:expr))*;)*) => {
         $($(#[$doc])* static $name: Quantity = Quantity::$new($($arg),*)$(.$with($to))*;)*
@@ -328,60 +313,59 @@ macro_rules! quantities {
 }
 
 quantities! {
-    HITS = new("cache.hits", "aql_store_cache_hits_total",
+    HITS = new("aql_store_cache_hits_total",
         "Chunk-cache lookups served from memory.").source(|c| &mut c.hits);
-    MISSES = new("cache.misses", "aql_store_cache_misses_total",
+    MISSES = new("aql_store_cache_misses_total",
         "Chunk-cache lookups that consulted the chunk source.");
     /// Misses that produced a chunk (from the source or the warm pool).
-    LOADED = new("", "", "").source(|c| &mut c.chunks_loaded);
-    EVICTIONS = new("cache.evictions", "aql_store_cache_evictions_total",
+    LOADED = new("", "").source(|c| &mut c.chunks_loaded);
+    EVICTIONS = new("aql_store_cache_evictions_total",
         "Chunks evicted to stay under the byte budget.").source(|c| &mut c.evictions);
-    BYTES_READ = new("cache.bytes_read", "aql_store_cache_bytes_read_total",
+    BYTES_READ = new("aql_store_cache_bytes_read_total",
         "Payload bytes loaded from chunk sources on misses.")
         .by("source").source(|c| &mut c.bytes_read);
-    PREFETCHED_BYTES = new("cache.prefetched_bytes", "aql_store_cache_prefetched_bytes_total",
+    PREFETCHED_BYTES = new("aql_store_cache_prefetched_bytes_total",
         "Payload bytes handed over from prefetch warm pools on misses.")
         .by("source").source(|c| &mut c.prefetched_bytes);
-    LOAD_ERRORS = new("cache.load_errors", "aql_store_cache_load_errors_total",
+    LOAD_ERRORS = new("aql_store_cache_load_errors_total",
         "Chunk-loader invocations that returned an error.")
         .by("source").source(|c| &mut c.load_errors);
-    RETRIES = new("chunks.retries", "aql_store_resilience_retries_total",
+    RETRIES = new("aql_store_resilience_retries_total",
         "Chunk reads retried after a retryable failure.").source(|c| &mut c.retries);
-    CHECKSUM_MISMATCHES = new("chunks.checksum_mismatch", "aql_store_checksum_mismatch_total",
+    CHECKSUM_MISMATCHES = new("aql_store_checksum_mismatch_total",
         "Chunk payloads rejected because their checksum disagreed with the source's.");
-    BREAKER_TRIPS = new("breaker.trip:", "aql_store_breaker_trips_total",
+    BREAKER_TRIPS = new("aql_store_breaker_trips_total",
         "Circuit breakers tripped open after consecutive source failures.").fold(Fold::Trips);
-    BREAKER_PROBES = new("breaker.probe:", "aql_store_breaker_probes_total",
+    BREAKER_PROBES = new("aql_store_breaker_probes_total",
         "Half-open probes admitted after a breaker cool-down.");
-    BREAKER_FAST_FAILS = new("breaker.fast_fail:", "aql_store_breaker_fast_fails_total",
+    BREAKER_FAST_FAILS = new("aql_store_breaker_fast_fails_total",
         "Chunk reads rejected without touching the source (breaker open).");
-    BREAKER_CLOSES = new("breaker.close:", "", "");
     GOVERNOR_PEAK = gauge("aql_store_governor_peak_bytes",
         "High-water mark of governed chunk-memory bytes.");
-    PREFETCH_ISSUED = new("prefetch.issued", "aql_store_prefetch_issued_total",
+    PREFETCH_ISSUED = new("aql_store_prefetch_issued_total",
         "Chunk loads requested speculatively by the read-ahead predictor.");
-    PREFETCH_HITS = new("prefetch.hits", "aql_store_prefetch_hits_total",
+    PREFETCH_HITS = new("aql_store_prefetch_hits_total",
         "Chunk misses served from the prefetch warm pool instead of the source.");
-    PREFETCH_WASTED = new("", "aql_store_prefetch_wasted_total",
+    PREFETCH_WASTED = new("aql_store_prefetch_wasted_total",
         "Speculatively loaded chunks discarded without ever being consumed.");
-    FAULTS_INJECTED = new("chaos.injected:", "aql_store_chaos_injected_total",
+    FAULTS_INJECTED = new("aql_store_chaos_injected_total",
         "Faults injected into chunk reads (errors, corruption, latency).");
-    NETCDF_HYPERSLABS = new("netcdf.hyperslab_requests", "aql_netcdf_hyperslab_requests_total",
-        "Hyperslab read requests issued to NetCDF sources.");
-    STATEMENTS = new("", "aql_session_statements_total",
+    NETCDF_HYPERSLABS = new("aql_netcdf_hyperslab_requests_total",
+        "Hyperslab read requests issued to NetCDF sources.").fold(Fold::Hyperslabs);
+    STATEMENTS = new("aql_session_statements_total",
         "Statements executed, by statement kind.").only_by("kind");
     STATEMENT_NS = histogram("aql_session_statement_ns",
         "End-to-end statement latency in nanoseconds (log2 buckets).");
     PHASE_NS = histogram("aql_session_phase_ns",
         "Pipeline phase latency in nanoseconds, by phase (log2 buckets).")
         .only_by("phase").fold(Fold::Phase);
-    SESSION_ERRORS = new("", "aql_session_errors_total",
+    SESSION_ERRORS = new("aql_session_errors_total",
         "Statements that failed with any session error.");
-    SESSION_UNSOUND = new("", "aql_session_unsound_total",
+    SESSION_UNSOUND = new("aql_session_unsound_total",
         "Statements rejected by the rewrite-soundness gate.");
-    SLOW_QUERIES = new("", "aql_session_slow_queries_total",
+    SLOW_QUERIES = new("aql_session_slow_queries_total",
         "Statements whose wall time exceeded the slow-query threshold.");
-    LINT_FINDINGS = new("", "aql_session_lint_findings_total",
+    LINT_FINDINGS = new("aql_session_lint_findings_total",
         "Shape/bounds lint findings reported by Session::lint.");
 }
 
@@ -478,7 +462,6 @@ mod tests {
             Event::BreakerTrip { src },
             Event::BreakerProbe { src },
             Event::BreakerFastFail { src },
-            Event::BreakerClose { src },
             Event::GovernorPeak { bytes: 4096 },
             Event::PrefetchIssued { src, n: 3 },
             Event::PrefetchHit,
@@ -510,19 +493,14 @@ mod tests {
         }
         kept.sort_unstable();
         assert_eq!(kept, (1..=TABLE.len() as u8).collect::<Vec<_>>());
-        // Exported names are unique too: one quantity per trace
-        // counter and per metric family.
+        // Exported names are unique too: one quantity per metric family.
         quantities.sort_by_key(|q| *q as *const Quantity as usize);
         quantities.dedup_by_key(|q| *q as *const Quantity as usize);
-        for names in [
-            quantities.iter().map(|q| q.trace).filter(|n| !n.is_empty()).collect::<Vec<_>>(),
-            quantities.iter().map(|q| q.family).filter(|n| !n.is_empty()).collect::<Vec<_>>(),
-        ] {
-            let mut unique = names.clone();
-            unique.sort_unstable();
-            unique.dedup();
-            assert_eq!(unique.len(), names.len(), "{names:?}");
-        }
+        let names: Vec<_> = quantities.iter().map(|q| q.family).filter(|n| !n.is_empty()).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "{names:?}");
     }
 
     #[test]
@@ -532,20 +510,14 @@ mod tests {
         let (misses0, bytes0) =
             (family("aql_store_cache_misses_total"), family("aql_store_cache_bytes_read_total"));
         let totals0 = attr::totals();
-        aql_trace::enable();
         attr::begin();
         emit(Event::CacheHit { src });
         emit(Event::CacheHit { src });
         emit(Event::CacheMiss { src, bytes: 4096 });
         emit(Event::BreakerTrip { src });
+        emit(Event::NetcdfHyperslab);
+        assert_eq!(attr::breaker_trips(), 1);
         let ledger = attr::finish();
-        let trace = aql_trace::disable();
-        // Trace counters, under their own names (per-source ones
-        // completed with the label).
-        assert_eq!(trace.total_counter("cache.hits"), 2);
-        assert_eq!(trace.total_counter("cache.misses"), 1);
-        assert_eq!(trace.total_counter("cache.bytes_read"), 4096);
-        assert_eq!(trace.total_counter("breaker.trip:t_event:views"), 1);
         // Metrics: the plain series and the per-source one. `>=`:
         // other tests in this binary emit misses too.
         assert!(family("aql_store_cache_misses_total") > misses0);
@@ -563,6 +535,7 @@ mod tests {
         assert_eq!(d.hits - totals0.hits, 2);
         let (_, row) = &ledger.sources[0];
         assert_eq!((row.hits, row.chunks_loaded, row.bytes_read), (2, 1, 4096));
+        assert_eq!(ledger.hyperslab_requests, 1);
         // The ring — the two hits coalesced into one record — and the
         // same fold run over it: the hit path applies its row by hand,
         // the fold walks the table, and they agree.
@@ -577,11 +550,9 @@ mod tests {
 
     #[test]
     fn counted_kinds_stay_out_of_the_ring() {
-        let src = intern("t_event:counted");
-        emit(Event::BreakerClose { src });
         emit(Event::FaultInjected { kind: "t_event:kind" });
         let kind = intern("t_event:kind");
-        assert!(!snapshot().events.iter().any(|r| r.label == src || r.label == kind));
+        assert!(!snapshot().events.iter().any(|r| r.label == kind));
         assert!(crate::metrics::family_total("aql_store_chaos_injected_total") >= 1);
     }
 }

@@ -39,8 +39,8 @@
 //! The store, the NetCDF driver and the session do not write the ring
 //! themselves: they describe what happened as an [`Event`] and hand it
 //! to [`emit`], the one function that knows which views an event
-//! lands in — trace counter, process metric, ring record, attribution
-//! ledger — and under what name (see [`event`] and DESIGN.md
+//! lands in — process metric, ring record, attribution ledger — and
+//! under what name (see [`event`] and DESIGN.md
 //! "Telemetry spine").
 //!
 //! ## Overhead contract
@@ -399,14 +399,6 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Fold `other`'s events into this journal, keeping the global
-    /// time order, so a worker thread's record folds cleanly into its
-    /// parent's view.
-    pub fn merge(&mut self, other: Journal) {
-        self.events.extend(other.events);
-        self.sort();
-    }
-
     fn sort(&mut self) {
         self.events.sort_by_key(|e| (e.t_us, e.thread, e.epoch));
     }
@@ -603,25 +595,6 @@ mod tests {
         assert_eq!(h1[0].a, 5);
         assert_eq!(h2.len(), 1);
         assert_eq!(h2[0].a, 1);
-    }
-
-    #[test]
-    fn merge_keeps_time_order() {
-        let mk = |t_us, thread, epoch| Record {
-            thread,
-            epoch,
-            t_us,
-            tag: Tag::Phase,
-            label: 0,
-            a: 0,
-            b: 0,
-        };
-        let mut a = Journal { events: vec![mk(10, 1, 1), mk(30, 1, 2)] };
-        let b = Journal { events: vec![mk(20, 2, 1), mk(30, 0, 5)] };
-        a.merge(b);
-        let ts: Vec<u64> = a.events.iter().map(|e| e.t_us).collect();
-        assert_eq!(ts, vec![10, 20, 30, 30]);
-        assert_eq!(a.events[2].thread, 0, "ties break by thread then epoch");
     }
 
     #[test]

@@ -190,12 +190,13 @@ mod tests {
             "netcdf:v",
             ResiliencePolicy::default(),
         );
-        aql_trace::enable();
+        aql_journal::attr::begin();
         let err = src.read_chunk(&[0, 0], &[1, 4]).unwrap_err();
-        let trace = aql_trace::disable();
+        let row = aql_journal::attr::finish();
         assert!(matches!(err, StoreError::Io { transient: true, .. }), "{err}");
         assert_eq!(opens.get(), 3);
-        assert_eq!((trace.total_counter("chunks.retries"), src.retries()), (2, 2));
+        assert_eq!((row.sources[0].1.retries, src.retries()), (2, 2));
+        assert_eq!(row.hyperslab_requests, 3, "one request an attempt");
         assert_eq!(src.breaker().unwrap().state(), BreakerState::Closed);
         assert!(src.read_chunk(&[0, 0], &[1, 4]).is_err());
         assert_eq!(opens.get(), 5, "the trip ends the second call's loop");

@@ -167,9 +167,6 @@ impl CircuitBreaker {
     /// Report a successful source call: closes the breaker and resets
     /// the failure streak.
     pub fn on_success(&mut self) {
-        if self.state != BreakerState::Closed {
-            emit(Event::BreakerClose { src: self.jlabel });
-        }
         self.state = BreakerState::Closed;
         self.consecutive = 0;
     }
@@ -332,6 +329,13 @@ fn surfaced(e: StoreError, attempts: u32) -> StoreError {
 mod tests {
     use super::*;
     use crate::fault::{Fault, FaultyChunkSource};
+    use aql_journal::Tag;
+
+    /// The ring records of `tag` under `label`, process-wide.
+    fn recorded(tag: Tag, label: &str) -> usize {
+        let label = aql_journal::intern(label);
+        aql_journal::snapshot().events.iter().filter(|r| r.tag == tag && r.label == label).count()
+    }
 
     struct ConstSource(f64);
     impl ChunkSource for ConstSource {
@@ -401,10 +405,9 @@ mod tests {
         };
         let mut s = ResilientSource::new(
             FlakySource { fail: 3, calls: 0, transient: true },
-            "b",
+            "t_resilient:b",
             policy,
         );
-        aql_trace::enable();
         for _ in 0..3 {
             assert!(s.read_chunk(&[0], &[4]).is_err());
         }
@@ -415,9 +418,8 @@ mod tests {
         assert_eq!(buf.len(), 4);
         assert_eq!(s.breaker().expect("breaker on").state(), BreakerState::Closed);
         // The spine is the breaker's only tally.
-        let trace = aql_trace::disable();
-        assert_eq!(trace.total_counter("breaker.trip:b"), 1);
-        assert_eq!(trace.total_counter("breaker.probe:b"), 1);
+        assert_eq!(recorded(Tag::BreakerTrip, "t_resilient:b"), 1);
+        assert_eq!(recorded(Tag::BreakerProbe, "t_resilient:b"), 1);
     }
 
     #[test]
@@ -428,14 +430,13 @@ mod tests {
         };
         let mut s = ResilientSource::new(
             FlakySource { fail: 99, calls: 0, transient: true },
-            "ff",
+            "t_resilient:ff",
             policy,
         );
         assert!(s.read_chunk(&[0], &[4]).is_err(), "first call trips");
         let calls_after_trip = s.inner_mut().calls;
-        aql_trace::enable();
         let err = s.read_chunk(&[0], &[4]).expect_err("fast fail");
-        assert_eq!(aql_trace::disable().total_counter("breaker.fast_fail:ff"), 1);
+        assert_eq!(recorded(Tag::BreakerFastFail, "t_resilient:ff"), 1);
         assert!(matches!(err, StoreError::Unavailable { .. }));
         assert_eq!(err.class(), FaultClass::Retryable, "fast-fail is retry-later");
         assert_eq!(s.inner_mut().calls, calls_after_trip, "source untouched while open");

@@ -303,9 +303,10 @@ impl Trace {
     /// The trace as a Chrome trace-event JSON value: one complete
     /// (`"ph": "X"`) event per span, timestamps and durations in
     /// microseconds (fractional, preserving nanosecond resolution),
-    /// span counters and notes carried in `args`. The result loads
-    /// directly in Perfetto or `chrome://tracing`.
-    pub fn to_chrome_json_value(&self) -> Json {
+    /// a span's notes carried in `args`, followed by what `extra` gives
+    /// for the span's index. The result loads directly in Perfetto or
+    /// `chrome://tracing`.
+    pub fn to_chrome_json_value(&self, extra: impl Fn(usize) -> Vec<(String, Json)>) -> Json {
         let mut events = Vec::with_capacity(self.spans.len() + 1);
         // Process-name metadata event so the track is labeled.
         events.push(Json::Obj(vec![
@@ -321,15 +322,10 @@ impl Trace {
                 )]),
             ),
         ]));
-        for s in &self.spans {
-            let mut args: Vec<(String, Json)> = s
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                .collect();
-            args.extend(
-                s.notes.iter().map(|(k, v)| (k.clone(), Json::Str(v.clone()))),
-            );
+        for (i, s) in self.spans.iter().enumerate() {
+            let mut args: Vec<(String, Json)> =
+                s.notes.iter().map(|(k, v)| (k.clone(), Json::Str(v.clone()))).collect();
+            args.extend(extra(i));
             events.push(Json::Obj(vec![
                 ("name".to_string(), Json::Str(s.name.clone())),
                 ("cat".to_string(), Json::Str("aql".to_string())),
@@ -348,11 +344,6 @@ impl Trace {
             ("traceEvents".to_string(), Json::Arr(events)),
             ("displayTimeUnit".to_string(), Json::Str("ns".to_string())),
         ])
-    }
-
-    /// [`Trace::to_chrome_json_value`] serialized to a compact string.
-    pub fn to_chrome_json(&self) -> String {
-        self.to_chrome_json_value().write()
     }
 }
 
@@ -394,10 +385,10 @@ mod tests {
             let _a = crate::span("statement");
             crate::note("kind", || "query".to_string());
             let _b = crate::span("eval");
-            crate::count("eval.steps", 42);
         }
         let t = crate::disable();
-        let s = t.to_chrome_json();
+        let extra = |i| if i == 1 { vec![("steps".to_string(), Json::Num(42.0))] } else { Vec::new() };
+        let s = t.to_chrome_json_value(extra).write();
         let v = Json::parse(&s).unwrap(); // strict: rejects trailing garbage
         let events = v.get("traceEvents").and_then(Json::as_arr).unwrap();
         // Metadata event + one per span.
@@ -413,9 +404,11 @@ mod tests {
             .iter()
             .find(|e| e.get("name").and_then(Json::as_str) == Some("eval"))
             .unwrap();
+        assert_eq!(eval.get("args").unwrap().get("steps"), Some(&Json::Num(42.0)));
+        let statement = &events[1];
         assert_eq!(
-            eval.get("args").unwrap().get("eval.steps"),
-            Some(&Json::Num(42.0))
+            statement.get("args").unwrap().get("kind"),
+            Some(&Json::Str("query".to_string()))
         );
     }
 

@@ -2,8 +2,8 @@
 //!
 //! A dependency-free structured event collector for the AQL pipeline.
 //! Instrumented code opens [`span`]s (RAII guards with monotonic
-//! timings), bumps [`count`]ers, and attaches [`note`]s; everything is
-//! recorded by a **thread-local subscriber** so no handle is ever
+//! timings) and attaches [`note`]s; everything is recorded by a
+//! **thread-local subscriber** so no handle is ever
 //! threaded through evaluator or storage code. The runtime is
 //! single-threaded (values are `Rc`-based), so a thread-local
 //! subscriber sees every event of a query, exactly once. No work of a
@@ -15,9 +15,8 @@
 //!
 //! When no subscriber is installed (the default), every entry point is
 //! a single thread-local flag read plus a branch — no allocation, no
-//! clock read, no formatting. Call sites that would build a dynamic
-//! key or value take closures ([`count_with`], [`note`]) so the work
-//! is only done while tracing. `aql-lang`'s `tests/telemetry_counts.rs`
+//! clock read, no formatting. A [`note`]'s value is a closure, so it
+//! is only built while tracing. `aql-lang`'s `tests/telemetry_counts.rs`
 //! holds the contract by exact counts: clock reads per statement traced
 //! and untraced, and a span count that does not grow with the data a
 //! statement scans.
@@ -28,11 +27,13 @@
 //! records its parent index, start offset, and duration on the same
 //! monotonic clock, so a child's interval always nests inside its
 //! parent's and sibling durations sum to at most the parent duration.
-//! Counters and notes attach to the innermost open span (or to the
-//! trace itself when no span is open). [`Trace::render`] pretty-prints
+//! Notes attach to the innermost open span. The tree carries times and
+//! names only: what a statement counts is its record's (`aql-lang`'s
+//! `QueryReport`), written once by the code that owns the number.
+//! [`Trace::render`] pretty-prints
 //! the tree; [`Trace::folded`] collapses it into flamegraph stacks of
 //! exact self times, which [`profile`] renders as text and SVG;
-//! [`Trace::to_chrome_json`] exports it for Perfetto through the
+//! [`Trace::to_chrome_json_value`] exports it for Perfetto through the
 //! bundled [`json`] module.
 //!
 //! ```
@@ -40,11 +41,11 @@
 //! {
 //!     let _root = aql_trace::span("statement");
 //!     let _child = aql_trace::span("eval");
-//!     aql_trace::count("eval.steps", 42);
+//!     aql_trace::note("kind", || "query".to_string());
 //! }
 //! let t = aql_trace::disable();
 //! assert_eq!(t.spans.len(), 2);
-//! assert_eq!(t.total_counter("eval.steps"), 42);
+//! assert_eq!(t.spans[1].parent, Some(0));
 //! ```
 
 #![warn(missing_docs)]
@@ -56,7 +57,7 @@ use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
 /// One recorded span: a named interval on the collector's monotonic
-/// clock, with its counters and annotations.
+/// clock, with its annotations.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpanRec {
     /// Span name (a static label at record time).
@@ -68,29 +69,18 @@ pub struct SpanRec {
     /// Duration in nanoseconds. `None` if the guard never closed
     /// (e.g. the subscriber was drained mid-span).
     pub dur_ns: Option<u64>,
-    /// Counters attached to this span, in first-bump order. Repeated
-    /// bumps of the same name accumulate into one entry.
-    pub counters: Vec<(String, u64)>,
     /// Key/value annotations, in record order.
     pub notes: Vec<(String, String)>,
 }
 
-/// A completed trace: spans in open order plus trace-level counters
-/// (events recorded while no span was open).
+/// A completed trace: spans in open order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     /// Spans in the order they were opened.
     pub spans: Vec<SpanRec>,
-    /// Counters recorded outside any span.
-    pub counters: Vec<(String, u64)>,
 }
 
 impl Trace {
-    /// No spans recorded?
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty() && self.counters.is_empty()
-    }
-
     /// Indices of the root spans (those with no parent), in order.
     pub fn roots(&self) -> Vec<usize> {
         (0..self.spans.len()).filter(|&i| self.spans[i].parent.is_none()).collect()
@@ -104,20 +94,6 @@ impl Trace {
     /// First span with the given name, if any.
     pub fn find(&self, name: &str) -> Option<&SpanRec> {
         self.spans.iter().find(|s| s.name == name)
-    }
-
-    /// Sum of a counter across every span and the trace level.
-    pub fn total_counter(&self, name: &str) -> u64 {
-        let spans: u64 = self
-            .spans
-            .iter()
-            .flat_map(|s| &s.counters)
-            .filter(|(n, _)| n == name)
-            .map(|(_, v)| v)
-            .sum();
-        let top: u64 =
-            self.counters.iter().filter(|(n, _)| n == name).map(|(_, v)| v).sum();
-        spans + top
     }
 
     /// The trace as collapsed stacks, the flamegraph input format: one
@@ -159,15 +135,6 @@ impl Trace {
         for r in self.roots() {
             self.render_span(r, "", true, 0, redact_timings, &mut out);
         }
-        if !self.counters.is_empty() {
-            let mut cs: Vec<_> = self.counters.clone();
-            cs.sort();
-            out.push_str("(outside spans)");
-            for (n, v) in cs {
-                out.push_str(&format!(" {n}={v}"));
-            }
-            out.push('\n');
-        }
         out
     }
 
@@ -199,13 +166,7 @@ impl Trace {
         for (k, v) in &s.notes {
             out.push_str(&format!(" [{k}={v}]"));
         }
-        out.push_str(&format!(" ({dur})"));
-        let mut cs: Vec<_> = s.counters.clone();
-        cs.sort();
-        for (n, v) in cs {
-            out.push_str(&format!(" {n}={v}"));
-        }
-        out.push('\n');
+        out.push_str(&format!(" ({dur})\n"));
         let kids = self.children(i);
         let child_prefix = format!("{prefix}{cont}");
         for (j, &c) in kids.iter().enumerate() {
@@ -274,7 +235,6 @@ struct Collector {
     epoch: Instant,
     spans: Vec<SpanRec>,
     stack: Vec<usize>,
-    top_counters: Vec<(String, u64)>,
 }
 
 thread_local! {
@@ -305,15 +265,14 @@ pub fn enabled() -> bool {
 }
 
 /// Install a fresh subscriber on this thread, discarding any trace in
-/// progress. Subsequent [`span`]/[`count`]/[`note`] calls record into
-/// it until [`disable`].
+/// progress. Subsequent [`span`]/[`note`] calls record into it until
+/// [`disable`].
 pub fn enable() {
     COLLECTOR.with(|c| {
         *c.borrow_mut() = Some(Collector {
             epoch: now(),
             spans: Vec::new(),
             stack: Vec::new(),
-            top_counters: Vec::new(),
         });
     });
     ENABLED.with(|e| e.set(true));
@@ -327,7 +286,7 @@ pub fn disable() -> Trace {
     COLLECTOR.with(|c| {
         c.borrow_mut()
             .take()
-            .map(|col| Trace { spans: col.spans, counters: col.top_counters })
+            .map(|col| Trace { spans: col.spans })
             .unwrap_or_default()
     })
 }
@@ -384,7 +343,6 @@ pub fn span(name: &'static str) -> SpanGuard {
             parent: col.stack.last().copied(),
             start_ns: (now() - col.epoch).as_nanos() as u64,
             dur_ns: None,
-            counters: Vec::new(),
             notes: Vec::new(),
         });
         col.stack.push(idx);
@@ -393,44 +351,14 @@ pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard { idx }
 }
 
+/// Add `delta` to the entry of `target` named `name`, appending it if
+/// absent (first-seen order).
 fn bump(target: &mut Vec<(String, u64)>, name: &str, delta: u64) {
     if let Some(slot) = target.iter_mut().find(|(n, _)| n == name) {
         slot.1 += delta;
     } else {
         target.push((name.to_string(), delta));
     }
-}
-
-/// Add `delta` to counter `name` on the innermost open span (or the
-/// trace level when no span is open). No-op when disabled.
-#[inline]
-pub fn count(name: &'static str, delta: u64) {
-    if !enabled() || delta == 0 {
-        return;
-    }
-    count_str(name, delta);
-}
-
-/// [`count`] with a dynamically built key, computed only while
-/// tracing. Use for keys that need formatting (e.g. per-rule fire
-/// counters `fire:<phase>/<rule>`).
-#[inline]
-pub fn count_with(name: impl FnOnce() -> String, delta: u64) {
-    if !enabled() || delta == 0 {
-        return;
-    }
-    count_str(&name(), delta);
-}
-
-fn count_str(name: &str, delta: u64) {
-    COLLECTOR.with(|c| {
-        let mut b = c.borrow_mut();
-        let Some(col) = b.as_mut() else { return };
-        match col.stack.last().copied() {
-            Some(i) => bump(&mut col.spans[i].counters, name, delta),
-            None => bump(&mut col.top_counters, name, delta),
-        }
-    });
 }
 
 /// Attach a key/value annotation to the innermost open span; the
@@ -459,10 +387,9 @@ mod tests {
     fn disabled_is_inert() {
         assert!(!enabled());
         let g = span("x");
-        count("c", 1);
         note("k", || panic!("value must not be computed while disabled"));
         drop(g);
-        assert!(disable().is_empty());
+        assert!(disable().spans.is_empty());
     }
 
     #[test]
@@ -475,8 +402,7 @@ mod tests {
                 let _child = span("child");
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
-            count("n", 3);
-            count("n", 4);
+            note("k", || "v".to_string());
         }
         let t = disable();
         assert_eq!(t.spans.len(), 2);
@@ -486,32 +412,17 @@ mod tests {
         assert_eq!(child.parent, Some(0));
         assert!(child.start_ns >= root.start_ns);
         assert!(child.dur_ns.unwrap() <= root.dur_ns.unwrap());
-        // Both counts merged into one entry on the root span (the
-        // child had already closed).
-        assert_eq!(root.counters, vec![("n".to_string(), 7)]);
+        // The note went to the root span (the child had already
+        // closed).
+        assert_eq!(root.notes, vec![("k".to_string(), "v".to_string())]);
+        assert!(child.notes.is_empty());
     }
 
     #[test]
-    fn counters_outside_spans_go_to_trace_level() {
+    fn notes_outside_spans_are_dropped() {
         enable();
-        count("top", 5);
-        let t = disable();
-        assert_eq!(t.counters, vec![("top".to_string(), 5)]);
-        assert_eq!(t.total_counter("top"), 5);
-    }
-
-    #[test]
-    fn dynamic_keys_and_notes() {
-        enable();
-        {
-            let _s = span("opt.phase");
-            note("phase", || "normalize".to_string());
-            count_with(|| format!("fire:{}/{}", "normalize", "beta-p"), 2);
-        }
-        let t = disable();
-        let s = t.find("opt.phase").unwrap();
-        assert_eq!(s.notes, vec![("phase".to_string(), "normalize".to_string())]);
-        assert_eq!(s.counters, vec![("fire:normalize/beta-p".to_string(), 2)]);
+        note("k", || "v".to_string());
+        assert!(disable().spans.is_empty());
     }
 
     #[test]
@@ -524,14 +435,11 @@ mod tests {
             }
             {
                 let _c = span("eval");
-                count("eval.steps", 9);
+                note("var", || "T".to_string());
             }
         }
         let t = disable();
-        let r = t.render(true);
-        assert!(r.contains("statement (_)"), "{r}");
-        assert!(r.contains("├─ typecheck (_)"), "{r}");
-        assert!(r.contains("└─ eval (_) eval.steps=9"), "{r}");
+        assert_eq!(t.render(true), "statement (_)\n├─ typecheck (_)\n└─ eval [var=T] (_)\n");
     }
 
     #[test]
@@ -574,7 +482,6 @@ mod tests {
                 span("worker", Some(2), Some(25)),
                 span("parse", None, Some(7)),
             ],
-            counters: Vec::new(),
         };
         let stack = |path: &str, ns| (path.to_string(), ns);
         assert_eq!(
@@ -594,11 +501,10 @@ mod tests {
     #[test]
     fn enable_resets_prior_trace() {
         enable();
-        count("a", 1);
+        drop(span("a"));
         enable();
-        count("b", 1);
+        drop(span("b"));
         let t = disable();
-        assert_eq!(t.total_counter("a"), 0);
-        assert_eq!(t.total_counter("b"), 1);
+        assert_eq!(t.spans.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["b"]);
     }
 }

@@ -7,14 +7,13 @@ use proptest::prelude::*;
 
 use aql_trace::{SpanGuard, Trace};
 
-/// A small program over the collector: open a span (push), close the
-/// innermost (pop), or bump a counter. Interpreted against a guard
-/// stack; guards drop in LIFO order so the trace is well-nested.
+/// A small program over the collector: open a span (push) or close
+/// the innermost (pop). Interpreted against a guard stack; guards drop
+/// in LIFO order so the trace is well-nested.
 #[derive(Debug, Clone)]
 enum Op {
     Open(usize),
     Close,
-    Count(u64),
 }
 
 /// Static span-name pool (spans take `&'static str`).
@@ -29,7 +28,6 @@ fn run_program(ops: &[Op]) -> Trace {
             Op::Close => {
                 stack.pop();
             }
-            Op::Count(d) => aql_trace::count("work", *d),
         }
     }
     // Close everything that is still open, innermost first.
@@ -41,7 +39,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0usize..NAMES.len()).prop_map(Op::Open),
         Just(Op::Close),
-        (1u64..100).prop_map(Op::Count),
     ]
 }
 
@@ -85,17 +82,5 @@ proptest! {
                 dur.unwrap()
             );
         }
-    }
-
-    /// The total of the `work` counter equals the sum of the bumps in
-    /// the program regardless of where spans opened or closed.
-    #[test]
-    fn counters_never_lost(ops in proptest::collection::vec(op_strategy(), 0..40)) {
-        let expected: u64 = ops
-            .iter()
-            .map(|o| if let Op::Count(d) = o { *d } else { 0 })
-            .sum();
-        let t = run_program(&ops);
-        prop_assert_eq!(t.total_counter("work"), expected);
     }
 }

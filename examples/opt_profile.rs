@@ -7,8 +7,8 @@
 //!
 //! Per template (the benchmark's eight, `tests/common`): nodes in and
 //! out, passes, node visits, `Rule::apply` calls and firings as the
-//! engine counts them (`opt.passes` / `opt.visits` / `opt.applies`,
-//! exact), the size in nodes of the largest contractum any rule built
+//! engine counts them on every run (`Optimizer::counts`, exact), the
+//! size in nodes of the largest contractum any rule built
 //! (where a substitution that balloons shows first), the heap
 //! allocations of one untraced `optimize` (a counting global allocator;
 //! the run's one copy of its input included) and the median µs of an
@@ -160,10 +160,9 @@ fn main() {
     for template in common::compile_mix_templates() {
         // A template is one statement with one term to optimize.
         for e in common::core_terms(&mut session, template) {
-            aql::trace::enable();
             let (out, trace) = standard.optimize_traced(&e);
-            let spans = aql::trace::disable();
-            let count = |name| spans.total_counter(name);
+            let counts = standard.counts();
+            assert_eq!(counts.fires(), trace.len() as u64, "the run counts what the trace records");
             wrapped.optimize(&e);
             let largest = timed.iter().map(|t| t.largest.replace(0)).max().unwrap_or(0);
             let allocs = allocs_during(|| drop(standard.optimize(&e)));
@@ -175,10 +174,10 @@ fn main() {
                 "| `{label}` | {} | {} | {} | {} | {} | {} | {largest} | {allocs} | {us:.1} |",
                 e.size(),
                 out.size(),
-                count("opt.passes"),
-                count("opt.visits"),
-                count("opt.applies"),
-                trace.len(),
+                counts.passes,
+                counts.visits,
+                counts.applies,
+                counts.fires(),
             );
         }
     }

@@ -170,17 +170,11 @@ fn the_per_fire_gate_rejects_no_library_rewrite_on_the_corpus() {
 #[test]
 fn the_standard_pipeline_reaches_a_fixpoint_before_either_bound() {
     for (label, e) in &common::corpus(&data_dir("bounds")) {
-        aql::trace::enable();
-        let (_, trace) = engine_run(e);
-        let spans = aql::trace::disable();
+        let opt = standard();
+        let (_, trace) = opt.optimize_traced(e);
         assert_eq!(trace.bound_hit, None, "{label}: stopped by a bound, not a fixpoint\n{e}");
         assert!(!trace.render_fire_table().contains("bound hit"), "{label}");
-        let counted: Vec<_> = spans
-            .spans
-            .iter()
-            .flat_map(|s| &s.counters)
-            .filter(|(name, _)| name.starts_with("opt.bound_hit"))
-            .collect();
+        let counted: Vec<_> = opt.counts().rules.into_iter().filter(|r| r.bound_hits > 0).collect();
         assert!(counted.is_empty(), "{label}: {counted:?}");
     }
 }
@@ -230,10 +224,11 @@ fn the_heat_query_is_reduced_where_its_substitutions_land() {
     let heat = common::core_terms(&mut common::compile_mix_session(), common::HEAT_QUERY);
     let [heat] = heat.as_slice() else { panic!("one query, one term") };
     let (_, expected_firings) = reference_run(heat, true);
-    aql::trace::enable();
-    let (_, trace) = engine_run(heat);
-    let spans = aql::trace::disable();
+    let opt = standard();
+    let (_, trace) = opt.optimize_traced(heat);
+    let counts = opt.counts();
     assert_eq!(firings(&trace), expected_firings, "every firing of the offer-every-rule loop");
+    assert_eq!(counts.fires(), trace.len() as u64, "the run counts what the trace records");
     // Whole passes fired 254 rules here, 172 / 29 / 28 of them these
     // three: `subseq!`'s inlined `let p` left `pi_1_3!(TRW, …)` redexes
     // below its contractum, the enclosing `let TRW` copied the
@@ -245,10 +240,10 @@ fn the_heat_query_is_reduced_where_its_substitutions_land() {
     assert_eq!([count("pi"), count("beta-p"), count("delta-p")], [13, 3, 2]);
     // Whole passes made 931 applies; the parent's loop before head
     // dispatch, 43,479.
-    let applies = spans.total_counter("opt.applies");
+    let applies = counts.applies;
     assert!(applies as usize >= trace.len(), "a firing is an apply: {applies}");
     assert!(applies <= 600, "{applies} applies for {} firings", trace.len());
-    assert!(spans.total_counter("opt.visits") > 0, "visits are counted beside them");
+    assert!(counts.visits > 0, "visits are counted beside them");
     // 1,227 nodes under whole passes; 102 when reduced where it lands.
     let largest = largest_contractum(heat);
     assert!(largest <= 128, "a contractum of {largest} nodes: the balloon is back");

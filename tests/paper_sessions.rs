@@ -89,10 +89,10 @@ fn the_section1_query_and_both_e3_orders_run_as_kernels_at_the_interpreters_cost
     let counted = |s: &mut Session, q: &str| {
         let (out, report) = s.profile(&format!("{q};")).expect("the query runs");
         let stats = report.statements.last().copied().expect("one statement");
-        let counter = |name: &str| report.trace.total_counter(&format!("eval.kernel_{name}"));
+        let k = report.kernels.last().copied().expect("one statement");
         (
             (out.last().and_then(|o| o.value.clone()), stats.steps, stats.subscripts, stats.materialized),
-            [counter("nests"), counter("cells"), counter("escapes"), counter("binds")],
+            [k.nests, k.cells, k.escapes, k.binds],
         )
     };
     let queries = [

@@ -59,7 +59,7 @@ fn a_repaired_checksum_mismatch_is_journaled_and_the_doctor_names_it() {
 
     // The doctor's timeline shows it, and both renderings name the
     // source and say what happened.
-    let attribution = s.statement_attribution();
+    let attribution = s.last_report().attribution;
     let text = doctor::diagnose_live(&journal, attribution.last());
     assert!(text.contains("checksum MISMATCH on a chunk of `netcdf:grid`"), "{text}");
     assert!(text.contains("retry attempt 2 on `netcdf:grid`"), "{text}");

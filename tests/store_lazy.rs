@@ -184,7 +184,7 @@ fn store_totals_each_source_once_from_the_statements_rows() {
          A[5, 2, 2] + B[5, 2, 2];"
     ))
     .unwrap();
-    let sum = |of: fn(&aql_core::eval::EvalStats) -> u64| s.statement_stats().iter().map(of).sum::<u64>();
+    let sum = |of: fn(&aql_core::eval::EvalStats) -> u64| s.last_report().statements.iter().map(of).sum::<u64>();
     let (hits, misses, read) = (sum(|st| st.cache.hits), sum(|st| st.cache.misses), sum(|st| st.cache.bytes_read));
     assert!(hits > 0 && misses > 0 && read > 0);
     let report = s.store_report();

@@ -3,8 +3,7 @@
 //! fault and a cache small enough to evict — must read the *same
 //! numbers* in every view an operator can open:
 //!
-//! * the trace tree's counters (`QueryReport.trace`),
-//! * the statement's `EvalStats.cache`,
+//! * the statement's `EvalStats.cache` (its `QueryReport` entry),
 //! * its attribution-ledger row,
 //! * the flight recorder's window between its `StmtBegin` and
 //!   `StmtEnd`, folded back through `Ledger::fold`,
@@ -130,23 +129,9 @@ fn one_statement_reads_the_same_in_every_view() {
     assert_eq!((cache.bytes_read, cache.prefetched_bytes, cache.load_errors), (17 * 32, 0, 0));
     let want = vec![cache.hits, cache.misses, cache.evictions, cache.bytes_read, 0, 0, 1];
 
-    // 1. The trace tree's counters.
     let t = &report.trace;
-    let traced: Vec<u64> = [
-        "cache.hits",
-        "cache.misses",
-        "cache.evictions",
-        "cache.bytes_read",
-        "cache.prefetched_bytes",
-        "cache.load_errors",
-        "chunks.retries",
-    ]
-    .iter()
-    .map(|name| t.total_counter(name))
-    .collect();
-    assert_eq!(traced, want, "trace counters");
 
-    // 2. The attribution ledger's row for the source.
+    // 1. The attribution ledger's row for the source.
     let ledger = &report.attribution[0];
     assert_eq!(ledger.sources.len(), 1, "{ledger:?}");
     let (label, row) = &ledger.sources[0];
@@ -162,7 +147,7 @@ fn one_statement_reads_the_same_in_every_view() {
     ];
     assert_eq!(row_view, want, "ledger row");
 
-    // 3. The journal window of this statement, folded back.
+    // 2. The journal window of this statement, folded back.
     let window = last_statement_window();
     let folded = Ledger::fold(&window);
     assert_eq!(folded.sources, ledger.sources, "journal window folds to the ledger's rows");
@@ -171,7 +156,7 @@ fn one_statement_reads_the_same_in_every_view() {
     assert_eq!(&Ledger { governor_peak_bytes: ledger.governor_peak_bytes, ..folded }, ledger);
     assert_eq!(window.iter().filter(|r| r.tag == Tag::Retry).count(), 1);
 
-    // 4. The process metrics moved by exactly as much, per source too.
+    // 3. The process metrics moved by exactly as much, per source too.
     assert_eq!(moved, want, "aql_store_* deltas");
     let series = aql::metrics::counter_with(
         "aql_store_cache_bytes_read_total",
@@ -180,7 +165,7 @@ fn one_statement_reads_the_same_in_every_view() {
     );
     assert_eq!(series.get(), cache.bytes_read);
 
-    // 5. The doctor names the same source with the same bytes, from the
+    // 4. The doctor names the same source with the same bytes, from the
     //    ledger and from the window alone.
     let window_journal = Journal { events: window.clone() };
     for diagnosis in [
@@ -194,7 +179,7 @@ fn one_statement_reads_the_same_in_every_view() {
         assert_eq!(j.get("failing_source").and_then(Json::as_str), Some(LABEL), "the retry");
     }
 
-    // 6. Each phase is one number: the span's duration, the ledger's
+    // 5. Each phase is one number: the span's duration, the ledger's
     //    entry and the journal's record.
     let names: Vec<&str> = ledger.phases.iter().map(|(p, _)| p.as_str()).collect();
     assert_eq!(names, ["desugar", "resolve", "typecheck", "optimize", "eval"]);
@@ -208,7 +193,7 @@ fn one_statement_reads_the_same_in_every_view() {
         assert_eq!(record.a, *ns, "journal `{phase}` vs ledger");
     }
 
-    // 7. The flamegraph is the trace, folded: each stack weighs the
+    // 6. The flamegraph is the trace, folded: each stack weighs the
     //    self time of the spans on its path, and nothing is lost.
     let profile = aql_trace::profile::Profile::from_trace(t);
     let mut self_times = std::collections::BTreeMap::new();
@@ -229,7 +214,7 @@ fn one_statement_reads_the_same_in_every_view() {
         assert!(profile.folded().contains_key(stack), "`{stack}` in {:?}", profile.folded());
     }
 
-    // 8. The live profile is the flight recorder, folded: the ledger's
+    // 7. The live profile is the flight recorder, folded: the ledger's
     //    phases under `statement`, which keeps the rest of `StmtEnd`.
     let mut live = window_journal.folded();
     let ended = window.last().expect("StmtEnd").b;
@@ -257,7 +242,7 @@ fn one_statement_reads_the_same_in_every_view() {
     assert_eq!(ledger.phases, journaled);
     assert!(ledger.phases.iter().all(|(_, ns)| *ns > 0));
 
-    // 9. The slow-query log's line is the report's entry and row.
+    // 8. The slow-query log's line is the report's entry and row.
     let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
     let line = Json::parse(text.lines().last().expect("a slow-log line")).expect("JSON");
     let num = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).unwrap_or_else(|| panic!("{k}"));
@@ -283,7 +268,7 @@ fn one_statement_reads_the_same_in_every_view() {
     );
     assert!(matches!(phases, Json::Obj(m) if m.len() == ledger.phases.len()));
 
-    // 10. The incident file the line links carries the same row.
+    // 9. The incident file the line links carries the same row.
     let path = s.last_incident_path().expect("a slow incident");
     assert_eq!(line.get("incident").and_then(Json::as_str), Some(path.display().to_string().as_str()));
     let incident = aql::journal::incident::Incident::load(&path).expect("the incident loads");

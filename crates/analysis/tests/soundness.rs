@@ -42,7 +42,7 @@ use proptest::prelude::*;
 use aql_analysis::report::nests;
 use aql_analysis::{analyze, eval_elided, globals_mentioned, AbsVal, Analysis, SubVerdict, SymExt};
 use aql_core::error::EvalError;
-use aql_core::eval::{bounds, EvalCtx};
+use aql_core::eval::{bounds, EvalCtx, EvalStats, KernelStats, Limits};
 use aql_core::expr::builder::*;
 use aql_core::expr::free::{alpha_eq, free_vars};
 use aql_core::expr::{name, Expr, Name};
@@ -824,6 +824,373 @@ proptest! {
         );
         prop_assert_eq!(a.value(), b.value());
         prop_assert_eq!(a.elided, b.elided);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Folds over boxes: a `Σ`, `min!` or `max!` nest whose levels are `gen`
+// loops of known trip counts, with affine `let`s between them, runs as
+// one grid of rows.
+// ---------------------------------------------------------------------
+
+/// The first axis of a fold's operand starts this far in.
+const OFF: u64 = 2;
+
+/// What a fold case plants in its operand, or asks of its limits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Plant {
+    Nothing,
+    /// A `⊥` head at the first, a middle or the last cell of the box:
+    /// `100 / 0` over naturals, an `if` taking its `⊥` branch over reals.
+    Bottom(usize),
+    /// Three cells of 2⁶³ - 1 (naturals): in one iteration of the
+    /// innermost level, or one in each of three.
+    Overflow(bool),
+    /// Reals: a NaN of each sign and both zeros among the cells (`true`,
+    /// under `min!`/`max!`), or both zeros among cells all below them for
+    /// `max!` and above them otherwise.
+    NanZero(bool),
+    /// A step budget half the nest's cost.
+    Steps,
+    /// An element budget one below the largest level's trip count.
+    Elems,
+}
+
+/// `SINK t < d₀. [let h0 = …] SINK i < d₁. [let h1 = h0] SINK j < d₂. X[h, i, j]`
+/// over an operand of rank `dims.len()`.
+#[derive(Debug, Clone)]
+struct FoldCase {
+    /// `Σ`, `max!`, `min!`.
+    sink: usize,
+    dims: Vec<u64>,
+    /// The axis-0 index: `OFF + t` in the subscript (0); a `let h0` of it
+    /// after the first level (1), with an unused affine `let` beside it
+    /// (2); a `let h0 = (OFF + t) % extent`, not affine (3).
+    lets: usize,
+    /// Whether each further level copies `h0` into a `let` of its own.
+    copies: bool,
+    /// Eager reals, eager naturals, the real or the natural column of a
+    /// pair array, lazy reals, lazy integers.
+    operand: usize,
+    plant: Plant,
+}
+
+impl FoldCase {
+    fn real(&self) -> bool {
+        matches!(self.operand, 0 | 2 | 4)
+    }
+
+    /// The operand's extents: room for `OFF + t` on the first axis,
+    /// at least one cell on every axis.
+    fn extents(&self) -> Vec<u64> {
+        let mut ext: Vec<u64> = self.dims.iter().map(|&d| d.max(1)).collect();
+        ext[0] = OFF + self.dims[0] + 1;
+        ext
+    }
+
+    /// The box's cells.
+    fn cells(&self) -> u64 {
+        self.dims.iter().product()
+    }
+
+    /// The operand offset of the box's cell `c`, row-major.
+    fn offset(&self, mut c: u64) -> usize {
+        let mut at = vec![0; self.dims.len()];
+        for k in (0..self.dims.len()).rev() {
+            at[k] = c % self.dims[k];
+            c /= self.dims[k];
+        }
+        at[0] += OFF;
+        at.iter().zip(self.extents()).fold(0, |o, (&i, e)| o * e + i) as usize
+    }
+
+    fn term(&self) -> Expr {
+        const VARS: [&str; 3] = ["t", "i", "j"];
+        let depth = self.dims.len();
+        let axis0 = match (self.lets, self.copies && depth > 1) {
+            (0, _) => add(nat(OFF), var("t")),
+            (_, true) => var(&format!("h{}", depth - 1)),
+            _ => var("h0"),
+        };
+        let idx = std::iter::once(axis0).chain(VARS[1..depth].iter().map(|v| var(v))).collect();
+        let site = sub(global("X"), idx);
+        let cell = match self.operand {
+            2 => proj(1, 2, site),
+            3 => proj(2, 2, site),
+            _ => site,
+        };
+        let head = match (self.plant, self.real()) {
+            (Plant::Bottom(_), true) => iff(lt(cell.clone(), real(1e300)), cell, bottom()),
+            (Plant::Bottom(_), false) => div(nat(100), cell),
+            _ => cell,
+        };
+        let mut body = if self.sink == 0 { head } else { single(head) };
+        for k in (0..depth).rev() {
+            let first = add(nat(OFF), var("t"));
+            body = match (k, self.lets) {
+                (_, 0) => body,
+                (0, 1) => let_("h0", first, body),
+                (0, 2) => let_("h0", first, let_("u", add(mul(var("t"), nat(3)), nat(1)), body)),
+                (0, _) => let_("h0", modulo(first, nat(self.extents()[0])), body),
+                _ if self.copies => let_(&format!("h{k}"), var(&format!("h{}", k - 1)), body),
+                _ => body,
+            };
+            let src = gen(nat(self.dims[k]));
+            body = if self.sink == 0 { sum(VARS[k], src, body) } else { big_union(VARS[k], src, body) };
+        }
+        match self.sink {
+            0 => body,
+            1 => set_max(body),
+            _ => set_min(body),
+        }
+    }
+
+    /// The operand `X`, with the plant in its cells.
+    fn globals(&self) -> HashMap<Name, Value> {
+        let ext = self.extents();
+        let n: u64 = ext.iter().product();
+        let mut reals: Vec<f64> = (0..n).map(|i| ((i * 37 % 101) as f64 - 50.0) * 0.25 + i as f64 * 1e-3).collect();
+        let mut nats: Vec<u64> = (0..n).map(|i| i * 37 % 101 + 1).collect();
+        let (total, inner) = (self.cells(), *self.dims.last().unwrap_or(&1));
+        if total > 0 {
+            match self.plant {
+                Plant::Bottom(at) => {
+                    let c = self.offset([0, total / 2, total - 1][at]);
+                    (reals[c], nats[c]) = (1e300, 0);
+                }
+                Plant::Overflow(together) => {
+                    let step = if together { 1 } else { inner.max(1) };
+                    for c in (0..3).map(|k| k * step).filter(|&c| c < total) {
+                        nats[self.offset(c)] = (1 << 63) - 1;
+                    }
+                }
+                Plant::NanZero(nans) => {
+                    // (No NaN under `Σ`: which NaN an addition of two
+                    // returns is not specified, even within one build.)
+                    let nans = nans && self.sink != 0;
+                    if !nans {
+                        let below = self.sink == 1;
+                        reals.iter_mut().for_each(|x| *x = if below { -1.0 - x.abs() } else { 1.0 + x.abs() });
+                    }
+                    let planted = [0.0, -0.0, f64::NAN, -f64::NAN];
+                    for (k, x) in planted.iter().take(if nans { 4 } else { 2 }).enumerate() {
+                        reals[self.offset((k as u64 * 7919) % total)] = *x;
+                    }
+                }
+                _ => {}
+            }
+        }
+        let lazy = |cells: ScalarBuf| {
+            let mut chunk = ext.clone();
+            chunk[0] = 3;
+            let layout = ChunkLayout::new(ext.clone(), chunk).expect("a chunking"); // lint-wall: allow (test)
+            let kind = cells.kind();
+            let source = MemChunkSource::new(ext.clone(), cells).expect("a source"); // lint-wall: allow (test)
+            ArrayVal::lazy(LazyArray::new(layout, kind, Box::new(source), 1 << 24))
+        };
+        let pairs = || reals.iter().zip(&nats).map(|(&r, &m)| Value::tuple(vec![Value::Real(r), Value::Nat(m)])).collect();
+        let x = match self.operand {
+            0 => ArrayVal::from_f64(ext.clone(), reals.clone()),
+            1 => ArrayVal::from_nat(ext.clone(), nats.clone()),
+            2 | 3 => ArrayVal::new(ext.clone(), pairs()),
+            4 => lazy(ScalarBuf::F64(reals.clone())),
+            _ => lazy(ScalarBuf::I64(nats.iter().map(|&m| m as i64).collect())),
+        };
+        globals_with(vec![("X", Value::Array(Rc::new(x.expect("consistent shape"))))]) // lint-wall: allow (test)
+    }
+}
+
+/// The same value, reals by their bits.
+fn same_bits(a: &Result<Value, EvalError>, b: &Result<Value, EvalError>) -> bool {
+    match (a, b) {
+        (Ok(Value::Real(x)), Ok(Value::Real(y))) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// Evaluate `e` under `limits` with marks (and kernels) on, then as the
+/// all-checked interpreter, and require the same value bits, error
+/// class and counts (`elided` is zero off, by construction).
+fn differential(e: &Expr, globals: &HashMap<Name, Value>, limits: &Limits) -> (Result<Value, EvalError>, EvalStats, KernelStats) {
+    let ext = Extensions::new();
+    let eval = |on: bool| {
+        bounds::set_enabled(on);
+        let ctx = EvalCtx::new(globals, &ext).with_limits(limits.clone());
+        let out = eval_elided(e, &ctx);
+        (out, ctx.stats(), ctx.kernel_stats())
+    };
+    let guard = TOGGLE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (got, on, kernels) = eval(true);
+    let (want, off, _) = eval(false);
+    bounds::set_enabled(true);
+    drop(guard);
+    assert!(same_bits(&got, &want), "marks changed the outcome of {e}: {got:?}, not {want:?}");
+    assert_eq!(got.as_ref().err().map(EvalError::class), want.as_ref().err().map(EvalError::class), "{e}");
+    assert_eq!(EvalStats { elided: 0, ..on }, off, "marks changed the counts of {e}");
+    (got, on, kernels)
+}
+
+/// Run a fold case against the interpreter; what its kernels did.
+fn fold_case(f: &FoldCase) -> (Result<Value, EvalError>, EvalStats, KernelStats) {
+    let (e, globals) = (f.term(), f.globals());
+    let limits = match f.plant {
+        Plant::Steps => {
+            let (_, whole, _) = differential(&e, &globals, &Limits::default());
+            Limits { max_steps: whole.steps / 2, ..Limits::default() }
+        }
+        Plant::Elems => Limits { max_elems: f.dims.iter().max().map_or(0, |d| d.saturating_sub(1)), ..Limits::default() },
+        _ => Limits::default(),
+    };
+    let (out, stats, kernels) = differential(&e, &globals, &limits);
+    // A box with nothing planted, whose sum is not a real one over
+    // nothing, runs as one kernel with every subscript elided; its rows
+    // cover every level when no `let` ends the box.
+    let empty_real = f.sink == 0 && f.real() && f.dims.contains(&0);
+    if matches!(f.plant, Plant::Nothing | Plant::NanZero(_)) && !empty_real {
+        assert_eq!((kernels.nests, kernels.escapes), (1, 0), "{e}");
+        assert_eq!(stats.elided, stats.subscripts, "{e}");
+        if f.lets != 3 {
+            assert_eq!(kernels.rows, f.cells().div_ceil(4096), "{e}");
+        }
+    }
+    (out, stats, kernels)
+}
+
+/// Boxes of 4,095, 4,096 and 4,097 cells at each depth: rows cut at the
+/// kernel's 4,096.
+const CUT_BOXES: [[&[u64]; 3]; 3] = [
+    [&[4095], &[4096], &[4097]],
+    [&[3, 1365], &[4, 1024], &[17, 241]],
+    [&[3, 5, 273], &[4, 4, 256], &[1, 17, 241]],
+];
+
+fn arb_plant() -> impl Strategy<Value = Plant> {
+    prop_oneof![
+        Just(Plant::Nothing),
+        (0usize..3).prop_map(Plant::Bottom),
+        any::<bool>().prop_map(Plant::Overflow),
+        any::<bool>().prop_map(Plant::NanZero),
+        Just(Plant::Steps),
+        Just(Plant::Elems),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    #[test]
+    fn a_fold_over_a_box_is_the_interpreters(
+        (sink, depth) in (0usize..3, 1usize..4),
+        dims in prop::collection::vec(0u64..6, 3),
+        (lets, copies) in (0usize..4, any::<bool>()),
+        operand in 0usize..6,
+        plant in arb_plant(),
+        cut in prop_oneof![4 => Just(None), 1 => (0usize..3).prop_map(Some)],
+    ) {
+        let dims = match cut {
+            Some(c) => CUT_BOXES[depth - 1][c].to_vec(),
+            None => dims[..depth].to_vec(),
+        };
+        // (`fold_case` holds the value bits, error class and counts to
+        // the interpreter's.)
+        let _ = fold_case(&FoldCase { sink, dims, lets, copies, operand, plant });
+    }
+}
+
+#[test]
+fn each_edge_of_a_fold_box_is_forced() {
+    let case = |sink, dims: &[u64], operand, plant| FoldCase { sink, dims: dims.to_vec(), lets: 1, copies: true, operand, plant };
+    for sink in 0..3 {
+        for operand in 0..6 {
+            let real = case(0, &[1], operand, Plant::Nothing).real();
+            // `⊥` at the first, a middle and the last cell.
+            for at in 0..3 {
+                let (out, ..) = fold_case(&case(sink, &[3, 4, 5], operand, Plant::Bottom(at)));
+                assert_eq!(out, Ok(Value::Bottom), "{sink} {operand} {at}");
+            }
+            // Budgets reached mid-grid.
+            let (out, ..) = fold_case(&case(sink, &[3, 4, 5], operand, Plant::Steps));
+            assert_eq!(out, Err(EvalError::StepLimit), "{sink} {operand}");
+            let (out, ..) = fold_case(&case(sink, &[3, 4, 5], operand, Plant::Elems));
+            assert!(matches!(out, Err(EvalError::ResourceLimit { .. })), "{sink} {operand}");
+            // Rows cut at 4,095, 4,096 and 4,097 cells.
+            for boxes in CUT_BOXES {
+                for dims in boxes {
+                    let (_, _, kernels) = fold_case(&case(sink, dims, operand, Plant::Nothing));
+                    assert_eq!(kernels.rows, dims.iter().product::<u64>().div_ceil(4096));
+                }
+            }
+            if real {
+                // An empty real `Σ` at an inner level: the interpreter's
+                // `0 : nat`, and `⊥` for `max!`/`min!` of nothing.
+                let (out, ..) = fold_case(&case(sink, &[3, 0, 2], operand, Plant::Nothing));
+                assert_eq!(out, Ok(if sink == 0 { Value::Nat(0) } else { Value::Bottom }));
+                // NaN of either sign, and ±0.0.
+                for nans in [true, false] {
+                    let (out, ..) = fold_case(&case(sink, &[3, 4, 5], operand, Plant::NanZero(nans)));
+                    let Ok(Value::Real(x)) = out else { panic!("a real") };
+                    match (sink, nans) {
+                        (1, true) => assert!(x.is_nan() && x.is_sign_positive()),
+                        (2, true) => assert!(x.is_nan() && x.is_sign_negative()),
+                        (1, false) => assert_eq!(x.to_bits(), 0.0f64.to_bits()),
+                        (2, false) => assert_eq!(x.to_bits(), (-0.0f64).to_bits()),
+                        _ => {}
+                    }
+                }
+            } else {
+                // `nat` overflow in one iteration of the innermost level,
+                // and across three.
+                for together in [true, false] {
+                    let (out, ..) = fold_case(&case(sink, &[3, 4, 5], operand, Plant::Overflow(together)));
+                    assert_eq!(out.is_err(), sink == 0, "{sink} {operand}");
+                }
+            }
+        }
+    }
+}
+
+/// Sibling folds at one depth bind the same slots (de Bruijn depths) to
+/// their own variables: a `let` one box substitutes into its offsets is
+/// not read in the next, whether that binds the slot as a level, as an
+/// affine `let` of its own or as a `let` run a cell at a time.
+#[test]
+fn sibling_folds_read_their_own_lets() {
+    let first = || sum("i", gen(nat(2)), let_("a", add(var("i"), nat(1)), sub(global("X"), vec![var("a")])));
+    let seconds = [
+        sum("j", gen(nat(2)), sum("k", gen(nat(2)), sub(global("Y"), vec![var("k")]))),
+        sum("j", gen(nat(2)), let_("c", mul(var("j"), nat(2)), sub(global("Y"), vec![var("c")]))),
+        sum("b", gen(nat(4)), let_("c", modulo(var("b"), nat(5)), sub(global("Y"), vec![var("c")]))),
+    ];
+    let (xs, ys): (Vec<u64>, Vec<u64>) = ((1..=4).collect(), (1..=5).map(|k| k * 10).collect());
+    let lazy = |cells: ScalarBuf| {
+        let n = cells.len() as u64;
+        let layout = ChunkLayout::new(vec![n], vec![2]).expect("a chunking"); // lint-wall: allow (test)
+        let kind = cells.kind();
+        let source = MemChunkSource::new(vec![n], cells).expect("a vector"); // lint-wall: allow (test)
+        Value::Array(Rc::new(ArrayVal::lazy(LazyArray::new(layout, kind, Box::new(source), 1 << 20)).expect("a lazy vector"))) // lint-wall: allow (test)
+    };
+    let array = |v: &[u64], operand| match operand {
+        0 => Value::Array(Rc::new(ArrayVal::from_nat(vec![v.len() as u64], v.to_vec()).expect("a vector"))), // lint-wall: allow (test)
+        1 => Value::Array(Rc::new(ArrayVal::from_f64(vec![v.len() as u64], v.iter().map(|&x| x as f64 * 0.5).collect()).expect("a vector"))), // lint-wall: allow (test)
+        _ => lazy(ScalarBuf::F64(v.iter().map(|&x| x as f64 * 0.5).collect())),
+    };
+    for operand in 0..3 {
+        let globals = globals_with(vec![("X", array(&xs, operand)), ("Y", array(&ys, operand))]);
+        for second in &seconds {
+            let head = add(first(), second.clone());
+            for sink in 0..3 {
+                let e = match sink {
+                    0 => sum("t", gen(nat(3)), head.clone()),
+                    1 => set_max(big_union("t", gen(nat(3)), single(head.clone()))),
+                    _ => set_min(big_union("t", gen(nat(3)), single(head.clone()))),
+                };
+                // (`differential` holds the value bits, error class and
+                // counts to the interpreter's.)
+                let (out, _, kernels) = differential(&e, &globals, &Limits::default());
+                assert!(out.is_ok(), "{e}: {out:?}");
+                assert_eq!((kernels.nests, kernels.escapes), (1, 0), "{e}");
+            }
+        }
     }
 }
 

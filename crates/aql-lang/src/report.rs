@@ -194,6 +194,8 @@ pub struct Explain {
     pub optimized: aql_core::expr::Expr,
     /// Every rule firing, in order.
     pub trace: aql_opt::Trace,
+    /// What the optimizer's run counted: the fire table's rows.
+    pub counts: RunCounts,
     /// Analysis-backed cost estimates for the core and optimized
     /// terms: the `aql-analysis` abstract interpreter supplies
     /// cardinality and iteration counts, and the session's chunked
@@ -218,7 +220,7 @@ impl Explain {
             render_cost(&self.cost_after),
             self.trace.len(),
             self.trace.render(),
-            self.trace.render_fire_table()
+            self.counts.render_fire_table()
         )
     }
 }

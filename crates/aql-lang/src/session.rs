@@ -694,7 +694,7 @@ impl Session {
             aql_analysis::cost::estimate(e, &aql_analysis::analyze(e, &globals), &layouts)
         };
         let (cost_before, cost_after) = (cost(&resolved), cost(&optimized));
-        Ok(Explain { ty, core: resolved, optimized, trace, cost_before, cost_after })
+        Ok(Explain { ty, core: resolved, optimized, trace, counts: self.optimizer.counts(), cost_before, cost_after })
     }
 
     /// Every `val` binding of the session as an abstract value, a

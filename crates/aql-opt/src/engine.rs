@@ -295,7 +295,7 @@ impl Phase {
                 break;
             }
             if pass == MAX_PASSES {
-                self.bound_hit(&mut st);
+                self.bound_hit(&st);
             }
         }
         *too_deep = st.too_deep;
@@ -413,14 +413,11 @@ impl Phase {
     }
 
     /// A bound, not a fixpoint, stopped the rewriting: count it against
-    /// the last rule that fired and mark the trace — a possibly
-    /// non-normal form is never silent.
-    fn bound_hit(&self, st: &mut Pass<'_, '_>) {
+    /// the last rule that fired — a possibly non-normal form is never
+    /// silent.
+    fn bound_hit(&self, st: &Pass<'_, '_>) {
         let Some(index) = st.last_fired else { return };
         bump(&self.tally.rules[index][1]);
-        if let Some(t) = st.trace.as_deref_mut() {
-            t.bound_hit = Some((self.name.clone(), self.rules[index].name()));
-        }
     }
 
     /// What the phase's last run counted.
@@ -617,13 +614,12 @@ mod tests {
         p.add_rule(Rc::new(PingPong));
         let mut opt = Optimizer::empty();
         opt.add_phase(p);
-        let (_, trace) = opt.optimize_traced(&add(nat(1), add(nat(2), nat(3))));
+        opt.optimize(&add(nat(1), add(nat(2), nat(3))));
         // Both bounds were hit: 32 firings at each of two nodes on each
         // of 64 passes, then the pass bound itself.
-        assert_eq!(trace.bound_hit, Some(("hostile".to_string(), "ping-pong")));
         assert_eq!(rule(&opt.counts(), "hostile", "ping-pong"), (2 * 32 * 64, 2 * 64 + 1));
         assert_eq!(opt.counts().passes, 64);
-        let table = trace.render_fire_table();
+        let table = opt.counts().render_fire_table();
         let last = table.lines().last().expect("a table");
         assert!(last.contains("bound hit: hostile/ping-pong"), "{table}");
 
@@ -632,9 +628,8 @@ mod tests {
         p.add_rule(Rc::new(ZeroAdd));
         let mut opt = Optimizer::empty();
         opt.add_phase(p);
-        let (_, trace) = opt.optimize_traced(&add(nat(0), add(nat(0), var("x"))));
-        assert_eq!(trace.bound_hit, None);
-        assert!(!trace.render_fire_table().contains("bound hit"));
+        opt.optimize(&add(nat(0), add(nat(0), var("x"))));
+        assert!(!opt.counts().render_fire_table().contains("bound hit"));
         assert!(opt.counts().rules.iter().all(|r| r.bound_hits == 0), "{:?}", opt.counts());
     }
 
@@ -675,12 +670,11 @@ mod tests {
             let (got, trace) = opt.optimize_traced(&e);
             let counts = [rule(&opt.counts(), "hostile", "pong").1, opt.counts().passes];
             // An even number of firings at each node leaves each as it was.
-            (got == e, trace.len(), trace.bound_hit, counts)
+            (got == e, trace.len(), counts)
         };
         let thread = std::thread::Builder::new().stack_size(256 * 1024).spawn(run);
-        let (unchanged, fired, bound_hit, [hits, passes]) = thread.expect("spawned").join().expect("no overflow");
+        let (unchanged, fired, [hits, passes]) = thread.expect("spawned").join().expect("no overflow");
         assert!(unchanged);
-        assert_eq!(bound_hit, Some(("hostile".to_string(), "pong")));
         // Per pass: 32 firings at the inner node; 32 at the root, each
         // followed by a re-walk with 32 more at the inner node — and a
         // bound hit at the end of every one of those 34 visits.
@@ -808,18 +802,13 @@ mod tests {
 
         // The name-only count conflates the two firings…
         assert_eq!(trace.count("zero-add"), 2);
-        // …while the (phase, rule) key separates them.
-        assert_eq!(trace.count_in("normalize", "zero-add"), 1);
-        assert_eq!(trace.count_in("cleanup", "zero-add"), 1);
-        assert_eq!(trace.count_in("normalize", "nope"), 0);
-        assert_eq!(
-            trace.fired(),
-            vec![
-                (("normalize".to_string(), "zero-add"), 1),
-                (("cleanup".to_string(), "zero-add"), 1),
-            ]
-        );
-        let table = trace.render_fire_table();
+        // …while the run's counts, keyed by (phase, rule), separate them.
+        assert_eq!(rule(&opt.counts(), "normalize", "zero-add").0, 1);
+        assert_eq!(rule(&opt.counts(), "cleanup", "zero-add").0, 1);
+        assert_eq!(rule(&opt.counts(), "normalize", "nope").0, 0);
+        let fired: Vec<_> = opt.counts().rules.iter().map(|r| (r.phase.clone(), r.rule, r.fires)).collect();
+        assert_eq!(fired, vec![("normalize".to_string(), "zero-add", 1), ("cleanup".to_string(), "zero-add", 1)]);
+        let table = opt.counts().render_fire_table();
         assert!(table.contains("normalize"), "{table}");
         assert!(table.contains("cleanup"), "{table}");
     }
@@ -985,7 +974,7 @@ mod tests {
             .run(&e, &Gate::local(), Some(&mut trace))
             .expect("sound rewrite passes");
         assert_eq!(got, tab1("i", nat(4), mul(var("i"), var("i"))));
-        assert_eq!(trace.count_in("normalize", "zero-add"), 1);
+        assert_eq!(rule(&opt.counts(), "normalize", "zero-add").0, 1);
     }
 
     #[test]

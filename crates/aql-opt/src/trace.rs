@@ -1,6 +1,6 @@
-//! The rewrite trace: which rules fired, in order, what a bound cut
-//! short, and the renderings `\explain` shows; and the counts every run
-//! keeps, traced or not.
+//! The counts every optimizer run keeps, traced or not, and the fire
+//! table `\explain` renders from them; and the rewrite trace: which rules
+//! fired, in order.
 
 use std::cell::Cell;
 use std::fmt::Write as _;
@@ -41,6 +41,22 @@ impl RunCounts {
     /// Firings of every rule.
     pub fn fires(&self) -> u64 {
         self.rules.iter().map(|r| r.fires).sum()
+    }
+
+    /// The `\explain` fire table (`phase`, `rule`, `fires`), in phase then
+    /// registration order, and a line per rule a bound stopped a phase at.
+    pub fn render_fire_table(&self) -> String {
+        if self.fires() == 0 {
+            return "  (no rule fired)\n".to_string();
+        }
+        let mut out = format!("  {:<14} {:<24} {:>5}\n", "phase", "rule", "fires");
+        for RuleCounts { phase, rule, fires, .. } in self.rules.iter().filter(|r| r.fires > 0) {
+            let _ = writeln!(out, "  {phase:<14} {rule:<24} {fires:>5}");
+        }
+        for RuleCounts { phase, rule, .. } in self.rules.iter().filter(|r| r.bound_hits > 0) {
+            let _ = writeln!(out, "  bound hit: {phase}/{rule} still firing; may not be a normal form");
+        }
+        out
     }
 
     /// Add `o` component-wise, rules matched by `(phase, rule)`.
@@ -111,15 +127,12 @@ impl TraceStep {
     }
 }
 
-/// A full rewrite trace.
+/// A full rewrite trace. What the run counted — firings per rule, the
+/// bounds hit — is its [`RunCounts`].
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Steps in firing order.
     pub steps: Vec<TraceStep>,
-    /// The phase that a bound (passes per phase, firings per node
-    /// visit) stopped short of a fixpoint, and the last rule it fired:
-    /// when set, the result may not be a normal form.
-    pub bound_hit: Option<(String, &'static str)>,
 }
 
 impl Trace {
@@ -133,52 +146,10 @@ impl Trace {
         self.steps.is_empty()
     }
 
-    /// How many times a rule with this name fired, summed across
-    /// phases. Rule names are only unique *within* a phase — two
-    /// phases may register distinct rules under the same name — so
-    /// prefer [`Trace::count_in`] / [`Trace::fired`] when attributing
-    /// firings.
+    /// How many times a rule with this name fired, summed across phases
+    /// (names are unique only within one: [`RunCounts`] keys by both).
     pub fn count(&self, rule: &str) -> usize {
         self.steps.iter().filter(|s| s.rule == rule).count()
-    }
-
-    /// How many times the rule named `rule` fired *in phase* `phase`.
-    pub fn count_in(&self, phase: &str, rule: &str) -> usize {
-        self.steps.iter().filter(|s| s.phase == phase && s.rule == rule).count()
-    }
-
-    /// Fire counts keyed by `(phase, rule)`, in order of first firing.
-    /// The engine allows duplicate rule names across phases; this is
-    /// the unambiguous attribution.
-    pub fn fired(&self) -> Vec<((String, &'static str), usize)> {
-        let mut out: Vec<((String, &'static str), usize)> = Vec::new();
-        for s in &self.steps {
-            match out.iter_mut().find(|(k, _)| k.0 == s.phase && k.1 == s.rule) {
-                Some((_, n)) => *n += 1,
-                None => out.push(((s.phase.clone(), s.rule), 1)),
-            }
-        }
-        out
-    }
-
-    /// A rule-fire table (`phase`, `rule`, `fires` columns) in order
-    /// of first firing — the `\explain` rendering — and under it, only
-    /// when a bound stopped a phase, one line saying so.
-    pub fn render_fire_table(&self) -> String {
-        let fired = self.fired();
-        if fired.is_empty() {
-            return "  (no rule fired)\n".to_string();
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "  {:<14} {:<24} {:>5}", "phase", "rule", "fires");
-        for ((phase, rule), n) in fired {
-            let _ = writeln!(out, "  {phase:<14} {rule:<24} {n:>5}");
-        }
-        if let Some((phase, rule)) = &self.bound_hit {
-            let note = "still firing; may not be a normal form";
-            let _ = writeln!(out, "  bound hit: {phase}/{rule} {note}");
-        }
-        out
     }
 
     /// A human-readable rendering of the trace.

@@ -20,36 +20,35 @@
 //! [`run`] *binds* a plan to an entry — fetches the operand arrays and
 //! captured scalars, learns each expression's kind (`nat`, `real`,
 //! `bool`, tuple) from them — and runs it over a flat frame of `u64`
-//! slots: no environment node, no per-node tick, typed output buffers.
-//! A nest entered once per evaluation is bound with its captures as
-//! constants. A nest under an interpreted loop or a function body is
-//! bound **once per evaluation**: its captures (but a loop's trip count)
-//! and its windows' origins are slots written on each entry, and an
-//! entry with the same operands, capture kinds and trip counts reruns
-//! the bound code (DESIGN.md §17 has the whole re-bind key). **A row is
-//! the unit of work.** Every piece of a nest is compiled to one form,
-//! row code: a closure that appends the piece's values at `len`
-//! consecutive cells of its innermost loop to a typed buffer. One driver
-//! (`Frame::grid`) hands each loop's iterations to its head as rows, cut
-//! every [`POLL_EVERY`] cells; a tabulation's trailing axes make one row
-//! when every load steps through them in row-major order (`coef_k =
-//! coef_{k+1} · d_{k+1}`, as `layout::for_each_run` folds runs), so
-//! `[[ T[t0+t, i, j] * 1.8 + 32.0 | t, i, j ]]` is one slice read and
-//! two loops over a buffer. The elementwise fragment — constants, the
-//! row's variable, `Arith`, `Cmp`, tuples (a column per component) and
-//! loads with affine indices — runs a row at a time; an `if` runs each
-//! run of cells taking one branch as a row of that branch; `let`, a
-//! nested `Σ`, a non-affine index and a per-element lazy read run a cell
-//! at a time inside their row. Buffers are allocated at bind. A lazy
-//! operand is read once per subscript site and entry, as one window (one
-//! `read_slab`: one cache lookup per overlapped chunk), when that window
-//! has no more cells than the site has executions; otherwise per
-//! element, still unboxed. The window is placed per axis at what the
-//! index `konst + Σ coef·slot` reaches over the captures and the trip
-//! counts known by then, inside the analyzer's interval: when bound, and
-//! read into the load's code, in a nest entered once; on each entry,
-//! and read into the frame, in a nest bound once per evaluation. A
-//! column array is an operand one component at a time: `πᵢ(Z[…])`.
+//! slots: no environment node, no per-node tick, typed buffers allocated
+//! at bind. A nest under an interpreted loop or a function body is bound
+//! **once per evaluation**, its captures (but a loop's trip count) and
+//! windows' origins slots written on each entry (DESIGN.md §17 has the
+//! re-bind key); any other, with its captures as constants. **A row is
+//! the unit of work**: every piece of a nest is row code, a closure
+//! appending its values at `len` consecutive cells of its innermost loop
+//! to a typed buffer, and one driver (`Frame::grid`) hands a grid's cells
+//! to its head as rows, cut every [`POLL_EVERY`] cells. A tabulation's
+//! axes are a grid, and so are a fold's levels as far as they make a box:
+//! `gen` loops of trip counts known at bind, between them only `let`s
+//! that are index forms of the loop variables (what code motion leaves),
+//! substituted below. Trailing axes make one row when every load steps
+//! through them in row-major order (`coef_k = coef_{k+1} · d_{k+1}`, as
+//! `layout::for_each_run` folds runs): `[[ T[t0+t, i, j] * 1.8 + 32.0 |
+//! t, i, j ]]` and `max!{ T[t0+t, i, j] | t, i, j }` read one slice each.
+//! Constants, the row's variable, `Arith`, `Cmp`, tuples (a column per
+//! component) and affine loads run a row at a time; an `if`, each run of
+//! cells taking one branch as a row of it; any other `let`, a level that
+//! does not extend the box (a triangular `gen!i`), a non-affine index and
+//! a per-element lazy read, a cell at a time. A lazy operand is read once
+//! per site and entry, as one window (one `read_slab`: a cache lookup per
+//! overlapped chunk), when that window has no more cells than the site
+//! has executions; otherwise per element, still unboxed. The window is
+//! placed per axis at what the index `konst + Σ coef·slot` reaches over
+//! the captures and the trip counts known by then, inside the analyzer's
+//! interval: when bound in a nest entered once, on each entry in one
+//! bound once per evaluation. A column array is an operand one component
+//! at a time: `πᵢ(Z[…])`.
 //!
 //! **Accounting in closed form.** The planner returns, next to each
 //! piece of a nest, what the interpreter charges for evaluating it
@@ -58,7 +57,9 @@
 //! it, and every loop what `check_elems` checks and counts for the `gen`
 //! or tabulation it stands in for. The totals reach the context when the
 //! nest completes. `Σ` keeps one accumulator per level, adding in
-//! iteration order, so a real sum is the interpreter's bit for bit.
+//! iteration order, so a real sum is the interpreter's bit for bit;
+//! `min!`/`max!` keep the extreme under the canonical order, which is
+//! total, so any grouping gives the interpreter's.
 //!
 //! **One escape.** A kernel either finishes with exactly the value and
 //! the charges the interpreter would have produced, or it returns
@@ -452,6 +453,18 @@ impl Planner {
     }
 }
 
+/// A fold's levels that make a box, run as one grid: the first trip count
+/// (read on entry), each level's slot, trip count and cost of an
+/// iteration, the first level a row covers and the longest row.
+struct Levels {
+    first: Get<u64>,
+    slots: Vec<usize>,
+    dims: RefCell<Vec<u64>>,
+    per_iter: Vec<Cost>,
+    from: usize,
+    cap: usize,
+}
+
 /// How often a running kernel looks at the step budget, the deadline
 /// and the cancellation flag, in loop iterations; also the longest row.
 const POLL_EVERY: u64 = 4096;
@@ -464,8 +477,8 @@ struct Frame<'c> {
     slots: &'c [Cell<u64>],
     arrays: &'c [Rc<ArrayVal>],
     windows: &'c [Window],
-    /// The running `min!`/`max!`, as bits.
-    best: Cell<Option<u64>>,
+    /// Whether a `min!`/`max!` has seen a value of its comprehension.
+    seen: Cell<bool>,
     steps: Cell<u64>,
     subs: Cell<u64>,
     /// Iterations entered, all loops together: what the `gen`s and the
@@ -497,25 +510,29 @@ impl Frame<'_> {
         self.ctx.check_interrupts().ok()
     }
 
-    /// Enter a loop of `n` iterations: what `check_elems(n)` checks and
-    /// counts for the `gen` (or tabulation) it stands in for, and the
-    /// whole loop's static charge.
-    fn enter(&self, n: u64, per_iter: Cost) -> Option<()> {
-        if n > self.ctx.limits.max_elems {
-            return None;
+    /// Enter the loops over `dims`, each once per iteration of the ones
+    /// outside it: what `check_elems(d)` checks and counts for each `gen`
+    /// (or tabulation) entered, and each loop's static charge.
+    fn enter(&self, dims: &[u64], per_iter: &[Cost]) -> Option<()> {
+        let mut iterations = 1u64;
+        for (&d, &per_iter) in dims.iter().zip(per_iter) {
+            if iterations > 0 && d > self.ctx.limits.max_elems {
+                return None;
+            }
+            iterations = iterations.checked_mul(d)?;
+            bump(&self.materialized, iterations);
+            self.charge(per_iter, iterations);
         }
-        bump(&self.materialized, n);
-        self.charge(per_iter, n);
         Some(())
     }
 
     /// The one loop driver: hand `row` the cells of a grid, row-major,
-    /// the variables in the slots from `first` on ranging over `dims`.
-    /// The axes from `from` on make one row, cut every [`POLL_EVERY`]
-    /// cells; the limits are looked at before a row that would take the
-    /// iterations since the last look past [`POLL_EVERY`].
-    fn grid(&self, first: usize, dims: &[u64], from: usize, mut row: impl FnMut(&Self, u64) -> Option<()>) -> Option<()> {
-        let var = |k: usize| self.slots.get(first + k);
+    /// the variables in `vars` (slots) ranging over `dims`. The axes
+    /// from `from` on make one row, cut every [`POLL_EVERY`] cells; the
+    /// limits are looked at before a row that would take the iterations
+    /// since the last look past [`POLL_EVERY`].
+    fn grid(&self, vars: &[usize], dims: &[u64], from: usize, mut row: impl FnMut(&Self, u64) -> Option<()>) -> Option<()> {
+        let var = |k: usize| self.slots.get(*vars.get(k)?);
         (0..dims.len()).try_for_each(|k| var(k).map(|v| v.set(0)))?;
         if dims.contains(&0) {
             return Some(());
@@ -556,13 +573,6 @@ impl Frame<'_> {
         }
     }
 
-    /// A loop over `gen!n`: `row` over `0, …, n-1` of the variable in
-    /// `slot`.
-    fn each(&self, n: u64, slot: usize, per_iter: Cost, row: impl FnMut(&Self, u64) -> Option<()>) -> Option<()> {
-        self.enter(n, per_iter)?;
-        self.grid(slot, &[n], 0, row)
-    }
-
     /// A row a cell at a time: `cell` with the variable in `slot` at
     /// each of the row's values in turn, then back at the first.
     fn cells(&self, slot: usize, len: u64, mut cell: impl FnMut(&Self) -> Option<()>) -> Option<()> {
@@ -576,10 +586,10 @@ impl Frame<'_> {
         Some(())
     }
 
-    /// The tabulation sink, once its loop is admitted: the cells of
-    /// `dims` by rows (the axes from `from` on making one), into `out`.
-    fn fill<B>(&self, dims: &[u64], from: usize, mut out: B, row: impl Fn(&Self, u64, &mut B) -> Option<()>) -> Option<B> {
-        self.grid(0, dims, from, |f, len| row(f, len, &mut out)).map(|()| out)
+    /// The tabulation sink, once its loop is admitted: [`Frame::grid`]'s
+    /// rows into `out`.
+    fn fill<B>(&self, (vars, dims): (&[usize], &[u64]), from: usize, mut out: B, row: impl Fn(&Self, u64, &mut B) -> Option<()>) -> Option<B> {
+        self.grid(vars, dims, from, |f, len| row(f, len, &mut out)).map(|()| out)
     }
 }
 
@@ -590,9 +600,6 @@ type Op<B> = Box<dyn Fn(&Frame, u64, &mut B) -> Option<()>>;
 
 /// Code run once at the current cell.
 type Get<T> = Box<dyn Fn(&Frame) -> Option<T>>;
-
-/// A level of a `min!`/`max!` comprehension, a row at a time.
-type Level = Box<dyn Fn(&Frame, u64) -> Option<()>>;
 
 /// An operand: a constant, a capture (read from its slot once a row, as
 /// its kind), or code computed a cell at a time (over the loop variable
@@ -817,40 +824,102 @@ fn nat_arith(op: ArithOp, x: u64, y: u64) -> Option<u64> {
     }
 }
 
-/// A `Σ` over `gen!n`, per cell of the loop over `slot`: the head's
-/// rows over the loop's own variable added into one accumulator from
-/// `zero` — a sum of nothing escapes unless `empty` says it is `zero`.
-fn sum_rows<T: Copy + 'static>(
-    slot: usize,
-    (n, fs, per_iter): (Get<u64>, usize, Cost),
-    (head, cap): (Arg<T>, usize),
-    (zero, empty): (T, bool),
-    add: impl Fn(T, T) -> Option<T> + 'static,
-) -> Arg<T> {
-    let buf = RefCell::new(Vec::with_capacity(cap));
-    Arg::Cell(slot, Box::new(move |f| {
-        let n = n(f).filter(|&n| n > 0 || empty)?;
-        let mut acc = zero;
-        f.each(n, fs, per_iter, |f, len| {
-            acc = head.run_in(&buf, f, len)?.iter().try_fold(acc, |acc, &x| add(acc, x))?;
+/// A `Σ`'s box, run at the current cell a row at a time and level by
+/// level: one accumulator per level from `zero`, each level's sum added
+/// into the one outside it where its iteration ends, in iteration order —
+/// a real sum is the interpreter's; one that may `regroup` folds as one
+/// level. A sum of nothing escapes unless `empty` says it is `zero`.
+fn sum_box<T: Copy + 'static>(lv: Levels, head: Arg<T>, (zero, empty, regroup): (T, bool, bool), add: impl Fn(T, T) -> Option<T> + 'static) -> Get<T> {
+    let buf = RefCell::new(Vec::with_capacity(lv.cap));
+    // Per level: accumulator, iterations done, sums a row completes (one per `dims[k..]` cells).
+    let depth = if regroup { 1 } else { lv.slots.len() };
+    let levels = RefCell::new(vec![(zero, 0u64); depth]);
+    let closed = (0..depth).map(|k| {
+        // A row of `cap` cells completes at most `cap / Π dims[k..]` sums
+        // of level `k - 1`, and one it began before.
+        let per_sum = lv.dims.borrow().get(k..).map_or(1, |d| d.iter().product::<u64>().max(1));
+        Vec::with_capacity(if k == 0 { 0 } else { lv.cap / per_sum as usize + 1 })
+    });
+    let closed = RefCell::new(closed.collect::<Vec<_>>());
+    Box::new(move |f| {
+        let mut dims = lv.dims.try_borrow_mut().ok()?;
+        *dims.first_mut()? = (lv.first)(f)?;
+        f.enter(&dims, &lv.per_iter).filter(|()| empty || !dims.contains(&0))?;
+        let (mut acc, mut closed) = (levels.try_borrow_mut().ok()?, closed.try_borrow_mut().ok()?);
+        acc.fill((zero, 0));
+        f.grid(&lv.slots, &dims, lv.from, |f, len| {
+            let row = head.run_in(&buf, f, len)?;
+            for k in (1..depth).rev() {
+                let (outer, inner) = closed.split_at_mut(k + 1);
+                let values = if k + 1 == depth { row.as_slice() } else { inner.first()? };
+                let sums = outer.last_mut()?;
+                sums.clear();
+                close(values, *dims.get(k)?, acc.get_mut(k)?, (zero, &add), sums)?;
+            }
+            let values = if depth == 1 { row.as_slice() } else { closed.get(1)? };
+            let (sum, _) = acc.first_mut()?;
+            *sum = values.iter().try_fold(*sum, |s, &x| add(s, x))?;
             Some(())
         })?;
-        Some(acc)
-    }))
+        acc.first().map(|&(sum, _)| sum)
+    })
 }
 
-/// A `min!`/`max!` head's rows: each value kept in the frame's `best`,
-/// as `bits`, if nothing is kept yet or it beats what is (`ord`).
-fn keep_rows<T: Copy + 'static>(head: Arg<T>, cap: usize, wins: Ordering, bits: impl Fn(T) -> u64 + 'static, ord: impl Fn(T, u64) -> Ordering + 'static) -> Level {
-    let buf = RefCell::new(Vec::with_capacity(cap));
-    Box::new(move |f, len| {
-        for &v in head.run_in(&buf, f, len)?.iter() {
-            if f.best.get().is_none_or(|best| ord(v, best) == wins) {
-                f.best.set(Some(bits(v)));
-            }
+/// Add `values`, in order, into a level of `d` iterations with `(sum,
+/// done)` so far; push each completed sum to `sums`, then start at `zero`.
+fn close<T: Copy>(values: &[T], d: u64, (sum, done): &mut (T, u64), (zero, add): (T, &impl Fn(T, T) -> Option<T>), sums: &mut Vec<T>) -> Option<()> {
+    let fold = |from: T, xs: &[T]| xs.iter().try_fold(from, |s, &x| add(s, x));
+    let (open, rest) = values.split_at((d - *done).min(values.len() as u64) as usize);
+    *sum = fold(*sum, open)?;
+    *done += open.len() as u64;
+    if *done < d {
+        return Some(());
+    }
+    sums.push(*sum);
+    // Whole iterations four side by side, so that no addition waits on
+    // another's (EXPERIMENTS S31: `warm_scan` `op_ms` −6 % in pairs).
+    let d = usize::try_from(d).ok()?;
+    let mut quads = rest.chunks_exact(d.checked_mul(4)?);
+    for q in &mut quads {
+        let (ab, ce) = q.split_at(2 * d);
+        let ((a, b), (c, e)) = (ab.split_at(d), ce.split_at(d));
+        let four = a.iter().zip(b).zip(c).zip(e).try_fold([zero; 4], |[s, t, u, v], (((&w, &x), &y), &z)| {
+            Some([add(s, w)?, add(t, x)?, add(u, y)?, add(v, z)?])
+        });
+        sums.extend(four?);
+    }
+    (*sum, *done) = (zero, 0);
+    for xs in quads.remainder().chunks(d) {
+        match fold(zero, xs)? {
+            whole if xs.len() == d => sums.push(whole),
+            open => (*sum, *done) = (open, xs.len() as u64),
         }
+    }
+    Some(())
+}
+
+/// A `min!`/`max!` level's box per cell of the loop over `slot`: a `Σ`'s
+/// keeping the largest key (`key`: values to integers in the canonical
+/// order, flipped under `min!`; `value`: back) — exact under any grouping,
+/// the order being total. A singleton's head tells the frame it has seen a value.
+fn keep<T: Clone + 'static>(slot: usize, lv: Levels, (head, singleton): (Arg<T>, bool), kind: FoldKind, (key, value): (impl Fn(T) -> u64 + 'static, fn(u64) -> T)) -> Arg<T> {
+    let (flip, buf) = (if kind == FoldKind::Max { 0 } else { !0 }, RefCell::new(Vec::with_capacity(lv.cap)));
+    let keys = Arg::Op(Box::new(move |f: &Frame, len, out: &mut Vec<u64>| {
+        f.seen.set(f.seen.get() || singleton);
+        out.extend(head.run_in(&buf, f, len)?.iter().map(|v| key(v.clone()) ^ flip));
         Some(())
-    })
+    }));
+    let best = sum_box(lv, keys, (0, true, true), |best: u64, k| Some(best.max(k)));
+    Arg::Cell(slot, Box::new(move |f| best(f).map(|k| value(k ^ flip))))
+}
+
+/// A real's bits as an integer in the canonical order (`f64::total_cmp`'s):
+/// a negative's magnitude bits flipped, then the sign bit; and back.
+fn real_key(bits: u64) -> u64 {
+    bits ^ (((bits as i64) >> 63) as u64 >> 1) ^ 1 << 63
+}
+fn real_of_key(key: u64) -> u64 {
+    real_key(key ^ 1 << 63) ^ 1 << 63
 }
 
 /// A site's flat offset into its cells: `konst + Σ coef · slot` over
@@ -1032,16 +1101,6 @@ fn push_all<T: Default>(out: &mut Vec<T>, cells: impl Iterator<Item = Option<T>>
     whole.then_some(())
 }
 
-/// Whether `p` is a further level of a `min!`/`max!` comprehension (a
-/// `let` around one included), not its singleton's expression.
-fn is_level(kind: FoldKind, p: &P) -> bool {
-    match p {
-        P::Fold(fold) => fold.kind == kind,
-        P::Let(_, _, body) => is_level(kind, body),
-        _ => false,
-    }
-}
-
 /// Binding: types a plan's expressions against the operands and the
 /// captures' kinds of one entry, producing [`Code`]. A capture is read
 /// from its slot: the code depends on no capture's value.
@@ -1068,9 +1127,11 @@ struct Binder<'a> {
     /// loop variable, and the offsets of its loads: what [`Binder::collapse`] reads.
     per_cell: bool,
     offsets: Vec<Vec<(usize, u64)>>,
+    /// The `let`s of a fold's box, by slot: their bounds, read in their place.
+    lets: Vec<Option<&'a P>>,
 }
 
-impl Binder<'_> {
+impl<'a> Binder<'a> {
     /// Capture `k`: its value where the code is bound by value, else its
     /// slot.
     fn capture(&mut self, k: usize) -> Option<Result<V, usize>> {
@@ -1082,9 +1143,10 @@ impl Binder<'_> {
         Some(Ok(v))
     }
 
-    fn affine(&mut self, p: &P) -> Option<Affine> {
+    fn affine(&mut self, p: &'a P) -> Option<Affine> {
         match p {
             P::Const(V::N(n)) => Some((*n, Vec::new())),
+            P::Slot(s) if self.lets.get(*s).is_some_and(Option::is_some) => self.affine((*self.lets.get(*s)?)?),
             P::Cap(k) => match (self.capture(*k)?, self.e.caps.get(*k)?) {
                 (Ok(V::N(n)), _) => Some((n, Vec::new())),
                 (Err(s), V::N(_)) => Some((0, vec![(s, 1)])),
@@ -1123,9 +1185,15 @@ impl Binder<'_> {
         (*konst, caps, span)
     }
 
-    /// A `gen` loop inside the loop over `slot`: its trip count, its
-    /// variable entered as a `nat` below it, and its longest row.
-    fn loop_of(&mut self, fold: &Fold, slot: usize) -> Option<(Get<u64>, usize)> {
+    /// A fold from `fold` inside the loop over `slot` as a box: `fold`'s
+    /// level, then each further one of its kind with a trip count known
+    /// now, only `let`s between them whose bounds are index forms of the
+    /// loop variables in range over the box (the code below reads those
+    /// forms). With the code under the last level — bound alone, to find
+    /// the levels a row covers — and whether it is a further level.
+    fn grid(&mut self, fold: &'a Fold, slot: usize) -> Option<(Levels, Code, bool)> {
+        let kind = fold.kind;
+        // The first trip count, any capture in it bound by value.
         let inline = std::mem::replace(&mut self.inline, true);
         let n = self.code(&fold.n, slot);
         self.inline = inline;
@@ -1135,11 +1203,49 @@ impl Binder<'_> {
             _ => (None, POLL_EVERY),
         };
         *self.vars.get_mut(fold.slot)? = (Ty::N, hi);
-        Some((n.once(), cap as usize))
+        let mut lv = Levels { first: n.once(), slots: vec![fold.slot], dims: RefCell::new(vec![0]), per_iter: vec![fold.per_iter], from: 0, cap: cap as usize };
+        let (mut p, mut substituted) = (&fold.head, Vec::new());
+        loop {
+            while let P::Let(ls, bound, body) = p {
+                let Some(form) = self.affine(bound) else { break };
+                // Only loop variables of known ranges, and no overflow.
+                let top = |s: usize| self.vars.get(s).filter(|_| s < self.nvars)?.1;
+                if form.1.iter().try_fold(form.0, |hi, &(s, c)| hi.checked_add(c.checked_mul(top(s)?)?)).is_none() {
+                    break;
+                }
+                *self.lets.get_mut(*ls)? = Some(bound);
+                substituted.push(*ls);
+                p = body;
+            }
+            let P::Fold(inner) = p else { break };
+            let (&P::Const(V::N(d)), true) = (&inner.n, inner.kind == kind) else { break };
+            *self.vars.get_mut(inner.slot)? = (Ty::N, d.checked_sub(1));
+            lv.slots.push(inner.slot);
+            lv.dims.get_mut().push(d);
+            lv.per_iter.push(inner.per_iter);
+            lv.cap = lv.cap.saturating_mul(usize::try_from(d).unwrap_or(usize::MAX)).min(POLL_EVERY as usize);
+            p = &inner.head;
+        }
+        let offsets = std::mem::take(&mut self.offsets);
+        self.per_cell = false;
+        let code = self.head(p, *lv.slots.last()?, lv.cap);
+        // The substitutions hold inside the box: a sibling binds the same
+        // slots (de Bruijn depths) to its own variables.
+        for ls in substituted {
+            *self.lets.get_mut(ls)? = None;
+        }
+        let code = code?;
+        lv.from = self.collapse(&lv.slots, lv.dims.get_mut());
+        // What encloses the box runs it a cell at a time.
+        (self.per_cell, self.offsets) = (true, offsets);
+        while let P::Let(_, _, body) = p {
+            p = body;
+        }
+        Some((lv, code, matches!(p, P::Fold(l) if l.kind == kind)))
     }
 
     /// Code that sets a `let`'s slot, at the current cell.
-    fn bind_let(&mut self, ls: usize, bound: &P, slot: usize) -> Option<Get<()>> {
+    fn bind_let(&mut self, ls: usize, bound: &'a P, slot: usize) -> Option<Get<()>> {
         let (ty, bits) = match self.code(bound, slot)? {
             Code::N(a) => (Ty::N, a.once()),
             Code::R(a) => (Ty::R, a.once_as(f64::to_bits)),
@@ -1152,7 +1258,7 @@ impl Binder<'_> {
 
     /// `p` as row code over `slot`, the innermost loop around it (see the
     /// module doc for what runs a row at a time).
-    fn code(&mut self, p: &P, slot: usize) -> Option<Code> {
+    fn code(&mut self, p: &'a P, slot: usize) -> Option<Code> {
         let cap = self.cap;
         Some(match p {
             P::Const(v) => Code::constant(*v),
@@ -1163,6 +1269,8 @@ impl Binder<'_> {
                 (Err(s), Ty::B) => Code::B(Arg::Slot(s, |b| b != 0)),
             },
             P::Trips => Code::constant(V::N(self.e.root_trips)),
+            // A `let` of a fold's box: its bound, where it is read.
+            P::Slot(s) if self.lets.get(*s).is_some_and(Option::is_some) => return self.code((*self.lets.get(*s)?)?, slot),
             P::Slot(s) => {
                 let s = *s;
                 self.per_cell = true;
@@ -1198,7 +1306,7 @@ impl Binder<'_> {
                 self.per_cell = true;
                 // A tabulation, a `Σ` and a `⋃` are strict: the sink's
                 // value is `⊥` from the first cell taking a `⊥` branch on.
-                let mut arm = |p: &P| if matches!(p, P::Bottom) { Some(None) } else { self.code(p, slot).map(Some) };
+                let mut arm = |p: &'a P| if matches!(p, P::Bottom) { Some(None) } else { self.code(p, slot).map(Some) };
                 let (x, y) = match (arm(&t.0)?, arm(&e.0)?) {
                     (Some(x), Some(y)) => (x, y),
                     (Some(x), None) => {
@@ -1238,38 +1346,41 @@ impl Binder<'_> {
                 };
                 Code::T(Box::new(write), kinds)
             }
-            P::Fold(fold) if fold.kind == FoldKind::Sum => {
-                let (n, cap) = self.loop_of(fold, slot)?;
-                let loop_ = (n, fold.slot, fold.per_iter);
-                self.per_cell = true;
-                match self.head(&fold.head, fold.slot, cap)? {
-                    Code::N(h) => Code::N(sum_rows(slot, loop_, (h, cap), (0, true), u64::checked_add)),
+            P::Fold(fold) => {
+                let (kind, (lv, code, further)) = (fold.kind, self.grid(fold, slot)?);
+                match (kind, code) {
+                    (FoldKind::Sum, Code::N(h)) => Code::N(Arg::Cell(slot, sum_box(lv, h, (0, true, false), u64::checked_add))),
                     // A real sum of nothing is the interpreter's `0 : nat`.
-                    Code::R(h) => Code::R(sum_rows(slot, loop_, (h, cap), (0.0, false), |acc, x| Some(acc + x))),
-                    Code::B(_) | Code::T(..) => return None,
+                    (FoldKind::Sum, Code::R(h)) => Code::R(Arg::Cell(slot, sum_box(lv, h, (0.0, false, false), |acc, x| Some(acc + x)))),
+                    (FoldKind::Sum, _) | (_, Code::T(..)) => return None,
+                    (_, Code::N(h)) => Code::N(keep(slot, lv, (h, !further), kind, (|v| v, |k| k))),
+                    (_, Code::R(h)) => Code::R(keep(slot, lv, (h, !further), kind, (|v: f64| real_key(v.to_bits()), |k| f64::from_bits(real_of_key(k))))),
+                    (_, Code::B(h)) => Code::B(keep(slot, lv, (h, !further), kind, (u64::from, |k| k != 0))),
                 }
             }
-            // Set levels are bound by `level`; a `⊥` no `if` types.
-            P::Fold(_) | P::Bottom => return None,
+            // A `⊥` no `if` types.
+            P::Bottom => return None,
         })
     }
 
     /// A loop's head, its buffers sized for rows of `cap`.
-    fn head(&mut self, head: &P, slot: usize, cap: usize) -> Option<Code> {
+    fn head(&mut self, head: &'a P, slot: usize, cap: usize) -> Option<Code> {
         let outer = std::mem::replace(&mut self.cap, cap);
         let code = self.code(head, slot);
         self.cap = outer;
         code
     }
 
-    /// The first of the tabulation axes `dims` a row covers: the last,
-    /// and before it each axis that every load of a head run a row at a
-    /// time steps through in row-major order (`coef_k = coef_{k+1} · d_{k+1}`).
-    fn collapse(&self, dims: &[u64]) -> usize {
+    /// The first of the axes `dims` of a grid over the variables `vars`
+    /// that a row covers: the last, and before it each axis that every
+    /// load of a head run a row at a time steps through in row-major
+    /// order (`coef_k = coef_{k+1} · d_{k+1}`).
+    fn collapse(&self, vars: &[usize], dims: &[u64]) -> usize {
         let mut from = dims.len().saturating_sub(1);
+        let coef_at = |terms: &[(usize, u64)], k: usize| vars.get(k).map(|&s| coef(terms, s));
         let steps = |terms: &Vec<(usize, u64)>, k: usize| {
-            let outer = dims.get(k).and_then(|&d| coef(terms, k).checked_mul(d));
-            outer == Some(coef(terms, k - 1))
+            let outer = dims.get(k).zip(coef_at(terms, k)).and_then(|(&d, c)| c.checked_mul(d));
+            outer.is_some() && outer == coef_at(terms, k - 1)
         };
         while !self.per_cell && from > 0 && self.offsets.iter().all(|terms| steps(terms, from)) {
             from -= 1;
@@ -1279,7 +1390,7 @@ impl Binder<'_> {
 
     /// A subscript site as row code: one strided read of a column or a
     /// window; a cell at a time for a lazy read per element or an index of another form.
-    fn load(&mut self, site: usize, idx: &[P], slot: usize) -> Option<Code> {
+    fn load(&mut self, site: usize, idx: &'a [P], slot: usize) -> Option<Code> {
         let (sites, e) = (self.sites, self.e);
         let (s, caps) = (sites.get(site)?, &e.caps);
         let a = e.arrays.get(s.operand)?;
@@ -1371,41 +1482,6 @@ impl Binder<'_> {
         Some(if strided { code } else { code.per_cell(slot, |_| Some(())) })
     }
 
-    /// One level of a `min!`/`max!` comprehension inside the loop over
-    /// `slot`: code that folds the level's heads into the frame's `best`
-    /// under the canonical order, and the kind of those heads.
-    fn level(&mut self, kind: FoldKind, p: &P, slot: usize) -> Option<(Get<()>, Ty)> {
-        match p {
-            P::Fold(fold) if fold.kind == kind => {
-                let (n, cap) = self.loop_of(fold, slot)?;
-                let (fs, per_iter) = (fold.slot, fold.per_iter);
-                let (row, ty) = self.extreme(kind, &fold.head, fs, cap)?;
-                Some((Box::new(move |f| f.each(n(f)?, fs, per_iter, &row)), ty))
-            }
-            P::Let(ls, bound, body) => {
-                let set = self.bind_let(*ls, bound, slot)?;
-                let (body, ty) = self.level(kind, body, slot)?;
-                Some((Box::new(move |f| set(f).and_then(|()| body(f))), ty))
-            }
-            _ => None,
-        }
-    }
-
-    /// A level's rows over its variable in `slot`: each iteration's
-    /// further level, a cell at a time, or the singleton's values.
-    fn extreme(&mut self, kind: FoldKind, head: &P, slot: usize, cap: usize) -> Option<(Level, Ty)> {
-        if is_level(kind, head) {
-            let (next, ty) = self.level(kind, head, slot)?;
-            return Some((Box::new(move |f, len| f.cells(slot, len, &next)), ty));
-        }
-        let wins = if kind == FoldKind::Max { Ordering::Greater } else { Ordering::Less };
-        Some(match self.head(head, slot, cap)? {
-            Code::N(h) => (keep_rows(h, cap, wins, |v| v, |v, best| v.cmp(&best)), Ty::N),
-            Code::R(h) => (keep_rows(h, cap, wins, f64::to_bits, |v, best| v.total_cmp(&f64::from_bits(best))), Ty::R),
-            Code::B(h) => (keep_rows(h, cap, wins, u64::from, |v, best| u64::from(v).cmp(&best)), Ty::B),
-            Code::T(..) => return None,
-        })
-    }
 }
 
 fn outer<'a>(o: &Outer, env: &'a Env, ctx: &'a EvalCtx) -> Option<&'a Value> {
@@ -1542,32 +1618,34 @@ fn bind(plan: &Rc<KernelPlan>, entry: Entry) -> Option<Bound> {
     }
     let n = entry.root_trips;
     let (once, inline, pinned) = (!plan.again, !plan.again, Vec::new());
-    let mut b = Binder { e: &entry, sites: &plan.sites, nvars: plan.slots, once, inline, pinned, windows: Vec::new(), vars, cap: 0, per_cell: false, offsets: Vec::new() };
+    let lets = vec![None; plan.slots];
+    let mut b = Binder { e: &entry, sites: &plan.sites, nvars: plan.slots, once, inline, pinned, windows: Vec::new(), vars, cap: 0, per_cell: false, offsets: Vec::new(), lets };
     let sink: Get<Value> = match plan.root {
         Root::Tab { ref head, per_cell } => {
             // Rows along the last axis, and the axes before it that every
             // load steps through in row-major order; no code for no cells.
             let slot = entry.dims.len().saturating_sub(1);
             let rows = if n == 0 { None } else { Some(b.head(head, slot, n.min(POLL_EVERY) as usize)?) };
-            let (dims, from) = (entry.dims.clone(), b.collapse(&entry.dims));
+            let (dims, axes) = (entry.dims.clone(), (0..entry.dims.len()).collect::<Vec<_>>());
+            let from = b.collapse(&axes, &dims);
             Box::new(move |f| {
                 // The tabulation node itself, and its loop.
                 f.steps.set(1);
-                f.enter(n, per_cell)?;
+                f.enter(&[n], &[per_cell])?;
                 let cells = n as usize;
                 let arr = match &rows {
                     // What the interpreter builds from no cells.
                     None => ArrayVal::new(dims.clone(), Vec::new()),
-                    Some(Code::N(h)) => ArrayVal::from_nat(dims.clone(), f.fill(&dims, from, Vec::with_capacity(cells), |f, len, out| h.run(f, len, out))?),
-                    Some(Code::R(h)) => ArrayVal::from_f64(dims.clone(), f.fill(&dims, from, Vec::with_capacity(cells), |f, len, out| h.run(f, len, out))?),
-                    Some(Code::B(h)) => ArrayVal::from_bool(dims.clone(), f.fill(&dims, from, Vec::with_capacity(cells), |f, len, out| h.run(f, len, out))?),
+                    Some(Code::N(h)) => ArrayVal::from_nat(dims.clone(), f.fill((&axes, &dims), from, Vec::with_capacity(cells), |f, len, out| h.run(f, len, out))?),
+                    Some(Code::R(h)) => ArrayVal::from_f64(dims.clone(), f.fill((&axes, &dims), from, Vec::with_capacity(cells), |f, len, out| h.run(f, len, out))?),
+                    Some(Code::B(h)) => ArrayVal::from_bool(dims.clone(), f.fill((&axes, &dims), from, Vec::with_capacity(cells), |f, len, out| h.run(f, len, out))?),
                     Some(Code::T(h, kinds)) => {
                         let cols = kinds.iter().map(|ty| match ty {
                             Ty::N => Column::Nat(Vec::with_capacity(cells)),
                             Ty::R => Column::F64(Vec::with_capacity(cells)),
                             Ty::B => Column::Bool(Vec::with_capacity(cells)),
                         });
-                        ArrayVal::from_columns(dims.clone(), f.fill(&dims, from, cols.collect(), h)?)
+                        ArrayVal::from_columns(dims.clone(), f.fill((&axes, &dims), from, cols.collect(), h)?)
                     }
                 };
                 Some(Value::Array(Rc::new(arr.ok()?)))
@@ -1575,29 +1653,17 @@ fn bind(plan: &Rc<KernelPlan>, entry: Entry) -> Option<Bound> {
         }
         // (A real sum of nothing escapes here as it does inside a nest:
         // the interpreter's answer is `0 : nat`.)
-        Root::Fold { kind: FoldKind::Sum, ref nest, fixed } => {
-            let sum = match b.code(nest, 0)? {
+        Root::Fold { kind, ref nest, fixed } => {
+            let value = match b.code(nest, 0)? {
                 Code::N(n) => n.once_as(Value::Nat),
                 Code::R(r) => r.once_as(Value::Real),
-                _ => return None,
+                Code::B(x) => x.once_as(Value::Bool),
+                Code::T(..) => return None,
             };
             Box::new(move |f| {
                 f.steps.set(fixed);
-                sum(f)
-            })
-        }
-        Root::Fold { kind, ref nest, fixed } => {
-            let (fold, ty) = b.level(kind, nest, 0)?;
-            Box::new(move |f| {
-                f.steps.set(fixed);
-                fold(f)?;
-                Some(match (f.best.get(), ty) {
-                    // `min!`/`max!` of the empty set.
-                    (None, _) => Value::Bottom,
-                    (Some(b), Ty::N) => Value::Nat(b),
-                    (Some(b), Ty::R) => Value::Real(f64::from_bits(b)),
-                    (Some(b), Ty::B) => Value::Bool(b != 0),
-                })
+                // `min!`/`max!` of the empty set is `⊥`.
+                value(f).map(|v| if kind == FoldKind::Sum || f.seen.get() { v } else { Value::Bottom })
             })
         }
     };
@@ -1637,8 +1703,8 @@ impl Bound {
             w.cells = l.borrow_mut().read_slab(&start, &count).ok()?;
             slots.get(w.origin)?.set(0u64.wrapping_sub(base(&start, &count)));
         }
-        let (arrays, best, zero) = (&entry.arrays, Cell::new(None), || Cell::new(0));
-        let frame = Frame { ctx, slots, arrays, windows, best, steps: zero(), subs: zero(), materialized: zero(), rows: zero(), unpolled: zero() };
+        let (arrays, seen, zero) = (&entry.arrays, Cell::new(false), || Cell::new(0));
+        let frame = Frame { ctx, slots, arrays, windows, seen, steps: zero(), subs: zero(), materialized: zero(), rows: zero(), unpolled: zero() };
         let value = sink(&frame)?;
         commit(ctx, &frame)?;
         Some(value)
@@ -1920,10 +1986,12 @@ mod tests {
         let (g, stmts) = warm_scan();
         // Rows 3..=22 of 7-row chunks: chunks 0 to 3. The zip reads
         // rows 3..=14 (three chunks) and 21..=32 (two). The map's three
-        // axes make one row of 500 and the zip's one of 12; the folds
-        // hand a row of 20 to `t`, 20 of five to `i` and 100 of five to
-        // `j`: their levels do not collapse.
-        for ((e, vars), (chunks, rows)) in stmts.iter().zip([(4, 121), (4, 121), (4, 1), (5, 1)]) {
+        // axes make one row of 500 and the zip's one of 12. So do the
+        // folds' three levels: the hoisted `let`s are index forms of `t`,
+        // substituted into the site's offset, which then steps through
+        // `t`, `i` and `j` in row-major order — one row of 500 where the
+        // levels run one at a time made 1 + 20 + 100 rows of 20 and five.
+        for ((e, vars), (chunks, rows)) in stmts.iter().zip([(4, 1), (4, 1), (4, 1), (5, 1)]) {
             let got = same(e, &g, vars);
             // Each nest is entered once, and bound once.
             assert_eq!((got.nests, got.binds), (1, 1), "{e}");

@@ -3,7 +3,9 @@
 //! tabulation of pairs writes one typed column per component instead of
 //! boxing each cell, and a real-valued map's row buffers are allocated
 //! at bind — each makes as many allocations over a few cells as over
-//! thousands (a boxed tuple per cell, or a buffer per row, would not).
+//! thousands (a boxed tuple per cell, or a buffer per row, would not);
+//! so do a `Σ` and a `max!` whose levels run as one grid of rows (a
+//! buffer per row or per level would not).
 //! A nest an interpreted loop enters again is bound once: each entry
 //! then allocates only what it builds.
 
@@ -141,6 +143,45 @@ fn days_of_readings(n: u64) -> u64 {
     assert_eq!(ctx.kernel_stats().nests, n, "{e} ran a kernel a day");
     assert_eq!(out, Ok(Value::Nat(24 * n)));
     allocs
+}
+
+/// Allocations of one marked evaluation of the `warm_scan` folds' shape
+/// over `t` planes of 5×5 cells of an unboxed real `T`: `Σ t. let h =
+/// 1 + t in Σ i. Σ j. T[h, i, j]`, or `max!` of the same cells, after a
+/// first evaluation. The `let` is substituted into the offset, so the
+/// three levels run as rows of up to 4,096 cells.
+fn a_fold_over_a_box(t: u64, max: bool) -> u64 {
+    let cells = (t + 1) * 25;
+    let arr = ArrayVal::from_f64(vec![t + 1, 5, 5], (0..cells).map(|i| i as f64 * 0.25).collect());
+    let globals = HashMap::from([(name("T"), Value::Array(Rc::new(arr.unwrap())))]);
+    let site = sub(global("T"), vec![var("h"), var("i"), var("j")]);
+    let level = |x: &str, n: u64, head: Expr| if max { big_union(x, gen(nat(n)), head) } else { sum(x, gen(nat(n)), head) };
+    let inner = level("i", 5, level("j", 5, if max { single(site) } else { site }));
+    let e = level("t", t, let_("h", add(nat(1), var("t")), inner));
+    let e = if max { set_max(e) } else { e };
+    let marks = |_: &Expr| Some(vec![Iv { lo: 1, hi: Some(t) }, Iv { lo: 0, hi: Some(4) }, Iv { lo: 0, hi: Some(4) }]);
+    let externals = Extensions::new();
+    drop(eval_marked(&e, &EvalCtx::new(&globals, &externals), &marks));
+    let ctx = EvalCtx::new(&globals, &externals);
+    let (allocs, out) = allocs_during(|| eval_marked(&e, &ctx, &marks));
+    let k = ctx.kernel_stats();
+    assert_eq!((k.nests, k.rows), (1, (t * 25).div_ceil(4096)), "{e} ran as a kernel of collapsed rows");
+    let want = if max {
+        (cells - 1) as f64 * 0.25
+    } else {
+        let plane = |h: u64| (0..25).fold(0.0, |s, c| s + (h * 25 + c) as f64 * 0.25);
+        (1..=t).fold(0.0, |s, h| s + plane(h))
+    };
+    assert_eq!(out, Ok(Value::Real(want)), "{e}");
+    allocs
+}
+
+#[test]
+fn a_fold_over_a_box_allocates_independently_of_its_length() {
+    for max in [false, true] {
+        let (small, large) = (a_fold_over_a_box(4, max), a_fold_over_a_box(200, max));
+        assert_eq!(small, large, "allocations at 100 cells and at 5,000 (max: {max})");
+    }
 }
 
 #[test]

@@ -236,8 +236,17 @@ const SESSION_LINES: usize = 850;
 /// `bind_and_run`: admitting more shapes must not grow the planner
 /// without bound; lowered to 1,666 when the entry stopped asking the
 /// governor what it admits (`max_elems` is the one loop limit); lowered
-/// to 1,665 when the kernel counts became one struct beside `EvalStats`.
-const KERNEL_LINES: usize = 1665;
+/// to 1,665 when the kernel counts became one struct beside `EvalStats`;
+/// raised to 1,731 when a `Σ` or `min!`/`max!` nest began to run the box
+/// of its levels as one grid of rows, 66 lines more: the per-cell level
+/// path it replaced (`sum_rows`, the set levels' `level`, `extreme`,
+/// `keep_rows` and `is_level`, `Frame::each`, the `min!`/`max!` sink's
+/// own root, about 100 lines) went, and `Binder::grid` (the levels, and
+/// their `let`s substituted inside the box only), the level-ordered
+/// accumulators (`sum_box`, and `close` with its four-wide sums of whole
+/// iterations, 12 lines that a paired `warm_scan` run kept) and `keep`'s
+/// integer keys came.
+const KERNEL_LINES: usize = 1731;
 
 /// The budget for every `crates/*/src` together, by [`non_test_lines`]'s
 /// count: 26,758 once the rebuilding child map was deleted and rules
@@ -288,8 +297,11 @@ const KERNEL_LINES: usize = 1665;
 /// each statement's record came to carry what only the trace held — the
 /// kernel counts beside `EvalStats`, the optimizer's per-run counts, the
 /// hyperslab requests — and `\profile` and the Chrome export to print
-/// them from it).
-const CRATES_LINES: usize = 26_037;
+/// them from it); raised by 36 when a fold's levels began to run as one
+/// grid (26,073: see [`KERNEL_LINES`], less `\explain`'s second tally of
+/// fires and bound hits in the rewrite trace, now read from the run's
+/// counts).
+const CRATES_LINES: usize = 26_073;
 
 /// Collect every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {

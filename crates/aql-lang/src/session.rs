@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use aql_journal::attr::SourceCounts;
 use aql_journal::{emit, ErrorClass, Event};
 
-use aql_core::check::{type_compatible, typecheck};
+use aql_core::check::{same_principal_type, type_compatible, typecheck};
 use aql_core::error::{EvalError, TypeError};
 use aql_core::eval::{EvalCtx, EvalStats, Limits};
 use aql_core::expr::children::try_for_each_child_mut;
@@ -104,9 +104,10 @@ macro \nearest = fn (\c, \x) =>
   pi_2_2!(min!{((if v > x then v - x else x - v), i) | [\i : \v] <- c});
 "#;
 
-/// A macro's resolved body and its type, shared between the sessions
-/// that hold it.
-type Macro = Rc<(Expr, Type)>;
+/// A macro's resolved body as written and, if one was kept, its normal
+/// form ([`Session::normal_body`]); shared between the sessions that
+/// hold it.
+type Macro = Rc<(Expr, Option<Expr>)>;
 
 thread_local! {
     /// What running [`PRELUDE`] through a bare session leaves behind —
@@ -516,9 +517,10 @@ impl Session {
                 (vname.as_str(), OutcomeKind::Read(vname.clone()), ty, v)
             }
             Stmt::MacroDef(mname, e) => {
-                let resolved = self.resolved(desugar(e)?)?;
-                let ty = typecheck(&resolved, &self.val_types, &self.externals)?;
-                self.macros.insert(name(mname), Rc::new((resolved, ty.clone())));
+                let written = self.resolved(desugar(e)?, false)?;
+                let ty = typecheck(&written, &self.val_types, &self.externals)?;
+                let normal = self.normal_body(&written, &ty);
+                self.macros.insert(name(mname), Rc::new((written, normal)));
                 return Ok(Outcome {
                     text: format!("typ {mname} : {ty}\nval {mname} = {mname} registered as macro."),
                     kind: OutcomeKind::Macro(mname.clone()),
@@ -571,7 +573,7 @@ impl Session {
     pub fn eval_core(&self, core: Expr) -> Result<(Type, Value), LangError> {
         let resolved = {
             let _phase = phase("resolve");
-            self.resolved(core)?
+            self.resolved(core, self.optimize)?
         };
         let ty = {
             let _phase = phase("typecheck");
@@ -579,7 +581,7 @@ impl Session {
         };
         let optimized = if self.optimize {
             let _phase = phase("optimize");
-            self.optimize_gated(&resolved, &ty, None)?
+            self.optimize_gated(resolved, &ty, None)?
         } else {
             resolved
         };
@@ -611,12 +613,7 @@ impl Session {
     /// Run the optimizer under the session's gate setting, adding what
     /// it counts to the statement's. Rules are extension code: a
     /// panicking rule is contained and named, and the session stays usable.
-    fn optimize_gated(
-        &self,
-        resolved: &Expr,
-        ty: &Type,
-        trace: Option<&mut Trace>,
-    ) -> Result<Expr, LangError> {
+    fn optimize_gated(&self, resolved: Expr, ty: &Type, trace: Option<&mut Trace>) -> Result<Expr, LangError> {
         let check = self.phase_check(ty);
         let gate = if self.verify { Gate::full(&check) } else { Gate::off() };
         let out = self.optimizer.run(resolved, &gate, trace).map_err(opt_error);
@@ -624,33 +621,58 @@ impl Session {
         out
     }
 
-    /// Resolve free names: macros are substituted (their bodies are
-    /// stored fully resolved), externals become [`Expr::Ext`], `val`s
-    /// become [`Expr::Global`]. Lexically bound names are untouched. A
-    /// term too deep for this thread's stack comes back with its deepest
-    /// names unresolved; the session's own pipeline ends it in
+    /// A macro body's normal form under the session's own `normalize`
+    /// phase and gate, computed once, where the macro is defined. Kept
+    /// only at a fixpoint no deeper and no larger than the body, with the
+    /// body's exact principal type (dead code dropped must not drop its
+    /// constraints), for a body over no `val` or external (either can be
+    /// rebound at another type); otherwise the macro resolves as written
+    /// (DESIGN.md §10 (7)).
+    fn normal_body(&self, written: &Expr, ty: &Type) -> Option<Expr> {
+        let mut closed = true;
+        written.walk(&mut |n| closed &= !matches!(n, Expr::Global(_) | Expr::Ext(_)));
+        let normalize = self.optimizer.phase("normalize").filter(|_| closed)?;
+        let _phase = phase("optimize");
+        let check = self.phase_check(ty);
+        let gate = if self.verify { Gate::full(&check) } else { Gate::off() };
+        let normal = normalize.run(written, &gate, None).ok();
+        let counts = normalize.counts();
+        self.cur.borrow_mut().opt.add(&counts);
+        let within = |(size, depth), (at_most, deepest)| size <= at_most && depth <= deepest;
+        let fits = |n: &Expr| n.extent().zip(written.extent()).is_some_and(|(n, w)| within(n, w));
+        normal.filter(|n| counts.at_fixpoint() && fits(n) && same_principal_type(written, n))
+    }
+
+    /// Resolve free names: macros are substituted, externals become
+    /// [`Expr::Ext`], `val`s become [`Expr::Global`]. Lexically bound
+    /// names are untouched. A macro's body is stored fully resolved; it
+    /// is inserted in its normal form when the optimizer will run
+    /// ([`Session::optimize`]) and one was kept, and as written
+    /// otherwise, so an optimizer-off run is the unoptimized reference.
+    /// A term too deep for this thread's stack comes back with its
+    /// deepest names unresolved; the session's own pipeline ends it in
     /// `too-deep`.
     pub fn resolve(&self, e: &Expr) -> Expr {
         let mut resolved = e.clone();
-        let _ = self.resolve_in(&mut resolved, &mut Vec::new());
+        let _ = self.resolve_in(&mut resolved, &mut Vec::new(), self.optimize);
         resolved
     }
 
-    /// [`Session::resolve`] in place, for the pipeline's own term: a
-    /// clone would walk it unguarded.
-    fn resolved(&self, mut e: Expr) -> Result<Expr, TooDeep> {
-        self.resolve_in(&mut e, &mut Vec::new())?;
+    /// [`Session::resolve`] in place, for the pipeline's own term (a
+    /// clone would walk it unguarded), with macros in normal form or not.
+    fn resolved(&self, mut e: Expr, normal: bool) -> Result<Expr, TooDeep> {
+        self.resolve_in(&mut e, &mut Vec::new(), normal)?;
         Ok(e)
     }
 
-    fn resolve_in(&self, e: &mut Expr, bound: &mut Vec<Name>) -> Result<(), TooDeep> {
+    fn resolve_in(&self, e: &mut Expr, bound: &mut Vec<Name>, normal: bool) -> Result<(), TooDeep> {
         aql_core::stack::check()?;
         if let Expr::Var(x) = e {
             if bound.contains(x) {
                 return Ok(());
             }
             if let Some(m) = self.macros.get(x) {
-                *e = m.0.clone();
+                *e = m.1.as_ref().filter(|_| normal).unwrap_or(&m.0).clone();
             } else if self.externals.get(x).is_some() {
                 *e = Expr::Ext(x.clone());
             } else if self.vals.contains_key(x) {
@@ -660,7 +682,7 @@ impl Session {
         }
         try_for_each_child_mut(e, &mut |binders, c| {
             bound.extend_from_slice(binders);
-            let resolved = self.resolve_in(c, bound);
+            let resolved = self.resolve_in(c, bound, normal);
             bound.truncate(bound.len() - binders.len());
             resolved
         })
@@ -674,9 +696,10 @@ impl Session {
     }
 
     /// The front half of the pipeline, for the queries that stop short
-    /// of evaluation: parse → desugar → resolve → typecheck.
-    fn check_query(&self, query: &str) -> Result<(Expr, Type), LangError> {
-        let resolved = self.resolved(desugar(&crate::parser::parse_expr(query)?)?)?;
+    /// of evaluation: parse → desugar → resolve (macros in normal form
+    /// or not) → typecheck.
+    fn check_query(&self, query: &str, normal: bool) -> Result<(Expr, Type), LangError> {
+        let resolved = self.resolved(desugar(&crate::parser::parse_expr(query)?)?, normal)?;
         let ty = typecheck(&resolved, &self.val_types, &self.externals)?;
         Ok((resolved, ty))
     }
@@ -685,9 +708,9 @@ impl Session {
     /// evaluation and report the core term, its type, the optimized
     /// term, and the full §5 rewrite trace.
     pub fn explain(&self, query: &str) -> Result<Explain, LangError> {
-        let (resolved, ty) = self.check_query(query)?;
+        let (resolved, ty) = self.check_query(query, true)?;
         let mut trace = Trace::default();
-        let optimized = self.optimize_gated(&resolved, &ty, Some(&mut trace))?;
+        let optimized = self.optimize_gated(resolved.clone(), &ty, Some(&mut trace))?;
         let layouts = self.source_layouts();
         let cost = |e: &Expr| {
             let globals = aql_analysis::globals_mentioned(e, &self.vals);
@@ -744,9 +767,8 @@ impl Session {
     /// on it, and the cost estimate (`\explain`'s `cost_after`). The
     /// REPL's `\analyze` meta-command renders the result.
     pub fn analyze(&self, query: &str) -> Result<AnalyzeReport, LangError> {
-        let (resolved, ty) = self.check_query(query)?;
-        let term =
-            if self.optimize { self.optimize_gated(&resolved, &ty, None)? } else { resolved };
+        let (resolved, ty) = self.check_query(query, self.optimize)?;
+        let term = if self.optimize { self.optimize_gated(resolved, &ty, None)? } else { resolved };
         let globals = aql_analysis::globals_mentioned(&term, &self.vals);
         let analysis = aql_analysis::analyze(&term, &globals);
         let cost = aql_analysis::cost::estimate(&term, &analysis, &self.source_layouts());
@@ -763,7 +785,7 @@ impl Session {
     /// it mentions. The REPL's `\lint` meta-command renders the
     /// result.
     pub fn lint(&self, query: &str) -> Result<LintReport, LangError> {
-        let (resolved, ty) = self.check_query(query)?;
+        let (resolved, ty) = self.check_query(query, false)?;
         let globals = aql_analysis::globals_mentioned(&resolved, &self.vals);
         let analysis = aql_analysis::analyze(&resolved, &globals);
         let diagnostics = aql_analysis::lint::lint(&resolved, &analysis);
@@ -928,6 +950,51 @@ mod tests {
         assert_eq!(evens(&mut a), Value::Nat(4));
         assert_eq!(evens(&mut Session::new()), Value::Nat(2));
         assert_eq!(a.explain("reverse!([[1, 2]])").unwrap().ty, Type::array1(Type::Nat));
+    }
+
+    #[test]
+    fn explain_shows_the_optimizer_run_its_statement_makes() {
+        use aql_core::expr::free::alpha_eq;
+        let mut s = Session::new();
+        s.run("val \\A = [[3, 1, 4, 1, 5]];").unwrap();
+        let query = "subseq!(zip!(A, reverse!A), 1, 3)";
+        let explain = s.explain(query).unwrap();
+        s.run(&format!("{query};")).unwrap();
+        assert_eq!(explain.counts, s.last_report().optimizer[0], "the statement's own record");
+        assert_eq!(explain.counts.fires(), explain.trace.len() as u64);
+        // Its core term is the statement's: the macros in their stored
+        // normal forms; and so is what the run made of it.
+        let core = desugar(&crate::parser::parse_expr(query).unwrap()).unwrap();
+        assert_eq!(explain.core, s.resolve(&core));
+        assert!(alpha_eq(&explain.optimized, &s.optimizer.optimize(&explain.core)));
+    }
+
+    #[test]
+    fn a_stored_normal_form_types_as_its_body_or_is_not_kept() {
+        // Each body's normal form drops a constraint: dead code (`u`),
+        // a monomorphic `let` used at two types, a comparison that pins
+        // a numeric argument to `nat`.
+        let macros = [
+            ("macro \\m = fn \\x => let val \\u = x + 1 in 5 end;", "m!true"),
+            ("macro \\m = fn \\x => let val \\f = fn \\y => y in (f!x, f!true) end;", "m!3"),
+            ("macro \\m = fn \\x => let val \\u = (x = 1) in x + x end;", "m!1.5"),
+        ];
+        for (def, use_) in macros {
+            let verdicts = [true, false].map(|optimize| {
+                let mut s = Session::new();
+                s.optimize = optimize;
+                s.run(def).unwrap();
+                assert!(s.macros["m"].1.is_none(), "{def}: its normal form types more terms");
+                s.eval_query(use_).map(|(ty, _)| ty).map_err(|e| e.to_string())
+            });
+            assert!(verdicts[0].is_err(), "{use_}: {:?}", verdicts[0]);
+            assert_eq!(verdicts[0], verdicts[1], "{use_}: the optimizer does not decide typing");
+        }
+        // One that loses nothing is kept; one over a `val` is not.
+        let mut s = Session::new();
+        s.run("val \\V = 2; macro \\k = fn \\x => let val \\u = x + 1 in x * 2 end; macro \\g = fn \\x => x + V;").unwrap();
+        assert_eq!(s.macros["k"].1.as_ref().map(ToString::to_string), Some("fn \\x => x * 2".into()));
+        assert!(s.macros["g"].1.is_none(), "`V` can be rebound at another type");
     }
 
     #[test]

@@ -299,6 +299,7 @@ impl Phase {
             }
         }
         *too_deep = st.too_deep;
+        self.tally.stack_stops.set(u64::from(st.too_deep));
         if let (Some(check), Some(index)) = (gate.phase_check, st.last_fired) {
             if let Err(message) = check(cur).map_err(OptError::TooDeep)? {
                 let message = format!("phase-boundary check failed: {message}");
@@ -458,6 +459,11 @@ impl Optimizer {
         self
     }
 
+    /// A phase by name.
+    pub fn phase(&self, name: &str) -> Option<&Phase> {
+        self.phases.iter().find(|p| p.name == name)
+    }
+
     /// Mutable access to a phase by name, for dynamic rule injection.
     pub fn phase_mut(&mut self, name: &str) -> Option<&mut Phase> {
         self.phases.iter_mut().find(|p| p.name == name)
@@ -467,13 +473,10 @@ impl Optimizer {
     /// [`Gate`], recording rule firings in `trace` if one is given. Rule
     /// panics and gate violations both abort, attributed to
     /// `(phase, rule)`. What the run counted is [`Optimizer::counts`].
-    pub fn run(
-        &self,
-        e: &Expr,
-        gate: &Gate<'_>,
-        mut trace: Option<&mut Trace>,
-    ) -> Result<Expr, OptError> {
-        let (mut cur, mut too_deep) = (e.clone(), false);
+    /// The term is handed over and rewritten in place (on an error, dropped
+    /// partly rewritten); borrowers use [`Optimizer::optimize`] and kin.
+    pub fn run(&self, mut cur: Expr, gate: &Gate<'_>, mut trace: Option<&mut Trace>) -> Result<Expr, OptError> {
+        let mut too_deep = false;
         self.phases.iter().for_each(|p| p.tally.reset());
         for p in &self.phases {
             p.run_in_place(&mut cur, gate, trace.as_deref_mut(), &mut too_deep)?;
@@ -496,14 +499,14 @@ impl Optimizer {
 
     /// Optimize ungated, containing rule panics as errors.
     pub fn try_optimize(&self, e: &Expr) -> Result<Expr, OptError> {
-        self.run(e, &Gate::off(), None)
+        self.run(e.clone(), &Gate::off(), None)
     }
 
     /// Optimize ungated and record every rule firing; panics like
     /// [`Optimizer::optimize`].
     pub fn optimize_traced(&self, e: &Expr) -> (Expr, Trace) {
         let mut trace = Trace::default();
-        let run = self.run(e, &Gate::off(), Some(&mut trace));
+        let run = self.run(e.clone(), &Gate::off(), Some(&mut trace));
         (run.unwrap_or_else(|p| panic!("{p}")), trace) // lint-wall: allow
     }
 }
@@ -914,9 +917,9 @@ mod tests {
             p.add_rule(Rc::new(Rewrite { name, from, to }));
             let mut opt = Optimizer::empty();
             opt.add_phase(p);
-            let off = opt.run(&input, &Gate::off(), None).expect("gate off");
+            let off = opt.run(input.clone(), &Gate::off(), None).expect("gate off");
             assert_ne!(off, input, "{name}: the rule fires, and ungated nothing stops it");
-            let err = opt.run(&input, &Gate::local(), None).expect_err(name);
+            let err = opt.run(input.clone(), &Gate::local(), None).expect_err(name);
             let OptError::Unsound(v) = &err else {
                 panic!("{name}: expected Unsound, got {err}");
             };
@@ -947,9 +950,9 @@ mod tests {
         p.add_rule(Rc::new(ChangesWhatItDeclines));
         let opt = Optimizer::with_phases(vec![p]);
         let e = add(nat(1), var("x"));
-        let off = opt.run(&e, &Gate::off(), None).expect("gate off");
+        let off = opt.run(e.clone(), &Gate::off(), None).expect("gate off");
         assert_eq!(off, add(var("x"), nat(1)), "ungated, the change slips through unseen");
-        let err = opt.run(&e, &Gate::local(), None).expect_err("the gate sees it");
+        let err = opt.run(e.clone(), &Gate::local(), None).expect_err("the gate sees it");
         let OptError::Unsound(v) = &err else { panic!("expected Unsound, got {err}") };
         assert_eq!((v.phase.as_str(), v.rule), ("normalize", "changes-what-it-declines"));
         assert!(v.message.contains("declined"), "{}", v.message);
@@ -965,13 +968,13 @@ mod tests {
         // of the bound variables: the gate must not false-positive.
         let e = lam("x", add(nat(0), var("x")));
         let got = opt
-            .run(&e, &Gate::local(), None)
+            .run(e.clone(), &Gate::local(), None)
             .expect("sound rewrite passes");
         assert_eq!(got, lam("x", var("x")));
         let e = tab1("i", nat(4), add(nat(0), mul(var("i"), var("i"))));
         let mut trace = Trace::default();
         let got = opt
-            .run(&e, &Gate::local(), Some(&mut trace))
+            .run(e.clone(), &Gate::local(), Some(&mut trace))
             .expect("sound rewrite passes");
         assert_eq!(got, tab1("i", nat(4), mul(var("i"), var("i"))));
         assert_eq!(rule(&opt.counts(), "normalize", "zero-add").0, 1);
@@ -988,11 +991,11 @@ mod tests {
         let reject = |_: &Expr| -> Result<Result<(), String>, TooDeep> { Ok(Err("nope".into())) };
         let gate = Gate::full(&reject);
         // No redex → no firing → the check never runs.
-        opt.run(&var("x"), &gate, None)
+        opt.run(var("x"), &gate, None)
             .expect("no firing, no phase check");
         // A firing phase consults the check.
         let err = opt
-            .run(&add(nat(0), var("x")), &gate, None)
+            .run(add(nat(0), var("x")), &gate, None)
             .expect_err("phase check must reject");
         let OptError::Unsound(v) = err else {
             panic!("expected Unsound, got {err}");

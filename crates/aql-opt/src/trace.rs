@@ -19,6 +19,8 @@ pub struct RunCounts {
     pub passes: u64,
     /// Nodes visited.
     pub visits: u64,
+    /// Phases this thread's stack stopped short of a fixpoint.
+    pub stack_stops: u64,
     /// `Rule::apply` calls.
     pub applies: u64,
     /// Every `(phase, rule)` that fired or was cut short, in phase and
@@ -38,6 +40,12 @@ pub struct RuleCounts {
 }
 
 impl RunCounts {
+    /// Whether every phase reached its fixpoint: no bound and no stack
+    /// stopped one.
+    pub fn at_fixpoint(&self) -> bool {
+        self.stack_stops == 0 && self.rules.iter().all(|r| r.bound_hits == 0)
+    }
+
     /// Firings of every rule.
     pub fn fires(&self) -> u64 {
         self.rules.iter().map(|r| r.fires).sum()
@@ -63,6 +71,7 @@ impl RunCounts {
     pub fn add(&mut self, o: &RunCounts) {
         (self.passes, self.visits, self.applies) =
             (self.passes + o.passes, self.visits + o.visits, self.applies + o.applies);
+        self.stack_stops += o.stack_stops;
         for r in &o.rules {
             match self.rules.iter_mut().find(|m| m.phase == r.phase && m.rule == r.rule) {
                 Some(m) => (m.fires, m.bound_hits) = (m.fires + r.fires, m.bound_hits + r.bound_hits),
@@ -73,12 +82,14 @@ impl RunCounts {
 }
 
 /// What one phase's last run counted, kept by the phase: passes, visits
-/// and applies, then per rule in registration order `[fires, bound
-/// hits]`. Zeroed in place, so a run allocates nothing for it.
+/// whether the stack stopped it, and applies, then per rule in
+/// registration order `[fires, bound hits]`. Zeroed in place, so a run
+/// allocates nothing for it.
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
     pub(crate) passes: Cell<u64>,
     pub(crate) visits: Cell<u64>,
+    pub(crate) stack_stops: Cell<u64>,
     pub(crate) applies: Cell<u64>,
     pub(crate) rules: Vec<[Cell<u64>; 2]>,
 }
@@ -91,7 +102,7 @@ pub(crate) fn bump(c: &Cell<u64>) {
 
 impl Tally {
     pub(crate) fn reset(&self) {
-        let counts = [&self.passes, &self.visits, &self.applies].into_iter();
+        let counts = [&self.passes, &self.visits, &self.stack_stops, &self.applies].into_iter();
         counts.chain(self.rules.iter().flatten()).for_each(|c| c.set(0));
     }
 
@@ -103,7 +114,8 @@ impl Tally {
             .map(|(rule, fires, bound_hits)| RuleCounts { phase: phase.into(), rule, fires, bound_hits })
             .collect();
         let (passes, visits, applies) = (self.passes.get(), self.visits.get(), self.applies.get());
-        RunCounts { passes, visits, applies, rules }
+        let stack_stops = self.stack_stops.get();
+        RunCounts { passes, visits, stack_stops, applies, rules }
     }
 }
 

@@ -16,12 +16,15 @@ use aql_core::expr::Expr;
 use aql_lang::session::Session;
 use aql_opt::{normalize_and_eliminate, normalizer, optimize, optimize_traced};
 
-/// The core term `name!(args)` becomes in a session: the prelude
-/// macro's resolved body applied to its argument, or to the tuple of
-/// its arguments.
+/// The core term `name!(args)` becomes in an optimizer-off session: the
+/// prelude macro's resolved body as written, applied to its argument,
+/// or to the tuple of its arguments. The derivations start from what
+/// the paper writes, not from the normal forms a session stores.
 fn prelude(name: &str, mut args: Vec<Expr>) -> Expr {
     let arg = if args.len() == 1 { args.pop().expect("one argument") } else { tuple(args) };
-    app(Session::new().resolve(&var(name)), arg)
+    let mut session = Session::new();
+    session.optimize = false;
+    app(session.resolve(&var(name)), arg)
 }
 
 fn count_tabs(e: &Expr) -> usize {

@@ -21,6 +21,7 @@
 pub mod unify;
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use crate::error::TypeError;
 use crate::expr::free::free_vars;
@@ -48,6 +49,57 @@ pub fn typecheck(
 /// Typecheck with no globals or externals.
 pub fn typecheck_closed(e: &Expr) -> Result<Type, TypeError> {
     typecheck(e, &HashMap::new(), &Extensions::new())
+}
+
+/// Do two closed expressions (no globals, no externals) type in exactly
+/// the same contexts? A term inserted where a name is used, as a macro
+/// body is, contributes its principal type and the constraints on that
+/// type's variables, nothing else. So each term's type is inferred
+/// without defaulting its numeric variables, the variables renumbered
+/// in order of first occurrence and each tagged with the deferred
+/// constraints (numeric, object) it carries, and the two must be equal.
+/// A term that fails to typecheck matches nothing.
+pub fn same_principal_type(a: &Expr, b: &Expr) -> bool {
+    let principal = |e: &Expr| {
+        let (globals, externals) = (HashMap::new(), Extensions::new());
+        let mut cx = Checker::new(&globals, &externals, false);
+        let t = cx.infer(&mut Vec::new(), e).ok()?;
+        let mut vars = Vec::new();
+        let shape = renumber(&cx.uni.resolve(&t), &mut vars);
+        let mut tags = vec![[false; 2]; vars.len()];
+        let mut tag = |t: &Type, kind: usize| {
+            let mut seen = Vec::new();
+            renumber(&cx.uni.resolve(t), &mut seen);
+            for v in seen {
+                if let Some(i) = vars.iter().position(|&w| w == v) {
+                    tags[i][kind] = true;
+                }
+            }
+        };
+        cx.numeric.iter().for_each(|t| tag(t, 0));
+        cx.object.iter().for_each(|(t, _)| tag(t, 1));
+        cx.discharge().ok()?;
+        Some((shape, tags))
+    };
+    principal(a).is_some_and(|a| principal(b) == Some(a))
+}
+
+/// `t` with its variables numbered in order of first occurrence; `vars`
+/// collects the original numbers in that order.
+fn renumber(t: &Type, vars: &mut Vec<u32>) -> Type {
+    let mut go = |t: &Type| Rc::new(renumber(t, vars));
+    match t {
+        Type::Var(v) => Type::Var(vars.iter().position(|w| w == v).unwrap_or_else(|| {
+            vars.push(*v);
+            vars.len() - 1
+        }) as u32),
+        Type::Tuple(ts) => Type::Tuple(ts.iter().map(|t| renumber(t, vars)).collect()),
+        Type::Set(t) => Type::Set(go(t)),
+        Type::Bag(t) => Type::Bag(go(t)),
+        Type::Array(t, k) => Type::Array(go(t), *k),
+        Type::Fun(a, r) => Type::Fun(go(a), go(r)),
+        Type::Bool | Type::Nat | Type::Real | Type::Str | Type::Base(_) => t.clone(),
+    }
 }
 
 /// The per-fire rewrite-soundness check (§5: every rule preserves

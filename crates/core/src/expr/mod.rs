@@ -270,6 +270,18 @@ impl Expr {
         n
     }
 
+    /// The node count and the depth, or `None` for a term too deep to
+    /// walk on this thread's stack ([`crate::stack`]).
+    pub fn extent(&self) -> Option<(usize, usize)> {
+        crate::stack::check().ok()?;
+        let (mut size, mut depth, mut whole) = (1, 0, true);
+        children::for_each_child(self, &mut |_, c| match c.extent() {
+            Some((s, d)) => (size, depth) = (size + s, depth.max(d)),
+            None => whole = false,
+        });
+        whole.then_some((size, depth + 1))
+    }
+
     /// Visit every sub-expression (including `self`), pre-order — but
     /// none past this thread's stack ([`crate::stack`]): of a term too
     /// deep to walk, `f` sees a prefix.

@@ -60,13 +60,13 @@ fn main() {
     let off = t0.elapsed();
     for _ in 0..50 {
         std::hint::black_box(
-            opt.run(&e, &Gate::local(), None).expect("pipeline is sound"),
+            opt.run(e.clone(), &Gate::local(), None).expect("pipeline is sound"),
         );
     }
     let t1 = Instant::now();
     for _ in 0..N {
         std::hint::black_box(
-            opt.run(&e, &Gate::local(), None).expect("pipeline is sound"),
+            opt.run(e.clone(), &Gate::local(), None).expect("pipeline is sound"),
         );
     }
     let on = t1.elapsed();

@@ -5,19 +5,23 @@
 //! cargo run --release --example opt_profile
 //! ```
 //!
-//! Per template (the benchmark's eight, `tests/common`): nodes in and
-//! out, passes, node visits, `Rule::apply` calls and firings as the
-//! engine counts them on every run (`Optimizer::counts`, exact), the
-//! size in nodes of the largest contractum any rule built
-//! (where a substitution that balloons shows first), the heap
-//! allocations of one untraced `optimize` (a counting global allocator;
-//! the run's one copy of its input included) and the median µs of an
-//! untraced `optimize`. Per rule, summed
-//! over the templates: applies, firings and the time spent inside
-//! `apply`, from a timing wrapper around every library rule. Build with
-//! `--release`: a debug build also offers each node to the rules the
-//! dispatch table skips (the `heads()` tripwire), which the wrappers
-//! would count.
+//! Each template (the benchmark's eight, `tests/common`) is optimized
+//! twice: its core term with the prelude's macros as written (what an
+//! optimizer-off session resolves, every macro re-normalized at its
+//! use) and as the statement path resolves it, each macro in the normal
+//! form the session stored where it was defined — one binary's before
+//! and after. Per row: nodes in and out, passes, node visits,
+//! `Rule::apply` calls and firings as the engine counts them on every
+//! run (`Optimizer::counts`, exact), the size in nodes of the largest
+//! contractum any rule built (where a substitution that balloons shows
+//! first), the heap allocations of one untraced run (by value: the
+//! input is copied before counting), the median µs of each phase run on
+//! its predecessor's output, and the median µs of an untraced run by
+//! value. Per rule, summed over the templates as written: applies,
+//! firings and the time spent inside `apply`, from a timing wrapper
+//! around every library rule. Build with `--release`: a debug build also
+//! offers each node to the rules the dispatch table skips (the
+//! `heads()` tripwire), which the wrappers would count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -26,7 +30,7 @@ use std::time::Instant;
 
 use aql::core::expr::{Expr, Head};
 use aql::opt::rules::{checks_phase, motion_phase, normalize_phase};
-use aql::opt::{Optimizer, Phase, Rule};
+use aql::opt::{Gate, Optimizer, Phase, Rule};
 
 #[path = "../tests/common/mod.rs"]
 mod common;
@@ -131,20 +135,33 @@ fn timed_standard() -> (Optimizer, Vec<Rc<Timed>>) {
     (opt, timed)
 }
 
-fn median_us(opt: &Optimizer, e: &Expr) -> f64 {
-    const REPS: usize = 301;
+const REPS: usize = 301;
+
+/// The median µs of `run` on a fresh copy of `e`, copied before timing.
+fn median_us<T>(e: &Expr, mut run: impl FnMut(Expr) -> T) -> f64 {
     for _ in 0..REPS / 4 {
-        std::hint::black_box(opt.optimize(e));
+        std::hint::black_box(run(e.clone()));
     }
     let mut us: Vec<f64> = (0..REPS)
         .map(|_| {
+            let input = e.clone();
             let t0 = Instant::now();
-            std::hint::black_box(opt.optimize(std::hint::black_box(e)));
+            std::hint::black_box(run(std::hint::black_box(input)));
             t0.elapsed().as_secs_f64() * 1e6
         })
         .collect();
     us.sort_by(f64::total_cmp);
     us[REPS / 2]
+}
+
+/// The median µs of each standard phase, run on its predecessor's output.
+fn phase_us(e: &Expr) -> [f64; 3] {
+    let mut cur = e.clone();
+    [normalize_phase(), checks_phase(), motion_phase()].map(|phase| {
+        let us = median_us(&cur, |input| phase.run(&input, &Gate::off(), None));
+        cur = phase.run(&cur, &Gate::off(), None).expect("no rule panics");
+        us
+    })
 }
 
 fn main() {
@@ -154,34 +171,43 @@ fn main() {
     let standard = aql::opt::standard();
     let (wrapped, timed) = timed_standard();
     let mut session = common::compile_mix_session();
-    println!("| template | nodes in | nodes out | passes | visits | applies | firings | largest contractum | allocs/optimize | µs/optimize |");
-    println!("|---|---|---|---|---|---|---|---|---|---|");
-    let mut sum_us = 0.0;
+    println!("| template | macros | nodes in | nodes out | passes | visits | applies | firings | largest contractum | allocs/run | µs normalize | µs check-elim | µs code-motion | µs/run |");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
+    let mut sums = [0.0; 2];
     for template in common::compile_mix_templates() {
         // A template is one statement with one term to optimize.
-        for e in common::core_terms(&mut session, template) {
-            let (out, trace) = standard.optimize_traced(&e);
-            let counts = standard.counts();
-            assert_eq!(counts.fires(), trace.len() as u64, "the run counts what the trace records");
-            wrapped.optimize(&e);
-            let largest = timed.iter().map(|t| t.largest.replace(0)).max().unwrap_or(0);
-            let allocs = allocs_during(|| drop(standard.optimize(&e)));
-            let us = median_us(&standard, &e);
-            sum_us += us;
-            let label = template.split_whitespace().collect::<Vec<_>>().join(" ");
-            let label = label.chars().take(40).collect::<String>();
-            println!(
-                "| `{label}` | {} | {} | {} | {} | {} | {} | {largest} | {allocs} | {us:.1} |",
-                e.size(),
-                out.size(),
-                counts.passes,
-                counts.visits,
-                counts.applies,
-                counts.fires(),
-            );
+        for (written, stored) in common::core_term_pairs(&mut session, template) {
+            for (form, e) in [(0, &written), (1, &stored)] {
+                let (out, trace) = standard.optimize_traced(e);
+                let counts = standard.counts();
+                assert_eq!(counts.fires(), trace.len() as u64, "the run counts what the trace records");
+                // The per-rule table sums the terms as written.
+                if form == 0 {
+                    wrapped.optimize(e);
+                }
+                let largest = timed.iter().map(|t| t.largest.replace(0)).max().unwrap_or(0);
+                let input = e.clone();
+                let allocs = allocs_during(|| drop(standard.run(input, &Gate::off(), None)));
+                let [normalize, checks, motion] = phase_us(e);
+                let us = median_us(e, |input| standard.run(input, &Gate::off(), None));
+                sums[form] += us;
+                let label = template.split_whitespace().collect::<Vec<_>>().join(" ");
+                let label = label.chars().take(40).collect::<String>();
+                println!(
+                    "| `{label}` | {} | {} | {} | {} | {} | {} | {} | {} | {allocs} | {normalize:.1} | {checks:.1} | {motion:.1} | {us:.1} |",
+                    ["as written", "stored"][form],
+                    e.size(),
+                    out.size(),
+                    counts.passes,
+                    counts.visits,
+                    counts.applies,
+                    counts.fires(),
+                    if form == 0 { largest.to_string() } else { "–".into() },
+                );
+            }
         }
     }
-    println!("\nsum over the eight templates: {sum_us:.1} µs\n");
+    println!("\nsum over the eight templates: {:.1} µs as written, {:.1} µs stored\n", sums[0], sums[1]);
     println!("| phase/rule | applies | firings | ns in apply | ns/apply |");
     println!("|---|---|---|---|---|");
     let mut rows: Vec<&Rc<Timed>> = timed.iter().filter(|t| t.applies.get() > 0).collect();

@@ -5,7 +5,8 @@
 //! terms the optimizer is pinned on — the `derivations.rs` terms, the
 //! benchmark's eight `compile_mix` templates, and the paper's §4.2 and
 //! §1 programs, each taken to the resolved core term the session hands
-//! its optimizer. Then the fault
+//! its optimizer, with its macros as written and as the session stores
+//! them, normalized. Then the fault
 //! axis of the differential oracle (ROADMAP item 3): four chunk
 //! sources behind the production resilience stack, with one fault
 //! placed on the chunk a chosen stage of a session reads first. Last,
@@ -46,12 +47,24 @@ use aql::store::{
 
 // ---- derived terms ----------------------------------------------------------
 
-/// The core term `name!(args)` becomes in a session: the prelude
-/// macro's resolved body applied to its argument, or to the tuple of
-/// its arguments.
-pub fn prelude(name: &str, mut args: Vec<Expr>) -> Expr {
+/// The core term `name!(args)` becomes in a session with the optimizer
+/// off: the prelude macro's resolved body as written, applied to its
+/// argument, or to the tuple of its arguments.
+pub fn prelude(name: &str, args: Vec<Expr>) -> Expr {
+    applied(false, name, args)
+}
+
+/// [`prelude`] as the statement path resolves it with the optimizer on:
+/// the macro's body in the normal form the session stored.
+pub fn stored_prelude(name: &str, args: Vec<Expr>) -> Expr {
+    applied(true, name, args)
+}
+
+fn applied(normal: bool, name: &str, mut args: Vec<Expr>) -> Expr {
     let arg = if args.len() == 1 { args.pop().expect("one argument") } else { tuple(args) };
-    app(Session::new().resolve(&var(name)), arg)
+    let mut session = Session::new();
+    session.optimize = normal;
+    app(session.resolve(&var(name)), arg)
 }
 
 /// `map f A = [[ f(A[i]) | i < len(A) ]]` (§2).
@@ -137,8 +150,13 @@ pub fn arb_step() -> impl Strategy<Value = Step> {
 }
 
 /// Apply a pipeline symbolically, tracking the length so slices stay
-/// in bounds.
+/// in bounds; its macros as written.
 pub fn build_pipeline(base: Vec<u64>, steps: &[Step]) -> Expr {
+    build_pipeline_with(prelude, base, steps)
+}
+
+/// [`build_pipeline`], each macro use built by `prelude`.
+pub fn build_pipeline_with(prelude: fn(&str, Vec<Expr>) -> Expr, base: Vec<u64>, steps: &[Step]) -> Expr {
     let mut e = array1_lit(base.iter().map(|&x| nat(x)).collect());
     let mut len_now = base.len() as u64;
     for s in steps {
@@ -196,10 +214,14 @@ pub fn arb_set_query() -> impl Strategy<Value = Expr> {
 /// The terms `crates/aql-opt/tests/derivations.rs` derives the §5
 /// claims on.
 pub fn derivation_terms() -> Vec<(String, Expr)> {
+    derivations(prelude)
+}
+
+/// [`derivation_terms`], each macro use built by `p`.
+fn derivations(p: fn(&str, Vec<Expr>) -> Expr) -> Vec<(String, Expr)> {
     let (a, b) = (|| var("A"), || var("B"));
     let matrix = |head| tab(vec![("i", var("m")), ("j", var("n"))], head);
     let literal = || array_lit(vec![nat(2), nat(3)], (1..=6).map(nat).collect());
-    let p = prelude;
     let terms = vec![
         ("transpose of a tabulation", p("transpose", vec![matrix(add(mul(var("i"), nat(10)), var("j")))])),
         ("transpose, index head", p("transpose", vec![matrix(var("i"))])),
@@ -311,10 +333,14 @@ pub fn paper_session() -> Session {
 }
 
 /// Run `program` on `session` statement by statement and return, in
-/// order, every resolved core term the session optimized on the way —
-/// a statement's expression, or a `readval`/`writeval`'s operands.
-pub fn core_terms(session: &mut Session, program: &str) -> Vec<Expr> {
+/// order, every core term a statement optimizes on the way — a
+/// statement's expression, or a `readval`/`writeval`'s operands —
+/// resolved twice: with its macros as written (what an optimizer-off
+/// session resolves), and as the statement path resolves it, with
+/// each macro in the normal form the session stored.
+pub fn core_term_pairs(session: &mut Session, program: &str) -> Vec<(Expr, Expr)> {
     let mut out = Vec::new();
+    let optimize = session.optimize;
     for stmt in parse_program(program).expect("the program parses") {
         let exprs = match &stmt {
             Stmt::Query(e) | Stmt::Val(_, e) | Stmt::MacroDef(_, e) => vec![e],
@@ -322,26 +348,43 @@ pub fn core_terms(session: &mut Session, program: &str) -> Vec<Expr> {
             Stmt::WriteVal { value, arg, .. } => vec![value, arg],
         };
         for e in exprs {
-            out.push(session.resolve(&desugar(e).expect("the statement desugars")));
+            let core = desugar(e).expect("the statement desugars");
+            session.optimize = false;
+            let written = session.resolve(&core);
+            session.optimize = true;
+            out.push((written, session.resolve(&core)));
         }
+        session.optimize = optimize;
         session.exec(&stmt).expect("the statement runs");
     }
     out
 }
 
+/// [`core_term_pairs`], each term with its macros as written.
+pub fn core_terms(session: &mut Session, program: &str) -> Vec<Expr> {
+    core_term_pairs(session, program).into_iter().map(|(written, _)| written).collect()
+}
+
 /// The whole corpus, labelled: derivations, `compile_mix`, both paper
-/// sessions (files under `dir`).
+/// sessions (files under `dir`); macros as written.
 pub fn corpus(dir: &Path) -> Vec<(String, Expr)> {
-    let mut out = derivation_terms();
+    corpus_pairs(dir).into_iter().map(|(label, written, _)| (label, written)).collect()
+}
+
+/// The corpus with each term twice: its macros as written, and in the
+/// normal forms a session stores.
+pub fn corpus_pairs(dir: &Path) -> Vec<(String, Expr, Expr)> {
+    let stored = derivations(stored_prelude);
+    let mut out: Vec<_> = derivations(prelude).into_iter().zip(stored).map(|((l, w), (_, s))| (l, w, s)).collect();
     let mut mix = compile_mix_session();
     for template in compile_mix_templates() {
-        let terms = core_terms(&mut mix, template);
-        out.extend(terms.into_iter().map(|e| (format!("compile_mix `{template}`"), e)));
+        let terms = core_term_pairs(&mut mix, template);
+        out.extend(terms.into_iter().map(|(w, s)| (format!("compile_mix `{template}`"), w, s)));
     }
     let mut paper = paper_session();
     for (program, label) in paper_programs(dir).iter().zip(["§4.2", "§1"]) {
-        let terms = core_terms(&mut paper, program);
-        out.extend(terms.into_iter().enumerate().map(|(i, e)| (format!("{label} term {i}"), e)));
+        let terms = core_term_pairs(&mut paper, program);
+        out.extend(terms.into_iter().enumerate().map(|(i, (w, s))| (format!("{label} term {i}"), w, s)));
     }
     out
 }

@@ -292,6 +292,48 @@ fn panicking_optimizer_rule_is_contained_and_named() {
 }
 
 #[test]
+fn a_macro_whose_normalization_panics_is_defined_and_runs_as_written() {
+    use aql::opt::Rule;
+    use aql_core::expr::Expr;
+
+    /// A rule that panics at every function.
+    struct Tripwire;
+    impl Rule for Tripwire {
+        fn name(&self) -> &'static str {
+            "tripwire"
+        }
+        fn apply(&self, e: Expr) -> Result<Expr, Expr> {
+            match e {
+                Expr::Lam(..) => panic!("tripwire sprung"),
+                e => Err(e),
+            }
+        }
+    }
+
+    let mut s = Session::new();
+    s.optimizer_mut().phase_mut("normalize").expect("a normalize phase").add_rule(Rc::new(Tripwire));
+    // The definition's normalization panics in the rule; the panic is
+    // contained and the macro keeps its body as written.
+    let out = s.run("macro \\inc = fn \\x => (fn \\y => y + 1)!x;").expect("a definition stands");
+    assert!(out[0].text.contains("registered as macro"), "{}", out[0].text);
+    let normal = s.resolve(&Expr::Var("inc".into()));
+    s.optimize = false;
+    assert_eq!(normal, s.resolve(&Expr::Var("inc".into())), "no normal form was kept");
+    // Unoptimized, the macro answers; optimized, its use trips the same
+    // rule, named; the session answers after both.
+    assert_eq!(s.eval_query("inc!41").unwrap().1, Value::Nat(42));
+    s.optimize = true;
+    match s.eval_query("inc!41").unwrap_err() {
+        LangError::ExtensionPanic { kind, name, message } => {
+            assert_eq!((kind, name.as_str()), ("optimizer rule", "tripwire"));
+            assert!(message.contains("tripwire sprung"), "{message}");
+        }
+        other => panic!("expected ExtensionPanic, got {other:?}"),
+    }
+    assert_eq!(s.eval_query("{1, 2}").unwrap().1.as_set().unwrap().len(), 2);
+}
+
+#[test]
 fn a_panic_under_a_binder_after_firings_in_the_same_pass_is_contained() {
     use aql::opt::{OptError, Optimizer, Phase, Rule};
     use aql_core::expr::builder::{cmp, gt, lam, le, nat, tuple, var};
@@ -342,7 +384,7 @@ fn a_panic_under_a_binder_after_firings_in_the_same_pass_is_contained() {
     let untouched = e.clone();
     let mut trace = aql::opt::Trace::default();
     let err = Optimizer::with_phases(phases().into())
-        .run(&e, &aql::opt::Gate::off(), Some(&mut trace))
+        .run(e.clone(), &aql::opt::Gate::off(), Some(&mut trace))
         .expect_err("the grenade goes off");
     let OptError::Panic(p) = err else { panic!("expected Panic, got {err}") };
     assert_eq!((p.phase.as_str(), p.rule), ("two", "grenade"));

@@ -20,6 +20,12 @@
 //! stays under 128 nodes (1,227 under whole passes), and no term of the
 //! corpus is stopped by a bound instead of a fixpoint.
 //!
+//! A session stores each macro's body normalized, and the statement
+//! path inserts that normal form. NRC normalizes strongly, so the term
+//! a statement optimizes then reaches the normal form of the same term
+//! with its macros as written: the corpus and the generated pipelines
+//! hold both resolutions to one normal form, up to α.
+//!
 //! The same corpus and generators hold the per-fire soundness gate to
 //! its other half: what it must *not* reject. `Gate::local()` runs
 //! `aql_core::check::check_rewrite` — the typechecker in open mode — on
@@ -39,7 +45,7 @@ use aql::opt::rules::{checks_phase, motion_phase, normalize_phase};
 use aql::opt::{standard, Gate, Optimizer, Phase, Rule, Trace};
 
 mod common;
-use common::{arb_set_query, arb_step, build_pipeline};
+use common::{arb_set_query, arb_step, build_pipeline_with, prelude, stored_prelude};
 
 type Firing = (String, &'static str);
 
@@ -119,7 +125,7 @@ fn assert_engine_matches_reference(label: &str, e: &Expr) {
 fn assert_no_library_rewrite_is_rejected(label: &str, e: &Expr) {
     let mut trace = Trace::default();
     let gated = standard()
-        .run(e, &Gate::local(), Some(&mut trace))
+        .run(e.clone(), &Gate::local(), Some(&mut trace))
         .unwrap_or_else(|err| panic!("{label}: {err}\n{e}"));
     let (ungated, expected) = engine_run(e);
     assert_eq!(firings(&trace), firings(&expected), "{label}: the gate only watches\n{e}");
@@ -218,8 +224,33 @@ fn largest_contractum(e: &Expr) -> usize {
     largest.get()
 }
 
+/// The optimized term with its macros in their stored normal forms is
+/// the optimized term with them as written, up to α.
+fn assert_stored_normal_forms_agree(label: &str, written: &Expr, stored: &Expr) {
+    let (from_written, from_stored) = (engine_run(written).0, engine_run(stored).0);
+    assert!(
+        alpha_eq(&from_written, &from_stored),
+        "{label}: as written\n{from_written}\nstored normal\n{from_stored}"
+    );
+}
+
+#[test]
+fn a_term_with_stored_normal_macros_reaches_the_normal_form_of_the_term_as_written() {
+    let corpus = common::corpus_pairs(&data_dir("stored"));
+    let changed = corpus.iter().filter(|(_, written, stored)| written != stored).count();
+    // Every term that uses a prelude macro whose body is not already
+    // normal; §4.2's `days_since_1_1` reads the `val` `months` and
+    // resolves as written.
+    assert!(changed >= 9, "the corpus uses its macros: {changed} of {} terms differ", corpus.len());
+    for (label, written, stored) in &corpus {
+        assert_stored_normal_forms_agree(label, written, stored);
+    }
+}
+
 #[test]
 fn the_heat_query_is_reduced_where_its_substitutions_land() {
+    // As written: the term an optimizer-off session resolves, every
+    // macro's body re-normalized at its use.
     let heat = common::core_terms(&mut common::compile_mix_session(), common::HEAT_QUERY);
     let [heat] = heat.as_slice() else { panic!("one query, one term") };
     let (_, expected_firings) = reference_run(heat, true);
@@ -248,6 +279,29 @@ fn the_heat_query_is_reduced_where_its_substitutions_land() {
     assert!(largest <= 128, "a contractum of {largest} nodes: the balloon is back");
 }
 
+#[test]
+fn the_heat_query_with_stored_normal_macros_fires_only_for_its_own_redexes() {
+    // As the statement path resolves it: `evenpos`, `proj_col`, `zip_3`
+    // and `subseq` arrive normalized, so what fires is the β of their
+    // uses and what those substitutions make.
+    let heat = common::core_term_pairs(&mut common::compile_mix_session(), common::HEAT_QUERY);
+    let [(written, stored)] = heat.as_slice() else { panic!("one query, one term") };
+    let (_, expected_firings) = reference_run(stored, true);
+    let opt = standard();
+    let (_, trace) = opt.optimize_traced(stored);
+    let counts = opt.counts();
+    assert_eq!(firings(&trace), expected_firings, "every firing of the offer-every-rule loop");
+    assert!(alpha_eq(&engine_run(written).0, &engine_run(stored).0), "one normal form");
+    // 43 as written: the twelve firings the macros' own bodies needed
+    // happened once, where each was defined.
+    assert_eq!(trace.len(), 31);
+    let count = |rule| counts.rules.iter().find(|r| r.phase == "normalize" && r.rule == rule).map_or(0, |r| r.fires);
+    assert_eq!([count("pi"), count("beta-p"), count("delta-p")], [13, 3, 2]);
+    assert!(counts.applies <= 420, "{} applies for {} firings (571 as written)", counts.applies, trace.len());
+    assert!(stored.size() < written.size(), "{} nodes stored, {} as written", stored.size(), written.size());
+    assert!(largest_contractum(stored) <= 128);
+}
+
 proptest! {
     // 2 × 128 generated terms.
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -257,7 +311,8 @@ proptest! {
         base in prop::collection::vec(0u64..100, 0..10),
         steps in prop::collection::vec(arb_step(), 1..5),
     ) {
-        let e = build_pipeline(base, &steps);
+        let e = build_pipeline_with(prelude, base.clone(), &steps);
+        assert_stored_normal_forms_agree("pipeline", &e, &build_pipeline_with(stored_prelude, base, &steps));
         assert_engine_matches_reference("pipeline", &e);
         assert_rules_fire_only_at_their_heads("pipeline", &e);
         assert_no_library_rewrite_is_rejected("pipeline", &e);

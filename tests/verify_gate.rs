@@ -129,6 +129,31 @@ fn a_malformed_contractum_is_an_attributed_error_not_a_panic() {
 }
 
 #[test]
+fn a_macro_the_gate_stops_normalizing_is_defined_and_runs_as_written() {
+    let mut s = session_with_rule(Rc::new(EvilTypeChange));
+    // The definition normalizes its body under the session's gate,
+    // which rejects the rule's rewrite of the `7`: the macro stands, its
+    // body as written.
+    let out = s.run("macro \\plus7 = fn \\x => (fn \\y => y + 7)!x;").expect("a definition stands");
+    assert!(out[0].text.contains("registered as macro"), "{}", out[0].text);
+    let (normal, written) = (s.resolve(&Expr::Var("plus7".into())), {
+        s.optimize = false;
+        s.resolve(&Expr::Var("plus7".into()))
+    });
+    s.optimize = true;
+    assert_eq!(normal, written, "no normal form was kept");
+    // A use runs that body through the statement's own optimizer run,
+    // where the gate catches the same rule and names it.
+    let err = s.run("plus7!1;").expect_err("the gate rejects the rewrite");
+    let LangError::Unsound { phase, rule, .. } = &err else {
+        unreachable!("expected LangError::Unsound, got: {err}");
+    };
+    assert_eq!((phase.as_str(), rule.as_str()), ("normalize", "evil-type-change"));
+    let out = s.run("1 + 1;").expect("session stays usable");
+    assert!(out[0].text.contains("val it = 2"), "{}", out[0].text);
+}
+
+#[test]
 fn gate_off_lets_the_corruption_through() {
     // With verify off, the same evil rule corrupts the query — the
     // failure (if any) shows up later and is NOT attributed. This

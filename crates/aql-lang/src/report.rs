@@ -49,70 +49,17 @@ pub(crate) struct StmtRecord {
     pub(crate) attr: Ledger,
 }
 
-/// What a statement counts, each number written once by the code that
-/// owns it, added up over the statement's evaluations and optimizer runs.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Counts {
-    /// The evaluator's charges; cache counters read from the row.
-    pub(crate) stats: EvalStats,
-    /// The bulk kernels'.
-    pub(crate) kernel: KernelStats,
-    /// The optimizer's.
-    pub(crate) opt: RunCounts,
-}
+/// A count as `\profile` spells it: `(group, name, value)`.
+type NamedCount = (&'static str, String, u64);
 
-impl Counts {
-    /// Add what the evaluation through `ctx` counted.
-    pub(crate) fn add_eval(&mut self, ctx: &aql_core::eval::EvalCtx) {
-        self.stats = self.stats.merged(&ctx.stats());
-        self.kernel = self.kernel.merged(&ctx.kernel_stats());
-    }
-}
-
-/// A machine-readable account of the most recent `Session::run`: what
-/// each statement counted plus (when collected through
-/// `Session::profile`) the span tree that timed it.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct QueryReport {
-    /// One entry per executed statement, in program order. Cache
-    /// counters are the statement's attribution row, so reader I/O and
-    /// echo-forced loads are attributed to the statement that caused
-    /// them.
-    pub statements: Vec<EvalStats>,
-    /// Per-statement kernel counts, parallel to `statements`.
-    pub kernels: Vec<KernelStats>,
-    /// Per-statement optimizer counts, over every run the statement
-    /// made, parallel to `statements`.
-    pub optimizer: Vec<RunCounts>,
-    /// Per-statement resource attribution ledgers, parallel to
-    /// `statements`: bytes and chunks by labeled source, per-phase wall
-    /// time, hyperslab requests and the governor's peak (see
-    /// `aql_journal::attr`). Rendered by the REPL's `\attr;`.
-    pub attribution: Vec<Ledger>,
-    /// The span tree collected while tracing was on (empty for an
-    /// untraced run): names, notes and times, no counts.
-    pub trace: aql_trace::Trace,
-}
-
-impl QueryReport {
-    /// The report of `records` with `trace`: the one place a report is
-    /// built.
-    pub(crate) fn of(records: &[StmtRecord], trace: aql_trace::Trace) -> QueryReport {
-        QueryReport {
-            statements: records.iter().map(|r| r.counts.stats).collect(),
-            kernels: records.iter().map(|r| r.counts.kernel).collect(),
-            optimizer: records.iter().map(|r| r.counts.opt.clone()).collect(),
-            attribution: records.iter().map(|r| r.attr.clone()).collect(),
-            trace,
-        }
-    }
-
-    /// Statement `i`'s counts, each once, as `(group, name, value)`:
-    /// `\profile` prints a line a group, and the Chrome export puts them
-    /// in the statement span's `args`. The kernel and optimizer groups
-    /// are left out when the statement ran neither.
-    fn counts(&self, i: usize) -> Vec<(&'static str, String, u64)> {
-        let (s, k, o) = (&self.statements[i], &self.kernels[i], &self.optimizer[i]);
+impl StmtRecord {
+    /// The statement's counts, each once: `\profile` prints a line a
+    /// group, the Chrome export puts them in the statement span's `args`
+    /// and an incident keeps the nonzero ones, each as
+    /// `<group>.<name>`. The kernel and optimizer groups are left out
+    /// when the statement ran neither.
+    pub(crate) fn named_counts(&self) -> Vec<NamedCount> {
+        let Counts { stats: s, kernel: k, opt: o } = &self.counts;
         let named = |group, fields: &[(&'static str, u64)]| {
             fields.iter().map(|&(name, v)| (group, name.to_string(), v)).collect::<Vec<_>>()
         };
@@ -136,8 +83,69 @@ impl QueryReport {
         out.extend(named("cache", &[("hits", c.hits), ("misses", c.misses), ("evictions", c.evictions)]));
         out.extend(named("cache", &[("bytes_read", c.bytes_read), ("prefetched_bytes", c.prefetched_bytes)]));
         out.extend(named("cache", &[("load_errors", c.load_errors)]));
-        out.extend(named("cache", &[("hyperslab_requests", self.attribution[i].hyperslab_requests)]));
+        out.extend(named("cache", &[("hyperslab_requests", self.attr.hyperslab_requests)]));
         out
+    }
+}
+
+/// What a statement counts, each number written once by the code that
+/// owns it, added up over the statement's evaluations and optimizer runs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Counts {
+    /// The evaluator's charges; cache counters read from the row.
+    pub(crate) stats: EvalStats,
+    /// The bulk kernels'.
+    pub(crate) kernel: KernelStats,
+    /// The optimizer's.
+    pub(crate) opt: RunCounts,
+}
+
+impl Counts {
+    /// Add what the evaluation through `ctx` counted.
+    pub(crate) fn add_eval(&mut self, ctx: &aql_core::eval::EvalCtx) {
+        self.stats = self.stats.merged(&ctx.stats());
+        self.kernel = self.kernel.merged(&ctx.kernel_stats());
+    }
+}
+
+/// A machine-readable account of the most recent `Session::run`: what
+/// each statement counted and the span tree that timed it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct QueryReport {
+    /// One entry per executed statement, in program order. Cache
+    /// counters are the statement's attribution row, so reader I/O and
+    /// echo-forced loads are attributed to the statement that caused
+    /// them.
+    pub statements: Vec<EvalStats>,
+    /// Per-statement kernel counts, parallel to `statements`.
+    pub kernels: Vec<KernelStats>,
+    /// Per-statement optimizer counts, over every run the statement
+    /// made, parallel to `statements`.
+    pub optimizer: Vec<RunCounts>,
+    /// Per-statement resource attribution ledgers, parallel to
+    /// `statements`: bytes and chunks by labeled source, per-phase wall
+    /// time, hyperslab requests and the governor's peak (see
+    /// `aql_journal::attr`). Rendered by the REPL's `\attr;`.
+    pub attribution: Vec<Ledger>,
+    /// The span tree the run recorded: names, notes and times, no
+    /// counts.
+    pub trace: aql_trace::Trace,
+    /// Per statement, its counts as its record spells them.
+    counts: Vec<Vec<NamedCount>>,
+}
+
+impl QueryReport {
+    /// The report of `records` with `trace`: the one place a report is
+    /// built.
+    pub(crate) fn of(records: &[StmtRecord], trace: aql_trace::Trace) -> QueryReport {
+        QueryReport {
+            statements: records.iter().map(|r| r.counts.stats).collect(),
+            kernels: records.iter().map(|r| r.counts.kernel).collect(),
+            optimizer: records.iter().map(|r| r.counts.opt.clone()).collect(),
+            attribution: records.iter().map(|r| r.attr.clone()).collect(),
+            trace,
+            counts: records.iter().map(StmtRecord::named_counts).collect(),
+        }
     }
 
     /// The report's span tree as Chrome trace-event JSON
@@ -147,14 +155,16 @@ impl QueryReport {
     /// `chrome://tracing`. The REPL's `\profile … > "file.json";` writes
     /// exactly this.
     pub fn to_chrome_json(&self) -> String {
-        let mut statements = self.trace.roots();
-        statements.retain(|&r| self.trace.spans[r].name == "statement");
-        let args = |span| match statements.iter().position(|&s| s == span) {
-            Some(i) if i < self.statements.len() => {
-                let counts = self.counts(i).into_iter();
-                counts.map(|(group, name, v)| (format!("{group}.{name}"), Json::Num(v as f64))).collect()
-            }
-            _ => Vec::new(),
+        // Statement `i` is the `i`-th root span named `statement`.
+        let mut counts = vec![None; self.trace.spans.len()];
+        let roots = self.trace.spans.iter().enumerate().filter(|(_, s)| s.parent.is_none());
+        let statements = roots.filter(|(_, s)| s.name == "statement").map(|(span, _)| span);
+        for (span, named) in statements.zip(&self.counts) {
+            counts[span] = Some(named);
+        }
+        let args = |span: usize| {
+            let named = counts[span].into_iter().flatten();
+            named.map(|(group, name, v)| (format!("{group}.{name}"), Json::Num(*v as f64))).collect()
         };
         self.trace.to_chrome_json_value(args).write()
     }
@@ -165,10 +175,10 @@ impl QueryReport {
     /// (deterministic; used by golden tests).
     pub fn render_profile(&self, redact_timings: bool) -> String {
         let mut out = self.trace.render(redact_timings);
-        for i in 0..self.statements.len() {
+        for (i, named) in self.counts.iter().enumerate() {
             out.push_str(&format!("stmt {i}:"));
             let mut group = "";
-            for (g, name, v) in self.counts(i) {
+            for &(g, ref name, v) in named {
                 if g != group {
                     out.push_str(&format!("\n  {g}:"));
                     group = g;
@@ -311,23 +321,11 @@ pub(crate) struct Sinks {
 }
 
 impl Sinks {
-    /// What an incident dump differences the metrics against, read
-    /// before the statement runs when the dump pipeline is on.
-    pub(crate) fn baseline(&self) -> Option<aql_journal::metrics::Readings> {
-        self.incidents.as_ref().map(|_| aql_journal::metrics::readings())
-    }
-
     /// Report a finished statement: an incident dump if it warrants
     /// one, then a slow-log line if it was slow. `tripped` says whether
     /// a circuit breaker tripped during it.
-    pub(crate) fn report(
-        &mut self,
-        rec: &StmtRecord,
-        metrics_base: Option<aql_journal::metrics::Readings>,
-        tripped: bool,
-        error: Option<&LangError>,
-    ) {
-        let incident = self.dump_incident(rec, metrics_base, tripped, error);
+    pub(crate) fn report(&mut self, rec: &StmtRecord, tripped: bool, error: Option<&LangError>) {
+        let incident = self.dump_incident(rec, tripped, error);
         self.log_slow(rec, incident.as_deref());
     }
 
@@ -336,13 +334,7 @@ impl Sinks {
     /// apart), breaker trips observed during the statement, and
     /// slow-threshold crossings. Returns the file's path; dump failures
     /// are swallowed.
-    fn dump_incident(
-        &mut self,
-        rec: &StmtRecord,
-        metrics_base: Option<aql_journal::metrics::Readings>,
-        tripped: bool,
-        error: Option<&LangError>,
-    ) -> Option<PathBuf> {
+    fn dump_incident(&mut self, rec: &StmtRecord, tripped: bool, error: Option<&LangError>) -> Option<PathBuf> {
         let dir = self.incidents.as_ref()?;
         let slow = self.slow_log.as_ref().is_some_and(|l| l.is_slow(rec));
         let kind = match rec.class {
@@ -352,7 +344,8 @@ impl Sinks {
             None if slow => IncidentKind::Slow,
             None => return None,
         };
-        let metrics_delta = aql_journal::metrics::rises_since(&metrics_base.unwrap_or_default());
+        let moved = rec.named_counts().into_iter().filter(|&(_, _, v)| v > 0);
+        let metrics_delta = moved.map(|(group, name, v)| (format!("{group}.{name}"), v)).collect();
         let incident = Incident {
             kind,
             seq: rec.seq,

@@ -21,7 +21,8 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use aql_journal::attr::SourceCounts;
 use aql_journal::{emit, ErrorClass, Event};
@@ -39,6 +40,7 @@ use aql_core::value::tyof::type_of_value;
 use aql_core::value::Value;
 use aql_opt::{Gate, OptError, Optimizer, Trace};
 use aql_store::CacheStats;
+use aql_trace::{profile::Profile, Note};
 
 use crate::ast::Stmt;
 use crate::desugar::desugar;
@@ -123,28 +125,24 @@ thread_local! {
 }
 
 /// One run of a pipeline phase: opens the phase's trace span and, on
-/// drop, emits [`Event::Phase`] — the one number the span tree, the
-/// `aql_session_phase_ns{phase=…}` histogram, the journal and the
-/// statement's attribution ledger (and from it the slow-query log) all
-/// carry. When a subscriber records the span the duration is the one
-/// its close computed; otherwise it is this guard's own clock pair.
-/// Phase names are the fixed pipeline set (`lex`, `parse`, `desugar`,
-/// `resolve`, `typecheck`, `optimize`, `eval`, `readval`, `writeval`).
+/// drop, emits [`Event::Phase`] with the span's duration — the one
+/// number the span tree, the `aql_session_phase_ns{phase=…}` histogram,
+/// the journal and the statement's attribution ledger (and from it the
+/// slow-query log) all carry. Phase names are the fixed pipeline set
+/// (`lex`, `parse`, `desugar`, `resolve`, `typecheck`, `optimize`,
+/// `eval`, `readval`, `writeval`).
 pub(crate) struct PhaseGuard {
     phase: &'static str,
-    span: aql_trace::SpanGuard,
-    t0: Option<Instant>,
+    span: Option<aql_trace::SpanGuard>,
 }
 
 pub(crate) fn phase(phase: &'static str) -> PhaseGuard {
-    let span = aql_trace::span(phase);
-    PhaseGuard { phase, span, t0: (!aql_trace::enabled()).then(aql_trace::now) }
+    PhaseGuard { phase, span: Some(aql_trace::span(phase)) }
 }
 
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
-        let timed = || self.t0.map(|t0| (aql_trace::now() - t0).as_nanos() as u64);
-        let ns = self.span.finish().or_else(timed).unwrap_or(0);
+        let ns = self.span.take().map_or(0, aql_trace::SpanGuard::finish);
         emit(Event::Phase { phase: self.phase, ns });
     }
 }
@@ -185,8 +183,8 @@ pub struct Session {
     val_types: HashMap<Name, Type>,
     macros: HashMap<Name, Macro>,
     externals: Extensions,
-    readers: HashMap<String, Rc<dyn Reader>>,
-    writers: HashMap<String, Rc<dyn Writer>>,
+    readers: HashMap<Arc<str>, Rc<dyn Reader>>,
+    writers: HashMap<Arc<str>, Rc<dyn Writer>>,
     optimizer: Optimizer,
     /// Evaluation limits for queries run in this session.
     pub limits: Limits,
@@ -209,6 +207,8 @@ pub struct Session {
     cur: RefCell<Counts>,
     /// The finished statements of the most recent [`Session::run`].
     records: Vec<StmtRecord>,
+    /// The span tree of the most recent run (or lone [`Session::exec`]).
+    trace: aql_trace::Trace,
     /// Per source label, the sum of every finished statement's row:
     /// what `\store` reports a source moved for this session.
     source_totals: Vec<(String, SourceCounts)>,
@@ -233,17 +233,13 @@ impl Session {
     /// A session without the prelude (used by tests that want full
     /// control; the builtin `COFILE` driver is still registered).
     pub fn bare() -> Session {
-        let mut readers: HashMap<String, Rc<dyn Reader>> = HashMap::new();
-        readers.insert("COFILE".to_string(), Rc::new(CoFileReader));
-        let mut writers: HashMap<String, Rc<dyn Writer>> = HashMap::new();
-        writers.insert("COFILE".to_string(), Rc::new(CoFileWriter));
         Session {
             vals: HashMap::new(),
             val_types: HashMap::new(),
             macros: HashMap::new(),
             externals: Extensions::new(),
-            readers,
-            writers,
+            readers: HashMap::from([("COFILE".into(), Rc::new(CoFileReader) as Rc<dyn Reader>)]),
+            writers: HashMap::from([("COFILE".into(), Rc::new(CoFileWriter) as Rc<dyn Writer>)]),
             optimizer: aql_opt::standard(),
             limits: Limits::default(),
             optimize: true,
@@ -251,6 +247,7 @@ impl Session {
             display_limit: aql_core::value::print::SESSION_TRUNCATE,
             cur: RefCell::default(),
             records: Vec::new(),
+            trace: aql_trace::Trace::default(),
             source_totals: Vec::new(),
             sinks: Sinks::default(),
             stmt_seq: 0,
@@ -314,11 +311,10 @@ impl Session {
     }
 
     /// The report for the most recent [`Session::run`]: what each of
-    /// its statements counted, in program order. The trace is empty
-    /// unless the run went through [`Session::profile`] (which returns
-    /// the trace-bearing report directly).
+    /// its statements counted, in program order, and the span tree that
+    /// timed the run (every run records one).
     pub fn last_report(&self) -> QueryReport {
-        QueryReport::of(&self.records, aql_trace::Trace::default())
+        QueryReport::of(&self.records, self.trace.clone())
     }
 
     // ---- openness: registration (§4.1) ---------------------------------
@@ -330,12 +326,12 @@ impl Session {
 
     /// Register a data reader under a name usable in `readval`.
     pub fn register_reader(&mut self, rname: &str, r: Rc<dyn Reader>) {
-        self.readers.insert(rname.to_string(), r);
+        self.readers.insert(rname.into(), r);
     }
 
     /// Register a data writer under a name usable in `writeval`.
     pub fn register_writer(&mut self, wname: &str, w: Rc<dyn Writer>) {
-        self.writers.insert(wname.to_string(), w);
+        self.writers.insert(wname.into(), w);
     }
 
     /// Mutable access to the optimizer, for injecting rules/phases.
@@ -390,40 +386,38 @@ impl Session {
 
     // ---- the pipeline ----------------------------------------------------
 
-    /// Execute a program (one or more `;`-terminated statements).
+    /// Execute a program (one or more `;`-terminated statements),
+    /// recording its span tree ([`Session::last_report`]).
     pub fn run(&mut self, src: &str) -> Result<Vec<Outcome>, LangError> {
+        let scope = aql_trace::Scope::open(std::mem::take(&mut self.trace));
+        let out = self.run_program(src);
+        self.trace = scope.close();
+        out
+    }
+
+    fn run_program(&mut self, src: &str) -> Result<Vec<Outcome>, LangError> {
         self.records.clear();
         let stmts = parse_program(src)?;
         let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
-            out.push(self.exec(&s)?);
+            out.push(self.exec_statement(&s)?);
         }
         Ok(out)
     }
 
-    /// Execute a program with tracing on and return the outcomes
-    /// together with the full [`QueryReport`] (per-statement counts and
-    /// the span tree that timed them). Installs a fresh subscriber for
-    /// the duration of the run, discarding any trace already in
-    /// progress on this thread.
+    /// [`Session::run`] with its report ([`Session::last_report`]).
     pub fn profile(&mut self, src: &str) -> Result<(Vec<Outcome>, QueryReport), LangError> {
-        aql_trace::enable();
-        let result = self.run(src);
-        let trace = aql_trace::disable();
-        let outcomes = result?;
-        Ok((outcomes, QueryReport::of(&self.records, trace)))
+        let outcomes = self.run(src)?;
+        Ok((outcomes, self.last_report()))
     }
 
-    /// [`Session::profile`] with the span tree folded into collapsed
-    /// stacks ([`aql_trace::profile::Profile::from_trace`]: each span path
+    /// [`Session::run`] with its span tree folded into collapsed stacks
+    /// ([`Profile::from_trace`]: each span path
     /// weighs its exact self time; renderable as text or an SVG
     /// flamegraph). The program runs once.
-    pub fn flame(
-        &mut self,
-        src: &str,
-    ) -> Result<(Vec<Outcome>, aql_trace::profile::Profile), LangError> {
-        let (outcomes, report) = self.profile(src)?;
-        Ok((outcomes, aql_trace::profile::Profile::from_trace(&report.trace)))
+    pub fn flame(&mut self, src: &str) -> Result<(Vec<Outcome>, Profile), LangError> {
+        let outcomes = self.run(src)?;
+        Ok((outcomes, Profile::from_trace(&self.trace)))
     }
 
     /// Evaluate a single query expression and return its type and value.
@@ -439,21 +433,27 @@ impl Session {
         }
     }
 
-    /// Run a statement. Opens a root `statement` span (when tracing)
-    /// and closes the statement into its record (`StmtRecord`): counts
-    /// added up over its evaluations and optimizer runs, cache counters
-    /// read from its attribution row — so reader I/O and echo-forced
-    /// chunk loads are attributed to the statement that caused them.
+    /// Run a statement under a root `statement` span (called alone, its
+    /// tree is the session's last) and close it into its record
+    /// (`StmtRecord`): the span's duration, counts added up over its
+    /// evaluations and optimizer runs, cache counters read from its
+    /// attribution row — so reader I/O and echo-forced chunk loads are
+    /// attributed to the statement that caused them.
     pub fn exec(&mut self, stmt: &Stmt) -> Result<Outcome, LangError> {
-        let _span = aql_trace::span("statement");
+        let scope = aql_trace::Scope::open(std::mem::take(&mut self.trace));
+        let out = self.exec_statement(stmt);
+        self.trace = scope.close();
+        out
+    }
+
+    fn exec_statement(&mut self, stmt: &Stmt) -> Result<Outcome, LangError> {
+        let span = aql_trace::span("statement");
         let kind = stmt.kind();
-        aql_trace::note("kind", || kind.to_string());
+        aql_trace::note("kind", Note::Static(kind));
         let seq = self.stmt_seq;
         self.stmt_seq += 1;
         let hash = stmt.fingerprint();
-        let t0 = aql_trace::now();
         emit(Event::StmtBegin { kind, seq, hash });
-        let metrics_base = self.sinks.baseline();
         self.cur.take();
         aql_store::governor::reset_peak();
         aql_journal::attr::begin();
@@ -472,7 +472,7 @@ impl Session {
                 None => self.source_totals.push((label.clone(), *row)),
             }
         }
-        let dur_ns = (aql_trace::now() - t0).as_nanos() as u64;
+        let dur_ns = span.finish();
         let class = out.as_ref().err().map(LangError::class);
         emit(Event::StmtEnd { outcome: class.map_or("ok", ErrorClass::name), seq, ns: dur_ns });
         if class.is_some() {
@@ -482,7 +482,7 @@ impl Session {
             emit(Event::StmtUnsound);
         }
         let rec = StmtRecord { kind, seq, hash, dur_ns, class, counts, attr };
-        self.sinks.report(&rec, metrics_base, tripped, out.as_ref().err());
+        self.sinks.report(&rec, tripped, out.as_ref().err());
         self.records.push(rec);
         out
     }
@@ -500,12 +500,12 @@ impl Session {
             }
             Stmt::ReadVal { name: vname, reader, arg } => {
                 let (_, argv) = self.eval_surface(arg)?;
-                let r = self.readers.get(reader).cloned().ok_or_else(|| {
+                let (rname, r) = self.readers.get_key_value(reader.as_str()).ok_or_else(|| {
                     LangError::session(format!("no reader registered as `{reader}`"))
                 })?;
                 let (v, declared) = {
                     let _phase = phase("readval");
-                    aql_trace::note("reader", || reader.clone());
+                    aql_trace::note("reader", Note::Shared(Arc::clone(rname)));
                     catch_extension("reader", reader, || r.read(&argv))??
                 };
                 let ty = declared.or_else(|| type_of_value(&v)).ok_or_else(|| {
@@ -531,12 +531,12 @@ impl Session {
             Stmt::WriteVal { value, writer, arg } => {
                 let (_, v) = self.eval_surface(value)?;
                 let (_, argv) = self.eval_surface(arg)?;
-                let w = self.writers.get(writer).cloned().ok_or_else(|| {
+                let (wname, w) = self.writers.get_key_value(writer.as_str()).ok_or_else(|| {
                     LangError::session(format!("no writer registered as `{writer}`"))
                 })?;
                 {
                     let _phase = phase("writeval");
-                    aql_trace::note("writer", || writer.clone());
+                    aql_trace::note("writer", Note::Shared(Arc::clone(wname)));
                     catch_extension("writer", writer, || w.write(&argv, &v))??;
                 }
                 return Ok(Outcome {
@@ -1221,24 +1221,24 @@ mod tests {
         assert_eq!(outcomes.len(), 2);
         assert_eq!(report.statements.len(), 2);
         // Two statement roots, each with the pipeline phases below.
-        let roots = report.trace.roots();
-        let root_names: Vec<&str> = roots
-            .iter()
-            .map(|&i| report.trace.spans[i].name.as_str())
-            .filter(|n| *n == "statement")
-            .collect();
+        let roots = |t: &aql_trace::Trace| t.spans.iter().filter(|s| s.parent.is_none()).map(|s| s.name).collect::<Vec<_>>();
+        let root_names: Vec<&str> = roots(&report.trace).into_iter().filter(|n| *n == "statement").collect();
         assert_eq!(root_names.len(), 2, "{:?}", report.trace);
         for name in ["parse", "desugar", "resolve", "typecheck", "optimize", "eval"] {
             assert!(report.trace.find(name).is_some(), "span `{name}` missing");
         }
-        // The counts are the record's, not the tree's: the same steps
-        // as an untraced run of the same program.
+        // The counts are the record's, not the tree's; and the profile
+        // is the run's own report.
         let traced: u64 = report.statements.iter().map(|s| s.steps).sum();
-        s.run("val \\a = gen!20; summap(fn \\x => x)!a;").unwrap();
         assert_eq!(traced, s.last_stats().steps);
         assert!(traced > 0);
-        // Tracing is off again after `profile`.
-        assert!(!aql_trace::enabled());
+        assert_eq!(report, s.last_report());
+        // A statement run alone records its own tree; outside a run a
+        // span records nothing.
+        s.exec(&crate::parser::parse_program("1 + 1;").unwrap()[0]).unwrap();
+        assert_eq!(roots(&s.last_report().trace), ["statement"]);
+        crate::parser::parse_program("2;").unwrap();
+        assert_eq!(roots(&s.last_report().trace), ["statement"]);
     }
 
     /// A shared in-memory slow-log sink (the session owns a boxed

@@ -74,20 +74,22 @@ fn a_phase_reads_the_clock_as_one_pair() {
     // journaled too (ahead of the statement).
     let records = phase_runs + 2;
 
-    // Untraced: the statement's own pair, one pair per phase run, the
-    // stamps — and nothing else.
+    // Every interval is one span, whose two reads are the only clock
+    // pair it gets: the phase guards and the statement's record take
+    // their durations from their spans. A profile is the same run.
     let before = aql_trace::clock_reads();
-    s.run(STATEMENT).expect("untraced");
-    assert_eq!(aql_trace::clock_reads() - before, 2 * (1 + phase_runs) + records);
+    s.run(STATEMENT).expect("run");
+    let run = aql_trace::clock_reads() - before;
+    let spans = s.last_report().trace.spans.len() as u64;
+    // The statement, its phases, and one `opt.phase` span for each of
+    // the optimizer's three phases.
+    assert_eq!(spans, 1 + phase_runs + 3, "{:?}", s.last_report().trace);
+    assert_eq!(run, 2 * spans + records);
 
-    // Traced: every span reads the clock twice and the phase guards
-    // take their durations from the spans, adding no read of their own
-    // (`enable` reads the trace epoch once).
     let before = aql_trace::clock_reads();
-    let (_, report) = s.profile(STATEMENT).expect("traced");
-    let spans = report.trace.spans.len() as u64;
-    assert!(spans > phase_runs, "the phases are spans: {spans}");
-    assert_eq!(aql_trace::clock_reads() - before, 1 + 2 * spans + 2 + records);
+    let (_, report) = s.profile(STATEMENT).expect("profile");
+    assert_eq!(aql_trace::clock_reads() - before, run);
+    assert_eq!(report.trace.spans.len() as u64, spans);
 }
 
 #[test]
@@ -150,10 +152,10 @@ fn trace_cost_does_not_grow_with_the_data_scanned() {
     };
     s.run(&scan(400)).expect("warm the cache");
 
-    // (spans, clock reads) of one profiled scan.
+    // (spans, clock reads) of one scan.
     let mut cost = |hours: u64| {
         let before = aql_trace::clock_reads();
-        let (_, report) = s.profile(&scan(hours)).expect("profiled scan");
+        let (_, report) = s.profile(&scan(hours)).expect("scan");
         assert_eq!(s.last_stats().cache.misses, 0, "warm cache");
         assert!(report.trace.spans.iter().all(|s| s.dur_ns.is_some()), "no span left open");
         (report.trace.spans.len(), aql_trace::clock_reads() - before)

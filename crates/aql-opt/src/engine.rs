@@ -11,6 +11,7 @@
 use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use aql_core::check::check_rewrite;
 use aql_core::expr::children::try_for_each_child_mut;
@@ -189,8 +190,8 @@ const MAX_FIRES_PER_VISIT: usize = 32;
 
 /// An ordered group of rules applied together to a fixpoint.
 pub struct Phase {
-    /// Phase name (e.g. "normalize").
-    pub name: String,
+    /// Phase name (e.g. "normalize"), shared with the phase's span note.
+    pub name: Arc<str>,
     rules: Vec<Rc<dyn Rule>>,
     /// Per rule, its `aql_opt_rule_fires_total{phase,rule}` series,
     /// looked up at the rule's first firing and kept.
@@ -221,7 +222,7 @@ impl Phase {
     pub fn new(name: &str) -> Phase {
         let by_head = vec![Vec::new(); Head::ALL.len()];
         let (rules, fires, tally) = (Vec::new(), Vec::new(), Tally::default());
-        Phase { name: name.to_string(), rules, fires, by_head, tally }
+        Phase { name: name.into(), rules, fires, by_head, tally }
     }
 
     /// Append a rule (applied after already-registered rules).
@@ -250,10 +251,8 @@ impl Phase {
     /// result when at least one rule fired. Rules are extension code: a
     /// rule that panics aborts the phase with a [`RulePanic`] naming it.
     ///
-    /// When `aql-trace` is collecting, the phase runs under an
-    /// `opt.phase` span annotated with its name, and each full bottom-up
-    /// pass under a timed `opt.pass` child span. What the run counted is
-    /// [`Phase::counts`].
+    /// The phase runs under an `opt.phase` span annotated with its name.
+    /// What the run counted, its passes among it, is [`Phase::counts`].
     pub fn run(
         &self,
         e: &Expr,
@@ -275,7 +274,7 @@ impl Phase {
         too_deep: &mut bool,
     ) -> Result<(), OptError> {
         let _phase_span = aql_trace::span("opt.phase");
-        aql_trace::note("phase", || self.name.clone());
+        aql_trace::note("phase", aql_trace::Note::Shared(Arc::clone(&self.name)));
         let mut st = Pass {
             gate,
             trace,
@@ -285,10 +284,8 @@ impl Phase {
             too_deep: *too_deep,
         };
         for pass in 1..=MAX_PASSES {
-            let pass_span = aql_trace::span("opt.pass");
             st.fired = 0;
             self.pass(cur, &mut st)?;
-            drop(pass_span);
             bump(&self.tally.passes);
             M_PASSES.inc();
             if st.fired == 0 {
@@ -409,7 +406,7 @@ impl Phase {
     fn apply_checked(&self, r: &Rc<dyn Rule>, e: Expr) -> Result<Result<Expr, Expr>, RulePanic> {
         catch_unwind(AssertUnwindSafe(|| r.apply(e))).map_err(|payload| {
             let message = aql_core::prim::panic_message(payload.as_ref());
-            RulePanic { phase: self.name.clone(), rule: r.name(), message }
+            RulePanic { phase: self.name.to_string(), rule: r.name(), message }
         })
     }
 
@@ -430,10 +427,10 @@ impl Phase {
     /// (exceptional, so the lookup cost is irrelevant) and build the
     /// error naming it.
     fn unsound(&self, rule: &'static str, message: String) -> OptError {
-        let labels = [("phase", self.name.as_str()), ("rule", rule)];
+        let labels = [("phase", &*self.name), ("rule", rule)];
         let help = "Rewrites rejected by the soundness gate, by (phase, rule).";
         aql_journal::metrics::counter_with("aql_opt_unsound_total", &labels, help).inc();
-        OptError::Unsound(SoundnessViolation { phase: self.name.clone(), rule, message })
+        OptError::Unsound(SoundnessViolation { phase: self.name.to_string(), rule, message })
     }
 }
 
@@ -461,12 +458,12 @@ impl Optimizer {
 
     /// A phase by name.
     pub fn phase(&self, name: &str) -> Option<&Phase> {
-        self.phases.iter().find(|p| p.name == name)
+        self.phases.iter().find(|p| &*p.name == name)
     }
 
     /// Mutable access to a phase by name, for dynamic rule injection.
     pub fn phase_mut(&mut self, name: &str) -> Option<&mut Phase> {
-        self.phases.iter_mut().find(|p| p.name == name)
+        self.phases.iter_mut().find(|p| &*p.name == name)
     }
 
     /// Run every phase in order ([`Phase::run`]) under a soundness
@@ -817,24 +814,21 @@ mod tests {
     }
 
     #[test]
-    fn phase_spans_reach_the_subscriber_and_the_run_keeps_its_counts() {
+    fn phase_spans_reach_the_scope_and_the_run_keeps_its_counts() {
         let mut p = Phase::new("normalize");
         p.add_rule(Rc::new(ZeroAdd));
         let mut opt = Optimizer::empty();
         opt.add_phase(p);
-        aql_trace::enable();
+        let scope = aql_trace::Scope::open(aql_trace::Trace::default());
         let got = opt.optimize(&add(nat(0), add(nat(0), var("x"))));
-        let t = aql_trace::disable();
+        let t = scope.close();
         assert_eq!(got, var("x"));
         let phase = t.find("opt.phase").expect("phase span recorded");
-        assert_eq!(
-            phase.notes,
-            vec![("phase".to_string(), "normalize".to_string())]
-        );
-        assert!(t.find("opt.pass").is_some(), "per-pass spans recorded");
+        assert_eq!(phase.note.as_ref().map(|(k, v)| (*k, &**v)), Some(("phase", "normalize")));
+        assert_eq!(t.spans.len(), 1, "a pass is counted, not spanned");
         // Two firings total, attributed to (phase, rule); at least two
         // passes (one that fires, one that proves the fixpoint); and
-        // the same counts untraced.
+        // the same counts outside a scope.
         let counts = opt.counts();
         assert_eq!(rule(&counts, "normalize", "zero-add"), (2, 0));
         assert!(counts.passes >= 2);

@@ -14,12 +14,12 @@
 //! Like `δ^p`, hoisting assumes error-free loop-invariant code (a `⊥`
 //! that was previously evaluated zero times may now be evaluated once).
 
-use aql_core::expr::children::for_each_child;
+use aql_core::expr::children::{for_each_child, for_each_child_mut};
 use aql_core::expr::free::fresh;
 use aql_core::expr::{Expr, Head, Name};
 
 use crate::engine::Rule;
-use super::replace_capture_aware;
+use super::{replace_capture_aware, shadows};
 
 /// Hoist loop-invariant subexpressions out of `⋃`/`Σ`/tabulation
 /// bodies.
@@ -65,7 +65,7 @@ struct Scan<'e> {
 /// binders it has over the child the path descends into. The names a
 /// candidate must not mention are every name a path node binds — over
 /// whichever child: the same conservative cut as
-/// `replace_capture_aware`, which must find what is found here. The
+/// `hoist_out`, which must find what is found here. The
 /// loop itself is the root, at depth 0.
 struct Frame<'f> {
     node: &'f Expr,
@@ -149,12 +149,39 @@ impl Rule for HoistInvariant {
         }
         let Some(cand) = self.find_candidate(&e).cloned() else { return Err(e) };
         let t = fresh("hoist");
-        let hoisted = Expr::Var(t.clone());
-        if !loop_head(&mut e).is_some_and(|head| replace_capture_aware(head, &cand, &hoisted)) {
+        if !loop_head(&mut e).is_some_and(|head| hoist_out(head, &cand, &t)) {
             return Err(e);
         }
         Ok(Expr::Let(t, cand.boxed(), e.boxed()))
     }
+}
+
+/// Replace, in place, every occurrence of `cand` in `e` with the
+/// variable `t`, with the conservative cut of
+/// [`replace_capture_aware`](super::replace_capture_aware); but a
+/// `let y = cand in b`, which an inner loop's hoist left, becomes
+/// `b{y := t}` rather than a `let` that only renames `t`.
+fn hoist_out(e: &mut Expr, cand: &Expr, t: &Name) -> bool {
+    if e == cand {
+        *e = Expr::Var(t.clone());
+        return true;
+    }
+    if shadows(e, cand) {
+        return false;
+    }
+    if let Expr::Let(y, bound, body) = e {
+        if **bound == *cand {
+            let (y, mut b) = (Expr::Var(y.clone()), body.take());
+            hoist_out(&mut b, cand, t);
+            // `t` is fresh: renaming `y` to it captures nothing.
+            replace_capture_aware(&mut b, &y, &Expr::Var(t.clone()));
+            *e = b;
+            return true;
+        }
+    }
+    let mut replaced = false;
+    for_each_child_mut(e, &mut |_, c| replaced |= hoist_out(c, cand, t));
+    replaced
 }
 
 /// The head of a loop the rule hoists out of.
@@ -189,6 +216,22 @@ mod tests {
             other => panic!("expected let, got {other}"),
         }
         assert_eq!(eval_closed(&e).unwrap(), eval_closed(&got).unwrap());
+    }
+
+    #[test]
+    fn hoisting_a_hoisted_term_again_leaves_no_alias() {
+        // ⋃{ {[[ i + max(gen 100) | i < x ]]} | x ∈ gen 3 }: the inner
+        // tabulation hoists max(gen 100) into a `let`, then the union
+        // hoists it again, out of that `let`'s bound term.
+        let inner = tab1("i", var("x"), add(var("i"), set_max(gen(nat(100)))));
+        let e = big_union("x", gen(nat(3)), single(inner.clone()));
+        let rule = HoistInvariant::default();
+        let once = big_union("x", gen(nat(3)), single(rule.apply(inner).unwrap()));
+        let twice = rule.apply(once).unwrap();
+        let mut aliases = 0;
+        twice.walk(&mut |n| aliases += usize::from(matches!(n, Expr::Let(_, b, _) if matches!(**b, Expr::Var(_)))));
+        assert_eq!(aliases, 0, "{twice}");
+        assert_eq!(eval_closed(&e).unwrap(), eval_closed(&twice).unwrap());
     }
 
     #[test]

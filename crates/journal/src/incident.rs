@@ -3,8 +3,7 @@
 //! When a statement errs, exhausts its resource budget, trips a
 //! circuit breaker, or crosses the slow-query threshold, the session
 //! freezes the flight recorder's recent window plus the statement's
-//! attribution ledger and the process metrics deltas into one
-//! self-contained JSON file. The file carries everything `\doctor`
+//! attribution ledger and counts into one self-contained JSON file. The file carries everything `\doctor`
 //! needs — no live process required.
 
 use std::io::Write as _;
@@ -130,8 +129,9 @@ pub struct Incident {
     pub events: Journal,
     /// The statement's resource attribution ledger.
     pub attribution: Option<Ledger>,
-    /// Process metrics that moved during the statement:
-    /// `(series, delta)` pairs from the [`metrics`](crate::metrics) snapshot.
+    /// The statement's nonzero counts as `\profile` names them
+    /// (`eval.steps`, `cache.misses`, …). An older file holds registry
+    /// series that rose during the statement here; it loads the same.
     pub metrics_delta: Vec<(String, u64)>,
 }
 
@@ -323,7 +323,7 @@ mod tests {
                 }],
             },
             attribution: Some(ledger),
-            metrics_delta: vec![("aql_store_chunk_retries_total".to_string(), 3)],
+            metrics_delta: vec![("cache.misses".to_string(), 3)],
         }
     }
 

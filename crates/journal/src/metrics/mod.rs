@@ -231,16 +231,16 @@ enum Metric {
 }
 
 impl Metric {
-    /// The handle's address, which names the series without a key, and
-    /// the values [`snapshot`] lists for it with their key suffixes.
-    fn read(&self) -> (usize, &'static [&'static str], [u64; 5]) {
+    /// The values [`snapshot`] lists for the series, with their key
+    /// suffixes.
+    fn read(&self) -> (&'static [&'static str], [u64; 5]) {
         match *self {
-            Metric::Counter(c) => (c as *const Counter as usize, &[""], [c.get(), 0, 0, 0, 0]),
-            Metric::Gauge(g) => (g as *const Gauge as usize, &[""], [g.get().max(0) as u64, 0, 0, 0, 0]),
+            Metric::Counter(c) => (&[""], [c.get(), 0, 0, 0, 0]),
+            Metric::Gauge(g) => (&[""], [g.get().max(0) as u64, 0, 0, 0, 0]),
             Metric::Histogram(h) => {
                 let (s, keys) = (h.snapshot(), &["_count", "_sum", "_p50", "_p95", "_p99"]);
                 let q = |q| s.quantile(q).unwrap_or(0);
-                (h as *const Histogram as usize, keys, [s.count(), s.sum, q(0.5), q(0.95), q(0.99)])
+                (keys, [s.count(), s.sum, q(0.5), q(0.95), q(0.99)])
             }
         }
     }
@@ -379,7 +379,7 @@ pub fn histogram_with(name: &str, labels: &[(&str, &str)], help: &str) -> &'stat
 /// `aql_opt_rule_fires_total{phase,rule}` series). Zero if none.
 pub fn family_total(family: &str) -> u64 {
     let is_counter = |e: &&Entry| e.family == family && matches!(e.metric, Metric::Counter(_));
-    registry().values().filter(is_counter).map(|e| e.metric.read().2[0]).sum()
+    registry().values().filter(is_counter).map(|e| e.metric.read().1[0]).sum()
 }
 
 // ---- cached handles for hot call sites -------------------------------
@@ -427,43 +427,13 @@ pub(crate) fn label_values(family: &str, label: &str) -> Vec<String> {
 /// A flat numeric snapshot of the registry: every counter and gauge as
 /// its series key, every histogram as `<key>_count` / `<key>_sum` /
 /// `<key>_p50` / `<key>_p95` / `<key>_p99`. Sorted by key; gauges
-/// clamp below zero. This is what `QueryReport` embeds.
+/// clamp below zero. The REPL's `\metrics;` and the dashboard read it.
 pub fn snapshot() -> Vec<(String, u64)> {
     let reg = registry();
     let mut out: Vec<(String, u64)> = Vec::with_capacity(reg.len());
     for (key, e) in reg.iter() {
-        let (_, suffixes, vals) = e.metric.read();
+        let (suffixes, vals) = e.metric.read();
         out.extend(suffixes.iter().zip(vals).map(|(sfx, v)| (format!("{key}{sfx}"), v)));
-    }
-    out.sort();
-    out
-}
-
-/// Every series' [`snapshot`] values by handle address, in address
-/// order: a baseline for [`rises_since`], read with no key built.
-#[derive(Default)]
-pub struct Readings(Vec<(usize, [u64; 5])>);
-
-/// Read the registry into a [`Readings`] baseline.
-pub fn readings() -> Readings {
-    let mut out: Vec<(usize, [u64; 5])> = registry().values().map(|e| e.metric.read()).map(|(a, _, v)| (a, v)).collect();
-    out.sort_unstable_by_key(|&(addr, _)| addr);
-    Readings(out)
-}
-
-/// The [`snapshot`] entries that rose since `base`, with their rise,
-/// sorted by key: one walk of the registry, each series found in `base`
-/// by address, and a key built only for a value that rose.
-pub fn rises_since(base: &Readings) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    for (key, e) in registry().iter() {
-        let (addr, suffixes, vals) = e.metric.read();
-        let was = base.0.binary_search_by_key(&addr, |&(a, _)| a).map_or([0; 5], |i| base.0[i].1);
-        for ((sfx, v), w) in suffixes.iter().zip(vals).zip(was) {
-            if v > w {
-                out.push((format!("{key}{sfx}"), v - w));
-            }
-        }
     }
     out.sort();
     out
@@ -690,53 +660,6 @@ mod tests {
         assert!(snap.iter().any(|(k, v)| k == "t_snap_c_total" && *v >= 1));
         assert!(snap.iter().any(|(k, _)| k == "t_snap_h_ns_count"));
         assert!(snap.iter().any(|(k, _)| k == "t_snap_h_ns_p99"));
-    }
-
-    #[test]
-    fn rises_since_is_the_difference_of_two_snapshots() {
-        let ours = |v: Vec<(String, u64)>| -> Vec<(String, u64)> {
-            v.into_iter().filter(|(k, _)| k.starts_with("t_rise_")).collect()
-        };
-        counter("t_rise_flat_total", "c").add(4);
-        counter_with("t_rise_c_total", &[("src", "a")], "c").add(1);
-        gauge("t_rise_g", "g").raise(10);
-        histogram("t_rise_h_ns", "h").observe(100);
-        let (base, before) = (readings(), snapshot());
-
-        counter_with("t_rise_c_total", &[("src", "a")], "c").add(2);
-        counter_with("t_rise_c_total", &[("src", "b")], "c").add(3);
-        gauge("t_rise_g", "g").raise(25);
-        histogram("t_rise_h_ns", "h").observe(5000);
-        histogram("t_rise_new_ns", "h").observe(7);
-        let rises = ours(rises_since(&base));
-
-        // The old computation: every key of a fresh snapshot against
-        // the earlier one, a missing key counting as zero.
-        let oracle: Vec<(String, u64)> = ours(snapshot())
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let then = before.iter().find(|(bk, _)| *bk == k).map_or(0, |(_, bv)| *bv);
-                (v > then).then(|| (k, v - then))
-            })
-            .collect();
-        assert_eq!(rises, oracle);
-        assert!(rises.contains(&("t_rise_c_total{src=\"a\"}".to_string(), 2)), "{rises:?}");
-        assert!(rises.contains(&("t_rise_c_total{src=\"b\"}".to_string(), 3)), "{rises:?}");
-        assert!(rises.contains(&("t_rise_g".to_string(), 15)), "{rises:?}");
-        assert!(rises.contains(&("t_rise_h_ns_sum".to_string(), 5000)), "{rises:?}");
-        assert!(rises.contains(&("t_rise_new_ns_count".to_string(), 1)), "{rises:?}");
-        assert!(!rises.iter().any(|(k, _)| k == "t_rise_flat_total"), "{rises:?}");
-        // An empty baseline is every nonzero value.
-        assert_eq!(ours(rises_since(&Readings::default())), ours(snapshot()).into_iter().filter(|(_, v)| *v > 0).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn readings_build_no_key() {
-        counter("t_read_total", "c").add(1);
-        let locks = registry_locks();
-        let base = readings();
-        assert_eq!(registry_locks(), locks + 1, "one lock, no lookups");
-        assert!(base.0.windows(2).all(|w| w[0].0 < w[1].0), "sorted by distinct address");
     }
 
     #[test]

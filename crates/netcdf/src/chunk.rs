@@ -13,6 +13,7 @@
 //! coordinates.
 
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use aql_journal::{emit, Event};
 use aql_store::{ChunkSource, ScalarBuf, StoreError};
@@ -52,7 +53,8 @@ fn values_to_buf(vals: &NcValues) -> Result<ScalarBuf, StoreError> {
 /// reader state).
 pub struct NcChunkSource<S, F> {
     open: F,
-    var: String,
+    /// The variable's name, shared with each hyperslab span's note.
+    var: Arc<str>,
     base: Vec<u64>,
     _source: PhantomData<fn() -> S>,
 }
@@ -65,7 +67,7 @@ where
     /// A source for variable `var`, with chunk coordinates offset by
     /// `base` (the lower bound of the bound subslab).
     pub fn new(open: F, var: impl Into<String>, base: Vec<u64>) -> NcChunkSource<S, F> {
-        NcChunkSource { open, var: var.into(), base, _source: PhantomData }
+        NcChunkSource { open, var: var.into().into(), base, _source: PhantomData }
     }
 }
 
@@ -85,7 +87,7 @@ where
         let abs: Vec<u64> = start.iter().zip(&self.base).map(|(&s, &b)| s + b).collect();
         let _span = aql_trace::span("netcdf.hyperslab");
         emit(Event::NetcdfHyperslab);
-        aql_trace::note("var", || self.var.clone());
+        aql_trace::note("var", aql_trace::Note::Shared(Arc::clone(&self.var)));
         let vals = (self.open)()
             .and_then(SlabReader::from_source)
             .and_then(|mut reader| reader.read_slab(&self.var, &abs, count))

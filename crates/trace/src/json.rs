@@ -303,47 +303,31 @@ impl Trace {
     /// The trace as a Chrome trace-event JSON value: one complete
     /// (`"ph": "X"`) event per span, timestamps and durations in
     /// microseconds (fractional, preserving nanosecond resolution),
-    /// a span's notes carried in `args`, followed by what `extra` gives
+    /// a span's note carried in `args`, followed by what `extra` gives
     /// for the span's index. The result loads directly in Perfetto or
     /// `chrome://tracing`.
     pub fn to_chrome_json_value(&self, extra: impl Fn(usize) -> Vec<(String, Json)>) -> Json {
-        let mut events = Vec::with_capacity(self.spans.len() + 1);
+        let obj = |members: Vec<(&str, Json)>| Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect());
+        let (text, us) = (|s: &str| Json::Str(s.to_string()), |ns: u64| Json::Num(ns as f64 / 1000.0));
+        let one = || Json::Num(1.0);
         // Process-name metadata event so the track is labeled.
-        events.push(Json::Obj(vec![
-            ("name".to_string(), Json::Str("process_name".to_string())),
-            ("ph".to_string(), Json::Str("M".to_string())),
-            ("pid".to_string(), Json::Num(1.0)),
-            ("tid".to_string(), Json::Num(1.0)),
-            (
-                "args".to_string(),
-                Json::Obj(vec![(
-                    "name".to_string(),
-                    Json::Str("aql".to_string()),
-                )]),
-            ),
-        ]));
+        let process = vec![("name", text("process_name")), ("ph", text("M")), ("pid", one()), ("tid", one())];
+        let mut events = vec![obj([process, vec![("args", obj(vec![("name", text("aql"))]))]].concat())];
         for (i, s) in self.spans.iter().enumerate() {
-            let mut args: Vec<(String, Json)> =
-                s.notes.iter().map(|(k, v)| (k.clone(), Json::Str(v.clone()))).collect();
+            let mut args: Vec<(String, Json)> = s.note.iter().map(|(k, v)| (k.to_string(), text(v))).collect();
             args.extend(extra(i));
-            events.push(Json::Obj(vec![
-                ("name".to_string(), Json::Str(s.name.clone())),
-                ("cat".to_string(), Json::Str("aql".to_string())),
-                ("ph".to_string(), Json::Str("X".to_string())),
-                ("ts".to_string(), Json::Num(s.start_ns as f64 / 1000.0)),
-                (
-                    "dur".to_string(),
-                    Json::Num(s.dur_ns.unwrap_or(0) as f64 / 1000.0),
-                ),
-                ("pid".to_string(), Json::Num(1.0)),
-                ("tid".to_string(), Json::Num(1.0)),
-                ("args".to_string(), Json::Obj(args)),
+            events.push(obj(vec![
+                ("name", text(s.name)),
+                ("cat", text("aql")),
+                ("ph", text("X")),
+                ("ts", us(s.start_ns)),
+                ("dur", us(s.dur_ns.unwrap_or(0))),
+                ("pid", one()),
+                ("tid", one()),
+                ("args", Json::Obj(args)),
             ]));
         }
-        Json::Obj(vec![
-            ("traceEvents".to_string(), Json::Arr(events)),
-            ("displayTimeUnit".to_string(), Json::Str("ns".to_string())),
-        ])
+        obj(vec![("traceEvents", Json::Arr(events)), ("displayTimeUnit", text("ns"))])
     }
 }
 
@@ -380,13 +364,13 @@ mod tests {
 
     #[test]
     fn chrome_export_is_strict_json_with_complete_events() {
-        crate::enable();
+        let scope = crate::Scope::open(Trace::default());
         {
             let _a = crate::span("statement");
-            crate::note("kind", || "query".to_string());
+            crate::note("kind", crate::Note::Static("query"));
             let _b = crate::span("eval");
         }
-        let t = crate::disable();
+        let t = scope.close();
         let extra = |i| if i == 1 { vec![("steps".to_string(), Json::Num(42.0))] } else { Vec::new() };
         let s = t.to_chrome_json_value(extra).write();
         let v = Json::parse(&s).unwrap(); // strict: rejects trailing garbage

@@ -1,49 +1,48 @@
 //! # aql-trace — query-lifecycle tracing
 //!
-//! A dependency-free structured event collector for the AQL pipeline.
-//! Instrumented code opens [`span`]s (RAII guards with monotonic
-//! timings) and attaches [`note`]s; everything is recorded by a
-//! **thread-local subscriber** so no handle is ever
-//! threaded through evaluator or storage code. The runtime is
-//! single-threaded (values are `Rc`-based), so a thread-local
-//! subscriber sees every event of a query, exactly once. No work of a
-//! query is traced on another thread: the one other thread that works
-//! for a session, a configured read-ahead worker, reports through the flight
-//! recorder (`aql-journal`), not through a trace.
+//! A dependency-free span recorder for the AQL pipeline. Instrumented
+//! code opens [`span`]s (RAII guards with monotonic timings) and
+//! attaches [`note`]s; a thread-local recorder keeps them, so no handle
+//! is threaded through evaluator or storage code. The runtime is
+//! single-threaded (values are `Rc`-based); the one other thread that
+//! works for a session, a configured read-ahead worker, reports through
+//! the flight recorder (`aql-journal`), not through a trace.
 //!
-//! ## Overhead contract
+//! ## One account
 //!
-//! When no subscriber is installed (the default), every entry point is
-//! a single thread-local flag read plus a branch — no allocation, no
-//! clock read, no formatting. A [`note`]'s value is a closure, so it
-//! is only built while tracing. `aql-lang`'s `tests/telemetry_counts.rs`
-//! holds the contract by exact counts: clock reads per statement traced
-//! and untraced, and a span count that does not grow with the data a
-//! statement scans.
+//! There is no tracing mode. A span always times its interval with one
+//! clock pair, whose difference [`SpanGuard::finish`] hands to every
+//! other account of the interval (a phase's journal record, a
+//! statement's record), and is recorded while a [`Scope`] is open on
+//! the thread. A session opens one around each run, so a profile is a
+//! view of the run; outside a scope a span records nothing, so memory
+//! stays bounded by one run. Recording allocates nothing per span once
+//! the scope's buffer is warm: names are `&'static str` and a [`Note`]
+//! holds a static or shared string. `aql-lang`'s
+//! `tests/telemetry_counts.rs` holds the cost by exact counts: two clock
+//! reads a span, and spans that do not grow with the data scanned.
 //!
 //! ## Model
 //!
-//! A [`Trace`] is a flat vector of [`SpanRec`]s in open order; each
-//! records its parent index, start offset, and duration on the same
-//! monotonic clock, so a child's interval always nests inside its
-//! parent's and sibling durations sum to at most the parent duration.
-//! Notes attach to the innermost open span. The tree carries times and
-//! names only: what a statement counts is its record's (`aql-lang`'s
-//! `QueryReport`), written once by the code that owns the number.
-//! [`Trace::render`] pretty-prints
-//! the tree; [`Trace::folded`] collapses it into flamegraph stacks of
-//! exact self times, which [`profile`] renders as text and SVG;
+//! A [`Trace`] is a flat vector of [`SpanRec`]s in open order (a
+//! depth-first order of the tree); each records its parent index, start
+//! offset and duration on one monotonic clock, so a child's interval
+//! nests inside its parent's. The tree carries times and names only:
+//! what a statement counts is its record's (`aql-lang`'s
+//! `QueryReport`). [`Trace::render`] pretty-prints the tree;
+//! [`Trace::folded`] gives its flamegraph stacks of exact self times,
+//! which [`profile`] renders as text and SVG;
 //! [`Trace::to_chrome_json_value`] exports it for Perfetto through the
 //! bundled [`json`] module.
 //!
 //! ```
-//! aql_trace::enable();
+//! let scope = aql_trace::Scope::open(aql_trace::Trace::default());
 //! {
 //!     let _root = aql_trace::span("statement");
 //!     let _child = aql_trace::span("eval");
-//!     aql_trace::note("kind", || "query".to_string());
+//!     aql_trace::note("kind", aql_trace::Note::Static("query"));
 //! }
-//! let t = aql_trace::disable();
+//! let t = scope.close();
 //! assert_eq!(t.spans.len(), 2);
 //! assert_eq!(t.spans[1].parent, Some(0));
 //! ```
@@ -54,23 +53,43 @@ pub mod json;
 pub mod profile;
 
 use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// One recorded span: a named interval on the collector's monotonic
-/// clock, with its annotations.
+/// A note's value: a static string or a shared one, so recording a
+/// note copies no text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Note {
+    /// A string known at compile time (a statement kind).
+    Static(&'static str),
+    /// A name its owner already holds (a reader, a variable, a phase).
+    Shared(Arc<str>),
+}
+
+impl std::ops::Deref for Note {
+    type Target = str;
+    fn deref(&self) -> &str {
+        match self {
+            Note::Static(s) => s,
+            Note::Shared(s) => s,
+        }
+    }
+}
+
+/// One recorded span: a named interval on the recorder's monotonic
+/// clock, with its annotation.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpanRec {
-    /// Span name (a static label at record time).
-    pub name: String,
+    /// Span name.
+    pub name: &'static str,
     /// Index of the enclosing span in [`Trace::spans`], if any.
     pub parent: Option<usize>,
-    /// Start offset from the trace epoch, in nanoseconds.
+    /// Start offset from the scope's first span, in nanoseconds.
     pub start_ns: u64,
-    /// Duration in nanoseconds. `None` if the guard never closed
-    /// (e.g. the subscriber was drained mid-span).
+    /// Duration in nanoseconds; `None` if the span outlived its scope.
     pub dur_ns: Option<u64>,
-    /// Key/value annotations, in record order.
-    pub notes: Vec<(String, String)>,
+    /// The key/value annotation, if one was made.
+    pub note: Option<(&'static str, Note)>,
 }
 
 /// A completed trace: spans in open order.
@@ -81,97 +100,62 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Indices of the root spans (those with no parent), in order.
-    pub fn roots(&self) -> Vec<usize> {
-        (0..self.spans.len()).filter(|&i| self.spans[i].parent.is_none()).collect()
-    }
-
-    /// Indices of the direct children of span `i`, in order.
-    pub fn children(&self, i: usize) -> Vec<usize> {
-        (0..self.spans.len()).filter(|&c| self.spans[c].parent == Some(i)).collect()
-    }
-
     /// First span with the given name, if any.
     pub fn find(&self, name: &str) -> Option<&SpanRec> {
         self.spans.iter().find(|s| s.name == name)
     }
 
-    /// The trace as collapsed stacks, the flamegraph input format: one
-    /// `(path, ns)` per distinct span path (names root to leaf joined
-    /// by `;`), in first-open order, weighted by the *self time* of the
-    /// spans on it — duration less the children's, zero rather than
-    /// wrapping if a child outlasts its parent. A span that
-    /// never closed has no duration and adds nothing. When every span
-    /// closed within its parent, the weights sum to the root spans'
+    /// The trace as flamegraph stacks: one `(path, ns)` per closed span,
+    /// in open order, its path the names root to leaf joined by `;` and
+    /// its weight its *self time* — duration less its children's, zero
+    /// rather than wrapping if a child outlasts its parent. When every
+    /// span closed within its parent, the weights sum to the root spans'
     /// durations.
     pub fn folded(&self) -> Vec<(String, u64)> {
         let mut in_children = vec![0u64; self.spans.len()];
         let mut paths: Vec<String> = Vec::with_capacity(self.spans.len());
-        for (i, s) in self.spans.iter().enumerate() {
-            // Open order: a parent precedes its children.
-            let parent = s.parent.filter(|&p| p < i);
-            paths.push(match parent {
+        for s in &self.spans {
+            paths.push(match s.parent {
                 Some(p) => format!("{};{}", paths[p], s.name),
-                None => s.name.clone(),
+                None => s.name.to_string(),
             });
-            if let (Some(p), Some(dur)) = (parent, s.dur_ns) {
+            if let (Some(p), Some(dur)) = (s.parent, s.dur_ns) {
                 in_children[p] = in_children[p].saturating_add(dur);
             }
         }
-        let mut out = Vec::new();
-        for ((s, path), children) in self.spans.iter().zip(&paths).zip(in_children) {
-            if let Some(dur) = s.dur_ns {
-                bump(&mut out, path, dur.saturating_sub(children));
-            }
-        }
-        out
+        let spans = self.spans.iter().zip(paths).zip(in_children);
+        spans.filter_map(|((s, path), kids)| Some((path, s.dur_ns?.saturating_sub(kids)))).collect()
     }
 
-    /// Pretty-print the span tree. With `redact_timings`, durations
-    /// render as `_` so the output is deterministic (used by golden
-    /// tests; see also [`redact_timings`]).
+    /// Pretty-print the span tree, in one pass over the spans. With
+    /// `redact_timings`, durations render as `_` so the output is
+    /// deterministic (used by golden tests; see also [`redact_timings`]).
     pub fn render(&self, redact_timings: bool) -> String {
+        let n = self.spans.len();
+        // A span is its parent's last child if no later span shares it.
+        let (mut last, mut seen) = (vec![false; n], vec![false; n + 1]);
+        for (i, s) in self.spans.iter().enumerate().rev() {
+            last[i] = !std::mem::replace(&mut seen[s.parent.unwrap_or(n)], true);
+        }
+        // Per span, the indent its children's lines start with.
+        let mut indent: Vec<String> = Vec::with_capacity(n);
         let mut out = String::new();
-        for r in self.roots() {
-            self.render_span(r, "", true, 0, redact_timings, &mut out);
+        for (i, s) in self.spans.iter().enumerate() {
+            let (prefix, branch, cont) = match s.parent {
+                None => ("", "", ""),
+                Some(p) if last[i] => (indent[p].as_str(), "└─ ", "   "),
+                Some(p) => (indent[p].as_str(), "├─ ", "│  "),
+            };
+            let note = s.note.as_ref().map(|(k, v)| format!(" [{k}={}]", &**v)).unwrap_or_default();
+            let dur = match (redact_timings, s.dur_ns) {
+                (true, _) => "_".to_string(),
+                (false, Some(ns)) => fmt_dur(ns),
+                (false, None) => "open".to_string(),
+            };
+            out.push_str(&format!("{prefix}{branch}{}{note} ({dur})\n", s.name));
+            indent.push(format!("{prefix}{cont}"));
         }
         out
-    }
-
-    fn render_span(
-        &self,
-        i: usize,
-        prefix: &str,
-        is_last: bool,
-        depth: usize,
-        redact: bool,
-        out: &mut String,
-    ) {
-        let s = &self.spans[i];
-        let (branch, cont) = if depth == 0 {
-            ("", "")
-        } else if is_last {
-            ("└─ ", "   ")
-        } else {
-            ("├─ ", "│  ")
-        };
-        let dur = match (redact, s.dur_ns) {
-            (true, _) => "_".to_string(),
-            (false, Some(ns)) => fmt_dur(ns),
-            (false, None) => "open".to_string(),
-        };
-        out.push_str(prefix);
-        out.push_str(branch);
-        out.push_str(&s.name);
-        for (k, v) in &s.notes {
-            out.push_str(&format!(" [{k}={v}]"));
-        }
-        out.push_str(&format!(" ({dur})\n"));
-        let kids = self.children(i);
-        let child_prefix = format!("{prefix}{cont}");
-        for (j, &c) in kids.iter().enumerate() {
-            self.render_span(c, &child_prefix, j + 1 == kids.len(), depth + 1, redact, out);
-        }
     }
 }
 
@@ -229,23 +213,28 @@ fn is_duration_token(t: &str) -> bool {
     }
 }
 
-// ---- the thread-local subscriber ------------------------------------
+// ---- the thread-local recorder ---------------------------------------
 
-struct Collector {
-    epoch: Instant,
-    spans: Vec<SpanRec>,
+/// What a thread records while a [`Scope`] is open on it.
+struct Recorder {
+    open: bool,
+    /// When the scope's first span opened: the origin of `start_ns`.
+    epoch: Option<Instant>,
+    trace: Trace,
+    /// Indices of the spans still open, innermost last.
     stack: Vec<usize>,
 }
 
 thread_local! {
-    static ENABLED: Cell<bool> = const { Cell::new(false) };
-    static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
+    static RECORDER: RefCell<Recorder> = const {
+        RefCell::new(Recorder { open: false, epoch: None, trace: Trace { spans: Vec::new() }, stack: Vec::new() })
+    };
     static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The telemetry clock: every timing a span, a phase or a journal
-/// record carries is read here, and the read is counted per thread so
-/// a test can hold "one clock pair per phase" as an exact number.
+/// The telemetry clock: every timing a span or a journal record carries
+/// is read here, and the read is counted per thread so a test can hold
+/// "one clock pair per interval" as an exact number.
 #[inline]
 pub fn now() -> Instant {
     CLOCK_READS.with(|c| c.set(c.get() + 1));
@@ -258,123 +247,120 @@ pub fn clock_reads() -> u64 {
     CLOCK_READS.with(Cell::get)
 }
 
-/// Is a subscriber currently collecting on this thread?
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.with(|e| e.get())
+/// A recording scope: while one is open, every span its thread opens is
+/// recorded into the tree [`Scope::close`] returns. A session opens one
+/// around each run; one dropped unclosed (a panic unwinding through it)
+/// ends the recording.
+#[must_use = "a scope records until it is closed"]
+pub struct Scope(Option<Trace>);
+
+impl Scope {
+    /// Open a scope recording into `buf`, cleared first (its capacity is
+    /// kept, so handing back the last tree allocates nothing once warm).
+    /// Inside an open scope this one records nothing of its own: the
+    /// spans go to the outer scope, and `close` returns `buf` empty.
+    pub fn open(mut buf: Trace) -> Scope {
+        buf.spans.clear();
+        RECORDER.with(|r| {
+            let r = &mut *r.borrow_mut();
+            if r.open {
+                return Scope(Some(buf));
+            }
+            (r.open, r.epoch, r.trace) = (true, None, buf);
+            Scope(None)
+        })
+    }
+
+    /// Close the scope and return what it recorded.
+    pub fn close(mut self) -> Trace {
+        let nested = self.0.take();
+        std::mem::forget(self);
+        nested.unwrap_or_else(end)
+    }
 }
 
-/// Install a fresh subscriber on this thread, discarding any trace in
-/// progress. Subsequent [`span`]/[`note`] calls record into it until
-/// [`disable`].
-pub fn enable() {
-    COLLECTOR.with(|c| {
-        *c.borrow_mut() = Some(Collector {
-            epoch: now(),
-            spans: Vec::new(),
-            stack: Vec::new(),
-        });
-    });
-    ENABLED.with(|e| e.set(true));
+impl Drop for Scope {
+    fn drop(&mut self) {
+        if self.0.is_none() {
+            end();
+        }
+    }
 }
 
-/// Uninstall the subscriber and return everything it collected.
-/// Returns an empty [`Trace`] if tracing was not enabled. Spans still
-/// open at this point keep `dur_ns: None`.
-pub fn disable() -> Trace {
-    ENABLED.with(|e| e.set(false));
-    COLLECTOR.with(|c| {
-        c.borrow_mut()
-            .take()
-            .map(|col| Trace { spans: col.spans })
-            .unwrap_or_default()
+/// End the thread's recording and take its tree.
+fn end() -> Trace {
+    RECORDER.with(|r| {
+        let r = &mut *r.borrow_mut();
+        (r.open, r.epoch) = (false, None);
+        r.stack.clear();
+        std::mem::take(&mut r.trace)
     })
 }
 
-/// An RAII guard closing a span on drop. Obtained from [`span`]; a
-/// no-op (no allocation, no clock read) when tracing is disabled.
+/// An RAII guard timing a span until it is dropped or finished.
 #[must_use = "a span guard measures until it is dropped"]
 pub struct SpanGuard {
+    start: Instant,
+    /// The span's index in the open scope's tree.
     idx: Option<usize>,
 }
 
 impl SpanGuard {
-    /// Close the span now (dropping the guard later is then a no-op)
-    /// and return the duration the subscriber recorded for it — `None`
-    /// when none was collecting. A caller that needs the span's time
-    /// takes it from here instead of reading the clock a second time,
-    /// so both accounts hold one number.
-    pub fn finish(&mut self) -> Option<u64> {
-        let idx = self.idx.take()?;
-        COLLECTOR.with(|c| {
-            let mut b = c.borrow_mut();
-            let col = b.as_mut()?;
-            // Close this span (tolerating out-of-order drops: anything
-            // above it on the stack is abandoned open).
-            if let Some(pos) = col.stack.iter().rposition(|&i| i == idx) {
-                col.stack.truncate(pos);
+    /// Close the span now and return its duration: the one number the
+    /// tree and every other account of the interval carry.
+    pub fn finish(self) -> u64 {
+        let ns = self.close();
+        std::mem::forget(self);
+        ns
+    }
+
+    fn close(&self) -> u64 {
+        let ns = (now() - self.start).as_nanos() as u64;
+        RECORDER.with(|r| {
+            let r = &mut *r.borrow_mut();
+            // Out of order, anything above this span is abandoned open.
+            if let Some(pos) = self.idx.and_then(|idx| r.stack.iter().rposition(|&i| i == idx)) {
+                r.trace.spans[r.stack[pos]].dur_ns = Some(ns);
+                r.stack.truncate(pos);
             }
-            let now = (now() - col.epoch).as_nanos() as u64;
-            let s = col.spans.get_mut(idx)?;
-            Some(*s.dur_ns.get_or_insert(now.saturating_sub(s.start_ns)))
-        })
+        });
+        ns
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        self.finish();
+        self.close();
     }
 }
 
-/// Open a span named `name` under the innermost open span. Returns a
-/// guard that records the duration when dropped.
+/// Open a span named `name`: timed always, recorded under the innermost
+/// open span while a [`Scope`] is open.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { idx: None };
-    }
-    let idx = COLLECTOR.with(|c| {
-        let mut b = c.borrow_mut();
-        let col = b.as_mut()?;
-        let idx = col.spans.len();
-        col.spans.push(SpanRec {
-            name: name.to_string(),
-            parent: col.stack.last().copied(),
-            start_ns: (now() - col.epoch).as_nanos() as u64,
-            dur_ns: None,
-            notes: Vec::new(),
-        });
-        col.stack.push(idx);
+    let start = now();
+    let idx = RECORDER.with(|r| {
+        let r = &mut *r.borrow_mut();
+        if !r.open {
+            return None;
+        }
+        let epoch = *r.epoch.get_or_insert(start);
+        let (idx, parent, start_ns) = (r.trace.spans.len(), r.stack.last().copied(), (start - epoch).as_nanos());
+        r.trace.spans.push(SpanRec { name, parent, start_ns: start_ns as u64, dur_ns: None, note: None });
+        r.stack.push(idx);
         Some(idx)
     });
-    SpanGuard { idx }
+    SpanGuard { start, idx }
 }
 
-/// Add `delta` to the entry of `target` named `name`, appending it if
-/// absent (first-seen order).
-fn bump(target: &mut Vec<(String, u64)>, name: &str, delta: u64) {
-    if let Some(slot) = target.iter_mut().find(|(n, _)| n == name) {
-        slot.1 += delta;
-    } else {
-        target.push((name.to_string(), delta));
-    }
-}
-
-/// Attach a key/value annotation to the innermost open span; the
-/// value closure runs only while tracing. Annotations on the trace
-/// level (no open span) are dropped.
+/// Annotate the innermost open span with `key = value`, replacing an
+/// earlier note. With no span recording, it is dropped.
 #[inline]
-pub fn note(key: &'static str, value: impl FnOnce() -> String) {
-    if !enabled() {
-        return;
-    }
-    let v = value();
-    COLLECTOR.with(|c| {
-        let mut b = c.borrow_mut();
-        let Some(col) = b.as_mut() else { return };
-        if let Some(&i) = col.stack.last() {
-            col.spans[i].notes.push((key.to_string(), v));
+pub fn note(key: &'static str, value: Note) {
+    RECORDER.with(|r| {
+        let r = &mut *r.borrow_mut();
+        if let Some(&i) = r.stack.last() {
+            r.trace.spans[i].note = Some((key, value));
         }
     });
 }
@@ -383,62 +369,104 @@ pub fn note(key: &'static str, value: impl FnOnce() -> String) {
 mod tests {
     use super::*;
 
+    /// The tree `f` records in a scope of its own.
+    fn record(f: impl FnOnce()) -> Trace {
+        let scope = Scope::open(Trace::default());
+        f();
+        scope.close()
+    }
+
     #[test]
-    fn disabled_is_inert() {
-        assert!(!enabled());
+    fn outside_a_scope_a_span_times_and_records_nothing() {
         let g = span("x");
-        note("k", || panic!("value must not be computed while disabled"));
-        drop(g);
-        assert!(disable().spans.is_empty());
+        note("k", Note::Static("v"));
+        assert!(g.finish() < 1_000_000_000);
+        assert!(record(|| ()).spans.is_empty());
     }
 
     #[test]
     fn spans_nest_and_time() {
-        enable();
-        {
+        let t = record(|| {
             let _root = span("root");
             std::thread::sleep(std::time::Duration::from_millis(2));
             {
                 let _child = span("child");
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
-            note("k", || "v".to_string());
-        }
-        let t = disable();
+            note("k", Note::Static("v"));
+        });
         assert_eq!(t.spans.len(), 2);
         let root = &t.spans[0];
         let child = &t.spans[1];
         assert_eq!(root.name, "root");
         assert_eq!(child.parent, Some(0));
+        assert_eq!(root.start_ns, 0, "the first span is the scope's origin");
         assert!(child.start_ns >= root.start_ns);
         assert!(child.dur_ns.unwrap() <= root.dur_ns.unwrap());
         // The note went to the root span (the child had already
         // closed).
-        assert_eq!(root.notes, vec![("k".to_string(), "v".to_string())]);
-        assert!(child.notes.is_empty());
+        assert_eq!(root.note, Some(("k", Note::Static("v"))));
+        assert!(child.note.is_none());
+    }
+
+    #[test]
+    fn finish_returns_the_recorded_duration_with_one_clock_pair() {
+        let before = clock_reads();
+        let mut ns = 0;
+        let t = record(|| ns = span("a").finish());
+        assert_eq!(t.spans[0].dur_ns, Some(ns));
+        assert_eq!(clock_reads() - before, 2);
     }
 
     #[test]
     fn notes_outside_spans_are_dropped() {
-        enable();
-        note("k", || "v".to_string());
-        assert!(disable().spans.is_empty());
+        assert!(record(|| note("k", Note::Static("v"))).spans.is_empty());
+    }
+
+    #[test]
+    fn a_nested_scope_records_into_the_outer_one() {
+        let mut inner = Trace::default();
+        let t = record(|| {
+            let _a = span("a");
+            let scope = Scope::open(Trace { spans: vec![SpanRec::default()] });
+            drop(span("b"));
+            inner = scope.close();
+        });
+        assert!(inner.spans.is_empty());
+        assert_eq!(t.spans.iter().map(|s| s.name).collect::<Vec<_>>(), ["a", "b"]);
+        assert_eq!(t.spans[1].parent, Some(0));
+    }
+
+    #[test]
+    fn a_scope_reuses_its_buffer_and_a_dropped_one_ends_the_recording() {
+        let t = record(|| drop(span("a")));
+        let capacity = t.spans.capacity();
+        let scope = Scope::open(t);
+        drop(span("b"));
+        let t = scope.close();
+        assert_eq!(t.spans.iter().map(|s| s.name).collect::<Vec<_>>(), ["b"]);
+        assert_eq!(t.spans.capacity(), capacity);
+        // A scope unwound through, with a span left open, ends the
+        // recording; the span's late close writes nowhere.
+        let scope = Scope::open(Trace::default());
+        let open = span("c");
+        drop(scope);
+        drop(open);
+        assert!(record(|| ()).spans.is_empty());
     }
 
     #[test]
     fn render_tree_shape() {
-        enable();
-        {
+        let t = record(|| {
             let _a = span("statement");
             {
                 let _b = span("typecheck");
             }
             {
                 let _c = span("eval");
-                note("var", || "T".to_string());
+                note("var", Note::Shared(Arc::from("T")));
             }
-        }
-        let t = disable();
+        });
         assert_eq!(t.render(true), "statement (_)\n├─ typecheck (_)\n└─ eval [var=T] (_)\n");
     }
 
@@ -461,12 +489,7 @@ mod tests {
 
     #[test]
     fn folded_stacks_carry_self_times() {
-        let span = |name: &str, parent, dur_ns| SpanRec {
-            name: name.into(),
-            parent,
-            dur_ns,
-            ..Default::default()
-        };
+        let span = |name, parent, dur_ns| SpanRec { name, parent, dur_ns, ..Default::default() };
         let t = Trace {
             spans: vec![
                 span("statement", None, Some(100)),
@@ -488,23 +511,14 @@ mod tests {
             t.folded(),
             vec![
                 stack("statement", 50),
-                stack("statement;eval", 20 + 20),
+                stack("statement;eval", 20),
                 stack("statement;eval;cache.load", 0),
+                stack("statement;eval", 20),
                 stack("statement;optimize;opt.phase", 5),
                 stack("statement;eval;cache.load;worker", 25),
                 stack("parse", 7),
             ]
         );
         assert!(Trace::default().folded().is_empty());
-    }
-
-    #[test]
-    fn enable_resets_prior_trace() {
-        enable();
-        drop(span("a"));
-        enable();
-        drop(span("b"));
-        let t = disable();
-        assert_eq!(t.spans.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["b"]);
     }
 }

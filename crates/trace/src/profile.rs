@@ -11,12 +11,12 @@
 //! need no symbolization.
 //!
 //! ```
-//! aql_trace::enable();
+//! let scope = aql_trace::Scope::open(aql_trace::Trace::default());
 //! {
 //!     let _root = aql_trace::span("statement");
 //!     let _child = aql_trace::span("eval");
 //! }
-//! let profile = aql_trace::profile::Profile::from_trace(&aql_trace::disable());
+//! let profile = aql_trace::profile::Profile::from_trace(&scope.close());
 //! assert!(profile.folded().contains_key("statement;eval"));
 //! let _svg = profile.to_svg("my statement");
 //! ```
@@ -117,12 +117,12 @@ mod tests {
 
     #[test]
     fn from_trace_is_the_traces_fold() {
-        crate::enable();
+        let scope = crate::Scope::open(Trace::default());
         {
             let _root = crate::span("statement");
             let _a = crate::span("eval");
         }
-        let trace = crate::disable();
+        let trace = scope.close();
         let p = Profile::from_trace(&trace);
         let want: BTreeMap<String, u64> = trace.folded().into_iter().collect();
         assert_eq!(p.folded(), &want);

@@ -124,7 +124,7 @@ fn timed_standard() -> (Optimizer, Vec<Rc<Timed>>) {
         let mut wrapped = Phase::new(&phase.name);
         for rule in phase.rules() {
             let zero = || Cell::new(0);
-            let (phase, rule) = (phase.name.clone(), rule.clone());
+            let (phase, rule) = (phase.name.to_string(), rule.clone());
             let (applies, fires, ns, largest) = (zero(), zero(), zero(), Cell::new(0));
             let t = Rc::new(Timed { phase, rule, applies, fires, ns, largest });
             wrapped.add_rule(t.clone());

@@ -180,8 +180,10 @@ const MAY_SIZE_A_STACK: &[(&str, &str)] = &[
 /// subterm past this thread's stack is left as it came and no rule
 /// fires again in the run, a firing the per-fire gate has no stack to
 /// judge is undone, and a phase check with no stack to run is
-/// `OptError::TooDeep`).
-const ENGINE_LINES: usize = 513;
+/// `OptError::TooDeep`); lowered to 510 when a pass stopped being a
+/// span (the run's counts keep the passes) and a phase's name became
+/// the shared string its span note holds.
+const ENGINE_LINES: usize = 510;
 
 /// The budget for `crates/analysis/src/{lint,diag}.rs`, by
 /// [`non_test_lines`]'s count (334 at issue 22 as `crates/verify/src`,
@@ -209,8 +211,15 @@ const VERIFY_LINES: usize = 450;
 /// tracer stopped counting (`count`, `count_with`, the span and trace
 /// counters, `total_counter`, `Trace::is_empty` and the counters'
 /// rendering, each quantity's trace name, `BreakerClose` and
-/// `Journal::merge` went; the ledger's hyperslab requests came).
-const TELEMETRY_LINES: usize = 3995;
+/// `Journal::merge` went; the ledger's hyperslab requests came); lowered
+/// to 3,935 when every run came to record its own span tree (the
+/// tracer's on/off switch and optional collector, the span name's copy
+/// and the note's closure, `Trace::roots` and the per-span child scan of
+/// the renderer, `Trace::folded`'s second merge, and the incident's
+/// registry baseline — `Readings`, `readings`, `rises_since` and the
+/// handle address in a metric's reading — went; the recording `Scope`
+/// and the shared-string `Note` came).
+const TELEMETRY_LINES: usize = 3935;
 
 /// The budget for `crates/aql-lang/src/session.rs`, by
 /// [`non_test_lines`]'s count: 862 when the reports moved to `report.rs`
@@ -310,8 +319,15 @@ const KERNEL_LINES: usize = 1731;
 /// it is defined (26,174: the session's stored normal forms, see
 /// [`SESSION_LINES`]; `same_principal_type` in `aql_core::check`, which
 /// keeps a normal form only if it types as its body; `Expr::extent`;
-/// `RunCounts::at_fixpoint` and its stack stops; `Optimizer::phase`).
-const CRATES_LINES: usize = 26_174;
+/// `RunCounts::at_fixpoint` and its stack stops; `Optimizer::phase`);
+/// lowered by 41 when every run came to record its own span tree
+/// (26,133: 68 lower for the tree — see [`TELEMETRY_LINES`] and
+/// [`ENGINE_LINES`]; the phase guard's and the statement's second clock
+/// pairs and the incident's baseline in the session went, and the
+/// counts' one spelling moved to the statement's record — and 27 higher
+/// for code motion's own replacement walk, which substitutes away the
+/// `let` that would only rename a term it hoists again).
+const CRATES_LINES: usize = 26_133;
 
 /// Collect every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -69,7 +69,7 @@ fn reference_pass(phase: &Phase, e: &mut Expr, rewalk: bool, fired: &mut Vec<Fir
         for rule in phase.rules() {
             match rule.apply(e.take()) {
                 Ok(next) => {
-                    fired.push((phase.name.clone(), rule.name()));
+                    fired.push((phase.name.to_string(), rule.name()));
                     *e = next;
                     if rewalk && rule.substitutes() {
                         for_each_child_mut(e, &mut |_, c| reference_pass(phase, c, rewalk, fired));
@@ -181,6 +181,22 @@ fn the_standard_pipeline_reaches_a_fixpoint_before_either_bound() {
         assert!(!opt.counts().render_fire_table().contains("bound hit"), "{label}: stopped by a bound, not a fixpoint\n{e}");
         let counted: Vec<_> = opt.counts().rules.into_iter().filter(|r| r.bound_hits > 0).collect();
         assert!(counted.is_empty(), "{label}: {counted:?}");
+    }
+}
+
+#[test]
+fn no_normal_form_keeps_a_let_that_only_renames() {
+    // Code motion hoists a term out of an inner loop into a `let`, and
+    // out of the outer loop again: the inner `let` would then bind a
+    // second name for the outer one's.
+    for (label, written, stored) in &common::corpus_pairs(&data_dir("alias")) {
+        for normal in [engine_run(written).0, engine_run(stored).0] {
+            normal.walk(&mut |n| {
+                if let Expr::Let(x, bound, _) = n {
+                    assert!(!matches!(**bound, Expr::Var(_)), "{label}: `let {x} = {bound}` in\n{normal}");
+                }
+            });
+        }
     }
 }
 

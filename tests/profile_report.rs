@@ -42,7 +42,7 @@ fn profile_of_netcdf_query_shows_io_and_rules() {
     // children, the optimizer's per-phase spans below optimize.
     let t = &report.trace;
     assert!(t.find("statement").is_some());
-    for name in ["resolve", "typecheck", "optimize", "eval", "opt.phase", "opt.pass"] {
+    for name in ["resolve", "typecheck", "optimize", "eval", "opt.phase"] {
         assert!(t.find(name).is_some(), "span `{name}` missing from {t:?}");
     }
     // The optimizer reported work (passes; rule fires per (phase,

@@ -1,4 +1,4 @@
-//! One statement, one account (ROADMAP aim 4). A single profiled
+//! One statement, one account (ROADMAP aim 4). A single
 //! statement over a labelled lazy source — with one injected transient
 //! fault and a cache small enough to evict — must read the *same
 //! numbers* in every view an operator can open:
@@ -11,10 +11,11 @@
 //! * the doctor's dominant source (`diagnose_live_json`);
 //!
 //! and each phase's span duration, ledger entry and journal `Phase`
-//! record must be one number, traced or not; the slow-query log's line
-//! and the incident file read as the statement's `QueryReport` entry
-//! and row, since all are views of one finished-statement record; as
-//! must the two profiles,
+//! record must be one number, as must the statement span's duration,
+//! its record's wall time and `StmtEnd`'s payload; the slow-query log's
+//! line and the incident file read as the statement's `QueryReport`
+//! entry, row and counts, since all are views of one finished-statement
+//! record; a profile is the run's own report; as must the two profiles,
 //! which are folds of those accounts: the flamegraph of the trace
 //! weighs each span path its exact self time, and the flight recorder's
 //! window folds to the ledger's phases under `statement`. Every one of these is fed
@@ -198,17 +199,17 @@ fn one_statement_reads_the_same_in_every_view() {
     let profile = aql_trace::profile::Profile::from_trace(t);
     let mut self_times = std::collections::BTreeMap::new();
     for (i, span) in t.spans.iter().enumerate() {
-        let mut path = span.name.clone();
+        let mut path = span.name.to_string();
         let mut up = span.parent;
         while let Some(p) = up {
             path = format!("{};{path}", t.spans[p].name);
             up = t.spans[p].parent;
         }
-        let in_children: u64 = t.children(i).iter().filter_map(|&c| t.spans[c].dur_ns).sum();
+        let in_children: u64 = t.spans.iter().filter(|c| c.parent == Some(i)).filter_map(|c| c.dur_ns).sum();
         *self_times.entry(path).or_insert(0) += span.dur_ns.expect("closed") - in_children;
     }
     assert_eq!(profile.folded(), &self_times, "flamegraph vs span self times");
-    let roots: u64 = t.roots().iter().filter_map(|&r| t.spans[r].dur_ns).sum();
+    let roots: u64 = t.spans.iter().filter(|s| s.parent.is_none()).filter_map(|s| s.dur_ns).sum();
     assert_eq!(profile.total_ns(), roots, "the stacks sum to the root spans");
     for stack in ["statement", "statement;eval", "statement;eval;cache.load", "parse;lex"] {
         assert!(profile.folded().contains_key(stack), "`{stack}` in {:?}", profile.folded());
@@ -224,23 +225,26 @@ fn one_statement_reads_the_same_in_every_view() {
         ledger.phases.iter().map(|(p, ns)| (format!("statement;{p}"), *ns)).collect();
     assert_eq!(live, under_statement);
 
-    // Untraced, the guard's own clock pair is the one number. The
-    // statement is slow at threshold 0, so it also writes a slow-log
-    // line and a slow incident.
+    // A plain run is the same account: the statement is slow at
+    // threshold 0, so it also writes a slow-log line and a slow
+    // incident.
     let sink = Sink::default();
     let dir = std::env::temp_dir().join(format!("aql-reconcile-{}", std::process::id()));
     s.enable_slow_log(Box::new(sink.clone()), Duration::ZERO);
     s.enable_incidents(&dir);
-    s.run(stmt).expect("untraced");
+    s.run(stmt).expect("a plain run");
     let report = s.last_report();
-    let (stats, ledger) = (&report.statements[0], &report.attribution[0]);
-    let journaled: Vec<(String, u64)> = last_statement_window()
-        .iter()
-        .filter(|r| r.tag == Tag::Phase)
-        .map(|r| (r.label_str(), r.a))
-        .collect();
+    let (stats, ledger, t) = (&report.statements[0], &report.attribution[0], &report.trace);
+    let window = last_statement_window();
+    let journaled: Vec<(String, u64)> =
+        window.iter().filter(|r| r.tag == Tag::Phase).map(|r| (r.label_str(), r.a)).collect();
     assert_eq!(ledger.phases, journaled);
     assert!(ledger.phases.iter().all(|(_, ns)| *ns > 0));
+    for (phase, ns) in &ledger.phases {
+        assert_eq!(t.find(phase).and_then(|span| span.dur_ns), Some(*ns), "span `{phase}` vs ledger");
+    }
+    let statement = t.find("statement").and_then(|span| span.dur_ns).expect("a statement span");
+    assert_eq!(window.last().map(|r| (r.tag, r.b)), Some((Tag::StmtEnd, statement)), "StmtEnd vs span");
 
     // 8. The slow-query log's line is the report's entry and row.
     let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
@@ -260,6 +264,7 @@ fn one_statement_reads_the_same_in_every_view() {
         [stats.steps, stats.subscripts, stats.materialized],
         "slow-log eval"
     );
+    assert_eq!(num(&line, "dur_ns"), statement, "slow-log wall time vs span");
     let phases = line.get("phases").expect("phases");
     assert_eq!(
         ledger.phases.iter().map(|(p, _)| (p.clone(), num(phases, p))).collect::<Vec<_>>(),
@@ -273,5 +278,39 @@ fn one_statement_reads_the_same_in_every_view() {
     assert_eq!(line.get("incident").and_then(Json::as_str), Some(path.display().to_string().as_str()));
     let incident = aql::journal::incident::Incident::load(&path).expect("the incident loads");
     assert_eq!(incident.attribution.as_ref(), Some(ledger), "incident attribution");
+    assert_eq!(incident.dur_ns, statement, "incident wall time vs span");
+
+    // 10. Its counts are the ones `\profile` prints, nonzero, under
+    //     `<group>.<name>`.
+    let mut printed = Vec::new();
+    let rendered = report.render_profile(true);
+    for line in rendered.lines().skip_while(|l| !l.starts_with("stmt 0:")).skip(1) {
+        let (group, fields) = line.trim().split_once(": ").expect("a `group: name=value …` line");
+        for (name, v) in fields.split(' ').filter_map(|f| f.split_once('=')) {
+            let v: u64 = v.parse().expect("a count");
+            if v > 0 {
+                printed.push((format!("{group}.{name}"), v));
+            }
+        }
+    }
+    assert!(printed.contains(&("cache.misses".to_string(), stats.cache.misses)), "{rendered}");
+    assert_eq!(incident.metrics_delta, printed, "incident counts vs \\profile");
     std::fs::remove_dir_all(&dir).ok();
+    s.disable_slow_log();
+    s.disable_incidents();
+
+    // 11. A profile is the run and its report: a plain run records the
+    //     tree `profile` returns, span for span.
+    let shape = |t: &aql::trace::Trace| -> Vec<(&'static str, Option<usize>, Option<String>)> {
+        let note = |s: &aql::trace::SpanRec| s.note.as_ref().map(|(k, v)| format!("{k}={}", &**v));
+        t.spans.iter().map(|s| (s.name, s.parent, note(s))).collect()
+    };
+    let program = "val \\a = [[ i * i | \\i < 10 ]]; a[3]; summap(fn \\x => x)!(gen!20);";
+    s.run(program).expect("a plain run");
+    let ran = s.last_report();
+    let (_, profiled) = s.profile(program).expect("a profile");
+    assert_eq!(shape(&ran.trace), shape(&profiled.trace));
+    assert_eq!(profiled, s.last_report(), "profile returns run's report");
+    let roots: Vec<&str> = ran.trace.spans.iter().filter(|s| s.parent.is_none()).map(|s| s.name).collect();
+    assert_eq!(roots, ["parse", "statement", "statement", "statement"]);
 }

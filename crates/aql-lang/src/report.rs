@@ -322,25 +322,22 @@ pub(crate) struct Sinks {
 
 impl Sinks {
     /// Report a finished statement: an incident dump if it warrants
-    /// one, then a slow-log line if it was slow. `tripped` says whether
-    /// a circuit breaker tripped during it.
-    pub(crate) fn report(&mut self, rec: &StmtRecord, tripped: bool, error: Option<&LangError>) {
-        let incident = self.dump_incident(rec, tripped, error);
+    /// one, then a slow-log line if it was slow.
+    pub(crate) fn report(&mut self, rec: &StmtRecord, error: Option<&LangError>) {
+        let incident = self.dump_incident(rec, error);
         self.log_slow(rec, incident.as_deref());
     }
 
     /// Dump an incident file for `rec`, if the pipeline is on and the
     /// outcome warrants one: errors (with resource exhaustion told
-    /// apart), breaker trips observed during the statement, and
-    /// slow-threshold crossings. Returns the file's path; dump failures
-    /// are swallowed.
-    fn dump_incident(&mut self, rec: &StmtRecord, tripped: bool, error: Option<&LangError>) -> Option<PathBuf> {
+    /// apart) and slow-threshold crossings. Returns the file's path;
+    /// dump failures are swallowed.
+    fn dump_incident(&mut self, rec: &StmtRecord, error: Option<&LangError>) -> Option<PathBuf> {
         let dir = self.incidents.as_ref()?;
         let slow = self.slow_log.as_ref().is_some_and(|l| l.is_slow(rec));
         let kind = match rec.class {
             Some(ErrorClass::ResourceExhausted) => IncidentKind::ResourceExhausted,
             Some(_) => IncidentKind::Error,
-            None if tripped => IncidentKind::BreakerTrip,
             None if slow => IncidentKind::Slow,
             None => return None,
         };

@@ -269,13 +269,13 @@ impl Session {
     }
 
     /// Enable the incident dump pipeline: a statement that errors,
-    /// hits a resource limit, trips a circuit breaker, or crosses the
-    /// slow-query log's threshold (when that log is on) writes one
-    /// self-contained JSON file into `dir` — the flight recorder's
-    /// last 256 events, the statement's attribution ledger and the
-    /// metrics that moved (see `aql_journal::incident` and DESIGN.md
-    /// §14). Dump failures are swallowed — incidents are telemetry,
-    /// never a reason to fail a query.
+    /// hits a resource limit, or crosses the slow-query log's threshold
+    /// (when that log is on) writes one self-contained JSON file into
+    /// `dir` — the flight recorder's last 256 events, the statement's
+    /// attribution ledger and the metrics that moved (see
+    /// `aql_journal::incident` and DESIGN.md §14). Dump failures are
+    /// swallowed — incidents are telemetry, never a reason to fail a
+    /// query.
     pub fn enable_incidents(&mut self, dir: impl Into<std::path::PathBuf>) {
         let dir = dir.into();
         // Keep `GET /incidents` pointed at the same directory.
@@ -458,9 +458,6 @@ impl Session {
         aql_store::governor::reset_peak();
         aql_journal::attr::begin();
         let out = self.exec_inner(stmt);
-        // Breaker trips *during* the statement are the ones its own
-        // row saw: another thread's session trips into its own.
-        let tripped = aql_journal::attr::breaker_trips() > 0;
         let mut attr = aql_journal::attr::finish();
         attr.governor_peak_bytes = aql_store::governor::peak_bytes();
         emit(Event::GovernorPeak { bytes: attr.governor_peak_bytes });
@@ -482,7 +479,7 @@ impl Session {
             emit(Event::StmtUnsound);
         }
         let rec = StmtRecord { kind, seq, hash, dur_ns, class, counts, attr };
-        self.sinks.report(&rec, tripped, out.as_ref().err());
+        self.sinks.report(&rec, out.as_ref().err());
         self.records.push(rec);
         out
     }

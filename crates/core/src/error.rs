@@ -102,10 +102,9 @@ pub enum EvalError {
     /// an ill-typed term was evaluated (e.g. optimizer bug).
     IllTyped(String),
     /// A lazily chunked array failed to load elements from its backing
-    /// store (I/O failure, corrupt chunk data, an open circuit
-    /// breaker): the storage layer's own error, untranslated. Boxed:
-    /// inline, its nested layout slowed the `Ok` path of every
-    /// evaluation step by ≈ 4 % (EXPERIMENTS.md S11).
+    /// store (I/O failure, corrupt chunk data): the storage layer's own
+    /// error, untranslated. Boxed: inline, its nested layout slowed the
+    /// `Ok` path of every evaluation step by ≈ 4 % (EXPERIMENTS.md S11).
     Storage(Box<StoreError>),
     /// An internal invariant of the evaluator was violated (e.g. a
     /// compiled de-Bruijn index outran the environment). Always a bug
@@ -196,9 +195,9 @@ mod tests {
 
     #[test]
     fn a_storage_failure_keeps_its_type_and_names_its_own_class() {
-        let open = StoreError::Unavailable { source: "s".into(), retry_after_ms: 5 };
-        let e = EvalError::from(open.clone());
-        assert_eq!(e, EvalError::Storage(Box::new(open)));
+        let gone = StoreError::io("gone");
+        let e = EvalError::from(gone.clone());
+        assert_eq!(e, EvalError::Storage(Box::new(gone)));
         assert_eq!(e.class(), ErrorClass::Unavailable);
         assert!(!e.to_string().contains("transient"), "{e}");
         // The statement's own limits keep their typed targets.

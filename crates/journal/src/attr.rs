@@ -212,8 +212,6 @@ pub(crate) enum Fold {
     Source(fn(&mut SourceCounts) -> &mut u64),
     /// The wall time of the phase the event's label names.
     Phase,
-    /// The ledger's breaker-trip count.
-    Trips,
     /// The ledger's hyperslab-request count.
     Hyperslabs,
 }
@@ -223,7 +221,6 @@ pub(crate) enum Fold {
 struct OpenLedger {
     sources: Vec<(u16, SourceCounts)>,
     phases: Vec<(u16, u64)>,
-    trips: u64,
     hyperslabs: u64,
 }
 
@@ -243,7 +240,6 @@ impl OpenLedger {
             Fold::None => {}
             Fold::Source(field) => *field(slot(&mut self.sources, label)) += n,
             Fold::Phase => *slot(&mut self.phases, label) += n,
-            Fold::Trips => self.trips += n,
             Fold::Hyperslabs => self.hyperslabs += n,
         }
     }
@@ -280,7 +276,7 @@ impl Ledger {
 thread_local! {
     /// This thread's open row.
     static OPEN: RefCell<OpenLedger> = const {
-        RefCell::new(OpenLedger { sources: Vec::new(), phases: Vec::new(), trips: 0, hyperslabs: 0 })
+        RefCell::new(OpenLedger { sources: Vec::new(), phases: Vec::new(), hyperslabs: 0 })
     };
     /// The sum of this thread's closed rows, all sources in one.
     static CLOSED: Cell<SourceCounts> = Cell::new(SourceCounts::default());
@@ -296,7 +292,6 @@ pub fn begin() {
         CLOSED.set(o.sources.iter().fold(CLOSED.get(), |sum, (_, c)| sum + *c));
         o.sources.clear();
         o.phases.clear();
-        o.trips = 0;
         o.hyperslabs = 0;
     });
 }
@@ -313,14 +308,6 @@ pub(crate) fn add(fold: Fold, label: u16, n: u64) {
 pub fn totals() -> SourceCounts {
     crate::flush_hits((0, 0));
     OPEN.with(|o| o.borrow().sources.iter().fold(CLOSED.get(), |sum, (_, c)| sum + *c))
-}
-
-/// Breaker trips the open row has seen so far (the session reads it
-/// before [`finish`] to decide on a `breaker_trip` incident). Only
-/// this thread's events count — a trip on another thread's session is
-/// that session's.
-pub fn breaker_trips() -> u64 {
-    OPEN.with(|o| o.borrow().trips)
 }
 
 /// Close this thread's row, as [`begin`] does, and return it with
@@ -362,8 +349,6 @@ mod tests {
         }
         emit(Event::Retry { src: a, attempt: 2 });
         emit(Event::Retry { src: a, attempt: 3 });
-        emit(Event::BreakerTrip { src: a });
-        assert_eq!(breaker_trips(), 1);
         let ledger = finish();
         assert_eq!(ledger.sources.len(), 2);
         assert_eq!(ledger.sources[0].0, "t_attr:a");
@@ -371,7 +356,7 @@ mod tests {
         assert_eq!(ledger.sources[0].1.retries, 2);
         assert_eq!(ledger.sources[1].1.hits, 3);
         assert_eq!(ledger.dominant_source().map(|(l, _)| l), Some("t_attr:a"));
-        assert_eq!((breaker_trips(), finish().sources.len()), (0, 0), "finish opens a fresh row");
+        assert_eq!(finish().sources.len(), 0, "finish opens a fresh row");
     }
 
     #[test]

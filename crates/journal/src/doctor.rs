@@ -2,8 +2,8 @@
 //!
 //! Turns a frozen [`Incident`] (or the live flight recorder) into a
 //! plain-language report: what failed, which source was involved, how
-//! the cache behaved, and what the retry/breaker timeline looked like
-//! in the moments before. The analyzer is pure — string in, string
+//! the cache behaved, and what the retry and load-error timeline looked
+//! like in the moments before. The analyzer is pure — string in, string
 //! out — so the REPL command, the `doctor` CLI, and the end-to-end
 //! chaos test all share one implementation.
 
@@ -18,12 +18,12 @@ use crate::{Journal, Tag};
 pub enum FaultClass {
     /// The failed statement's class — or, for a statement that did not
     /// fail, the class whose signature its window carries (a retried
-    /// read, a breaker trip).
+    /// read).
     Error(ErrorClass),
     /// No failure — the statement was just slow.
     SlowQuery,
     /// Nothing to diagnose: no incident, no error, and no fault
-    /// signatures (retries, breaker events, load errors) in the
+    /// signatures (retries, checksum mismatches, load errors) in the
     /// window. A clean session's `\doctor;` lands here.
     Healthy,
     /// Nothing matched (an error dump written before incidents carried
@@ -46,8 +46,7 @@ impl FaultClass {
 /// Classify a report. A failed statement's class is the one its error
 /// value named (`error`, from the incident record or the ring's
 /// `StmtEnd` label); only a statement that did not fail is read off the
-/// event window: a breaker trip, a repaired read, a slow query, or
-/// nothing at all.
+/// event window: a slow query, a repaired read, or nothing at all.
 pub fn classify(
     kind: Option<IncidentKind>,
     error: Option<FaultClass>,
@@ -57,9 +56,6 @@ pub fn classify(
         return class;
     }
     let has = |tags: &[Tag]| events.events.iter().any(|e| tags.contains(&e.tag));
-    if kind == Some(IncidentKind::BreakerTrip) || has(&[Tag::BreakerTrip, Tag::BreakerFastFail]) {
-        return FaultClass::Error(ErrorClass::Unavailable);
-    }
     if kind == Some(IncidentKind::Slow) {
         return FaultClass::SlowQuery;
     }
@@ -86,15 +82,12 @@ fn last_outcome(events: &Journal) -> Option<FaultClass> {
 const FAULT_SIGNATURES: &[Tag] = &[
     Tag::Retry,
     Tag::ChecksumMismatch,
-    Tag::BreakerTrip,
-    Tag::BreakerProbe,
-    Tag::BreakerFastFail,
     Tag::CacheLoadError,
     Tag::SlowQuery,
 ];
 
 /// The source label most implicated in the failure: the label on the
-/// most recent load-error / retry / breaker event, falling back to the
+/// most recent load-error / retry / checksum event, falling back to the
 /// attribution row with the most load errors or retries.
 pub fn failing_source(events: &Journal, attribution: Option<&Ledger>) -> Option<String> {
     let from_events = events
@@ -102,14 +95,7 @@ pub fn failing_source(events: &Journal, attribution: Option<&Ledger>) -> Option<
         .iter()
         .rev()
         .find(|e| {
-            matches!(
-                e.tag,
-                Tag::CacheLoadError
-                    | Tag::Retry
-                    | Tag::ChecksumMismatch
-                    | Tag::BreakerTrip
-                    | Tag::BreakerFastFail
-            ) && e.label != 0
+            matches!(e.tag, Tag::CacheLoadError | Tag::Retry | Tag::ChecksumMismatch) && e.label != 0
         })
         .map(|e| e.label_str());
     if from_events.is_some() {
@@ -128,7 +114,7 @@ fn push_timeline(out: &mut String, events: &Journal) {
     let interesting: Vec<_> =
         events.events.iter().filter(|e| FAULT_SIGNATURES.contains(&e.tag)).collect();
     if interesting.is_empty() {
-        out.push_str("timeline: no retries or breaker events recorded\n");
+        out.push_str("timeline: no retries or load errors recorded\n");
         return;
     }
     out.push_str("timeline:\n");
@@ -139,9 +125,6 @@ fn push_timeline(out: &mut String, events: &Journal) {
         let what = match e.tag {
             Tag::Retry => format!("retry attempt {} on `{label}`", e.a),
             Tag::ChecksumMismatch => format!("checksum MISMATCH on a chunk of `{label}`"),
-            Tag::BreakerTrip => format!("breaker TRIPPED open for `{label}`"),
-            Tag::BreakerProbe => format!("breaker half-open probe on `{label}`"),
-            Tag::BreakerFastFail => format!("fast-fail: breaker open for `{label}`"),
             Tag::CacheLoadError => format!("chunk load error on `{label}`"),
             Tag::SlowQuery => format!("slow-query threshold crossed ({:.1} ms)", e.b as f64 / 1e6),
             _ => continue,
@@ -312,9 +295,8 @@ fn advice_for(class: FaultClass, failed: bool, subject: &str, events: &Journal) 
              or `max_steps`). Raise the limit, or narrow the subslab so less is materialized."
         ),
         FaultClass::Error(Unavailable) => format!(
-            "diagnosis: {subject} is unavailable — its reads fail persistently, or its circuit \
-             breaker opened after repeated failures and calls fast-fail until the cooldown \
-             elapses; check the backing store's health."
+            "diagnosis: {subject} is unavailable — a persistent I/O failure, which retries \
+             cannot clear; check the backing store's health."
         ),
         FaultClass::Error(Deadline) => format!(
             "diagnosis: {subject} exceeded its deadline. Narrow the subslab, raise the limit, \
@@ -344,7 +326,7 @@ fn advice_for(class: FaultClass, failed: bool, subject: &str, events: &Journal) 
              larger cache budget."
         ),
         FaultClass::Healthy => {
-            "diagnosis: nothing wrong — no errors, retries or breaker events recorded. The \
+            "diagnosis: nothing wrong — no errors, retries or load errors recorded. The \
              session is healthy; there is nothing to diagnose."
                 .to_string()
         }
@@ -557,16 +539,18 @@ mod tests {
     }
 
     #[test]
-    fn classifies_breaker_and_limits() {
+    fn classifies_unavailable_and_limits() {
         let l = intern("remote:s3");
-        let trip = incident_with(
-            IncidentKind::BreakerTrip,
-            None,
-            vec![ev(Tag::BreakerTrip, l, 0, 0, 10)],
+        let gone = incident_with(
+            IncidentKind::Error,
+            Some(("storage: storage I/O error: gone", ErrorClass::Unavailable)),
+            vec![ev(Tag::CacheLoadError, l, 1, 0, 10)],
             None,
         );
-        assert!(diagnose(&trip).contains("fault class: unavailable"));
-        assert!(diagnose(&trip).contains("remote:s3"));
+        let report = diagnose(&gone);
+        assert!(report.contains("fault class: unavailable"), "{report}");
+        assert!(report.contains("remote:s3"), "{report}");
+        assert!(report.contains("a persistent I/O failure"), "{report}");
 
         let limit = incident_with(
             IncidentKind::ResourceExhausted,
@@ -642,7 +626,7 @@ mod tests {
         // the error's, and nothing claims a retry read clean bytes.
         let inc = incident_with(
             IncidentKind::Error,
-            Some(("storage: circuit open for `t_doc:flaky`", ErrorClass::Unavailable)),
+            Some(("storage: storage I/O error: gone", ErrorClass::Unavailable)),
             window,
             None,
         );
@@ -702,7 +686,7 @@ mod tests {
     #[test]
     fn clean_session_is_diagnosed_healthy() {
         // A live window with only healthy traffic — cache hits and
-        // warm loads, no retries/breakers/errors — must say "nothing
+        // warm loads, no retries or errors — must say "nothing
         // wrong", not "unrecognized fault".
         let l = intern("nc:clean");
         let journal = Journal {

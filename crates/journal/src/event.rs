@@ -67,12 +67,6 @@ pub enum Event {
     Retry { src: u16, attempt: u64 },
     /// A payload failed checksum verification (the read is retried).
     ChecksumMismatch { src: u16 },
-    /// The source's circuit breaker tripped open.
-    BreakerTrip { src: u16 },
-    /// A half-open probe was admitted.
-    BreakerProbe { src: u16 },
-    /// A call was rejected while the breaker was open.
-    BreakerFastFail { src: u16 },
     /// A statement's governor high-water mark (the gauge keeps the largest).
     GovernorPeak { bytes: u64 },
     /// `n` speculative chunk loads were queued.
@@ -117,9 +111,6 @@ impl Event {
             Event::CacheLoadError { src } => (Kept(Tag::CacheLoadError), src, 1, 0),
             Event::Retry { src, attempt } => (Kept(Tag::Retry), src, attempt, 0),
             Event::ChecksumMismatch { src } => (Kept(Tag::ChecksumMismatch), src, 0, 0),
-            Event::BreakerTrip { src } => (Kept(Tag::BreakerTrip), src, 0, 0),
-            Event::BreakerProbe { src } => (Kept(Tag::BreakerProbe), src, 0, 0),
-            Event::BreakerFastFail { src } => (Kept(Tag::BreakerFastFail), src, 0, 0),
             Event::PrefetchIssued { src, n } => (Kept(Tag::PrefetchIssued), src, n, 0),
             Event::PrefetchWasted { src } => (Kept(Tag::PrefetchWasted), src, 1, 0),
             Event::StmtFailed => (Counted(&SESSION_ERRORS, One), 0, 0, 0),
@@ -334,12 +325,6 @@ quantities! {
         "Chunk reads retried after a retryable failure.").source(|c| &mut c.retries);
     CHECKSUM_MISMATCHES = new("aql_store_checksum_mismatch_total",
         "Chunk payloads rejected because their checksum disagreed with the source's.");
-    BREAKER_TRIPS = new("aql_store_breaker_trips_total",
-        "Circuit breakers tripped open after consecutive source failures.").fold(Fold::Trips);
-    BREAKER_PROBES = new("aql_store_breaker_probes_total",
-        "Half-open probes admitted after a breaker cool-down.");
-    BREAKER_FAST_FAILS = new("aql_store_breaker_fast_fails_total",
-        "Chunk reads rejected without touching the source (breaker open).");
     GOVERNOR_PEAK = gauge("aql_store_governor_peak_bytes",
         "High-water mark of governed chunk-memory bytes.");
     PREFETCH_ISSUED = new("aql_store_prefetch_issued_total",
@@ -409,7 +394,7 @@ const fn kept(tag: Tag, name: &'static str, bumps: &'static [Bump]) -> Row {
 }
 
 /// The kept kinds, in [`Tag`] order (`TABLE[tag - 1]`).
-pub(crate) static TABLE: [Row; 17] = [
+pub(crate) static TABLE: [Row; 14] = [
     kept(Tag::StmtBegin, "stmt_begin", &[(&STATEMENTS, One)]),
     kept(Tag::StmtEnd, "stmt_end", &[(&STATEMENT_NS, B)]),
     kept(Tag::Phase, "phase", &[(&PHASE_NS, A)]),
@@ -419,9 +404,6 @@ pub(crate) static TABLE: [Row; 17] = [
     kept(Tag::CacheEvict, "cache_evict", &[(&EVICTIONS, A)]),
     kept(Tag::CacheLoadError, "cache_load_error", &[(&MISSES, One), (&LOAD_ERRORS, One)]),
     kept(Tag::Retry, "retry", &[(&RETRIES, One)]),
-    kept(Tag::BreakerTrip, "breaker_trip", &[(&BREAKER_TRIPS, One)]),
-    kept(Tag::BreakerProbe, "breaker_probe", &[(&BREAKER_PROBES, One)]),
-    kept(Tag::BreakerFastFail, "breaker_fast_fail", &[(&BREAKER_FAST_FAILS, One)]),
     kept(Tag::PrefetchIssued, "prefetch_issued", &[(&PREFETCH_ISSUED, A)]),
     kept(Tag::PrefetchWasted, "prefetch_wasted", &[(&PREFETCH_WASTED, A)]),
     kept(Tag::SlowQuery, "slow_query", &[(&SLOW_QUERIES, One)]),
@@ -459,9 +441,6 @@ mod tests {
             Event::CacheLoadError { src },
             Event::Retry { src, attempt: 2 },
             Event::ChecksumMismatch { src },
-            Event::BreakerTrip { src },
-            Event::BreakerProbe { src },
-            Event::BreakerFastFail { src },
             Event::GovernorPeak { bytes: 4096 },
             Event::PrefetchIssued { src, n: 3 },
             Event::PrefetchHit,
@@ -514,9 +493,8 @@ mod tests {
         emit(Event::CacheHit { src });
         emit(Event::CacheHit { src });
         emit(Event::CacheMiss { src, bytes: 4096 });
-        emit(Event::BreakerTrip { src });
+        emit(Event::Retry { src, attempt: 2 });
         emit(Event::NetcdfHyperslab);
-        assert_eq!(attr::breaker_trips(), 1);
         let ledger = attr::finish();
         // Metrics: the plain series and the per-source one. `>=`:
         // other tests in this binary emit misses too.
@@ -543,7 +521,7 @@ mod tests {
             snapshot().events.into_iter().filter(|r| r.label == src).collect();
         assert_eq!(
             mine.iter().map(|r| (r.tag, r.a)).collect::<Vec<_>>(),
-            vec![(Tag::CacheHit, 2), (Tag::CacheMiss, 4096), (Tag::BreakerTrip, 0)]
+            vec![(Tag::CacheHit, 2), (Tag::CacheMiss, 4096), (Tag::Retry, 2)]
         );
         assert_eq!(attr::Ledger::fold(&mine).sources, ledger.sources);
     }

@@ -1,10 +1,10 @@
 //! Incident dump pipeline.
 //!
-//! When a statement errs, exhausts its resource budget, trips a
-//! circuit breaker, or crosses the slow-query threshold, the session
-//! freezes the flight recorder's recent window plus the statement's
-//! attribution ledger and counts into one self-contained JSON file. The file carries everything `\doctor`
-//! needs — no live process required.
+//! When a statement errs, exhausts its resource budget, or crosses the
+//! slow-query threshold, the session freezes the flight recorder's
+//! recent window plus the statement's attribution ledger and counts
+//! into one self-contained JSON file. The file carries everything
+//! `\doctor` needs — no live process required.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -28,8 +28,7 @@ pub enum ErrorClass {
     TransientIo,
     /// Bytes that contradict their own metadata or checksum.
     Corruption,
-    /// The source cannot be read: a persistent I/O failure, or its
-    /// circuit breaker is open.
+    /// The source cannot be read: a persistent I/O failure.
     Unavailable,
     /// An element or step budget of the statement's `Limits` was
     /// exhausted.
@@ -82,8 +81,6 @@ pub enum IncidentKind {
     Error,
     /// The statement failed on a resource budget of its `Limits`.
     ResourceExhausted,
-    /// A circuit breaker tripped open during the statement.
-    BreakerTrip,
     /// The statement crossed the slow-query threshold.
     Slow,
 }
@@ -94,7 +91,6 @@ impl IncidentKind {
         match self {
             IncidentKind::Error => "error",
             IncidentKind::ResourceExhausted => "resource_exhausted",
-            IncidentKind::BreakerTrip => "breaker_trip",
             IncidentKind::Slow => "slow",
         }
     }
@@ -102,7 +98,7 @@ impl IncidentKind {
     /// Parse a wire name.
     pub fn from_name(name: &str) -> Option<IncidentKind> {
         use IncidentKind::*;
-        [Error, ResourceExhausted, BreakerTrip, Slow].into_iter().find(|k| k.name() == name)
+        [Error, ResourceExhausted, Slow].into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -198,11 +194,12 @@ impl Incident {
                 "incident: schema_version {version} is newer than supported {SCHEMA_VERSION}"
             ));
         }
-        let kind = j
-            .get("kind")
-            .and_then(Json::as_str)
-            .and_then(IncidentKind::from_name)
-            .ok_or("incident: bad kind")?;
+        let kind = match j.get("kind").and_then(Json::as_str) {
+            // A retired kind, dumped for a statement that did not fail:
+            // an error dump without an error, classified by its window.
+            Some("breaker_trip") => IncidentKind::Error,
+            name => name.and_then(IncidentKind::from_name).ok_or("incident: bad kind")?,
+        };
         let events = match j.get("events") {
             Some(ev) => Journal::from_json_value(ev)?,
             None => Journal::default(),
@@ -339,15 +336,33 @@ mod tests {
 
     #[test]
     fn kinds_round_trip() {
-        for k in [
-            IncidentKind::Error,
-            IncidentKind::ResourceExhausted,
-            IncidentKind::BreakerTrip,
-            IncidentKind::Slow,
-        ] {
+        for k in [IncidentKind::Error, IncidentKind::ResourceExhausted, IncidentKind::Slow] {
             assert_eq!(IncidentKind::from_name(k.name()), Some(k));
         }
         assert_eq!(IncidentKind::from_name("nope"), None);
+    }
+
+    #[test]
+    fn an_incident_of_a_retired_kind_still_loads() {
+        // Written when the ring kept three more kinds and an incident
+        // had one more, for a statement that did not fail: it loads as
+        // an error dump without an error, and without those records.
+        let old = r#"{"schema_version":1,"kind":"breaker_trip","seq":4,
+            "stmt_hash":"00000000deadbeef","stmt_kind":"readval","dur_ns":9000,
+            "error":null,"class":null,
+            "events":[
+              {"t_us":1,"thread":1,"epoch":1,"tag":"retry","label":"t_inc:old","a":2,"b":0},
+              {"t_us":2,"thread":1,"epoch":2,"tag":"breaker_trip","label":"t_inc:old","a":0,"b":0},
+              {"t_us":3,"thread":1,"epoch":3,"tag":"breaker_probe","label":"t_inc:old","a":0,"b":0},
+              {"t_us":4,"thread":1,"epoch":4,"tag":"breaker_fast_fail","label":"t_inc:old","a":0,"b":0},
+              {"t_us":5,"thread":1,"epoch":5,"tag":"cache_load_error","label":"t_inc:old","a":1,"b":0}],
+            "attribution":null,"metrics_delta":{"store.retries":1}}"#;
+        let inc = Incident::from_json(old).expect("an old incident loads");
+        assert_eq!((inc.kind, inc.error, inc.class), (IncidentKind::Error, None, None));
+        let tags: Vec<Tag> = inc.events.events.iter().map(|r| r.tag).collect();
+        assert_eq!(tags, [Tag::Retry, Tag::CacheLoadError]);
+        let bad = old.replace("\"breaker_probe\"", "\"no_such_tag\"");
+        assert!(Incident::from_json(&bad).is_err(), "an unknown tag is still refused");
     }
 
     #[test]

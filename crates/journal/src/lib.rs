@@ -5,8 +5,8 @@
 //! and only when asked, this crate keeps a bounded record of **recent
 //! activity** — near-zero cost, and readable after the fact — and, in
 //! its [`metrics`] module, the *process-lifetime aggregates* and the
-//! HTTP endpoint that serves both. When a statement fails, trips a
-//! breaker, or blows its latency budget, the journal is the black box
+//! HTTP endpoint that serves both. When a statement fails or blows its
+//! latency budget, the journal is the black box
 //! that explains what the engine was doing in the moments before.
 //!
 //! ## Design
@@ -114,27 +114,25 @@ pub enum Tag {
     CacheLoadError = 8,
     /// Chunk read retried: `label` = source, `a` = attempt number.
     Retry = 9,
-    /// Circuit breaker tripped open: `label` = source.
-    BreakerTrip = 10,
-    /// Half-open probe admitted: `label` = source.
-    BreakerProbe = 11,
-    /// Call rejected while the breaker was open: `label` = source.
-    BreakerFastFail = 12,
     /// Speculative loads queued: `label` = source, `a` = count.
-    PrefetchIssued = 13,
+    PrefetchIssued = 10,
     /// Prefetched chunks discarded unconsumed: `label` = source,
     /// `a` = count.
-    PrefetchWasted = 14,
+    PrefetchWasted = 11,
     /// Statement crossed the slow-query threshold: `a` = statement
     /// sequence number, `b` = duration in ns.
-    SlowQuery = 15,
+    SlowQuery = 12,
     /// An incident file was written: `label` = incident kind,
     /// `a` = statement sequence number.
-    Incident = 16,
+    Incident = 13,
     /// A chunk payload failed checksum verification (the read is
     /// retried; see [`Tag::Retry`]): `label` = source.
-    ChecksumMismatch = 17,
+    ChecksumMismatch = 14,
 }
+
+/// Wire names of kinds the ring no longer keeps, which older incident
+/// files still carry: a journal loads without them.
+const RETIRED_TAGS: [&str; 3] = ["breaker_trip", "breaker_probe", "breaker_fast_fail"];
 
 impl Tag {
     /// The tag's stable wire/JSON name.
@@ -471,11 +469,11 @@ impl Journal {
         let items = j.as_arr().ok_or("journal: expected an event array")?;
         let mut events = Vec::with_capacity(items.len());
         for it in items {
-            let tag = it
-                .get("tag")
-                .and_then(Json::as_str)
-                .and_then(Tag::from_name)
-                .ok_or("journal event: bad tag")?;
+            let name = it.get("tag").and_then(Json::as_str);
+            if name.is_some_and(|n| RETIRED_TAGS.contains(&n)) {
+                continue;
+            }
+            let tag = name.and_then(Tag::from_name).ok_or("journal event: bad tag")?;
             let label = intern(it.get("label").and_then(Json::as_str).unwrap_or(""));
             let num = |k: &str| it.get(k).and_then(Json::as_u64).unwrap_or(0);
             events.push(Record {
@@ -537,20 +535,20 @@ mod tests {
 
     #[test]
     fn tags_round_trip_through_names_and_bytes() {
-        for v in 1..=17u8 {
+        for v in 1..=14u8 {
             let t = Tag::from_u8(v).expect("dense tag space");
             assert_eq!(t as u8, v);
             assert_eq!(Tag::from_name(t.name()), Some(t));
         }
         assert_eq!(Tag::from_u8(0), None);
-        assert_eq!(Tag::from_u8(18), None);
+        assert_eq!(Tag::from_u8(15), None);
         assert_eq!(Tag::from_name("nope"), None);
         // Numbers are dense in `TABLE` order; names are stable.
         assert_eq!((Tag::StmtBegin as u8, Tag::StmtBegin.name()), (1, "stmt_begin"));
         assert_eq!((Tag::Retry as u8, Tag::Retry.name()), (9, "retry"));
-        assert_eq!((Tag::Incident as u8, Tag::Incident.name()), (16, "incident"));
+        assert_eq!((Tag::Incident as u8, Tag::Incident.name()), (13, "incident"));
         let last = Tag::ChecksumMismatch;
-        assert_eq!((last as u8, last.name()), (17, "checksum_mismatch"));
+        assert_eq!((last as u8, last.name()), (14, "checksum_mismatch"));
     }
 
     #[test]
@@ -585,7 +583,7 @@ mod tests {
             emit(Event::CacheHit { src: l1 });
         }
         emit(Event::CacheHit { src: l2 }); // different source flushes the l1 run
-        emit(Event::BreakerTrip { src: l1 }); // flushes the l2 run
+        emit(Event::Retry { src: l1, attempt: 2 }); // flushes the l2 run
         let j = snapshot();
         let h1: Vec<&Record> =
             j.events.iter().filter(|e| e.tag == Tag::CacheHit && e.label == l1).collect();

@@ -4,10 +4,12 @@
 //! `stats_json` distills the full registry [`snapshot`](super::snapshot)
 //! into the handful of numbers an operator watches: statement latency
 //! quantiles, statement/error totals, cache hit ratio, the governor's
-//! peak residency, journal drops, and per-source breaker counters. Keys are
-//! stable — dashboards and scrapers may depend on them. The statement
-//! *rate* is deliberately absent: it is a derivative, and the page
-//! computes it client-side from successive `statements_total` readings.
+//! peak residency and journal drops. Keys are stable — dashboards and
+//! scrapers may depend on them (version 3 dropped a per-source array of
+//! fail-fast counters with the store layer that kept them). The
+//! statement *rate* is deliberately absent: it is a derivative, and the
+//! page computes it client-side from successive `statements_total`
+//! readings.
 //!
 //! The HTML page is a single self-contained document (inline CSS and
 //! JS, no external assets, no frameworks) that polls `stats.json` every
@@ -27,11 +29,6 @@ impl Snap {
             .map(|i| self.0[i].1)
             .unwrap_or(0)
     }
-
-    /// The series of `family` labelled `source=src`.
-    fn of_source(&self, family: &str, src: &str) -> u64 {
-        self.get(&super::series_key(family, &[("source", src)]))
-    }
 }
 
 /// `part / whole` to four decimals (0 of an empty whole).
@@ -46,26 +43,9 @@ pub(crate) fn stats_json(uptime_s: u64) -> String {
     let total = |family: &str| num(super::family_total(family));
     let hits = super::family_total("aql_store_cache_hits_total");
     let misses = super::family_total("aql_store_cache_misses_total");
-    // The label values as registered, not as a series key spells them:
-    // a key escapes its values its own way.
-    let breakers = super::label_values("aql_store_breaker_trips_total", "source")
-        .into_iter()
-        .map(|src| {
-            let of = |family: &str| num(snap.of_source(family, &src));
-            let trips = of("aql_store_breaker_trips_total");
-            let probes = of("aql_store_breaker_probes_total");
-            let fast_fails = of("aql_store_breaker_fast_fails_total");
-            obj(vec![
-                ("source", Json::Str(src)),
-                ("trips", trips),
-                ("probes", probes),
-                ("fast_fails", fast_fails),
-            ])
-        })
-        .collect();
     let latency = |q: &str| num(snap.get(&format!("aql_session_statement_ns_{q}")));
     json_line(obj(vec![
-        ("schema_version", num(2)),
+        ("schema_version", num(3)),
         ("uptime_s", num(uptime_s)),
         ("statements_total", total("aql_session_statements_total")),
         ("errors_total", total("aql_session_errors_total")),
@@ -84,7 +64,6 @@ pub(crate) fn stats_json(uptime_s: u64) -> String {
         ),
         ("governor", obj(vec![("peak_bytes", num(snap.get("aql_store_governor_peak_bytes")))])),
         ("journal_dropped_total", total("aql_journal_dropped_total")),
-        ("breakers", Json::Arr(breakers)),
     ]))
 }
 
@@ -124,8 +103,6 @@ pub(crate) const DASHBOARD_HTML: &str = r#"<!doctype html>
 <th>governor peak</th></tr>
 <tr><td id="hits">–</td><td id="misses">–</td><td id="ratio">–</td>
 <td id="peak">–</td></tr></table>
-<h2>circuit breakers</h2>
-<table id="breakers"><tr><th>source</th><th>trips</th><th>probes</th><th>fast fails</th></tr></table>
 <h2>profile</h2>
 <p><button id="prof">last 1 s</button> of the flight recorder, folded into <code>stack ns</code> lines</p>
 <pre id="folded">(press the button while queries run)</pre>
@@ -164,14 +141,6 @@ function tick() {
     put("misses", s.cache.misses);
     put("ratio", (100 * s.cache.hit_ratio).toFixed(1) + "%");
     put("peak", s.governor.peak_bytes + " B");
-    var tbl = document.getElementById("breakers");
-    while (tbl.rows.length > 1) tbl.deleteRow(1);
-    s.breakers.forEach(function (b) {
-      var row = tbl.insertRow();
-      [b.source, b.trips, b.probes, b.fast_fails].forEach(function (v) {
-        row.insertCell().textContent = v;
-      });
-    });
   }).catch(function (e) { put("err", " — " + e); });
 }
 document.getElementById("prof").addEventListener("click", function () {
@@ -192,15 +161,9 @@ mod tests {
 
     #[test]
     fn stats_json_has_stable_keys_and_balances() {
-        crate::metrics::counter_with(
-            "aql_store_breaker_trips_total",
-            &[("source", "t-dash-src")],
-            "t",
-        )
-        .add(2);
         let body = stats_json(7);
         for key in [
-            "\"schema_version\":2",
+            "\"schema_version\":3",
             "\"uptime_s\":7",
             "\"statements_total\":",
             "\"errors_total\":",
@@ -213,19 +176,9 @@ mod tests {
             "\"hit_ratio\":",
             "\"governor\":{\"peak_bytes\":",
             "\"journal_dropped_total\":",
-            "\"breakers\":[",
         ] {
             assert!(body.contains(key), "missing {key} in {body}");
         }
-        // The labeled breaker series shows up under its source label.
-        assert!(body.contains("\"source\":\"t-dash-src\""), "{body}");
-        assert!(body.contains("\"trips\":2"), "{body}");
-        // …escaped once, as JSON: not as the series key spells it.
-        let label = "t-dash \"q\" \\ \n \u{1} é";
-        crate::metrics::counter_with("aql_store_breaker_trips_total", &[("source", label)], "t").add(3);
-        let body = stats_json(7);
-        let json = r#""source":"t-dash \"q\" \\ \n \u0001 é","trips":3,"#;
-        assert!(body.contains(json), "{body}");
     }
 
     #[test]

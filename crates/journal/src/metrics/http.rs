@@ -7,8 +7,7 @@
 //!   external assets) polling `/stats.json`;
 //! * `GET /stats.json` — the operator's digest: latency quantiles,
 //!   statement and error totals, cache hit ratio, the governor's peak,
-//!   journal drops, breaker counters (stable keys; see the
-//!   `dashboard` module docs);
+//!   journal drops (stable keys; see the `dashboard` module docs);
 //! * `GET /metrics` — [`render_prometheus`](super::render_prometheus)
 //!   exposition;
 //! * `GET /healthz` — a JSON liveness probe: status, uptime, and the
@@ -356,7 +355,7 @@ mod tests {
         let stats = fetch(server.addr(), "/stats.json");
         assert!(stats.starts_with("HTTP/1.1 200 OK\r\n"), "{stats}");
         let body = stats.split("\r\n\r\n").nth(1).expect("body");
-        assert!(body.starts_with("{\"schema_version\":2,"), "{body}");
+        assert!(body.starts_with("{\"schema_version\":3,"), "{body}");
         assert!(body.contains("\"latency_ns\":{"), "{body}");
         server.stop();
     }

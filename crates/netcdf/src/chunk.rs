@@ -102,7 +102,7 @@ mod tests {
     use std::cell::Cell;
     use std::rc::Rc;
 
-    use aql_store::{BreakerState, FaultClass, ResiliencePolicy, ResilientSource};
+    use aql_store::{FaultClass, ResiliencePolicy, ResilientSource};
 
     use crate::format::{NcType, VERSION_CLASSIC};
     use crate::model::NcFile;
@@ -174,18 +174,19 @@ mod tests {
             "netcdf:v",
             ResiliencePolicy::default(),
         );
+        aql_journal::attr::begin();
         let buf = src.read_chunk(&[2, 0], &[1, 4]).unwrap();
+        let row = aql_journal::attr::finish();
         assert_eq!(buf, ScalarBuf::F64(vec![8.0, 9.0, 10.0, 11.0]));
-        assert_eq!((opens.get(), src.retries()), (2, 1));
+        assert_eq!((opens.get(), row.sources[0].1.retries), (2, 1));
     }
 
     #[test]
     fn a_source_that_keeps_failing_is_opened_once_per_attempt() {
-        // `attempts: 3` is three opens, every failed read is one retry
-        // event or the final error, and every failed read is one step
-        // of the breaker's streak: threshold 5 trips on the fifth read,
-        // in the second call. (A retry loop in this crate, under the
-        // store's, would multiply all three.)
+        // `attempts: 3` is three opens, and every failed read is one
+        // retry event or the final error; a second call spends its own
+        // three. (A retry loop in this crate, under the store's, would
+        // multiply both.)
         let opens = Rc::new(Cell::new(0));
         let mut src = ResilientSource::new(
             flaky_source(u32::MAX, Rc::clone(&opens)),
@@ -197,12 +198,10 @@ mod tests {
         let row = aql_journal::attr::finish();
         assert!(matches!(err, StoreError::Io { transient: true, .. }), "{err}");
         assert_eq!(opens.get(), 3);
-        assert_eq!((row.sources[0].1.retries, src.retries()), (2, 2));
+        assert_eq!(row.sources[0].1.retries, 2);
         assert_eq!(row.hyperslab_requests, 3, "one request an attempt");
-        assert_eq!(src.breaker().unwrap().state(), BreakerState::Closed);
         assert!(src.read_chunk(&[0, 0], &[1, 4]).is_err());
-        assert_eq!(opens.get(), 5, "the trip ends the second call's loop");
-        assert_eq!(src.breaker().unwrap().state(), BreakerState::Open);
+        assert_eq!(opens.get(), 6, "each call spends its own attempts");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!
 //! Nothing below the chunk source retries. A bound array's chunk reads
 //! go through the `aql-store` resilience stack ([`ResilientSource`]:
-//! the one retry loop, interruptible backoff, the breaker); the one
+//! the interrupt check, the one retry loop with interruptible backoff,
+//! checksum verification); the one
 //! header read a bind makes is tried again on the same [`RetryPolicy`].
 //! An I/O or corruption failure met while binding is the same typed
 //! storage error a subscript would report for it.
@@ -79,9 +80,9 @@ pub use aql_store::{DEFAULT_CACHE_BUDGET, DEFAULT_CHUNK_ELEMS};
 /// [`SlabReader::read_slab`] over the same box.)
 ///
 /// The chunk source is wrapped in the `aql-store`
-/// resilience stack by default ([`ResilientSource`]: retry with
-/// jittered backoff, a per-source circuit breaker labelled
-/// `netcdf:{variable}`, checksum verification when available); set
+/// resilience stack by default ([`ResilientSource`] labelled
+/// `netcdf:{variable}`: an interrupt check, retry with jittered
+/// backoff, checksum verification when available); set
 /// [`resilience`](NetcdfSlabReader::resilience) to `None` to bind the
 /// raw source. [`bind`](NetcdfSlabReader::bind) is the same binding
 /// with a wrapper around the raw source, inside the stack.

@@ -2,15 +2,11 @@
 //!
 //! Every failure the chunked storage layer can produce is classified
 //! along one axis the resilience machinery cares about: **retryable**
-//! (worth trying again, now or after a cool-down) versus **fatal**
-//! (retrying cannot help; the statement must fail). The
-//! classification drives three layers:
+//! (worth trying again) versus **fatal** (retrying cannot help; the
+//! statement must fail). The classification drives two layers:
 //!
 //! * the per-source retry loop ([`crate::ResilientSource`]) retries
 //!   only [`FaultClass::Retryable`] errors;
-//! * the circuit breaker counts both classes of *source* failure
-//!   toward tripping but fast-fails with the retryable
-//!   [`StoreError::Unavailable`];
 //! * the evaluator maps each variant onto its own `EvalError`
 //!   (storage failure, resource exhaustion, deadline, cancellation)
 //!   so a session can report — and survive — any of them.
@@ -22,7 +18,7 @@ pub use aql_journal::ErrorClass;
 /// The retry classification of a storage failure (DESIGN.md §12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
-    /// A retry (possibly after a cool-down) may succeed.
+    /// A retry may succeed.
     Retryable,
     /// Retrying cannot help; the operation must fail.
     Fatal,
@@ -78,15 +74,6 @@ pub enum StoreError {
     /// A request whose shape does not fit the layout (rank mismatch,
     /// out-of-bounds slab, zero chunk extent).
     Shape(String),
-    /// The source's circuit breaker is open: the call failed fast
-    /// without touching the source. Retrying after `retry_after_ms`
-    /// will probe the source again.
-    Unavailable {
-        /// The breaker's source label (e.g. `netcdf:temp`).
-        source: String,
-        /// Milliseconds until the breaker will admit a probe.
-        retry_after_ms: u64,
-    },
     /// A cooperative interrupt (deadline or cancellation) observed
     /// during a chunk-load wait.
     Interrupted(Interrupt),
@@ -103,13 +90,12 @@ impl StoreError {
     /// | `Corrupt`       | fatal      | surfaced only after retries       |
     /// | `ChecksumMismatch` | retryable | the read path may be flaky       |
     /// | `Shape`         | fatal      | the request itself is wrong       |
-    /// | `Unavailable`   | retryable  | after the breaker cool-down       |
     /// | `Interrupted`   | fatal      | the statement's limits fired      |
     pub fn class(&self) -> FaultClass {
         match self {
-            StoreError::Io { transient: true, .. }
-            | StoreError::ChecksumMismatch { .. }
-            | StoreError::Unavailable { .. } => FaultClass::Retryable,
+            StoreError::Io { transient: true, .. } | StoreError::ChecksumMismatch { .. } => {
+                FaultClass::Retryable
+            }
             StoreError::Io { transient: false, .. }
             | StoreError::Corrupt(_)
             | StoreError::Shape(_)
@@ -122,11 +108,8 @@ impl StoreError {
     pub fn error_class(&self) -> ErrorClass {
         match self {
             StoreError::Io { transient: true, .. } => ErrorClass::TransientIo,
-            // A read that will not succeed on retry and an open breaker
-            // are the same thing to the statement: no bytes to be had.
-            StoreError::Io { transient: false, .. } | StoreError::Unavailable { .. } => {
-                ErrorClass::Unavailable
-            }
+            // A read that will not succeed on retry: no bytes to be had.
+            StoreError::Io { transient: false, .. } => ErrorClass::Unavailable,
             StoreError::Corrupt(_) | StoreError::ChecksumMismatch { .. } => ErrorClass::Corruption,
             StoreError::Shape(_) => ErrorClass::Error,
             StoreError::Interrupted(Interrupt::Deadline) => ErrorClass::Deadline,
@@ -152,11 +135,6 @@ impl fmt::Display for StoreError {
                 "chunk checksum mismatch: payload {got:#018x}, source says {want:#018x}"
             ),
             StoreError::Shape(m) => write!(f, "storage shape error: {m}"),
-            StoreError::Unavailable { source, retry_after_ms } => write!(
-                f,
-                "chunk source `{source}` unavailable: circuit breaker open, \
-                 retry in {retry_after_ms}ms"
-            ),
             StoreError::Interrupted(i) => write!(f, "chunk load interrupted: {i}"),
         }
     }
@@ -173,14 +151,12 @@ mod tests {
         use ErrorClass::*;
         use FaultClass::{Fatal, Retryable};
         let transient = StoreError::Io { message: "t".into(), transient: true };
-        let open = StoreError::Unavailable { source: "x".into(), retry_after_ms: 5 };
         let cases = [
             (transient, Retryable, TransientIo),
             (StoreError::io("p"), Fatal, Unavailable),
             (StoreError::Corrupt("c".into()), Fatal, Corruption),
             (StoreError::ChecksumMismatch { got: 1, want: 2 }, Retryable, Corruption),
             (StoreError::Shape("s".into()), Fatal, Error),
-            (open, Retryable, Unavailable),
             (StoreError::Interrupted(Interrupt::Deadline), Fatal, Deadline),
             (StoreError::Interrupted(Interrupt::Cancelled), Fatal, Cancelled),
         ];

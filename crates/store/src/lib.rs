@@ -29,9 +29,9 @@
 //!
 //! * [`error::FaultClass`] — the retryable/fatal failure taxonomy
 //!   every [`StoreError`] classifies into;
-//! * [`ResilientSource`] — retry with jittered backoff, a per-source
-//!   circuit breaker ([`CircuitBreaker`]), and checksum verification
-//!   wrapped around any [`ChunkSource`];
+//! * [`ResilientSource`] — an interrupt check, retry with jittered
+//!   backoff, and checksum verification wrapped around any
+//!   [`ChunkSource`];
 //! * [`governor`] — a process-wide byte ledger that counts what cache
 //!   residency and warm pools hold;
 //! * [`interrupt`] — cooperative deadline/cancellation hooks polled on
@@ -67,8 +67,6 @@ pub use lazy::{LazyArray, DEFAULT_CACHE_BUDGET};
 pub use mem::{MemChunkSource, MEM_SOURCE_LABEL};
 pub use prefetch::{PrefetchConfig, PrefetchStats, Prefetcher};
 pub use remote::RemoteChunkSource;
-pub use resilient::{
-    BreakerPolicy, BreakerState, CircuitBreaker, ResiliencePolicy, ResilientSource, RetryPolicy,
-};
+pub use resilient::{ResiliencePolicy, ResilientSource, RetryPolicy};
 pub use source::ChunkSource;
 pub use stats::CacheStats;

@@ -173,7 +173,6 @@ fn retries_load_errors_and_warm_handovers_are_sums_of_the_row_too() {
             max: Duration::ZERO,
             jitter: 0.0,
         },
-        breaker: None,
     };
     let flaky = FaultyChunkSource::new(MemChunkSource::new(vec![32], data()).unwrap(), plan);
     let src = ResilientSource::new(flaky, FAULTY, policy);
@@ -201,7 +200,7 @@ fn retries_load_errors_and_warm_handovers_are_sums_of_the_row_too() {
     assert_eq!(a.prefetch_stats().map(|p| p.hits), Some(1));
 }
 
-/// The happy path of `ResiliencePolicy::default()` (retry, breaker,
+/// The happy path of `ResiliencePolicy::default()` (interrupt check, retry,
 /// checksum verification): a scan touching M chunks reads the inner
 /// source exactly M times and emits no resilience event, and a second
 /// pass — all hits — never reaches the stack at all.
@@ -230,7 +229,7 @@ fn the_default_resilience_stack_is_one_read_per_miss_and_silent() {
         .iter()
         .filter(|e| e.label == id && !matches!(e.tag, Tag::CacheMiss | Tag::CacheHit))
         .collect();
-    assert!(noise.is_empty(), "no fault: no retry, breaker or checksum record, got {noise:?}");
+    assert!(noise.is_empty(), "no fault: no retry or checksum record, got {noise:?}");
 }
 
 /// A read between statements — as `Session::eval_expr_raw` and the

@@ -11,7 +11,7 @@
 //!
 //! With a file or directory argument the tool loads the incident and
 //! prints the same report the REPL's `\doctor;` renders: dominant cost
-//! source, cache behavior, retry/breaker timeline, fault class, and a
+//! source, cache behavior, retry and load-error timeline, fault class, and a
 //! plain-language diagnosis.
 //!
 //! `--json` (which may precede any of the other forms) switches the

@@ -254,9 +254,8 @@ fn one_chunk_file(elems: u64, codec: u8, payload: &[u8]) -> Vec<u8> {
 }
 
 /// `readval` the file and subscript it in a session: the statement must
-/// fail as a storage failure (binding already probes the chunk, so by
-/// the subscript the source's breaker may be what answers), and the
-/// session must go on.
+/// fail as a storage failure (binding already probes the chunk, and
+/// the subscript reads it again), and the session must go on.
 fn assert_session_survives(bytes: &[u8], tag: &str) {
     let dir = std::env::temp_dir().join(format!("aql-aqfhostile-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmpdir");

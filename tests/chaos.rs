@@ -5,12 +5,12 @@
 //!
 //! * **zero panics** — any panic fails the test outright;
 //! * **classified errors** — every surfaced failure is one of the
-//!   taxonomy's variants (storage I/O, corruption, unavailability,
-//!   deadline, cancellation), never an internal error;
+//!   taxonomy's variants (storage I/O, corruption, deadline,
+//!   cancellation), never an internal error;
 //! * **no cache poisoning** — a value served `Ok` always equals the
 //!   fault-free ground truth, even right after corruption faults;
-//! * **breaker recovery** — once the fault schedule clears, reads
-//!   succeed again (the breaker closes via half-open probes);
+//! * **recovery** — once the fault schedule clears, the first clean
+//!   read serves: no state of a failed read outlives it;
 //! * **session survival** — a statement killed by an exhausted
 //!   `Limits` budget (class `resource-exhausted`), or by any fault,
 //!   leaves the session able to answer the next one.
@@ -39,7 +39,7 @@ use aql_netcdf::driver::{register_netcdf, NetcdfSlabReader};
 use aql_store::fault::{splitmix64, unit};
 use aql_journal::ErrorClass;
 use aql_store::{
-    BreakerPolicy, ChunkLayout, ChunkSource, Fault, FaultyChunkSource, LazyArray,
+    ChunkLayout, ChunkSource, Fault, FaultyChunkSource, LazyArray,
     MemChunkSource, ResiliencePolicy, ResilientSource, RetryPolicy, Scalar, ScalarBuf, ScalarKind,
     StoreError,
 };
@@ -178,10 +178,7 @@ fn the_seeded_draws_are_the_pinned_table() {
 
 /// The full store-level chaos run for one seed.
 fn store_chaos_run(seed: u64) {
-    let policy = ResiliencePolicy {
-        retry: fast_retry(),
-        breaker: Some(BreakerPolicy { threshold: 4, cooldown: Duration::ZERO }),
-    };
+    let policy = ResiliencePolicy { retry: fast_retry() };
     let source = ResilientSource::new(
         FaultyChunkSource::new(IotaSource, seeded(seed, STORE)),
         format!("chaos:iota:{seed}"),
@@ -204,9 +201,7 @@ fn store_chaos_run(seed: u64) {
             Ok(other) => panic!("seed {seed}: in-bounds probe returned {other:?}"),
             // Classified-or-bust: shape errors or internal weirdness
             // would fall through to the panic arm.
-            Err(
-                StoreError::Io { .. } | StoreError::Corrupt(_) | StoreError::Unavailable { .. },
-            ) => errors += 1,
+            Err(StoreError::Io { .. } | StoreError::Corrupt(_)) => errors += 1,
             Err(other) => panic!("seed {seed}: unclassified failure {other}"),
         }
     }
@@ -217,8 +212,7 @@ fn store_chaos_run(seed: u64) {
 
     // Recovery: the schedule clears at op 600; every sweep advances the
     // op counter (≥12 misses per sweep with a 4-chunk cache), so a
-    // bounded number of sweeps reaches the fault-free regime and the
-    // breaker closes through its half-open probes.
+    // bounded number of sweeps reaches the fault-free regime.
     let mut clean = false;
     'sweeps: for _ in 0..100 {
         for i in 0..32 {
@@ -286,10 +280,8 @@ fn bind_chaos(s: &mut Session, p: &str, reader: impl Reader + 'static) {
 fn session_chaos_run(seed: u64) {
     let (mut s, p, dir) = netcdf_session("rand");
     let mut reader = ScheduledNetcdf::new(2, seeded(seed, SESSION));
-    reader.stock.resilience = Some(ResiliencePolicy {
-        retry: RetryPolicy { attempts: 2, ..fast_retry() },
-        breaker: Some(BreakerPolicy { threshold: 3, cooldown: Duration::ZERO }),
-    });
+    reader.stock.resilience =
+        Some(ResiliencePolicy { retry: RetryPolicy { attempts: 2, ..fast_retry() } });
     // Cache budget below the single 12.8 KB chunk is still fine (an
     // oversized chunk stays resident); what matters is that failed
     // loads are never cached, so every failing statement re-drives the
@@ -341,41 +333,23 @@ fn session_chaos_survives_and_answers_exactly() {
 }
 
 #[test]
-fn breaker_trips_and_recovers_through_the_session() {
+fn an_outage_ends_at_the_first_clean_read() {
     let _g = lock();
-    let (mut s, p, dir) = netcdf_session("breaker");
-    // Every chunk read fails until op 10, then the outage clears.
+    let (mut s, p, dir) = netcdf_session("outage");
+    // Every chunk read fails until op 10, then the outage clears. The
+    // bind's preview spends op 0; each statement after it one read.
     let mut reader = ScheduledNetcdf::new(2, |op, _| (op < 10).then_some(Fault::Transient));
-    reader.stock.resilience = Some(ResiliencePolicy {
-        retry: RetryPolicy { attempts: 1, ..fast_retry() },
-        breaker: Some(BreakerPolicy { threshold: 3, cooldown: Duration::ZERO }),
-    });
+    reader.stock.resilience =
+        Some(ResiliencePolicy { retry: RetryPolicy { attempts: 1, ..fast_retry() } });
     bind_chaos(&mut s, &p, reader);
 
-    let trips_before = aql::metrics::family_total("aql_store_breaker_trips_total");
-    let probes_before = aql::metrics::family_total("aql_store_breaker_probes_total");
-    let mut failures = 0u64;
-    let mut recovered = None;
-    for _ in 0..30 {
-        match s.eval_query("T[1, 1]") {
-            Ok((_, v)) => {
-                recovered = Some(v);
-                break;
-            }
-            Err(LangError::Eval(EvalError::Storage { .. })) => failures += 1,
-            Err(other) => panic!("unclassified error: {other}"),
-        }
+    for op in 1..10 {
+        let err = s.eval_query("T[1, 1]").expect_err("the schedule still faults");
+        assert_eq!(err.class(), ErrorClass::TransientIo, "op {op}: {err}");
     }
-    assert_eq!(recovered, Some(Value::Real(8.0)), "no recovery");
-    assert!(failures >= 3, "outage too short to trip anything");
-    assert!(
-        aql::metrics::family_total("aql_store_breaker_trips_total") > trips_before,
-        "breaker never tripped"
-    );
-    assert!(
-        aql::metrics::family_total("aql_store_breaker_probes_total") > probes_before,
-        "breaker never probed (recovery path untested)"
-    );
+    // Op 10 is the first clean read, and it serves.
+    let (_, v) = s.eval_query("T[1, 1]").expect("the outage has ended");
+    assert_eq!(v, Value::Real(8.0));
     // Recovered for good: the chunk is cached, statements keep
     // answering.
     let (_, v) = s.eval_query("T[3, 4]").unwrap();
@@ -430,7 +404,6 @@ fn injected_latency_cannot_outlive_the_deadline() {
     });
     reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 1, ..fast_retry() },
-        breaker: None,
     });
     bind_chaos(&mut s, &p, reader);
 
@@ -468,7 +441,6 @@ fn chaos_incident_is_dumped_and_doctor_names_the_fault() {
     let mut reader = ScheduledNetcdf::new(2, |_, _| Some(Fault::Transient));
     reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 2, ..fast_retry() },
-        breaker: None,
     });
     bind_chaos(&mut s, &p, reader);
 
@@ -526,7 +498,6 @@ fn preset_cancellation_stops_the_chunk_load() {
     let mut reader = ScheduledNetcdf::new(2, |op, _| (op == 0).then_some(Fault::Transient));
     reader.stock.resilience = Some(ResiliencePolicy {
         retry: RetryPolicy { attempts: 1, ..fast_retry() },
-        breaker: None,
     });
     bind_chaos(&mut s, &p, reader);
     let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));

@@ -15,7 +15,7 @@
 
 #![allow(dead_code)] // every includer uses its own part
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::path::Path;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -468,6 +468,8 @@ pub struct FaultyReader {
     pub stage: Stage,
     /// Raised by [`Fault::Cancel`]; the session's `limits.cancel`.
     pub cancel: Arc<AtomicBool>,
+    /// Source reads of the faulty chunk so far, every attempt counted.
+    pub calls: Rc<Cell<u64>>,
 }
 
 impl FaultyReader {
@@ -479,7 +481,8 @@ impl FaultyReader {
             aql::format::write_array(path, &cells, true, FAULT_AXIS_CHUNK).expect("write axis.aqf");
         }
         let cancel = Arc::new(AtomicBool::new(false));
-        FaultyReader { dir: dir.to_path_buf(), fault, stage, cancel }
+        let calls = Rc::new(Cell::new(0));
+        FaultyReader { dir: dir.to_path_buf(), fault, stage, cancel, calls }
     }
 
     fn cells() -> Vec<f64> {
@@ -491,14 +494,14 @@ impl FaultyReader {
     fn schedule(&self) -> impl FnMut(u64, &[u64]) -> Option<fault::Fault> {
         let (at, row) = (self.stage as u64 * FAULT_AXIS_CHUNK, self.fault);
         let cancel = Arc::clone(&self.cancel);
-        let mut reads = 0;
+        let calls = Rc::clone(&self.calls);
         move |_, start| {
             if start[0] != at {
                 return None;
             }
-            reads += 1;
+            calls.set(calls.get() + 1);
             match row {
-                Fault::TransientOnce => (reads == 1).then_some(fault::Fault::Transient),
+                Fault::TransientOnce => (calls.get() == 1).then_some(fault::Fault::Transient),
                 Fault::TransientForever => Some(fault::Fault::Transient),
                 Fault::PersistentIo => Some(fault::Fault::Persistent),
                 Fault::Corruption => Some(fault::Fault::Corrupt),

@@ -32,7 +32,7 @@ fn doctor_on_a_clean_session_reports_healthy() {
     assert!(text.contains("nothing wrong"), "{text}");
     assert!(text.contains("nothing to diagnose"), "{text}");
     assert!(
-        text.contains("timeline: no retries or breaker events recorded"),
+        text.contains("timeline: no retries or load errors recorded"),
         "{text}"
     );
     // None of the failure-mode advice leaks into a healthy report.

@@ -18,6 +18,12 @@
 //! is an unbound variable, not an exhausted budget); the class is the
 //! error value's.
 //!
+//! **The cost.** No state outlives a failed read: in the persistent,
+//! transient and corrupt cells of NetCDF and AQF, each failed load is
+//! one source read (persistent) or the retry budget's (otherwise), and
+//! a kernel statement whose window read escapes loads the chunk at most
+//! twice.
+//!
 //! Its own binary, serialized on [`PROCESS`]: the flight recorder is
 //! process state.
 
@@ -280,19 +286,94 @@ fn one_flipped_byte_of_an_aqf_file_is_corruption_wherever_it_is_met() {
         assert!(report.contains("fault class: corruption\n"), "{region}: {report}");
     }
 
-    // Under the default echo the preview alone fails the first chunk
-    // often enough to open the source's breaker, which is then what
-    // answers the subscript: unavailable — and not "(transient)".
+    // Under the default echo each of the preview's cells meets the
+    // damaged chunk: every one of its loads is its own bounded reads.
+    // The subscript after it reads the chunk again and answers as the
+    // damage does: corruption — and not "(transient)".
     s.display_limit = aql::core::value::print::SESSION_TRUNCATE;
-    let err = s
-        .run(&format!("readval \\H using AQF at \"{}\"; H[5];", dir.join("damaged.aqf").display()))
-        .expect_err("a damaged chunk is not served");
+    let damaged = dir.join("damaged.aqf");
+    let t0 = std::time::Instant::now();
+    s.run(&format!("readval \\H using AQF at \"{}\";", damaged.display())).expect("echo");
+    let took = t0.elapsed();
+    let report = s.last_report();
+    let row = &report.attribution[0].sources[0].1;
+    assert!(row.load_errors + row.retries <= 24, "{row:?}");
+    assert!(took < Duration::from_millis(100), "{took:?}");
+    let err = s.run("H[5];").expect_err("a damaged chunk is not served");
     assert!(!err.to_string().contains("(transient)"), "{err}");
-    assert!(
-        matches!(err.class(), ErrorClass::Unavailable | ErrorClass::Corruption),
-        "{err}"
-    );
+    assert_eq!(err.class(), ErrorClass::Corruption, "{err}");
 
     s.disable_incidents();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What one statement of a cell cost the faulty chunk — source reads,
+/// every attempt counted, and loads that failed — and its class if it
+/// failed.
+#[derive(Debug)]
+struct Step {
+    class: Option<ErrorClass>,
+    calls: u64,
+    failed_loads: u64,
+}
+
+/// [`cell`]'s three statements, up to the first that fails, each with
+/// its [`Step`].
+fn steps(
+    dir: &std::path::Path,
+    source: &str,
+    fault: Fault,
+    stage: Stage,
+    kernel: &str,
+) -> Vec<Step> {
+    let reader = FaultyReader::new(dir, fault, stage);
+    let calls = Rc::clone(&reader.calls);
+    let mut s = Session::new();
+    s.display_limit = 16;
+    s.register_reader("FAULTY", Rc::new(reader));
+    let label = format!("axis:{source}");
+    let mut out = Vec::new();
+    let read = format!("readval \\A using FAULTY at \"{source}\";");
+    for statement in [read.as_str(), "A[40];", kernel] {
+        let before = calls.get();
+        let class = s.run(statement).err().map(|e| e.class());
+        let report = s.last_report();
+        let row = report.attribution.last().expect("the statement's row");
+        let failed_loads =
+            row.sources.iter().find(|(l, _)| *l == label).map_or(0, |(_, c)| c.load_errors);
+        out.push(Step { class, calls: calls.get() - before, failed_loads });
+        if class.is_some() {
+            break;
+        }
+    }
+    out
+}
+
+#[test]
+fn a_failed_read_costs_its_own_bounded_attempts() {
+    let _g = lock();
+    let dir = tmpdir("bounded");
+    let attempts = u64::from(aql::store::RetryPolicy::default().attempts);
+    for fault in [Fault::PersistentIo, Fault::TransientForever, Fault::Corruption] {
+        // A persistent fault is not retried; the others spend every attempt.
+        let per_read = if fault == Fault::PersistentIo { 1 } else { attempts };
+        for source in ["netcdf", "aqf"] {
+            let [whole, blocks] = kernel_statements();
+            let cells = Stage::ALL.map(|stage| (stage, whole.0.clone()));
+            for (stage, kernel) in cells.into_iter().chain([(Stage::Kernel, blocks.0)]) {
+                let context = format!("{source} × {fault:?} × {stage:?} × `{kernel}`");
+                let steps = steps(&dir, source, fault, stage, &kernel);
+                for step in &steps {
+                    assert_eq!(step.calls, per_read * step.failed_loads, "{context}: {steps:?}");
+                }
+                let last = steps.last().expect("a statement ran");
+                assert_eq!(last.class, fault.class(), "{context}");
+                if stage == Stage::Kernel {
+                    // The window read escapes; the interpreter reads once more.
+                    assert!(last.failed_loads <= 2, "{context}: {steps:?}");
+                }
+            }
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -56,7 +56,6 @@ fn bind_flaky(s: &mut Session) {
             jitter: 0.0,
             ..RetryPolicy::default()
         },
-        ..ResiliencePolicy::default()
     };
     let mem = MemChunkSource::new(vec![N], data).unwrap();
     let src = ResilientSource::new(FaultyChunkSource::new(mem, plan), LABEL, policy);
